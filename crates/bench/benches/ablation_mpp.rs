@@ -2,8 +2,8 @@
 //!
 //! Not a paper figure — this sweep validates the shared-nothing model the
 //! reproduction substitutes for Futurewei MPPDB (DESIGN.md §2): PageRank
-//! across 1/2/4/8 virtual partitions, sequentially and with crossbeam
-//! partition workers. Exchange-row counters scale with partition count;
+//! across 1/2/4/8 virtual partitions, sequentially and on the worker
+//! pool. Exchange-row counters scale with partition count;
 //! wall time should improve with parallel workers on multi-core hosts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

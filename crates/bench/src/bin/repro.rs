@@ -406,70 +406,50 @@ fn median_ms_per_iteration(mut times: Vec<f64>, iterations: u64) -> f64 {
 
 /// Bench-regression harness (PR 5): the fig8 (FF/PR) and fig9
 /// (PR-VS/SSSP-VS) workloads in smoke mode — dblp-like dataset, 10
-/// iterations, median of 5 — with parallel partitions on in both arms,
-/// comparing the persistent worker pool against the spawn-per-operator
-/// fallback. The series is written to `BENCH_5.json` for the CI artifact
-/// upload, so a regression in pool dispatch or the join cache shows up
-/// as a diff between uploads.
+/// iterations, median of 5 — with parallel partitions on the persistent
+/// worker pool (the engine's only parallel path). The series is written
+/// to `BENCH_5.json` for the CI artifact upload, so a regression in pool
+/// dispatch or the join cache shows up as a diff between uploads.
 fn bench() -> Result<()> {
     const SMOKE_ITERATIONS: u64 = 10;
-    header("Bench — worker pool vs spawn-per-operator (smoke, 10 iterations, dblp-like)");
-    let pool_on = || {
+    header("Bench — worker pool (smoke, 10 iterations, dblp-like)");
+    let config = || {
         EngineConfig::default()
             .with_partitions(8)
             .with_parallel_partitions(true)
     };
-    let pool_off = || pool_on().with_worker_pool(false);
     let workloads = [
         ("fig8", "FF", ff(SMOKE_ITERATIONS, 10).cte, false),
         ("fig8", "PR", pagerank(SMOKE_ITERATIONS, false).cte, false),
         ("fig9", "PR-VS", pagerank(SMOKE_ITERATIONS, true).cte, true),
         ("fig9", "SSSP-VS", sssp(SMOKE_ITERATIONS, 1, true).cte, true),
     ];
-    println!(
-        "{:<6} {:<10} {:>16} {:>16} {:>9}",
-        "figure", "query", "pool-off ms/it", "pool-on ms/it", "gain"
-    );
+    println!("{:<6} {:<10} {:>16}", "figure", "query", "pool ms/it");
     let mut entries = Vec::new();
     for (figure, qname, sql, with_vs) in workloads {
-        let off_db = setup_db(BenchDataset::DblpLike, pool_off(), with_vs);
-        let on_db = setup_db(BenchDataset::DblpLike, pool_on(), with_vs);
-        // One unmeasured warmup per arm, then interleaved samples so
-        // machine drift (thermal, scheduler) lands on both arms equally
-        // instead of biasing whichever ran second.
-        let mut off_times = Vec::new();
-        let mut on_times = Vec::new();
+        let db = setup_db(BenchDataset::DblpLike, config(), with_vs);
+        // One unmeasured warmup, then the samples.
+        let mut times = Vec::new();
         for sample in -1..5i32 {
-            for (db, times) in [(&off_db, &mut off_times), (&on_db, &mut on_times)] {
-                let t = Instant::now();
-                db.query(&sql)?;
-                if sample >= 0 {
-                    times.push(t.elapsed().as_secs_f64() * 1000.0);
-                }
+            let t = Instant::now();
+            db.query(&sql)?;
+            if sample >= 0 {
+                times.push(t.elapsed().as_secs_f64() * 1000.0);
             }
         }
-        let off = median_ms_per_iteration(off_times, SMOKE_ITERATIONS);
-        let on = median_ms_per_iteration(on_times, SMOKE_ITERATIONS);
-        let on_stats = on_db.take_stats();
-        if on_stats.threads_spawned != 0 {
+        let ms = median_ms_per_iteration(times, SMOKE_ITERATIONS);
+        let stats = db.take_stats();
+        if stats.threads_spawned != 0 {
             return Err(spinner_engine::Error::execution(
-                "pool-on run spawned mid-loop threads",
+                "pool run spawned mid-loop threads",
             ));
         }
-        println!(
-            "{:<6} {:<10} {:>16.3} {:>16.3} {:>8.1}%",
-            figure,
-            qname,
-            off,
-            on,
-            100.0 * (off - on) / off,
-        );
+        println!("{:<6} {:<10} {:>16.3}", figure, qname, ms);
         entries.push(format!(
             "    {{\"figure\": \"{figure}\", \"query\": \"{qname}\", \
-             \"pool_off_ms_per_iteration\": {off:.4}, \
-             \"pool_on_ms_per_iteration\": {on:.4}, \
+             \"pool_on_ms_per_iteration\": {ms:.4}, \
              \"pool_tasks\": {}, \"join_builds_reused\": {}}}",
-            on_stats.pool_tasks, on_stats.join_builds_reused,
+            stats.pool_tasks, stats.join_builds_reused,
         ));
     }
     let json = format!(

@@ -59,18 +59,15 @@ pub struct EngineConfig {
     /// the decision is recorded in EXPLAIN ANALYZE
     /// (`iteration: mode=semi_naive|full`).
     pub semi_naive: bool,
-    /// General-purpose logical rewrites (constant folding, projection
-    /// pruning, filter merging). Kept separate so ablations isolate the
-    /// paper's three optimizations.
-    pub general_rewrites: bool,
     /// Two-phase grouped aggregation: partitions pre-aggregate locally and
     /// ship partial states instead of raw rows through the exchange — the
     /// standard MPP optimization. Disabled, every input row crosses the
     /// shuffle. DISTINCT aggregates always use the single-phase path.
     pub two_phase_aggregation: bool,
-    /// Execute partitions on worker threads (crossbeam) instead of
-    /// sequentially. Sequential execution is deterministic and is the
-    /// default for tests.
+    /// Execute partitions on the database's persistent worker pool (one
+    /// thread per partition, created when the config is installed)
+    /// instead of sequentially on the statement's thread. Sequential
+    /// execution is deterministic and is the default for tests.
     pub parallel_partitions: bool,
     /// Safety bound on iterations for data/delta termination conditions, so
     /// a non-converging UNTIL cannot loop forever.
@@ -134,12 +131,6 @@ pub struct EngineConfig {
     /// verified on read either way. The fsync count is surfaced as
     /// `durability: ... refsync=` in stats and EXPLAIN ANALYZE.
     pub durable_spill: bool,
-    /// Use a persistent worker pool (one thread per partition, created once
-    /// per database) for parallel partition execution instead of spawning a
-    /// fresh scoped thread per operator invocation. Only takes effect when
-    /// [`parallel_partitions`](Self::parallel_partitions) is on; disabling
-    /// it restores the spawn-per-operator path (useful for A/B timing).
-    pub worker_pool: bool,
     /// Cache the hash table built for a loop-invariant join side (a hoisted
     /// `__common_*` result) across iterations, re-probing it instead of
     /// re-hashing every time. Keyed by temp-result identity and registered
@@ -199,7 +190,6 @@ impl Default for EngineConfig {
             common_result_optimization: true,
             predicate_pushdown: true,
             semi_naive: true,
-            general_rewrites: true,
             two_phase_aggregation: true,
             parallel_partitions: false,
             max_iterations: 10_000,
@@ -215,7 +205,6 @@ impl Default for EngineConfig {
             spill_threshold_bytes: spill_threshold_from_env(),
             spill_dir: std::env::var("SPINNER_SPILL_DIR").ok(),
             durable_spill: true,
-            worker_pool: true,
             join_state_cache: true,
             max_concurrent_queries: None,
             admission_queue_limit: 16,
@@ -428,13 +417,6 @@ impl EngineConfig {
     /// the restart contract accidental).
     pub fn with_resumable_queries(mut self, on: bool) -> Self {
         self.resumable_queries = on;
-        self
-    }
-
-    /// Builder-style setter for the persistent worker pool. Off, parallel
-    /// operators fall back to spawning a scoped thread per partition.
-    pub fn with_worker_pool(mut self, on: bool) -> Self {
-        self.worker_pool = on;
         self
     }
 
@@ -826,7 +808,6 @@ mod tests {
         assert!(!c.common_result_optimization);
         assert!(!c.predicate_pushdown);
         assert!(!c.semi_naive);
-        assert!(c.general_rewrites);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 pub mod admission;
 pub mod approx;
 pub mod config;
+pub mod counters;
 pub mod error;
 pub mod guard;
 pub mod memory;
@@ -24,16 +25,14 @@ pub use admission::{
 };
 pub use approx::{floats_approx_eq, rows_approx_eq, values_approx_eq, DEFAULT_TOLERANCE};
 pub use config::{EngineConfig, FaultConfig, FaultKind, FaultSite, FaultTrigger, RecoveryPolicy};
+pub use counters::{CounterBlock, CounterSet, StatsSnapshot};
 pub use error::{Error, ErrorClass, Result};
 pub use guard::QueryGuard;
 pub use memory::{
-    MemoryAccountant, MemoryCounters, MemoryMetrics, RegionId, RegionKind, SpillFaultHook,
-    SpillRequest, TransientRegion,
+    MemoryAccountant, MemoryMetrics, RegionId, RegionKind, SpillFaultHook, SpillRequest,
+    TransientRegion,
 };
-pub use profile::{
-    AdmissionProfile, DurabilityProfile, IterationProfile, PoolProfile, ProfileNode, QueryProfile,
-    RecoveryProfile, RestartProfile, SpanKind, SpillProfile, Tracer,
-};
+pub use profile::{IterationProfile, ProfileNode, QueryProfile, RecoveryProfile, SpanKind, Tracer};
 pub use row::{batch_of, row_of, Batch, Row};
 pub use schema::{Field, Schema, SchemaRef};
 pub use value::{DataType, Value};

@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::config::FaultSite;
+use crate::counters::CounterSet;
 use crate::error::Result;
 
 /// Identifier of one registered memory region.
@@ -92,99 +93,10 @@ impl RegionKind {
     }
 }
 
-/// Cumulative spill observability counters, shared between the accountant,
-/// the storage layer's spill manager, and the engine (which drains them
-/// into `ExecStats` after every statement).
-#[derive(Debug, Default)]
-pub struct MemoryMetrics {
-    spill_events: AtomicU64,
-    spill_bytes_written: AtomicU64,
-    spill_bytes_read: AtomicU64,
-    peak_tracked_bytes: AtomicU64,
-    durable_epochs: AtomicU64,
-    verified_reads: AtomicU64,
-    corrupt_detected: AtomicU64,
-    fsyncs: AtomicU64,
-}
-
-/// One drained snapshot of [`MemoryMetrics`]; counters reset to zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoryCounters {
-    /// Regions written to spill files.
-    pub spill_events: u64,
-    /// Bytes written to spill files (on-disk size).
-    pub spill_bytes_written: u64,
-    /// Bytes read back from spill files (on-disk size).
-    pub spill_bytes_read: u64,
-    /// High-water mark of resident tracked bytes.
-    pub peak_tracked_bytes: u64,
-    /// Checkpoint epochs committed durably to the manifest.
-    pub durable_epochs: u64,
-    /// Spill/checkpoint files read back with every checksum verified.
-    pub verified_reads: u64,
-    /// Reads that failed verification (torn write, bit rot, truncation).
-    pub corrupt_detected: u64,
-    /// `fsync` calls issued by the atomic-write protocol (file + dir).
-    pub fsyncs: u64,
-}
-
-impl MemoryMetrics {
-    /// Fresh zeroed metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one region spilled to disk, `bytes` on-disk bytes written.
-    pub fn note_spill_write(&self, bytes: u64) {
-        self.spill_events.fetch_add(1, Ordering::Relaxed);
-        self.spill_bytes_written.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Record one spilled region read back, `bytes` on-disk bytes read.
-    pub fn note_spill_read(&self, bytes: u64) {
-        self.spill_bytes_read.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Raise the resident-bytes high-water mark to at least `resident`.
-    pub fn note_resident(&self, resident: u64) {
-        self.peak_tracked_bytes
-            .fetch_max(resident, Ordering::Relaxed);
-    }
-
-    /// Record one checkpoint epoch committed durably to the manifest.
-    pub fn note_epoch(&self) {
-        self.durable_epochs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one on-disk artifact read back with all checksums verified.
-    pub fn note_verified_read(&self) {
-        self.verified_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one read that failed checksum/trailer verification.
-    pub fn note_corrupt_detected(&self) {
-        self.corrupt_detected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one `fsync` issued by the atomic-write protocol.
-    pub fn note_fsync(&self) {
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Read and reset all counters (end of statement).
-    pub fn drain(&self) -> MemoryCounters {
-        MemoryCounters {
-            spill_events: self.spill_events.swap(0, Ordering::Relaxed),
-            spill_bytes_written: self.spill_bytes_written.swap(0, Ordering::Relaxed),
-            spill_bytes_read: self.spill_bytes_read.swap(0, Ordering::Relaxed),
-            peak_tracked_bytes: self.peak_tracked_bytes.swap(0, Ordering::Relaxed),
-            durable_epochs: self.durable_epochs.swap(0, Ordering::Relaxed),
-            verified_reads: self.verified_reads.swap(0, Ordering::Relaxed),
-            corrupt_detected: self.corrupt_detected.swap(0, Ordering::Relaxed),
-            fsyncs: self.fsyncs.swap(0, Ordering::Relaxed),
-        }
-    }
-}
+/// The metrics sink shared by the accountant and the storage layer's spill
+/// manager: an engine-wide [`CounterSet`] whose spill and durability
+/// counters the engine folds into each statement as it finishes.
+pub type MemoryMetrics = CounterSet;
 
 /// Fault-injection hook for spill I/O, implemented by the engine over its
 /// `FaultInjector` so the storage layer can fire `FaultSite::SpillWrite` /
@@ -277,7 +189,7 @@ impl MemoryAccountant {
             },
         );
         let resident = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.metrics.note_resident(resident);
+        self.metrics.peak_tracked_bytes.raise(resident);
         id
     }
 
@@ -316,7 +228,7 @@ impl MemoryAccountant {
                 r.resident = true;
                 r.last_touch = tick;
                 let resident = self.resident.fetch_add(r.bytes, Ordering::Relaxed) + r.bytes;
-                self.metrics.note_resident(resident);
+                self.metrics.peak_tracked_bytes.raise(resident);
             }
         }
     }
@@ -424,7 +336,7 @@ mod tests {
         assert_eq!(a.resident_bytes(), 400);
         a.release(y);
         assert_eq!(a.resident_bytes(), 0);
-        assert_eq!(a.metrics().drain().peak_tracked_bytes, 700);
+        assert_eq!(a.metrics().take().peak_tracked_bytes, 700);
     }
 
     #[test]
@@ -517,20 +429,5 @@ mod tests {
             RegionKind::of_temp_name("__cte_pr_1"),
             RegionKind::TempResult
         );
-    }
-
-    #[test]
-    fn metrics_drain_resets() {
-        let m = MemoryMetrics::new();
-        m.note_spill_write(100);
-        m.note_spill_write(50);
-        m.note_spill_read(70);
-        m.note_resident(900);
-        let c = m.drain();
-        assert_eq!(c.spill_events, 2);
-        assert_eq!(c.spill_bytes_written, 150);
-        assert_eq!(c.spill_bytes_read, 70);
-        assert_eq!(c.peak_tracked_bytes, 900);
-        assert_eq!(m.drain(), MemoryCounters::default());
     }
 }

@@ -1,9 +1,10 @@
 //! Per-query observability: execution spans, per-iteration loop metrics,
 //! and the structured [`QueryProfile`] behind `EXPLAIN ANALYZE`.
 //!
-//! The flat `ExecStats` counters answer "how much did this statement cost
-//! in total"; this module answers "*which* step, *which* operator and
-//! *which* loop iteration paid it". The executor threads a [`Tracer`]
+//! The flat statement counters ([`crate::counters`]) answer "how much
+//! did this statement cost in total"; this module answers "*which* step,
+//! *which* operator and *which* loop iteration paid it". The executor
+//! threads a [`Tracer`]
 //! through every step and physical operator; when tracing is enabled the
 //! tracer builds a tree of [`ProfileNode`]s (one per step-program step and
 //! per physical operator) annotated with actual row counts, rows moved
@@ -22,6 +23,7 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::counters::{CounterBlock, Group, StatsSnapshot};
 use crate::error::{Error, Result};
 
 /// What a profile span measures.
@@ -141,139 +143,6 @@ impl RecoveryProfile {
         self.rollbacks += other.rollbacks;
         self.iterations_replayed += other.iterations_replayed;
         self.replayed_ranges.extend(other.replayed_ranges);
-    }
-}
-
-/// Spill activity of one statement — the `EXPLAIN ANALYZE` view of the
-/// memory accountant. All-zero (and omitted from JSON) unless memory
-/// pressure made the engine spill, so profiles from spill-free runs stay
-/// byte-identical to the previous format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpillProfile {
-    /// Regions written to spill files.
-    pub events: u64,
-    /// Bytes written to spill files.
-    pub bytes_written: u64,
-    /// Bytes read back from spill files.
-    pub bytes_read: u64,
-    /// High-water mark of resident tracked intermediate bytes.
-    pub peak_tracked_bytes: u64,
-}
-
-impl SpillProfile {
-    /// Whether any spill activity (or tracking) was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events == 0
-            && self.bytes_written == 0
-            && self.bytes_read == 0
-            && self.peak_tracked_bytes == 0
-    }
-}
-
-/// Parallel-scheduling and join-state-cache activity of one statement —
-/// the `EXPLAIN ANALYZE` view of the worker pool and the loop-invariant
-/// join cache. All-zero (and omitted from JSON) for serial statements
-/// with no cacheable joins, so such profiles stay byte-identical to the
-/// previous format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolProfile {
-    /// OS threads spawned by parallel operators (spawn-per-operator
-    /// fallback). Zero when the persistent pool handled everything.
-    pub threads_spawned: u64,
-    /// Per-partition tasks dispatched to the persistent worker pool.
-    pub pool_tasks: u64,
-    /// Loop-invariant hash-join build tables constructed.
-    pub join_builds: u64,
-    /// Loop-invariant hash-join builds reused from the cache instead of
-    /// being re-hashed.
-    pub join_builds_reused: u64,
-}
-
-impl PoolProfile {
-    /// Whether any pool/cache activity was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.threads_spawned == 0
-            && self.pool_tasks == 0
-            && self.join_builds == 0
-            && self.join_builds_reused == 0
-    }
-}
-
-/// Admission-control activity of one statement — the `EXPLAIN ANALYZE`
-/// view of the [`AdmissionController`](crate::admission::AdmissionController).
-/// All-zero (and omitted from JSON) when admission control is disabled or
-/// the statement sailed through the fast path on an otherwise-idle
-/// server, so such profiles stay byte-identical to the previous format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AdmissionProfile {
-    /// Milliseconds this statement waited in the admission queue before
-    /// being allowed to start.
-    pub waited_ms: u64,
-    /// Depth of the admission queue when this statement joined it (zero
-    /// if it was admitted on the fast path).
-    pub queue_depth: u64,
-    /// Queries shed server-wide (overloaded + admission timeout +
-    /// shutdown) as of this statement's admission — overload context for
-    /// the wait above.
-    pub shed: u64,
-}
-
-impl AdmissionProfile {
-    /// Whether any admission activity was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.waited_ms == 0 && self.queue_depth == 0 && self.shed == 0
-    }
-}
-
-/// Durability activity of one statement — the `EXPLAIN ANALYZE` view of
-/// the checksummed, crash-consistent spill/checkpoint layer. All-zero
-/// (and omitted from JSON) when the statement never touched disk, so
-/// profiles from spill-free runs stay byte-identical to the previous
-/// format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DurabilityProfile {
-    /// Checkpoint epochs committed durably to the manifest.
-    pub epochs: u64,
-    /// On-disk artifacts read back with every checksum verified.
-    pub verified: u64,
-    /// Reads that failed verification (torn write, bit rot, truncation);
-    /// each one was surfaced as a transient `StorageCorrupt` and handled
-    /// by recovery, never returned as silent wrong answers.
-    pub corrupt_detected: u64,
-    /// `fsync` calls issued by the write-to-temp → fsync → rename →
-    /// fsync-dir protocol (file and directory syncs combined).
-    pub refsync: u64,
-}
-
-impl DurabilityProfile {
-    /// Whether any durability activity was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.epochs == 0 && self.verified == 0 && self.corrupt_detected == 0 && self.refsync == 0
-    }
-}
-
-/// Restart-recovery provenance of one statement — present only when the
-/// statement resumed an adopted loop instead of starting from iteration
-/// 0. All-zero (and omitted from JSON) for ordinary statements, so their
-/// profiles stay byte-identical to the previous format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RestartProfile {
-    /// The committed checkpoint epoch the loop was seeded from.
-    pub adopted_epoch: u64,
-    /// The iteration the loop resumed at (the adopted checkpoint's
-    /// iteration), rather than 0.
-    pub resumed_iteration: u64,
-    /// Iterations of work the crash cost: the dead process's newest
-    /// journaled iteration minus the iteration actually resumed from.
-    /// Bounded by one checkpoint interval unless the newest epoch was
-    /// corrupt and adoption fell back to the previous one.
-    pub replayed_iterations: u64,
-}
-
-impl RestartProfile {
-    /// Whether the statement resumed adopted state.
-    pub fn is_empty(&self) -> bool {
-        self.adopted_epoch == 0 && self.resumed_iteration == 0 && self.replayed_iterations == 0
     }
 }
 
@@ -542,30 +411,53 @@ impl ProfileNode {
 /// let json = profile.to_json();
 /// assert_eq!(QueryProfile::from_json(&json).unwrap(), profile);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryProfile {
     /// Top-level spans: the statement's steps, loops and final `Return`.
     pub roots: Vec<ProfileNode>,
     /// End-to-end wall time of the statement in microseconds.
     pub total_elapsed_us: u64,
-    /// Statement-level spill activity; all-zero unless memory pressure
-    /// made the engine spill intermediate state to disk.
-    pub spill: SpillProfile,
-    /// Statement-level worker-pool / join-cache activity; all-zero for
+    /// Spill counters of the statement ([`Group::Spill`]); empty unless
+    /// memory pressure made the engine track or spill intermediate state.
+    pub spill: CounterBlock,
+    /// Worker-pool / join-cache counters ([`Group::Pool`]); empty for
     /// serial statements with no cacheable joins.
-    pub pool: PoolProfile,
-    /// Statement-level admission-control activity; all-zero when the
-    /// statement started without queueing.
-    pub admission: AdmissionProfile,
-    /// Statement-level durability activity; all-zero when the statement
-    /// never wrote or verified on-disk state.
-    pub durability: DurabilityProfile,
-    /// Restart-recovery provenance; all-zero unless this statement
-    /// resumed a loop adopted from a dead process's journal.
-    pub restart: RestartProfile,
+    pub pool: CounterBlock,
+    /// Admission-control activity: `waited_ms`, `queue_depth` at enqueue
+    /// time and the server-wide `shed` total. Empty when the statement
+    /// started without queueing on a server that has shed nothing.
+    pub admission: CounterBlock,
+    /// Durability counters ([`Group::Durability`]); empty when the
+    /// statement never wrote or verified on-disk state.
+    pub durability: CounterBlock,
+    /// Restart-recovery provenance ([`Group::Restart`]); empty unless this
+    /// statement resumed a loop adopted from a dead process's journal.
+    pub restart: CounterBlock,
 }
 
 impl QueryProfile {
+    /// The statement-level counter blocks in print order.
+    fn blocks(&self) -> [(Group, &CounterBlock); 5] {
+        [
+            (Group::Spill, &self.spill),
+            (Group::Pool, &self.pool),
+            (Group::Admission, &self.admission),
+            (Group::Durability, &self.durability),
+            (Group::Restart, &self.restart),
+        ]
+    }
+
+    /// Fill the counter blocks from the finished statement's counters.
+    /// The spans carry per-step detail; spill, scheduling, durability and
+    /// restart activity is only counted per statement. The admission
+    /// block holds derived values and is set by the engine.
+    pub fn attach_counters(&mut self, counters: &StatsSnapshot) {
+        self.spill = counters.block(Group::Spill);
+        self.pool = counters.block(Group::Pool);
+        self.durability = counters.block(Group::Durability);
+        self.restart = counters.block(Group::Restart);
+    }
+
     /// All loop nodes in the profile, in execution order. Each carries the
     /// per-iteration convergence data in [`ProfileNode::iterations`].
     pub fn loops(&self) -> Vec<&ProfileNode> {
@@ -591,81 +483,17 @@ impl QueryProfile {
                 Json::Arr(self.roots.iter().map(|r| r.to_json_value()).collect()),
             ),
         ];
-        // Like the recovery key: spill-free profiles stay byte-identical
-        // to the previous format.
-        if !self.spill.is_empty() {
-            fields.push((
-                "spill".into(),
-                Json::Obj(vec![
-                    ("events".into(), Json::Num(self.spill.events)),
-                    ("bytes_written".into(), Json::Num(self.spill.bytes_written)),
-                    ("bytes_read".into(), Json::Num(self.spill.bytes_read)),
-                    (
-                        "peak_tracked_bytes".into(),
-                        Json::Num(self.spill.peak_tracked_bytes),
-                    ),
-                ]),
-            ));
-        }
-        if !self.pool.is_empty() {
-            fields.push((
-                "pool".into(),
-                Json::Obj(vec![
-                    (
-                        "threads_spawned".into(),
-                        Json::Num(self.pool.threads_spawned),
-                    ),
-                    ("pool_tasks".into(), Json::Num(self.pool.pool_tasks)),
-                    ("join_builds".into(), Json::Num(self.pool.join_builds)),
-                    (
-                        "join_builds_reused".into(),
-                        Json::Num(self.pool.join_builds_reused),
-                    ),
-                ]),
-            ));
-        }
-        if !self.admission.is_empty() {
-            fields.push((
-                "admission".into(),
-                Json::Obj(vec![
-                    ("waited_ms".into(), Json::Num(self.admission.waited_ms)),
-                    ("queue_depth".into(), Json::Num(self.admission.queue_depth)),
-                    ("shed".into(), Json::Num(self.admission.shed)),
-                ]),
-            ));
-        }
-        if !self.durability.is_empty() {
-            fields.push((
-                "durability".into(),
-                Json::Obj(vec![
-                    ("epochs".into(), Json::Num(self.durability.epochs)),
-                    ("verified".into(), Json::Num(self.durability.verified)),
-                    (
-                        "corrupt_detected".into(),
-                        Json::Num(self.durability.corrupt_detected),
-                    ),
-                    ("refsync".into(), Json::Num(self.durability.refsync)),
-                ]),
-            ));
-        }
-        if !self.restart.is_empty() {
-            fields.push((
-                "restart".into(),
-                Json::Obj(vec![
-                    (
-                        "adopted_epoch".into(),
-                        Json::Num(self.restart.adopted_epoch),
-                    ),
-                    (
-                        "resumed_iteration".into(),
-                        Json::Num(self.restart.resumed_iteration),
-                    ),
-                    (
-                        "replayed_iterations".into(),
-                        Json::Num(self.restart.replayed_iterations),
-                    ),
-                ]),
-            ));
+        // Like the recovery key, a block's key appears only when one of
+        // its counters is non-zero.
+        for (group, block) in self.blocks() {
+            if let (Some((name, _)), false) = (group.block(), block.is_empty()) {
+                let values = block
+                    .entries()
+                    .iter()
+                    .map(|&(label, value)| (label.key.into(), Json::Num(value)))
+                    .collect();
+                fields.push((name.into(), Json::Obj(values)));
+            }
         }
         let v = Json::Obj(fields);
         let mut out = String::new();
@@ -677,68 +505,17 @@ impl QueryProfile {
     pub fn from_json(text: &str) -> Result<QueryProfile> {
         let v = Json::parse(text)?;
         let obj = v.as_obj("profile")?;
-        let spill = match Json::get_opt(obj, "spill") {
-            None => SpillProfile::default(),
-            Some(v) => {
-                let o = v.as_obj("spill")?;
-                SpillProfile {
-                    events: Json::get(o, "events")?.as_num("events")?,
-                    bytes_written: Json::get(o, "bytes_written")?.as_num("bytes_written")?,
-                    bytes_read: Json::get(o, "bytes_read")?.as_num("bytes_read")?,
-                    peak_tracked_bytes: Json::get(o, "peak_tracked_bytes")?
-                        .as_num("peak_tracked_bytes")?,
-                }
-            }
-        };
-        let pool = match Json::get_opt(obj, "pool") {
-            None => PoolProfile::default(),
-            Some(v) => {
-                let o = v.as_obj("pool")?;
-                PoolProfile {
-                    threads_spawned: Json::get(o, "threads_spawned")?.as_num("threads_spawned")?,
-                    pool_tasks: Json::get(o, "pool_tasks")?.as_num("pool_tasks")?,
-                    join_builds: Json::get(o, "join_builds")?.as_num("join_builds")?,
-                    join_builds_reused: Json::get(o, "join_builds_reused")?
-                        .as_num("join_builds_reused")?,
-                }
-            }
-        };
-        let admission = match Json::get_opt(obj, "admission") {
-            None => AdmissionProfile::default(),
-            Some(v) => {
-                let o = v.as_obj("admission")?;
-                AdmissionProfile {
-                    waited_ms: Json::get(o, "waited_ms")?.as_num("waited_ms")?,
-                    queue_depth: Json::get(o, "queue_depth")?.as_num("queue_depth")?,
-                    shed: Json::get(o, "shed")?.as_num("shed")?,
-                }
-            }
-        };
-        let durability = match Json::get_opt(obj, "durability") {
-            None => DurabilityProfile::default(),
-            Some(v) => {
-                let o = v.as_obj("durability")?;
-                DurabilityProfile {
-                    epochs: Json::get(o, "epochs")?.as_num("epochs")?,
-                    verified: Json::get(o, "verified")?.as_num("verified")?,
-                    corrupt_detected: Json::get(o, "corrupt_detected")?
-                        .as_num("corrupt_detected")?,
-                    refsync: Json::get(o, "refsync")?.as_num("refsync")?,
-                }
-            }
-        };
-        let restart = match Json::get_opt(obj, "restart") {
-            None => RestartProfile::default(),
-            Some(v) => {
-                let o = v.as_obj("restart")?;
-                RestartProfile {
-                    adopted_epoch: Json::get(o, "adopted_epoch")?.as_num("adopted_epoch")?,
-                    resumed_iteration: Json::get(o, "resumed_iteration")?
-                        .as_num("resumed_iteration")?,
-                    replayed_iterations: Json::get(o, "replayed_iterations")?
-                        .as_num("replayed_iterations")?,
-                }
-            }
+        let block = |group: Group| -> Result<CounterBlock> {
+            let Some(o) = group.block().and_then(|(name, _)| Json::get_opt(obj, name)) else {
+                return Ok(CounterBlock::default());
+            };
+            let o = o.as_obj("counter block")?;
+            let values = group
+                .block_labels()
+                .iter()
+                .map(|label| Json::get(o, label.key)?.as_num(label.key))
+                .collect::<Result<Vec<u64>>>()?;
+            Ok(CounterBlock::new(group, &values))
         };
         Ok(QueryProfile {
             total_elapsed_us: Json::get(obj, "total_elapsed_us")?.as_num("total_elapsed_us")?,
@@ -747,11 +524,11 @@ impl QueryProfile {
                 .iter()
                 .map(ProfileNode::from_json_value)
                 .collect::<Result<_>>()?,
-            spill,
-            pool,
-            admission,
-            durability,
-            restart,
+            spill: block(Group::Spill)?,
+            pool: block(Group::Pool)?,
+            admission: block(Group::Admission)?,
+            durability: block(Group::Durability)?,
+            restart: block(Group::Restart)?,
         })
     }
 
@@ -764,45 +541,8 @@ impl QueryProfile {
         for node in &self.roots {
             render_node(node, &mut step_no, 0, &mut out);
         }
-        if !self.spill.is_empty() {
-            let s = &self.spill;
-            let _ = writeln!(
-                out,
-                "spill: events={}, written={} B, read={} B, peak_tracked={} B",
-                s.events, s.bytes_written, s.bytes_read, s.peak_tracked_bytes
-            );
-        }
-        if !self.pool.is_empty() {
-            let p = &self.pool;
-            let _ = writeln!(
-                out,
-                "pool: threads_spawned={}, pool_tasks={}, join_builds={}, join_reused={}",
-                p.threads_spawned, p.pool_tasks, p.join_builds, p.join_builds_reused
-            );
-        }
-        if !self.admission.is_empty() {
-            let a = &self.admission;
-            let _ = writeln!(
-                out,
-                "admission: waited_ms={}, queue_depth={}, shed={}",
-                a.waited_ms, a.queue_depth, a.shed
-            );
-        }
-        if !self.durability.is_empty() {
-            let d = &self.durability;
-            let _ = writeln!(
-                out,
-                "durability: epochs={} verified={} corrupt_detected={} refsync={}",
-                d.epochs, d.verified, d.corrupt_detected, d.refsync
-            );
-        }
-        if !self.restart.is_empty() {
-            let r = &self.restart;
-            let _ = writeln!(
-                out,
-                "restart: adopted_epoch={} resumed_iteration={} replayed_iterations={}",
-                r.adopted_epoch, r.resumed_iteration, r.replayed_iterations
-            );
+        for (group, block) in self.blocks() {
+            block.render(group, &mut out);
         }
         let _ = writeln!(
             out,
@@ -1201,11 +941,7 @@ impl Tracer {
         QueryProfile {
             roots: std::mem::take(&mut state.roots),
             total_elapsed_us: state.started.elapsed().as_micros() as u64,
-            spill: SpillProfile::default(),
-            pool: PoolProfile::default(),
-            admission: AdmissionProfile::default(),
-            durability: DurabilityProfile::default(),
-            restart: RestartProfile::default(),
+            ..QueryProfile::default()
         }
     }
 }
@@ -1481,6 +1217,7 @@ impl JsonParser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::COUNTERS;
 
     fn sample_profile() -> QueryProfile {
         let tracer = Tracer::new();
@@ -1653,46 +1390,74 @@ mod tests {
         assert!(!p.roots[0].recovery.is_empty());
     }
 
+    /// Every counter the table places in an `EXPLAIN ANALYZE` block, set
+    /// alone: its line and JSON object appear with exactly that value,
+    /// round-trip, and are absent again when it is zero.
     #[test]
-    fn admission_json_round_trips_and_is_absent_when_empty() {
-        let mut p = sample_profile();
-        let clean_json = p.to_json();
-        assert!(!clean_json.contains("\"admission\""), "{clean_json}");
-        assert_eq!(QueryProfile::from_json(&clean_json).unwrap(), p);
-        p.admission = AdmissionProfile {
-            waited_ms: 12,
-            queue_depth: 3,
-            shed: 1,
-        };
-        let json = p.to_json();
-        assert!(json.contains("\"admission\""), "{json}");
-        assert_eq!(QueryProfile::from_json(&json).unwrap(), p);
-        let text = p.render();
-        assert!(
-            text.contains("admission: waited_ms=12, queue_depth=3, shed=1"),
-            "{text}"
-        );
+    fn every_block_counter_renders_round_trips_and_is_omitted_when_zero() {
+        let clean = sample_profile();
+        let clean_json = clean.to_json();
+        let clean_text = clean.render();
+        for (i, def) in COUNTERS.iter().enumerate() {
+            let mut p = clean.clone();
+            p.attach_counters(&StatsSnapshot::only(i, 42));
+            let Some(label) = &def.block else {
+                assert_eq!(p, clean, "{} has no block", def.name);
+                continue;
+            };
+            let (name, _) = def.group.block().unwrap();
+            let text = p.render();
+            let line = text
+                .lines()
+                .find(|l| l.starts_with(&format!("{name}: ")))
+                .unwrap_or_else(|| panic!("no {name} line in {text}"));
+            assert!(
+                line.contains(&format!("{}=42{}", label.label, label.unit)),
+                "{line}"
+            );
+            let json = p.to_json();
+            assert!(json.contains(&format!("\"{name}\":{{")), "{json}");
+            assert!(json.contains(&format!("\"{}\":42", label.key)), "{json}");
+            assert_eq!(QueryProfile::from_json(&json).unwrap(), p);
+            p.attach_counters(&StatsSnapshot::default());
+            assert_eq!(p.to_json(), clean_json, "{name} omitted when zero");
+            assert_eq!(p.render().lines().count(), clean_text.lines().count());
+        }
     }
 
     #[test]
-    fn restart_json_round_trips_and_is_absent_when_empty() {
+    fn block_lines_keep_their_formats() {
         let mut p = sample_profile();
-        let clean_json = p.to_json();
-        assert!(!clean_json.contains("\"restart\""), "{clean_json}");
-        assert_eq!(QueryProfile::from_json(&clean_json).unwrap(), p);
-        p.restart = RestartProfile {
-            adopted_epoch: 4,
-            resumed_iteration: 8,
-            replayed_iterations: 2,
-        };
-        let json = p.to_json();
-        assert!(json.contains("\"restart\""), "{json}");
-        assert_eq!(QueryProfile::from_json(&json).unwrap(), p);
+        p.attach_counters(&StatsSnapshot {
+            spill_events: 1,
+            spill_bytes_written: 2,
+            spill_bytes_read: 3,
+            peak_tracked_bytes: 4,
+            pool_tasks: 5,
+            join_builds_reused: 6,
+            durability_fsyncs: 7,
+            restart_adopted_epoch: 4,
+            restart_resumed_iteration: 8,
+            restart_replayed_iterations: 2,
+            ..StatsSnapshot::default()
+        });
+        p.admission = CounterBlock::new(Group::Admission, &[12, 3, 1]);
         let text = p.render();
+        for line in [
+            "spill: events=1, written=2 B, read=3 B, peak_tracked=4 B",
+            "pool: threads_spawned=0, pool_tasks=5, join_builds=0, join_reused=6",
+            "admission: waited_ms=12, queue_depth=3, shed=1",
+            "durability: epochs=0 verified=0 corrupt_detected=0 refsync=7",
+            "restart: adopted_epoch=4 resumed_iteration=8 replayed_iterations=2",
+        ] {
+            assert!(text.contains(line), "{line} missing from {text}");
+        }
+        let json = p.to_json();
         assert!(
-            text.contains("restart: adopted_epoch=4 resumed_iteration=8 replayed_iterations=2"),
-            "{text}"
+            json.contains("\"admission\":{\"waited_ms\":12,\"queue_depth\":3,\"shed\":1}"),
+            "{json}"
         );
+        assert_eq!(QueryProfile::from_json(&json).unwrap(), p);
     }
 
     #[test]

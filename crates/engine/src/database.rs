@@ -4,20 +4,19 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use spinner_common::counters::Group;
 use spinner_common::memory::SpillFaultHook;
 use spinner_common::{
-    AdmissionController, AdmissionPermit, AdmissionProfile, Batch, DurabilityProfile, EngineConfig,
-    Error, FaultSite, MemoryGate, PoolProfile, QueryClass, QueryGuard, QueryProfile,
-    RestartProfile, Result, Row, Schema, SchemaRef, SpillProfile, Tracer, Value,
+    AdmissionController, AdmissionPermit, Batch, CounterBlock, EngineConfig, Error, FaultSite,
+    MemoryGate, QueryClass, QueryGuard, QueryProfile, Result, Row, Schema, SchemaRef,
+    StatsSnapshot, Tracer, Value,
 };
-use spinner_exec::stats::StatsSnapshot;
-use spinner_exec::{ExecStats, Executor, FaultInjector, JoinStateCache, WorkerPool};
+use spinner_exec::{FaultInjector, StatementContext, WorkerPool};
 use spinner_parser::{parse_sql, parse_statements, Statement};
 use spinner_plan::builder::SchemaProvider;
 use spinner_plan::{plan_statement, LogicalPlan, PlanExpr, PlannedStatement, QueryPlan};
 use spinner_storage::{
-    Catalog, CheckpointStore, InputRecord, JournalEntry, QueryJournal, ResumeSeed, SpillEnv,
-    SpillHandle, TempRegistry,
+    Catalog, InputRecord, JournalEntry, QueryJournal, ResumeSeed, SpillEnv, SpillHandle,
 };
 
 use crate::restart::{self, AdoptedQuery, AdoptionReport, ResumedSummary};
@@ -25,18 +24,21 @@ use crate::restart::{self, AdoptedQuery, AdoptionReport, ResumedSummary};
 /// An in-process DBSpinner database instance.
 ///
 /// Thread-compatible: wrap in `Arc` to share across sessions. Statements
-/// own their execution state (temp registry, loop checkpoints), so
-/// concurrent queries never observe — or clear — each other's
-/// intermediate results; catalog access uses internal locks.
-/// Configuration changes (`set_config`) still require `&mut self`.
+/// own their execution state (temp registry, loop checkpoints, counters
+/// — one [`StatementContext`] each), so concurrent queries never observe
+/// — or clear — each other's intermediate results or statistics; catalog
+/// access uses internal locks. Configuration changes (`set_config`)
+/// still require `&mut self`.
 pub struct Database {
     catalog: Catalog,
     config: EngineConfig,
-    /// `Arc`'d so the spill fault hook can share them with the spill
-    /// manager; everything else borrows them as before.
-    stats: Arc<ExecStats>,
+    /// Counters of the plan-executing statement that finished last, kept
+    /// for [`Database::stats`]. The live counters belong to the running
+    /// statements.
+    last_stats: Mutex<StatsSnapshot>,
     /// Chaos-testing fault injector, rebuilt whenever the config changes.
     /// Disabled (zero overhead beyond an emptiness check) by default.
+    /// `Arc`'d so the spill manager can fire its sites through it.
     faults: Arc<FaultInjector>,
     /// Memory accountant + spill manager, built when the config sets
     /// `spill_threshold_bytes` and installed into every statement's
@@ -44,10 +46,10 @@ pub struct Database {
     /// fail-fast budget semantics.
     spill: Option<Arc<SpillEnv>>,
     /// Persistent worker pool (one thread per partition), created once
-    /// when the config enables `parallel_partitions` + `worker_pool` and
-    /// shared by every statement — parallel operators dispatch tasks to
-    /// it instead of spawning threads. `None` = spawn-per-operator.
-    pool: Option<Arc<WorkerPool>>,
+    /// when the config enables `parallel_partitions` and shared by every
+    /// statement — parallel operators dispatch tasks to it. `None` =
+    /// partitions run serially on the statement's thread.
+    pool: Option<WorkerPool>,
     /// Global admission controller, built when the config sets
     /// `max_concurrent_queries`. Every plan-executing statement acquires
     /// an [`AdmissionPermit`] before touching the executor; `None`
@@ -87,39 +89,6 @@ struct ExecCtx<'a> {
     /// Adopted resume: (stable query id, loop key, seed). The seed is
     /// primed into the statement's checkpoint store for the loop driver.
     resume: Option<(u64, String, ResumeSeed)>,
-}
-
-/// Per-statement execution state: the temp-result registry and loop-
-/// checkpoint store a single statement runs against. Statements *own*
-/// their state — nothing is shared or cleared across statements — so
-/// concurrent sessions on one `Database` can never race on each other's
-/// working tables, and a faulted statement structurally cannot leak
-/// intermediate state (dropping the state also deletes any spill files
-/// its entries held).
-struct StatementState {
-    temp: TempRegistry,
-    checkpoints: CheckpointStore,
-    /// Loop-invariant join builds cached for this statement only: the
-    /// cache key is buffer identity in this statement's own registry, so
-    /// sharing across statements would never hit anyway.
-    join_cache: JoinStateCache,
-}
-
-/// Routes the spill manager's fault sites (`SpillWrite`/`SpillRead`)
-/// through the engine's chaos-testing injector, so spill I/O composes
-/// with the fault matrix like every other pipeline site. Lives here (not
-/// in storage) because storage cannot depend on the exec crate's
-/// injector — the manager only sees the [`SpillFaultHook`] trait.
-#[derive(Debug)]
-struct EngineSpillHook {
-    faults: Arc<FaultInjector>,
-    stats: Arc<ExecStats>,
-}
-
-impl SpillFaultHook for EngineSpillHook {
-    fn hit(&self, site: FaultSite) -> Result<()> {
-        self.faults.hit(site, &self.stats)
-    }
 }
 
 /// Adapts the engine's spill environment to the admission controller's
@@ -165,7 +134,7 @@ impl Database {
         let mut db = Database {
             catalog: Catalog::new(),
             config: EngineConfig::default(),
-            stats: Arc::new(ExecStats::new()),
+            last_stats: Mutex::new(StatsSnapshot::default()),
             faults: Arc::new(FaultInjector::disabled()),
             spill: None,
             pool: None,
@@ -196,15 +165,13 @@ impl Database {
             .or(config.resumable_queries.then_some(u64::MAX));
         self.journal = None;
         self.spill = threshold.map(|threshold| {
-            let hook: Arc<dyn SpillFaultHook> = Arc::new(EngineSpillHook {
-                faults: Arc::clone(&self.faults),
-                stats: Arc::clone(&self.stats),
-            });
-            let env = Arc::new(
+            // Spill I/O fires its fault sites through the engine's injector,
+            // so it composes with the fault matrix like every other site.
+            let hook: Arc<dyn SpillFaultHook> = self.faults.clone();
+            Arc::new(
                 SpillEnv::new(threshold, config.spill_dir.as_deref(), Some(hook))
                     .with_durable(config.durable_spill || config.resumable_queries),
-            );
-            env
+            )
         });
         if config.resumable_queries {
             if let (Some(env), Some(dir)) = (&self.spill, config.spill_dir.as_deref()) {
@@ -239,11 +206,8 @@ impl Database {
         // The pool is created here — once per (re)configuration, never
         // mid-statement — so steady-state loop iterations spawn nothing.
         // Reconfiguring drops the old pool (joining its workers).
-        self.pool = (config.parallel_partitions && config.worker_pool).then(|| {
-            Arc::new(WorkerPool::with_stall_timeout(
-                config.partitions,
-                config.pool_stall_timeout_ms,
-            ))
+        self.pool = config.parallel_partitions.then(|| {
+            WorkerPool::with_stall_timeout(config.partitions, config.pool_stall_timeout_ms)
         });
         self.admission = config.max_concurrent_queries.map(|max| {
             let gate = self
@@ -261,19 +225,40 @@ impl Database {
         self.config = config;
     }
 
-    /// Fresh per-statement execution state, wired to the session's spill
-    /// environment (shared accountant: concurrent statements contend for
-    /// the same memory threshold, as they would for real memory).
-    fn statement_state(&self) -> StatementState {
-        let temp = TempRegistry::new();
-        temp.set_spill(self.spill.clone());
-        let checkpoints = CheckpointStore::new();
-        checkpoints.set_spill(self.spill.clone());
-        StatementState {
-            temp,
-            checkpoints,
-            join_cache: JoinStateCache::new(),
+    /// A fresh execution context for one statement, wired to the engine's
+    /// pool and spill environment (shared accountant: concurrent
+    /// statements contend for the same memory threshold, as they would
+    /// for real memory).
+    fn statement<'a>(&'a self, guard: &'a QueryGuard) -> StatementContext<'a> {
+        let stmt = StatementContext::new(
+            &self.catalog,
+            &self.config,
+            guard,
+            &self.faults,
+            self.pool.as_ref(),
+        );
+        stmt.registry.set_spill(self.spill.clone());
+        stmt.checkpoints.set_spill(self.spill.clone());
+        stmt
+    }
+
+    /// End of a plan-executing statement, on every exit path: release its
+    /// state, fold in what the engine-wide sources (spill manager, fault
+    /// injector) counted while it ran, and keep the result for
+    /// [`Database::stats`]. Those sources cannot tell statements apart:
+    /// under concurrency their readings go to whichever statement
+    /// finishes first.
+    fn finish_statement(&self, stmt: StatementContext<'_>) -> StatsSnapshot {
+        let mut stats = stmt.stats.snapshot();
+        drop(stmt);
+        if let Some(env) = &self.spill {
+            stats.absorb(&env.metrics().take());
         }
+        if self.faults.is_enabled() {
+            stats.absorb(&self.faults.counters().take());
+        }
+        *self.last_stats.lock().unwrap_or_else(|e| e.into_inner()) = stats;
+        stats
     }
 
     /// New database with every DBSpinner optimization disabled — the
@@ -356,26 +341,24 @@ impl Database {
     /// Used by the server front-end for its `Accept`/`SessionRead`/
     /// `SessionWrite` sites, which fire outside any executor pipeline.
     pub fn inject_fault(&self, site: FaultSite) -> Result<()> {
-        self.faults.hit(site, &self.stats)
+        self.faults.hit(site)
     }
 
-    /// Snapshot of the execution statistics.
+    /// Counters of the plan-executing statement (query or DML — not DDL
+    /// or plain `EXPLAIN`) that finished last.
     ///
-    /// Counters are reset at the entry of every plan-executing statement
-    /// (queries and DML — not DDL or plain `EXPLAIN`), so a snapshot
-    /// describes the most recent such statement only. Work done by a
-    /// failed or cancelled statement never leaks into the next
-    /// statement's snapshot.
+    /// Every statement counts into its own context, so a snapshot never
+    /// mixes two statements, and work done by a failed or cancelled
+    /// statement shows here only until the next one finishes. With
+    /// several sessions on one database, "last" is across all of them:
+    /// use `EXPLAIN ANALYZE` for counters tied to one statement.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        *self.last_stats.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Snapshot and reset the execution statistics. See [`Database::stats`]
-    /// for the per-statement semantics.
+    /// [`Database::stats`], leaving zeroed counters behind.
     pub fn take_stats(&self) -> StatsSnapshot {
-        let snap = self.stats.snapshot();
-        self.stats.reset();
-        snap
+        std::mem::take(&mut *self.last_stats.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Execute one SQL statement under the session-default guardrails
@@ -503,96 +486,14 @@ impl Database {
         guard: &QueryGuard,
         ctx: ExecCtx<'_>,
     ) -> Result<super::QueryResult> {
-        // Stats are per plan-executing statement: reset at entry so work
-        // done by a previous failed/cancelled statement cannot leak into
-        // this statement's snapshot. DDL and plain EXPLAIN execute no
-        // plan and leave the last statement's counters readable.
-        let executes_plan = matches!(
-            planned,
-            PlannedStatement::Query(_)
-                | PlannedStatement::Insert { .. }
-                | PlannedStatement::Update { .. }
-                | PlannedStatement::Delete { .. }
-                | PlannedStatement::Explain { analyze: true, .. }
-        );
-        // Admission gates exactly the plan-executing statements: DDL and
-        // plain EXPLAIN touch no executor resources. The permit is RAII —
-        // held for the rest of this function, released (waking the next
-        // queued query) on every exit path including errors and panics.
-        let permit: Option<AdmissionPermit> = match (&self.admission, executes_plan) {
-            (Some(ctrl), true) => Some(ctrl.admit(admission_class(&planned))?),
-            _ => None,
-        };
-        if executes_plan {
-            self.stats.reset();
-        }
-        if let Some(p) = &permit {
-            use std::sync::atomic::Ordering;
-            self.stats
-                .admission_waited_us
-                .store(p.waited_us(), Ordering::Relaxed);
-            self.stats
-                .admission_queue_depth
-                .store(p.queue_depth(), Ordering::Relaxed);
-        }
-        let tracer = Tracer::disabled();
-        match planned {
-            PlannedStatement::Query(plan) => {
-                let batch = self.run_query_plan_ctx(&plan, guard, &tracer, ctx)?;
-                Ok(super::QueryResult::Rows(batch))
-            }
+        // DDL and plain EXPLAIN execute no plan: they need no admission,
+        // no execution context, and leave the last statement's counters
+        // readable.
+        let planned = match planned {
             PlannedStatement::Explain {
                 statement,
                 analyze: false,
-            } => Ok(super::QueryResult::Explain(explain_planned(&statement))),
-            PlannedStatement::Explain {
-                statement,
-                analyze: true,
-            } => {
-                let PlannedStatement::Query(plan) = *statement else {
-                    return Err(Error::unsupported(
-                        "EXPLAIN ANALYZE is only available for queries",
-                    ));
-                };
-                let tracer = Tracer::new();
-                self.run_query_plan_ctx(&plan, guard, &tracer, ctx)?;
-                let mut profile = tracer.finish();
-                // Spill and scheduling counters live in flat stats
-                // (drained per statement), not in spans; graft them onto
-                // the profile.
-                let snap = self.stats.snapshot();
-                profile.spill = SpillProfile {
-                    events: snap.spill_events,
-                    bytes_written: snap.spill_bytes_written,
-                    bytes_read: snap.spill_bytes_read,
-                    peak_tracked_bytes: snap.peak_tracked_bytes,
-                };
-                profile.pool = PoolProfile {
-                    threads_spawned: snap.threads_spawned,
-                    pool_tasks: snap.pool_tasks,
-                    join_builds: snap.join_builds,
-                    join_builds_reused: snap.join_builds_reused,
-                };
-                if let Some(ctrl) = &self.admission {
-                    profile.admission = AdmissionProfile {
-                        waited_ms: snap.admission_waited_us / 1000,
-                        queue_depth: snap.admission_queue_depth,
-                        shed: ctrl.snapshot().shed_total(),
-                    };
-                }
-                profile.durability = DurabilityProfile {
-                    epochs: snap.durability_epochs,
-                    verified: snap.durability_verified,
-                    corrupt_detected: snap.durability_corrupt,
-                    refsync: snap.durability_fsyncs,
-                };
-                profile.restart = RestartProfile {
-                    adopted_epoch: snap.restart_adopted_epoch,
-                    resumed_iteration: snap.restart_resumed_iteration,
-                    replayed_iterations: snap.restart_replayed_iterations,
-                };
-                Ok(super::QueryResult::Analyze(profile))
-            }
+            } => return Ok(super::QueryResult::Explain(explain_planned(&statement))),
             PlannedStatement::CreateTable {
                 name,
                 schema,
@@ -607,21 +508,85 @@ impl Database {
                     partition_key,
                     primary_key,
                 );
-                match result {
+                return match result {
                     Err(Error::TableExists(_)) if if_not_exists => Ok(super::QueryResult::Ddl),
                     Err(e) => Err(e),
                     Ok(()) => Ok(super::QueryResult::Ddl),
-                }
+                };
             }
             PlannedStatement::DropTable { name, if_exists } => {
-                match self.catalog.drop_table(&name) {
+                return match self.catalog.drop_table(&name) {
                     Err(Error::TableNotFound(_)) if if_exists => Ok(super::QueryResult::Ddl),
                     Err(e) => Err(e),
                     Ok(()) => Ok(super::QueryResult::Ddl),
-                }
+                };
+            }
+            executes_plan => executes_plan,
+        };
+        // Admission gates exactly the plan-executing statements. The
+        // permit is RAII — held for the rest of this function, released
+        // (waking the next queued query) on every exit path including
+        // errors and panics.
+        let permit: Option<AdmissionPermit> = match &self.admission {
+            Some(ctrl) => Some(ctrl.admit(admission_class(&planned))?),
+            None => None,
+        };
+        // EXPLAIN ANALYZE runs the query it wraps with tracing on and
+        // answers with the profile instead of the rows.
+        let (planned, analyze) = match planned {
+            PlannedStatement::Explain { statement, .. } => (*statement, true),
+            other => (other, false),
+        };
+        if analyze && !matches!(planned, PlannedStatement::Query(_)) {
+            return Err(Error::unsupported(
+                "EXPLAIN ANALYZE is only available for queries",
+            ));
+        }
+        let mut stmt = self.statement(guard);
+        if analyze {
+            stmt.tracer = Tracer::new();
+        }
+        if let Some(p) = &permit {
+            stmt.stats.admission_waited_us.set(p.waited_us());
+            stmt.stats.admission_queue_depth.set(p.queue_depth());
+        }
+        let result = self.run_statement(planned, &stmt, ctx);
+        let profile = analyze.then(|| stmt.tracer.finish());
+        let stats = self.finish_statement(stmt);
+        let result = result?;
+        let Some(mut profile) = profile else {
+            return Ok(result);
+        };
+        // Spill, scheduling and durability activity is counted per
+        // statement, not per span; attach it to the profile.
+        profile.attach_counters(&stats);
+        if let Some(ctrl) = &self.admission {
+            profile.admission = CounterBlock::new(
+                Group::Admission,
+                &[
+                    stats.admission_waited_us / 1000,
+                    stats.admission_queue_depth,
+                    ctrl.snapshot().shed_total(),
+                ],
+            );
+        }
+        Ok(super::QueryResult::Analyze(profile))
+    }
+
+    /// Run one plan-executing statement in its context.
+    fn run_statement(
+        &self,
+        planned: PlannedStatement,
+        stmt: &StatementContext<'_>,
+        ctx: ExecCtx<'_>,
+    ) -> Result<super::QueryResult> {
+        match planned {
+            PlannedStatement::Query(plan) => {
+                let batch = self.run_query_plan(&plan, stmt, ctx)?;
+                Ok(super::QueryResult::Rows(batch))
             }
             PlannedStatement::Insert { table, source } => {
-                let batch = self.run_query_plan(&source, guard, &tracer)?;
+                let batch = self.run_query_plan(&source, stmt, ExecCtx::default())?;
                 let rows = batch.into_rows();
                 let n = self.catalog.with_table_mut(&table, |t| t.insert(rows))?;
                 Ok(super::QueryResult::Affected { rows: n })
@@ -632,7 +597,7 @@ impl Database {
                 assignments,
                 predicate,
             } => {
-                let n = self.run_update(&table, from, &assignments, predicate.as_ref(), guard)?;
+                let n = self.run_update(&table, from, &assignments, predicate.as_ref(), stmt)?;
                 Ok(super::QueryResult::Affected { rows: n })
             }
             PlannedStatement::Delete { table, predicate } => {
@@ -644,57 +609,33 @@ impl Database {
                 })?;
                 Ok(super::QueryResult::Affected { rows: n })
             }
+            PlannedStatement::Explain { .. }
+            | PlannedStatement::CreateTable { .. }
+            | PlannedStatement::DropTable { .. } => {
+                unreachable!("execute_planned runs only plan-executing statements here")
+            }
         }
     }
 
     fn run_query_plan(
         &self,
         plan: &QueryPlan,
-        guard: &QueryGuard,
-        tracer: &Tracer,
-    ) -> Result<Batch> {
-        self.run_query_plan_ctx(plan, guard, tracer, ExecCtx::default())
-    }
-
-    fn run_query_plan_ctx(
-        &self,
-        plan: &QueryPlan,
-        guard: &QueryGuard,
-        tracer: &Tracer,
+        stmt: &StatementContext<'_>,
         ctx: ExecCtx<'_>,
     ) -> Result<Batch> {
-        let state = self.statement_state();
         let mut forced_id = None;
         if let Some((query_id, loop_key, seed)) = ctx.resume {
-            state.checkpoints.prime_resume(&loop_key, seed);
+            stmt.checkpoints.prime_resume(&loop_key, seed);
             forced_id = Some(query_id);
         }
-        // Keep the input-snapshot handles alive for the whole statement:
-        // dropping them (with the journal entry finished below) deletes
-        // the files, while a crash leaks them for the adoption pass.
-        let _input_handles = self.begin_statement_journal(&state, plan, ctx.sql, forced_id);
-        let exec = Executor {
-            catalog: &self.catalog,
-            registry: &state.temp,
-            config: &self.config,
-            stats: &self.stats,
-            guard,
-            faults: &self.faults,
-            tracer,
-            checkpoints: &state.checkpoints,
-            pool: self.pool.as_deref(),
-            join_cache: &state.join_cache,
-        };
-        let result = exec.run_query(plan);
-        // Release on every exit path: a cancelled/faulted query must not
-        // leave partial working tables or stale loop checkpoints behind.
-        // Clearing releases the accountant's regions and deletes this
-        // statement's remaining spill files (their handles drop with the
-        // entries); `state` itself drops at scope end.
-        state.temp.clear();
-        state.checkpoints.clear();
-        state.join_cache.clear();
-        self.drain_spill_metrics();
+        // Keep the input-snapshot handles alive while the query runs:
+        // dropping them deletes the files, while a crash leaks them for
+        // the adoption pass.
+        let _input_handles = self.begin_statement_journal(stmt, plan, ctx.sql, forced_id);
+        let result = stmt.run_query(plan);
+        // Finish the journal entry before the input snapshots go, so a
+        // crash in between cannot leave an entry whose inputs are gone.
+        stmt.checkpoints.clear();
         result
     }
 
@@ -707,7 +648,7 @@ impl Database {
     /// non-resumable; it never fails the query.
     fn begin_statement_journal(
         &self,
-        state: &StatementState,
+        stmt: &StatementContext<'_>,
         plan: &QueryPlan,
         sql: Option<&str>,
         forced_id: Option<u64>,
@@ -765,7 +706,7 @@ impl Database {
             epochs: Vec::new(),
             inputs,
         });
-        state.checkpoints.set_journal(Arc::clone(journal), query_id);
+        stmt.checkpoints.set_journal(Arc::clone(journal), query_id);
         handles
     }
 
@@ -856,7 +797,7 @@ impl Database {
         // this thread; the resumed result is parked under the same id, so
         // the per-thread slot is just leftover state here.
         let _ = self.take_last_handle();
-        let snap = self.stats.snapshot();
+        let snap = self.stats();
         let rows = match &result {
             super::QueryResult::Rows(batch) => batch.len() as u64,
             _ => 0,
@@ -905,40 +846,6 @@ impl Database {
             .len()
     }
 
-    /// Fold the spill subsystem's counters for the finished statement into
-    /// the per-statement [`ExecStats`]. The accountant/manager metrics are
-    /// drained (swap-to-zero), so each statement reports only its own
-    /// spill activity.
-    fn drain_spill_metrics(&self) {
-        use std::sync::atomic::Ordering;
-        let Some(env) = &self.spill else { return };
-        let c = env.metrics().drain();
-        self.stats
-            .spill_events
-            .fetch_add(c.spill_events, Ordering::Relaxed);
-        self.stats
-            .spill_bytes_written
-            .fetch_add(c.spill_bytes_written, Ordering::Relaxed);
-        self.stats
-            .spill_bytes_read
-            .fetch_add(c.spill_bytes_read, Ordering::Relaxed);
-        self.stats
-            .peak_tracked_bytes
-            .fetch_max(c.peak_tracked_bytes, Ordering::Relaxed);
-        self.stats
-            .durability_epochs
-            .fetch_add(c.durable_epochs, Ordering::Relaxed);
-        self.stats
-            .durability_verified
-            .fetch_add(c.verified_reads, Ordering::Relaxed);
-        self.stats
-            .durability_corrupt
-            .fetch_add(c.corrupt_detected, Ordering::Relaxed);
-        self.stats
-            .durability_fsyncs
-            .fetch_add(c.fsyncs, Ordering::Relaxed);
-    }
-
     /// UPDATE [FROM]: when a FROM clause is present, equi-conjuncts of the
     /// WHERE clause are used to hash-index the FROM result so the per-row
     /// probe is O(1) — the shape the SQLoop middleware baseline relies on
@@ -949,7 +856,7 @@ impl Database {
         from: Option<LogicalPlan>,
         assignments: &[(usize, PlanExpr)],
         predicate: Option<&PlanExpr>,
-        guard: &QueryGuard,
+        stmt: &StatementContext<'_>,
     ) -> Result<usize> {
         let table_handle = self.catalog.get(table)?;
         let table_schema = Arc::clone(table_handle.schema());
@@ -975,25 +882,7 @@ impl Database {
                 })
             }),
             Some(from_plan) => {
-                let tracer = Tracer::disabled();
-                let state = self.statement_state();
-                let exec = Executor {
-                    catalog: &self.catalog,
-                    registry: &state.temp,
-                    config: &self.config,
-                    stats: &self.stats,
-                    guard,
-                    faults: &self.faults,
-                    tracer: &tracer,
-                    checkpoints: &state.checkpoints,
-                    pool: self.pool.as_deref(),
-                    join_cache: &state.join_cache,
-                };
-                let from_result = exec.execute_logical(&from_plan);
-                state.temp.clear();
-                state.join_cache.clear();
-                self.drain_spill_metrics();
-                let from_rows: Vec<Row> = from_result?.gather();
+                let from_rows: Vec<Row> = stmt.execute_logical(&from_plan)?.gather();
                 // Split the WHERE clause into hashable equi conjuncts
                 // (table expr = from expr) and a residual.
                 let mut table_keys: Vec<PlanExpr> = Vec::new();

@@ -39,9 +39,8 @@ pub use result::QueryResult;
 pub use session::Session;
 
 pub use spinner_common::{
-    AdmissionController, AdmissionPermit, AdmissionProfile, AdmissionSnapshot, Batch, DataType,
+    AdmissionController, AdmissionPermit, AdmissionSnapshot, Batch, CounterBlock, DataType,
     EngineConfig, Error, ErrorClass, FaultConfig, FaultKind, FaultSite, FaultTrigger, Field,
     IterationProfile, MemoryGate, ProfileNode, QueryClass, QueryGuard, QueryProfile,
-    RecoveryPolicy, RecoveryProfile, RestartProfile, Result, Row, Schema, Value,
+    RecoveryPolicy, RecoveryProfile, Result, Row, Schema, StatsSnapshot, Value,
 };
-pub use spinner_exec::stats::StatsSnapshot;

@@ -111,7 +111,6 @@ pub fn settings_overlay(config: &EngineConfig) -> Vec<(String, String)> {
         ),
         ("predicate_pushdown", config.predicate_pushdown.to_string()),
         ("semi_naive", config.semi_naive.to_string()),
-        ("general_rewrites", config.general_rewrites.to_string()),
         (
             "two_phase_aggregation",
             config.two_phase_aggregation.to_string(),
@@ -297,6 +296,14 @@ mod tests {
     /// releases nothing here — handles are leaked on purpose, like a
     /// crash would) and the file names.
     fn stage_dead_engine(dir: &Path, query_id: u64) -> (Arc<SpillEnv>, Vec<SpillHandle>) {
+        stage_dead_engine_with(dir, query_id, settings_overlay(&EngineConfig::default()))
+    }
+
+    fn stage_dead_engine_with(
+        dir: &Path,
+        query_id: u64,
+        settings: Vec<(String, String)>,
+    ) -> (Arc<SpillEnv>, Vec<SpillHandle>) {
         let env = Arc::new(SpillEnv::new(u64::MAX, dir.to_str(), None));
         let ckpt = LoopCheckpoint {
             iteration: 4,
@@ -317,7 +324,7 @@ mod tests {
         journal.begin(JournalEntry {
             query_id,
             sql: "SELECT 1".to_string(),
-            settings: settings_overlay(&EngineConfig::default()),
+            settings,
             loop_key: "__cte_t_1".to_string(),
             epochs: vec![EpochRecord {
                 epoch: 2,
@@ -420,6 +427,26 @@ mod tests {
         assert!(report.adopted.is_empty());
         assert_eq!(report.skipped.len(), 1);
         assert!(report.skipped[0].1.contains("settings changed"));
+        for h in handles {
+            std::mem::forget(h);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_with_a_since_removed_setting_is_skipped_not_adopted() {
+        // Engines before the `general_rewrites` knob was deleted journaled
+        // it; such an overlay can never equal a current one.
+        let dir = temp_dir("oldkey");
+        let mut settings = settings_overlay(&EngineConfig::default());
+        settings.insert(5, ("general_rewrites".to_string(), "true".to_string()));
+        let (_env, handles) = stage_dead_engine_with(&dir, 4, settings);
+        let report = scan(&dir, &EngineConfig::default());
+        assert!(report.adopted.is_empty());
+        assert_eq!(report.skipped.len(), 1);
+        assert_eq!(report.skipped[0].0, 4);
+        assert!(report.skipped[0].1.contains("settings changed"));
+        assert!(report.skipped[0].1.contains("general_rewrites"));
         for h in handles {
             std::mem::forget(h);
         }

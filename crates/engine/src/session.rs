@@ -9,7 +9,7 @@
 //! `SET SESSION` overrides, and the guard is published in the session so
 //! another thread — the connection reader that just saw EOF, an admin —
 //! can [`Session::cancel_current`] it. Per-statement temp state needs no
-//! session plumbing: statements own their `StatementState` wholesale, so
+//! session plumbing: statements own their `StatementContext` wholesale, so
 //! two sessions (or two statements racing on one session) can never see
 //! each other's intermediates.
 //!

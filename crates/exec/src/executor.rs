@@ -17,65 +17,98 @@ use std::sync::Arc;
 
 use spinner_common::memory::{RegionKind, SpillRequest};
 use spinner_common::profile::{SpanKind, Tracer};
-use spinner_common::{Batch, EngineConfig, Error, FaultSite, QueryGuard, Result, Row, Value};
+use spinner_common::{
+    Batch, CounterSet, EngineConfig, Error, FaultSite, QueryGuard, Result, Row, Value,
+};
 use spinner_plan::{LogicalPlan, LoopKind, LoopStep, PlanExpr, QueryPlan, Step, TerminationPlan};
 use spinner_storage::{Catalog, CheckpointStore, LoopCheckpoint, Partitioned, TempRegistry};
 
 use crate::cache::JoinStateCache;
 use crate::fault::FaultInjector;
-use crate::operators::{self, OpContext};
+use crate::operators;
 use crate::physical::{create_physical_plan, ExchangeMode};
 use crate::pool::WorkerPool;
-use crate::stats::ExecStats;
 
-/// Executes planned queries against a catalog + temp registry.
+/// The execution context of one statement: what it borrows from the
+/// engine and the state it owns. The loop driver below, every physical
+/// operator and the engine all pass this one handle.
+///
+/// A statement *owns* its intermediate results, loop checkpoints, cached
+/// join builds, counters and profile spans, so concurrent statements on
+/// one database can never observe — or zero — each other's; dropping the
+/// context releases everything, spill files included, on every exit path.
 ///
 /// The `guard` is consulted at every step and loop-iteration boundary
 /// (and inside operators at batch boundaries), so cancellation, deadline
 /// and budget violations surface as typed errors between units of work —
 /// never mid-mutation. The `faults` injector is a no-op unless the
 /// config carries chaos-testing fault plans.
-pub struct Executor<'a> {
+pub struct StatementContext<'a> {
     /// Base tables.
     pub catalog: &'a Catalog,
-    /// Named temporary results (CTE working tables, merge outputs).
-    pub registry: &'a TempRegistry,
     /// Optimization toggles and partition count.
     pub config: &'a EngineConfig,
-    /// Flat per-statement counters (always on).
-    pub stats: &'a ExecStats,
     /// Cancellation / deadline / budget enforcement.
     pub guard: &'a QueryGuard,
     /// Chaos-testing fault injector (no-op outside chaos tests).
     pub faults: &'a FaultInjector,
-    /// Span collector for `EXPLAIN ANALYZE`; disabled for normal statements.
-    pub tracer: &'a Tracer,
+    /// The engine's persistent worker pool; `None` runs every partition
+    /// on the statement's own thread.
+    pub pool: Option<&'a WorkerPool>,
+    /// Named temporary results (CTE working tables, merge outputs).
+    pub registry: TempRegistry,
     /// Loop checkpoints for mid-loop recovery (unused unless the config
     /// enables checkpointing or recovery).
-    pub checkpoints: &'a CheckpointStore,
-    /// Persistent worker pool for parallel partitions (`None` = spawn a
-    /// scoped thread per operator, the pre-pool behaviour).
-    pub pool: Option<&'a WorkerPool>,
-    /// Statement-scoped cache of loop-invariant hash-join builds.
-    pub join_cache: &'a JoinStateCache,
+    pub checkpoints: CheckpointStore,
+    /// Loop-invariant hash-join builds: keyed by buffer identity in this
+    /// statement's own registry, so sharing across statements would never
+    /// hit anyway.
+    pub join_cache: JoinStateCache,
+    /// The statement's counters (always on).
+    pub stats: CounterSet,
+    /// Span collector for `EXPLAIN ANALYZE`; disabled for normal statements.
+    pub tracer: Tracer,
 }
 
 /// Result of one step: the number of rows it reported as updated (merges
 /// report this; other steps return `None`).
 type StepOutcome = Option<u64>;
 
-impl Executor<'_> {
-    fn op_ctx(&self) -> OpContext<'_> {
-        OpContext {
-            catalog: self.catalog,
-            registry: self.registry,
-            config: self.config,
-            stats: self.stats,
-            guard: self.guard,
-            faults: self.faults,
-            tracer: self.tracer,
-            pool: self.pool,
-            join_cache: self.join_cache,
+impl Drop for StatementContext<'_> {
+    /// Release on every exit path: a cancelled or faulted statement must
+    /// not leave working tables, checkpoints or cached builds charged to
+    /// the memory accountant. Clearing also deletes the statement's spill
+    /// files (their handles drop with the entries) and finishes its
+    /// journal entry.
+    fn drop(&mut self) {
+        self.registry.clear();
+        self.checkpoints.clear();
+        self.join_cache.clear();
+    }
+}
+
+impl<'a> StatementContext<'a> {
+    /// A context with empty state, zeroed counters, tracing off and no
+    /// spill environment (the engine installs its own in `registry` and
+    /// `checkpoints`).
+    pub fn new(
+        catalog: &'a Catalog,
+        config: &'a EngineConfig,
+        guard: &'a QueryGuard,
+        faults: &'a FaultInjector,
+        pool: Option<&'a WorkerPool>,
+    ) -> Self {
+        StatementContext {
+            catalog,
+            config,
+            guard,
+            faults,
+            pool,
+            registry: TempRegistry::new(),
+            checkpoints: CheckpointStore::new(),
+            join_cache: JoinStateCache::new(),
+            stats: CounterSet::new(),
+            tracer: Tracer::disabled(),
         }
     }
 
@@ -102,7 +135,7 @@ impl Executor<'_> {
     /// Execute a logical plan tree to a partitioned result.
     pub fn execute_logical(&self, plan: &LogicalPlan) -> Result<Partitioned> {
         let physical = create_physical_plan(plan, self.config)?;
-        operators::execute(&physical, &self.op_ctx())
+        operators::execute(&physical, self)
     }
 
     /// Run a sequence of steps.
@@ -133,7 +166,7 @@ impl Executor<'_> {
                 self.guard.clear_worker_abort();
                 self.guard.check()?;
                 operators::backoff_sleep(self.config.retry_backoff_ms, attempt - 1);
-                ExecStats::add(&self.stats.step_retries, 1);
+                self.stats.step_retries.add(1);
                 self.tracer.note_retry();
             }
             match f() {
@@ -200,7 +233,7 @@ impl Executor<'_> {
                 plan,
                 distribute_by,
             } => {
-                self.faults.hit(FaultSite::Materialize, self.stats)?;
+                self.faults.hit(FaultSite::Materialize)?;
                 let mut data = self.execute_logical(plan)?;
                 if let Some(col) = distribute_by {
                     // Store the result distributed on its key so later
@@ -208,7 +241,7 @@ impl Executor<'_> {
                     data = operators::exchange(
                         data,
                         &ExchangeMode::Hash(vec![PlanExpr::column(*col, "dist_key")]),
-                        &self.op_ctx(),
+                        self,
                     )?;
                 }
                 let total = data.total_rows() as u64;
@@ -221,7 +254,7 @@ impl Executor<'_> {
                     self.guard
                         .charge_intermediate_bytes(data.estimated_bytes())?;
                 }
-                ExecStats::add(&self.stats.rows_materialized, total);
+                self.stats.rows_materialized.add(total);
                 self.registry.put(name, data);
                 if spilling {
                     self.relieve_memory_pressure(&[name])?;
@@ -229,9 +262,9 @@ impl Executor<'_> {
                 Ok(None)
             }
             Step::Rename { from, to } => {
-                self.faults.hit(FaultSite::Rename, self.stats)?;
+                self.faults.hit(FaultSite::Rename)?;
                 self.registry.rename(from, to)?;
-                ExecStats::add(&self.stats.renames, 1);
+                self.stats.renames.add(1);
                 Ok(None)
             }
             Step::Merge {
@@ -280,17 +313,16 @@ impl Executor<'_> {
         cte_display_name: &str,
         delta_out: Option<&str>,
     ) -> Result<u64> {
-        let ctx = self.op_ctx();
         let key_expr = vec![PlanExpr::column(key, "merge_key")];
         let cte_data = operators::exchange(
             self.registry.get(cte)?,
             &ExchangeMode::Hash(key_expr.clone()),
-            &ctx,
+            self,
         )?;
         let work_data = operators::exchange(
             self.registry.get(working)?,
             &ExchangeMode::Hash(key_expr),
-            &ctx,
+            self,
         )?;
         let mut out_parts: Vec<Arc<Vec<Row>>> = Vec::with_capacity(cte_data.parts.len());
         let mut delta_parts: Vec<Vec<Row>> = Vec::with_capacity(cte_data.parts.len());
@@ -332,11 +364,11 @@ impl Executor<'_> {
             out_parts.push(Arc::new(merged_rows));
             delta_parts.push(delta_rows);
         }
-        ExecStats::add(&self.stats.merges, 1);
-        ExecStats::add(&self.stats.merge_rows_examined, examined);
-        ExecStats::add(&self.stats.rows_updated, updated);
+        self.stats.merges.add(1);
+        self.stats.merge_rows_examined.add(examined);
+        self.stats.rows_updated.add(updated);
         if let Some(d) = delta_out {
-            ExecStats::add(&self.stats.delta_rows_emitted, updated);
+            self.stats.delta_rows_emitted.add(updated);
             self.registry.put(
                 d,
                 Partitioned {
@@ -443,7 +475,7 @@ impl Executor<'_> {
             // the checkpointed iteration would have fed forward.
             self.registry.put(d, self.registry.get(&l.cte)?);
             tables.push(d.to_string());
-            ExecStats::add(&self.stats.semi_naive_loops, 1);
+            self.stats.semi_naive_loops.add(1);
         }
         let mut iteration: u64 = 0;
         let mut cumulative_updates: u64 = 0;
@@ -516,7 +548,7 @@ impl Executor<'_> {
         iteration: u64,
         cumulative_updates: u64,
     ) -> Result<(bool, u64)> {
-        self.faults.hit(FaultSite::LoopIteration, self.stats)?;
+        self.faults.hit(FaultSite::LoopIteration)?;
         self.tracer.begin_iteration();
         let mut delta_fed: u64 = 0;
         if let Some(d) = delta {
@@ -525,7 +557,7 @@ impl Executor<'_> {
             // per-iteration cost tracking delta size.
             if let Ok(dt) = self.registry.get(d) {
                 delta_fed = dt.total_rows() as u64;
-                ExecStats::add(&self.stats.delta_rows_fed, delta_fed);
+                self.stats.delta_rows_fed.add(delta_fed);
             }
         }
         // Delta termination on the rename path has no merge to count
@@ -545,7 +577,7 @@ impl Executor<'_> {
                 merge_updates = Some(u);
             }
         }
-        ExecStats::add(&self.stats.iterations, 1);
+        self.stats.iterations.add(1);
         let current = self.registry.get(&l.cte)?;
         let changed_this_iter = match (merge_updates, &previous) {
             (Some(u), _) => u,
@@ -554,7 +586,7 @@ impl Executor<'_> {
             // replaced, every row counts as updated.
             (None, None) => {
                 let n = current.total_rows() as u64;
-                ExecStats::add(&self.stats.rows_updated, n);
+                self.stats.rows_updated.add(n);
                 n
             }
         };
@@ -608,7 +640,7 @@ impl Executor<'_> {
             tables: snap,
         };
         let bytes = ckpt.estimated_bytes();
-        self.faults.hit(FaultSite::Checkpoint, self.stats)?;
+        self.faults.hit(FaultSite::Checkpoint)?;
         if self.registry.spill_env().is_none() {
             // Snapshots hold real memory until replaced: debit the same
             // budget materialized results are charged against. (They were
@@ -617,8 +649,8 @@ impl Executor<'_> {
             self.guard.charge_intermediate_bytes(bytes)?;
         }
         self.checkpoints.save(&l.cte, ckpt);
-        ExecStats::add(&self.stats.checkpoints_taken, 1);
-        ExecStats::add(&self.stats.checkpoint_bytes, bytes);
+        self.stats.checkpoints_taken.add(1);
+        self.stats.checkpoint_bytes.add(bytes);
         self.tracer.note_checkpoint(bytes);
         self.relieve_memory_pressure(&[&l.cte])?;
         Ok(())
@@ -637,13 +669,11 @@ impl Executor<'_> {
         for (name, data) in &seed.checkpoint.tables {
             self.registry.put(name, data.clone());
         }
-        ExecStats::add(&self.stats.restart_adopted_epoch, seed.adopted_epoch);
-        ExecStats::add(
-            &self.stats.restart_resumed_iteration,
-            seed.checkpoint.iteration,
-        );
-        ExecStats::add(
-            &self.stats.restart_replayed_iterations,
+        self.stats.restart_adopted_epoch.set(seed.adopted_epoch);
+        self.stats
+            .restart_resumed_iteration
+            .set(seed.checkpoint.iteration);
+        self.stats.restart_replayed_iterations.set(
             seed.journal_iteration
                 .saturating_sub(seed.checkpoint.iteration),
         );
@@ -652,7 +682,7 @@ impl Executor<'_> {
             seed.checkpoint.cumulative_updates,
         );
         self.checkpoints.save(&l.cte, seed.checkpoint);
-        ExecStats::add(&self.stats.checkpoints_taken, 1);
+        self.stats.checkpoints_taken.add(1);
         Some(at)
     }
 
@@ -742,7 +772,7 @@ impl Executor<'_> {
                 l.cte_display_name
             ))
         })?;
-        self.faults.hit(FaultSite::Recovery, self.stats)?;
+        self.faults.hit(FaultSite::Recovery)?;
         for (name, data) in &ckpt.tables {
             self.registry.put(name, data.clone());
         }
@@ -751,11 +781,10 @@ impl Executor<'_> {
         // tables, so their fingerprints change anyway; clearing makes the
         // invalidation unconditional rather than incidental.)
         self.join_cache.clear();
-        ExecStats::add(&self.stats.loop_rollbacks, 1);
-        ExecStats::add(
-            &self.stats.iterations_replayed,
-            failed_iteration - ckpt.iteration,
-        );
+        self.stats.loop_rollbacks.add(1);
+        self.stats
+            .iterations_replayed
+            .add(failed_iteration - ckpt.iteration);
         self.tracer
             .note_rollback(ckpt.iteration + 1, failed_iteration);
         Ok(ckpt)
@@ -835,12 +864,12 @@ impl Executor<'_> {
         delta_name: &str,
         seen: &mut Option<std::collections::HashSet<Row>>,
     ) -> Result<bool> {
-        self.faults.hit(FaultSite::LoopIteration, self.stats)?;
+        self.faults.hit(FaultSite::LoopIteration)?;
         self.tracer.begin_iteration();
         for step in &l.body {
             self.run_step(step)?;
         }
-        ExecStats::add(&self.stats.iterations, 1);
+        self.stats.iterations.add(1);
         let produced = self.registry.get(working)?;
         // Filter to genuinely new rows.
         let mut new_parts: Vec<Vec<Row>> = (0..produced.parts.len()).map(|_| Vec::new()).collect();
@@ -1015,26 +1044,13 @@ mod tests {
             panic!("not a query")
         };
         let plan = plan_query(&q, &CatalogProvider(catalog), config)?;
-        let registry = TempRegistry::new();
-        let stats = ExecStats::new();
         let guard = QueryGuard::unlimited();
         let faults = FaultInjector::disabled();
-        let tracer = Tracer::disabled();
-        let checkpoints = CheckpointStore::new();
-        let join_cache = JoinStateCache::new();
-        let exec = Executor {
-            catalog,
-            registry: &registry,
-            config,
-            stats: &stats,
-            guard: &guard,
-            faults: &faults,
-            tracer: &tracer,
-            checkpoints: &checkpoints,
-            pool: None,
-            join_cache: &join_cache,
-        };
-        exec.run_query(&plan)
+        let pool = config
+            .parallel_partitions
+            .then(|| WorkerPool::new(config.partitions));
+        let ctx = StatementContext::new(catalog, config, &guard, &faults, pool.as_ref());
+        ctx.run_query(&plan)
     }
 
     fn run_ok(catalog: &Catalog, config: &EngineConfig, sql: &str) -> Batch {
@@ -1307,7 +1323,7 @@ mod tests {
                  SELECT k, v + 1 FROM t
              UNTIL 10 ITERATIONS)
              SELECT COUNT(*) FROM t";
-        let run_with = |config: &EngineConfig| -> (Batch, crate::stats::StatsSnapshot) {
+        let run_with = |config: &EngineConfig| -> (Batch, spinner_common::StatsSnapshot) {
             let catalog = Catalog::new();
             setup_edges(&catalog, config.partitions);
             let stmt = parse_sql(sql).unwrap();
@@ -1315,27 +1331,11 @@ mod tests {
                 panic!()
             };
             let plan = plan_query(&q, &CatalogProvider(&catalog), config).unwrap();
-            let registry = TempRegistry::new();
-            let stats = ExecStats::new();
             let guard = QueryGuard::unlimited();
             let faults = FaultInjector::disabled();
-            let tracer = Tracer::disabled();
-            let checkpoints = CheckpointStore::new();
-            let join_cache = JoinStateCache::new();
-            let exec = Executor {
-                catalog: &catalog,
-                registry: &registry,
-                config,
-                stats: &stats,
-                guard: &guard,
-                faults: &faults,
-                tracer: &tracer,
-                checkpoints: &checkpoints,
-                pool: None,
-                join_cache: &join_cache,
-            };
-            let batch = exec.run_query(&plan).unwrap();
-            (batch, stats.snapshot())
+            let ctx = StatementContext::new(&catalog, config, &guard, &faults, None);
+            let batch = ctx.run_query(&plan).unwrap();
+            (batch, ctx.stats.snapshot())
         };
         let optimized = EngineConfig::default();
         let naive = EngineConfig::default().with_minimize_data_movement(false);

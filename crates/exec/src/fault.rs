@@ -15,11 +15,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use spinner_common::memory::SpillFaultHook;
 use spinner_common::{
-    EngineConfig, Error, FaultConfig, FaultKind, FaultSite, FaultTrigger, Result,
+    CounterSet, EngineConfig, Error, FaultConfig, FaultKind, FaultSite, FaultTrigger, Result,
 };
-
-use crate::stats::ExecStats;
 
 /// Runtime state for one configured fault.
 #[derive(Debug)]
@@ -35,6 +34,11 @@ struct PlanState {
 #[derive(Debug, Default)]
 pub struct FaultInjector {
     plans: Vec<PlanState>,
+    /// Fired faults. The injector is engine-wide and its sites include
+    /// ones no statement owns (spill I/O, the server's accept loop), so
+    /// it counts for itself and the engine folds the count into the
+    /// statement that finishes next.
+    counters: CounterSet,
 }
 
 fn splitmix(seed: u64) -> u64 {
@@ -77,7 +81,7 @@ pub fn site_name(site: FaultSite) -> &'static str {
 impl FaultInjector {
     /// An injector that never fires (no configured faults).
     pub fn disabled() -> Self {
-        FaultInjector { plans: Vec::new() }
+        FaultInjector::default()
     }
 
     /// Build from the `faults` list of a config.
@@ -95,6 +99,7 @@ impl FaultInjector {
                     }),
                 })
                 .collect(),
+            counters: CounterSet::new(),
         }
     }
 
@@ -103,10 +108,15 @@ impl FaultInjector {
         !self.plans.is_empty()
     }
 
+    /// The injector's own counters (only `faults_injected` ever moves).
+    pub fn counters(&self) -> &CounterSet {
+        &self.counters
+    }
+
     /// Record a hit of `site`; fires the configured fault when its
-    /// trigger matches. A fired fault bumps `stats.faults_injected` and
-    /// then errors, sleeps or panics according to its kind.
-    pub fn hit(&self, site: FaultSite, stats: &ExecStats) -> Result<()> {
+    /// trigger matches. A fired fault is counted and then errors, sleeps
+    /// or panics according to its kind.
+    pub fn hit(&self, site: FaultSite) -> Result<()> {
         if self.plans.is_empty() {
             return Ok(());
         }
@@ -131,7 +141,7 @@ impl FaultInjector {
                 }
             };
             if fire {
-                ExecStats::add(&stats.faults_injected, 1);
+                self.counters.faults_injected.add(1);
                 match plan.cfg.kind {
                     FaultKind::Error => {
                         return Err(Error::FaultInjected {
@@ -157,6 +167,15 @@ impl FaultInjector {
     }
 }
 
+/// The storage layer's spill manager fires `SpillWrite`/`SpillRead` and
+/// the disk-fault sites through this hook; storage cannot depend on this
+/// crate, so it only sees the trait.
+impl SpillFaultHook for FaultInjector {
+    fn hit(&self, site: FaultSite) -> Result<()> {
+        FaultInjector::hit(self, site)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,11 +184,10 @@ mod tests {
     #[test]
     fn disabled_injector_never_fires() {
         let inj = FaultInjector::disabled();
-        let stats = ExecStats::new();
         for _ in 0..1000 {
-            assert!(inj.hit(FaultSite::Exchange, &stats).is_ok());
+            assert!(inj.hit(FaultSite::Exchange).is_ok());
         }
-        assert_eq!(stats.snapshot().faults_injected, 0);
+        assert_eq!(inj.counters().snapshot().faults_injected, 0);
     }
 
     #[test]
@@ -177,10 +195,9 @@ mod tests {
         let config =
             EngineConfig::default().with_fault(FaultConfig::fail_nth(FaultSite::Materialize, 3));
         let inj = FaultInjector::from_config(&config);
-        let stats = ExecStats::new();
-        assert!(inj.hit(FaultSite::Materialize, &stats).is_ok());
-        assert!(inj.hit(FaultSite::Materialize, &stats).is_ok());
-        let err = inj.hit(FaultSite::Materialize, &stats).unwrap_err();
+        assert!(inj.hit(FaultSite::Materialize).is_ok());
+        assert!(inj.hit(FaultSite::Materialize).is_ok());
+        let err = inj.hit(FaultSite::Materialize).unwrap_err();
         assert_eq!(
             err,
             Error::FaultInjected {
@@ -189,9 +206,9 @@ mod tests {
         );
         // Past the n-th hit, it never fires again.
         for _ in 0..10 {
-            assert!(inj.hit(FaultSite::Materialize, &stats).is_ok());
+            assert!(inj.hit(FaultSite::Materialize).is_ok());
         }
-        assert_eq!(stats.snapshot().faults_injected, 1);
+        assert_eq!(inj.counters().snapshot().faults_injected, 1);
     }
 
     #[test]
@@ -199,10 +216,9 @@ mod tests {
         let config =
             EngineConfig::default().with_fault(FaultConfig::fail_nth(FaultSite::Rename, 1));
         let inj = FaultInjector::from_config(&config);
-        let stats = ExecStats::new();
-        assert!(inj.hit(FaultSite::Exchange, &stats).is_ok());
-        assert!(inj.hit(FaultSite::LoopIteration, &stats).is_ok());
-        assert!(inj.hit(FaultSite::Rename, &stats).is_err());
+        assert!(inj.hit(FaultSite::Exchange).is_ok());
+        assert!(inj.hit(FaultSite::LoopIteration).is_ok());
+        assert!(inj.hit(FaultSite::Rename).is_err());
     }
 
     #[test]
@@ -215,9 +231,8 @@ mod tests {
         ));
         let run = || {
             let inj = FaultInjector::from_config(&config);
-            let stats = ExecStats::new();
             (0..64)
-                .map(|_| inj.hit(FaultSite::Exchange, &stats).is_err())
+                .map(|_| inj.hit(FaultSite::Exchange).is_err())
                 .collect::<Vec<bool>>()
         };
         let a = run();
@@ -236,9 +251,8 @@ mod tests {
             1_000_000,
         ));
         let inj = FaultInjector::from_config(&config);
-        let stats = ExecStats::new();
         for _ in 0..16 {
-            assert!(inj.hit(FaultSite::LoopIteration, &stats).is_err());
+            assert!(inj.hit(FaultSite::LoopIteration).is_err());
         }
     }
 
@@ -248,7 +262,6 @@ mod tests {
         let config =
             EngineConfig::default().with_fault(FaultConfig::panic_nth(FaultSite::Worker, 1));
         let inj = FaultInjector::from_config(&config);
-        let stats = ExecStats::new();
-        let _ = inj.hit(FaultSite::Worker, &stats);
+        let _ = inj.hit(FaultSite::Worker);
     }
 }

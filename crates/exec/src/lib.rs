@@ -9,13 +9,16 @@
 //!
 //! * **rename** — [`TempRegistry::rename`](spinner_storage::TempRegistry):
 //!   an O(1) pointer move in the intermediate-result lookup table, and
-//! * **loop** — implemented by [`executor::Executor`]: a conditional jump that
-//!   re-runs the loop body until the termination condition (metadata /
-//!   data / delta) is satisfied.
+//! * **loop** — implemented by [`StatementContext`]: a conditional jump
+//!   that re-runs the loop body until the termination condition (metadata
+//!   / data / delta) is satisfied.
 //!
-//! [`ExecStats`] counts rows crossing exchanges, rows materialized, rename
-//! and merge operations, and loop iterations — the quantities behind the
-//! paper's Figure 8 (data movement) measurements.
+//! Every statement runs in one [`StatementContext`], which owns its
+//! intermediate results and its counters
+//! ([`CounterSet`](spinner_common::CounterSet)): rows crossing exchanges,
+//! rows materialized, rename and merge operations, and loop iterations —
+//! the quantities behind the paper's Figure 8 (data movement)
+//! measurements.
 
 #![warn(missing_docs)]
 
@@ -26,11 +29,9 @@ pub mod fault;
 pub mod operators;
 pub mod physical;
 pub mod pool;
-pub mod stats;
 
 pub use cache::JoinStateCache;
-pub use executor::Executor;
+pub use executor::StatementContext;
 pub use fault::FaultInjector;
 pub use physical::{create_physical_plan, ExchangeMode, PhysicalPlan};
 pub use pool::WorkerPool;
-pub use stats::ExecStats;

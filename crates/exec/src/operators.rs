@@ -1,57 +1,25 @@
 //! Evaluation of physical operator trees over partitioned row sets.
 //!
 //! Every operator consumes and produces a [`Partitioned`] (one immutable
-//! row vector per virtual MPP worker). Per-partition work can run in
-//! parallel when `EngineConfig::parallel_partitions` is set — on the
-//! database's persistent [`WorkerPool`] when one is installed (zero
-//! thread spawns in steady state), else on crossbeam scoped threads
-//! spawned per operator. The default is sequential execution for
-//! determinism.
+//! row vector per virtual MPP worker). Per-partition work runs in
+//! parallel when `EngineConfig::parallel_partitions` is set — as tasks on
+//! the database's persistent [`WorkerPool`](crate::WorkerPool), the only
+//! parallel path, so no operator ever spawns a thread. The default is
+//! sequential execution for determinism.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use spinner_common::memory::RegionKind;
-use spinner_common::profile::{SpanKind, Tracer};
-use spinner_common::{EngineConfig, Error, FaultSite, QueryGuard, Result, Row, Value};
+use spinner_common::profile::SpanKind;
+use spinner_common::{Error, FaultSite, Result, Row, Value};
 use spinner_plan::{AggExpr, JoinType, PlanExpr, SetOpKind, SortKey};
-use spinner_storage::{Catalog, Partitioned, TempRegistry};
+use spinner_storage::Partitioned;
 
 use crate::aggregate::Accumulator;
-use crate::cache::{CachedBuild, JoinStateCache, JoinTable};
-use crate::fault::FaultInjector;
+use crate::cache::{CachedBuild, JoinTable};
+use crate::executor::StatementContext;
 use crate::physical::{partition_for_key, ExchangeMode, PhysicalPlan};
-use crate::pool::WorkerPool;
-use crate::stats::ExecStats;
-
-/// Everything an operator needs at run time.
-pub struct OpContext<'a> {
-    /// Base tables.
-    pub catalog: &'a Catalog,
-    /// Named temporary results (CTE working tables).
-    pub registry: &'a TempRegistry,
-    /// Optimization toggles and partition count.
-    pub config: &'a EngineConfig,
-    /// Flat per-statement counters (always on).
-    pub stats: &'a ExecStats,
-    /// Cancellation / deadline / budget enforcement.
-    pub guard: &'a QueryGuard,
-    /// Chaos-testing fault injector.
-    pub faults: &'a FaultInjector,
-    /// Span collector for `EXPLAIN ANALYZE`; disabled for normal statements.
-    pub tracer: &'a Tracer,
-    /// Persistent worker pool for parallel partitions; `None` falls back
-    /// to the spawn-per-operator path.
-    pub pool: Option<&'a WorkerPool>,
-    /// Statement-scoped cache of loop-invariant hash-join builds.
-    pub join_cache: &'a JoinStateCache,
-}
-
-impl OpContext<'_> {
-    fn partitions(&self) -> usize {
-        self.config.partitions
-    }
-}
 
 /// Track the approximate bytes of an operator's in-flight hash state (a
 /// join build side, aggregation groups) against the memory accountant for
@@ -61,7 +29,7 @@ impl OpContext<'_> {
 /// mark, but is never itself a spill victim. No-op without a spill
 /// environment.
 fn with_transient_tracking<T>(
-    ctx: &OpContext<'_>,
+    ctx: &StatementContext<'_>,
     label: &str,
     kind: RegionKind,
     bytes: u64,
@@ -77,7 +45,7 @@ fn with_transient_tracking<T>(
 }
 
 /// Execute a physical plan tree to a partitioned result.
-pub fn execute(plan: &PhysicalPlan, ctx: &OpContext<'_>) -> Result<Partitioned> {
+pub fn execute(plan: &PhysicalPlan, ctx: &StatementContext<'_>) -> Result<Partitioned> {
     // Operator batch boundary: every operator in the tree passes through
     // here, so cancellation and deadlines are honoured between operators
     // even when a single plan has no loop.
@@ -99,19 +67,23 @@ pub fn execute(plan: &PhysicalPlan, ctx: &OpContext<'_>) -> Result<Partitioned> 
     }
 }
 
-fn execute_inner(plan: &PhysicalPlan, ctx: &OpContext<'_>) -> Result<Partitioned> {
+fn execute_inner(plan: &PhysicalPlan, ctx: &StatementContext<'_>) -> Result<Partitioned> {
     match plan {
         PhysicalPlan::SeqScan { table, .. } => {
             let snapshot = ctx.catalog.get(table)?.snapshot();
             Ok(normalize_partitions(
                 snapshot,
-                ctx.partitions(),
+                ctx.config.partitions,
                 plan.schema(),
             ))
         }
         PhysicalPlan::TempScan { name, .. } => {
             let data = ctx.registry.get(name)?;
-            Ok(normalize_partitions(data, ctx.partitions(), plan.schema()))
+            Ok(normalize_partitions(
+                data,
+                ctx.config.partitions,
+                plan.schema(),
+            ))
         }
         PhysicalPlan::Values { rows, .. } => {
             let mut out: Vec<Row> = Vec::with_capacity(rows.len());
@@ -122,7 +94,7 @@ fn execute_inner(plan: &PhysicalPlan, ctx: &OpContext<'_>) -> Result<Partitioned
                     .collect::<Result<_>>()?;
                 out.push(row.into_boxed_slice());
             }
-            let mut parts: Vec<Arc<Vec<Row>>> = (0..ctx.partitions())
+            let mut parts: Vec<Arc<Vec<Row>>> = (0..ctx.config.partitions)
                 .map(|_| Arc::new(Vec::new()))
                 .collect();
             parts[0] = Arc::new(out);
@@ -201,7 +173,7 @@ fn execute_inner(plan: &PhysicalPlan, ctx: &OpContext<'_>) -> Result<Partitioned
                 }
             }
             let r = execute(right, ctx)?;
-            ExecStats::add(&ctx.stats.joins_executed, 1);
+            ctx.stats.joins_executed.add(1);
             let (lwidth, rwidth) = (l.schema.len(), r.schema.len());
             let out = with_transient_tracking(
                 ctx,
@@ -237,7 +209,7 @@ fn execute_inner(plan: &PhysicalPlan, ctx: &OpContext<'_>) -> Result<Partitioned
         } => {
             let l = execute(left, ctx)?;
             let r = execute(right, ctx)?;
-            ExecStats::add(&ctx.stats.joins_executed, 1);
+            ctx.stats.joins_executed.add(1);
             let (lwidth, rwidth) = (l.schema.len(), r.schema.len());
             // Inputs were gathered to partition 0 by the planner.
             let lrows = l.gather();
@@ -250,7 +222,7 @@ fn execute_inner(plan: &PhysicalPlan, ctx: &OpContext<'_>) -> Result<Partitioned
                 lwidth,
                 rwidth,
             )?;
-            let mut parts: Vec<Arc<Vec<Row>>> = (0..ctx.partitions())
+            let mut parts: Vec<Arc<Vec<Row>>> = (0..ctx.config.partitions)
                 .map(|_| Arc::new(Vec::new()))
                 .collect();
             parts[0] = Arc::new(joined);
@@ -352,7 +324,7 @@ fn execute_inner(plan: &PhysicalPlan, ctx: &OpContext<'_>) -> Result<Partitioned
             let schema = data.schema.clone();
             let mut rows = data.gather();
             sort_rows(&mut rows, keys)?;
-            let mut parts: Vec<Arc<Vec<Row>>> = (0..ctx.partitions())
+            let mut parts: Vec<Arc<Vec<Row>>> = (0..ctx.config.partitions)
                 .map(|_| Arc::new(Vec::new()))
                 .collect();
             parts[0] = Arc::new(rows);
@@ -363,7 +335,7 @@ fn execute_inner(plan: &PhysicalPlan, ctx: &OpContext<'_>) -> Result<Partitioned
             let schema = data.schema.clone();
             let mut rows = data.gather();
             rows.truncate(*n as usize);
-            let mut parts: Vec<Arc<Vec<Row>>> = (0..ctx.partitions())
+            let mut parts: Vec<Arc<Vec<Row>>> = (0..ctx.config.partitions)
                 .map(|_| Arc::new(Vec::new()))
                 .collect();
             parts[0] = Arc::new(rows);
@@ -452,7 +424,7 @@ pub(crate) fn backoff_sleep(base_ms: u64, retry_index: u64) {
 /// propagate immediately, as before. The catalog and registry use
 /// non-poisoning locks, so the process (and the session) stays usable.
 fn run_partition(
-    ctx: &OpContext<'_>,
+    ctx: &StatementContext<'_>,
     partition: usize,
     f: impl Fn() -> Result<Vec<Row>>,
 ) -> Result<Vec<Row>> {
@@ -471,11 +443,11 @@ fn run_partition(
             }
             ctx.guard.check()?; // deadline
             backoff_sleep(ctx.config.retry_backoff_ms, attempt - 1);
-            ExecStats::add(&ctx.stats.partition_retries, 1);
+            ctx.stats.partition_retries.add(1);
             ctx.tracer.note_retry();
         }
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ctx.faults.hit(FaultSite::Worker, ctx.stats)?;
+            ctx.faults.hit(FaultSite::Worker)?;
             f()
         })) {
             Ok(Ok(rows)) => return Ok(rows),
@@ -504,72 +476,39 @@ fn run_partition(
 /// results.
 ///
 /// Scheduling policy:
-/// - serial mode (or fewer than two *occupied* partitions): everything
-///   runs inline on the coordinator, in partition order — deterministic,
-///   zero threads;
-/// - parallel with a persistent [`WorkerPool`] installed: one pool task
-///   per occupied partition (`pool_tasks` counts them; no threads are
-///   spawned);
-/// - parallel without a pool: one crossbeam scoped thread per occupied
-///   partition (`threads_spawned` counts them).
+/// - no worker pool (serial mode), or fewer than two *occupied*
+///   partitions: everything runs inline on the coordinator, in partition
+///   order — deterministic, zero threads;
+/// - otherwise: one pool task per occupied partition (`pool_tasks`
+///   counts them; no threads are spawned).
 ///
-/// Empty partitions never get a thread or a pool task — their closures
-/// run inline on the coordinator after the parallel batch. They still go
-/// through `work` (and therefore [`run_partition`]), so fault-injection
-/// hit counts and retry accounting are identical in every mode.
+/// Empty partitions never get a pool task — their closures run inline on
+/// the coordinator after the parallel batch. They still go through `work`
+/// (and therefore [`run_partition`]), so fault-injection hit counts and
+/// retry accounting are identical in every mode.
 fn map_partitions(
-    ctx: &OpContext<'_>,
+    ctx: &StatementContext<'_>,
     count: usize,
     is_empty: &dyn Fn(usize) -> bool,
     work: &(dyn Fn(usize) -> Result<Vec<Row>> + Sync),
 ) -> Result<Vec<Arc<Vec<Row>>>> {
     let occupied: Vec<usize> = (0..count).filter(|&i| !is_empty(i)).collect();
-    if !(ctx.config.parallel_partitions && count > 1 && occupied.len() > 1) {
+    let Some(pool) = ctx.pool.filter(|_| occupied.len() > 1) else {
         return (0..count).map(|i| work(i).map(Arc::new)).collect();
-    }
+    };
     let mut results: Vec<Option<Result<Vec<Row>>>> = (0..count).map(|_| None).collect();
-    if let Some(pool) = ctx.pool {
-        ExecStats::add(&ctx.stats.pool_tasks, occupied.len() as u64);
-        let outcomes = pool.scope(occupied.iter().map(|&i| move || work(i)).collect())?;
-        for (&i, outcome) in occupied.iter().zip(outcomes) {
-            results[i] = Some(outcome.unwrap_or_else(|payload| {
-                // Unreachable in practice (run_partition catches panics
-                // inside the worker), kept as a second line of defense.
-                ctx.guard.abort_workers();
-                Err(Error::WorkerPanicked {
-                    partition: i,
-                    message: panic_message(payload),
-                })
-            }));
-        }
-    } else {
-        ExecStats::add(&ctx.stats.threads_spawned, occupied.len() as u64);
-        let spawned: Vec<Result<Vec<Row>>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = occupied
-                .iter()
-                .map(|&i| s.spawn(move |_| work(i)))
-                .collect();
-            handles
-                .into_iter()
-                .zip(occupied.iter())
-                .map(|(h, &i)| {
-                    h.join().unwrap_or_else(|payload| {
-                        ctx.guard.abort_workers();
-                        Err(Error::WorkerPanicked {
-                            partition: i,
-                            message: panic_message(payload),
-                        })
-                    })
-                })
-                .collect()
-        })
-        .map_err(|payload| Error::WorkerPanicked {
-            partition: usize::MAX,
-            message: panic_message(payload),
-        })?;
-        for (&i, outcome) in occupied.iter().zip(spawned) {
-            results[i] = Some(outcome);
-        }
+    ctx.stats.pool_tasks.add(occupied.len() as u64);
+    let outcomes = pool.scope(occupied.iter().map(|&i| move || work(i)).collect())?;
+    for (&i, outcome) in occupied.iter().zip(outcomes) {
+        results[i] = Some(outcome.unwrap_or_else(|payload| {
+            // Unreachable in practice (run_partition catches panics
+            // inside the worker), kept as a second line of defense.
+            ctx.guard.abort_workers();
+            Err(Error::WorkerPanicked {
+                partition: i,
+                message: panic_message(payload),
+            })
+        }));
     }
     for (i, slot) in results.iter_mut().enumerate() {
         if slot.is_none() {
@@ -586,7 +525,7 @@ fn map_partitions(
 /// Workers are panic-isolated; see [`run_partition`].
 fn unary_map(
     input: &Partitioned,
-    ctx: &OpContext<'_>,
+    ctx: &StatementContext<'_>,
     f: impl Fn(&[Row]) -> Result<Vec<Row>> + Sync,
 ) -> Result<Vec<Arc<Vec<Row>>>> {
     unary_map_indexed(input, ctx, |_, rows| f(rows))
@@ -597,7 +536,7 @@ fn unary_map(
 /// cached join build).
 fn unary_map_indexed(
     input: &Partitioned,
-    ctx: &OpContext<'_>,
+    ctx: &StatementContext<'_>,
     f: impl Fn(usize, &[Row]) -> Result<Vec<Row>> + Sync,
 ) -> Result<Vec<Arc<Vec<Row>>>> {
     map_partitions(
@@ -613,7 +552,7 @@ fn unary_map_indexed(
 fn binary_map(
     l: &Partitioned,
     r: &Partitioned,
-    ctx: &OpContext<'_>,
+    ctx: &StatementContext<'_>,
     f: impl Fn(&[Row], &[Row]) -> Result<Vec<Row>> + Sync,
 ) -> Result<Vec<Arc<Vec<Row>>>> {
     if l.parts.len() != r.parts.len() {
@@ -635,10 +574,10 @@ fn binary_map(
 pub fn exchange(
     data: Partitioned,
     mode: &ExchangeMode,
-    ctx: &OpContext<'_>,
+    ctx: &StatementContext<'_>,
 ) -> Result<Partitioned> {
-    ctx.faults.hit(FaultSite::Exchange, ctx.stats)?;
-    let parts = ctx.partitions();
+    ctx.faults.hit(FaultSite::Exchange)?;
+    let parts = ctx.config.partitions;
     let schema = data.schema.clone();
     match mode {
         ExchangeMode::Hash(keys) => {
@@ -658,7 +597,7 @@ pub fn exchange(
                 }
             }
             ctx.guard.charge_rows_moved(moved)?;
-            ExecStats::add(&ctx.stats.rows_moved, moved);
+            ctx.stats.rows_moved.add(moved);
             ctx.tracer.note_rows_moved(moved);
             Ok(Partitioned {
                 schema,
@@ -674,7 +613,7 @@ pub fn exchange(
                 .map(|(_, p)| p.len() as u64)
                 .sum();
             ctx.guard.charge_rows_moved(moved)?;
-            ExecStats::add(&ctx.stats.rows_moved, moved);
+            ctx.stats.rows_moved.add(moved);
             ctx.tracer.note_rows_moved(moved);
             let rows = data.gather();
             let mut out: Vec<Arc<Vec<Row>>> = (0..parts).map(|_| Arc::new(Vec::new())).collect();
@@ -685,7 +624,7 @@ pub fn exchange(
             let rows = data.gather();
             let copies = rows.len() as u64 * (parts as u64).saturating_sub(1);
             ctx.guard.charge_rows_moved(copies)?;
-            ExecStats::add(&ctx.stats.rows_broadcast, copies);
+            ctx.stats.rows_broadcast.add(copies);
             ctx.tracer.note_rows_moved(copies);
             let shared = Arc::new(rows);
             Ok(Partitioned {
@@ -814,12 +753,12 @@ fn cached_hash_join(
     left_keys: &[PlanExpr],
     right_keys: &[PlanExpr],
     residual: Option<&PlanExpr>,
-    ctx: &OpContext<'_>,
+    ctx: &StatementContext<'_>,
 ) -> Result<Vec<Arc<Vec<Row>>>> {
-    ExecStats::add(&ctx.stats.joins_executed, 1);
-    let entry: Arc<CachedBuild> = match ctx.join_cache.lookup(name, ctx.registry) {
+    ctx.stats.joins_executed.add(1);
+    let entry: Arc<CachedBuild> = match ctx.join_cache.lookup(name, &ctx.registry) {
         Some(entry) => {
-            ExecStats::add(&ctx.stats.join_builds_reused, 1);
+            ctx.stats.join_builds_reused.add(1);
             entry
         }
         None => {
@@ -836,8 +775,8 @@ fn cached_hash_join(
                         .collect::<Result<Vec<JoinTable>>>()
                 },
             )?;
-            ExecStats::add(&ctx.stats.join_builds, 1);
-            ctx.join_cache.insert(name, r, tables, ctx.registry)
+            ctx.stats.join_builds.add(1);
+            ctx.join_cache.insert(name, r, tables, &ctx.registry)
         }
     };
     if entry.build.parts.len() != l.parts.len() {
@@ -1027,7 +966,7 @@ fn global_aggregate(
     data: &Partitioned,
     aggs: &[AggExpr],
     schema: spinner_common::SchemaRef,
-    ctx: &OpContext<'_>,
+    ctx: &StatementContext<'_>,
 ) -> Result<Partitioned> {
     let mut final_accs: Vec<Accumulator> = aggs.iter().map(Accumulator::new).collect();
     for part in &data.parts {
@@ -1042,7 +981,7 @@ fn global_aggregate(
         }
     }
     let row: Vec<Value> = final_accs.into_iter().map(Accumulator::finish).collect();
-    let mut parts: Vec<Arc<Vec<Row>>> = (0..ctx.partitions())
+    let mut parts: Vec<Arc<Vec<Row>>> = (0..ctx.config.partitions)
         .map(|_| Arc::new(Vec::new()))
         .collect();
     parts[0] = Arc::new(vec![row.into_boxed_slice()]);

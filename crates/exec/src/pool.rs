@@ -1,21 +1,19 @@
 //! Persistent worker pool for parallel partition execution.
 //!
-//! The spawn-per-operator parallel path creates a fresh scoped OS thread
-//! for every partition of every operator invocation — dozens of spawns
-//! *per iteration* of an iterative CTE. This module keeps a fixed set of
-//! long-lived workers (one per configured partition) alive for the
-//! lifetime of a `Database` and hands them per-partition closures
-//! instead, so the steady-state loop body spawns zero threads.
+//! Spawning a scoped OS thread for every partition of every operator
+//! invocation costs dozens of spawns *per iteration* of an iterative
+//! CTE. This module keeps a fixed set of long-lived workers (one per
+//! configured partition) alive for the lifetime of a `Database` and
+//! hands them per-partition closures instead, so the steady-state loop
+//! body spawns zero threads. It is the engine's only parallel path.
 //!
-//! [`WorkerPool::scope`] mirrors `crossbeam::thread::scope` semantics:
-//! it accepts non-`'static` closures, blocks until every submitted task
-//! has finished, and reports each task's outcome as a
-//! [`std::thread::Result`] so callers keep the exact panic-isolation
-//! handling (`Err(payload)` on panic) they already use for spawned
-//! threads. Cancellation and per-partition retry are unchanged: the
-//! closures submitted by the operators run `run_partition`, which checks
-//! the `QueryGuard` and drives the retry/backoff loop exactly as it does
-//! on a spawned thread.
+//! [`WorkerPool::scope`] has `std::thread::scope` semantics: it accepts
+//! non-`'static` closures, blocks until every submitted task has
+//! finished, and reports each task's outcome as a
+//! [`std::thread::Result`] (`Err(payload)` on panic), so panic isolation
+//! looks to the caller like joining a thread. The closures submitted by
+//! the operators run `run_partition`, which checks the `QueryGuard` and
+//! drives the per-partition retry/backoff loop.
 //!
 //! Two multi-session robustness properties live here:
 //!
@@ -197,8 +195,8 @@ impl WorkerPool {
     ///
     /// A task that panics yields `Err(payload)` — the panic is caught on
     /// the worker (which survives and keeps serving tasks) and surfaced
-    /// here exactly like a `crossbeam` handle join, so callers reuse
-    /// their existing `WorkerPanicked` translation.
+    /// here exactly like a thread-handle join, for the caller to translate
+    /// into `WorkerPanicked`.
     ///
     /// The call itself fails with [`Error::PoolStalled`] if no task of
     /// this scope makes progress for the pool's stall deadline while some

@@ -37,10 +37,7 @@ use spinner_plan::{LogicalPlan, PlannedStatement, QueryPlan, Step};
 const MAX_PASSES: usize = 10;
 
 /// Optimize one logical plan tree with the general rewrites.
-pub fn optimize_plan(mut plan: LogicalPlan, config: &EngineConfig) -> Result<LogicalPlan> {
-    if !config.general_rewrites {
-        return Ok(plan);
-    }
+pub fn optimize_plan(mut plan: LogicalPlan) -> Result<LogicalPlan> {
     for _ in 0..MAX_PASSES {
         let mut next = fold::fold_constants(plan.clone())?;
         next = outer_to_inner::convert_outer_joins(next)?;
@@ -60,9 +57,9 @@ pub fn optimize(plan: QueryPlan, config: &EngineConfig) -> Result<QueryPlan> {
     let QueryPlan { steps, root } = plan;
     let mut steps = steps
         .into_iter()
-        .map(|s| optimize_step(s, config))
+        .map(optimize_step)
         .collect::<Result<Vec<_>>>()?;
-    let mut root = optimize_plan(root, config)?;
+    let mut root = optimize_plan(root)?;
 
     if config.predicate_pushdown {
         let rewritten = iterative_pushdown::push_into_non_iterative(steps, root, config)?;
@@ -73,9 +70,9 @@ pub fn optimize(plan: QueryPlan, config: &EngineConfig) -> Result<QueryPlan> {
         // query's GROUP BY, into the scan).
         steps = steps
             .into_iter()
-            .map(|s| optimize_step(s, config))
+            .map(optimize_step)
             .collect::<Result<Vec<_>>>()?;
-        root = optimize_plan(root, config)?;
+        root = optimize_plan(root)?;
     }
     if config.common_result_optimization {
         steps = common_result::extract_common_results(steps)?;
@@ -86,7 +83,7 @@ pub fn optimize(plan: QueryPlan, config: &EngineConfig) -> Result<QueryPlan> {
     Ok(QueryPlan { steps, root })
 }
 
-fn optimize_step(step: Step, config: &EngineConfig) -> Result<Step> {
+fn optimize_step(step: Step) -> Result<Step> {
     Ok(match step {
         Step::Materialize {
             name,
@@ -94,14 +91,14 @@ fn optimize_step(step: Step, config: &EngineConfig) -> Result<Step> {
             distribute_by,
         } => Step::Materialize {
             name,
-            plan: optimize_plan(plan, config)?,
+            plan: optimize_plan(plan)?,
             distribute_by,
         },
         Step::Loop(mut l) => {
             l.body = l
                 .body
                 .into_iter()
-                .map(|s| optimize_step(s, config))
+                .map(optimize_step)
                 .collect::<Result<Vec<_>>>()?;
             Step::Loop(l)
         }

@@ -8,7 +8,7 @@
 //! `iteration:` line.
 
 use proptest::prelude::*;
-use spinner_common::{DataType, EngineConfig, Field, Row, Schema};
+use spinner_common::{row_of, DataType, EngineConfig, Field, Row, Schema, Value};
 use spinner_datagen::GraphSpec;
 use spinner_engine::Database;
 use spinner_procedural::queries;
@@ -68,6 +68,26 @@ proptest! {
             prop_assert_eq!(got.rows(), want.rows(), "sql: {}", sql);
         }
     }
+}
+
+/// A fold over a *different* anchor column (`t.a` inside `LEAST`) changes
+/// the row even when the aggregate is empty — an update a delta-driven
+/// body would never re-run. Whatever mode the optimizer picks, the result
+/// must match full recompute. Node 1 has no incoming edge.
+#[test]
+fn anchor_column_inside_the_fold_matches_full_recompute() {
+    let rows = vec![row_of([Value::Int(1), Value::Int(2), Value::Float(1.0)])];
+    let sql = "WITH ITERATIVE t (node, a, b) AS ( \
+          SELECT src, src, 100 FROM (SELECT src FROM edges UNION SELECT dst FROM edges) \
+        ITERATE SELECT t.node, t.a, LEAST(t.b, t.a, COALESCE(MIN(nbr.b), t.b)) \
+           FROM t LEFT JOIN edges AS e ON t.node = e.dst \
+                  LEFT JOIN t AS nbr ON nbr.node = e.src \
+           GROUP BY t.node, t.a, t.b \
+        UNTIL DELTA < 1 ) \
+       SELECT node, a, b FROM t ORDER BY node";
+    let got = database(4, true, rows.clone()).query(sql).unwrap();
+    let want = database(4, false, rows).query(sql).unwrap();
+    assert_eq!(got.rows(), want.rows());
 }
 
 #[test]

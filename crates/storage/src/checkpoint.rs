@@ -228,7 +228,7 @@ impl CheckpointStore {
                     .manager
                     .manifest()
                     .commit_epoch(&format!("checkpoint:{key}"), env.manager.durable());
-                env.metrics().note_epoch();
+                env.metrics().durability_epochs.add(1);
                 if let Some(handle) = handle {
                     let ctx = self.journal.read();
                     if let Some(ctx) = ctx.as_ref() {

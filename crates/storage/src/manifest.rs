@@ -151,14 +151,14 @@ impl Manifest {
                 let _ = std::fs::remove_file(&tmp);
                 return;
             }
-            self.metrics.note_fsync();
+            self.metrics.durability_fsyncs.add(1);
         }
         if std::fs::rename(&tmp, &self.path).is_err() {
             let _ = std::fs::remove_file(&tmp);
             return;
         }
         if durable && parent_dir_sync(&self.path).is_ok() {
-            self.metrics.note_fsync();
+            self.metrics.durability_fsyncs.add(1);
         }
     }
 

@@ -335,14 +335,15 @@ impl SpillManager {
             std::fs::File::open(&tmp)
                 .and_then(|f| f.sync_all())
                 .map_err(|e| fail(&tmp, e))?;
-            self.metrics.note_fsync();
+            self.metrics.durability_fsyncs.add(1);
         }
         std::fs::rename(&tmp, &path).map_err(|e| fail(&tmp, e))?;
         if self.durable && manifest::parent_dir_sync(&path).is_ok() {
-            self.metrics.note_fsync();
+            self.metrics.durability_fsyncs.add(1);
         }
         self.manifest.record_file(&path, file_bytes, self.durable);
-        self.metrics.note_spill_write(file_bytes);
+        self.metrics.spill_events.add(1);
+        self.metrics.spill_bytes_written.add(file_bytes);
         Ok(SpillHandle {
             path,
             file_bytes,
@@ -354,13 +355,13 @@ impl SpillManager {
         self.hit(FaultSite::SpillRead)?;
         match std::fs::read(&handle.path) {
             Ok(bytes) => {
-                self.metrics.note_spill_read(bytes.len() as u64);
+                self.metrics.spill_bytes_read.add(bytes.len() as u64);
                 Ok(bytes)
             }
             // A missing or unreadable file is lost on-disk state, exactly
             // like a corrupt one: transient, recovery falls back.
             Err(e) => {
-                self.metrics.note_corrupt_detected();
+                self.metrics.durability_corrupt.add(1);
                 Err(Error::StorageCorrupt {
                     region: label.to_string(),
                     message: format!("spill file unreadable: {e}"),
@@ -370,12 +371,12 @@ impl SpillManager {
     }
 
     /// Count the outcome of a verified decode: every fully checked read
-    /// bumps `verified_reads`; every detected corruption bumps
-    /// `corrupt_detected` (the `durability:` line in EXPLAIN ANALYZE).
+    /// counts as verified, every detected corruption as corrupt (the
+    /// `durability:` line in EXPLAIN ANALYZE).
     fn note_decode<T>(&self, decoded: Result<T>) -> Result<T> {
         match &decoded {
-            Ok(_) => self.metrics.note_verified_read(),
-            Err(Error::StorageCorrupt { .. }) => self.metrics.note_corrupt_detected(),
+            Ok(_) => self.metrics.durability_verified.add(1),
+            Err(Error::StorageCorrupt { .. }) => self.metrics.durability_corrupt.add(1),
             Err(_) => {}
         }
         decoded
@@ -841,13 +842,13 @@ mod tests {
         let m = SpillManager::new(std::env::temp_dir(), Arc::clone(&metrics), None);
         let handle = m.write_partitioned("x", &sample()).unwrap();
         let _ = m.read_partitioned(&handle, "x").unwrap();
-        let c = metrics.drain();
+        let c = metrics.take();
         assert_eq!(c.spill_events, 1);
         assert_eq!(c.spill_bytes_written, handle.file_bytes());
         assert_eq!(c.spill_bytes_read, handle.file_bytes());
-        assert_eq!(c.verified_reads, 1);
-        assert_eq!(c.corrupt_detected, 0);
-        assert!(c.fsyncs >= 1, "durable write must fsync");
+        assert_eq!(c.durability_verified, 1);
+        assert_eq!(c.durability_corrupt, 0);
+        assert!(c.durability_fsyncs >= 1, "durable write must fsync");
     }
 
     #[test]
@@ -855,7 +856,7 @@ mod tests {
         let env = SpillEnv::new(1, None, None).with_durable(false);
         let handle = env.manager.write_partitioned("x", &sample()).unwrap();
         let _ = env.manager.read_partitioned(&handle, "x").unwrap();
-        assert_eq!(env.metrics().drain().fsyncs, 0);
+        assert_eq!(env.metrics().take().durability_fsyncs, 0);
     }
 
     #[test]
@@ -870,7 +871,7 @@ mod tests {
             }
             other => panic!("expected StorageCorrupt, got {other:?}"),
         }
-        assert_eq!(m.metrics.drain().corrupt_detected, 1);
+        assert_eq!(m.metrics.take().durability_corrupt, 1);
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //! any partition count, any distribution column, parallel or sequential
 //! workers — while the exchange counters reflect genuine data movement.
 
-use spinner_datagen::{load_edges_into, GraphSpec};
-use spinner_engine::{Database, EngineConfig, Value};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
+
+use spinner_datagen::{load_edges_into, load_vertex_status_into, GraphSpec};
+use spinner_engine::{Database, EngineConfig, ProfileNode, QueryProfile, Value};
 use spinner_procedural::pagerank;
+use spinner_procedural::queries::{ff, sssp_convergent};
 
 fn load(config: EngineConfig) -> Database {
     let db = Database::new(config).unwrap();
@@ -178,6 +182,104 @@ fn concurrent_readers_share_one_database() {
     for (i, h) in handles.into_iter().enumerate() {
         assert_eq!(h.join().unwrap(), i as i64 + 5);
     }
+}
+
+/// What a profile reports that must not depend on what else the engine
+/// is running: iterations, rows moved, join builds (built, reused) and
+/// delta rows (fed, merged).
+fn statement_counters(profile: &QueryProfile) -> [u64; 6] {
+    fn moved(node: &ProfileNode) -> u64 {
+        node.rows_moved + node.children.iter().map(moved).sum::<u64>()
+    }
+    let loops = profile.loops();
+    let modes = || loops.iter().filter_map(|l| l.iteration_mode);
+    [
+        loops.iter().map(|l| l.iterations.len() as u64).sum(),
+        profile.roots.iter().map(moved).sum(),
+        profile.pool.get("join_builds"),
+        profile.pool.get("join_builds_reused"),
+        modes().map(|m| m.delta_rows).sum(),
+        modes().map(|m| m.merged_rows).sum(),
+    ]
+}
+
+#[test]
+fn concurrent_sessions_keep_their_own_counters() {
+    // Regression: counters used to live in one database-wide set that
+    // every statement zeroed on entry, so sessions zeroed and polluted
+    // each other's EXPLAIN ANALYZE. Three sessions profile different
+    // iterative queries in a loop while a fourth runs point statements;
+    // every profile must report what the query reports when run alone.
+    // (Spill threshold pinned high: under CI's forced-spill env cached
+    // builds are evicted by whatever else is resident.)
+    const ROUNDS: usize = 6;
+    let db = load(EngineConfig::default().with_spill_threshold_bytes(u64::MAX));
+    let spec = GraphSpec {
+        nodes: 150,
+        edges: 700,
+        seed: 23,
+        max_weight: 10,
+    };
+    load_vertex_status_into(&db, "vertexstatus", &spec, 0.8).unwrap();
+    db.execute("CREATE TABLE kv (k INT, v INT)").unwrap();
+    db.execute("INSERT INTO kv VALUES (1, 0), (2, 0)").unwrap();
+    let sqls = [
+        pagerank(4, true).cte,
+        sssp_convergent(1, None).cte,
+        ff(4, 10).cte,
+    ];
+    let alone: Vec<[u64; 6]> = sqls
+        .iter()
+        .map(|sql| statement_counters(&db.explain_analyze(sql).unwrap()))
+        .collect();
+    assert!(alone[0][3] > 0, "PR-VS must reuse a join build: {alone:?}");
+    assert!(alone[1][4] > 0, "SSSP must run delta-driven: {alone:?}");
+
+    let db = Arc::new(db);
+    let start = Barrier::new(sqls.len() + 1);
+    let profiling = AtomicUsize::new(sqls.len());
+    let (mismatches, points) = std::thread::scope(|s| {
+        let sessions: Vec<_> = sqls
+            .iter()
+            .zip(&alone)
+            .map(|(sql, want)| {
+                let (db, start, profiling) = (&db, &start, &profiling);
+                s.spawn(move || {
+                    start.wait();
+                    let got: Vec<_> = (0..ROUNDS)
+                        .map(|_| db.explain_analyze(sql).map(|p| statement_counters(&p)))
+                        .collect();
+                    profiling.fetch_sub(1, Ordering::SeqCst);
+                    got.into_iter()
+                        .filter(|got| got.as_ref().ok() != Some(want))
+                        .map(|got| format!("{sql}: {got:?}, alone {want:?}"))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let point = s.spawn(|| {
+            start.wait();
+            let mut statements = 0u64;
+            while profiling.load(Ordering::SeqCst) > 0 {
+                db.query("SELECT COUNT(*) FROM edges WHERE src = 7")
+                    .unwrap();
+                db.execute("UPDATE kv SET v = v + 1 WHERE k = 1").unwrap();
+                statements += 2;
+            }
+            statements
+        });
+        let mismatches: Vec<String> = sessions
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        (mismatches, point.join().unwrap())
+    });
+    assert!(points > 0, "the point session never overlapped the loops");
+    assert!(
+        mismatches.is_empty(),
+        "profiles differ from the single-session run:\n{}",
+        mismatches.join("\n")
+    );
 }
 
 #[test]

@@ -8,10 +8,13 @@
 //! Every test ends with the leak check: admission slots, temp results,
 //! tracked memory regions and resident bytes all back to baseline.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use spinner_datagen::{load_edges_into, load_vertex_status_into, GraphSpec};
 use spinner_engine::{Database, EngineConfig, FaultConfig, FaultSite};
+use spinner_procedural::queries::{ff, pagerank, sssp_convergent};
 use spinner_server::{Client, Reply, Server};
 
 /// Assert that a database holds no leaked per-statement state: no
@@ -395,6 +398,114 @@ fn silent_connections_are_reaped_by_the_keepalive() {
 
     server.shutdown(Duration::from_secs(5));
     assert_no_leaks(&db, bytes, regions);
+}
+
+/// The parts of a rendered profile that must not depend on what else the
+/// server is running: the `pool:` and `iteration:` lines, every loop's
+/// iteration count and every `moved=` figure.
+fn statement_counters(profile_text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for line in profile_text.lines().map(str::trim) {
+        if line.starts_with("pool:") || line.starts_with("iteration:") {
+            out.push(line.to_string());
+        } else {
+            out.extend(
+                line.split(['(', ',', ')'])
+                    .map(str::trim)
+                    .filter(|t| t.starts_with("moved=") || t.starts_with("iterations="))
+                    .map(String::from),
+            );
+        }
+    }
+    out
+}
+
+#[test]
+fn explain_analyze_is_unaffected_by_another_clients_statements() {
+    // The TCP face of `concurrent_sessions_keep_their_own_counters`
+    // (tests/mpp.rs): client A profiles iterative queries in a loop while
+    // client B runs point statements; every profile must read like the
+    // one the same query gets on an otherwise idle server.
+    const ROUNDS: usize = 6;
+    let db = Database::new(EngineConfig::default().with_spill_threshold_bytes(u64::MAX)).unwrap();
+    let spec = GraphSpec {
+        nodes: 150,
+        edges: 700,
+        seed: 23,
+        max_weight: 10,
+    };
+    load_edges_into(&db, "edges", &spec).unwrap();
+    load_vertex_status_into(&db, "vertexstatus", &spec, 0.8).unwrap();
+    db.execute("CREATE TABLE kv (k INT, v INT)").unwrap();
+    db.execute("INSERT INTO kv VALUES (1, 0), (2, 0)").unwrap();
+    let server = Server::start(Arc::new(db), "127.0.0.1:0").unwrap();
+    let mut a = Client::connect(server.local_addr()).unwrap();
+    let mut b = Client::connect(server.local_addr()).unwrap();
+
+    let mut profile = |sql: &str| match a.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap() {
+        Reply::Text(text) => statement_counters(&text),
+        other => panic!("expected a profile, got {other:?}"),
+    };
+    let sqls = [
+        pagerank(4, true).cte,
+        sssp_convergent(1, None).cte,
+        ff(4, 10).cte,
+    ];
+    let alone: Vec<_> = sqls.iter().map(|sql| profile(sql)).collect();
+    assert!(
+        alone[0].iter().any(|l| l.starts_with("pool:")),
+        "PR-VS must report its join builds: {alone:?}"
+    );
+
+    /// Stops client B even if client A's side of the test panics.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    let start = Barrier::new(2);
+    let done = AtomicBool::new(false);
+    let (mismatches, points) = std::thread::scope(|s| {
+        let point = s.spawn(|| {
+            start.wait();
+            let mut statements = 0u64;
+            while !done.load(Ordering::SeqCst) {
+                assert!(b
+                    .query("SELECT COUNT(*) FROM edges WHERE src = 7")
+                    .unwrap()
+                    .is_ok());
+                assert!(b
+                    .query("UPDATE kv SET v = v + 1 WHERE k = 1")
+                    .unwrap()
+                    .is_ok());
+                statements += 2;
+            }
+            b.close().unwrap();
+            statements
+        });
+        start.wait();
+        let stop = StopOnDrop(&done);
+        let mut mismatches = Vec::new();
+        for _ in 0..ROUNDS {
+            for (sql, want) in sqls.iter().zip(&alone) {
+                let got = profile(sql);
+                if got != *want {
+                    mismatches.push(format!("{sql}: {got:?}, alone {want:?}"));
+                }
+            }
+        }
+        drop(stop);
+        (mismatches, point.join().unwrap())
+    });
+    assert!(points > 0, "client B never overlapped the loops");
+    assert!(
+        mismatches.is_empty(),
+        "profiles differ from the idle-server run:\n{}",
+        mismatches.join("\n")
+    );
+    a.close().unwrap();
+    server.shutdown(Duration::from_secs(5));
 }
 
 #[test]

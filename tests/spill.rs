@@ -371,9 +371,12 @@ fn bad_spill_dir_rejected_at_construction() {
 fn explain_analyze_reports_spill_counters() {
     let db = db_with_edges(forced_spill());
     let profile = db.explain_analyze(&counting_cte(6)).unwrap();
-    assert!(profile.spill.events > 0, "profile must see the spills");
-    assert!(profile.spill.bytes_written > 0);
-    assert!(profile.spill.peak_tracked_bytes > 0);
+    assert!(
+        profile.spill.get("events") > 0,
+        "profile must see the spills"
+    );
+    assert!(profile.spill.get("bytes_written") > 0);
+    assert!(profile.spill.get("peak_tracked_bytes") > 0);
     assert!(
         profile.render().contains("spill:"),
         "rendering must mention spill activity:\n{}",
@@ -388,7 +391,7 @@ fn explain_analyze_reports_spill_counters() {
     // profile stays spill-silent.
     let db = db_with_edges(no_spill());
     let profile = db.explain_analyze(&counting_cte(6)).unwrap();
-    assert_eq!(profile.spill.events, 0);
+    assert_eq!(profile.spill.get("events"), 0);
     assert!(!profile.render().contains("spill: events"));
 }
 
