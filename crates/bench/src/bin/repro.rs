@@ -1147,7 +1147,7 @@ fn concurrency() -> Result<()> {
 /// silent decode ever.
 ///
 /// Part 2 prices the crash-consistency protocol (temp file → fsync →
-/// atomic rename → fsync dir, epoch manifest) on the fig8 PR workload
+/// atomic rename → fsync dir) on the fig8 PR workload
 /// with checkpoints every 5 iterations: `durable_spill` off vs on,
 /// interleaved min-of-5. The gate caps the fsync overhead at 15%.
 /// Writes `DURABILITY_8.json`; a violated gate is a nonzero exit.
@@ -1528,7 +1528,7 @@ fn crash() -> Result<()> {
         ("mid_iteration", "loop_iteration:7", false),
         ("mid_checkpoint_write", "checkpoint:3", false),
         ("mid_spill_write", "spill_write:4", false),
-        ("mid_manifest_commit", "manifest_commit:3", false),
+        ("mid_epoch_commit", "epoch_commit:3", false),
         ("corrupt_newest_epoch", "loop_iteration:7", true),
     ];
     let mut records = Vec::new();

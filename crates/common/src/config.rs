@@ -626,12 +626,12 @@ pub enum FaultSite {
     /// file is discarded and the write surfaces as the transient
     /// `SpillUnavailable`, leaving the previous artifact intact.
     FsyncFail,
-    /// The epoch-commit barrier between writing a durable checkpoint file
-    /// and committing the manifest epoch that names it. The crash harness
-    /// aborts here to exercise the file-written-epoch-uncommitted window;
-    /// an injected error skips the commit (the save degrades to in-memory
-    /// only) without failing the loop.
-    ManifestCommit,
+    /// The barrier between a checkpoint epoch's file reaching disk and
+    /// the query journal naming it. The crash harness aborts here to
+    /// exercise the file-written-epoch-unnamed window; an injected error
+    /// skips the commit (a restart cannot adopt the epoch, the running
+    /// loop still rolls back to it) without failing the loop.
+    EpochCommit,
 }
 
 /// The recovery-related knobs of an [`EngineConfig`], bundled so callers
@@ -700,7 +700,7 @@ pub enum FaultKind {
     Panic,
     /// Abort the whole process at the faulted step, skipping every
     /// destructor — the in-process equivalent of `SIGKILL`. Drop-based
-    /// cleanup (spill handles, manifests, journals) does not run, leaving
+    /// cleanup (spill handles, journals) does not run, leaving
     /// the on-disk state a real crash would, which is exactly what the
     /// restart-recovery harness needs to stage.
     Abort,

@@ -429,7 +429,8 @@ counter_table! {
     /// iteration's join input).
     delta_rows_emitted: SemiNaive, Add, "delta_emitted";
 
-    /// Checkpoint epochs committed durably to the spill manifest.
+    /// Checkpoint epochs a statement's store numbered while a spill
+    /// environment was installed (journaled ones are what a restart adopts).
     durability_epochs: Durability, Add, "durability: epochs", block("epochs");
     /// Spill/checkpoint files read back with every checksum verified.
     durability_verified: Durability, Add, "verified", block("verified");

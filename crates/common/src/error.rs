@@ -142,14 +142,14 @@ pub enum Error {
         /// Tasks reclaimed from the queue without ever running.
         pending_tasks: u64,
     },
-    /// An on-disk artifact (spill file, checkpoint epoch, manifest) failed
+    /// An on-disk artifact (spill file, checkpoint epoch, journal) failed
     /// its integrity verification on read: bad magic, short/torn file,
     /// checksum mismatch, or the file is missing entirely. Transient by
     /// contract — recovery falls back to an older checkpoint epoch or
     /// recomputes the region, and only gives up through the bounded
     /// `RecoveryExhausted` path.
     StorageCorrupt {
-        /// The region (temp result, checkpoint epoch, or manifest) whose
+        /// The region (temp result, checkpoint epoch, or journal) whose
         /// on-disk bytes failed verification.
         region: String,
         /// What the verifier found, stringified (offset, expected/actual).

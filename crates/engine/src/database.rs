@@ -71,10 +71,6 @@ pub struct Database {
     /// Next stable query handle. Starts past the highest adopted handle
     /// so handles stay unique across the restart.
     next_query_id: AtomicU64,
-    /// Handle issued to the statement most recently journaled on each
-    /// thread — the server pops it (connections are single-threaded) to
-    /// send the client its TAG_HANDLE frame.
-    last_handles: Mutex<HashMap<std::thread::ThreadId, u64>>,
 }
 
 /// Journaling/resume context of one statement, threaded from the SQL
@@ -89,6 +85,9 @@ struct ExecCtx<'a> {
     /// Adopted resume: (stable query id, loop key, seed). The seed is
     /// primed into the statement's checkpoint store for the loop driver.
     resume: Option<(u64, String, ResumeSeed)>,
+    /// Told the statement's stable handle once its journal entry is on
+    /// disk — on the statement's own thread, before the first iteration.
+    on_handle: Option<&'a mut dyn FnMut(u64)>,
 }
 
 /// Adapts the engine's spill environment to the admission controller's
@@ -143,7 +142,6 @@ impl Database {
             adoption: Mutex::new(AdoptionReport::default()),
             resumed: Mutex::new(HashMap::new()),
             next_query_id: AtomicU64::new(1),
-            last_handles: Mutex::new(HashMap::new()),
         };
         db.install_config(config);
         Ok(db)
@@ -194,13 +192,14 @@ impl Database {
                     std::path::Path::new(dir),
                     env.manager.tag(),
                     true,
+                    Arc::clone(env.metrics()),
                 )));
             }
         }
         if let Some(env) = &self.spill {
-            // Startup recovery: reclaim spill/manifest/journal files left
-            // in this directory by crashed processes before writing our
-            // own. Runs after adoption has read what it needs.
+            // Startup recovery: reclaim the files crashed processes left
+            // in this directory before writing our own. Runs after
+            // adoption has read what it needs.
             env.manager.recover_orphans();
         }
         // The pool is created here — once per (re)configuration, never
@@ -230,16 +229,14 @@ impl Database {
     /// statements contend for the same memory threshold, as they would
     /// for real memory).
     fn statement<'a>(&'a self, guard: &'a QueryGuard) -> StatementContext<'a> {
-        let stmt = StatementContext::new(
+        StatementContext::new(
             &self.catalog,
             &self.config,
             guard,
             &self.faults,
             self.pool.as_ref(),
-        );
-        stmt.registry.set_spill(self.spill.clone());
-        stmt.checkpoints.set_spill(self.spill.clone());
-        stmt
+            self.spill.clone(),
+        )
     }
 
     /// End of a plan-executing statement, on every exit path: release its
@@ -374,8 +371,29 @@ impl Database {
     /// running query, or build it with a tighter deadline/budget than
     /// the session defaults.
     pub fn execute_with_guard(&self, sql: &str, guard: &QueryGuard) -> Result<super::QueryResult> {
+        self.execute_announcing(sql, guard, &mut |_| {})
+    }
+
+    /// [`Database::execute_with_guard`] for a caller that must learn the
+    /// statement's stable query handle while it still runs: `on_handle`
+    /// is called once, on this thread, when a resumable engine has
+    /// journaled the statement — before its first loop iteration — and
+    /// never for statements that are not journaled. The server sends the
+    /// `HANDLE` frame from it, so a client holds the handle before any
+    /// crash can happen.
+    pub fn execute_announcing(
+        &self,
+        sql: &str,
+        guard: &QueryGuard,
+        on_handle: &mut dyn FnMut(u64),
+    ) -> Result<super::QueryResult> {
         let stmt = parse_sql(sql)?;
-        self.execute_parsed(&stmt, guard, Some(sql))
+        let ctx = ExecCtx {
+            sql: Some(sql),
+            resume: None,
+            on_handle: Some(on_handle),
+        };
+        self.execute_parsed(&stmt, guard, ctx)
     }
 
     /// Execute a `;`-separated script, returning each statement's result.
@@ -386,7 +404,10 @@ impl Database {
     pub fn execute_script(&self, sql: &str) -> Result<Vec<super::QueryResult>> {
         parse_statements(sql)?
             .iter()
-            .map(|s| self.execute_parsed(s, &QueryGuard::from_config(&self.config), None))
+            .map(|s| {
+                let guard = QueryGuard::from_config(&self.config);
+                self.execute_parsed(s, &guard, ExecCtx::default())
+            })
             .collect()
     }
 
@@ -465,19 +486,12 @@ impl Database {
         &self,
         stmt: &Statement,
         guard: &QueryGuard,
-        sql: Option<&str>,
+        ctx: ExecCtx<'_>,
     ) -> Result<super::QueryResult> {
         let provider = CatalogProvider(&self.catalog);
         let planned = plan_statement(stmt, &provider, &self.config)?;
         let planned = spinner_optimizer::optimize_statement(planned, &self.config)?;
-        self.execute_planned(
-            planned,
-            guard,
-            ExecCtx {
-                sql,
-                ..ExecCtx::default()
-            },
-        )
+        self.execute_planned(planned, guard, ctx)
     }
 
     fn execute_planned(
@@ -631,7 +645,8 @@ impl Database {
         // Keep the input-snapshot handles alive while the query runs:
         // dropping them deletes the files, while a crash leaks them for
         // the adoption pass.
-        let _input_handles = self.begin_statement_journal(stmt, plan, ctx.sql, forced_id);
+        let _input_handles =
+            self.begin_statement_journal(stmt, plan, ctx.sql, forced_id, ctx.on_handle);
         let result = stmt.run_query(plan);
         // Finish the journal entry before the input snapshots go, so a
         // crash in between cannot leave an entry whose inputs are gone.
@@ -642,16 +657,18 @@ impl Database {
     /// If this statement is journalable — resumable engine, raw SQL known,
     /// plan contains a loop — write durable input-table snapshots, record
     /// the journal entry, and attach the journal to the statement's
-    /// checkpoint store so every committed epoch lands in it. Returns the
-    /// snapshot handles the caller must keep alive for the statement.
-    /// Best-effort: any failure here simply leaves the statement
-    /// non-resumable; it never fails the query.
+    /// checkpoint store so every committed epoch lands in it, then tell
+    /// `on_handle` the entry's id. Returns the snapshot handles the caller
+    /// must keep alive for the statement. Best-effort: any failure here
+    /// simply leaves the statement non-resumable; it never fails the
+    /// query.
     fn begin_statement_journal(
         &self,
         stmt: &StatementContext<'_>,
         plan: &QueryPlan,
         sql: Option<&str>,
         forced_id: Option<u64>,
+        on_handle: Option<&mut dyn FnMut(u64)>,
     ) -> Vec<SpillHandle> {
         let (Some(journal), Some(env), Some(sql)) = (&self.journal, &self.spill, sql) else {
             return Vec::new();
@@ -677,11 +694,7 @@ impl Database {
                 Ok(handle) => {
                     inputs.push(InputRecord {
                         table: name.clone(),
-                        file: handle
-                            .path()
-                            .file_name()
-                            .map(|n| n.to_string_lossy().into_owned())
-                            .unwrap_or_default(),
+                        file: handle.file_name(),
                         primary_key: table.primary_key(),
                         partition_key: table.partition_key(),
                     });
@@ -694,10 +707,6 @@ impl Database {
         }
         let query_id =
             forced_id.unwrap_or_else(|| self.next_query_id.fetch_add(1, Ordering::Relaxed));
-        self.last_handles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(std::thread::current().id(), query_id);
         journal.begin(JournalEntry {
             query_id,
             sql: sql.to_string(),
@@ -707,26 +716,12 @@ impl Database {
             inputs,
         });
         stmt.checkpoints.set_journal(Arc::clone(journal), query_id);
+        // After `begin`: the client never holds a handle whose entry has
+        // not been written.
+        if let Some(on_handle) = on_handle {
+            on_handle(query_id);
+        }
         handles
-    }
-
-    /// Stable handle issued to the last statement this thread journaled,
-    /// if any (one-shot). See [`Database::take_handle_for`].
-    pub fn take_last_handle(&self) -> Option<u64> {
-        self.take_handle_for(std::thread::current().id())
-    }
-
-    /// Stable handle issued to the statement the given thread is
-    /// journaling (one-shot). The handle is published at statement
-    /// *start*, so a server can poll from a sibling thread and send it
-    /// to the client while the statement still runs — the client must
-    /// hold the handle before any crash for reconnect-and-attach to
-    /// work.
-    pub fn take_handle_for(&self, thread: std::thread::ThreadId) -> Option<u64> {
-        self.last_handles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&thread)
     }
 
     /// Resume every query adopted by the startup scan: recreate its input
@@ -791,12 +786,9 @@ impl Database {
             ExecCtx {
                 sql: Some(&query.sql),
                 resume: Some((query.query_id, query.loop_key.clone(), query.seed.clone())),
+                on_handle: None,
             },
         )?;
-        // The re-journaled statement published its (pre-crash) handle for
-        // this thread; the resumed result is parked under the same id, so
-        // the per-thread slot is just leftover state here.
-        let _ = self.take_last_handle();
         let snap = self.stats();
         let rows = match &result {
             super::QueryResult::Rows(batch) => batch.len() as u64,

@@ -84,7 +84,7 @@ pub struct AdoptionReport {
 pub struct ResumedSummary {
     /// The query's stable handle (unchanged across the restart).
     pub query_id: u64,
-    /// Manifest epoch of the adopted checkpoint.
+    /// Epoch number the dead engine journaled for the adopted checkpoint.
     pub adopted_epoch: u64,
     /// Iteration the loop driver was seeded with.
     pub resumed_iteration: u64,
@@ -320,7 +320,7 @@ mod tests {
             .unwrap();
         let file_name =
             |h: &SpillHandle| h.path().file_name().unwrap().to_string_lossy().into_owned();
-        let journal = QueryJournal::for_pid(dir, DEAD_PID, 0, false);
+        let journal = QueryJournal::for_pid(dir, DEAD_PID, 0, false, Default::default());
         journal.begin(JournalEntry {
             query_id,
             sql: "SELECT 1".to_string(),
@@ -377,7 +377,7 @@ mod tests {
     fn live_pid_journal_is_never_adopted() {
         let dir = temp_dir("live");
         // Journal owned by *this* (very alive) process.
-        let journal = QueryJournal::new(&dir, 0, false);
+        let journal = QueryJournal::new(&dir, 0, false, Default::default());
         journal.begin(JournalEntry {
             query_id: 5,
             sql: "SELECT 1".to_string(),
@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn journal_referencing_gcd_epoch_is_skipped_with_reason() {
         let dir = temp_dir("gcd");
-        let journal = QueryJournal::for_pid(&dir, DEAD_PID, 1, false);
+        let journal = QueryJournal::for_pid(&dir, DEAD_PID, 1, false, Default::default());
         journal.begin(JournalEntry {
             query_id: 9,
             sql: "SELECT 1".to_string(),
@@ -469,7 +469,7 @@ mod tests {
                 .manager
                 .write_checkpoint("checkpoint:dup", &ckpt)
                 .unwrap();
-            let journal = QueryJournal::for_pid(&dir, DEAD_PID - 1, 9, false);
+            let journal = QueryJournal::for_pid(&dir, DEAD_PID - 1, 9, false, Default::default());
             journal.begin(JournalEntry {
                 query_id: 21,
                 sql: "SELECT 2".to_string(),

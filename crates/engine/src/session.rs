@@ -103,6 +103,17 @@ impl Session {
     /// current query for the duration, so [`Session::cancel_current`]
     /// from another thread aborts it cooperatively.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
+        self.execute_announcing(sql, &mut |_| {})
+    }
+
+    /// [`Session::execute`], passing `on_handle` down to
+    /// [`Database::execute_announcing`] (the server writes the `HANDLE`
+    /// frame from it).
+    pub fn execute_announcing(
+        &self,
+        sql: &str,
+        on_handle: &mut dyn FnMut(u64),
+    ) -> Result<QueryResult> {
         if let Some(result) = self.try_session_command(sql)? {
             return Ok(result);
         }
@@ -111,7 +122,7 @@ impl Session {
             let mut current = self.current.lock().unwrap_or_else(|e| e.into_inner());
             *current = Some(Arc::clone(&guard));
         }
-        let result = self.db.execute_with_guard(sql, &guard);
+        let result = self.db.execute_announcing(sql, &guard, on_handle);
         {
             let mut current = self.current.lock().unwrap_or_else(|e| e.into_inner());
             *current = None;

@@ -124,7 +124,8 @@ impl JoinStateCache {
 
     /// Cache a freshly built `build` + `tables` for `name` and return it
     /// for immediate probing. The entry is registered with the accountant
-    /// as an evictable [`RegionKind::JoinBuild`] region named
+    /// of `spill` (the statement's environment, if it has one) as an
+    /// evictable [`RegionKind::JoinBuild`] region named
     /// `join_build:<name>`. If the source temp is not resident right now
     /// (it was spilled while we built), the build is returned for this
     /// probe but not cached — its identity is already unknowable.
@@ -134,6 +135,7 @@ impl JoinStateCache {
         build: Partitioned,
         tables: Vec<JoinTable>,
         registry: &TempRegistry,
+        spill: Option<&Arc<SpillEnv>>,
     ) -> Arc<CachedBuild> {
         let key = name.to_ascii_lowercase();
         let Some(fingerprint) = registry.fingerprint(name) else {
@@ -144,13 +146,13 @@ impl JoinStateCache {
                 region: None,
             });
         };
-        let region = registry.spill_env().map(|env| {
+        let region = spill.map(|env| {
             let id = env.accountant.register(
                 &format!("join_build:{key}"),
                 RegionKind::JoinBuild,
                 build.estimated_bytes(),
             );
-            (id, env)
+            (id, Arc::clone(env))
         });
         let entry = Arc::new(CachedBuild {
             fingerprint,
@@ -228,7 +230,7 @@ mod tests {
 
     #[test]
     fn lookup_hits_while_source_identity_is_stable() {
-        let registry = TempRegistry::new();
+        let registry = TempRegistry::new(None);
         registry.put("__common_1", toy(vec![vec![1], vec![2]]));
         let cache = JoinStateCache::new();
         assert!(cache.lookup("__common_1", &registry).is_none());
@@ -237,6 +239,7 @@ mod tests {
             toy(vec![vec![1], vec![2]]),
             vec![JoinTable::new(), JoinTable::new()],
             &registry,
+            None,
         );
         assert!(cache.lookup("__common_1", &registry).is_some());
         assert!(
@@ -247,7 +250,7 @@ mod tests {
 
     #[test]
     fn replacing_the_source_invalidates() {
-        let registry = TempRegistry::new();
+        let registry = TempRegistry::new(None);
         registry.put("__common_1", toy(vec![vec![1]]));
         let cache = JoinStateCache::new();
         cache.insert(
@@ -255,6 +258,7 @@ mod tests {
             toy(vec![vec![1]]),
             vec![JoinTable::new()],
             &registry,
+            None,
         );
         registry.put("__common_1", toy(vec![vec![9]]));
         assert!(
@@ -266,7 +270,7 @@ mod tests {
 
     #[test]
     fn poisoned_cache_degrades_instead_of_aborting() {
-        let registry = TempRegistry::new();
+        let registry = TempRegistry::new(None);
         registry.put("__common_1", toy(vec![vec![1]]));
         let cache = JoinStateCache::new();
         cache.insert(
@@ -274,6 +278,7 @@ mod tests {
             toy(vec![vec![1]]),
             vec![JoinTable::new()],
             &registry,
+            None,
         );
         // Poison the entries mutex from a thread that panics holding it.
         let res = std::thread::scope(|s| {
@@ -295,6 +300,7 @@ mod tests {
             toy(vec![vec![2]]),
             vec![JoinTable::new()],
             &registry,
+            None,
         );
         assert!(cache.evict("__common_2"));
         cache.clear();
@@ -303,7 +309,7 @@ mod tests {
 
     #[test]
     fn evict_accepts_region_names() {
-        let registry = TempRegistry::new();
+        let registry = TempRegistry::new(None);
         registry.put("__common_2", toy(vec![vec![1]]));
         let cache = JoinStateCache::new();
         cache.insert(
@@ -311,6 +317,7 @@ mod tests {
             toy(vec![vec![1]]),
             vec![JoinTable::new()],
             &registry,
+            None,
         );
         assert!(cache.evict("join_build:__common_2"));
         assert!(!cache.evict("join_build:__common_2"), "already gone");

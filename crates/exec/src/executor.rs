@@ -21,7 +21,9 @@ use spinner_common::{
     Batch, CounterSet, EngineConfig, Error, FaultSite, QueryGuard, Result, Row, Value,
 };
 use spinner_plan::{LogicalPlan, LoopKind, LoopStep, PlanExpr, QueryPlan, Step, TerminationPlan};
-use spinner_storage::{Catalog, CheckpointStore, LoopCheckpoint, Partitioned, TempRegistry};
+use spinner_storage::{
+    Catalog, CheckpointStore, LoopCheckpoint, Partitioned, SpillEnv, TempRegistry,
+};
 
 use crate::cache::JoinStateCache;
 use crate::fault::FaultInjector;
@@ -55,6 +57,11 @@ pub struct StatementContext<'a> {
     /// The engine's persistent worker pool; `None` runs every partition
     /// on the statement's own thread.
     pub pool: Option<&'a WorkerPool>,
+    /// The engine's memory accountant + spill manager — the one the
+    /// `registry` and `checkpoints` below were built over, and the one the
+    /// executor, operators and join cache consult. `None` keeps the
+    /// fail-fast budget semantics: nothing is tracked, nothing spills.
+    pub spill: Option<Arc<SpillEnv>>,
     /// Named temporary results (CTE working tables, merge outputs).
     pub registry: TempRegistry,
     /// Loop checkpoints for mid-loop recovery (unused unless the config
@@ -88,15 +95,15 @@ impl Drop for StatementContext<'_> {
 }
 
 impl<'a> StatementContext<'a> {
-    /// A context with empty state, zeroed counters, tracing off and no
-    /// spill environment (the engine installs its own in `registry` and
-    /// `checkpoints`).
+    /// A context with empty state, zeroed counters and tracing off, its
+    /// stores built over `spill`.
     pub fn new(
         catalog: &'a Catalog,
         config: &'a EngineConfig,
         guard: &'a QueryGuard,
         faults: &'a FaultInjector,
         pool: Option<&'a WorkerPool>,
+        spill: Option<Arc<SpillEnv>>,
     ) -> Self {
         StatementContext {
             catalog,
@@ -104,8 +111,9 @@ impl<'a> StatementContext<'a> {
             guard,
             faults,
             pool,
-            registry: TempRegistry::new(),
-            checkpoints: CheckpointStore::new(),
+            registry: TempRegistry::new(spill.clone()),
+            checkpoints: CheckpointStore::new(spill.clone()),
+            spill,
             join_cache: JoinStateCache::new(),
             stats: CounterSet::new(),
             tracer: Tracer::disabled(),
@@ -246,7 +254,7 @@ impl<'a> StatementContext<'a> {
                 }
                 let total = data.total_rows() as u64;
                 self.guard.charge_rows_materialized(total)?;
-                let spilling = self.registry.spill_env().is_some();
+                let spilling = self.spill.is_some();
                 if !spilling {
                     // Fail-fast path (spilling off): the budget is a
                     // cumulative charge that trips before the result is
@@ -405,7 +413,7 @@ impl<'a> StatementContext<'a> {
     /// environment this is a no-op (the fail-fast cumulative charge in the
     /// caller already ran).
     fn relieve_memory_pressure(&self, protect: &[&str]) -> Result<()> {
-        let Some(env) = self.registry.spill_env() else {
+        let Some(env) = &self.spill else {
             return Ok(());
         };
         if env.accountant.over_threshold() {
@@ -641,7 +649,7 @@ impl<'a> StatementContext<'a> {
         };
         let bytes = ckpt.estimated_bytes();
         self.faults.hit(FaultSite::Checkpoint)?;
-        if self.registry.spill_env().is_none() {
+        if self.spill.is_none() {
             // Snapshots hold real memory until replaced: debit the same
             // budget materialized results are charged against. (They were
             // previously counted in stats but never charged, letting a
@@ -1049,7 +1057,7 @@ mod tests {
         let pool = config
             .parallel_partitions
             .then(|| WorkerPool::new(config.partitions));
-        let ctx = StatementContext::new(catalog, config, &guard, &faults, pool.as_ref());
+        let ctx = StatementContext::new(catalog, config, &guard, &faults, pool.as_ref(), None);
         ctx.run_query(&plan)
     }
 
@@ -1333,7 +1341,7 @@ mod tests {
             let plan = plan_query(&q, &CatalogProvider(&catalog), config).unwrap();
             let guard = QueryGuard::unlimited();
             let faults = FaultInjector::disabled();
-            let ctx = StatementContext::new(&catalog, config, &guard, &faults, None);
+            let ctx = StatementContext::new(&catalog, config, &guard, &faults, None, None);
             let batch = ctx.run_query(&plan).unwrap();
             (batch, ctx.stats.snapshot())
         };

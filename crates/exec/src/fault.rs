@@ -74,7 +74,7 @@ pub fn site_name(site: FaultSite) -> &'static str {
         FaultSite::BitFlip => "bit_flip",
         FaultSite::DiskFull => "disk_full",
         FaultSite::FsyncFail => "fsync_fail",
-        FaultSite::ManifestCommit => "manifest_commit",
+        FaultSite::EpochCommit => "epoch_commit",
     }
 }
 

@@ -35,7 +35,7 @@ fn with_transient_tracking<T>(
     bytes: u64,
     scope: impl FnOnce() -> Result<T>,
 ) -> Result<T> {
-    match ctx.registry.spill_env() {
+    match &ctx.spill {
         Some(env) => {
             let _region = env.accountant.track_transient(label, kind, bytes);
             scope()
@@ -776,7 +776,8 @@ fn cached_hash_join(
                 },
             )?;
             ctx.stats.join_builds.add(1);
-            ctx.join_cache.insert(name, r, tables, &ctx.registry)
+            ctx.join_cache
+                .insert(name, r, tables, &ctx.registry, ctx.spill.as_ref())
         }
     };
     if entry.build.parts.len() != l.parts.len() {

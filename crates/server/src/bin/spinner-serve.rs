@@ -61,7 +61,7 @@ fn parse_fault_spec(flag: &str, spec: &str) -> Result<(FaultSite, u64), String> 
         "checkpoint" => FaultSite::Checkpoint,
         "spill_write" => FaultSite::SpillWrite,
         "spill_read" => FaultSite::SpillRead,
-        "manifest_commit" => FaultSite::ManifestCommit,
+        "epoch_commit" => FaultSite::EpochCommit,
         "torn_write" => FaultSite::TornWrite,
         "bit_flip" => FaultSite::BitFlip,
         other => return Err(format!("{flag}: unknown fault site '{other}'")),

@@ -282,50 +282,16 @@ fn handle_connection(mut stream: TcpStream, db: Arc<Database>, shared: Arc<Share
                     break;
                 }
                 let sql = String::from_utf8_lossy(&payload);
-                // A resumable statement journals itself (and publishes
-                // its stable handle) at execution *start*; a sibling
-                // thread polls for it and sends the HANDLE frame while
-                // the statement still runs, so the client holds the
-                // handle before any crash — that is what makes
-                // reconnect-and-attach possible. Nothing else writes to
-                // this stream until the statement finishes, so the
-                // side-channel write cannot interleave with a response.
-                let exec_thread = std::thread::current().id();
-                let handle_done = Arc::new(AtomicBool::new(false));
-                let handle_poller = stream.try_clone().ok().and_then(|mut side| {
-                    let db = Arc::clone(&db);
-                    let done = Arc::clone(&handle_done);
-                    std::thread::Builder::new()
-                        .name("spinner-handle".into())
-                        .spawn(move || {
-                            while !done.load(Ordering::SeqCst) {
-                                if let Some(handle) = db.take_handle_for(exec_thread) {
-                                    let _ =
-                                        write_frame(&mut side, TAG_HANDLE, &handle.to_be_bytes());
-                                    return;
-                                }
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                            // Statement finished before a handle showed
-                            // up; a last look closes the race where it
-                            // was published between poll and flag.
-                            if let Some(handle) = db.take_handle_for(exec_thread) {
-                                let _ = write_frame(&mut side, TAG_HANDLE, &handle.to_be_bytes());
-                            }
-                        })
-                        .ok()
+                // A resumable statement journals itself at execution
+                // *start* and hands its stable handle to this callback on
+                // this thread, before the first iteration runs — so the
+                // client holds the handle before any crash, which is what
+                // makes reconnect-and-attach possible. The statement's
+                // response is only written after `execute` returns, so the
+                // two frames cannot interleave.
+                let outcome = session.execute_announcing(&sql, &mut |handle| {
+                    let _ = write_frame(&mut stream, TAG_HANDLE, &handle.to_be_bytes());
                 });
-                let outcome = session.execute(&sql);
-                handle_done.store(true, Ordering::SeqCst);
-                if let Some(poller) = handle_poller {
-                    let _ = poller.join();
-                } else {
-                    // No poller thread: publish the handle late, before
-                    // the result frame, rather than not at all.
-                    if let Some(handle) = db.take_last_handle() {
-                        let _ = write_frame(&mut stream, TAG_HANDLE, &handle.to_be_bytes());
-                    }
-                }
                 // Chaos hook: a fault on the write path models a torn
                 // response; the statement already ran, so the only
                 // honest move is to drop the connection.

@@ -12,34 +12,44 @@
 //! partition as an immutable `Arc<Vec<Row>>`, so cloning a table is O(P)
 //! pointer bumps (copy-on-write) — a checkpoint of a rename-path working
 //! table costs pointers, not rows. The same sharing is why the store can
-//! afford to retain **two epochs** per loop: each [`CheckpointStore::save`] commits a new epoch and demotes the old
-//! current to `previous` instead of discarding it. If the newest epoch
-//! turns out to be unreadable on rollback — a spilled snapshot whose file
-//! the disk mangled surfaces as the typed [`Error::StorageCorrupt`] — the
-//! store discards the bad epoch (deleting its file and manifest entry)
-//! and falls back to the previous epoch, so recovery replays a little
-//! further back rather than failing the query. Only when *no* epoch
-//! survives does the typed error propagate; recovery never silently
-//! restarts, and never returns unverified rows.
+//! afford to retain **two epochs** per loop: each [`CheckpointStore::save`]
+//! numbers a new epoch (1, 2, … per loop) and demotes the old current to
+//! `previous` instead of discarding it. If the newest epoch turns out to be
+//! unreadable on rollback — a spilled snapshot whose file the disk mangled
+//! surfaces as the typed [`Error::StorageCorrupt`] — the store discards the
+//! bad epoch (deleting its file) and falls back to the previous epoch, so
+//! recovery replays a little further back rather than failing the query.
+//! Only when *no* epoch survives does the typed error propagate; recovery
+//! never silently restarts, and never returns unverified rows.
 //!
-//! Under memory pressure a snapshot is a prime spill victim: it is touched
-//! only on save and on rollback, so the accountant ranks checkpoints just
-//! after common-result tables in coldest-first order. A spilled snapshot is
-//! rehydrated by [`CheckpointStore::latest`] — which is why that method is
-//! fallible: the read back from disk can hit a fault, and recovery treats
-//! that as a transient error, never as "no checkpoint, silently restart".
+//! An epoch is one `Slot` (`slot.rs`): an optional resident snapshot and
+//! an optional file. Under memory pressure a snapshot is a prime spill
+//! victim: it is touched only on save and on rollback, so the accountant
+//! ranks checkpoints just after common-result tables in coldest-first
+//! order. A spilled snapshot is rehydrated by [`CheckpointStore::latest`]
+//! — which is why that method is fallible: the read back from disk can hit
+//! a fault, and recovery treats that as a transient error, never as "no
+//! checkpoint, silently restart".
+//!
+//! With a journal attached (a resumable statement) the epoch's file is
+//! written at save time, *before* the journal names it, and that one file
+//! serves both purposes: it is what a restarted engine adopts, and it is
+//! the spilled form of the epoch — spilling a journaled epoch drops the
+//! resident snapshot and writes nothing. Retention is the store's two
+//! slots; the journal records the same two epochs, and a file is deleted
+//! exactly when its epoch leaves the store.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use spinner_common::memory::{RegionId, RegionKind};
+use spinner_common::memory::RegionKind;
 use spinner_common::{Error, FaultSite, Result};
 
 use crate::journal::{EpochRecord, QueryJournal};
 use crate::partition::Partitioned;
-use crate::spill::{SpillEnv, SpillHandle};
+use crate::slot::Slot;
+use crate::spill::SpillEnv;
 
 /// A consistent snapshot of one loop's recoverable state, taken at an
 /// iteration boundary.
@@ -64,26 +74,16 @@ impl LoopCheckpoint {
     }
 }
 
+/// One checkpoint epoch: the snapshot and its number (1-based per loop).
 #[derive(Debug)]
-enum Slot {
-    Resident(LoopCheckpoint),
-    Spilled(SpillHandle),
+struct Epoch {
+    slot: Slot<LoopCheckpoint>,
+    number: u64,
 }
 
-/// One committed checkpoint epoch: the snapshot (resident or spilled),
-/// its accountant region, and its epoch number (1-based per loop).
-#[derive(Debug)]
-struct EpochSlot {
-    slot: Slot,
-    region: Option<RegionId>,
-    epoch: u64,
-}
-
-#[derive(Debug)]
-struct Entry {
-    current: EpochSlot,
-    previous: Option<EpochSlot>,
-}
+/// Epochs a loop retains — the current one and one fallback — which is
+/// also how many the journal records.
+pub(crate) const RETAINED_EPOCHS: usize = 2;
 
 /// A checkpoint rehydrated from a dead process's files, staged for the
 /// loop driver to consume instead of starting from iteration 0.
@@ -96,7 +96,7 @@ struct Entry {
 pub struct ResumeSeed {
     /// The adopted snapshot the loop seeds its state from.
     pub checkpoint: LoopCheckpoint,
-    /// Manifest epoch the snapshot was committed under.
+    /// Epoch number the dead process's journal recorded for the snapshot.
     pub adopted_epoch: u64,
     /// Newest iteration the dead process had durably recorded.
     pub journal_iteration: u64,
@@ -117,17 +117,11 @@ struct JournalCtx {
 /// failure *while building* a snapshot (the caller clones tables before
 /// calling [`save`](Self::save)) leaves the previous checkpoint — and the
 /// live loop state — untouched.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CheckpointStore {
-    slots: RwLock<HashMap<String, Entry>>,
-    taken: AtomicU64,
-    bytes: AtomicU64,
-    spill: RwLock<Option<Arc<SpillEnv>>>,
-    /// Durable-resume side state: the on-disk handles of the two newest
-    /// journaled checkpoint files per loop, newest first. Dropping an
-    /// evicted handle deletes its file, keeping disk usage bounded at two
-    /// epochs — exactly what the journal records.
-    durable: RwLock<HashMap<String, Vec<(u64, SpillHandle)>>>,
+    env: Option<Arc<SpillEnv>>,
+    /// Per loop, its retained epochs, newest first (never empty).
+    slots: RwLock<HashMap<String, Vec<Epoch>>>,
     /// Seeds staged by the adoption pass, consumed once by the loop
     /// driver (keyed by the loop's internal CTE name).
     resume: RwLock<HashMap<String, ResumeSeed>>,
@@ -135,26 +129,25 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    /// Empty store.
-    pub fn new() -> Self {
-        Self::default()
+    /// Empty store. With a spill environment, snapshots are charged to its
+    /// memory accountant and may be spilled.
+    pub fn new(env: Option<Arc<SpillEnv>>) -> Self {
+        CheckpointStore {
+            env,
+            slots: RwLock::new(HashMap::new()),
+            resume: RwLock::new(HashMap::new()),
+            journal: RwLock::new(None),
+        }
     }
 
-    /// Install (or remove) the spill environment. With one installed,
-    /// snapshots are charged to the memory accountant and may be spilled.
-    pub fn set_spill(&self, env: Option<Arc<SpillEnv>>) {
-        *self.spill.write() = env;
-    }
-
-    /// The installed spill environment, if any.
-    pub fn spill_env(&self) -> Option<Arc<SpillEnv>> {
-        self.spill.read().clone()
+    fn env(&self) -> Option<&SpillEnv> {
+        self.env.as_deref()
     }
 
     /// Attach the statement's journal context. With one attached, every
     /// [`save`](Self::save) also persists the snapshot to a sealed file
-    /// and records the committed epoch in the journal, making the loop
-    /// resumable across a process crash.
+    /// and records the epoch in the journal, making the loop resumable
+    /// across a process crash.
     pub fn set_journal(&self, journal: Arc<QueryJournal>, query_id: u64) {
         *self.journal.write() = Some(JournalCtx { journal, query_id });
     }
@@ -173,117 +166,47 @@ impl CheckpointStore {
         self.resume.write().remove(&loop_key.to_ascii_lowercase())
     }
 
-    fn release_slot(&self, env: &Option<Arc<SpillEnv>>, slot: EpochSlot) {
-        if let (Some(env), Some(region)) = (env, slot.region) {
-            env.accountant.release(region);
-        }
-        // Dropping a Spilled slot's handle deletes its file and manifest
-        // entry.
-    }
-
-    fn release(&self, env: &Option<Arc<SpillEnv>>, entry: Entry) {
-        self.release_slot(env, entry.current);
-        if let Some(prev) = entry.previous {
-            self.release_slot(env, prev);
-        }
-    }
-
     /// Install `checkpoint` as the newest epoch for `loop_id`. The old
-    /// current epoch is demoted to the fallback slot; the epoch before
-    /// that is freed. With a spill environment installed the epoch is
-    /// also committed to the on-disk manifest.
+    /// current epoch becomes the fallback; the epoch before that is freed,
+    /// its file with it.
     pub fn save(&self, loop_id: &str, checkpoint: LoopCheckpoint) {
-        self.taken.fetch_add(1, Ordering::Relaxed);
-        self.bytes
-            .fetch_add(checkpoint.estimated_bytes(), Ordering::Relaxed);
         let key = loop_id.to_ascii_lowercase();
-        let env = self.spill_env();
-        let region = env.as_ref().map(|e| {
-            e.accountant.register(
-                &format!("checkpoint:{key}"),
-                RegionKind::Checkpoint,
-                checkpoint.estimated_bytes(),
-            )
-        });
-        if let Some(env) = &env {
-            // Durable-resume side path: when a journal is attached, the
-            // snapshot itself is persisted *before* the epoch naming it is
-            // committed, so a kill at any point leaves either a complete
-            // adoptable epoch or an unreferenced orphan file (GC'd at the
-            // next startup) — never an epoch pointing at a torn file.
-            let journaled = self.journal.read().is_some();
-            let handle = if journaled {
-                env.manager
-                    .write_checkpoint(&format!("checkpoint:{key}"), &checkpoint)
-                    .ok()
-            } else {
-                None
-            };
-            // The commit barrier is its own fault site: the crash harness
-            // aborts here to exercise the file-written-epoch-uncommitted
-            // window. An injected error skips the commit (degrading this
-            // save to in-memory only) without failing the loop.
-            if env.manager.hit(FaultSite::ManifestCommit).is_ok() {
-                let epoch = env
-                    .manager
-                    .manifest()
-                    .commit_epoch(&format!("checkpoint:{key}"), env.manager.durable());
-                env.metrics().durability_epochs.add(1);
-                if let Some(handle) = handle {
-                    let ctx = self.journal.read();
-                    if let Some(ctx) = ctx.as_ref() {
-                        ctx.journal.note_epoch(
-                            ctx.query_id,
-                            EpochRecord {
-                                epoch,
-                                iteration: checkpoint.iteration,
-                                file: handle
-                                    .path()
-                                    .file_name()
-                                    .map(|n| n.to_string_lossy().into_owned())
-                                    .unwrap_or_default(),
-                            },
-                        );
-                    }
-                    drop(ctx);
-                    let mut durable = self.durable.write();
-                    let handles = durable.entry(key.clone()).or_default();
-                    handles.insert(0, (epoch, handle));
-                    handles.truncate(2);
-                }
+        let label = format!("checkpoint:{key}");
+        let mut slots = self.slots.write();
+        let epochs = slots.entry(key).or_default();
+        let number = epochs.first().map_or(0, |e| e.number) + 1;
+        let mut file = None;
+        if let Some(env) = self.env() {
+            let journal = self.journal.read();
+            // A journaled snapshot reaches disk *before* the journal names
+            // it, so a kill at any point leaves either a complete adoptable
+            // epoch or an unreferenced orphan file (GC'd at the next
+            // startup) — never an epoch pointing at a torn file. A failed
+            // write only leaves this epoch in memory.
+            if journal.is_some() {
+                file = env.manager.write_checkpoint(&label, &checkpoint).ok();
             }
-        }
-        let evicted;
-        {
-            let mut slots = self.slots.write();
-            match slots.get_mut(&key) {
-                Some(entry) => {
-                    let fresh = EpochSlot {
-                        slot: Slot::Resident(checkpoint),
-                        region,
-                        epoch: entry.current.epoch + 1,
-                    };
-                    let demoted = std::mem::replace(&mut entry.current, fresh);
-                    evicted = entry.previous.replace(demoted);
-                }
-                None => {
-                    slots.insert(
-                        key,
-                        Entry {
-                            current: EpochSlot {
-                                slot: Slot::Resident(checkpoint),
-                                region,
-                                epoch: 1,
-                            },
-                            previous: None,
+            // That barrier is its own fault site: the crash harness aborts
+            // here to exercise the file-written-epoch-unnamed window. An
+            // injected error skips the commit without failing the loop.
+            if env.manager.hit(FaultSite::EpochCommit).is_ok() {
+                env.metrics().durability_epochs.add(1);
+                if let (Some(ctx), Some(file)) = (journal.as_ref(), &file) {
+                    ctx.journal.note_epoch(
+                        ctx.query_id,
+                        EpochRecord {
+                            epoch: number,
+                            iteration: checkpoint.iteration,
+                            file: file.file_name(),
                         },
                     );
-                    evicted = None;
                 }
             }
         }
-        if let Some(old) = evicted {
-            self.release_slot(&env, old);
+        let slot = Slot::new(self.env(), &label, RegionKind::Checkpoint, checkpoint, file);
+        epochs.insert(0, Epoch { slot, number });
+        for evicted in epochs.drain(RETAINED_EPOCHS.min(epochs.len())..) {
+            evicted.slot.release(self.env());
         }
     }
 
@@ -292,33 +215,29 @@ impl CheckpointStore {
     /// from disk first, with every checksum verified. An unreadable
     /// newest epoch ([`Error::StorageCorrupt`]) is discarded and the
     /// previous epoch is promoted and tried instead; only when no epoch
-    /// survives does the typed, transient error propagate — recovery
-    /// never mistakes a lost disk file for "no checkpoint was taken".
+    /// survives does the typed, transient error propagate (the corrupt
+    /// epoch stays put so retries keep failing typed) — recovery never
+    /// mistakes a lost disk file for "no checkpoint was taken".
     pub fn latest(&self, loop_id: &str) -> Result<Option<LoopCheckpoint>> {
         let key = loop_id.to_ascii_lowercase();
-        let env = self.spill_env();
+        let mut slots = self.slots.write();
+        let Some(epochs) = slots.get_mut(&key) else {
+            return Ok(None);
+        };
+        if let Some(ckpt) = epochs[0].slot.get(self.env()) {
+            return Ok(Some(ckpt));
+        }
+        let env = self
+            .env()
+            .expect("only a store with a spill environment spills");
+        let label = format!("checkpoint:{key}");
         loop {
-            {
-                let slots = self.slots.read();
-                let Some(entry) = slots.get(&key) else {
-                    return Ok(None);
-                };
-                if let Slot::Resident(ckpt) = &entry.current.slot {
-                    if let (Some(env), Some(region)) = (&env, entry.current.region) {
-                        env.accountant.touch(region);
-                    }
-                    return Ok(Some(ckpt.clone()));
-                }
-            }
-            match self.rehydrate(&key, &env) {
-                Ok(found) => return Ok(found),
-                Err(err @ Error::StorageCorrupt { .. }) => {
-                    // The newest epoch is unreadable; fall back one epoch
-                    // and retry, or surface the typed error if this was
-                    // the last one.
-                    if !self.discard_current(&key, &env) {
-                        return Err(err);
-                    }
+            match epochs[0].slot.rehydrate(env, &label) {
+                Ok(ckpt) => return Ok(Some(ckpt)),
+                // Dropping the bad epoch deletes its corrupt file and
+                // promotes the fallback.
+                Err(Error::StorageCorrupt { .. }) if epochs.len() > 1 => {
+                    epochs.remove(0).slot.release(Some(env));
                 }
                 Err(err) => return Err(err),
             }
@@ -330,93 +249,42 @@ impl CheckpointStore {
         self.slots
             .read()
             .get(&loop_id.to_ascii_lowercase())
-            .map(|e| e.current.epoch)
+            .map(|epochs| epochs[0].number)
     }
 
-    fn rehydrate(&self, key: &str, env: &Option<Arc<SpillEnv>>) -> Result<Option<LoopCheckpoint>> {
-        let Some(env) = env else {
-            // Spilled slots only exist when an environment was installed;
-            // if it was torn down since, the snapshot is unrecoverable.
-            return Ok(None);
-        };
-        let mut slots = self.slots.write();
-        let Some(entry) = slots.get_mut(key) else {
-            return Ok(None);
-        };
-        match &entry.current.slot {
-            Slot::Resident(ckpt) => Ok(Some(ckpt.clone())),
-            Slot::Spilled(handle) => {
-                let ckpt = env
-                    .manager
-                    .read_checkpoint(handle, &format!("checkpoint:{key}"))?;
-                if let Some(region) = entry.current.region {
-                    env.accountant.note_rehydrated(region);
-                }
-                entry.current.slot = Slot::Resident(ckpt.clone());
-                Ok(Some(ckpt))
-            }
-        }
-    }
-
-    /// Discard an unreadable current epoch, promoting the previous epoch
-    /// in its place. Returns `false` when there is no fallback epoch (the
-    /// corrupt one stays put so retries keep failing typed, not silent).
-    fn discard_current(&self, key: &str, env: &Option<Arc<SpillEnv>>) -> bool {
-        let bad;
-        {
-            let mut slots = self.slots.write();
-            let Some(entry) = slots.get_mut(key) else {
-                return false;
-            };
-            let Some(prev) = entry.previous.take() else {
-                return false;
-            };
-            bad = std::mem::replace(&mut entry.current, prev);
-        }
-        // Dropping the bad slot deletes the corrupt file + manifest entry.
-        self.release_slot(env, bad);
-        true
-    }
-
-    /// Serialize every resident snapshot of `loop_id` (current and
-    /// fallback epoch) to disk and release its memory. Missing or
-    /// already-spilled slots are a no-op returning `Ok(false)`.
+    /// Move every resident snapshot of `loop_id` (current and fallback
+    /// epoch) to disk and release its memory; an epoch that already has
+    /// its file only drops the resident copy. Missing or already-spilled
+    /// slots are a no-op returning `Ok(false)`.
     pub fn spill_entry(&self, loop_id: &str) -> Result<bool> {
         let key = loop_id.to_ascii_lowercase();
-        let Some(env) = self.spill_env() else {
+        let Some(env) = self.env() else {
             return Ok(false);
         };
         let mut slots = self.slots.write();
-        let Some(entry) = slots.get_mut(&key) else {
+        let Some(epochs) = slots.get_mut(&key) else {
             return Ok(false);
         };
+        let label = format!("checkpoint:{key}");
         let mut spilled = false;
-        for slot in std::iter::once(&mut entry.current).chain(entry.previous.as_mut()) {
-            let Slot::Resident(ckpt) = &slot.slot else {
-                continue;
-            };
-            let handle = env
-                .manager
-                .write_checkpoint(&format!("checkpoint:{key}"), ckpt)?;
-            if let Some(region) = slot.region {
-                env.accountant.note_spilled(region);
-            }
-            slot.slot = Slot::Spilled(handle);
-            spilled = true;
+        for epoch in epochs {
+            spilled |= epoch.slot.spill(env, &label)?;
         }
         Ok(spilled)
     }
 
-    /// Drop the snapshots for `loop_id` (loop finished cleanly). The
-    /// loop's durable checkpoint files go with them — a finished loop has
-    /// nothing to resume.
-    pub fn remove(&self, loop_id: &str) {
-        let env = self.spill_env();
-        let key = loop_id.to_ascii_lowercase();
-        if let Some(entry) = self.slots.write().remove(&key) {
-            self.release(&env, entry);
+    fn release(&self, epochs: Vec<Epoch>) {
+        for epoch in epochs {
+            epoch.slot.release(self.env());
         }
-        self.durable.write().remove(&key);
+    }
+
+    /// Drop the snapshots for `loop_id` (loop finished cleanly), their
+    /// files with them — a finished loop has nothing to resume.
+    pub fn remove(&self, loop_id: &str) {
+        if let Some(epochs) = self.slots.write().remove(&loop_id.to_ascii_lowercase()) {
+            self.release(epochs);
+        }
     }
 
     /// Drop every snapshot (end of query). With a journal attached, the
@@ -424,11 +292,9 @@ impl CheckpointStore {
     /// query completed (or failed) in-process, so a later restart must
     /// not re-run it.
     pub fn clear(&self) {
-        let env = self.spill_env();
-        for (_, entry) in self.slots.write().drain() {
-            self.release(&env, entry);
+        for (_, epochs) in self.slots.write().drain() {
+            self.release(epochs);
         }
-        self.durable.write().clear();
         self.resume.write().clear();
         if let Some(ctx) = self.journal.write().take() {
             ctx.journal.finish(ctx.query_id);
@@ -451,29 +317,18 @@ impl CheckpointStore {
         self.slots
             .read()
             .values()
-            .flat_map(|e| std::iter::once(&e.current).chain(e.previous.as_ref()))
-            .filter(|s| matches!(s.slot, Slot::Spilled(_)))
+            .flatten()
+            .filter(|e| e.slot.is_spilled())
             .count()
-    }
-
-    /// Lifetime count of snapshots saved (observability; survives
-    /// [`clear`](Self::clear)).
-    pub fn checkpoints_taken(&self) -> u64 {
-        self.taken.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime sum of estimated snapshot bytes (observability; survives
-    /// [`clear`](Self::clear)).
-    pub fn bytes_snapshotted(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalEntry;
     use spinner_common::{row_of, DataType, Field, Schema, Value};
-    use std::sync::Arc;
+    use std::path::{Path, PathBuf};
 
     fn part_with(n: i64) -> Partitioned {
         let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int)]));
@@ -493,9 +348,49 @@ mod tests {
         }
     }
 
+    fn spill_store() -> CheckpointStore {
+        CheckpointStore::new(Some(Arc::new(SpillEnv::new(1, None, None))))
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("spinner_ckpt_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn begin(journal: &QueryJournal, query_id: u64) {
+        journal.begin(JournalEntry {
+            query_id,
+            sql: "select".into(),
+            settings: vec![],
+            loop_key: "pr".into(),
+            epochs: vec![],
+            inputs: vec![],
+        });
+    }
+
+    fn files_named(dir: &Path, needle: &str) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.file_name().unwrap().to_string_lossy().contains(needle))
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// The file of loop "pr"'s newest (0) or fallback (1) epoch.
+    fn epoch_file(store: &CheckpointStore, age: usize) -> PathBuf {
+        let slots = store.slots.read();
+        let file = slots["pr"][age].slot.file().expect("spilled");
+        file.path().to_path_buf()
+    }
+
     #[test]
     fn save_latest_roundtrip_and_replace() {
-        let store = CheckpointStore::new();
+        let store = CheckpointStore::new(None);
         assert!(store.latest("pr").unwrap().is_none());
         store.save("PR", ckpt(0, 0, 3));
         store.save("pr", ckpt(5, 42, 4));
@@ -505,12 +400,8 @@ mod tests {
         assert_eq!(latest.tables[0].1.total_rows(), 4);
         assert_eq!(store.len(), 1);
         assert_eq!(store.current_epoch("pr"), Some(2));
-        assert_eq!(store.checkpoints_taken(), 2);
-        assert!(store.bytes_snapshotted() > 0);
         store.remove("pr");
         assert!(store.is_empty());
-        // Lifetime counters survive removal.
-        assert_eq!(store.checkpoints_taken(), 2);
     }
 
     /// A snapshot must share row buffers with the live table (O(P) Arc
@@ -520,7 +411,7 @@ mod tests {
     fn snapshots_share_buffers_copy_on_write() {
         let live = part_with(100);
         let buf_ptr = Arc::as_ptr(&live.parts[0]);
-        let store = CheckpointStore::new();
+        let store = CheckpointStore::new(None);
         store.save(
             "pr",
             LoopCheckpoint {
@@ -550,19 +441,15 @@ mod tests {
 
     #[test]
     fn spilled_checkpoint_rehydrates_on_latest() {
-        let store = CheckpointStore::new();
-        store.set_spill(Some(Arc::new(SpillEnv::new(1, None, None))));
+        let store = spill_store();
         store.save("pr", ckpt(7, 21, 9));
         assert!(store.spill_entry("pr").unwrap());
         assert_eq!(store.spilled_count(), 1);
-        let env = store.spill_env().unwrap();
-        assert_eq!(env.accountant.resident_bytes(), 0);
         let back = store.latest("pr").unwrap().expect("snapshot");
         assert_eq!(back.iteration, 7);
         assert_eq!(back.cumulative_updates, 21);
         assert_eq!(back.tables[0].1.total_rows(), 9);
         assert_eq!(store.spilled_count(), 0);
-        assert!(env.accountant.resident_bytes() > 0);
     }
 
     /// Two-epoch retention: replacing a spilled snapshot demotes it to
@@ -570,14 +457,13 @@ mod tests {
     /// bytes); the third save finally frees it.
     #[test]
     fn replacing_a_spilled_snapshot_demotes_then_releases_it() {
-        let store = CheckpointStore::new();
-        store.set_spill(Some(Arc::new(SpillEnv::new(1, None, None))));
+        let store = spill_store();
         store.save("pr", ckpt(1, 5, 4));
         assert!(store.spill_entry("pr").unwrap());
         store.save("pr", ckpt(2, 8, 6));
         // The spilled epoch 1 is retained as the fallback.
         assert_eq!(store.spilled_count(), 1);
-        let env = store.spill_env().unwrap();
+        let env = store.env().unwrap();
         // Only the new resident snapshot is charged.
         assert_eq!(
             env.accountant.resident_bytes(),
@@ -595,83 +481,133 @@ mod tests {
     /// epoch's file and region are discarded.
     #[test]
     fn corrupt_current_epoch_falls_back_to_previous() {
-        let store = CheckpointStore::new();
-        store.set_spill(Some(Arc::new(SpillEnv::new(1, None, None))));
+        let store = spill_store();
         store.save("pr", ckpt(4, 10, 5));
         store.save("pr", ckpt(8, 20, 7));
         assert!(store.spill_entry("pr").unwrap());
         assert_eq!(store.spilled_count(), 2);
         // Mangle the newest epoch's file on disk.
-        {
-            let slots = store.slots.read();
-            let entry = slots.get("pr").unwrap();
-            let Slot::Spilled(handle) = &entry.current.slot else {
-                panic!("current must be spilled");
-            };
-            std::fs::write(handle.path(), b"garbage").unwrap();
-        }
+        let bad = epoch_file(&store, 0);
+        std::fs::write(&bad, b"garbage").unwrap();
         let back = store.latest("pr").unwrap().expect("fallback epoch");
         assert_eq!(back.iteration, 4, "must fall back to the older epoch");
         assert_eq!(back.cumulative_updates, 10);
         assert_eq!(store.current_epoch("pr"), Some(1));
+        assert!(!bad.exists(), "the corrupt file goes with its epoch");
         // The fallback is the only epoch left.
-        let slots = store.slots.read();
-        assert!(slots.get("pr").unwrap().previous.is_none());
+        assert_eq!(store.slots.read()["pr"].len(), 1);
     }
 
-    /// With a journal attached, every save persists an adoptable epoch
-    /// file and records it; the clean-completion paths erase both again.
+    /// With every epoch corrupt, the typed error propagates — recovery
+    /// sees `StorageCorrupt`, never a silent "no checkpoint".
     #[test]
-    fn journaled_saves_persist_epoch_files_and_clear_erases_them() {
-        use crate::journal::{JournalEntry, QueryJournal};
-        let dir = std::env::temp_dir().join(format!("spinner_ckpt_jrl_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = CheckpointStore::new();
-        store.set_spill(Some(Arc::new(SpillEnv::new(
-            u64::MAX,
-            Some(dir.to_str().unwrap()),
-            None,
-        ))));
-        let journal = Arc::new(QueryJournal::new(&dir, 77, false));
-        journal.begin(JournalEntry {
-            query_id: 5,
-            sql: "select".into(),
-            settings: vec![],
-            loop_key: "pr".into(),
-            epochs: vec![],
-            inputs: vec![],
-        });
+    fn all_epochs_corrupt_is_a_typed_error() {
+        let store = spill_store();
+        store.save("pr", ckpt(1, 1, 3));
+        store.save("pr", ckpt(2, 2, 4));
+        assert!(store.spill_entry("pr").unwrap());
+        for age in [0, 1] {
+            std::fs::write(epoch_file(&store, age), b"garbage").unwrap();
+        }
+        for _ in 0..2 {
+            assert!(matches!(
+                store.latest("pr"),
+                Err(Error::StorageCorrupt { .. })
+            ));
+        }
+    }
+
+    /// A resumable loop under forced spill: every save writes its epoch
+    /// file once (spilling it afterwards writes nothing), the journal and
+    /// the directory hold the same two newest epochs after every save,
+    /// and the clean-completion path erases both.
+    #[test]
+    fn journaled_epochs_are_written_once_and_retained_two_deep() {
+        let dir = temp_dir("once");
+        let env = Arc::new(SpillEnv::new(1, dir.to_str(), None));
+        let store = CheckpointStore::new(Some(Arc::clone(&env)));
+        let journal = Arc::new(QueryJournal::new(
+            &dir,
+            77,
+            false,
+            Arc::clone(env.metrics()),
+        ));
+        begin(&journal, 5);
         store.set_journal(Arc::clone(&journal), 5);
-        for i in 1..=3 {
-            store.save("pr", ckpt(i, i, 3));
+        let mut written = 0;
+        for i in 1..=5u64 {
+            store.save("pr", ckpt(i, i, 3 + i as i64));
+            written += std::fs::metadata(epoch_file(&store, 0)).unwrap().len();
+            // The victim the executor would pick right after the save.
+            assert!(store.spill_entry("pr").unwrap());
+            let on_disk = files_named(&dir, "checkpoint");
+            assert_eq!(
+                on_disk.len(),
+                (i as usize).min(2),
+                "after save {i}: {on_disk:?}"
+            );
+            let entries = QueryJournal::load(journal.path()).unwrap();
+            let mut journaled: Vec<PathBuf> = entries[0]
+                .epochs
+                .iter()
+                .map(|e| dir.join(&e.file))
+                .collect();
+            journaled.sort();
+            assert_eq!(journaled, on_disk, "journal and directory agree");
+            assert_eq!(entries[0].epochs[0].epoch, i);
+            assert_eq!(entries[0].epochs[0].iteration, i);
         }
-        // Two newest epochs on disk + journaled, older files deleted.
-        let entries = QueryJournal::load(journal.path()).unwrap();
-        assert_eq!(entries[0].epochs.len(), 2);
-        assert_eq!(entries[0].epochs[0].epoch, 3);
-        assert_eq!(entries[0].epochs[0].iteration, 3);
-        let on_disk: Vec<_> = entries[0]
-            .epochs
-            .iter()
-            .map(|e| dir.join(&e.file))
-            .collect();
-        for p in &on_disk {
-            assert!(p.exists(), "journaled epoch file must exist: {p:?}");
-            let back = crate::spill::read_checkpoint_file(p, "pr").unwrap();
-            assert!(back.iteration >= 2);
-        }
+        let counted = env.metrics().take();
+        assert_eq!(counted.spill_bytes_written, written, "no second copy");
+        assert_eq!(counted.spill_events, 5);
+        assert_eq!(counted.durability_epochs, 5);
+        // A spilled journaled epoch reads back like any other.
+        assert_eq!(store.latest("pr").unwrap().unwrap().iteration, 5);
+        assert!(files_named(&dir, "manifest").is_empty());
         store.clear();
         assert!(journal.is_empty(), "clear must finish the journal entry");
-        for p in &on_disk {
-            assert!(!p.exists(), "clear must delete durable epoch files");
+        assert!(files_named(&dir, "checkpoint").is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Epoch numbers belong to the store: two statements sharing one spill
+    /// environment (and one loop name) each count 1..n.
+    #[test]
+    fn stores_sharing_an_environment_number_their_own_epochs() {
+        let dir = temp_dir("numbering");
+        let env = Arc::new(SpillEnv::new(u64::MAX, dir.to_str(), None));
+        let journal = Arc::new(QueryJournal::new(
+            &dir,
+            78,
+            false,
+            Arc::clone(env.metrics()),
+        ));
+        let stores: Vec<CheckpointStore> = (1..=2)
+            .map(|query_id| {
+                let store = CheckpointStore::new(Some(Arc::clone(&env)));
+                begin(&journal, query_id);
+                store.set_journal(Arc::clone(&journal), query_id);
+                store
+            })
+            .collect();
+        for i in 1..=3 {
+            for store in &stores {
+                store.save("pr", ckpt(i, i, 3));
+            }
         }
+        for entry in QueryJournal::load(journal.path()).unwrap() {
+            let numbers: Vec<u64> = entry.epochs.iter().map(|e| e.epoch).collect();
+            assert_eq!(numbers, [3, 2], "query {}", entry.query_id);
+        }
+        assert_eq!(env.metrics().take().durability_epochs, 6);
+        drop(stores);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Seeds staged by adoption are consumed exactly once, by loop key.
     #[test]
     fn resume_seed_is_one_shot() {
-        let store = CheckpointStore::new();
+        let store = CheckpointStore::new(None);
         assert!(store.take_resume("pr").is_none());
         store.prime_resume(
             "PR",
@@ -686,30 +622,5 @@ mod tests {
         assert_eq!(seed.adopted_epoch, 2);
         assert_eq!(seed.journal_iteration, 8);
         assert!(store.take_resume("pr").is_none(), "one-shot");
-    }
-
-    /// With every epoch corrupt, the typed error propagates — recovery
-    /// sees `StorageCorrupt`, never a silent "no checkpoint".
-    #[test]
-    fn all_epochs_corrupt_is_a_typed_error() {
-        let store = CheckpointStore::new();
-        store.set_spill(Some(Arc::new(SpillEnv::new(1, None, None))));
-        store.save("pr", ckpt(1, 1, 3));
-        store.save("pr", ckpt(2, 2, 4));
-        assert!(store.spill_entry("pr").unwrap());
-        {
-            let slots = store.slots.read();
-            let entry = slots.get("pr").unwrap();
-            for slot in std::iter::once(&entry.current).chain(entry.previous.as_ref()) {
-                let Slot::Spilled(handle) = &slot.slot else {
-                    panic!("both epochs must be spilled");
-                };
-                std::fs::write(handle.path(), b"garbage").unwrap();
-            }
-        }
-        assert!(matches!(
-            store.latest("pr"),
-            Err(Error::StorageCorrupt { .. })
-        ));
     }
 }

@@ -1,9 +1,11 @@
 //! Crash-consistent query journal: what was running when we died?
 //!
-//! The PR-8 durability layer makes checkpoint *contents* survive a crash,
-//! but nothing records *which statement* those checkpoints belong to — a
-//! restarted process finds sealed files it cannot interpret and GCs them.
-//! The [`QueryJournal`] closes that gap: per in-flight iterative
+//! Sealed spill files make checkpoint *contents* survive a crash, but a
+//! file says nothing about *which statement* it belongs to — without an
+//! index a restarted process finds sealed files it cannot interpret and
+//! GCs them. The [`QueryJournal`] is that index, and the only one: orphan
+//! GC goes by the pid in every file name and needs none. Per in-flight
+//! iterative
 //! statement it records the normalized SQL, the planner-affecting config
 //! overlay, the loop identity (internal CTE name), the durable input-table
 //! snapshots, and the newest committed checkpoint epochs (up to the two
@@ -13,8 +15,9 @@
 //!
 //! The journal is one file per process (`spinner_journal_{pid}_{tag}.qjl`
 //! under the spill directory), rewritten whole on every update with the
-//! same `SPNSPILL` sealed codec and temp → fsync → rename → dir-sync
-//! protocol as the data files it points at — a reader only ever observes
+//! same `SPNSPILL` sealed codec and through the same `write_atomic` as
+//! the data files it points at, its fsyncs counted in
+//! `durability_fsyncs` like theirs — a reader only ever observes
 //! a complete, checksummed journal or none at all. Dropping the journal
 //! (clean shutdown) deletes the file; only a hard kill leaves it behind,
 //! which is precisely the signal the adoption pass keys on: *journal file
@@ -22,17 +25,20 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
+use spinner_common::memory::MemoryMetrics;
 use spinner_common::{Error, Result};
 
-use crate::manifest::parent_dir_sync;
+use crate::checkpoint::RETAINED_EPOCHS;
+use crate::disk::{tmp_path, write_atomic};
 use crate::spill::{header, put_str, put_u32, put_u64, seal, Reader};
 
 /// One committed checkpoint epoch a journal entry points at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochRecord {
-    /// Manifest epoch number (1-based per loop key).
+    /// Epoch number the statement's checkpoint store gave the snapshot
+    /// (1-based per loop).
     pub epoch: u64,
     /// Loop iteration the checkpoint was taken after.
     pub iteration: u64,
@@ -92,22 +98,31 @@ pub struct JournalEntry {
 pub struct QueryJournal {
     path: PathBuf,
     durable: bool,
+    metrics: Arc<MemoryMetrics>,
     state: Mutex<BTreeMap<u64, JournalEntry>>,
 }
 
 impl QueryJournal {
     /// Journal for this process under `dir`; `tag` distinguishes engines
-    /// within one process (same convention as the spill manager).
-    pub fn new(dir: &Path, tag: u64, durable: bool) -> Self {
-        Self::for_pid(dir, std::process::id(), tag, durable)
+    /// within one process (same convention as the spill manager), and
+    /// `metrics` is the spill environment's sink the fsyncs count into.
+    pub fn new(dir: &Path, tag: u64, durable: bool, metrics: Arc<MemoryMetrics>) -> Self {
+        Self::for_pid(dir, std::process::id(), tag, durable, metrics)
     }
 
     /// Journal impersonating another pid — test-only surface for staging
     /// "dead process" fixtures the adoption pass must handle.
-    pub fn for_pid(dir: &Path, pid: u32, tag: u64, durable: bool) -> Self {
+    pub fn for_pid(
+        dir: &Path,
+        pid: u32,
+        tag: u64,
+        durable: bool,
+        metrics: Arc<MemoryMetrics>,
+    ) -> Self {
         QueryJournal {
             path: dir.join(format!("spinner_journal_{pid}_{tag}.qjl")),
             durable,
+            metrics,
             state: Mutex::new(BTreeMap::new()),
         }
     }
@@ -133,7 +148,7 @@ impl QueryJournal {
         let mut state = self.state.lock().expect("journal lock");
         if let Some(entry) = state.get_mut(&query_id) {
             entry.epochs.insert(0, epoch);
-            entry.epochs.truncate(2);
+            entry.epochs.truncate(RETAINED_EPOCHS);
             self.save(&state);
         }
     }
@@ -183,26 +198,9 @@ impl QueryJournal {
             }
         }
         seal(&mut buf);
-        let tmp = self.path.with_extension("qjl.tmp");
-        if std::fs::write(&tmp, &buf).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return;
-        }
-        if self.durable
-            && std::fs::File::open(&tmp)
-                .and_then(|f| f.sync_all())
-                .is_err()
-        {
-            let _ = std::fs::remove_file(&tmp);
-            return;
-        }
-        if std::fs::rename(&tmp, &self.path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return;
-        }
-        if self.durable {
-            let _ = parent_dir_sync(&self.path);
-        }
+        // Best-effort (see the type docs): a failed write keeps the
+        // previous complete journal.
+        let _ = write_atomic(&self.path, &buf, self.durable, &self.metrics);
     }
 
     /// Parse and seal-verify a journal file. A short, torn or mutated
@@ -284,7 +282,7 @@ impl Drop for QueryJournal {
         // A clean shutdown has nothing to resume. Only a hard kill —
         // which skips destructors — leaves the journal for adoption.
         let _ = std::fs::remove_file(&self.path);
-        let _ = std::fs::remove_file(self.path.with_extension("qjl.tmp"));
+        let _ = std::fs::remove_file(tmp_path(&self.path));
     }
 }
 
@@ -296,6 +294,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("spinner_qjl_{}_{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn journal(dir: &Path, tag: u64) -> QueryJournal {
+        QueryJournal::new(dir, tag, false, Arc::new(MemoryMetrics::new()))
     }
 
     fn entry(id: u64) -> JournalEntry {
@@ -324,7 +326,7 @@ mod tests {
     #[test]
     fn begin_note_finish_round_trip() {
         let dir = temp_dir("rt");
-        let j = QueryJournal::new(&dir, 0, false);
+        let j = journal(&dir, 0);
         assert!(j.is_empty());
         j.begin(entry(7));
         j.note_epoch(
@@ -359,7 +361,7 @@ mod tests {
     #[test]
     fn epoch_retention_is_two_newest_first() {
         let dir = temp_dir("epochs");
-        let j = QueryJournal::new(&dir, 1, false);
+        let j = journal(&dir, 1);
         let mut e = entry(1);
         e.epochs.clear();
         j.begin(e);
@@ -383,7 +385,7 @@ mod tests {
     #[test]
     fn tampered_journal_is_storage_corrupt() {
         let dir = temp_dir("tamper");
-        let j = QueryJournal::new(&dir, 2, false);
+        let j = journal(&dir, 2);
         j.begin(entry(1));
         let mut bytes = std::fs::read(j.path()).unwrap();
         let mid = bytes.len() / 2;
@@ -402,10 +404,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The journal's barriers are the shared writer's: a durable journal
+    /// counts two fsyncs per mutation that rewrites the file, a relaxed
+    /// one none.
+    #[test]
+    fn durable_journal_writes_count_their_fsyncs() {
+        let dir = temp_dir("fsyncs");
+        let metrics = Arc::new(MemoryMetrics::new());
+        let j = QueryJournal::new(&dir, 4, true, Arc::clone(&metrics));
+        j.begin(entry(1));
+        assert_eq!(metrics.take().durability_fsyncs, 2);
+        j.finish(1);
+        j.finish(1); // nothing left to remove: no rewrite
+        assert_eq!(metrics.take().durability_fsyncs, 2);
+        assert!(!tmp_path(j.path()).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn multiple_entries_survive_and_finish_individually() {
         let dir = temp_dir("multi");
-        let j = QueryJournal::new(&dir, 3, false);
+        let j = journal(&dir, 3);
         j.begin(entry(1));
         j.begin(entry(2));
         assert_eq!(j.len(), 2);

@@ -12,17 +12,18 @@
 
 pub mod catalog;
 pub mod checkpoint;
+pub mod disk;
 pub mod journal;
-pub mod manifest;
 pub mod partition;
 pub mod registry;
+mod slot;
 pub mod spill;
 pub mod table;
 
 pub use catalog::Catalog;
 pub use checkpoint::{CheckpointStore, LoopCheckpoint, ResumeSeed};
+pub use disk::gc_orphans;
 pub use journal::{EpochRecord, InputRecord, JournalEntry, QueryJournal};
-pub use manifest::{gc_orphans, Manifest, ManifestSnapshot};
 pub use partition::{hash_partition, partition_of, Partitioned};
 pub use registry::TempRegistry;
 pub use spill::{

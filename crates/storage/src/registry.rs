@@ -9,80 +9,54 @@
 //! which is precisely the data-movement saving Figure 8 measures.
 //!
 //! Under memory pressure an entry may live on disk instead of in memory:
-//! each slot is either `Resident` (the `Partitioned` table) or `Spilled`
-//! (a [`SpillHandle`] owning the serialized file). [`TempRegistry::get`]
-//! rehydrates spilled entries transparently, and `rename` re-keys a slot
-//! in either state — the rename fast path stays an O(1) pointer move even
-//! when one side of the rename is on disk.
+//! every entry is a `Slot` (resident, spilled to a [`SpillHandle`]'s
+//! file, or both — the state machine lives in `slot.rs`).
+//! [`TempRegistry::get`] rehydrates spilled entries transparently, and
+//! `rename` re-keys a slot in either state — the rename fast path stays an
+//! O(1) pointer move even when one side of the rename is on disk.
+//!
+//! [`SpillHandle`]: crate::SpillHandle
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use spinner_common::memory::{RegionId, RegionKind};
+use spinner_common::memory::RegionKind;
 use spinner_common::{Error, Result};
 
 use crate::partition::Partitioned;
-use crate::spill::{SpillEnv, SpillHandle};
-
-#[derive(Debug)]
-enum Slot {
-    Resident(Partitioned),
-    Spilled(SpillHandle),
-}
-
-#[derive(Debug)]
-struct Entry {
-    slot: Slot,
-    region: Option<RegionId>,
-}
+use crate::slot::Slot;
+use crate::spill::SpillEnv;
 
 /// Named intermediate results for one query execution.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TempRegistry {
-    entries: RwLock<HashMap<String, Entry>>,
-    spill: RwLock<Option<Arc<SpillEnv>>>,
+    env: Option<Arc<SpillEnv>>,
+    entries: RwLock<HashMap<String, Slot<Partitioned>>>,
 }
 
 impl TempRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Install (or remove) the spill environment. With an environment
-    /// installed, every `put` registers a region with the accountant and
-    /// entries become spillable; without one the registry behaves exactly
-    /// as before spilling existed.
-    pub fn set_spill(&self, env: Option<Arc<SpillEnv>>) {
-        *self.spill.write() = env;
-    }
-
-    /// The installed spill environment, if any.
-    pub fn spill_env(&self) -> Option<Arc<SpillEnv>> {
-        self.spill.read().clone()
-    }
-
-    fn release(&self, env: &Option<Arc<SpillEnv>>, entry: Entry) {
-        if let (Some(env), Some(region)) = (env, entry.region) {
-            env.accountant.release(region);
+    /// Empty registry. With a spill environment every `put` registers a
+    /// region with its accountant and entries become spillable; without
+    /// one the registry is a plain in-memory lookup table.
+    pub fn new(env: Option<Arc<SpillEnv>>) -> Self {
+        TempRegistry {
+            env,
+            entries: RwLock::new(HashMap::new()),
         }
+    }
+
+    fn env(&self) -> Option<&SpillEnv> {
+        self.env.as_deref()
     }
 
     /// Store (or replace) a named intermediate result.
     pub fn put(&self, name: &str, data: Partitioned) {
         let key = name.to_ascii_lowercase();
-        let env = self.spill_env();
-        let region = env.as_ref().map(|e| {
-            e.accountant
-                .register(&key, RegionKind::of_temp_name(&key), data.estimated_bytes())
-        });
-        let entry = Entry {
-            slot: Slot::Resident(data),
-            region,
-        };
-        if let Some(old) = self.entries.write().insert(key, entry) {
-            self.release(&env, old);
+        let kind = RegionKind::of_temp_name(&key);
+        let slot = Slot::new(self.env(), &key, kind, data, None);
+        if let Some(old) = self.entries.write().insert(key, slot) {
+            old.release(self.env());
         }
     }
 
@@ -90,30 +64,26 @@ impl TempRegistry {
     /// entry is read back from disk, made resident again, and returned.
     pub fn get(&self, name: &str) -> Result<Partitioned> {
         let key = name.to_ascii_lowercase();
+        let not_found = || Error::execution(format!("intermediate result '{name}' not found"));
+        if let Some(data) = self
+            .entries
+            .read()
+            .get(&key)
+            .ok_or_else(not_found)?
+            .get(self.env())
         {
-            let entries = self.entries.read();
-            match entries.get(&key) {
-                None => {
-                    return Err(Error::execution(format!(
-                        "intermediate result '{name}' not found"
-                    )))
-                }
-                Some(Entry {
-                    slot: Slot::Resident(data),
-                    region,
-                }) => {
-                    if let (Some(env), Some(region)) = (self.spill_env(), region) {
-                        env.accountant.touch(*region);
-                    }
-                    return Ok(data.clone());
-                }
-                Some(Entry {
-                    slot: Slot::Spilled(_),
-                    ..
-                }) => {}
-            }
+            return Ok(data);
         }
-        self.rehydrate(&key, name)
+        // Spilled: read it back under the write lock (another thread may
+        // have done so while we waited — `rehydrate` then just clones).
+        let env = self
+            .env()
+            .expect("only a registry with a spill environment spills");
+        self.entries
+            .write()
+            .get_mut(&key)
+            .ok_or_else(not_found)?
+            .rehydrate(env, &key)
     }
 
     /// Pointer identity of a resident entry's partition buffers — the key
@@ -125,64 +95,23 @@ impl TempRegistry {
     /// new buffers, so any of them changes the fingerprint and invalidates
     /// state derived from the old one.
     pub fn fingerprint(&self, name: &str) -> Option<Vec<usize>> {
-        let key = name.to_ascii_lowercase();
         let entries = self.entries.read();
-        match entries.get(&key) {
-            Some(Entry {
-                slot: Slot::Resident(data),
-                ..
-            }) => Some(data.parts.iter().map(|p| Arc::as_ptr(p) as usize).collect()),
-            _ => None,
-        }
+        let data = entries.get(&name.to_ascii_lowercase())?.resident()?;
+        Some(data.parts.iter().map(|p| Arc::as_ptr(p) as usize).collect())
     }
 
-    /// Read a spilled entry back into memory under the write lock.
-    fn rehydrate(&self, key: &str, name: &str) -> Result<Partitioned> {
-        let env = self.spill_env().ok_or_else(|| {
-            Error::execution(format!(
-                "intermediate result '{name}' is spilled but no spill environment is installed"
-            ))
-        })?;
-        let mut entries = self.entries.write();
-        let entry = entries
-            .get_mut(key)
-            .ok_or_else(|| Error::execution(format!("intermediate result '{name}' not found")))?;
-        match &entry.slot {
-            // Another thread rehydrated while we waited for the lock.
-            Slot::Resident(data) => Ok(data.clone()),
-            Slot::Spilled(handle) => {
-                let data = env.manager.read_partitioned(handle, key)?;
-                if let Some(region) = entry.region {
-                    env.accountant.note_rehydrated(region);
-                }
-                // Replacing the slot drops the handle, deleting the file.
-                entry.slot = Slot::Resident(data.clone());
-                Ok(data)
-            }
-        }
-    }
-
-    /// Serialize a resident entry to disk and release its memory. A
-    /// missing or already-spilled entry is a no-op (the spill plan may
-    /// race with renames or removals), returning `Ok(false)`.
+    /// Move a resident entry to disk and release its memory. A missing or
+    /// already-spilled entry is a no-op (the spill plan may race with
+    /// renames or removals), returning `Ok(false)`.
     pub fn spill_entry(&self, name: &str) -> Result<bool> {
         let key = name.to_ascii_lowercase();
-        let Some(env) = self.spill_env() else {
+        let Some(env) = self.env() else {
             return Ok(false);
         };
-        let mut entries = self.entries.write();
-        let Some(entry) = entries.get_mut(&key) else {
-            return Ok(false);
-        };
-        let Slot::Resident(data) = &entry.slot else {
-            return Ok(false);
-        };
-        let handle = env.manager.write_partitioned(&key, data)?;
-        if let Some(region) = entry.region {
-            env.accountant.note_spilled(region);
+        match self.entries.write().get_mut(&key) {
+            Some(slot) => slot.spill(env, &key),
+            None => Ok(false),
         }
-        entry.slot = Slot::Spilled(handle);
-        Ok(true)
     }
 
     /// Whether a result is registered (resident or spilled).
@@ -203,7 +132,6 @@ impl TempRegistry {
     pub fn rename(&self, old: &str, new: &str) -> Result<()> {
         let old_key = old.to_ascii_lowercase();
         let new_key = new.to_ascii_lowercase();
-        let env = self.spill_env();
         let mut entries = self.entries.write();
         if !entries.contains_key(&old_key) {
             return Err(Error::execution(format!(
@@ -215,30 +143,26 @@ impl TempRegistry {
             // (which would momentarily unbind the name if ever split).
             return Ok(());
         }
-        let entry = entries.remove(&old_key).expect("checked above");
-        if let (Some(env), Some(region)) = (&env, entry.region) {
-            env.accountant.rename(region, &new_key);
-        }
+        let slot = entries.remove(&old_key).expect("checked above");
+        slot.rename(self.env(), &new_key);
         // Insert replaces (and thereby frees) any previous entry under `new`.
-        if let Some(old_entry) = entries.insert(new_key, entry) {
-            self.release(&env, old_entry);
+        if let Some(replaced) = entries.insert(new_key, slot) {
+            replaced.release(self.env());
         }
         Ok(())
     }
 
     /// Drop one entry (working-table cleanup between iterations).
     pub fn remove(&self, name: &str) {
-        let env = self.spill_env();
-        if let Some(entry) = self.entries.write().remove(&name.to_ascii_lowercase()) {
-            self.release(&env, entry);
+        if let Some(slot) = self.entries.write().remove(&name.to_ascii_lowercase()) {
+            slot.release(self.env());
         }
     }
 
     /// Drop everything (end of query).
     pub fn clear(&self) {
-        let env = self.spill_env();
-        for (_, entry) in self.entries.write().drain() {
-            self.release(&env, entry);
+        for (_, slot) in self.entries.write().drain() {
+            slot.release(self.env());
         }
     }
 
@@ -257,7 +181,7 @@ impl TempRegistry {
         self.entries
             .read()
             .values()
-            .filter(|e| matches!(e.slot, Slot::Spilled(_)))
+            .filter(|slot| slot.is_spilled())
             .count()
     }
 }
@@ -279,21 +203,19 @@ mod tests {
     }
 
     fn spill_registry() -> TempRegistry {
-        let reg = TempRegistry::new();
-        reg.set_spill(Some(Arc::new(SpillEnv::new(1, None, None))));
-        reg
+        TempRegistry::new(Some(Arc::new(SpillEnv::new(1, None, None))))
     }
 
     #[test]
     fn put_get_roundtrip() {
-        let reg = TempRegistry::new();
+        let reg = TempRegistry::new(None);
         reg.put("Work", part_with(5));
         assert_eq!(reg.get("work").unwrap().total_rows(), 5);
     }
 
     #[test]
     fn rename_moves_without_copying() {
-        let reg = TempRegistry::new();
+        let reg = TempRegistry::new(None);
         let data = part_with(3);
         let buf_ptr = Arc::as_ptr(&data.parts[0]);
         reg.put("working", data);
@@ -308,13 +230,13 @@ mod tests {
 
     #[test]
     fn rename_missing_source_errors() {
-        let reg = TempRegistry::new();
+        let reg = TempRegistry::new(None);
         assert!(reg.rename("ghost", "cte").is_err());
     }
 
     #[test]
     fn rename_drops_previous_target() {
-        let reg = TempRegistry::new();
+        let reg = TempRegistry::new(None);
         reg.put("a", part_with(1));
         reg.put("b", part_with(2));
         reg.rename("a", "b").unwrap();
@@ -324,7 +246,7 @@ mod tests {
 
     #[test]
     fn clear_empties() {
-        let reg = TempRegistry::new();
+        let reg = TempRegistry::new(None);
         reg.put("a", part_with(1));
         reg.clear();
         assert!(reg.is_empty());
@@ -332,7 +254,7 @@ mod tests {
 
     #[test]
     fn rename_to_self_is_a_noop() {
-        let reg = TempRegistry::new();
+        let reg = TempRegistry::new(None);
         reg.put("cte", part_with(4));
         reg.rename("cte", "CTE").unwrap();
         assert_eq!(reg.len(), 1);
@@ -346,14 +268,10 @@ mod tests {
         reg.put("cte", part_with(12));
         assert!(reg.spill_entry("cte").unwrap());
         assert_eq!(reg.spilled_count(), 1);
-        // The accountant no longer counts the spilled bytes as resident.
-        let env = reg.spill_env().unwrap();
-        assert_eq!(env.accountant.resident_bytes(), 0);
-        // get() rehydrates: same rows, resident again, file gone.
+        // get() rehydrates: same rows, resident again.
         let back = reg.get("cte").unwrap();
         assert_eq!(back.total_rows(), 12);
         assert_eq!(reg.spilled_count(), 0);
-        assert!(env.accountant.resident_bytes() > 0);
     }
 
     #[test]
@@ -398,7 +316,7 @@ mod tests {
         assert!(reg.spill_entry("a").unwrap());
         reg.clear();
         assert!(reg.is_empty());
-        let env = reg.spill_env().unwrap();
+        let env = reg.env().unwrap();
         assert_eq!(env.accountant.resident_bytes(), 0);
     }
 
@@ -407,7 +325,7 @@ mod tests {
     /// observe a state where the name is unbound.
     #[test]
     fn rename_is_atomic_for_concurrent_readers() {
-        let reg = Arc::new(TempRegistry::new());
+        let reg = Arc::new(TempRegistry::new(None));
         reg.put("cte", part_with(1));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut readers = Vec::new();

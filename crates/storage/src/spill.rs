@@ -17,15 +17,16 @@
 //! an older checkpoint epoch or recomputing the region — never by
 //! returning silently wrong rows.
 //!
-//! Writes are crash consistent: payload → `*.tmp` → fsync → atomic
-//! rename → fsync directory (the fsyncs elide when the manager is built
-//! with durability off, for tests and throwaway workloads). Every
-//! persisted file is recorded in the per-process [`Manifest`], whose
-//! orphan GC reclaims files left by crashed processes.
+//! Writes are crash consistent: every file goes through the crate's one
+//! `write_atomic` (payload → `*.tmp` → fsync → atomic rename → fsync
+//! directory; the fsyncs elide when the manager is built with durability
+//! off, for tests and throwaway workloads). File names start with the
+//! owner's pid, which is all orphan GC needs to reclaim what a crashed
+//! process left (see `disk.rs`).
 //!
-//! A [`SpillHandle`] owns its file and deletes it (and its manifest
-//! entry) on drop, so dropping a spilled registry entry (end of query,
-//! rename-over, explicit remove) cleans the disk automatically. Fault
+//! A [`SpillHandle`] owns its file and deletes it on drop, so dropping a
+//! spilled registry entry (end of query, rename-over, explicit remove)
+//! cleans the disk automatically. Fault
 //! injection reaches this layer through the engine-installed
 //! [`SpillFaultHook`]: `FaultSite::SpillWrite` / `SpillRead` abort I/O
 //! outright, while the adversarial-disk sites `TornWrite`, `BitFlip`,
@@ -42,7 +43,7 @@ use spinner_common::{
 };
 
 use crate::checkpoint::LoopCheckpoint;
-use crate::manifest::{self, Manifest};
+use crate::disk::{gc_orphans, write_atomic};
 use crate::partition::Partitioned;
 
 /// 8-byte magic + format version prefix of every spill file.
@@ -83,7 +84,7 @@ fn read_u64(b: &[u8]) -> u64 {
 }
 
 /// Hand-rolled XXH64 (seed 0) — the checksum sealing every spill file and
-/// manifest. Implemented from the public algorithm spec because the
+/// the journal. Implemented from the public algorithm spec because the
 /// workspace builds offline with no external crates; verified against the
 /// reference test vectors in this module's tests.
 pub fn xxh64(data: &[u8]) -> u64 {
@@ -182,13 +183,11 @@ impl SpillEnv {
     }
 }
 
-/// Owner of one spill file; the file (and its manifest entry) is removed
-/// when the handle drops.
+/// Owner of one spill file; the file is removed when the handle drops.
 #[derive(Debug)]
 pub struct SpillHandle {
     path: PathBuf,
     file_bytes: u64,
-    manifest: Option<Arc<Manifest>>,
 }
 
 impl SpillHandle {
@@ -201,22 +200,21 @@ impl SpillHandle {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    /// The file's name within the spill directory — what the journal
+    /// records, so a restarted engine finds it under its own `spill_dir`.
+    pub fn file_name(&self) -> String {
+        let name = self.path.file_name().unwrap_or(self.path.as_os_str());
+        name.to_string_lossy().into_owned()
+    }
 }
 
 impl Drop for SpillHandle {
     fn drop(&mut self) {
-        match std::fs::remove_file(&self.path) {
-            Ok(()) => {}
-            // Already gone (vanished-dir race, GC, test tampering): the
-            // desired end state holds, nothing to report.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            // Any other failure is best-effort: orphan GC reclaims the
-            // file once this process exits.
-            Err(_) => {}
-        }
-        if let Some(manifest) = self.manifest.take() {
-            manifest.remove_file(&self.path);
-        }
+        // Best-effort: a file that is already gone (vanished-dir race, GC,
+        // test tampering) is the desired end state, and one that cannot be
+        // removed is reclaimed by orphan GC once this process exits.
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -229,7 +227,6 @@ pub struct SpillManager {
     metrics: Arc<MemoryMetrics>,
     hook: Option<Arc<dyn SpillFaultHook>>,
     durable: bool,
-    manifest: Arc<Manifest>,
 }
 
 impl SpillManager {
@@ -239,22 +236,14 @@ impl SpillManager {
         metrics: Arc<MemoryMetrics>,
         hook: Option<Arc<dyn SpillFaultHook>>,
     ) -> Self {
-        let tag = MANAGER_SEQ.fetch_add(1, Ordering::Relaxed);
-        let manifest = Arc::new(Manifest::new(&dir, tag, Arc::clone(&metrics)));
         SpillManager {
             dir,
-            tag,
+            tag: MANAGER_SEQ.fetch_add(1, Ordering::Relaxed),
             seq: AtomicU64::new(0),
             metrics,
             hook,
             durable: true,
-            manifest,
         }
-    }
-
-    /// Whether writes run the full fsync protocol.
-    pub fn durable(&self) -> bool {
-        self.durable
     }
 
     /// Process-unique tag embedded in this manager's file names. The
@@ -264,15 +253,10 @@ impl SpillManager {
         self.tag
     }
 
-    /// The per-process manifest tracking this manager's on-disk state.
-    pub fn manifest(&self) -> &Arc<Manifest> {
-        &self.manifest
-    }
-
-    /// Remove spill/manifest files left in this manager's directory by
-    /// dead processes. Returns the number of files reclaimed.
+    /// Remove the files dead processes left in this manager's directory.
+    /// Returns the number of files reclaimed.
     pub fn recover_orphans(&self) -> u64 {
-        manifest::gc_orphans(&self.dir)
+        gc_orphans(&self.dir)
     }
 
     pub(crate) fn hit(&self, site: FaultSite) -> Result<()> {
@@ -296,11 +280,11 @@ impl SpillManager {
         ))
     }
 
-    /// Seal `payload` and write it crash-consistently: temp file → fsync →
-    /// atomic rename → fsync dir. The adversarial fault sites model a
-    /// lying disk — `TornWrite`/`BitFlip` corrupt the payload *and still
-    /// report success* (detection is the reader's job), `DiskFull` fails
-    /// as ENOSPC, `FsyncFail` loses the temp file at the sync barrier.
+    /// Seal `payload` and write it crash-consistently. The adversarial
+    /// fault sites model a lying disk — `TornWrite`/`BitFlip` corrupt the
+    /// payload *and still report success* (detection is the reader's
+    /// job), `DiskFull` fails as ENOSPC, `FsyncFail` fails the write at
+    /// the sync barrier, leaving neither temp nor final file.
     fn persist(&self, label: &str, mut payload: Vec<u8>) -> Result<SpillHandle> {
         self.hit(FaultSite::SpillWrite)?;
         seal(&mut payload);
@@ -317,38 +301,18 @@ impl SpillManager {
             }
         }
         let file_bytes = payload.len() as u64;
+        if self.durable && self.hit(FaultSite::FsyncFail).is_err() {
+            return Err(Error::SpillUnavailable {
+                region: label.to_string(),
+                message: "fsync failed; temp file discarded".to_string(),
+            });
+        }
         let path = self.next_path(label);
-        let tmp = path.with_extension("tmp");
-        let fail = |tmp: &Path, e: std::io::Error| {
-            let _ = std::fs::remove_file(tmp);
-            map_write_error(label, e, file_bytes)
-        };
-        std::fs::write(&tmp, &payload).map_err(|e| fail(&tmp, e))?;
-        if self.durable {
-            if self.hit(FaultSite::FsyncFail).is_err() {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(Error::SpillUnavailable {
-                    region: label.to_string(),
-                    message: "fsync failed; temp file discarded".to_string(),
-                });
-            }
-            std::fs::File::open(&tmp)
-                .and_then(|f| f.sync_all())
-                .map_err(|e| fail(&tmp, e))?;
-            self.metrics.durability_fsyncs.add(1);
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| fail(&tmp, e))?;
-        if self.durable && manifest::parent_dir_sync(&path).is_ok() {
-            self.metrics.durability_fsyncs.add(1);
-        }
-        self.manifest.record_file(&path, file_bytes, self.durable);
+        write_atomic(&path, &payload, self.durable, &self.metrics)
+            .map_err(|e| map_write_error(label, e, file_bytes))?;
         self.metrics.spill_events.add(1);
         self.metrics.spill_bytes_written.add(file_bytes);
-        Ok(SpillHandle {
-            path,
-            file_bytes,
-            manifest: Some(Arc::clone(&self.manifest)),
-        })
+        Ok(SpillHandle { path, file_bytes })
     }
 
     fn load(&self, handle: &SpillHandle, label: &str) -> Result<Vec<u8>> {
@@ -848,7 +812,7 @@ mod tests {
         assert_eq!(c.spill_bytes_read, handle.file_bytes());
         assert_eq!(c.durability_verified, 1);
         assert_eq!(c.durability_corrupt, 0);
-        assert!(c.durability_fsyncs >= 1, "durable write must fsync");
+        assert_eq!(c.durability_fsyncs, 2, "data barrier + name barrier");
     }
 
     #[test]
@@ -885,24 +849,14 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn writes_record_in_manifest_and_drop_clears_them() {
-        let m = manager();
-        let handle = m.write_partitioned("x", &sample()).unwrap();
-        assert_eq!(m.manifest().file_count(), 1);
-        drop(handle);
-        assert_eq!(m.manifest().file_count(), 0);
-    }
-
-    /// Satellite: a vanished file (dir cleanup race) must not make the
-    /// drop path misbehave — the manifest entry still gets removed.
+    /// A vanished file (dir cleanup race) must not make the drop path
+    /// misbehave.
     #[test]
     fn drop_tolerates_already_missing_file() {
         let m = manager();
         let handle = m.write_partitioned("x", &sample()).unwrap();
         std::fs::remove_file(handle.path()).unwrap();
         drop(handle);
-        assert_eq!(m.manifest().file_count(), 0);
     }
 
     #[derive(Debug)]

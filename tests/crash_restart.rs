@@ -18,8 +18,8 @@
 //! Swept crash positions:
 //! - mid-iteration (`loop_iteration`)
 //! - mid-checkpoint-write (`checkpoint`, `spill_write`)
-//! - mid-manifest-commit (`manifest_commit` — file written, epoch not
-//!   yet committed)
+//! - mid-epoch-commit (`epoch_commit` — checkpoint file on disk, the
+//!   journal not yet naming it)
 //! - newest-epoch corruption (bit flip after the crash → the adoption
 //!   pass must fall back current → previous)
 
@@ -170,9 +170,11 @@ fn sorted_rows(reply: &Reply) -> Vec<Vec<Option<String>>> {
     rows
 }
 
-/// The uninterrupted result every crash scenario must reproduce.
-fn baseline_rows() -> Vec<Vec<Option<String>>> {
-    let dir = scratch("baseline");
+/// The uninterrupted result every crash scenario must reproduce. Each
+/// scenario gets a directory of its own: the tests of this file run side
+/// by side, and `scratch` wipes the directory it hands out.
+fn baseline_rows(name: &str) -> Vec<Vec<Option<String>>> {
+    let dir = scratch(&format!("{name}_baseline"));
     let server = spawn_server(&dir, &[]);
     let mut client = connect(&server.addr);
     load_edges(&mut client);
@@ -210,13 +212,23 @@ fn spill_seq(name: &str) -> Option<u64> {
 }
 
 fn corrupt_newest_checkpoint(dir: &Path) {
-    let newest = std::fs::read_dir(dir)
+    let checkpoints: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .filter(|e| {
             let name = e.file_name().to_string_lossy().into_owned();
             name.contains("checkpoint") && name.ends_with(".spn")
         })
+        .collect();
+    // One file per retained epoch, forced spill or not: a spilled epoch
+    // is its journaled file, not a second copy the journal does not name
+    // (which is what this helper used to corrupt under forced spill).
+    assert!(
+        (1..=2).contains(&checkpoints.len()),
+        "expected the two newest epochs' files, found {checkpoints:?}"
+    );
+    let newest = checkpoints
+        .iter()
         .max_by_key(|e| spill_seq(&e.file_name().to_string_lossy()).unwrap_or(0))
         .expect("no checkpoint file to corrupt");
     let mut file = std::fs::OpenOptions::new()
@@ -301,8 +313,8 @@ fn crash_cycle(
     (summary, rows)
 }
 
-fn assert_cycle(name: &str, crash_at: &str, corrupt_newest: bool) {
-    let expected = baseline_rows();
+fn assert_cycle(name: &str, crash_at: &str, corrupt_newest: bool) -> Resumed {
+    let expected = baseline_rows(name);
     let (summary, rows) = crash_cycle(name, crash_at, corrupt_newest);
     assert_eq!(
         rows, expected,
@@ -320,6 +332,7 @@ fn assert_cycle(name: &str, crash_at: &str, corrupt_newest: bool) {
         summary.replayed_iterations <= CHECKPOINT_INTERVAL,
         "{name}: resume cost exceeds one checkpoint interval: {summary:?}"
     );
+    summary
 }
 
 #[test]
@@ -338,23 +351,35 @@ fn crash_mid_checkpoint_snapshot_resumes_row_identically() {
 
 #[test]
 fn crash_mid_spill_write_resumes_row_identically() {
-    // Abort inside the sealed-file write path. Hits after the input
-    // snapshot (hit 1) and two checkpoint epochs (hits 2, 3) are on
-    // disk.
-    assert_cycle("mid_spill_write", "spill_write:4", false);
+    // Abort inside the sealed-file write path. `spill_write` counts every
+    // file the spill manager writes, so under SPINNER_SPILL_THRESHOLD=1
+    // (the CI `crash` job's second run; the children inherit it) the
+    // per-iteration working-table spills sit between the checkpoint
+    // writes. Hit 6 is past a committed loop checkpoint and before the
+    // loop ends either way: without forced spill it is the iteration-8
+    // checkpoint (input snapshot, then epochs 0/2/4/6 committed → resume
+    // from 6); with it, the iteration-3 working-table spill (input, epoch
+    // 0, two table spills, epoch 2 → resume from 2).
+    let summary = assert_cycle("mid_spill_write", "spill_write:6", false);
+    assert!(
+        [2, 6].contains(&summary.resumed_iteration),
+        "mid_spill_write: the crash position moved: {summary:?}"
+    );
 }
 
 #[test]
-fn crash_mid_manifest_commit_resumes_row_identically() {
-    // The narrowest window: the third checkpoint file is written but its
-    // epoch is not yet committed. The journal must name only *committed*
-    // epochs, so adoption resumes from the iteration-2 checkpoint.
-    assert_cycle("mid_manifest_commit", "manifest_commit:3", false);
+fn crash_mid_epoch_commit_resumes_row_identically() {
+    // The narrowest window: the third checkpoint file (iteration 4) is on
+    // disk but the journal does not name it yet. Adoption goes by the
+    // journal alone, so it resumes from the iteration-2 checkpoint and
+    // the unnamed file is an orphan for GC.
+    let summary = assert_cycle("mid_epoch_commit", "epoch_commit:3", false);
+    assert_eq!(summary.resumed_iteration, 2, "{summary:?}");
 }
 
 #[test]
 fn corrupt_newest_epoch_falls_back_to_previous() {
-    let expected = baseline_rows();
+    let expected = baseline_rows("corrupt_fallback");
     let (summary, rows) = crash_cycle("corrupt_fallback", "loop_iteration:7", true);
     assert_eq!(
         rows, expected,
@@ -370,6 +395,21 @@ fn corrupt_newest_epoch_falls_back_to_previous() {
         summary.replayed_iterations <= CHECKPOINT_INTERVAL,
         "fallback: resume cost exceeds one checkpoint interval: {summary:?}"
     );
+}
+
+/// The earliest crash a client can recover from: the server dies entering
+/// its *first* iteration. The handle is pushed by the statement's own
+/// thread once the journal entry is on disk, so the client already holds
+/// it, and the only epoch is the loop-entry one — the restart re-runs the
+/// whole loop and still answers the ATTACH.
+#[test]
+fn crash_entering_the_first_iteration_resumes_from_the_entry_epoch() {
+    let expected = baseline_rows("first_iteration");
+    let (summary, rows) = crash_cycle("first_iteration", "loop_iteration:1", false);
+    assert_eq!(rows, expected, "resumed rows differ from uninterrupted run");
+    // Only the loop-entry epoch existed: the whole loop re-runs.
+    assert_eq!(summary.resumed_iteration, 0, "{summary:?}");
+    assert_eq!(summary.replayed_iterations, 0, "{summary:?}");
 }
 
 #[test]

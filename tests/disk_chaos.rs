@@ -202,12 +202,7 @@ fn ckpt(iteration: u64, rows: &[(i64, i64)]) -> LoopCheckpoint {
 #[test]
 fn corrupt_checkpoint_epoch_falls_back_then_fails_typed() {
     let dir = scratch("epochs");
-    let store = CheckpointStore::new();
-    store.set_spill(Some(Arc::new(SpillEnv::new(
-        1,
-        Some(dir.to_str().unwrap()),
-        None,
-    ))));
+    let store = CheckpointStore::new(Some(Arc::new(SpillEnv::new(1, dir.to_str(), None))));
     let epoch1_rows = [(1, 10), (2, 20), (3, 30)];
     store.save("loop", ckpt(4, &epoch1_rows));
     store.save("loop", ckpt(8, &[(1, 11), (2, 21), (3, 31)]));
@@ -239,12 +234,7 @@ fn corrupt_checkpoint_epoch_falls_back_then_fails_typed() {
     // Second store, both epochs rotted: the typed error propagates so
     // the recovery loop can account for it — not a silent empty result.
     let dir2 = scratch("epochs_all_bad");
-    let store2 = CheckpointStore::new();
-    store2.set_spill(Some(Arc::new(SpillEnv::new(
-        1,
-        Some(dir2.to_str().unwrap()),
-        None,
-    ))));
+    let store2 = CheckpointStore::new(Some(Arc::new(SpillEnv::new(1, dir2.to_str(), None))));
     store2.save("loop", ckpt(4, &epoch1_rows));
     store2.save("loop", ckpt(8, &epoch1_rows));
     assert!(store2.spill_entry("loop").unwrap());
@@ -262,8 +252,9 @@ fn corrupt_checkpoint_epoch_falls_back_then_fails_typed() {
     let _ = std::fs::remove_dir_all(&dir2);
 }
 
-/// Orphan GC: spill and manifest files left by dead processes are
-/// reclaimed; files owned by live processes (ours) are untouched.
+/// Orphan GC: files left by dead processes — including the manifest
+/// sidecars of binaries that still wrote one — are reclaimed; files owned
+/// by live processes (ours) are untouched.
 #[test]
 fn orphan_gc_reclaims_dead_process_files_only() {
     let dir = scratch("gc");
@@ -385,15 +376,18 @@ fn disk_full_degrades_to_fail_fast_resource_exhausted() {
 /// The durability story is observable: EXPLAIN ANALYZE surfaces epoch
 /// commits, verified reads and fsync counts; turning `durable_spill`
 /// off zeroes the fsyncs while the verified reads remain; the profile
-/// JSON round-trips the block.
+/// JSON round-trips the block. Every fsync belongs to a data file (two
+/// per write), and the directory holds no index beside the data files.
 #[test]
 fn explain_analyze_surfaces_durability_counters() {
     // An injected loop fault forces a rollback, so the run also READS a
     // checkpoint back — otherwise a clean run only ever writes spill
     // files and `verified` would stay 0.
     let sql = counting_cte(8);
+    let dir = scratch("durability_counters");
     let chaos = |durable: bool| {
         EngineConfig::default()
+            .with_spill_dir(dir.to_str().unwrap())
             .with_spill_threshold_bytes(1)
             .with_checkpoint_interval(2)
             .with_max_loop_recoveries(2)
@@ -411,7 +405,17 @@ fn explain_analyze_surfaces_durability_counters() {
         d.get("verified") > 0,
         "spill reads must be checksum-verified: {d:?}"
     );
-    assert!(d.get("refsync") > 0, "durable writes must fsync: {d:?}");
+    assert_eq!(
+        d.get("refsync"),
+        2 * profile.spill.get("events"),
+        "data barrier + name barrier per file written, nothing else: {d:?}"
+    );
+    let left_behind: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+    assert!(
+        left_behind.is_empty(),
+        "a finished statement leaves no files, and the engine writes no \
+         spinner_manifest_* sidecar: {left_behind:?}"
+    );
     assert_eq!(
         d.get("corrupt_detected"),
         0,
@@ -435,4 +439,5 @@ fn explain_analyze_surfaces_durability_counters() {
         "non-durable mode must skip every fsync"
     );
     assert!(d.get("verified") > 0, "verification is not optional: {d:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
