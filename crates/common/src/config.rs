@@ -4,6 +4,13 @@
 //! which is how the benchmark harness reproduces the baseline series of
 //! Figures 8-10: the baseline is the same engine with the corresponding
 //! toggle disabled.
+//!
+//! Recovery is three numbers, all `0` (off) by default and each set by its
+//! own builder: [`EngineConfig::checkpoint_interval`],
+//! [`EngineConfig::max_partition_retries`] (the budget of both in-place
+//! retry rungs, partition and step) and
+//! [`EngineConfig::max_loop_recoveries`] (rollback-and-replay). A retry
+//! re-runs immediately.
 
 /// Feature toggles and tuning knobs for a `Database` session (the
 /// `Database` type lives in the `spinner-engine` crate, which depends on
@@ -31,7 +38,7 @@
 /// benchmark figures run unchanged. Use [`EngineConfig::validate`] (the
 /// engine calls it on construction) to reject nonsensical settings as a
 /// structured `Error::InvalidConfig` instead of panicking.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Number of virtual shared-nothing workers (partitions). The paper's
     /// testbed is an MPP cluster; we model it as hash partitions with
@@ -101,10 +108,6 @@ pub struct EngineConfig {
     /// unchanged input snapshot) before the failure escalates. `0` = no
     /// retry, the PR-1 fail-fast behaviour.
     pub max_partition_retries: u64,
-    /// Base of the deterministic backoff between retries, in milliseconds;
-    /// attempt `k` sleeps `retry_backoff_ms * 2^(k-1)` (capped). `0` =
-    /// retry immediately, the right setting for tests.
-    pub retry_backoff_ms: u64,
     /// How many times a loop may roll back to its last checkpoint and
     /// replay after retries are exhausted inside the loop body. `0`
     /// disables mid-loop recovery; exhausting a non-zero budget yields
@@ -200,7 +203,6 @@ impl Default for EngineConfig {
             faults: Vec::new(),
             checkpoint_interval: 0,
             max_partition_retries: 0,
-            retry_backoff_ms: 0,
             max_loop_recoveries: 0,
             spill_threshold_bytes: spill_threshold_from_env(),
             spill_dir: std::env::var("SPINNER_SPILL_DIR").ok(),
@@ -369,12 +371,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style setter for the deterministic retry backoff base.
-    pub fn with_retry_backoff_ms(mut self, ms: u64) -> Self {
-        self.retry_backoff_ms = ms;
-        self
-    }
-
     /// Builder-style setter for the mid-loop recovery budget (0 = off).
     pub fn with_max_loop_recoveries(mut self, recoveries: u64) -> Self {
         self.max_loop_recoveries = recoveries;
@@ -457,25 +453,6 @@ impl EngineConfig {
         self
     }
 
-    /// Apply a whole [`RecoveryPolicy`] at once.
-    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.checkpoint_interval = policy.checkpoint_interval;
-        self.max_partition_retries = policy.max_partition_retries;
-        self.retry_backoff_ms = policy.retry_backoff_ms;
-        self.max_loop_recoveries = policy.max_loop_recoveries;
-        self
-    }
-
-    /// The recovery-related knobs bundled as a [`RecoveryPolicy`].
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        RecoveryPolicy {
-            checkpoint_interval: self.checkpoint_interval,
-            max_partition_retries: self.max_partition_retries,
-            retry_backoff_ms: self.retry_backoff_ms,
-            max_loop_recoveries: self.max_loop_recoveries,
-        }
-    }
-
     /// Validate the configuration; `Database::new` calls this so a bad
     /// config is a structured [`crate::Error::InvalidConfig`], not a
     /// process abort.
@@ -495,12 +472,6 @@ impl EngineConfig {
             return Err(Error::InvalidConfig(
                 "query_timeout_ms of 0 would reject every statement; use None for unlimited".into(),
             ));
-        }
-        if self.retry_backoff_ms > 60_000 {
-            return Err(Error::InvalidConfig(format!(
-                "retry_backoff_ms {} exceeds the 60s sanity cap",
-                self.retry_backoff_ms
-            )));
         }
         if self.spill_threshold_bytes == Some(0) {
             return Err(Error::InvalidConfig(
@@ -569,7 +540,7 @@ impl EngineConfig {
 }
 
 /// Pipeline stage a fault attaches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
     /// An exchange operator (shuffle / gather / broadcast).
     Exchange,
@@ -634,62 +605,8 @@ pub enum FaultSite {
     EpochCommit,
 }
 
-/// The recovery-related knobs of an [`EngineConfig`], bundled so callers
-/// can switch coherent presets instead of tuning four numbers.
-///
-/// Apply with [`EngineConfig::with_recovery`] or
-/// `Database::set_recovery_policy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct RecoveryPolicy {
-    /// See [`EngineConfig::checkpoint_interval`].
-    pub checkpoint_interval: u64,
-    /// See [`EngineConfig::max_partition_retries`].
-    pub max_partition_retries: u64,
-    /// See [`EngineConfig::retry_backoff_ms`].
-    pub retry_backoff_ms: u64,
-    /// See [`EngineConfig::max_loop_recoveries`].
-    pub max_loop_recoveries: u64,
-}
-
-impl RecoveryPolicy {
-    /// Everything off — the PR-1 fail-fast behaviour (the default).
-    pub fn disabled() -> Self {
-        RecoveryPolicy {
-            checkpoint_interval: 0,
-            max_partition_retries: 0,
-            retry_backoff_ms: 0,
-            max_loop_recoveries: 0,
-        }
-    }
-
-    /// A balanced production preset: checkpoint every 5 iterations, two
-    /// in-place retries per unit of work, immediate retry (no backoff),
-    /// and up to three rollback-and-replay recoveries per loop.
-    pub fn standard() -> Self {
-        RecoveryPolicy {
-            checkpoint_interval: 5,
-            max_partition_retries: 2,
-            retry_backoff_ms: 0,
-            max_loop_recoveries: 3,
-        }
-    }
-
-    /// Whether any recovery mechanism is active.
-    pub fn is_enabled(&self) -> bool {
-        self.checkpoint_interval > 0
-            || self.max_partition_retries > 0
-            || self.max_loop_recoveries > 0
-    }
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
 /// What happens when a fault fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Return `Error::FaultInjected` from the faulted step.
     Error,
@@ -708,7 +625,7 @@ pub enum FaultKind {
 
 /// When a fault fires. Deterministic by construction: either an exact
 /// hit count or a seeded PRNG — never wall-clock or global randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTrigger {
     /// Fire on the n-th hit of the site (1-based), once.
     Nth(u64),
@@ -724,7 +641,7 @@ pub enum FaultTrigger {
 }
 
 /// One configured fault-injection point.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Where in the executor the fault fires.
     pub site: FaultSite,
@@ -861,34 +778,7 @@ mod tests {
         let c = EngineConfig::default();
         assert_eq!(c.checkpoint_interval, 0);
         assert_eq!(c.max_partition_retries, 0);
-        assert_eq!(c.retry_backoff_ms, 0);
         assert_eq!(c.max_loop_recoveries, 0);
-        assert!(!c.recovery_policy().is_enabled());
-        assert_eq!(c.recovery_policy(), RecoveryPolicy::disabled());
-        assert_eq!(RecoveryPolicy::default(), RecoveryPolicy::disabled());
-    }
-
-    #[test]
-    fn recovery_policy_round_trips_through_config() {
-        let policy = RecoveryPolicy::standard();
-        assert!(policy.is_enabled());
-        let c = EngineConfig::default().with_recovery(policy);
-        assert_eq!(c.recovery_policy(), policy);
-        assert!(c.validate().is_ok());
-        let c = EngineConfig::default()
-            .with_checkpoint_interval(7)
-            .with_max_partition_retries(1)
-            .with_retry_backoff_ms(2)
-            .with_max_loop_recoveries(4);
-        assert_eq!(
-            c.recovery_policy(),
-            RecoveryPolicy {
-                checkpoint_interval: 7,
-                max_partition_retries: 1,
-                retry_backoff_ms: 2,
-                max_loop_recoveries: 4,
-            }
-        );
     }
 
     #[test]
@@ -939,12 +829,6 @@ mod tests {
             .with_spill_dir(std::env::temp_dir().to_str().unwrap());
         assert!(c.validate().is_ok());
         assert!(!EngineConfig::default().resumable_queries);
-    }
-
-    #[test]
-    fn huge_backoff_rejected() {
-        let c = EngineConfig::default().with_retry_backoff_ms(120_000);
-        assert!(matches!(c.validate(), Err(crate::Error::InvalidConfig(_))));
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub use admission::{
     AdmissionController, AdmissionPermit, AdmissionSnapshot, MemoryGate, QueryClass,
 };
 pub use approx::{floats_approx_eq, rows_approx_eq, values_approx_eq, DEFAULT_TOLERANCE};
-pub use config::{EngineConfig, FaultConfig, FaultKind, FaultSite, FaultTrigger, RecoveryPolicy};
+pub use config::{EngineConfig, FaultConfig, FaultKind, FaultSite, FaultTrigger};
 pub use counters::{CounterBlock, CounterSet, StatsSnapshot};
 pub use error::{Error, ErrorClass, Result};
 pub use guard::QueryGuard;

@@ -16,8 +16,7 @@
 //! The finished [`QueryProfile`] renders either as an annotated Table-I
 //! style step program ([`QueryProfile::render`]) or as machine-readable
 //! JSON ([`QueryProfile::to_json`] / [`QueryProfile::from_json`]; the JSON
-//! codec is hand-rolled because the workspace vendors a no-op `serde`
-//! stub for offline builds).
+//! codec is hand-rolled because the offline build has no `serde`).
 
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -947,9 +946,9 @@ impl Tracer {
 }
 
 // ---- minimal JSON ------------------------------------------------------
-// The workspace's vendored `serde` is a no-op stub (offline build), so the
-// profile carries its own tiny JSON writer + parser. It covers exactly the
-// subset `to_json` emits: objects, arrays, strings and unsigned integers.
+// The offline build has no `serde`, so the profile carries its own tiny
+// JSON writer + parser. It covers exactly the subset `to_json` emits:
+// objects, arrays, strings and unsigned integers.
 
 enum Json {
     Num(u64),

@@ -12,7 +12,7 @@ use crate::error::{Error, Result};
 use crate::value::DataType;
 
 /// One column of a relation.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Column name (lower-cased by the parser).
     pub name: String,
@@ -64,7 +64,7 @@ impl Field {
 }
 
 /// An ordered collection of fields describing one relation.
-#[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     fields: Vec<Field>,
 }

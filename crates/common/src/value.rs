@@ -12,7 +12,7 @@ use std::hash::{Hash, Hasher};
 use crate::error::{Error, Result};
 
 /// Logical type of a column or scalar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -56,7 +56,7 @@ impl fmt::Display for DataType {
 }
 
 /// A dynamically typed scalar cell.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
     Null,

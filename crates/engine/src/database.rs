@@ -278,18 +278,6 @@ impl Database {
         Ok(())
     }
 
-    /// Replace only the recovery knobs (checkpoint interval, retry
-    /// bounds, loop-recovery budget) of the current configuration.
-    pub fn set_recovery_policy(&mut self, policy: spinner_common::RecoveryPolicy) -> Result<()> {
-        let config = self.config.clone().with_recovery(policy);
-        self.set_config(config)
-    }
-
-    /// The recovery knobs of the current configuration.
-    pub fn recovery_policy(&self) -> spinner_common::RecoveryPolicy {
-        self.config.recovery_policy()
-    }
-
     /// Number of live entries in session-shared temp-result state.
     /// Always 0 between statements — and, since statements own their
     /// temp registries (created at entry, dropped on every exit path,

@@ -42,5 +42,5 @@ pub use spinner_common::{
     AdmissionController, AdmissionPermit, AdmissionSnapshot, Batch, CounterBlock, DataType,
     EngineConfig, Error, ErrorClass, FaultConfig, FaultKind, FaultSite, FaultTrigger, Field,
     IterationProfile, MemoryGate, ProfileNode, QueryClass, QueryGuard, QueryProfile,
-    RecoveryPolicy, RecoveryProfile, Result, Row, Schema, StatsSnapshot, Value,
+    RecoveryProfile, Result, Row, Schema, StatsSnapshot, Value,
 };

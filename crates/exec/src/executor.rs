@@ -11,8 +11,19 @@
 //!   (`SELECT count(*) FROM cteTable WHERE expr` compared against N) and
 //!   delta (rows changed versus the previous iteration, which requires
 //!   keeping the previous snapshot).
+//!
+//! There is one `loop` operator. An iterative CTE and a recursive CTE run
+//! on the same driver and differ only in how a round's output is folded
+//! into the CTE table — replace-or-merge versus append-what-is-new — with
+//! "no new row" being the delta condition at threshold 1. Failure handling
+//! is one ladder over one helper (`retry.rs`): a partition is
+//! retried in place, then the step, then the loop rolls back to its last
+//! checkpoint and replays. Rolling back and resuming after a process
+//! crash are the same *epoch install* — put a checkpoint's tables into
+//! the registry, continue the driver at its iteration — fed by the
+//! statement's checkpoint store or by the dead process's journal.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use spinner_common::memory::{RegionKind, SpillRequest};
@@ -30,6 +41,7 @@ use crate::fault::FaultInjector;
 use crate::operators;
 use crate::physical::{create_physical_plan, ExchangeMode};
 use crate::pool::WorkerPool;
+use crate::retry::retry;
 
 /// The execution context of one statement: what it borrows from the
 /// engine and the state it owns. The loop driver below, every physical
@@ -154,36 +166,29 @@ impl<'a> StatementContext<'a> {
         Ok(())
     }
 
-    /// Re-run `f` — an idempotent unit of work whose inputs are immutable
-    /// snapshots — up to `max_partition_retries` times on a transient
-    /// failure, with deterministic backoff. This is the step-granularity
-    /// sibling of the per-partition retry inside the physical workers: a
-    /// driver-side failure (exchange fault, materialize fault) re-runs the
-    /// whole operator subtree against the same registry state.
+    /// The step rung of the retry ladder: re-run `f` — an idempotent unit
+    /// of work whose inputs are immutable snapshots — up to
+    /// `max_partition_retries` times on a transient failure. Where the
+    /// per-partition rung inside the physical workers re-runs one
+    /// partition, this one covers driver-side failures (exchange fault,
+    /// materialize fault) by re-running the whole operator subtree against
+    /// the same registry state.
     fn with_transient_retry<T>(&self, f: impl Fn() -> Result<T>) -> Result<T> {
-        let attempts = self.config.max_partition_retries.saturating_add(1);
-        let mut last_err: Option<Error> = None;
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                if self.guard.is_cancelled() {
-                    return Err(Error::Cancelled);
-                }
+        retry(
+            self.guard,
+            self.config.max_partition_retries,
+            || {
                 // The failed attempt may have aborted sibling workers;
                 // that flag must not veto the re-run. External
                 // cancellation stays sticky.
                 self.guard.clear_worker_abort();
                 self.guard.check()?;
-                operators::backoff_sleep(self.config.retry_backoff_ms, attempt - 1);
                 self.stats.step_retries.add(1);
                 self.tracer.note_retry();
-            }
-            match f() {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_retryable() => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.expect("retry loop runs at least once"))
+                Ok(true)
+            },
+            f,
+        )
     }
 
     fn run_step(&self, step: &Step) -> Result<StepOutcome> {
@@ -458,108 +463,118 @@ impl<'a> StatementContext<'a> {
         Ok(())
     }
 
-    /// The `loop` operator.
+    /// The `loop` operator: one driver for both loop kinds.
+    ///
+    /// An iterative and a recursive CTE are the same delta loop — seed the
+    /// delta, run the body, fold its output into the CTE table, stop when
+    /// the termination condition holds (a recursion's is "fewer than 1 row
+    /// changed") — and differ only in the folding rule, [`Self::advance`].
+    /// Everything else is owned here, once: the resume-or-entry checkpoint,
+    /// the guard and iteration-limit checks, periodic checkpoints, rollback
+    /// and replay, and the exit clean-up.
     fn run_loop(&self, l: &LoopStep) -> Result<()> {
-        match &l.kind {
-            LoopKind::Iterative { merge, delta, .. } => {
-                self.run_iterative_loop(l, *merge, delta.as_deref())
-            }
-            LoopKind::FixedPoint { working, union_all } => {
-                self.run_fixed_point_loop(l, working, *union_all)
-            }
-        }
-    }
-
-    fn run_iterative_loop(&self, l: &LoopStep, merge: bool, delta: Option<&str>) -> Result<()> {
-        let needs_delta = matches!(l.termination, TerminationPlan::Delta { .. });
-        let ckpt_every = self.config.checkpoint_interval;
+        // The loop's recovery state: the CTE table and, when the body reads
+        // one, the delta table — a rollback must restore the delta the
+        // checkpointed iteration would have fed forward.
         let mut tables = vec![l.cte.clone()];
+        match &l.kind {
+            LoopKind::Iterative { delta, .. } => tables.extend(delta.clone()),
+            LoopKind::FixedPoint { .. } => tables.push(format!("__delta_{}", l.cte)),
+        }
+        let delta = tables.get(1).map(String::as_str);
         if let Some(d) = delta {
-            // Semi-naive: before iteration 1 every row counts as "changed",
-            // so the delta starts as the full initial table (an Arc bump,
-            // not a copy). The merge step refills it each round with only
-            // the rows whose values actually changed. The delta is part of
-            // the loop's recovery state: a rollback must restore the delta
-            // the checkpointed iteration would have fed forward.
+            // Before iteration 1 every row counts as changed, so the delta
+            // starts as the full initial table (an Arc bump, not a copy);
+            // each round refills it with only the rows that changed
+            // (merge) or are new (append).
             self.registry.put(d, self.registry.get(&l.cte)?);
-            tables.push(d.to_string());
+        }
+        if matches!(l.kind, LoopKind::Iterative { delta: Some(_), .. }) {
             self.stats.semi_naive_loops.add(1);
         }
-        let mut iteration: u64 = 0;
-        let mut cumulative_updates: u64 = 0;
+        let ckpt_every = self.config.checkpoint_interval;
         let mut recoveries_used: u64 = 0;
-        if let Some((it, cum)) = self.seed_from_resume(l) {
-            // Adopted from a dead engine's journal: the loop continues
-            // from the rehydrated checkpoint instead of iteration 0.
-            iteration = it;
-            cumulative_updates = cum;
-        } else if ckpt_every > 0 || self.config.max_loop_recoveries > 0 {
-            // Entry checkpoint (iteration 0): a rollback always has a
-            // target even when periodic checkpoints are off.
-            self.save_checkpoint_recovering(l, &tables, 0, 0, &mut recoveries_used)?;
+        // Adopted from a dead engine's journal, the loop continues from the
+        // rehydrated epoch instead of iteration 0.
+        let adopted = self.adopt_epoch(l);
+        let mut at = adopted.unwrap_or((0, 0));
+        if adopted.is_some() || ckpt_every > 0 || self.config.max_loop_recoveries > 0 {
+            // Entry checkpoint: a rollback always has a target even when
+            // periodic checkpoints are off, and an adopted epoch — in
+            // memory only, the dead pid's files are already collected —
+            // is durable again under this statement's journal before the
+            // next iteration runs. No iteration has run yet, so a
+            // transient failure here mutates nothing and is retried in
+            // place, consuming loop-recovery attempts.
+            self.with_loop_recovery(l, &mut recoveries_used, || {
+                self.save_checkpoint(l, &tables, at.0, at.1)
+            })?;
         }
         loop {
-            iteration += 1;
-            self.guard.check()?;
-            if iteration > self.config.max_iterations {
-                return Err(Error::IterationLimitExceeded {
-                    cte: l.cte_display_name.clone(),
-                    limit: self.config.max_iterations,
-                });
-            }
-            let outcome = self
-                .run_iterative_iteration(
-                    l,
-                    merge,
-                    needs_delta,
-                    delta,
-                    iteration,
-                    cumulative_updates,
-                )
-                .and_then(|(stop, updated)| {
-                    // The periodic checkpoint is part of the attempt: a
-                    // failure while snapshotting rolls back like any other
-                    // mid-loop failure.
-                    if !stop && ckpt_every > 0 && iteration.is_multiple_of(ckpt_every) {
-                        self.save_checkpoint(l, &tables, iteration, updated)?;
-                    }
-                    Ok((stop, updated))
-                });
-            match outcome {
-                Ok((stop, updated)) => {
-                    cumulative_updates = updated;
-                    if stop {
+            // What the driver derives from the installed tables is built
+            // here — at loop entry and after every epoch install — and
+            // nowhere else. The dedup set of a `UNION` recursion is
+            // exactly the rows accumulated so far.
+            let (mut iteration, mut cumulative_updates) = at;
+            let mut seen = match &l.kind {
+                LoopKind::FixedPoint {
+                    union_all: false, ..
+                } => Some(row_set(&self.registry.get(&l.cte)?)),
+                _ => None,
+            };
+            let err = loop {
+                iteration += 1;
+                self.guard.check()?;
+                if iteration > self.config.max_iterations {
+                    return Err(Error::IterationLimitExceeded {
+                        cte: l.cte_display_name.clone(),
+                        limit: self.config.max_iterations,
+                    });
+                }
+                let outcome = self
+                    .run_iteration(l, delta, iteration, cumulative_updates, &mut seen)
+                    .and_then(|(stop, updates)| {
+                        // The periodic checkpoint is part of the attempt: a
+                        // failure while snapshotting rolls back like any
+                        // other mid-loop failure.
+                        if !stop && ckpt_every > 0 && iteration.is_multiple_of(ckpt_every) {
+                            self.save_checkpoint(l, &tables, iteration, updates)?;
+                        }
+                        Ok((stop, updates))
+                    });
+                match outcome {
+                    Ok((true, _)) => {
                         if let Some(d) = delta {
                             self.registry.remove(d);
                         }
                         self.checkpoints.remove(&l.cte);
                         return Ok(());
                     }
+                    Ok((false, updates)) => cumulative_updates = updates,
+                    Err(err) => break err,
                 }
-                Err(err) => {
-                    let ckpt = self.recover_loop(l, iteration, err, &mut recoveries_used)?;
-                    iteration = ckpt.iteration;
-                    cumulative_updates = ckpt.cumulative_updates;
-                }
-            }
+            };
+            at = self.recover_loop(l, iteration, err, &mut recoveries_used)?;
         }
     }
 
-    /// One iteration of an iterative (`WITH ITERATIVE`) loop body plus its
-    /// termination check. Returns `(stop, new_cumulative_updates)`.
-    fn run_iterative_iteration(
+    /// One round of a loop: run the body, fold its output into the CTE
+    /// table by the loop kind's rule, evaluate the termination condition.
+    /// Returns `(stop, new_cumulative_updates)`.
+    fn run_iteration(
         &self,
         l: &LoopStep,
-        merge: bool,
-        needs_delta: bool,
         delta: Option<&str>,
         iteration: u64,
         cumulative_updates: u64,
+        seen: &mut Option<HashSet<Row>>,
     ) -> Result<(bool, u64)> {
         self.faults.hit(FaultSite::LoopIteration)?;
         self.tracer.begin_iteration();
+        let appends = matches!(l.kind, LoopKind::FixedPoint { .. });
+        let semi_naive = !appends && delta.is_some();
         let mut delta_fed: u64 = 0;
-        if let Some(d) = delta {
+        if let Some(d) = delta.filter(|_| semi_naive) {
             // The body's join consumes the delta table this round; record
             // how many rows it was fed so `repro convergence` can show
             // per-iteration cost tracking delta size.
@@ -574,10 +589,11 @@ impl<'a> StatementContext<'a> {
         // iteration"). Semi-naive loops never take this path: their
         // merge maintains the changed-row set, so termination checking
         // is O(delta) instead of a full-table diff.
-        let previous = if needs_delta && !merge {
-            Some(self.registry.get(&l.cte)?)
-        } else {
-            None
+        let previous = match (&l.kind, &l.termination) {
+            (LoopKind::Iterative { merge: false, .. }, TerminationPlan::Delta { .. }) => {
+                Some(self.registry.get(&l.cte)?)
+            }
+            _ => None,
         };
         let mut merge_updates: Option<u64> = None;
         for step in &l.body {
@@ -586,32 +602,21 @@ impl<'a> StatementContext<'a> {
             }
         }
         self.stats.iterations.add(1);
+        let changed = self.advance(l, delta, merge_updates, previous.as_ref(), seen)?;
         let current = self.registry.get(&l.cte)?;
-        let changed_this_iter = match (merge_updates, &previous) {
-            (Some(u), _) => u,
-            (None, Some(prev)) => diff_by_key(prev, &current, l.key)?,
-            // Rename path without delta tracking: the whole dataset is
-            // replaced, every row counts as updated.
-            (None, None) => {
-                let n = current.total_rows() as u64;
-                self.stats.rows_updated.add(n);
-                n
-            }
-        };
-        let cumulative = cumulative_updates + changed_this_iter;
-        self.tracer.note_iteration_mode(
-            delta.is_some(),
-            delta_fed,
-            if delta.is_some() {
-                changed_this_iter
-            } else {
-                0
-            },
-        );
+        let cumulative = cumulative_updates + changed;
+        if !appends {
+            self.tracer.note_iteration_mode(
+                semi_naive,
+                delta_fed,
+                if semi_naive { changed } else { 0 },
+            );
+        }
         if self.tracer.is_enabled() {
+            // An append loop's new rows are its delta; it updates none.
             self.tracer.end_iteration(
-                changed_this_iter,
-                changed_this_iter,
+                changed,
+                if appends { 0 } else { changed },
                 current.total_rows() as u64,
             );
         }
@@ -621,9 +626,87 @@ impl<'a> StatementContext<'a> {
             TerminationPlan::Data { predicate, rows } => {
                 count_matching(&current, predicate)? >= *rows
             }
-            TerminationPlan::Delta { threshold } => changed_this_iter < *threshold,
+            TerminationPlan::Delta { threshold } => changed < *threshold,
         };
         Ok((stop, cumulative))
+    }
+
+    /// How the body's output becomes the loop's next state, and how many
+    /// rows that changed — the one thing the two loop kinds do differently.
+    fn advance(
+        &self,
+        l: &LoopStep,
+        delta: Option<&str>,
+        merge_updates: Option<u64>,
+        previous: Option<&Partitioned>,
+        seen: &mut Option<HashSet<Row>>,
+    ) -> Result<u64> {
+        match &l.kind {
+            // Update semantics: the body's own merge/rename steps already
+            // installed the new version; what is left is the count.
+            LoopKind::Iterative { .. } => match (merge_updates, previous) {
+                (Some(u), _) => Ok(u),
+                (None, Some(prev)) => diff_by_key(prev, &self.registry.get(&l.cte)?, l.key),
+                // Rename path without delta tracking: the whole dataset
+                // is replaced, every row counts as updated.
+                (None, None) => {
+                    let n = self.registry.get(&l.cte)?.total_rows() as u64;
+                    self.stats.rows_updated.add(n);
+                    Ok(n)
+                }
+            },
+            LoopKind::FixedPoint { working, .. } => {
+                let delta = delta.expect("run_loop names a delta for every fixed-point loop");
+                self.append_new_rows(l, working, delta, seen)
+            }
+        }
+    }
+
+    /// Append semantics: filter the body's output to genuinely new rows,
+    /// append them to the accumulated table and publish them as the next
+    /// round's delta. The CTE and delta tables are mutated last, after
+    /// every fallible read, so a failed round leaves the loop state as
+    /// the last checkpoint (or entry) recorded it.
+    fn append_new_rows(
+        &self,
+        l: &LoopStep,
+        working: &str,
+        delta: &str,
+        seen: &mut Option<HashSet<Row>>,
+    ) -> Result<u64> {
+        let produced = self.registry.get(working)?;
+        let mut new_parts: Vec<Vec<Row>> = vec![Vec::new(); produced.parts.len()];
+        for (new_rows, part) in new_parts.iter_mut().zip(&produced.parts) {
+            for row in part.iter() {
+                if seen.as_mut().is_none_or(|set| set.insert(row.clone())) {
+                    new_rows.push(row.clone());
+                }
+            }
+        }
+        self.registry.remove(working);
+        let added: u64 = new_parts.iter().map(|rows| rows.len() as u64).sum();
+        if added == 0 {
+            return Ok(0);
+        }
+        // The registry (and any checkpoint) still shares the old buffers,
+        // so `make_mut` copies exactly the partitions that grow.
+        let mut current = self.registry.get(&l.cte)?;
+        for (part, extra) in current.parts.iter_mut().zip(&new_parts) {
+            if !extra.is_empty() {
+                Arc::make_mut(part).extend(extra.iter().cloned());
+            }
+        }
+        let schema = Arc::clone(&current.schema);
+        self.registry.put(&l.cte, current);
+        self.registry.put(
+            delta,
+            Partitioned {
+                schema,
+                parts: new_parts.into_iter().map(Arc::new).collect(),
+            },
+        );
+        self.relieve_memory_pressure(&[&l.cte, delta])?;
+        Ok(added)
     }
 
     /// Snapshot `tables` plus the loop counters as the latest checkpoint
@@ -638,14 +721,13 @@ impl<'a> StatementContext<'a> {
         iteration: u64,
         cumulative_updates: u64,
     ) -> Result<()> {
-        let mut snap = Vec::with_capacity(tables.len());
-        for name in tables {
-            snap.push((name.clone(), self.registry.get(name)?));
-        }
         let ckpt = LoopCheckpoint {
             iteration,
             cumulative_updates,
-            tables: snap,
+            tables: tables
+                .iter()
+                .map(|name| Ok((name.clone(), self.registry.get(name)?)))
+                .collect::<Result<_>>()?,
         };
         let bytes = ckpt.estimated_bytes();
         self.faults.hit(FaultSite::Checkpoint)?;
@@ -664,19 +746,28 @@ impl<'a> StatementContext<'a> {
         Ok(())
     }
 
-    /// Consume a [`ResumeSeed`] primed for this loop by the engine's
-    /// restart-adoption pass (none in normal execution). Installs the
-    /// adopted checkpoint's tables — the iterative CTE plus its delta —
-    /// into the registry, overwriting the freshly-seeded iteration-0
-    /// state, records the restart counters, and re-saves the checkpoint
-    /// so the resumed loop has a rollback target (and, when journaling,
-    /// a durable epoch owned by the new pid). Returns the seeded
-    /// `(iteration, cumulative_updates)` to continue from.
-    fn seed_from_resume(&self, l: &LoopStep) -> Option<(u64, u64)> {
-        let seed = self.checkpoints.take_resume(&l.cte)?;
-        for (name, data) in &seed.checkpoint.tables {
+    /// Epoch install — the single operation behind in-process rollback
+    /// and post-crash adoption, which differ only in who held the epoch:
+    /// put the checkpoint's tables into the registry and hand back where
+    /// the driver continues, `(iteration, cumulative_updates)`. Installing
+    /// re-`put`s tables, which changes their fingerprints anyway; clearing
+    /// the join cache makes dropping every build derived on the abandoned
+    /// timeline unconditional rather than incidental.
+    fn install_epoch(&self, ckpt: &LoopCheckpoint) -> (u64, u64) {
+        for (name, data) in &ckpt.tables {
             self.registry.put(name, data.clone());
         }
+        self.join_cache.clear();
+        (ckpt.iteration, ckpt.cumulative_updates)
+    }
+
+    /// Adoption: install the epoch the engine's restart pass rehydrated
+    /// from a dead process's journal and primed for this loop (none in
+    /// normal execution), overwriting the freshly seeded iteration-0
+    /// state, and record the restart counters. The driver re-saves the
+    /// epoch as its entry checkpoint.
+    fn adopt_epoch(&self, l: &LoopStep) -> Option<(u64, u64)> {
+        let seed = self.checkpoints.take_resume(&l.cte)?;
         self.stats.restart_adopted_epoch.set(seed.adopted_epoch);
         self.stats
             .restart_resumed_iteration
@@ -685,92 +776,17 @@ impl<'a> StatementContext<'a> {
             seed.journal_iteration
                 .saturating_sub(seed.checkpoint.iteration),
         );
-        let at = (
-            seed.checkpoint.iteration,
-            seed.checkpoint.cumulative_updates,
-        );
-        self.checkpoints.save(&l.cte, seed.checkpoint);
-        self.stats.checkpoints_taken.add(1);
-        Some(at)
+        Some(self.install_epoch(&seed.checkpoint))
     }
 
-    /// [`Self::save_checkpoint`] for the loop-entry snapshot, where no
-    /// iteration has run yet: a transient failure here mutates nothing, so
-    /// it is retried in place, consuming loop-recovery attempts.
-    fn save_checkpoint_recovering(
-        &self,
-        l: &LoopStep,
-        tables: &[String],
-        iteration: u64,
-        cumulative_updates: u64,
-        recoveries_used: &mut u64,
-    ) -> Result<()> {
-        loop {
-            match self.save_checkpoint(l, tables, iteration, cumulative_updates) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_retryable() && self.config.max_loop_recoveries > 0 => {
-                    if *recoveries_used >= self.config.max_loop_recoveries {
-                        return Err(Error::RecoveryExhausted {
-                            cte: l.cte_display_name.clone(),
-                            recoveries: *recoveries_used,
-                            source: Box::new(e),
-                        });
-                    }
-                    *recoveries_used += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Roll a loop back to its last checkpoint after `err` escaped the
-    /// in-place retries at iteration `failed_iteration`. Restores the
-    /// checkpointed tables into the registry and returns the checkpoint so
-    /// the caller can reset its counters; the loop then replays from
-    /// `checkpoint.iteration + 1`. A fault fired *during* the restore
-    /// consumes another recovery attempt and tries again.
-    fn recover_loop(
-        &self,
-        l: &LoopStep,
-        failed_iteration: u64,
-        mut err: Error,
-        recoveries_used: &mut u64,
-    ) -> Result<LoopCheckpoint> {
-        loop {
-            if !err.is_retryable() || self.config.max_loop_recoveries == 0 {
-                return Err(err);
-            }
-            if self.guard.is_cancelled() {
-                return Err(Error::Cancelled);
-            }
-            if *recoveries_used >= self.config.max_loop_recoveries {
-                return Err(Error::RecoveryExhausted {
-                    cte: l.cte_display_name.clone(),
-                    recoveries: *recoveries_used,
-                    source: Box::new(err),
-                });
-            }
-            *recoveries_used += 1;
-            // Discard the failed iteration's partial spans before replaying
-            // so the profile's per-iteration story stays coherent.
-            self.tracer.abort_iteration();
-            match self.restore_checkpoint(l, failed_iteration) {
-                Ok(ckpt) => {
-                    // The failed attempt aborted sibling workers; clear the
-                    // flag so replayed iterations are not stillborn.
-                    // External cancellation stays sticky.
-                    self.guard.clear_worker_abort();
-                    return Ok(ckpt);
-                }
-                Err(e) => err = e,
-            }
-        }
-    }
-
-    /// Re-install the latest checkpoint's tables into the registry. The
-    /// chaos `Recovery` fault site fires before any table is restored, so
-    /// a killed restore is all-or-nothing with respect to the registry.
-    fn restore_checkpoint(&self, l: &LoopStep, failed_iteration: u64) -> Result<LoopCheckpoint> {
+    /// Rollback: install the loop's latest checkpoint after iteration
+    /// `failed_iteration` failed. The chaos `Recovery` fault site fires
+    /// before any table is restored, so a killed restore is all-or-nothing
+    /// with respect to the registry.
+    fn rollback(&self, l: &LoopStep, failed_iteration: u64) -> Result<(u64, u64)> {
+        // Discard the failed iteration's partial spans before replaying so
+        // the profile's per-iteration story stays coherent.
+        self.tracer.abort_iteration();
         // `latest` rehydrates a spilled snapshot; a failed read surfaces
         // as a transient error the caller retries (consuming a recovery
         // attempt), never as a silent "no checkpoint".
@@ -781,161 +797,70 @@ impl<'a> StatementContext<'a> {
             ))
         })?;
         self.faults.hit(FaultSite::Recovery)?;
-        for (name, data) in &ckpt.tables {
-            self.registry.put(name, data.clone());
-        }
-        // Replay must rebuild from the restored state: drop any cached
-        // join builds derived on the failed timeline. (Restoring re-`put`s
-        // tables, so their fingerprints change anyway; clearing makes the
-        // invalidation unconditional rather than incidental.)
-        self.join_cache.clear();
+        let at = self.install_epoch(&ckpt);
+        // The failed attempt aborted sibling workers; clear the flag so
+        // replayed iterations are not stillborn. External cancellation
+        // stays sticky.
+        self.guard.clear_worker_abort();
         self.stats.loop_rollbacks.add(1);
         self.stats
             .iterations_replayed
             .add(failed_iteration - ckpt.iteration);
         self.tracer
             .note_rollback(ckpt.iteration + 1, failed_iteration);
-        Ok(ckpt)
+        Ok(at)
     }
 
-    fn run_fixed_point_loop(&self, l: &LoopStep, working: &str, union_all: bool) -> Result<()> {
-        let delta_name = format!("__delta_{}", l.cte);
-        let ckpt_every = self.config.checkpoint_interval;
-        let tables = [l.cte.clone(), delta_name.clone()];
-        // Round zero: the delta is the base result.
-        let base = self.registry.get(&l.cte)?;
-        self.registry.put(&delta_name, base.clone());
-        // For UNION (distinct) recursion, track everything seen so far.
-        let mut seen = build_seen(union_all, &base);
-        drop(base);
-        let mut iteration: u64 = 0;
-        let mut recoveries_used: u64 = 0;
-        if let Some((it, _)) = self.seed_from_resume(l) {
-            iteration = it;
-            // The dedup set is derivable state: rebuild it from the
-            // adopted CTE table, exactly as mid-loop recovery does.
-            let restored = self.registry.get(&l.cte)?;
-            seen = build_seen(union_all, &restored);
-        } else if ckpt_every > 0 || self.config.max_loop_recoveries > 0 {
-            // Accumulated CTE + current delta at an iteration boundary is
-            // the complete recovery state of a fixed-point recursion (the
-            // dedup set is derivable from the CTE table).
-            self.save_checkpoint_recovering(l, &tables, 0, 0, &mut recoveries_used)?;
-        }
-        loop {
-            iteration += 1;
-            self.guard.check()?;
-            if iteration > self.config.max_iterations {
-                return Err(Error::IterationLimitExceeded {
-                    cte: l.cte_display_name.clone(),
-                    limit: self.config.max_iterations,
-                });
-            }
-            let outcome = self
-                .run_fixed_point_iteration(l, working, &delta_name, &mut seen)
-                .and_then(|done| {
-                    if !done && ckpt_every > 0 && iteration.is_multiple_of(ckpt_every) {
-                        self.save_checkpoint(l, &tables, iteration, 0)?;
-                    }
-                    Ok(done)
-                });
-            match outcome {
-                Ok(true) => break,
-                Ok(false) => {}
-                Err(err) => {
-                    let ckpt = self.recover_loop(l, iteration, err, &mut recoveries_used)?;
-                    iteration = ckpt.iteration;
-                    // Rebuild the dedup set from the restored CTE table:
-                    // `seen` is exactly the rows accumulated so far.
-                    let restored = self.registry.get(&l.cte)?;
-                    seen = build_seen(union_all, &restored);
-                }
-            }
-        }
-        self.registry.remove(&delta_name);
-        self.checkpoints.remove(&l.cte);
-        Ok(())
-    }
-
-    /// One round of a fixed-point (recursive CTE) loop: run the body over
-    /// the current delta, filter to genuinely new rows, append them to the
-    /// accumulated table and publish them as the next delta. Returns
-    /// `Ok(true)` when the fixed point is reached (no new rows).
-    ///
-    /// The CTE and delta tables are only mutated at the very end, after
-    /// every fallible operation, so a failed round leaves the loop state
-    /// exactly as the last checkpoint (or entry) recorded it.
-    fn run_fixed_point_iteration(
+    /// The loop rung of the retry ladder: re-run `attempt` after a
+    /// transient failure, drawing on the loop's one budget of
+    /// `max_loop_recoveries` — `recoveries_used` is shared by the entry
+    /// checkpoint and every rollback. A spent budget is the typed
+    /// [`Error::RecoveryExhausted`]; with recovery off the failure
+    /// surfaces as it is.
+    fn with_loop_recovery<T>(
         &self,
         l: &LoopStep,
-        working: &str,
-        delta_name: &str,
-        seen: &mut Option<std::collections::HashSet<Row>>,
-    ) -> Result<bool> {
-        self.faults.hit(FaultSite::LoopIteration)?;
-        self.tracer.begin_iteration();
-        for step in &l.body {
-            self.run_step(step)?;
-        }
-        self.stats.iterations.add(1);
-        let produced = self.registry.get(working)?;
-        // Filter to genuinely new rows.
-        let mut new_parts: Vec<Vec<Row>> = (0..produced.parts.len()).map(|_| Vec::new()).collect();
-        let mut added = 0usize;
-        for (i, part) in produced.parts.iter().enumerate() {
-            for row in part.iter() {
-                let is_new = match seen {
-                    Some(set) => set.insert(row.clone()),
-                    None => true,
-                };
-                if is_new {
-                    added += 1;
-                    new_parts[i].push(row.clone());
-                }
-            }
-        }
-        self.registry.remove(working);
-        if self.tracer.is_enabled() {
-            let working_rows = self
-                .registry
-                .get(&l.cte)
-                .map(|d| d.total_rows() as u64)
-                .unwrap_or(0)
-                + added as u64;
-            self.tracer.end_iteration(added as u64, 0, working_rows);
-        }
-        if added == 0 {
-            return Ok(true);
-        }
-        // Append the new rows to the accumulated CTE table and expose
-        // them as the next round's delta.
-        let current = self.registry.get(&l.cte)?;
-        let mut appended: Vec<Arc<Vec<Row>>> = Vec::with_capacity(current.parts.len());
-        for (part, extra) in current.parts.iter().zip(&new_parts) {
-            if extra.is_empty() {
-                appended.push(Arc::clone(part));
-            } else {
-                let mut rows = (**part).clone();
-                rows.extend(extra.iter().cloned());
-                appended.push(Arc::new(rows));
-            }
-        }
-        self.registry.put(
-            &l.cte,
-            Partitioned {
-                schema: current.schema.clone(),
-                parts: appended,
+        recoveries_used: &mut u64,
+        attempt: impl FnMut() -> Result<T>,
+    ) -> Result<T> {
+        let budget = self.config.max_loop_recoveries;
+        let outcome = retry(
+            self.guard,
+            budget.saturating_sub(*recoveries_used),
+            || {
+                *recoveries_used += 1;
+                Ok(true)
             },
+            attempt,
         );
-        self.registry.put(
-            delta_name,
-            Partitioned {
-                schema: current.schema,
-                parts: new_parts.into_iter().map(Arc::new).collect(),
-            },
-        );
-        self.relieve_memory_pressure(&[&l.cte, delta_name])?;
-        Ok(false)
+        match outcome {
+            Err(e) if e.is_retryable() && budget > 0 => Err(Error::RecoveryExhausted {
+                cte: l.cte_display_name.clone(),
+                recoveries: *recoveries_used,
+                source: Box::new(e),
+            }),
+            outcome => outcome,
+        }
+    }
+
+    /// Roll a loop back to its last checkpoint after `err` escaped the
+    /// in-place rungs at iteration `failed_iteration`; returns where the
+    /// driver continues — it replays from the checkpointed iteration + 1.
+    /// The failed iteration is the failed first attempt, so every rollback
+    /// — including one repeated because a fault fired *during* the restore
+    /// — consumes one recovery.
+    fn recover_loop(
+        &self,
+        l: &LoopStep,
+        failed_iteration: u64,
+        err: Error,
+        recoveries_used: &mut u64,
+    ) -> Result<(u64, u64)> {
+        let mut failure = Some(err);
+        self.with_loop_recovery(l, recoveries_used, || match failure.take() {
+            Some(err) => Err(err),
+            None => self.rollback(l, failed_iteration),
+        })
     }
 }
 
@@ -968,20 +893,12 @@ fn count_matching(data: &Partitioned, predicate: &PlanExpr) -> Result<u64> {
     Ok(n)
 }
 
-/// The dedup set of a UNION (distinct) recursion: every row accumulated in
-/// the CTE table so far. Derivable state — mid-loop recovery rebuilds it
-/// from the restored CTE table instead of checkpointing it.
-fn build_seen(union_all: bool, data: &Partitioned) -> Option<std::collections::HashSet<Row>> {
-    if union_all {
-        return None;
-    }
-    let mut set = std::collections::HashSet::new();
-    for part in &data.parts {
-        for row in part.iter() {
-            set.insert(row.clone());
-        }
-    }
-    Some(set)
+/// Every row of `data`, as a set.
+fn row_set(data: &Partitioned) -> HashSet<Row> {
+    data.parts
+        .iter()
+        .flat_map(|part| part.iter().cloned())
+        .collect()
 }
 
 /// Number of rows in `current` that differ from the row with the same key

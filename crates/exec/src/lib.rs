@@ -29,6 +29,7 @@ pub mod fault;
 pub mod operators;
 pub mod physical;
 pub mod pool;
+mod retry;
 
 pub use cache::JoinStateCache;
 pub use executor::StatementContext;

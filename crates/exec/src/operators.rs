@@ -20,6 +20,7 @@ use crate::aggregate::Accumulator;
 use crate::cache::{CachedBuild, JoinTable};
 use crate::executor::StatementContext;
 use crate::physical::{partition_for_key, ExchangeMode, PhysicalPlan};
+use crate::retry::retry;
 
 /// Track the approximate bytes of an operator's in-flight hash state (a
 /// join build side, aggregation groups) against the memory accountant for
@@ -394,20 +395,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Deterministic exponential backoff before retry number `retry_index`
-/// (1-based): sleeps `base_ms * 2^(retry_index-1)`, exponent capped.
-/// `base_ms == 0` (the default, and the right setting for tests) sleeps
-/// not at all.
-pub(crate) fn backoff_sleep(base_ms: u64, retry_index: u64) {
-    if base_ms == 0 || retry_index == 0 {
-        return;
-    }
-    let factor = 1u64 << (retry_index - 1).min(16);
-    std::thread::sleep(std::time::Duration::from_millis(
-        base_ms.saturating_mul(factor),
-    ));
-}
-
 /// Run one partition's work with panic isolation and bounded transient
 /// retry.
 ///
@@ -415,60 +402,54 @@ pub(crate) fn backoff_sleep(base_ms: u64, retry_index: u64) {
 /// fault, a bug) is caught at the partition boundary and converted into
 /// [`Error::WorkerPanicked`]. Transient failures (see
 /// [`Error::is_retryable`]) are retried in place up to
-/// `max_partition_retries` times with deterministic backoff — the
-/// partition's input snapshot is immutable, so a retry re-runs exactly
-/// the failed subtree. Only when the budget is exhausted does the guard's
-/// *worker abort* fire, stopping sibling partitions at their next batch
-/// boundary; the mid-loop recovery driver clears that flag before a
-/// replay, whereas external cancellation stays sticky. Fatal errors
-/// propagate immediately, as before. The catalog and registry use
+/// `max_partition_retries` times — the partition's input snapshot is
+/// immutable, so a retry re-runs exactly the failed subtree, and the
+/// siblings keep their results. Only when the budget is exhausted does
+/// the guard's *worker abort* fire, stopping sibling partitions at their
+/// next batch boundary; the mid-loop recovery driver clears that flag
+/// before a replay, whereas external cancellation stays sticky. Fatal
+/// errors propagate immediately. The catalog and registry use
 /// non-poisoning locks, so the process (and the session) stays usable.
 fn run_partition(
     ctx: &StatementContext<'_>,
     partition: usize,
     f: impl Fn() -> Result<Vec<Row>>,
 ) -> Result<Vec<Row>> {
-    let attempts = ctx.config.max_partition_retries.saturating_add(1);
-    let mut last_err: Option<Error> = None;
-    for attempt in 1..=attempts {
-        if attempt > 1 {
-            if ctx.guard.is_cancelled() {
-                return Err(Error::Cancelled);
-            }
+    let outcome = retry(
+        ctx.guard,
+        ctx.config.max_partition_retries,
+        || {
+            // A sibling already gave up: stop retrying, but surface our
+            // own (transient) error so the caller sees what happened in
+            // this partition, not a misleading `Cancelled`.
             if ctx.guard.worker_abort_requested() {
-                // A sibling already gave up; stop retrying but surface our
-                // own (transient) error so the caller sees what happened
-                // in this partition, not a misleading `Cancelled`.
-                break;
+                return Ok(false);
             }
             ctx.guard.check()?; // deadline
-            backoff_sleep(ctx.config.retry_backoff_ms, attempt - 1);
             ctx.stats.partition_retries.add(1);
             ctx.tracer.note_retry();
-        }
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ctx.faults.hit(FaultSite::Worker)?;
-            f()
-        })) {
-            Ok(Ok(rows)) => return Ok(rows),
-            Ok(Err(e)) => {
-                if !e.is_retryable() {
-                    return Err(e);
-                }
-                last_err = Some(e);
-            }
-            Err(payload) => {
-                last_err = Some(Error::WorkerPanicked {
+            Ok(true)
+        },
+        || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ctx.faults.hit(FaultSite::Worker)?;
+                f()
+            }))
+            .unwrap_or_else(|payload| {
+                Err(Error::WorkerPanicked {
                     partition,
                     message: panic_message(payload),
-                });
-            }
-        }
+                })
+            })
+        },
+    );
+    if outcome.as_ref().is_err_and(Error::is_retryable) {
+        // A transient failure survived every retry: stop sibling
+        // partitions at their next boundary instead of computing results
+        // nobody reads.
+        ctx.guard.abort_workers();
     }
-    // A transient failure survived every retry: stop sibling partitions
-    // at their next boundary instead of computing results nobody reads.
-    ctx.guard.abort_workers();
-    Err(last_err.expect("retry loop runs at least once"))
+    outcome
 }
 
 /// Shared scheduling driver for [`unary_map`]/[`binary_map`]: run

@@ -13,7 +13,7 @@
 //! [`std::thread::Result`] (`Err(payload)` on panic), so panic isolation
 //! looks to the caller like joining a thread. The closures submitted by
 //! the operators run `run_partition`, which checks the `QueryGuard` and
-//! drives the per-partition retry/backoff loop.
+//! drives the per-partition retry.
 //!
 //! Two multi-session robustness properties live here:
 //!

@@ -3,10 +3,10 @@
 //!
 //! The [`SpillManager`] serializes [`Partitioned`] tables (and whole
 //! [`LoopCheckpoint`]s) to files under a configurable directory with a
-//! small hand-rolled binary format — the workspace's vendored `serde` is a
-//! no-op stub, so the format is written and parsed by hand, like the
-//! profile module's JSON. Files preserve the exact partition layout, so a
-//! rehydrated table hashes and joins identically to the resident original.
+//! small binary format, written and parsed by hand like the profile
+//! module's JSON (the offline build has no `serde`). Files preserve the
+//! exact partition layout, so a rehydrated table hashes and joins
+//! identically to the resident original.
 //!
 //! Format v2 (`SPNSPILL`, version 2) assumes the disk lies: every
 //! partition's byte range carries an [`xxh64`] checksum, and the whole

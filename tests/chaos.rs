@@ -12,6 +12,9 @@ use spinner_engine::{
 };
 use spinner_procedural::pagerank;
 
+mod common;
+use common::{closure_cte, walk_cte};
+
 /// Fresh database with the toy cyclic graph the engine tests use.
 fn db_with_edges(config: EngineConfig) -> Database {
     let db = Database::new(config).unwrap();
@@ -381,36 +384,42 @@ fn sorted_rows(batch: &spinner_engine::Batch) -> Vec<Vec<Value>> {
 /// The acceptance scenario: a fault mid-loop (iteration 4, past the
 /// checkpoint interval of 2) rolls the loop back to the iteration-2
 /// checkpoint and replays; the final rows are identical to a fault-free
-/// run and the stats report the full recovery story.
+/// run and the stats report the full recovery story — the same story for
+/// an iterative loop and for both kinds of recursion, which run on the
+/// one driver: same schedule, same rollbacks, same replayed iterations.
 #[test]
 fn mid_loop_fault_recovers_identically_after_rollback() {
-    let sql = pagerank(8, false).cte;
-    let expected = db_with_edges(EngineConfig::default()).query(&sql).unwrap();
-    let mut db = db_with_edges(EngineConfig::default());
-    db.set_config(
-        EngineConfig::default()
-            .with_checkpoint_interval(2)
-            .with_max_loop_recoveries(2)
-            .with_fault(FaultConfig::fail_nth(FaultSite::LoopIteration, 4)),
-    )
-    .unwrap();
-    db.take_stats();
-    let batch = db.query(&sql).unwrap();
-    assert_eq!(
-        sorted_rows(&batch),
-        sorted_rows(&expected),
-        "recovered run must be row-identical to the fault-free run"
-    );
-    let stats = db.take_stats();
-    assert_eq!(stats.faults_injected, 1);
-    assert_eq!(stats.loop_rollbacks, 1);
-    assert_eq!(
-        stats.iterations_replayed, 2,
-        "fault at iteration 4, checkpoint at 2: iterations 3..=4 replay"
-    );
-    assert!(stats.checkpoints_taken >= 2, "entry + periodic checkpoints");
-    assert!(stats.checkpoint_bytes > 0);
-    assert_recovered(&db);
+    for sql in [pagerank(8, false).cte, closure_cte(), walk_cte(6)] {
+        let expected = db_with_edges(EngineConfig::default()).query(&sql).unwrap();
+        let mut db = db_with_edges(EngineConfig::default());
+        db.set_config(
+            EngineConfig::default()
+                .with_checkpoint_interval(2)
+                .with_max_loop_recoveries(2)
+                .with_fault(FaultConfig::fail_nth(FaultSite::LoopIteration, 4)),
+        )
+        .unwrap();
+        db.take_stats();
+        let batch = db.query(&sql).unwrap();
+        assert_eq!(
+            sorted_rows(&batch),
+            sorted_rows(&expected),
+            "recovered run must be row-identical to the fault-free run: {sql}"
+        );
+        let stats = db.take_stats();
+        assert_eq!(stats.faults_injected, 1, "{sql}");
+        assert_eq!(stats.loop_rollbacks, 1, "{sql}");
+        assert_eq!(
+            stats.iterations_replayed, 2,
+            "fault at iteration 4, checkpoint at 2: iterations 3..=4 replay: {sql}"
+        );
+        assert!(
+            stats.checkpoints_taken >= 2,
+            "entry + periodic checkpoints: {sql}"
+        );
+        assert!(stats.checkpoint_bytes > 0, "{sql}");
+        assert_recovered(&db);
+    }
 }
 
 /// Join-state-cache invalidation across rollback-and-replay (PR 5): the
@@ -418,7 +427,7 @@ fn mid_loop_fault_recovers_identically_after_rollback() {
 /// iteration-2 checkpoint; when a fault at iteration 4 rolls the loop
 /// back and the replay crosses the original build point, the restored
 /// registry state must NOT be probed through the pre-fault cache entry —
-/// `restore_checkpoint` clears the cache, so the replay rebuilds and the
+/// installing the epoch clears the cache, so the replay rebuilds and the
 /// rows match a fault-free run exactly.
 #[test]
 fn join_cache_rebuilt_after_rollback_and_replay() {
@@ -648,70 +657,70 @@ fn persistent_loop_fault_exhausts_recovery_with_typed_error() {
 /// a wrong answer, an untyped error, or a hang.
 #[test]
 fn every_iteration_fault_storm_converges_or_fails_typed() {
-    let sql = counting_cte(6);
-    let expected = db_with_edges(EngineConfig::default()).query(&sql).unwrap();
-    let mut converged = 0;
-    for seed in 0..12u64 {
-        let mut db = db_with_edges(EngineConfig::default());
-        db.set_config(
-            EngineConfig::default()
-                .with_checkpoint_interval(1)
-                .with_max_partition_retries(2)
-                .with_max_loop_recoveries(4)
-                .with_fault(FaultConfig::seeded(
-                    FaultSite::LoopIteration,
-                    FaultKind::Error,
-                    seed,
-                    200_000,
-                ))
-                .with_fault(FaultConfig::seeded(
-                    FaultSite::Checkpoint,
-                    FaultKind::Error,
-                    seed.wrapping_add(101),
-                    200_000,
-                ))
-                .with_fault(FaultConfig::seeded(
-                    FaultSite::Recovery,
-                    FaultKind::Error,
-                    seed.wrapping_add(202),
-                    200_000,
-                ))
-                .with_fault(FaultConfig::seeded(
-                    FaultSite::Worker,
-                    FaultKind::Error,
-                    seed.wrapping_add(303),
-                    100_000,
-                )),
-        )
-        .unwrap();
-        match db.query(&sql) {
-            Ok(batch) => {
-                assert_eq!(
-                    sorted_rows(&batch),
-                    sorted_rows(&expected),
-                    "seed {seed}: storm survivor returned a WRONG answer"
-                );
-                converged += 1;
+    for sql in [counting_cte(6), closure_cte(), walk_cte(6)] {
+        let expected = db_with_edges(EngineConfig::default()).query(&sql).unwrap();
+        let mut converged = 0;
+        for seed in 0..12u64 {
+            let mut db = db_with_edges(EngineConfig::default());
+            db.set_config(
+                EngineConfig::default()
+                    .with_checkpoint_interval(1)
+                    .with_max_partition_retries(2)
+                    .with_max_loop_recoveries(4)
+                    .with_fault(FaultConfig::seeded(
+                        FaultSite::LoopIteration,
+                        FaultKind::Error,
+                        seed,
+                        200_000,
+                    ))
+                    .with_fault(FaultConfig::seeded(
+                        FaultSite::Checkpoint,
+                        FaultKind::Error,
+                        seed.wrapping_add(101),
+                        200_000,
+                    ))
+                    .with_fault(FaultConfig::seeded(
+                        FaultSite::Recovery,
+                        FaultKind::Error,
+                        seed.wrapping_add(202),
+                        200_000,
+                    ))
+                    .with_fault(FaultConfig::seeded(
+                        FaultSite::Worker,
+                        FaultKind::Error,
+                        seed.wrapping_add(303),
+                        100_000,
+                    )),
+            )
+            .unwrap();
+            match db.query(&sql) {
+                Ok(batch) => {
+                    assert_eq!(
+                        sorted_rows(&batch),
+                        sorted_rows(&expected),
+                        "seed {seed}: storm survivor returned a WRONG answer: {sql}"
+                    );
+                    converged += 1;
+                }
+                Err(Error::RecoveryExhausted { .. }) => {}
+                Err(other) => panic!("seed {seed}: unexpected failure kind: {other:?}: {sql}"),
             }
-            Err(Error::RecoveryExhausted { .. }) => {}
-            Err(other) => panic!("seed {seed}: unexpected failure kind: {other:?}"),
+            assert_eq!(db.temp_result_count(), 0, "seed {seed}: registry leak");
         }
-        assert_eq!(db.temp_result_count(), 0, "seed {seed}: registry leak");
+        assert!(
+            converged > 0,
+            "at 20% fault rates some seeds must still converge: {sql}"
+        );
     }
-    assert!(
-        converged > 0,
-        "at 20% fault rates some seeds must still converge"
-    );
 }
 
 /// Satellite (f): the fault matrix the CI chaos job runs — partitions=4,
 /// parallel workers on, checkpoint_interval in {0, 1, 5}, one
-/// deterministic fault per site. With retries and recovery enabled, every
-/// single-fault schedule must finish with the exact fault-free rows.
+/// deterministic fault per site, over an iterative loop and both kinds of
+/// recursion. With retries and recovery enabled, every single-fault
+/// schedule must finish with the exact fault-free rows.
 #[test]
 fn fault_matrix_across_checkpoint_intervals() {
-    let sql = counting_cte(8);
-    let expected = db_with_edges(EngineConfig::default()).query(&sql).unwrap();
     let faults = [
         FaultConfig::fail_nth(FaultSite::Exchange, 3),
         FaultConfig::fail_nth(FaultSite::Materialize, 2),
@@ -722,28 +731,31 @@ fn fault_matrix_across_checkpoint_intervals() {
         FaultConfig::fail_nth(FaultSite::Checkpoint, 2),
         FaultConfig::fail_nth(FaultSite::Recovery, 1),
     ];
-    for interval in [0u64, 1, 5] {
-        for fault in &faults {
-            let mut db = db_with_edges(EngineConfig::default());
-            db.set_config(
-                EngineConfig::default()
-                    .with_partitions(4)
-                    .with_parallel_partitions(true)
-                    .with_checkpoint_interval(interval)
-                    .with_max_partition_retries(2)
-                    .with_max_loop_recoveries(3)
-                    .with_fault(fault.clone()),
-            )
-            .unwrap();
-            let batch = db
-                .query(&sql)
-                .unwrap_or_else(|e| panic!("interval={interval}, fault={fault:?}: {e}"));
-            assert_eq!(
-                sorted_rows(&batch),
-                sorted_rows(&expected),
-                "interval={interval}, fault={fault:?}: wrong rows"
-            );
-            assert_eq!(db.temp_result_count(), 0);
+    for sql in [counting_cte(8), closure_cte(), walk_cte(6)] {
+        let expected = db_with_edges(EngineConfig::default()).query(&sql).unwrap();
+        for interval in [0u64, 1, 5] {
+            for fault in &faults {
+                let mut db = db_with_edges(EngineConfig::default());
+                db.set_config(
+                    EngineConfig::default()
+                        .with_partitions(4)
+                        .with_parallel_partitions(true)
+                        .with_checkpoint_interval(interval)
+                        .with_max_partition_retries(2)
+                        .with_max_loop_recoveries(3)
+                        .with_fault(fault.clone()),
+                )
+                .unwrap();
+                let batch = db
+                    .query(&sql)
+                    .unwrap_or_else(|e| panic!("interval={interval}, fault={fault:?}: {e}: {sql}"));
+                assert_eq!(
+                    sorted_rows(&batch),
+                    sorted_rows(&expected),
+                    "interval={interval}, fault={fault:?}: wrong rows: {sql}"
+                );
+                assert_eq!(db.temp_result_count(), 0);
+            }
         }
     }
 }

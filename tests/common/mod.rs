@@ -1,0 +1,33 @@
+//! Inputs shared by the chaos, spill, property and crash suites: the two
+//! recursive-CTE shapes that ride through every fault, spill and restart
+//! matrix next to the iterative workloads. Both read the suites' common
+//! `edges (src, dst, weight)` table and produce integers only, so any two
+//! runs compare exactly, whatever the partition count.
+#![allow(dead_code)]
+
+/// `UNION` recursion: the transitive closure of `edges` as `(src, dst)`
+/// pairs. The dedup set bounds it, so it terminates on cyclic graphs.
+pub fn closure_cte() -> String {
+    "WITH RECURSIVE reach (src, dst) AS (
+         SELECT src, dst FROM edges
+         UNION
+         SELECT r.src, e.dst FROM reach r JOIN edges e ON r.dst = e.src
+     )
+     SELECT src, dst FROM reach"
+        .to_string()
+}
+
+/// `UNION ALL` recursion: one row per walk of at most `depth` edges out
+/// of node 1. Nothing is deduplicated, so the depth bound is what stops
+/// it on a cyclic graph.
+pub fn walk_cte(depth: u64) -> String {
+    format!(
+        "WITH RECURSIVE walk (node, depth) AS (
+             SELECT dst, 1 FROM edges WHERE src = 1
+             UNION ALL
+             SELECT e.dst, w.depth + 1 FROM edges e JOIN walk w ON e.src = w.node
+             WHERE w.depth < {depth}
+         )
+         SELECT node, depth FROM walk"
+    )
+}

@@ -30,6 +30,8 @@ use std::time::{Duration, Instant};
 
 use spinner_server::{Client, ReconnectPolicy, Reply};
 
+mod common;
+
 /// Iterations in the workload; with interval 2 this commits several
 /// durable epochs before any crash position fires.
 const ITERATIONS: u64 = 10;
@@ -173,12 +175,12 @@ fn sorted_rows(reply: &Reply) -> Vec<Vec<Option<String>>> {
 /// The uninterrupted result every crash scenario must reproduce. Each
 /// scenario gets a directory of its own: the tests of this file run side
 /// by side, and `scratch` wipes the directory it hands out.
-fn baseline_rows(name: &str) -> Vec<Vec<Option<String>>> {
+fn baseline_rows(name: &str, sql: &str) -> Vec<Vec<Option<String>>> {
     let dir = scratch(&format!("{name}_baseline"));
     let server = spawn_server(&dir, &[]);
     let mut client = connect(&server.addr);
     load_edges(&mut client);
-    let reply = client.query(&workload_sql()).unwrap();
+    let reply = client.query(sql).unwrap();
     assert!(
         client.last_handle().is_some(),
         "resumable server must issue a handle for an iterative statement"
@@ -248,10 +250,11 @@ fn corrupt_newest_checkpoint(dir: &Path) {
     file.sync_all().unwrap();
 }
 
-/// Run one full crash → restart → attach cycle and return the resumed
-/// summary plus the rows fetched via ATTACH.
+/// Run one full crash → restart → attach cycle of `sql` and return the
+/// resumed summary plus the rows fetched via ATTACH.
 fn crash_cycle(
     name: &str,
+    sql: &str,
     crash_at: &str,
     corrupt_newest: bool,
 ) -> (Resumed, Vec<Vec<Option<String>>>) {
@@ -262,7 +265,7 @@ fn crash_cycle(
     load_edges(&mut client);
     // The statement dies with the server; the early HANDLE frame must
     // already have delivered the stable handle.
-    let err = client.query(&workload_sql());
+    let err = client.query(sql);
     assert!(
         err.is_err(),
         "{name}: statement should die with the server, got {err:?}"
@@ -313,9 +316,9 @@ fn crash_cycle(
     (summary, rows)
 }
 
-fn assert_cycle(name: &str, crash_at: &str, corrupt_newest: bool) -> Resumed {
-    let expected = baseline_rows(name);
-    let (summary, rows) = crash_cycle(name, crash_at, corrupt_newest);
+fn assert_cycle(name: &str, sql: &str, crash_at: &str, corrupt_newest: bool) -> Resumed {
+    let expected = baseline_rows(name, sql);
+    let (summary, rows) = crash_cycle(name, sql, crash_at, corrupt_newest);
     assert_eq!(
         rows, expected,
         "{name}: resumed rows differ from uninterrupted run"
@@ -339,14 +342,26 @@ fn assert_cycle(name: &str, crash_at: &str, corrupt_newest: bool) -> Resumed {
 fn crash_mid_iteration_resumes_row_identically() {
     // The 7th loop-iteration fault check: past several committed epochs,
     // before the final iteration.
-    assert_cycle("mid_iteration", "loop_iteration:7", false);
+    assert_cycle("mid_iteration", &workload_sql(), "loop_iteration:7", false);
+}
+
+#[test]
+fn crash_mid_recursion_resumes_row_identically() {
+    // A recursive CTE runs on the same driver, so the same kill works on
+    // it: the closure of the harness graph takes 5 rounds, the 4th
+    // loop-iteration check dies with the entry and iteration-2 epochs
+    // committed, and the resumed run rebuilds its `UNION` dedup set from
+    // the adopted table.
+    let sql = common::closure_cte();
+    let summary = assert_cycle("mid_recursion", &sql, "loop_iteration:4", false);
+    assert_eq!(summary.resumed_iteration, 2, "{summary:?}");
 }
 
 #[test]
 fn crash_mid_checkpoint_snapshot_resumes_row_identically() {
     // Abort while the third checkpoint snapshot (entry, iteration 2,
     // iteration 4) is being taken: two committed epochs exist.
-    assert_cycle("mid_checkpoint", "checkpoint:3", false);
+    assert_cycle("mid_checkpoint", &workload_sql(), "checkpoint:3", false);
 }
 
 #[test]
@@ -360,7 +375,7 @@ fn crash_mid_spill_write_resumes_row_identically() {
     // checkpoint (input snapshot, then epochs 0/2/4/6 committed → resume
     // from 6); with it, the iteration-3 working-table spill (input, epoch
     // 0, two table spills, epoch 2 → resume from 2).
-    let summary = assert_cycle("mid_spill_write", "spill_write:6", false);
+    let summary = assert_cycle("mid_spill_write", &workload_sql(), "spill_write:6", false);
     assert!(
         [2, 6].contains(&summary.resumed_iteration),
         "mid_spill_write: the crash position moved: {summary:?}"
@@ -373,14 +388,15 @@ fn crash_mid_epoch_commit_resumes_row_identically() {
     // disk but the journal does not name it yet. Adoption goes by the
     // journal alone, so it resumes from the iteration-2 checkpoint and
     // the unnamed file is an orphan for GC.
-    let summary = assert_cycle("mid_epoch_commit", "epoch_commit:3", false);
+    let summary = assert_cycle("mid_epoch_commit", &workload_sql(), "epoch_commit:3", false);
     assert_eq!(summary.resumed_iteration, 2, "{summary:?}");
 }
 
 #[test]
 fn corrupt_newest_epoch_falls_back_to_previous() {
-    let expected = baseline_rows("corrupt_fallback");
-    let (summary, rows) = crash_cycle("corrupt_fallback", "loop_iteration:7", true);
+    let sql = workload_sql();
+    let expected = baseline_rows("corrupt_fallback", &sql);
+    let (summary, rows) = crash_cycle("corrupt_fallback", &sql, "loop_iteration:7", true);
     assert_eq!(
         rows, expected,
         "fallback: resumed rows differ from uninterrupted run"
@@ -404,8 +420,9 @@ fn corrupt_newest_epoch_falls_back_to_previous() {
 /// whole loop and still answers the ATTACH.
 #[test]
 fn crash_entering_the_first_iteration_resumes_from_the_entry_epoch() {
-    let expected = baseline_rows("first_iteration");
-    let (summary, rows) = crash_cycle("first_iteration", "loop_iteration:1", false);
+    let sql = workload_sql();
+    let expected = baseline_rows("first_iteration", &sql);
+    let (summary, rows) = crash_cycle("first_iteration", &sql, "loop_iteration:1", false);
     assert_eq!(rows, expected, "resumed rows differ from uninterrupted run");
     // Only the loop-entry epoch existed: the whole loop re-runs.
     assert_eq!(summary.resumed_iteration, 0, "{summary:?}");
@@ -450,6 +467,37 @@ fn resumed_explain_analyze_reports_restart_counters() {
         text.contains("resumed_iteration=") && text.contains("replayed_iterations="),
         "profile restart block incomplete:\n{text}"
     );
+    // Every checkpoint the resumed statement took is in its byte count,
+    // the adopted epoch's re-save included. The table never changes size,
+    // so an uninterrupted run prices one snapshot; the resumed run came
+    // back at iteration 6 and took two: the adopted epoch, under its own
+    // journal, and iteration 8.
+    let baseline_dir = scratch("explain_restart_baseline");
+    let baseline = spawn_server(&baseline_dir, &[]);
+    let mut client = connect(&baseline.addr);
+    load_edges(&mut client);
+    let Reply::Text(uninterrupted) = client.query(&sql).unwrap() else {
+        panic!("expected the rendered profile");
+    };
+    let (checkpoints, bytes) = checkpoint_line(&uninterrupted);
+    assert_eq!(checkpoints, 5, "entry + iterations 2, 4, 6, 8");
+    let snapshot = bytes / checkpoints;
+    assert_eq!(
+        checkpoint_line(&text),
+        (2, 2 * snapshot),
+        "resumed profile:\n{text}"
+    );
+}
+
+/// `(checkpoints, bytes)` of a rendered profile's
+/// `recovery: checkpoints=N (B B)` line.
+fn checkpoint_line(profile: &str) -> (u64, u64) {
+    let parsed = profile
+        .split_once("recovery: checkpoints=")
+        .and_then(|(_, rest)| rest.split_once(" B)"))
+        .and_then(|(line, _)| line.split_once(" ("))
+        .and_then(|(count, bytes)| Some((count.parse().ok()?, bytes.parse().ok()?)));
+    parsed.unwrap_or_else(|| panic!("no checkpoint line in profile:\n{profile}"))
 }
 
 #[test]

@@ -5,8 +5,10 @@
 use proptest::prelude::*;
 use spinner_common::Value;
 use spinner_datagen::{load_edges_into, load_vertex_status_into, oracle, GraphSpec};
-use spinner_engine::{Database, EngineConfig, FaultConfig, FaultSite, RecoveryPolicy};
+use spinner_engine::{Database, EngineConfig, FaultConfig, FaultSite};
 use spinner_procedural::{connected_components, ff, pagerank, run_script, sssp};
+
+mod common;
 
 /// Strategy: a small random graph spec.
 fn graph_spec() -> impl Strategy<Value = GraphSpec> {
@@ -248,16 +250,38 @@ fn single_fault() -> impl Strategy<Value = FaultConfig> {
     })
 }
 
-/// Strategy: a recovery policy with every mechanism enabled (≥1 retry,
-/// ≥1 loop recovery, some checkpoint cadence, no backoff sleep so the
-/// suite stays fast).
-fn enabled_recovery_policy() -> impl Strategy<Value = RecoveryPolicy> {
-    (1u64..5, 1u64..3, 1u64..4).prop_map(|(interval, retries, recoveries)| RecoveryPolicy {
-        checkpoint_interval: interval,
-        max_partition_retries: retries,
-        retry_backoff_ms: 0,
-        max_loop_recoveries: recoveries,
-    })
+/// Strategy: every recovery mechanism enabled — some checkpoint cadence,
+/// ≥1 in-place retry, ≥1 loop recovery — applied on top of `config`.
+fn enabled_recovery() -> impl Strategy<Value = (u64, u64, u64)> {
+    (1u64..5, 1u64..3, 1u64..4)
+}
+
+fn with_recovery(
+    config: EngineConfig,
+    (interval, retries, recoveries): (u64, u64, u64),
+) -> EngineConfig {
+    config
+        .with_checkpoint_interval(interval)
+        .with_max_partition_retries(retries)
+        .with_max_loop_recoveries(recoveries)
+}
+
+/// The loop workloads the recovery and spill properties draw from, with
+/// the config of each one's fault-free oracle run. The recursions produce
+/// integers only and are checked against a single partition; PageRank
+/// and SSSP aggregate floats, whose sums depend on the partitioning, so
+/// their oracle keeps it.
+fn loop_workload(index: usize) -> (String, EngineConfig) {
+    let in_memory = EngineConfig {
+        spill_threshold_bytes: None,
+        ..EngineConfig::default()
+    };
+    match index {
+        0 => (pagerank(6, false).cte, in_memory),
+        1 => (sssp(8, 1, false).cte, in_memory),
+        2 => (common::closure_cte(), in_memory.with_partitions(1)),
+        _ => (common::walk_cte(4), in_memory.with_partitions(1)),
+    }
 }
 
 fn sorted_rows(batch: &spinner_common::Batch) -> Vec<Vec<Value>> {
@@ -271,28 +295,24 @@ proptest! {
 
     /// Recovery is semantically invisible: for any random graph, any
     /// single-fault schedule, and any enabled retry/checkpoint policy,
-    /// PageRank and SSSP return rows identical to a fault-free run —
-    /// whether the fault was absorbed by a partition retry, a step
-    /// retry, or a full rollback-and-replay (or never fired at all).
+    /// PageRank, SSSP and both kinds of recursion return rows identical
+    /// to a fault-free run — whether the fault was absorbed by a
+    /// partition retry, a step retry, or a full rollback-and-replay (or
+    /// never fired at all).
     #[test]
     fn single_fault_with_recovery_is_invisible(
         spec in graph_spec(),
         fault in single_fault(),
-        policy in enabled_recovery_policy(),
+        policy in enabled_recovery(),
         parallel in any::<bool>(),
-        use_pagerank in any::<bool>(),
+        workload in 0usize..4,
     ) {
-        let w = if use_pagerank {
-            pagerank(6, false)
-        } else {
-            sssp(8, 1, false)
-        };
-        let clean = load(&spec, EngineConfig::default()).query(&w.cte).unwrap();
-        let config = EngineConfig::default()
+        let (sql, oracle_config) = loop_workload(workload);
+        let clean = load(&spec, oracle_config).query(&sql).unwrap();
+        let config = with_recovery(EngineConfig::default(), policy)
             .with_parallel_partitions(parallel)
-            .with_recovery(policy)
             .with_fault(fault.clone());
-        let faulty = load(&spec, config).query(&w.cte).unwrap_or_else(|e| {
+        let faulty = load(&spec, config).query(&sql).unwrap_or_else(|e| {
             panic!("fault {fault:?} escaped recovery: {e}")
         });
         prop_assert_eq!(
@@ -303,33 +323,25 @@ proptest! {
     }
 
     /// Spilling is semantically invisible: under a 1-byte threshold
-    /// (every allocation pushes cold state to disk) PageRank and SSSP
-    /// over random graphs return rows identical to the in-memory run —
-    /// alone and composed with an enabled recovery policy, whose
-    /// checkpoints then live in spill files too.
+    /// (every allocation pushes cold state to disk) PageRank, SSSP and
+    /// both kinds of recursion over random graphs return rows identical
+    /// to the in-memory run — alone and composed with an enabled
+    /// recovery policy, whose checkpoints then live in spill files too.
     #[test]
     fn forced_spill_is_invisible(
         spec in graph_spec(),
-        policy in proptest::option::of(enabled_recovery_policy()),
-        use_pagerank in any::<bool>(),
+        policy in proptest::option::of(enabled_recovery()),
+        workload in 0usize..4,
     ) {
-        let w = if use_pagerank {
-            pagerank(6, false)
-        } else {
-            sssp(8, 1, false)
-        };
-        let in_memory = EngineConfig {
-            spill_threshold_bytes: None,
-            ..EngineConfig::default()
-        };
-        let clean = load(&spec, in_memory).query(&w.cte).unwrap();
+        let (sql, oracle_config) = loop_workload(workload);
+        let clean = load(&spec, oracle_config).query(&sql).unwrap();
         let mut config = EngineConfig::default().with_spill_threshold_bytes(1);
         if let Some(policy) = policy {
-            config = config.with_recovery(policy);
+            config = with_recovery(config, policy);
         }
         let db = load(&spec, config);
         db.take_stats();
-        let spilled = db.query(&w.cte).unwrap();
+        let spilled = db.query(&sql).unwrap();
         prop_assert_eq!(
             sorted_rows(&spilled),
             sorted_rows(&clean),

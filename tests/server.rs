@@ -106,6 +106,25 @@ fn protocol_round_trips_every_result_shape() {
         Reply::Error { code, .. } => assert_eq!(code, "table_not_found"),
         other => panic!("expected error, got {other:?}"),
     }
+    // 20 KB of parentheses is a parse error, not a stack overflow in the
+    // connection's thread — which would abort the process and take every
+    // session with it. This one and a second one both keep answering.
+    let deep = format!("SELECT {}1{}", "(".repeat(10_000), ")".repeat(10_000));
+    match c.query(&deep).unwrap() {
+        Reply::Error { code, message } => {
+            assert_eq!(code, "parse");
+            assert!(message.contains("nested"), "{message}");
+        }
+        other => panic!("expected error, got {other:?}"),
+    }
+    let mut second = Client::connect(server.local_addr()).unwrap();
+    for client in [&mut c, &mut second] {
+        match client.query("SELECT 1").unwrap() {
+            Reply::Rows { rows, .. } => assert_eq!(rows, vec![vec![Some("1".to_string())]]),
+            other => panic!("expected rows, got {other:?}"),
+        }
+    }
+    second.close().unwrap();
 
     c.close().unwrap();
     let db = Arc::clone(server.database());

@@ -7,10 +7,12 @@
 //! `EXPLAIN ANALYZE`.
 
 use spinner_engine::{
-    Database, EngineConfig, Error, FaultConfig, FaultKind, FaultSite, QueryGuard, RecoveryPolicy,
-    Value,
+    Database, EngineConfig, Error, FaultConfig, FaultKind, FaultSite, QueryGuard, Value,
 };
 use spinner_procedural::{pagerank, sssp};
+
+mod common;
+use common::{closure_cte, walk_cte};
 
 /// Fresh database with the toy cyclic graph the engine tests use.
 fn db_with_edges(config: EngineConfig) -> Database {
@@ -77,6 +79,8 @@ fn forced_spill_matches_in_memory_for_pagerank_and_sssp() {
         ("PR", pagerank(8, false).cte),
         ("SSSP", sssp(8, 1, false).cte),
         ("COUNT", counting_cte(8)),
+        ("CLOSURE", closure_cte()),
+        ("WALK", walk_cte(6)),
     ];
     for (name, sql) in workloads {
         let expected = db_with_edges(EngineConfig::default().with_spill_threshold_bytes(u64::MAX))
@@ -195,55 +199,56 @@ fn byte_budget_still_enforced_when_spill_cannot_help() {
 /// retryable-classified error — never a wrong answer or a hang.
 #[test]
 fn spill_fault_matrix_across_checkpoint_intervals() {
-    let sql = counting_cte(8);
-    let expected = db_with_edges(EngineConfig::default()).query(&sql).unwrap();
     let faults = [
         FaultConfig::fail_nth(FaultSite::SpillWrite, 1),
         FaultConfig::fail_nth(FaultSite::SpillWrite, 3),
         FaultConfig::fail_nth(FaultSite::SpillRead, 1),
         FaultConfig::fail_nth(FaultSite::SpillRead, 2),
     ];
-    for interval in [0u64, 1, 5] {
-        for fault in &faults {
-            let mut db = db_with_edges(EngineConfig::default());
-            db.set_config(
-                forced_spill()
-                    .with_checkpoint_interval(interval)
-                    .with_max_partition_retries(2)
-                    .with_max_loop_recoveries(3)
-                    .with_fault(fault.clone()),
-            )
-            .unwrap();
-            match db.query(&sql) {
-                Ok(batch) => assert_eq!(
-                    sorted_rows(&batch),
-                    sorted_rows(&expected),
-                    "interval={interval}, fault={fault:?}: WRONG rows"
-                ),
-                Err(
-                    e @ (Error::FaultInjected { .. }
-                    | Error::RecoveryExhausted { .. }
-                    | Error::SpillUnavailable { .. }
-                    | Error::StorageCorrupt { .. }),
-                ) => {
-                    // Typed failure is acceptable; silent corruption is not.
-                    drop(e);
+    for sql in [counting_cte(8), closure_cte(), walk_cte(6)] {
+        let expected = db_with_edges(EngineConfig::default()).query(&sql).unwrap();
+        for interval in [0u64, 1, 5] {
+            for fault in &faults {
+                let mut db = db_with_edges(EngineConfig::default());
+                db.set_config(
+                    forced_spill()
+                        .with_checkpoint_interval(interval)
+                        .with_max_partition_retries(2)
+                        .with_max_loop_recoveries(3)
+                        .with_fault(fault.clone()),
+                )
+                .unwrap();
+                match db.query(&sql) {
+                    Ok(batch) => assert_eq!(
+                        sorted_rows(&batch),
+                        sorted_rows(&expected),
+                        "interval={interval}, fault={fault:?}: WRONG rows: {sql}"
+                    ),
+                    Err(
+                        e @ (Error::FaultInjected { .. }
+                        | Error::RecoveryExhausted { .. }
+                        | Error::SpillUnavailable { .. }
+                        | Error::StorageCorrupt { .. }),
+                    ) => {
+                        // Typed failure is acceptable; silent corruption is not.
+                        drop(e);
+                    }
+                    Err(other) => panic!(
+                        "interval={interval}, fault={fault:?}: untyped failure {other:?}: {sql}"
+                    ),
                 }
-                Err(other) => {
-                    panic!("interval={interval}, fault={fault:?}: untyped failure {other:?}")
-                }
+                assert_eq!(db.temp_result_count(), 0);
+                // The database stays usable for the next statement.
+                let batch = db.query("SELECT COUNT(*) FROM edges").unwrap();
+                assert_eq!(batch.rows()[0][0], Value::Int(5));
             }
-            assert_eq!(db.temp_result_count(), 0);
-            // The database stays usable for the next statement.
-            let batch = db.query("SELECT COUNT(*) FROM edges").unwrap();
-            assert_eq!(batch.rows()[0][0], Value::Int(5));
         }
     }
 }
 
-/// A seeded spill-fault storm composed with the standard recovery
-/// policy: every seed must converge identically or fail typed, and at
-/// least some seeds must converge.
+/// A seeded spill-fault storm composed with every recovery rung on:
+/// every seed must converge identically or fail typed, and at least some
+/// seeds must converge.
 #[test]
 fn spill_fault_storm_with_recovery_policy_converges_or_fails_typed() {
     let sql = counting_cte(6);
@@ -253,7 +258,9 @@ fn spill_fault_storm_with_recovery_policy_converges_or_fails_typed() {
         let mut db = db_with_edges(EngineConfig::default());
         db.set_config(
             forced_spill()
-                .with_recovery(RecoveryPolicy::standard())
+                .with_checkpoint_interval(5)
+                .with_max_partition_retries(2)
+                .with_max_loop_recoveries(3)
                 .with_fault(FaultConfig::seeded(
                     FaultSite::SpillWrite,
                     FaultKind::Error,

@@ -12,8 +12,7 @@
 
 use proptest::prelude::*;
 use spinner_common::{
-    row_of, rows_approx_eq, EngineConfig, FaultConfig, FaultSite, RecoveryPolicy, Row, Value,
-    DEFAULT_TOLERANCE,
+    row_of, rows_approx_eq, EngineConfig, FaultConfig, FaultSite, Row, Value, DEFAULT_TOLERANCE,
 };
 use spinner_datagen::{
     load_edges_into, load_features_into, load_labeled_graph_into, load_points_into, oracle,
@@ -325,14 +324,10 @@ fn single_fault() -> impl Strategy<Value = FaultConfig> {
     })
 }
 
-/// Strategy: a recovery policy with every mechanism enabled.
-fn enabled_recovery_policy() -> impl Strategy<Value = RecoveryPolicy> {
-    (1u64..5, 1u64..3, 1u64..4).prop_map(|(interval, retries, recoveries)| RecoveryPolicy {
-        checkpoint_interval: interval,
-        max_partition_retries: retries,
-        retry_backoff_ms: 0,
-        max_loop_recoveries: recoveries,
-    })
+/// Strategy: every recovery mechanism enabled — (checkpoint interval,
+/// in-place retries, loop recoveries).
+fn enabled_recovery() -> impl Strategy<Value = (u64, u64, u64)> {
+    (1u64..5, 1u64..3, 1u64..4)
 }
 
 /// Load the shape's tables and run its query under `config`.
@@ -371,12 +366,14 @@ proptest! {
     fn workload_fault_spill_checkpoint_invariance(
         shape in 0usize..4,
         fault in single_fault(),
-        policy in enabled_recovery_policy(),
+        (interval, retries, recoveries) in enabled_recovery(),
         spill in any::<bool>(),
     ) {
         let clean = run_workload(shape, EngineConfig::default());
         let mut cfg = EngineConfig::default()
-            .with_recovery(policy)
+            .with_checkpoint_interval(interval)
+            .with_max_partition_retries(retries)
+            .with_max_loop_recoveries(recoveries)
             .with_fault(fault.clone());
         if spill {
             cfg = cfg.with_spill_threshold_bytes(1);
