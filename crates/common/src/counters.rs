@@ -357,6 +357,10 @@ counter_table! {
     rows_moved: Exec, Add, "moved";
     /// Rows copied to every partition by broadcast exchanges.
     rows_broadcast: Exec, Add, "broadcast";
+    /// Rows deep-copied by an exchange, gather or limit because their
+    /// source partition was shared (a base-table or temp snapshot); rows
+    /// of a partition the operator uniquely owns are moved instead.
+    rows_copied: Exec, Add, "copied";
     /// Rows written by Materialize steps.
     rows_materialized: Exec, Add, "materialized";
     /// Rename operations (O(1) pointer moves).
@@ -505,7 +509,7 @@ mod tests {
         let zero = StatsSnapshot::default().to_string();
         assert_eq!(
             zero,
-            "moved=0 broadcast=0 materialized=0 renames=0 merges=0 merge_examined=0 \
+            "moved=0 broadcast=0 copied=0 materialized=0 renames=0 merges=0 merge_examined=0 \
              iterations=0 updated=0 joins=0 faults=0"
         );
         for (i, def) in COUNTERS.iter().enumerate() {

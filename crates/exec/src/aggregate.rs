@@ -354,20 +354,22 @@ impl Accumulator {
         }
     }
 
-    /// Encode this accumulator as partial-state cells. Only valid for
-    /// non-DISTINCT accumulators (the planner never two-phases DISTINCT).
-    pub fn into_state(self) -> Vec<Value> {
+    /// Append this accumulator's partial-state cells to `cells`. Only
+    /// valid for non-DISTINCT accumulators (the planner never two-phases
+    /// DISTINCT).
+    pub fn into_state(self, cells: &mut Vec<Value>) {
         match self {
-            Accumulator::Count { n, .. } | Accumulator::CountStar { n } => vec![Value::Int(n)],
-            Accumulator::Sum { acc, .. } => vec![acc.unwrap_or(Value::Null)],
-            Accumulator::Min { acc } | Accumulator::Max { acc } => {
-                vec![acc.unwrap_or(Value::Null)]
+            Accumulator::Count { n, .. } | Accumulator::CountStar { n } => {
+                cells.push(Value::Int(n))
             }
-            Accumulator::Avg { sum, n, .. } => vec![Value::Float(sum), Value::Int(n)],
-            Accumulator::ArgExtreme { best, .. } => match best {
-                Some((k, v)) => vec![k, v],
-                None => vec![Value::Null, Value::Null],
-            },
+            Accumulator::Sum { acc, .. } | Accumulator::Min { acc } | Accumulator::Max { acc } => {
+                cells.push(acc.unwrap_or(Value::Null))
+            }
+            Accumulator::Avg { sum, n, .. } => cells.extend([Value::Float(sum), Value::Int(n)]),
+            Accumulator::ArgExtreme { best, .. } => {
+                let (k, v) = best.unwrap_or((Value::Null, Value::Null));
+                cells.extend([k, v]);
+            }
         }
     }
 
@@ -595,7 +597,8 @@ mod tests {
         a.update_pair(&Value::Int(7), &Value::Int(3)).unwrap();
         let mut b = Accumulator::new(&agg(AggFunc::ArgMin, false));
         b.update_pair(&Value::Int(8), &Value::Int(2)).unwrap();
-        let cells = b.clone().into_state();
+        let mut cells = Vec::new();
+        b.clone().into_state(&mut cells);
         assert_eq!(cells.len(), Accumulator::state_width(AggFunc::ArgMin));
         a.merge(b).unwrap();
         assert_eq!(a.clone().finish(), Value::Int(8));

@@ -33,12 +33,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use spinner_common::memory::{RegionId, RegionKind};
-use spinner_common::Value;
 use spinner_storage::{Partitioned, SpillEnv, TempRegistry};
 
-/// Per-partition build-side hash table: join key → row indices into the
-/// co-indexed partition of [`CachedBuild::build`].
-pub type JoinTable = HashMap<Vec<Value>, Vec<usize>>;
+use crate::keys::JoinTable;
 
 /// One cached loop-invariant build: the post-exchange partitioned rows
 /// and the hash tables over them, plus the identity of the source temp
@@ -48,7 +45,7 @@ pub struct CachedBuild {
     fingerprint: Vec<usize>,
     /// Build-side rows, already hash-repartitioned on the join keys.
     pub build: Partitioned,
-    /// One hash table per partition of `build`.
+    /// One key index per partition of `build`, over that partition's rows.
     pub tables: Vec<JoinTable>,
     /// Accountant region holding the build's bytes (None without a spill
     /// environment). Released on drop.
@@ -210,7 +207,11 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinner_common::{Row, Schema};
+    use spinner_common::{Row, Schema, Value};
+
+    fn empty_table() -> JoinTable {
+        JoinTable::build(&[], &[]).unwrap()
+    }
 
     fn toy(parts: Vec<Vec<i64>>) -> Partitioned {
         Partitioned {
@@ -237,7 +238,7 @@ mod tests {
         cache.insert(
             "__common_1",
             toy(vec![vec![1], vec![2]]),
-            vec![JoinTable::new(), JoinTable::new()],
+            vec![empty_table(), empty_table()],
             &registry,
             None,
         );
@@ -256,7 +257,7 @@ mod tests {
         cache.insert(
             "__common_1",
             toy(vec![vec![1]]),
-            vec![JoinTable::new()],
+            vec![empty_table()],
             &registry,
             None,
         );
@@ -276,7 +277,7 @@ mod tests {
         cache.insert(
             "__common_1",
             toy(vec![vec![1]]),
-            vec![JoinTable::new()],
+            vec![empty_table()],
             &registry,
             None,
         );
@@ -298,7 +299,7 @@ mod tests {
         cache.insert(
             "__common_2",
             toy(vec![vec![2]]),
-            vec![JoinTable::new()],
+            vec![empty_table()],
             &registry,
             None,
         );
@@ -315,7 +316,7 @@ mod tests {
         cache.insert(
             "__common_2",
             toy(vec![vec![1]]),
-            vec![JoinTable::new()],
+            vec![empty_table()],
             &registry,
             None,
         );

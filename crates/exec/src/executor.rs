@@ -23,14 +23,11 @@
 //! the registry, continue the driver at its iteration — fed by the
 //! statement's checkpoint store or by the dead process's journal.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use spinner_common::memory::{RegionKind, SpillRequest};
 use spinner_common::profile::{SpanKind, Tracer};
-use spinner_common::{
-    Batch, CounterSet, EngineConfig, Error, FaultSite, QueryGuard, Result, Row, Value,
-};
+use spinner_common::{Batch, CounterSet, EngineConfig, Error, FaultSite, QueryGuard, Result, Row};
 use spinner_plan::{LogicalPlan, LoopKind, LoopStep, PlanExpr, QueryPlan, Step, TerminationPlan};
 use spinner_storage::{
     Catalog, CheckpointStore, LoopCheckpoint, Partitioned, SpillEnv, TempRegistry,
@@ -38,6 +35,7 @@ use spinner_storage::{
 
 use crate::cache::JoinStateCache;
 use crate::fault::FaultInjector;
+use crate::keys::RowIndex;
 use crate::operators;
 use crate::physical::{create_physical_plan, ExchangeMode};
 use crate::pool::WorkerPool;
@@ -149,7 +147,10 @@ impl<'a> StatementContext<'a> {
         self.tracer
             .exit(result.total_rows() as u64, result.estimated_bytes());
         let schema = plan.root.schema();
-        Ok(Batch::new(schema, result.gather()))
+        Ok(Batch::new(
+            schema,
+            operators::gather_rows(result, usize::MAX, self),
+        ))
     }
 
     /// Execute a logical plan tree to a partitioned result.
@@ -254,6 +255,7 @@ impl<'a> StatementContext<'a> {
                     data = operators::exchange(
                         data,
                         &ExchangeMode::Hash(vec![PlanExpr::column(*col, "dist_key")]),
+                        usize::MAX,
                         self,
                     )?;
                 }
@@ -330,11 +332,13 @@ impl<'a> StatementContext<'a> {
         let cte_data = operators::exchange(
             self.registry.get(cte)?,
             &ExchangeMode::Hash(key_expr.clone()),
+            usize::MAX,
             self,
         )?;
         let work_data = operators::exchange(
             self.registry.get(working)?,
             &ExchangeMode::Hash(key_expr),
+            usize::MAX,
             self,
         )?;
         let mut out_parts: Vec<Arc<Vec<Row>>> = Vec::with_capacity(cte_data.parts.len());
@@ -342,18 +346,14 @@ impl<'a> StatementContext<'a> {
         let mut updated = 0u64;
         let mut examined = 0u64;
         for (cte_part, work_part) in cte_data.parts.iter().zip(&work_data.parts) {
-            let mut index: HashMap<&Value, &Row> = HashMap::with_capacity(work_part.len());
+            let mut index: RowIndex<&Row> = RowIndex::by_column(key, work_part.len());
             for row in work_part.iter() {
-                let k = &row[key];
-                if k.is_null() {
-                    // NULL keys can never match an existing row; skip them
-                    // like SQL equality would.
-                    continue;
-                }
-                if index.insert(k, row).is_some() {
+                // NULL keys can never match an existing row; skip them
+                // like SQL equality would.
+                if !row[key].is_null() && !index.insert(row, || row)?.1 {
                     return Err(Error::DuplicateIterationKey {
                         cte: cte_display_name.to_owned(),
-                        key: k.to_string(),
+                        key: row[key].to_string(),
                     });
                 }
             }
@@ -361,15 +361,15 @@ impl<'a> StatementContext<'a> {
             let mut delta_rows: Vec<Row> = Vec::new();
             for old in cte_part.iter() {
                 examined += 1;
-                match index.get(&old[key]) {
+                match index.find(old).map(|id| *index.get(id)) {
                     Some(new) => {
-                        if *new != old {
+                        if new != old {
                             updated += 1;
                             if delta_out.is_some() {
-                                delta_rows.push((*new).clone());
+                                delta_rows.push(new.clone());
                             }
                         }
-                        merged_rows.push((*new).clone());
+                        merged_rows.push(new.clone());
                     }
                     None => merged_rows.push(old.clone()),
                 }
@@ -519,7 +519,7 @@ impl<'a> StatementContext<'a> {
             let mut seen = match &l.kind {
                 LoopKind::FixedPoint {
                     union_all: false, ..
-                } => Some(row_set(&self.registry.get(&l.cte)?)),
+                } => Some(row_set(&self.registry.get(&l.cte)?)?),
                 _ => None,
             };
             let err = loop {
@@ -567,7 +567,7 @@ impl<'a> StatementContext<'a> {
         delta: Option<&str>,
         iteration: u64,
         cumulative_updates: u64,
-        seen: &mut Option<HashSet<Row>>,
+        seen: &mut Option<RowIndex<Row>>,
     ) -> Result<(bool, u64)> {
         self.faults.hit(FaultSite::LoopIteration)?;
         self.tracer.begin_iteration();
@@ -639,7 +639,7 @@ impl<'a> StatementContext<'a> {
         delta: Option<&str>,
         merge_updates: Option<u64>,
         previous: Option<&Partitioned>,
-        seen: &mut Option<HashSet<Row>>,
+        seen: &mut Option<RowIndex<Row>>,
     ) -> Result<u64> {
         match &l.kind {
             // Update semantics: the body's own merge/rename steps already
@@ -672,13 +672,17 @@ impl<'a> StatementContext<'a> {
         l: &LoopStep,
         working: &str,
         delta: &str,
-        seen: &mut Option<HashSet<Row>>,
+        seen: &mut Option<RowIndex<Row>>,
     ) -> Result<u64> {
         let produced = self.registry.get(working)?;
         let mut new_parts: Vec<Vec<Row>> = vec![Vec::new(); produced.parts.len()];
         for (new_rows, part) in new_parts.iter_mut().zip(&produced.parts) {
             for row in part.iter() {
-                if seen.as_mut().is_none_or(|set| set.insert(row.clone())) {
+                let is_new = match seen.as_mut() {
+                    Some(set) => set.insert(row, || row.clone())?.1,
+                    None => true,
+                };
+                if is_new {
                     new_rows.push(row.clone());
                 }
             }
@@ -894,30 +898,34 @@ fn count_matching(data: &Partitioned, predicate: &PlanExpr) -> Result<u64> {
 }
 
 /// Every row of `data`, as a set.
-fn row_set(data: &Partitioned) -> HashSet<Row> {
-    data.parts
-        .iter()
-        .flat_map(|part| part.iter().cloned())
-        .collect()
+fn row_set(data: &Partitioned) -> Result<RowIndex<Row>> {
+    let mut set = RowIndex::by_row(data.total_rows());
+    for row in data.parts.iter().flat_map(|part| part.iter()) {
+        set.insert(row, || row.clone())?;
+    }
+    Ok(set)
 }
 
 /// Number of rows in `current` that differ from the row with the same key
 /// in `previous` (new keys count as changed). This is the delta diff the
 /// rename path performs only when the termination condition requires it.
 fn diff_by_key(previous: &Partitioned, current: &Partitioned, key: usize) -> Result<u64> {
-    let mut index: HashMap<Value, &Row> = HashMap::with_capacity(previous.total_rows());
-    for part in &previous.parts {
-        for row in part.iter() {
-            index.insert(row[key].clone(), row);
-        }
+    // Should `previous` repeat a key, its last row is the one compared
+    // against: the index keeps a key's first insertion, so insert backwards.
+    let mut index: RowIndex<&Row> = RowIndex::by_column(key, previous.total_rows());
+    for row in previous
+        .parts
+        .iter()
+        .rev()
+        .flat_map(|part| part.iter().rev())
+    {
+        index.insert(row, || row)?;
     }
     let mut changed = 0u64;
-    for part in &current.parts {
-        for row in part.iter() {
-            match index.get(&row[key]) {
-                Some(old) if **old == *row => {}
-                _ => changed += 1,
-            }
+    for row in current.parts.iter().flat_map(|part| part.iter()) {
+        match index.find(row) {
+            Some(id) if *index.get(id) == row => {}
+            _ => changed += 1,
         }
     }
     Ok(changed)
@@ -927,7 +935,7 @@ fn diff_by_key(previous: &Partitioned, current: &Partitioned, key: usize) -> Res
 mod tests {
     use super::*;
     use spinner_common::SchemaRef;
-    use spinner_common::{row_of, DataType, Field, Schema};
+    use spinner_common::{row_of, DataType, Field, Schema, Value};
     use spinner_parser::parse_sql;
     use spinner_plan::builder::SchemaProvider;
     use spinner_plan::plan_query;

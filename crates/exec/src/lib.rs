@@ -26,6 +26,7 @@ pub mod aggregate;
 pub mod cache;
 pub mod executor;
 pub mod fault;
+pub mod keys;
 pub mod operators;
 pub mod physical;
 pub mod pool;

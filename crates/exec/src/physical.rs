@@ -536,22 +536,23 @@ pub fn create_physical_plan(plan: &LogicalPlan, config: &EngineConfig) -> Result
 /// in partition 0. Must agree with
 /// [`spinner_storage::partition_of`] for one-column keys so tables already
 /// distributed on a join key move no rows.
-pub fn partition_for_key(values: &[Value], parts: usize) -> Result<usize> {
+pub fn partition_for_key<'a>(
+    values: impl IntoIterator<Item = &'a Value>,
+    parts: usize,
+) -> Result<usize> {
     if parts == 0 {
         return Err(Error::execution("partition count must be positive"));
     }
-    match values {
-        [] => Ok(0),
-        [v] => {
-            if v.is_null() {
-                Ok(0)
-            } else {
-                Ok(spinner_storage::partition_of(v, parts))
-            }
-        }
-        many => {
+    let mut values = values.into_iter();
+    let Some(first) = values.next() else {
+        return Ok(0);
+    };
+    match values.next() {
+        None if first.is_null() => Ok(0),
+        None => Ok(spinner_storage::partition_of(first, parts)),
+        Some(second) => {
             let mut h = DefaultHasher::new();
-            for v in many {
+            for v in [first, second].into_iter().chain(values) {
                 v.hash(&mut h);
             }
             Ok((h.finish() % parts as u64) as usize)

@@ -6,6 +6,7 @@
 //! with NULL yield NULL, `AND`/`OR` use Kleene semantics, and predicates
 //! treat NULL as "do not keep".
 
+use std::borrow::Cow;
 use std::fmt;
 
 use spinner_common::{DataType, Error, Result, Schema, Value};
@@ -279,10 +280,16 @@ impl PlanExpr {
         }
     }
 
-    /// Evaluate against one input row.
-    pub fn evaluate(&self, row: &[Value]) -> Result<Value> {
+    /// Evaluate against one input row, borrowing where the value already
+    /// exists: a column reference yields the row's own cell and a literal
+    /// the plan's constant; only computed nodes own their result. This is
+    /// what operands, predicates, join and group keys and aggregate
+    /// arguments are read through, so a `Value` is cloned only where one
+    /// is kept.
+    #[inline]
+    pub fn evaluate_ref<'a>(&'a self, row: &'a [Value]) -> Result<Cow<'a, Value>> {
         match self {
-            PlanExpr::Column(c) => row.get(c.index).cloned().ok_or_else(|| {
+            PlanExpr::Column(c) => row.get(c.index).map(Cow::Borrowed).ok_or_else(|| {
                 Error::execution(format!(
                     "column index {} ('{}') out of bounds for row of width {}",
                     c.index,
@@ -290,16 +297,26 @@ impl PlanExpr {
                     row.len()
                 ))
             }),
-            PlanExpr::Literal(v) => Ok(v.clone()),
+            PlanExpr::Literal(v) => Ok(Cow::Borrowed(v)),
+            computed => computed.evaluate(row).map(Cow::Owned),
+        }
+    }
+
+    /// Evaluate against one input row.
+    pub fn evaluate(&self, row: &[Value]) -> Result<Value> {
+        match self {
+            PlanExpr::Column(_) | PlanExpr::Literal(_) => {
+                self.evaluate_ref(row).map(Cow::into_owned)
+            }
             PlanExpr::Binary { left, op, right } => eval_binary(*op, left, right, row),
             PlanExpr::Unary { op, expr } => {
-                let v = expr.evaluate(row)?;
+                let v = expr.evaluate_ref(row)?;
                 match op {
                     UnaryOp::Not => Ok(match v.as_bool()? {
                         Some(b) => Value::Bool(!b),
                         None => Value::Null,
                     }),
-                    UnaryOp::Minus => match v {
+                    UnaryOp::Minus => match &*v {
                         Value::Null => Ok(Value::Null),
                         Value::Int(i) => Ok(Value::Int(i.checked_neg().ok_or_else(|| {
                             Error::Arithmetic("integer negation overflow".into())
@@ -310,7 +327,7 @@ impl PlanExpr {
                             other.data_type()
                         ))),
                     },
-                    UnaryOp::Plus => Ok(v),
+                    UnaryOp::Plus => Ok(v.into_owned()),
                 }
             }
             PlanExpr::Scalar { func, args } => eval_scalar(*func, args, row),
@@ -319,7 +336,7 @@ impl PlanExpr {
                 else_expr,
             } => {
                 for (when, then) in branches {
-                    if when.evaluate(row)?.as_bool()? == Some(true) {
+                    if when.matches(row)? {
                         return then.evaluate(row);
                     }
                 }
@@ -328,9 +345,9 @@ impl PlanExpr {
                     None => Ok(Value::Null),
                 }
             }
-            PlanExpr::Cast { expr, to } => expr.evaluate(row)?.cast(*to),
+            PlanExpr::Cast { expr, to } => expr.evaluate_ref(row)?.cast(*to),
             PlanExpr::IsNull { expr, negated } => {
-                let is_null = expr.evaluate(row)?.is_null();
+                let is_null = expr.evaluate_ref(row)?.is_null();
                 Ok(Value::Bool(is_null != *negated))
             }
             PlanExpr::InList {
@@ -338,13 +355,13 @@ impl PlanExpr {
                 list,
                 negated,
             } => {
-                let v = expr.evaluate(row)?;
+                let v = expr.evaluate_ref(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut saw_null = false;
                 for item in list {
-                    let iv = item.evaluate(row)?;
+                    let iv = item.evaluate_ref(row)?;
                     match v.sql_eq(&iv) {
                         Some(true) => return Ok(Value::Bool(!*negated)),
                         Some(false) => {}
@@ -362,7 +379,19 @@ impl PlanExpr {
 
     /// Evaluate as a filter predicate: NULL counts as "drop the row".
     pub fn matches(&self, row: &[Value]) -> Result<bool> {
-        Ok(self.evaluate(row)?.as_bool()? == Some(true))
+        Ok(self.truth(row)? == Some(true))
+    }
+
+    /// Three-valued truth of this expression (`None` for NULL). A
+    /// comparison or `AND`/`OR` answers directly, without building the
+    /// `Value::Bool` its [`evaluate`](Self::evaluate) would.
+    fn truth(&self, row: &[Value]) -> Result<Option<bool>> {
+        match self {
+            PlanExpr::Binary { left, op, right } if !is_arithmetic(*op) => {
+                truth_binary(*op, left, right, row)
+            }
+            other => other.evaluate_ref(row)?.as_bool(),
+        }
     }
 
     /// Static result type given the input schema.
@@ -565,43 +594,57 @@ impl PlanExpr {
     }
 }
 
+fn is_arithmetic(op: BinaryOp) -> bool {
+    use BinaryOp::*;
+    matches!(op, Plus | Minus | Multiply | Divide | Modulo)
+}
+
 fn eval_binary(op: BinaryOp, left: &PlanExpr, right: &PlanExpr, row: &[Value]) -> Result<Value> {
+    if is_arithmetic(op) {
+        eval_arithmetic(op, &*left.evaluate_ref(row)?, &*right.evaluate_ref(row)?)
+    } else {
+        truth_binary(op, left, right, row).map(bool3)
+    }
+}
+
+/// Three-valued result of a comparison or of `AND`/`OR`.
+fn truth_binary(
+    op: BinaryOp,
+    left: &PlanExpr,
+    right: &PlanExpr,
+    row: &[Value],
+) -> Result<Option<bool>> {
     // Kleene logic needs lazy/short-circuit handling per operand nullness.
     if matches!(op, BinaryOp::And | BinaryOp::Or) {
-        let l = left.evaluate(row)?.as_bool()?;
+        let l = left.truth(row)?;
         // Short-circuit where the left side decides.
         match (op, l) {
-            (BinaryOp::And, Some(false)) => return Ok(Value::Bool(false)),
-            (BinaryOp::Or, Some(true)) => return Ok(Value::Bool(true)),
+            (BinaryOp::And, Some(false)) => return Ok(Some(false)),
+            (BinaryOp::Or, Some(true)) => return Ok(Some(true)),
             _ => {}
         }
-        let r = right.evaluate(row)?.as_bool()?;
+        let r = right.truth(row)?;
         return Ok(match (op, l, r) {
-            (BinaryOp::And, Some(true), Some(b)) => Value::Bool(b),
-            (BinaryOp::And, Some(b), Some(true)) => Value::Bool(b),
-            (BinaryOp::And, _, Some(false)) | (BinaryOp::And, Some(false), _) => Value::Bool(false),
-            (BinaryOp::Or, Some(false), Some(b)) => Value::Bool(b),
-            (BinaryOp::Or, Some(b), Some(false)) => Value::Bool(b),
-            (BinaryOp::Or, _, Some(true)) | (BinaryOp::Or, Some(true), _) => Value::Bool(true),
-            _ => Value::Null,
+            (BinaryOp::And, Some(true), Some(b)) => Some(b),
+            (BinaryOp::And, Some(b), Some(true)) => Some(b),
+            (BinaryOp::And, _, Some(false)) | (BinaryOp::And, Some(false), _) => Some(false),
+            (BinaryOp::Or, Some(false), Some(b)) => Some(b),
+            (BinaryOp::Or, Some(b), Some(false)) => Some(b),
+            (BinaryOp::Or, _, Some(true)) | (BinaryOp::Or, Some(true), _) => Some(true),
+            _ => None,
         });
     }
-    let l = left.evaluate(row)?;
-    let r = right.evaluate(row)?;
-    match op {
-        BinaryOp::Plus
-        | BinaryOp::Minus
-        | BinaryOp::Multiply
-        | BinaryOp::Divide
-        | BinaryOp::Modulo => eval_arithmetic(op, &l, &r),
-        BinaryOp::Eq => Ok(bool3(l.sql_eq(&r))),
-        BinaryOp::NotEq => Ok(bool3(l.sql_eq(&r).map(|b| !b))),
-        BinaryOp::Lt => Ok(bool3(l.sql_cmp(&r).map(|o| o.is_lt()))),
-        BinaryOp::LtEq => Ok(bool3(l.sql_cmp(&r).map(|o| o.is_le()))),
-        BinaryOp::Gt => Ok(bool3(l.sql_cmp(&r).map(|o| o.is_gt()))),
-        BinaryOp::GtEq => Ok(bool3(l.sql_cmp(&r).map(|o| o.is_ge()))),
-        BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
-    }
+    let l = left.evaluate_ref(row)?;
+    let r = right.evaluate_ref(row)?;
+    Ok(match op {
+        BinaryOp::Eq => l.sql_eq(&r),
+        BinaryOp::NotEq => l.sql_eq(&r).map(|b| !b),
+        BinaryOp::Lt => l.sql_cmp(&r).map(|o| o.is_lt()),
+        BinaryOp::LtEq => l.sql_cmp(&r).map(|o| o.is_le()),
+        BinaryOp::Gt => l.sql_cmp(&r).map(|o| o.is_gt()),
+        BinaryOp::GtEq => l.sql_cmp(&r).map(|o| o.is_ge()),
+        _ => unreachable!("arithmetic is evaluated, not tested"),
+    })
 }
 
 fn bool3(b: Option<bool>) -> Value {
@@ -673,18 +716,18 @@ fn eval_scalar(func: ScalarFn, args: &[PlanExpr], row: &[Value]) -> Result<Value
     match func {
         ScalarFn::Coalesce => {
             for a in args {
-                let v = a.evaluate(row)?;
+                let v = a.evaluate_ref(row)?;
                 if !v.is_null() {
-                    return Ok(v);
+                    return Ok(v.into_owned());
                 }
             }
             Ok(Value::Null)
         }
         ScalarFn::Least | ScalarFn::Greatest => {
             // SQL LEAST/GREATEST ignore NULL arguments.
-            let mut best: Option<Value> = None;
+            let mut best: Option<Cow<'_, Value>> = None;
             for a in args {
-                let v = a.evaluate(row)?;
+                let v = a.evaluate_ref(row)?;
                 if v.is_null() {
                     continue;
                 }
@@ -703,21 +746,21 @@ fn eval_scalar(func: ScalarFn, args: &[PlanExpr], row: &[Value]) -> Result<Value
                     }
                 });
             }
-            Ok(best.unwrap_or(Value::Null))
+            Ok(best.map_or(Value::Null, Cow::into_owned))
         }
         ScalarFn::NullIf => {
-            let a = args[0].evaluate(row)?;
-            let b = args[1].evaluate(row)?;
+            let a = args[0].evaluate_ref(row)?;
+            let b = args[1].evaluate_ref(row)?;
             if a.sql_eq(&b) == Some(true) {
                 Ok(Value::Null)
             } else {
-                Ok(a)
+                Ok(a.into_owned())
             }
         }
         ScalarFn::Concat => {
             let mut s = String::new();
             for a in args {
-                let v = a.evaluate(row)?;
+                let v = a.evaluate_ref(row)?;
                 if !v.is_null() {
                     s.push_str(&v.to_string());
                 }
@@ -725,7 +768,7 @@ fn eval_scalar(func: ScalarFn, args: &[PlanExpr], row: &[Value]) -> Result<Value
             Ok(Value::Text(s))
         }
         _ => {
-            let v0 = args[0].evaluate(row)?;
+            let v0 = args[0].evaluate_ref(row)?;
             if v0.is_null() {
                 return Ok(Value::Null);
             }
@@ -735,7 +778,7 @@ fn eval_scalar(func: ScalarFn, args: &[PlanExpr], row: &[Value]) -> Result<Value
                 ScalarFn::Round => {
                     let digits = match args.get(1) {
                         Some(d) => {
-                            let dv = d.evaluate(row)?;
+                            let dv = d.evaluate_ref(row)?;
                             if dv.is_null() {
                                 return Ok(Value::Null);
                             }
@@ -746,7 +789,7 @@ fn eval_scalar(func: ScalarFn, args: &[PlanExpr], row: &[Value]) -> Result<Value
                     let factor = 10f64.powi(digits as i32);
                     Ok(Value::Float((v0.as_f64()? * factor).round() / factor))
                 }
-                ScalarFn::Abs => match v0 {
+                ScalarFn::Abs => match &*v0 {
                     Value::Int(i) => {
                         Ok(Value::Int(i.checked_abs().ok_or_else(|| {
                             Error::Arithmetic("integer overflow in abs".into())
@@ -755,7 +798,7 @@ fn eval_scalar(func: ScalarFn, args: &[PlanExpr], row: &[Value]) -> Result<Value
                     other => Ok(Value::Float(other.as_f64()?.abs())),
                 },
                 ScalarFn::Mod => {
-                    let v1 = args[1].evaluate(row)?;
+                    let v1 = args[1].evaluate_ref(row)?;
                     eval_arithmetic(BinaryOp::Modulo, &v0, &v1)
                 }
                 ScalarFn::Sqrt => {
@@ -774,7 +817,7 @@ fn eval_scalar(func: ScalarFn, args: &[PlanExpr], row: &[Value]) -> Result<Value
                     Ok(Value::Float(f.ln()))
                 }
                 ScalarFn::Power => {
-                    let v1 = args[1].evaluate(row)?;
+                    let v1 = args[1].evaluate_ref(row)?;
                     if v1.is_null() {
                         return Ok(Value::Null);
                     }
@@ -870,32 +913,146 @@ mod tests {
         vals.to_vec()
     }
 
+    /// `evaluate`, cross-checked on every call against the borrowed
+    /// evaluation and the predicate view: the three must agree on each
+    /// shape these tests build, error cases included.
+    trait Checked {
+        fn eval(&self, row: &[Value]) -> Result<Value>;
+    }
+
+    impl Checked for PlanExpr {
+        fn eval(&self, row: &[Value]) -> Result<Value> {
+            let owned = self.evaluate(row);
+            let borrowed = self.evaluate_ref(row).map(Cow::into_owned);
+            assert_eq!(format!("{owned:?}"), format!("{borrowed:?}"), "{self}");
+            let kept = owned.clone().and_then(|v| Ok(v.as_bool()? == Some(true)));
+            assert_eq!(format!("{kept:?}"), format!("{:?}", self.matches(row)));
+            owned
+        }
+    }
+
+    #[test]
+    fn borrowed_evaluation_reads_cells_in_place() {
+        let cells = row(&[Value::Text("a".into()), Value::Int(2), Value::Null]);
+        let col = PlanExpr::column(0, "t");
+        assert!(
+            matches!(col.evaluate_ref(&cells), Ok(Cow::Borrowed(v)) if std::ptr::eq(v, &cells[0]))
+        );
+        let lit = PlanExpr::literal("a");
+        assert!(matches!(lit.evaluate_ref(&cells), Ok(Cow::Borrowed(_))));
+        let b = |i: usize| Box::new(PlanExpr::column(i, "c"));
+        let shapes = vec![
+            col.clone().binary(BinaryOp::Eq, lit.clone()),
+            PlanExpr::column(1, "n").binary(BinaryOp::Plus, PlanExpr::column(1, "n")),
+            PlanExpr::column(1, "n").binary(BinaryOp::Lt, PlanExpr::column(2, "null")),
+            // Errors: a missing column under an operator, text arithmetic,
+            // a non-boolean predicate.
+            PlanExpr::column(1, "n").binary(BinaryOp::Plus, PlanExpr::column(9, "missing")),
+            col.clone()
+                .binary(BinaryOp::Minus, PlanExpr::column(1, "n")),
+            PlanExpr::column(1, "n").binary(BinaryOp::And, PlanExpr::literal(true)),
+            PlanExpr::Unary {
+                op: UnaryOp::Minus,
+                expr: b(1),
+            },
+            PlanExpr::Unary {
+                op: UnaryOp::Minus,
+                expr: b(0),
+            },
+            PlanExpr::Unary {
+                op: UnaryOp::Plus,
+                expr: b(0),
+            },
+            PlanExpr::Unary {
+                op: UnaryOp::Not,
+                expr: b(2),
+            },
+            PlanExpr::Cast {
+                expr: b(1),
+                to: DataType::Text,
+            },
+            PlanExpr::Cast {
+                expr: b(0),
+                to: DataType::Int,
+            },
+            PlanExpr::IsNull {
+                expr: b(2),
+                negated: false,
+            },
+            PlanExpr::IsNull {
+                expr: b(9),
+                negated: true,
+            },
+            PlanExpr::InList {
+                expr: b(1),
+                list: vec![PlanExpr::column(2, "null"), PlanExpr::literal(2.0)],
+                negated: true,
+            },
+            PlanExpr::Case {
+                branches: vec![(
+                    col.clone().binary(BinaryOp::Eq, lit.clone()),
+                    PlanExpr::column(1, "n"),
+                )],
+                else_expr: Some(b(0)),
+            },
+            PlanExpr::Scalar {
+                func: ScalarFn::Coalesce,
+                args: vec![PlanExpr::column(2, "null"), col.clone()],
+            },
+            PlanExpr::Scalar {
+                func: ScalarFn::Greatest,
+                args: vec![PlanExpr::column(1, "n"), PlanExpr::literal(1.5)],
+            },
+            PlanExpr::Scalar {
+                func: ScalarFn::NullIf,
+                args: vec![col.clone(), lit.clone()],
+            },
+            PlanExpr::Scalar {
+                func: ScalarFn::Concat,
+                args: vec![col.clone(), PlanExpr::column(1, "n")],
+            },
+            PlanExpr::Scalar {
+                func: ScalarFn::Abs,
+                args: vec![PlanExpr::column(1, "n")],
+            },
+            PlanExpr::Scalar {
+                func: ScalarFn::Upper,
+                args: vec![col],
+            },
+        ];
+        let mut errors = 0;
+        for e in &shapes {
+            errors += usize::from(e.eval(&cells).is_err());
+        }
+        assert_eq!(errors, 6, "the error shapes fail, identically both ways");
+    }
+
     #[test]
     fn arithmetic_int_and_float() {
         let e = PlanExpr::literal(2i64).binary(BinaryOp::Plus, PlanExpr::literal(3i64));
-        assert_eq!(e.evaluate(&[]).unwrap(), Value::Int(5));
+        assert_eq!(e.eval(&[]).unwrap(), Value::Int(5));
         let e = PlanExpr::literal(2i64).binary(BinaryOp::Multiply, PlanExpr::literal(1.5));
-        assert_eq!(e.evaluate(&[]).unwrap(), Value::Float(3.0));
+        assert_eq!(e.eval(&[]).unwrap(), Value::Float(3.0));
     }
 
     #[test]
     fn division_by_zero_is_error() {
         let e = PlanExpr::literal(1i64).binary(BinaryOp::Divide, PlanExpr::literal(0i64));
-        assert!(matches!(e.evaluate(&[]), Err(Error::Arithmetic(_))));
+        assert!(matches!(e.eval(&[]), Err(Error::Arithmetic(_))));
         let e = PlanExpr::literal(1.0).binary(BinaryOp::Divide, PlanExpr::literal(0.0));
-        assert!(matches!(e.evaluate(&[]), Err(Error::Arithmetic(_))));
+        assert!(matches!(e.eval(&[]), Err(Error::Arithmetic(_))));
     }
 
     #[test]
     fn integer_overflow_detected() {
         let e = PlanExpr::literal(i64::MAX).binary(BinaryOp::Plus, PlanExpr::literal(1i64));
-        assert!(matches!(e.evaluate(&[]), Err(Error::Arithmetic(_))));
+        assert!(matches!(e.eval(&[]), Err(Error::Arithmetic(_))));
     }
 
     #[test]
     fn null_propagates_through_arithmetic() {
         let e = PlanExpr::Literal(Value::Null).binary(BinaryOp::Plus, PlanExpr::literal(1i64));
-        assert!(e.evaluate(&[]).unwrap().is_null());
+        assert!(e.eval(&[]).unwrap().is_null());
     }
 
     #[test]
@@ -907,7 +1064,7 @@ mod tests {
         assert_eq!(
             f.clone()
                 .binary(BinaryOp::And, null.clone())
-                .evaluate(&[])
+                .eval(&[])
                 .unwrap(),
             Value::Bool(false)
         );
@@ -915,7 +1072,7 @@ mod tests {
         assert_eq!(
             null.clone()
                 .binary(BinaryOp::And, f.clone())
-                .evaluate(&[])
+                .eval(&[])
                 .unwrap(),
             Value::Bool(false)
         );
@@ -923,7 +1080,7 @@ mod tests {
         assert_eq!(
             t.clone()
                 .binary(BinaryOp::Or, null.clone())
-                .evaluate(&[])
+                .eval(&[])
                 .unwrap(),
             Value::Bool(true)
         );
@@ -931,7 +1088,7 @@ mod tests {
         assert!(null
             .clone()
             .binary(BinaryOp::Or, null)
-            .evaluate(&[])
+            .eval(&[])
             .unwrap()
             .is_null());
     }
@@ -939,7 +1096,7 @@ mod tests {
     #[test]
     fn comparisons_with_null_are_null() {
         let e = PlanExpr::Literal(Value::Null).binary(BinaryOp::Eq, PlanExpr::literal(1i64));
-        assert!(e.evaluate(&[]).unwrap().is_null());
+        assert!(e.eval(&[]).unwrap().is_null());
         assert!(!e.matches(&[]).unwrap());
     }
 
@@ -953,12 +1110,12 @@ mod tests {
                 PlanExpr::literal(3i64),
             ],
         };
-        assert_eq!(e.evaluate(&[]).unwrap(), Value::Int(3));
+        assert_eq!(e.eval(&[]).unwrap(), Value::Int(3));
         let e = PlanExpr::Scalar {
             func: ScalarFn::Greatest,
             args: vec![PlanExpr::Literal(Value::Null)],
         };
-        assert!(e.evaluate(&[]).unwrap().is_null());
+        assert!(e.eval(&[]).unwrap().is_null());
     }
 
     #[test]
@@ -967,7 +1124,7 @@ mod tests {
             func: ScalarFn::Coalesce,
             args: vec![PlanExpr::Literal(Value::Null), PlanExpr::literal(9i64)],
         };
-        assert_eq!(e.evaluate(&[]).unwrap(), Value::Int(9));
+        assert_eq!(e.eval(&[]).unwrap(), Value::Int(9));
     }
 
     #[test]
@@ -976,7 +1133,7 @@ mod tests {
             func: ScalarFn::Round,
             args: vec![PlanExpr::literal(2.34567), PlanExpr::literal(2i64)],
         };
-        assert_eq!(e.evaluate(&[]).unwrap(), Value::Float(2.35));
+        assert_eq!(e.eval(&[]).unwrap(), Value::Float(2.35));
     }
 
     #[test]
@@ -986,7 +1143,7 @@ mod tests {
             func: ScalarFn::Ceiling,
             args: vec![PlanExpr::literal(4.2)],
         };
-        assert_eq!(e.evaluate(&[]).unwrap(), Value::Int(5));
+        assert_eq!(e.eval(&[]).unwrap(), Value::Int(5));
     }
 
     #[test]
@@ -996,7 +1153,7 @@ mod tests {
             args: vec![PlanExpr::literal(17i64), PlanExpr::literal(5i64)],
         };
         let o = PlanExpr::literal(17i64).binary(BinaryOp::Modulo, PlanExpr::literal(5i64));
-        assert_eq!(f.evaluate(&[]).unwrap(), o.evaluate(&[]).unwrap());
+        assert_eq!(f.eval(&[]).unwrap(), o.eval(&[]).unwrap());
     }
 
     #[test]
@@ -1005,7 +1162,7 @@ mod tests {
             branches: vec![(PlanExpr::literal(false), PlanExpr::literal(1i64))],
             else_expr: None,
         };
-        assert!(e.evaluate(&[]).unwrap().is_null());
+        assert!(e.eval(&[]).unwrap().is_null());
     }
 
     #[test]
@@ -1016,24 +1173,24 @@ mod tests {
             list: vec![PlanExpr::literal(2i64), PlanExpr::Literal(Value::Null)],
             negated: false,
         };
-        assert!(e.evaluate(&[]).unwrap().is_null());
+        assert!(e.eval(&[]).unwrap().is_null());
         // 2 IN (2, NULL) => true
         let e = PlanExpr::InList {
             expr: Box::new(PlanExpr::literal(2i64)),
             list: vec![PlanExpr::literal(2i64), PlanExpr::Literal(Value::Null)],
             negated: false,
         };
-        assert_eq!(e.evaluate(&[]).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval(&[]).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn column_reads_row() {
         let e = PlanExpr::column(1, "b");
         assert_eq!(
-            e.evaluate(&row(&[Value::Int(1), Value::Int(2)])).unwrap(),
+            e.eval(&row(&[Value::Int(1), Value::Int(2)])).unwrap(),
             Value::Int(2)
         );
-        assert!(e.evaluate(&row(&[Value::Int(1)])).is_err());
+        assert!(e.eval(&row(&[Value::Int(1)])).is_err());
     }
 
     #[test]
@@ -1056,6 +1213,6 @@ mod tests {
             func: ScalarFn::NullIf,
             args: vec![PlanExpr::literal(3i64), PlanExpr::literal(3i64)],
         };
-        assert!(e.evaluate(&[]).unwrap().is_null());
+        assert!(e.eval(&[]).unwrap().is_null());
     }
 }

@@ -49,11 +49,30 @@ impl Partitioned {
 
     /// Gather every partition's rows into one vector (clone of the rows).
     pub fn gather(&self) -> Vec<Row> {
-        let mut out = Vec::with_capacity(self.total_rows());
-        for p in &self.parts {
-            out.extend(p.iter().cloned());
+        self.clone().take_rows(usize::MAX).0
+    }
+
+    /// The first `limit` rows in partition order (`usize::MAX` gathers
+    /// them all), consuming the row set: rows of a partition this value
+    /// uniquely owns are moved out, rows of a shared one (a base-table or
+    /// temp snapshot) are cloned. Returns the rows and how many of them
+    /// were cloned.
+    pub fn take_rows(self, limit: usize) -> (Vec<Row>, u64) {
+        let wanted = self.total_rows().min(limit);
+        let mut out = Vec::with_capacity(wanted);
+        let mut copied = 0u64;
+        for part in self.parts {
+            let room = wanted - out.len();
+            match Arc::try_unwrap(part) {
+                Ok(rows) => out.extend(rows.into_iter().take(room)),
+                Err(shared) => {
+                    let n = shared.len().min(room);
+                    out.extend_from_slice(&shared[..n]);
+                    copied += n as u64;
+                }
+            }
         }
-        out
+        (out, copied)
     }
 
     /// Build from a flat row vector by hashing column `key` into `parts`
@@ -165,5 +184,47 @@ mod tests {
         let mut gathered = p.gather();
         gathered.sort();
         assert_eq!(gathered, rows);
+    }
+
+    #[test]
+    fn take_rows_moves_owned_partitions_and_copies_shared_ones() {
+        let schema = std::sync::Arc::new(Schema::new(vec![Field::new("k", DataType::Int)]));
+        let owned = Partitioned::from_rows(schema, rows_with_keys(&[1, 2, 3, 4, 5, 6]), None, 3);
+        let expected = owned.gather();
+        let before: Vec<*const Value> = owned
+            .parts
+            .iter()
+            .flat_map(|p| p.iter().map(|r| r.as_ptr()))
+            .collect();
+        let shared = owned.clone();
+        // Shared with `owned`: every row is cloned, the source is intact.
+        let (rows, copied) = shared.take_rows(usize::MAX);
+        assert_eq!((rows, copied), (expected.clone(), 6));
+        assert_eq!(owned.gather(), expected);
+        // Now the only owner: rows move (same heap cells), none is cloned.
+        let (rows, copied) = owned.take_rows(usize::MAX);
+        assert_eq!(copied, 0);
+        assert_eq!(rows.iter().map(|r| r.as_ptr()).collect::<Vec<_>>(), before);
+        assert_eq!(rows, expected);
+    }
+
+    #[test]
+    fn take_rows_stops_at_the_limit_in_partition_order() {
+        let schema = std::sync::Arc::new(Schema::new(vec![Field::new("k", DataType::Int)]));
+        let p = Partitioned::from_rows(schema, rows_with_keys(&[1, 2, 3, 4, 5, 6]), None, 3);
+        let all = p.gather();
+        let shared = p.clone();
+        for limit in [0, 1, 2, 3, 6, 9] {
+            let (rows, copied) = shared.clone().take_rows(limit);
+            assert_eq!(rows, all[..limit.min(6)]);
+            assert_eq!(
+                copied,
+                limit.min(6) as u64,
+                "only the rows taken are cloned"
+            );
+        }
+        drop(shared);
+        let (rows, copied) = p.take_rows(3);
+        assert_eq!((rows.as_slice(), copied), (&all[..3], 0));
     }
 }

@@ -1,0 +1,102 @@
+//! Heap allocations per statement, against a budget.
+//!
+//! A count, not a timing: it reads the same on this box in its worst hour
+//! as in its best, and it fails the day someone reintroduces a per-row
+//! `Vec` on the executor's hot path — a key vector per routed, joined or
+//! grouped row, a deep copy of every row an exchange forwards, a gathered
+//! copy of a table to return one row of it. The budgets are what the
+//! statements take today (714,832 / 411,467 / 138 / 86) plus 5 %; before
+//! the key facility they took 3,931,418 / 1,901,903 / 147 / 42,082.
+//!
+//! This file is its own test binary with one `#[test]`, because the
+//! counting allocator is process-wide: a second test running beside it
+//! would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use spinner_common::{DataType, Field, Schema};
+use spinner_datagen::DatasetPreset;
+use spinner_engine::{Database, EngineConfig};
+use spinner_procedural::{pagerank, sssp_convergent};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter beside it touches no memory the allocator manages.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through the methods of this impl.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`, and the caller upholds `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations (and reallocations) of the second of two runs of `sql`:
+/// the first fills whatever is lazily set up.
+fn counted(db: &Database, sql: &str) -> u64 {
+    db.query(sql).unwrap();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    db.query(sql).unwrap();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn statements_stay_within_their_allocation_budgets() {
+    // spinbench's engine and data: 2 partitions run one after the other on
+    // this thread, nothing on disk (whatever SPINNER_SPILL_* says), and the
+    // 6,341-node / 20,995-edge share of the DBLP graph, distributed on `dst`.
+    let mut config = EngineConfig::default()
+        .with_partitions(2)
+        .with_parallel_partitions(false);
+    config.spill_threshold_bytes = None;
+    config.spill_dir = None;
+    let db = Database::new(config).unwrap();
+    let mut spec = DatasetPreset::Dblp.spec(0.02);
+    spec.seed = 1;
+    let schema = Schema::new(vec![
+        Field::new("src", DataType::Int),
+        Field::new("dst", DataType::Int),
+        Field::new("weight", DataType::Float),
+    ]);
+    db.create_table_from_rows("edges", schema, spec.generate_normalized(), None, Some(1))
+        .unwrap();
+
+    let budgets = [
+        ("PageRank, 10 iterations", pagerank(10, false).cte, 750_000),
+        ("SSSP to a fixpoint", sssp_convergent(1, None).cte, 432_000),
+        (
+            "point lookup",
+            "SELECT dst, weight FROM edges WHERE src = 17".to_string(),
+            145,
+        ),
+        ("LIMIT 1", "SELECT * FROM edges LIMIT 1".to_string(), 90),
+    ];
+    let mut over = Vec::new();
+    for (name, sql, budget) in budgets {
+        let allocations = counted(&db, &sql);
+        println!("{name}: {allocations} allocations (budget {budget})");
+        if allocations > budget {
+            over.push(name);
+        }
+    }
+    assert!(over.is_empty(), "over budget: {over:?}");
+    // The last statement returned one row of 20,995 and copied one.
+    assert_eq!(db.stats().rows_copied, 1);
+}
