@@ -10,6 +10,7 @@
 
 pub mod admission;
 pub mod approx;
+pub mod column;
 pub mod config;
 pub mod counters;
 pub mod error;
@@ -24,6 +25,7 @@ pub use admission::{
     AdmissionController, AdmissionPermit, AdmissionSnapshot, MemoryGate, QueryClass,
 };
 pub use approx::{floats_approx_eq, rows_approx_eq, values_approx_eq, DEFAULT_TOLERANCE};
+pub use column::{Block, Column, Nulls, NO_ROW};
 pub use config::{EngineConfig, FaultConfig, FaultKind, FaultSite, FaultTrigger};
 pub use counters::{CounterBlock, CounterSet, StatsSnapshot};
 pub use error::{Error, ErrorClass, Result};
@@ -35,4 +37,4 @@ pub use memory::{
 pub use profile::{IterationProfile, ProfileNode, QueryProfile, RecoveryProfile, SpanKind, Tracer};
 pub use row::{batch_of, row_of, Batch, Row};
 pub use schema::{Field, Schema, SchemaRef};
-pub use value::{DataType, Value};
+pub use value::{Cell, DataType, Value};

@@ -1,10 +1,10 @@
-//! Row and batch representation.
+//! Row and batch representation: the engine's edges.
 //!
-//! The executor is row-oriented: a [`Row`] is a boxed slice of values, a
-//! [`Batch`] couples a vector of rows with their schema. Intermediate
-//! results in DBSpinner are fully materialized between plan steps (paper
-//! §III, Table I), so batches are the unit the `materialize`, `rename` and
-//! `loop` operators act on.
+//! A [`Row`] is a boxed slice of values, a [`Batch`] couples a vector of
+//! rows with their schema. Rows are what a statement takes in (bulk load,
+//! `INSERT`, `VALUES`) and hands back (the result batch); between those
+//! edges the executor works on column [`Block`](crate::Block)s, which are
+//! what the `materialize`, `rename` and `loop` operators act on.
 
 use std::sync::Arc;
 

@@ -180,11 +180,63 @@ impl Value {
         Some(self.cmp_total(other))
     }
 
+    /// Total order used for sorting and grouping; see [`Cell::cmp_total`].
+    pub fn cmp_total(&self, other: &Value) -> Ordering {
+        self.cell().cmp_total(&other.cell())
+    }
+
+    /// This value as a borrowed [`Cell`].
+    pub fn cell(&self) -> Cell<'_> {
+        match self {
+            Value::Null => Cell::Null,
+            Value::Int(i) => Cell::Int(*i),
+            Value::Float(f) => Cell::Float(*f),
+            Value::Text(s) => Cell::Text(s),
+            Value::Bool(b) => Cell::Bool(*b),
+        }
+    }
+}
+
+/// One cell read in place — out of a [`Value`] or out of a typed
+/// [`Column`](crate::Column) — without owning it. The total order and the
+/// hash of values are defined here, once, so a typed column and a `Value`
+/// holding the same cell can never disagree about either.
+#[derive(Debug, Clone, Copy)]
+pub enum Cell<'a> {
+    /// SQL NULL.
+    Null,
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 string.
+    Text(&'a str),
+    /// Boolean.
+    Bool(bool),
+}
+
+impl Cell<'_> {
+    /// True iff this is SQL NULL.
+    pub fn is_null(&self) -> bool {
+        matches!(self, Cell::Null)
+    }
+
+    /// An owned copy of the cell.
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Text(s) => Value::Text(s.to_owned()),
+            Cell::Bool(b) => Value::Bool(b),
+        }
+    }
+
     /// Total order used for sorting and grouping. NULLs sort first; numeric
     /// types compare by value across Int/Float; NaN sorts after all other
     /// floats so the order stays total.
-    pub fn cmp_total(&self, other: &Value) -> Ordering {
-        use Value::*;
+    pub fn cmp_total(&self, other: &Cell<'_>) -> Ordering {
+        use Cell::*;
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Null, _) => Ordering::Less,
@@ -198,7 +250,16 @@ impl Value {
             // Heterogeneous non-numeric comparisons order by type tag so the
             // order stays total for sorting; SQL comparisons between such
             // types are rejected earlier, at expression-evaluation time.
-            (a, b) => type_rank(a).cmp(&type_rank(b)),
+            (a, b) => a.type_rank().cmp(&b.type_rank()),
+        }
+    }
+
+    fn type_rank(&self) -> u8 {
+        match self {
+            Cell::Null => 0,
+            Cell::Bool(_) => 1,
+            Cell::Int(_) | Cell::Float(_) => 2,
+            Cell::Text(_) => 3,
         }
     }
 }
@@ -213,16 +274,6 @@ fn cmp_f64(a: f64, b: f64) -> Ordering {
             (false, false) => unreachable!("partial_cmp only fails on NaN"),
         }
     })
-}
-
-fn type_rank(v: &Value) -> u8 {
-    match v {
-        Value::Null => 0,
-        Value::Bool(_) => 1,
-        Value::Int(_) => 2,
-        Value::Float(_) => 2,
-        Value::Text(_) => 3,
-    }
 }
 
 impl PartialEq for Value {
@@ -247,24 +298,30 @@ impl Ord for Value {
 
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
+        self.cell().hash(state);
+    }
+}
+
+impl Hash for Cell<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
-            Value::Null => state.write_u8(0),
-            Value::Bool(b) => {
+            Cell::Null => state.write_u8(0),
+            Cell::Bool(b) => {
                 state.write_u8(1);
                 b.hash(state);
             }
             // Int and Float hash identically when they represent the same
             // number, matching `cmp_total` (2 == 2.0 must land in one hash
             // group for joins and GROUP BY).
-            Value::Int(i) => {
+            Cell::Int(i) => {
                 state.write_u8(2);
                 canonical_f64_bits(*i as f64).hash(state);
             }
-            Value::Float(f) => {
+            Cell::Float(f) => {
                 state.write_u8(2);
                 canonical_f64_bits(*f).hash(state);
             }
-            Value::Text(s) => {
+            Cell::Text(s) => {
                 state.write_u8(3);
                 s.hash(state);
             }

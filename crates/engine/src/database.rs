@@ -114,11 +114,11 @@ struct CatalogProvider<'a>(&'a Catalog);
 
 impl SchemaProvider for CatalogProvider<'_> {
     fn table_schema(&self, name: &str) -> Option<SchemaRef> {
-        self.0.get(name).ok().map(|t| Arc::clone(t.schema()))
+        self.0.with_table(name, |t| Ok(Arc::clone(t.schema()))).ok()
     }
 
     fn table_primary_key(&self, name: &str) -> Option<usize> {
-        self.0.get(name).ok().and_then(|t| t.primary_key())
+        self.0.with_table(name, |t| Ok(t.primary_key())).ok()?
     }
 }
 

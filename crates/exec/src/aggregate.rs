@@ -1,14 +1,22 @@
-//! Aggregate accumulators.
+//! Aggregates: the per-group accumulator and the by-column folds.
 //!
-//! Each accumulator supports `update` (one input value), `merge` (another
-//! accumulator's state — used by the partial/final split of global
-//! aggregates across partitions) and `finish`. NULL inputs are ignored by
-//! every function except `COUNT(*)`, per SQL semantics; `SUM`/`MIN`/`MAX`
-//! over zero non-NULL inputs yield NULL and `COUNT` yields 0.
+//! An [`Accumulator`] is the definition of every aggregate: `update` (one
+//! input value), `into_state` / `merge_state` (the partial/final split of
+//! two-phase aggregation) and `finish`. NULL inputs are ignored by every
+//! function except `COUNT(*)`, per SQL semantics; `SUM`/`MIN`/`MAX` over
+//! zero non-NULL inputs yield NULL and `COUNT` yields 0.
+//!
+//! [`aggregate`] is what the operators call: one aggregate over one
+//! partition whose rows already carry group numbers. `COUNT`, and `SUM`,
+//! `MIN`, `MAX` and `AVG` over an integer or float column, fold into flat
+//! typed state — one slot per group, by the accumulator's own rules — and
+//! everything else (`DISTINCT`, `ARG_MIN`/`ARG_MAX`, text, booleans, a
+//! `Mixed` column) feeds one `Accumulator` per group a cell at a time.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use spinner_common::{Error, Result, Value};
+use spinner_common::{Cell, Column, Error, Nulls, Result, Value};
 use spinner_plan::{AggExpr, AggFunc};
 
 /// Running state for one aggregate in one group.
@@ -204,127 +212,6 @@ impl Accumulator {
         }
     }
 
-    /// Merge another accumulator of the same kind (partial aggregation).
-    /// DISTINCT accumulators merge their seen-sets.
-    pub fn merge(&mut self, other: Accumulator) -> Result<()> {
-        match (self, other) {
-            (Accumulator::CountStar { n }, Accumulator::CountStar { n: m }) => {
-                *n += m;
-                Ok(())
-            }
-            (Accumulator::Count { n, distinct }, Accumulator::Count { n: m, distinct: od }) => {
-                match (distinct, od) {
-                    (Some(seen), Some(oseen)) => {
-                        for v in oseen {
-                            if seen.insert(v) {
-                                *n += 1;
-                            }
-                        }
-                        Ok(())
-                    }
-                    (None, None) => {
-                        *n += m;
-                        Ok(())
-                    }
-                    _ => Err(Error::execution("mismatched DISTINCT accumulators")),
-                }
-            }
-            (
-                Accumulator::Sum { acc, distinct },
-                Accumulator::Sum {
-                    acc: oacc,
-                    distinct: od,
-                },
-            ) => match (distinct, od) {
-                (Some(seen), Some(oseen)) => {
-                    for v in oseen {
-                        if seen.insert(v.clone()) {
-                            *acc = Some(add_values(acc.take(), &v)?);
-                        }
-                    }
-                    Ok(())
-                }
-                (None, None) => {
-                    if let Some(v) = oacc {
-                        *acc = Some(add_values(acc.take(), &v)?);
-                    }
-                    Ok(())
-                }
-                _ => Err(Error::execution("mismatched DISTINCT accumulators")),
-            },
-            (Accumulator::Min { acc }, Accumulator::Min { acc: o }) => {
-                if let Some(v) = o {
-                    let replace = match acc {
-                        Some(cur) => v.cmp_total(cur).is_lt(),
-                        None => true,
-                    };
-                    if replace {
-                        *acc = Some(v);
-                    }
-                }
-                Ok(())
-            }
-            (Accumulator::Max { acc }, Accumulator::Max { acc: o }) => {
-                if let Some(v) = o {
-                    let replace = match acc {
-                        Some(cur) => v.cmp_total(cur).is_gt(),
-                        None => true,
-                    };
-                    if replace {
-                        *acc = Some(v);
-                    }
-                }
-                Ok(())
-            }
-            (
-                Accumulator::Avg { sum, n, distinct },
-                Accumulator::Avg {
-                    sum: os,
-                    n: om,
-                    distinct: od,
-                },
-            ) => match (distinct, od) {
-                (Some(seen), Some(oseen)) => {
-                    for v in oseen {
-                        if seen.insert(v.clone()) {
-                            *sum += v.as_f64()?;
-                            *n += 1;
-                        }
-                    }
-                    Ok(())
-                }
-                (None, None) => {
-                    *sum += os;
-                    *n += om;
-                    Ok(())
-                }
-                _ => Err(Error::execution("mismatched DISTINCT accumulators")),
-            },
-            (
-                Accumulator::ArgExtreme { max, best },
-                Accumulator::ArgExtreme {
-                    max: omax,
-                    best: obest,
-                },
-            ) => {
-                if *max != omax {
-                    return Err(Error::execution(
-                        "cannot merge ARG_MIN and ARG_MAX accumulators",
-                    ));
-                }
-                if let Some((k, v)) = obest {
-                    if Accumulator::pair_replaces(best, (&k, &v), *max) {
-                        *best = Some((k, v));
-                    }
-                }
-                Ok(())
-            }
-            _ => Err(Error::execution(
-                "cannot merge accumulators of different kinds",
-            )),
-        }
-    }
-
     /// Produce the aggregate result.
     pub fn finish(self) -> Value {
         match self {
@@ -381,39 +268,12 @@ impl Accumulator {
                 *n += cells[0].as_i64()?;
                 Ok(())
             }
-            Accumulator::Sum {
-                acc,
-                distinct: None,
-            } => {
-                if !cells[0].is_null() {
-                    *acc = Some(add_values(acc.take(), &cells[0])?);
-                }
-                Ok(())
-            }
-            Accumulator::Min { acc } => {
-                if !cells[0].is_null() {
-                    let replace = match acc {
-                        Some(cur) => cells[0].cmp_total(cur).is_lt(),
-                        None => true,
-                    };
-                    if replace {
-                        *acc = Some(cells[0].clone());
-                    }
-                }
-                Ok(())
-            }
-            Accumulator::Max { acc } => {
-                if !cells[0].is_null() {
-                    let replace = match acc {
-                        Some(cur) => cells[0].cmp_total(cur).is_gt(),
-                        None => true,
-                    };
-                    if replace {
-                        *acc = Some(cells[0].clone());
-                    }
-                }
-                Ok(())
-            }
+            // A partial SUM, MIN or MAX is one more input (NULL: none yet),
+            // a partial ARG_MIN/ARG_MAX one more `(key, val)` pair.
+            Accumulator::Sum { distinct: None, .. }
+            | Accumulator::Min { .. }
+            | Accumulator::Max { .. } => self.update(&cells[0]),
+            Accumulator::ArgExtreme { .. } => self.update_pair(&cells[1], &cells[0]),
             Accumulator::Avg {
                 sum,
                 n,
@@ -421,14 +281,6 @@ impl Accumulator {
             } => {
                 *sum += cells[0].as_f64()?;
                 *n += cells[1].as_i64()?;
-                Ok(())
-            }
-            Accumulator::ArgExtreme { max, best } => {
-                if !cells[0].is_null()
-                    && Accumulator::pair_replaces(best, (&cells[0], &cells[1]), *max)
-                {
-                    *best = Some((cells[0].clone(), cells[1].clone()));
-                }
                 Ok(())
             }
             _ => Err(Error::execution(
@@ -452,6 +304,216 @@ fn add_values(acc: Option<Value>, v: &Value) -> Result<Value> {
             .ok_or_else(|| Error::Arithmetic("integer overflow in SUM".into())),
         _ => Ok(Value::Float(acc.as_f64()? + v.as_f64()?)),
     }
+}
+
+/// Where in an aggregation a call to [`aggregate`] stands: what its
+/// inputs are and what it emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Argument columns in, finished values out.
+    Single,
+    /// Argument columns in, partial-state columns out
+    /// ([`Accumulator::state_width`] of them).
+    Partial,
+    /// Partial-state columns in, finished values out.
+    Final,
+}
+
+/// One slot per group, folded over the non-NULL cells of `data` in row
+/// order — so the first failing row is the one reported.
+fn fold<T: Copy, A: Clone>(
+    init: A,
+    (groups, count): (&[u32], usize),
+    (data, nulls): (&[T], &Nulls),
+    step: impl Fn(&mut A, T) -> Result<()>,
+) -> Result<Vec<A>> {
+    let mut slots = vec![init; count];
+    for (row, (&group, &x)) in groups.iter().zip(data).enumerate() {
+        if !nulls.is_null(row) {
+            step(&mut slots[group as usize], x)?;
+        }
+    }
+    Ok(slots)
+}
+
+/// `SUM`: the first value as it is, then `add` (as `add_values` does).
+fn sums<T: Copy>(
+    groups: (&[u32], usize),
+    column: (&[T], &Nulls),
+    add: impl Fn(T, T) -> Result<T>,
+) -> Result<Vec<Option<T>>> {
+    fold(None, groups, column, |slot, x| {
+        *slot = Some(match *slot {
+            None => x,
+            Some(sum) => add(sum, x)?,
+        });
+        Ok(())
+    })
+}
+
+/// `MIN` / `MAX` by the total order; a tie keeps the earlier cell.
+fn extremes<T: Copy>(
+    func: AggFunc,
+    groups: (&[u32], usize),
+    column: (&[T], &Nulls),
+    cell: impl Fn(T) -> Cell<'static>,
+) -> Result<Vec<Option<T>>> {
+    fold(None, groups, column, |slot: &mut Option<T>, x| {
+        let replaces = slot.is_none_or(|held| {
+            let ordering = cell(x).cmp_total(&cell(held));
+            if func == AggFunc::Min {
+                ordering.is_lt()
+            } else {
+                ordering.is_gt()
+            }
+        });
+        if replaces {
+            *slot = Some(x);
+        }
+        Ok(())
+    })
+}
+
+/// `AVG` as `(sum, count)` slots: over an argument column, or merging the
+/// two state columns of a partial phase.
+fn averages(
+    phase: Phase,
+    inputs: &[Arc<Column>],
+    groups: (&[u32], usize),
+) -> Result<Option<Vec<Column>>> {
+    let add = |slot: &mut (f64, i64), (sum, n): (f64, i64)| {
+        *slot = (slot.0 + sum, slot.1 + n);
+        Ok(())
+    };
+    let inputs: Vec<&Column> = inputs.iter().map(|column| &**column).collect();
+    let slots = match (phase, inputs.as_slice()) {
+        (Phase::Final, [Column::Float(sums, sn), Column::Int(ns, nn)])
+            if !sn.any() && !nn.any() =>
+        {
+            let states: Vec<(f64, i64)> = sums.iter().copied().zip(ns.iter().copied()).collect();
+            fold((0.0, 0), groups, (&states, sn), add)?
+        }
+        (Phase::Final, _) => return Ok(None),
+        (_, [Column::Int(data, nulls)]) => fold((0.0, 0), groups, (data, nulls), |slot, x| {
+            add(slot, (x as f64, 1))
+        })?,
+        (_, [Column::Float(data, nulls)]) => {
+            fold((0.0, 0), groups, (data, nulls), |slot, x| add(slot, (x, 1)))?
+        }
+        _ => return Ok(None),
+    };
+    Ok(Some(if phase == Phase::Partial {
+        let (sums, ns) = slots.into_iter().unzip();
+        vec![
+            Column::Float(sums, Nulls::new()),
+            Column::Int(ns, Nulls::new()),
+        ]
+    } else {
+        let averages = slots
+            .into_iter()
+            .map(|(sum, n)| (n != 0).then(|| sum / n as f64));
+        vec![Column::from_floats(averages)]
+    }))
+}
+
+/// The flat typed folds of [`aggregate`]; `None` when the aggregate or
+/// what its input columns hold calls for accumulators.
+fn aggregate_typed(
+    agg: &AggExpr,
+    phase: Phase,
+    inputs: &[Arc<Column>],
+    groups: (&[u32], usize),
+) -> Result<Option<Vec<Column>>> {
+    use AggFunc::*;
+    let counts = |slots: Vec<i64>| Column::from_ints(slots.into_iter().map(Some));
+    let column = match (agg.func, inputs) {
+        _ if agg.distinct => return Ok(None),
+        (Avg, _) => return averages(phase, inputs, groups),
+        // COUNT of argument cells: the rows of each group, or those of
+        // them whose cell is not NULL.
+        (CountStar, []) | (Count, [_]) if phase != Phase::Final => {
+            let mut slots = vec![0i64; groups.1];
+            let counted = |row: &usize| inputs.first().is_none_or(|c| !c.is_null(*row));
+            for row in (0..groups.0.len()).filter(counted) {
+                slots[groups.0[row] as usize] += 1;
+            }
+            return Ok(Some(vec![counts(slots)]));
+        }
+        (_, [column]) => &**column,
+        _ => return Ok(None),
+    };
+    // From here a cell is folded the same way whether it is an argument
+    // or another partition's partial state (partial counts add up).
+    let overflow = || Error::Arithmetic("integer overflow in SUM".into());
+    Ok(Some(vec![match (agg.func, column) {
+        (Count | CountStar, Column::Int(data, nulls)) if !nulls.any() => {
+            counts(fold(0, groups, (data, nulls), |n, m| {
+                *n += m;
+                Ok(())
+            })?)
+        }
+        (Sum, Column::Int(data, nulls)) => {
+            let add = |a: i64, b| a.checked_add(b).ok_or_else(overflow);
+            Column::from_ints(sums(groups, (data, nulls), add)?)
+        }
+        (Sum, Column::Float(data, nulls)) => {
+            Column::from_floats(sums(groups, (data, nulls), |a, b| Ok(a + b))?)
+        }
+        (Min | Max, Column::Int(data, nulls)) => {
+            Column::from_ints(extremes(agg.func, groups, (data, nulls), Cell::Int)?)
+        }
+        (Min | Max, Column::Float(data, nulls)) => {
+            Column::from_floats(extremes(agg.func, groups, (data, nulls), Cell::Float)?)
+        }
+        _ => return Ok(None),
+    }]))
+}
+
+/// One aggregate over one partition: row `i` of `inputs` belongs to group
+/// `groups[i]` of `count`; the result has one row per group. `inputs`
+/// are the aggregate's evaluated argument(s) — value, then ordering key
+/// for `ARG_MIN`/`ARG_MAX`, nothing for `COUNT(*)` — or, in the
+/// [`Phase::Final`] phase, the partial-state columns an earlier
+/// [`Phase::Partial`] call emitted.
+pub fn aggregate(
+    agg: &AggExpr,
+    phase: Phase,
+    inputs: &[Arc<Column>],
+    groups: &[u32],
+    count: usize,
+) -> Result<Vec<Column>> {
+    if let Some(columns) = aggregate_typed(agg, phase, inputs, (groups, count))? {
+        return Ok(columns);
+    }
+    let mut accs: Vec<Accumulator> = (0..count).map(|_| Accumulator::new(agg)).collect();
+    let mut cells: Vec<Value> = Vec::new();
+    for (row, &group) in groups.iter().enumerate() {
+        let acc = &mut accs[group as usize];
+        cells.clear();
+        cells.extend(inputs.iter().map(|column| column.value(row)));
+        match (phase, cells.as_slice()) {
+            (Phase::Final, state) => acc.merge_state(state)?,
+            (_, [value, key]) => acc.update_pair(value, key)?,
+            (_, [value]) => acc.update(value)?,
+            (_, _) => acc.update(&Value::Null)?,
+        }
+    }
+    let width = match phase {
+        Phase::Partial => Accumulator::state_width(agg.func),
+        _ => 1,
+    };
+    let mut out = vec![Column::new(); width];
+    for acc in accs {
+        cells.clear();
+        match phase {
+            Phase::Partial => acc.into_state(&mut cells),
+            _ => cells.push(acc.finish()),
+        }
+        for (column, cell) in out.iter_mut().zip(cells.drain(..)) {
+            column.push(cell);
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -528,35 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_partials() {
-        let mut a = Accumulator::new(&agg(AggFunc::Sum, false));
-        a.update(&Value::Int(1)).unwrap();
-        let mut b = Accumulator::new(&agg(AggFunc::Sum, false));
-        b.update(&Value::Int(2)).unwrap();
-        a.merge(b).unwrap();
-        assert_eq!(a.finish(), Value::Int(3));
-    }
-
-    #[test]
-    fn merge_distinct_counts_once() {
-        let mk = || {
-            let mut acc = Accumulator::new(&agg(AggFunc::Count, true));
-            acc.update(&Value::Int(7)).unwrap();
-            acc
-        };
-        let mut a = mk();
-        a.merge(mk()).unwrap();
-        assert_eq!(a.finish(), Value::Int(1));
-    }
-
-    #[test]
-    fn merge_kind_mismatch_errors() {
-        let mut a = Accumulator::new(&agg(AggFunc::Sum, false));
-        let b = Accumulator::new(&agg(AggFunc::Min, false));
-        assert!(a.merge(b).is_err());
-    }
-
-    #[test]
     fn arg_min_tracks_value_at_smallest_key() {
         let mut a = Accumulator::new(&agg(AggFunc::ArgMin, false));
         a.update_pair(&Value::Int(10), &Value::Float(3.0)).unwrap();
@@ -592,16 +625,14 @@ mod tests {
     }
 
     #[test]
-    fn arg_extreme_merge_and_state_round_trip() {
+    fn arg_extreme_state_round_trip() {
         let mut a = Accumulator::new(&agg(AggFunc::ArgMin, false));
         a.update_pair(&Value::Int(7), &Value::Int(3)).unwrap();
         let mut b = Accumulator::new(&agg(AggFunc::ArgMin, false));
         b.update_pair(&Value::Int(8), &Value::Int(2)).unwrap();
         let mut cells = Vec::new();
-        b.clone().into_state(&mut cells);
+        b.into_state(&mut cells);
         assert_eq!(cells.len(), Accumulator::state_width(AggFunc::ArgMin));
-        a.merge(b).unwrap();
-        assert_eq!(a.clone().finish(), Value::Int(8));
         let mut c = Accumulator::new(&agg(AggFunc::ArgMin, false));
         c.update_pair(&Value::Int(7), &Value::Int(3)).unwrap();
         c.merge_state(&cells).unwrap();
@@ -614,5 +645,135 @@ mod tests {
         assert!(a.update(&Value::Int(1)).is_err());
         let mut s = Accumulator::new(&agg(AggFunc::Sum, false));
         assert!(s.update_pair(&Value::Int(1), &Value::Int(2)).is_err());
+    }
+
+    /// The flat typed folds against one `Accumulator` per group fed a
+    /// cell at a time — every function, phase and column type, NULLs,
+    /// empty groups, integer overflow — and partial + final against
+    /// single-phase.
+    #[test]
+    fn typed_folds_equal_the_accumulator() {
+        let columns: Vec<Column> = vec![
+            Column::from_ints([Some(3), None, Some(-1), Some(7), Some(3), None]),
+            Column::from_floats([
+                Some(0.5),
+                Some(-0.0),
+                None,
+                Some(f64::NAN),
+                Some(0.0),
+                Some(2.5),
+            ]),
+            Column::from_ints([None; 6]),
+            Column::from_ints([
+                Some(i64::MAX),
+                Some(1),
+                Some(1),
+                Some(2),
+                Some(i64::MAX),
+                Some(0),
+            ]),
+        ];
+        let groups: [u32; 6] = [0, 1, 0, 3, 1, 0];
+        let count = 4; // group 2 is empty
+        let by_accumulator = |agg: &AggExpr, input: &Column| -> Result<Vec<Value>> {
+            let mut accs: Vec<Accumulator> = (0..count).map(|_| Accumulator::new(agg)).collect();
+            for (row, &group) in groups.iter().enumerate() {
+                accs[group as usize].update(&input.value(row))?;
+            }
+            Ok(accs.into_iter().map(Accumulator::finish).collect())
+        };
+        let values = |columns: Vec<Column>| -> Vec<Value> {
+            assert_eq!(columns.len(), 1);
+            (0..columns[0].len())
+                .map(|row| columns[0].value(row))
+                .collect()
+        };
+        use AggFunc::*;
+        for func in [Count, CountStar, Sum, Min, Max, Avg] {
+            for input in &columns {
+                let agg = agg(func, false);
+                let inputs = if func == CountStar {
+                    vec![]
+                } else {
+                    vec![Arc::new(input.clone())]
+                };
+                assert!(
+                    aggregate_typed(&agg, Phase::Single, &inputs, (&groups, count))
+                        .is_ok_and(|c| c.is_some())
+                        || func == Sum,
+                    "{func}: typed"
+                );
+                let single = aggregate(&agg, Phase::Single, &inputs, &groups, count).map(values);
+                let want = by_accumulator(&agg, input);
+                assert_eq!(
+                    format!("{single:?}"),
+                    format!("{want:?}"),
+                    "{func} over {input:?}"
+                );
+                // Two phases: the partial states of each half, then merged.
+                let halves = [0..3usize, 3..6];
+                let partials: Result<Vec<Vec<Column>>> = halves
+                    .iter()
+                    .map(|half| {
+                        let part: Vec<Arc<Column>> = inputs
+                            .iter()
+                            .map(|c| {
+                                Arc::new(
+                                    c.gather(&half.clone().map(|r| r as u32).collect::<Vec<_>>()),
+                                )
+                            })
+                            .collect();
+                        aggregate(&agg, Phase::Partial, &part, &groups[half.clone()], count)
+                    })
+                    .collect();
+                let Ok(partials) = partials else {
+                    assert!(want.is_err(), "only an overflow fails a phase");
+                    continue;
+                };
+                let states: Vec<Arc<Column>> = (0..Accumulator::state_width(func))
+                    .map(|c| {
+                        let mut both = partials[0][c].clone();
+                        both.extend_from(&partials[1][c], 0..count as u32);
+                        Arc::new(both)
+                    })
+                    .collect();
+                let state_groups: Vec<u32> = (0..count as u32).chain(0..count as u32).collect();
+                let merged =
+                    aggregate(&agg, Phase::Final, &states, &state_groups, count).map(values);
+                if func != Avg || want.is_err() {
+                    assert_eq!(format!("{merged:?}"), format!("{want:?}"), "{func} merged");
+                }
+            }
+        }
+        // DISTINCT, text and cells that disagree go to the accumulators.
+        let text = Arc::new(Column::repeat(&Value::Text("a".into()), 6));
+        assert!(aggregate_typed(
+            &agg(Min, false),
+            Phase::Single,
+            &[Arc::clone(&text)],
+            (&groups, count)
+        )
+        .unwrap()
+        .is_none());
+        let ints = Arc::new(columns[0].clone());
+        assert!(aggregate_typed(
+            &agg(Sum, true),
+            Phase::Single,
+            &[Arc::clone(&ints)],
+            (&groups, count)
+        )
+        .unwrap()
+        .is_none());
+        let distinct =
+            aggregate(&agg(Sum, true), Phase::Single, &[ints], &groups, count).map(values);
+        assert_eq!(
+            format!("{distinct:?}"),
+            "Ok([Int(2), Int(3), Null, Int(7)])"
+        );
+        let min = aggregate(&agg(Min, false), Phase::Single, &[text], &groups, count)
+            .map(values)
+            .unwrap();
+        assert_eq!(min[2], Value::Null);
+        assert_eq!(min[0], Value::from("a"));
     }
 }

@@ -207,25 +207,18 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinner_common::{Row, Schema, Value};
+    use spinner_common::{row_of, Block, Schema, Value};
 
     fn empty_table() -> JoinTable {
-        JoinTable::build(&[], &[]).unwrap()
+        JoinTable::build(Vec::new(), 0).unwrap()
     }
 
     fn toy(parts: Vec<Vec<i64>>) -> Partitioned {
+        let block =
+            |p: Vec<i64>| Block::from_rows(1, p.into_iter().map(|v| row_of([Value::Int(v)])));
         Partitioned {
             schema: Arc::new(Schema::empty()),
-            parts: parts
-                .into_iter()
-                .map(|p| {
-                    Arc::new(
-                        p.into_iter()
-                            .map(|v| vec![Value::Int(v)].into_boxed_slice())
-                            .collect::<Vec<Row>>(),
-                    )
-                })
-                .collect(),
+            parts: parts.into_iter().map(|p| Arc::new(block(p))).collect(),
         }
     }
 

@@ -25,9 +25,12 @@
 
 use std::sync::Arc;
 
+use spinner_common::counters::Counter;
 use spinner_common::memory::{RegionKind, SpillRequest};
 use spinner_common::profile::{SpanKind, Tracer};
-use spinner_common::{Batch, CounterSet, EngineConfig, Error, FaultSite, QueryGuard, Result, Row};
+use spinner_common::{
+    Batch, Block, CounterSet, EngineConfig, Error, FaultSite, QueryGuard, Result, NO_ROW,
+};
 use spinner_plan::{LogicalPlan, LoopKind, LoopStep, PlanExpr, QueryPlan, Step, TerminationPlan};
 use spinner_storage::{
     Catalog, CheckpointStore, LoopCheckpoint, Partitioned, SpillEnv, TempRegistry,
@@ -35,9 +38,9 @@ use spinner_storage::{
 
 use crate::cache::JoinStateCache;
 use crate::fault::FaultInjector;
-use crate::keys::RowIndex;
+use crate::keys::{hash_keys, KeyTable};
 use crate::operators;
-use crate::physical::{create_physical_plan, ExchangeMode};
+use crate::physical::{create_physical_plan, ExchangeMode, PhysicalPlan};
 use crate::pool::WorkerPool;
 use crate::retry::retry;
 
@@ -87,6 +90,11 @@ pub struct StatementContext<'a> {
     pub tracer: Tracer,
 }
 
+/// The plan of a `Materialize` step where the caller lowered it already:
+/// a loop lowers its body ahead of the first iteration — once per
+/// statement, not once per iteration — into one of these beside each step.
+type Lowered<'p> = Option<&'p PhysicalPlan>;
+
 /// Result of one step: the number of rows it reported as updated (merges
 /// report this; other steps return `None`).
 type StepOutcome = Option<u64>;
@@ -134,7 +142,9 @@ impl<'a> StatementContext<'a> {
     /// result into a single batch.
     pub fn run_query(&self, plan: &QueryPlan) -> Result<Batch> {
         self.run_steps(&plan.steps)?;
-        self.tracer.enter(SpanKind::Return, "Return".to_string());
+        if self.tracer.is_enabled() {
+            self.tracer.enter(SpanKind::Return, "Return".to_string());
+        }
         // The final plan only reads (registry + catalog), so a transient
         // failure inside it can be re-run against unchanged inputs.
         let result = match self.with_transient_retry(|| self.execute_logical(&plan.root)) {
@@ -146,11 +156,8 @@ impl<'a> StatementContext<'a> {
         };
         self.tracer
             .exit(result.total_rows() as u64, result.estimated_bytes());
-        let schema = plan.root.schema();
-        Ok(Batch::new(
-            schema,
-            operators::gather_rows(result, usize::MAX, self),
-        ))
+        // The statement's edge: the result leaves as heap rows.
+        Ok(Batch::new(plan.root.schema(), result.gather()))
     }
 
     /// Execute a logical plan tree to a partitioned result.
@@ -161,10 +168,9 @@ impl<'a> StatementContext<'a> {
 
     /// Run a sequence of steps.
     pub fn run_steps(&self, steps: &[Step]) -> Result<()> {
-        for step in steps {
-            self.run_step(step)?;
-        }
-        Ok(())
+        steps
+            .iter()
+            .try_for_each(|step| self.run_step(step, None).map(drop))
     }
 
     /// The step rung of the retry ladder: re-run `f` — an idempotent unit
@@ -192,29 +198,29 @@ impl<'a> StatementContext<'a> {
         )
     }
 
-    fn run_step(&self, step: &Step) -> Result<StepOutcome> {
+    fn run_step(&self, step: &Step, lowered: Lowered<'_>) -> Result<StepOutcome> {
         self.guard.check()?;
         if matches!(step, Step::Loop(_)) {
             // Loops own their failure handling (rollback + replay).
-            return self.run_step_traced(step);
+            return self.run_step_traced(step, lowered);
         }
         // Materialize re-puts its output, Merge consumes its working table
         // only after the fallible work, and Rename mutates nothing before
         // its fault site — so a failed non-loop step can safely be re-run
         // against its unchanged input snapshot.
-        self.with_transient_retry(|| self.run_step_traced(step))
+        self.with_transient_retry(|| self.run_step_traced(step, lowered))
     }
 
-    fn run_step_traced(&self, step: &Step) -> Result<StepOutcome> {
+    fn run_step_traced(&self, step: &Step, lowered: Lowered<'_>) -> Result<StepOutcome> {
         if !self.tracer.is_enabled() {
-            return self.run_step_inner(step);
+            return self.run_step_inner(step, lowered);
         }
         let kind = match step {
             Step::Loop(_) => SpanKind::Loop,
             _ => SpanKind::Step,
         };
         self.tracer.enter(kind, step_label(step));
-        let outcome = self.run_step_inner(step);
+        let outcome = self.run_step_inner(step, lowered);
         match &outcome {
             Ok(_) => {
                 let (rows, bytes) = self.step_output_size(step);
@@ -240,7 +246,7 @@ impl<'a> StatementContext<'a> {
         }
     }
 
-    fn run_step_inner(&self, step: &Step) -> Result<StepOutcome> {
+    fn run_step_inner(&self, step: &Step, lowered: Lowered<'_>) -> Result<StepOutcome> {
         match step {
             Step::Materialize {
                 name,
@@ -248,7 +254,10 @@ impl<'a> StatementContext<'a> {
                 distribute_by,
             } => {
                 self.faults.hit(FaultSite::Materialize)?;
-                let mut data = self.execute_logical(plan)?;
+                let mut data = match lowered {
+                    Some(physical) => operators::execute(physical, self)?,
+                    None => self.execute_logical(plan)?,
+                };
                 if let Some(col) = distribute_by {
                     // Store the result distributed on its key so later
                     // scans, merges and joins on that key are co-located.
@@ -341,41 +350,54 @@ impl<'a> StatementContext<'a> {
             usize::MAX,
             self,
         )?;
-        let mut out_parts: Vec<Arc<Vec<Row>>> = Vec::with_capacity(cte_data.parts.len());
-        let mut delta_parts: Vec<Vec<Row>> = Vec::with_capacity(cte_data.parts.len());
+        let mut out_parts: Vec<Arc<Block>> = Vec::with_capacity(cte_data.parts.len());
+        let mut delta_parts: Vec<Arc<Block>> = Vec::with_capacity(cte_data.parts.len());
         let mut updated = 0u64;
         let mut examined = 0u64;
         for (cte_part, work_part) in cte_data.parts.iter().zip(&work_data.parts) {
-            let mut index: RowIndex<&Row> = RowIndex::by_column(key, work_part.len());
-            for row in work_part.iter() {
+            let work_key = &work_part.columns()[key..=key];
+            // Key number → the working row that holds the key.
+            let mut index = KeyTable::new(1, work_part.rows());
+            let mut holders = vec![NO_ROW; work_part.rows()];
+            for (row, id) in (0..).zip(index.insert_all(work_key, work_part.rows())?) {
                 // NULL keys can never match an existing row; skip them
                 // like SQL equality would.
-                if !row[key].is_null() && !index.insert(row, || row)?.1 {
+                if work_key[0].is_null(row as usize) {
+                    continue;
+                }
+                if holders[id as usize] != NO_ROW {
                     return Err(Error::DuplicateIterationKey {
                         cte: cte_display_name.to_owned(),
-                        key: row[key].to_string(),
+                        key: work_key[0].value(row as usize).to_string(),
                     });
                 }
+                holders[id as usize] = row;
             }
-            let mut merged_rows: Vec<Row> = Vec::with_capacity(cte_part.len());
-            let mut delta_rows: Vec<Row> = Vec::new();
-            for old in cte_part.iter() {
+            // The merged partition is the CTE partition with the working
+            // row in place of each row it replaces: row numbers into the
+            // two laid end to end.
+            let both = Block::concat(&[Arc::clone(cte_part), Arc::clone(work_part)], usize::MAX);
+            let cte_key = &cte_part.columns()[key..=key];
+            let cte_hashes = hash_keys(cte_key, cte_part.rows());
+            let mut merged_rows: Vec<u32> = Vec::with_capacity(cte_part.rows());
+            let mut delta_rows: Vec<u32> = Vec::new();
+            for (old, &hash) in cte_hashes.iter().enumerate() {
                 examined += 1;
-                match index.find(old).map(|id| *index.get(id)) {
-                    Some(new) => {
-                        if new != old {
+                match index.find(cte_key, old, hash).map(|id| holders[id]) {
+                    Some(new) if new != NO_ROW => {
+                        if !work_part.eq_rows(new as usize, cte_part, old) {
                             updated += 1;
                             if delta_out.is_some() {
-                                delta_rows.push(new.clone());
+                                delta_rows.push(new);
                             }
                         }
-                        merged_rows.push(new.clone());
+                        merged_rows.push(cte_part.rows() as u32 + new);
                     }
-                    None => merged_rows.push(old.clone()),
+                    _ => merged_rows.push(old as u32),
                 }
             }
-            out_parts.push(Arc::new(merged_rows));
-            delta_parts.push(delta_rows);
+            out_parts.push(Arc::new(both.take(&merged_rows)));
+            delta_parts.push(Arc::new(work_part.take(&delta_rows)));
         }
         self.stats.merges.add(1);
         self.stats.merge_rows_examined.add(examined);
@@ -386,7 +408,7 @@ impl<'a> StatementContext<'a> {
                 d,
                 Partitioned {
                     schema: Arc::clone(&cte_data.schema),
-                    parts: delta_parts.into_iter().map(Arc::new).collect(),
+                    parts: delta_parts,
                 },
             );
         }
@@ -492,6 +514,11 @@ impl<'a> StatementContext<'a> {
         if matches!(l.kind, LoopKind::Iterative { delta: Some(_), .. }) {
             self.stats.semi_naive_loops.add(1);
         }
+        let lower = |step: &Step| match step {
+            Step::Materialize { plan, .. } => create_physical_plan(plan, self.config).map(Some),
+            _ => Ok(None),
+        };
+        let body: Vec<Option<PhysicalPlan>> = l.body.iter().map(lower).collect::<Result<_>>()?;
         let ckpt_every = self.config.checkpoint_interval;
         let mut recoveries_used: u64 = 0;
         // Adopted from a dead engine's journal, the loop continues from the
@@ -532,7 +559,7 @@ impl<'a> StatementContext<'a> {
                     });
                 }
                 let outcome = self
-                    .run_iteration(l, delta, iteration, cumulative_updates, &mut seen)
+                    .run_iteration(l, &body, delta, iteration, cumulative_updates, &mut seen)
                     .and_then(|(stop, updates)| {
                         // The periodic checkpoint is part of the attempt: a
                         // failure while snapshotting rolls back like any
@@ -564,10 +591,11 @@ impl<'a> StatementContext<'a> {
     fn run_iteration(
         &self,
         l: &LoopStep,
+        body: &[Option<PhysicalPlan>],
         delta: Option<&str>,
         iteration: u64,
         cumulative_updates: u64,
-        seen: &mut Option<RowIndex<Row>>,
+        seen: &mut Option<KeyTable>,
     ) -> Result<(bool, u64)> {
         self.faults.hit(FaultSite::LoopIteration)?;
         self.tracer.begin_iteration();
@@ -596,8 +624,8 @@ impl<'a> StatementContext<'a> {
             _ => None,
         };
         let mut merge_updates: Option<u64> = None;
-        for step in &l.body {
-            if let Some(u) = self.run_step(step)? {
+        for (step, lowered) in l.body.iter().zip(body) {
+            if let Some(u) = self.run_step(step, lowered.as_ref())? {
                 merge_updates = Some(u);
             }
         }
@@ -624,7 +652,7 @@ impl<'a> StatementContext<'a> {
             TerminationPlan::Iterations(n) => iteration >= *n,
             TerminationPlan::Updates(n) => cumulative >= *n,
             TerminationPlan::Data { predicate, rows } => {
-                count_matching(&current, predicate)? >= *rows
+                count_matching(&current, predicate, &self.stats.rows_evaluated_by_row)? >= *rows
             }
             TerminationPlan::Delta { threshold } => changed < *threshold,
         };
@@ -639,7 +667,7 @@ impl<'a> StatementContext<'a> {
         delta: Option<&str>,
         merge_updates: Option<u64>,
         previous: Option<&Partitioned>,
-        seen: &mut Option<RowIndex<Row>>,
+        seen: &mut Option<KeyTable>,
     ) -> Result<u64> {
         match &l.kind {
             // Update semantics: the body's own merge/rename steps already
@@ -672,33 +700,36 @@ impl<'a> StatementContext<'a> {
         l: &LoopStep,
         working: &str,
         delta: &str,
-        seen: &mut Option<RowIndex<Row>>,
+        seen: &mut Option<KeyTable>,
     ) -> Result<u64> {
         let produced = self.registry.get(working)?;
-        let mut new_parts: Vec<Vec<Row>> = vec![Vec::new(); produced.parts.len()];
-        for (new_rows, part) in new_parts.iter_mut().zip(&produced.parts) {
-            for row in part.iter() {
-                let is_new = match seen.as_mut() {
-                    Some(set) => set.insert(row, || row.clone())?.1,
-                    None => true,
-                };
-                if is_new {
-                    new_rows.push(row.clone());
+        let mut new_parts: Vec<Arc<Block>> = Vec::with_capacity(produced.parts.len());
+        for part in &produced.parts {
+            let Some(set) = seen.as_mut() else {
+                new_parts.push(Arc::clone(part));
+                continue;
+            };
+            // A row is new where it brings the set its next key number.
+            let mut new_rows: Vec<u32> = Vec::new();
+            let mut next = set.len() as u32;
+            for (row, id) in (0..).zip(set.insert_all(part.columns(), part.rows())?) {
+                if id == next {
+                    new_rows.push(row);
+                    next += 1;
                 }
             }
+            new_parts.push(Arc::new(part.take(&new_rows)));
         }
         self.registry.remove(working);
-        let added: u64 = new_parts.iter().map(|rows| rows.len() as u64).sum();
+        let added: u64 = new_parts.iter().map(|rows| rows.rows() as u64).sum();
         if added == 0 {
             return Ok(0);
         }
-        // The registry (and any checkpoint) still shares the old buffers,
-        // so `make_mut` copies exactly the partitions that grow.
+        // The registry (and any checkpoint) still shares the old blocks;
+        // exactly the partitions that grow are laid out anew.
         let mut current = self.registry.get(&l.cte)?;
         for (part, extra) in current.parts.iter_mut().zip(&new_parts) {
-            if !extra.is_empty() {
-                Arc::make_mut(part).extend(extra.iter().cloned());
-            }
+            *part = Block::concat(&[Arc::clone(part), Arc::clone(extra)], usize::MAX);
         }
         let schema = Arc::clone(&current.schema);
         self.registry.put(&l.cte, current);
@@ -706,7 +737,7 @@ impl<'a> StatementContext<'a> {
             delta,
             Partitioned {
                 schema,
-                parts: new_parts.into_iter().map(Arc::new).collect(),
+                parts: new_parts,
             },
         );
         self.relieve_memory_pressure(&[&l.cte, delta])?;
@@ -885,23 +916,19 @@ fn step_label(step: &Step) -> String {
 
 /// Count rows satisfying `predicate` (the data termination condition —
 /// equivalent to `SELECT count(*) FROM cteTable WHERE expr`).
-fn count_matching(data: &Partitioned, predicate: &PlanExpr) -> Result<u64> {
+fn count_matching(data: &Partitioned, predicate: &PlanExpr, by_row: &Counter) -> Result<u64> {
     let mut n = 0u64;
     for part in &data.parts {
-        for row in part.iter() {
-            if predicate.matches(row)? {
-                n += 1;
-            }
-        }
+        n += predicate.select(part, by_row)?.len() as u64;
     }
     Ok(n)
 }
 
 /// Every row of `data`, as a set.
-fn row_set(data: &Partitioned) -> Result<RowIndex<Row>> {
-    let mut set = RowIndex::by_row(data.total_rows());
-    for row in data.parts.iter().flat_map(|part| part.iter()) {
-        set.insert(row, || row.clone())?;
+fn row_set(data: &Partitioned) -> Result<KeyTable> {
+    let mut set = KeyTable::new(data.schema.len(), data.total_rows());
+    for part in &data.parts {
+        set.insert_all(part.columns(), part.rows())?;
     }
     Ok(set)
 }
@@ -911,21 +938,26 @@ fn row_set(data: &Partitioned) -> Result<RowIndex<Row>> {
 /// rename path performs only when the termination condition requires it.
 fn diff_by_key(previous: &Partitioned, current: &Partitioned, key: usize) -> Result<u64> {
     // Should `previous` repeat a key, its last row is the one compared
-    // against: the index keeps a key's first insertion, so insert backwards.
-    let mut index: RowIndex<&Row> = RowIndex::by_column(key, previous.total_rows());
-    for row in previous
-        .parts
-        .iter()
-        .rev()
-        .flat_map(|part| part.iter().rev())
-    {
-        index.insert(row, || row)?;
+    // against: a later holder of a key number replaces the earlier one.
+    let mut index = KeyTable::new(1, previous.total_rows());
+    let mut holders: Vec<(&Block, usize)> = Vec::with_capacity(previous.total_rows());
+    for part in &previous.parts {
+        let ids = index.insert_all(&part.columns()[key..=key], part.rows())?;
+        holders.resize(index.len(), (part, 0));
+        for (row, id) in ids.into_iter().enumerate() {
+            holders[id as usize] = (part, row);
+        }
     }
     let mut changed = 0u64;
-    for row in current.parts.iter().flat_map(|part| part.iter()) {
-        match index.find(row) {
-            Some(id) if *index.get(id) == row => {}
-            _ => changed += 1,
+    for part in &current.parts {
+        let part_key = &part.columns()[key..=key];
+        let hashes = hash_keys(part_key, part.rows());
+        for (row, &hash) in hashes.iter().enumerate() {
+            let unchanged = index.find(part_key, row, hash).is_some_and(|id| {
+                let (held, held_row) = holders[id];
+                held.eq_rows(held_row, part, row)
+            });
+            changed += u64::from(!unchanged);
         }
     }
     Ok(changed)

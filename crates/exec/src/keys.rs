@@ -1,27 +1,28 @@
-//! Keys: evaluating them, hashing them, and indexing rows by them.
+//! Keys: hashing them, and indexing rows by them.
 //!
 //! Every operator that groups or matches rows by key — hash join, the
 //! three aggregation phases, `DISTINCT`, the set operations, the loop's
-//! merge and delta diff — does it through this module, and none of them
-//! allocates per row to do so:
+//! merge, delta diff and dedup set — does it through this module, a
+//! column at a time:
 //!
-//! * [`load_key`] evaluates key expressions into a buffer the caller
-//!   reuses from row to row. A column key is read in place (a
-//!   `Cow::Borrowed` of the row's cell); only a computed key owns a value.
-//! * [`hash_key`] is the one in-partition hash. It feeds
-//!   [`Value`]'s own `Hash` impl into a cheap multiply-rotate hasher, so
-//!   it agrees with `Value`'s `Eq` by construction: `2` and `2.0`, `0.0`
-//!   and `-0.0`, and any two NaNs hash alike; NULL hashes like any value
-//!   and it is the *caller* that decides whether a NULL key takes part
-//!   (joins skip it, `GROUP BY` groups it).
+//! * [`hash_keys`] hashes the key of every row of a block from the key's
+//!   columns. It feeds each cell through [`Value`](spinner_common::Value)'s
+//!   own `Hash` rule into a cheap multiply-rotate hasher, so it agrees
+//!   with `Value`'s `Eq` by construction: `2` and `2.0`, `0.0` and `-0.0`, and any two
+//!   NaNs hash alike; NULL hashes like any value and it is the *caller*
+//!   that decides whether a NULL key takes part (joins skip it,
+//!   `GROUP BY` groups it).
 //! * [`KeyIndex`] is a chained hash index over `u32` entry ids —
 //!   `heads`/`next`/`hashes` arrays, nothing per key. It stores no keys:
-//!   the caller keeps them wherever they already live (the build rows, a
-//!   flat group-key vector) and confirms a candidate itself.
+//!   its two users keep them in columns and confirm a candidate with
+//!   [`Column::eq_cells`].
+//! * [`JoinTable`] indexes the rows of a join's build side by their key
+//!   columns; [`KeyTable`] numbers distinct keys in first-seen order and
+//!   keeps one copy of each, in columns of its own.
 //!
 //! **What the hash decides, and what it does not.** It picks a bucket
 //! inside one partition's index and nothing else. Which *partition* a row
-//! belongs to is still `spinner_storage::partition_of` (SipHash), because
+//! belongs to is still `spinner_storage::placement` (SipHash), because
 //! stored tables, checkpoints and resumed loops were placed with it. No
 //! output order depends on the hash either: a chain yields its entries
 //! most recent first, so a join build inserted in reverse returns
@@ -30,45 +31,14 @@
 //! bucket collisions cannot be prepared from outside; equal full hashes
 //! are always confirmed by comparing keys.
 
-use std::borrow::Cow;
-use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::OnceLock;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::{Arc, OnceLock};
 
-use spinner_common::{Error, Result, Row, Value};
-use spinner_plan::PlanExpr;
-
-/// A key under evaluation: one cell per key expression, borrowed from the
-/// row (or the plan's literal) where possible.
-pub type Key<'a> = Vec<Cow<'a, Value>>;
-
-/// Evaluate `exprs` against `row` into `key`, replacing its contents.
-pub fn load_key<'a>(key: &mut Key<'a>, exprs: &'a [PlanExpr], row: &'a [Value]) -> Result<()> {
-    key.clear();
-    for e in exprs {
-        key.push(e.evaluate_ref(row)?);
-    }
-    Ok(())
-}
-
-/// The cells of a loaded key, as [`hash_key`] and comparisons take them.
-pub fn cells<'k>(key: &'k [Cow<'_, Value>]) -> impl Iterator<Item = &'k Value> + Clone {
-    key.iter().map(|cell| &**cell)
-}
-
-/// Whether `exprs` evaluated against `row` equal `key`, cell by cell
-/// under `Value`'s `Eq`. Confirms a join candidate against its build row
-/// without materializing the build side's key.
-pub fn key_matches(exprs: &[PlanExpr], row: &[Value], key: &[Cow<'_, Value>]) -> Result<bool> {
-    for (e, cell) in exprs.iter().zip(key) {
-        if *e.evaluate_ref(row)? != **cell {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
+use spinner_common::{Column, Error, Result};
 
 /// Multiply-rotate hasher (the Fx construction) with an avalanche at the
 /// end, because [`KeyIndex`] takes its bucket from the low bits.
+#[derive(Clone, Copy)]
 struct KeyHasher(u64);
 
 const MULTIPLIER: u64 = 0x517c_c1b7_2722_0a95;
@@ -109,15 +79,25 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// Hash of a key's cells: equal keys (under `Value`'s `Eq`) hash equal.
-pub fn hash_key<'a>(cells: impl IntoIterator<Item = &'a Value>) -> u64 {
+fn seeded() -> KeyHasher {
     static SEED: OnceLock<u64> = OnceLock::new();
-    let seed = *SEED.get_or_init(|| std::collections::hash_map::RandomState::new().hash_one(0u8));
-    let mut hasher = KeyHasher(seed);
-    for cell in cells {
-        cell.hash(&mut hasher);
+    KeyHasher(*SEED.get_or_init(|| std::collections::hash_map::RandomState::new().hash_one(0u8)))
+}
+
+/// The hash of every row's key, the key's cells held in `keys` — one
+/// column per key expression, each `rows` long. Equal keys (under `Value`'s
+/// `Eq`) hash equal: each cell is fed as `Value`'s own `Hash` would feed it.
+pub fn hash_keys(keys: &[Arc<Column>], rows: usize) -> Vec<u64> {
+    let mut hashers = vec![seeded(); rows];
+    for key in keys {
+        key.hash_into(&mut hashers);
     }
-    hasher.finish()
+    hashers.into_iter().map(|hasher| hasher.finish()).collect()
+}
+
+/// Whether any cell of row `row`'s key is NULL.
+pub fn null_key(keys: &[Arc<Column>], row: usize) -> bool {
+    keys.iter().any(|key| key.is_null(row))
 }
 
 const NIL: u32 = u32::MAX;
@@ -217,118 +197,143 @@ pub struct JoinTable {
     index: KeyIndex,
     /// Entry → index of its row in the build partition.
     rows: Vec<u32>,
+    /// The build rows' key, one column per key expression.
+    keys: Vec<Arc<Column>>,
 }
 
 impl JoinTable {
-    /// Index `rows` by `keys`. Rows with a NULL in their key are left
-    /// out: they can never match.
-    pub fn build(rows: &[Row], keys: &[PlanExpr]) -> Result<JoinTable> {
-        // Every row index fits an entry id, so `i as u32` below is exact.
-        next_entry_id(rows.len())?;
-        let mut key = Key::new();
-        let mut keyed: Vec<(u32, u64)> = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            load_key(&mut key, keys, row)?;
-            if !key.iter().any(|cell| cell.is_null()) {
-                keyed.push((i as u32, hash_key(cells(&key))));
-            }
-        }
-        // Keys are evaluated in row order (so the first failing row is the
-        // one reported) and inserted in reverse: a chain yields its most
-        // recent entry first, which makes candidates come back in
-        // build-row order.
-        let mut index = KeyIndex::with_capacity(keyed.len());
-        let mut entry_rows = Vec::with_capacity(keyed.len());
-        for &(row, hash) in keyed.iter().rev() {
-            index.insert(hash)?;
-            entry_rows.push(row);
+    /// Index the `rows` rows whose keys are held in `keys`. Rows with a
+    /// NULL in their key are left out: they can never match.
+    pub fn build(keys: Vec<Arc<Column>>, rows: usize) -> Result<JoinTable> {
+        // Every row index fits an entry id, so `row as u32` below is exact.
+        next_entry_id(rows)?;
+        let hashes = hash_keys(&keys, rows);
+        // Inserted in reverse: a chain yields its most recent entry first,
+        // which makes candidates come back in build-row order.
+        let mut index = KeyIndex::with_capacity(rows);
+        let mut entry_rows = Vec::with_capacity(rows);
+        for row in (0..rows).rev().filter(|&row| !null_key(&keys, row)) {
+            index.insert(hashes[row])?;
+            entry_rows.push(row as u32);
         }
         Ok(JoinTable {
             index,
             rows: entry_rows,
+            keys,
         })
     }
 
-    /// Build-row indices whose key hashes to `hash`, in build-row order.
-    /// Confirm each with [`key_matches`].
-    pub fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
-        self.index
-            .candidates(hash)
-            .map(|entry| self.rows[entry] as usize)
+    /// Build rows whose key equals the key of row `row` of `probe` (which
+    /// hashes to `hash`), in build-row order.
+    pub fn matches<'a>(
+        &'a self,
+        probe: &'a [Arc<Column>],
+        row: usize,
+        hash: u64,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let entries = self.index.candidates(hash).map(|entry| self.rows[entry]);
+        entries.filter(move |&build| {
+            let pairs = self.keys.iter().zip(probe);
+            pairs
+                .into_iter()
+                .all(|(b, p)| b.eq_cells(build as usize, p, row))
+        })
     }
 }
 
-/// Rows numbered in first-seen order of their key — the whole row
-/// (`DISTINCT`, the set operations, a recursion's dedup set) or one
-/// column of it (the loop's merge and delta diff). `R` is how a row is
-/// held: borrowed from an input partition, or owned.
+/// Distinct keys numbered in first-seen order — whole rows (`DISTINCT`,
+/// the set operations, a recursion's dedup set), group keys, or one
+/// column (the loop's merge and delta diff). NULL is a key like any
+/// other. The table keeps its own copy of each distinct key, a column
+/// per key cell, which is also what `GROUP BY` and `DISTINCT` emit.
 #[derive(Debug)]
-pub struct RowIndex<R> {
+pub struct KeyTable {
     index: KeyIndex,
-    rows: Vec<R>,
-    column: Option<usize>,
+    keys: Vec<Column>,
 }
 
-impl<R: AsRef<[Value]>> RowIndex<R> {
-    /// An empty index keyed by the whole row, sized for `rows` of them.
-    pub fn by_row(rows: usize) -> Self {
-        RowIndex {
-            index: KeyIndex::with_capacity(rows),
-            rows: Vec::with_capacity(rows),
-            column: None,
+impl KeyTable {
+    /// An empty table for keys of `width` cells, sized for `keys` of them.
+    pub fn new(width: usize, keys: usize) -> Self {
+        KeyTable {
+            index: KeyIndex::with_capacity(keys),
+            keys: vec![Column::new(); width],
         }
     }
 
-    /// An empty index keyed by `column` alone.
-    pub fn by_column(column: usize, rows: usize) -> Self {
-        RowIndex {
-            column: Some(column),
-            ..Self::by_row(rows)
+    /// Number of distinct keys.
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The number of the key held in row `row` of `keys` (which hashes to
+    /// `hash`), if the table has it.
+    pub fn find(&self, keys: &[Arc<Column>], row: usize, hash: u64) -> Option<usize> {
+        self.index.candidates(hash).find(|&id| {
+            let pairs = self.keys.iter().zip(keys);
+            pairs
+                .into_iter()
+                .all(|(held, key)| held.eq_cells(id, key, row))
+        })
+    }
+
+    /// The key number of every row of `keys`, in order; a key the table
+    /// lacks is added under the next number. The keys this batch adds are compared where
+    /// they lie — in `keys`, at the row that brought them — and copied
+    /// into the table once, a column at a time, when the batch is done.
+    pub fn insert_all(&mut self, keys: &[Arc<Column>], rows: usize) -> Result<Vec<u32>> {
+        let same = |held: &Column, id: usize, key: &Column, row: usize| held.eq_cells(id, key, row);
+        let base = self.len();
+        let mut brought_by: Vec<u32> = Vec::new();
+        let mut ids = Vec::with_capacity(rows);
+        for (row, hash) in hash_keys(keys, rows).into_iter().enumerate() {
+            let known = self
+                .index
+                .candidates(hash)
+                .find(|&id| match id.checked_sub(base) {
+                    Some(new) => {
+                        let from = brought_by[new] as usize;
+                        keys.iter().all(|key| same(key, from, key, row))
+                    }
+                    None => {
+                        (self.keys.iter().zip(keys)).all(|(held, key)| same(held, id, key, row))
+                    }
+                });
+            ids.push(match known {
+                Some(id) => id as u32,
+                None => {
+                    brought_by.push(row as u32);
+                    self.index.insert(hash)? as u32
+                }
+            });
         }
-    }
-
-    fn key<'r>(&self, row: &'r [Value]) -> &'r [Value] {
-        match self.column {
-            Some(column) => std::slice::from_ref(&row[column]),
-            None => row,
+        for (held, key) in self.keys.iter_mut().zip(keys) {
+            held.extend_from(key, brought_by.iter().copied());
         }
+        Ok(ids)
     }
 
-    fn position(&self, hash: u64, key: &[Value]) -> Option<usize> {
-        self.index
-            .candidates(hash)
-            .find(|&id| self.key(self.rows[id].as_ref()) == key)
-    }
-
-    /// The number of the held row whose key equals `row`'s, if any.
-    pub fn find(&self, row: &[Value]) -> Option<usize> {
-        let key = self.key(row);
-        self.position(hash_key(key), key)
-    }
-
-    /// The held row numbered `id`.
-    pub fn get(&self, id: usize) -> &R {
-        &self.rows[id]
-    }
-
-    /// The number of the held row whose key equals `row`'s; when there is
-    /// none, `held()` is kept under the next number. The flag says
-    /// whether it was new.
-    pub fn insert(&mut self, row: &[Value], held: impl FnOnce() -> R) -> Result<(usize, bool)> {
-        let key = self.key(row);
-        let hash = hash_key(key);
-        if let Some(id) = self.position(hash, key) {
-            return Ok((id, false));
-        }
-        self.rows.push(held());
-        Ok((self.index.insert(hash)?, true))
+    /// The distinct keys, a column per key cell, in key-number order.
+    pub fn into_keys(self) -> Vec<Arc<Column>> {
+        self.keys.into_iter().map(Arc::new).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinner_common::row_of;
+    use spinner_common::{row_of, Block, Row, Value};
+    use std::hash::Hash;
+
+    /// The hash of one key, cell by cell through `Value`'s `Hash`: what
+    /// [`hash_keys`] must equal.
+    fn hash_key<'a>(cells: impl IntoIterator<Item = &'a Value>) -> u64 {
+        let mut hasher = seeded();
+        for cell in cells {
+            cell.hash(&mut hasher);
+        }
+        hasher.finish()
+    }
 
     fn h(values: &[Value]) -> u64 {
         hash_key(values)
@@ -367,28 +372,38 @@ mod tests {
         }
     }
 
+    /// The key columns of `rows`, a column per cell.
+    fn columns(width: usize, rows: &[Row]) -> Vec<Arc<Column>> {
+        Block::from_rows(width, rows.iter().cloned())
+            .columns()
+            .to_vec()
+    }
+
     #[test]
-    fn load_key_borrows_columns_and_owns_computed_cells() {
-        let exprs = vec![
-            PlanExpr::column(1, "b"),
-            PlanExpr::column(0, "a")
-                .binary(spinner_plan::expr::BinaryOp::Plus, PlanExpr::literal(1i64)),
-        ];
+    fn keys_hashed_by_column_equal_keys_hashed_by_cell() {
         let rows = [
-            row_of([Value::Int(1), Value::Text("x".into())]),
-            row_of([Value::Int(5), Value::Null]),
+            row_of([Value::Int(1), Value::Text("x".into()), Value::Null]),
+            row_of([Value::Int(5), Value::Null, Value::Float(-0.0)]),
+            row_of([
+                Value::Float(1.0),
+                Value::Text("x".into()),
+                Value::Bool(true),
+            ]),
         ];
-        let mut key = Key::new();
-        load_key(&mut key, &exprs, &rows[0]).unwrap();
-        assert!(matches!(&key[0], Cow::Borrowed(v) if std::ptr::eq(*v, &rows[0][1])));
-        assert_eq!(key[1], Cow::Owned::<Value>(Value::Int(2)));
-        assert!(key_matches(&exprs, &rows[0], &key).unwrap());
-        assert!(!key_matches(&exprs, &rows[1], &key).unwrap());
-        // The buffer is reused, not appended to.
-        load_key(&mut key, &exprs, &rows[1]).unwrap();
-        assert_eq!(key.len(), 2);
-        assert!(key[0].is_null());
-        assert!(load_key(&mut key, &[PlanExpr::column(7, "missing")], &rows[0]).is_err());
+        // An int column, a text column with a NULL, a column that disagrees.
+        let keys = columns(3, &rows);
+        assert!(matches!(&*keys[2], Column::Mixed(_)));
+        let hashes = hash_keys(&keys, rows.len());
+        for (row, hash) in rows.iter().zip(&hashes) {
+            assert_eq!(*hash, hash_key(row.iter()));
+        }
+        assert_eq!(
+            hash_keys(&keys[..1], 3)[0],
+            hash_keys(&keys[..1], 3)[2],
+            "1 = 1.0"
+        );
+        assert_eq!(hash_keys(&[], 2), vec![hash_key([]); 2]);
+        assert!(!null_key(&keys, 2) && null_key(&keys, 0) && null_key(&keys[..2], 1));
     }
 
     #[test]
@@ -436,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn join_table_returns_candidates_in_build_order_and_skips_null_keys() {
+    fn join_table_returns_matches_in_build_order_and_skips_null_keys() {
         let rows: Vec<Row> = [
             (Value::Int(1), Value::Text("a".into())),
             (Value::Null, Value::Text("a".into())),
@@ -448,41 +463,53 @@ mod tests {
         .into_iter()
         .map(|(a, b)| row_of([a, b]))
         .collect();
-        let keys = vec![PlanExpr::column(0, "a"), PlanExpr::column(1, "b")];
-        let table = JoinTable::build(&rows, &keys).unwrap();
+        let table = JoinTable::build(columns(2, &rows), rows.len()).unwrap();
         assert_eq!(table.index.len(), 4, "two rows have a NULL in their key");
-        let probe: Key = vec![
-            Cow::Owned(Value::Float(1.0)),
-            Cow::Owned(Value::Text("a".into())),
-        ];
-        let matched: Vec<usize> = table
-            .candidates(hash_key(cells(&probe)))
-            .filter(|&i| key_matches(&keys, &rows[i], &probe).unwrap())
-            .collect();
+        // An int key column on the build side probed with a float one.
+        let probe = columns(
+            2,
+            &[
+                row_of([Value::Float(1.0), Value::Text("a".into())]),
+                row_of([Value::Float(1.5), Value::Text("a".into())]),
+            ],
+        );
+        let hashes = hash_keys(&probe, 2);
+        let matched: Vec<u32> = table.matches(&probe, 0, hashes[0]).collect();
         assert_eq!(matched, vec![0, 2, 5]);
+        assert_eq!(table.matches(&probe, 1, hashes[1]).count(), 0);
+        assert!(JoinTable::build(Vec::new(), 0).is_ok());
     }
 
     #[test]
-    fn row_index_numbers_distinct_rows_in_first_seen_order() {
+    fn key_table_numbers_distinct_keys_in_first_seen_order() {
         let rows = [
             row_of([Value::Int(1), Value::Null]),
             row_of([Value::Int(2), Value::Null]),
             row_of([Value::Float(1.0), Value::Null]),
         ];
-        let mut seen: RowIndex<&Row> = RowIndex::by_row(0);
-        assert_eq!(seen.insert(&rows[0], || &rows[0]).unwrap(), (0, true));
-        assert_eq!(seen.insert(&rows[1], || &rows[1]).unwrap(), (1, true));
-        assert_eq!(
-            seen.insert(&rows[2], || unreachable!("1.0 = 1, NULL groups with NULL"))
-                .unwrap(),
-            (0, false)
-        );
-        assert_eq!(seen.find(&rows[1]), Some(1));
-        assert_eq!(seen.find(&[Value::Int(3), Value::Null]), None);
+        let keys = columns(2, &rows);
+        let mut seen = KeyTable::new(2, 0);
+        // 1.0 = 1, NULL groups with NULL.
+        assert_eq!(seen.insert_all(&keys, 3).unwrap(), [0, 1, 0]);
+        assert_eq!(seen.len(), 2);
+        let hashes = hash_keys(&keys, 3);
+        assert_eq!(seen.find(&keys, 1, hashes[1]), Some(1));
+        // A second batch: keys the table holds, a new one twice, a held one.
+        let more = [
+            row_of([Value::Float(2.0), Value::Null]),
+            row_of([Value::Int(3), Value::Null]),
+            row_of([Value::Float(3.0), Value::Null]),
+            row_of([Value::Int(1), Value::Null]),
+        ];
+        let other = columns(2, &more);
+        assert_eq!(seen.find(&other, 1, hash_keys(&other, 4)[1]), None);
+        assert_eq!(seen.insert_all(&other, 4).unwrap(), [1, 2, 2, 0]);
+        // The table's own copy of each key: the first-seen cells, as they were.
+        let held = Block::new(seen.into_keys(), 3).to_rows();
+        let first_seen = [&rows[0], &rows[1], &more[1]];
+        assert_eq!(format!("{held:?}"), format!("{first_seen:?}"));
         // Keyed by one column, the other cells do not take part.
-        let mut by_second: RowIndex<&Row> = RowIndex::by_column(1, 2);
-        assert_eq!(by_second.insert(&rows[0], || &rows[0]).unwrap(), (0, true));
-        assert_eq!(by_second.insert(&rows[1], || &rows[1]).unwrap(), (0, false));
-        assert!(std::ptr::eq(*by_second.get(0), &rows[0]));
+        let mut by_second = KeyTable::new(1, 2);
+        assert_eq!(by_second.insert_all(&keys[1..], 3).unwrap(), [0, 0, 0]);
     }
 }

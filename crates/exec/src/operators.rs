@@ -1,26 +1,30 @@
-//! Evaluation of physical operator trees over partitioned row sets.
+//! Evaluation of physical operator trees over partitioned column blocks.
 //!
 //! Every operator consumes and produces a [`Partitioned`] (one immutable
-//! row vector per virtual MPP worker). Per-partition work runs in
-//! parallel when `EngineConfig::parallel_partitions` is set — as tasks on
-//! the database's persistent [`WorkerPool`](crate::WorkerPool), the only
-//! parallel path, so no operator ever spawns a thread. The default is
-//! sequential execution for determinism.
+//! [`Block`] per virtual MPP worker) and works a column at a time:
+//! expressions are evaluated into columns, keys are hashed from columns,
+//! and what an operator decides is a vector of row numbers — the rows a
+//! filter keeps, the `(probe, build)` pairs a join matched, the group of
+//! each row, the order of a sort, the partition each row is bound for —
+//! by which each output column is gathered once. Per-partition work runs
+//! in parallel when `EngineConfig::parallel_partitions` is set — as tasks
+//! on the database's persistent [`WorkerPool`](crate::WorkerPool), the
+//! only parallel path, so no operator ever spawns a thread. The default
+//! is sequential execution for determinism.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use spinner_common::memory::RegionKind;
 use spinner_common::profile::SpanKind;
-use spinner_common::{Error, FaultSite, Result, Row, Value};
+use spinner_common::{Block, Column, Error, FaultSite, Result, Row, NO_ROW};
 use spinner_plan::{AggExpr, JoinType, PlanExpr, SetOpKind, SortKey};
-use spinner_storage::Partitioned;
+use spinner_storage::{placement, Partitioned};
 
-use crate::aggregate::Accumulator;
+use crate::aggregate::{aggregate, Accumulator, Phase};
 use crate::cache::CachedBuild;
 use crate::executor::StatementContext;
-use crate::keys::{cells, hash_key, key_matches, load_key, JoinTable, Key, KeyIndex, RowIndex};
-use crate::physical::{partition_for_key, ExchangeMode, PhysicalPlan};
+use crate::keys::{hash_keys, null_key, JoinTable, KeyTable};
+use crate::physical::{ExchangeMode, PhysicalPlan};
 use crate::retry::retry;
 
 /// Track the approximate bytes of an operator's in-flight hash state (a
@@ -87,7 +91,7 @@ fn execute_inner(
 ) -> Result<Partitioned> {
     match plan {
         PhysicalPlan::SeqScan { table, .. } => {
-            let snapshot = ctx.catalog.get(table)?.snapshot();
+            let snapshot = ctx.catalog.with_table(table, |t| Ok(t.snapshot()))?;
             Ok(normalize_partitions(
                 snapshot,
                 ctx.config.partitions,
@@ -102,12 +106,11 @@ fn execute_inner(
                 plan.schema(),
             ))
         }
-        PhysicalPlan::Values { rows, .. } => {
-            let out = rows
-                .iter()
-                .map(|exprs| project_row(exprs, &[]))
-                .collect::<Result<_>>()?;
-            Ok(in_partition_zero(plan.schema(), out, ctx))
+        PhysicalPlan::Values { rows, schema } => {
+            let literal = |exprs: &Vec<PlanExpr>| exprs.iter().map(|e| e.evaluate(&[])).collect();
+            let rows: Vec<Row> = rows.iter().map(literal).collect::<Result<_>>()?;
+            let block = Arc::new(Block::from_rows(schema.len(), rows));
+            Ok(in_partition_zero(schema.clone(), block, ctx))
         }
         PhysicalPlan::Project {
             input,
@@ -115,8 +118,9 @@ fn execute_inner(
             schema,
         } => {
             let data = execute(input, ctx)?;
-            let out = unary_map(&data, ctx, |rows| {
-                rows.iter().map(|r| project_row(exprs, r)).collect()
+            let out = unary_map(&data, ctx, |block| {
+                let columns = evaluate_all(exprs, block, ctx)?;
+                Ok(Arc::new(Block::new(columns, block.rows())))
             })?;
             Ok(Partitioned {
                 schema: schema.clone(),
@@ -126,14 +130,13 @@ fn execute_inner(
         PhysicalPlan::Filter { input, predicate } => {
             let data = execute(input, ctx)?;
             let schema = data.schema.clone();
-            let out = unary_map(&data, ctx, |rows| {
-                let mut result = Vec::new();
-                for r in rows {
-                    if predicate.matches(r)? {
-                        result.push(r.clone());
-                    }
-                }
-                Ok(result)
+            let out = unary_map(&data, ctx, |block| {
+                let kept = predicate.select(block, &ctx.stats.rows_evaluated_by_row)?;
+                Ok(if kept.len() == block.rows() {
+                    Arc::clone(block)
+                } else {
+                    Arc::new(block.take(&kept))
+                })
             })?;
             Ok(Partitioned { schema, parts: out })
         }
@@ -156,8 +159,7 @@ fn execute_inner(
                 left_keys,
                 right_keys,
                 residual: residual.as_ref(),
-                lwidth: l.schema.len(),
-                rwidth: right.schema().len(),
+                ctx,
             };
             // A loop-invariant build side (hash repartition of a hoisted
             // §V-A common result) is built once per temp identity and
@@ -166,7 +168,7 @@ fn execute_inner(
                 if let Some(name) = right.invariant_build_name() {
                     return Ok(Partitioned {
                         schema: schema.clone(),
-                        parts: cached_hash_join(&l, right, name, &join, ctx)?,
+                        parts: cached_hash_join(&l, right, name, &join)?,
                     });
                 }
             }
@@ -177,7 +179,7 @@ fn execute_inner(
                 "hash join build",
                 RegionKind::HashJoinBuild,
                 r.estimated_bytes(),
-                || binary_map(&l, &r, ctx, |lrows, rrows| join.run(lrows, rrows)),
+                || binary_map(&l, &r, ctx, |l, r| join.probe(l, r, &join.build(r)?)),
             )?;
             Ok(Partitioned {
                 schema: schema.clone(),
@@ -194,18 +196,10 @@ fn execute_inner(
             let l = execute(left, ctx)?;
             let r = execute(right, ctx)?;
             ctx.stats.joins_executed.add(1);
-            let (lwidth, rwidth) = (l.schema.len(), r.schema.len());
             // Inputs were gathered to partition 0 by the planner.
-            let lrows = gather_rows(l, usize::MAX, ctx);
-            let rrows = gather_rows(r, usize::MAX, ctx);
-            let joined = nested_loop_join(
-                &lrows,
-                &rrows,
-                *join_type,
-                residual.as_ref(),
-                lwidth,
-                rwidth,
-            )?;
+            let l = Block::concat(&l.parts, usize::MAX);
+            let r = Block::concat(&r.parts, usize::MAX);
+            let joined = nested_loop_join(&l, &r, *join_type, residual.as_ref(), ctx)?;
             Ok(in_partition_zero(schema.clone(), joined, ctx))
         }
         PhysicalPlan::HashAggregate {
@@ -218,8 +212,9 @@ fn execute_inner(
             if group.is_empty() {
                 global_aggregate(&data, aggs, schema.clone(), ctx)
             } else {
-                aggregate_partitions(&data, "hash aggregate", schema, ctx, |rows| {
-                    grouped_aggregate_partition(rows, group, aggs)
+                aggregate_partitions(&data, "hash aggregate", schema, ctx, |block| {
+                    let keys = evaluate_all(group, block, ctx)?;
+                    aggregate_block(block, keys, aggs, Phase::Single, ctx)
                 })
             }
         }
@@ -230,8 +225,9 @@ fn execute_inner(
             schema,
         } => {
             let data = execute(input, ctx)?;
-            aggregate_partitions(&data, "partial aggregate", schema, ctx, |rows| {
-                partial_aggregate_partition(rows, group, aggs)
+            aggregate_partitions(&data, "partial aggregate", schema, ctx, |block| {
+                let keys = evaluate_all(group, block, ctx)?;
+                aggregate_block(block, keys, aggs, Phase::Partial, ctx)
             })
         }
         PhysicalPlan::AggregateFinal {
@@ -241,31 +237,33 @@ fn execute_inner(
             schema,
         } => {
             let data = execute(input, ctx)?;
-            aggregate_partitions(&data, "final aggregate", schema, ctx, |rows| {
-                final_aggregate_partition(rows, *group_len, aggs)
+            aggregate_partitions(&data, "final aggregate", schema, ctx, |block| {
+                let keys = block.columns()[..*group_len].to_vec();
+                aggregate_block(block, keys, aggs, Phase::Final, ctx)
             })
         }
         PhysicalPlan::Distinct { input } => {
             let data = execute(input, ctx)?;
             let schema = data.schema.clone();
-            let out = unary_map(&data, ctx, |rows| {
-                set_op_partition(rows, &[], SetOpKind::Union, false)
-            })?;
+            let out = unary_map(&data, ctx, |block| distinct_rows(block))?;
             Ok(Partitioned { schema, parts: out })
         }
         PhysicalPlan::Sort { input, keys } => {
             let data = execute(input, ctx)?;
             let schema = data.schema.clone();
-            let mut rows = gather_rows(data, usize::MAX, ctx);
-            sort_rows(&mut rows, keys)?;
-            Ok(in_partition_zero(schema, rows, ctx))
+            let rows = Block::concat(&data.parts, usize::MAX);
+            Ok(in_partition_zero(schema, sort_rows(&rows, keys, ctx)?, ctx))
         }
         PhysicalPlan::Limit { input, n } => {
             // The first `n` rows in partition order, and no row past them.
             let n = usize::try_from(*n).unwrap_or(usize::MAX);
             let data = execute_first(input, n, ctx)?;
             let schema = data.schema.clone();
-            Ok(in_partition_zero(schema, gather_rows(data, n, ctx), ctx))
+            Ok(in_partition_zero(
+                schema,
+                Block::concat(&data.parts, n),
+                ctx,
+            ))
         }
         PhysicalPlan::SetOp {
             op,
@@ -276,15 +274,24 @@ fn execute_inner(
         } => {
             let l = execute(left, ctx)?;
             let r = execute(right, ctx)?;
-            let out = binary_map(&l, &r, ctx, |lrows, rrows| {
-                set_op_partition(lrows, rrows, *op, *all)
-            })?;
+            let out = binary_map(&l, &r, ctx, |l, r| set_op_partition(l, r, *op, *all))?;
             Ok(Partitioned {
                 schema: schema.clone(),
                 parts: out,
             })
         }
     }
+}
+
+/// Each of `exprs` over `block`, a column apiece.
+pub(crate) fn evaluate_all<'e>(
+    exprs: impl IntoIterator<Item = &'e PlanExpr>,
+    block: &Block,
+    ctx: &StatementContext<'_>,
+) -> Result<Vec<Arc<Column>>> {
+    let by_row = &ctx.stats.rows_evaluated_by_row;
+    let columns = exprs.into_iter().map(|e| e.evaluate_column(block, by_row));
+    columns.collect()
 }
 
 /// Bring a row set to exactly `parts` partitions, preserving data. Used at
@@ -301,11 +308,14 @@ fn normalize_partitions(
             parts: data.parts,
         };
     }
-    let rows = data.gather();
-    let buckets = spinner_storage::hash_partition(rows, None, parts);
+    // Round-robin over the rows in partition order.
+    let all = Block::concat(&data.parts, usize::MAX);
+    let nth = |p: usize| (p..all.rows()).step_by(parts).map(|row| row as u32);
     Partitioned {
         schema,
-        parts: buckets.into_iter().map(Arc::new).collect(),
+        parts: (0..parts)
+            .map(|p| Arc::new(all.take(&nth(p).collect::<Vec<_>>())))
+            .collect(),
     }
 }
 
@@ -338,8 +348,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 fn run_partition(
     ctx: &StatementContext<'_>,
     partition: usize,
-    f: impl Fn() -> Result<Vec<Row>>,
-) -> Result<Vec<Row>> {
+    f: impl Fn() -> Result<Arc<Block>>,
+) -> Result<Arc<Block>> {
     let outcome = retry(
         ctx.guard,
         ctx.config.max_partition_retries,
@@ -396,13 +406,15 @@ fn map_partitions(
     ctx: &StatementContext<'_>,
     count: usize,
     is_empty: &dyn Fn(usize) -> bool,
-    work: &(dyn Fn(usize) -> Result<Vec<Row>> + Sync),
-) -> Result<Vec<Arc<Vec<Row>>>> {
-    let occupied: Vec<usize> = (0..count).filter(|&i| !is_empty(i)).collect();
+    work: &(dyn Fn(usize) -> Result<Arc<Block>> + Sync),
+) -> Result<Vec<Arc<Block>>> {
+    // Without a pool nothing is listed, and an empty list allocates nothing.
+    let listed = |i: &usize| ctx.pool.is_some() && !is_empty(*i);
+    let occupied: Vec<usize> = (0..count).filter(listed).collect();
     let Some(pool) = ctx.pool.filter(|_| occupied.len() > 1) else {
-        return (0..count).map(|i| work(i).map(Arc::new)).collect();
+        return (0..count).map(work).collect();
     };
-    let mut results: Vec<Option<Result<Vec<Row>>>> = (0..count).map(|_| None).collect();
+    let mut results: Vec<Option<Result<Arc<Block>>>> = (0..count).map(|_| None).collect();
     ctx.stats.pool_tasks.add(occupied.len() as u64);
     let outcomes = pool.scope(occupied.iter().map(|&i| move || work(i)).collect())?;
     for (&i, outcome) in occupied.iter().zip(outcomes) {
@@ -423,7 +435,7 @@ fn map_partitions(
     }
     results
         .into_iter()
-        .map(|r| r.expect("every partition filled").map(Arc::new))
+        .map(|r| r.expect("every partition filled"))
         .collect()
 }
 
@@ -432,9 +444,9 @@ fn map_partitions(
 fn unary_map(
     input: &Partitioned,
     ctx: &StatementContext<'_>,
-    f: impl Fn(&[Row]) -> Result<Vec<Row>> + Sync,
-) -> Result<Vec<Arc<Vec<Row>>>> {
-    unary_map_indexed(input, ctx, |_, rows| f(rows))
+    f: impl Fn(&Arc<Block>) -> Result<Arc<Block>> + Sync,
+) -> Result<Vec<Arc<Block>>> {
+    unary_map_indexed(input, ctx, |_, block| f(block))
 }
 
 /// Like [`unary_map`], but `f` also receives the partition index so the
@@ -443,13 +455,13 @@ fn unary_map(
 fn unary_map_indexed(
     input: &Partitioned,
     ctx: &StatementContext<'_>,
-    f: impl Fn(usize, &[Row]) -> Result<Vec<Row>> + Sync,
-) -> Result<Vec<Arc<Vec<Row>>>> {
+    f: impl Fn(usize, &Arc<Block>) -> Result<Arc<Block>> + Sync,
+) -> Result<Vec<Arc<Block>>> {
     map_partitions(
         ctx,
         input.parts.len(),
         &|i| input.parts[i].is_empty(),
-        &|i| run_partition(ctx, i, || f(i, input.parts[i].as_slice())),
+        &|i| run_partition(ctx, i, || f(i, &input.parts[i])),
     )
 }
 
@@ -459,8 +471,8 @@ fn binary_map(
     l: &Partitioned,
     r: &Partitioned,
     ctx: &StatementContext<'_>,
-    f: impl Fn(&[Row], &[Row]) -> Result<Vec<Row>> + Sync,
-) -> Result<Vec<Arc<Vec<Row>>>> {
+    f: impl Fn(&Arc<Block>, &Arc<Block>) -> Result<Arc<Block>> + Sync,
+) -> Result<Vec<Arc<Block>>> {
     if l.parts.len() != r.parts.len() {
         return Err(Error::execution(format!(
             "partition count mismatch: {} vs {}",
@@ -472,39 +484,20 @@ fn binary_map(
         ctx,
         l.parts.len(),
         &|i| l.parts[i].is_empty() && r.parts[i].is_empty(),
-        &|i| run_partition(ctx, i, || f(l.parts[i].as_slice(), r.parts[i].as_slice())),
+        &|i| run_partition(ctx, i, || f(&l.parts[i], &r.parts[i])),
     )
 }
 
-/// One output row of a projection: `exprs` evaluated against `row`.
-fn project_row(exprs: &[PlanExpr], row: &[Value]) -> Result<Row> {
-    let mut out = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        out.push(e.evaluate(row)?);
-    }
-    Ok(out.into_boxed_slice())
-}
-
-/// `rows` as partition 0 of an otherwise empty row set — the layout every
+/// `block` as partition 0 of an otherwise empty row set — the layout every
 /// gathering operator (sort, limit, global aggregate, …) produces.
 fn in_partition_zero(
     schema: spinner_common::SchemaRef,
-    rows: Vec<Row>,
+    block: Arc<Block>,
     ctx: &StatementContext<'_>,
 ) -> Partitioned {
     let mut out = Partitioned::empty(schema, ctx.config.partitions);
-    out.parts[0] = Arc::new(rows);
+    out.parts[0] = block;
     out
-}
-
-/// The first `limit` rows of `data` in partition order as one vector
-/// (`usize::MAX`: all of them). Rows move out of partitions `data`
-/// uniquely owns — every operator's own output — and are cloned, and
-/// counted as `rows_copied`, only out of shared snapshots.
-pub(crate) fn gather_rows(data: Partitioned, limit: usize, ctx: &StatementContext<'_>) -> Vec<Row> {
-    let (rows, copied) = data.take_rows(limit);
-    ctx.stats.rows_copied.add(copied);
-    rows
 }
 
 /// Account `moved` rows as having changed partition.
@@ -515,35 +508,45 @@ fn charge_rows_moved(ctx: &StatementContext<'_>, moved: u64) -> Result<()> {
     Ok(())
 }
 
-/// Where a hash exchange on `keys` sends each row of `data`, in partition
-/// then row order, and how many rows that leaves in the wrong place.
-/// Placement is [`partition_for_key`] — the rule stored tables and
-/// checkpoints were distributed by — not the in-partition key hash.
-fn route(data: &Partitioned, keys: &[PlanExpr], parts: usize) -> Result<(Vec<usize>, u64)> {
-    let mut targets = Vec::with_capacity(data.total_rows());
-    let mut moved = 0u64;
-    let mut key = Key::new();
-    for (src, part) in data.parts.iter().enumerate() {
-        for row in part.iter() {
-            load_key(&mut key, keys, row)?;
-            let target = partition_for_key(cells(&key), parts)?;
-            moved += u64::from(target != src);
-            targets.push(target);
+/// The partitions of a hash exchange: each column gathered once per
+/// target, from the rows `targets` sends there, source by source in
+/// partition then row order.
+fn scatter(data: &Partitioned, targets: &[Vec<u32>], parts: usize) -> Vec<Arc<Block>> {
+    let bound_for = |targets: &Vec<u32>| {
+        let mut rows = vec![Vec::new(); parts];
+        for (row, &target) in targets.iter().enumerate() {
+            rows[target as usize].push(row as u32);
         }
-    }
-    Ok((targets, moved))
+        rows
+    };
+    let rows: Vec<Vec<Vec<u32>>> = targets.iter().map(bound_for).collect();
+    let part = |target: usize| {
+        let column = |c: usize| {
+            let mut out = Column::new();
+            for (block, rows) in data.parts.iter().zip(&rows) {
+                out.extend_from(&block.columns()[c], rows[target].iter().copied());
+            }
+            Arc::new(out)
+        };
+        let count = rows.iter().map(|rows| rows[target].len()).sum();
+        Arc::new(Block::new(
+            (0..data.schema.len()).map(column).collect(),
+            count,
+        ))
+    };
+    (0..parts).map(part).collect()
 }
 
 /// Redistribute rows according to `mode`, counting movement.
 ///
-/// A hash or gather exchange has three outcomes. When no row changes
-/// partition and the input already has the configured partition count, the
-/// input is returned as it is — the same `Arc`s, nothing touched. Otherwise
-/// rows are *moved* out of every partition this call uniquely owns (an
-/// operator's output always is) and *copied* only out of shared ones (a
-/// base-table or temp snapshot someone else still reads), which
-/// `rows_copied` counts. A gather whose reader wants only the first `limit`
-/// rows (`usize::MAX`: all) fetches — and counts as moved — no row past them.
+/// When no row changes partition and the input already has the configured
+/// partition count, a hash or gather exchange returns its input as it is —
+/// the same `Arc`s, nothing touched. Placement is
+/// [`spinner_storage::placement`] — the rule stored tables and checkpoints
+/// were distributed by — computed once per partition from the key's
+/// columns, not the in-partition key hash. A gather whose reader wants
+/// only the first `limit` rows (`usize::MAX`: all) fetches — and counts as
+/// moved — no row past them.
 pub fn exchange(
     data: Partitioned,
     mode: &ExchangeMode,
@@ -556,133 +559,157 @@ pub fn exchange(
     let already_placed = |moved: u64| moved == 0 && data.parts.len() == parts;
     match mode {
         ExchangeMode::Hash(keys) => {
-            let (targets, moved) = route(&data, keys, parts)?;
+            let mut targets = Vec::with_capacity(data.parts.len());
+            let mut moved = 0u64;
+            for (src, block) in data.parts.iter().enumerate() {
+                let keys = evaluate_all(keys, block, ctx)?;
+                let bound = placement(&keys, block.rows(), parts);
+                moved += bound.iter().filter(|&&t| t as usize != src).count() as u64;
+                targets.push(bound);
+            }
             charge_rows_moved(ctx, moved)?;
             if already_placed(moved) {
                 return Ok(data);
             }
-            let mut sizes = vec![0usize; parts];
-            for &target in &targets {
-                sizes[target] += 1;
-            }
-            let mut buckets: Vec<Vec<Row>> = sizes.into_iter().map(Vec::with_capacity).collect();
-            let mut targets = targets.into_iter();
-            let mut copied = 0u64;
-            for part in data.parts {
-                match Arc::try_unwrap(part) {
-                    Ok(rows) => {
-                        for (row, target) in rows.into_iter().zip(&mut targets) {
-                            buckets[target].push(row);
-                        }
-                    }
-                    Err(shared) => {
-                        copied += shared.len() as u64;
-                        for (row, target) in shared.iter().zip(&mut targets) {
-                            buckets[target].push(row.clone());
-                        }
-                    }
-                }
-            }
-            ctx.stats.rows_copied.add(copied);
             Ok(Partitioned {
+                parts: scatter(&data, &targets, parts),
                 schema,
-                parts: buckets.into_iter().map(Arc::new).collect(),
             })
         }
         ExchangeMode::Gather => {
             let wanted = data.total_rows().min(limit);
-            let moved = wanted.saturating_sub(data.parts.first().map_or(0, |p| p.len())) as u64;
+            let moved = wanted.saturating_sub(data.parts.first().map_or(0, |p| p.rows())) as u64;
             charge_rows_moved(ctx, moved)?;
             if already_placed(moved) {
                 return Ok(data);
             }
-            let rows = gather_rows(data, limit, ctx);
+            let rows = Block::concat(&data.parts, limit);
             Ok(in_partition_zero(schema, rows, ctx))
         }
         ExchangeMode::Broadcast => {
-            let rows = gather_rows(data, usize::MAX, ctx);
-            let copies = rows.len() as u64 * (parts as u64).saturating_sub(1);
+            let rows = Block::concat(&data.parts, usize::MAX);
+            let copies = rows.rows() as u64 * (parts as u64).saturating_sub(1);
             ctx.guard.charge_rows_moved(copies)?;
             ctx.stats.rows_broadcast.add(copies);
             ctx.tracer.note_rows_moved(copies);
-            let shared = Arc::new(rows);
             Ok(Partitioned {
                 schema,
-                parts: (0..parts).map(|_| Arc::clone(&shared)).collect(),
+                parts: vec![rows; parts],
             })
         }
     }
 }
 
-fn combine_rows(left: &[Value], right: &[Value]) -> Row {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    out.extend_from_slice(left);
-    out.extend_from_slice(right);
-    out.into_boxed_slice()
+/// Candidate pairs a join with a residual collects before it evaluates
+/// the residual over them, so a selective residual over many key-equal
+/// pairs never holds them all.
+const RESIDUAL_CHUNK: usize = 1 << 16;
+
+/// The join of `l` (probe side) and `r` (build side), given its candidate
+/// pairs: `candidates(row, out)` appends the build rows to pair probe row
+/// `row` with, in build order. A pair is kept if it passes `residual`.
+/// Output order is probe row by probe row, each with its kept matches in
+/// build-row order (or padded, for an outer join, when it has none), then
+/// the unmatched build rows; each output column is gathered once from the
+/// resulting `(probe, build)` row numbers, [`NO_ROW`] being the padded
+/// side.
+fn join_blocks(
+    (l, r): (&Block, &Block),
+    join_type: JoinType,
+    residual: Option<&PlanExpr>,
+    ctx: &StatementContext<'_>,
+    mut candidates: impl FnMut(usize, &mut Vec<u32>),
+) -> Result<Arc<Block>> {
+    let pads_build = matches!(join_type, JoinType::Left | JoinType::Full);
+    let pads_probe = matches!(join_type, JoinType::Right | JoinType::Full);
+    let mut matched_build = vec![false; if pads_probe { r.rows() } else { 0 }];
+    let (mut probe, mut build) = (Vec::with_capacity(l.rows()), Vec::with_capacity(l.rows()));
+    let (mut chunk_probe, mut chunk_build): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    let mut chunk_start = 0;
+    for row in 0..l.rows() {
+        candidates(row, &mut chunk_build);
+        chunk_probe.resize(chunk_build.len(), row as u32);
+        let full = residual.is_some() && chunk_build.len() >= RESIDUAL_CHUNK;
+        if !full && row + 1 < l.rows() {
+            continue;
+        }
+        if let Some(residual) = residual {
+            let (left, right) = (l.take(&chunk_probe), r.take(&chunk_build));
+            let columns = left.columns().iter().chain(right.columns()).cloned();
+            let pairs = Block::new(columns.collect(), chunk_probe.len());
+            let kept = residual.select(&pairs, &ctx.stats.rows_evaluated_by_row)?;
+            chunk_probe = kept.iter().map(|&k| chunk_probe[k as usize]).collect();
+            chunk_build = kept.iter().map(|&k| chunk_build[k as usize]).collect();
+        }
+        let mut next = 0;
+        for probe_row in chunk_start as u32..=row as u32 {
+            let first = next;
+            while chunk_probe.get(next) == Some(&probe_row) {
+                next += 1;
+            }
+            if next > first {
+                probe.extend_from_slice(&chunk_probe[first..next]);
+                build.extend_from_slice(&chunk_build[first..next]);
+            } else if pads_build {
+                probe.push(probe_row);
+                build.push(NO_ROW);
+            }
+        }
+        if pads_probe {
+            for &build_row in &chunk_build {
+                matched_build[build_row as usize] = true;
+            }
+        }
+        chunk_probe.clear();
+        chunk_build.clear();
+        chunk_start = row + 1;
+    }
+    if pads_probe {
+        let unmatched = (0..r.rows()).filter(|&row| !matched_build[row]);
+        build.extend(unmatched.map(|row| row as u32));
+        probe.resize(build.len(), NO_ROW);
+    }
+    let left = l.columns().iter().map(|c| Arc::new(c.gather(&probe)));
+    let right = r.columns().iter().map(|c| Arc::new(c.gather(&build)));
+    Ok(Arc::new(Block::new(
+        left.chain(right).collect(),
+        probe.len(),
+    )))
 }
 
-/// Everything a hash join knows besides its input rows. `lwidth`/`rwidth`
-/// are the schema widths, needed to pad outer-join rows when a partition
-/// is empty.
+/// Everything a hash join knows besides its input rows.
 struct HashJoinSpec<'a> {
     join_type: JoinType,
     left_keys: &'a [PlanExpr],
     right_keys: &'a [PlanExpr],
     residual: Option<&'a PlanExpr>,
-    lwidth: usize,
-    rwidth: usize,
+    ctx: &'a StatementContext<'a>,
 }
 
 impl HashJoinSpec<'_> {
-    /// Hash join of one co-partitioned pair.
-    fn run(&self, lrows: &[Row], rrows: &[Row]) -> Result<Vec<Row>> {
-        self.probe(lrows, rrows, &JoinTable::build(rrows, self.right_keys)?)
+    /// The key index over one build partition.
+    fn build(&self, r: &Block) -> Result<JoinTable> {
+        JoinTable::build(evaluate_all(self.right_keys, r, self.ctx)?, r.rows())
     }
 
-    /// Probe one partition against the prebuilt index over `rrows`.
-    /// Output order is probe row by probe row, each with its matches in
-    /// build-row order, then the unmatched build rows. The `matched_right`
-    /// bookkeeping for Right/Full joins is per-call state, so a build
-    /// shared across iterations by the join-state cache stays read-only.
-    fn probe(&self, lrows: &[Row], rrows: &[Row], table: &JoinTable) -> Result<Vec<Row>> {
-        let mut matched_right = vec![false; rrows.len()];
-        let left_nulls = vec![Value::Null; self.lwidth];
-        let right_nulls = vec![Value::Null; self.rwidth];
-        let mut key = Key::new();
-        let mut out = Vec::with_capacity(lrows.len());
-        for lrow in lrows {
-            load_key(&mut key, self.left_keys, lrow)?;
-            let mut found = false;
-            // NULL keys never match; the build side left its own out.
-            if !key.iter().any(|cell| cell.is_null()) {
-                for ri in table.candidates(hash_key(cells(&key))) {
-                    if !key_matches(self.right_keys, &rrows[ri], &key)? {
-                        continue;
-                    }
-                    let combined = combine_rows(lrow, &rrows[ri]);
-                    let keep = match self.residual {
-                        Some(p) => p.matches(&combined)?,
-                        None => true,
-                    };
-                    if keep {
-                        found = true;
-                        matched_right[ri] = true;
-                        out.push(combined);
-                    }
+    /// Probe one partition against the prebuilt index over `r`. Which
+    /// build rows matched is per-call state, so a build shared across
+    /// iterations by the join-state cache stays read-only.
+    fn probe(&self, l: &Block, r: &Block, table: &JoinTable) -> Result<Arc<Block>> {
+        let keys = evaluate_all(self.left_keys, l, self.ctx)?;
+        let hashes = hash_keys(&keys, l.rows());
+        join_blocks(
+            (l, r),
+            self.join_type,
+            self.residual,
+            self.ctx,
+            |row, out| {
+                // NULL keys never match; the build side left its own out.
+                if !null_key(&keys, row) {
+                    out.extend(table.matches(&keys, row, hashes[row]));
                 }
-            }
-            if !found && matches!(self.join_type, JoinType::Left | JoinType::Full) {
-                out.push(combine_rows(lrow, &right_nulls));
-            }
-        }
-        if matches!(self.join_type, JoinType::Right | JoinType::Full) {
-            for (i, rrow) in rrows.iter().enumerate() {
-                if !matched_right[i] {
-                    out.push(combine_rows(&left_nulls, rrow));
-                }
-            }
-        }
-        Ok(out)
+            },
+        )
     }
 }
 
@@ -700,8 +727,8 @@ fn cached_hash_join(
     right: &PhysicalPlan,
     name: &str,
     join: &HashJoinSpec<'_>,
-    ctx: &StatementContext<'_>,
-) -> Result<Vec<Arc<Vec<Row>>>> {
+) -> Result<Vec<Arc<Block>>> {
+    let ctx = join.ctx;
     ctx.stats.joins_executed.add(1);
     let entry: Arc<CachedBuild> = match ctx.join_cache.lookup(name, &ctx.registry) {
         Some(entry) => {
@@ -715,12 +742,7 @@ fn cached_hash_join(
                 "hash join build",
                 RegionKind::HashJoinBuild,
                 r.estimated_bytes(),
-                || {
-                    r.parts
-                        .iter()
-                        .map(|p| JoinTable::build(p, join.right_keys))
-                        .collect::<Result<Vec<JoinTable>>>()
-                },
+                || r.parts.iter().map(|p| join.build(p)).collect(),
             )?;
             ctx.stats.join_builds.add(1);
             ctx.join_cache
@@ -735,71 +757,22 @@ fn cached_hash_join(
         )));
     }
     let entry_ref = &entry;
-    unary_map_indexed(l, ctx, |i, lrows| {
-        join.probe(lrows, &entry_ref.build.parts[i], &entry_ref.tables[i])
+    unary_map_indexed(l, ctx, |i, l| {
+        join.probe(l, &entry_ref.build.parts[i], &entry_ref.tables[i])
     })
 }
 
-/// Nested-loop join over gathered inputs.
+/// Nested-loop join over gathered inputs: every pair is a candidate.
 fn nested_loop_join(
-    lrows: &[Row],
-    rrows: &[Row],
+    l: &Block,
+    r: &Block,
     join_type: JoinType,
     residual: Option<&PlanExpr>,
-    lwidth: usize,
-    rwidth: usize,
-) -> Result<Vec<Row>> {
-    let mut matched_right = vec![false; rrows.len()];
-    let (left_nulls, right_nulls) = (vec![Value::Null; lwidth], vec![Value::Null; rwidth]);
-    let mut out = Vec::new();
-    for lrow in lrows {
-        let mut found = false;
-        for (ri, rrow) in rrows.iter().enumerate() {
-            let combined = combine_rows(lrow, rrow);
-            let keep = match residual {
-                Some(p) => p.matches(&combined)?,
-                None => true,
-            };
-            if keep {
-                found = true;
-                matched_right[ri] = true;
-                out.push(combined);
-            }
-        }
-        if !found && matches!(join_type, JoinType::Left | JoinType::Full) {
-            out.push(combine_rows(lrow, &right_nulls));
-        }
-    }
-    if matches!(join_type, JoinType::Right | JoinType::Full) {
-        for (ri, rrow) in rrows.iter().enumerate() {
-            if !matched_right[ri] {
-                out.push(combine_rows(&left_nulls, rrow));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Evaluate one aggregate's argument(s) against a row and feed the
-/// accumulator: two-argument aggregates (ARG_MIN/ARG_MAX) evaluate both
-/// the value and the ordering key, everything else the single argument
-/// (`Value::Null` for `COUNT(*)`, which ignores its input). Arguments are
-/// read in place; the accumulator clones what it keeps.
-fn update_accumulator(agg: &AggExpr, acc: &mut Accumulator, row: &Row) -> Result<()> {
-    match (&agg.arg, &agg.by) {
-        (Some(val), Some(key)) => {
-            acc.update_pair(&*val.evaluate_ref(row)?, &*key.evaluate_ref(row)?)
-        }
-        (Some(val), None) => acc.update(&*val.evaluate_ref(row)?),
-        (None, _) => acc.update(&Value::Null),
-    }
-}
-
-fn update_accumulators(aggs: &[AggExpr], accs: &mut [Accumulator], row: &Row) -> Result<()> {
-    for (agg, acc) in aggs.iter().zip(accs) {
-        update_accumulator(agg, acc, row)?;
-    }
-    Ok(())
+    ctx: &StatementContext<'_>,
+) -> Result<Arc<Block>> {
+    join_blocks((l, r), join_type, residual, ctx, |_, out| {
+        out.extend(0..r.rows() as u32)
+    })
 }
 
 /// Run one aggregation phase over every partition of `data`, its groups
@@ -809,14 +782,14 @@ fn aggregate_partitions(
     label: &str,
     schema: &spinner_common::SchemaRef,
     ctx: &StatementContext<'_>,
-    phase: impl Fn(&[Row]) -> Result<Vec<Row>> + Sync,
+    phase: impl Fn(&Block) -> Result<Arc<Block>> + Sync,
 ) -> Result<Partitioned> {
     let parts = with_transient_tracking(
         ctx,
         label,
         RegionKind::HashAggregate,
         data.estimated_bytes(),
-        || unary_map(data, ctx, phase),
+        || unary_map(data, ctx, |block| phase(block)),
     )?;
     Ok(Partitioned {
         schema: schema.clone(),
@@ -824,178 +797,111 @@ fn aggregate_partitions(
     })
 }
 
-/// The group-lookup loop behind all three aggregation phases.
-///
-/// `load_group_key` puts a row's group key (`key_width` cells) into the
-/// reused buffer; the row's group is looked up by that key — or opened,
-/// in first-seen order, which is the output order — and `feed` folds the
-/// row into the group's accumulators. Group keys and accumulators live in
-/// two flat vectors (stride `key_width` / `aggs.len()`), and each group
-/// becomes one output row of `row_width` cells: its key, then whatever
-/// `emit` writes per accumulator.
-fn aggregate_partition<'a>(
-    rows: &'a [Row],
+/// One aggregation phase over one partition. Rows are numbered by their
+/// group — `keys` holds the group key of every row, a column per key
+/// cell — in first-seen order, which is the output order; each aggregate
+/// then folds its input columns by those numbers
+/// ([`aggregate`](crate::aggregate::aggregate)). The output is the
+/// distinct keys followed by what each aggregate emits in `phase`; in the
+/// [`Phase::Final`] phase the inputs are the state columns that follow
+/// the keys in `block`. An aggregation without keys has one group, even
+/// over no rows.
+fn aggregate_block(
+    block: &Block,
+    keys: Vec<Arc<Column>>,
     aggs: &[AggExpr],
-    (key_width, row_width): (usize, usize),
-    load_group_key: impl Fn(&mut Key<'a>, &'a Row) -> Result<()>,
-    feed: impl Fn(&mut [Accumulator], &Row) -> Result<()>,
-    emit: impl Fn(Accumulator, &mut Vec<Value>),
-) -> Result<Vec<Row>> {
-    let mut index = KeyIndex::with_capacity(rows.len());
-    let mut group_keys: Vec<Value> = Vec::new();
-    let mut accs: Vec<Accumulator> = Vec::new();
-    let mut key = Key::new();
-    for row in rows {
-        load_group_key(&mut key, row)?;
-        let hash = hash_key(cells(&key));
-        let known = index.candidates(hash).find(|&g| {
-            group_keys[g * key_width..][..key_width]
-                .iter()
-                .eq(cells(&key))
-        });
-        let group = match known {
-            Some(group) => group,
-            None => {
-                group_keys.extend(key.drain(..).map(Cow::into_owned));
-                accs.extend(aggs.iter().map(Accumulator::new));
-                index.insert(hash)?
-            }
+    phase: Phase,
+    ctx: &StatementContext<'_>,
+) -> Result<Arc<Block>> {
+    let (groups, count, mut columns) = if keys.is_empty() {
+        (vec![0; block.rows()], 1, Vec::new())
+    } else {
+        let mut table = KeyTable::new(keys.len(), block.rows());
+        let groups = table.insert_all(&keys, block.rows())?;
+        (groups, table.len(), table.into_keys())
+    };
+    let mut states = block.columns()[keys.len()..].iter();
+    for agg in aggs {
+        let inputs: Vec<Arc<Column>> = match phase {
+            Phase::Final => states
+                .by_ref()
+                .take(Accumulator::state_width(agg.func))
+                .cloned()
+                .collect(),
+            _ => evaluate_all(agg.arg.iter().chain(&agg.by), block, ctx)?,
         };
-        feed(&mut accs[group * aggs.len()..][..aggs.len()], row)?;
+        let emitted = aggregate(agg, phase, &inputs, &groups, count)?;
+        columns.extend(emitted.into_iter().map(Arc::new));
     }
-    let (mut group_keys, mut accs) = (group_keys.into_iter(), accs.into_iter());
-    let mut out = Vec::with_capacity(index.len());
-    for _ in 0..index.len() {
-        let mut row = Vec::with_capacity(row_width);
-        row.extend(group_keys.by_ref().take(key_width));
-        for acc in accs.by_ref().take(aggs.len()) {
-            emit(acc, &mut row);
-        }
-        out.push(row.into_boxed_slice());
-    }
-    Ok(out)
+    Ok(Arc::new(Block::new(columns, count)))
 }
 
-/// Grouped aggregation of one (already key-exchanged) partition.
-fn grouped_aggregate_partition(
-    rows: &[Row],
-    group: &[PlanExpr],
-    aggs: &[AggExpr],
-) -> Result<Vec<Row>> {
-    aggregate_partition(
-        rows,
-        aggs,
-        (group.len(), group.len() + aggs.len()),
-        |key, row| load_key(key, group, row),
-        |accs, row| update_accumulators(aggs, accs, row),
-        |acc, out| out.push(acc.finish()),
-    )
-}
-
-/// Cells the partial states of `aggs` occupy in a partial-aggregation row.
-fn state_width(aggs: &[AggExpr]) -> usize {
-    aggs.iter().map(|a| Accumulator::state_width(a.func)).sum()
-}
-
-/// Phase 1 of two-phase aggregation: aggregate one partition locally and
-/// emit `[group keys..., partial states...]` rows.
-fn partial_aggregate_partition(
-    rows: &[Row],
-    group: &[PlanExpr],
-    aggs: &[AggExpr],
-) -> Result<Vec<Row>> {
-    aggregate_partition(
-        rows,
-        aggs,
-        (group.len(), group.len() + state_width(aggs)),
-        |key, row| load_key(key, group, row),
-        |accs, row| update_accumulators(aggs, accs, row),
-        Accumulator::into_state,
-    )
-}
-
-/// Phase 2 of two-phase aggregation: merge partial-state rows of one
-/// (key-exchanged) partition into final results.
-fn final_aggregate_partition(rows: &[Row], group_len: usize, aggs: &[AggExpr]) -> Result<Vec<Row>> {
-    aggregate_partition(
-        rows,
-        aggs,
-        (group_len, group_len + aggs.len()),
-        |key, row| {
-            key.clear();
-            key.extend(row[..group_len].iter().map(Cow::Borrowed));
-            Ok(())
-        },
-        |accs, row| {
-            let mut offset = group_len;
-            for (agg, acc) in aggs.iter().zip(accs) {
-                let width = Accumulator::state_width(agg.func);
-                acc.merge_state(&row[offset..offset + width])?;
-                offset += width;
-            }
-            Ok(())
-        },
-        |acc, out| out.push(acc.finish()),
-    )
-}
-
-/// Global aggregation: partial accumulators per partition, merged, one
-/// output row in partition 0 (even over empty input).
+/// Global aggregation, one output row in partition 0 (even over empty
+/// input): each aggregate's partial states per partition, merged in
+/// partition order. `DISTINCT` has no partial state to merge, so such an
+/// aggregate runs in one phase over all the rows.
 fn global_aggregate(
     data: &Partitioned,
     aggs: &[AggExpr],
     schema: spinner_common::SchemaRef,
     ctx: &StatementContext<'_>,
 ) -> Result<Partitioned> {
-    let mut final_accs: Vec<Accumulator> = aggs.iter().map(Accumulator::new).collect();
-    for part in &data.parts {
-        let mut partial: Vec<Accumulator> = aggs.iter().map(Accumulator::new).collect();
-        for row in part.iter() {
-            update_accumulators(aggs, &mut partial, row)?;
-        }
-        for (f, p) in final_accs.iter_mut().zip(partial) {
-            f.merge(p)?;
-        }
+    let phase = |blocks: &[Arc<Block>], agg: &AggExpr, phase| {
+        let agg = std::slice::from_ref(agg);
+        let rows = Block::concat(blocks, usize::MAX);
+        aggregate_block(&rows, Vec::new(), agg, phase, ctx)
+    };
+    let mut columns = Vec::with_capacity(aggs.len());
+    for agg in aggs {
+        let row = if agg.distinct {
+            phase(&data.parts, agg, Phase::Single)?
+        } else {
+            let partial = |part| phase(std::slice::from_ref(part), agg, Phase::Partial);
+            let partials: Vec<Arc<Block>> =
+                data.parts.iter().map(partial).collect::<Result<_>>()?;
+            phase(&partials, agg, Phase::Final)?
+        };
+        columns.extend_from_slice(row.columns());
     }
-    let row: Vec<Value> = final_accs.into_iter().map(Accumulator::finish).collect();
-    Ok(in_partition_zero(schema, vec![row.into_boxed_slice()], ctx))
+    Ok(in_partition_zero(
+        schema,
+        Arc::new(Block::new(columns, 1)),
+        ctx,
+    ))
 }
 
-/// Set operations over one co-partitioned pair (`DISTINCT` is the union
-/// of a partition with nothing). Kept rows come out in left-then-right
-/// input order; a distinct variant keeps a row's first occurrence.
-fn set_op_partition<'a>(
-    lrows: &'a [Row],
-    rrows: &'a [Row],
+/// The distinct rows of `block`, each where it first occurs.
+fn distinct_rows(block: &Block) -> Result<Arc<Block>> {
+    let mut rows = KeyTable::new(block.columns().len(), block.rows());
+    rows.insert_all(block.columns(), block.rows())?;
+    let count = rows.len();
+    Ok(Arc::new(Block::new(rows.into_keys(), count)))
+}
+
+/// Set operations over one co-partitioned pair. Kept rows come out in
+/// left-then-right input order; a distinct variant keeps a row's first
+/// occurrence.
+fn set_op_partition(
+    l: &Arc<Block>,
+    r: &Arc<Block>,
     op: SetOpKind,
     all: bool,
-) -> Result<Vec<Row>> {
-    if op == SetOpKind::Union && all {
-        return Ok([lrows, rrows].concat());
-    }
-    let mut out = Vec::new();
-    let mut seen: RowIndex<&Row> = RowIndex::by_row(if all { 0 } else { lrows.len() });
-    let mut first_occurrence = |row: &'a Row| Ok::<_, Error>(all || seen.insert(row, || row)?.1);
-    if op == SetOpKind::Union {
-        for row in lrows.iter().chain(rrows) {
-            if first_occurrence(row)? {
-                out.push(row.clone());
+) -> Result<Arc<Block>> {
+    let kept = if op == SetOpKind::Union {
+        Block::concat(&[Arc::clone(l), Arc::clone(r)], usize::MAX)
+    } else {
+        // EXCEPT keeps the left rows the right side lacks, INTERSECT those
+        // it has; under ALL each right occurrence answers for one left row.
+        let mut right = KeyTable::new(r.columns().len(), r.rows());
+        let mut occurrences: Vec<usize> = Vec::new();
+        for id in right.insert_all(r.columns(), r.rows())? {
+            match occurrences.get_mut(id as usize) {
+                Some(n) => *n += 1,
+                None => occurrences.push(1),
             }
         }
-        return Ok(out);
-    }
-    // EXCEPT keeps the left rows the right side lacks, INTERSECT those it
-    // has; under ALL each right occurrence answers for one left row.
-    let mut right: RowIndex<&Row> = RowIndex::by_row(rrows.len());
-    let mut occurrences: Vec<usize> = Vec::new();
-    for row in rrows {
-        match right.insert(row, || row)? {
-            (_, true) => occurrences.push(1),
-            (id, false) => occurrences[id] += 1,
-        }
-    }
-    for row in lrows {
-        let in_right = match right.find(row) {
+        let hashes = hash_keys(l.columns(), l.rows());
+        let mut in_right = |row: &usize| match right.find(l.columns(), *row, hashes[*row]) {
             Some(id) if all && occurrences[id] == 0 => false,
             Some(id) => {
                 occurrences[id] -= usize::from(all);
@@ -1003,21 +909,26 @@ fn set_op_partition<'a>(
             }
             None => false,
         };
-        if in_right == (op == SetOpKind::Intersect) && first_occurrence(row)? {
-            out.push(row.clone());
-        }
+        let wanted = op == SetOpKind::Intersect;
+        let kept = (0..l.rows()).filter(|row| in_right(row) == wanted);
+        Arc::new(l.take(&kept.map(|row| row as u32).collect::<Vec<_>>()))
+    };
+    if all {
+        Ok(kept)
+    } else {
+        distinct_rows(&kept)
     }
-    Ok(out)
 }
 
-/// How `keys` order two rows' precomputed sort-key cells.
+/// How `keys` order rows `a` and `b`, whose sort-key cells `columns` hold.
 fn compare_sort_keys(
-    a: &[Cow<'_, Value>],
-    b: &[Cow<'_, Value>],
+    columns: &[Arc<Column>],
     keys: &[SortKey],
+    (a, b): (usize, usize),
 ) -> std::cmp::Ordering {
     use std::cmp::Ordering;
-    for ((a, b), key) in a.iter().zip(b).zip(keys) {
+    for (column, key) in columns.iter().zip(keys) {
+        let (a, b) = (column.cell(a), column.cell(b));
         let nulls = if key.nulls_first {
             Ordering::Less
         } else {
@@ -1027,8 +938,8 @@ fn compare_sort_keys(
             (true, true) => Ordering::Equal,
             (true, false) => nulls,
             (false, true) => nulls.reverse(),
-            (false, false) if key.asc => a.cmp_total(b),
-            (false, false) => a.cmp_total(b).reverse(),
+            (false, false) if key.asc => a.cmp_total(&b),
+            (false, false) => a.cmp_total(&b).reverse(),
         };
         if ord != Ordering::Equal {
             return ord;
@@ -1037,40 +948,23 @@ fn compare_sort_keys(
     Ordering::Equal
 }
 
-/// Sort rows in place by the given keys (stable).
-pub fn sort_rows(rows: &mut [Row], keys: &[SortKey]) -> Result<()> {
-    let width = keys.len();
-    let order: Vec<usize> = {
-        // Every sort key up front, in one flat vector (stride `width`):
-        // expressions are not re-evaluated in the comparator, evaluation
-        // errors surface before sorting, and column keys stay borrowed.
-        let mut sort_keys: Vec<Cow<'_, Value>> = Vec::with_capacity(rows.len() * width);
-        for row in rows.iter() {
-            for key in keys {
-                sort_keys.push(key.expr.evaluate_ref(row)?);
-            }
-        }
-        let of = |i: usize| &sort_keys[i * width..][..width];
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&a, &b| compare_sort_keys(of(a), of(b), keys));
-        order
-    };
-    // Rows move into place; none is cloned.
-    let sorted: Vec<Row> = order
-        .into_iter()
-        .map(|i| std::mem::take(&mut rows[i]))
-        .collect();
-    for (slot, row) in rows.iter_mut().zip(sorted) {
-        *slot = row;
-    }
-    Ok(())
+/// The rows of `block` sorted by `keys` (stable): the keys are evaluated
+/// once, a column each — so an evaluation error surfaces before anything
+/// is ordered — and the rows gathered by the sorted row numbers.
+fn sort_rows(block: &Block, keys: &[SortKey], ctx: &StatementContext<'_>) -> Result<Arc<Block>> {
+    let columns = evaluate_all(keys.iter().map(|key| &key.expr), block, ctx)?;
+    let mut order: Vec<u32> = (0..block.rows() as u32).collect();
+    order.sort_by(|&a, &b| compare_sort_keys(&columns, keys, (a as usize, b as usize)));
+    Ok(Arc::new(block.take(&order)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use spinner_common::{row_of, DataType, EngineConfig, Field, QueryGuard, Schema, SchemaRef};
+    use spinner_common::{
+        row_of, DataType, EngineConfig, Field, QueryGuard, Schema, SchemaRef, Value,
+    };
     use spinner_plan::expr::BinaryOp;
     use spinner_plan::AggFunc;
     use spinner_storage::Catalog;
@@ -1082,6 +976,19 @@ mod tests {
         PlanExpr::column(i, format!("c{i}"))
     }
 
+    fn with_context<T>(partitions: usize, f: impl FnOnce(&StatementContext<'_>) -> T) -> T {
+        let catalog = Catalog::new();
+        let config = EngineConfig::default().with_partitions(partitions);
+        let guard = QueryGuard::unlimited();
+        let faults = FaultInjector::disabled();
+        let ctx = StatementContext::new(&catalog, &config, &guard, &faults, None, None);
+        f(&ctx)
+    }
+
+    fn block(width: usize, rows: &[Row]) -> Arc<Block> {
+        Arc::new(Block::from_rows(width, rows.iter().cloned()))
+    }
+
     fn hash_join(
         l: &[Row],
         r: &[Row],
@@ -1089,18 +996,62 @@ mod tests {
         keys: &[(usize, usize)],
         residual: Option<&PlanExpr>,
         (lwidth, rwidth): (usize, usize),
-    ) -> Result<Vec<Row>> {
+    ) -> Vec<Row> {
         let left_keys: Vec<PlanExpr> = keys.iter().map(|k| col(k.0)).collect();
         let right_keys: Vec<PlanExpr> = keys.iter().map(|k| col(k.1)).collect();
-        HashJoinSpec {
-            join_type,
-            left_keys: &left_keys,
-            right_keys: &right_keys,
-            residual,
-            lwidth,
-            rwidth,
+        with_context(1, |ctx| {
+            let join = HashJoinSpec {
+                join_type,
+                left_keys: &left_keys,
+                right_keys: &right_keys,
+                residual,
+                ctx,
+            };
+            let (l, r) = (block(lwidth, l), block(rwidth, r));
+            let joined = join.probe(&l, &r, &join.build(&r).unwrap()).unwrap();
+            assert_eq!(
+                ctx.stats.rows_evaluated_by_row.get(),
+                0,
+                "column keys, typed residual"
+            );
+            joined.to_rows()
+        })
+    }
+
+    /// The join by its definition, a row at a time through the row
+    /// evaluator: every pair in left-then-right order that satisfies
+    /// `predicate`, an unmatched left row padded in place, unmatched right
+    /// rows last. What both join operators are compared against.
+    fn reference_join(
+        lrows: &[Row],
+        rrows: &[Row],
+        join_type: JoinType,
+        predicate: Option<&PlanExpr>,
+        (lwidth, rwidth): (usize, usize),
+    ) -> Vec<Row> {
+        let combine = |l: &[Value], r: &[Value]| -> Row { l.iter().chain(r).cloned().collect() };
+        let mut matched_right = vec![false; rrows.len()];
+        let (left_nulls, right_nulls) = (vec![Value::Null; lwidth], vec![Value::Null; rwidth]);
+        let mut out = Vec::new();
+        for lrow in lrows {
+            let mut found = false;
+            for (ri, rrow) in rrows.iter().enumerate() {
+                let combined = combine(lrow, rrow);
+                if predicate.is_none_or(|p| p.matches(&combined).unwrap()) {
+                    found = true;
+                    matched_right[ri] = true;
+                    out.push(combined);
+                }
+            }
+            if !found && matches!(join_type, JoinType::Left | JoinType::Full) {
+                out.push(combine(lrow, &right_nulls));
+            }
         }
-        .run(l, r)
+        if matches!(join_type, JoinType::Right | JoinType::Full) {
+            let unmatched = rrows.iter().zip(&matched_right).filter(|(_, m)| !**m);
+            out.extend(unmatched.map(|(rrow, _)| combine(&left_nulls, rrow)));
+        }
+        out
     }
 
     fn sort_key(expr: PlanExpr, asc: bool, nulls_first: bool) -> SortKey {
@@ -1113,52 +1064,49 @@ mod tests {
 
     #[test]
     fn sort_rows_respects_desc_and_nulls() {
-        let mut rows = vec![
-            row_of([Value::Int(1), Value::Text("x".into())]),
-            row_of([Value::Null, Value::Text("y".into())]),
-            row_of([Value::Int(3), Value::Text("z".into())]),
-            row_of([Value::Float(1.0), Value::Text("w".into())]),
-        ];
-        let cells: Vec<*const Value> = rows.iter().map(|r| r.as_ptr()).collect();
-        sort_rows(&mut rows, &[sort_key(col(0), false, false)]).unwrap();
-        let second: Vec<&Value> = rows.iter().map(|r| &r[1]).collect();
-        // 1 and 1.0 tie: the sort is stable, so "x" stays ahead of "w".
-        assert_eq!(
-            second,
-            ["z", "x", "w", "y"]
-                .map(Value::from)
-                .iter()
-                .collect::<Vec<_>>()
-        );
-        assert!(rows[3][0].is_null());
-        // Rows moved into place: the same heap cells, none cloned.
-        let mut after: Vec<*const Value> = rows.iter().map(|r| r.as_ptr()).collect();
-        assert_eq!(after.len(), 4);
-        after.sort();
-        let mut before = cells;
-        before.sort();
-        assert_eq!(after, before);
-        // Two keys, NULLs first, the second key computed and ascending.
-        let negated = PlanExpr::literal(0i64).binary(BinaryOp::Minus, col(0));
-        sort_rows(
-            &mut rows,
-            &[sort_key(col(0), true, true), sort_key(negated, true, true)],
-        )
-        .unwrap();
-        assert!(rows[0][0].is_null());
-        assert_eq!(rows[3][1], Value::from("z"));
-        // A key that fails to evaluate fails the sort and leaves the rows.
-        let snapshot = rows.clone();
-        assert!(sort_rows(&mut rows, &[sort_key(col(9), true, true)]).is_err());
-        assert_eq!(rows, snapshot);
+        with_context(1, |ctx| {
+            let rows = block(
+                2,
+                &[
+                    row_of([Value::Int(1), Value::Text("x".into())]),
+                    row_of([Value::Null, Value::Text("y".into())]),
+                    row_of([Value::Int(3), Value::Text("z".into())]),
+                    row_of([Value::Float(1.0), Value::Text("w".into())]),
+                ],
+            );
+            let sorted = sort_rows(&rows, &[sort_key(col(0), false, false)], ctx).unwrap();
+            // 1 and 1.0 tie: the sort is stable, so "x" stays ahead of "w" —
+            // and each keeps its own cell: `Int(1)` is not `Float(1.0)`.
+            assert_eq!(
+                exact(&sorted.to_rows()),
+                exact(&[
+                    row_of([Value::Int(3), Value::Text("z".into())]),
+                    row_of([Value::Int(1), Value::Text("x".into())]),
+                    row_of([Value::Float(1.0), Value::Text("w".into())]),
+                    row_of([Value::Null, Value::Text("y".into())]),
+                ])
+            );
+            // Two keys, NULLs first, the second key computed and ascending.
+            let negated = PlanExpr::literal(0i64).binary(BinaryOp::Minus, col(0));
+            let keys = [sort_key(col(0), true, true), sort_key(negated, true, true)];
+            let sorted = sort_rows(&sorted, &keys, ctx).unwrap().to_rows();
+            assert!(sorted[0][0].is_null());
+            assert_eq!(sorted[3][1], Value::from("z"));
+            // A key that fails to evaluate fails the sort.
+            assert!(sort_rows(&rows, &[sort_key(col(9), true, true)], ctx).is_err());
+            assert_eq!(sort_rows(&block(2, &[]), &keys, ctx).unwrap().rows(), 0);
+        });
     }
 
     #[test]
     fn nested_loop_left_join_pads() {
-        let l = vec![row_of([Value::Int(1)]), row_of([Value::Int(2)])];
-        let r = vec![row_of([Value::Int(1), Value::Int(10)])];
+        let l = block(1, &[row_of([Value::Int(1)]), row_of([Value::Int(2)])]);
+        let r = block(2, &[row_of([Value::Int(1), Value::Int(10)])]);
         let pred = col(0).binary(BinaryOp::Eq, col(1));
-        let out = nested_loop_join(&l, &r, JoinType::Left, Some(&pred), 1, 2).unwrap();
+        let out = with_context(1, |ctx| {
+            nested_loop_join(&l, &r, JoinType::Left, Some(&pred), ctx).unwrap()
+        })
+        .to_rows();
         assert_eq!(out.len(), 2);
         assert!(out[1][1].is_null()); // unmatched row padded
     }
@@ -1167,10 +1115,10 @@ mod tests {
     fn hash_join_null_keys_never_match() {
         let l = vec![row_of([Value::Null]), row_of([Value::Int(1)])];
         let r = vec![row_of([Value::Null]), row_of([Value::Int(1)])];
-        let out = hash_join(&l, &r, JoinType::Inner, &[(0, 0)], None, (1, 1)).unwrap();
+        let out = hash_join(&l, &r, JoinType::Inner, &[(0, 0)], None, (1, 1));
         assert_eq!(out, vec![row_of([Value::Int(1), Value::Int(1)])]);
         // Outer joins pad the NULL-keyed rows of their side instead.
-        let out = hash_join(&l, &r, JoinType::Full, &[(0, 0)], None, (1, 1)).unwrap();
+        let out = hash_join(&l, &r, JoinType::Full, &[(0, 0)], None, (1, 1));
         assert_eq!(
             out,
             vec![
@@ -1190,17 +1138,49 @@ mod tests {
             row_of([Value::Int(1), Value::Null]),
         ];
         let keys = [(0, 0), (1, 1)];
-        let out = hash_join(&l, &r, JoinType::Inner, &keys, None, (2, 2)).unwrap();
-        assert_eq!(out, vec![combine_rows(&l[1], &r[1])]);
+        let out = hash_join(&l, &r, JoinType::Inner, &keys, None, (2, 2));
+        let both: Row = l[1].iter().chain(r[1].iter()).cloned().collect();
+        assert_eq!(exact(&out), exact(&[both]));
+        // Empty sides keep their width: the padding has something to pad.
+        let out = hash_join(&l, &[], JoinType::Left, &keys, None, (2, 2));
+        assert_eq!(out[0].len(), 4);
     }
 
     #[test]
     fn hash_join_full_outer_emits_both_sides() {
         let l = vec![row_of([Value::Int(1)]), row_of([Value::Int(2)])];
         let r = vec![row_of([Value::Int(2)]), row_of([Value::Int(3)])];
-        let mut out = hash_join(&l, &r, JoinType::Full, &[(0, 0)], None, (1, 1)).unwrap();
+        let mut out = hash_join(&l, &r, JoinType::Full, &[(0, 0)], None, (1, 1));
         out.sort();
         assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn a_residual_is_evaluated_in_chunks_without_changing_the_join() {
+        // 300 × 300 key-equal pairs: several chunks of candidates, a
+        // residual that keeps one pair per probe row.
+        let side = |n: i64| -> Vec<Row> {
+            (0..n)
+                .map(|i| row_of([Value::Int(7), Value::Int(i)]))
+                .collect()
+        };
+        let (l, r) = (side(300), side(300));
+        assert!(l.len() * r.len() > RESIDUAL_CHUNK);
+        let residual = col(1).binary(BinaryOp::Eq, col(3));
+        let out = hash_join(&l, &r, JoinType::Full, &[(0, 0)], Some(&residual), (2, 2));
+        let predicate = col(0)
+            .binary(BinaryOp::Eq, col(2))
+            .binary(BinaryOp::And, residual);
+        let want = reference_join(&l, &r, JoinType::Full, Some(&predicate), (2, 2));
+        assert_eq!(out.len(), 300);
+        assert_eq!(exact(&out), exact(&want));
+    }
+
+    fn set_op(l: &[Row], r: &[Row], op: SetOpKind, all: bool) -> Vec<Row> {
+        let width = l.iter().chain(r).next().map_or(3, |row| row.len());
+        set_op_partition(&block(width, l), &block(width, r), op, all)
+            .unwrap()
+            .to_rows()
     }
 
     #[test]
@@ -1211,16 +1191,14 @@ mod tests {
             row_of([Value::Int(2)]),
         ];
         let r = vec![row_of([Value::Int(1)])];
-        let out = set_op_partition(&l, &r, SetOpKind::Except, true).unwrap();
-        assert_eq!(out.len(), 2);
+        assert_eq!(set_op(&l, &r, SetOpKind::Except, true).len(), 2);
     }
 
     #[test]
     fn union_distinct_dedupes_across_sides() {
         let l = vec![row_of([Value::Int(1)])];
         let r = vec![row_of([Value::Int(1)]), row_of([Value::Int(2)])];
-        let out = set_op_partition(&l, &r, SetOpKind::Union, false).unwrap();
-        assert_eq!(out.len(), 2);
+        assert_eq!(set_op(&l, &r, SetOpKind::Union, false).len(), 2);
     }
 
     // ---- differential properties ------------------------------------------
@@ -1239,11 +1217,31 @@ mod tests {
         })
     }
 
+    /// An integer key cell, a float one equal to some integer one, or NULL.
+    fn int_cell() -> impl Strategy<Value = Value> {
+        (0i64..6).prop_map(|n| if n == 5 { Value::Null } else { Value::Int(n) })
+    }
+
+    fn float_cell() -> impl Strategy<Value = Value> {
+        (0i64..6).prop_map(|n| {
+            if n == 5 {
+                Value::Null
+            } else {
+                Value::Float(n as f64)
+            }
+        })
+    }
+
     /// `(key, key, payload)` rows: few distinct keys, so both sides repeat.
+    /// The key columns hold `Mixed` cells, integers only or floats only —
+    /// so an integer column also meets a float column, and a typed column a
+    /// `Mixed` one.
     fn rows() -> impl Strategy<Value = Vec<Row>> {
-        let row =
-            (key_cell(), key_cell(), 0i64..4).prop_map(|(a, b, p)| row_of([a, b, Value::Int(p)]));
-        proptest::collection::vec(row, 0..24)
+        fn of<S: Strategy<Value = Value>>(cell: fn() -> S) -> impl Strategy<Value = Vec<Row>> {
+            let row = (cell(), cell(), 0i64..4).prop_map(|(a, b, p)| row_of([a, b, Value::Int(p)]));
+            proptest::collection::vec(row, 0..24)
+        }
+        prop_oneof![of(key_cell), of(int_cell), of(float_cell)]
     }
 
     fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
@@ -1260,9 +1258,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The hash join is the nested-loop join over `keys equal AND
+        /// The hash join is the join's definition over `keys equal AND
         /// residual`, row for row: probe rows in order, each with its
-        /// matches in build order, unmatched build rows last.
+        /// matches in build order, unmatched build rows last. So is the
+        /// nested-loop join.
         #[test]
         fn hash_join_equals_nested_loop_join(
             l in rows(),
@@ -1283,10 +1282,14 @@ mod tests {
                     None => eq,
                 });
             }
-            let hashed = hash_join(&l, &r, join_type, keys, residual.as_ref(), (3, 3)).unwrap();
-            let looped = nested_loop_join(&l, &r, join_type, predicate.as_ref(), 3, 3).unwrap();
-            prop_assert_eq!(exact(&hashed), exact(&looped));
-            prop_assert_eq!(sorted(hashed), sorted(looped));
+            let hashed = hash_join(&l, &r, join_type, keys, residual.as_ref(), (3, 3));
+            let reference = reference_join(&l, &r, join_type, predicate.as_ref(), (3, 3));
+            prop_assert_eq!(exact(&hashed), exact(&reference));
+            let looped = with_context(1, |ctx| {
+                nested_loop_join(&block(3, &l), &block(3, &r), join_type, predicate.as_ref(), ctx)
+            }).unwrap().to_rows();
+            prop_assert_eq!(exact(&looped), exact(&reference));
+            prop_assert_eq!(sorted(hashed), sorted(reference));
         }
 
         /// Grouped aggregation, and partial + final over any split of the
@@ -1308,38 +1311,59 @@ mod tests {
                 agg(AggFunc::Sum, Some(half.clone())),
                 agg(AggFunc::Min, Some(col(2))),
                 agg(AggFunc::Avg, Some(col(2))),
+                agg(AggFunc::Count, Some(col(0))),
+                agg(AggFunc::Max, Some(col(1))),
             ];
-            // Reference: first-seen order kept beside an ordered map.
+            // Reference: first-seen order kept beside an ordered map of
+            // (count, sum, min, non-NULL count, max).
+            type Folded = (i64, f64, i64, i64, Option<Value>);
             let mut order: Vec<Vec<Value>> = Vec::new();
-            let mut groups: BTreeMap<Vec<Value>, (i64, f64, i64)> = BTreeMap::new();
+            let mut groups: BTreeMap<Vec<Value>, Folded> = BTreeMap::new();
             for row in &rows {
                 let key: Vec<Value> = group.iter().map(|g| g.evaluate(row).unwrap()).collect();
                 let payload = row[2].as_i64().unwrap();
                 let entry = groups.entry(key.clone()).or_insert_with(|| {
                     order.push(key);
-                    (0, 0.0, i64::MAX)
+                    (0, 0.0, i64::MAX, 0, None)
                 });
                 entry.0 += 1;
                 entry.1 = if entry.0 == 1 { payload as f64 * 0.1 } else { entry.1 + payload as f64 * 0.1 };
                 entry.2 = entry.2.min(payload);
+                entry.3 += i64::from(!row[0].is_null());
+                // MAX by the total order over whatever the cells are; a tie keeps the first.
+                if !row[1].is_null() && entry.4.as_ref().is_none_or(|held| row[1].cmp_total(held).is_gt()) {
+                    entry.4 = Some(row[1].clone());
+                }
             }
             let reference: Vec<Row> = order.iter().map(|key| {
-                let (n, sum, min) = groups[key];
+                let (n, sum, min, counted, max) = groups[key].clone();
                 let total: i64 = rows.iter()
                     .filter(|r| group.iter().map(|g| g.evaluate(r).unwrap()).collect::<Vec<_>>() == *key)
                     .map(|r| r[2].as_i64().unwrap()).sum();
                 let mut row = key.clone();
-                row.extend([Value::Int(n), Value::Float(sum), Value::Int(min), Value::Float(total as f64 / n as f64)]);
+                row.extend([
+                    Value::Int(n), Value::Float(sum), Value::Int(min), Value::Float(total as f64 / n as f64),
+                    Value::Int(counted), max.unwrap_or(Value::Null),
+                ]);
                 row.into_boxed_slice()
             }).collect();
-            let grouped = grouped_aggregate_partition(&rows, &group, &aggs).unwrap();
+            let phase = |rows: &[Row], width: usize, phase: Phase| with_context(1, |ctx| {
+                let input = block(width, rows);
+                let keys = match phase {
+                    Phase::Final => input.columns()[..group.len()].to_vec(),
+                    _ => evaluate_all(&group, &input, ctx).unwrap(),
+                };
+                aggregate_block(&input, keys, &aggs, phase, ctx).unwrap().to_rows()
+            });
+            let grouped = phase(&rows, 3, Phase::Single);
             prop_assert_eq!(exact(&grouped), exact(&reference));
             // Two-phase: partial states of two chunks, merged by the final phase.
             let (head, tail) = rows.split_at(split.min(rows.len()));
-            let mut partial = partial_aggregate_partition(head, &group, &aggs).unwrap();
-            partial.extend(partial_aggregate_partition(tail, &group, &aggs).unwrap());
-            prop_assert!(partial.iter().all(|r| r.len() == group.len() + 5));
-            let merged = final_aggregate_partition(&partial, group.len(), &aggs).unwrap();
+            let mut partial = phase(head, 3, Phase::Partial);
+            partial.extend(phase(tail, 3, Phase::Partial));
+            let state_width = group.len() + 7;
+            prop_assert!(partial.iter().all(|r| r.len() == state_width));
+            let merged = phase(&partial, state_width, Phase::Final);
             prop_assert_eq!(merged.len(), reference.len());
             for (got, want) in merged.iter().zip(&reference) {
                 // Floats were added in a different association; compare loosely.
@@ -1358,7 +1382,7 @@ mod tests {
                 (SetOpKind::Union, false), (SetOpKind::Except, false), (SetOpKind::Except, true),
                 (SetOpKind::Intersect, false), (SetOpKind::Intersect, true),
             ] {
-                let got = set_op_partition(&l, &r, op, all).unwrap();
+                let got = set_op(&l, &r, op, all);
                 let both = [l.clone(), r.clone()].concat();
                 let want: Vec<Row> = match (op, all) {
                     (SetOpKind::Union, _) => (0..both.len()).filter(|&i| first(&both, i)).map(|i| both[i].clone()).collect(),
@@ -1373,11 +1397,51 @@ mod tests {
                 };
                 prop_assert_eq!(exact(&got), exact(&want), "{:?} all={}", op, all);
             }
-            prop_assert_eq!(set_op_partition(&l, &r, SetOpKind::Union, true).unwrap(), [l, r].concat());
+            prop_assert_eq!(exact(&set_op(&l, &r, SetOpKind::Union, true)), exact(&[l.clone(), r].concat()));
+            prop_assert_eq!(
+                exact(&distinct_rows(&block(3, &l)).unwrap().to_rows()),
+                exact(&(0..l.len()).filter(|&i| first(&l, i)).map(|i| l[i].clone()).collect::<Vec<_>>())
+            );
+        }
+
+        /// A hash exchange puts every row where `placement` says its key
+        /// belongs, keeps rows of one source in order, and loses none;
+        /// gathering them back returns the multiset.
+        #[test]
+        fn exchange_round_trips(rows in rows(), two_columns in any::<bool>()) {
+            for partitions in [1usize, 2, 4] {
+                with_context(partitions, |ctx| {
+                    // Stored under another partition count on purpose.
+                    let data = Partitioned::from_rows(key_schema(), rows.clone(), None, 3);
+                    let keys = if two_columns { vec![col(0), col(1)] } else { vec![col(1)] };
+                    let placed = exchange(data, &ExchangeMode::Hash(keys.clone()), usize::MAX, ctx).unwrap();
+                    assert_eq!(placed.parts.len(), partitions);
+                    for (i, part) in placed.parts.iter().enumerate() {
+                        let key = evaluate_all(&keys, part, ctx).unwrap();
+                        assert!(placement(&key, part.rows(), partitions).iter().all(|&p| p as usize == i));
+                    }
+                    let gathered = exchange(placed, &ExchangeMode::Gather, usize::MAX, ctx).unwrap();
+                    assert!(gathered.parts[1..].iter().all(|p| p.is_empty()));
+                    let as_multiset = |rows: &[Row]| {
+                        let mut rows = exact(rows);
+                        rows.sort();
+                        rows
+                    };
+                    assert_eq!(as_multiset(&gathered.gather()), as_multiset(&rows));
+                });
+            }
         }
     }
 
     // ---- exchange ----------------------------------------------------------
+
+    fn key_schema() -> SchemaRef {
+        Arc::new(Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Int),
+            Field::new("p", DataType::Int),
+        ]))
+    }
 
     fn int_schema() -> SchemaRef {
         Arc::new(Schema::new(vec![
@@ -1386,126 +1450,107 @@ mod tests {
         ]))
     }
 
-    fn with_context(partitions: usize, f: impl FnOnce(&StatementContext<'_>)) {
-        let catalog = Catalog::new();
-        let config = EngineConfig::default().with_partitions(partitions);
-        let guard = QueryGuard::unlimited();
-        let faults = FaultInjector::disabled();
-        let ctx = StatementContext::new(&catalog, &config, &guard, &faults, None, None);
-        f(&ctx);
-    }
-
     fn numbered(n: i64) -> Vec<Row> {
         (0..n)
             .map(|i| row_of([Value::Int(i % 7), Value::Int(i)]))
             .collect()
     }
 
-    fn cell_addresses(data: &Partitioned) -> Vec<*const Value> {
-        let mut cells: Vec<_> = data
-            .parts
-            .iter()
-            .flat_map(|p| p.iter().map(|r| r.as_ptr()))
-            .collect();
-        cells.sort();
-        cells
-    }
-
     #[test]
-    fn exchange_passes_through_moves_or_copies() {
+    fn exchange_passes_placed_rows_through_and_scatters_the_rest() {
         with_context(4, |ctx| {
             let on_key = ExchangeMode::Hash(vec![col(0)]);
-            let counts = || {
-                let s = ctx.stats.take();
-                (s.rows_moved, s.rows_copied)
-            };
+            let moved = || ctx.stats.take().rows_moved;
             // Distributed round-robin, so a hash exchange has work to do.
             let scattered = Partitioned::from_rows(int_schema(), numbered(100), None, 4);
-            let before = cell_addresses(&scattered);
-            // Uniquely owned: rows move — same heap cells, nothing cloned.
-            let placed = exchange(scattered, &on_key, usize::MAX, ctx).unwrap();
-            let (moved, copied) = counts();
-            assert!(moved > 0);
-            assert_eq!(copied, 0);
-            assert_eq!(cell_addresses(&placed), before);
+            let placed = exchange(scattered.clone(), &on_key, usize::MAX, ctx).unwrap();
+            assert!(moved() > 0);
+            // Rows of one source partition arrive in their order.
+            for part in &placed.parts {
+                let from_first: Vec<i64> = (part.to_rows().iter())
+                    .map(|r| r[1].as_i64().unwrap())
+                    .filter(|v| v % 4 == 0)
+                    .collect();
+                assert!(from_first.windows(2).all(|w| w[0] < w[1]));
+            }
             // Already placed: the very same partitions come back.
             let again = exchange(placed.clone(), &on_key, usize::MAX, ctx).unwrap();
-            assert_eq!(counts(), (0, 0));
+            assert_eq!(moved(), 0);
             assert!(again
                 .parts
                 .iter()
                 .zip(&placed.parts)
                 .all(|(a, b)| Arc::ptr_eq(a, b)));
-            drop(again);
-            // Shared (`placed` is still held here): rows are copied and
-            // counted, and the source is intact.
-            let on_value = ExchangeMode::Hash(vec![col(1)]);
-            let snapshot = placed.gather();
-            let reshuffled = exchange(placed.clone(), &on_value, usize::MAX, ctx).unwrap();
-            let (moved, copied) = counts();
-            assert!(moved > 0);
-            assert_eq!(copied, 100);
-            assert_eq!(placed.gather(), snapshot);
-            assert!(cell_addresses(&reshuffled)
-                .iter()
-                .all(|c| !before.contains(c)));
+            // The input is a snapshot others may hold: it is never changed.
+            assert_eq!(
+                scattered.gather(),
+                Partitioned::from_rows(int_schema(), numbered(100), None, 4).gather()
+            );
             // A gather of rows already in partition 0 moves nothing either.
-            let gathered = exchange(reshuffled, &ExchangeMode::Gather, usize::MAX, ctx).unwrap();
-            assert_eq!(counts().1, 0, "uniquely owned: gathered by moving");
+            let gathered = exchange(placed, &ExchangeMode::Gather, usize::MAX, ctx).unwrap();
+            assert!(moved() > 0);
             let regathered =
                 exchange(gathered.clone(), &ExchangeMode::Gather, usize::MAX, ctx).unwrap();
-            assert_eq!(counts(), (0, 0));
+            assert_eq!(moved(), 0);
             assert!(Arc::ptr_eq(&regathered.parts[0], &gathered.parts[0]));
+            // Broadcast: one block, shared by every partition.
+            let everywhere = exchange(gathered, &ExchangeMode::Broadcast, usize::MAX, ctx).unwrap();
+            assert_eq!(ctx.stats.take().rows_broadcast, 300);
+            assert!(everywhere
+                .parts
+                .iter()
+                .all(|p| Arc::ptr_eq(p, &everywhere.parts[0])));
         });
     }
 
     #[test]
-    fn hash_then_gather_round_trips_the_multiset() {
-        for partitions in [1, 2, 4] {
-            with_context(partitions, |ctx| {
-                let rows = numbered(50);
-                // Stored under another partition count on purpose.
-                let data = Partitioned::from_rows(int_schema(), rows.clone(), None, 3);
-                let keys = vec![col(0), col(1)];
-                let placed =
-                    exchange(data, &ExchangeMode::Hash(keys.clone()), usize::MAX, ctx).unwrap();
-                assert_eq!(placed.parts.len(), partitions);
-                for (i, part) in placed.parts.iter().enumerate() {
-                    for row in part.iter() {
-                        assert_eq!(partition_for_key(&row[..], partitions).unwrap(), i);
-                    }
-                }
-                let gathered = exchange(placed, &ExchangeMode::Gather, usize::MAX, ctx).unwrap();
-                assert_eq!(gathered.parts.len(), partitions);
-                assert!(gathered.parts[1..].iter().all(|p| p.is_empty()));
-                assert_eq!(sorted(gathered.gather()), sorted(rows));
-            });
-        }
-    }
-
-    #[test]
-    fn a_limit_copies_only_the_rows_it_keeps() {
+    fn a_limit_fetches_only_the_rows_it_keeps() {
         with_context(2, |ctx| {
-            let counts = || {
-                let s = ctx.stats.take();
-                (s.rows_moved, s.rows_copied)
-            };
+            let moved = || ctx.stats.take().rows_moved;
             let shared = Partitioned::from_rows(int_schema(), numbered(100), None, 2);
             // The gather below a LIMIT 1 finds its row in partition 0 already.
             let gathered = exchange(shared.clone(), &ExchangeMode::Gather, 1, ctx).unwrap();
-            assert_eq!(counts(), (0, 0));
-            assert_eq!(
-                gather_rows(gathered, 1, ctx),
-                vec![shared.parts[0][0].clone()]
-            );
-            assert_eq!(counts(), (0, 1), "LIMIT 1 clones one row, not 100");
+            assert_eq!(moved(), 0);
+            assert!(Arc::ptr_eq(&gathered.parts[0], &shared.parts[0]));
+            assert_eq!(gathered.take_rows(1), shared.gather()[..1]);
             // LIMIT 60 reaches 10 rows into partition 1 and no further.
             let gathered = exchange(shared.clone(), &ExchangeMode::Gather, 60, ctx).unwrap();
-            assert_eq!(counts(), (10, 60));
-            assert_eq!(gathered.parts[0][..], shared.gather()[..60]);
-            assert_eq!(gather_rows(shared.clone(), 0, ctx), Vec::<Row>::new());
-            assert_eq!(gather_rows(shared.clone(), 1000, ctx).len(), 100);
-            assert_eq!(counts(), (0, 100));
+            assert_eq!(moved(), 10);
+            assert_eq!(gathered.parts[0].to_rows(), shared.gather()[..60]);
+            assert_eq!(gathered.total_rows(), 60);
+        });
+    }
+
+    #[test]
+    fn a_filter_that_keeps_everything_and_a_bare_projection_share_their_input() {
+        with_context(2, |ctx| {
+            let catalog_free = |plan: PhysicalPlan| execute(&plan, ctx).unwrap();
+            let data = Partitioned::from_rows(int_schema(), numbered(10), None, 2);
+            ctx.registry.put("t", data.clone());
+            let scan = || {
+                Box::new(PhysicalPlan::TempScan {
+                    name: "t".into(),
+                    schema: int_schema(),
+                })
+            };
+            let all = catalog_free(PhysicalPlan::Filter {
+                input: scan(),
+                predicate: col(1).binary(BinaryOp::GtEq, PlanExpr::literal(0i64)),
+            });
+            assert!(all
+                .parts
+                .iter()
+                .zip(&data.parts)
+                .all(|(a, b)| Arc::ptr_eq(a, b)));
+            let projected = catalog_free(PhysicalPlan::Project {
+                input: scan(),
+                exprs: vec![col(1), col(1).binary(BinaryOp::Plus, col(0))],
+                schema: int_schema(),
+            });
+            for (out, input) in projected.parts.iter().zip(&data.parts) {
+                assert!(Arc::ptr_eq(&out.columns()[0], &input.columns()[1]));
+            }
+            assert_eq!(ctx.stats.rows_evaluated_by_row.get(), 0);
         });
     }
 }

@@ -7,12 +7,10 @@
 //! partition, so a table already distributed on the join key moves nothing
 //! — the same locality a real shared-nothing engine exploits.
 
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use spinner_common::{DataType, EngineConfig, Error, Field, Result, Schema, SchemaRef, Value};
+use spinner_common::{DataType, EngineConfig, Field, Result, Schema, SchemaRef};
 use spinner_plan::{AggExpr, JoinType, LogicalPlan, PlanExpr, SetOpKind, SortKey};
 
 use crate::aggregate::Accumulator;
@@ -532,34 +530,6 @@ pub fn create_physical_plan(plan: &LogicalPlan, config: &EngineConfig) -> Result
     })
 }
 
-/// Partition index for a composed key. Single NULLs and all-NULL keys land
-/// in partition 0. Must agree with
-/// [`spinner_storage::partition_of`] for one-column keys so tables already
-/// distributed on a join key move no rows.
-pub fn partition_for_key<'a>(
-    values: impl IntoIterator<Item = &'a Value>,
-    parts: usize,
-) -> Result<usize> {
-    if parts == 0 {
-        return Err(Error::execution("partition count must be positive"));
-    }
-    let mut values = values.into_iter();
-    let Some(first) = values.next() else {
-        return Ok(0);
-    };
-    match values.next() {
-        None if first.is_null() => Ok(0),
-        None => Ok(spinner_storage::partition_of(first, parts)),
-        Some(second) => {
-            let mut h = DefaultHasher::new();
-            for v in [first, second].into_iter().chain(values) {
-                v.hash(&mut h);
-            }
-            Ok((h.finish() % parts as u64) as usize)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,15 +668,5 @@ mod tests {
             panic!()
         };
         assert!(matches!(*input, PhysicalPlan::SeqScan { .. }));
-    }
-
-    #[test]
-    fn single_key_partitioning_matches_storage() {
-        let v = Value::Int(42);
-        assert_eq!(
-            partition_for_key(std::slice::from_ref(&v), 8).unwrap(),
-            spinner_storage::partition_of(&v, 8)
-        );
-        assert_eq!(partition_for_key(&[Value::Null], 8).unwrap(), 0);
     }
 }

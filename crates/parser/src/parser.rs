@@ -102,6 +102,7 @@ pub fn parse_statements(sql: &str) -> Result<Vec<Statement>> {
         if p.at_eof() {
             break;
         }
+        p.chained = 0;
         stmts.push(p.parse_statement()?);
         if !p.eat_symbol(";") {
             break;
@@ -121,6 +122,22 @@ pub fn parse_statements(sql: &str) -> Result<Vec<Statement>> {
 /// either build. Hand-written SQL nests a handful of levels.
 const MAX_NESTING_DEPTH: usize = 100;
 
+/// What the left-deep chains of one statement may weigh in all. A
+/// statement that nests nothing still builds a deep tree — `a + b + c`
+/// is `(a + b) + c`, and so are `UNION` arms, `JOIN`s and a `FROM` list —
+/// which the planner, the optimizer, the executor and `Drop` all recurse
+/// over, one frame per link. The chains of a statement can end up on one
+/// path of its tree, so they share one budget, by what a link costs: on a
+/// 2 MiB stack an unoptimized build survives 97 chained joins, 96 `UNION`
+/// arms or 387 binary operators (1,240 / 1,240 / 2,714 optimized), so a
+/// join or a set-operation arm weighs [`TREE_LINK`] operators and the
+/// budget allows 64 of those, or 256 operators, or a mix.
+const MAX_CHAIN_WEIGHT: usize = 256;
+/// Weight of a join, a `FROM`-list comma or a set-operation arm.
+const TREE_LINK: usize = 4;
+/// Weight of a binary operator.
+const EXPR_LINK: usize = 1;
+
 /// Token-stream parser. Construct with [`Parser::new`], then call
 /// [`Parser::parse_statement`].
 pub struct Parser {
@@ -128,6 +145,8 @@ pub struct Parser {
     pos: usize,
     /// Open [`Parser::nested`] levels.
     depth: usize,
+    /// Weight of the chain links of the current statement so far.
+    chained: usize,
 }
 
 impl Parser {
@@ -137,7 +156,25 @@ impl Parser {
             tokens: tokenize(sql)?,
             pos: 0,
             depth: 0,
+            chained: 0,
         })
+    }
+
+    /// Account for one more link of a left-deep chain; see
+    /// [`MAX_CHAIN_WEIGHT`].
+    fn link(&mut self, weight: usize) -> Result<()> {
+        self.chained += weight;
+        if self.chained > MAX_CHAIN_WEIGHT {
+            return Err(Error::parse_at(
+                format!(
+                    "statement chains more than {} joins or set operations, \
+                     or {MAX_CHAIN_WEIGHT} binary operators",
+                    MAX_CHAIN_WEIGHT / TREE_LINK
+                ),
+                self.peek_pos(),
+            ));
+        }
+        Ok(())
     }
 
     /// Run `f` one nesting level down; every recursive production goes
@@ -678,6 +715,7 @@ impl Parser {
                 break;
             };
             self.advance();
+            self.link(TREE_LINK)?;
             let all = self.eat_keyword("all");
             let right = self.parse_set_primary()?;
             left = SetExpr::SetOp {
@@ -717,6 +755,7 @@ impl Parser {
                 if !self.eat_symbol(",") {
                     break;
                 }
+                self.link(TREE_LINK)?;
             }
         }
         let selection = if self.eat_keyword("where") {
@@ -815,6 +854,7 @@ impl Parser {
             } else {
                 break;
             };
+            self.link(TREE_LINK)?;
             let right = self.parse_table_primary()?;
             let on = if kind == JoinKind::Cross {
                 None
@@ -863,6 +903,7 @@ impl Parser {
     fn parse_or(&mut self) -> Result<Expr> {
         let mut left = self.parse_and()?;
         while self.eat_keyword("or") {
+            self.link(EXPR_LINK)?;
             let right = self.parse_and()?;
             left = left.binary(BinaryOp::Or, right);
         }
@@ -872,6 +913,7 @@ impl Parser {
     fn parse_and(&mut self) -> Result<Expr> {
         let mut left = self.parse_not()?;
         while self.eat_keyword("and") {
+            self.link(EXPR_LINK)?;
             let right = self.parse_not()?;
             left = left.binary(BinaryOp::And, right);
         }
@@ -963,6 +1005,7 @@ impl Parser {
                 _ => break,
             };
             self.advance();
+            self.link(EXPR_LINK)?;
             let right = self.parse_multiplicative()?;
             left = left.binary(op, right);
         }
@@ -979,6 +1022,7 @@ impl Parser {
                 _ => break,
             };
             self.advance();
+            self.link(EXPR_LINK)?;
             let right = self.parse_unary()?;
             left = left.binary(op, right);
         }
@@ -1567,6 +1611,58 @@ mod tests {
                 other => panic!("expected a nesting error, got {other:?}"),
             }
         }
+    }
+
+    /// A statement that nests nothing — 60,000 `UNION ALL` arms, 100,000
+    /// `+`s — used to parse into a left-deep tree the planner, optimizer,
+    /// executor and `Drop` overflowed the stack on; now its chains have a
+    /// budget, which no hand-written statement reaches.
+    #[test]
+    fn chain_length_is_bounded() {
+        let arms = |n: usize| vec!["SELECT 1"; n + 1].join(" UNION ALL ");
+        let sums = |n: usize| format!("SELECT {}", vec!["1"; n + 1].join(" + "));
+        let ands = |n: usize| format!("SELECT 1 WHERE {}", vec!["a = 1"; n + 1].join(" AND "));
+        let ors = |n: usize| format!("SELECT 1 WHERE {}", vec!["a = 1"; n + 1].join(" OR "));
+        let products = |n: usize| format!("SELECT {}", vec!["a"; n + 1].join(" * "));
+        let joins = |n: usize| format!("SELECT 1 FROM t{}", " JOIN t ON a = b".repeat(n));
+        let commas = |n: usize| format!("SELECT 1 FROM t{}", ", t".repeat(n));
+        for sql in [
+            arms(64),
+            joins(64),
+            commas(64),
+            sums(256),
+            ands(256),
+            ors(256),
+            products(256),
+        ] {
+            parse_sql(&sql).unwrap_or_else(|e| panic!("{e}"));
+        }
+        // Chains share the budget: they may all lie on one path of the tree.
+        let mixed = |joined| format!("{} UNION ALL {}", sums(128), joins(joined));
+        parse_sql(&mixed(31)).unwrap_or_else(|e| panic!("{e}"));
+        for sql in [
+            arms(60_000),
+            sums(100_000),
+            arms(65),
+            joins(65),
+            commas(65),
+            sums(257),
+            ands(257),
+            ors(257),
+            products(257),
+            mixed(32),
+        ] {
+            match parse_sql(&sql) {
+                Err(Error::Parse {
+                    message,
+                    position: Some(_),
+                }) => assert!(message.contains("chains"), "{message}"),
+                other => panic!("expected a chain-length error, got {other:?}"),
+            }
+        }
+        // Each statement of a script has the budget to itself.
+        let script = vec![sums(200); 3].join("; ");
+        assert_eq!(parse_statements(&script).unwrap().len(), 3);
     }
 
     #[test]

@@ -1,15 +1,32 @@
-//! Resolved expression IR and its row-at-a-time evaluator.
+//! Resolved expression IR and its two evaluators.
 //!
 //! After planning, every column reference is an index into the input row
 //! ([`ColumnRef`]), so evaluation is lookup + match dispatch with no name
 //! resolution on the hot path. Three-valued logic follows SQL: comparisons
 //! with NULL yield NULL, `AND`/`OR` use Kleene semantics, and predicates
 //! treat NULL as "do not keep".
+//!
+//! The row evaluator ([`PlanExpr::evaluate`]) is the definition of those
+//! semantics, and what DML runs. Operators evaluate a column at a time
+//! ([`PlanExpr::evaluate_column`], [`PlanExpr::select`]): arithmetic,
+//! comparisons, `IS NULL`, `NOT` and `AND`/`OR` run as loops over the
+//! operands' columns, and every other node — scalar functions, `CASE`,
+//! `CAST`, `IN`, arithmetic over anything but numbers — is sent row by
+//! row through the row evaluator over one scratch row, so lazy constructs
+//! keep their short-circuit. The loops share the row evaluator's scalar
+//! rules (`int_arithmetic`, `float_arithmetic`, `ordering_test`,
+//! `kleene`) and never decide an error themselves: a loop that meets
+//! one — an overflow, a division by the zeros a `WHEN` or an `AND` would
+//! have excluded — gives up, and the whole expression is evaluated again
+//! by row, which reports the first failing row in row order or finds
+//! that there is none.
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
-use spinner_common::{DataType, Error, Result, Schema, Value};
+use spinner_common::counters::Counter;
+use spinner_common::{Block, Cell, Column, DataType, Error, Nulls, Result, Schema, Value};
 
 /// A resolved reference to an input column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -379,19 +396,142 @@ impl PlanExpr {
 
     /// Evaluate as a filter predicate: NULL counts as "drop the row".
     pub fn matches(&self, row: &[Value]) -> Result<bool> {
-        Ok(self.truth(row)? == Some(true))
+        Ok(self.evaluate_ref(row)?.as_bool()? == Some(true))
     }
 
-    /// Three-valued truth of this expression (`None` for NULL). A
-    /// comparison or `AND`/`OR` answers directly, without building the
-    /// `Value::Bool` its [`evaluate`](Self::evaluate) would.
-    fn truth(&self, row: &[Value]) -> Result<Option<bool>> {
-        match self {
-            PlanExpr::Binary { left, op, right } if !is_arithmetic(*op) => {
-                truth_binary(*op, left, right, row)
-            }
-            other => other.evaluate_ref(row)?.as_bool(),
+    /// Evaluate against every row of `block`, a column at a time where
+    /// the module docs say so. If any part of the expression went through
+    /// the row evaluator instead, the block's rows are added to `by_row`,
+    /// once. The result equals [`evaluate`](Self::evaluate) on each row,
+    /// errors included.
+    pub fn evaluate_column(&self, block: &Block, by_row: &Counter) -> Result<Arc<Column>> {
+        let mut fell = false;
+        // The row evaluator's verdict where the loops gave up.
+        let operand = match self.operand(block, &mut fell) {
+            Err(_) => self.by_row(block, &mut fell).map(Operand::Computed),
+            evaluated => evaluated,
+        };
+        by_row.add(if fell { block.rows() as u64 } else { 0 });
+        Ok(match operand? {
+            Operand::Shared(column) => column,
+            Operand::Computed(column) => Arc::new(column),
+            Operand::Scalar(value) => Arc::new(Column::repeat(&value, block.rows())),
+        })
+    }
+
+    /// The rows of `block` this expression keeps as a filter predicate
+    /// (NULL drops the row), in order; `by_row` as for
+    /// [`evaluate_column`](Self::evaluate_column).
+    pub fn select(&self, block: &Block, by_row: &Counter) -> Result<Vec<u32>> {
+        let mut fell = false;
+        let kept = self.kept_rows(block, &mut fell);
+        by_row.add(if fell { block.rows() as u64 } else { 0 });
+        kept
+    }
+
+    fn kept_rows(&self, block: &Block, fell: &mut bool) -> Result<Vec<u32>> {
+        let rows = 0..block.rows();
+        let mut kept = Vec::new();
+        match self.operand(block, fell) {
+            Ok(operand) => match operand.column() {
+                Some(Column::Bool(data, nulls)) => {
+                    let keep = |row: &usize| data[*row] && !nulls.is_null(*row);
+                    kept.reserve_exact(rows.clone().filter(keep).count());
+                    kept.extend(rows.filter(keep).map(|row| row as u32));
+                }
+                // Anything else was evaluated once already: its cells are
+                // read as `matches` reads a value.
+                _ => {
+                    for row in rows {
+                        if operand.cell(row).to_value().as_bool()? == Some(true) {
+                            kept.push(row as u32);
+                        }
+                    }
+                }
+            },
+            // A loop gave up: `matches` decides, row by row.
+            Err(_) => self.for_each_row(block, fell, |row, cells| {
+                if self.matches(cells)? {
+                    kept.push(row as u32);
+                }
+                Ok(())
+            })?,
         }
+        Ok(kept)
+    }
+
+    /// This expression over `block`, by a typed loop where there is one;
+    /// `fell` is set if any of it went through the row evaluator. Any `Err`
+    /// means only "ask the row evaluator".
+    fn operand(&self, block: &Block, fell: &mut bool) -> Result<Operand> {
+        let rows = block.rows();
+        let looped = match self {
+            PlanExpr::Column(c) => {
+                let column = block.columns().get(c.index);
+                let column = column.ok_or_else(|| Error::execution("column out of bounds"))?;
+                return Ok(Operand::Shared(Arc::clone(column)));
+            }
+            PlanExpr::Literal(v) => return Ok(Operand::Scalar(v.clone())),
+            PlanExpr::Binary { left, op, right } => {
+                let (l, r) = (left.operand(block, fell)?, right.operand(block, fell)?);
+                match op {
+                    BinaryOp::And | BinaryOp::Or => {
+                        logic_loop(&l, &r, rows, |l, r| kleene(*op, l, r))
+                    }
+                    op if is_arithmetic(*op) => arithmetic_loop(*op, &l, &r, rows)?,
+                    op => Some(comparison_loop(*op, &l, &r, rows)),
+                }
+            }
+            PlanExpr::Unary {
+                op: UnaryOp::Not,
+                expr,
+            } => {
+                let operand = expr.operand(block, fell)?;
+                logic_loop(&operand, &operand, rows, |b, _| b.map(|b| !b))
+            }
+            PlanExpr::IsNull { expr, negated } => {
+                let operand = expr.operand(block, fell)?;
+                let data = (0..rows).map(|row| operand.cell(row).is_null() != *negated);
+                Some(Column::Bool(data.collect(), Nulls::new()))
+            }
+            _ => None,
+        };
+        Ok(Operand::Computed(match looped {
+            Some(column) => column,
+            None => self.by_row(block, fell)?,
+        }))
+    }
+
+    /// Every row of `block` through [`evaluate`](Self::evaluate).
+    fn by_row(&self, block: &Block, fell: &mut bool) -> Result<Column> {
+        let mut out = Column::new();
+        self.for_each_row(block, fell, |_, cells| {
+            out.push(self.evaluate(cells)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Hand `visit` each row of `block` in order, laid out in one scratch
+    /// row that only the columns this expression references are copied
+    /// into, and set `fell`.
+    fn for_each_row(
+        &self,
+        block: &Block,
+        fell: &mut bool,
+        mut visit: impl FnMut(usize, &[Value]) -> Result<()>,
+    ) -> Result<()> {
+        *fell = true;
+        let columns = block.columns();
+        let used = self.referenced_columns();
+        let mut scratch = vec![Value::Null; columns.len()];
+        for row in 0..block.rows() {
+            for &c in used.iter().filter(|&&c| c < columns.len()) {
+                scratch[c] = columns[c].value(row);
+            }
+            visit(row, &scratch)?;
+        }
+        Ok(())
     }
 
     /// Static result type given the input schema.
@@ -616,35 +756,45 @@ fn truth_binary(
 ) -> Result<Option<bool>> {
     // Kleene logic needs lazy/short-circuit handling per operand nullness.
     if matches!(op, BinaryOp::And | BinaryOp::Or) {
-        let l = left.truth(row)?;
+        let l = left.evaluate_ref(row)?.as_bool()?;
         // Short-circuit where the left side decides.
         match (op, l) {
             (BinaryOp::And, Some(false)) => return Ok(Some(false)),
             (BinaryOp::Or, Some(true)) => return Ok(Some(true)),
             _ => {}
         }
-        let r = right.truth(row)?;
-        return Ok(match (op, l, r) {
-            (BinaryOp::And, Some(true), Some(b)) => Some(b),
-            (BinaryOp::And, Some(b), Some(true)) => Some(b),
-            (BinaryOp::And, _, Some(false)) | (BinaryOp::And, Some(false), _) => Some(false),
-            (BinaryOp::Or, Some(false), Some(b)) => Some(b),
-            (BinaryOp::Or, Some(b), Some(false)) => Some(b),
-            (BinaryOp::Or, _, Some(true)) | (BinaryOp::Or, Some(true), _) => Some(true),
-            _ => None,
-        });
+        return Ok(kleene(op, l, right.evaluate_ref(row)?.as_bool()?));
     }
     let l = left.evaluate_ref(row)?;
     let r = right.evaluate_ref(row)?;
-    Ok(match op {
-        BinaryOp::Eq => l.sql_eq(&r),
-        BinaryOp::NotEq => l.sql_eq(&r).map(|b| !b),
-        BinaryOp::Lt => l.sql_cmp(&r).map(|o| o.is_lt()),
-        BinaryOp::LtEq => l.sql_cmp(&r).map(|o| o.is_le()),
-        BinaryOp::Gt => l.sql_cmp(&r).map(|o| o.is_gt()),
-        BinaryOp::GtEq => l.sql_cmp(&r).map(|o| o.is_ge()),
-        _ => unreachable!("arithmetic is evaluated, not tested"),
-    })
+    Ok(l.sql_cmp(&r).map(|ordering| ordering_test(op, ordering)))
+}
+
+/// `l AND r` / `l OR r` in Kleene logic (`None` is NULL).
+fn kleene(op: BinaryOp, l: Option<bool>, r: Option<bool>) -> Option<bool> {
+    match (op, l, r) {
+        (BinaryOp::And, Some(true), Some(b)) => Some(b),
+        (BinaryOp::And, Some(b), Some(true)) => Some(b),
+        (BinaryOp::And, _, Some(false)) | (BinaryOp::And, Some(false), _) => Some(false),
+        (BinaryOp::Or, Some(false), Some(b)) => Some(b),
+        (BinaryOp::Or, Some(b), Some(false)) => Some(b),
+        (BinaryOp::Or, _, Some(true)) | (BinaryOp::Or, Some(true), _) => Some(true),
+        _ => None,
+    }
+}
+
+/// Whether two non-NULL operands that compare as `ordering` satisfy the
+/// comparison `op`.
+fn ordering_test(op: BinaryOp, ordering: std::cmp::Ordering) -> bool {
+    match op {
+        BinaryOp::Eq => ordering.is_eq(),
+        BinaryOp::NotEq => ordering.is_ne(),
+        BinaryOp::Lt => ordering.is_lt(),
+        BinaryOp::LtEq => ordering.is_le(),
+        BinaryOp::Gt => ordering.is_gt(),
+        BinaryOp::GtEq => ordering.is_ge(),
+        _ => unreachable!("arithmetic and logic are evaluated, not compared"),
+    }
 }
 
 fn bool3(b: Option<bool>) -> Value {
@@ -658,51 +808,184 @@ fn eval_arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
-    let both_int = l.data_type() == DataType::Int && r.data_type() == DataType::Int;
-    if both_int {
-        let (a, b) = (l.as_i64()?, r.as_i64()?);
-        let out = match op {
-            BinaryOp::Plus => a.checked_add(b),
-            BinaryOp::Minus => a.checked_sub(b),
-            BinaryOp::Multiply => a.checked_mul(b),
-            BinaryOp::Divide => {
-                if b == 0 {
-                    return Err(Error::Arithmetic("division by zero".into()));
-                }
-                a.checked_div(b)
-            }
-            BinaryOp::Modulo => {
-                if b == 0 {
-                    return Err(Error::Arithmetic("modulo by zero".into()));
-                }
-                a.checked_rem(b)
-            }
-            _ => unreachable!(),
-        };
-        return out
-            .map(Value::Int)
-            .ok_or_else(|| Error::Arithmetic(format!("integer overflow in {a} {op} {b}")));
+    if let (Value::Int(a), Value::Int(b)) = (l, r) {
+        return int_arithmetic(op, *a, *b).map(Value::Int);
     }
-    let (a, b) = (l.as_f64()?, r.as_f64()?);
+    float_arithmetic(op, l.as_f64()?, r.as_f64()?).map(Value::Float)
+}
+
+/// Integer arithmetic: overflow and division by zero are errors.
+fn int_arithmetic(op: BinaryOp, a: i64, b: i64) -> Result<i64> {
     let out = match op {
+        BinaryOp::Plus => a.checked_add(b),
+        BinaryOp::Minus => a.checked_sub(b),
+        BinaryOp::Multiply => a.checked_mul(b),
+        BinaryOp::Divide if b == 0 => return Err(Error::Arithmetic("division by zero".into())),
+        BinaryOp::Divide => a.checked_div(b),
+        BinaryOp::Modulo if b == 0 => return Err(Error::Arithmetic("modulo by zero".into())),
+        BinaryOp::Modulo => a.checked_rem(b),
+        _ => unreachable!(),
+    };
+    out.ok_or_else(|| Error::Arithmetic(format!("integer overflow in {a} {op} {b}")))
+}
+
+/// Float arithmetic (an integer beside a float has been widened):
+/// division by zero is an error.
+fn float_arithmetic(op: BinaryOp, a: f64, b: f64) -> Result<f64> {
+    Ok(match op {
         BinaryOp::Plus => a + b,
         BinaryOp::Minus => a - b,
         BinaryOp::Multiply => a * b,
-        BinaryOp::Divide => {
-            if b == 0.0 {
-                return Err(Error::Arithmetic("division by zero".into()));
-            }
-            a / b
-        }
-        BinaryOp::Modulo => {
-            if b == 0.0 {
-                return Err(Error::Arithmetic("modulo by zero".into()));
-            }
-            a % b
-        }
+        BinaryOp::Divide if b == 0.0 => return Err(Error::Arithmetic("division by zero".into())),
+        BinaryOp::Divide => a / b,
+        BinaryOp::Modulo if b == 0.0 => return Err(Error::Arithmetic("modulo by zero".into())),
+        BinaryOp::Modulo => a % b,
         _ => unreachable!(),
+    })
+}
+
+/// What a sub-expression is over a block: a column of the block itself,
+/// a column computed from it, or one value that every row shares (a
+/// literal stays scalar).
+enum Operand {
+    Shared(Arc<Column>),
+    Computed(Column),
+    Scalar(Value),
+}
+
+/// A numeric operand as a typed loop reads it.
+#[derive(Clone, Copy)]
+enum Numbers<'a> {
+    Ints(&'a [i64]),
+    Int(i64),
+    Floats(&'a [f64]),
+    Float(f64),
+}
+
+impl Numbers<'_> {
+    fn is_int(&self) -> bool {
+        matches!(self, Numbers::Ints(_) | Numbers::Int(_))
+    }
+
+    #[inline]
+    fn int(&self, row: usize) -> i64 {
+        match self {
+            Numbers::Ints(data) => data[row],
+            Numbers::Int(x) => *x,
+            _ => unreachable!("is_int was checked"),
+        }
+    }
+
+    #[inline]
+    fn float(&self, row: usize) -> f64 {
+        match self {
+            Numbers::Ints(data) => data[row] as f64,
+            Numbers::Int(x) => *x as f64,
+            Numbers::Floats(data) => data[row],
+            Numbers::Float(x) => *x,
+        }
+    }
+}
+
+static NO_NULLS: Nulls = Nulls::new();
+
+impl Operand {
+    fn column(&self) -> Option<&Column> {
+        match self {
+            Operand::Shared(column) => Some(column),
+            Operand::Computed(column) => Some(column),
+            Operand::Scalar(_) => None,
+        }
+    }
+
+    #[inline]
+    fn cell(&self, row: usize) -> Cell<'_> {
+        match self {
+            Operand::Shared(column) => column.cell(row),
+            Operand::Computed(column) => column.cell(row),
+            Operand::Scalar(value) => value.cell(),
+        }
+    }
+
+    /// The operand as numbers and their NULLs, if numbers are what it holds.
+    fn numbers(&self) -> Option<(Numbers<'_>, &Nulls)> {
+        match (self, self.column()) {
+            (_, Some(Column::Int(data, nulls))) => Some((Numbers::Ints(data), nulls)),
+            (_, Some(Column::Float(data, nulls))) => Some((Numbers::Floats(data), nulls)),
+            (Operand::Scalar(Value::Int(x)), _) => Some((Numbers::Int(*x), &NO_NULLS)),
+            (Operand::Scalar(Value::Float(x)), _) => Some((Numbers::Float(*x), &NO_NULLS)),
+            _ => None,
+        }
+    }
+}
+
+/// `l op r` over numbers; `None` when an operand holds anything else.
+fn arithmetic_loop(op: BinaryOp, l: &Operand, r: &Operand, rows: usize) -> Result<Option<Column>> {
+    let (Some((a, a_nulls)), Some((b, b_nulls))) = (l.numbers(), r.numbers()) else {
+        return Ok(None);
     };
-    Ok(Value::Float(out))
+    let nulls = a_nulls.union(b_nulls);
+    // What lies under a NULL is not a value: it is never computed on.
+    let live = |row: usize| !nulls.is_null(row);
+    Ok(Some(if a.is_int() && b.is_int() {
+        let mut data = vec![0; rows];
+        for row in (0..rows).filter(|&row| live(row)) {
+            data[row] = int_arithmetic(op, a.int(row), b.int(row))?;
+        }
+        Column::Int(data, nulls)
+    } else {
+        let mut data = vec![0.0; rows];
+        for row in (0..rows).filter(|&row| live(row)) {
+            data[row] = float_arithmetic(op, a.float(row), b.float(row))?;
+        }
+        Column::Float(data, nulls)
+    }))
+}
+
+/// `l op r` for a comparison, over cells of any type: NULL beside
+/// anything is NULL, everything else compares by the total order.
+fn comparison_loop(op: BinaryOp, l: &Operand, r: &Operand, rows: usize) -> Column {
+    if let (Some((a, a_nulls)), Some((b, b_nulls))) = (l.numbers(), r.numbers()) {
+        if a.is_int() && b.is_int() && !a_nulls.any() && !b_nulls.any() {
+            let data = (0..rows).map(|row| ordering_test(op, a.int(row).cmp(&b.int(row))));
+            return Column::Bool(data.collect(), Nulls::new());
+        }
+    }
+    let mut nulls = Nulls::new();
+    let mut data = vec![false; rows];
+    for (row, out) in data.iter_mut().enumerate() {
+        match (l.cell(row), r.cell(row)) {
+            (Cell::Null, _) | (_, Cell::Null) => nulls.set(row),
+            (a, b) => *out = ordering_test(op, a.cmp_total(&b)),
+        }
+    }
+    Column::Bool(data, nulls)
+}
+
+/// `combine` — Kleene `AND`/`OR`, or `NOT` of its first argument — over the
+/// truth of already-evaluated operands; `None` when a cell is neither
+/// boolean nor NULL.
+fn logic_loop(
+    l: &Operand,
+    r: &Operand,
+    rows: usize,
+    combine: impl Fn(Option<bool>, Option<bool>) -> Option<bool>,
+) -> Option<Column> {
+    let truth = |operand: &Operand, row: usize| match operand.cell(row) {
+        Cell::Bool(b) => Some(Some(b)),
+        Cell::Null => Some(None),
+        _ => None,
+    };
+    let mut nulls = Nulls::new();
+    let mut data = Vec::with_capacity(rows);
+    for row in 0..rows {
+        let result = combine(truth(l, row)?, truth(r, row)?);
+        if result.is_none() {
+            nulls.set(row);
+        }
+        data.push(result.unwrap_or(false));
+    }
+    Some(Column::Bool(data, nulls))
 }
 
 fn eval_scalar(func: ScalarFn, args: &[PlanExpr], row: &[Value]) -> Result<Value> {
@@ -914,8 +1197,9 @@ mod tests {
     }
 
     /// `evaluate`, cross-checked on every call against the borrowed
-    /// evaluation and the predicate view: the three must agree on each
-    /// shape these tests build, error cases included.
+    /// evaluation, the predicate view and the column evaluator (over a
+    /// block holding the row twice): all must agree on each shape these
+    /// tests build, error cases included.
     trait Checked {
         fn eval(&self, row: &[Value]) -> Result<Value>;
     }
@@ -927,8 +1211,183 @@ mod tests {
             assert_eq!(format!("{owned:?}"), format!("{borrowed:?}"), "{self}");
             let kept = owned.clone().and_then(|v| Ok(v.as_bool()? == Some(true)));
             assert_eq!(format!("{kept:?}"), format!("{:?}", self.matches(row)));
+            by_column_equals_by_row(self, &[row.to_vec(), row.to_vec()]);
             owned
         }
+    }
+
+    /// The column evaluator over `rows` against `evaluate` on each: the
+    /// same cells to the bit, or the error of the first failing row; and
+    /// `select` against `matches`. Returns the rows sent by row.
+    fn by_column_equals_by_row(expr: &PlanExpr, rows: &[Vec<Value>]) -> u64 {
+        let width = rows.first().map_or(0, Vec::len);
+        let block = Block::from_rows(width, rows.iter().map(|r| r.clone().into_boxed_slice()));
+        let by_row = Counter::default();
+        let column = expr.evaluate_column(&block, &by_row);
+        let cells = column.map(|c| (0..rows.len()).map(|row| c.value(row)).collect::<Vec<_>>());
+        let want: Result<Vec<Value>> = rows.iter().map(|row| expr.evaluate(row)).collect();
+        assert_eq!(format!("{cells:?}"), format!("{want:?}"), "{expr}");
+        let sent = by_row.get();
+        let kept = expr.select(&block, &by_row);
+        let want: Result<Vec<u32>> = (rows.iter().enumerate())
+            .filter_map(|(i, row)| {
+                expr.matches(row)
+                    .map(|keep| keep.then_some(i as u32))
+                    .transpose()
+            })
+            .collect();
+        assert_eq!(format!("{kept:?}"), format!("{want:?}"), "{expr}");
+        // A predicate counts as a projection does: its block once.
+        assert_eq!(by_row.get(), 2 * sent, "{expr}");
+        sent
+    }
+
+    #[test]
+    fn typed_loops_equal_the_row_evaluator_and_say_when_they_are_not_used() {
+        use BinaryOp::*;
+        let c = |i: usize| PlanExpr::column(i, format!("c{i}"));
+        let lit = |v: Value| PlanExpr::Literal(v);
+        // int | float | int with NULLs | text | cells that disagree | bool
+        let rows: Vec<Vec<Value>> = (0..6i64)
+            .map(|i| {
+                vec![
+                    Value::Int(i - 2),
+                    Value::Float(i as f64 * 0.5 - 1.0),
+                    if i == 1 { Value::Null } else { Value::Int(i) },
+                    Value::Text(format!("t{}", i % 2)),
+                    if i % 2 == 0 {
+                        Value::Int(i)
+                    } else {
+                        Value::Float(0.5)
+                    },
+                    if i == 4 {
+                        Value::Null
+                    } else {
+                        Value::Bool(i % 3 == 0)
+                    },
+                ]
+            })
+            .collect();
+        let not = |e: PlanExpr| PlanExpr::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(e),
+        };
+        let is_null = |e: PlanExpr, negated| PlanExpr::IsNull {
+            expr: Box::new(e),
+            negated,
+        };
+        // Typed loops all the way down: nothing goes by row.
+        let typed = vec![
+            c(0).binary(Plus, c(0)),
+            c(0).binary(Minus, c(1)),
+            c(1).binary(Multiply, c(2)),
+            lit(Value::Int(3)).binary(Multiply, c(2)),
+            c(1).binary(Divide, lit(Value::Float(4.0))),
+            c(0).binary(Modulo, lit(Value::Int(3))),
+            c(0).binary(Eq, lit(Value::Int(1))),
+            c(0).binary(Lt, c(1)),
+            c(2).binary(GtEq, c(0)),
+            c(3).binary(Eq, lit(Value::Text("t1".into()))),
+            c(4).binary(NotEq, c(0)),
+            c(3).binary(Lt, c(0)),
+            lit(Value::Null).binary(Eq, c(0)),
+            c(0).binary(Lt, lit(Value::Int(1)))
+                .binary(And, c(2).binary(Gt, lit(Value::Int(0)))),
+            c(5).binary(Or, c(2).binary(Eq, c(0))),
+            not(c(5)),
+            not(c(0).binary(Eq, c(2))),
+            is_null(c(2), false),
+            is_null(c(4).binary(Eq, c(2)), true),
+            lit(Value::Int(1)).binary(Plus, lit(Value::Int(2))),
+            c(1),
+            lit(Value::Text("x".into())),
+        ];
+        for expr in &typed {
+            assert_eq!(by_column_equals_by_row(expr, &rows), 0, "{expr}");
+        }
+        // Shapes the loops hand to the row evaluator: the block's rows are
+        // counted once, however many nodes went by row.
+        let divide_guarded = PlanExpr::Case {
+            branches: vec![(
+                c(0).binary(NotEq, lit(Value::Int(0))),
+                lit(Value::Int(1)).binary(Divide, c(0)),
+            )],
+            else_expr: Some(Box::new(lit(Value::Int(0)))),
+        };
+        let least = |a, b| PlanExpr::Scalar {
+            func: ScalarFn::Least,
+            args: vec![c(a), c(b)],
+        };
+        // A predicate that is not a column of booleans — here every cell
+        // is NULL — is read off the column it was evaluated into.
+        let never = PlanExpr::Case {
+            branches: vec![(c(0).binary(Gt, lit(Value::Int(9))), c(5))],
+            else_expr: None,
+        };
+        for (expr, sent) in [
+            (divide_guarded, 6),
+            (never, 6),
+            (least(0, 2).binary(Plus, c(1)), 6),
+            // LEAST of an int and a float column is whichever cell is
+            // smaller: cells that disagree, so the sum goes by row too.
+            (least(0, 1).binary(Plus, c(1)), 6),
+            (c(4).binary(Plus, c(0)), 6),
+            (c(0).binary(Plus, lit(Value::Null)), 6),
+            (
+                PlanExpr::Unary {
+                    op: UnaryOp::Minus,
+                    expr: Box::new(c(0)),
+                },
+                6,
+            ),
+            (
+                PlanExpr::Cast {
+                    expr: Box::new(c(0)),
+                    to: DataType::Text,
+                },
+                6,
+            ),
+            (
+                PlanExpr::InList {
+                    expr: Box::new(c(0)),
+                    list: vec![c(2), lit(Value::Int(1))],
+                    negated: false,
+                },
+                6,
+            ),
+        ] {
+            assert_eq!(by_column_equals_by_row(&expr, &rows), sent, "{expr}");
+        }
+        // Errors: the first failing row's, in row order — and none where
+        // the row evaluator's short-circuit never reaches the failing cell.
+        let overflow = c(0).binary(Multiply, lit(Value::Int(i64::MAX)));
+        let by_zero = lit(Value::Int(6)).binary(Divide, c(0));
+        let guarded = c(0)
+            .binary(NotEq, lit(Value::Int(0)))
+            .binary(And, by_zero.clone().binary(Gt, lit(Value::Int(0))));
+        let late = by_zero.clone().binary(Plus, overflow.clone());
+        for expr in [
+            overflow,
+            by_zero,
+            guarded,
+            late,
+            c(1).binary(Modulo, lit(Value::Float(0.0))),
+            c(3).binary(Plus, c(0)),
+            c(0).binary(And, c(5)),
+            not(c(3)),
+            c(9).binary(Plus, c(0)),
+            c(0).binary(Eq, c(9)),
+        ] {
+            // (A node that fails by row is asked again from the root, and
+            // its rows still count once.)
+            assert_eq!(by_column_equals_by_row(&expr, &rows), 6, "{expr}");
+            // No rows, no error — not even for a column that is not there.
+            assert_eq!(by_column_equals_by_row(&expr, &[]), 0, "{expr}");
+        }
+        // What lies under a NULL is never computed on.
+        let under_null = lit(Value::Int(1)).binary(Divide, c(2).binary(Minus, c(2)));
+        let rows = vec![vec![Value::Int(0), Value::Int(0), Value::Null]];
+        assert_eq!(by_column_equals_by_row(&under_null, &rows), 0);
     }
 
     #[test]

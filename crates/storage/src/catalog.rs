@@ -60,12 +60,15 @@ impl Catalog {
 
     /// Cheap snapshot clone of a table (Arc-backed partitions).
     pub fn get(&self, name: &str) -> Result<Table> {
+        self.with_table(name, |table| Ok(table.clone()))
+    }
+
+    /// Read from a table under the read lock, without cloning it.
+    pub fn with_table<T>(&self, name: &str, f: impl FnOnce(&Table) -> Result<T>) -> Result<T> {
         let key = name.to_ascii_lowercase();
-        self.tables
-            .read()
-            .get(&key)
-            .cloned()
-            .ok_or_else(|| Error::TableNotFound(name.to_owned()))
+        let tables = self.tables.read();
+        let table = tables.get(&key);
+        f(table.ok_or_else(|| Error::TableNotFound(name.to_owned()))?)
     }
 
     /// Whether a table exists.

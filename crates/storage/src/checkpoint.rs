@@ -9,7 +9,7 @@
 //! of restarting the whole query.
 //!
 //! Snapshots are cheap by construction: [`Partitioned`] stores each
-//! partition as an immutable `Arc<Vec<Row>>`, so cloning a table is O(P)
+//! partition as an immutable `Arc<Block>`, so cloning a table is O(P)
 //! pointer bumps (copy-on-write) — a checkpoint of a rename-path working
 //! table costs pointers, not rows. The same sharing is why the store can
 //! afford to retain **two epochs** per loop: each [`CheckpointStore::save`]

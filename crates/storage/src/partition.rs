@@ -4,7 +4,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use spinner_common::{Row, SchemaRef, Value};
+use spinner_common::{Block, Cell, Column, Row, SchemaRef, Value};
 
 /// Rows distributed across `P` partitions, each an immutable snapshot.
 ///
@@ -14,16 +14,17 @@ use spinner_common::{Row, SchemaRef, Value};
 pub struct Partitioned {
     /// Schema of every partition.
     pub schema: SchemaRef,
-    /// One immutable row vector per virtual worker.
-    pub parts: Vec<Arc<Vec<Row>>>,
+    /// One immutable column block per virtual worker.
+    pub parts: Vec<Arc<Block>>,
 }
 
 impl Partitioned {
     /// All rows gathered into a single empty-partition layout.
     pub fn empty(schema: SchemaRef, partitions: usize) -> Self {
+        let block = Arc::new(Block::empty(schema.len()));
         Partitioned {
             schema,
-            parts: (0..partitions).map(|_| Arc::new(Vec::new())).collect(),
+            parts: vec![block; partitions],
         }
     }
 
@@ -34,95 +35,111 @@ impl Partitioned {
 
     /// Total row count across partitions.
     pub fn total_rows(&self) -> usize {
-        self.parts.iter().map(|p| p.len()).sum()
+        self.parts.iter().map(|p| p.rows()).sum()
     }
 
     /// Estimated in-memory size in bytes, used for intermediate-state
     /// budgets: per row, a boxed-slice header plus one `Value` slot per
-    /// column. This deliberately under-counts string payloads — budgets
-    /// need a stable, cheap estimate, not an exact accounting.
+    /// column. This is a *logical* size — what the rows would take as
+    /// heap rows, deliberately under-counting string payloads — and not
+    /// what the column blocks occupy: budgets, the choice of spill
+    /// victims and `checkpoint_bytes` need a stable, cheap estimate that
+    /// does not move when the representation does.
     pub fn estimated_bytes(&self) -> u64 {
         let width = self.schema.len() as u64;
         let per_row = 16 + 24 * width;
         self.total_rows() as u64 * per_row
     }
 
-    /// Gather every partition's rows into one vector (clone of the rows).
+    /// Every partition's rows as heap rows, in partition order.
     pub fn gather(&self) -> Vec<Row> {
-        self.clone().take_rows(usize::MAX).0
+        self.take_rows(usize::MAX)
     }
 
-    /// The first `limit` rows in partition order (`usize::MAX` gathers
-    /// them all), consuming the row set: rows of a partition this value
-    /// uniquely owns are moved out, rows of a shared one (a base-table or
-    /// temp snapshot) are cloned. Returns the rows and how many of them
-    /// were cloned.
-    pub fn take_rows(self, limit: usize) -> (Vec<Row>, u64) {
-        let wanted = self.total_rows().min(limit);
-        let mut out = Vec::with_capacity(wanted);
-        let mut copied = 0u64;
-        for part in self.parts {
-            let room = wanted - out.len();
-            match Arc::try_unwrap(part) {
-                Ok(rows) => out.extend(rows.into_iter().take(room)),
-                Err(shared) => {
-                    let n = shared.len().min(room);
-                    out.extend_from_slice(&shared[..n]);
-                    copied += n as u64;
-                }
-            }
+    /// The first `limit` rows in partition order (`usize::MAX`: all of
+    /// them) as heap rows.
+    pub fn take_rows(&self, limit: usize) -> Vec<Row> {
+        let mut out = Vec::with_capacity(self.total_rows().min(limit));
+        for part in &self.parts {
+            part.push_rows(limit - out.len(), &mut out);
         }
-        (out, copied)
+        out
     }
 
     /// Build from a flat row vector by hashing column `key` into `parts`
-    /// partitions. `key = None` distributes round-robin.
+    /// partitions; NULL keys go to partition 0. `key = None` distributes
+    /// round-robin. Rows keep their order within a partition.
     pub fn from_rows(schema: SchemaRef, rows: Vec<Row>, key: Option<usize>, parts: usize) -> Self {
-        let bufs = hash_partition(rows, key, parts);
+        let mut columns = vec![vec![Column::new(); schema.len()]; parts];
+        let mut counts = vec![0usize; parts];
+        for (i, row) in rows.into_iter().enumerate() {
+            let target = match key {
+                Some(k) if row[k].is_null() => 0,
+                Some(k) => partition_of(&row[k], parts),
+                None => i % parts,
+            };
+            for (column, value) in columns[target].iter_mut().zip(row.into_vec()) {
+                column.push(value);
+            }
+            counts[target] += 1;
+        }
+        let block = |(columns, rows): (Vec<Column>, usize)| {
+            Arc::new(Block::new(
+                columns.into_iter().map(Arc::new).collect(),
+                rows,
+            ))
+        };
         Partitioned {
             schema,
-            parts: bufs.into_iter().map(Arc::new).collect(),
+            parts: columns.into_iter().zip(counts).map(block).collect(),
         }
     }
 }
 
-/// Deterministic hash of a single value, stable across processes for a given
-/// build (we only need intra-run consistency).
-pub fn value_hash(v: &Value) -> u64 {
-    let mut h = DefaultHasher::new();
-    v.hash(&mut h);
-    h.finish()
+/// The partition of every row of a key held in `keys`, one column per
+/// key expression: a one-column key goes where [`partition_of`] sends
+/// its cell (NULL to partition 0), a longer key by the same hash fed all
+/// of its cells, and rows without a key stay in partition 0. Stored
+/// tables, checkpoints and resumed loops were placed by this rule.
+pub fn placement(keys: &[Arc<Column>], rows: usize, parts: usize) -> Vec<u32> {
+    assert!(parts > 0, "at least one partition required");
+    let place = |cell: Cell<'_>| {
+        let mut h = DefaultHasher::new();
+        cell.hash(&mut h);
+        (h.finish() % parts as u64) as u32
+    };
+    match keys {
+        [] => vec![0; rows],
+        [key] => match &**key {
+            Column::Int(data, nulls) if !nulls.any() => {
+                data.iter().map(|x| place(Cell::Int(*x))).collect()
+            }
+            key => (0..rows)
+                .map(|row| match key.cell(row) {
+                    Cell::Null => 0,
+                    cell => place(cell),
+                })
+                .collect(),
+        },
+        _ => {
+            let mut hashers = vec![DefaultHasher::new(); rows];
+            for key in keys {
+                key.hash_into(&mut hashers);
+            }
+            let place = |h: &DefaultHasher| (h.finish() % parts as u64) as u32;
+            hashers.iter().map(place).collect()
+        }
+    }
 }
 
-/// Partition index for a value under `parts` partitions.
+/// Partition index for a value under `parts` partitions: its hash — stable
+/// across processes for a given build (we only need intra-run consistency)
+/// — modulo `parts`.
 pub fn partition_of(v: &Value, parts: usize) -> usize {
     debug_assert!(parts > 0);
-    (value_hash(v) % parts as u64) as usize
-}
-
-/// Split `rows` into `parts` buckets by hashing column `key`; NULL keys go
-/// to partition 0. `key = None` spreads rows round-robin.
-pub fn hash_partition(rows: Vec<Row>, key: Option<usize>, parts: usize) -> Vec<Vec<Row>> {
-    assert!(parts > 0, "at least one partition required");
-    let mut bufs: Vec<Vec<Row>> = (0..parts).map(|_| Vec::new()).collect();
-    match key {
-        Some(k) => {
-            for row in rows {
-                let idx = if row[k].is_null() {
-                    0
-                } else {
-                    partition_of(&row[k], parts)
-                };
-                bufs[idx].push(row);
-            }
-        }
-        None => {
-            for (i, row) in rows.into_iter().enumerate() {
-                bufs[i % parts].push(row);
-            }
-        }
-    }
-    bufs
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    (h.finish() % parts as u64) as usize
 }
 
 #[cfg(test)]
@@ -132,6 +149,13 @@ mod tests {
 
     fn rows_with_keys(keys: &[i64]) -> Vec<Row> {
         keys.iter().map(|k| row_of([Value::Int(*k)])).collect()
+    }
+
+    /// `rows` of one column split into `parts` buckets by `from_rows`.
+    fn hash_partition(rows: Vec<Row>, key: Option<usize>, parts: usize) -> Vec<Vec<Row>> {
+        let schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Int)]));
+        let placed = Partitioned::from_rows(schema, rows, key, parts);
+        placed.parts.iter().map(|part| part.to_rows()).collect()
     }
 
     #[test]
@@ -187,44 +211,81 @@ mod tests {
     }
 
     #[test]
-    fn take_rows_moves_owned_partitions_and_copies_shared_ones() {
-        let schema = std::sync::Arc::new(Schema::new(vec![Field::new("k", DataType::Int)]));
-        let owned = Partitioned::from_rows(schema, rows_with_keys(&[1, 2, 3, 4, 5, 6]), None, 3);
-        let expected = owned.gather();
-        let before: Vec<*const Value> = owned
-            .parts
-            .iter()
-            .flat_map(|p| p.iter().map(|r| r.as_ptr()))
-            .collect();
-        let shared = owned.clone();
-        // Shared with `owned`: every row is cloned, the source is intact.
-        let (rows, copied) = shared.take_rows(usize::MAX);
-        assert_eq!((rows, copied), (expected.clone(), 6));
-        assert_eq!(owned.gather(), expected);
-        // Now the only owner: rows move (same heap cells), none is cloned.
-        let (rows, copied) = owned.take_rows(usize::MAX);
-        assert_eq!(copied, 0);
-        assert_eq!(rows.iter().map(|r| r.as_ptr()).collect::<Vec<_>>(), before);
-        assert_eq!(rows, expected);
-    }
-
-    #[test]
     fn take_rows_stops_at_the_limit_in_partition_order() {
         let schema = std::sync::Arc::new(Schema::new(vec![Field::new("k", DataType::Int)]));
         let p = Partitioned::from_rows(schema, rows_with_keys(&[1, 2, 3, 4, 5, 6]), None, 3);
         let all = p.gather();
-        let shared = p.clone();
+        assert_eq!(all, rows_with_keys(&[1, 4, 2, 5, 3, 6]));
         for limit in [0, 1, 2, 3, 6, 9] {
-            let (rows, copied) = shared.clone().take_rows(limit);
-            assert_eq!(rows, all[..limit.min(6)]);
-            assert_eq!(
-                copied,
-                limit.min(6) as u64,
-                "only the rows taken are cloned"
-            );
+            assert_eq!(p.take_rows(limit), all[..limit.min(6)]);
         }
-        drop(shared);
-        let (rows, copied) = p.take_rows(3);
-        assert_eq!((rows.as_slice(), copied), (&all[..3], 0));
+        assert_eq!(p.estimated_bytes(), 6 * (16 + 24), "a logical size");
+    }
+
+    /// Typed placement is `partition_of` over the cells: ints, floats (`2`
+    /// beside `2.0`, both zeroes, NaN), NULL and text, whatever the column
+    /// holding them is typed as; longer keys hash all their cells.
+    #[test]
+    fn placement_equals_partition_of_the_cells() {
+        let cells = [
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Null,
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(f64::NAN),
+            Value::Text("ab".into()),
+            Value::Bool(true),
+            Value::Int(-9),
+        ];
+        let column = |pick: &dyn Fn(&Value) -> bool| {
+            let rows = cells
+                .iter()
+                .filter(|c| pick(c))
+                .map(|c| row_of([c.clone()]));
+            let kept: Vec<Value> = cells.iter().filter(|c| pick(c)).cloned().collect();
+            (Arc::clone(&Block::from_rows(1, rows).columns()[0]), kept)
+        };
+        let columns = [
+            column(&|c| matches!(c, Value::Int(_) | Value::Null)),
+            column(&|c| matches!(c, Value::Float(_) | Value::Null)),
+            column(&|c| matches!(c, Value::Text(_) | Value::Null)),
+            column(&|_| true),
+        ];
+        for parts in [1, 2, 3, 16] {
+            for (column, cells) in &columns {
+                let want: Vec<u32> = cells
+                    .iter()
+                    .map(|c| {
+                        if c.is_null() {
+                            0
+                        } else {
+                            partition_of(c, parts) as u32
+                        }
+                    })
+                    .collect();
+                let keys = [Arc::clone(column)];
+                assert_eq!(placement(&keys, cells.len(), parts), want);
+                // Two cells: one hash fed both, NULLs included.
+                let pair = [Arc::clone(column), Arc::clone(column)];
+                let want: Vec<u32> = cells
+                    .iter()
+                    .map(|c| {
+                        let mut h = DefaultHasher::new();
+                        c.hash(&mut h);
+                        c.hash(&mut h);
+                        (h.finish() % parts as u64) as u32
+                    })
+                    .collect();
+                assert_eq!(placement(&pair, cells.len(), parts), want);
+            }
+            assert_eq!(placement(&[], 3, parts), [0, 0, 0]);
+        }
+        let (mixed, _) = &columns[3];
+        assert_eq!(
+            placement(&[Arc::clone(mixed)], 2, 16)[0],
+            placement(&[Arc::clone(mixed)], 2, 16)[1],
+            "2 and 2.0 colocate"
+        );
     }
 }

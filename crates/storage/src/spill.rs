@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use spinner_common::memory::{MemoryAccountant, MemoryMetrics, SpillFaultHook};
 use spinner_common::{
-    row_of, DataType, Error, FaultSite, Field, Result, Row, Schema, SchemaRef, Value,
+    Block, Cell, Column, DataType, Error, FaultSite, Field, Result, Schema, SchemaRef, Value,
 };
 
 use crate::checkpoint::LoopCheckpoint;
@@ -508,24 +508,24 @@ fn dtype_tag(t: DataType) -> u8 {
     }
 }
 
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => buf.push(0),
-        Value::Int(i) => {
+fn put_cell(buf: &mut Vec<u8>, cell: Cell<'_>) {
+    match cell {
+        Cell::Null => buf.push(0),
+        Cell::Int(i) => {
             buf.push(1);
             buf.extend_from_slice(&i.to_le_bytes());
         }
-        Value::Float(f) => {
+        Cell::Float(f) => {
             buf.push(2);
             buf.extend_from_slice(&f.to_bits().to_le_bytes());
         }
-        Value::Text(s) => {
+        Cell::Text(s) => {
             buf.push(3);
             put_str(buf, s);
         }
-        Value::Bool(b) => {
+        Cell::Bool(b) => {
             buf.push(4);
-            buf.push(u8::from(*b));
+            buf.push(u8::from(b));
         }
     }
 }
@@ -543,10 +543,12 @@ fn encode_partitioned(buf: &mut Vec<u8>, data: &Partitioned) {
         // Each partition's byte range is individually checksummed so a
         // verified read never hands back a partition the disk mangled.
         let start = buf.len();
-        put_u64(buf, part.len() as u64);
-        for row in part.iter() {
-            for v in row.iter() {
-                put_value(buf, v);
+        // The body is row-major, as it was when partitions were rows:
+        // files written before and after read alike.
+        put_u64(buf, part.rows() as u64);
+        for row in 0..part.rows() {
+            for column in part.columns() {
+                put_cell(buf, column.cell(row));
             }
         }
         let sum = xxh64(&buf[start..]);
@@ -694,19 +696,18 @@ impl<'a> Reader<'a> {
         for _ in 0..n_parts {
             let start = self.pos;
             let n_rows = self.u64()? as usize;
-            let mut rows: Vec<Row> = Vec::with_capacity(n_rows.min(1 << 20));
+            let mut columns = vec![Column::new(); n_fields];
             for _ in 0..n_rows {
-                let mut values = Vec::with_capacity(n_fields);
-                for _ in 0..n_fields {
-                    values.push(self.value()?);
+                for column in &mut columns {
+                    column.push(self.value()?);
                 }
-                rows.push(row_of(values));
             }
             let sum = xxh64(&self.bytes[start..self.pos]);
             if self.u64()? != sum {
                 return Err(self.corrupt("partition checksum mismatch"));
             }
-            parts.push(Arc::new(rows));
+            let columns = columns.into_iter().map(Arc::new).collect();
+            parts.push(Arc::new(Block::new(columns, n_rows)));
         }
         Ok(Partitioned { schema, parts })
     }
@@ -722,7 +723,14 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinner_common::row_of;
+    use spinner_common::{row_of, Row};
+
+    /// What is in each partition, to the bit (`Value`'s `Eq` would let
+    /// `2` pass for `2.0`).
+    fn layout(data: &Partitioned) -> String {
+        let parts: Vec<Vec<Row>> = data.parts.iter().map(|p| p.to_rows()).collect();
+        format!("{parts:?}")
+    }
 
     fn manager() -> SpillManager {
         SpillManager::new(std::env::temp_dir(), Arc::new(MemoryMetrics::new()), None)
@@ -750,6 +758,70 @@ mod tests {
         Partitioned::from_rows(schema, rows, Some(0), 3)
     }
 
+    /// The rows of `testdata/golden_v2.spn`, which the row-partition
+    /// engine (PR 19) wrote from them: typed columns with NULLs, `-0.0`,
+    /// NaN, an all-NULL column and one whose cells disagree.
+    fn golden_rows() -> Partitioned {
+        let schema = Arc::new(Schema::new(vec![
+            Field::qualified("t", "k", DataType::Int),
+            Field::new("v", DataType::Float),
+            Field::new("s", DataType::Text),
+            Field::new("b", DataType::Bool),
+            Field::new("n", DataType::Null),
+            Field::new("m", DataType::Float),
+        ]));
+        let rows: Vec<Row> = (0..12i64)
+            .map(|i| {
+                row_of([
+                    if i == 5 {
+                        Value::Null
+                    } else {
+                        Value::Int(i - 3)
+                    },
+                    match i {
+                        2 => Value::Float(-0.0),
+                        3 => Value::Float(f64::NAN),
+                        4 => Value::Null,
+                        _ => Value::Float(i as f64 * 0.5),
+                    },
+                    if i % 4 == 1 {
+                        Value::Null
+                    } else {
+                        Value::Text(format!("row {i} \"é\""))
+                    },
+                    Value::Bool(i % 2 == 0),
+                    Value::Null,
+                    match i % 3 {
+                        0 => Value::Int(2),
+                        1 => Value::Float(2.0),
+                        _ => Value::Text("two".into()),
+                    },
+                ])
+            })
+            .collect();
+        Partitioned::from_rows(schema, rows, Some(0), 3)
+    }
+
+    /// Column blocks changed nothing on disk: the same rows encode to the
+    /// file the row engine wrote, byte for byte, and that file decodes to
+    /// them and re-encodes to itself.
+    #[test]
+    fn blocks_encode_to_the_row_engines_bytes() {
+        let golden: &[u8] = include_bytes!("../testdata/golden_v2.spn");
+        let encode = |data: &Partitioned| {
+            let mut buf = header();
+            encode_partitioned(&mut buf, data);
+            seal(&mut buf);
+            buf
+        };
+        let data = golden_rows();
+        assert_eq!(encode(&data), golden);
+        let decoded = decode_partitioned_bytes(golden, "golden").unwrap();
+        assert_eq!(decoded.schema, data.schema);
+        assert_eq!(layout(&decoded), layout(&data));
+        assert_eq!(encode(&decoded), golden);
+    }
+
     /// Reference test vectors from the XXH64 specification.
     #[test]
     fn xxh64_matches_reference_vectors() {
@@ -772,9 +844,11 @@ mod tests {
         let back = m.read_partitioned(&handle, "__cte_pr_1").unwrap();
         assert_eq!(back.schema, data.schema);
         assert_eq!(back.parts.len(), data.parts.len());
-        for (a, b) in back.parts.iter().zip(data.parts.iter()) {
-            assert_eq!(a, b, "partition layout must survive the round trip");
-        }
+        assert_eq!(
+            layout(&back),
+            layout(&data),
+            "partition layout must survive the round trip"
+        );
         let path = handle.path().to_path_buf();
         drop(handle);
         assert!(!path.exists(), "drop must delete the spill file");
@@ -797,7 +871,7 @@ mod tests {
         assert_eq!(back.cumulative_updates, 99);
         assert_eq!(back.tables.len(), 2);
         assert_eq!(back.tables[0].0, "__cte_pr_1");
-        assert_eq!(back.tables[1].1.parts, ckpt.tables[1].1.parts);
+        assert_eq!(layout(&back.tables[1].1), layout(&ckpt.tables[1].1));
     }
 
     #[test]

@@ -1,22 +1,24 @@
-//! Base tables: schema + partitioned, copy-on-write row storage.
+//! Base tables: schema + partitioned, copy-on-write column storage.
 
 use std::sync::Arc;
 
-use spinner_common::{Error, Result, Row, SchemaRef};
+use spinner_common::{Block, Error, Result, Row, SchemaRef, Value};
 
-use crate::partition::{hash_partition, partition_of, Partitioned};
+use crate::partition::{partition_of, Partitioned};
 
 /// A named base table, hash-partitioned across the configured number of
 /// virtual workers.
 ///
-/// Row storage is copy-on-write: readers snapshot the per-partition `Arc`s,
-/// writers clone a partition's vector only when it is shared. This mirrors
-/// an MPP engine where scans never block on DML of other sessions.
+/// Storage is copy-on-write: readers snapshot the per-partition `Arc`s and
+/// a writer replaces the block of each partition it changes. DML is a row
+/// edge — rows come in as heap rows and predicates see one row at a time —
+/// so this is where rows are transposed into columns and back. This
+/// mirrors an MPP engine where scans never block on DML of other sessions.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: SchemaRef,
-    parts: Vec<Arc<Vec<Row>>>,
+    parts: Vec<Arc<Block>>,
     /// Column the table is hash-distributed on. `None` = round-robin.
     partition_key: Option<usize>,
     /// Declared primary-key column, used as the merge key of iterative CTE
@@ -34,10 +36,12 @@ impl Table {
         primary_key: Option<usize>,
     ) -> Self {
         assert!(partitions >= 1);
+        // Immutable, so the partitions can share the one empty block.
+        let empty = Arc::new(Block::empty(schema.len()));
         Table {
             name: name.into(),
+            parts: vec![empty; partitions],
             schema,
-            parts: (0..partitions).map(|_| Arc::new(Vec::new())).collect(),
             partition_key,
             primary_key,
         }
@@ -70,7 +74,7 @@ impl Table {
 
     /// Total number of rows.
     pub fn row_count(&self) -> usize {
-        self.parts.iter().map(|p| p.len()).sum()
+        self.parts.iter().map(|p| p.rows()).sum()
     }
 
     /// O(P) snapshot of the current contents for scanning.
@@ -92,32 +96,46 @@ impl Table {
             )));
         }
         let n = rows.len();
-        let buckets = hash_partition(rows, self.partition_key, self.parts.len());
-        for (part, extra) in self.parts.iter_mut().zip(buckets) {
-            if !extra.is_empty() {
-                Arc::make_mut(part).extend(extra);
-            }
-        }
+        self.append(rows);
         Ok(n)
     }
 
+    fn append(&mut self, rows: Vec<Row>) {
+        let schema = Arc::clone(&self.schema);
+        let routed = Partitioned::from_rows(schema, rows, self.partition_key, self.parts.len());
+        // An empty partition takes the routed block as it is (a bulk load
+        // copies nothing); one with rows grows in place — O(new rows) —
+        // unless a snapshot still shares its block.
+        for (part, extra) in self.parts.iter_mut().zip(routed.parts) {
+            if part.is_empty() {
+                *part = extra;
+            } else if !extra.is_empty() {
+                Arc::make_mut(part).append(&extra);
+            }
+        }
+    }
+
     /// Delete rows matching `pred`; returns the number removed.
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> Result<bool>) -> Result<usize> {
+    pub fn delete_where(
+        &mut self,
+        mut pred: impl FnMut(&[Value]) -> Result<bool>,
+    ) -> Result<usize> {
         let mut removed = 0;
+        let mut scratch = vec![Value::Null; self.schema.len()];
         for part in &mut self.parts {
             // Evaluate before mutating so a predicate error leaves the
             // partition untouched.
-            let keep: Vec<bool> = part
-                .iter()
-                .map(|r| pred(r).map(|m| !m))
-                .collect::<Result<_>>()?;
-            if keep.iter().all(|k| *k) {
-                continue;
+            let mut keep: Vec<u32> = Vec::with_capacity(part.rows());
+            for row in 0..part.rows() {
+                part.read_row(row, &mut scratch);
+                if !pred(&scratch)? {
+                    keep.push(row as u32);
+                }
             }
-            let rows = Arc::make_mut(part);
-            let mut it = keep.iter();
-            rows.retain(|_| *it.next().expect("keep mask length"));
-            removed += keep.iter().filter(|k| !**k).count();
+            if keep.len() < part.rows() {
+                removed += part.rows() - keep.len();
+                *part = Arc::new(part.take(&keep));
+            }
         }
         Ok(removed)
     }
@@ -127,18 +145,20 @@ impl Table {
     /// row changes, the row is re-routed to its new partition.
     pub fn update_where(
         &mut self,
-        mut f: impl FnMut(&Row) -> Result<Option<Row>>,
+        mut f: impl FnMut(&[Value]) -> Result<Option<Row>>,
     ) -> Result<usize> {
         let width = self.schema.len();
         let nparts = self.parts.len();
         let pk = self.partition_key;
         let mut updated = 0;
         let mut rerouted: Vec<Row> = Vec::new();
+        let mut scratch = vec![Value::Null; width];
         for (pidx, part) in self.parts.iter_mut().enumerate() {
             // Plan all updates for the partition first (error safety).
             let mut changes: Vec<(usize, Row)> = Vec::new();
-            for (i, row) in part.iter().enumerate() {
-                if let Some(new_row) = f(row)? {
+            for i in 0..part.rows() {
+                part.read_row(i, &mut scratch);
+                if let Some(new_row) = f(&scratch)? {
                     if new_row.len() != width {
                         return Err(Error::execution(format!(
                             "UPDATE produced row of width {}, table '{}' has width {width}",
@@ -153,7 +173,7 @@ impl Table {
                 continue;
             }
             updated += changes.len();
-            let rows = Arc::make_mut(part);
+            let mut rows = part.to_rows();
             let mut remove: Vec<usize> = Vec::new();
             for (i, new_row) in changes {
                 let stays = match pk {
@@ -177,23 +197,18 @@ impl Table {
             for &i in remove.iter().rev() {
                 rows.swap_remove(i);
             }
+            *part = Arc::new(Block::from_rows(width, rows));
         }
         if !rerouted.is_empty() {
-            let buckets = hash_partition(rerouted, self.partition_key, self.parts.len());
-            for (part, extra) in self.parts.iter_mut().zip(buckets) {
-                if !extra.is_empty() {
-                    Arc::make_mut(part).extend(extra);
-                }
-            }
+            self.append(rerouted);
         }
         Ok(updated)
     }
 
     /// Remove every row (used by the middleware baseline's DELETE FROM).
     pub fn truncate(&mut self) {
-        for part in &mut self.parts {
-            *part = Arc::new(Vec::new());
-        }
+        let empty = Arc::new(Block::empty(self.schema.len()));
+        self.parts.fill(empty);
     }
 }
 
@@ -221,6 +236,41 @@ mod tests {
         let mut t = test_table();
         assert_eq!(t.insert(rows(20)).unwrap(), 20);
         assert_eq!(t.row_count(), 20);
+    }
+
+    /// Repeated INSERTs cost what they add: a partition no snapshot shares
+    /// grows in place — same block, same column buffers — and one that a
+    /// snapshot shares is copied once, the snapshot keeping what it saw.
+    #[test]
+    fn insert_appends_in_place_unless_a_snapshot_shares_the_partition() {
+        let buffers = |t: &Table| -> Vec<_> {
+            let columns = |p: &Arc<Block>| p.columns().iter().map(Arc::as_ptr).collect::<Vec<_>>();
+            t.parts
+                .iter()
+                .map(|p| (Arc::as_ptr(p), columns(p)))
+                .collect()
+        };
+        let mut t = test_table();
+        t.insert(rows(20)).unwrap();
+        t.insert(rows(20)).unwrap();
+        let before = buffers(&t);
+        for _ in 0..50 {
+            t.insert(rows(20)).unwrap();
+        }
+        assert_eq!(buffers(&t), before, "grown in place");
+        let snapshot = t.snapshot();
+        t.insert(rows(20)).unwrap();
+        let after = buffers(&t);
+        assert!(before.iter().zip(&after).all(|(b, a)| b.0 != a.0));
+        assert_eq!((snapshot.total_rows(), t.row_count()), (1040, 1060));
+        let mut ids: Vec<i64> = t
+            .snapshot()
+            .gather()
+            .iter()
+            .map(|r| r[0].as_i64().unwrap())
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..20).flat_map(|i| [i; 53]).collect::<Vec<_>>());
     }
 
     #[test]
@@ -283,7 +333,7 @@ mod tests {
         assert_eq!(t.row_count(), 8);
         // every row must live in the partition its new key hashes to
         for (pidx, part) in t.snapshot().parts.iter().enumerate() {
-            for r in part.iter() {
+            for r in part.to_rows() {
                 assert_eq!(partition_of(&r[0], 4), pidx);
             }
         }

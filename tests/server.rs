@@ -106,16 +106,21 @@ fn protocol_round_trips_every_result_shape() {
         Reply::Error { code, .. } => assert_eq!(code, "table_not_found"),
         other => panic!("expected error, got {other:?}"),
     }
-    // 20 KB of parentheses is a parse error, not a stack overflow in the
-    // connection's thread — which would abort the process and take every
-    // session with it. This one and a second one both keep answering.
+    // 20 KB of parentheses, 60,000 `UNION ALL` arms (≈ 1 MB) or 100,000
+    // `+`s are parse errors, not a stack overflow in the connection's
+    // thread — which would abort the process and take every session with
+    // it. This one and a second one both keep answering.
     let deep = format!("SELECT {}1{}", "(".repeat(10_000), ")".repeat(10_000));
-    match c.query(&deep).unwrap() {
-        Reply::Error { code, message } => {
-            assert_eq!(code, "parse");
-            assert!(message.contains("nested"), "{message}");
+    let arms = vec!["SELECT 1"; 60_001].join(" UNION ALL ");
+    let sums = format!("SELECT {}", vec!["1"; 100_001].join(" + "));
+    for (sql, what) in [(deep, "nested"), (arms, "chains"), (sums, "chains")] {
+        match c.query(&sql).unwrap() {
+            Reply::Error { code, message } => {
+                assert_eq!(code, "parse");
+                assert!(message.contains(what), "{message}");
+            }
+            other => panic!("expected error, got {other:?}"),
         }
-        other => panic!("expected error, got {other:?}"),
     }
     let mut second = Client::connect(server.local_addr()).unwrap();
     for client in [&mut c, &mut second] {
