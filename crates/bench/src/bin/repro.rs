@@ -1,5 +1,5 @@
-//! One-shot reproduction of every table and figure in the paper's
-//! evaluation (§VII). Prints the same series the paper plots, plus the
+//! One-shot reproduction of the paper's evaluation (§VII): Table I and
+//! Figures 8–11. Prints the same series the paper plots, plus the
 //! engine's internal counters, and the measured improvement percentages.
 //!
 //! ```sh
@@ -7,32 +7,16 @@
 //! cargo run --release -p spinner-bench --bin repro -- fig8    # one artifact
 //! ```
 //!
-//! Artifacts: `table1`, `fig8`, `fig9`, `fig10`, `fig11`, `convergence`
-//! (semi-naive vs full per-iteration cost with a hard speedup gate,
-//! writes `CONVERGENCE_7.json`), `recovery`, `spill`, `bench`
-//! (worker-pool regression smoke, writes `BENCH_5.json`), `concurrency`
-//! (multi-session overload/shedding run against a live TCP server,
-//! writes `CONCURRENCY_6.json`), `durability` (corruption-detection
-//! sweep plus fsync overhead on the fig8 PR workload, writes
-//! `DURABILITY_8.json`), `crash` (SIGKILL-at-swept-positions restart
-//! sweep against real `spinner-serve` subprocesses — every position
-//! must resume row-identically within one checkpoint interval; writes
-//! `CRASH_9.json`; not part of `all`), `workloads` (the PR-10 iterative
-//! ML/graph suite — k-means, label propagation, triangle-weighted
-//! ranking, logistic regression — benchmarked end-to-end with
-//! per-workload convergence gates and oracle checks; writes
-//! `WORKLOADS_10.json`).
+//! Artifacts: `table1`, `fig8`, `fig9`, `fig10`, `fig11`, and `all` (the
+//! five in order, the default). Timings are min-of-5 wall clock; the
+//! repo's performance numbers come from spinbench (`benchmark/`), and its
+//! pass/fail gates from the test suites.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spinner_bench::{setup_db, BenchDataset, ITERATIONS};
-use spinner_engine::{Database, EngineConfig, FaultConfig, FaultSite, Result, Value};
-use spinner_procedural::{
-    connected_components, ff, pagerank, run_script, sssp, sssp_convergent, ProcedureScript,
-};
-use spinner_server::{Client, Reply, Server};
+use spinner_engine::{Database, EngineConfig, Result};
+use spinner_procedural::{ff, pagerank, run_script, sssp, ProcedureScript};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -42,32 +26,13 @@ fn main() {
         "fig9" => fig9(),
         "fig10" => fig10(),
         "fig11" => fig11(),
-        "convergence" => convergence(),
-        "recovery" => recovery(),
-        "spill" => spill(),
-        "bench" => bench(),
-        "concurrency" => concurrency(),
-        "durability" => durability(),
-        "crash" => crash(),
-        "workloads" => workloads(),
         "all" => table1()
             .and_then(|()| fig8())
             .and_then(|()| fig9())
             .and_then(|()| fig10())
-            .and_then(|()| fig11())
-            .and_then(|()| convergence())
-            .and_then(|()| recovery())
-            .and_then(|()| spill())
-            .and_then(|()| bench())
-            .and_then(|()| concurrency())
-            .and_then(|()| durability())
-            .and_then(|()| workloads()),
+            .and_then(|()| fig11()),
         other => {
-            eprintln!(
-                "repro: unknown artifact '{other}'; use table1|fig8|fig9|fig10|\
-                 fig11|convergence|recovery|spill|bench|concurrency|durability|\
-                 crash|workloads|all"
-            );
+            eprintln!("repro: unknown artifact '{other}'; use table1|fig8|fig9|fig10|fig11|all");
             std::process::exit(1);
         }
     };
@@ -255,1374 +220,5 @@ fn fig11() -> Result<()> {
         );
     }
     println!("(paper: CTE ≥25% faster than procedures for PR/SSSP, ~80% for FF)");
-    Ok(())
-}
-
-/// Recovery: checkpoint-interval overhead on fault-free PageRank, then a
-/// mid-loop fault with rollback-and-replay, on the fig-8-scale dataset.
-fn recovery() -> Result<()> {
-    header("Recovery — checkpoint overhead and mid-loop replay (PR, 25 iterations, dblp-like)");
-    let sql = pagerank(ITERATIONS, false).cte;
-
-    // Part 1: what does checkpointing cost when nothing fails?
-    println!(
-        "{:<10} {:>14} {:>9} {:>12} {:>12}",
-        "interval", "time", "overhead", "checkpoints", "ckpt_bytes"
-    );
-    let mut baseline: Option<Duration> = None;
-    for interval in [0u64, 5, 1] {
-        let db = setup_db(
-            BenchDataset::DblpLike,
-            EngineConfig::default().with_checkpoint_interval(interval),
-            false,
-        );
-        let t = time_query(&db, &sql)?;
-        let stats = db.take_stats();
-        let overhead = match baseline {
-            None => {
-                baseline = Some(t);
-                "—".to_string()
-            }
-            Some(base) => format!("{:+.1}%", -improvement(base, t)),
-        };
-        println!(
-            "{:<10} {:>14.2?} {:>9} {:>12} {:>12}",
-            interval, t, overhead, stats.checkpoints_taken, stats.checkpoint_bytes,
-        );
-    }
-
-    // Part 2: kill iteration 13 (past the interval-5 checkpoint at 10)
-    // and let the loop roll back and replay. The recovered run must be
-    // row-identical to the fault-free run.
-    let clean_db = setup_db(BenchDataset::DblpLike, EngineConfig::default(), false);
-    let clean_rows = sorted_rows(&clean_db.query(&sql)?);
-    let faulty_db = setup_db(
-        BenchDataset::DblpLike,
-        EngineConfig::default()
-            .with_checkpoint_interval(5)
-            .with_max_loop_recoveries(2)
-            .with_fault(FaultConfig::fail_nth(FaultSite::LoopIteration, 13)),
-        false,
-    );
-    let t = Instant::now();
-    let recovered_rows = sorted_rows(&faulty_db.query(&sql)?);
-    let elapsed = t.elapsed();
-    let stats = faulty_db.take_stats();
-    if recovered_rows != clean_rows {
-        return Err(spinner_engine::Error::execution(
-            "recovered run diverged from the fault-free run",
-        ));
-    }
-    println!(
-        "\nmid-loop fault at iteration 13, checkpoint_interval=5: \
-         recovered in {elapsed:.2?}, rows identical to fault-free"
-    );
-    println!(
-        "  rollbacks={} iterations_replayed={} checkpoints={} ckpt_bytes={} retries={}",
-        stats.loop_rollbacks,
-        stats.iterations_replayed,
-        stats.checkpoints_taken,
-        stats.checkpoint_bytes,
-        stats.partition_retries + stats.step_retries,
-    );
-    println!("(checkpoints are Arc snapshots: O(partitions) per table, not row copies)");
-    Ok(())
-}
-
-/// Spill-to-disk: run PageRank with the memory accountant's threshold at
-/// off / 64 KiB / 1 byte. The 1-byte run forces every intermediate result
-/// and checkpoint through the spill files; results must stay identical,
-/// and the counters show how much state moved to disk and back.
-fn spill() -> Result<()> {
-    header("Spill — graceful degradation under memory pressure (PR, 25 iterations, dblp-like)");
-    let sql = pagerank(ITERATIONS, false).cte;
-    println!(
-        "{:<12} {:>14} {:>9} {:>8} {:>14} {:>14} {:>14}",
-        "threshold", "time", "overhead", "spills", "bytes_written", "bytes_read", "peak_tracked"
-    );
-    let mut baseline: Option<Duration> = None;
-    let mut reference: Option<Vec<Vec<Value>>> = None;
-    for (label, threshold) in [
-        ("off", None),
-        ("64 KiB", Some(64 * 1024)),
-        ("1 byte", Some(1)),
-    ] {
-        let config = EngineConfig {
-            spill_threshold_bytes: threshold,
-            ..EngineConfig::default()
-        };
-        let db = setup_db(BenchDataset::DblpLike, config, false);
-        let t = time_query(&db, &sql)?;
-        let rows = sorted_rows(&db.query(&sql)?);
-        match &reference {
-            None => reference = Some(rows),
-            Some(expected) if *expected == rows => {}
-            Some(_) => {
-                return Err(spinner_engine::Error::execution(
-                    "spilled run diverged from the in-memory run",
-                ));
-            }
-        }
-        let stats = db.take_stats();
-        let overhead = match baseline {
-            None => {
-                baseline = Some(t);
-                "—".to_string()
-            }
-            Some(base) => format!("{:+.1}%", -improvement(base, t)),
-        };
-        println!(
-            "{:<12} {:>14.2?} {:>9} {:>8} {:>14} {:>14} {:>14}",
-            label,
-            t,
-            overhead,
-            stats.spill_events,
-            stats.spill_bytes_written,
-            stats.spill_bytes_read,
-            stats.peak_tracked_bytes,
-        );
-    }
-    println!(
-        "(rows identical across all three; victims are picked coldest-first, \
-         so spilled state here is dying temps that never need rehydration)"
-    );
-    Ok(())
-}
-
-/// Rows of a batch, sorted, for order-insensitive comparison.
-fn sorted_rows(batch: &spinner_engine::Batch) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> = batch.rows().iter().map(|r| r.to_vec()).collect();
-    rows.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    rows
-}
-
-/// Median of a sample series, in ms per loop iteration. The
-/// bench-regression harness uses the median (not the min) so the
-/// recorded number is a typical run, robust to one outlier either way.
-fn median_ms_per_iteration(mut times: Vec<f64>, iterations: u64) -> f64 {
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times[times.len() / 2] / iterations as f64
-}
-
-/// Bench-regression harness (PR 5): the fig8 (FF/PR) and fig9
-/// (PR-VS/SSSP-VS) workloads in smoke mode — dblp-like dataset, 10
-/// iterations, median of 5 — with parallel partitions on the persistent
-/// worker pool (the engine's only parallel path). The series is written
-/// to `BENCH_5.json` for the CI artifact upload, so a regression in pool
-/// dispatch or the join cache shows up as a diff between uploads.
-fn bench() -> Result<()> {
-    const SMOKE_ITERATIONS: u64 = 10;
-    header("Bench — worker pool (smoke, 10 iterations, dblp-like)");
-    let config = || {
-        EngineConfig::default()
-            .with_partitions(8)
-            .with_parallel_partitions(true)
-    };
-    let workloads = [
-        ("fig8", "FF", ff(SMOKE_ITERATIONS, 10).cte, false),
-        ("fig8", "PR", pagerank(SMOKE_ITERATIONS, false).cte, false),
-        ("fig9", "PR-VS", pagerank(SMOKE_ITERATIONS, true).cte, true),
-        ("fig9", "SSSP-VS", sssp(SMOKE_ITERATIONS, 1, true).cte, true),
-    ];
-    println!("{:<6} {:<10} {:>16}", "figure", "query", "pool ms/it");
-    let mut entries = Vec::new();
-    for (figure, qname, sql, with_vs) in workloads {
-        let db = setup_db(BenchDataset::DblpLike, config(), with_vs);
-        // One unmeasured warmup, then the samples.
-        let mut times = Vec::new();
-        for sample in -1..5i32 {
-            let t = Instant::now();
-            db.query(&sql)?;
-            if sample >= 0 {
-                times.push(t.elapsed().as_secs_f64() * 1000.0);
-            }
-        }
-        let ms = median_ms_per_iteration(times, SMOKE_ITERATIONS);
-        let stats = db.take_stats();
-        if stats.threads_spawned != 0 {
-            return Err(spinner_engine::Error::execution(
-                "pool run spawned mid-loop threads",
-            ));
-        }
-        println!("{:<6} {:<10} {:>16.3}", figure, qname, ms);
-        entries.push(format!(
-            "    {{\"figure\": \"{figure}\", \"query\": \"{qname}\", \
-             \"pool_on_ms_per_iteration\": {ms:.4}, \
-             \"pool_tasks\": {}, \"join_builds_reused\": {}}}",
-            stats.pool_tasks, stats.join_builds_reused,
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"pool_smoke\",\n  \"dataset\": \"dblp-like\",\n  \
-         \"iterations\": {SMOKE_ITERATIONS},\n  \"samples\": 5,\n  \
-         \"statistic\": \"median_ms_per_iteration\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-    );
-    std::fs::write("BENCH_5.json", &json)
-        .map_err(|e| spinner_engine::Error::execution(format!("writing BENCH_5.json: {e}")))?;
-    println!("\nwrote BENCH_5.json");
-    Ok(())
-}
-
-/// One arm of a convergence run: the per-iteration series plus the mode
-/// the executor actually ran the loop in.
-struct ConvergenceArm {
-    mode: String,
-    /// `(iteration, delta_rows, elapsed_ms)` per loop round.
-    series: Vec<(u64, u64, f64)>,
-}
-
-fn convergence_arm(db: &Database, sql: &str) -> Result<ConvergenceArm> {
-    let profile = db.explain_analyze(sql)?;
-    let loops = profile.loops();
-    let Some(loop_node) = loops.first() else {
-        return Err(spinner_engine::Error::execution("no loop in profile"));
-    };
-    let mode = loop_node
-        .iteration_mode
-        .as_ref()
-        .map(|m| m.mode().to_string())
-        .unwrap_or_else(|| "full".to_string());
-    let series = loop_node
-        .iterations
-        .iter()
-        .map(|it| (it.iteration, it.delta_rows, it.elapsed_us as f64 / 1000.0))
-        .collect();
-    Ok(ConvergenceArm { mode, series })
-}
-
-/// Convergence curves with semi-naive delta iteration on and off: one
-/// `EXPLAIN ANALYZE` run per arm yields per-iteration delta rows and wall
-/// time. With semi-naive on, the eligible workloads (CC, accumulator
-/// SSSP) must get cheaper as the delta shrinks — the binary *fails* if
-/// the SSSP loop's late iterations are not >=5x cheaper than iteration 1.
-/// PageRank rides along as the designed fallback: its SUM aggregate is
-/// not a monotone accumulator, so both arms report `mode=full`. Writes
-/// the whole series to `CONVERGENCE_7.json` for the CI artifact upload.
-fn convergence() -> Result<()> {
-    const SSSP_SPEEDUP_GATE: f64 = 5.0;
-    header("Convergence — per-iteration cost, semi-naive vs full recompute (dblp-like)");
-    let workloads: [(&str, String, bool); 3] = [
-        // The showcase: accumulator-form SSSP, delta-terminated, eligible
-        // for the rewrite. Frontier shrinks every round.
-        ("SSSP", sssp_convergent(1, None).cte, false),
-        // Min-label propagation, also eligible, symmetric graph.
-        ("CC", connected_components(None).cte, true),
-        // The designed fallback (SUM is not a monotone accumulator).
-        ("PR", pagerank(ITERATIONS, false).cte, false),
-    ];
-    let mut json_entries = Vec::new();
-    let mut sssp_gate: Option<(f64, f64)> = None;
-    for (name, sql, symmetric) in workloads {
-        let mut arms = Vec::new();
-        for semi_naive in [false, true] {
-            let db = if symmetric {
-                // CC needs a symmetric edge table (min-label propagation
-                // along undirected components); same dblp-like scale.
-                let db = Database::new(EngineConfig::default().with_semi_naive(semi_naive))?;
-                let schema = spinner_engine::Schema::new(vec![
-                    spinner_engine::Field::new("src", spinner_engine::DataType::Int),
-                    spinner_engine::Field::new("dst", spinner_engine::DataType::Int),
-                    spinner_engine::Field::new("weight", spinner_engine::DataType::Float),
-                ]);
-                let rows = BenchDataset::DblpLike
-                    .spec()
-                    .generate_symmetric_components(2);
-                db.create_table_from_rows("edges", schema, rows, None, Some(1))?;
-                db
-            } else {
-                setup_db(
-                    BenchDataset::DblpLike,
-                    EngineConfig::default().with_semi_naive(semi_naive),
-                    false,
-                )
-            };
-            arms.push(convergence_arm(&db, &sql)?);
-        }
-        let [full, sn] = <[ConvergenceArm; 2]>::try_from(arms)
-            .map_err(|_| spinner_engine::Error::execution("missing convergence arm"))?;
-        println!(
-            "\n{name}: full mode={} ({} iterations), semi-naive mode={} ({} iterations)",
-            full.mode,
-            full.series.len(),
-            sn.mode,
-            sn.series.len(),
-        );
-        println!(
-            "{:>5} {:>13} {:>10} {:>13} {:>10}",
-            "iter", "full delta", "full ms", "sn delta", "sn ms"
-        );
-        for i in 0..full.series.len().max(sn.series.len()) {
-            let f = full.series.get(i);
-            let s = sn.series.get(i);
-            println!(
-                "{:>5} {:>13} {:>10} {:>13} {:>10}",
-                i + 1,
-                f.map(|x| x.1.to_string()).unwrap_or_default(),
-                f.map(|x| format!("{:.2}", x.2)).unwrap_or_default(),
-                s.map(|x| x.1.to_string()).unwrap_or_default(),
-                s.map(|x| format!("{:.2}", x.2)).unwrap_or_default(),
-            );
-        }
-        if name == "SSSP" {
-            if sn.mode != "semi_naive" {
-                return Err(spinner_engine::Error::execution(
-                    "accumulator SSSP did not run semi-naive",
-                ));
-            }
-            let first = sn.series.first().map(|x| x.2).unwrap_or(0.0);
-            // Minimum of the last three rounds: robust to one slow
-            // sample, still a genuinely late iteration.
-            let late = sn
-                .series
-                .iter()
-                .rev()
-                .take(3)
-                .map(|x| x.2)
-                .fold(f64::INFINITY, f64::min);
-            sssp_gate = Some((first, late));
-        }
-        for arm in [&full, &sn] {
-            let series = arm
-                .series
-                .iter()
-                .map(|(it, delta, ms)| {
-                    format!("{{\"iteration\": {it}, \"delta_rows\": {delta}, \"ms\": {ms:.3}}}")
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            json_entries.push(format!(
-                "    {{\"workload\": \"{name}\", \"mode\": \"{}\", \"series\": [{series}]}}",
-                arm.mode,
-            ));
-        }
-    }
-    let (first, late) = sssp_gate
-        .ok_or_else(|| spinner_engine::Error::execution("SSSP workload missing from run"))?;
-    let speedup = first / late.max(1e-9);
-    println!(
-        "\nSSSP semi-naive: iteration 1 = {first:.2} ms, late = {late:.2} ms \
-         ({speedup:.1}x cheaper; gate >= {SSSP_SPEEDUP_GATE:.0}x)"
-    );
-    let json = format!(
-        "{{\n  \"artifact\": \"convergence\",\n  \"dataset\": \"dblp-like\",\n  \
-         \"sssp_iter1_ms\": {first:.3},\n  \"sssp_late_ms\": {late:.3},\n  \
-         \"sssp_late_speedup\": {speedup:.2},\n  \"gate_min_speedup\": {SSSP_SPEEDUP_GATE},\n  \
-         \"workloads\": [\n{}\n  ]\n}}\n",
-        json_entries.join(",\n"),
-    );
-    std::fs::write("CONVERGENCE_7.json", &json).map_err(|e| {
-        spinner_engine::Error::execution(format!("writing CONVERGENCE_7.json: {e}"))
-    })?;
-    println!("wrote CONVERGENCE_7.json");
-    if speedup < SSSP_SPEEDUP_GATE {
-        return Err(spinner_engine::Error::execution(format!(
-            "semi-naive SSSP late iterations only {speedup:.1}x cheaper than \
-             iteration 1 (gate: {SSSP_SPEEDUP_GATE:.0}x)"
-        )));
-    }
-    Ok(())
-}
-
-/// The PR-10 workload suite, benchmarked end-to-end: each workload runs
-/// once under `EXPLAIN ANALYZE` for the per-iteration series and the
-/// iteration mode, once plainly for the result rows, then passes through
-/// its convergence gate — k-means centroids must land inside their
-/// ground-truth clusters, label propagation must reach the exact oracle
-/// fixpoint in semi-naive mode, triangle rank must match the
-/// multiplicity-aware counting oracle, and logistic regression must
-/// classify ≥95% of its training set. Any failed gate fails the binary
-/// (and CI). Writes `WORKLOADS_10.json`.
-fn workloads() -> Result<()> {
-    use spinner_common::rows_approx_eq;
-    use spinner_datagen::{
-        load_edges_into, load_features_into, load_labeled_graph_into, load_points_into, oracle,
-        FeatureSpec, GraphSpec, LabeledGraphSpec, PointsSpec,
-    };
-    use spinner_procedural::{
-        kmeans_cte, label_propagation_cte, logistic_regression_cte, triangle_rank_cte,
-    };
-
-    header("Workloads — PR-10 iterative ML/graph suite");
-    let mut entries: Vec<String> = Vec::new();
-    let mut report =
-        |name: &str, arm: &ConvergenceArm, total_rows: usize, gate: &str| -> (u64, f64) {
-            let iters = arm.series.len() as u64;
-            let total_ms: f64 = arm.series.iter().map(|x| x.2).sum();
-            let ms_per_iter = total_ms / iters.max(1) as f64;
-            println!(
-                "{name:>14}: mode={:<10} iterations={iters:<3} total={total_ms:>8.2} ms \
-             ({ms_per_iter:.2} ms/iter, {total_rows} rows) gate: {gate}",
-                arm.mode,
-            );
-            entries.push(format!(
-                "    {{\"workload\": \"{name}\", \"mode\": \"{}\", \"iterations\": {iters}, \
-             \"total_ms\": {total_ms:.3}, \"ms_per_iteration\": {ms_per_iter:.3}, \
-             \"rows\": {total_rows}, \"gate\": \"{gate}\"}}",
-                arm.mode,
-            ));
-            (iters, ms_per_iter)
-        };
-    let gate_err = |msg: String| spinner_engine::Error::execution(msg);
-
-    // --- k-means: aggregate-heavy (ARG_MIN + AVG) body, mode=full. ---
-    let pspec = PointsSpec {
-        points: 2_000,
-        clusters: 4,
-        seed: 11,
-        spread: 8.0,
-    };
-    const KMEANS_ITERS: u64 = 15;
-    let db = Database::default();
-    load_points_into(&db, "points", &pspec)?;
-    let sql = kmeans_cte(pspec.clusters, KMEANS_ITERS);
-    let arm = convergence_arm(&db, &sql)?;
-    let rows = db.query(&sql)?;
-    if arm.mode != "full" {
-        return Err(gate_err(format!(
-            "k-means ran mode={}, expected full",
-            arm.mode
-        )));
-    }
-    let centers = pspec.centers();
-    for row in rows.rows() {
-        let cid = row[0].as_i64()? as usize;
-        let (gx, gy) = centers[cid - 1];
-        let (cx, cy) = (row[1].as_f64()?, row[2].as_f64()?);
-        if (cx - gx).abs() > pspec.spread || (cy - gy).abs() > pspec.spread {
-            return Err(gate_err(format!(
-                "k-means centroid {cid} at ({cx:.2}, {cy:.2}) did not converge \
-                 into its cluster around ({gx}, {gy})"
-            )));
-        }
-    }
-    report(
-        "kmeans",
-        &arm,
-        rows.len(),
-        "centroids inside ground-truth clusters",
-    );
-
-    // --- label propagation: monotone MIN body, mode=semi_naive. ---
-    let lspec = LabeledGraphSpec {
-        graph: GraphSpec {
-            nodes: 1_000,
-            edges: 3_000,
-            seed: 21,
-            max_weight: 5,
-        },
-        components: 3,
-        seed_fraction: 0.2,
-    };
-    let db = Database::default();
-    load_labeled_graph_into(&db, "edges", "labels", &lspec)?;
-    let sql = label_propagation_cte();
-    let arm = convergence_arm(&db, &sql)?;
-    let rows = db.query(&sql)?;
-    if arm.mode != "semi_naive" {
-        return Err(gate_err(format!(
-            "label propagation ran mode={}, expected semi_naive",
-            arm.mode
-        )));
-    }
-    let want = oracle::min_label_propagation(&lspec.edges(), &lspec.labels());
-    for row in rows.rows() {
-        let (node, label) = (row[0].as_i64()?, row[1].as_i64()?);
-        if want[&node] != label {
-            return Err(gate_err(format!(
-                "label propagation: node {node} settled on {label}, oracle says {}",
-                want[&node]
-            )));
-        }
-    }
-    report(
-        "labelprop",
-        &arm,
-        rows.len(),
-        "exact oracle fixpoint, semi-naive mode",
-    );
-
-    // --- triangle rank: three-way self-join invariant, mode=full. ---
-    let gspec = GraphSpec {
-        nodes: 400,
-        edges: 1_600,
-        seed: 31,
-        max_weight: 5,
-    };
-    const TRI_ITERS: u64 = 10;
-    let db = Database::default();
-    load_edges_into(&db, "edges", &gspec)?;
-    let sql = triangle_rank_cte(TRI_ITERS);
-    let arm = convergence_arm(&db, &sql)?;
-    let rows = db.query(&sql)?;
-    if arm.mode != "full" {
-        return Err(gate_err(format!(
-            "triangle rank ran mode={}, expected full",
-            arm.mode
-        )));
-    }
-    let want: Vec<spinner_common::Row> = oracle::triangle_rank(&gspec.generate(), TRI_ITERS)
-        .into_iter()
-        .map(|(node, rank)| spinner_common::row_of([Value::Int(node), Value::Float(rank)]))
-        .collect();
-    rows_approx_eq(rows.rows(), &want, spinner_common::DEFAULT_TOLERANCE)
-        .map_err(|msg| gate_err(format!("triangle rank diverged from oracle: {msg}")))?;
-    report(
-        "triangle_rank",
-        &arm,
-        rows.len(),
-        "oracle match within 1e-6",
-    );
-
-    // --- logistic regression: wide float projections, mode=full. ---
-    let fspec = FeatureSpec {
-        rows: 2_000,
-        seed: 17,
-    };
-    const LOGREG_ITERS: u64 = 25;
-    const LOGREG_ACCURACY_GATE: f64 = 0.95;
-    let db = Database::default();
-    load_features_into(&db, "observations", &fspec)?;
-    let sql = logistic_regression_cte(LOGREG_ITERS, 0.1);
-    let arm = convergence_arm(&db, &sql)?;
-    let rows = db.query(&sql)?;
-    if arm.mode != "full" {
-        return Err(gate_err(format!(
-            "logistic regression ran mode={}, expected full",
-            arm.mode
-        )));
-    }
-    let weights = rows
-        .rows()
-        .first()
-        .ok_or_else(|| gate_err("logistic regression returned no weights".into()))?;
-    let (w1, w2, b) = (
-        weights[0].as_f64()?,
-        weights[1].as_f64()?,
-        weights[2].as_f64()?,
-    );
-    let data = fspec.generate();
-    let correct = data
-        .iter()
-        .filter(|r| {
-            let (x1, x2, y) = (
-                r[1].as_f64().unwrap(),
-                r[2].as_f64().unwrap(),
-                r[3].as_f64().unwrap(),
-            );
-            let s = 1.0 / (1.0 + (0.0 - (w1 * x1 + w2 * x2 + b)).exp());
-            (s >= 0.5) == (y >= 0.5)
-        })
-        .count();
-    let accuracy = correct as f64 / data.len() as f64;
-    if accuracy < LOGREG_ACCURACY_GATE {
-        return Err(gate_err(format!(
-            "logistic regression accuracy {accuracy:.3} below gate {LOGREG_ACCURACY_GATE}"
-        )));
-    }
-    report(
-        "logreg",
-        &arm,
-        rows.len(),
-        &format!("training accuracy {accuracy:.3} >= {LOGREG_ACCURACY_GATE}"),
-    );
-
-    let json = format!(
-        "{{\n  \"artifact\": \"workloads\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-    );
-    std::fs::write("WORKLOADS_10.json", &json)
-        .map_err(|e| gate_err(format!("writing WORKLOADS_10.json: {e}")))?;
-    println!("\nwrote WORKLOADS_10.json");
-    Ok(())
-}
-
-/// Percentile of a sorted latency series (nearest-rank).
-fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-/// Multi-session overload artifact: N mixed clients against a live TCP
-/// server with a 4-slot admission controller. Proves the robustness
-/// contract end to end — a deliberately runaway iterative statement is
-/// deadline-bounded (or shed), a killed connection releases its slot,
-/// every well-behaved client completes correctly, resident intermediate
-/// state stays bounded by the accountant, and the final admission
-/// snapshot shows zero leaked slots. Writes `CONCURRENCY_6.json`; any
-/// violated gate is a hard error (nonzero exit) for CI.
-/// What each concurrency worker hands back: per-statement latencies in
-/// milliseconds plus how many typed shed replies it absorbed and retried.
-type ClientOutcome = Result<(Vec<f64>, u64)>;
-
-fn concurrency() -> Result<()> {
-    const POINT_CLIENTS: usize = 6;
-    const POINT_QUERIES: usize = 40;
-    const LOOP_CLIENTS: usize = 2;
-    const LOOP_QUERIES: usize = 4;
-    const SPILL_THRESHOLD: u64 = 32 << 20;
-    header("Concurrency — mixed multi-session workload with admission control (TCP server)");
-
-    let config = EngineConfig::default()
-        .with_partitions(4)
-        .with_max_concurrent_queries(4)
-        .with_admission_queue_limit(8)
-        .with_admission_timeout_ms(5_000)
-        .with_spill_threshold_bytes(SPILL_THRESHOLD)
-        // Lift the loop safety bound: the runaway must be stopped by
-        // its *deadline*, not by tripping the iteration limit.
-        .with_max_iterations(1_000_000_000);
-    let db = Arc::new(Database::new(config)?);
-    let spec = spinner_datagen::GraphSpec {
-        nodes: 400,
-        edges: 2_000,
-        seed: 61,
-        max_weight: 10,
-    };
-    spinner_datagen::load_edges_into(&db, "edges", &spec)?;
-    let baseline_bytes = db.resident_tracked_bytes();
-    let server = Server::start(Arc::clone(&db), "127.0.0.1:0")?;
-    let addr = server.local_addr();
-
-    // Peak-resident monitor, sampled while the workload runs.
-    let peak_resident = Arc::new(AtomicU64::new(0));
-    let monitor_done = Arc::new(AtomicBool::new(false));
-    let monitor = {
-        let db = Arc::clone(&db);
-        let peak = Arc::clone(&peak_resident);
-        let done = Arc::clone(&monitor_done);
-        std::thread::spawn(move || {
-            while !done.load(Ordering::SeqCst) {
-                peak.fetch_max(db.resident_tracked_bytes(), Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        })
-    };
-
-    let io_err = |e: std::io::Error| spinner_engine::Error::Io(e.to_string());
-    let loop_sql = "WITH ITERATIVE t (k, v) AS (
-             SELECT DISTINCT src, 0 FROM edges
-         ITERATE SELECT k, v + 1 FROM t
-         UNTIL 60 ITERATIONS) SELECT COUNT(*) FROM t";
-    let t0 = Instant::now();
-    let mut workers: Vec<std::thread::JoinHandle<ClientOutcome>> = Vec::new();
-
-    // Point-query clients: OLTP-ish probes that must all complete even
-    // while iterative loops hold most of the slots. A shed reply is a
-    // legal answer (typed back-pressure) and is retried.
-    for c in 0..POINT_CLIENTS {
-        workers.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).map_err(io_err)?;
-            let mut latencies = Vec::with_capacity(POINT_QUERIES);
-            let mut sheds = 0u64;
-            for q in 0..POINT_QUERIES {
-                let sql = format!(
-                    "SELECT COUNT(*) FROM edges WHERE src > {}",
-                    (c * 7 + q) % 300
-                );
-                loop {
-                    let t = Instant::now();
-                    match client.query(&sql).map_err(io_err)? {
-                        Reply::Error { code, message } => {
-                            if code == "overloaded" || code == "admission_timeout" {
-                                sheds += 1;
-                                std::thread::sleep(Duration::from_millis(20));
-                                continue;
-                            }
-                            return Err(spinner_engine::Error::execution(format!(
-                                "point client {c}: [{code}] {message}"
-                            )));
-                        }
-                        reply => {
-                            if reply.scalar_i64().is_none() {
-                                return Err(spinner_engine::Error::execution(format!(
-                                    "point client {c}: non-scalar reply"
-                                )));
-                            }
-                            latencies.push(t.elapsed().as_secs_f64() * 1000.0);
-                            break;
-                        }
-                    }
-                }
-            }
-            client.close().map_err(io_err)?;
-            Ok((latencies, sheds))
-        }));
-    }
-
-    // Iterative clients: well-behaved loop workloads sharing the slots.
-    for c in 0..LOOP_CLIENTS {
-        workers.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).map_err(io_err)?;
-            let mut latencies = Vec::with_capacity(LOOP_QUERIES);
-            let mut sheds = 0u64;
-            for _ in 0..LOOP_QUERIES {
-                loop {
-                    let t = Instant::now();
-                    match client.query(loop_sql).map_err(io_err)? {
-                        Reply::Error { code, message } => {
-                            if code == "overloaded" || code == "admission_timeout" {
-                                sheds += 1;
-                                std::thread::sleep(Duration::from_millis(20));
-                                continue;
-                            }
-                            return Err(spinner_engine::Error::execution(format!(
-                                "loop client {c}: [{code}] {message}"
-                            )));
-                        }
-                        reply => {
-                            if reply.scalar_i64() != Some(400) {
-                                return Err(spinner_engine::Error::execution(format!(
-                                    "loop client {c}: wrong answer {reply:?}"
-                                )));
-                            }
-                            latencies.push(t.elapsed().as_secs_f64() * 1000.0);
-                            break;
-                        }
-                    }
-                }
-            }
-            client.close().map_err(io_err)?;
-            Ok((latencies, sheds))
-        }));
-    }
-
-    // The runaway: an effectively unbounded loop, deadline-bounded by
-    // its own session override. Its slot must come back on failure.
-    let runaway = std::thread::spawn(move || -> std::io::Result<String> {
-        let mut client = Client::connect(addr)?;
-        client.query("SET SESSION TIMEOUT_MS = 1500")?;
-        let reply = client.query(
-            "WITH ITERATIVE t (k, v) AS (SELECT DISTINCT src, 0 FROM edges \
-             ITERATE SELECT k, v + 1 FROM t UNTIL 900000000 ITERATIONS) \
-             SELECT COUNT(*) FROM t",
-        )?;
-        client.close()?;
-        Ok(match reply {
-            Reply::Error { code, .. } => code,
-            _ => "completed".to_string(),
-        })
-    });
-
-    // The vanishing client: starts a long statement, then the process
-    // "crashes" (socket slammed shut) mid-query. The server's watcher
-    // must cancel the orphan and release its admission slot.
-    let vanisher = std::thread::spawn(move || -> std::io::Result<()> {
-        let mut client = Client::connect(addr)?;
-        client.query("SET SESSION TIMEOUT_MS = 30000")?;
-        client.fire(
-            "WITH ITERATIVE t (k, v) AS (SELECT DISTINCT src, 0 FROM edges \
-             ITERATE SELECT k, v + 1 FROM t UNTIL 900000000 ITERATIONS) \
-             SELECT COUNT(*) FROM t",
-        )?;
-        std::thread::sleep(Duration::from_millis(400));
-        client.kill();
-        Ok(())
-    });
-
-    let mut point_latencies = Vec::new();
-    let mut loop_latencies = Vec::new();
-    let mut sheds_retried = 0u64;
-    for (i, handle) in workers.into_iter().enumerate() {
-        let (latencies, sheds) = handle
-            .join()
-            .map_err(|_| spinner_engine::Error::execution("client thread panicked"))??;
-        if i < POINT_CLIENTS {
-            point_latencies.extend(latencies);
-        } else {
-            loop_latencies.extend(latencies);
-        }
-        sheds_retried += sheds;
-    }
-    let runaway_outcome = runaway
-        .join()
-        .map_err(|_| spinner_engine::Error::execution("runaway thread panicked"))?
-        .map_err(io_err)?;
-    vanisher
-        .join()
-        .map_err(|_| spinner_engine::Error::execution("vanisher thread panicked"))?
-        .map_err(io_err)?;
-    let elapsed = t0.elapsed();
-
-    // ---- Gates --------------------------------------------------------
-    // 1. The runaway was shed or deadline-bounded, never "completed".
-    let runaway_bounded = matches!(
-        runaway_outcome.as_str(),
-        "timeout" | "overloaded" | "admission_timeout" | "cancelled"
-    );
-    // 2. No admission slot leaked: after the vanisher's orphan is
-    //    cancelled, the controller drains to zero active and queued.
-    let ctrl = db.admission().expect("admission controller configured");
-    let drained = ctrl.wait_idle(Duration::from_secs(15));
-    let snap = ctrl.snapshot();
-    let no_slot_leak = drained && snap.active == 0 && snap.queued == 0;
-    monitor_done.store(true, Ordering::SeqCst);
-    let _ = monitor.join();
-    // 3. Resident intermediate state stayed bounded by the accountant
-    //    (spill keeps it at/under the high-water mark; transient
-    //    overshoot of one region while a spill is in flight is legal).
-    let peak = peak_resident.load(Ordering::SeqCst);
-    let memory_bounded = peak <= 2 * SPILL_THRESHOLD;
-    // 4. And it all returns to baseline once the workload is gone.
-    let resident_after = db.resident_tracked_bytes();
-    let no_memory_leak = resident_after <= baseline_bytes && db.temp_result_count() == 0;
-
-    let ok_queries = point_latencies.len() + loop_latencies.len();
-    point_latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    loop_latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let throughput = ok_queries as f64 / elapsed.as_secs_f64();
-    println!(
-        "{} clients ({} point, {} loop, 1 runaway, 1 kill-connection), {} queries ok",
-        POINT_CLIENTS + LOOP_CLIENTS + 2,
-        POINT_CLIENTS,
-        LOOP_CLIENTS,
-        ok_queries,
-    );
-    println!(
-        "throughput {:>8.1} q/s   point p50 {:>7.2} ms   point p99 {:>7.2} ms   \
-         loop p99 {:>8.2} ms",
-        throughput,
-        percentile_ms(&point_latencies, 0.50),
-        percentile_ms(&point_latencies, 0.99),
-        percentile_ms(&loop_latencies, 0.99),
-    );
-    println!(
-        "runaway: {runaway_outcome}   sheds retried: {sheds_retried}   \
-         admission: admitted={} shed={} peak_queue={}",
-        snap.admitted_total,
-        snap.shed_total(),
-        snap.peak_queue_depth,
-    );
-    println!(
-        "memory: peak resident {} B (cap {} B)   after drain {} B (baseline {} B)",
-        peak, SPILL_THRESHOLD, resident_after, baseline_bytes,
-    );
-
-    let json = format!(
-        "{{\n  \"artifact\": \"concurrency\",\n  \"clients\": {{\"point\": {POINT_CLIENTS}, \
-         \"loop\": {LOOP_CLIENTS}, \"runaway\": 1, \"kill_connection\": 1}},\n  \
-         \"queries_ok\": {ok_queries},\n  \"throughput_qps\": {throughput:.2},\n  \
-         \"point_p50_ms\": {:.3},\n  \"point_p99_ms\": {:.3},\n  \"loop_p99_ms\": {:.3},\n  \
-         \"runaway_outcome\": \"{runaway_outcome}\",\n  \"sheds_retried\": {sheds_retried},\n  \
-         \"admission\": {{\"admitted_total\": {}, \"shed_total\": {}, \"peak_queue_depth\": {}, \
-         \"active_after\": {}, \"queued_after\": {}}},\n  \
-         \"memory\": {{\"cap_bytes\": {SPILL_THRESHOLD}, \"peak_resident_bytes\": {peak}, \
-         \"resident_after_bytes\": {resident_after}}},\n  \
-         \"gates\": {{\"runaway_bounded\": {runaway_bounded}, \"no_slot_leak\": {no_slot_leak}, \
-         \"memory_bounded\": {memory_bounded}, \"no_memory_leak\": {no_memory_leak}}}\n}}\n",
-        percentile_ms(&point_latencies, 0.50),
-        percentile_ms(&point_latencies, 0.99),
-        percentile_ms(&loop_latencies, 0.99),
-        snap.admitted_total,
-        snap.shed_total(),
-        snap.peak_queue_depth,
-        snap.active,
-        snap.queued,
-    );
-    std::fs::write("CONCURRENCY_6.json", &json).map_err(|e| {
-        spinner_engine::Error::execution(format!("writing CONCURRENCY_6.json: {e}"))
-    })?;
-    println!("\nwrote CONCURRENCY_6.json");
-    server.shutdown(Duration::from_secs(10));
-
-    if !(runaway_bounded && no_slot_leak && memory_bounded && no_memory_leak) {
-        return Err(spinner_engine::Error::execution(format!(
-            "concurrency gates violated: runaway_bounded={runaway_bounded} \
-             no_slot_leak={no_slot_leak} memory_bounded={memory_bounded} \
-             no_memory_leak={no_memory_leak}"
-        )));
-    }
-    Ok(())
-}
-
-/// Durability artifact (PR 8): the disk is a failure domain.
-///
-/// Part 1 is a corruption-detection sweep at the codec level: a spilled
-/// checkpoint file is mutated one byte at a time (plus truncations, the
-/// empty file and the vanished file) and EVERY mutation must surface as
-/// the typed `StorageCorrupt` — the gate is a 100% detection rate, no
-/// silent decode ever.
-///
-/// Part 2 prices the crash-consistency protocol (temp file → fsync →
-/// atomic rename → fsync dir) on the fig8 PR workload
-/// with checkpoints every 5 iterations: `durable_spill` off vs on,
-/// interleaved min-of-5. The gate caps the fsync overhead at 15%.
-/// Writes `DURABILITY_8.json`; a violated gate is a nonzero exit.
-fn durability() -> Result<()> {
-    use spinner_common::MemoryMetrics;
-    use spinner_storage::{LoopCheckpoint, Partitioned, SpillManager};
-
-    const MAX_OVERHEAD_PCT: f64 = 15.0;
-    header("Durability — corruption detection and fsync overhead (PR, 25 iterations, dblp-like)");
-
-    // ---- Part 1: detection sweep -------------------------------------
-    let dir = std::env::temp_dir().join(format!("spinner_repro_dur_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| spinner_engine::Error::execution(format!("scratch dir: {e}")))?;
-    let manager = SpillManager::new(dir.clone(), Arc::new(MemoryMetrics::new()), None);
-    let schema = spinner_engine::Schema::new(vec![
-        spinner_engine::Field::new("k", spinner_engine::DataType::Int),
-        spinner_engine::Field::new("rank", spinner_engine::DataType::Float),
-        spinner_engine::Field::new("label", spinner_engine::DataType::Text),
-    ]);
-    let rows: Vec<spinner_engine::Row> = (0..32)
-        .map(|i| {
-            vec![
-                Value::Int(i),
-                Value::Float(i as f64 * 0.125),
-                Value::Text(format!("node {i}")),
-            ]
-            .into()
-        })
-        .collect();
-    let ckpt = LoopCheckpoint {
-        iteration: 13,
-        cumulative_updates: 1337,
-        tables: vec![(
-            "__cte_pr".into(),
-            Partitioned::from_rows(Arc::new(schema), rows, Some(0), 4),
-        )],
-    };
-    let handle = manager.write_checkpoint("pr", &ckpt)?;
-    let original = std::fs::read(handle.path())
-        .map_err(|e| spinner_engine::Error::execution(format!("reading spill file: {e}")))?;
-    let mut mutations = 0u64;
-    let mut detected = 0u64;
-    let mut probe = |bytes: &[u8]| -> Result<()> {
-        std::fs::write(handle.path(), bytes)
-            .map_err(|e| spinner_engine::Error::execution(format!("mutating spill file: {e}")))?;
-        mutations += 1;
-        match manager.read_checkpoint(&handle, "pr") {
-            Err(spinner_engine::Error::StorageCorrupt { .. }) => detected += 1,
-            Ok(_) => {}
-            Err(other) => {
-                return Err(spinner_engine::Error::execution(format!(
-                    "mutation surfaced untyped: {other:?}"
-                )))
-            }
-        }
-        Ok(())
-    };
-    for i in 0..original.len() {
-        let mut mutated = original.clone();
-        mutated[i] ^= 0x01;
-        probe(&mutated)?;
-    }
-    for cut in [0, 1, original.len() / 2, original.len() - 1] {
-        probe(&original[..cut])?;
-    }
-    std::fs::remove_file(handle.path())
-        .map_err(|e| spinner_engine::Error::execution(format!("removing spill file: {e}")))?;
-    mutations += 1;
-    if matches!(
-        manager.read_checkpoint(&handle, "pr"),
-        Err(spinner_engine::Error::StorageCorrupt { .. })
-    ) {
-        detected += 1;
-    }
-    std::fs::write(handle.path(), &original)
-        .map_err(|e| spinner_engine::Error::execution(format!("restoring spill file: {e}")))?;
-    drop(handle);
-    let _ = std::fs::remove_dir_all(&dir);
-    let detection_rate = detected as f64 / mutations as f64;
-    println!(
-        "detection sweep: {} byte flips + truncations + missing file over a {}-byte \
-         checkpoint, {detected}/{mutations} detected ({:.1}%)",
-        original.len(),
-        original.len(),
-        detection_rate * 100.0,
-    );
-
-    // ---- Part 2: fsync overhead on the fig8 PR workload ---------------
-    // A moderate threshold so only the big, cold regions (checkpoints)
-    // spill — the realistic durable-write traffic, not the 1-byte storm.
-    let spill_config = |durable: bool| {
-        EngineConfig::default()
-            .with_spill_threshold_bytes(1 << 20)
-            .with_checkpoint_interval(5)
-            .with_durable_spill(durable)
-    };
-    let sql = pagerank(ITERATIONS, false).cte;
-    let relaxed_db = setup_db(BenchDataset::DblpLike, spill_config(false), false);
-    let durable_db = setup_db(BenchDataset::DblpLike, spill_config(true), false);
-    let mut relaxed_times = Vec::new();
-    let mut durable_times = Vec::new();
-    // One unmeasured warmup per arm, then interleaved samples so machine
-    // drift lands on both arms equally.
-    for sample in -1..5i32 {
-        for (db, times) in [
-            (&relaxed_db, &mut relaxed_times),
-            (&durable_db, &mut durable_times),
-        ] {
-            let t = Instant::now();
-            db.query(&sql)?;
-            if sample >= 0 {
-                times.push(t.elapsed().as_secs_f64() * 1000.0);
-            }
-        }
-    }
-    let min = |times: &[f64]| times.iter().copied().fold(f64::INFINITY, f64::min);
-    let relaxed_ms = min(&relaxed_times);
-    let durable_ms = min(&durable_times);
-    let overhead_pct = 100.0 * (durable_ms - relaxed_ms) / relaxed_ms;
-    let stats = durable_db.take_stats();
-    println!(
-        "fsync overhead: relaxed {relaxed_ms:.2} ms, durable {durable_ms:.2} ms \
-         ({overhead_pct:+.1}%; gate <= {MAX_OVERHEAD_PCT:.0}%)"
-    );
-    println!(
-        "  durable arm (last run): epochs={} verified={} corrupt_detected={} refsync={}",
-        stats.durability_epochs,
-        stats.durability_verified,
-        stats.durability_corrupt,
-        stats.durability_fsyncs,
-    );
-
-    let full_detection = detection_rate >= 1.0;
-    let overhead_ok = overhead_pct <= MAX_OVERHEAD_PCT;
-    let json = format!(
-        "{{\n  \"artifact\": \"durability\",\n  \"dataset\": \"dblp-like\",\n  \
-         \"iterations\": {ITERATIONS},\n  \
-         \"detection\": {{\"file_bytes\": {}, \"mutations\": {mutations}, \
-         \"detected\": {detected}, \"rate\": {detection_rate:.4}}},\n  \
-         \"overhead\": {{\"relaxed_ms\": {relaxed_ms:.3}, \"durable_ms\": {durable_ms:.3}, \
-         \"overhead_pct\": {overhead_pct:.2}, \"gate_max_pct\": {MAX_OVERHEAD_PCT}}},\n  \
-         \"counters\": {{\"epochs\": {}, \"verified\": {}, \"corrupt_detected\": {}, \
-         \"fsyncs\": {}}},\n  \
-         \"gates\": {{\"full_detection\": {full_detection}, \"fsync_overhead_ok\": \
-         {overhead_ok}}}\n}}\n",
-        original.len(),
-        stats.durability_epochs,
-        stats.durability_verified,
-        stats.durability_corrupt,
-        stats.durability_fsyncs,
-    );
-    std::fs::write("DURABILITY_8.json", &json)
-        .map_err(|e| spinner_engine::Error::execution(format!("writing DURABILITY_8.json: {e}")))?;
-    println!("\nwrote DURABILITY_8.json");
-    if !full_detection {
-        return Err(spinner_engine::Error::execution(format!(
-            "corruption detection below 100%: {detected}/{mutations}"
-        )));
-    }
-    if !overhead_ok {
-        return Err(spinner_engine::Error::execution(format!(
-            "fsync overhead {overhead_pct:.1}% exceeds the {MAX_OVERHEAD_PCT:.0}% gate"
-        )));
-    }
-    Ok(())
-}
-
-/// Crash-restart sweep against real `spinner-serve` subprocesses: for
-/// each swept position a deterministic `--crash-at SITE:N` abort
-/// (SIGKILL semantics — no unwinding, no destructors) kills the server
-/// mid-statement, a second server over the same spill directory adopts
-/// the dead engine's query journal and resumes the statement from its
-/// newest durable checkpoint epoch, and a reconnecting client ATTACHes
-/// by the stable handle it received before the crash. Hard gates: every
-/// position's resumed rows are identical to an uninterrupted run, and
-/// no position replays more than one checkpoint interval of iterations.
-/// Writes `CRASH_9.json`; a violated gate is a nonzero exit. Not part
-/// of `all` (subprocess-heavy).
-fn crash() -> Result<()> {
-    use spinner_server::ReconnectPolicy;
-    use std::io::{BufRead, BufReader, Read as _, Seek, SeekFrom, Write as _};
-    use std::path::{Path, PathBuf};
-    use std::process::{Child, Command, Stdio};
-
-    const CHECKPOINT_INTERVAL: u64 = 2;
-    const ITERS: u64 = 10;
-    header("Crash restart — SIGKILL sweep, journal adoption, row-identical resumption");
-
-    let serve = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.join("spinner-serve")))
-        .filter(|p| p.exists())
-        .ok_or_else(|| {
-            spinner_engine::Error::execution(
-                "spinner-serve binary not found next to repro; build the workspace first",
-            )
-        })?;
-    let workload = format!(
-        "WITH ITERATIVE t (k, v) AS (
-             SELECT src, 0 FROM edges
-         ITERATE
-             SELECT k, v + 1 FROM t
-         UNTIL {ITERS} ITERATIONS)
-         SELECT * FROM t"
-    );
-
-    struct Resumed {
-        query_id: u64,
-        adopted_epoch: u64,
-        resumed_iteration: u64,
-        replayed_iterations: u64,
-        rows: u64,
-    }
-
-    struct Serve {
-        child: Child,
-        addr: String,
-        resumed: Vec<Resumed>,
-    }
-
-    impl Drop for Serve {
-        fn drop(&mut self) {
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-        }
-    }
-
-    fn err(what: &str, e: impl std::fmt::Display) -> spinner_engine::Error {
-        spinner_engine::Error::execution(format!("{what}: {e}"))
-    }
-
-    fn field(line: &str, key: &str) -> u64 {
-        line.split([' ', ':'])
-            .filter_map(|tok| tok.strip_prefix(&format!("{key}=")))
-            .next()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    }
-
-    fn spawn(serve: &Path, dir: &Path, extra: &[&str]) -> Result<Serve> {
-        let mut child = Command::new(serve)
-            .arg("127.0.0.1:0")
-            .args(["--spill-dir", dir.to_str().unwrap()])
-            .arg("--resumable")
-            .args(["--checkpoint-interval", "2"])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(|e| err("spawning spinner-serve", e))?;
-        let stdout = child.stdout.take().expect("child stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let mut resumed = Vec::new();
-        let addr = loop {
-            let line = match lines.next() {
-                Some(Ok(line)) => line,
-                _ => return Err(err("spinner-serve", "exited before the listening line")),
-            };
-            if let Some(rest) = line.strip_prefix("resumed query ") {
-                let query_id = rest
-                    .split(':')
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0);
-                resumed.push(Resumed {
-                    query_id,
-                    adopted_epoch: field(&line, "adopted_epoch"),
-                    resumed_iteration: field(&line, "resumed_iteration"),
-                    replayed_iterations: field(&line, "replayed_iterations"),
-                    rows: field(&line, "rows"),
-                });
-            } else if let Some(rest) = line.strip_prefix("spinner-server listening on ") {
-                break rest.split_whitespace().next().unwrap().to_string();
-            }
-        };
-        std::thread::spawn(move || for _ in lines {});
-        Ok(Serve {
-            child,
-            addr,
-            resumed,
-        })
-    }
-
-    fn scratch(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("spinner_repro_crash_{}_{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn connect(addr: &str) -> Result<Client> {
-        Client::connect_with_retry(
-            addr,
-            ReconnectPolicy {
-                max_attempts: 20,
-                base_delay_ms: 25,
-                max_delay_ms: 500,
-            },
-        )
-    }
-
-    fn load_edges(client: &mut Client) -> Result<()> {
-        for sql in [
-            "CREATE TABLE edges (src INT, dst INT, weight FLOAT)",
-            "INSERT INTO edges VALUES (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 3, 5.0), \
-             (4, 1, 1.0), (5, 2, 2.0), (6, 5, 0.5)",
-        ] {
-            let reply = client.query(sql).map_err(|e| err("loading edges", e))?;
-            if let Reply::Error { code, message } = reply {
-                return Err(err("loading edges", format!("[{code}] {message}")));
-            }
-        }
-        Ok(())
-    }
-
-    fn sorted_rows(reply: &Reply) -> Option<Vec<Vec<Option<String>>>> {
-        let mut rows = reply.rows()?.to_vec();
-        rows.sort();
-        Some(rows)
-    }
-
-    // Newest by the monotone sequence number embedded in
-    // `spinner_spill_{pid}_{tag}_{n}_{label}.spn` — mtimes of
-    // back-to-back checkpoints can collide.
-    fn spill_seq(name: &str) -> Option<u64> {
-        let rest = name.strip_prefix("spinner_spill_")?;
-        rest.split('_').nth(2)?.parse().ok()
-    }
-
-    fn corrupt_newest_checkpoint(dir: &Path) -> Result<()> {
-        let newest = std::fs::read_dir(dir)
-            .map_err(|e| err("scanning spill dir", e))?
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                name.contains("checkpoint") && name.ends_with(".spn")
-            })
-            .max_by_key(|e| spill_seq(&e.file_name().to_string_lossy()).unwrap_or(0))
-            .ok_or_else(|| err("corrupting checkpoint", "no checkpoint file found"))?;
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(newest.path())
-            .map_err(|e| err("opening checkpoint", e))?;
-        let len = file
-            .metadata()
-            .map_err(|e| err("stat checkpoint", e))?
-            .len();
-        let off = len / 2;
-        let mut byte = [0u8; 1];
-        file.seek(SeekFrom::Start(off))
-            .map_err(|e| err("seek", e))?;
-        file.read_exact(&mut byte).map_err(|e| err("read", e))?;
-        byte[0] ^= 0x40;
-        file.seek(SeekFrom::Start(off))
-            .map_err(|e| err("seek", e))?;
-        file.write_all(&byte).map_err(|e| err("write", e))?;
-        file.sync_all().map_err(|e| err("fsync", e))?;
-        Ok(())
-    }
-
-    // Uninterrupted baseline.
-    let expected = {
-        let dir = scratch("baseline");
-        let server = spawn(&serve, &dir, &[])?;
-        let mut client = connect(&server.addr)?;
-        load_edges(&mut client)?;
-        let reply = client
-            .query(&workload)
-            .map_err(|e| err("baseline query", e))?;
-        sorted_rows(&reply).ok_or_else(|| err("baseline", format!("unexpected reply {reply:?}")))?
-    };
-
-    let positions: [(&str, &str, bool); 5] = [
-        ("mid_iteration", "loop_iteration:7", false),
-        ("mid_checkpoint_write", "checkpoint:3", false),
-        ("mid_spill_write", "spill_write:4", false),
-        ("mid_epoch_commit", "epoch_commit:3", false),
-        ("corrupt_newest_epoch", "loop_iteration:7", true),
-    ];
-    let mut records = Vec::new();
-    let mut all_match = true;
-    let mut all_within_interval = true;
-    for (name, crash_at, corrupt) in positions {
-        let dir = scratch(name);
-        let server = spawn(&serve, &dir, &["--crash-at", crash_at])?;
-        let mut client = connect(&server.addr)?;
-        load_edges(&mut client)?;
-        if client.query(&workload).is_ok() {
-            return Err(err(name, "statement survived the injected crash"));
-        }
-        let handle = client
-            .last_handle()
-            .ok_or_else(|| err(name, "no stable handle before the crash"))?;
-        {
-            let mut server = server;
-            let deadline = Instant::now() + Duration::from_secs(60);
-            while server
-                .child
-                .try_wait()
-                .map_err(|e| err("try_wait", e))?
-                .is_none()
-            {
-                if Instant::now() > deadline {
-                    return Err(err(name, "server did not crash within 60s"));
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-        if corrupt {
-            corrupt_newest_checkpoint(&dir)?;
-        }
-        let restarted = spawn(&serve, &dir, &[])?;
-        if restarted.resumed.len() != 1 {
-            return Err(err(
-                name,
-                format!(
-                    "expected one resumed query, got {}",
-                    restarted.resumed.len()
-                ),
-            ));
-        }
-        let summary = &restarted.resumed[0];
-        if summary.query_id != handle {
-            return Err(err(name, "handle changed across restart"));
-        }
-        let mut client = connect(&restarted.addr)?;
-        let reply = client.attach(handle).map_err(|e| err(name, e))?;
-        let rows =
-            sorted_rows(&reply).ok_or_else(|| err(name, format!("attach returned {reply:?}")))?;
-        let rows_match = rows == expected;
-        let within = summary.replayed_iterations <= CHECKPOINT_INTERVAL;
-        all_match &= rows_match;
-        all_within_interval &= within;
-        println!(
-            "{name:>22} ({crash_at:>18}): adopted_epoch={} resumed_iteration={} \
-             replayed_iterations={} rows={} rows_match={rows_match} within_interval={within}",
-            summary.adopted_epoch,
-            summary.resumed_iteration,
-            summary.replayed_iterations,
-            summary.rows,
-        );
-        records.push(format!(
-            "    {{\"position\": \"{name}\", \"crash_at\": \"{crash_at}\", \
-             \"corrupt_newest\": {corrupt}, \"adopted_epoch\": {}, \
-             \"resumed_iteration\": {}, \"replayed_iterations\": {}, \"rows\": {}, \
-             \"rows_match\": {rows_match}, \"within_interval\": {within}}}",
-            summary.adopted_epoch,
-            summary.resumed_iteration,
-            summary.replayed_iterations,
-            summary.rows,
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"artifact\": \"crash\",\n  \"iterations\": {ITERS},\n  \
-         \"checkpoint_interval\": {CHECKPOINT_INTERVAL},\n  \"positions\": [\n{}\n  ],\n  \
-         \"gates\": {{\"all_rows_match\": {all_match}, \
-         \"replay_within_interval\": {all_within_interval}}}\n}}\n",
-        records.join(",\n"),
-    );
-    std::fs::write("CRASH_9.json", &json).map_err(|e| err("writing CRASH_9.json", e))?;
-    println!("\nwrote CRASH_9.json");
-    if !all_match {
-        return Err(spinner_engine::Error::execution(
-            "a crash position resumed with rows differing from the uninterrupted run",
-        ));
-    }
-    if !all_within_interval {
-        return Err(spinner_engine::Error::execution(
-            "a crash position replayed more than one checkpoint interval",
-        ));
-    }
     Ok(())
 }

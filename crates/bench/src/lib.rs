@@ -1,10 +1,9 @@
-//! Shared setup for the benchmark harness.
+//! Dataset setup for the `repro` binary's Table I and Figures 8–11.
 //!
-//! Every benchmark and the `repro` binary build their databases through
-//! these helpers so figure reproductions and Criterion runs use identical
-//! datasets. Scales are chosen so a full `cargo bench` finishes on a
-//! laptop while preserving each preset's edge/node ratio (see DESIGN.md
-//! §2 for the substitution argument).
+//! The package also hosts the workspace-level integration tests and
+//! examples (repo-root `tests/` and `examples/`). Scales are chosen so
+//! `repro all` finishes on a laptop while preserving each preset's
+//! edge/node ratio (see DESIGN.md §2 for the substitution argument).
 
 use spinner_datagen::{load_edges_into, load_vertex_status_into, DatasetPreset, GraphSpec};
 use spinner_engine::{Database, EngineConfig};

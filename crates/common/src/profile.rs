@@ -472,8 +472,8 @@ impl QueryProfile {
         self.roots.iter().find_map(|r| r.find(pat))
     }
 
-    /// Machine-readable JSON rendering (consumed by the `repro` binary and
-    /// the CLI's `\json` toggle). Round-trips via [`QueryProfile::from_json`].
+    /// Machine-readable JSON rendering (the CLI's `\json` toggle).
+    /// Round-trips via [`QueryProfile::from_json`].
     pub fn to_json(&self) -> String {
         let mut fields = vec![
             ("total_elapsed_us".into(), Json::Num(self.total_elapsed_us)),

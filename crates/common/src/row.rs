@@ -113,7 +113,7 @@ impl Batch {
         Ok(())
     }
 
-    /// Pretty-print as an ASCII table (examples and the repro binary).
+    /// Pretty-print as an ASCII table (examples and the SQL shell).
     pub fn to_table(&self) -> String {
         let names: Vec<String> = self
             .schema

@@ -665,9 +665,9 @@ impl Database {
             return Vec::new();
         };
         // Snapshot every base table to sealed files so adoption can
-        // recreate the catalog the statement planned against. (The repro's
-        // catalogs are small; a selective plan-referenced-only snapshot is
-        // a future refinement.)
+        // recreate the catalog the statement planned against. (Catalogs
+        // here are small; a selective plan-referenced-only snapshot is a
+        // future refinement.)
         let mut inputs = Vec::new();
         let mut handles = Vec::new();
         for name in self.catalog.table_names() {

@@ -170,6 +170,14 @@ impl Session {
             })?;
             let mut o = self.overrides();
             match knob.as_str() {
+                // As `EngineConfig::validate` says of `query_timeout_ms`.
+                "TIMEOUT_MS" if parsed == 0 => {
+                    return Err(Error::InvalidConfig(
+                        "SET SESSION TIMEOUT_MS = 0 would reject every statement; \
+                         use RESET SESSION TIMEOUT_MS for the engine default"
+                            .into(),
+                    ))
+                }
                 "TIMEOUT_MS" => o.timeout_ms = Some(parsed),
                 "MAX_ROWS_MATERIALIZED" => o.max_rows_materialized = Some(parsed),
                 "MAX_ROWS_MOVED" => o.max_rows_moved = Some(parsed),
@@ -269,6 +277,13 @@ mod tests {
         assert!(s.execute("SET SESSION TIMEOUT_MS = abc").is_err());
         assert!(s.execute("SET SESSION NO_SUCH_KNOB = 1").is_err());
         assert!(s.execute("RESET SESSION NO_SUCH_KNOB").is_err());
+        // A zero timeout would fail every later statement, so it is
+        // refused by name and the session keeps working.
+        match s.execute("SET SESSION TIMEOUT_MS = 0") {
+            Err(Error::InvalidConfig(m)) => assert!(m.contains("TIMEOUT_MS"), "{m}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        s.execute("SELECT COUNT(*) FROM t").unwrap();
         // Ordinary SQL still flows through to the parser.
         assert!(s.execute("SET x = 1").is_err());
     }

@@ -604,8 +604,8 @@ impl<'a> StatementContext<'a> {
         let mut delta_fed: u64 = 0;
         if let Some(d) = delta.filter(|_| semi_naive) {
             // The body's join consumes the delta table this round; record
-            // how many rows it was fed so `repro convergence` can show
-            // per-iteration cost tracking delta size.
+            // how many rows it was fed (`semi_naive_equivalence.rs` holds
+            // the total to the anchor plus every iteration's delta).
             if let Ok(dt) = self.registry.get(d) {
                 delta_fed = dt.total_rows() as u64;
                 self.stats.delta_rows_fed.add(delta_fed);

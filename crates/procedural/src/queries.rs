@@ -208,7 +208,7 @@ pub fn sssp(iterations: u64, source: i64, with_vertex_status: bool) -> WorkloadS
 /// the sentinel behaves as infinity (`9999999 + w` never beats a real
 /// distance under `LEAST`), and once the delta rewrite kicks in the join
 /// input is the changed-row set anyway. Both formulations converge to
-/// identical distances; this one is the showcase for `repro convergence`.
+/// identical distances; this one is spinbench's `sssp_delta` workload.
 pub fn sssp_convergent(source: i64, max_iterations_hint: Option<u64>) -> WorkloadSql {
     let until = match max_iterations_hint {
         Some(n) => format!("{n} ITERATIONS"),

@@ -51,7 +51,7 @@ struct Options {
 }
 
 /// Parse `SITE:N` for the fault-injection flags. Site names mirror the
-/// engine's fault-site tokens in EXPLAIN ANALYZE / repro artifacts.
+/// engine's fault-site tokens in EXPLAIN ANALYZE.
 fn parse_fault_spec(flag: &str, spec: &str) -> Result<(FaultSite, u64), String> {
     let (site, nth) = spec
         .split_once(':')

@@ -1,7 +1,7 @@
 //! A minimal blocking client for the spinner-server wire protocol.
 //!
-//! Used by the integration tests, the `repro concurrency` artifact and
-//! the `spinner-client` binary. One [`Client`] maps to one server
+//! Used by the integration tests, the benchmark's `serve_mixed` workload
+//! and the `spinner-client` binary. One [`Client`] maps to one server
 //! session; [`Client::query`] is strictly request/response.
 
 use std::io;

@@ -714,7 +714,7 @@ fn every_iteration_fault_storm_converges_or_fails_typed() {
     }
 }
 
-/// Satellite (f): the fault matrix the CI chaos job runs — partitions=4,
+/// Satellite (f): the fault matrix CI runs in release — partitions=4,
 /// parallel workers on, checkpoint_interval in {0, 1, 5}, one
 /// deterministic fault per site, over an iterative loop and both kinds of
 /// recursion. With retries and recovery enabled, every single-fault

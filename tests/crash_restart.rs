@@ -368,7 +368,7 @@ fn crash_mid_checkpoint_snapshot_resumes_row_identically() {
 fn crash_mid_spill_write_resumes_row_identically() {
     // Abort inside the sealed-file write path. `spill_write` counts every
     // file the spill manager writes, so under SPINNER_SPILL_THRESHOLD=1
-    // (the CI `crash` job's second run; the children inherit it) the
+    // (the CI `forced-spill` job's run; the children inherit it) the
     // per-iteration working-table spills sit between the checkpoint
     // writes. Hit 6 is past a committed loop checkpoint and before the
     // loop ends either way: without forced spill it is the iteration-8

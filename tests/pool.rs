@@ -133,7 +133,7 @@ fn join_cache_does_not_change_results() {
 
 #[test]
 fn explain_analyze_surfaces_pool_profile_on_fig9_workload() {
-    // The PR-5 acceptance criterion: with parallel partitions on, EXPLAIN
+    // The PR-5 acceptance check: with parallel partitions on, EXPLAIN
     // ANALYZE of the fig9 common-result workload reports zero mid-loop
     // thread spawns and at least one reused join build.
     let db = load(

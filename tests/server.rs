@@ -163,6 +163,14 @@ fn session_overrides_stay_per_connection() {
     a.query("RESET SESSION ALL").unwrap();
     assert_eq!(a.query(&slow_cte(4)).unwrap().scalar_i64(), Some(3));
 
+    // A zero timeout is refused with a typed error, not applied.
+    let refused = a.query("SET SESSION TIMEOUT_MS = 0").unwrap();
+    assert_eq!(refused.error_code(), Some("invalid_config"), "{refused:?}");
+    assert_eq!(
+        a.query("SELECT COUNT(*) FROM t").unwrap().scalar_i64(),
+        Some(3)
+    );
+
     a.close().unwrap();
     b.close().unwrap();
     server.shutdown(Duration::from_secs(5));
@@ -330,40 +338,72 @@ fn accept_and_session_faults_shed_connections_without_wedging() {
 
 #[test]
 fn graceful_drain_sheds_new_work_and_finishes_in_flight() {
+    // The threshold makes the memory accountant track the loops' state
+    // (without one it tracks nothing): three loops take about 1.2 KB, so
+    // a region leaked per iteration would break the bound long before
+    // the loops end.
+    const SPILL_THRESHOLD: u64 = 2 << 10;
     let server = server_with(
         EngineConfig::default()
             .with_max_concurrent_queries(4)
-            .with_admission_queue_limit(8),
+            .with_admission_queue_limit(8)
+            .with_spill_threshold_bytes(SPILL_THRESHOLD),
     );
     let db = Arc::clone(server.database());
+    let (bytes, regions) = (db.resident_tracked_bytes(), db.tracked_region_count());
     let addr = server.local_addr();
+    let done = Arc::new(AtomicBool::new(false));
+    let monitor = {
+        let (db, done) = (Arc::clone(&db), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut peak = 0;
+            while !done.load(Ordering::SeqCst) {
+                peak = peak.max(db.resident_tracked_bytes());
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            peak
+        })
+    };
 
-    // A statement in flight when the drain starts (kept under the
-    // default iteration bound so it terminates on its own)...
-    let in_flight = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).unwrap();
-        c.query(&slow_cte(8_000))
-    });
-    // ...must still finish; give it a moment to be admitted first.
+    // Statements in flight when the drain starts (kept under the
+    // default iteration bound so they terminate on their own)...
+    let in_flight: Vec<_> = (0..3)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                c.query(&slow_cte(8_000))
+            })
+        })
+        .collect();
+    // ...must still finish; give them a moment to be admitted first.
     std::thread::sleep(Duration::from_millis(100));
     let draining = std::thread::spawn(move || server.shutdown(Duration::from_secs(30)));
 
     // A connection error is also acceptable: the socket may be torn
     // down right after the grace period expires.
-    if let Ok(reply) = in_flight.join().unwrap() {
-        match reply {
-            Reply::Rows { .. } => {}
-            // If the drain won the race to the admission gate, the
-            // typed shed signal is the acceptable alternative.
-            Reply::Error { ref code, .. } if code == "shutting_down" => {}
-            other => panic!("in-flight statement got {other:?}"),
+    for handle in in_flight {
+        if let Ok(reply) = handle.join().unwrap() {
+            match reply {
+                Reply::Rows { .. } => {}
+                // If the drain won the race to the admission gate, the
+                // typed shed signal is the acceptable alternative.
+                Reply::Error { ref code, .. } if code == "shutting_down" => {}
+                other => panic!("in-flight statement got {other:?}"),
+            }
         }
     }
     draining.join().unwrap();
+    done.store(true, Ordering::SeqCst);
+    let peak = monitor.join().unwrap();
+    assert!(peak > 0, "the accountant never saw the loops' state");
+    assert!(
+        peak <= 2 * SPILL_THRESHOLD,
+        "resident state peaked at {peak} B (threshold {SPILL_THRESHOLD} B)"
+    );
 
-    // After drain: no slot leaked, and the server is gone.
-    let snap = db.admission().unwrap().snapshot();
-    assert_eq!((snap.active, snap.queued), (0, 0), "drain leaked: {snap:?}");
+    // After drain: no slot leaked, memory is back to baseline, and the
+    // server is gone.
+    assert_no_leaks(&db, bytes, regions);
     assert!(
         Client::connect(addr).is_err(),
         "listener still accepting after shutdown"

@@ -297,6 +297,61 @@ fn non_monotone_ml_workloads_fall_back_to_full() {
     }
 }
 
+/// Matching an oracle is not converging: at a realistic size the ML
+/// workloads must also reach their answers. Every k-means centroid lands
+/// within `spread` of its ground-truth centre, and logistic regression
+/// classifies at least 95 % of its training set.
+#[test]
+fn ml_workloads_converge() {
+    let pspec = PointsSpec {
+        points: 2_000,
+        clusters: 4,
+        seed: 11,
+        spread: 8.0,
+    };
+    let db = Database::default();
+    load_points_into(&db, "points", &pspec).unwrap();
+    let centroids = db.query(&kmeans_cte(pspec.clusters, 15)).unwrap();
+    let centers = pspec.centers();
+    assert_eq!(centroids.len(), centers.len());
+    for row in centroids.rows() {
+        let cid = row[0].as_i64().unwrap() as usize;
+        let (gx, gy) = centers[cid - 1];
+        let (cx, cy) = (row[1].as_f64().unwrap(), row[2].as_f64().unwrap());
+        assert!(
+            (cx - gx).abs() <= pspec.spread && (cy - gy).abs() <= pspec.spread,
+            "centroid {cid} at ({cx:.2}, {cy:.2}) is outside its cluster around ({gx}, {gy})"
+        );
+    }
+
+    let fspec = FeatureSpec {
+        rows: 2_000,
+        seed: 17,
+    };
+    let db = Database::default();
+    load_features_into(&db, "observations", &fspec).unwrap();
+    let weights = db.query(&logistic_regression_cte(25, 0.1)).unwrap();
+    let w: Vec<f64> = weights.rows()[0]
+        .iter()
+        .map(|v| v.as_f64().unwrap())
+        .collect();
+    let data = fspec.generate();
+    let correct = data
+        .iter()
+        .filter(|r| {
+            let (x1, x2, y) = (
+                r[1].as_f64().unwrap(),
+                r[2].as_f64().unwrap(),
+                r[3].as_f64().unwrap(),
+            );
+            let p = 1.0 / (1.0 + (-(w[0] * x1 + w[1] * x2 + w[2])).exp());
+            (p >= 0.5) == (y >= 0.5)
+        })
+        .count();
+    let accuracy = correct as f64 / data.len() as f64;
+    assert!(accuracy >= 0.95, "training accuracy {accuracy:.3} < 0.95");
+}
+
 // ---------------------------------------------------------------------
 // Fault / spill / checkpoint matrix: the durability machinery must be
 // semantically invisible for every new workload.
