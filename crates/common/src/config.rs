@@ -134,11 +134,6 @@ pub struct EngineConfig {
     /// verified on read either way. The fsync count is surfaced as
     /// `durability: ... refsync=` in stats and EXPLAIN ANALYZE.
     pub durable_spill: bool,
-    /// Cache the hash table built for a loop-invariant join side (a hoisted
-    /// `__common_*` result) across iterations, re-probing it instead of
-    /// re-hashing every time. Keyed by temp-result identity and registered
-    /// with the memory accountant so spill pressure can reclaim it.
-    pub join_state_cache: bool,
     /// Cap on queries executing plans concurrently. `None` (the default)
     /// disables admission control entirely — every statement starts
     /// immediately, the single-session behaviour. `Some(n)` makes the
@@ -207,7 +202,6 @@ impl Default for EngineConfig {
             spill_threshold_bytes: spill_threshold_from_env(),
             spill_dir: std::env::var("SPINNER_SPILL_DIR").ok(),
             durable_spill: true,
-            join_state_cache: true,
             max_concurrent_queries: None,
             admission_queue_limit: 16,
             admission_timeout_ms: None,
@@ -413,12 +407,6 @@ impl EngineConfig {
     /// the restart contract accidental).
     pub fn with_resumable_queries(mut self, on: bool) -> Self {
         self.resumable_queries = on;
-        self
-    }
-
-    /// Builder-style setter for loop-invariant join-state caching.
-    pub fn with_join_state_cache(mut self, on: bool) -> Self {
-        self.join_state_cache = on;
         self
     }
 

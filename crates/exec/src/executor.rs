@@ -40,7 +40,7 @@ use crate::cache::JoinStateCache;
 use crate::fault::FaultInjector;
 use crate::keys::{hash_keys, KeyTable};
 use crate::operators;
-use crate::physical::{create_physical_plan, ExchangeMode, PhysicalPlan};
+use crate::physical::{create_loop_body_plan, create_physical_plan, ExchangeMode, PhysicalPlan};
 use crate::pool::WorkerPool;
 use crate::retry::retry;
 
@@ -80,9 +80,9 @@ pub struct StatementContext<'a> {
     /// Loop checkpoints for mid-loop recovery (unused unless the config
     /// enables checkpointing or recovery).
     pub checkpoints: CheckpointStore,
-    /// Loop-invariant hash-join builds: keyed by buffer identity in this
-    /// statement's own registry, so sharing across statements would never
-    /// hit anyway.
+    /// Loop-invariant hash-join builds: valid while their sources are the
+    /// buffers they were built from, which another statement's temps never
+    /// are.
     pub join_cache: JoinStateCache,
     /// The statement's counters (always on).
     pub stats: CounterSet,
@@ -472,11 +472,10 @@ impl<'a> StatementContext<'a> {
                     .unwrap_or(&victim.name);
                 self.checkpoints.spill_entry(loop_id)?;
             }
-            // A cached join build is derived state: reclaiming it is a
-            // drop (the entry releases its region), not a disk write —
-            // the next probe rebuilds from the source temp.
+            // A cached join build is derived state: it goes to disk only
+            // when rebuilding it would route rows again (`evict`).
             RegionKind::JoinBuild => {
-                self.join_cache.evict(&victim.name);
+                self.join_cache.evict(victim.id)?;
             }
             _ => {
                 self.registry.spill_entry(&victim.name)?;
@@ -499,10 +498,7 @@ impl<'a> StatementContext<'a> {
         // one, the delta table — a rollback must restore the delta the
         // checkpointed iteration would have fed forward.
         let mut tables = vec![l.cte.clone()];
-        match &l.kind {
-            LoopKind::Iterative { delta, .. } => tables.extend(delta.clone()),
-            LoopKind::FixedPoint { .. } => tables.push(format!("__delta_{}", l.cte)),
-        }
+        tables.extend(l.delta_table());
         let delta = tables.get(1).map(String::as_str);
         if let Some(d) = delta {
             // Before iteration 1 every row counts as changed, so the delta
@@ -515,7 +511,7 @@ impl<'a> StatementContext<'a> {
             self.stats.semi_naive_loops.add(1);
         }
         let lower = |step: &Step| match step {
-            Step::Materialize { plan, .. } => create_physical_plan(plan, self.config).map(Some),
+            Step::Materialize { plan, .. } => create_loop_body_plan(plan, self.config, l).map(Some),
             _ => Ok(None),
         };
         let body: Vec<Option<PhysicalPlan>> = l.body.iter().map(lower).collect::<Result<_>>()?;
@@ -785,8 +781,8 @@ impl<'a> StatementContext<'a> {
     /// and post-crash adoption, which differ only in who held the epoch:
     /// put the checkpoint's tables into the registry and hand back where
     /// the driver continues, `(iteration, cumulative_updates)`. Installing
-    /// re-`put`s tables, which changes their fingerprints anyway; clearing
-    /// the join cache makes dropping every build derived on the abandoned
+    /// re-`put`s tables, which gives them new buffers anyway; clearing the
+    /// join cache makes dropping every build derived on the abandoned
     /// timeline unconditional rather than incidental.
     fn install_epoch(&self, ckpt: &LoopCheckpoint) -> (u64, u64) {
         for (name, data) in &ckpt.tables {

@@ -21,7 +21,6 @@ use spinner_plan::{AggExpr, JoinType, PlanExpr, SetOpKind, SortKey};
 use spinner_storage::{placement, Partitioned};
 
 use crate::aggregate::{aggregate, Accumulator, Phase};
-use crate::cache::CachedBuild;
 use crate::executor::StatementContext;
 use crate::keys::{hash_keys, null_key, JoinTable, KeyTable};
 use crate::physical::{ExchangeMode, PhysicalPlan};
@@ -151,6 +150,8 @@ fn execute_inner(
             left_keys,
             right_keys,
             residual,
+            columns,
+            cached,
             schema,
         } => {
             let l = execute(left, ctx)?;
@@ -159,18 +160,16 @@ fn execute_inner(
                 left_keys,
                 right_keys,
                 residual: residual.as_ref(),
+                columns: columns.as_deref(),
                 ctx,
             };
-            // A loop-invariant build side (hash repartition of a hoisted
-            // §V-A common result) is built once per temp identity and
-            // re-probed on every later iteration.
-            if ctx.config.join_state_cache {
-                if let Some(name) = right.invariant_build_name() {
-                    return Ok(Partitioned {
-                        schema: schema.clone(),
-                        parts: cached_hash_join(&l, right, name, &join)?,
-                    });
-                }
+            // A loop-invariant build side is built once and re-probed on
+            // every later iteration.
+            if *cached {
+                return Ok(Partitioned {
+                    schema: schema.clone(),
+                    parts: cached_hash_join(&l, right, &join)?,
+                });
             }
             let r = execute(right, ctx)?;
             ctx.stats.joins_executed.add(1);
@@ -191,6 +190,7 @@ fn execute_inner(
             right,
             join_type,
             residual,
+            columns,
             schema,
         } => {
             let l = execute(left, ctx)?;
@@ -199,7 +199,14 @@ fn execute_inner(
             // Inputs were gathered to partition 0 by the planner.
             let l = Block::concat(&l.parts, usize::MAX);
             let r = Block::concat(&r.parts, usize::MAX);
-            let joined = nested_loop_join(&l, &r, *join_type, residual.as_ref(), ctx)?;
+            let joined = nested_loop_join(
+                &l,
+                &r,
+                *join_type,
+                residual.as_ref(),
+                columns.as_deref(),
+                ctx,
+            )?;
             Ok(in_partition_zero(schema.clone(), joined, ctx))
         }
         PhysicalPlan::HashAggregate {
@@ -610,13 +617,12 @@ const RESIDUAL_CHUNK: usize = 1 << 16;
 /// `row` with, in build order. A pair is kept if it passes `residual`.
 /// Output order is probe row by probe row, each with its kept matches in
 /// build-row order (or padded, for an outer join, when it has none), then
-/// the unmatched build rows; each output column is gathered once from the
-/// resulting `(probe, build)` row numbers, [`NO_ROW`] being the padded
-/// side.
+/// the unmatched build rows; each output column — each of `columns` of
+/// `l ∥ r`, or every one — is gathered once from the resulting `(probe,
+/// build)` row numbers, [`NO_ROW`] being the padded side.
 fn join_blocks(
     (l, r): (&Block, &Block),
-    join_type: JoinType,
-    residual: Option<&PlanExpr>,
+    (join_type, residual, columns): (JoinType, Option<&PlanExpr>, Option<&[usize]>),
     ctx: &StatementContext<'_>,
     mut candidates: impl FnMut(usize, &mut Vec<u32>),
 ) -> Result<Arc<Block>> {
@@ -669,12 +675,16 @@ fn join_blocks(
         build.extend(unmatched.map(|row| row as u32));
         probe.resize(build.len(), NO_ROW);
     }
-    let left = l.columns().iter().map(|c| Arc::new(c.gather(&probe)));
-    let right = r.columns().iter().map(|c| Arc::new(c.gather(&build)));
-    Ok(Arc::new(Block::new(
-        left.chain(right).collect(),
-        probe.len(),
-    )))
+    let width = l.columns().len();
+    let gather = |c: usize| match c.checked_sub(width) {
+        None => Arc::new(l.columns()[c].gather(&probe)),
+        Some(c) => Arc::new(r.columns()[c].gather(&build)),
+    };
+    let out = match columns {
+        Some(columns) => columns.iter().map(|&c| gather(c)).collect(),
+        None => (0..width + r.columns().len()).map(gather).collect(),
+    };
+    Ok(Arc::new(Block::new(out, probe.len())))
 }
 
 /// Everything a hash join knows besides its input rows.
@@ -683,6 +693,7 @@ struct HashJoinSpec<'a> {
     left_keys: &'a [PlanExpr],
     right_keys: &'a [PlanExpr],
     residual: Option<&'a PlanExpr>,
+    columns: Option<&'a [usize]>,
     ctx: &'a StatementContext<'a>,
 }
 
@@ -700,8 +711,7 @@ impl HashJoinSpec<'_> {
         let hashes = hash_keys(&keys, l.rows());
         join_blocks(
             (l, r),
-            self.join_type,
-            self.residual,
+            (self.join_type, self.residual, self.columns),
             self.ctx,
             |row, out| {
                 // NULL keys never match; the build side left its own out.
@@ -717,26 +727,24 @@ impl HashJoinSpec<'_> {
 /// [`JoinStateCache`](crate::JoinStateCache).
 ///
 /// On a hit (`join_builds_reused`) the right subtree is not executed at
-/// all — no temp scan, no exchange, no re-hash; the probe runs against
-/// the cached partitioned build. On a miss (`join_builds`) the right
-/// subtree executes once, the per-partition key indexes are built under
-/// pinned transient tracking, and the result is cached as an evictable
-/// `join_build:<name>` region keyed by the source temp's buffer identity.
+/// all — no scan, no exchange, no re-hash; the probe runs against the
+/// cached partitioned build. Otherwise (`join_builds`) the right subtree
+/// executes once — or its rows come back from disk — and the
+/// per-partition key indexes are built under pinned transient tracking.
 fn cached_hash_join(
     l: &Partitioned,
     right: &PhysicalPlan,
-    name: &str,
     join: &HashJoinSpec<'_>,
 ) -> Result<Vec<Arc<Block>>> {
     let ctx = join.ctx;
     ctx.stats.joins_executed.add(1);
-    let entry: Arc<CachedBuild> = match ctx.join_cache.lookup(name, &ctx.registry) {
-        Some(entry) => {
-            ctx.stats.join_builds_reused.add(1);
-            entry
-        }
-        None => {
-            let r = execute(right, ctx)?;
+    let (entry, reused) = ctx
+        .join_cache
+        .get_or_build((right, join.right_keys), ctx, |rows| {
+            let r = match rows {
+                Some(rows) => rows,
+                None => execute(right, ctx)?,
+            };
             let tables = with_transient_tracking(
                 ctx,
                 "hash join build",
@@ -744,11 +752,12 @@ fn cached_hash_join(
                 r.estimated_bytes(),
                 || r.parts.iter().map(|p| join.build(p)).collect(),
             )?;
-            ctx.stats.join_builds.add(1);
-            ctx.join_cache
-                .insert(name, r, tables, &ctx.registry, ctx.spill.as_ref())
-        }
-    };
+            Ok((r, tables))
+        })?;
+    match reused {
+        true => ctx.stats.join_builds_reused.add(1),
+        false => ctx.stats.join_builds.add(1),
+    }
     if entry.build.parts.len() != l.parts.len() {
         return Err(Error::execution(format!(
             "partition count mismatch: {} vs {}",
@@ -768,9 +777,10 @@ fn nested_loop_join(
     r: &Block,
     join_type: JoinType,
     residual: Option<&PlanExpr>,
+    columns: Option<&[usize]>,
     ctx: &StatementContext<'_>,
 ) -> Result<Arc<Block>> {
-    join_blocks((l, r), join_type, residual, ctx, |_, out| {
+    join_blocks((l, r), (join_type, residual, columns), ctx, |_, out| {
         out.extend(0..r.rows() as u32)
     })
 }
@@ -1005,6 +1015,7 @@ mod tests {
                 left_keys: &left_keys,
                 right_keys: &right_keys,
                 residual,
+                columns: None,
                 ctx,
             };
             let (l, r) = (block(lwidth, l), block(rwidth, r));
@@ -1104,7 +1115,7 @@ mod tests {
         let r = block(2, &[row_of([Value::Int(1), Value::Int(10)])]);
         let pred = col(0).binary(BinaryOp::Eq, col(1));
         let out = with_context(1, |ctx| {
-            nested_loop_join(&l, &r, JoinType::Left, Some(&pred), ctx).unwrap()
+            nested_loop_join(&l, &r, JoinType::Left, Some(&pred), None, ctx).unwrap()
         })
         .to_rows();
         assert_eq!(out.len(), 2);
@@ -1153,6 +1164,37 @@ mod tests {
         let mut out = hash_join(&l, &r, JoinType::Full, &[(0, 0)], None, (1, 1));
         out.sort();
         assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn a_join_gathers_only_its_output_columns() {
+        let l = vec![
+            row_of([Value::Int(1), Value::Int(10), Value::Int(100)]),
+            row_of([Value::Int(2), Value::Int(20), Value::Int(200)]),
+        ];
+        let r = vec![
+            row_of([Value::Int(2), Value::Int(30), Value::Int(300)]),
+            row_of([Value::Int(3), Value::Int(40), Value::Int(400)]),
+        ];
+        let (left_keys, right_keys) = ([col(0)], [col(0)]);
+        let full = hash_join(&l, &r, JoinType::Full, &[(0, 0)], None, (3, 3));
+        let narrow = with_context(1, |ctx| {
+            let join = HashJoinSpec {
+                join_type: JoinType::Full,
+                left_keys: &left_keys,
+                right_keys: &right_keys,
+                residual: None,
+                columns: Some(&[4, 0, 2]),
+                ctx,
+            };
+            let (l, r) = (block(3, &l), block(3, &r));
+            join.probe(&l, &r, &join.build(&r).unwrap()).unwrap()
+        });
+        assert_eq!(narrow.columns().len(), 3);
+        let picked: Vec<Row> = (full.iter())
+            .map(|row| row_of([row[4].clone(), row[0].clone(), row[2].clone()]))
+            .collect();
+        assert_eq!(narrow.to_rows(), picked, "padded rows included");
     }
 
     #[test]
@@ -1286,7 +1328,7 @@ mod tests {
             let reference = reference_join(&l, &r, join_type, predicate.as_ref(), (3, 3));
             prop_assert_eq!(exact(&hashed), exact(&reference));
             let looped = with_context(1, |ctx| {
-                nested_loop_join(&block(3, &l), &block(3, &r), join_type, predicate.as_ref(), ctx)
+                nested_loop_join(&block(3, &l), &block(3, &r), join_type, predicate.as_ref(), None, ctx)
             }).unwrap().to_rows();
             prop_assert_eq!(exact(&looped), exact(&reference));
             prop_assert_eq!(sorted(hashed), sorted(reference));

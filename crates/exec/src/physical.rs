@@ -11,7 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use spinner_common::{DataType, EngineConfig, Field, Result, Schema, SchemaRef};
-use spinner_plan::{AggExpr, JoinType, LogicalPlan, PlanExpr, SetOpKind, SortKey};
+use spinner_plan::{AggExpr, JoinType, LogicalPlan, LoopStep, PlanExpr, SetOpKind, SortKey};
 
 use crate::aggregate::Accumulator;
 
@@ -94,7 +94,13 @@ pub enum PhysicalPlan {
         right_keys: Vec<PlanExpr>,
         /// Non-equi condition evaluated on the combined row.
         residual: Option<PlanExpr>,
-        /// Output schema (left columns then right columns).
+        /// The columns of left ∥ right the join emits, in order; `None`
+        /// emits all of them.
+        columns: Option<Vec<usize>>,
+        /// The build side reads nothing its loop writes, so it is built
+        /// once and re-probed through the join-state cache.
+        cached: bool,
+        /// Output schema (`columns` of left ∥ right).
         schema: SchemaRef,
     },
     /// Fallback join for non-equi / cross joins; inputs are gathered.
@@ -107,7 +113,10 @@ pub enum PhysicalPlan {
         join_type: JoinType,
         /// Join condition evaluated on the combined row.
         residual: Option<PlanExpr>,
-        /// Output schema (left columns then right columns).
+        /// The columns of left ∥ right the join emits, in order; `None`
+        /// emits all of them.
+        columns: Option<Vec<usize>>,
+        /// Output schema (`columns` of left ∥ right).
         schema: SchemaRef,
     },
     /// Grouped hash aggregation (input hash-exchanged on the group key) or
@@ -210,24 +219,14 @@ impl PhysicalPlan {
         }
     }
 
-    /// If this subtree is a hash repartition of a hoisted §V-A common
-    /// result (`Exchange { Hash } → TempScan "__common_*"`), the temp's
-    /// name. That is exactly the shape whose output never changes within
-    /// a statement, so a hash join using it as the build side can build
-    /// once and re-probe every iteration through the join-state cache.
-    pub fn invariant_build_name(&self) -> Option<&str> {
-        match self {
-            PhysicalPlan::Exchange {
-                input,
-                mode: ExchangeMode::Hash(_),
-            } => match input.as_ref() {
-                PhysicalPlan::TempScan { name, .. } if name.starts_with("__common_") => {
-                    Some(name.as_str())
-                }
-                _ => None,
-            },
-            _ => None,
+    /// Whether `f` holds for every scan and literal-rows leaf of the tree,
+    /// visited left to right until it first fails.
+    pub fn all_leaves(&self, f: &mut dyn FnMut(&PhysicalPlan) -> bool) -> bool {
+        let mut children = self.children().peekable();
+        if children.peek().is_none() {
+            return f(self);
         }
+        children.all(|c| c.all_leaves(f))
     }
 
     /// One-line operator label, shared by EXPLAIN output and the profile
@@ -247,21 +246,33 @@ impl PhysicalPlan {
             ),
             PhysicalPlan::Filter { predicate, .. } => format!("Filter: {predicate}"),
             PhysicalPlan::HashJoin {
+                left,
+                right,
                 join_type,
                 left_keys,
                 right_keys,
+                columns,
+                cached,
                 ..
             } => format!(
-                "HashJoin({join_type}): {}",
+                "HashJoin({join_type}{}): {}{}",
+                if *cached { ", cached build" } else { "" },
                 left_keys
                     .iter()
                     .zip(right_keys)
                     .map(|(l, r)| format!("{l} = {r}"))
                     .collect::<Vec<_>>()
-                    .join(", ")
+                    .join(", "),
+                emits(columns, left, right)
             ),
-            PhysicalPlan::NestedLoopJoin { join_type, .. } => {
-                format!("NestedLoopJoin({join_type})")
+            PhysicalPlan::NestedLoopJoin {
+                left,
+                right,
+                join_type,
+                columns,
+                ..
+            } => {
+                format!("NestedLoopJoin({join_type}){}", emits(columns, left, right))
             }
             PhysicalPlan::HashAggregate { group, aggs, .. } => {
                 format!("HashAggregate: groups={} aggs={}", group.len(), aggs.len())
@@ -295,24 +306,34 @@ impl PhysicalPlan {
         }
     }
 
-    fn children(&self) -> Vec<&PhysicalPlan> {
-        match self {
+    fn children(&self) -> impl Iterator<Item = &PhysicalPlan> {
+        let (first, second) = match self {
             PhysicalPlan::SeqScan { .. }
             | PhysicalPlan::TempScan { .. }
-            | PhysicalPlan::Values { .. } => vec![],
+            | PhysicalPlan::Values { .. } => (None, None),
             PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Distinct { input }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Exchange { input, .. } => vec![input],
+            | PhysicalPlan::Exchange { input, .. }
+            | PhysicalPlan::HashAggregate { input, .. }
+            | PhysicalPlan::AggregatePartial { input, .. }
+            | PhysicalPlan::AggregateFinal { input, .. } => (Some(input), None),
             PhysicalPlan::HashJoin { left, right, .. }
             | PhysicalPlan::NestedLoopJoin { left, right, .. }
-            | PhysicalPlan::SetOp { left, right, .. } => vec![left, right],
-            PhysicalPlan::HashAggregate { input, .. }
-            | PhysicalPlan::AggregatePartial { input, .. }
-            | PhysicalPlan::AggregateFinal { input, .. } => vec![input],
-        }
+            | PhysicalPlan::SetOp { left, right, .. } => (Some(left), Some(right)),
+        };
+        first.into_iter().chain(second).map(|child| &**child)
+    }
+}
+
+/// How much of its inputs' width a join emits, for its EXPLAIN label.
+fn emits(columns: &Option<Vec<usize>>, left: &PhysicalPlan, right: &PhysicalPlan) -> String {
+    let width = left.schema().len() + right.schema().len();
+    match columns {
+        Some(columns) => format!("; emits {} of {width} columns", columns.len()),
+        None => String::new(),
     }
 }
 
@@ -326,6 +347,28 @@ impl fmt::Display for PhysicalPlan {
 
 /// Lower a logical plan to a physical one, inserting exchanges.
 pub fn create_physical_plan(plan: &LogicalPlan, config: &EngineConfig) -> Result<PhysicalPlan> {
+    lower(plan, config, None)
+}
+
+/// [`create_physical_plan`] for a plan of `l`'s body: a hash join whose
+/// build side is loop-invariant ([`LoopStep::is_invariant`]) is marked to
+/// build once and re-probe through the join-state cache. A loop lowers its
+/// body once, before its first iteration.
+pub fn create_loop_body_plan(
+    plan: &LogicalPlan,
+    config: &EngineConfig,
+    l: &LoopStep,
+) -> Result<PhysicalPlan> {
+    lower(plan, config, Some(l))
+}
+
+/// The lowering of `plan`, a plan of the body of `in_loop` if any.
+fn lower(
+    plan: &LogicalPlan,
+    config: &EngineConfig,
+    in_loop: Option<&LoopStep>,
+) -> Result<PhysicalPlan> {
+    let lower = |plan: &LogicalPlan| lower(plan, config, in_loop);
     Ok(match plan {
         LogicalPlan::TableScan { table, schema } => PhysicalPlan::SeqScan {
             table: table.clone(),
@@ -343,67 +386,26 @@ pub fn create_physical_plan(plan: &LogicalPlan, config: &EngineConfig) -> Result
             input,
             exprs,
             schema,
-        } => PhysicalPlan::Project {
-            input: Box::new(create_physical_plan(input, config)?),
-            exprs: exprs.clone(),
-            schema: schema.clone(),
+        } => match join_output(input, exprs) {
+            Some(columns) => lower_join(input, Some(columns), schema, config, in_loop)?,
+            None => PhysicalPlan::Project {
+                input: Box::new(lower(input)?),
+                exprs: exprs.clone(),
+                schema: schema.clone(),
+            },
         },
         LogicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(create_physical_plan(input, config)?),
+            input: Box::new(lower(input)?),
             predicate: predicate.clone(),
         },
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            on,
-            filter,
-            schema,
-        } => {
-            let l = create_physical_plan(left, config)?;
-            let r = create_physical_plan(right, config)?;
-            if on.is_empty() {
-                // Non-equi or cross join: gather both sides.
-                PhysicalPlan::NestedLoopJoin {
-                    left: Box::new(PhysicalPlan::Exchange {
-                        input: Box::new(l),
-                        mode: ExchangeMode::Gather,
-                    }),
-                    right: Box::new(PhysicalPlan::Exchange {
-                        input: Box::new(r),
-                        mode: ExchangeMode::Gather,
-                    }),
-                    join_type: *join_type,
-                    residual: filter.clone(),
-                    schema: schema.clone(),
-                }
-            } else {
-                let left_keys: Vec<PlanExpr> = on.iter().map(|(l, _)| l.clone()).collect();
-                let right_keys: Vec<PlanExpr> = on.iter().map(|(_, r)| r.clone()).collect();
-                PhysicalPlan::HashJoin {
-                    left: Box::new(PhysicalPlan::Exchange {
-                        input: Box::new(l),
-                        mode: ExchangeMode::Hash(left_keys.clone()),
-                    }),
-                    right: Box::new(PhysicalPlan::Exchange {
-                        input: Box::new(r),
-                        mode: ExchangeMode::Hash(right_keys.clone()),
-                    }),
-                    join_type: *join_type,
-                    left_keys,
-                    right_keys,
-                    residual: filter.clone(),
-                    schema: schema.clone(),
-                }
-            }
-        }
+        LogicalPlan::Join { schema, .. } => lower_join(plan, None, schema, config, in_loop)?,
         LogicalPlan::Aggregate {
             input,
             group,
             aggs,
             schema,
         } => {
-            let child = create_physical_plan(input, config)?;
+            let child = lower(input)?;
             if group.is_empty() {
                 // Global aggregate: partial per partition, merged by the
                 // operator itself — no exchange needed.
@@ -463,21 +465,21 @@ pub fn create_physical_plan(plan: &LogicalPlan, config: &EngineConfig) -> Result
                 .collect();
             PhysicalPlan::Distinct {
                 input: Box::new(PhysicalPlan::Exchange {
-                    input: Box::new(create_physical_plan(input, config)?),
+                    input: Box::new(lower(input)?),
                     mode: ExchangeMode::Hash(keys),
                 }),
             }
         }
         LogicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
             input: Box::new(PhysicalPlan::Exchange {
-                input: Box::new(create_physical_plan(input, config)?),
+                input: Box::new(lower(input)?),
                 mode: ExchangeMode::Gather,
             }),
             keys: keys.clone(),
         },
         LogicalPlan::Limit { input, n } => PhysicalPlan::Limit {
             input: Box::new(PhysicalPlan::Exchange {
-                input: Box::new(create_physical_plan(input, config)?),
+                input: Box::new(lower(input)?),
                 mode: ExchangeMode::Gather,
             }),
             n: *n,
@@ -489,8 +491,8 @@ pub fn create_physical_plan(plan: &LogicalPlan, config: &EngineConfig) -> Result
             right,
             schema,
         } => {
-            let l = create_physical_plan(left, config)?;
-            let r = create_physical_plan(right, config)?;
+            let l = lower(left)?;
+            let r = lower(right)?;
             if *all && *op == SetOpKind::Union {
                 // UNION ALL: no data movement needed — concatenate
                 // partition-wise.
@@ -527,6 +529,70 @@ pub fn create_physical_plan(plan: &LogicalPlan, config: &EngineConfig) -> Result
                 }
             }
         }
+    })
+}
+
+/// A projection of bare columns over a join is the join's output list:
+/// the input column of every expression, when `input` is a join and every
+/// one is a bare column.
+fn join_output(input: &LogicalPlan, exprs: &[PlanExpr]) -> Option<Vec<usize>> {
+    let column = |e: &PlanExpr| match e {
+        PlanExpr::Column(c) => Some(c.index),
+        _ => None,
+    };
+    let join = matches!(input, LogicalPlan::Join { .. });
+    join.then(|| exprs.iter().map(column).collect()).flatten()
+}
+
+/// Lower `join`, emitting `columns` of its left ∥ right (`None`: all) as
+/// `schema`. An equi-join hash-exchanges both sides on their keys; any
+/// other gathers both sides for a nested-loop join.
+fn lower_join(
+    join: &LogicalPlan,
+    columns: Option<Vec<usize>>,
+    schema: &SchemaRef,
+    config: &EngineConfig,
+    in_loop: Option<&LoopStep>,
+) -> Result<PhysicalPlan> {
+    let LogicalPlan::Join {
+        left,
+        right,
+        join_type,
+        on,
+        filter,
+        ..
+    } = join
+    else {
+        unreachable!("lower_join lowers joins");
+    };
+    let exchange = |side: &LogicalPlan, mode| {
+        Ok::<_, spinner_common::Error>(Box::new(PhysicalPlan::Exchange {
+            input: Box::new(lower(side, config, in_loop)?),
+            mode,
+        }))
+    };
+    if on.is_empty() {
+        return Ok(PhysicalPlan::NestedLoopJoin {
+            left: exchange(left, ExchangeMode::Gather)?,
+            right: exchange(right, ExchangeMode::Gather)?,
+            join_type: *join_type,
+            residual: filter.clone(),
+            columns,
+            schema: schema.clone(),
+        });
+    }
+    let left_keys: Vec<PlanExpr> = on.iter().map(|(l, _)| l.clone()).collect();
+    let right_keys: Vec<PlanExpr> = on.iter().map(|(_, r)| r.clone()).collect();
+    Ok(PhysicalPlan::HashJoin {
+        left: exchange(left, ExchangeMode::Hash(left_keys.clone()))?,
+        right: exchange(right, ExchangeMode::Hash(right_keys.clone()))?,
+        join_type: *join_type,
+        left_keys,
+        right_keys,
+        residual: filter.clone(),
+        columns,
+        cached: in_loop.is_some_and(|l| l.is_invariant(right)),
+        schema: schema.clone(),
     })
 }
 
@@ -574,6 +640,96 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    fn join(left: LogicalPlan, right: LogicalPlan) -> LogicalPlan {
+        LogicalPlan::Join {
+            schema: Arc::new(left.schema().join(&right.schema())),
+            left: Box::new(left),
+            right: Box::new(right),
+            join_type: JoinType::Inner,
+            on: vec![(PlanExpr::column(0, "a"), PlanExpr::column(1, "b"))],
+            filter: None,
+        }
+    }
+
+    fn temp(name: &str) -> LogicalPlan {
+        LogicalPlan::TempScan {
+            name: name.into(),
+            schema: scan().schema(),
+        }
+    }
+
+    #[test]
+    fn bare_projection_over_a_join_is_its_output_list() {
+        let projection = |exprs: Vec<PlanExpr>| LogicalPlan::Projection {
+            schema: Arc::new(Schema::new(vec![
+                Field::new("x", DataType::Int);
+                exprs.len()
+            ])),
+            input: Box::new(join(scan(), scan())),
+            exprs,
+        };
+        let bare = projection(vec![PlanExpr::column(3, "b"), PlanExpr::column(0, "a")]);
+        let phys = create_physical_plan(&bare, &EngineConfig::default()).unwrap();
+        let PhysicalPlan::HashJoin {
+            columns, schema, ..
+        } = &phys
+        else {
+            panic!("{phys}")
+        };
+        assert_eq!((columns.as_deref(), schema.len()), (Some(&[3, 0][..]), 2));
+        assert!(phys.describe().ends_with("; emits 2 of 4 columns"));
+        // A computed column stays a projection over the whole join.
+        let computed = projection(vec![PlanExpr::column(0, "a")
+            .binary(spinner_plan::expr::BinaryOp::Plus, PlanExpr::column(3, "b"))]);
+        let phys = create_physical_plan(&computed, &EngineConfig::default()).unwrap();
+        assert!(matches!(phys, PhysicalPlan::Project { .. }));
+    }
+
+    #[test]
+    fn only_a_build_side_the_loop_cannot_change_is_cached() {
+        let l = LoopStep {
+            cte: "cte".into(),
+            cte_display_name: "cte".into(),
+            kind: spinner_plan::LoopKind::Iterative {
+                working: "work".into(),
+                merge: false,
+                delta: None,
+            },
+            body: vec![spinner_plan::Step::Materialize {
+                name: "work".into(),
+                plan: temp("cte"),
+                distribute_by: None,
+            }],
+            termination: spinner_plan::TerminationPlan::Iterations(3),
+            key: 0,
+            schema: scan().schema(),
+        };
+        let cached = |plan: &LogicalPlan, in_loop: bool| {
+            let config = EngineConfig::default();
+            let phys = match in_loop {
+                true => create_loop_body_plan(plan, &config, &l),
+                false => create_physical_plan(plan, &config),
+            };
+            match phys.unwrap() {
+                PhysicalPlan::HashJoin { cached, .. } => cached,
+                other => panic!("{other}"),
+            }
+        };
+        let invariant = join(temp("cte"), scan());
+        assert!(cached(&invariant, true));
+        assert!(!cached(&invariant, false), "no loop, no cache");
+        assert!(cached(&join(temp("cte"), temp("__common_1")), true));
+        assert!(!cached(&join(scan(), temp("cte")), true));
+        assert!(!cached(&join(scan(), temp("work")), true));
+        let label = create_loop_body_plan(&invariant, &EngineConfig::default(), &l)
+            .unwrap()
+            .describe();
+        assert!(
+            label.starts_with("HashJoin(Inner, cached build): "),
+            "{label}"
+        );
     }
 
     #[test]

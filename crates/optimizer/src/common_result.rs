@@ -41,18 +41,18 @@ pub fn extract_common_results(steps: Vec<Step>) -> Result<Vec<Step>> {
                             plan,
                             distribute_by,
                         } => {
-                            let regrouped = regroup_inner_joins(plan, &l.cte);
+                            let regrouped = regroup_inner_joins(plan, &l.cte)?;
                             let rewritten =
-                                extract_from_plan(regrouped, &l.cte, &mut commons, &mut counter);
-                            Step::Materialize {
+                                extract_from_plan(regrouped, &l.cte, &mut commons, &mut counter)?;
+                            Ok(Step::Materialize {
                                 name,
                                 plan: rewritten,
                                 distribute_by,
-                            }
+                            })
                         }
-                        other => other,
+                        other => Ok(other),
                     })
-                    .collect();
+                    .collect::<Result<_>>()?;
                 for (name, plan) in commons {
                     out.push(Step::Materialize {
                         name,
@@ -76,17 +76,15 @@ fn extract_from_plan(
     cte: &str,
     commons: &mut Vec<(String, LogicalPlan)>,
     counter: &mut usize,
-) -> LogicalPlan {
+) -> Result<LogicalPlan> {
     if is_invariant_join_subtree(&plan, cte) {
         *counter += 1;
         let name = format!("__common_{counter}");
         let schema = plan.schema();
         commons.push((name.clone(), plan));
-        return LogicalPlan::TempScan { name, schema };
+        return Ok(LogicalPlan::TempScan { name, schema });
     }
-    map_children(plan, &mut |child| {
-        extract_from_plan(child, cte, commons, counter)
-    })
+    plan.map_children(|child| extract_from_plan(child, cte, commons, counter))
 }
 
 /// A subtree qualifies when it contains at least one join, never reads the
@@ -98,8 +96,13 @@ fn is_invariant_join_subtree(plan: &LogicalPlan, cte: &str) -> bool {
 /// Associativity regrouping pass: `(A ⋈i B) ⋈i C` where the upper equi-keys
 /// touch only B's columns and A references the CTE while B and C do not
 /// becomes `A ⋈i (B ⋈i C)` — exposing `B ⋈ C` as an invariant subtree.
-fn regroup_inner_joins(plan: LogicalPlan, cte: &str) -> LogicalPlan {
-    let plan = map_children(plan, &mut |c| regroup_inner_joins(c, cte));
+fn regroup_inner_joins(plan: LogicalPlan, cte: &str) -> Result<LogicalPlan> {
+    let plan = plan.map_children(|c| regroup_inner_joins(c, cte))?;
+    Ok(regroup(plan, cte))
+}
+
+/// The regrouping at one node, its children already regrouped.
+fn regroup(plan: LogicalPlan, cte: &str) -> LogicalPlan {
     let LogicalPlan::Join {
         left: upper_left,
         right: upper_right,
@@ -209,76 +212,6 @@ fn regroup_inner_joins(plan: LogicalPlan, cte: &str) -> LogicalPlan {
         on: lower_on,
         filter: residual,
         schema: upper_schema,
-    }
-}
-
-/// Rebuild a node with transformed children.
-fn map_children(plan: LogicalPlan, f: &mut impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Projection {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Projection {
-            input: Box::new(f(*input)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(f(*input)),
-            predicate,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            on,
-            filter,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            join_type,
-            on,
-            filter,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(f(*input)),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(f(*input)),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(f(*input)),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(f(*input)),
-            n,
-        },
-        LogicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            schema,
-        } => LogicalPlan::SetOp {
-            op,
-            all,
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            schema,
-        },
-        leaf => leaf,
     }
 }
 

@@ -98,7 +98,7 @@ pub fn push_into_non_iterative(
             },
             distribute_by,
         };
-        root = remove_filter_over_scan(root, &cte);
+        root = remove_filter_over_scan(root, &cte)?;
     }
     Ok((steps, root))
 }
@@ -118,17 +118,15 @@ fn find_filter_over_scan(plan: &LogicalPlan, cte: &str) -> Option<PlanExpr> {
 }
 
 /// Remove the `Filter(TempScan(cte))` found by [`find_filter_over_scan`].
-fn remove_filter_over_scan(plan: LogicalPlan, cte: &str) -> LogicalPlan {
-    if let LogicalPlan::Filter { input, predicate } = plan {
-        if matches!(&*input, LogicalPlan::TempScan { name, .. } if name.eq_ignore_ascii_case(cte)) {
-            return *input;
-        }
-        return LogicalPlan::Filter {
-            input: Box::new(remove_filter_over_scan(*input, cte)),
-            predicate,
-        };
+fn remove_filter_over_scan(plan: LogicalPlan, cte: &str) -> Result<LogicalPlan> {
+    let scans_cte = |p: &LogicalPlan| match p {
+        LogicalPlan::TempScan { name, .. } => name.eq_ignore_ascii_case(cte),
+        _ => false,
+    };
+    match plan {
+        LogicalPlan::Filter { input, .. } if scans_cte(&input) => Ok(*input),
+        plan => plan.map_children(|c| remove_filter_over_scan(c, cte)),
     }
-    map_children_owned(plan, &mut |c| remove_filter_over_scan(c, cte))
 }
 
 /// If `plan` is a Projection/Filter chain over exactly `TempScan(cte)`,
@@ -154,78 +152,6 @@ fn per_row_passthrough(plan: &LogicalPlan, cte: &str) -> Option<Vec<Option<usize
             )
         }
         _ => None,
-    }
-}
-
-fn map_children_owned(
-    plan: LogicalPlan,
-    f: &mut impl FnMut(LogicalPlan) -> LogicalPlan,
-) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Projection {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Projection {
-            input: Box::new(f(*input)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(f(*input)),
-            predicate,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            on,
-            filter,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            join_type,
-            on,
-            filter,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(f(*input)),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(f(*input)),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(f(*input)),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(f(*input)),
-            n,
-        },
-        LogicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            schema,
-        } => LogicalPlan::SetOp {
-            op,
-            all,
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            schema,
-        },
-        leaf => leaf,
     }
 }
 

@@ -18,6 +18,9 @@
 //!   per-iteration cost tracks the changed-row set instead of the whole
 //!   working table. See `DESIGN.md` §7 for the iteration-model spec.
 //!
+//! * **Required-columns pruning** ([`prune`]), last: below every plan's
+//!   root, operators compute only the columns some ancestor reads.
+//!
 //! Entry points: [`optimize`] for a [`QueryPlan`], [`optimize_statement`]
 //! for any planned statement.
 #![warn(missing_docs)]
@@ -27,6 +30,7 @@ pub mod fold;
 pub mod iterative_pushdown;
 pub mod outer_to_inner;
 pub mod projection;
+pub mod prune;
 pub mod pushdown;
 pub mod semi_naive;
 
@@ -55,10 +59,7 @@ pub fn optimize_plan(mut plan: LogicalPlan) -> Result<LogicalPlan> {
 /// level iterative-CTE rewrites.
 pub fn optimize(plan: QueryPlan, config: &EngineConfig) -> Result<QueryPlan> {
     let QueryPlan { steps, root } = plan;
-    let mut steps = steps
-        .into_iter()
-        .map(optimize_step)
-        .collect::<Result<Vec<_>>>()?;
+    let mut steps = map_plans(steps, &optimize_plan)?;
     let mut root = optimize_plan(root)?;
 
     if config.predicate_pushdown {
@@ -68,10 +69,7 @@ pub fn optimize(plan: QueryPlan, config: &EngineConfig) -> Result<QueryPlan> {
         // The predicate the rewrite moved into R0 sits above R0's whole
         // plan; a second general pass sinks it further (e.g. below the FF
         // query's GROUP BY, into the scan).
-        steps = steps
-            .into_iter()
-            .map(optimize_step)
-            .collect::<Result<Vec<_>>>()?;
+        steps = map_plans(steps, &optimize_plan)?;
         root = optimize_plan(root)?;
     }
     if config.common_result_optimization {
@@ -80,30 +78,37 @@ pub fn optimize(plan: QueryPlan, config: &EngineConfig) -> Result<QueryPlan> {
     if config.semi_naive {
         steps = semi_naive::apply(steps)?;
     }
-    Ok(QueryPlan { steps, root })
+    Ok(QueryPlan {
+        steps: map_plans(steps, &prune::prune_columns)?,
+        root: prune::prune_columns(root)?,
+    })
 }
 
-fn optimize_step(step: Step) -> Result<Step> {
-    Ok(match step {
-        Step::Materialize {
-            name,
-            plan,
-            distribute_by,
-        } => Step::Materialize {
-            name,
-            plan: optimize_plan(plan)?,
-            distribute_by,
-        },
-        Step::Loop(mut l) => {
-            l.body = l
-                .body
-                .into_iter()
-                .map(optimize_step)
-                .collect::<Result<Vec<_>>>()?;
-            Step::Loop(l)
-        }
-        other @ (Step::Rename { .. } | Step::Merge { .. }) => other,
-    })
+/// `steps` with `f` applied to every materialized plan, loop bodies
+/// included.
+fn map_plans(
+    steps: Vec<Step>,
+    f: &impl Fn(LogicalPlan) -> Result<LogicalPlan>,
+) -> Result<Vec<Step>> {
+    let step = |step| {
+        Ok(match step {
+            Step::Materialize {
+                name,
+                plan,
+                distribute_by,
+            } => Step::Materialize {
+                name,
+                plan: f(plan)?,
+                distribute_by,
+            },
+            Step::Loop(mut l) => {
+                l.body = map_plans(l.body, f)?;
+                Step::Loop(l)
+            }
+            other @ (Step::Rename { .. } | Step::Merge { .. }) => other,
+        })
+    };
+    steps.into_iter().map(step).collect()
 }
 
 /// Optimize any planned statement.

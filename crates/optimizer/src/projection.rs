@@ -13,7 +13,7 @@ use spinner_plan::{LogicalPlan, PlanExpr};
 
 /// One merging pass over the tree (run to fixpoint by the driver).
 pub fn merge_projections(plan: LogicalPlan) -> Result<LogicalPlan> {
-    let plan = map_children(plan, &mut |c| merge_projections(c))?;
+    let plan = plan.map_children(merge_projections)?;
     let LogicalPlan::Projection {
         input,
         exprs,
@@ -123,78 +123,6 @@ fn substitute(expr: &PlanExpr, inner: &[PlanExpr]) -> Result<PlanExpr> {
                 .collect::<Result<_>>()?,
             negated: *negated,
         },
-    })
-}
-
-fn map_children(
-    plan: LogicalPlan,
-    f: &mut impl FnMut(LogicalPlan) -> Result<LogicalPlan>,
-) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Projection {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Projection {
-            input: Box::new(f(*input)?),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(f(*input)?),
-            predicate,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            on,
-            filter,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(f(*left)?),
-            right: Box::new(f(*right)?),
-            join_type,
-            on,
-            filter,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(f(*input)?),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(f(*input)?),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(f(*input)?),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(f(*input)?),
-            n,
-        },
-        LogicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            schema,
-        } => LogicalPlan::SetOp {
-            op,
-            all,
-            left: Box::new(f(*left)?),
-            right: Box::new(f(*right)?),
-            schema,
-        },
-        leaf => leaf,
     })
 }
 

@@ -32,8 +32,8 @@
 //! * both joins are `INNER`/`LEFT` equi joins on bare columns with no
 //!   residual filter, and the upper join's keys touch only the invariant
 //!   side (`e.src = prop.node`, never an anchor column);
-//! * the invariant side never reads the CTE and scans only base tables or
-//!   loop-invariant (`__common_*`) temps;
+//! * the invariant side reads nothing the loop writes
+//!   ([`LoopStep::is_invariant`]: base tables and pre-loop temps only);
 //! * every `GROUP BY` expression is a bare anchor column;
 //! * every aggregate is a non-distinct `MIN`/`MAX` whose argument references
 //!   only propagation/invariant columns — never the anchor, so a
@@ -63,15 +63,14 @@
 //! # The rewrite
 //!
 //! For an eligible loop the pass (1) replaces the propagation scan with a
-//! scan of `__delta_<cte>`, (2) hoists the invariant side into a
-//! `__common_sn_*` materialization before the loop so the executor's
-//! join-state cache keeps its hash build across iterations (the delta side
-//! is re-probed each round), (3) reorders the joins delta-first so
+//! scan of `__delta_<cte>`, (2) reorders the joins delta-first so
 //! per-iteration join work is proportional to the delta, restoring the
-//! original column order with a projection, and (4) forces the merge path
+//! original column order with a projection, and (3) forces the merge path
 //! with `delta_out` set, so the merge refills the delta with exactly the
 //! changed rows — which also makes `UNTIL DELTA` termination `O(delta)`
-//! instead of a full-table diff.
+//! instead of a full-table diff. The invariant side stays where it is, the
+//! build side of the delta's join: being loop-invariant, that build is made
+//! once and re-probed every round by the executor's join-state cache.
 //!
 //! ```
 //! use spinner_parser::parse_sql;
@@ -108,10 +107,9 @@
 //! let optimized = spinner_optimizer::optimize_statement(planned, &config).unwrap();
 //! let PlannedStatement::Query(q) = optimized else { unreachable!() };
 //! let explain = q.explain();
-//! // The loop body now probes the delta table against a hoisted,
-//! // cache-friendly copy of the invariant side.
+//! // The loop body now probes the delta table against the invariant side.
 //! assert!(explain.contains("TempScan: __delta___cte_cc_1"));
-//! assert!(explain.contains("Materialize __common_sn_1"));
+//! assert!(!explain.contains("Materialize __common"));
 //! ```
 
 use std::sync::Arc;
@@ -125,35 +123,20 @@ use spinner_plan::{JoinType, LogicalPlan, LoopKind, LoopStep, PlanExpr, Step};
 /// recompute); recursive (`FixedPoint`) loops are already delta-driven by
 /// construction and are left alone.
 pub fn apply(steps: Vec<Step>) -> Result<Vec<Step>> {
-    let mut counter = 0usize;
-    apply_steps(steps, &mut counter)
-}
-
-fn apply_steps(steps: Vec<Step>, counter: &mut usize) -> Result<Vec<Step>> {
-    let mut out = Vec::with_capacity(steps.len());
-    for step in steps {
-        match step {
-            Step::Loop(mut l) => {
-                // Nested loops first: their hoists land inside this body.
-                l.body = apply_steps(std::mem::take(&mut l.body), counter)?;
-                let mut hoists = Vec::new();
-                match try_rewrite_loop(&l, &mut hoists, counter) {
-                    Some(rewritten) => {
-                        out.extend(hoists);
-                        out.push(Step::Loop(rewritten));
-                    }
-                    None => out.push(Step::Loop(l)),
-                }
-            }
-            other => out.push(other),
+    let rewrite = |step| match step {
+        Step::Loop(mut l) => {
+            // Nested loops first.
+            l.body = apply(std::mem::take(&mut l.body))?;
+            Ok(Step::Loop(try_rewrite_loop(&l).unwrap_or(l)))
         }
-    }
-    Ok(out)
+        other => Ok(other),
+    };
+    steps.into_iter().map(rewrite).collect()
 }
 
 /// Attempt the semi-naive rewrite of one iterative loop. `None` means the
 /// body is not delta-eligible and the loop keeps full-recompute semantics.
-fn try_rewrite_loop(l: &LoopStep, hoists: &mut Vec<Step>, counter: &mut usize) -> Option<LoopStep> {
+fn try_rewrite_loop(l: &LoopStep) -> Option<LoopStep> {
     let LoopKind::Iterative { working, merge, .. } = &l.kind else {
         return None;
     };
@@ -164,9 +147,9 @@ fn try_rewrite_loop(l: &LoopStep, hoists: &mut Vec<Step>, counter: &mut usize) -
     let Step::Materialize { plan, .. } = &l.body[work_idx] else {
         return None;
     };
-    let shape = analyze(plan, &l.cte, l.key)?;
+    let shape = analyze(plan, l)?;
     let delta_name = format!("__delta_{}", l.cte);
-    let new_plan = build_delta_plan(&shape, &delta_name, hoists, counter);
+    let new_plan = build_delta_plan(&shape, &delta_name);
 
     let mut body = l.body.clone();
     let Step::Materialize { plan, .. } = &mut body[work_idx] else {
@@ -258,7 +241,8 @@ fn bare(e: &PlanExpr) -> Option<usize> {
 
 /// Check the working-table plan against the delta-eligibility rules in the
 /// module docs; return its decomposition when they all hold.
-fn analyze<'a>(plan: &'a LogicalPlan, cte: &str, key: usize) -> Option<Shape<'a>> {
+fn analyze<'a>(plan: &'a LogicalPlan, l: &LoopStep) -> Option<Shape<'a>> {
+    let (cte, key) = (l.cte.as_str(), l.key);
     // The CTE is read exactly twice: anchor + propagation.
     if plan.count_temp_refs(cte) != 2 {
         return None;
@@ -342,10 +326,9 @@ fn analyze<'a>(plan: &'a LogicalPlan, cte: &str, key: usize) -> Option<Shape<'a>
     if !prop_name.eq_ignore_ascii_case(cte) {
         return None;
     }
-    // The invariant side must be loop-constant: no CTE reads, and only
-    // base tables or pre-loop (`__common_*`) materializations — any other
-    // temp could be redefined inside the body.
-    if inv.references_temp(cte) || !invariant_inputs_ok(inv) {
+    // The invariant side must be loop-constant: it reads nothing the body
+    // (re)defines, the CTE included.
+    if !l.is_invariant(inv) {
         return None;
     }
 
@@ -422,16 +405,6 @@ fn analyze<'a>(plan: &'a LogicalPlan, cte: &str, key: usize) -> Option<Shape<'a>
     })
 }
 
-/// Only base tables and pre-loop common materializations below here.
-fn invariant_inputs_ok(plan: &LogicalPlan) -> bool {
-    if let LogicalPlan::TempScan { name, .. } = plan {
-        if !name.starts_with("__common_") {
-            return false;
-        }
-    }
-    plan.children().iter().all(|c| invariant_inputs_ok(c))
-}
-
 /// Is `e` a bare group column that carries anchor column `j` through?
 fn is_old_term(e: &PlanExpr, j: usize, group: &[PlanExpr]) -> bool {
     matches!(bare(e), Some(gi) if gi < group.len() && bare(&group[gi]) == Some(j))
@@ -486,44 +459,13 @@ fn is_accumulator(out: &PlanExpr, j: usize, group: &[PlanExpr], aggs: &[AggExpr]
     })
 }
 
-/// Build the delta-first working plan for an eligible body. Appends the
-/// invariant-side hoist to `hoists` when one is needed.
-fn build_delta_plan(
-    shape: &Shape<'_>,
-    delta_name: &str,
-    hoists: &mut Vec<Step>,
-    counter: &mut usize,
-) -> LogicalPlan {
+/// Build the delta-first working plan for an eligible body.
+fn build_delta_plan(shape: &Shape<'_>, delta_name: &str) -> LogicalPlan {
     let a = shape.anchor_schema.len();
     let e = shape.inv.schema().len();
     let p = shape.prop_schema.len();
 
-    // 1. The invariant side becomes a pre-loop `__common_sn_*` temp so the
-    //    executor's join-state cache reuses its hash build every iteration.
-    //    (If common-result extraction already hoisted it, reuse that temp.)
-    let inv_scan = match shape.inv {
-        scan @ LogicalPlan::TempScan { name, .. } if name.starts_with("__common_") => scan.clone(),
-        other => {
-            *counter += 1;
-            let name = format!("__common_sn_{counter}");
-            let schema = other.schema();
-            // Pre-distribute on the probe key when there is a single one,
-            // so the build-side exchange is a no-op.
-            let distribute_by = if shape.j2_on.len() == 1 {
-                bare(&shape.j2_on[0].0).map(|i| i - a)
-            } else {
-                None
-            };
-            hoists.push(Step::Materialize {
-                name: name.clone(),
-                plan: other.clone(),
-                distribute_by,
-            });
-            LogicalPlan::TempScan { name, schema }
-        }
-    };
-
-    // 2. The propagation side scans the delta (same schema as the CTE),
+    // 1. The propagation side scans the delta (same schema as the CTE),
     //    keeping any pushed-down filters.
     let mut prop_side = LogicalPlan::TempScan {
         name: delta_name.to_string(),
@@ -536,8 +478,9 @@ fn build_delta_plan(
         };
     }
 
-    // 3. Delta-first join order: probe the (small) delta into the cached
-    //    invariant build, then probe the anchor into that (small) result.
+    // 2. Delta-first join order: probe the (small) delta into the
+    //    invariant build — loop-invariant, so the executor builds it once —
+    //    then probe the anchor into that (small) result.
     //    J1' = delta ⨝ invariant, on the original upper-join keys.
     let inv_schema = shape.inv.schema();
     let j1_fields: Vec<_> = shape
@@ -561,7 +504,7 @@ fn build_delta_plan(
         .collect();
     let j1 = LogicalPlan::Join {
         left: Box::new(prop_side),
-        right: Box::new(inv_scan),
+        right: Box::new(shape.inv.clone()),
         join_type: JoinType::Inner,
         on: j1_on,
         filter: None,
@@ -606,7 +549,7 @@ fn build_delta_plan(
         schema: Arc::new(Schema::new(j2_fields)),
     };
 
-    // 4. Restore the original [anchor, invariant, propagation] column order
+    // 3. Restore the original [anchor, invariant, propagation] column order
     //    so the filters/aggregate/projection above stay untouched.
     let combined = &shape.j2_schema;
     let mut restore = Vec::with_capacity(a + e + p);
@@ -740,7 +683,9 @@ mod tests {
         )));
         let text = q.explain();
         assert!(text.contains("TempScan: __delta___cte_cc_1"), "{text}");
-        assert!(text.contains("Materialize __common_sn_1"), "{text}");
+        // The invariant side stays in the body, the delta join's build side.
+        assert!(!text.contains("Materialize __common"), "{text}");
+        assert!(text.contains("TableScan: edges"), "{text}");
     }
 
     #[test]
@@ -761,8 +706,18 @@ mod tests {
     fn delta_plan_keeps_original_column_order() {
         // The restore projection must map [anchor, prop, inv] back to
         // [anchor, inv, prop]; a wrong mapping would feed the aggregate
-        // edge weights where it expects labels.
-        let q = optimized(CC);
+        // edge weights where it expects labels. (Read before pruning,
+        // which narrows it to the columns the aggregate reads.)
+        let config = EngineConfig::default();
+        let planned = plan_statement(&parse_sql(CC).unwrap(), &Graph, &config).unwrap();
+        let PlannedStatement::Query(q) = planned else {
+            panic!("not a query")
+        };
+        let steps = apply(q.steps).unwrap();
+        let q = QueryPlan {
+            steps,
+            root: q.root,
+        };
         let l = loop_step(&q);
         let LoopKind::Iterative { working, .. } = &l.kind else {
             panic!()

@@ -9,7 +9,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use spinner_common::{Schema, SchemaRef};
+use spinner_common::{Result, Schema, SchemaRef};
 
 use crate::expr::{AggExpr, PlanExpr};
 
@@ -210,6 +210,83 @@ impl LogicalPlan {
         }
     }
 
+    /// This node with every child replaced by `f(child)`, in order; leaves
+    /// come back as they are.
+    pub fn map_children(
+        self,
+        mut f: impl FnMut(LogicalPlan) -> Result<LogicalPlan>,
+    ) -> Result<LogicalPlan> {
+        let mut child = |c: Box<LogicalPlan>| f(*c).map(Box::new);
+        Ok(match self {
+            LogicalPlan::Projection {
+                input,
+                exprs,
+                schema,
+            } => LogicalPlan::Projection {
+                input: child(input)?,
+                exprs,
+                schema,
+            },
+            LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+                input: child(input)?,
+                predicate,
+            },
+            LogicalPlan::Join {
+                left,
+                right,
+                join_type,
+                on,
+                filter,
+                schema,
+            } => LogicalPlan::Join {
+                left: child(left)?,
+                right: child(right)?,
+                join_type,
+                on,
+                filter,
+                schema,
+            },
+            LogicalPlan::Aggregate {
+                input,
+                group,
+                aggs,
+                schema,
+            } => LogicalPlan::Aggregate {
+                input: child(input)?,
+                group,
+                aggs,
+                schema,
+            },
+            LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
+                input: child(input)?,
+            },
+            LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
+                input: child(input)?,
+                keys,
+            },
+            LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
+                input: child(input)?,
+                n,
+            },
+            LogicalPlan::SetOp {
+                op,
+                all,
+                left,
+                right,
+                schema,
+            } => LogicalPlan::SetOp {
+                op,
+                all,
+                left: child(left)?,
+                right: child(right)?,
+                schema,
+            },
+            leaf @ (LogicalPlan::TableScan { .. }
+            | LogicalPlan::TempScan { .. }
+            | LogicalPlan::Values { .. }) => leaf,
+        })
+    }
+
     /// Whether any node in this subtree scans the temp result `name`
     /// (used to find loop-variant subtrees — references to the iterative
     /// CTE table).
@@ -407,6 +484,49 @@ pub struct LoopStep {
     pub key: usize,
     /// CTE table schema.
     pub schema: SchemaRef,
+}
+
+impl LoopStep {
+    /// The table of last round's changed rows, when the loop keeps one: the
+    /// semi-naive marker's table, or a recursion's newly derived rows.
+    pub fn delta_table(&self) -> Option<String> {
+        match &self.kind {
+            LoopKind::Iterative { delta, .. } => delta.clone(),
+            LoopKind::FixedPoint { .. } => Some(format!("__delta_{}", self.cte)),
+        }
+    }
+
+    /// Whether running the loop writes the temp result `name`: the CTE
+    /// table, its delta, or anything a body step materializes, renames or
+    /// merges (nested loops included).
+    pub fn writes(&self, name: &str) -> bool {
+        let is = |n: &str| n.eq_ignore_ascii_case(name);
+        is(&self.cte)
+            || self.delta_table().is_some_and(|d| is(&d))
+            || self.body.iter().any(|step| match step {
+                Step::Materialize { name, .. } => is(name),
+                Step::Rename { from, to } => is(from) || is(to),
+                Step::Merge {
+                    working,
+                    merged,
+                    delta_out,
+                    ..
+                } => is(working) || is(merged) || delta_out.as_deref().is_some_and(is),
+                Step::Loop(inner) => inner.writes(name),
+            })
+    }
+
+    /// Whether `plan` reads nothing the loop writes — only base tables,
+    /// literal rows and temps the loop leaves alone — so it yields the
+    /// same rows in every iteration. The one definition of "loop-invariant"
+    /// that the semi-naive rewrite and the executor's join-state cache
+    /// share.
+    pub fn is_invariant(&self, plan: &LogicalPlan) -> bool {
+        match plan {
+            LogicalPlan::TempScan { name, .. } => !self.writes(name),
+            _ => plan.children().iter().all(|c| self.is_invariant(c)),
+        }
+    }
 }
 
 /// One step of the query program (the rows of the paper's Table I).
@@ -648,6 +768,75 @@ mod tests {
         };
         assert_eq!(join.count_temp_refs("pr"), 2);
         assert_eq!(join.count_joins(), 1);
+    }
+
+    #[test]
+    fn map_children_rebuilds_every_child_and_passes_errors_on() {
+        let join = LogicalPlan::Join {
+            left: Box::new(scan("a")),
+            right: Box::new(scan("b")),
+            join_type: JoinType::Inner,
+            on: vec![],
+            filter: None,
+            schema: scan("a").schema(),
+        };
+        let renamed = join
+            .clone()
+            .map_children(|c| {
+                Ok(LogicalPlan::Filter {
+                    input: Box::new(c),
+                    predicate: PlanExpr::literal(true),
+                })
+            })
+            .unwrap();
+        assert_eq!(renamed.children().len(), 2);
+        assert!(renamed
+            .children()
+            .iter()
+            .all(|c| matches!(c, LogicalPlan::Filter { .. })));
+        let failed = join.map_children(|_| Err(spinner_common::Error::plan("no")));
+        assert!(failed.is_err());
+        assert_eq!(
+            scan("a").map_children(|_| unreachable!()).unwrap(),
+            scan("a")
+        );
+    }
+
+    #[test]
+    fn a_loop_writes_its_tables_and_nothing_else() {
+        let l = LoopStep {
+            cte: "cte".into(),
+            cte_display_name: "cte".into(),
+            kind: LoopKind::FixedPoint {
+                working: "work".into(),
+                union_all: false,
+            },
+            body: vec![Step::Materialize {
+                name: "work".into(),
+                plan: scan("cte"),
+                distribute_by: None,
+            }],
+            termination: TerminationPlan::Delta { threshold: 1 },
+            key: 0,
+            schema: scan("cte").schema(),
+        };
+        for written in ["cte", "CTE", "work", "__delta_cte"] {
+            assert!(l.writes(written), "{written}");
+            assert!(!l.is_invariant(&scan(written)), "{written}");
+        }
+        assert!(!l.writes("__common_1"));
+        let join = LogicalPlan::Join {
+            left: Box::new(scan("__common_1")),
+            right: Box::new(LogicalPlan::TableScan {
+                table: "edges".into(),
+                schema: scan("x").schema(),
+            }),
+            join_type: JoinType::Inner,
+            on: vec![],
+            filter: None,
+            schema: scan("x").schema(),
+        };
+        assert!(l.is_invariant(&join));
     }
 
     #[test]

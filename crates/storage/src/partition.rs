@@ -51,6 +51,13 @@ impl Partitioned {
         self.total_rows() as u64 * per_row
     }
 
+    /// Whether `parts` are the very same buffers as this row set's,
+    /// partition by partition — not merely equal rows.
+    pub fn same_buffers(&self, parts: &[Arc<Block>]) -> bool {
+        self.parts.len() == parts.len()
+            && self.parts.iter().zip(parts).all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
     /// Every partition's rows as heap rows, in partition order.
     pub fn gather(&self) -> Vec<Row> {
         self.take_rows(usize::MAX)

@@ -86,18 +86,17 @@ impl TempRegistry {
             .rehydrate(env, &key)
     }
 
-    /// Pointer identity of a resident entry's partition buffers — the key
-    /// the join-state cache uses to prove a cached build is still derived
-    /// from the same physical data. Returns `None` when the entry is
-    /// missing or spilled (identity is unknowable without I/O; this method
-    /// deliberately never rehydrates or touches the region). Spilling and
-    /// rehydrating, recovery re-`put`s, and plain replacement all produce
-    /// new buffers, so any of them changes the fingerprint and invalidates
-    /// state derived from the old one.
-    pub fn fingerprint(&self, name: &str) -> Option<Vec<usize>> {
+    /// Whether `name` is resident with exactly `data`'s partition buffers
+    /// — how the join-state cache proves a cached build is still derived
+    /// from the same physical data. A missing or spilled entry never is
+    /// (identity is unknowable without I/O; this never rehydrates or
+    /// touches the region). Spilling and rehydrating, recovery re-`put`s
+    /// and plain replacement all produce new buffers.
+    pub fn holds(&self, name: &str, data: &Partitioned) -> bool {
         let entries = self.entries.read();
-        let data = entries.get(&name.to_ascii_lowercase())?.resident()?;
-        Some(data.parts.iter().map(|p| Arc::as_ptr(p) as usize).collect())
+        let slot = entries.get(&name.to_ascii_lowercase());
+        slot.and_then(Slot::resident)
+            .is_some_and(|resident| resident.same_buffers(&data.parts))
     }
 
     /// Move a resident entry to disk and release its memory. A missing or

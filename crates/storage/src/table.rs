@@ -85,6 +85,13 @@ impl Table {
         }
     }
 
+    /// Whether the table still holds exactly `snapshot`'s partition
+    /// buffers: no DML has replaced or grown one since it was taken (while
+    /// a snapshot is held, a write copies rather than grows in place).
+    pub fn holds(&self, snapshot: &Partitioned) -> bool {
+        snapshot.same_buffers(&self.parts)
+    }
+
     /// Append rows, routing each to its hash partition.
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<usize> {
         let width = self.schema.len();

@@ -4,7 +4,7 @@
 //! as in its best, and it fails the day someone reintroduces a per-row
 //! allocation on the executor's hot path — a heap row per joined or
 //! grouped row, a key vector per routed row, a gathered copy of a table to
-//! return one row of it. The statements take 14,169 / 16,589 / 144 / 88
+//! return one row of it. The statements take 13,909 / 16,056 / 144 / 88
 //! today. With partitions of heap rows they took 714,832 / 411,467 / 138 /
 //! 86 (PR 19), and before the key facility 3,931,418 / 1,901,903 / 147 /
 //! 42,082: a loop statement now allocates per column of a block, not per
@@ -86,8 +86,8 @@ fn statements_stay_within_their_allocation_budgets() {
         .unwrap();
 
     let budgets = [
-        ("PageRank, 10 iterations", pagerank(10, false).cte, 14_880),
-        ("SSSP to a fixpoint", sssp_convergent(1, None).cte, 17_420),
+        ("PageRank, 10 iterations", pagerank(10, false).cte, 14_604),
+        ("SSSP to a fixpoint", sssp_convergent(1, None).cte, 16_859),
         (
             "point lookup",
             "SELECT dst, weight FROM edges WHERE src = 17".to_string(),

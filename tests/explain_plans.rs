@@ -255,3 +255,29 @@ fn merge_path_explain_shows_merge_step() {
     );
     assert!(text.contains("by key column #0"), "{text}");
 }
+
+/// PageRank's loop body builds the `edges` join once and gathers only the
+/// columns the aggregate reads: the physical EXPLAIN shows the join marked
+/// as a cached build and both joins' pruned widths, and the logical one
+/// the narrowed second scan of the CTE table.
+#[test]
+fn pagerank_explain_shows_the_cached_build_and_pruned_widths() {
+    let sql = pagerank(10, false).cte;
+    let physical = db().explain_physical(&sql).unwrap();
+    assert!(
+        physical.contains("HashJoin(Left, cached build): pagerank.node#0 = incomingedges.dst#1; emits 5 of 6 columns"),
+        "{physical}"
+    );
+    assert!(
+        physical.contains(
+            "HashJoin(Left): incomingedges.src#3 = incomingrank.node#0; emits 5 of 7 columns"
+        ),
+        "{physical}"
+    );
+    assert_eq!(physical.matches("cached build").count(), 1, "{physical}");
+    let logical = db().explain(&sql).unwrap();
+    assert!(
+        logical.contains("Projection: incomingrank.node#0, incomingrank.delta#2"),
+        "{logical}"
+    );
+}

@@ -1,15 +1,17 @@
 //! Worker-pool scheduling and join-state-cache accounting.
 //!
-//! With `parallel_partitions` on, the persistent pool (PR 5) must absorb
-//! every per-partition task — it is the only parallel path, so
+//! With `parallel_partitions` on, the persistent pool must absorb every
+//! per-partition task — it is the only parallel path, so
 //! `threads_spawned` is 0 by construction — and the loop-invariant join
-//! cache must build each `__common_*` hash table once and re-probe it on
-//! every later iteration. The counters (`threads_spawned`, `pool_tasks`,
-//! `join_builds`, `join_builds_reused`) make both claims testable.
+//! cache must build each hash table whose build side the loop cannot
+//! change once and re-probe it on every later iteration. The counters
+//! (`threads_spawned`, `pool_tasks`, `join_builds`, `join_builds_reused`)
+//! make both claims testable.
 
-use spinner_datagen::{load_edges_into, load_vertex_status_into, GraphSpec};
+use spinner_common::{DataType, Field, Schema};
+use spinner_datagen::{load_edges_into, load_vertex_status_into, DatasetPreset, GraphSpec};
 use spinner_engine::{Database, EngineConfig};
-use spinner_procedural::{pagerank, sssp};
+use spinner_procedural::{pagerank, run_script, sssp};
 
 fn spec() -> GraphSpec {
     GraphSpec {
@@ -114,21 +116,50 @@ fn join_cache_reuses_invariant_build_across_iterations() {
 
 #[test]
 fn join_cache_does_not_change_results() {
+    // The procedure formulation runs the same body as one statement per
+    // iteration: no loop, so no join of it ever goes near the cache. The
+    // threshold is pinned high so that forced spill cannot evict the
+    // builds this compares against.
     for with_vs in [true, false] {
-        let sql = if with_vs {
-            sssp(8, 1, true).cte
+        let workload = if with_vs {
+            sssp(8, 1, true)
         } else {
-            pagerank(8, false).cte
+            pagerank(8, false)
         };
-        let cached = load(EngineConfig::default(), with_vs).query(&sql).unwrap();
-        let uncached = load(
-            EngineConfig::default().with_join_state_cache(false),
-            with_vs,
-        )
-        .query(&sql)
-        .unwrap();
+        let config = EngineConfig::default().with_spill_threshold_bytes(u64::MAX);
+        let db = load(config, with_vs);
+        let cached = db.query(&workload.cte).unwrap();
+        assert!(db.take_stats().join_builds_reused > 0, "with_vs={with_vs}");
+        let uncached = run_script(&db, &workload.procedure).unwrap().rows;
         assert_eq!(cached.rows(), uncached.rows(), "with_vs={with_vs}");
     }
+}
+
+#[test]
+fn pagerank_builds_the_edges_table_once() {
+    // spinbench's engine and graph: of PageRank's two joins per iteration,
+    // the one whose build side is the base table `edges` builds once and
+    // is re-probed by the other nine iterations; the one over the CTE
+    // table rebuilds every time.
+    let mut config = EngineConfig::default()
+        .with_partitions(2)
+        .with_parallel_partitions(false);
+    config.spill_threshold_bytes = None;
+    config.spill_dir = None;
+    let db = Database::new(config).unwrap();
+    let mut spec = DatasetPreset::Dblp.spec(0.02);
+    spec.seed = 1;
+    let schema = Schema::new(vec![
+        Field::new("src", DataType::Int),
+        Field::new("dst", DataType::Int),
+        Field::new("weight", DataType::Float),
+    ]);
+    db.create_table_from_rows("edges", schema, spec.generate_normalized(), None, Some(1))
+        .unwrap();
+    db.query(&pagerank(10, false).cte).unwrap();
+    let stats = db.take_stats();
+    assert_eq!(stats.joins_executed, 20);
+    assert_eq!((stats.join_builds, stats.join_builds_reused), (1, 9));
 }
 
 #[test]

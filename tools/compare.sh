@@ -16,6 +16,10 @@
 #               exports, builds and every run's JSON line are kept there
 # COMPARE_PAIRS number of pairs (default 10)
 # COMPARE_SECS  seconds per run (default: run_seconds of BENCHMARK.json)
+# COMPARE_TRACE=1  instead of the timed pairs, one 5 s traced pass per side
+#               and workload at seed 1, printing every per-layer metric
+#               counted in `count` or `bytes` whose value differs between
+#               the two sides — the exact counts a change moves
 set -eu
 [ $# -eq 2 ] || { echo "usage: $0 <parent-commit> <change-commit>" >&2; exit 2; }
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -37,6 +41,49 @@ for side in parent change; do
     CARGO_TARGET_DIR="$dir/$side-target" cargo build --release --offline --quiet \
         --manifest-path "$dir/$side/benchmark/Cargo.toml"
 done
+
+if [ "${COMPARE_TRACE:-0}" = 1 ]; then
+    traces="$dir/traces.txt"
+    : > "$traces"
+    for workload in $workloads; do
+        for side in parent change; do
+            echo "traced $workload $side" >&2
+            line="$(cd "$dir/$side" && "$dir/$side-target/release/spinbench" \
+                --workload "$workload" --seed 1 --seconds 5 --trace 1 | tail -n 1)"
+            echo "$side $workload $line" >> "$traces"
+        done
+    done
+    awk '
+        {
+            side = $1; workload = $2; json = $0
+            if (!(workload in seen)) { seen[workload] = 1; order[++nworkloads] = workload }
+            if (json !~ /"correct":true/ || json !~ /"failed":0[,}]/) flawed[workload] = flawed[workload] " " side
+            while (match(json, /"[a-z_.]+":\{"value":[^,]*,"unit":"(count|bytes)"\}/)) {
+                metric = substr(json, RSTART + 1, RLENGTH - 1)
+                json = substr(json, RSTART + RLENGTH)
+                name = metric; sub(/".*/, "", name)
+                value = metric; sub(/.*"value":/, "", value); sub(/,.*/, "", value)
+                if (!((workload, name) in known)) { known[workload, name] = 1; names[workload, ++count[workload]] = name }
+                values[side, workload, name] = value
+            }
+        }
+        END {
+            for (w = 1; w <= nworkloads; w++) {
+                workload = order[w]
+                printf "%s%s\n", workload, (workload in flawed) ? "  FAILED OR WRONG:" flawed[workload] : ""
+                differ = 0
+                for (i = 1; i <= count[workload]; i++) {
+                    name = names[workload, i]
+                    parent = values["parent", workload, name]; change = values["change", workload, name]
+                    if (parent == change) continue
+                    differ++
+                    printf "  %-36s %14s -> %-14s %+.0f\n", name, parent, change, change - parent
+                }
+                if (!differ) print "  every count and bytes metric identical"
+            }
+        }' "$traces"
+    exit 0
+fi
 
 pair=1
 while [ "$pair" -le "$pairs" ]; do
