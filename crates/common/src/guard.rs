@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, SessionSettings};
 use crate::error::{Error, Result};
 
 /// An atomic counter with an upper bound (`u64::MAX` = unlimited).
@@ -115,22 +115,28 @@ impl QueryGuard {
         }
     }
 
-    /// A guard carrying the session-default limits of `config`
-    /// (`query_timeout_ms`, `max_rows_materialized`, `max_rows_moved`,
-    /// `max_intermediate_bytes`). The clock starts now.
+    /// A guard carrying the session-scoped limits of `config`. The clock
+    /// starts now.
     pub fn from_config(config: &EngineConfig) -> Self {
+        Self::from_settings(&config.session_settings())
+    }
+
+    /// A guard carrying `limits` — a config's session-scoped options,
+    /// possibly overlaid with one session's overrides. The clock starts
+    /// now.
+    pub fn from_settings(limits: &SessionSettings) -> Self {
         let started = Instant::now();
         QueryGuard {
             cancelled: AtomicBool::new(false),
             worker_abort: AtomicBool::new(false),
             started,
-            deadline: config
+            deadline: limits
                 .query_timeout_ms
                 .map(|ms| started + std::time::Duration::from_millis(ms)),
-            limit_ms: config.query_timeout_ms.unwrap_or(0),
-            rows_materialized: Budget::limited(config.max_rows_materialized),
-            rows_moved: Budget::limited(config.max_rows_moved),
-            intermediate_bytes: Budget::limited(config.max_intermediate_bytes),
+            limit_ms: limits.query_timeout_ms.unwrap_or(0),
+            rows_materialized: Budget::limited(limits.max_rows_materialized),
+            rows_moved: Budget::limited(limits.max_rows_moved),
+            intermediate_bytes: Budget::limited(limits.max_intermediate_bytes),
         }
     }
 

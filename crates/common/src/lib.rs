@@ -26,7 +26,7 @@ pub use admission::{
 };
 pub use approx::{floats_approx_eq, rows_approx_eq, values_approx_eq, DEFAULT_TOLERANCE};
 pub use column::{Block, Column, Nulls, NO_ROW};
-pub use config::{EngineConfig, FaultConfig, FaultKind, FaultSite, FaultTrigger};
+pub use config::{EngineConfig, FaultConfig, FaultKind, FaultSite, FaultTrigger, SessionSettings};
 pub use counters::{CounterBlock, CounterSet, StatsSnapshot};
 pub use error::{Error, ErrorClass, Result};
 pub use guard::QueryGuard;

@@ -205,9 +205,9 @@ impl Database {
         // The pool is created here — once per (re)configuration, never
         // mid-statement — so steady-state loop iterations spawn nothing.
         // Reconfiguring drops the old pool (joining its workers).
-        self.pool = config.parallel_partitions.then(|| {
-            WorkerPool::with_stall_timeout(config.partitions, config.pool_stall_timeout_ms)
-        });
+        self.pool = config
+            .parallel_partitions
+            .then(|| WorkerPool::new(config.partitions));
         self.admission = config.max_concurrent_queries.map(|max| {
             let gate = self
                 .spill
@@ -698,7 +698,7 @@ impl Database {
         journal.begin(JournalEntry {
             query_id,
             sql: sql.to_string(),
-            settings: restart::settings_overlay(&self.config),
+            settings: self.config.settings_overlay(),
             loop_key,
             epochs: Vec::new(),
             inputs,
@@ -1333,9 +1333,15 @@ mod tests {
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].iterations.len(), 4);
         assert!(profile.find("Return").is_some());
-        // The profile round-trips through JSON.
-        let back = spinner_common::QueryProfile::from_json(&profile.to_json()).unwrap();
-        assert_eq!(back, profile);
+        // The JSON rendering carries every iteration record.
+        let json = profile.to_json();
+        for it in &loops[0].iterations {
+            let record = format!(
+                "{{\"iteration\":{},\"delta_rows\":{},\"rows_updated\":{},\"working_rows\":{},\"elapsed_us\":{}}}",
+                it.iteration, it.delta_rows, it.rows_updated, it.working_rows, it.elapsed_us
+            );
+            assert!(json.contains(&record), "{record} missing from {json}");
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!    engine sharing the directory — are never touched.
 //! 2. **Verify & read**: parse each journal (seal-checked; corruption is a
 //!    typed [`StorageCorrupt`](spinner_common::Error::StorageCorrupt), not
-//!    a guess), check the recorded planner-settings overlay against the
-//!    adopting engine's config, and rehydrate the newest committed
+//!    a guess), check the recorded planner-settings overlay
+//!    ([`EngineConfig::settings_overlay`]) against the adopting engine's
+//!    config, and rehydrate the newest committed
 //!    checkpoint epoch — falling back newest → previous when the newest
 //!    file fails its checksums — plus the input-table snapshots. Everything
 //!    is read **into memory here**, before GC deletes the dead files.
@@ -94,38 +95,6 @@ pub struct ResumedSummary {
     pub rows: u64,
 }
 
-/// The planner-affecting config overlay journaled with every resumable
-/// statement. Adoption refuses entries whose overlay differs from the
-/// live config: a different plan shape would not line up with the
-/// checkpointed `__cte_*` / `__delta_*` names or partitioning.
-pub fn settings_overlay(config: &EngineConfig) -> Vec<(String, String)> {
-    [
-        ("partitions", config.partitions.to_string()),
-        (
-            "minimize_data_movement",
-            config.minimize_data_movement.to_string(),
-        ),
-        (
-            "common_result_optimization",
-            config.common_result_optimization.to_string(),
-        ),
-        ("predicate_pushdown", config.predicate_pushdown.to_string()),
-        ("semi_naive", config.semi_naive.to_string()),
-        (
-            "two_phase_aggregation",
-            config.two_phase_aggregation.to_string(),
-        ),
-        ("max_iterations", config.max_iterations.to_string()),
-        (
-            "checkpoint_interval",
-            config.checkpoint_interval.to_string(),
-        ),
-    ]
-    .into_iter()
-    .map(|(k, v)| (k.to_string(), v))
-    .collect()
-}
-
 /// Whether `pid` is a live process on this machine. Conservative: if the
 /// liveness probe is unavailable the pid is treated as live, so adoption
 /// (and the GC behind it) never races a running engine.
@@ -173,7 +142,7 @@ pub fn scan(dir: &Path, config: &EngineConfig) -> AdoptionReport {
         })
         .collect();
     journal_paths.sort();
-    let expected = settings_overlay(config);
+    let expected = config.settings_overlay();
     for path in journal_paths {
         match QueryJournal::load(&path) {
             Ok(entries) => {
@@ -296,7 +265,7 @@ mod tests {
     /// releases nothing here — handles are leaked on purpose, like a
     /// crash would) and the file names.
     fn stage_dead_engine(dir: &Path, query_id: u64) -> (Arc<SpillEnv>, Vec<SpillHandle>) {
-        stage_dead_engine_with(dir, query_id, settings_overlay(&EngineConfig::default()))
+        stage_dead_engine_with(dir, query_id, EngineConfig::default().settings_overlay())
     }
 
     fn stage_dead_engine_with(
@@ -381,7 +350,7 @@ mod tests {
         journal.begin(JournalEntry {
             query_id: 5,
             sql: "SELECT 1".to_string(),
-            settings: settings_overlay(&EngineConfig::default()),
+            settings: EngineConfig::default().settings_overlay(),
             loop_key: "__cte_t_1".to_string(),
             epochs: vec![],
             inputs: vec![],
@@ -400,7 +369,7 @@ mod tests {
         journal.begin(JournalEntry {
             query_id: 9,
             sql: "SELECT 1".to_string(),
-            settings: settings_overlay(&EngineConfig::default()),
+            settings: EngineConfig::default().settings_overlay(),
             loop_key: "__cte_t_1".to_string(),
             epochs: vec![EpochRecord {
                 epoch: 3,
@@ -438,7 +407,7 @@ mod tests {
         // Engines before the `general_rewrites` knob was deleted journaled
         // it; such an overlay can never equal a current one.
         let dir = temp_dir("oldkey");
-        let mut settings = settings_overlay(&EngineConfig::default());
+        let mut settings = EngineConfig::default().settings_overlay();
         settings.insert(5, ("general_rewrites".to_string(), "true".to_string()));
         let (_env, handles) = stage_dead_engine_with(&dir, 4, settings);
         let report = scan(&dir, &EngineConfig::default());
@@ -473,7 +442,7 @@ mod tests {
             journal.begin(JournalEntry {
                 query_id: 21,
                 sql: "SELECT 2".to_string(),
-                settings: settings_overlay(&EngineConfig::default()),
+                settings: EngineConfig::default().settings_overlay(),
                 loop_key: "__cte_t_1".to_string(),
                 epochs: vec![EpochRecord {
                     epoch: 1,

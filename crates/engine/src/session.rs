@@ -13,31 +13,24 @@
 //! two sessions (or two statements racing on one session) can never see
 //! each other's intermediates.
 //!
-//! Session commands (parsed here, before SQL):
+//! Session commands (recognised here, before SQL):
 //!
 //! * `SET SESSION <KNOB> = <value>` — override a guardrail for this
-//!   session only; knobs: `TIMEOUT_MS`, `MAX_ROWS_MATERIALIZED`,
-//!   `MAX_ROWS_MOVED`, `MAX_INTERMEDIATE_BYTES`.
+//!   session only;
 //! * `RESET SESSION <KNOB>` — drop one override; `RESET SESSION ALL`
 //!   drops them all.
+//!
+//! The knobs, their ranges and their error texts are the session rows of
+//! the option table ([`spinner_common::config`]); this module only splits
+//! the command into a knob and a value.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use spinner_common::{Error, QueryGuard, Result};
+use spinner_common::{Error, QueryGuard, Result, SessionSettings};
 
 use crate::database::Database;
 use crate::result::QueryResult;
-
-/// Session-local guardrail overrides; `None` falls through to the engine
-/// config's default for that knob.
-#[derive(Debug, Clone, Copy, Default)]
-struct Overrides {
-    timeout_ms: Option<u64>,
-    max_rows_materialized: Option<u64>,
-    max_rows_moved: Option<u64>,
-    max_intermediate_bytes: Option<u64>,
-}
 
 /// Monotonic session-id source, process-wide.
 static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(1);
@@ -46,7 +39,8 @@ static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(1);
 pub struct Session {
     db: Arc<Database>,
     id: u64,
-    overrides: Mutex<Overrides>,
+    /// `SET SESSION` overrides; `None` falls through to the engine config.
+    overrides: Mutex<SessionSettings>,
     /// Guard of the statement currently executing through this session,
     /// if any — the cancel handle for connection-drop teardown.
     current: Mutex<Option<Arc<QueryGuard>>>,
@@ -58,7 +52,7 @@ impl Session {
         Session {
             db,
             id: NEXT_SESSION_ID.fetch_add(1, Ordering::Relaxed),
-            overrides: Mutex::new(Overrides::default()),
+            overrides: Mutex::new(SessionSettings::default()),
             current: Mutex::new(None),
         }
     }
@@ -73,7 +67,7 @@ impl Session {
         &self.db
     }
 
-    fn overrides(&self) -> std::sync::MutexGuard<'_, Overrides> {
+    fn overrides(&self) -> std::sync::MutexGuard<'_, SessionSettings> {
         // Plain-Copy state: recovery from poison cannot observe a tear.
         self.overrides.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -81,21 +75,8 @@ impl Session {
     /// Build the guard one statement will run under: engine-config
     /// defaults overlaid with this session's `SET SESSION` overrides.
     pub fn build_guard(&self) -> QueryGuard {
-        let o = *self.overrides();
-        let mut guard = QueryGuard::from_config(self.db.config());
-        if let Some(ms) = o.timeout_ms {
-            guard = guard.with_timeout_ms(ms);
-        }
-        if let Some(n) = o.max_rows_materialized {
-            guard = guard.with_max_rows_materialized(n);
-        }
-        if let Some(n) = o.max_rows_moved {
-            guard = guard.with_max_rows_moved(n);
-        }
-        if let Some(n) = o.max_intermediate_bytes {
-            guard = guard.with_max_intermediate_bytes(n);
-        }
-        guard
+        let overrides = *self.overrides();
+        QueryGuard::from_settings(&overrides.overlay(self.db.config().session_settings()))
     }
 
     /// Execute one statement (or session command) on behalf of this
@@ -168,44 +149,11 @@ impl Session {
             let parsed: u64 = value.parse().map_err(|_| {
                 Error::unsupported(format!("SET SESSION {knob}: invalid value {value:?}"))
             })?;
-            let mut o = self.overrides();
-            match knob.as_str() {
-                // As `EngineConfig::validate` says of `query_timeout_ms`.
-                "TIMEOUT_MS" if parsed == 0 => {
-                    return Err(Error::InvalidConfig(
-                        "SET SESSION TIMEOUT_MS = 0 would reject every statement; \
-                         use RESET SESSION TIMEOUT_MS for the engine default"
-                            .into(),
-                    ))
-                }
-                "TIMEOUT_MS" => o.timeout_ms = Some(parsed),
-                "MAX_ROWS_MATERIALIZED" => o.max_rows_materialized = Some(parsed),
-                "MAX_ROWS_MOVED" => o.max_rows_moved = Some(parsed),
-                "MAX_INTERMEDIATE_BYTES" => o.max_intermediate_bytes = Some(parsed),
-                other => {
-                    return Err(Error::unsupported(format!(
-                        "unknown session knob {other} (expected TIMEOUT_MS, \
-                         MAX_ROWS_MATERIALIZED, MAX_ROWS_MOVED or MAX_INTERMEDIATE_BYTES)"
-                    )))
-                }
-            }
+            self.overrides().set(&knob, parsed)?;
             return Ok(Some(QueryResult::Ddl));
         }
         if upper.len() >= 3 && upper[0] == "RESET" && upper[1] == "SESSION" {
-            let mut o = self.overrides();
-            match upper[2].as_str() {
-                "ALL" => *o = Overrides::default(),
-                "TIMEOUT_MS" => o.timeout_ms = None,
-                "MAX_ROWS_MATERIALIZED" => o.max_rows_materialized = None,
-                "MAX_ROWS_MOVED" => o.max_rows_moved = None,
-                "MAX_INTERMEDIATE_BYTES" => o.max_intermediate_bytes = None,
-                other => {
-                    return Err(Error::unsupported(format!(
-                        "unknown session knob {other} (expected ALL, TIMEOUT_MS, \
-                         MAX_ROWS_MATERIALIZED, MAX_ROWS_MOVED or MAX_INTERMEDIATE_BYTES)"
-                    )))
-                }
-            }
+            self.overrides().reset(&upper[2])?;
             return Ok(Some(QueryResult::Ddl));
         }
         Ok(None)

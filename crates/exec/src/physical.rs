@@ -345,9 +345,10 @@ impl fmt::Display for PhysicalPlan {
     }
 }
 
-/// Lower a logical plan to a physical one, inserting exchanges.
-pub fn create_physical_plan(plan: &LogicalPlan, config: &EngineConfig) -> Result<PhysicalPlan> {
-    lower(plan, config, None)
+/// Lower a logical plan to a physical one, inserting exchanges. No option
+/// steers lowering; `_config` keeps the signature its callers use.
+pub fn create_physical_plan(plan: &LogicalPlan, _config: &EngineConfig) -> Result<PhysicalPlan> {
+    lower(plan, None)
 }
 
 /// [`create_physical_plan`] for a plan of `l`'s body: a hash join whose
@@ -356,19 +357,15 @@ pub fn create_physical_plan(plan: &LogicalPlan, config: &EngineConfig) -> Result
 /// body once, before its first iteration.
 pub fn create_loop_body_plan(
     plan: &LogicalPlan,
-    config: &EngineConfig,
+    _config: &EngineConfig,
     l: &LoopStep,
 ) -> Result<PhysicalPlan> {
-    lower(plan, config, Some(l))
+    lower(plan, Some(l))
 }
 
 /// The lowering of `plan`, a plan of the body of `in_loop` if any.
-fn lower(
-    plan: &LogicalPlan,
-    config: &EngineConfig,
-    in_loop: Option<&LoopStep>,
-) -> Result<PhysicalPlan> {
-    let lower = |plan: &LogicalPlan| lower(plan, config, in_loop);
+fn lower(plan: &LogicalPlan, in_loop: Option<&LoopStep>) -> Result<PhysicalPlan> {
+    let lower = |plan: &LogicalPlan| lower(plan, in_loop);
     Ok(match plan {
         LogicalPlan::TableScan { table, schema } => PhysicalPlan::SeqScan {
             table: table.clone(),
@@ -387,7 +384,7 @@ fn lower(
             exprs,
             schema,
         } => match join_output(input, exprs) {
-            Some(columns) => lower_join(input, Some(columns), schema, config, in_loop)?,
+            Some(columns) => lower_join(input, Some(columns), schema, in_loop)?,
             None => PhysicalPlan::Project {
                 input: Box::new(lower(input)?),
                 exprs: exprs.clone(),
@@ -398,7 +395,7 @@ fn lower(
             input: Box::new(lower(input)?),
             predicate: predicate.clone(),
         },
-        LogicalPlan::Join { schema, .. } => lower_join(plan, None, schema, config, in_loop)?,
+        LogicalPlan::Join { schema, .. } => lower_join(plan, None, schema, in_loop)?,
         LogicalPlan::Aggregate {
             input,
             group,
@@ -415,7 +412,7 @@ fn lower(
                     aggs: aggs.clone(),
                     schema: schema.clone(),
                 }
-            } else if config.two_phase_aggregation && aggs.iter().all(|a| !a.distinct) {
+            } else if aggs.iter().all(|a| !a.distinct) {
                 // Two-phase: local partial aggregation, exchange the (far
                 // fewer) partial-state rows on the group key, final merge.
                 let mut fields: Vec<Field> = schema.fields()[..group.len()].to_vec();
@@ -551,7 +548,6 @@ fn lower_join(
     join: &LogicalPlan,
     columns: Option<Vec<usize>>,
     schema: &SchemaRef,
-    config: &EngineConfig,
     in_loop: Option<&LoopStep>,
 ) -> Result<PhysicalPlan> {
     let LogicalPlan::Join {
@@ -567,7 +563,7 @@ fn lower_join(
     };
     let exchange = |side: &LogicalPlan, mode| {
         Ok::<_, spinner_common::Error>(Box::new(PhysicalPlan::Exchange {
-            input: Box::new(lower(side, config, in_loop)?),
+            input: Box::new(lower(side, in_loop)?),
             mode,
         }))
     };
@@ -796,19 +792,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn two_phase_toggle_restores_single_phase() {
-        let agg = LogicalPlan::Aggregate {
-            input: Box::new(scan()),
-            group: vec![PlanExpr::column(0, "a")],
-            aggs: vec![],
-            schema: Arc::new(Schema::new(vec![Field::new("a", DataType::Int)])),
-        };
-        let config = EngineConfig::default().with_two_phase_aggregation(false);
-        let phys = create_physical_plan(&agg, &config).unwrap();
-        assert!(matches!(phys, PhysicalPlan::HashAggregate { .. }));
     }
 
     #[test]

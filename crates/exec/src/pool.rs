@@ -22,8 +22,8 @@
 //!   concurrent statements round-robin the pool — a 50-iteration loop
 //!   submitting 8 tasks per operator cannot starve a point query that
 //!   arrived behind it.
-//! * **Stall deadline.** If no task of a scope completes for the
-//!   configured stall window, the scope reclaims its still-queued tasks
+//! * **Stall deadline.** If no task of a scope completes for 60 s
+//!   (`STALL_TIMEOUT_MS`), the scope reclaims its still-queued tasks
 //!   (they never started, so dropping them is safe), finishes waiting
 //!   for the ones already running, and surfaces a typed
 //!   [`Error::PoolStalled`] instead of hanging the coordinator forever
@@ -131,6 +131,10 @@ impl<R> ScopeState<R> {
     }
 }
 
+/// How long a scope waits without any of its tasks completing before it
+/// reclaims the queued ones and fails with [`Error::PoolStalled`].
+const STALL_TIMEOUT_MS: u64 = 60_000;
+
 /// A fixed-size pool of long-lived worker threads executing scoped tasks.
 ///
 /// Created once per `Database` (from `EngineConfig::partitions`) and
@@ -146,13 +150,13 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn `threads` workers (at least one) that live until the pool is
-    /// dropped, with the default 60 s scope stall deadline.
+    /// dropped, with the 60 s `STALL_TIMEOUT_MS` scope stall deadline.
     pub fn new(threads: usize) -> Self {
-        WorkerPool::with_stall_timeout(threads, 60_000)
+        WorkerPool::with_stall_timeout(threads, STALL_TIMEOUT_MS)
     }
 
     /// Like [`WorkerPool::new`] with an explicit scope stall deadline in
-    /// milliseconds (see `EngineConfig::pool_stall_timeout_ms`).
+    /// milliseconds.
     pub fn with_stall_timeout(threads: usize, stall_ms: u64) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {

@@ -8,10 +8,10 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::RwLock;
 use spinner_common::{Error, Result, SchemaRef};
 
 use crate::table::Table;
+use crate::RwLock;
 
 /// Thread-safe map of table name to [`Table`].
 #[derive(Debug, Default)]

@@ -42,7 +42,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use spinner_common::memory::RegionKind;
 use spinner_common::{Error, FaultSite, Result};
 
@@ -50,6 +49,7 @@ use crate::journal::{EpochRecord, QueryJournal};
 use crate::partition::Partitioned;
 use crate::slot::Slot;
 use crate::spill::SpillEnv;
+use crate::RwLock;
 
 /// A consistent snapshot of one loop's recoverable state, taken at an
 /// iteration boundary.

@@ -30,3 +30,56 @@ pub use spill::{
     read_checkpoint_file, read_partitioned_file, xxh64, SpillEnv, SpillHandle, SpillManager,
 };
 pub use table::Table;
+
+/// `std::sync::RwLock` whose accessors recover from poison: the lock of
+/// the catalog, the temp-result registry and the checkpoint store. The
+/// executor isolates a worker that panics (`WorkerPanicked` fails one
+/// statement), so a panic while one of these locks is held must not wedge
+/// them for every later statement.
+#[derive(Debug, Default)]
+struct RwLock<T>(std::sync::RwLock<T>);
+
+impl<T> RwLock<T> {
+    fn new(value: T) -> Self {
+        RwLock(std::sync::RwLock::new(value))
+    }
+
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
+        self.0
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
+        self.0
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::RwLock;
+
+    #[test]
+    fn rwlock_read_write() {
+        let lock = RwLock::new(1);
+        *lock.write() += 1;
+        assert_eq!(*lock.read(), 2);
+    }
+
+    #[test]
+    fn lock_survives_panicking_writer() {
+        let lock = std::sync::Arc::new(RwLock::new(0));
+        let writer = std::sync::Arc::clone(&lock);
+        let panicked = std::thread::spawn(move || {
+            *writer.write() = 1;
+            panic!("writer panics holding the lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert_eq!(*lock.read(), 1);
+        *lock.write() = 2;
+        assert_eq!(*lock.read(), 2);
+    }
+}

@@ -20,13 +20,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use spinner_common::memory::RegionKind;
 use spinner_common::{Error, Result};
 
 use crate::partition::Partitioned;
 use crate::slot::Slot;
 use crate::spill::SpillEnv;
+use crate::RwLock;
 
 /// Named intermediate results for one query execution.
 #[derive(Debug)]
@@ -317,6 +317,23 @@ mod tests {
         assert!(reg.is_empty());
         let env = reg.env().unwrap();
         assert_eq!(env.accountant.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn a_writer_that_panics_leaves_the_registry_usable() {
+        let reg = Arc::new(TempRegistry::new(None));
+        reg.put("cte", part_with(2));
+        let poisoner = Arc::clone(&reg);
+        let panicked = std::thread::spawn(move || {
+            let _entries = poisoner.entries.write();
+            panic!("writer panics holding the registry lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert_eq!(reg.get("cte").unwrap().total_rows(), 2);
+        reg.put("working", part_with(3));
+        reg.rename("working", "cte").unwrap();
+        assert_eq!(reg.get("cte").unwrap().total_rows(), 3);
     }
 
     /// Regression test for reader-visible rename atomicity: concurrent

@@ -431,10 +431,17 @@ fn explain_analyze_surfaces_durability_counters() {
         rendered.contains("durability: epochs="),
         "missing durability line: {rendered}"
     );
-    let back = spinner_engine::QueryProfile::from_json(&profile.to_json()).unwrap();
-    assert_eq!(back.durability.get("epochs"), d.get("epochs"));
-    assert_eq!(back.durability.get("verified"), d.get("verified"));
-    assert_eq!(back.durability.get("refsync"), d.get("refsync"));
+    let json = profile.to_json();
+    let durability = format!(
+        "\"durability\":{{\"epochs\":{},\"verified\":{},\"corrupt_detected\":0,\"refsync\":{}}}",
+        d.get("epochs"),
+        d.get("verified"),
+        d.get("refsync")
+    );
+    assert!(
+        json.contains(&durability),
+        "{durability} missing from {json}"
+    );
 
     let relaxed = db_with_edges(chaos(false));
     let d = relaxed.explain_analyze(&sql).unwrap().durability;

@@ -229,15 +229,36 @@ fn explain_analyze_delta_termination_reports_convergence() {
 
 #[test]
 fn explain_analyze_json_round_trips_from_sql() {
-    use spinner_engine::QueryProfile;
     let profile = db_with_data()
         .explain_analyze(&pagerank(5, false).cte)
         .unwrap();
     let json = profile.to_json();
-    let back = QueryProfile::from_json(&json).unwrap();
-    assert_eq!(back, profile);
-    assert!(json.contains("\"iterations\""));
-    assert!(json.contains("\"rows_moved\""));
+    assert!(json.starts_with(&format!(
+        "{{\"total_elapsed_us\":{},\"roots\":[{{\"label\":",
+        profile.total_elapsed_us
+    )));
+    // Every span and every iteration record is in the text.
+    let mut spans = profile.roots.iter().collect::<Vec<_>>();
+    while let Some(node) = spans.pop() {
+        let head = format!(
+            "\"rows_out\":{},\"rows_moved\":{},\"bytes\":{},\"elapsed_us\":{},\"execs\":{},",
+            node.rows_out, node.rows_moved, node.bytes, node.elapsed_us, node.execs
+        );
+        assert!(json.contains(&head), "{} missing from {json}", node.label);
+        for it in &node.iterations {
+            let record = format!(
+                "{{\"iteration\":{},\"delta_rows\":{},\"rows_updated\":{},\"working_rows\":{},\"elapsed_us\":{}}}",
+                it.iteration, it.delta_rows, it.rows_updated, it.working_rows, it.elapsed_us
+            );
+            assert!(json.contains(&record), "{record} missing from {json}");
+        }
+        spans.extend(&node.children);
+    }
+    assert_eq!(json.matches("\"iteration\":").count(), 5);
+    assert!(
+        json.contains("\"iteration_mode\":{\"mode\":\"full\","),
+        "{json}"
+    );
 }
 
 #[test]

@@ -179,9 +179,14 @@ fn explain_analyze_surfaces_pool_profile_on_fig9_workload() {
     assert!(profile.pool.get("pool_tasks") > 0);
     assert!(profile.pool.get("join_builds") >= 1);
     assert!(profile.pool.get("join_builds_reused") >= 1);
-    // The pool section round-trips through the profile's JSON codec.
+    // The JSON rendering carries the pool block.
     let json = profile.to_json();
-    let back = spinner_engine::QueryProfile::from_json(&json).unwrap();
-    assert_eq!(back.pool, profile.pool);
+    let pool = format!(
+        "\"pool\":{{\"threads_spawned\":0,\"pool_tasks\":{},\"join_builds\":{},\"join_builds_reused\":{}}}",
+        profile.pool.get("pool_tasks"),
+        profile.pool.get("join_builds"),
+        profile.pool.get("join_builds_reused")
+    );
+    assert!(json.contains(&pool), "{pool} missing from {json}");
     assert!(profile.render().contains("pool: threads_spawned=0"));
 }
