@@ -4,8 +4,8 @@
 //! field, each column behind its own `Arc`, so projecting a bare column,
 //! passing a partition through an exchange and keeping every row of a
 //! filter share the data instead of copying it. A heap [`Row`] exists
-//! only where the engine's contract is rows: bulk load and `INSERT` in,
-//! the result batch out, the spill codec and DML's per-row closures.
+//! only where the engine's contract is rows: bulk load and `VALUES` in,
+//! the result batch out, and the spill codec.
 //!
 //! **A column is typed by what it holds, not by the schema.** The schema
 //! cannot be trusted for this: `SELECT src, 0, 0.15` makes `rank` an
@@ -438,14 +438,6 @@ impl Block {
         self.columns.iter().map(|c| c.value(row)).collect()
     }
 
-    /// Row `row` written over `out`, a cell per column: a scan that shows
-    /// its caller one row at a time reuses one.
-    pub fn read_row(&self, row: usize, out: &mut [Value]) {
-        for (cell, column) in out.iter_mut().zip(&self.columns) {
-            *cell = column.value(row);
-        }
-    }
-
     /// Append the rows of `other`: in place where a column is this
     /// block's alone, onto a copy of it where it is shared.
     pub fn append(&mut self, other: &Block) {
@@ -672,11 +664,6 @@ mod tests {
             let both: Vec<Row> = rows(&a).into_iter().chain(rows(&b)).collect();
             prop_assert_eq!(exact(&grown.to_rows()), exact(&both));
             prop_assert_eq!(exact(&ba.to_rows()), exact(&rows(&a)));
-            let mut scratch = vec![Value::Null; 2];
-            for (row, want) in both.iter().enumerate() {
-                grown.read_row(row, &mut scratch);
-                prop_assert_eq!(exact(&scratch), exact(&want.to_vec()));
-            }
         }
 
         /// A column hashed a column at a time is `Value`'s own hash, and

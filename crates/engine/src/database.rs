@@ -9,12 +9,12 @@ use spinner_common::memory::SpillFaultHook;
 use spinner_common::{
     AdmissionController, AdmissionPermit, Batch, CounterBlock, EngineConfig, Error, FaultSite,
     MemoryGate, QueryClass, QueryGuard, QueryProfile, Result, Row, Schema, SchemaRef,
-    StatsSnapshot, Tracer, Value,
+    StatsSnapshot, Tracer,
 };
 use spinner_exec::{FaultInjector, StatementContext, WorkerPool};
 use spinner_parser::{parse_sql, parse_statements, Statement};
 use spinner_plan::builder::SchemaProvider;
-use spinner_plan::{plan_statement, LogicalPlan, PlanExpr, PlannedStatement, QueryPlan};
+use spinner_plan::{plan_statement, PlannedStatement, QueryPlan};
 use spinner_storage::{
     Catalog, InputRecord, JournalEntry, QueryJournal, ResumeSeed, SpillEnv, SpillHandle,
 };
@@ -587,35 +587,9 @@ impl Database {
                 let batch = self.run_query_plan(&plan, stmt, ctx)?;
                 Ok(super::QueryResult::Rows(batch))
             }
-            PlannedStatement::Insert { table, source } => {
-                let batch = self.run_query_plan(&source, stmt, ExecCtx::default())?;
-                let rows = batch.into_rows();
-                let n = self.catalog.with_table_mut(&table, |t| t.insert(rows))?;
-                Ok(super::QueryResult::Affected { rows: n })
-            }
-            PlannedStatement::Update {
-                table,
-                from,
-                assignments,
-                predicate,
-            } => {
-                let n = self.run_update(&table, from, &assignments, predicate.as_ref(), stmt)?;
-                Ok(super::QueryResult::Affected { rows: n })
-            }
-            PlannedStatement::Delete { table, predicate } => {
-                let n = self.catalog.with_table_mut(&table, |t| {
-                    t.delete_where(|row| match &predicate {
-                        Some(p) => p.matches(row),
-                        None => Ok(true),
-                    })
-                })?;
-                Ok(super::QueryResult::Affected { rows: n })
-            }
-            PlannedStatement::Explain { .. }
-            | PlannedStatement::CreateTable { .. }
-            | PlannedStatement::DropTable { .. } => {
-                unreachable!("execute_planned runs only plan-executing statements here")
-            }
+            dml => Ok(super::QueryResult::Affected {
+                rows: spinner_exec::dml::run(stmt, &dml)?,
+            }),
         }
     }
 
@@ -749,7 +723,7 @@ impl Database {
                     input.primary_key,
                 )?;
                 self.catalog
-                    .with_table_mut(&input.table, |t| t.insert(input.data.gather()))?;
+                    .with_table_mut(&input.table, |t| t.append(&input.data))?;
             }
         }
         let stmt = parse_sql(&query.sql)?;
@@ -824,116 +798,6 @@ impl Database {
             .unwrap_or_else(|e| e.into_inner())
             .adopted
             .len()
-    }
-
-    /// UPDATE [FROM]: when a FROM clause is present, equi-conjuncts of the
-    /// WHERE clause are used to hash-index the FROM result so the per-row
-    /// probe is O(1) — the shape the SQLoop middleware baseline relies on
-    /// (`UPDATE main SET ... FROM intermediate WHERE main.key = i.key`).
-    fn run_update(
-        &self,
-        table: &str,
-        from: Option<LogicalPlan>,
-        assignments: &[(usize, PlanExpr)],
-        predicate: Option<&PlanExpr>,
-        stmt: &StatementContext<'_>,
-    ) -> Result<usize> {
-        let table_handle = self.catalog.get(table)?;
-        let table_schema = Arc::clone(table_handle.schema());
-        let table_width = table_schema.len();
-        let column_types: Vec<_> = table_schema.fields().iter().map(|f| f.data_type).collect();
-
-        let apply = |combined: &[Value]| -> Result<Row> {
-            let mut new_row: Vec<Value> = combined[..table_width].to_vec();
-            for (idx, expr) in assignments {
-                new_row[*idx] = expr.evaluate(combined)?.cast(column_types[*idx])?;
-            }
-            Ok(new_row.into_boxed_slice())
-        };
-
-        match from {
-            None => self.catalog.with_table_mut(table, |t| {
-                t.update_where(|row| {
-                    let hit = match predicate {
-                        Some(p) => p.matches(row)?,
-                        None => true,
-                    };
-                    Ok(if hit { Some(apply(row)?) } else { None })
-                })
-            }),
-            Some(from_plan) => {
-                let from_rows: Vec<Row> = stmt.execute_logical(&from_plan)?.gather();
-                // Split the WHERE clause into hashable equi conjuncts
-                // (table expr = from expr) and a residual.
-                let mut table_keys: Vec<PlanExpr> = Vec::new();
-                let mut from_keys: Vec<PlanExpr> = Vec::new();
-                let mut residual: Vec<PlanExpr> = Vec::new();
-                if let Some(p) = predicate {
-                    let mut conjuncts = Vec::new();
-                    split_conjuncts(p, &mut conjuncts);
-                    for c in conjuncts {
-                        match as_update_equi(&c, table_width) {
-                            Some((tk, fk)) => {
-                                table_keys.push(tk);
-                                from_keys.push(fk);
-                            }
-                            None => residual.push(c),
-                        }
-                    }
-                }
-                // Index the FROM rows by their key tuple.
-                let mut index: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
-                let mut all: Vec<&Row> = Vec::new();
-                if table_keys.is_empty() {
-                    all = from_rows.iter().collect();
-                } else {
-                    for fr in &from_rows {
-                        let key: Vec<Value> = from_keys
-                            .iter()
-                            .map(|k| k.evaluate(fr))
-                            .collect::<Result<_>>()?;
-                        if key.iter().any(Value::is_null) {
-                            continue;
-                        }
-                        index.entry(key).or_default().push(fr);
-                    }
-                }
-                self.catalog.with_table_mut(table, |t| {
-                    t.update_where(|row| {
-                        let candidates: Vec<&Row> = if table_keys.is_empty() {
-                            all.clone()
-                        } else {
-                            let key: Vec<Value> = table_keys
-                                .iter()
-                                .map(|k| k.evaluate(row))
-                                .collect::<Result<_>>()?;
-                            if key.iter().any(Value::is_null) {
-                                return Ok(None);
-                            }
-                            match index.get(&key) {
-                                Some(v) => v.clone(),
-                                None => return Ok(None),
-                            }
-                        };
-                        for fr in candidates {
-                            let mut combined: Vec<Value> =
-                                Vec::with_capacity(table_width + fr.len());
-                            combined.extend_from_slice(row);
-                            combined.extend_from_slice(fr);
-                            let hit = residual.iter().try_fold(true, |acc, p| {
-                                Ok::<bool, Error>(acc && p.matches(&combined)?)
-                            })?;
-                            if hit {
-                                // First match wins (PostgreSQL-style
-                                // nondeterminism made deterministic).
-                                return Ok(Some(apply(&combined)?));
-                            }
-                        }
-                        Ok(None)
-                    })
-                })
-            }
-        }
     }
 }
 
@@ -1068,56 +932,11 @@ fn explain_planned(planned: &PlannedStatement) -> String {
     }
 }
 
-fn split_conjuncts(expr: &PlanExpr, out: &mut Vec<PlanExpr>) {
-    use spinner_plan::expr::BinaryOp;
-    if let PlanExpr::Binary {
-        left,
-        op: BinaryOp::And,
-        right,
-    } = expr
-    {
-        split_conjuncts(left, out);
-        split_conjuncts(right, out);
-    } else {
-        out.push(expr.clone());
-    }
-}
-
-/// If `expr` is `a = b` with `a` over table columns (< width) and `b` over
-/// FROM columns (>= width) or vice versa, return (table key, from key with
-/// indices rebased to the FROM row).
-fn as_update_equi(expr: &PlanExpr, table_width: usize) -> Option<(PlanExpr, PlanExpr)> {
-    use spinner_plan::expr::BinaryOp;
-    let PlanExpr::Binary {
-        left,
-        op: BinaryOp::Eq,
-        right,
-    } = expr
-    else {
-        return None;
-    };
-    let lcols = left.referenced_columns();
-    let rcols = right.referenced_columns();
-    if lcols.is_empty() || rcols.is_empty() {
-        return None;
-    }
-    let table_side = |cols: &[usize]| cols.iter().all(|&c| c < table_width);
-    let from_side = |cols: &[usize]| cols.iter().all(|&c| c >= table_width);
-    if table_side(&lcols) && from_side(&rcols) {
-        let fk = right.remap_columns(&|i| i.checked_sub(table_width)).ok()?;
-        return Some(((**left).clone(), fk));
-    }
-    if table_side(&rcols) && from_side(&lcols) {
-        let fk = left.remap_columns(&|i| i.checked_sub(table_width)).ok()?;
-        return Some(((**right).clone(), fk));
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::QueryResult;
+    use spinner_common::Value;
 
     fn db_with_edges() -> Database {
         let db = Database::default();

@@ -141,6 +141,14 @@ impl<'a> StatementContext<'a> {
     /// Run a full query plan: steps first, then the final plan; gather the
     /// result into a single batch.
     pub fn run_query(&self, plan: &QueryPlan) -> Result<Batch> {
+        let result = self.run_plan(plan)?;
+        // The statement's edge: the result leaves as heap rows.
+        Ok(Batch::new(plan.root.schema(), result.gather()))
+    }
+
+    /// [`run_query`](Self::run_query) without the gather: the final
+    /// plan's partitioned result, as `INSERT … SELECT` appends it.
+    pub fn run_plan(&self, plan: &QueryPlan) -> Result<Partitioned> {
         self.run_steps(&plan.steps)?;
         if self.tracer.is_enabled() {
             self.tracer.enter(SpanKind::Return, "Return".to_string());
@@ -156,8 +164,7 @@ impl<'a> StatementContext<'a> {
         };
         self.tracer
             .exit(result.total_rows() as u64, result.estimated_bytes());
-        // The statement's edge: the result leaves as heap rows.
-        Ok(Batch::new(plan.root.schema(), result.gather()))
+        Ok(result)
     }
 
     /// Execute a logical plan tree to a partitioned result.

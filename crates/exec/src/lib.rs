@@ -24,6 +24,7 @@
 
 pub mod aggregate;
 pub mod cache;
+pub mod dml;
 pub mod executor;
 pub mod fault;
 pub mod keys;

@@ -515,35 +515,6 @@ fn charge_rows_moved(ctx: &StatementContext<'_>, moved: u64) -> Result<()> {
     Ok(())
 }
 
-/// The partitions of a hash exchange: each column gathered once per
-/// target, from the rows `targets` sends there, source by source in
-/// partition then row order.
-fn scatter(data: &Partitioned, targets: &[Vec<u32>], parts: usize) -> Vec<Arc<Block>> {
-    let bound_for = |targets: &Vec<u32>| {
-        let mut rows = vec![Vec::new(); parts];
-        for (row, &target) in targets.iter().enumerate() {
-            rows[target as usize].push(row as u32);
-        }
-        rows
-    };
-    let rows: Vec<Vec<Vec<u32>>> = targets.iter().map(bound_for).collect();
-    let part = |target: usize| {
-        let column = |c: usize| {
-            let mut out = Column::new();
-            for (block, rows) in data.parts.iter().zip(&rows) {
-                out.extend_from(&block.columns()[c], rows[target].iter().copied());
-            }
-            Arc::new(out)
-        };
-        let count = rows.iter().map(|rows| rows[target].len()).sum();
-        Arc::new(Block::new(
-            (0..data.schema.len()).map(column).collect(),
-            count,
-        ))
-    };
-    (0..parts).map(part).collect()
-}
-
 /// Redistribute rows according to `mode`, counting movement.
 ///
 /// When no row changes partition and the input already has the configured
@@ -579,7 +550,7 @@ pub fn exchange(
                 return Ok(data);
             }
             Ok(Partitioned {
-                parts: scatter(&data, &targets, parts),
+                parts: data.scatter(&targets, parts),
                 schema,
             })
         }
@@ -612,20 +583,20 @@ pub fn exchange(
 /// pairs never holds them all.
 const RESIDUAL_CHUNK: usize = 1 << 16;
 
-/// The join of `l` (probe side) and `r` (build side), given its candidate
+/// The join of `l` (probe side) and `r` (build side) as `(probe, build)`
+/// row numbers, [`NO_ROW`] being the padded side, given its candidate
 /// pairs: `candidates(row, out)` appends the build rows to pair probe row
 /// `row` with, in build order. A pair is kept if it passes `residual`.
-/// Output order is probe row by probe row, each with its kept matches in
+/// Pairs come probe row by probe row, each with its kept matches in
 /// build-row order (or padded, for an outer join, when it has none), then
-/// the unmatched build rows; each output column — each of `columns` of
-/// `l ∥ r`, or every one — is gathered once from the resulting `(probe,
-/// build)` row numbers, [`NO_ROW`] being the padded side.
-fn join_blocks(
+/// the unmatched build rows. [`gather_pairs`] turns them into the join's
+/// output.
+pub(crate) fn join_pairs(
     (l, r): (&Block, &Block),
-    (join_type, residual, columns): (JoinType, Option<&PlanExpr>, Option<&[usize]>),
+    (join_type, residual): (JoinType, Option<&PlanExpr>),
     ctx: &StatementContext<'_>,
     mut candidates: impl FnMut(usize, &mut Vec<u32>),
-) -> Result<Arc<Block>> {
+) -> Result<(Vec<u32>, Vec<u32>)> {
     let pads_build = matches!(join_type, JoinType::Left | JoinType::Full);
     let pads_probe = matches!(join_type, JoinType::Right | JoinType::Full);
     let mut matched_build = vec![false; if pads_probe { r.rows() } else { 0 }];
@@ -675,43 +646,65 @@ fn join_blocks(
         build.extend(unmatched.map(|row| row as u32));
         probe.resize(build.len(), NO_ROW);
     }
+    Ok((probe, build))
+}
+
+/// Each of `columns` of `l ∥ r`, or every one, gathered once by the
+/// `(probe, build)` row numbers of a join.
+pub(crate) fn gather_pairs(
+    (l, r): (&Block, &Block),
+    (probe, build): (&[u32], &[u32]),
+    columns: Option<&[usize]>,
+) -> Arc<Block> {
     let width = l.columns().len();
     let gather = |c: usize| match c.checked_sub(width) {
-        None => Arc::new(l.columns()[c].gather(&probe)),
-        Some(c) => Arc::new(r.columns()[c].gather(&build)),
+        None => Arc::new(l.columns()[c].gather(probe)),
+        Some(c) => Arc::new(r.columns()[c].gather(build)),
     };
     let out = match columns {
         Some(columns) => columns.iter().map(|&c| gather(c)).collect(),
         None => (0..width + r.columns().len()).map(gather).collect(),
     };
-    Ok(Arc::new(Block::new(out, probe.len())))
+    Arc::new(Block::new(out, probe.len()))
 }
 
 /// Everything a hash join knows besides its input rows.
-struct HashJoinSpec<'a> {
-    join_type: JoinType,
-    left_keys: &'a [PlanExpr],
-    right_keys: &'a [PlanExpr],
-    residual: Option<&'a PlanExpr>,
-    columns: Option<&'a [usize]>,
-    ctx: &'a StatementContext<'a>,
+pub(crate) struct HashJoinSpec<'a> {
+    pub(crate) join_type: JoinType,
+    pub(crate) left_keys: &'a [PlanExpr],
+    pub(crate) right_keys: &'a [PlanExpr],
+    pub(crate) residual: Option<&'a PlanExpr>,
+    pub(crate) columns: Option<&'a [usize]>,
+    pub(crate) ctx: &'a StatementContext<'a>,
 }
 
 impl HashJoinSpec<'_> {
     /// The key index over one build partition.
-    fn build(&self, r: &Block) -> Result<JoinTable> {
+    pub(crate) fn build(&self, r: &Block) -> Result<JoinTable> {
         JoinTable::build(evaluate_all(self.right_keys, r, self.ctx)?, r.rows())
     }
 
-    /// Probe one partition against the prebuilt index over `r`. Which
-    /// build rows matched is per-call state, so a build shared across
-    /// iterations by the join-state cache stays read-only.
+    /// Probe one partition against the prebuilt index over `r`.
     fn probe(&self, l: &Block, r: &Block, table: &JoinTable) -> Result<Arc<Block>> {
+        let (probe, build) = self.pairs(l, r, table)?;
+        Ok(gather_pairs((l, r), (&probe, &build), self.columns))
+    }
+
+    /// The [`join_pairs`] of one partition probed against the prebuilt
+    /// index over `r`. Which build rows matched is per-call state, so a
+    /// build shared across iterations by the join-state cache stays
+    /// read-only.
+    pub(crate) fn pairs(
+        &self,
+        l: &Block,
+        r: &Block,
+        table: &JoinTable,
+    ) -> Result<(Vec<u32>, Vec<u32>)> {
         let keys = evaluate_all(self.left_keys, l, self.ctx)?;
         let hashes = hash_keys(&keys, l.rows());
-        join_blocks(
+        join_pairs(
             (l, r),
-            (self.join_type, self.residual, self.columns),
+            (self.join_type, self.residual),
             self.ctx,
             |row, out| {
                 // NULL keys never match; the build side left its own out.
@@ -780,9 +773,9 @@ fn nested_loop_join(
     columns: Option<&[usize]>,
     ctx: &StatementContext<'_>,
 ) -> Result<Arc<Block>> {
-    join_blocks((l, r), (join_type, residual, columns), ctx, |_, out| {
-        out.extend(0..r.rows() as u32)
-    })
+    let every_build_row = |_, out: &mut Vec<u32>| out.extend(0..r.rows() as u32);
+    let (probe, build) = join_pairs((l, r), (join_type, residual), ctx, every_build_row)?;
+    Ok(gather_pairs((l, r), (&probe, &build), columns))
 }
 
 /// Run one aggregation phase over every partition of `data`, its groups

@@ -129,37 +129,3 @@ pub fn optimize_statement(
         other => other,
     })
 }
-
-/// Split an expression into AND-connected conjuncts.
-pub(crate) fn split_conjuncts(
-    expr: &spinner_plan::PlanExpr,
-    out: &mut Vec<spinner_plan::PlanExpr>,
-) {
-    use spinner_plan::expr::BinaryOp;
-    if let spinner_plan::PlanExpr::Binary {
-        left,
-        op: BinaryOp::And,
-        right,
-    } = expr
-    {
-        split_conjuncts(left, out);
-        split_conjuncts(right, out);
-    } else {
-        out.push(expr.clone());
-    }
-}
-
-/// Combine conjuncts back with AND; `None` when empty.
-pub(crate) fn conjoin(mut parts: Vec<spinner_plan::PlanExpr>) -> Option<spinner_plan::PlanExpr> {
-    use spinner_plan::expr::BinaryOp;
-    let first = if parts.is_empty() {
-        return None;
-    } else {
-        parts.remove(0)
-    };
-    Some(
-        parts
-            .into_iter()
-            .fold(first, |acc, p| acc.binary(BinaryOp::And, p)),
-    )
-}

@@ -14,10 +14,8 @@
 //!   padded side of a lower outer join.
 
 use spinner_common::Result;
-use spinner_plan::expr::BinaryOp;
+use spinner_plan::expr::{split_conjuncts, BinaryOp};
 use spinner_plan::{JoinType, LogicalPlan, PlanExpr};
-
-use crate::split_conjuncts;
 
 /// Apply outer→inner conversion everywhere in the tree (one pass).
 pub fn convert_outer_joins(plan: LogicalPlan) -> Result<LogicalPlan> {

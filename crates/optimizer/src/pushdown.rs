@@ -14,9 +14,8 @@
 //! [`crate::iterative_pushdown`], not here.
 
 use spinner_common::Result;
+use spinner_plan::expr::{conjoin, split_conjuncts};
 use spinner_plan::{JoinType, LogicalPlan, PlanExpr};
-
-use crate::{conjoin, split_conjuncts};
 
 /// One pass of push-down over the whole tree (run to fixpoint by the
 /// driver).

@@ -13,7 +13,7 @@ use spinner_common::{DataType, EngineConfig, Error, Field, Result, Schema, Schem
 use spinner_parser as ast;
 use spinner_parser::{CteKind, InsertSource, SelectItem, SetOp, Statement, TableRef};
 
-use crate::expr::{AggExpr, AggFunc, PlanExpr, ScalarFn};
+use crate::expr::{conjoin, split_conjuncts, AggExpr, AggFunc, PlanExpr, ScalarFn};
 use crate::logical::{
     JoinType, LogicalPlan, PlannedStatement, QueryPlan, SetOpKind, SortKey, Step,
 };
@@ -1047,19 +1047,15 @@ pub fn build_join(
     let lw = left.schema().len();
     let combined = Arc::new(left.schema().join(&right.schema()));
     let mut keys = Vec::new();
-    let mut residual: Option<PlanExpr> = None;
+    let mut residual = Vec::new();
     if let Some(cond) = on {
         let mut conjuncts = Vec::new();
         split_conjuncts_ast(cond, &mut conjuncts);
         for c in conjuncts {
             let resolved = resolve_expr(&c, &combined)?;
-            if let Some((lk, rk)) = as_equi_pair(&resolved, lw) {
-                keys.push((lk, rk));
-            } else {
-                residual = Some(match residual {
-                    Some(prev) => prev.binary(crate::expr::BinaryOp::And, resolved),
-                    None => resolved,
-                });
+            match as_equi_pair(&resolved, lw) {
+                Some(pair) => keys.push(pair),
+                None => residual.push(resolved),
             }
         }
     }
@@ -1068,7 +1064,7 @@ pub fn build_join(
         right: Box::new(right),
         join_type,
         on: keys,
-        filter: residual,
+        filter: conjoin(residual),
         schema: combined,
     })
 }
@@ -1374,23 +1370,37 @@ fn plan_update(
         Some(f) => qualified_table.join(&f.schema()),
         None => qualified_table.clone(),
     };
+    // Each new value is cast to its column's declared type, as INSERT does.
     let resolved_assignments = assignments
         .iter()
         .map(|(col, e)| {
             let idx = qualified_table.index_of(None, col)?;
-            let expr = resolve_expr(e, &combined)?;
+            let expr = PlanExpr::Cast {
+                expr: Box::new(resolve_expr(e, &combined)?),
+                to: table_schema.field(idx).data_type,
+            };
             Ok((idx, expr))
         })
         .collect::<Result<Vec<_>>>()?;
-    let predicate = match selection {
-        Some(e) => Some(resolve_expr(e, &combined)?),
-        None => None,
-    };
+    // `table expr = FROM expr` conjuncts are the hash keys of the FROM
+    // probe; what is left filters the matched pairs, or the table alone.
+    let (mut keys, mut residual) = (Vec::new(), Vec::new());
+    if let Some(e) = selection {
+        let mut conjuncts = Vec::new();
+        split_conjuncts(&resolve_expr(e, &combined)?, &mut conjuncts);
+        for c in conjuncts {
+            match as_equi_pair(&c, qualified_table.len()) {
+                Some(pair) => keys.push(pair),
+                None => residual.push(c),
+            }
+        }
+    }
     Ok(PlannedStatement::Update {
         table: table.to_ascii_lowercase(),
         from: from_plan,
+        keys,
         assignments: resolved_assignments,
-        predicate,
+        predicate: conjoin(residual),
     })
 }
 
@@ -1632,6 +1642,7 @@ mod tests {
         let PlannedStatement::Update {
             assignments,
             from,
+            keys,
             predicate,
             ..
         } = planned
@@ -1640,8 +1651,16 @@ mod tests {
         };
         assert_eq!(assignments.len(), 1);
         assert_eq!(assignments[0].0, 1);
+        assert!(matches!(assignments[0].1, PlanExpr::Cast { .. }));
         assert!(from.is_some());
-        assert!(predicate.is_some());
+        // The equality is the FROM probe's key pair, the FROM side rebased
+        // to the FROM row; nothing is left to filter the pairs.
+        let [(table_key, from_key)] = &keys[..] else {
+            panic!("one key pair: {keys:?}")
+        };
+        assert_eq!(table_key.referenced_columns(), [0]);
+        assert_eq!(from_key.referenced_columns(), [1]);
+        assert!(predicate.is_none());
     }
 
     #[test]

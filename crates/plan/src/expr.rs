@@ -7,11 +7,12 @@
 //! treat NULL as "do not keep".
 //!
 //! The row evaluator ([`PlanExpr::evaluate`]) is the definition of those
-//! semantics, and what DML runs. Operators evaluate a column at a time
+//! semantics. Operators and DML evaluate a column at a time
 //! ([`PlanExpr::evaluate_column`], [`PlanExpr::select`]): arithmetic,
-//! comparisons, `IS NULL`, `NOT` and `AND`/`OR` run as loops over the
-//! operands' columns, and every other node — scalar functions, `CASE`,
-//! `CAST`, `IN`, arithmetic over anything but numbers — is sent row by
+//! comparisons, `IS NULL`, `NOT`, `AND`/`OR` and a `CAST` of numbers to
+//! numbers run as loops over the operands' columns, and every other node —
+//! scalar functions, `CASE`, any other `CAST`, `IN`, arithmetic over
+//! anything but numbers — is sent row by
 //! row through the row evaluator over one scratch row, so lazy constructs
 //! keep their short-circuit. The loops share the row evaluator's scalar
 //! rules (`int_arithmetic`, `float_arithmetic`, `ordering_test`,
@@ -494,6 +495,19 @@ impl PlanExpr {
                 let data = (0..rows).map(|row| operand.cell(row).is_null() != *negated);
                 Some(Column::Bool(data.collect(), Nulls::new()))
             }
+            PlanExpr::Cast { expr, to } => {
+                let operand = expr.operand(block, fell)?;
+                match (&operand, operand.column(), to) {
+                    (Operand::Scalar(value), ..) => return Ok(Operand::Scalar(value.cast(*to)?)),
+                    (_, Some(Column::Int(..)), DataType::Int)
+                    | (_, Some(Column::Float(..)), DataType::Float) => return Ok(operand),
+                    (_, Some(Column::Int(data, nulls)), DataType::Float) => Some(Column::Float(
+                        data.iter().map(|&x| x as f64).collect(),
+                        nulls.clone(),
+                    )),
+                    _ => None,
+                }
+            }
             _ => None,
         };
         Ok(Operand::Computed(match looped {
@@ -732,6 +746,28 @@ impl PlanExpr {
         });
         constant
     }
+}
+
+/// Split an expression into its AND-connected conjuncts, appended to `out`.
+pub fn split_conjuncts(expr: &PlanExpr, out: &mut Vec<PlanExpr>) {
+    if let PlanExpr::Binary {
+        left,
+        op: BinaryOp::And,
+        right,
+    } = expr
+    {
+        split_conjuncts(left, out);
+        split_conjuncts(right, out);
+    } else {
+        out.push(expr.clone());
+    }
+}
+
+/// Combine conjuncts back with AND, left to right; `None` when empty.
+pub fn conjoin(parts: Vec<PlanExpr>) -> Option<PlanExpr> {
+    parts
+        .into_iter()
+        .reduce(|acc, p| acc.binary(BinaryOp::And, p))
 }
 
 fn is_arithmetic(op: BinaryOp) -> bool {

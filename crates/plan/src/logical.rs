@@ -704,17 +704,21 @@ pub enum PlannedStatement {
         /// Plan producing the rows to insert.
         source: QueryPlan,
     },
-    /// UPDATE with optional FROM. Assignments map table-column index to an
-    /// expression over (table row ∥ from row); `from` is `None` for plain
+    /// UPDATE with optional FROM. Assignments and the predicate are
+    /// expressions over (table row ∥ from row); `from` is `None` for plain
     /// UPDATE and expressions see only the table row.
     Update {
         /// Target table.
         table: String,
         /// Optional FROM source joined against the target.
         from: Option<LogicalPlan>,
-        /// `(target column index, new value)` pairs.
+        /// `(table key, from key)` pairs that must be equal for a table row
+        /// and a FROM row to match: the WHERE clause's equi conjuncts, each
+        /// side over its own row. Empty without FROM.
+        keys: Vec<(PlanExpr, PlanExpr)>,
+        /// `(target column index, new value cast to the column's type)`.
         assignments: Vec<(usize, PlanExpr)>,
-        /// Row filter; `None` updates every row.
+        /// The rest of the WHERE clause; `None` updates every (matched) row.
         predicate: Option<PlanExpr>,
     },
     /// DELETE.

@@ -77,29 +77,64 @@ impl Partitioned {
     /// partitions; NULL keys go to partition 0. `key = None` distributes
     /// round-robin. Rows keep their order within a partition.
     pub fn from_rows(schema: SchemaRef, rows: Vec<Row>, key: Option<usize>, parts: usize) -> Self {
-        let mut columns = vec![vec![Column::new(); schema.len()]; parts];
-        let mut counts = vec![0usize; parts];
-        for (i, row) in rows.into_iter().enumerate() {
-            let target = match key {
-                Some(k) if row[k].is_null() => 0,
-                Some(k) => partition_of(&row[k], parts),
-                None => i % parts,
-            };
-            for (column, value) in columns[target].iter_mut().zip(row.into_vec()) {
-                column.push(value);
-            }
-            counts[target] += 1;
-        }
-        let block = |(columns, rows): (Vec<Column>, usize)| {
-            Arc::new(Block::new(
-                columns.into_iter().map(Arc::new).collect(),
-                rows,
-            ))
+        let block = Arc::new(Block::from_rows(schema.len(), rows));
+        let rows = Partitioned {
+            schema,
+            parts: vec![block],
         };
         Partitioned {
-            schema,
-            parts: columns.into_iter().zip(counts).map(block).collect(),
+            parts: rows.route(key, parts),
+            schema: rows.schema,
         }
+    }
+
+    /// These rows placed into `parts` partitions the way a table
+    /// distributed on column `key` places them: by [`placement`] of the
+    /// key (NULL to partition 0), or with `key = None` round-robin by
+    /// row number in partition order. Rows keep their order within a
+    /// partition.
+    pub fn route(&self, key: Option<usize>, parts: usize) -> Vec<Arc<Block>> {
+        let mut before = 0;
+        let targets: Vec<Vec<u32>> = (self.parts.iter())
+            .map(|block| {
+                let rows = before..before + block.rows();
+                before = rows.end;
+                match key {
+                    Some(k) => placement(&block.columns()[k..=k], block.rows(), parts),
+                    None => rows.map(|row| (row % parts) as u32).collect(),
+                }
+            })
+            .collect();
+        self.scatter(&targets, parts)
+    }
+
+    /// The `parts` partitions `targets` sends these rows to — a target
+    /// per row of each partition — each column gathered once per target,
+    /// source by source in partition then row order.
+    pub fn scatter(&self, targets: &[Vec<u32>], parts: usize) -> Vec<Arc<Block>> {
+        let bound_for = |targets: &Vec<u32>| {
+            let mut rows = vec![Vec::new(); parts];
+            for (row, &target) in targets.iter().enumerate() {
+                rows[target as usize].push(row as u32);
+            }
+            rows
+        };
+        let rows: Vec<Vec<Vec<u32>>> = targets.iter().map(bound_for).collect();
+        let part = |target: usize| {
+            let column = |c: usize| {
+                let mut out = Column::new();
+                for (block, rows) in self.parts.iter().zip(&rows) {
+                    out.extend_from(&block.columns()[c], rows[target].iter().copied());
+                }
+                Arc::new(out)
+            };
+            let count = rows.iter().map(|rows| rows[target].len()).sum();
+            Arc::new(Block::new(
+                (0..self.schema.len()).map(column).collect(),
+                count,
+            ))
+        };
+        (0..parts).map(part).collect()
     }
 }
 

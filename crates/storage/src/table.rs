@@ -2,18 +2,20 @@
 
 use std::sync::Arc;
 
-use spinner_common::{Block, Error, Result, Row, SchemaRef, Value};
+use spinner_common::{Block, Error, Result, Row, SchemaRef};
 
-use crate::partition::{partition_of, Partitioned};
+use crate::partition::Partitioned;
 
 /// A named base table, hash-partitioned across the configured number of
 /// virtual workers.
 ///
 /// Storage is copy-on-write: readers snapshot the per-partition `Arc`s and
-/// a writer replaces the block of each partition it changes. DML is a row
-/// edge — rows come in as heap rows and predicates see one row at a time —
-/// so this is where rows are transposed into columns and back. This
-/// mirrors an MPP engine where scans never block on DML of other sessions.
+/// a writer replaces the block of each partition it changes. DML works on
+/// blocks: `INSERT` appends a partitioned result routed by the table's
+/// distribution rule, and `UPDATE` and `DELETE` compute each partition's
+/// new block from a snapshot (`spinner_exec::dml`) and install them all
+/// at once. Only a bulk load arrives as heap rows. This mirrors an MPP
+/// engine where scans never block on DML of other sessions.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -92,7 +94,8 @@ impl Table {
         snapshot.same_buffers(&self.parts)
     }
 
-    /// Append rows, routing each to its hash partition.
+    /// Append heap rows (a bulk load): transposed once into a block, then
+    /// [`append`](Self::append)ed.
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<usize> {
         let width = self.schema.len();
         if let Some(bad) = rows.iter().find(|r| r.len() != width) {
@@ -102,117 +105,47 @@ impl Table {
                 self.name
             )));
         }
-        let n = rows.len();
-        self.append(rows);
-        Ok(n)
+        let rows = Partitioned {
+            schema: Arc::clone(&self.schema),
+            parts: vec![Arc::new(Block::from_rows(width, rows))],
+        };
+        self.append(&rows)
     }
 
-    fn append(&mut self, rows: Vec<Row>) {
-        let schema = Arc::clone(&self.schema);
-        let routed = Partitioned::from_rows(schema, rows, self.partition_key, self.parts.len());
+    /// Append `rows`, in partition order, each routed to the partition the
+    /// table's distribution rule places it in ([`Partitioned::route`]).
+    /// Returns the number of rows appended.
+    pub fn append(&mut self, rows: &Partitioned) -> Result<usize> {
+        let width = self.schema.len();
+        if rows.schema.len() != width {
+            return Err(Error::execution(format!(
+                "INSERT row width {} does not match table '{}' width {width}",
+                rows.schema.len(),
+                self.name
+            )));
+        }
+        let routed = rows.route(self.partition_key, self.parts.len());
         // An empty partition takes the routed block as it is (a bulk load
         // copies nothing); one with rows grows in place — O(new rows) —
         // unless a snapshot still shares its block.
-        for (part, extra) in self.parts.iter_mut().zip(routed.parts) {
+        for (part, extra) in self.parts.iter_mut().zip(routed) {
             if part.is_empty() {
                 *part = extra;
             } else if !extra.is_empty() {
                 Arc::make_mut(part).append(&extra);
             }
         }
+        Ok(rows.total_rows())
     }
 
-    /// Delete rows matching `pred`; returns the number removed.
-    pub fn delete_where(
-        &mut self,
-        mut pred: impl FnMut(&[Value]) -> Result<bool>,
-    ) -> Result<usize> {
-        let mut removed = 0;
-        let mut scratch = vec![Value::Null; self.schema.len()];
-        for part in &mut self.parts {
-            // Evaluate before mutating so a predicate error leaves the
-            // partition untouched.
-            let mut keep: Vec<u32> = Vec::with_capacity(part.rows());
-            for row in 0..part.rows() {
-                part.read_row(row, &mut scratch);
-                if !pred(&scratch)? {
-                    keep.push(row as u32);
-                }
-            }
-            if keep.len() < part.rows() {
-                removed += part.rows() - keep.len();
-                *part = Arc::new(part.take(&keep));
-            }
-        }
-        Ok(removed)
+    /// Install `parts` as the table's partitions: the new contents of a
+    /// DELETE or UPDATE, every block computed before any is installed.
+    pub fn replace(&mut self, parts: Vec<Arc<Block>>) {
+        assert_eq!(parts.len(), self.parts.len(), "one block per partition");
+        self.parts = parts;
     }
 
-    /// Update rows in place: `f` returns `Some(new_row)` for rows to change.
-    /// Returns the number of rows updated. If the partition-key column of a
-    /// row changes, the row is re-routed to its new partition.
-    pub fn update_where(
-        &mut self,
-        mut f: impl FnMut(&[Value]) -> Result<Option<Row>>,
-    ) -> Result<usize> {
-        let width = self.schema.len();
-        let nparts = self.parts.len();
-        let pk = self.partition_key;
-        let mut updated = 0;
-        let mut rerouted: Vec<Row> = Vec::new();
-        let mut scratch = vec![Value::Null; width];
-        for (pidx, part) in self.parts.iter_mut().enumerate() {
-            // Plan all updates for the partition first (error safety).
-            let mut changes: Vec<(usize, Row)> = Vec::new();
-            for i in 0..part.rows() {
-                part.read_row(i, &mut scratch);
-                if let Some(new_row) = f(&scratch)? {
-                    if new_row.len() != width {
-                        return Err(Error::execution(format!(
-                            "UPDATE produced row of width {}, table '{}' has width {width}",
-                            new_row.len(),
-                            self.name
-                        )));
-                    }
-                    changes.push((i, new_row));
-                }
-            }
-            if changes.is_empty() {
-                continue;
-            }
-            updated += changes.len();
-            let mut rows = part.to_rows();
-            let mut remove: Vec<usize> = Vec::new();
-            for (i, new_row) in changes {
-                let stays = match pk {
-                    Some(k) => {
-                        let target = if new_row[k].is_null() {
-                            0
-                        } else {
-                            partition_of(&new_row[k], nparts)
-                        };
-                        target == pidx
-                    }
-                    None => true,
-                };
-                if stays {
-                    rows[i] = new_row;
-                } else {
-                    rerouted.push(new_row);
-                    remove.push(i);
-                }
-            }
-            for &i in remove.iter().rev() {
-                rows.swap_remove(i);
-            }
-            *part = Arc::new(Block::from_rows(width, rows));
-        }
-        if !rerouted.is_empty() {
-            self.append(rerouted);
-        }
-        Ok(updated)
-    }
-
-    /// Remove every row (used by the middleware baseline's DELETE FROM).
+    /// Remove every row (`DELETE` without `WHERE`).
     pub fn truncate(&mut self) {
         let empty = Arc::new(Block::empty(self.schema.len()));
         self.parts.fill(empty);
@@ -295,55 +228,6 @@ mod tests {
         t.insert(rows(10)).unwrap();
         assert_eq!(snap.total_rows(), 10);
         assert_eq!(t.row_count(), 20);
-    }
-
-    #[test]
-    fn delete_where_removes_matching() {
-        let mut t = test_table();
-        t.insert(rows(10)).unwrap();
-        let removed = t
-            .delete_where(|r| Ok(r[0].as_i64().unwrap() % 2 == 0))
-            .unwrap();
-        assert_eq!(removed, 5);
-        assert_eq!(t.row_count(), 5);
-    }
-
-    #[test]
-    fn update_where_changes_values() {
-        let mut t = test_table();
-        t.insert(rows(4)).unwrap();
-        let n = t
-            .update_where(|r| {
-                let id = r[0].as_i64()?;
-                Ok(if id == 2 {
-                    Some(row_of([Value::Int(2), Value::Int(999)]))
-                } else {
-                    None
-                })
-            })
-            .unwrap();
-        assert_eq!(n, 1);
-        let all = t.snapshot().gather();
-        let v2 = all.iter().find(|r| r[0] == Value::Int(2)).unwrap();
-        assert_eq!(v2[1], Value::Int(999));
-    }
-
-    #[test]
-    fn update_reroutes_changed_partition_key() {
-        let mut t = test_table();
-        t.insert(rows(8)).unwrap();
-        t.update_where(|r| {
-            let id = r[0].as_i64()?;
-            Ok(Some(row_of([Value::Int(id + 100), r[1].clone()])))
-        })
-        .unwrap();
-        assert_eq!(t.row_count(), 8);
-        // every row must live in the partition its new key hashes to
-        for (pidx, part) in t.snapshot().parts.iter().enumerate() {
-            for r in part.to_rows() {
-                assert_eq!(partition_of(&r[0], 4), pidx);
-            }
-        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! General SQL semantics: the substrate the iterative rewrite relies on.
 //! Hand-computed expectations over a fixed mini-dataset.
 
+use std::sync::Arc;
+
+use spinner_common::Row;
 use spinner_engine::{Database, Error, Value};
 
 fn db() -> Database {
@@ -294,6 +297,141 @@ fn update_and_delete_roundtrip() {
     );
     d.execute("DELETE FROM people WHERE age IS NULL").unwrap();
     assert_eq!(ints(&d, "SELECT COUNT(*) FROM people"), vec![4]);
+}
+
+/// `t (id INT, v INT)` holding `v = id` for ids 0..40, distributed on `id`
+/// over the default 4 partitions.
+fn forty() -> Database {
+    let d = Database::default();
+    d.execute("CREATE TABLE t (id INT, v INT)").unwrap();
+    let values: Vec<String> = (0..40).map(|i| format!("({i}, {i})")).collect();
+    d.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+        .unwrap();
+    d
+}
+
+/// Every row of `t`, partition by partition, exactly as stored.
+fn stored(d: &Database) -> Vec<Vec<Row>> {
+    let t = d.catalog().get("t").unwrap().snapshot();
+    t.parts.iter().map(|part| part.to_rows()).collect()
+}
+
+/// A DML statement that fails on one row changes no row, in any
+/// partition: the partitions before the failing one are not half-applied.
+fn fails_leaving_the_table_unchanged(sql: &str) {
+    let d = forty();
+    let before = stored(&d);
+    let err = d.execute(sql).unwrap_err();
+    assert_eq!(err, Error::Arithmetic("division by zero".into()));
+    assert_eq!(ints(&d, "SELECT SUM(v) FROM t"), vec![780]);
+    assert_eq!(ints(&d, "SELECT COUNT(*) FROM t"), vec![40]);
+    assert_eq!(stored(&d), before);
+}
+
+#[test]
+fn a_failing_delete_leaves_the_table_unchanged() {
+    fails_leaving_the_table_unchanged("DELETE FROM t WHERE 10 / v < 100");
+}
+
+#[test]
+fn a_failing_update_leaves_the_table_unchanged() {
+    fails_leaving_the_table_unchanged("UPDATE t SET v = 100 / (v - 23)");
+}
+
+#[test]
+fn a_failing_update_from_leaves_the_table_unchanged() {
+    fails_leaving_the_table_unchanged(
+        "UPDATE t SET v = 0 FROM t AS f WHERE t.id = f.id AND 100 / (f.v - 23) <> 7",
+    );
+}
+
+/// `UPDATE … FROM` takes, for each target row, the first FROM row in FROM
+/// order that matches its key and passes the rest of the WHERE clause.
+/// NULL keys match nothing, on either side.
+#[test]
+fn update_from_takes_the_first_match_and_never_matches_null() {
+    let d = forty();
+    d.execute_script(
+        "CREATE TABLE src (k INT, w INT);
+         INSERT INTO src VALUES (1, 10), (1, 20), (2, 30), (NULL, 40), (1, 50);
+         INSERT INTO t VALUES (NULL, 7);",
+    )
+    .unwrap();
+    let r = d
+        .execute("UPDATE t SET v = src.w FROM src WHERE t.id = src.k")
+        .unwrap();
+    assert_eq!(r.affected(), Some(2));
+    let v = |d: &Database, id: &str| ints(d, &format!("SELECT v FROM t WHERE {id}"));
+    assert_eq!((v(&d, "id = 1"), v(&d, "id = 2")), (vec![10], vec![30]));
+    assert_eq!(v(&d, "id IS NULL"), vec![7]);
+    // The residual filters the pairs before the first one wins; a key on
+    // either side of the `=` works.
+    let r = d
+        .execute("UPDATE t SET v = src.w FROM src WHERE src.k = t.id AND src.w > 10")
+        .unwrap();
+    assert_eq!(r.affected(), Some(2));
+    assert_eq!(v(&d, "id = 1"), vec![20]);
+    // Without an equality, every FROM row is a candidate, in FROM order —
+    // the order a scan of `src` returns its rows in.
+    let first = ints(&d, "SELECT w FROM src WHERE w >= 30")[0];
+    let r = d
+        .execute("UPDATE t SET v = src.w FROM src WHERE t.id < 3 AND src.w >= 30")
+        .unwrap();
+    assert_eq!(r.affected(), Some(3));
+    assert_eq!(ints(&d, "SELECT v FROM t WHERE id < 3"), vec![first; 3]);
+}
+
+/// A key-changing UPDATE leaves every row in the partition `placement`
+/// assigns its key, and the partitions it does not touch keep their
+/// buffers.
+#[test]
+fn update_places_changed_keys_and_keeps_untouched_partitions() {
+    use spinner_storage::placement;
+    let d = forty();
+    let before = d.catalog().get("t").unwrap().snapshot();
+    d.execute("UPDATE t SET v = -1 WHERE id = 5").unwrap();
+    let after = d.catalog().get("t").unwrap().snapshot();
+    let kept = (before.parts.iter().zip(&after.parts)).filter(|(b, a)| Arc::ptr_eq(b, a));
+    assert_eq!(kept.count(), 3, "only the partition holding id 5 is new");
+
+    d.execute("UPDATE t SET id = id * 7 + 1000 WHERE v >= 0")
+        .unwrap();
+    let t = d.catalog().get("t").unwrap().snapshot();
+    for (p, part) in t.parts.iter().enumerate() {
+        let placed = placement(&part.columns()[..1], part.rows(), t.parts.len());
+        assert!(placed.iter().all(|&to| to as usize == p), "partition {p}");
+    }
+    assert_eq!(
+        ints(&d, "SELECT COUNT(*) FROM t WHERE id >= 1000"),
+        vec![39]
+    );
+    assert_eq!(ints(&d, "SELECT SUM(v) FROM t"), vec![774]);
+}
+
+/// `INSERT … SELECT` appends the query's blocks routed by the table's
+/// rule — round-robin by row number in gather order, or by the key — and
+/// places every row where `Partitioned::from_rows` over the gathered rows
+/// places it.
+#[test]
+fn insert_select_places_rows_as_from_rows_does() {
+    use spinner_storage::Partitioned;
+    let d = forty();
+    let source = "SELECT id * 3, v FROM t WHERE id % 4 <> 1";
+    let rows = d.query(source).unwrap().into_rows();
+    for (name, key) in [("rr", None), ("keyed", Some(0))] {
+        let schema = d.catalog().get("t").unwrap().schema().clone();
+        d.catalog()
+            .create_table(name, schema.clone(), 4, key, None)
+            .unwrap();
+        let r = d.execute(&format!("INSERT INTO {name} {source}")).unwrap();
+        assert_eq!(r.affected(), Some(30));
+        let placed = d.catalog().get(name).unwrap().snapshot();
+        let want = Partitioned::from_rows(schema, rows.clone(), key, 4);
+        let as_rows = |p: &Partitioned| -> Vec<Vec<Row>> {
+            p.parts.iter().map(|part| part.to_rows()).collect()
+        };
+        assert_eq!(as_rows(&placed), as_rows(&want), "{name}");
+    }
 }
 
 #[test]
