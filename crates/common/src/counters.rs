@@ -355,6 +355,10 @@ counter_table! {
     /// simulator's stand-in for network traffic between MPP nodes, and
     /// the quantity the rename optimization of Figure 8 reduces.
     rows_moved: Exec, Add, "moved";
+    /// Rows whose target partition a hash exchange computed by hashing
+    /// their key, whether or not they then moved. An input already placed
+    /// on the exchange's key passes through without a row hashed.
+    rows_routed: Exec, Add, "routed";
     /// Rows copied to every partition by broadcast exchanges.
     rows_broadcast: Exec, Add, "broadcast";
     /// Rows an expression sent through the scratch-row evaluator instead
@@ -511,7 +515,7 @@ mod tests {
         let zero = StatsSnapshot::default().to_string();
         assert_eq!(
             zero,
-            "moved=0 broadcast=0 by_row=0 materialized=0 renames=0 merges=0 merge_examined=0 \
+            "moved=0 routed=0 broadcast=0 by_row=0 materialized=0 renames=0 merges=0 merge_examined=0 \
              iterations=0 updated=0 joins=0 faults=0"
         );
         for (i, def) in COUNTERS.iter().enumerate() {

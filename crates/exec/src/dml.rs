@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use spinner_common::{Block, Error, Result};
 use spinner_plan::{JoinType, PlanExpr, PlannedStatement};
-use spinner_storage::{placement, Partitioned, Table};
+use spinner_storage::{placement, Partitioned, PlacedOn, Table};
 
 use crate::executor::StatementContext;
 use crate::keys::JoinTable;
@@ -160,8 +160,7 @@ impl Update<'_> {
                     None => order.push(row),
                 }
             }
-            let both = Block::concat(&[Arc::clone(old), Arc::clone(&new)], usize::MAX);
-            parts.push(Arc::new(both.take(&order)));
+            parts.push(Arc::new(Block::take_from_two(old, &new, &order)));
             if !left.is_empty() {
                 leaving.push(Arc::new(new.take(&left)));
             }
@@ -171,6 +170,7 @@ impl Update<'_> {
             t.append(&Partitioned {
                 schema: snapshot.schema,
                 parts: leaving,
+                placed_on: PlacedOn::UNKNOWN,
             })?;
         }
         Ok(updated)

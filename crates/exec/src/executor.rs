@@ -33,7 +33,7 @@ use spinner_common::{
 };
 use spinner_plan::{LogicalPlan, LoopKind, LoopStep, PlanExpr, QueryPlan, Step, TerminationPlan};
 use spinner_storage::{
-    Catalog, CheckpointStore, LoopCheckpoint, Partitioned, SpillEnv, TempRegistry,
+    Catalog, CheckpointStore, LoopCheckpoint, Partitioned, PlacedOn, SpillEnv, TempRegistry,
 };
 
 use crate::cache::JoinStateCache;
@@ -327,8 +327,10 @@ impl<'a> StatementContext<'a> {
     ///
     /// Both inputs are hash-exchanged on the key column so the per-
     /// partition merge sees all rows of one key together (MPP co-location).
-    /// Returns the number of rows whose values actually changed. Errors on
-    /// duplicate keys in the working table (paper §II).
+    /// The merged table comes out placed on the key, so the next merge's
+    /// exchange passes it through unhashed. Returns the number of rows
+    /// whose values actually changed. Errors on duplicate keys in the
+    /// working table (paper §II).
     ///
     /// With `delta_out` set (semi-naive loops), the changed rows are also
     /// materialized under that temp name — partitioned exactly like the
@@ -382,8 +384,7 @@ impl<'a> StatementContext<'a> {
             }
             // The merged partition is the CTE partition with the working
             // row in place of each row it replaces: row numbers into the
-            // two laid end to end.
-            let both = Block::concat(&[Arc::clone(cte_part), Arc::clone(work_part)], usize::MAX);
+            // two laid end to end, gathered from both in one pass.
             let cte_key = &cte_part.columns()[key..=key];
             let cte_hashes = hash_keys(cte_key, cte_part.rows());
             let mut merged_rows: Vec<u32> = Vec::with_capacity(cte_part.rows());
@@ -403,12 +404,18 @@ impl<'a> StatementContext<'a> {
                     _ => merged_rows.push(old as u32),
                 }
             }
-            out_parts.push(Arc::new(both.take(&merged_rows)));
+            out_parts.push(Arc::new(Block::take_from_two(
+                cte_part,
+                work_part,
+                &merged_rows,
+            )));
             delta_parts.push(Arc::new(work_part.take(&delta_rows)));
         }
         self.stats.merges.add(1);
         self.stats.merge_rows_examined.add(examined);
         self.stats.rows_updated.add(updated);
+        // Every merged and delta row sits where its key placed it.
+        let placed_on = PlacedOn::new([Some(key)]);
         if let Some(d) = delta_out {
             self.stats.delta_rows_emitted.add(updated);
             self.registry.put(
@@ -416,6 +423,7 @@ impl<'a> StatementContext<'a> {
                 Partitioned {
                     schema: Arc::clone(&cte_data.schema),
                     parts: delta_parts,
+                    placed_on,
                 },
             );
         }
@@ -424,6 +432,7 @@ impl<'a> StatementContext<'a> {
             Partitioned {
                 schema: cte_data.schema,
                 parts: out_parts,
+                placed_on,
             },
         );
         // Algorithm 1, line 10: the working table is consumed by the merge.
@@ -729,10 +738,14 @@ impl<'a> StatementContext<'a> {
             return Ok(0);
         }
         // The registry (and any checkpoint) still shares the old blocks;
-        // exactly the partitions that grow are laid out anew.
+        // exactly the partitions that grow are laid out anew. The table
+        // stays placed on its key only if the new rows were placed on it.
         let mut current = self.registry.get(&l.cte)?;
         for (part, extra) in current.parts.iter_mut().zip(&new_parts) {
             *part = Block::concat(&[Arc::clone(part), Arc::clone(extra)], usize::MAX);
+        }
+        if current.placed_on != produced.placed_on {
+            current.placed_on = PlacedOn::UNKNOWN;
         }
         let schema = Arc::clone(&current.schema);
         self.registry.put(&l.cte, current);
@@ -741,6 +754,7 @@ impl<'a> StatementContext<'a> {
             Partitioned {
                 schema,
                 parts: new_parts,
+                placed_on: produced.placed_on,
             },
         );
         self.relieve_memory_pressure(&[&l.cte, delta])?;

@@ -18,12 +18,12 @@ use spinner_common::memory::RegionKind;
 use spinner_common::profile::SpanKind;
 use spinner_common::{Block, Column, Error, FaultSite, Result, Row, NO_ROW};
 use spinner_plan::{AggExpr, JoinType, PlanExpr, SetOpKind, SortKey};
-use spinner_storage::{placement, Partitioned};
+use spinner_storage::{placement, Partitioned, PlacedOn};
 
 use crate::aggregate::{aggregate, Accumulator, Phase};
 use crate::executor::StatementContext;
 use crate::keys::{hash_keys, null_key, JoinTable, KeyTable};
-use crate::physical::{ExchangeMode, PhysicalPlan};
+use crate::physical::{bare_column, ExchangeMode, PhysicalPlan};
 use crate::retry::retry;
 
 /// Track the approximate bytes of an operator's in-flight hash state (a
@@ -124,11 +124,11 @@ fn execute_inner(
             Ok(Partitioned {
                 schema: schema.clone(),
                 parts: out,
+                placed_on: data.placed_on.remap(|c| output_of(exprs, c)),
             })
         }
         PhysicalPlan::Filter { input, predicate } => {
             let data = execute(input, ctx)?;
-            let schema = data.schema.clone();
             let out = unary_map(&data, ctx, |block| {
                 let kept = predicate.select(block, &ctx.stats.rows_evaluated_by_row)?;
                 Ok(if kept.len() == block.rows() {
@@ -137,7 +137,7 @@ fn execute_inner(
                     Arc::new(block.take(&kept))
                 })
             })?;
-            Ok(Partitioned { schema, parts: out })
+            Ok(Partitioned { parts: out, ..data })
         }
         PhysicalPlan::Exchange { input, mode } => {
             let data = execute(input, ctx)?;
@@ -163,26 +163,35 @@ fn execute_inner(
                 columns: columns.as_deref(),
                 ctx,
             };
+            // Every output row of an inner or left join is a probe row with
+            // its cells where `columns` puts them; the others pad the probe
+            // side with NULLs.
+            let placed_on = match join_type {
+                JoinType::Inner | JoinType::Left => l.placed_on.remap(|c| match columns {
+                    Some(columns) => columns.iter().position(|&o| o == c),
+                    None => Some(c),
+                }),
+                _ => PlacedOn::UNKNOWN,
+            };
             // A loop-invariant build side is built once and re-probed on
             // every later iteration.
-            if *cached {
-                return Ok(Partitioned {
-                    schema: schema.clone(),
-                    parts: cached_hash_join(&l, right, &join)?,
-                });
-            }
-            let r = execute(right, ctx)?;
-            ctx.stats.joins_executed.add(1);
-            let out = with_transient_tracking(
-                ctx,
-                "hash join build",
-                RegionKind::HashJoinBuild,
-                r.estimated_bytes(),
-                || binary_map(&l, &r, ctx, |l, r| join.probe(l, r, &join.build(r)?)),
-            )?;
+            let parts = if *cached {
+                cached_hash_join(&l, right, &join)?
+            } else {
+                let r = execute(right, ctx)?;
+                ctx.stats.joins_executed.add(1);
+                with_transient_tracking(
+                    ctx,
+                    "hash join build",
+                    RegionKind::HashJoinBuild,
+                    r.estimated_bytes(),
+                    || binary_map(&l, &r, ctx, |l, r| join.probe(l, r, &join.build(r)?)),
+                )?
+            };
             Ok(Partitioned {
                 schema: schema.clone(),
-                parts: out,
+                parts,
+                placed_on,
             })
         }
         PhysicalPlan::NestedLoopJoin {
@@ -219,7 +228,8 @@ fn execute_inner(
             if group.is_empty() {
                 global_aggregate(&data, aggs, schema.clone(), ctx)
             } else {
-                aggregate_partitions(&data, "hash aggregate", schema, ctx, |block| {
+                let output = (schema, data.placed_on.remap(|c| output_of(group, c)));
+                aggregate_partitions(&data, "hash aggregate", output, ctx, |block| {
                     let keys = evaluate_all(group, block, ctx)?;
                     aggregate_block(block, keys, aggs, Phase::Single, ctx)
                 })
@@ -232,7 +242,8 @@ fn execute_inner(
             schema,
         } => {
             let data = execute(input, ctx)?;
-            aggregate_partitions(&data, "partial aggregate", schema, ctx, |block| {
+            let output = (schema, data.placed_on.remap(|c| output_of(group, c)));
+            aggregate_partitions(&data, "partial aggregate", output, ctx, |block| {
                 let keys = evaluate_all(group, block, ctx)?;
                 aggregate_block(block, keys, aggs, Phase::Partial, ctx)
             })
@@ -244,16 +255,19 @@ fn execute_inner(
             schema,
         } => {
             let data = execute(input, ctx)?;
-            aggregate_partitions(&data, "final aggregate", schema, ctx, |block| {
+            let output = (
+                schema,
+                data.placed_on.remap(|c| (c < *group_len).then_some(c)),
+            );
+            aggregate_partitions(&data, "final aggregate", output, ctx, |block| {
                 let keys = block.columns()[..*group_len].to_vec();
                 aggregate_block(block, keys, aggs, Phase::Final, ctx)
             })
         }
         PhysicalPlan::Distinct { input } => {
             let data = execute(input, ctx)?;
-            let schema = data.schema.clone();
             let out = unary_map(&data, ctx, |block| distinct_rows(block))?;
-            Ok(Partitioned { schema, parts: out })
+            Ok(Partitioned { parts: out, ..data })
         }
         PhysicalPlan::Sort { input, keys } => {
             let data = execute(input, ctx)?;
@@ -282,12 +296,26 @@ fn execute_inner(
             let l = execute(left, ctx)?;
             let r = execute(right, ctx)?;
             let out = binary_map(&l, &r, ctx, |l, r| set_op_partition(l, r, *op, *all))?;
+            // EXCEPT and INTERSECT keep left rows; a union keeps both
+            // sides', placed alike only if both sides were.
+            let placed_on = if *op != SetOpKind::Union || l.placed_on == r.placed_on {
+                l.placed_on
+            } else {
+                PlacedOn::UNKNOWN
+            };
             Ok(Partitioned {
                 schema: schema.clone(),
                 parts: out,
+                placed_on,
             })
         }
     }
+}
+
+/// The output column a projection of `exprs` copies input column `c` to,
+/// if one is that bare column.
+fn output_of(exprs: &[PlanExpr], c: usize) -> Option<usize> {
+    exprs.iter().position(|e| bare_column(e) == Some(c))
 }
 
 /// Each of `exprs` over `block`, a column apiece.
@@ -303,17 +331,14 @@ pub(crate) fn evaluate_all<'e>(
 
 /// Bring a row set to exactly `parts` partitions, preserving data. Used at
 /// scan boundaries when a stored result was partitioned under a different
-/// configuration.
+/// configuration; rows dealt anew are no longer placed on a key.
 fn normalize_partitions(
     data: Partitioned,
     parts: usize,
     schema: spinner_common::SchemaRef,
 ) -> Partitioned {
     if data.parts.len() == parts {
-        return Partitioned {
-            schema,
-            parts: data.parts,
-        };
+        return Partitioned { schema, ..data };
     }
     // Round-robin over the rows in partition order.
     let all = Block::concat(&data.parts, usize::MAX);
@@ -323,6 +348,7 @@ fn normalize_partitions(
         parts: (0..parts)
             .map(|p| Arc::new(all.take(&nth(p).collect::<Vec<_>>())))
             .collect(),
+        placed_on: PlacedOn::UNKNOWN,
     }
 }
 
@@ -517,14 +543,19 @@ fn charge_rows_moved(ctx: &StatementContext<'_>, moved: u64) -> Result<()> {
 
 /// Redistribute rows according to `mode`, counting movement.
 ///
-/// When no row changes partition and the input already has the configured
-/// partition count, a hash or gather exchange returns its input as it is —
-/// the same `Arc`s, nothing touched. Placement is
-/// [`spinner_storage::placement`] — the rule stored tables and checkpoints
-/// were distributed by — computed once per partition from the key's
-/// columns, not the in-partition key hash. A gather whose reader wants
-/// only the first `limit` rows (`usize::MAX`: all) fetches — and counts as
-/// moved — no row past them.
+/// A hash exchange whose input is already placed on its key — every key a
+/// bare column, and the input's [`PlacedOn`] names exactly those columns,
+/// in that order, at the configured partition count — returns it as it
+/// is: the same `Arc`s, no key evaluated, no row hashed. Debug builds
+/// check every such row against the tag. Any other input is routed: its
+/// rows are hashed by [`spinner_storage::placement`] — the rule stored
+/// tables and checkpoints were distributed by — once per partition from
+/// the key's columns (`rows_routed` counts them), and the output is placed
+/// on the key. When no row changes partition and the input already has
+/// the configured partition count, a hash or gather exchange returns its
+/// input's `Arc`s. A gather whose reader wants only the first `limit` rows
+/// (`usize::MAX`: all) fetches — and counts as moved — no row past them.
+/// A gather or broadcast places rows on no key.
 pub fn exchange(
     data: Partitioned,
     mode: &ExchangeMode,
@@ -537,6 +568,15 @@ pub fn exchange(
     let already_placed = |moved: u64| moved == 0 && data.parts.len() == parts;
     match mode {
         ExchangeMode::Hash(keys) => {
+            let placed_on = PlacedOn::new(keys.iter().map(bare_column));
+            if placed_on != PlacedOn::UNKNOWN && data.placed_on == placed_on && already_placed(0) {
+                debug_assert!(
+                    (data.parts.iter().enumerate()).all(|(p, b)| placed_on.holds(b, p, parts)),
+                    "rows tagged as placed on columns {:?} are not",
+                    placed_on.columns()
+                );
+                return Ok(data);
+            }
             let mut targets = Vec::with_capacity(data.parts.len());
             let mut moved = 0u64;
             for (src, block) in data.parts.iter().enumerate() {
@@ -545,13 +585,15 @@ pub fn exchange(
                 moved += bound.iter().filter(|&&t| t as usize != src).count() as u64;
                 targets.push(bound);
             }
+            ctx.stats.rows_routed.add(data.total_rows() as u64);
             charge_rows_moved(ctx, moved)?;
             if already_placed(moved) {
-                return Ok(data);
+                return Ok(Partitioned { placed_on, ..data });
             }
             Ok(Partitioned {
                 parts: data.scatter(&targets, parts),
                 schema,
+                placed_on,
             })
         }
         ExchangeMode::Gather => {
@@ -559,7 +601,10 @@ pub fn exchange(
             let moved = wanted.saturating_sub(data.parts.first().map_or(0, |p| p.rows())) as u64;
             charge_rows_moved(ctx, moved)?;
             if already_placed(moved) {
-                return Ok(data);
+                return Ok(Partitioned {
+                    placed_on: PlacedOn::UNKNOWN,
+                    ..data
+                });
             }
             let rows = Block::concat(&data.parts, limit);
             Ok(in_partition_zero(schema, rows, ctx))
@@ -573,6 +618,7 @@ pub fn exchange(
             Ok(Partitioned {
                 schema,
                 parts: vec![rows; parts],
+                placed_on: PlacedOn::UNKNOWN,
             })
         }
     }
@@ -779,11 +825,12 @@ fn nested_loop_join(
 }
 
 /// Run one aggregation phase over every partition of `data`, its groups
-/// tracked as pinned hash-aggregate state while it runs.
+/// tracked as pinned hash-aggregate state while it runs, into rows of
+/// `schema` placed on `placed_on`.
 fn aggregate_partitions(
     data: &Partitioned,
     label: &str,
-    schema: &spinner_common::SchemaRef,
+    (schema, placed_on): (&spinner_common::SchemaRef, PlacedOn),
     ctx: &StatementContext<'_>,
     phase: impl Fn(&Block) -> Result<Arc<Block>> + Sync,
 ) -> Result<Partitioned> {
@@ -797,6 +844,7 @@ fn aggregate_partitions(
     Ok(Partitioned {
         schema: schema.clone(),
         parts,
+        placed_on,
     })
 }
 
@@ -1508,14 +1556,23 @@ mod tests {
                     .collect();
                 assert!(from_first.windows(2).all(|w| w[0] < w[1]));
             }
-            // Already placed: the very same partitions come back.
+            // Already placed, and tagged so: the very same partitions come
+            // back, and no row is hashed to find that out.
+            assert_eq!(placed.placed_on.columns(), [0]);
             let again = exchange(placed.clone(), &on_key, usize::MAX, ctx).unwrap();
-            assert_eq!(moved(), 0);
-            assert!(again
-                .parts
-                .iter()
-                .zip(&placed.parts)
-                .all(|(a, b)| Arc::ptr_eq(a, b)));
+            assert_eq!((ctx.stats.rows_routed.get(), moved()), (0, 0));
+            assert!(placed.same_buffers(&again.parts));
+            // Untagged, the same rows are hashed and stay where they are.
+            let untagged = Partitioned {
+                placed_on: PlacedOn::UNKNOWN,
+                ..placed.clone()
+            };
+            let again = exchange(untagged, &on_key, usize::MAX, ctx).unwrap();
+            assert_eq!(
+                (ctx.stats.take().rows_routed, again.placed_on),
+                (100, placed.placed_on)
+            );
+            assert!(placed.same_buffers(&again.parts));
             // The input is a snapshot others may hold: it is never changed.
             assert_eq!(
                 scattered.gather(),
@@ -1536,6 +1593,112 @@ mod tests {
                 .iter()
                 .all(|p| Arc::ptr_eq(p, &everywhere.parts[0])));
         });
+    }
+
+    /// Whether a hash exchange on `keys` hashed the rows of `plan` again,
+    /// rather than passing them through on their tag; either way every row
+    /// ends up where `placement` puts it.
+    fn hashed_again(plan: PhysicalPlan, keys: &[PlanExpr], ctx: &StatementContext<'_>) -> bool {
+        let data = execute(&plan, ctx).unwrap();
+        let (rows, input) = (data.total_rows() as u64, data.parts.clone());
+        assert!(rows > 0, "{plan}");
+        ctx.stats.take();
+        let placed = exchange(data, &ExchangeMode::Hash(keys.to_vec()), usize::MAX, ctx).unwrap();
+        for (i, part) in placed.parts.iter().enumerate() {
+            let key = evaluate_all(keys, part, ctx).unwrap();
+            let targets = placement(&key, part.rows(), ctx.config.partitions);
+            assert!(targets.iter().all(|&p| p as usize == i), "{plan}");
+        }
+        let routed = ctx.stats.take().rows_routed;
+        assert!(routed == rows || (routed == 0 && placed.same_buffers(&input)));
+        routed > 0
+    }
+
+    fn temp(name: &str) -> Box<PhysicalPlan> {
+        let schema = int_schema();
+        Box::new(PhysicalPlan::TempScan {
+            name: name.into(),
+            schema,
+        })
+    }
+
+    #[test]
+    fn a_placement_tag_survives_only_operators_that_keep_rows_in_place() {
+        with_context(4, |ctx| {
+            let placed = |keys: i64, parts: usize| {
+                let rows = (0..100).map(|i| row_of([Value::Int(i % keys), Value::Int(i)]));
+                Partitioned::from_rows(int_schema(), rows.collect(), Some(0), parts)
+            };
+            ctx.registry.put("t", placed(7, 4));
+            ctx.registry.put("t3", placed(7, 3));
+            // More keys than `t`: a right or full join pads some.
+            ctx.registry.put("u", placed(11, 4));
+            let on = |c: usize| [col(c)];
+            let project = |exprs: Vec<PlanExpr>| PhysicalPlan::Project {
+                input: temp("t"),
+                exprs,
+                schema: int_schema(),
+            };
+            // Kept: a scan, a filter, a projection that moves the key.
+            assert!(!hashed_again(*temp("t"), &on(0), ctx));
+            let predicate = col(1).binary(BinaryOp::Lt, PlanExpr::literal(50i64));
+            let filter = PhysicalPlan::Filter {
+                input: temp("t"),
+                predicate,
+            };
+            assert!(!hashed_again(filter, &on(0), ctx));
+            assert!(!hashed_again(project(vec![col(1), col(0)]), &on(1), ctx));
+            // Dropped: a computed or cast key, rows dealt anew for another
+            // partition count, keys named in another order.
+            let plus_zero = col(0).binary(BinaryOp::Plus, PlanExpr::literal(0i64));
+            assert!(hashed_again(project(vec![plus_zero, col(1)]), &on(0), ctx));
+            let text = PlanExpr::Cast {
+                expr: Box::new(col(0)),
+                to: DataType::Text,
+            };
+            assert!(hashed_again(project(vec![text, col(1)]), &on(0), ctx));
+            assert!(hashed_again(*temp("t3"), &on(0), ctx));
+            let pair = ExchangeMode::Hash(vec![col(0), col(1)]);
+            let on_pair = exchange(placed(7, 4), &pair, usize::MAX, ctx).unwrap();
+            assert_eq!(on_pair.placed_on.columns(), [0, 1]);
+            ctx.registry.put("t01", on_pair);
+            assert!(!hashed_again(*temp("t01"), &[col(0), col(1)], ctx));
+            assert!(hashed_again(*temp("t01"), &[col(1), col(0)], ctx));
+            // `t` joined to `u` on the key, emitting (t.v, t.k, u.k): an
+            // inner or left join keeps `t`'s placement, on column 1.
+            for (join_type, kept) in [
+                (JoinType::Inner, true),
+                (JoinType::Left, true),
+                (JoinType::Right, false),
+                (JoinType::Full, false),
+            ] {
+                let join = PhysicalPlan::HashJoin {
+                    left: temp("t"),
+                    right: temp("u"),
+                    join_type,
+                    left_keys: vec![col(0)],
+                    right_keys: vec![col(0)],
+                    residual: None,
+                    columns: Some(vec![1, 0, 2]),
+                    cached: false,
+                    schema: key_schema(),
+                };
+                assert_eq!(hashed_again(join, &on(1), ctx), !kept, "{join_type}");
+            }
+        });
+    }
+
+    #[test]
+    fn a_spilled_result_comes_back_without_its_tag() {
+        let env = Arc::new(spinner_storage::SpillEnv::new(u64::MAX, None, None));
+        let (catalog, config) = (Catalog::new(), EngineConfig::default().with_partitions(4));
+        let (guard, faults) = (QueryGuard::unlimited(), FaultInjector::disabled());
+        let ctx = StatementContext::new(&catalog, &config, &guard, &faults, None, Some(env));
+        let placed = Partitioned::from_rows(int_schema(), numbered(100), Some(0), 4);
+        ctx.registry.put("t", placed);
+        assert!(!hashed_again(*temp("t"), &[col(0)], &ctx));
+        assert!(ctx.registry.spill_entry("t").unwrap());
+        assert!(hashed_again(*temp("t"), &[col(0)], &ctx));
     }
 
     #[test]

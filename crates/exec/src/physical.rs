@@ -5,7 +5,11 @@
 //! and global operations (sort, limit, global aggregate, set ops) gather
 //! to one partition. Exchanges only *count* rows that actually change
 //! partition, so a table already distributed on the join key moves nothing
-//! — the same locality a real shared-nothing engine exploits.
+//! — the same locality a real shared-nothing engine exploits. Nor does
+//! such an exchange hash a row: a result remembers the key its rows were
+//! placed on (`Partitioned::placed_on`, carried or dropped by every
+//! operator at run time), and a hash exchange on that same key passes its
+//! input through. The lowering itself does not change for this.
 
 use std::fmt;
 use std::sync::Arc;
@@ -529,16 +533,21 @@ fn lower(plan: &LogicalPlan, in_loop: Option<&LoopStep>) -> Result<PhysicalPlan>
     })
 }
 
+/// The input column `e` is, if it is a bare column.
+pub(crate) fn bare_column(e: &PlanExpr) -> Option<usize> {
+    match e {
+        PlanExpr::Column(c) => Some(c.index),
+        _ => None,
+    }
+}
+
 /// A projection of bare columns over a join is the join's output list:
 /// the input column of every expression, when `input` is a join and every
 /// one is a bare column.
 fn join_output(input: &LogicalPlan, exprs: &[PlanExpr]) -> Option<Vec<usize>> {
-    let column = |e: &PlanExpr| match e {
-        PlanExpr::Column(c) => Some(c.index),
-        _ => None,
-    };
     let join = matches!(input, LogicalPlan::Join { .. });
-    join.then(|| exprs.iter().map(column).collect()).flatten()
+    join.then(|| exprs.iter().map(bare_column).collect())
+        .flatten()
 }
 
 /// Lower `join`, emitting `columns` of its left ∥ right (`None`: all) as

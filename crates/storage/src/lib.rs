@@ -24,7 +24,7 @@ pub use catalog::Catalog;
 pub use checkpoint::{CheckpointStore, LoopCheckpoint, ResumeSeed};
 pub use disk::gc_orphans;
 pub use journal::{EpochRecord, InputRecord, JournalEntry, QueryJournal};
-pub use partition::{partition_of, placement, Partitioned};
+pub use partition::{partition_of, placement, Partitioned, PlacedOn};
 pub use registry::TempRegistry;
 pub use spill::{
     read_checkpoint_file, read_partitioned_file, xxh64, SpillEnv, SpillHandle, SpillManager,

@@ -16,6 +16,72 @@ pub struct Partitioned {
     pub schema: SchemaRef,
     /// One immutable column block per virtual worker.
     pub parts: Vec<Arc<Block>>,
+    /// The key every row was placed by, when it is known.
+    pub placed_on: PlacedOn,
+}
+
+/// The key columns whose [`placement`] put every row of a [`Partitioned`]
+/// in its partition, for the partition count it holds — or
+/// [`UNKNOWN`](Self::UNKNOWN): the rows may be anywhere. At most four
+/// columns, held inline, so the tag is `Copy` and carrying it allocates
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlacedOn {
+    len: u8,
+    columns: [usize; 4],
+}
+
+impl PlacedOn {
+    /// Rows whose placement is not known.
+    pub const UNKNOWN: PlacedOn = PlacedOn {
+        len: 0,
+        columns: [0; 4],
+    };
+
+    /// Placed on `columns`, in that order; unknown when one of them is not
+    /// a column (`None`), or there are none or more than four.
+    pub fn new(columns: impl IntoIterator<Item = Option<usize>>) -> PlacedOn {
+        let mut on = PlacedOn::UNKNOWN;
+        for column in columns {
+            match column {
+                Some(c) if on.len < 4 => {
+                    on.columns[usize::from(on.len)] = c;
+                    on.len += 1;
+                }
+                _ => return PlacedOn::UNKNOWN,
+            }
+        }
+        on
+    }
+
+    /// The key columns, in key order; none when unknown.
+    pub fn columns(&self) -> &[usize] {
+        &self.columns[..usize::from(self.len)]
+    }
+
+    /// The same placement after an operator moved column `c` to `to(c)`;
+    /// unknown when `to` drops one of the key columns.
+    pub fn remap(self, to: impl Fn(usize) -> Option<usize>) -> PlacedOn {
+        PlacedOn::new(self.columns().iter().map(|&c| to(c)))
+    }
+
+    /// Whether every row of `block` belongs in partition `part` of `parts`
+    /// by [`placement`] of these columns: its rule, applied a row at a time
+    /// without allocating — the check debug builds make of every exchange
+    /// that trusts a tag.
+    pub fn holds(&self, block: &Block, part: usize, parts: usize) -> bool {
+        let key = |c: usize| &block.columns()[c];
+        let target = |row: usize| match self.columns() {
+            [] => 0,
+            [c] if key(*c).is_null(row) => 0,
+            columns => {
+                let mut h = DefaultHasher::new();
+                columns.iter().for_each(|&c| key(c).cell(row).hash(&mut h));
+                h.finish() % parts as u64
+            }
+        };
+        (0..block.rows()).all(|row| target(row) == part as u64)
+    }
 }
 
 impl Partitioned {
@@ -25,6 +91,7 @@ impl Partitioned {
         Partitioned {
             schema,
             parts: vec![block; partitions],
+            placed_on: PlacedOn::UNKNOWN,
         }
     }
 
@@ -81,10 +148,12 @@ impl Partitioned {
         let rows = Partitioned {
             schema,
             parts: vec![block],
+            placed_on: PlacedOn::UNKNOWN,
         };
         Partitioned {
             parts: rows.route(key, parts),
             schema: rows.schema,
+            placed_on: PlacedOn::new(key.map(Some)),
         }
     }
 
@@ -174,9 +243,13 @@ pub fn placement(keys: &[Arc<Column>], rows: usize, parts: usize) -> Vec<u32> {
     }
 }
 
-/// Partition index for a value under `parts` partitions: its hash — stable
-/// across processes for a given build (we only need intra-run consistency)
-/// — modulo `parts`.
+/// Partition index for a value under `parts` partitions: its hash modulo
+/// `parts`. The hash is `DefaultHasher::new()`, whose keys are fixed, so a
+/// value lands in the same partition in every process running one build:
+/// a checkpoint read back from disk, or an epoch another process resumes
+/// from its journal, is placed as the run that wrote it placed it. The
+/// standard library does not promise that algorithm across Rust releases,
+/// so the promise holds between processes of one build, not across builds.
 pub fn partition_of(v: &Value, parts: usize) -> usize {
     debug_assert!(parts > 0);
     let mut h = DefaultHasher::new();
@@ -250,6 +323,52 @@ mod tests {
         let mut gathered = p.gather();
         gathered.sort();
         assert_eq!(gathered, rows);
+    }
+
+    /// A tag names one to four columns, and its check agrees with
+    /// `placement`: rows scattered by it hold in their partition and in no
+    /// other.
+    #[test]
+    fn a_tag_holds_exactly_where_placement_put_the_rows() {
+        assert_eq!(PlacedOn::new([Some(2), Some(0)]).columns(), [2, 0]);
+        assert_eq!(PlacedOn::new([Some(1), None]), PlacedOn::UNKNOWN);
+        assert_eq!(PlacedOn::new([Some(0); 5]), PlacedOn::UNKNOWN);
+        let moved = PlacedOn::new([Some(3), Some(1)]).remap(|c| c.checked_sub(1));
+        assert_eq!(moved.columns(), [2, 0]);
+        let dropped = PlacedOn::new([Some(0)]).remap(|c| c.checked_sub(1));
+        assert_eq!(dropped, PlacedOn::UNKNOWN);
+        let cells = [
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Null,
+            Value::Text("ab".into()),
+            Value::Int(-9),
+        ];
+        let pairs = cells
+            .iter()
+            .flat_map(|a| cells.iter().map(|b| row_of([a.clone(), b.clone()])));
+        let block = Arc::new(Block::from_rows(2, pairs));
+        let schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Int); 2]));
+        let data = Partitioned {
+            schema,
+            parts: vec![Arc::clone(&block)],
+            placed_on: PlacedOn::UNKNOWN,
+        };
+        for parts in [1, 3, 4] {
+            for on in [&[0][..], &[1, 0]] {
+                let keys: Vec<_> = on
+                    .iter()
+                    .map(|&c| Arc::clone(&block.columns()[c]))
+                    .collect();
+                let placed = data.scatter(&[placement(&keys, block.rows(), parts)], parts);
+                let tag = PlacedOn::new(on.iter().map(|&c| Some(c)));
+                for (p, part) in placed.iter().enumerate() {
+                    assert!(tag.holds(part, p, parts));
+                    let elsewhere = (p + 1) % parts;
+                    assert!(part.is_empty() || parts == 1 || !tag.holds(part, elsewhere, parts));
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use spinner_common::{
 
 use crate::checkpoint::LoopCheckpoint;
 use crate::disk::{gc_orphans, write_atomic};
-use crate::partition::Partitioned;
+use crate::partition::{Partitioned, PlacedOn};
 
 /// 8-byte magic + format version prefix of every spill file.
 const MAGIC: &[u8; 8] = b"SPNSPILL";
@@ -709,7 +709,12 @@ impl<'a> Reader<'a> {
             let columns = columns.into_iter().map(Arc::new).collect();
             parts.push(Arc::new(Block::new(columns, n_rows)));
         }
-        Ok(Partitioned { schema, parts })
+        // The file does not record placement.
+        Ok(Partitioned {
+            schema,
+            parts,
+            placed_on: PlacedOn::UNKNOWN,
+        })
     }
 
     pub(crate) fn finish(&self) -> Result<()> {

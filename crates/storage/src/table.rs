@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use spinner_common::{Block, Error, Result, Row, SchemaRef};
 
-use crate::partition::Partitioned;
+use crate::partition::{Partitioned, PlacedOn};
 
 /// A named base table, hash-partitioned across the configured number of
 /// virtual workers.
@@ -79,11 +79,13 @@ impl Table {
         self.parts.iter().map(|p| p.rows()).sum()
     }
 
-    /// O(P) snapshot of the current contents for scanning.
+    /// O(P) snapshot of the current contents for scanning, placed on the
+    /// distribution key.
     pub fn snapshot(&self) -> Partitioned {
         Partitioned {
             schema: Arc::clone(&self.schema),
             parts: self.parts.clone(),
+            placed_on: PlacedOn::new(self.partition_key.map(Some)),
         }
     }
 
@@ -108,6 +110,7 @@ impl Table {
         let rows = Partitioned {
             schema: Arc::clone(&self.schema),
             parts: vec![Arc::new(Block::from_rows(width, rows))],
+            placed_on: PlacedOn::UNKNOWN,
         };
         self.append(&rows)
     }

@@ -4,8 +4,9 @@
 //! as in its best, and it fails the day someone reintroduces a per-row
 //! allocation on the executor's hot path — a heap row per joined or
 //! grouped row, a key vector per routed row, a gathered copy of a table to
-//! return one row of it. The statements take 13,909 / 16,056 / 144 / 88
-//! today. With partitions of heap rows they took 714,832 / 411,467 / 138 /
+//! return one row of it. The statements take 13,794 / 15,947 / 144 / 88
+//! today (13,909 / 16,056 while exchanges hashed inputs already placed on
+//! their key). With partitions of heap rows they took 714,832 / 411,467 / 138 /
 //! 86 (PR 19), and before the key facility 3,931,418 / 1,901,903 / 147 /
 //! 42,082: a loop statement now allocates per column of a block, not per
 //! row, and its budget is what it takes plus 5 %. The two short statements
@@ -13,9 +14,10 @@
 //! eight allocations where a row was one, which they pay for by no longer
 //! cloning the `Table` to read its schema or take its snapshot, listing
 //! occupied partitions for a pool that is not there, or naming a span
-//! nobody traces. The point `UPDATE` of spinbench's point mix takes 81,
-//! against 3,247 when DML copied the partition it changed to heap rows
-//! and back; its budget is also what it takes plus 5 %.
+//! nobody traces. The point `UPDATE` of spinbench's point mix takes 77
+//! (81 while it laid the old and updated rows end to end before gathering
+//! them), against 3,247 when DML copied the partition it changed to heap
+//! rows and back; its budget is what it took then plus 5 %.
 //!
 //! This file is its own test binary with one `#[test]`, because the
 //! counting allocator is process-wide: a second test running beside it
