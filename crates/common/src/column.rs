@@ -144,6 +144,13 @@ fn extend_typed<T: Clone + Default>(
     );
 }
 
+/// Cell `row` of a typed column's data: `None` if it is NULL or past the
+/// end.
+#[inline]
+fn typed<'a, T>(data: &'a [T], nulls: &Nulls, row: usize) -> Option<&'a T> {
+    data.get(row).filter(|_| !nulls.is_null(row))
+}
+
 fn from_options<T: Default>(cells: impl IntoIterator<Item = Option<T>>) -> (Vec<T>, Nulls) {
     let mut nulls = Nulls::default();
     let mut data = Vec::new();
@@ -253,12 +260,18 @@ impl Column {
     }
 
     /// Whether cell `row` equals cell `other_row` of `other` under
-    /// `Value`'s `Eq` (`2 = 2.0`, NULL = NULL).
+    /// `Value`'s `Eq` (`2 = 2.0`, NULL = NULL, NaN = NaN, `-0.0 = 0.0`).
     #[inline]
     pub fn eq_cells(&self, row: usize, other: &Column, other_row: usize) -> bool {
         match (self, other) {
-            (Column::Int(a, an), Column::Int(b, bn)) if !an.any() && !bn.any() => {
-                a[row] == b[other_row]
+            (Column::Int(a, an), Column::Int(b, bn)) => {
+                typed(a, an, row) == typed(b, bn, other_row)
+            }
+            (Column::Float(a, an), Column::Float(b, bn)) => {
+                match (typed(a, an, row), typed(b, bn, other_row)) {
+                    (Some(x), Some(y)) => x == y || x.is_nan() && y.is_nan(),
+                    (x, y) => x.is_none() && y.is_none(),
+                }
             }
             _ => self.cell(row).cmp_total(&other.cell(other_row)).is_eq(),
         }
@@ -575,7 +588,8 @@ mod tests {
         };
         prop_oneof![
             typed(Value::Int),
-            typed(|x| Value::Float(x as f64 - 0.5)),
+            // Both zeroes and both NaNs: equal under `Value`'s `Eq`.
+            typed(|x| Value::Float([-0.0, 0.0, f64::NAN, -f64::NAN][x as usize])),
             typed(|x| Value::Text(x.to_string())),
             typed(|x| Value::Bool(x % 2 == 0)),
             proptest::collection::vec(cell(), 0..12),

@@ -14,22 +14,24 @@
 //!   `GROUP BY` groups it).
 //! * [`KeyIndex`] is a chained hash index over `u32` entry ids —
 //!   `heads`/`next`/`hashes` arrays, nothing per key. It stores no keys:
-//!   its two users keep them in columns and confirm a candidate with
-//!   [`Column::eq_cells`].
-//! * [`JoinTable`] indexes the rows of a join's build side by their key
-//!   columns; [`KeyTable`] numbers distinct keys in first-seen order and
-//!   keeps one copy of each, in columns of its own.
+//!   its user, [`KeyTable`], keeps them in columns and confirms a
+//!   candidate with [`Column::eq_cells`].
+//! * [`KeyTable`] numbers distinct keys in first-seen order and keeps one
+//!   copy of each, in columns of its own.
+//! * [`JoinTable`] is a join's build side on top of a [`KeyTable`]: each
+//!   distinct key once, and its rows laid end to end, so a probe is one
+//!   chain walk over distinct keys, one key comparison and a slice.
 //!
 //! **What the hash decides, and what it does not.** It picks a bucket
 //! inside one partition's index and nothing else. Which *partition* a row
 //! belongs to is still `spinner_storage::placement` (SipHash), because
 //! stored tables, checkpoints and resumed loops were placed with it. No
-//! output order depends on the hash either: a chain yields its entries
-//! most recent first, so a join build inserted in reverse returns
-//! candidates in build-row order, and groups are numbered in first-seen
-//! order by their entry id. The hasher is seeded once per process, so
-//! bucket collisions cannot be prepared from outside; equal full hashes
-//! are always confirmed by comparing keys.
+//! output order depends on the hash either: keys are numbered in
+//! first-seen order by their entry id, and a join build counting-sorts
+//! its row numbers by key number, which keeps each key's rows in
+//! build-row order. The hasher is seeded once per process, so bucket
+//! collisions cannot be prepared from outside; equal full hashes are
+//! always confirmed by comparing keys.
 
 use std::hash::{BuildHasher, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -189,55 +191,83 @@ impl KeyIndex {
     }
 }
 
-/// A hash-join build side: the rows of one partition with a non-NULL key,
-/// indexed by that key. Read-only once built, so a cached build is shared
-/// across iterations and pool workers as it is.
+/// A hash-join build side: the distinct keys of one partition's rows, and
+/// each key's rows laid end to end in build-row order. Rows with a NULL in
+/// their key are left out: their key has no rows. Read-only once built, so
+/// a cached build is shared across iterations and pool workers as it is.
 #[derive(Debug)]
 pub struct JoinTable {
-    index: KeyIndex,
-    /// Entry → index of its row in the build partition.
+    keys: KeyTable,
+    /// Key `k`'s rows are `rows[starts[k]..starts[k + 1]]`.
+    starts: Vec<u32>,
     rows: Vec<u32>,
-    /// The build rows' key, one column per key expression.
-    keys: Vec<Arc<Column>>,
 }
 
 impl JoinTable {
-    /// Index the `rows` rows whose keys are held in `keys`. Rows with a
-    /// NULL in their key are left out: they can never match.
+    /// Index the `rows` rows whose keys are held in `keys`: number their
+    /// distinct keys, then counting-sort the row numbers by key number.
     pub fn build(keys: Vec<Arc<Column>>, rows: usize) -> Result<JoinTable> {
         // Every row index fits an entry id, so `row as u32` below is exact.
         next_entry_id(rows)?;
-        let hashes = hash_keys(&keys, rows);
-        // Inserted in reverse: a chain yields its most recent entry first,
-        // which makes candidates come back in build-row order.
-        let mut index = KeyIndex::with_capacity(rows);
-        let mut entry_rows = Vec::with_capacity(rows);
-        for row in (0..rows).rev().filter(|&row| !null_key(&keys, row)) {
-            index.insert(hashes[row])?;
-            entry_rows.push(row as u32);
+        let mut table = KeyTable::new(keys.len(), rows);
+        let mut ids = table.insert_all(&keys, rows)?;
+        let mut starts = vec![0u32; table.len() + 1];
+        for (row, id) in ids.iter_mut().enumerate() {
+            match null_key(&keys, row) {
+                true => *id = NIL,
+                false => starts[*id as usize + 1] += 1,
+            }
         }
-        Ok(JoinTable {
-            index,
-            rows: entry_rows,
-            keys,
-        })
+        let mut total = 0;
+        for start in &mut starts {
+            total += *start;
+            *start = total;
+        }
+        // Each key's start is its cursor while its rows are placed, which
+        // leaves it at the next key's start; shifting by one restores it.
+        let mut sorted = vec![0u32; total as usize];
+        for (row, &id) in ids.iter().enumerate().filter(|&(_, &id)| id != NIL) {
+            sorted[starts[id as usize] as usize] = row as u32;
+            starts[id as usize] += 1;
+        }
+        starts.copy_within(..table.len(), 1);
+        starts[0] = 0;
+        let join = JoinTable {
+            keys: table,
+            starts,
+            rows: sorted,
+        };
+        #[cfg(debug_assertions)]
+        join.check(&keys);
+        Ok(join)
+    }
+
+    /// Key `k`'s rows, in build-row order.
+    fn group(&self, k: usize) -> &[u32] {
+        &self.rows[self.starts[k] as usize..self.starts[k + 1] as usize]
+    }
+
+    /// Every key's rows ascend and hold that key, and none holds a NULL.
+    #[cfg(debug_assertions)]
+    fn check(&self, keys: &[Arc<Column>]) {
+        for k in 0..self.keys.len() {
+            let group = self.group(k);
+            let holds = |&row: &u32| {
+                let (row, mut cells) = (row as usize, self.keys.keys.iter().zip(keys));
+                !null_key(keys, row) && cells.all(|(held, key)| held.eq_cells(k, key, row))
+            };
+            let ascending = group.windows(2).all(|pair| pair[0] < pair[1]);
+            assert!(ascending && group.iter().all(holds), "key {k}: {group:?}");
+        }
     }
 
     /// Build rows whose key equals the key of row `row` of `probe` (which
     /// hashes to `hash`), in build-row order.
-    pub fn matches<'a>(
-        &'a self,
-        probe: &'a [Arc<Column>],
-        row: usize,
-        hash: u64,
-    ) -> impl Iterator<Item = u32> + 'a {
-        let entries = self.index.candidates(hash).map(|entry| self.rows[entry]);
-        entries.filter(move |&build| {
-            let pairs = self.keys.iter().zip(probe);
-            pairs
-                .into_iter()
-                .all(|(b, p)| b.eq_cells(build as usize, p, row))
-        })
+    pub fn matches(&self, probe: &[Arc<Column>], row: usize, hash: u64) -> &[u32] {
+        match self.keys.find(probe, row, hash) {
+            Some(k) => self.group(k),
+            None => &[],
+        }
     }
 }
 
@@ -451,32 +481,44 @@ mod tests {
     }
 
     #[test]
-    fn join_table_returns_matches_in_build_order_and_skips_null_keys() {
-        let rows: Vec<Row> = [
-            (Value::Int(1), Value::Text("a".into())),
-            (Value::Null, Value::Text("a".into())),
-            (Value::Float(1.0), Value::Text("a".into())),
-            (Value::Int(1), Value::Text("b".into())),
+    fn join_table_matches_are_each_keys_rows_in_build_order_never_null_keyed() {
+        let (a, b) = (|| Value::Text("a".into()), || Value::Text("b".into()));
+        let pairs = [
+            (Value::Int(1), a()),
+            (Value::Null, a()),
+            (Value::Float(1.0), a()),
+            (Value::Int(1), b()),
             (Value::Int(1), Value::Null),
-            (Value::Int(1), Value::Text("a".into())),
-        ]
-        .into_iter()
-        .map(|(a, b)| row_of([a, b]))
-        .collect();
+            (Value::Int(2), b()),
+            (Value::Int(1), a()),
+            (Value::Int(1), Value::Null),
+            (Value::Float(2.0), b()),
+        ];
+        let rows: Vec<Row> = pairs.into_iter().map(|(x, y)| row_of([x, y])).collect();
         let table = JoinTable::build(columns(2, &rows), rows.len()).unwrap();
-        assert_eq!(table.index.len(), 4, "two rows have a NULL in their key");
-        // An int key column on the build side probed with a float one.
-        let probe = columns(
-            2,
-            &[
-                row_of([Value::Float(1.0), Value::Text("a".into())]),
-                row_of([Value::Float(1.5), Value::Text("a".into())]),
-            ],
+        assert_eq!(table.rows.len(), 6, "three rows have a NULL in their key");
+        // An int key column on the build side probed with a float one, and
+        // probes holding a NULL, which the table would answer too.
+        let probe = [
+            (Value::Float(1.0), a()),
+            (Value::Int(1), b()),
+            (Value::Float(2.0), b()),
+            (Value::Float(1.5), a()),
+            (Value::Int(2), a()),
+            (Value::Int(1), Value::Null),
+            (Value::Null, a()),
+        ];
+        let probe: Vec<Row> = probe.into_iter().map(|(x, y)| row_of([x, y])).collect();
+        let probe = columns(2, &probe);
+        let hashes = hash_keys(&probe, 7);
+        let matched: Vec<&[u32]> = (0..7)
+            .map(|row| table.matches(&probe, row, hashes[row]))
+            .collect();
+        let none: &[u32] = &[];
+        assert_eq!(
+            matched,
+            [&[0, 2, 6][..], &[3], &[5, 8], none, none, none, none]
         );
-        let hashes = hash_keys(&probe, 2);
-        let matched: Vec<u32> = table.matches(&probe, 0, hashes[0]).collect();
-        assert_eq!(matched, vec![0, 2, 5]);
-        assert_eq!(table.matches(&probe, 1, hashes[1]).count(), 0);
         assert!(JoinTable::build(Vec::new(), 0).is_ok());
     }
 

@@ -631,61 +631,68 @@ const RESIDUAL_CHUNK: usize = 1 << 16;
 
 /// The join of `l` (probe side) and `r` (build side) as `(probe, build)`
 /// row numbers, [`NO_ROW`] being the padded side, given its candidate
-/// pairs: `candidates(row, out)` appends the build rows to pair probe row
+/// pairs: `candidates(row)` is the slice of build rows to pair probe row
 /// `row` with, in build order. A pair is kept if it passes `residual`.
 /// Pairs come probe row by probe row, each with its kept matches in
 /// build-row order (or padded, for an outer join, when it has none), then
-/// the unmatched build rows. [`gather_pairs`] turns them into the join's
-/// output.
-pub(crate) fn join_pairs(
+/// the unmatched build rows. Without a residual each probe row's slice is
+/// copied straight into the output; with one, candidate pairs are
+/// collected and filtered a chunk at a time. [`gather_pairs`] turns the
+/// pairs into the join's output.
+pub(crate) fn join_pairs<'a>(
     (l, r): (&Block, &Block),
     (join_type, residual): (JoinType, Option<&PlanExpr>),
     ctx: &StatementContext<'_>,
-    mut candidates: impl FnMut(usize, &mut Vec<u32>),
+    candidates: impl Fn(usize) -> &'a [u32],
 ) -> Result<(Vec<u32>, Vec<u32>)> {
     let pads_build = matches!(join_type, JoinType::Left | JoinType::Full);
     let pads_probe = matches!(join_type, JoinType::Right | JoinType::Full);
     let mut matched_build = vec![false; if pads_probe { r.rows() } else { 0 }];
     let (mut probe, mut build) = (Vec::with_capacity(l.rows()), Vec::with_capacity(l.rows()));
-    let (mut chunk_probe, mut chunk_build): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-    let mut chunk_start = 0;
-    for row in 0..l.rows() {
-        candidates(row, &mut chunk_build);
-        chunk_probe.resize(chunk_build.len(), row as u32);
-        let full = residual.is_some() && chunk_build.len() >= RESIDUAL_CHUNK;
-        if !full && row + 1 < l.rows() {
-            continue;
+    // One probe row's kept matches, or its padding.
+    let mut emit = |probe_row: u32, matched: &[u32]| {
+        if matched.is_empty() && pads_build {
+            probe.push(probe_row);
+            build.push(NO_ROW);
         }
-        if let Some(residual) = residual {
-            let (left, right) = (l.take(&chunk_probe), r.take(&chunk_build));
-            let columns = left.columns().iter().chain(right.columns()).cloned();
-            let pairs = Block::new(columns.collect(), chunk_probe.len());
-            let kept = residual.select(&pairs, &ctx.stats.rows_evaluated_by_row)?;
-            chunk_probe = kept.iter().map(|&k| chunk_probe[k as usize]).collect();
-            chunk_build = kept.iter().map(|&k| chunk_build[k as usize]).collect();
-        }
-        let mut next = 0;
-        for probe_row in chunk_start as u32..=row as u32 {
-            let first = next;
-            while chunk_probe.get(next) == Some(&probe_row) {
-                next += 1;
-            }
-            if next > first {
-                probe.extend_from_slice(&chunk_probe[first..next]);
-                build.extend_from_slice(&chunk_build[first..next]);
-            } else if pads_build {
-                probe.push(probe_row);
-                build.push(NO_ROW);
-            }
-        }
+        probe.resize(probe.len() + matched.len(), probe_row);
+        build.extend_from_slice(matched);
         if pads_probe {
-            for &build_row in &chunk_build {
+            for &build_row in matched {
                 matched_build[build_row as usize] = true;
             }
         }
-        chunk_probe.clear();
-        chunk_build.clear();
-        chunk_start = row + 1;
+    };
+    match residual {
+        None => (0..l.rows()).for_each(|row| emit(row as u32, candidates(row))),
+        Some(residual) => {
+            let (mut chunk_probe, mut chunk_build) = (Vec::new(), Vec::new());
+            let mut chunk_start = 0;
+            for row in 0..l.rows() {
+                chunk_build.extend_from_slice(candidates(row));
+                chunk_probe.resize(chunk_build.len(), row as u32);
+                if chunk_build.len() < RESIDUAL_CHUNK && row + 1 < l.rows() {
+                    continue;
+                }
+                let (left, right) = (l.take(&chunk_probe), r.take(&chunk_build));
+                let columns = left.columns().iter().chain(right.columns()).cloned();
+                let pairs = Block::new(columns.collect(), chunk_probe.len());
+                let kept = residual.select(&pairs, &ctx.stats.rows_evaluated_by_row)?;
+                chunk_probe = kept.iter().map(|&k| chunk_probe[k as usize]).collect();
+                chunk_build = kept.iter().map(|&k| chunk_build[k as usize]).collect();
+                let mut next = 0;
+                for probe_row in chunk_start as u32..=row as u32 {
+                    let first = next;
+                    while chunk_probe.get(next) == Some(&probe_row) {
+                        next += 1;
+                    }
+                    emit(probe_row, &chunk_build[first..next]);
+                }
+                chunk_probe.clear();
+                chunk_build.clear();
+                chunk_start = row + 1;
+            }
+        }
     }
     if pads_probe {
         let unmatched = (0..r.rows()).filter(|&row| !matched_build[row]);
@@ -752,11 +759,10 @@ impl HashJoinSpec<'_> {
             (l, r),
             (self.join_type, self.residual),
             self.ctx,
-            |row, out| {
-                // NULL keys never match; the build side left its own out.
-                if !null_key(&keys, row) {
-                    out.extend(table.matches(&keys, row, hashes[row]));
-                }
+            // NULL keys never match; the build side left its own out.
+            |row| match null_key(&keys, row) {
+                true => &[],
+                false => table.matches(&keys, row, hashes[row]),
             },
         )
     }
@@ -819,8 +825,8 @@ fn nested_loop_join(
     columns: Option<&[usize]>,
     ctx: &StatementContext<'_>,
 ) -> Result<Arc<Block>> {
-    let every_build_row = |_, out: &mut Vec<u32>| out.extend(0..r.rows() as u32);
-    let (probe, build) = join_pairs((l, r), (join_type, residual), ctx, every_build_row)?;
+    let every_build_row: Vec<u32> = (0..r.rows() as u32).collect();
+    let (probe, build) = join_pairs((l, r), (join_type, residual), ctx, |_| &every_build_row)?;
     Ok(gather_pairs((l, r), (&probe, &build), columns))
 }
 
@@ -1327,6 +1333,55 @@ mod tests {
         prop_oneof![of(key_cell), of(int_cell), of(float_cell)]
     }
 
+    /// `(key, key, payload)` rows, 100–300 of them, whose keys take at most
+    /// six values — `{NULL, 0, 1} × {NULL, 1}` — so key groups are long and
+    /// either cell of a two-column key may be NULL. The key columns hold
+    /// integers, floats (`-0.0` for zero) or both; the payload numbers the
+    /// row.
+    fn long_groups() -> impl Strategy<Value = Vec<Row>> {
+        let cells = proptest::collection::vec((0i64..3, 0i64..3), 100..300);
+        (cells, 0i64..3).prop_map(|(cells, typing)| {
+            let at = |row: usize, n: i64| match (typing, row % 2) {
+                (0, _) | (2, 0) => Value::Int(n),
+                _ => Value::Float(if n == 0 { -0.0 } else { n as f64 }),
+            };
+            let rows = cells.into_iter().enumerate().map(|(row, (a, b))| {
+                let first = if a == 0 { Value::Null } else { at(row, a - 1) };
+                let second = if b == 0 { Value::Null } else { at(row, 1) };
+                row_of([first, second, Value::Int(row as i64)])
+            });
+            rows.collect()
+        })
+    }
+
+    /// Key column pairs of the join properties: two columns, or the
+    /// first column of the probe side against the second of the build side.
+    fn join_keys(two_columns: bool) -> &'static [(usize, usize)] {
+        if two_columns {
+            &[(0, 0), (1, 1)]
+        } else {
+            &[(0, 1)]
+        }
+    }
+
+    /// A residual over the two sides' payloads.
+    fn payload_residual() -> PlanExpr {
+        col(2).binary(BinaryOp::LtEq, col(5))
+    }
+
+    /// `keys equal AND residual`: the join's definition over `l ∥ r`.
+    fn join_predicate(keys: &[(usize, usize)], residual: Option<PlanExpr>) -> Option<PlanExpr> {
+        let mut predicate = residual;
+        for &(lk, rk) in keys {
+            let eq = col(lk).binary(BinaryOp::Eq, col(3 + rk));
+            predicate = Some(match predicate {
+                Some(p) => eq.binary(BinaryOp::And, p),
+                None => eq,
+            });
+        }
+        predicate
+    }
+
     fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
         rows.sort();
         rows
@@ -1355,16 +1410,9 @@ mod tests {
             two_columns in any::<bool>(),
             with_residual in any::<bool>(),
         ) {
-            let keys: &[(usize, usize)] = if two_columns { &[(0, 0), (1, 1)] } else { &[(0, 1)] };
-            let residual = with_residual.then(|| col(2).binary(BinaryOp::LtEq, col(5)));
-            let mut predicate = residual.clone();
-            for &(lk, rk) in keys {
-                let eq = col(lk).binary(BinaryOp::Eq, col(3 + rk));
-                predicate = Some(match predicate {
-                    Some(p) => eq.binary(BinaryOp::And, p),
-                    None => eq,
-                });
-            }
+            let keys = join_keys(two_columns);
+            let residual = with_residual.then(payload_residual);
+            let predicate = join_predicate(keys, residual.clone());
             let hashed = hash_join(&l, &r, join_type, keys, residual.as_ref(), (3, 3));
             let reference = reference_join(&l, &r, join_type, predicate.as_ref(), (3, 3));
             prop_assert_eq!(exact(&hashed), exact(&reference));
@@ -1512,6 +1560,30 @@ mod tests {
                     };
                     assert_eq!(as_multiset(&gathered.gather()), as_multiset(&rows));
                 });
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The hash join is the join's definition, row for row, also where
+        /// build keys repeat tens of times and NULL-keyed rows sit on both
+        /// sides: every join type, with and without a residual.
+        #[test]
+        fn hash_join_equals_reference_over_long_key_groups(
+            l in long_groups(),
+            r in long_groups(),
+            two_columns in any::<bool>(),
+        ) {
+            let keys = join_keys(two_columns);
+            for join_type in [JoinType::Inner, JoinType::Left, JoinType::Right, JoinType::Full] {
+                for residual in [None, Some(payload_residual())] {
+                    let predicate = join_predicate(keys, residual.clone());
+                    let hashed = hash_join(&l, &r, join_type, keys, residual.as_ref(), (3, 3));
+                    let reference = reference_join(&l, &r, join_type, predicate.as_ref(), (3, 3));
+                    prop_assert_eq!(exact(&hashed), exact(&reference));
+                }
             }
         }
     }

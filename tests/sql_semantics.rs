@@ -381,6 +381,67 @@ fn update_from_takes_the_first_match_and_never_matches_null() {
     assert_eq!(ints(&d, "SELECT v FROM t WHERE id < 3"), vec![first; 3]);
 }
 
+/// The same over a two-column key, a FROM side spread over partitions that
+/// repeats each key about twenty times, and NULL key cells on both sides:
+/// a target row takes the first FROM row in gather order holding its key,
+/// and a key with a NULL cell updates nothing and is matched by nothing.
+#[test]
+fn update_from_with_repeated_and_null_keys_takes_the_first_in_gather_order() {
+    let d = forty();
+    let cell = |x: i64, null: bool| {
+        if null {
+            "NULL".to_string()
+        } else {
+            x.to_string()
+        }
+    };
+    let from: Vec<String> = (0..120)
+        .map(|i| {
+            format!(
+                "({}, {}, {})",
+                cell(i % 6, i % 7 == 0),
+                cell(i % 6, i % 5 == 0),
+                1000 + i
+            )
+        })
+        .collect();
+    d.execute("CREATE TABLE src (k INT, j INT, w INT)").unwrap();
+    d.execute(&format!("INSERT INTO src VALUES {}", from.join(", ")))
+        .unwrap();
+    d.execute("INSERT INTO t VALUES (NULL, 3), (3, NULL), (NULL, NULL)")
+        .unwrap();
+    // The first `w` of each non-NULL key, in the order a scan of `src`
+    // returns its rows.
+    let mut first = std::collections::HashMap::new();
+    for row in d.query("SELECT k, j, w FROM src").unwrap().rows() {
+        if let (Value::Int(k), Value::Int(j)) = (&row[0], &row[1]) {
+            first.entry((*k, *j)).or_insert(row[2].clone());
+        }
+    }
+    assert_eq!(first.len(), 6, "k = j for every non-NULL key");
+    let r = d
+        .execute("UPDATE t SET v = src.w FROM src WHERE t.id = src.k AND t.v = src.j")
+        .unwrap();
+    assert_eq!(r.affected(), Some(6));
+    for row in d.query("SELECT id, v FROM t").unwrap().rows() {
+        let want = match (&row[0], &row[1]) {
+            (Value::Int(id), Value::Int(_)) if *id < 6 => first[&(*id, *id)].clone(),
+            (_, v) => v.clone(),
+        };
+        assert_eq!(
+            format!("{:?}", row[1]),
+            format!("{want:?}"),
+            "id {:?}",
+            row[0]
+        );
+    }
+    assert_eq!(ints(&d, "SELECT SUM(v) FROM t WHERE id < 6"), vec![6027]);
+    assert_eq!(
+        ints(&d, "SELECT COUNT(*) FROM t WHERE v IS NULL OR id IS NULL"),
+        vec![3]
+    );
+}
+
 /// A key-changing UPDATE leaves every row in the partition `placement`
 /// assigns its key, and the partitions it does not touch keep their
 /// buffers.
