@@ -443,7 +443,7 @@ impl Database {
         };
         let mut out = String::new();
         let mut step_no = 1;
-        explain_physical_steps(&plan.steps, &mut step_no, (0, None), &mut out, &self.config)?;
+        explain_physical_steps(&plan.steps, &mut step_no, (0, None), &mut out)?;
         out.push_str(&format!("{step_no}. Return:\n"));
         let phys = spinner_exec::create_physical_plan(&plan.root, &self.config)?;
         phys.display_indent(2, &mut out);
@@ -860,26 +860,26 @@ fn admission_class(planned: &PlannedStatement) -> QueryClass {
     }
 }
 
-/// Render the step program with physical (lowered) plan fragments, those
-/// of a loop's body lowered as the loop lowers them.
+/// Render the step program with physical (lowered) plan fragments, each
+/// `Materialize` lowered as the executor lowers it.
 fn explain_physical_steps(
     steps: &[spinner_plan::Step],
     step_no: &mut usize,
     (indent, in_loop): (usize, Option<&spinner_plan::LoopStep>),
     out: &mut String,
-    config: &spinner_common::EngineConfig,
 ) -> Result<()> {
     use spinner_plan::Step;
     let pad = "  ".repeat(indent);
     for step in steps {
         match step {
-            Step::Materialize { name, plan, .. } => {
+            Step::Materialize {
+                name,
+                plan,
+                distribute_by,
+            } => {
                 out.push_str(&format!("{pad}{step_no}. Materialize {name} with:\n"));
                 *step_no += 1;
-                let phys = match in_loop {
-                    Some(l) => spinner_exec::create_loop_body_plan(plan, config, l)?,
-                    None => spinner_exec::create_physical_plan(plan, config)?,
-                };
+                let phys = spinner_exec::create_stored_plan(plan, *distribute_by, in_loop)?;
                 phys.display_indent(indent + 2, out);
             }
             Step::Rename { from, to } => {
@@ -906,7 +906,7 @@ fn explain_physical_steps(
                 ));
                 *step_no += 1;
                 let loop_start = *step_no;
-                explain_physical_steps(&l.body, step_no, (indent + 1, Some(l)), out, config)?;
+                explain_physical_steps(&l.body, step_no, (indent + 1, Some(l)), out)?;
                 out.push_str(&format!(
                     "{pad}{step_no}. Go to step {loop_start} if loop condition holds.\n"
                 ));

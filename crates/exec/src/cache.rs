@@ -334,7 +334,7 @@ mod tests {
 
     use crate::fault::FaultInjector;
     use crate::operators::execute;
-    use crate::physical::create_loop_body_plan;
+    use crate::physical::create_stored_plan;
 
     fn schema(names: &[&str]) -> spinner_common::SchemaRef {
         let field = |n: &&str| Field::new(*n, DataType::Int);
@@ -348,7 +348,7 @@ mod tests {
 
     /// A loop over the temp `probe(k, v)` whose body joins it to `side` on
     /// `probe.k = side.b`; `side` is loop-invariant, so the join is cached.
-    fn loop_join(side: LogicalPlan, config: &EngineConfig) -> PhysicalPlan {
+    fn loop_join(side: LogicalPlan) -> PhysicalPlan {
         let probe = LogicalPlan::TempScan {
             name: "probe".into(),
             schema: schema(&["k", "v"]),
@@ -374,7 +374,7 @@ mod tests {
             key: 0,
             schema: schema(&["k", "v"]),
         };
-        let plan = create_loop_body_plan(&join, config, &l).unwrap();
+        let plan = create_stored_plan(&join, None, Some(&l)).unwrap();
         assert!(matches!(plan, PhysicalPlan::HashJoin { cached: true, .. }));
         plan
     }
@@ -396,7 +396,7 @@ mod tests {
     fn in_statement<T>(
         catalog: &Catalog,
         spill: Option<Arc<SpillEnv>>,
-        f: impl FnOnce(&StatementContext<'_>, &EngineConfig) -> T,
+        f: impl FnOnce(&StatementContext<'_>) -> T,
     ) -> T {
         let config = EngineConfig::default().with_partitions(2);
         let (guard, faults) = (QueryGuard::unlimited(), FaultInjector::disabled());
@@ -405,7 +405,7 @@ mod tests {
             "probe",
             partitioned(&[(1, 10), (2, 20), (3, 30)], &["k", "v"]),
         );
-        f(&ctx, &config)
+        f(&ctx)
     }
 
     /// The joined rows, sorted, and the statement's `(join_builds,
@@ -422,10 +422,10 @@ mod tests {
 
     #[test]
     fn lookup_hits_while_source_identity_is_stable() {
-        in_statement(&Catalog::new(), None, |ctx, config| {
+        in_statement(&Catalog::new(), None, |ctx| {
             ctx.registry
                 .put("side", partitioned(&[(7, 1), (8, 3)], &["a", "b"]));
-            let plan = loop_join(temp_side(), config);
+            let plan = loop_join(temp_side());
             let (first, counts) = run(&plan, ctx);
             assert_eq!((first.len(), counts), (2, (1, 0)));
             let (again, counts) = run(&plan, ctx);
@@ -436,10 +436,10 @@ mod tests {
 
     #[test]
     fn replacing_the_source_invalidates() {
-        in_statement(&Catalog::new(), None, |ctx, config| {
+        in_statement(&Catalog::new(), None, |ctx| {
             ctx.registry
                 .put("side", partitioned(&[(7, 1)], &["a", "b"]));
-            let plan = loop_join(temp_side(), config);
+            let plan = loop_join(temp_side());
             run(&plan, ctx);
             ctx.registry
                 .put("side", partitioned(&[(9, 2), (9, 3)], &["a", "b"]));
@@ -465,12 +465,12 @@ mod tests {
                 .unwrap()
         };
         insert(&[(10, 1), (11, 2), (12, 3), (13, 1), (14, 2), (15, 3)]);
-        in_statement(&catalog, None, |ctx, config| {
+        in_statement(&catalog, None, |ctx| {
             let side = LogicalPlan::TableScan {
                 table: "side".into(),
                 schema: schema(&["a", "b"]),
             };
-            let plan = loop_join(side, config);
+            let plan = loop_join(side);
             let (before, _) = run(&plan, ctx);
             assert!(ctx.stats.rows_moved.get() > 0, "the build side was copied");
             assert_eq!(run(&plan, ctx).1, (1, 1));
@@ -484,10 +484,10 @@ mod tests {
     #[test]
     fn a_spilled_and_rehydrated_temp_invalidates() {
         let env = Arc::new(SpillEnv::new(u64::MAX, None, None));
-        in_statement(&Catalog::new(), Some(env), |ctx, config| {
+        in_statement(&Catalog::new(), Some(env), |ctx| {
             ctx.registry
                 .put("side", partitioned(&[(7, 1), (8, 3)], &["a", "b"]));
-            let plan = loop_join(temp_side(), config);
+            let plan = loop_join(temp_side());
             let (first, _) = run(&plan, ctx);
             assert!(ctx.registry.spill_entry("side").unwrap());
             ctx.registry.get("side").unwrap();
@@ -498,10 +498,10 @@ mod tests {
 
     #[test]
     fn poisoned_cache_degrades_instead_of_aborting() {
-        in_statement(&Catalog::new(), None, |ctx, config| {
+        in_statement(&Catalog::new(), None, |ctx| {
             ctx.registry
                 .put("side", partitioned(&[(7, 1)], &["a", "b"]));
-            let plan = loop_join(temp_side(), config);
+            let plan = loop_join(temp_side());
             run(&plan, ctx);
             // Poison the entries mutex from a thread that panics holding it.
             let cache = &ctx.join_cache;
@@ -543,9 +543,9 @@ mod tests {
         // Placed on `a`, the build side's exchange copies every row: the
         // evicted build goes to disk, and comes back without moving one.
         let env = Arc::new(SpillEnv::new(0, None, None));
-        in_statement(&Catalog::new(), Some(Arc::clone(&env)), |ctx, config| {
+        in_statement(&Catalog::new(), Some(Arc::clone(&env)), |ctx| {
             ctx.registry.put("side", placed_side(false));
-            let plan = loop_join(temp_side(), config);
+            let plan = loop_join(temp_side());
             let (first, _) = run(&plan, ctx);
             let moved = ctx.stats.rows_moved.get();
             assert!(moved > 0);
@@ -567,9 +567,9 @@ mod tests {
         // Placed on the join key, the build's partitions are the temp's
         // own: eviction frees its tables and writes nothing.
         let env = Arc::new(SpillEnv::new(0, None, None));
-        in_statement(&Catalog::new(), Some(Arc::clone(&env)), |ctx, config| {
+        in_statement(&Catalog::new(), Some(Arc::clone(&env)), |ctx| {
             ctx.registry.put("side", placed_side(true));
-            let plan = loop_join(temp_side(), config);
+            let plan = loop_join(temp_side());
             let (first, _) = run(&plan, ctx);
             assert!(evict_build(&env, ctx));
             assert!(ctx.join_cache.is_empty());

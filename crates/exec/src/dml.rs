@@ -3,7 +3,9 @@
 //!
 //! * `INSERT` (`VALUES` or a query) appends its source's partitioned
 //!   result, routed by the table's distribution rule
-//!   ([`Table::append`](spinner_storage::Table::append)).
+//!   ([`Table::append`](spinner_storage::Table::append)). The source is
+//!   lowered to come out placed on the table's distribution column where
+//!   it can, and a source so placed is appended without routing a row.
 //! * `DELETE` keeps, per partition, the rows its predicate's `select` does
 //!   not; without `WHERE` it truncates the table.
 //! * `UPDATE`, with or without `FROM`, finds each partition's *hit* rows
@@ -37,7 +39,8 @@ use crate::operators::{gather_pairs, HashJoinSpec};
 pub fn run(ctx: &StatementContext<'_>, statement: &PlannedStatement) -> Result<usize> {
     match statement {
         PlannedStatement::Insert { table, source } => {
-            let rows = ctx.run_plan(source)?;
+            let key = ctx.catalog.with_table(table, |t| Ok(t.partition_key()))?;
+            let rows = ctx.run_plan(source, key)?;
             ctx.catalog.with_table_mut(table, |t| t.append(&rows))
         }
         PlannedStatement::Delete { table, predicate } => ctx

@@ -40,7 +40,7 @@ use crate::cache::JoinStateCache;
 use crate::fault::FaultInjector;
 use crate::keys::{hash_keys, KeyTable};
 use crate::operators;
-use crate::physical::{create_loop_body_plan, create_physical_plan, ExchangeMode, PhysicalPlan};
+use crate::physical::{create_physical_plan, create_stored_plan, ExchangeMode, PhysicalPlan};
 use crate::pool::WorkerPool;
 use crate::retry::retry;
 
@@ -141,21 +141,25 @@ impl<'a> StatementContext<'a> {
     /// Run a full query plan: steps first, then the final plan; gather the
     /// result into a single batch.
     pub fn run_query(&self, plan: &QueryPlan) -> Result<Batch> {
-        let result = self.run_plan(plan)?;
+        let result = self.run_plan(plan, None)?;
         // The statement's edge: the result leaves as heap rows.
         Ok(Batch::new(plan.root.schema(), result.gather()))
     }
 
     /// [`run_query`](Self::run_query) without the gather: the final
-    /// plan's partitioned result, as `INSERT … SELECT` appends it.
-    pub fn run_plan(&self, plan: &QueryPlan) -> Result<Partitioned> {
+    /// plan's partitioned result, as `INSERT … SELECT` appends it to a
+    /// table distributed on column `distribute_by` — lowered to come out
+    /// placed on that column where it can ([`create_stored_plan`]).
+    pub fn run_plan(&self, plan: &QueryPlan, distribute_by: Option<usize>) -> Result<Partitioned> {
         self.run_steps(&plan.steps)?;
         if self.tracer.is_enabled() {
             self.tracer.enter(SpanKind::Return, "Return".to_string());
         }
         // The final plan only reads (registry + catalog), so a transient
         // failure inside it can be re-run against unchanged inputs.
-        let result = match self.with_transient_retry(|| self.execute_logical(&plan.root)) {
+        let result = create_stored_plan(&plan.root, distribute_by, None)
+            .and_then(|root| self.with_transient_retry(|| operators::execute(&root, self)));
+        let result = match result {
             Ok(r) => r,
             Err(e) => {
                 self.tracer.exit(0, 0);
@@ -263,11 +267,16 @@ impl<'a> StatementContext<'a> {
                 self.faults.hit(FaultSite::Materialize)?;
                 let mut data = match lowered {
                     Some(physical) => operators::execute(physical, self)?,
-                    None => self.execute_logical(plan)?,
+                    None => {
+                        let physical = create_stored_plan(plan, *distribute_by, None)?;
+                        operators::execute(&physical, self)?
+                    }
                 };
                 if let Some(col) = distribute_by {
                     // Store the result distributed on its key so later
                     // scans, merges and joins on that key are co-located.
+                    // Lowered for this key, the result is mostly placed on
+                    // it already and passes through.
                     data = operators::exchange(
                         data,
                         &ExchangeMode::Hash(vec![PlanExpr::column(*col, "dist_key")]),
@@ -527,7 +536,11 @@ impl<'a> StatementContext<'a> {
             self.stats.semi_naive_loops.add(1);
         }
         let lower = |step: &Step| match step {
-            Step::Materialize { plan, .. } => create_loop_body_plan(plan, self.config, l).map(Some),
+            Step::Materialize {
+                plan,
+                distribute_by,
+                ..
+            } => create_stored_plan(plan, *distribute_by, Some(l)).map(Some),
             _ => Ok(None),
         };
         let body: Vec<Option<PhysicalPlan>> = l.body.iter().map(lower).collect::<Result<_>>()?;

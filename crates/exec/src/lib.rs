@@ -36,5 +36,5 @@ mod retry;
 pub use cache::JoinStateCache;
 pub use executor::StatementContext;
 pub use fault::FaultInjector;
-pub use physical::{create_loop_body_plan, create_physical_plan, ExchangeMode, PhysicalPlan};
+pub use physical::{create_physical_plan, create_stored_plan, ExchangeMode, PhysicalPlan};
 pub use pool::WorkerPool;

@@ -121,10 +121,19 @@ fn execute_inner(
                 let columns = evaluate_all(exprs, block, ctx)?;
                 Ok(Arc::new(Block::new(columns, block.rows())))
             })?;
+            // An output column that is an input column's very buffer — a
+            // bare column, or a cast that left the column as it was — is
+            // placed as that input column was.
+            let shares = |k: usize, c: usize| {
+                (out.iter().zip(&data.parts))
+                    .all(|(o, i)| Arc::ptr_eq(&o.columns()[k], &i.columns()[c]))
+            };
             Ok(Partitioned {
+                placed_on: data
+                    .placed_on
+                    .remap(|c| (0..exprs.len()).find(|&k| shares(k, c))),
                 schema: schema.clone(),
                 parts: out,
-                placed_on: data.placed_on.remap(|c| output_of(exprs, c)),
             })
         }
         PhysicalPlan::Filter { input, predicate } => {
@@ -569,12 +578,7 @@ pub fn exchange(
     match mode {
         ExchangeMode::Hash(keys) => {
             let placed_on = PlacedOn::new(keys.iter().map(bare_column));
-            if placed_on != PlacedOn::UNKNOWN && data.placed_on == placed_on && already_placed(0) {
-                debug_assert!(
-                    (data.parts.iter().enumerate()).all(|(p, b)| placed_on.holds(b, p, parts)),
-                    "rows tagged as placed on columns {:?} are not",
-                    placed_on.columns()
-                );
+            if data.placed_for(placed_on, parts) {
                 return Ok(data);
             }
             let mut targets = Vec::with_capacity(data.parts.len());
@@ -1028,6 +1032,8 @@ mod tests {
     use std::collections::BTreeMap;
 
     use crate::fault::FaultInjector;
+    use crate::physical::{create_physical_plan, create_stored_plan};
+    use spinner_plan::LogicalPlan;
 
     fn col(i: usize) -> PlanExpr {
         PlanExpr::column(i, format!("c{i}"))
@@ -1585,6 +1591,124 @@ mod tests {
                     prop_assert_eq!(exact(&hashed), exact(&reference));
                 }
             }
+        }
+    }
+
+    // ---- wanted placement ----------------------------------------------------
+
+    /// A payload cell: an integer, a float (NaN and `-0.0` among them) or
+    /// NULL, drawn from `kinds` (`0..2`: integers, `2..4`: floats, `0..4`:
+    /// both, so the column is `Mixed`).
+    fn payload(kinds: std::ops::Range<u32>) -> impl Strategy<Value = Value> {
+        (kinds, 0i64..8).prop_map(|(kind, n)| match (kind, n) {
+            (_, 0) => Value::Null,
+            (0 | 1, n) => Value::Int(n - 4),
+            (_, 1) => Value::Float(f64::NAN),
+            (_, 2) => Value::Float(-0.0),
+            (_, n) => Value::Float(n as f64 * 0.37 - 1.0),
+        })
+    }
+
+    /// `(g0, g1, int, float, mixed)` rows in 2–4 partitions, each row in a
+    /// random one: group keys from `key_cell` (`2` beside `2.0`, `-0.0`,
+    /// NaN, NULL, text) and a payload column of each kind.
+    fn partitioned_rows() -> impl Strategy<Value = (usize, Vec<Vec<Row>>)> {
+        let row = (
+            key_cell(),
+            key_cell(),
+            payload(0..2),
+            payload(2..4),
+            payload(0..4),
+        );
+        let row = row.prop_map(|(a, b, i, f, m)| row_of([a, b, i, f, m]));
+        let placed = proptest::collection::vec((0usize..4, row), 0..40);
+        (2usize..5, placed).prop_map(|(parts, placed)| {
+            let mut rows = vec![Vec::new(); parts];
+            for (p, row) in placed {
+                rows[p % parts].push(row);
+            }
+            (parts, rows)
+        })
+    }
+
+    /// Rows with every float cell as its bits, so `-0.0`, `0.0` and NaNs
+    /// of different bits tell apart, sorted.
+    fn bits(data: &Partitioned) -> Vec<String> {
+        let cell = |v: &Value| match v {
+            Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+            v => format!("{v:?}"),
+        };
+        let mut rows: Vec<String> = (data.gather().iter())
+            .map(|r| r.iter().map(cell).collect::<Vec<_>>().join(", "))
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Exchanging a grouping's input on one group key instead of all
+        /// of them changes which partition a group ends up in, not its
+        /// row: a group's rows (or partial states) still meet in one
+        /// partition, in source-partition order. Two-phase aggregates
+        /// (SUM, AVG, MIN, MAX, COUNT over int, float and `Mixed` columns,
+        /// COUNT(*), ARG_MIN), the single-phase path a DISTINCT aggregate
+        /// takes, and DISTINCT rows each come out bit for bit alike lowered
+        /// for either group key and lowered as a plain query, which
+        /// exchanges on every key; lowered for a key, the result is placed
+        /// on it.
+        #[test]
+        fn grouping_on_one_key_gives_every_group_the_same_row((parts, rows) in partitioned_rows()) {
+            let schema = Arc::new(Schema::new(
+                ["g0", "g1", "i", "f", "m"].map(|n| Field::new(n, DataType::Null)).to_vec(),
+            ));
+            let scan = LogicalPlan::TempScan { name: "t".into(), schema: Arc::clone(&schema) };
+            let agg = |func, arg: Option<usize>, distinct| AggExpr {
+                func, arg: arg.map(col), by: None, distinct, name: "a".into(),
+            };
+            let mut two_phase = vec![agg(AggFunc::CountStar, None, false)];
+            for c in 2..5 {
+                for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max, AggFunc::Count] {
+                    two_phase.push(agg(func, Some(c), false));
+                }
+            }
+            two_phase.push(AggExpr { by: Some(col(3)), ..agg(AggFunc::ArgMin, Some(4), false) });
+            let single_phase = vec![
+                agg(AggFunc::Count, Some(4), true),
+                agg(AggFunc::Sum, Some(3), true),
+                agg(AggFunc::Sum, Some(4), false),
+                agg(AggFunc::Min, Some(3), false),
+            ];
+            let aggregate = |aggs: Vec<AggExpr>| {
+                let fields = (0..2 + aggs.len()).map(|i| Field::new(format!("o{i}"), DataType::Null));
+                LogicalPlan::Aggregate {
+                    input: Box::new(scan.clone()),
+                    group: vec![col(0), col(1)],
+                    aggs,
+                    schema: Arc::new(Schema::new(fields.collect())),
+                }
+            };
+            let plans = [
+                aggregate(two_phase),
+                aggregate(single_phase),
+                LogicalPlan::Distinct { input: Box::new(scan.clone()) },
+            ];
+            with_context(parts, |ctx| {
+                let parts = rows.iter().map(|rows| block(5, rows)).collect();
+                ctx.registry.put("t", Partitioned { schema, parts, placed_on: PlacedOn::UNKNOWN });
+                for plan in &plans {
+                    let config = EngineConfig::default();
+                    let every_key = create_physical_plan(plan, &config).unwrap();
+                    let want = bits(&execute(&every_key, ctx).unwrap());
+                    for key in [0, 1] {
+                        let one_key = create_stored_plan(plan, Some(key), None).unwrap();
+                        let got = execute(&one_key, ctx).unwrap();
+                        prop_assert_eq!(bits(&got), want.clone(), "{}", one_key);
+                        prop_assert_eq!(got.placed_on.columns(), [key], "{}", one_key);
+                    }
+                }
+            });
         }
     }
 

@@ -9,7 +9,21 @@
 //! such an exchange hash a row: a result remembers the key its rows were
 //! placed on (`Partitioned::placed_on`, carried or dropped by every
 //! operator at run time), and a hash exchange on that same key passes its
-//! input through. The lowering itself does not change for this.
+//! input through.
+//!
+//! A result that is stored distributed on a column — a `Materialize`
+//! step's, or an `INSERT … SELECT`'s source — is lowered with that column
+//! as its *wanted placement* ([`create_stored_plan`]). The wanted column
+//! is followed down through filters and projections that pass it on (a
+//! bare column, or a cast of one such as `INSERT` adds); where it
+//! reaches a grouped aggregate or a `DISTINCT` and names one of its group
+//! keys, the exchange in front of the grouping hashes that one key instead
+//! of all of them. Every row of a group still meets in one partition, in
+//! source-partition order whichever key routed it, so each group's values
+//! are the same bits; only which partition a group ends up in, and the
+//! row order inside a partition, change. The result then comes out placed
+//! on the column it is stored by, and the store's own exchange passes it
+//! through.
 
 use std::fmt;
 use std::sync::Arc;
@@ -352,24 +366,37 @@ impl fmt::Display for PhysicalPlan {
 /// Lower a logical plan to a physical one, inserting exchanges. No option
 /// steers lowering; `_config` keeps the signature its callers use.
 pub fn create_physical_plan(plan: &LogicalPlan, _config: &EngineConfig) -> Result<PhysicalPlan> {
-    lower(plan, None)
+    lower(plan, None, None)
 }
 
-/// [`create_physical_plan`] for a plan of `l`'s body: a hash join whose
-/// build side is loop-invariant ([`LoopStep::is_invariant`]) is marked to
-/// build once and re-probe through the join-state cache. A loop lowers its
-/// body once, before its first iteration.
-pub fn create_loop_body_plan(
+/// [`create_physical_plan`] for a result stored distributed on column
+/// `distribute_by` (`None`: stored as it comes) — a `Materialize` step's
+/// plan, or an `INSERT … SELECT`'s source — as a step of `in_loop`'s body
+/// if any. The executor and physical EXPLAIN lower every `Materialize`
+/// here, and a loop lowers its body once, before its first iteration.
+/// Two things differ from a plain query:
+/// * a grouped aggregate or `DISTINCT` whose output column `distribute_by`
+///   is, through filters and projections that pass it on, one of its
+///   group keys exchanges its rows on that key alone (module docs);
+/// * in a loop body, a hash join whose build side is loop-invariant
+///   ([`LoopStep::is_invariant`]) is marked to build once and re-probe
+///   through the join-state cache.
+pub fn create_stored_plan(
     plan: &LogicalPlan,
-    _config: &EngineConfig,
-    l: &LoopStep,
+    distribute_by: Option<usize>,
+    in_loop: Option<&LoopStep>,
 ) -> Result<PhysicalPlan> {
-    lower(plan, Some(l))
+    lower(plan, in_loop, distribute_by)
 }
 
-/// The lowering of `plan`, a plan of the body of `in_loop` if any.
-fn lower(plan: &LogicalPlan, in_loop: Option<&LoopStep>) -> Result<PhysicalPlan> {
-    let lower = |plan: &LogicalPlan| lower(plan, in_loop);
+/// The lowering of `plan`, a plan of the body of `in_loop` if any, whose
+/// output is wanted placed on column `wanted` if it can be.
+fn lower(
+    plan: &LogicalPlan,
+    in_loop: Option<&LoopStep>,
+    wanted: Option<usize>,
+) -> Result<PhysicalPlan> {
+    let lower = |plan: &LogicalPlan| lower(plan, in_loop, None);
     Ok(match plan {
         LogicalPlan::TableScan { table, schema } => PhysicalPlan::SeqScan {
             table: table.clone(),
@@ -389,14 +416,17 @@ fn lower(plan: &LogicalPlan, in_loop: Option<&LoopStep>) -> Result<PhysicalPlan>
             schema,
         } => match join_output(input, exprs) {
             Some(columns) => lower_join(input, Some(columns), schema, in_loop)?,
-            None => PhysicalPlan::Project {
-                input: Box::new(lower(input)?),
-                exprs: exprs.clone(),
-                schema: schema.clone(),
-            },
+            None => {
+                let wanted = wanted.and_then(|c| passed_column(exprs.get(c)?));
+                PhysicalPlan::Project {
+                    input: Box::new(self::lower(input, in_loop, wanted)?),
+                    exprs: exprs.clone(),
+                    schema: schema.clone(),
+                }
+            }
         },
         LogicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(lower(input)?),
+            input: Box::new(self::lower(input, in_loop, wanted)?),
             predicate: predicate.clone(),
         },
         LogicalPlan::Join { schema, .. } => lower_join(plan, None, schema, in_loop)?,
@@ -407,6 +437,12 @@ fn lower(plan: &LogicalPlan, in_loop: Option<&LoopStep>) -> Result<PhysicalPlan>
             schema,
         } => {
             let child = lower(input)?;
+            // The group keys the rows are exchanged on: the wanted one
+            // alone, or all of them.
+            let on: Vec<usize> = match wanted.filter(|&c| c < group.len()) {
+                Some(c) => vec![c],
+                None => (0..group.len()).collect(),
+            };
             if group.is_empty() {
                 // Global aggregate: partial per partition, merged by the
                 // operator itself — no exchange needed.
@@ -426,8 +462,8 @@ fn lower(plan: &LogicalPlan, in_loop: Option<&LoopStep>) -> Result<PhysicalPlan>
                     }
                 }
                 let partial_schema = Arc::new(Schema::new(fields));
-                let keys: Vec<PlanExpr> = (0..group.len())
-                    .map(|i| PlanExpr::column(i, partial_schema.field(i).name.clone()))
+                let keys: Vec<PlanExpr> = (on.iter())
+                    .map(|&i| PlanExpr::column(i, partial_schema.field(i).name.clone()))
                     .collect();
                 PhysicalPlan::AggregateFinal {
                     input: Box::new(PhysicalPlan::Exchange {
@@ -448,7 +484,7 @@ fn lower(plan: &LogicalPlan, in_loop: Option<&LoopStep>) -> Result<PhysicalPlan>
                 PhysicalPlan::HashAggregate {
                     input: Box::new(PhysicalPlan::Exchange {
                         input: Box::new(child),
-                        mode: ExchangeMode::Hash(group.clone()),
+                        mode: ExchangeMode::Hash(on.iter().map(|&i| group[i].clone()).collect()),
                     }),
                     group: group.clone(),
                     aggs: aggs.clone(),
@@ -458,12 +494,11 @@ fn lower(plan: &LogicalPlan, in_loop: Option<&LoopStep>) -> Result<PhysicalPlan>
         }
         LogicalPlan::Distinct { input } => {
             let schema = input.schema();
-            let keys: Vec<PlanExpr> = schema
-                .fields()
-                .iter()
-                .enumerate()
-                .map(|(i, f)| PlanExpr::column(i, f.qualified_name()))
-                .collect();
+            let key = |i: usize| PlanExpr::column(i, schema.field(i).qualified_name());
+            let keys: Vec<PlanExpr> = match wanted.filter(|&c| c < schema.len()) {
+                Some(c) => vec![key(c)],
+                None => (0..schema.len()).map(key).collect(),
+            };
             PhysicalPlan::Distinct {
                 input: Box::new(PhysicalPlan::Exchange {
                     input: Box::new(lower(input)?),
@@ -541,6 +576,15 @@ pub(crate) fn bare_column(e: &PlanExpr) -> Option<usize> {
     }
 }
 
+/// The input column `e` passes on unchanged where it can: a bare column,
+/// or a cast of one, which leaves a column already of its type as it is.
+fn passed_column(e: &PlanExpr) -> Option<usize> {
+    match e {
+        PlanExpr::Cast { expr, .. } => bare_column(expr),
+        e => bare_column(e),
+    }
+}
+
 /// A projection of bare columns over a join is the join's output list:
 /// the input column of every expression, when `input` is a join and every
 /// one is a bare column.
@@ -572,7 +616,7 @@ fn lower_join(
     };
     let exchange = |side: &LogicalPlan, mode| {
         Ok::<_, spinner_common::Error>(Box::new(PhysicalPlan::Exchange {
-            input: Box::new(lower(side, in_loop)?),
+            input: Box::new(lower(side, in_loop, None)?),
             mode,
         }))
     };
@@ -605,6 +649,7 @@ fn lower_join(
 mod tests {
     use super::*;
     use spinner_common::{DataType, Field, Schema};
+    use spinner_plan::expr::BinaryOp;
     use std::sync::Arc;
 
     fn scan() -> LogicalPlan {
@@ -686,8 +731,9 @@ mod tests {
         assert_eq!((columns.as_deref(), schema.len()), (Some(&[3, 0][..]), 2));
         assert!(phys.describe().ends_with("; emits 2 of 4 columns"));
         // A computed column stays a projection over the whole join.
-        let computed = projection(vec![PlanExpr::column(0, "a")
-            .binary(spinner_plan::expr::BinaryOp::Plus, PlanExpr::column(3, "b"))]);
+        let computed = projection(vec![
+            PlanExpr::column(0, "a").binary(BinaryOp::Plus, PlanExpr::column(3, "b"))
+        ]);
         let phys = create_physical_plan(&computed, &EngineConfig::default()).unwrap();
         assert!(matches!(phys, PhysicalPlan::Project { .. }));
     }
@@ -712,10 +758,9 @@ mod tests {
             schema: scan().schema(),
         };
         let cached = |plan: &LogicalPlan, in_loop: bool| {
-            let config = EngineConfig::default();
             let phys = match in_loop {
-                true => create_loop_body_plan(plan, &config, &l),
-                false => create_physical_plan(plan, &config),
+                true => create_stored_plan(plan, None, Some(&l)),
+                false => create_physical_plan(plan, &EngineConfig::default()),
             };
             match phys.unwrap() {
                 PhysicalPlan::HashJoin { cached, .. } => cached,
@@ -728,7 +773,7 @@ mod tests {
         assert!(cached(&join(temp("cte"), temp("__common_1")), true));
         assert!(!cached(&join(scan(), temp("cte")), true));
         assert!(!cached(&join(scan(), temp("work")), true));
-        let label = create_loop_body_plan(&invariant, &EngineConfig::default(), &l)
+        let label = create_stored_plan(&invariant, None, Some(&l))
             .unwrap()
             .describe();
         assert!(
@@ -771,6 +816,77 @@ mod tests {
             panic!("expected key exchange between phases")
         };
         assert!(matches!(*input, PhysicalPlan::AggregatePartial { .. }));
+    }
+
+    /// The first hash exchange of the tree, as EXPLAIN prints it.
+    fn hash_exchange(phys: &PhysicalPlan) -> String {
+        match phys {
+            PhysicalPlan::Exchange {
+                mode: mode @ ExchangeMode::Hash(_),
+                ..
+            } => mode.to_string(),
+            other => (other.children().map(hash_exchange))
+                .find(|s| !s.is_empty())
+                .unwrap_or_default(),
+        }
+    }
+
+    /// A stored result's distribution column is followed through bare
+    /// projections and filters to the grouping below them, which then
+    /// exchanges on that group key alone; anything else keeps every key.
+    #[test]
+    fn a_grouping_under_a_stored_result_exchanges_on_the_stored_key() {
+        let two_columns = Arc::new(Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Int),
+        ]));
+        let grouped = |distinct: bool| LogicalPlan::Aggregate {
+            input: Box::new(scan()),
+            group: vec![PlanExpr::column(0, "a"), PlanExpr::column(1, "b")],
+            aggs: vec![spinner_plan::AggExpr {
+                func: spinner_plan::AggFunc::Count,
+                arg: Some(PlanExpr::column(1, "b")),
+                by: None,
+                distinct,
+                name: "c".into(),
+            }],
+            schema: Arc::new(Schema::new(vec![
+                Field::new("a", DataType::Int),
+                Field::new("b", DataType::Int),
+                Field::new("c", DataType::Int),
+            ])),
+        };
+        let over = |input: LogicalPlan, exprs: Vec<PlanExpr>| LogicalPlan::Projection {
+            input: Box::new(LogicalPlan::Filter {
+                input: Box::new(input),
+                predicate: PlanExpr::column(2, "c").binary(BinaryOp::GtEq, PlanExpr::literal(0i64)),
+            }),
+            exprs,
+            schema: Arc::clone(&two_columns),
+        };
+        let b_then_c = || vec![PlanExpr::column(1, "b"), PlanExpr::column(2, "c")];
+        let exchange = |plan: &LogicalPlan, on: Option<usize>| {
+            hash_exchange(&create_stored_plan(plan, on, None).unwrap())
+        };
+        let every_key = "Hash(a#0, b#1)";
+        for distinct in [false, true] {
+            let plan = over(grouped(distinct), b_then_c());
+            assert_eq!(exchange(&plan, Some(0)), "Hash(b#1)", "{distinct}");
+            // Not stored, stored as it comes, or by an aggregate's column.
+            let plain = create_physical_plan(&plan, &EngineConfig::default()).unwrap();
+            assert_eq!(hash_exchange(&plain), every_key);
+            assert_eq!(exchange(&plan, None), every_key);
+            assert_eq!(exchange(&plan, Some(1)), every_key);
+            // A computed column is not the group key it is computed from.
+            let plus_one = PlanExpr::column(1, "b").binary(BinaryOp::Plus, PlanExpr::literal(1i64));
+            let computed = over(grouped(distinct), vec![plus_one, PlanExpr::column(2, "c")]);
+            assert_eq!(exchange(&computed, Some(0)), every_key);
+        }
+        let distinct = LogicalPlan::Distinct {
+            input: Box::new(scan()),
+        };
+        assert_eq!(exchange(&distinct, Some(1)), "Hash(b#1)");
+        assert_eq!(exchange(&distinct, None), every_key);
     }
 
     #[test]

@@ -118,6 +118,20 @@ impl Partitioned {
         self.total_rows() as u64 * per_row
     }
 
+    /// Whether the tag says these rows sit where [`placement`] of the
+    /// columns `on` puts them among `parts` partitions — so placing them
+    /// on `on` would move none, and needs no row hashed. Debug builds check
+    /// every row against the tag.
+    pub fn placed_for(&self, on: PlacedOn, parts: usize) -> bool {
+        let placed = on != PlacedOn::UNKNOWN && self.placed_on == on && self.parts.len() == parts;
+        debug_assert!(
+            !placed || (self.parts.iter().enumerate()).all(|(p, b)| on.holds(b, p, parts)),
+            "rows tagged as placed on columns {:?} are not",
+            on.columns()
+        );
+        placed
+    }
+
     /// Whether `parts` are the very same buffers as this row set's,
     /// partition by partition — not merely equal rows.
     pub fn same_buffers(&self, parts: &[Arc<Block>]) -> bool {

@@ -117,6 +117,9 @@ impl Table {
 
     /// Append `rows`, in partition order, each routed to the partition the
     /// table's distribution rule places it in ([`Partitioned::route`]).
+    /// Rows already placed on the distribution column at the table's
+    /// partition count ([`Partitioned::placed_for`]) are in those
+    /// partitions: their blocks are appended as they are, no row routed.
     /// Returns the number of rows appended.
     pub fn append(&mut self, rows: &Partitioned) -> Result<usize> {
         let width = self.schema.len();
@@ -127,7 +130,10 @@ impl Table {
                 self.name
             )));
         }
-        let routed = rows.route(self.partition_key, self.parts.len());
+        let routed = match rows.placed_for(PlacedOn::new([self.partition_key]), self.parts.len()) {
+            true => rows.parts.clone(),
+            false => rows.route(self.partition_key, self.parts.len()),
+        };
         // An empty partition takes the routed block as it is (a bulk load
         // copies nothing); one with rows grows in place — O(new rows) —
         // unless a snapshot still shares its block.
@@ -214,6 +220,35 @@ mod tests {
             .collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..20).flat_map(|i| [i; 53]).collect::<Vec<_>>());
+    }
+
+    /// Rows placed on the distribution key at the table's partition count
+    /// are appended as they are: an empty table takes their very blocks.
+    /// Rows placed on another column or for another partition count are
+    /// routed, and land where the key places them all the same.
+    #[test]
+    fn append_takes_rows_placed_on_the_key_as_they_are() {
+        let schema = Arc::clone(test_table().schema());
+        let placed = |key: usize, parts: usize| {
+            Partitioned::from_rows(Arc::clone(&schema), rows(20), Some(key), parts)
+        };
+        let (source, mut t) = (placed(0, 4), test_table());
+        assert_eq!(t.append(&source).unwrap(), 20);
+        assert!(t.holds(&source), "an empty table takes the placed blocks");
+        for other in [placed(1, 4), placed(0, 3)] {
+            let mut routed = test_table();
+            routed.append(&other).unwrap();
+            assert!(!routed.holds(&other));
+            let sorted = |t: &Table| -> Vec<Vec<Row>> {
+                let part = |p: &Arc<Block>| {
+                    let mut rows = p.to_rows();
+                    rows.sort();
+                    rows
+                };
+                t.parts.iter().map(part).collect()
+            };
+            assert_eq!(sorted(&routed), sorted(&t));
+        }
     }
 
     #[test]

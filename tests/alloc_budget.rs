@@ -4,10 +4,13 @@
 //! as in its best, and it fails the day someone reintroduces a per-row
 //! allocation on the executor's hot path — a heap row per joined or
 //! grouped row, a key vector per routed row, a gathered copy of a table to
-//! return one row of it. The statements take 13,088 / 15,435 / 144 / 88
-//! today (13,794 / 15,947 while a join probe collected its candidates into
-//! a chunk buffer, 13,909 / 16,056 while exchanges hashed inputs already
-//! placed on their key). With partitions of heap rows they took 714,832 / 411,467 / 138 /
+//! return one row of it. The statements take 12,358 / 13,916 / 144 / 88
+//! today (13,088 / 15,435 while a loop body's aggregate shuffled its
+//! partial states on every group key and the Materialize scattered its
+//! result again on the stored key; 13,794 / 15,947 while a join probe
+//! collected its candidates into a chunk buffer, 13,909 / 16,056 while
+//! exchanges hashed inputs already placed on their key). With partitions
+//! of heap rows they took 714,832 / 411,467 / 138 /
 //! 86 (PR 19), and before the key facility 3,931,418 / 1,901,903 / 147 /
 //! 42,082: a loop statement now allocates per column of a block, not per
 //! row, and its budget is what it takes plus 5 %. The two short statements
@@ -92,8 +95,8 @@ fn statements_stay_within_their_allocation_budgets() {
     spinner_datagen::load_vertex_status_into(&db, "vertexstatus", &spec, 0.5).unwrap();
 
     let budgets = [
-        ("PageRank, 10 iterations", pagerank(10, false).cte, 13_742),
-        ("SSSP to a fixpoint", sssp_convergent(1, None).cte, 16_207),
+        ("PageRank, 10 iterations", pagerank(10, false).cte, 12_976),
+        ("SSSP to a fixpoint", sssp_convergent(1, None).cte, 14_612),
         (
             "point lookup",
             "SELECT dst, weight FROM edges WHERE src = 17".to_string(),

@@ -302,3 +302,37 @@ fn pagerank_explain_shows_the_cached_build_and_pruned_widths() {
         "{logical}"
     );
 }
+
+/// The exchange line under every `AggregateFinal` of a physical EXPLAIN:
+/// what the two-phase aggregate shuffles its partial states on.
+fn between_phases(physical: &str) -> Vec<&str> {
+    let lines: Vec<&str> = physical.lines().map(str::trim).collect();
+    (lines.windows(2))
+        .filter(|w| w[0].starts_with("AggregateFinal"))
+        .map(|w| w[1])
+        .collect()
+}
+
+/// EXPLAIN shows the key that runs: PageRank's loop body stores its
+/// aggregate distributed on `node`, so the aggregate shuffles its partial
+/// states on `node` alone — not on `(node, rank + delta)` — and the
+/// Materialize finds them placed already. A `GROUP BY` that is returned,
+/// not stored, still shuffles on every group key.
+#[test]
+fn a_stored_aggregate_shuffles_on_the_stored_key_alone() {
+    let database = db();
+    let physical = database.explain_physical(&pagerank(10, false).cte).unwrap();
+    assert_eq!(
+        between_phases(&physical),
+        ["Exchange: Hash(node#0)"],
+        "{physical}"
+    );
+    let physical = database
+        .explain_physical("SELECT src, dst, SUM(weight) FROM edges GROUP BY src, dst")
+        .unwrap();
+    assert_eq!(
+        between_phases(&physical),
+        ["Exchange: Hash(src#0, dst#1)"],
+        "{physical}"
+    );
+}

@@ -495,6 +495,57 @@ fn insert_select_places_rows_as_from_rows_does() {
     }
 }
 
+/// `INSERT … SELECT … GROUP BY` lowers its source for the table's
+/// distribution column: the aggregate shuffles on that key alone, so its
+/// result comes out placed where the table keeps it and is appended
+/// without routing a row — into an empty table, then onto its rows. Every
+/// row sits where `placement` puts it, and each partition holds exactly
+/// the rows, bit for bit, that routing the query's result would have put
+/// there. A table distributed like its source takes the source's buffers.
+#[test]
+fn insert_select_appends_a_source_placed_on_the_table_key_as_it_is() {
+    use spinner_storage::{placement, Partitioned};
+    let d = forty();
+    let snapshot = |name: &str| d.catalog().get(name).unwrap().snapshot();
+    d.execute("CREATE TABLE sums (k INT, total FLOAT, n INT)")
+        .unwrap();
+    let source = "SELECT id % 7, SUM(v * 0.1), COUNT(*) FROM t GROUP BY id % 7, v % 3";
+    for _ in 0..2 {
+        d.execute(&format!("INSERT INTO sums {source}")).unwrap();
+    }
+    let sums = snapshot("sums");
+    for (p, part) in sums.parts.iter().enumerate() {
+        let placed = placement(&part.columns()[..1], part.rows(), sums.parts.len());
+        assert!(placed.iter().all(|&to| to as usize == p), "partition {p}");
+    }
+    let rows = d.query(source).unwrap().into_rows();
+    assert_eq!((rows.len(), sums.total_rows()), (21, 42));
+    let routed = Partitioned::from_rows(
+        sums.schema.clone(),
+        [rows.clone(), rows].concat(),
+        Some(0),
+        4,
+    );
+    let contents = |p: &Partitioned| -> Vec<Vec<String>> {
+        let part = |block: &Arc<spinner_common::Block>| {
+            let mut rows: Vec<String> = block.to_rows().iter().map(|r| format!("{r:?}")).collect();
+            rows.sort();
+            rows
+        };
+        p.parts.iter().map(part).collect()
+    };
+    assert_eq!(contents(&sums), contents(&routed));
+
+    d.execute("CREATE TABLE copy (id INT, v INT)").unwrap();
+    d.execute("INSERT INTO copy SELECT * FROM t").unwrap();
+    let (t, copy) = (snapshot("t"), snapshot("copy"));
+    assert_eq!(copy.gather(), t.gather());
+    for (from, to) in t.parts.iter().zip(&copy.parts) {
+        let shared = (from.columns().iter().zip(to.columns())).all(|(a, b)| Arc::ptr_eq(a, b));
+        assert!(shared, "an empty table takes the source's buffers");
+    }
+}
+
 #[test]
 fn insert_select_with_column_list() {
     let d = db();
