@@ -5,6 +5,8 @@
 //! `repro all` finishes on a laptop while preserving each preset's
 //! edge/node ratio (see DESIGN.md §2 for the substitution argument).
 
+#![forbid(unsafe_code)]
+
 use spinner_datagen::{load_edges_into, load_vertex_status_into, DatasetPreset, GraphSpec};
 use spinner_engine::{Database, EngineConfig};
 

@@ -578,10 +578,10 @@ option_table! {
     /// the decision is recorded in EXPLAIN ANALYZE
     /// (`iteration: mode=semi_naive|full`).
     semi_naive: bool = true, with_semi_naive, Any, Planner;
-    /// Execute partitions on the database's persistent worker pool (one
-    /// thread per partition, created when the config is installed)
-    /// instead of sequentially on the statement's thread. Sequential
-    /// execution is deterministic and is the default for tests.
+    /// Run each operator's occupied partitions in parallel, on the
+    /// statement's thread and at most one scoped thread per further core,
+    /// instead of sequentially on the statement's thread. Results are the
+    /// same either way; sequential execution is the default.
     parallel_partitions: bool = false, with_parallel_partitions, Any, Engine;
     /// Safety bound on iterations for data/delta termination conditions, so
     /// a non-converging UNTIL cannot loop forever.

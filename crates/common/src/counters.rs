@@ -64,7 +64,7 @@ pub enum Group {
     Recovery,
     /// Spill-to-disk activity of the memory accountant.
     Spill,
-    /// Worker-pool scheduling and the join-state cache.
+    /// Parallel partition scheduling and the join-state cache.
     Pool,
     /// Admission-control queueing.
     Admission,
@@ -410,11 +410,11 @@ counter_table! {
     /// High-water mark of resident bytes tracked by the memory accountant.
     peak_tracked_bytes: Spill, Max, "peak_tracked", block("peak_tracked_bytes", "peak_tracked", " B");
 
-    /// OS threads spawned by parallel operators. Zero by construction —
-    /// the worker pool is the only parallel path — and kept because
-    /// `spinbench` reads it.
+    /// Scoped threads spawned to run partitions in parallel: at most one
+    /// per further core per operator, so always fewer than `pool_tasks`.
     threads_spawned: Pool, Add, "spawned", block("threads_spawned");
-    /// Per-partition tasks dispatched to the persistent worker pool.
+    /// Partitions run in parallel: the occupied partitions of every
+    /// operator that had at least two with `parallel_partitions` on.
     pool_tasks: Pool, Add, "pool_tasks", block("pool_tasks");
     /// Loop-invariant hash-join build tables constructed by the
     /// join-state cache (first probe, or rebuild after invalidation).

@@ -133,15 +133,6 @@ pub enum Error {
     /// The server (or admission controller) is draining for shutdown and
     /// no longer admits new queries.
     ShuttingDown,
-    /// A `WorkerPool::scope` call made no progress within the stall
-    /// deadline and reclaimed its still-queued tasks — a lost-task
-    /// surface instead of a coordinator hang.
-    PoolStalled {
-        /// Milliseconds the scope had been waiting when it gave up.
-        waited_ms: u64,
-        /// Tasks reclaimed from the queue without ever running.
-        pending_tasks: u64,
-    },
     /// An on-disk artifact (spill file, checkpoint epoch, journal) failed
     /// its integrity verification on read: bad magic, short/torn file,
     /// checksum mismatch, or the file is missing entirely. Transient by
@@ -236,8 +227,7 @@ impl Error {
             | Error::WorkerPanicked { .. }
             | Error::Io(_)
             | Error::SpillUnavailable { .. }
-            | Error::StorageCorrupt { .. }
-            | Error::PoolStalled { .. } => ErrorClass::Transient,
+            | Error::StorageCorrupt { .. } => ErrorClass::Transient,
             // Shed-load decisions (`Overloaded`, `AdmissionTimeout`,
             // `ShuttingDown`) are deliberate back-pressure: retrying
             // inside the engine would defeat the shedding, so they are
@@ -336,14 +326,6 @@ impl fmt::Display for Error {
                  the query never started"
             ),
             Error::ShuttingDown => write!(f, "server is shutting down; no new queries admitted"),
-            Error::PoolStalled {
-                waited_ms,
-                pending_tasks,
-            } => write!(
-                f,
-                "worker pool made no progress for {waited_ms} ms; \
-                 {pending_tasks} queued task(s) reclaimed without running"
-            ),
             Error::StorageCorrupt { region, message } => write!(
                 f,
                 "on-disk state for '{region}' failed verification: {message}; \
@@ -472,16 +454,6 @@ mod tests {
         assert!(t.to_string().contains("never started"));
         assert_eq!(t.class(), ErrorClass::Fatal);
         assert_eq!(Error::ShuttingDown.class(), ErrorClass::Fatal);
-    }
-
-    #[test]
-    fn pool_stall_is_transient_and_names_reclaimed_tasks() {
-        let e = Error::PoolStalled {
-            waited_ms: 250,
-            pending_tasks: 3,
-        };
-        assert!(e.to_string().contains("3 queued task(s)"));
-        assert!(e.is_retryable(), "a stalled scope is worth one retry");
     }
 
     #[test]

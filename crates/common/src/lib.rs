@@ -7,6 +7,7 @@
 //! paper's ablation experiments (Figures 8-11 of DBSpinner, ICDE 2021).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod approx;

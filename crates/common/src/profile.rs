@@ -334,7 +334,7 @@ pub struct QueryProfile {
     /// Spill counters of the statement ([`Group::Spill`]); empty unless
     /// memory pressure made the engine track or spill intermediate state.
     pub spill: CounterBlock,
-    /// Worker-pool / join-cache counters ([`Group::Pool`]); empty for
+    /// Parallel-partition / join-cache counters ([`Group::Pool`]); empty for
     /// serial statements with no cacheable joins.
     pub pool: CounterBlock,
     /// Admission-control activity: `waited_ms`, `queue_depth` at enqueue

@@ -15,6 +15,8 @@
 //! A loader for real SNAP edge lists (`src<TAB>dst` lines) is provided for
 //! users who have the originals.
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod loader;
 pub mod ml;

@@ -11,7 +11,7 @@ use spinner_common::{
     MemoryGate, QueryClass, QueryGuard, QueryProfile, Result, Row, Schema, SchemaRef,
     StatsSnapshot, Tracer,
 };
-use spinner_exec::{FaultInjector, StatementContext, WorkerPool};
+use spinner_exec::{FaultInjector, StatementContext};
 use spinner_parser::{parse_sql, parse_statements, Statement};
 use spinner_plan::builder::SchemaProvider;
 use spinner_plan::{plan_statement, PlannedStatement, QueryPlan};
@@ -45,11 +45,6 @@ pub struct Database {
     /// temp registry and checkpoint store. `None` preserves the
     /// fail-fast budget semantics.
     spill: Option<Arc<SpillEnv>>,
-    /// Persistent worker pool (one thread per partition), created once
-    /// when the config enables `parallel_partitions` and shared by every
-    /// statement — parallel operators dispatch tasks to it. `None` =
-    /// partitions run serially on the statement's thread.
-    pool: Option<WorkerPool>,
     /// Global admission controller, built when the config sets
     /// `max_concurrent_queries`. Every plan-executing statement acquires
     /// an [`AdmissionPermit`] before touching the executor; `None`
@@ -136,7 +131,6 @@ impl Database {
             last_stats: Mutex::new(StatsSnapshot::default()),
             faults: Arc::new(FaultInjector::disabled()),
             spill: None,
-            pool: None,
             admission: None,
             journal: None,
             adoption: Mutex::new(AdoptionReport::default()),
@@ -202,12 +196,6 @@ impl Database {
             // adoption has read what it needs.
             env.manager.recover_orphans();
         }
-        // The pool is created here — once per (re)configuration, never
-        // mid-statement — so steady-state loop iterations spawn nothing.
-        // Reconfiguring drops the old pool (joining its workers).
-        self.pool = config
-            .parallel_partitions
-            .then(|| WorkerPool::new(config.partitions));
         self.admission = config.max_concurrent_queries.map(|max| {
             let gate = self
                 .spill
@@ -225,7 +213,7 @@ impl Database {
     }
 
     /// A fresh execution context for one statement, wired to the engine's
-    /// pool and spill environment (shared accountant: concurrent
+    /// spill environment (shared accountant: concurrent
     /// statements contend for the same memory threshold, as they would
     /// for real memory).
     fn statement<'a>(&'a self, guard: &'a QueryGuard) -> StatementContext<'a> {
@@ -234,7 +222,6 @@ impl Database {
             &self.config,
             guard,
             &self.faults,
-            self.pool.as_ref(),
             self.spill.clone(),
         )
     }

@@ -27,6 +27,7 @@
 //! paper's rename optimization (Fig. 8) saves.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod database;
 pub mod restart;

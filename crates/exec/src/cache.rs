@@ -400,7 +400,7 @@ mod tests {
     ) -> T {
         let config = EngineConfig::default().with_partitions(2);
         let (guard, faults) = (QueryGuard::unlimited(), FaultInjector::disabled());
-        let ctx = StatementContext::new(catalog, &config, &guard, &faults, None, spill);
+        let ctx = StatementContext::new(catalog, &config, &guard, &faults, spill);
         ctx.registry.put(
             "probe",
             partitioned(&[(1, 10), (2, 20), (3, 30)], &["k", "v"]),

@@ -248,7 +248,7 @@ mod tests {
     fn dml(catalog: &Catalog, sql: &str) -> (Result<usize>, u64) {
         let config = EngineConfig::default();
         let (guard, faults) = (QueryGuard::unlimited(), FaultInjector::disabled());
-        let ctx = StatementContext::new(catalog, &config, &guard, &faults, None, None);
+        let ctx = StatementContext::new(catalog, &config, &guard, &faults, None);
         let planned = parse_sql(sql).and_then(|s| plan_statement(&s, &Provider(catalog), &config));
         let result = planned.and_then(|planned| run(&ctx, &planned));
         (result, ctx.stats.rows_evaluated_by_row.get())

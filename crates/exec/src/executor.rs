@@ -41,7 +41,6 @@ use crate::fault::FaultInjector;
 use crate::keys::{hash_keys, KeyTable};
 use crate::operators;
 use crate::physical::{create_physical_plan, create_stored_plan, ExchangeMode, PhysicalPlan};
-use crate::pool::WorkerPool;
 use crate::retry::retry;
 
 /// The execution context of one statement: what it borrows from the
@@ -67,9 +66,6 @@ pub struct StatementContext<'a> {
     pub guard: &'a QueryGuard,
     /// Chaos-testing fault injector (no-op outside chaos tests).
     pub faults: &'a FaultInjector,
-    /// The engine's persistent worker pool; `None` runs every partition
-    /// on the statement's own thread.
-    pub pool: Option<&'a WorkerPool>,
     /// The engine's memory accountant + spill manager — the one the
     /// `registry` and `checkpoints` below were built over, and the one the
     /// executor, operators and join cache consult. `None` keeps the
@@ -120,7 +116,6 @@ impl<'a> StatementContext<'a> {
         config: &'a EngineConfig,
         guard: &'a QueryGuard,
         faults: &'a FaultInjector,
-        pool: Option<&'a WorkerPool>,
         spill: Option<Arc<SpillEnv>>,
     ) -> Self {
         StatementContext {
@@ -128,7 +123,6 @@ impl<'a> StatementContext<'a> {
             config,
             guard,
             faults,
-            pool,
             registry: TempRegistry::new(spill.clone()),
             checkpoints: CheckpointStore::new(spill.clone()),
             spill,
@@ -1041,10 +1035,7 @@ mod tests {
         let plan = plan_query(&q, &CatalogProvider(catalog), config)?;
         let guard = QueryGuard::unlimited();
         let faults = FaultInjector::disabled();
-        let pool = config
-            .parallel_partitions
-            .then(|| WorkerPool::new(config.partitions));
-        let ctx = StatementContext::new(catalog, config, &guard, &faults, pool.as_ref(), None);
+        let ctx = StatementContext::new(catalog, config, &guard, &faults, None);
         ctx.run_query(&plan)
     }
 
@@ -1328,7 +1319,7 @@ mod tests {
             let plan = plan_query(&q, &CatalogProvider(&catalog), config).unwrap();
             let guard = QueryGuard::unlimited();
             let faults = FaultInjector::disabled();
-            let ctx = StatementContext::new(&catalog, config, &guard, &faults, None, None);
+            let ctx = StatementContext::new(&catalog, config, &guard, &faults, None);
             let batch = ctx.run_query(&plan).unwrap();
             (batch, ctx.stats.snapshot())
         };

@@ -194,7 +194,7 @@ impl KeyIndex {
 /// A hash-join build side: the distinct keys of one partition's rows, and
 /// each key's rows laid end to end in build-row order. Rows with a NULL in
 /// their key are left out: their key has no rows. Read-only once built, so
-/// a cached build is shared across iterations and pool workers as it is.
+/// a cached build is shared across iterations and partition threads as it is.
 #[derive(Debug)]
 pub struct JoinTable {
     keys: KeyTable,

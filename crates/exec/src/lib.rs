@@ -21,6 +21,7 @@
 //! measurements.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod cache;
@@ -30,11 +31,9 @@ pub mod fault;
 pub mod keys;
 pub mod operators;
 pub mod physical;
-pub mod pool;
 mod retry;
 
 pub use cache::JoinStateCache;
 pub use executor::StatementContext;
 pub use fault::FaultInjector;
 pub use physical::{create_physical_plan, create_stored_plan, ExchangeMode, PhysicalPlan};
-pub use pool::WorkerPool;

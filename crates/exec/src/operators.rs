@@ -7,12 +7,14 @@
 //! filter keeps, the `(probe, build)` pairs a join matched, the group of
 //! each row, the order of a sort, the partition each row is bound for —
 //! by which each output column is gathered once. Per-partition work runs
-//! in parallel when `EngineConfig::parallel_partitions` is set — as tasks
-//! on the database's persistent [`WorkerPool`](crate::WorkerPool), the
-//! only parallel path, so no operator ever spawns a thread. The default
-//! is sequential execution for determinism.
+//! in parallel when `EngineConfig::parallel_partitions` is set — on the
+//! statement's thread and at most one scoped thread per further core,
+//! which share the occupied partitions (see `map_partitions`). The
+//! default is sequential execution for determinism.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread;
 
 use spinner_common::memory::RegionKind;
 use spinner_common::profile::SpanKind;
@@ -429,56 +431,67 @@ fn run_partition(
     outcome
 }
 
+/// Cores this process may run on, read once: `available_parallelism`
+/// reads cgroup files, too slow to repeat per operator.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Shared scheduling driver for [`unary_map`]/[`binary_map`]: run
 /// `work(i)` for every partition index `0..count` and collect the
-/// results.
+/// results in partition order.
 ///
 /// Scheduling policy:
-/// - no worker pool (serial mode), or fewer than two *occupied*
-///   partitions: everything runs inline on the coordinator, in partition
-///   order — deterministic, zero threads;
-/// - otherwise: one pool task per occupied partition (`pool_tasks`
-///   counts them; no threads are spawned).
+/// - serial mode, or fewer than two *occupied* partitions: everything
+///   runs on the statement's thread, in partition order — deterministic,
+///   zero threads;
+/// - otherwise the statement's thread and `min(occupied, cores) − 1`
+///   scoped threads take occupied partitions from one counter until none
+///   is left (`pool_tasks` counts the partitions, `threads_spawned` the
+///   threads). A thread that cannot be spawned leaves its share to the
+///   others.
 ///
-/// Empty partitions never get a pool task — their closures run inline on
-/// the coordinator after the parallel batch. They still go through `work`
-/// (and therefore [`run_partition`]), so fault-injection hit counts and
-/// retry accounting are identical in every mode.
+/// Empty partitions run on the statement's thread after the parallel
+/// batch. They still go through `work` (and therefore [`run_partition`]),
+/// so fault-injection hit counts and retry accounting are identical in
+/// every mode.
 fn map_partitions(
     ctx: &StatementContext<'_>,
     count: usize,
     is_empty: &dyn Fn(usize) -> bool,
     work: &(dyn Fn(usize) -> Result<Arc<Block>> + Sync),
 ) -> Result<Vec<Arc<Block>>> {
-    // Without a pool nothing is listed, and an empty list allocates nothing.
-    let listed = |i: &usize| ctx.pool.is_some() && !is_empty(*i);
+    // Serially nothing is listed, and an empty list allocates nothing.
+    let listed = |i: &usize| ctx.config.parallel_partitions && !is_empty(*i);
     let occupied: Vec<usize> = (0..count).filter(listed).collect();
-    let Some(pool) = ctx.pool.filter(|_| occupied.len() > 1) else {
+    if occupied.len() < 2 {
         return (0..count).map(work).collect();
-    };
-    let mut results: Vec<Option<Result<Arc<Block>>>> = (0..count).map(|_| None).collect();
+    }
     ctx.stats.pool_tasks.add(occupied.len() as u64);
-    let outcomes = pool.scope(occupied.iter().map(|&i| move || work(i)).collect())?;
-    for (&i, outcome) in occupied.iter().zip(outcomes) {
-        results[i] = Some(outcome.unwrap_or_else(|payload| {
-            // Unreachable in practice (run_partition catches panics
-            // inside the worker), kept as a second line of defense.
-            ctx.guard.abort_workers();
-            Err(Error::WorkerPanicked {
-                partition: i,
-                message: panic_message(payload),
-            })
-        }));
-    }
-    for (i, slot) in results.iter_mut().enumerate() {
-        if slot.is_none() {
-            *slot = Some(work(i));
+    let slots: Vec<OnceLock<Result<Arc<Block>>>> = (0..count).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        while let Some(&i) = occupied.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let _ = slots[i].set(work(i));
         }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every partition filled"))
-        .collect()
+    };
+    thread::scope(|s| {
+        let helpers = (1..occupied.len().min(cores()))
+            .map_while(|_| {
+                let builder = thread::Builder::new().name("spinner-worker".into());
+                builder.spawn_scoped(s, drain).ok()
+            })
+            .count();
+        ctx.stats.threads_spawned.add(helpers as u64);
+        drain();
+    });
+    // Every empty partition runs before the first error returns, however
+    // an occupied one ended.
+    let results: Vec<Result<Arc<Block>>> = (slots.into_iter().enumerate())
+        .map(|(i, slot)| slot.into_inner().unwrap_or_else(|| work(i)))
+        .collect();
+    results.into_iter().collect()
 }
 
 /// Run `f` over every partition of `input`, optionally in parallel.
@@ -1044,12 +1057,39 @@ mod tests {
         let config = EngineConfig::default().with_partitions(partitions);
         let guard = QueryGuard::unlimited();
         let faults = FaultInjector::disabled();
-        let ctx = StatementContext::new(&catalog, &config, &guard, &faults, None, None);
+        let ctx = StatementContext::new(&catalog, &config, &guard, &faults, None);
         f(&ctx)
     }
 
     fn block(width: usize, rows: &[Row]) -> Arc<Block> {
         Arc::new(Block::from_rows(width, rows.iter().cloned()))
+    }
+
+    /// Parallel partitions come back in partition order, each computed
+    /// once, whichever thread took it; empty ones run after the batch.
+    #[test]
+    fn parallel_partitions_return_in_partition_order() {
+        let catalog = Catalog::new();
+        let config = EngineConfig::default().with_parallel_partitions(true);
+        let guard = QueryGuard::unlimited();
+        let faults = FaultInjector::disabled();
+        let ctx = StatementContext::new(&catalog, &config, &guard, &faults, None);
+        let runs: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
+        let work = |i: usize| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            Ok(block(1, &[row_of([Value::Int(i as i64)])]))
+        };
+        let blocks = map_partitions(&ctx, 16, &|i| i % 4 == 0, &work).unwrap();
+        let order: Vec<Row> = blocks.iter().map(|b| b.row(0)).collect();
+        let expected: Vec<Row> = (0..16).map(|i| row_of([Value::Int(i)])).collect();
+        assert_eq!(order, expected);
+        assert!(runs.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+        let stats = ctx.stats.snapshot();
+        assert_eq!(
+            stats.pool_tasks, 12,
+            "the four empty partitions run serially"
+        );
+        assert!(stats.threads_spawned < stats.pool_tasks.min(cores() as u64));
     }
 
     fn hash_join(
@@ -1889,7 +1929,7 @@ mod tests {
         let env = Arc::new(spinner_storage::SpillEnv::new(u64::MAX, None, None));
         let (catalog, config) = (Catalog::new(), EngineConfig::default().with_partitions(4));
         let (guard, faults) = (QueryGuard::unlimited(), FaultInjector::disabled());
-        let ctx = StatementContext::new(&catalog, &config, &guard, &faults, None, Some(env));
+        let ctx = StatementContext::new(&catalog, &config, &guard, &faults, Some(env));
         let placed = Partitioned::from_rows(int_schema(), numbered(100), Some(0), 4);
         ctx.registry.put("t", placed);
         assert!(!hashed_again(*temp("t"), &[col(0)], &ctx));

@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn predicate_on_computed_column_stays() {
-        // Filter on `friends`, which Ri recomputes — unsafe to push.
+        // Filter on `friends`, which Ri recomputes — not safe to push.
         let pred = PlanExpr::column(1, "friends").binary(BinaryOp::Gt, PlanExpr::literal(10i64));
         let (steps, root) = program(ff_ri(), pred);
         let (steps, root) = push_into_non_iterative(steps, root, &EngineConfig::default()).unwrap();

@@ -24,6 +24,7 @@
 //! Entry points: [`optimize`] for a [`QueryPlan`], [`optimize_statement`]
 //! for any planned statement.
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod common_result;
 pub mod fold;

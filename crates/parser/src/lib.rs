@@ -13,6 +13,8 @@
 //! Entry points: [`parse_sql`] (one statement) and [`parse_statements`]
 //! (a `;`-separated script).
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod lexer;
 pub mod parser;

@@ -102,7 +102,7 @@ pub fn parse_statements(sql: &str) -> Result<Vec<Statement>> {
         if p.at_eof() {
             break;
         }
-        p.chained = 0;
+        (p.chained, p.deepest) = (0, 0);
         stmts.push(p.parse_statement()?);
         if !p.eat_symbol(";") {
             break;
@@ -138,6 +138,17 @@ const TREE_LINK: usize = 4;
 /// Weight of a binary operator.
 const EXPR_LINK: usize = 1;
 
+/// What nesting and chains may weigh together. A chain can lie at the
+/// deepest level of its statement, and the planner spends about 13 KB of
+/// stack per subquery level unoptimized on top of the chain's: 60 nested
+/// subqueries around 257 `+` terms overflowed a 2 MiB stack. So the
+/// deepest level a statement reaches weighs [`NEST_LINK`] per level on
+/// top of its chains; the heaviest statement this admits needs about
+/// 1.6 MiB unoptimized.
+const MAX_STACK_WEIGHT: usize = 320;
+/// Weight of one nesting level against [`MAX_STACK_WEIGHT`].
+const NEST_LINK: usize = 3;
+
 /// Token-stream parser. Construct with [`Parser::new`], then call
 /// [`Parser::parse_statement`].
 pub struct Parser {
@@ -147,6 +158,8 @@ pub struct Parser {
     depth: usize,
     /// Weight of the chain links of the current statement so far.
     chained: usize,
+    /// Deepest [`Parser::nested`] level of the current statement so far.
+    deepest: usize,
 }
 
 impl Parser {
@@ -157,6 +170,7 @@ impl Parser {
             pos: 0,
             depth: 0,
             chained: 0,
+            deepest: 0,
         })
     }
 
@@ -174,6 +188,21 @@ impl Parser {
                 self.peek_pos(),
             ));
         }
+        self.check_stack_weight()
+    }
+
+    /// Nesting and chains together against [`MAX_STACK_WEIGHT`].
+    fn check_stack_weight(&self) -> Result<()> {
+        if self.chained + NEST_LINK * self.deepest > MAX_STACK_WEIGHT {
+            return Err(Error::parse_at(
+                format!(
+                    "statement is nested {} levels deep around chains of weight {}; \
+                     together they may weigh {MAX_STACK_WEIGHT}, a level {NEST_LINK}",
+                    self.deepest, self.chained
+                ),
+                self.peek_pos(),
+            ));
+        }
         Ok(())
     }
 
@@ -186,6 +215,8 @@ impl Parser {
                 self.peek_pos(),
             ));
         }
+        self.deepest = self.deepest.max(self.depth + 1);
+        self.check_stack_weight()?;
         self.depth += 1;
         let parsed = f(self);
         self.depth -= 1;
@@ -1663,6 +1694,36 @@ mod tests {
         // Each statement of a script has the budget to itself.
         let script = vec![sums(200); 3].join("; ");
         assert_eq!(parse_statements(&script).unwrap().len(), 3);
+    }
+
+    /// A chain can lie at the bottom of deep nesting, so the two share
+    /// one stack budget on top of their own bounds.
+    #[test]
+    fn nesting_and_chains_share_a_budget() {
+        let nested_sum = |levels: usize, ops: usize| {
+            format!(
+                "SELECT * FROM {}(SELECT {} FROM t){}",
+                "(SELECT * FROM ".repeat(levels),
+                vec!["k"; ops + 1].join(" + "),
+                ")".repeat(levels)
+            )
+        };
+        for sql in [nested_sum(20, 250), nested_sum(60, 130), nested_sum(97, 19)] {
+            parse_sql(&sql).unwrap_or_else(|e| panic!("{e}"));
+        }
+        for sql in [
+            nested_sum(20, 256),
+            nested_sum(60, 140),
+            nested_sum(97, 256),
+        ] {
+            match parse_sql(&sql) {
+                Err(Error::Parse {
+                    message,
+                    position: Some(_),
+                }) => assert!(message.contains("together"), "{message}"),
+                other => panic!("expected a stack-weight error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! [`rewrite`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod expr;

@@ -14,6 +14,8 @@
 //! and [`runner`] executes the procedural scripts while counting
 //! statements and DDL operations.
 
+#![forbid(unsafe_code)]
+
 pub mod queries;
 pub mod runner;
 pub mod workloads;

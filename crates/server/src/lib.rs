@@ -33,6 +33,7 @@
 //! [`client`] for the blocking test/bench client.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod protocol;

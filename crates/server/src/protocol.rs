@@ -313,7 +313,6 @@ pub fn error_code(e: &Error) -> &'static str {
         Error::Overloaded { .. } => "overloaded",
         Error::AdmissionTimeout { .. } => "admission_timeout",
         Error::ShuttingDown => "shutting_down",
-        Error::PoolStalled { .. } => "pool_stalled",
         Error::StorageCorrupt { .. } => "storage_corrupt",
         Error::UnknownHandle { .. } => "unknown_handle",
         Error::ConnectExhausted { .. } => "connect_exhausted",

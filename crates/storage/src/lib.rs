@@ -9,6 +9,7 @@
 //! (paper §VI-A): `rename` re-points a name at an existing buffer instead
 //! of copying rows.
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod checkpoint;

@@ -17,7 +17,7 @@
 //! keep PR 19's budgets (145 / 90): a block of three one-cell columns is
 //! eight allocations where a row was one, which they pay for by no longer
 //! cloning the `Table` to read its schema or take its snapshot, listing
-//! occupied partitions for a pool that is not there, or naming a span
+//! occupied partitions when they run serially anyway, or naming a span
 //! nobody traces. The point `UPDATE` of spinbench's point mix takes 77
 //! (81 while it laid the old and updated rows end to end before gathering
 //! them), against 3,247 when DML copied the partition it changed to heap

@@ -2,7 +2,9 @@
 //! right `Error` variant with an actionable message — not a panic, not a
 //! wrong result.
 
-use spinner_engine::{Database, Error};
+use std::thread;
+
+use spinner_engine::{Database, EngineConfig, Error};
 
 fn db() -> Database {
     let db = Database::default();
@@ -189,4 +191,50 @@ fn failed_statement_leaves_tables_intact() {
     // All weights unchanged.
     let sum = d.query("SELECT SUM(weight) FROM edges").unwrap();
     assert_eq!(sum.rows()[0][0].as_f64().unwrap(), 3.0);
+}
+
+/// The parser's nesting and chain bounds hold together: the statements
+/// that spend the most of both — the longest `+` chain the parser accepts
+/// at the bottom of nested subqueries — run end to end on a 2 MiB stack,
+/// what every thread but main gets, serially and in parallel. 97 levels
+/// around 257 terms used to parse and then overflow the planner's stack.
+#[test]
+fn deepest_accepted_statements_run_on_a_2_mib_stack() {
+    let nested_sum = |levels: usize, terms: usize| {
+        format!(
+            "SELECT * FROM {}(SELECT {} AS s FROM t){}",
+            "(SELECT * FROM ".repeat(levels),
+            vec!["k"; terms].join(" + "),
+            ")".repeat(levels)
+        )
+    };
+    for parallel in [false, true] {
+        let run = move || {
+            let config = EngineConfig::default().with_parallel_partitions(parallel);
+            let db = Database::new(config).unwrap();
+            db.execute("CREATE TABLE t (k INT)").unwrap();
+            db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+            assert!(matches!(
+                db.query(&nested_sum(97, 257)),
+                Err(Error::Parse { .. })
+            ));
+            for levels in [0, 20, 40, 60, 80, 97] {
+                let answered = (1..=257)
+                    .rev()
+                    .map(|terms| db.query(&nested_sum(levels, terms)))
+                    .find(|outcome| !matches!(outcome, Err(Error::Parse { .. })));
+                match answered {
+                    Some(Ok(rows)) => assert_eq!(rows.len(), 3, "{levels} levels"),
+                    Some(Err(e)) => eprintln!("{levels} levels: typed error {e}"),
+                    None => panic!("no chain accepted at {levels} levels"),
+                }
+            }
+        };
+        thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(run)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
 }

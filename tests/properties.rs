@@ -174,10 +174,10 @@ proptest! {
         prop_assert_eq!(base.rows(), multi.rows());
     }
 
-    /// The persistent worker pool is semantically invisible (PR 5): for
-    /// any random graph, every benchmark query shape (fig8 FF/PR, fig9
-    /// PR-VS, fig11 SSSP-VS, ablation CC) and partitions ∈ {1, 2, 4},
-    /// pooled-parallel execution returns exactly the serial rows. Both
+    /// Parallel partitions are semantically invisible: for any random
+    /// graph, every benchmark query shape (fig8 FF/PR, fig9 PR-VS, fig11
+    /// SSSP-VS, ablation CC) and partitions ∈ {1, 2, 4}, parallel
+    /// execution returns exactly the serial rows. Both
     /// sides share one partition count, so even float accumulation order
     /// matches and the comparison is exact.
     #[test]
@@ -197,7 +197,7 @@ proptest! {
         let serial = load_with_vs(&spec, EngineConfig::default().with_partitions(parts), with_vs)
             .query(&sql)
             .unwrap();
-        let pooled = load_with_vs(
+        let parallel = load_with_vs(
             &spec,
             EngineConfig::default()
                 .with_partitions(parts)
@@ -207,9 +207,9 @@ proptest! {
         .query(&sql)
         .unwrap();
         prop_assert_eq!(
-            sorted_rows(&pooled),
+            sorted_rows(&parallel),
             sorted_rows(&serial),
-            "shape {} with {} partitions diverged under the pool", shape, parts
+            "shape {} with {} partitions diverged in parallel", shape, parts
         );
     }
 
