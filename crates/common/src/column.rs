@@ -86,6 +86,14 @@ impl Nulls {
         }
     }
 
+    /// Mark row `i` not NULL.
+    fn clear(&mut self, i: usize) {
+        if self.is_null(i) {
+            self.words[i / 64] &= !(1u64 << (i % 64));
+            self.count -= 1;
+        }
+    }
+
     /// Rows NULL in `self` or in `other` — the NULLs of `a op b`.
     pub fn union(&self, other: &Nulls) -> Nulls {
         let (long, short) = if self.words.len() >= other.words.len() {
@@ -142,6 +150,29 @@ fn extend_typed<T: Clone + Default>(
                 }
             }),
     );
+}
+
+/// Overwrite row `to` of `data` with row `from` of `src` for every
+/// `(to, from)` of `pairs`; NULL in `src` writes the type's default and
+/// marks the row NULL.
+fn overwrite_typed<T: Clone + Default>(
+    (data, nulls): (&mut [T], &mut Nulls),
+    (src, src_nulls): (&[T], &Nulls),
+    pairs: &[(u32, u32)],
+) {
+    for &(to, from) in pairs {
+        let (to, from) = (to as usize, from as usize);
+        match typed(src, src_nulls, from) {
+            Some(cell) => {
+                data[to] = cell.clone();
+                nulls.clear(to);
+            }
+            None => {
+                data[to] = T::default();
+                nulls.set(to);
+            }
+        }
+    }
 }
 
 /// Cell `row` of a typed column's data: `None` if it is NULL or past the
@@ -277,6 +308,20 @@ impl Column {
         }
     }
 
+    /// Whether cell `row` is cell `other_row` of `other` as it prints:
+    /// equal *and* of one type, a float bit for bit — `2` is not `2.0`,
+    /// nor `-0.0` `0.0`.
+    pub fn same_cell(&self, row: usize, other: &Column, other_row: usize) -> bool {
+        match (self.cell(row), other.cell(other_row)) {
+            (Cell::Null, Cell::Null) => true,
+            (Cell::Int(a), Cell::Int(b)) => a == b,
+            (Cell::Float(a), Cell::Float(b)) => a.to_bits() == b.to_bits(),
+            (Cell::Text(a), Cell::Text(b)) => a == b,
+            (Cell::Bool(a), Cell::Bool(b)) => a == b,
+            _ => false,
+        }
+    }
+
     /// Feed every cell into the hasher at its row, exactly as `Value`'s
     /// `Hash` would: composing this over the columns of a key hashes the
     /// key a column at a time.
@@ -385,6 +430,39 @@ impl Column {
         }
     }
 
+    /// Overwrite cell `to` with cell `from` of `src` for every `(to, from)`
+    /// of `pairs`, each `to` a row of this column. A typed column of
+    /// `src`'s type is written in place; otherwise the column changes type
+    /// as [`extend_from`](Self::extend_from) would, to take `src`'s.
+    pub fn overwrite(&mut self, src: &Column, pairs: &[(u32, u32)]) {
+        if pairs.is_empty() {
+            return;
+        }
+        match (&mut *self, src) {
+            (Column::Int(d, n), Column::Int(s, sn)) => overwrite_typed((d, n), (s, sn), pairs),
+            (Column::Float(d, n), Column::Float(s, sn)) => overwrite_typed((d, n), (s, sn), pairs),
+            (Column::Bool(d, n), Column::Bool(s, sn)) => overwrite_typed((d, n), (s, sn), pairs),
+            (Column::Text(d, n), Column::Text(s, sn)) => overwrite_typed((d, n), (s, sn), pairs),
+            (Column::Mixed(d), src) => {
+                for &(to, from) in pairs {
+                    d[to as usize] = src.value(from as usize);
+                }
+            }
+            (_, src) if src.untyped() => {
+                let nulls = self.nulls_like(0);
+                self.overwrite(&nulls, pairs);
+            }
+            _ => {
+                if self.untyped() {
+                    *self = src.nulls_like(self.len());
+                } else {
+                    self.degrade();
+                }
+                self.overwrite(src, pairs);
+            }
+        }
+    }
+
     /// Cells `rows` of this column as a new column of the same type.
     pub fn gather(&self, rows: &[u32]) -> Column {
         let mut out = self.nulls_like(0);
@@ -484,6 +562,20 @@ impl Block {
         }
         self.rows += other.rows;
         assert!(self.rows < NO_ROW as usize, "row numbers are u32");
+    }
+
+    /// Overwrite row `to` with row `from` of `src` for every `(to, from)`
+    /// of `pairs` ([`Column::overwrite`]). Only a column with a cell that
+    /// is not already [the same](Column::same_cell) is written: in place
+    /// where it is this block's alone, onto a copy of it where it is
+    /// shared.
+    pub fn overwrite_rows(&mut self, src: &Block, pairs: &[(u32, u32)]) {
+        for (column, from) in self.columns.iter_mut().zip(&src.columns) {
+            let same = |&(to, at): &(u32, u32)| column.same_cell(to as usize, from, at as usize);
+            if !pairs.iter().all(same) {
+                Arc::make_mut(column).overwrite(from, pairs);
+            }
+        }
     }
 
     /// Every row as a heap row.
@@ -737,6 +829,48 @@ mod tests {
             let picks: Vec<u32> = picks.into_iter().filter(|&p| (p as usize) < a.len() + b.len()).collect();
             let want = Block::concat(&[Arc::clone(&ba), Arc::clone(&bb)], usize::MAX).take(&picks);
             prop_assert_eq!(exact(&Block::take_from_two(&ba, &bb, &picks)), exact(&want));
+        }
+
+        /// `overwrite` writes exactly the cells it is given — later pairs
+        /// over earlier ones — whatever the two columns' types, and
+        /// `overwrite_rows` leaves the block it shares its columns with as
+        /// it was.
+        #[test]
+        fn overwrite_writes_exactly_the_pairs_cells(
+            a in cells(),
+            b in cells(),
+            picks in proptest::collection::vec((0u32..12, 0u32..12), 0..12),
+        ) {
+            let pairs: Vec<(u32, u32)> = picks
+                .into_iter()
+                .filter(|&(to, from)| (to as usize) < a.len() && (from as usize) < b.len())
+                .collect();
+            let mut want = a.clone();
+            for &(to, from) in &pairs {
+                want[to as usize] = b[from as usize].clone();
+            }
+            let (ca, cb) = (column_of(&a), column_of(&b));
+            let mut written = ca.clone();
+            written.overwrite(&cb, &pairs);
+            prop_assert_eq!(exact(&values(&written)), exact(&want));
+            for (row, cell) in want.iter().enumerate() {
+                prop_assert_eq!(written.is_null(row), cell.is_null());
+                prop_assert!(written.same_cell(row, &column_of(&want), row));
+                for (other, cell) in b.iter().enumerate() {
+                    let same = match (&want[row], cell) {
+                        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                        (x, y) => exact(x) == exact(y),
+                    };
+                    prop_assert_eq!(written.same_cell(row, &cb, other), same);
+                }
+            }
+            let rows = |cells: &[Value]| cells.iter().map(|c| row_of([c.clone(), Value::Int(7)])).collect::<Vec<Row>>();
+            let (ba, bb) = (Arc::new(Block::from_rows(2, rows(&a))), Block::from_rows(2, rows(&b)));
+            let mut grown = Block::clone(&ba);
+            grown.overwrite_rows(&bb, &pairs);
+            prop_assert_eq!(exact(&grown.to_rows()), exact(&rows(&want)));
+            prop_assert_eq!(exact(&ba.to_rows()), exact(&rows(&a)));
+            prop_assert!(Arc::ptr_eq(&grown.columns()[1], &ba.columns()[1]), "an unchanged column is shared");
         }
 
         /// A column hashed a column at a time is `Value`'s own hash, and

@@ -373,8 +373,10 @@ counter_table! {
     renames: Exec, Add, "renames";
     /// Merge steps executed.
     merges: Exec, Add, "merges";
-    /// CTE rows examined by merge steps (join work the rename path
-    /// avoids).
+    /// Working rows merge steps probed through the CTE's key index — the
+    /// rows with a non-NULL key (join work the rename path avoids). Until
+    /// the index, every merge examined every CTE row, so the count was the
+    /// CTE's size times the merges.
     merge_rows_examined: Exec, Add, "merge_examined";
     /// Loop iterations across all loops in the statement.
     iterations: Exec, Add, "iterations";

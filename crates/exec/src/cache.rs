@@ -375,7 +375,13 @@ mod tests {
             schema: schema(&["k", "v"]),
         };
         let plan = create_stored_plan(&join, None, Some(&l)).unwrap();
-        assert!(matches!(plan, PhysicalPlan::HashJoin { cached: true, .. }));
+        assert!(matches!(
+            plan,
+            PhysicalPlan::HashJoin {
+                build: crate::JoinBuild::Cached,
+                ..
+            }
+        ));
         plan
     }
 

@@ -29,7 +29,7 @@ use spinner_common::counters::Counter;
 use spinner_common::memory::{RegionKind, SpillRequest};
 use spinner_common::profile::{SpanKind, Tracer};
 use spinner_common::{
-    Batch, Block, CounterSet, EngineConfig, Error, FaultSite, QueryGuard, Result, NO_ROW,
+    Batch, Block, CounterSet, EngineConfig, Error, FaultSite, QueryGuard, Result,
 };
 use spinner_plan::{LogicalPlan, LoopKind, LoopStep, PlanExpr, QueryPlan, Step, TerminationPlan};
 use spinner_storage::{
@@ -40,17 +40,21 @@ use crate::cache::JoinStateCache;
 use crate::fault::FaultInjector;
 use crate::keys::{hash_keys, KeyTable};
 use crate::operators;
-use crate::physical::{create_physical_plan, create_stored_plan, ExchangeMode, PhysicalPlan};
+use crate::physical::{
+    create_physical_plan, create_stored_plan, ExchangeMode, JoinBuild, PhysicalPlan,
+};
 use crate::retry::retry;
+use crate::solution::{merge_partition, PartitionMerge, SolutionIndexes};
 
 /// The execution context of one statement: what it borrows from the
 /// engine and the state it owns. The loop driver below, every physical
 /// operator and the engine all pass this one handle.
 ///
 /// A statement *owns* its intermediate results, loop checkpoints, cached
-/// join builds, counters and profile spans, so concurrent statements on
-/// one database can never observe — or zero — each other's; dropping the
-/// context releases everything, spill files included, on every exit path.
+/// join builds, solution indexes, counters and profile spans, so
+/// concurrent statements on one database can never observe — or zero —
+/// each other's; dropping the context releases everything, spill files
+/// included, on every exit path.
 ///
 /// The `guard` is consulted at every step and loop-iteration boundary
 /// (and inside operators at batch boundaries), so cancellation, deadline
@@ -80,6 +84,9 @@ pub struct StatementContext<'a> {
     /// buffers they were built from, which another statement's temps never
     /// are.
     pub join_cache: JoinStateCache,
+    /// Each running merge loop's key index over its CTE table: valid while
+    /// the table's partitions are the buffers it indexes.
+    pub solutions: SolutionIndexes,
     /// The statement's counters (always on).
     pub stats: CounterSet,
     /// Span collector for `EXPLAIN ANALYZE`; disabled for normal statements.
@@ -127,6 +134,7 @@ impl<'a> StatementContext<'a> {
             checkpoints: CheckpointStore::new(spill.clone()),
             spill,
             join_cache: JoinStateCache::new(),
+            solutions: SolutionIndexes::default(),
             stats: CounterSet::new(),
             tracer: Tracer::disabled(),
         }
@@ -330,10 +338,14 @@ impl<'a> StatementContext<'a> {
     ///
     /// Both inputs are hash-exchanged on the key column so the per-
     /// partition merge sees all rows of one key together (MPP co-location).
-    /// The merged table comes out placed on the key, so the next merge's
-    /// exchange passes it through unhashed. Returns the number of rows
-    /// whose values actually changed. Errors on duplicate keys in the
-    /// working table (paper §II).
+    /// Each working row is probed through the CTE's solution index
+    /// ([`crate::solution`]) — O(working), not O(CTE) — and each CTE row
+    /// it changes is overwritten in place, so the merged table is the CTE
+    /// table's own buffers, placed on the key as they were: the next
+    /// merge's exchange passes it through unhashed, and the index stays
+    /// valid. A partition a checkpoint still shares is copied once, not
+    /// written. Returns the number of rows whose values actually changed.
+    /// Errors on duplicate keys in the working table (paper §II).
     ///
     /// With `delta_out` set (semi-naive loops), the changed rows are also
     /// materialized under that temp name — partitioned exactly like the
@@ -350,7 +362,7 @@ impl<'a> StatementContext<'a> {
         delta_out: Option<&str>,
     ) -> Result<u64> {
         let key_expr = vec![PlanExpr::column(key, "merge_key")];
-        let cte_data = operators::exchange(
+        let mut cte_data = operators::exchange(
             self.registry.get(cte)?,
             &ExchangeMode::Hash(key_expr.clone()),
             usize::MAX,
@@ -362,65 +374,25 @@ impl<'a> StatementContext<'a> {
             usize::MAX,
             self,
         )?;
-        let mut out_parts: Vec<Arc<Block>> = Vec::with_capacity(cte_data.parts.len());
-        let mut delta_parts: Vec<Arc<Block>> = Vec::with_capacity(cte_data.parts.len());
-        let mut updated = 0u64;
-        let mut examined = 0u64;
-        for (cte_part, work_part) in cte_data.parts.iter().zip(&work_data.parts) {
-            let work_key = &work_part.columns()[key..=key];
-            // Key number → the working row that holds the key.
-            let mut index = KeyTable::new(1, work_part.rows());
-            let mut holders = vec![NO_ROW; work_part.rows()];
-            for (row, id) in (0..).zip(index.insert_all(work_key, work_part.rows())?) {
-                // NULL keys can never match an existing row; skip them
-                // like SQL equality would.
-                if work_key[0].is_null(row as usize) {
-                    continue;
-                }
-                if holders[id as usize] != NO_ROW {
-                    return Err(Error::DuplicateIterationKey {
-                        cte: cte_display_name.to_owned(),
-                        key: work_key[0].value(row as usize).to_string(),
-                    });
-                }
-                holders[id as usize] = row;
-            }
-            // The merged partition is the CTE partition with the working
-            // row in place of each row it replaces: row numbers into the
-            // two laid end to end, gathered from both in one pass.
-            let cte_key = &cte_part.columns()[key..=key];
-            let cte_hashes = hash_keys(cte_key, cte_part.rows());
-            let mut merged_rows: Vec<u32> = Vec::with_capacity(cte_part.rows());
-            let mut delta_rows: Vec<u32> = Vec::new();
-            for (old, &hash) in cte_hashes.iter().enumerate() {
-                examined += 1;
-                match index.find(cte_key, old, hash).map(|id| holders[id]) {
-                    Some(new) if new != NO_ROW => {
-                        if !work_part.eq_rows(new as usize, cte_part, old) {
-                            updated += 1;
-                            if delta_out.is_some() {
-                                delta_rows.push(new);
-                            }
-                        }
-                        merged_rows.push(cte_part.rows() as u32 + new);
-                    }
-                    _ => merged_rows.push(old as u32),
-                }
-            }
-            out_parts.push(Arc::new(Block::take_from_two(
-                cte_part,
-                work_part,
-                &merged_rows,
-            )));
-            delta_parts.push(Arc::new(work_part.take(&delta_rows)));
-        }
+        let tables = self.solutions.current(cte, &cte_data, key)?;
+        let parts = tables.iter().zip(&cte_data.parts).zip(&work_data.parts);
+        let merges: Vec<PartitionMerge> = parts
+            .map(|((table, old), new)| merge_partition(table, (old, new), key, cte_display_name))
+            .collect::<Result<_>>()?;
+        let updated: u64 = merges.iter().map(|m| m.delta.len() as u64).sum();
+        let probed: u64 = merges.iter().map(|m| m.probed).sum();
         self.stats.merges.add(1);
-        self.stats.merge_rows_examined.add(examined);
+        self.stats.merge_rows_examined.add(probed);
         self.stats.rows_updated.add(updated);
         // Every merged and delta row sits where its key placed it.
         let placed_on = PlacedOn::new([Some(key)]);
         if let Some(d) = delta_out {
             self.stats.delta_rows_emitted.add(updated);
+            let delta_parts = (work_data.parts.iter().zip(&merges))
+                .map(|(new, m)| Arc::new(new.take(&m.delta)))
+                .collect();
+            // Replacing last round's delta lets go of the blocks it shares
+            // with the CTE table: before iteration 1 it *is* the table.
             self.registry.put(
                 d,
                 Partitioned {
@@ -430,16 +402,19 @@ impl<'a> StatementContext<'a> {
                 },
             );
         }
-        self.registry.put(
-            merged,
-            Partitioned {
-                schema: cte_data.schema,
-                parts: out_parts,
-                placed_on,
-            },
-        );
         // Algorithm 1, line 10: the working table is consumed by the merge.
         self.registry.remove(working);
+        // Out of the registry, the CTE's partitions are this merge's alone
+        // unless a checkpoint shares them, and are written where they lie.
+        self.registry.remove(cte);
+        for ((part, new), m) in cte_data.parts.iter_mut().zip(&work_data.parts).zip(&merges) {
+            if !m.writes.is_empty() {
+                Arc::make_mut(part).overwrite_rows(new, &m.writes);
+            }
+        }
+        cte_data.placed_on = placed_on;
+        self.solutions.stamp(cte, &cte_data.parts);
+        self.registry.put(merged, cte_data);
         match delta_out {
             Some(d) => self.relieve_memory_pressure(&[merged, d])?,
             None => self.relieve_memory_pressure(&[merged])?,
@@ -538,6 +513,16 @@ impl<'a> StatementContext<'a> {
             _ => Ok(None),
         };
         let body: Vec<Option<PhysicalPlan>> = l.body.iter().map(lower).collect::<Result<_>>()?;
+        // An in-place merge or append keeps a table's buffers while its
+        // cells change, so the join-state cache, which proves a build
+        // current by its sources' buffers, must never cache one of them.
+        debug_assert!(
+            body.iter()
+                .flatten()
+                .all(|plan| caches_nothing_written(plan, l)),
+            "a cached join build of {} reads a table its loop writes",
+            l.cte_display_name
+        );
         let ckpt_every = self.config.checkpoint_interval;
         let mut recoveries_used: u64 = 0;
         // Adopted from a dead engine's journal, the loop continues from the
@@ -560,7 +545,8 @@ impl<'a> StatementContext<'a> {
             // What the driver derives from the installed tables is built
             // here — at loop entry and after every epoch install — and
             // nowhere else. The dedup set of a `UNION` recursion is
-            // exactly the rows accumulated so far.
+            // exactly the rows accumulated so far; a merge loop's solution
+            // index is the CTE table's, indexed on the loop key.
             let (mut iteration, mut cumulative_updates) = at;
             let mut seen = match &l.kind {
                 LoopKind::FixedPoint {
@@ -568,6 +554,10 @@ impl<'a> StatementContext<'a> {
                 } => Some(row_set(&self.registry.get(&l.cte)?)?),
                 _ => None,
             };
+            if l.merges() {
+                let cte = self.registry.get(&l.cte)?;
+                self.solutions.build(&l.cte, &cte, l.key)?;
+            }
             let err = loop {
                 iteration += 1;
                 self.guard.check()?;
@@ -594,6 +584,7 @@ impl<'a> StatementContext<'a> {
                             self.registry.remove(d);
                         }
                         self.checkpoints.remove(&l.cte);
+                        self.solutions.remove(&l.cte);
                         return Ok(());
                     }
                     Ok((false, updates)) => cumulative_updates = updates,
@@ -651,6 +642,10 @@ impl<'a> StatementContext<'a> {
         self.stats.iterations.add(1);
         let changed = self.advance(l, delta, merge_updates, previous.as_ref(), seen)?;
         let current = self.registry.get(&l.cte)?;
+        #[cfg(debug_assertions)]
+        if l.merges() {
+            self.solutions.check(&l.cte, &current, l.key);
+        }
         let cumulative = cumulative_updates + changed;
         if !appends {
             self.tracer.note_iteration_mode(
@@ -744,26 +739,32 @@ impl<'a> StatementContext<'a> {
         if added == 0 {
             return Ok(0);
         }
-        // The registry (and any checkpoint) still shares the old blocks;
-        // exactly the partitions that grow are laid out anew. The table
-        // stays placed on its key only if the new rows were placed on it.
         let mut current = self.registry.get(&l.cte)?;
+        // Replacing last round's delta lets go of the blocks it shares with
+        // the table: before iteration 1 it *is* the table.
+        self.registry.put(
+            delta,
+            Partitioned {
+                schema: Arc::clone(&produced.schema),
+                parts: new_parts.clone(),
+                placed_on: produced.placed_on,
+            },
+        );
+        // Out of the registry, the table's partitions are this round's
+        // alone unless a checkpoint shares them, and grow in place: a
+        // round copies what it appends, not what it appended before. The
+        // table stays placed on its key only if the new rows were placed
+        // on it.
+        self.registry.remove(&l.cte);
         for (part, extra) in current.parts.iter_mut().zip(&new_parts) {
-            *part = Block::concat(&[Arc::clone(part), Arc::clone(extra)], usize::MAX);
+            if !extra.is_empty() {
+                Arc::make_mut(part).append(extra);
+            }
         }
         if current.placed_on != produced.placed_on {
             current.placed_on = PlacedOn::UNKNOWN;
         }
-        let schema = Arc::clone(&current.schema);
         self.registry.put(&l.cte, current);
-        self.registry.put(
-            delta,
-            Partitioned {
-                schema,
-                parts: new_parts,
-                placed_on: produced.placed_on,
-            },
-        );
         self.relieve_memory_pressure(&[&l.cte, delta])?;
         Ok(added)
     }
@@ -923,6 +924,26 @@ impl<'a> StatementContext<'a> {
     }
 }
 
+/// Whether no join of `plan` that the join-state cache builds once reads a
+/// temp `l` writes.
+fn caches_nothing_written(plan: &PhysicalPlan, l: &LoopStep) -> bool {
+    let reads_nothing_written = |side: &PhysicalPlan| {
+        side.all_leaves(
+            &mut |leaf| !matches!(leaf, PhysicalPlan::TempScan { name, .. } if l.writes(name)),
+        )
+    };
+    match plan {
+        PhysicalPlan::HashJoin {
+            right,
+            build: JoinBuild::Cached,
+            ..
+        } if !reads_nothing_written(right) => false,
+        _ => plan
+            .children()
+            .all(|child| caches_nothing_written(child, l)),
+    }
+}
+
 /// Profile-span label for a step, mirroring its EXPLAIN rendering.
 fn step_label(step: &Step) -> String {
     match step {
@@ -991,7 +1012,7 @@ fn diff_by_key(previous: &Partitioned, current: &Partitioned, key: usize) -> Res
 mod tests {
     use super::*;
     use spinner_common::SchemaRef;
-    use spinner_common::{row_of, DataType, Field, Schema, Value};
+    use spinner_common::{row_of, Column, DataType, Field, Schema, Value};
     use spinner_parser::parse_sql;
     use spinner_plan::builder::SchemaProvider;
     use spinner_plan::plan_query;
@@ -1335,6 +1356,161 @@ mod tests {
             s2.merge_rows_examined > 0,
             "merge path does per-row work the rename path avoids"
         );
+    }
+
+    /// The merge as it was before the solution index: a key table over the
+    /// working rows, every CTE row probed, the merged partition gathered
+    /// anew from the two. Returns the merged partition, the delta and the
+    /// update count.
+    fn reference_merge(cte: &Block, work: &Block, key: usize) -> Result<(Block, Block, u64)> {
+        let work_key = &work.columns()[key..=key];
+        let mut index = KeyTable::new(1, work.rows());
+        let mut holders = vec![spinner_common::NO_ROW; work.rows()];
+        for (row, id) in (0..).zip(index.insert_all(work_key, work.rows())?) {
+            if work_key[0].is_null(row as usize) {
+                continue;
+            }
+            if holders[id as usize] != spinner_common::NO_ROW {
+                return Err(Error::DuplicateIterationKey {
+                    cte: "t".into(),
+                    key: work_key[0].value(row as usize).to_string(),
+                });
+            }
+            holders[id as usize] = row;
+        }
+        let cte_key = &cte.columns()[key..=key];
+        let (mut merged, mut delta) = (Vec::new(), Vec::new());
+        for (old, hash) in hash_keys(cte_key, cte.rows()).into_iter().enumerate() {
+            match index.find(cte_key, old, hash).map(|id| holders[id]) {
+                Some(new) if new != spinner_common::NO_ROW => {
+                    if !work.eq_rows(new as usize, cte, old) {
+                        delta.push(new);
+                    }
+                    merged.push(cte.rows() as u32 + new);
+                }
+                _ => merged.push(old as u32),
+            }
+        }
+        let updated = delta.len() as u64;
+        Ok((
+            Block::take_from_two(cte, work, &merged),
+            work.take(&delta),
+            updated,
+        ))
+    }
+
+    /// The merge through the solution index, onto a copy of `cte`.
+    fn indexed_merge(cte: &Block, work: &Block, key: usize) -> Result<(Block, Block, u64)> {
+        let table = crate::keys::JoinTable::build(cte.columns()[key..=key].to_vec(), cte.rows())?;
+        let merge = merge_partition(&table, (cte, work), key, "t")?;
+        let mut merged = cte.clone();
+        merged.overwrite_rows(work, &merge.writes);
+        Ok((merged, work.take(&merge.delta), merge.delta.len() as u64))
+    }
+
+    /// Merge inputs: `(key, value)` rows whose keys repeat, are NULL, or
+    /// are `2` on one side and `2.0` on the other; values that are
+    /// integers, floats (`-0.0` beside `0.0`), both, or NULL.
+    fn merge_rows() -> impl proptest::strategy::Strategy<Value = Vec<spinner_common::Row>> {
+        use proptest::prelude::*;
+        let key = (0i64..7).prop_map(|n| match n {
+            5 => Value::Null,
+            6 => Value::Float(2.0),
+            n => Value::Int(n),
+        });
+        let value = (0u32..4, 0i64..3).prop_map(|(kind, n)| match kind {
+            0 => Value::Int(n),
+            1 => Value::Float(if n == 0 { -0.0 } else { n as f64 }),
+            2 => Value::Float(n as f64),
+            _ => Value::Null,
+        });
+        proptest::collection::vec((key, value).prop_map(|(k, v)| row_of([k, v])), 0..16)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The merge through the solution index is the merge it replaced,
+        /// cell for cell: the merged rows, the delta in its order and the
+        /// update count — or the same duplicate key named.
+        #[test]
+        fn indexed_merge_equals_the_reference_merge(cte in merge_rows(), work in merge_rows()) {
+            let exact = |block: &Block| format!("{:?}", block.to_rows());
+            let (cte, work) = (Block::from_rows(2, cte), Block::from_rows(2, work));
+            match (indexed_merge(&cte, &work, 0), reference_merge(&cte, &work, 0)) {
+                (Ok((merged, delta, updated)), Ok((want, want_delta, want_updated))) => {
+                    proptest::prop_assert_eq!(exact(&merged), exact(&want));
+                    proptest::prop_assert_eq!(exact(&delta), exact(&want_delta));
+                    proptest::prop_assert_eq!(updated, want_updated);
+                }
+                (Err(e), Err(want)) => proptest::prop_assert_eq!(format!("{e:?}"), format!("{want:?}")),
+                (got, want) => proptest::prop_assert!(false, "{got:?} against {want:?}"),
+            }
+        }
+    }
+
+    /// A `UNION ALL` recursion's rounds append to the table's partitions
+    /// where they lie: the column buffer the first round grew is the one
+    /// every later round grows, so no round copies what earlier ones
+    /// appended.
+    #[test]
+    fn an_append_round_copies_only_what_it_appends() {
+        let catalog = Catalog::new();
+        let config = EngineConfig::default().with_partitions(1);
+        let (guard, faults) = (QueryGuard::unlimited(), FaultInjector::disabled());
+        let ctx = StatementContext::new(&catalog, &config, &guard, &faults, None);
+        let schema = Arc::new(Schema::new(vec![Field::new("n", DataType::Int)]));
+        let l = LoopStep {
+            cte: "walk".into(),
+            cte_display_name: "walk".into(),
+            kind: LoopKind::FixedPoint {
+                working: "work".into(),
+                union_all: true,
+            },
+            body: Vec::new(),
+            termination: TerminationPlan::Delta { threshold: 1 },
+            key: 0,
+            schema: Arc::clone(&schema),
+        };
+        let row = |n: i64| {
+            Partitioned::from_rows(Arc::clone(&schema), vec![row_of([Value::Int(n)])], None, 1)
+        };
+        // The table's one column: where its cells are, how many, and how
+        // many fit there.
+        let buffer = |ctx: &StatementContext<'_>| {
+            let table = ctx.registry.get("walk").unwrap();
+            match &*table.parts[0].columns()[0] {
+                Column::Int(cells, _) => (cells.as_ptr(), cells.len(), cells.capacity()),
+                other => panic!("{other:?}"),
+            }
+        };
+        ctx.registry.put("walk", row(0));
+        // Before round 1 the delta is the table itself.
+        ctx.registry
+            .put("__delta_walk", ctx.registry.get("walk").unwrap());
+        let mut seen = None;
+        let mut before = buffer(&ctx);
+        for round in 1..=64 {
+            ctx.registry.put("work", row(round));
+            let added = ctx.append_new_rows(&l, "work", "__delta_walk", &mut seen);
+            assert_eq!(added.unwrap(), 1);
+            let after = buffer(&ctx);
+            assert_eq!(after.1, before.1 + 1);
+            assert!(
+                after.0 == before.0 || before.1 == before.2,
+                "round {round} moved a buffer with room to spare"
+            );
+            before = after;
+        }
+        let all: Vec<i64> = ctx
+            .registry
+            .get("walk")
+            .unwrap()
+            .gather()
+            .iter()
+            .map(|r| r[0].as_i64().unwrap())
+            .collect();
+        assert_eq!(all, (0..=64).collect::<Vec<_>>());
     }
 
     #[test]

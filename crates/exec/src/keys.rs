@@ -20,7 +20,9 @@
 //!   copy of each, in columns of its own.
 //! * [`JoinTable`] is a join's build side on top of a [`KeyTable`]: each
 //!   distinct key once, and its rows laid end to end, so a probe is one
-//!   chain walk over distinct keys, one key comparison and a slice.
+//!   chain walk over distinct keys, one key comparison and a slice. A
+//!   merge loop keeps one per partition of its CTE table as the table's
+//!   key index (`solution.rs`).
 //!
 //! **What the hash decides, and what it does not.** It picks a bucket
 //! inside one partition's index and nothing else. Which *partition* a row
@@ -243,8 +245,26 @@ impl JoinTable {
     }
 
     /// Key `k`'s rows, in build-row order.
-    fn group(&self, k: usize) -> &[u32] {
+    pub(crate) fn group(&self, k: usize) -> &[u32] {
         &self.rows[self.starts[k] as usize..self.starts[k + 1] as usize]
+    }
+
+    /// The number of the key held in row `row` of `probe` (which hashes to
+    /// `hash`), if a build row holds it.
+    pub(crate) fn find(&self, probe: &[Arc<Column>], row: usize, hash: u64) -> Option<usize> {
+        self.keys.find(probe, row, hash)
+    }
+
+    /// Whether `other` indexes the same rows under the same keys: keys
+    /// numbered alike, equal key for key, with the same rows.
+    #[cfg(debug_assertions)]
+    pub(crate) fn agrees_with(&self, other: &JoinTable) -> bool {
+        let columns = self.keys.keys.iter().zip(&other.keys.keys);
+        let equal_keys = |k: usize| columns.clone().all(|(a, b)| a.eq_cells(k, b, k));
+        self.starts == other.starts
+            && self.rows == other.rows
+            && self.keys.len() == other.keys.len()
+            && (0..self.keys.len()).all(equal_keys)
     }
 
     /// Every key's rows ascend and hold that key, and none holds a NULL.
@@ -264,7 +284,7 @@ impl JoinTable {
     /// Build rows whose key equals the key of row `row` of `probe` (which
     /// hashes to `hash`), in build-row order.
     pub fn matches(&self, probe: &[Arc<Column>], row: usize, hash: u64) -> &[u32] {
-        match self.keys.find(probe, row, hash) {
+        match self.find(probe, row, hash) {
             Some(k) => self.group(k),
             None => &[],
         }

@@ -32,8 +32,12 @@ pub mod keys;
 pub mod operators;
 pub mod physical;
 mod retry;
+pub mod solution;
 
 pub use cache::JoinStateCache;
 pub use executor::StatementContext;
 pub use fault::FaultInjector;
-pub use physical::{create_physical_plan, create_stored_plan, ExchangeMode, PhysicalPlan};
+pub use physical::{
+    create_physical_plan, create_stored_plan, ExchangeMode, JoinBuild, PhysicalPlan,
+};
+pub use solution::SolutionIndexes;

@@ -25,7 +25,7 @@ use spinner_storage::{placement, Partitioned, PlacedOn};
 use crate::aggregate::{aggregate, Accumulator, Phase};
 use crate::executor::StatementContext;
 use crate::keys::{hash_keys, null_key, JoinTable, KeyTable};
-use crate::physical::{bare_column, ExchangeMode, PhysicalPlan};
+use crate::physical::{bare_column, ExchangeMode, JoinBuild, PhysicalPlan};
 use crate::retry::retry;
 
 /// Track the approximate bytes of an operator's in-flight hash state (a
@@ -162,7 +162,7 @@ fn execute_inner(
             right_keys,
             residual,
             columns,
-            cached,
+            build,
             schema,
         } => {
             let l = execute(left, ctx)?;
@@ -185,19 +185,30 @@ fn execute_inner(
                 _ => PlacedOn::UNKNOWN,
             };
             // A loop-invariant build side is built once and re-probed on
-            // every later iteration.
-            let parts = if *cached {
+            // every later iteration; a merge loop's CTE is looked up through
+            // its solution index while that indexes the rows just read.
+            let solution = match build {
+                JoinBuild::Indexed { cte } => ctx.solutions.tables(cte, &l.parts),
+                _ => None,
+            };
+            let parts = if *build == JoinBuild::Cached {
                 cached_hash_join(&l, right, &join)?
             } else {
                 let r = execute(right, ctx)?;
                 ctx.stats.joins_executed.add(1);
-                with_transient_tracking(
-                    ctx,
-                    "hash join build",
-                    RegionKind::HashJoinBuild,
-                    r.estimated_bytes(),
-                    || binary_map(&l, &r, ctx, |l, r| join.probe(l, r, &join.build(r)?)),
-                )?
+                match solution {
+                    Some(tables) => binary_map(&l, &r, ctx, |i, l, r| {
+                        let (probe, build) = join.indexed_pairs(l, r, &tables[i])?;
+                        Ok(gather_pairs((l, r), (&probe, &build), join.columns))
+                    })?,
+                    None => with_transient_tracking(
+                        ctx,
+                        "hash join build",
+                        RegionKind::HashJoinBuild,
+                        r.estimated_bytes(),
+                        || binary_map(&l, &r, ctx, |_, l, r| join.probe(l, r, &join.build(r)?)),
+                    )?,
+                }
             };
             Ok(Partitioned {
                 schema: schema.clone(),
@@ -306,7 +317,7 @@ fn execute_inner(
         } => {
             let l = execute(left, ctx)?;
             let r = execute(right, ctx)?;
-            let out = binary_map(&l, &r, ctx, |l, r| set_op_partition(l, r, *op, *all))?;
+            let out = binary_map(&l, &r, ctx, |_, l, r| set_op_partition(l, r, *op, *all))?;
             // EXCEPT and INTERSECT keep left rows; a union keeps both
             // sides', placed alike only if both sides were.
             let placed_on = if *op != SetOpKind::Union || l.placed_on == r.placed_on {
@@ -520,13 +531,14 @@ fn unary_map_indexed(
     )
 }
 
-/// Run `f` over co-indexed partition pairs, optionally in parallel.
-/// Workers are panic-isolated; see [`run_partition`].
+/// Run `f` over co-indexed partition pairs, each with its partition index,
+/// optionally in parallel. Workers are panic-isolated; see
+/// [`run_partition`].
 fn binary_map(
     l: &Partitioned,
     r: &Partitioned,
     ctx: &StatementContext<'_>,
-    f: impl Fn(&Arc<Block>, &Arc<Block>) -> Result<Arc<Block>> + Sync,
+    f: impl Fn(usize, &Arc<Block>, &Arc<Block>) -> Result<Arc<Block>> + Sync,
 ) -> Result<Vec<Arc<Block>>> {
     if l.parts.len() != r.parts.len() {
         return Err(Error::execution(format!(
@@ -539,7 +551,7 @@ fn binary_map(
         ctx,
         l.parts.len(),
         &|i| l.parts[i].is_empty() && r.parts[i].is_empty(),
-        &|i| run_partition(ctx, i, || f(&l.parts[i], &r.parts[i])),
+        &|i| run_partition(ctx, i, || f(i, &l.parts[i], &r.parts[i])),
     )
 }
 
@@ -782,6 +794,50 @@ impl HashJoinSpec<'_> {
                 false => table.matches(&keys, row, hashes[row]),
             },
         )
+    }
+
+    /// The [`pairs`](Self::pairs) of an inner join without a residual,
+    /// found from the build side: every row of `r` looks up the rows of `l`
+    /// holding its key in `table`, an index over `l`'s keys, and the pairs
+    /// are counting-sorted by probe row, build order kept within one —
+    /// the order [`join_pairs`] emits. Nothing is built over `r`.
+    pub(crate) fn indexed_pairs(
+        &self,
+        l: &Block,
+        r: &Block,
+        table: &JoinTable,
+    ) -> Result<(Vec<u32>, Vec<u32>)> {
+        debug_assert!(self.join_type == JoinType::Inner && self.residual.is_none());
+        let keys = evaluate_all(self.right_keys, r, self.ctx)?;
+        let hashes = hash_keys(&keys, r.rows());
+        // The probe rows of each build row: its key's group, or none.
+        let group = |row: usize| match null_key(&keys, row) {
+            true => None,
+            false => table.find(&keys, row, hashes[row]),
+        };
+        let groups: Vec<Option<usize>> = (0..r.rows()).map(group).collect();
+        let matched = || (0..r.rows()).filter_map(|row| Some((row, table.group(groups[row]?))));
+        // Probe row `p`'s pairs are `starts[p]..starts[p + 1]`.
+        let mut starts = vec![0u32; l.rows() + 1];
+        for (_, rows) in matched() {
+            rows.iter().for_each(|&p| starts[p as usize + 1] += 1);
+        }
+        for p in 1..starts.len() {
+            starts[p] += starts[p - 1];
+        }
+        let mut build = vec![0u32; starts[l.rows()] as usize];
+        for (row, rows) in matched() {
+            for &p in rows {
+                build[starts[p as usize] as usize] = row as u32;
+                starts[p as usize] += 1;
+            }
+        }
+        // Each start is now its probe row's end.
+        let mut probe = Vec::with_capacity(build.len());
+        for (p, &end) in starts[..l.rows()].iter().enumerate() {
+            probe.resize(end as usize, p as u32);
+        }
+        Ok((probe, build))
     }
 }
 
@@ -1439,8 +1495,53 @@ mod tests {
         rows.iter().map(|r| format!("{r:?}")).collect()
     }
 
+    /// The inner join of `l` and `r` on `keys`, emitting `columns`, run as
+    /// a merge loop's solution index runs it — `l`'s keys indexed, looked
+    /// up from `r`'s rows — and by [`HashJoinSpec::probe`].
+    fn indexed_and_probed(
+        l: &[Row],
+        r: &[Row],
+        keys: &[(usize, usize)],
+        columns: Option<&[usize]>,
+    ) -> (Vec<Row>, Vec<Row>) {
+        let left_keys: Vec<PlanExpr> = keys.iter().map(|k| col(k.0)).collect();
+        let right_keys: Vec<PlanExpr> = keys.iter().map(|k| col(k.1)).collect();
+        with_context(1, |ctx| {
+            let join = HashJoinSpec {
+                join_type: JoinType::Inner,
+                left_keys: &left_keys,
+                right_keys: &right_keys,
+                residual: None,
+                columns,
+                ctx,
+            };
+            let (l, r) = (block(3, l), block(3, r));
+            let probed = join.probe(&l, &r, &join.build(&r).unwrap()).unwrap();
+            let solution = evaluate_all(&left_keys, &l, ctx).unwrap();
+            let solution = JoinTable::build(solution, l.rows()).unwrap();
+            let pairs = join.indexed_pairs(&l, &r, &solution).unwrap();
+            let indexed = gather_pairs((&l, &r), (&pairs.0, &pairs.1), columns);
+            (indexed.to_rows(), probed.to_rows())
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A join looked up through an index over its probe side's keys is
+        /// the hash join, row for row and in its order: repeated keys on
+        /// both sides, NULL keys, `2` against `2.0`, every output list.
+        #[test]
+        fn indexed_join_equals_the_hash_join(
+            l in rows(),
+            r in rows(),
+            two_columns in any::<bool>(),
+            some_columns in any::<bool>(),
+        ) {
+            let columns = some_columns.then_some(&[5, 0, 2][..]);
+            let (indexed, probed) = indexed_and_probed(&l, &r, join_keys(two_columns), columns);
+            prop_assert_eq!(exact(&indexed), exact(&probed));
+        }
 
         /// The hash join is the join's definition over `keys equal AND
         /// residual`, row for row: probe rows in order, each with its
@@ -1631,6 +1732,8 @@ mod tests {
                     prop_assert_eq!(exact(&hashed), exact(&reference));
                 }
             }
+            let (indexed, probed) = indexed_and_probed(&l, &r, keys, None);
+            prop_assert_eq!(exact(&indexed), exact(&probed));
         }
     }
 
@@ -1916,11 +2019,71 @@ mod tests {
                     right_keys: vec![col(0)],
                     residual: None,
                     columns: Some(vec![1, 0, 2]),
-                    cached: false,
+                    build: JoinBuild::PerRun,
                     schema: key_schema(),
                 };
                 assert_eq!(hashed_again(join, &on(1), ctx), !kept, "{join_type}");
             }
+        });
+    }
+
+    /// An indexed join uses the solution index only while it indexes the
+    /// very CTE buffers the probe side read; otherwise — here, the CTE
+    /// replaced by an equal copy — it runs as the plain hash join. Both
+    /// give the plain join's rows in its order.
+    #[test]
+    fn an_indexed_join_uses_only_an_index_of_the_buffers_it_reads() {
+        with_context(4, |ctx| {
+            let rows = |keys: i64, n: i64| {
+                let rows = (0..n).map(|i| row_of([Value::Int(i % keys), Value::Int(i)]));
+                Partitioned::from_rows(int_schema(), rows.collect(), Some(0), 4)
+            };
+            ctx.registry.put("cte", rows(40, 40));
+            ctx.registry.put("delta", rows(9, 60));
+            let join = |build: JoinBuild| PhysicalPlan::HashJoin {
+                left: Box::new(PhysicalPlan::Exchange {
+                    input: temp("cte"),
+                    mode: ExchangeMode::Hash(vec![col(0)]),
+                }),
+                right: Box::new(PhysicalPlan::Exchange {
+                    input: temp("delta"),
+                    mode: ExchangeMode::Hash(vec![col(0)]),
+                }),
+                join_type: JoinType::Inner,
+                left_keys: vec![col(0)],
+                right_keys: vec![col(0)],
+                residual: None,
+                columns: Some(vec![1, 0, 3]),
+                build,
+                schema: key_schema(),
+            };
+            let run = |build: JoinBuild| {
+                let out = execute(&join(build), ctx).unwrap();
+                format!(
+                    "{:?}",
+                    out.parts.iter().map(|p| p.to_rows()).collect::<Vec<_>>()
+                )
+            };
+            let plain = run(JoinBuild::PerRun);
+            let indexed = JoinBuild::Indexed { cte: "cte".into() };
+            let cte = ctx.registry.get("cte").unwrap();
+            ctx.solutions.build("cte", &cte, 0).unwrap();
+            assert!(ctx.solutions.tables("cte", &cte.parts).is_some());
+            assert_eq!(run(indexed.clone()), plain);
+            let copy = Partitioned {
+                parts: cte
+                    .parts
+                    .iter()
+                    .map(|p| Arc::new(Block::clone(p)))
+                    .collect(),
+                ..cte
+            };
+            ctx.registry.put("cte", copy);
+            assert!(ctx
+                .solutions
+                .tables("cte", &ctx.registry.get("cte").unwrap().parts)
+                .is_none());
+            assert_eq!(run(indexed), plain);
         });
     }
 

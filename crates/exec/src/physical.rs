@@ -57,6 +57,25 @@ impl fmt::Display for ExchangeMode {
     }
 }
 
+/// Where a hash join's key index comes from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JoinBuild {
+    /// Built over the build side every time the join runs.
+    PerRun,
+    /// The build side reads nothing its loop writes, so it is built once
+    /// and re-probed through the join-state cache.
+    Cached,
+    /// The probe side is the loop's CTE table `cte`, read whole on the
+    /// loop key, and the join is inner without a residual: every build row
+    /// looks its CTE rows up in the loop's solution index
+    /// ([`crate::solution`]), and nothing is built. A stale index runs the
+    /// join as [`PerRun`](Self::PerRun).
+    Indexed {
+        /// Temp-registry name of the loop's CTE table.
+        cte: String,
+    },
+}
+
 /// The executable operator tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalPlan {
@@ -115,9 +134,8 @@ pub enum PhysicalPlan {
         /// The columns of left ∥ right the join emits, in order; `None`
         /// emits all of them.
         columns: Option<Vec<usize>>,
-        /// The build side reads nothing its loop writes, so it is built
-        /// once and re-probed through the join-state cache.
-        cached: bool,
+        /// Where the key index comes from.
+        build: JoinBuild,
         /// Output schema (`columns` of left ∥ right).
         schema: SchemaRef,
     },
@@ -270,11 +288,15 @@ impl PhysicalPlan {
                 left_keys,
                 right_keys,
                 columns,
-                cached,
+                build,
                 ..
             } => format!(
                 "HashJoin({join_type}{}): {}{}",
-                if *cached { ", cached build" } else { "" },
+                match build {
+                    JoinBuild::PerRun => "",
+                    JoinBuild::Cached => ", cached build",
+                    JoinBuild::Indexed { .. } => ", indexed build",
+                },
                 left_keys
                     .iter()
                     .zip(right_keys)
@@ -324,7 +346,7 @@ impl PhysicalPlan {
         }
     }
 
-    fn children(&self) -> impl Iterator<Item = &PhysicalPlan> {
+    pub(crate) fn children(&self) -> impl Iterator<Item = &PhysicalPlan> {
         let (first, second) = match self {
             PhysicalPlan::SeqScan { .. }
             | PhysicalPlan::TempScan { .. }
@@ -380,7 +402,11 @@ pub fn create_physical_plan(plan: &LogicalPlan, _config: &EngineConfig) -> Resul
 ///   group keys exchanges its rows on that key alone (module docs);
 /// * in a loop body, a hash join whose build side is loop-invariant
 ///   ([`LoopStep::is_invariant`]) is marked to build once and re-probe
-///   through the join-state cache.
+///   through the join-state cache;
+/// * in a merge loop's body, any other inner hash join without a residual
+///   whose probe side is the loop's CTE table, scanned whole and keyed on
+///   the loop key, is marked to look the CTE up through the loop's
+///   solution index ([`JoinBuild::Indexed`]).
 pub fn create_stored_plan(
     plan: &LogicalPlan,
     distribute_by: Option<usize>,
@@ -632,6 +658,19 @@ fn lower_join(
     }
     let left_keys: Vec<PlanExpr> = on.iter().map(|(l, _)| l.clone()).collect();
     let right_keys: Vec<PlanExpr> = on.iter().map(|(_, r)| r.clone()).collect();
+    let reads_solution = |l: &LoopStep| {
+        let whole_cte = match &**left {
+            LogicalPlan::TempScan { name, .. } => name.eq_ignore_ascii_case(&l.cte),
+            _ => false,
+        };
+        let on_key = matches!(&left_keys[..], [k] if bare_column(k) == Some(l.key));
+        l.merges() && whole_cte && on_key && *join_type == JoinType::Inner && filter.is_none()
+    };
+    let build = match in_loop {
+        Some(l) if l.is_invariant(right) => JoinBuild::Cached,
+        Some(l) if reads_solution(l) => JoinBuild::Indexed { cte: l.cte.clone() },
+        _ => JoinBuild::PerRun,
+    };
     Ok(PhysicalPlan::HashJoin {
         left: exchange(left, ExchangeMode::Hash(left_keys.clone()))?,
         right: exchange(right, ExchangeMode::Hash(right_keys.clone()))?,
@@ -640,7 +679,7 @@ fn lower_join(
         right_keys,
         residual: filter.clone(),
         columns,
-        cached: in_loop.is_some_and(|l| l.is_invariant(right)),
+        build,
         schema: schema.clone(),
     })
 }
@@ -763,7 +802,7 @@ mod tests {
                 false => create_physical_plan(plan, &EngineConfig::default()),
             };
             match phys.unwrap() {
-                PhysicalPlan::HashJoin { cached, .. } => cached,
+                PhysicalPlan::HashJoin { build, .. } => build == JoinBuild::Cached,
                 other => panic!("{other}"),
             }
         };
@@ -778,6 +817,78 @@ mod tests {
             .describe();
         assert!(
             label.starts_with("HashJoin(Inner, cached build): "),
+            "{label}"
+        );
+    }
+
+    /// Only an inner, residual-free join probing the merge loop's whole CTE
+    /// on its key looks the CTE up through the solution index.
+    #[test]
+    fn only_a_whole_cte_probed_on_the_loop_key_is_indexed() {
+        let merge_loop = |merge: bool| LoopStep {
+            cte: "cte".into(),
+            cte_display_name: "cte".into(),
+            kind: spinner_plan::LoopKind::Iterative {
+                working: "work".into(),
+                merge,
+                delta: None,
+            },
+            body: vec![spinner_plan::Step::Materialize {
+                name: "work".into(),
+                plan: temp("delta"),
+                distribute_by: None,
+            }],
+            termination: spinner_plan::TerminationPlan::Iterations(3),
+            key: 0,
+            schema: scan().schema(),
+        };
+        let build = |plan: &LogicalPlan, l: &LoopStep| match create_stored_plan(plan, None, Some(l))
+            .unwrap()
+        {
+            PhysicalPlan::HashJoin { build, .. } => build,
+            other => panic!("{other}"),
+        };
+        let indexed = JoinBuild::Indexed { cte: "cte".into() };
+        let probe_cte = join(temp("cte"), temp("work"));
+        assert_eq!(build(&probe_cte, &merge_loop(true)), indexed);
+        assert_eq!(
+            build(&probe_cte, &merge_loop(false)),
+            JoinBuild::PerRun,
+            "rename loop"
+        );
+        assert_eq!(
+            build(&join(temp("work"), temp("cte")), &merge_loop(true)),
+            JoinBuild::PerRun
+        );
+        let reshape = |f: &dyn Fn(&mut LogicalPlan)| {
+            let mut plan = probe_cte.clone();
+            f(&mut plan);
+            build(&plan, &merge_loop(true))
+        };
+        let left_join = reshape(&|p| {
+            if let LogicalPlan::Join { join_type, .. } = p {
+                *join_type = JoinType::Left;
+            }
+        });
+        let residual = reshape(&|p| {
+            if let LogicalPlan::Join { filter, .. } = p {
+                *filter = Some(PlanExpr::literal(true));
+            }
+        });
+        let off_key = reshape(&|p| {
+            if let LogicalPlan::Join { on, .. } = p {
+                on[0].0 = PlanExpr::column(1, "b");
+            }
+        });
+        assert_eq!(
+            [left_join, residual, off_key],
+            [JoinBuild::PerRun, JoinBuild::PerRun, JoinBuild::PerRun]
+        );
+        let label = create_stored_plan(&probe_cte, None, Some(&merge_loop(true)))
+            .unwrap()
+            .describe();
+        assert!(
+            label.starts_with("HashJoin(Inner, indexed build): "),
             "{label}"
         );
     }

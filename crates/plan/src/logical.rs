@@ -496,6 +496,12 @@ impl LoopStep {
         }
     }
 
+    /// Whether the loop folds each round into its CTE table by a key merge
+    /// — the loops that keep the table indexed on its key.
+    pub fn merges(&self) -> bool {
+        matches!(self.kind, LoopKind::Iterative { merge: true, .. })
+    }
+
     /// Whether running the loop writes the temp result `name`: the CTE
     /// table, its delta, or anything a body step materializes, renames or
     /// merges (nested loops included).

@@ -134,6 +134,14 @@ impl Partitioned {
 
     /// Whether `parts` are the very same buffers as this row set's,
     /// partition by partition — not merely equal rows.
+    ///
+    /// The same buffers are the same rows only while their cells cannot
+    /// change. A loop's in-place merge or append keeps a table's `Arc`s
+    /// while it writes their cells (`Arc::make_mut` writes where nothing
+    /// else holds the block), so identity proves content to a holder of
+    /// the buffers — `self` holding them, as a cached join build holds its
+    /// sources, makes `make_mut` copy instead — and otherwise only for
+    /// temps the loop never writes.
     pub fn same_buffers(&self, parts: &[Arc<Block>]) -> bool {
         self.parts.len() == parts.len()
             && self.parts.iter().zip(parts).all(|(a, b)| Arc::ptr_eq(a, b))

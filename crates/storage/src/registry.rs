@@ -91,7 +91,12 @@ impl TempRegistry {
     /// from the same physical data. A missing or spilled entry never is
     /// (identity is unknowable without I/O; this never rehydrates or
     /// touches the region). Spilling and rehydrating, recovery re-`put`s
-    /// and plain replacement all produce new buffers.
+    /// and plain replacement all produce new buffers. An in-place merge or
+    /// append need not: it takes a table's partitions out of the registry
+    /// and puts them back with cells changed, so the answer proves the
+    /// same rows only to a caller that holds `data` (as the cache does,
+    /// which makes the writer copy) or for a temp no loop writes
+    /// ([`Partitioned::same_buffers`]).
     pub fn holds(&self, name: &str, data: &Partitioned) -> bool {
         let entries = self.entries.read();
         let slot = entries.get(&name.to_ascii_lowercase());

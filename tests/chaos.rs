@@ -10,7 +10,7 @@ use std::time::Duration;
 use spinner_engine::{
     Database, EngineConfig, Error, FaultConfig, FaultKind, FaultSite, QueryGuard, Value,
 };
-use spinner_procedural::pagerank;
+use spinner_procedural::{pagerank, sssp_convergent};
 
 mod common;
 use common::{closure_cte, walk_cte};
@@ -760,6 +760,64 @@ fn fault_matrix_across_checkpoint_intervals() {
                     "interval={interval}, fault={fault:?}: wrong rows: {sql}"
                 );
                 assert_eq!(db.temp_result_count(), 0);
+            }
+        }
+    }
+}
+
+/// A rename that fails right after an in-place merge — the merge has
+/// written the CTE's changed rows where they lie and taken the table out
+/// of the registry — is retried in place, or rolls the loop back to the
+/// last checkpoint, which shared the table's partitions and so was copied,
+/// not written. Either way the rows are the fault-free run's, serially
+/// and in parallel: on SSSP, and on a counting merge loop, where a
+/// checkpoint the merge had written into would replay one increment too
+/// many.
+#[test]
+fn a_rename_fault_after_an_in_place_merge_recovers_exactly() {
+    let counting_merge = "WITH ITERATIVE t (k, v) AS (
+             SELECT src, 0 FROM edges UNION SELECT dst, 0 FROM edges
+         ITERATE SELECT k, v + 1 FROM t WHERE k < 3
+         UNTIL 6 ITERATIONS)
+         SELECT k, v FROM t ORDER BY k";
+    for sql in [sssp_convergent(1, None).cte, counting_merge.to_string()] {
+        for parallel in [false, true] {
+            let base = EngineConfig::default()
+                .with_partitions(4)
+                .with_parallel_partitions(parallel);
+            let expected = db_with_edges(base.clone()).query(&sql).unwrap();
+            // (recovery knobs, step retries, rollbacks)
+            let schedules = [
+                (base.clone().with_max_partition_retries(1), 1, 0),
+                (
+                    base.clone()
+                        .with_checkpoint_interval(1)
+                        .with_max_loop_recoveries(2),
+                    0,
+                    1,
+                ),
+            ];
+            for (config, retries, rollbacks) in schedules {
+                let mut db = db_with_edges(base.clone());
+                db.set_config(config.with_fault(FaultConfig::fail_nth(FaultSite::Rename, 2)))
+                    .unwrap();
+                db.take_stats();
+                let batch = db.query(&sql).unwrap();
+                let what = format!("parallel={parallel}, rollbacks={rollbacks}: {sql}");
+                assert_eq!(
+                    format!("{:?}", batch.rows()),
+                    format!("{:?}", expected.rows()),
+                    "{what}"
+                );
+                let stats = db.take_stats();
+                assert_eq!(stats.faults_injected, 1, "{what}");
+                assert_eq!(
+                    (stats.step_retries, stats.loop_rollbacks),
+                    (retries, rollbacks),
+                    "{what}"
+                );
+                assert!(stats.merges >= 2, "{what}");
+                assert_recovered(&db);
             }
         }
     }

@@ -4,7 +4,7 @@
 //! the loop operator, materialize the iterative part, rename, jump back.
 
 use spinner_engine::{Database, EngineConfig};
-use spinner_procedural::{ff, pagerank};
+use spinner_procedural::{connected_components, ff, pagerank, sssp_convergent};
 
 fn db() -> Database {
     let db = Database::default();
@@ -301,6 +301,45 @@ fn pagerank_explain_shows_the_cached_build_and_pruned_widths() {
         logical.contains("Projection: incomingrank.node#0, incomingrank.delta#2"),
         "{logical}"
     );
+}
+
+/// A semi-naive merge loop's join of its CTE table with last round's
+/// contributions looks the CTE up through the loop's solution index: the
+/// physical EXPLAIN marks that join, and only that one. PageRank runs on
+/// the rename path and keeps no index; without the semi-naive rewrite the
+/// merge body's joins are outer joins, which the index does not serve.
+#[test]
+fn a_semi_naive_merge_body_looks_the_cte_up_through_its_index() {
+    let database = db();
+    for (sql, label) in [
+        (
+            sssp_convergent(1, None).cte,
+            "HashJoin(Inner, indexed build): sssp.node#0 = dst#1; emits 4 of 5 columns",
+        ),
+        (
+            connected_components(None).cte,
+            "HashJoin(Inner, indexed build): cc.node#0 = dst#1; emits 3 of 4 columns",
+        ),
+    ] {
+        let physical = database.explain_physical(&sql).unwrap();
+        assert!(physical.contains(label), "{physical}");
+        assert_eq!(physical.matches("indexed build").count(), 1, "{physical}");
+    }
+    let physical = database.explain_physical(&pagerank(10, false).cte).unwrap();
+    assert!(!physical.contains("indexed build"), "{physical}");
+    let full = Database::new(
+        EngineConfig::default()
+            .with_semi_naive(false)
+            .with_minimize_data_movement(false),
+    )
+    .unwrap();
+    full.execute("CREATE TABLE edges (src INT, dst INT, weight FLOAT)")
+        .unwrap();
+    let physical = full
+        .explain_physical(&sssp_convergent(1, None).cte)
+        .unwrap();
+    assert!(physical.contains("Merge"), "{physical}");
+    assert!(!physical.contains("indexed build"), "{physical}");
 }
 
 /// The exchange line under every `AggregateFinal` of a physical EXPLAIN:

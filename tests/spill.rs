@@ -9,7 +9,7 @@
 use spinner_engine::{
     Database, EngineConfig, Error, FaultConfig, FaultKind, FaultSite, QueryGuard, Value,
 };
-use spinner_procedural::{pagerank, sssp};
+use spinner_procedural::{connected_components, pagerank, sssp, sssp_convergent};
 
 mod common;
 use common::{closure_cte, walk_cte};
@@ -101,6 +101,31 @@ fn forced_spill_matches_in_memory_for_pagerank_and_sssp() {
             stats.peak_tracked_bytes > 0,
             "{name}: accountant saw no state"
         );
+    }
+}
+
+/// A merge loop's solution index holds only for the CTE buffers it was
+/// built over. Under a 1-byte threshold the CTE is spilled once each
+/// round's working table is stored, and the merge reads it back as new
+/// buffers; it rebuilds the index over them, and the rows are the
+/// in-memory run's, in order and cell for cell.
+#[test]
+fn a_spilled_solution_set_is_reindexed_with_the_same_rows() {
+    for sql in [sssp_convergent(1, None).cte, connected_components(None).cte] {
+        let expected = db_with_edges(EngineConfig::default().with_spill_threshold_bytes(u64::MAX))
+            .query(&sql)
+            .unwrap();
+        let db = db_with_edges(forced_spill());
+        db.take_stats();
+        let batch = db.query(&sql).unwrap();
+        assert_eq!(
+            format!("{:?}", batch.rows()),
+            format!("{:?}", expected.rows()),
+            "{sql}"
+        );
+        let stats = db.take_stats();
+        assert!(stats.merges >= 2, "{sql}");
+        assert!(stats.spill_bytes_read > 0, "no table was read back: {sql}");
     }
 }
 
