@@ -561,8 +561,10 @@ option_table! {
     /// replaces the whole dataset. Disabled = baseline that always merges
     /// and diffs.
     minimize_data_movement: bool = true, with_minimize_data_movement, Any, Planner;
-    /// §V-A / Fig. 9 — materialize loop-invariant join subtrees once before
-    /// the loop and reuse them every iteration.
+    /// §V-A / Fig. 9 — regroup inner joins in a loop body so that a
+    /// loop-invariant join subtree becomes one join input, which the
+    /// join-state cache computes once per statement. Disabled, such a join
+    /// runs in every iteration.
     common_result_optimization: bool = true, with_common_result, Any, Planner;
     /// §V-B / Fig. 10 — push predicates from the final query into the
     /// non-iterative part when provably safe.

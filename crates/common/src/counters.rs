@@ -382,9 +382,9 @@ counter_table! {
     iterations: Exec, Add, "iterations";
     /// Rows reported as updated by merges/replaces.
     rows_updated: Exec, Add, "updated";
-    /// Join operators executed (hash or nested-loop). Common-result
-    /// extraction reduces this: a hoisted join runs once instead of once
-    /// per iteration.
+    /// Join operators executed (hash or nested-loop). The join-state cache
+    /// reduces this: a join inside a cached loop-invariant input runs once
+    /// instead of once per iteration.
     joins_executed: Exec, Add, "joins";
     /// Faults fired by the chaos-testing injector (0 in production).
     faults_injected: Exec, Add, "faults";
@@ -418,11 +418,14 @@ counter_table! {
     /// Partitions run in parallel: the occupied partitions of every
     /// operator that had at least two with `parallel_partitions` on.
     pool_tasks: Pool, Add, "pool_tasks", block("pool_tasks");
-    /// Loop-invariant hash-join build tables constructed by the
-    /// join-state cache (first probe, or rebuild after invalidation).
+    /// Loop-invariant inputs the join-state cache ran and stored (first
+    /// use, or again after invalidation or eviction): a hash join's build
+    /// side with its key index, or a `Cached` input — a probe side, or any
+    /// other invariant subtree that contains a join — as rows alone.
     join_builds: Pool, Add, "join_builds", block("join_builds");
-    /// Loop-invariant hash-join builds served from the join-state cache
-    /// instead of being re-hashed.
+    /// Loop-invariant inputs served from the join-state cache instead of
+    /// being run again: a build re-probed, or a `Cached` input's rows
+    /// re-read.
     join_builds_reused: Pool, Add, "join_reused", block("join_builds_reused", "join_reused");
 
     /// Microseconds the statement waited in the admission queue before it

@@ -2,14 +2,15 @@
 //! selection that drives spill-to-disk under pressure.
 //!
 //! Every allocator of intermediate state — materialized temp results,
-//! working/delta tables, the §V-A common-result tables, hash-aggregate and
-//! hash-join build sides, and checkpoint snapshots — registers a *region*
-//! with the [`MemoryAccountant`]. The accountant tracks resident bytes
-//! against a high-water mark (`spill_threshold_bytes`); when the mark is
-//! crossed, [`MemoryAccountant::spill_plan`] picks victims in coldness
-//! order — loop-invariant state first (common results, then checkpoints),
-//! then working tables, then other temp results — and the executor spills
-//! them through the storage layer's `SpillManager`.
+//! working/delta tables, hash-aggregate and hash-join build sides, the
+//! join-state cache's loop-invariant join inputs, and checkpoint
+//! snapshots — registers a *region* with the [`MemoryAccountant`]. The
+//! accountant tracks resident bytes against a high-water mark
+//! (`spill_threshold_bytes`); when the mark is crossed,
+//! [`MemoryAccountant::spill_plan`] picks victims in coldness order —
+//! loop-invariant state first (cached join inputs, then checkpoints), then
+//! working tables, then other temp results — and the executor spills them
+//! through the storage layer's `SpillManager`.
 //!
 //! The accountant is bookkeeping only: it never does I/O itself, so it can
 //! live in `spinner-common` below the storage crate. Disk writes/reads and
@@ -31,9 +32,6 @@ pub type RegionId = u64;
 /// both which store can spill it and its victim priority.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionKind {
-    /// A §V-A common-result table: loop-invariant, materialized once
-    /// before the loop — the coldest state and the first spill victim.
-    CommonResult,
     /// A loop checkpoint snapshot: only read again on rollback.
     Checkpoint,
     /// A working or delta table of a running loop.
@@ -44,10 +42,12 @@ pub enum RegionKind {
     HashAggregate,
     /// A hash-join build side being probed; pinned (never spilled).
     HashJoinBuild,
-    /// A cached loop-invariant join build (hash table + partitioned rows)
-    /// held across iterations by the join-state cache. Derived state that
-    /// can always be rebuilt from its source temp, so it is the cheapest
-    /// thing to give up under pressure: evicted (dropped), not spilled.
+    /// A cached loop-invariant join input (partitioned rows, and a build
+    /// side's hash tables) held across iterations by the join-state cache
+    /// — the §V-A common result. Derived state that can always be run
+    /// again from its sources, so it is the coldest state and the first
+    /// victim: dropped, or written to disk when running it again would
+    /// route rows again (`JoinStateCache::evict`).
     JoinBuild,
 }
 
@@ -57,7 +57,6 @@ impl RegionKind {
     pub fn victim_priority(self) -> Option<u8> {
         match self {
             RegionKind::JoinBuild => Some(0),
-            RegionKind::CommonResult => Some(0),
             RegionKind::Checkpoint => Some(1),
             RegionKind::WorkingTable => Some(2),
             RegionKind::TempResult => Some(3),
@@ -68,7 +67,6 @@ impl RegionKind {
     /// Stable lowercase name (observability, spill file names).
     pub fn name(self) -> &'static str {
         match self {
-            RegionKind::CommonResult => "common_result",
             RegionKind::Checkpoint => "checkpoint",
             RegionKind::WorkingTable => "working_table",
             RegionKind::TempResult => "temp_result",
@@ -79,13 +77,10 @@ impl RegionKind {
     }
 
     /// Classify a temp-registry name by the planner's naming conventions:
-    /// `__common_*` are loop-invariant common results, `__work*` and
-    /// `__delta_*` are loop working state, everything else is a plain
-    /// temp result.
+    /// `__work*` and `__delta_*` are loop working state, everything else is
+    /// a plain temp result.
     pub fn of_temp_name(name: &str) -> RegionKind {
-        if name.starts_with("__common_") {
-            RegionKind::CommonResult
-        } else if name.starts_with("__work") || name.starts_with("__delta_") {
+        if name.starts_with("__work") || name.starts_with("__delta_") {
             RegionKind::WorkingTable
         } else {
             RegionKind::TempResult
@@ -351,27 +346,28 @@ mod tests {
     fn spill_plan_orders_cold_loop_invariant_state_first() {
         let a = accountant(100);
         let work = a.register("__work_pr_2", RegionKind::WorkingTable, 200);
-        let common = a.register("__common_1", RegionKind::CommonResult, 200);
+        let build = a.register("join_build", RegionKind::JoinBuild, 200);
         let ckpt = a.register("pr", RegionKind::Checkpoint, 200);
         let cte = a.register("__cte_pr_1", RegionKind::TempResult, 200);
         // Touch order must not override kind priority between kinds.
-        a.touch(common);
+        a.touch(build);
         let plan = a.spill_plan(&[]);
         let order: Vec<RegionId> = plan.iter().map(|r| r.id).collect();
-        assert_eq!(order, vec![common, ckpt, work, cte]);
+        assert_eq!(order, vec![build, ckpt, work, cte]);
     }
 
     #[test]
     fn spill_plan_stops_once_under_threshold_and_respects_protect() {
         let a = accountant(250);
-        a.register("__common_1", RegionKind::CommonResult, 200);
+        a.register("checkpoint:pr", RegionKind::Checkpoint, 200);
         a.register("b", RegionKind::TempResult, 200);
         let c = a.register("c", RegionKind::TempResult, 200);
         a.touch(c);
         let plan = a.spill_plan(&["b"]);
-        // 600 resident; spilling common (200) then c (200) reaches 200 <= 250.
+        // 600 resident; spilling the checkpoint (200) then c (200) reaches
+        // 200 <= 250.
         assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].name, "__common_1");
+        assert_eq!(plan[0].name, "checkpoint:pr");
         assert_eq!(plan[1].name, "c");
     }
 
@@ -413,10 +409,6 @@ mod tests {
 
     #[test]
     fn temp_name_classification_follows_planner_conventions() {
-        assert_eq!(
-            RegionKind::of_temp_name("__common_1"),
-            RegionKind::CommonResult
-        );
         assert_eq!(
             RegionKind::of_temp_name("__work_pr_2"),
             RegionKind::WorkingTable

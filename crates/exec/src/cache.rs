@@ -2,35 +2,39 @@
 //!
 //! Paper §V-A: work whose inputs do not change across iterations should
 //! be done once, not once per iteration. "Spinning Fast Iterative Data
-//! Flows" (Ewen et al.) names the cached constant-path build as the
+//! Flows" (Ewen et al.) names the cached constant-path input as the
 //! dominant win for iterative dataflows; this module is that cache.
 //!
 //! A [`JoinStateCache`] lives for one statement. When a loop lowers its
-//! body it marks every hash join whose build side reads nothing the loop
-//! writes (`LoopStep::is_invariant`: base tables, literal rows and temps
-//! the body leaves alone). The first time such a join runs, the executor
-//! builds the post-exchange partitions and per-partition hash tables and
-//! stores them here, keyed by the join's build side — its physical plan
-//! and key expressions; later iterations skip the build side entirely
-//! and re-probe the cached tables.
+//! body it marks every input that reads nothing the loop writes
+//! (`LoopStep::is_invariant`: base tables, literal rows and temps the body
+//! leaves alone): a hash join's build side as a `cached build`, and any
+//! other such subtree that contains a join — a probe side, exchange and
+//! all, or a join that is no join's input — as a
+//! [`Cached`](PhysicalPlan::Cached) input. The first time it runs, the
+//! executor stores its rows here — with a hash table per partition for a
+//! build side — keyed by the input: its physical plan and, for a build
+//! side, the key expressions it is indexed on. Later iterations skip the
+//! input entirely: they re-probe the cached tables, or re-read the cached
+//! rows.
 //!
-//! **Validity.** An entry is valid while every leaf of its build side
-//! still reads the very buffers it read at build time: the `Arc`
-//! identities of a base table's partitions, or of a resident temp's. The
-//! entry holds those source partitions, so no buffer it compares against
-//! can be freed and its address reused, and no table can grow one of them
-//! in place (`Table::insert` appends in place only to a block nothing else
+//! **Validity.** An entry is valid while every leaf of its input still
+//! reads the very buffers it read when it ran: the `Arc` identities of a
+//! base table's partitions, or of a resident temp's. The entry holds
+//! those source partitions, so no buffer it compares against can be freed
+//! and its address reused, and no table can grow one of them in place
+//! (`Table::insert` appends in place only to a block nothing else
 //! shares). DML from another session, spilling and rehydrating a temp, a
 //! recovery re-`put` or any replacement therefore gives a leaf new
-//! buffers, and the next lookup drops the entry and rebuilds.
+//! buffers, and the next lookup drops the entry and runs the input again.
 //!
-//! **Memory.** Each build is registered with the memory accountant as a
+//! **Memory.** Each entry is registered with the memory accountant as a
 //! [`RegionKind::JoinBuild`] region — evictable derived state. Under
-//! pressure the spill planner may pick it as a victim. A build that is its
-//! source's own partitions (its exchange moved no row) is dropped: it is
-//! rebuilt from them. One whose exchange copied its rows is written to disk
+//! pressure the spill planner may pick it as a victim. An entry whose rows
+//! are its source's own partitions (its exchange moved no row) is dropped:
+//! it is rebuilt from them. One whose rows were copied is written to disk
 //! and read back on its next use, as any other intermediate result would
-//! be: routing every row again would cost more.
+//! be: running the input again would cost more.
 //!
 //! Lock poisoning degrades, never aborts: every accessor recovers the
 //! guard with [`std::sync::PoisonError::into_inner`]. A cache torn by an
@@ -89,19 +93,20 @@ fn still_reads(
     }
 }
 
-/// A join's build side — its plan and key expressions, the cache's key —
-/// and the source partitions its leaves read when it was built.
+/// A loop-invariant input — its plan and, for a build side, the key
+/// expressions it is indexed on: the cache's key — and the source
+/// partitions its leaves read when it ran.
 #[derive(Clone)]
-struct BuildSide {
+struct Input {
     plan: PhysicalPlan,
-    keys: Vec<PlanExpr>,
+    keys: Option<Vec<PlanExpr>>,
     /// What each scan among `plan`'s leaves read, in leaf order.
     sources: Vec<Partitioned>,
 }
 
-impl BuildSide {
-    fn is_for(&self, plan: &PhysicalPlan, keys: &[PlanExpr]) -> bool {
-        self.keys == keys && self.plan == *plan
+impl Input {
+    fn is_for(&self, plan: &PhysicalPlan, keys: Option<&[PlanExpr]>) -> bool {
+        self.keys.as_deref() == keys && self.plan == *plan
     }
 
     fn is_current(&self, ctx: &StatementContext<'_>) -> bool {
@@ -111,22 +116,23 @@ impl BuildSide {
     }
 }
 
-/// One cached loop-invariant build: the post-exchange partitioned rows and
-/// the hash tables over them.
-pub struct CachedBuild {
-    side: BuildSide,
-    /// Build-side rows, already hash-repartitioned on the join keys.
-    pub build: Partitioned,
-    /// One key index per partition of `build`, over that partition's rows.
+/// One cached loop-invariant input: its rows and, for a build side, the
+/// hash tables over them.
+pub struct CachedInput {
+    input: Input,
+    /// The input's rows; a build side's are hash-repartitioned on its keys.
+    pub rows: Partitioned,
+    /// A build side's key index per partition of `rows`; empty for any
+    /// other input.
     pub tables: Vec<JoinTable>,
-    /// Accountant region holding the build's bytes (None without a spill
+    /// Accountant region holding the rows' bytes (None without a spill
     /// environment). Released on drop.
     region: Option<(RegionId, Arc<SpillEnv>)>,
-    /// A copy of `build` already on disk, when it was read back from one.
+    /// A copy of `rows` already on disk, when they were read back from one.
     file: Option<SpillHandle>,
 }
 
-impl CachedBuild {
+impl CachedInput {
     fn touch(&self) {
         if let Some((id, env)) = &self.region {
             env.accountant.touch(*id);
@@ -134,7 +140,7 @@ impl CachedBuild {
     }
 }
 
-impl Drop for CachedBuild {
+impl Drop for CachedInput {
     fn drop(&mut self) {
         if let Some((id, env)) = self.region.take() {
             env.accountant.release(id);
@@ -142,34 +148,35 @@ impl Drop for CachedBuild {
     }
 }
 
-impl std::fmt::Debug for CachedBuild {
+impl std::fmt::Debug for CachedInput {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachedBuild")
-            .field("partitions", &self.build.parts.len())
-            .field("rows", &self.build.total_rows())
+        f.debug_struct("CachedInput")
+            .field("partitions", &self.rows.parts.len())
+            .field("rows", &self.rows.total_rows())
+            .field("indexed", &self.input.keys.is_some())
             .finish()
     }
 }
 
-/// What the cache holds for one build side.
+/// What the cache holds for one input.
 enum Entry {
-    /// In memory, ready to probe.
-    Built(Arc<CachedBuild>),
+    /// In memory, ready to read.
+    Ran(Arc<CachedInput>),
     /// Evicted with its rows on disk (see [`JoinStateCache::evict`]).
-    OnDisk(Box<BuildSide>, SpillHandle),
+    OnDisk(Box<Input>, SpillHandle),
 }
 
 impl Entry {
-    fn side(&self) -> &BuildSide {
+    fn input(&self) -> &Input {
         match self {
-            Entry::Built(built) => &built.side,
-            Entry::OnDisk(side, _) => side,
+            Entry::Ran(ran) => &ran.input,
+            Entry::OnDisk(input, _) => input,
         }
     }
 }
 
-/// Statement-scoped cache of loop-invariant hash-join builds, keyed by the
-/// join's build side. See the module docs for the lifecycle.
+/// Statement-scoped cache of loop-invariant inputs, keyed by the input.
+/// See the module docs for the lifecycle.
 #[derive(Default)]
 pub struct JoinStateCache {
     entries: Mutex<Vec<Entry>>,
@@ -196,106 +203,114 @@ impl JoinStateCache {
         self.entries.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The build of the build side `plan` keyed on `keys`, and whether it
-    /// was cached. A still-valid cached build is returned as it is. Any
-    /// other is made by `build` and cached as an evictable
-    /// [`RegionKind::JoinBuild`] region: `build(Some(rows))` indexes rows
-    /// read back from disk, `build(None)` runs the build side. The sources
-    /// are read before it runs, so one that changes meanwhile can only
-    /// make the entry miss later, never hit stale.
-    pub fn get_or_build(
+    /// The cached run of the input `plan` — a build side indexed on `keys`,
+    /// or rows alone without them — and whether it was cached. A
+    /// still-valid cached input is returned as it is; an entry without an
+    /// index never answers a lookup with keys, so a build always has its
+    /// key index. Any other is made by `run` and cached as an evictable
+    /// [`RegionKind::JoinBuild`] region: `run(Some(rows))` takes rows read
+    /// back from disk, `run(None)` runs the input; either returns the rows
+    /// and, for a build side, their key index. The sources are read before
+    /// it runs, so one that changes meanwhile can only make the entry miss
+    /// later, never hit stale.
+    pub fn get_or_run(
         &self,
-        (plan, keys): (&PhysicalPlan, &[PlanExpr]),
+        (plan, keys): (&PhysicalPlan, Option<&[PlanExpr]>),
         ctx: &StatementContext<'_>,
-        build: impl FnOnce(Option<Partitioned>) -> Result<(Partitioned, Vec<JoinTable>)>,
-    ) -> Result<(Arc<CachedBuild>, bool)> {
+        run: impl FnOnce(Option<Partitioned>) -> Result<(Partitioned, Vec<JoinTable>)>,
+    ) -> Result<(Arc<CachedInput>, bool)> {
         let mut on_disk = None;
         {
             let mut entries = self.entries();
-            if let Some(at) = entries.iter().position(|e| e.side().is_for(plan, keys)) {
-                let current = entries[at].side().is_current(ctx);
-                if let (true, Entry::Built(built)) = (current, &entries[at]) {
-                    built.touch();
-                    return Ok((Arc::clone(built), true));
+            if let Some(at) = entries.iter().position(|e| e.input().is_for(plan, keys)) {
+                let current = entries[at].input().is_current(ctx);
+                if let (true, Entry::Ran(ran)) = (current, &entries[at]) {
+                    ran.touch();
+                    return Ok((Arc::clone(ran), true));
                 }
                 // The entry goes, releasing its region or file; rows on
                 // disk that are still current are read back below.
-                if let (true, Entry::OnDisk(side, file)) = (current, entries.swap_remove(at)) {
-                    on_disk = Some((side, file));
+                if let (true, Entry::OnDisk(input, file)) = (current, entries.swap_remove(at)) {
+                    on_disk = Some((input, file));
                 }
             }
         }
-        let (side, file, rows) = match (on_disk, ctx.spill.as_ref()) {
-            (Some((side, file)), Some(env)) => {
+        let (input, file, rows) = match (on_disk, ctx.spill.as_ref()) {
+            (Some((input, file)), Some(env)) => {
                 let rows = env.manager.read_partitioned(&file, "join_build")?;
-                (*side, Some(file), Some(rows))
+                (*input, Some(file), Some(rows))
             }
             _ => {
-                let side = BuildSide {
+                let input = Input {
                     plan: plan.clone(),
-                    keys: keys.to_vec(),
+                    keys: keys.map(<[PlanExpr]>::to_vec),
                     sources: read_sources(plan, ctx)?,
                 };
-                (side, None, None)
+                (input, None, None)
             }
         };
-        let (build, tables) = build(rows)?;
+        let (rows, tables) = run(rows)?;
+        debug_assert_eq!(
+            keys.is_some(),
+            !tables.is_empty(),
+            "only a build is indexed"
+        );
         let region = ctx.spill.as_ref().map(|env| {
-            let bytes = build.estimated_bytes();
+            let bytes = rows.estimated_bytes();
             let id = env
                 .accountant
                 .register("join_build", RegionKind::JoinBuild, bytes);
             (id, Arc::clone(env))
         });
-        let built = Arc::new(CachedBuild {
-            side,
-            build,
+        let ran = Arc::new(CachedInput {
+            input,
+            rows,
             tables,
             region,
             file,
         });
-        self.entries().push(Entry::Built(Arc::clone(&built)));
-        Ok((built, false))
+        self.entries().push(Entry::Ran(Arc::clone(&ran)));
+        Ok((ran, false))
     }
 
-    /// Evict the cached build whose accountant region is `region`,
+    /// Evict the cached input whose accountant region is `region`,
     /// releasing it; returns whether there was one. This is how the spill
-    /// planner reclaims the cache's memory. A build whose partitions are
-    /// its source's own (its exchange moved no row) owns nothing but its
-    /// hash tables, and is dropped. One whose exchange copied its rows is
-    /// written to disk first, unless it already is, and only its tables
-    /// are rebuilt next time: reading the rows back costs less than
-    /// routing them all again.
+    /// planner reclaims the cache's memory. An input whose rows are its
+    /// source's own partitions (its exchange moved no row) owns nothing
+    /// but its hash tables, and is dropped. One whose rows were copied is
+    /// written to disk first, unless it already is, and only a build
+    /// side's tables are rebuilt next time: reading the rows back costs
+    /// less than running the input again.
     pub fn evict(&self, region: RegionId) -> Result<bool> {
         let mut entries = self.entries();
         let of_region = |e: &Entry| match e {
-            Entry::Built(built) => built.region.as_ref().is_some_and(|(id, _)| *id == region),
+            Entry::Ran(ran) => ran.region.as_ref().is_some_and(|(id, _)| *id == region),
             Entry::OnDisk(..) => false,
         };
         let Some(at) = entries.iter().position(of_region) else {
             return Ok(false);
         };
-        let Entry::Built(built) = entries.swap_remove(at) else {
-            unreachable!("only a built entry has a region");
+        let Entry::Ran(ran) = entries.swap_remove(at) else {
+            unreachable!("only an entry in memory has a region");
         };
-        let shares = |source: &Partitioned| source.same_buffers(&built.build.parts);
-        if built.side.sources.iter().any(shares) {
+        let shares = |source: &Partitioned| source.same_buffers(&ran.rows.parts);
+        if ran.input.sources.iter().any(shares) {
             return Ok(true);
         }
-        // Probes hold a build only while they run, never across a spill.
-        let Ok(mut built) = Arc::try_unwrap(built) else {
+        // Probes hold an input only while they run, never across a spill.
+        let Ok(mut ran) = Arc::try_unwrap(ran) else {
             return Ok(true);
         };
-        let file = match (built.file.take(), &built.region) {
+        let file = match (ran.file.take(), &ran.region) {
             (Some(file), _) => file,
-            (None, Some((_, env))) => env.manager.write_partitioned("join_build", &built.build)?,
+            (None, Some((_, env))) => env.manager.write_partitioned("join_build", &ran.rows)?,
             (None, None) => return Ok(true),
         };
-        entries.push(Entry::OnDisk(Box::new(built.side.clone()), file));
+        entries.push(Entry::OnDisk(Box::new(ran.input.clone()), file));
         Ok(true)
     }
 
-    /// Drop every cached build, releasing their regions and files. Called
+    /// Drop every cached input, releasing their regions and files. Called
     /// when a statement finishes and when a loop rolls back to a
     /// checkpoint — replay must rebuild from the restored state, never
     /// reuse state derived on the failed timeline.
@@ -303,7 +318,7 @@ impl JoinStateCache {
         self.entries().clear();
     }
 
-    /// Number of cached builds, in memory or on disk (tests/observability).
+    /// Number of cached inputs, in memory or on disk (tests/observability).
     pub fn len(&self) -> usize {
         self.entries().len()
     }
@@ -314,7 +329,7 @@ impl JoinStateCache {
     }
 }
 
-/// A cached build never outlives its statement, and per-statement
+/// A cached input never outlives its statement, and per-statement
 /// coordination is single-threaded; `Send + Sync` lets the executor's
 /// context (which holds a reference) cross scoped-worker boundaries.
 const _: () = {
@@ -437,6 +452,31 @@ mod tests {
             let (again, counts) = run(&plan, ctx);
             assert_eq!((again, counts), (first, (1, 1)));
             assert_eq!(ctx.join_cache.len(), 1);
+        });
+    }
+
+    /// Rows cached without a key index never answer a lookup with keys, so
+    /// a build always finds its index: the same input is two entries.
+    #[test]
+    fn an_input_without_an_index_is_its_own_entry() {
+        in_statement(&Catalog::new(), None, |ctx| {
+            ctx.registry
+                .put("side", partitioned(&[(7, 1), (8, 3)], &["a", "b"]));
+            let plan = loop_join(temp_side());
+            let PhysicalPlan::HashJoin { right, .. } = &plan else {
+                unreachable!()
+            };
+            let rows = |_| Ok((execute(right, ctx)?, Vec::new()));
+            let (entry, hit) = ctx.join_cache.get_or_run((right, None), ctx, rows).unwrap();
+            assert!(!hit && entry.tables.is_empty());
+            let (first, counts) = run(&plan, ctx);
+            assert_eq!((first.len(), counts), (2, (1, 0)), "the join built its own");
+            assert_eq!(ctx.join_cache.len(), 2);
+            assert_eq!(run(&plan, ctx).1, (1, 1));
+            let again = ctx
+                .join_cache
+                .get_or_run((right, None), ctx, |_| unreachable!());
+            assert!(again.unwrap().1, "and the rows are still cached");
         });
     }
 

@@ -51,7 +51,7 @@ use crate::solution::{merge_partition, PartitionMerge, SolutionIndexes};
 /// operator and the engine all pass this one handle.
 ///
 /// A statement *owns* its intermediate results, loop checkpoints, cached
-/// join builds, solution indexes, counters and profile spans, so
+/// join inputs, solution indexes, counters and profile spans, so
 /// concurrent statements on one database can never observe — or zero —
 /// each other's; dropping the context releases everything, spill files
 /// included, on every exit path.
@@ -80,8 +80,8 @@ pub struct StatementContext<'a> {
     /// Loop checkpoints for mid-loop recovery (unused unless the config
     /// enables checkpointing or recovery).
     pub checkpoints: CheckpointStore,
-    /// Loop-invariant hash-join builds: valid while their sources are the
-    /// buffers they were built from, which another statement's temps never
+    /// Loop-invariant hash-join inputs: valid while their sources are the
+    /// buffers they were run over, which another statement's temps never
     /// are.
     pub join_cache: JoinStateCache,
     /// Each running merge loop's key index over its CTE table: valid while
@@ -424,7 +424,7 @@ impl<'a> StatementContext<'a> {
 
     /// With a spill environment installed, bring tracked intermediate
     /// state back under the spill threshold by spilling victims — coldest
-    /// loop-invariant state (common-result tables, old checkpoints) first,
+    /// loop-invariant state (cached join inputs, old checkpoints) first,
     /// then non-current working tables; regions named in `protect` (the
     /// state the caller just wrote and is about to read) are never picked.
     /// The guard's intermediate-bytes budget is then enforced against what
@@ -466,8 +466,8 @@ impl<'a> StatementContext<'a> {
                     .unwrap_or(&victim.name);
                 self.checkpoints.spill_entry(loop_id)?;
             }
-            // A cached join build is derived state: it goes to disk only
-            // when rebuilding it would route rows again (`evict`).
+            // A cached join input is derived state: it goes to disk only
+            // when running it again would route rows again (`evict`).
             RegionKind::JoinBuild => {
                 self.join_cache.evict(victim.id)?;
             }
@@ -514,13 +514,13 @@ impl<'a> StatementContext<'a> {
         };
         let body: Vec<Option<PhysicalPlan>> = l.body.iter().map(lower).collect::<Result<_>>()?;
         // An in-place merge or append keeps a table's buffers while its
-        // cells change, so the join-state cache, which proves a build
+        // cells change, so the join-state cache, which proves an input
         // current by its sources' buffers, must never cache one of them.
         debug_assert!(
             body.iter()
                 .flatten()
                 .all(|plan| caches_nothing_written(plan, l)),
-            "a cached join build of {} reads a table its loop writes",
+            "a cached join input of {} reads a table its loop writes",
             l.cte_display_name
         );
         let ckpt_every = self.config.checkpoint_interval;
@@ -924,8 +924,9 @@ impl<'a> StatementContext<'a> {
     }
 }
 
-/// Whether no join of `plan` that the join-state cache builds once reads a
-/// temp `l` writes.
+/// Whether no input of `plan` that the join-state cache runs once — a
+/// cached join build or a [`PhysicalPlan::Cached`] input — reads a temp `l`
+/// writes.
 fn caches_nothing_written(plan: &PhysicalPlan, l: &LoopStep) -> bool {
     let reads_nothing_written = |side: &PhysicalPlan| {
         side.all_leaves(
@@ -934,10 +935,15 @@ fn caches_nothing_written(plan: &PhysicalPlan, l: &LoopStep) -> bool {
     };
     match plan {
         PhysicalPlan::HashJoin {
-            right,
+            right: input,
             build: JoinBuild::Cached,
             ..
-        } if !reads_nothing_written(right) => false,
+        }
+        | PhysicalPlan::Cached { input }
+            if !reads_nothing_written(input) =>
+        {
+            false
+        }
         _ => plan
             .children()
             .all(|child| caches_nothing_written(child, l)),

@@ -23,6 +23,7 @@ use spinner_plan::{AggExpr, JoinType, PlanExpr, SetOpKind, SortKey};
 use spinner_storage::{placement, Partitioned, PlacedOn};
 
 use crate::aggregate::{aggregate, Accumulator, Phase};
+use crate::cache::CachedInput;
 use crate::executor::StatementContext;
 use crate::keys::{hash_keys, null_key, JoinTable, KeyTable};
 use crate::physical::{bare_column, ExchangeMode, JoinBuild, PhysicalPlan};
@@ -154,6 +155,7 @@ fn execute_inner(
             let data = execute(input, ctx)?;
             exchange(data, mode, limit, ctx)
         }
+        PhysicalPlan::Cached { input } => Ok(cached_input(input, None, ctx)?.rows.clone()),
         PhysicalPlan::HashJoin {
             left,
             right,
@@ -841,14 +843,46 @@ impl HashJoinSpec<'_> {
     }
 }
 
-/// Hash join against a loop-invariant build side, through the
-/// [`JoinStateCache`](crate::JoinStateCache).
+/// The rows of the loop-invariant input `input` through the
+/// [`JoinStateCache`](crate::JoinStateCache) and, for the build side of
+/// `index`, a key index per partition.
 ///
-/// On a hit (`join_builds_reused`) the right subtree is not executed at
-/// all — no scan, no exchange, no re-hash; the probe runs against the
-/// cached partitioned build. Otherwise (`join_builds`) the right subtree
-/// executes once — or its rows come back from disk — and the
-/// per-partition key indexes are built under pinned transient tracking.
+/// On a hit (`join_builds_reused`) `input` is not executed at all — no
+/// scan, no join, no exchange, no re-hash. Otherwise (`join_builds`) it
+/// executes once — or its rows come back from disk — and a build side's
+/// key indexes are built under pinned transient tracking.
+fn cached_input(
+    input: &PhysicalPlan,
+    index: Option<&HashJoinSpec<'_>>,
+    ctx: &StatementContext<'_>,
+) -> Result<Arc<CachedInput>> {
+    let keys = index.map(|join| join.right_keys);
+    let (entry, reused) = ctx.join_cache.get_or_run((input, keys), ctx, |rows| {
+        let rows = match rows {
+            Some(rows) => rows,
+            None => execute(input, ctx)?,
+        };
+        let tables = match index {
+            Some(join) => with_transient_tracking(
+                ctx,
+                "hash join build",
+                RegionKind::HashJoinBuild,
+                rows.estimated_bytes(),
+                || rows.parts.iter().map(|p| join.build(p)).collect(),
+            )?,
+            None => Vec::new(),
+        };
+        Ok((rows, tables))
+    })?;
+    match reused {
+        true => ctx.stats.join_builds_reused.add(1),
+        false => ctx.stats.join_builds.add(1),
+    }
+    Ok(entry)
+}
+
+/// Hash join against a loop-invariant build side, its key index cached
+/// ([`cached_input`]).
 fn cached_hash_join(
     l: &Partitioned,
     right: &PhysicalPlan,
@@ -856,36 +890,17 @@ fn cached_hash_join(
 ) -> Result<Vec<Arc<Block>>> {
     let ctx = join.ctx;
     ctx.stats.joins_executed.add(1);
-    let (entry, reused) = ctx
-        .join_cache
-        .get_or_build((right, join.right_keys), ctx, |rows| {
-            let r = match rows {
-                Some(rows) => rows,
-                None => execute(right, ctx)?,
-            };
-            let tables = with_transient_tracking(
-                ctx,
-                "hash join build",
-                RegionKind::HashJoinBuild,
-                r.estimated_bytes(),
-                || r.parts.iter().map(|p| join.build(p)).collect(),
-            )?;
-            Ok((r, tables))
-        })?;
-    match reused {
-        true => ctx.stats.join_builds_reused.add(1),
-        false => ctx.stats.join_builds.add(1),
-    }
-    if entry.build.parts.len() != l.parts.len() {
+    let entry = cached_input(right, Some(join), ctx)?;
+    if entry.rows.parts.len() != l.parts.len() {
         return Err(Error::execution(format!(
             "partition count mismatch: {} vs {}",
             l.parts.len(),
-            entry.build.parts.len()
+            entry.rows.parts.len()
         )));
     }
     let entry_ref = &entry;
     unary_map_indexed(l, ctx, |i, l| {
-        join.probe(l, &entry_ref.build.parts[i], &entry_ref.tables[i])
+        join.probe(l, &entry_ref.rows.parts[i], &entry_ref.tables[i])
     })
 }
 

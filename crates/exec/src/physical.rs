@@ -63,7 +63,7 @@ pub enum JoinBuild {
     /// Built over the build side every time the join runs.
     PerRun,
     /// The build side reads nothing its loop writes, so it is built once
-    /// and re-probed through the join-state cache.
+    /// and re-probed through the join-state cache ([`crate::cache`]).
     Cached,
     /// The probe side is the loop's CTE table `cte`, read whole on the
     /// loop key, and the join is inner without a residual: every build row
@@ -224,6 +224,13 @@ pub enum PhysicalPlan {
         /// Output schema.
         schema: SchemaRef,
     },
+    /// A loop-invariant input that contains a join: it runs once per
+    /// statement, and later iterations re-read its rows through the
+    /// join-state cache ([`crate::cache`]).
+    Cached {
+        /// Input operator.
+        input: Box<PhysicalPlan>,
+    },
     /// Redistribute rows between partitions (simulated network shuffle).
     Exchange {
         /// Input operator.
@@ -251,6 +258,7 @@ impl PhysicalPlan {
             | PhysicalPlan::Distinct { input }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. }
+            | PhysicalPlan::Cached { input }
             | PhysicalPlan::Exchange { input, .. } => input.schema(),
         }
     }
@@ -331,6 +339,7 @@ impl PhysicalPlan {
             PhysicalPlan::SetOp { op, all, .. } => {
                 format!("{op}{}", if *all { " All" } else { "" })
             }
+            PhysicalPlan::Cached { .. } => "Cached".into(),
             PhysicalPlan::Exchange { mode, .. } => format!("Exchange: {mode}"),
         }
     }
@@ -356,6 +365,7 @@ impl PhysicalPlan {
             | PhysicalPlan::Distinct { input }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. }
+            | PhysicalPlan::Cached { input }
             | PhysicalPlan::Exchange { input, .. }
             | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::AggregatePartial { input, .. }
@@ -402,7 +412,11 @@ pub fn create_physical_plan(plan: &LogicalPlan, _config: &EngineConfig) -> Resul
 ///   group keys exchanges its rows on that key alone (module docs);
 /// * in a loop body, a hash join whose build side is loop-invariant
 ///   ([`LoopStep::is_invariant`]) is marked to build once and re-probe
-///   through the join-state cache;
+///   through the join-state cache; any other loop-invariant subtree that
+///   contains a join — a probe side with its exchange, a set operation's
+///   arm, an aggregate's input — runs once under [`PhysicalPlan::Cached`],
+///   its rows re-read through the same cache. A cached input is lowered as
+///   outside the loop: nothing under it is cached again;
 /// * in a merge loop's body, any other inner hash join without a residual
 ///   whose probe side is the loop's CTE table, scanned whole and keyed on
 ///   the loop key, is marked to look the CTE up through the loop's
@@ -422,6 +436,10 @@ fn lower(
     in_loop: Option<&LoopStep>,
     wanted: Option<usize>,
 ) -> Result<PhysicalPlan> {
+    if in_loop.is_some_and(|l| l.is_invariant(plan)) && plan.count_joins() > 0 {
+        let input = Box::new(self::lower(plan, None, wanted)?);
+        return Ok(PhysicalPlan::Cached { input });
+    }
     let lower = |plan: &LogicalPlan| lower(plan, in_loop, None);
     Ok(match plan {
         LogicalPlan::TableScan { table, schema } => PhysicalPlan::SeqScan {
@@ -640,16 +658,23 @@ fn lower_join(
     else {
         unreachable!("lower_join lowers joins");
     };
-    let exchange = |side: &LogicalPlan, mode| {
-        Ok::<_, spinner_common::Error>(Box::new(PhysicalPlan::Exchange {
-            input: Box::new(lower(side, in_loop, None)?),
-            mode,
-        }))
+    // A side its loop cannot change is lowered as outside the loop: the
+    // join-state cache runs it once, and nothing under it is cached again.
+    // A hash join's build side keeps its key index there; any other side
+    // that contains a join is cached exchange and all.
+    let exchange = |side: &LogicalPlan, mode, build: bool| {
+        let invariant = in_loop.is_some_and(|l| l.is_invariant(side));
+        let input = Box::new(lower(side, in_loop.filter(|_| !invariant), None)?);
+        let exchange = Box::new(PhysicalPlan::Exchange { input, mode });
+        Ok::<_, spinner_common::Error>(match invariant && !build && side.count_joins() > 0 {
+            true => Box::new(PhysicalPlan::Cached { input: exchange }),
+            false => exchange,
+        })
     };
     if on.is_empty() {
         return Ok(PhysicalPlan::NestedLoopJoin {
-            left: exchange(left, ExchangeMode::Gather)?,
-            right: exchange(right, ExchangeMode::Gather)?,
+            left: exchange(left, ExchangeMode::Gather, false)?,
+            right: exchange(right, ExchangeMode::Gather, false)?,
             join_type: *join_type,
             residual: filter.clone(),
             columns,
@@ -672,8 +697,8 @@ fn lower_join(
         _ => JoinBuild::PerRun,
     };
     Ok(PhysicalPlan::HashJoin {
-        left: exchange(left, ExchangeMode::Hash(left_keys.clone()))?,
-        right: exchange(right, ExchangeMode::Hash(right_keys.clone()))?,
+        left: exchange(left, ExchangeMode::Hash(left_keys.clone()), false)?,
+        right: exchange(right, ExchangeMode::Hash(right_keys.clone()), true)?,
         join_type: *join_type,
         left_keys,
         right_keys,
@@ -777,9 +802,9 @@ mod tests {
         assert!(matches!(phys, PhysicalPlan::Project { .. }));
     }
 
-    #[test]
-    fn only_a_build_side_the_loop_cannot_change_is_cached() {
-        let l = LoopStep {
+    /// A rename loop over `cte` whose body stores `work`.
+    fn rename_loop() -> LoopStep {
+        LoopStep {
             cte: "cte".into(),
             cte_display_name: "cte".into(),
             kind: spinner_plan::LoopKind::Iterative {
@@ -795,7 +820,12 @@ mod tests {
             termination: spinner_plan::TerminationPlan::Iterations(3),
             key: 0,
             schema: scan().schema(),
-        };
+        }
+    }
+
+    #[test]
+    fn only_a_build_side_the_loop_cannot_change_is_cached() {
+        let l = rename_loop();
         let cached = |plan: &LogicalPlan, in_loop: bool| {
             let phys = match in_loop {
                 true => create_stored_plan(plan, None, Some(&l)),
@@ -809,7 +839,7 @@ mod tests {
         let invariant = join(temp("cte"), scan());
         assert!(cached(&invariant, true));
         assert!(!cached(&invariant, false), "no loop, no cache");
-        assert!(cached(&join(temp("cte"), temp("__common_1")), true));
+        assert!(cached(&join(temp("cte"), temp("pre_loop")), true));
         assert!(!cached(&join(scan(), temp("cte")), true));
         assert!(!cached(&join(scan(), temp("work")), true));
         let label = create_stored_plan(&invariant, None, Some(&l))
@@ -819,6 +849,56 @@ mod tests {
             label.starts_with("HashJoin(Inner, cached build): "),
             "{label}"
         );
+    }
+
+    /// The cache marks of `plan`: `(cached builds, Cached inputs)`.
+    fn cache_marks(plan: &PhysicalPlan) -> (usize, usize) {
+        let own = match plan {
+            PhysicalPlan::HashJoin {
+                build: JoinBuild::Cached,
+                ..
+            } => (1, 0),
+            PhysicalPlan::Cached { .. } => (0, 1),
+            _ => (0, 0),
+        };
+        let below = plan.children().map(cache_marks);
+        below.fold(own, |(b, c), (b2, c2)| (b + b2, c + c2))
+    }
+
+    /// A loop-invariant join input that contains a join is cached whole,
+    /// on either side, and nothing under it is cached again; a join its
+    /// loop cannot change that is no join's input is cached as well.
+    #[test]
+    fn a_cached_input_carries_the_only_cache_mark() {
+        let l = rename_loop();
+        let lower = |plan: &LogicalPlan| create_stored_plan(plan, None, Some(&l)).unwrap();
+        let invariant = || join(scan(), temp("pre_loop"));
+        // The build side: one mark, the outer join's.
+        let build = lower(&join(temp("cte"), invariant()));
+        assert_eq!(cache_marks(&build), (1, 0), "{build}");
+        assert!(build
+            .describe()
+            .starts_with("HashJoin(Inner, cached build)"));
+        // The probe side: cached exchange and all, the join itself per run.
+        let probe = lower(&join(invariant(), temp("cte")));
+        assert_eq!(cache_marks(&probe), (0, 1), "{probe}");
+        let PhysicalPlan::HashJoin { left, build, .. } = &probe else {
+            panic!("{probe}")
+        };
+        assert_eq!(*build, JoinBuild::PerRun);
+        let PhysicalPlan::Cached { input } = &**left else {
+            panic!("{probe}")
+        };
+        assert!(matches!(**input, PhysicalPlan::Exchange { .. }), "{probe}");
+        // A bare invariant probe side has no join to save.
+        assert_eq!(cache_marks(&lower(&join(scan(), temp("cte")))), (0, 0));
+        // A whole invariant join — a body arm that never reads the CTE.
+        let whole = lower(&invariant());
+        assert_eq!(cache_marks(&whole), (0, 1), "{whole}");
+        assert!(matches!(whole, PhysicalPlan::Cached { .. }), "{whole}");
+        // Outside a loop nothing is cached.
+        let plain = create_physical_plan(&join(invariant(), temp("cte")), &EngineConfig::default());
+        assert_eq!(cache_marks(&plain.unwrap()), (0, 0));
     }
 
     /// Only an inner, residual-free join probing the merge loop's whole CTE

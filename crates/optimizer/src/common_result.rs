@@ -1,12 +1,11 @@
-//! Common-result extraction (paper §V-A, Fig. 5 / Fig. 9).
+//! Common-result regrouping (paper §V-A, Fig. 5 / Fig. 9).
 //!
 //! Joins inside the iterative part whose inputs never change across
-//! iterations are computed once per iteration by the naive rewrite — and
-//! once *total* after this rewrite: the loop-invariant join subtree is
-//! materialized before the loop and the loop body re-reads the
-//! materialization.
-//!
-//! To expose invariant subtrees the rule first applies a limited inner-join
+//! iterations are computed once per iteration by the naive rewrite. The
+//! executor's join-state cache (`spinner_exec::cache`) runs every
+//! loop-invariant hash-join input — a build side, or a probe side that
+//! contains a join — once per statement instead. This rule makes an
+//! invariant join *be* such an input: it applies a limited inner-join
 //! associativity rewrite,
 //!
 //! ```text
@@ -14,83 +13,42 @@
 //! ```
 //!
 //! which regroups `edges ⨝ vertexStatus` next to each other in the PR-VS
-//! query after outer→inner conversion has run (the paper notes general
-//! join reordering with outer joins is future work — same here: the
-//! rewrite only fires on inner joins).
+//! query after outer→inner conversion has run, so the invariant `B ⋈ C` is
+//! a build side the cache builds once (the paper notes general join
+//! reordering with outer joins is future work — same here: the rewrite
+//! only fires on inner joins). The rule adds no step.
 
 use std::sync::Arc;
 
 use spinner_common::Result;
 use spinner_plan::{JoinType, LogicalPlan, LoopKind, PlanExpr, Step};
 
-/// Scan the step program; for every iterative loop, hoist loop-invariant
-/// join subtrees of the working-table plan into pre-loop materializations.
-pub fn extract_common_results(steps: Vec<Step>) -> Result<Vec<Step>> {
-    let mut out: Vec<Step> = Vec::with_capacity(steps.len());
-    let mut counter = 0usize;
-    for step in steps {
-        match step {
-            Step::Loop(mut l) if matches!(l.kind, LoopKind::Iterative { .. }) => {
-                let mut commons: Vec<(String, LogicalPlan)> = Vec::new();
-                l.body = l
-                    .body
-                    .into_iter()
-                    .map(|body_step| match body_step {
-                        Step::Materialize {
-                            name,
-                            plan,
-                            distribute_by,
-                        } => {
-                            let regrouped = regroup_inner_joins(plan, &l.cte)?;
-                            let rewritten =
-                                extract_from_plan(regrouped, &l.cte, &mut commons, &mut counter)?;
-                            Ok(Step::Materialize {
-                                name,
-                                plan: rewritten,
-                                distribute_by,
-                            })
-                        }
-                        other => Ok(other),
-                    })
-                    .collect::<Result<_>>()?;
-                for (name, plan) in commons {
-                    out.push(Step::Materialize {
-                        name,
-                        plan,
-                        distribute_by: None,
-                    });
-                }
-                out.push(Step::Loop(l));
-            }
-            other => out.push(other),
+/// Scan the step program; in the body of every iterative loop, regroup
+/// inner joins so that loop-invariant join subtrees become join inputs.
+pub fn regroup_loop_bodies(steps: Vec<Step>) -> Result<Vec<Step>> {
+    let regroup_step = |step: Step, cte: &str| match step {
+        Step::Materialize {
+            name,
+            plan,
+            distribute_by,
+        } => Ok(Step::Materialize {
+            name,
+            plan: regroup_inner_joins(plan, cte)?,
+            distribute_by,
+        }),
+        other => Ok(other),
+    };
+    let regroup_loop = |step: Step| match step {
+        Step::Loop(mut l) if matches!(l.kind, LoopKind::Iterative { .. }) => {
+            let body = std::mem::take(&mut l.body).into_iter();
+            l.body = body
+                .map(|step| regroup_step(step, &l.cte))
+                .collect::<Result<_>>()?;
+            Ok(Step::Loop(l))
         }
-    }
-    Ok(out)
-}
-
-/// Replace maximal loop-invariant join subtrees with TempScans, collecting
-/// the extracted plans. Top-down: the first qualifying node wins, so the
-/// largest invariant region is hoisted.
-fn extract_from_plan(
-    plan: LogicalPlan,
-    cte: &str,
-    commons: &mut Vec<(String, LogicalPlan)>,
-    counter: &mut usize,
-) -> Result<LogicalPlan> {
-    if is_invariant_join_subtree(&plan, cte) {
-        *counter += 1;
-        let name = format!("__common_{counter}");
-        let schema = plan.schema();
-        commons.push((name.clone(), plan));
-        return Ok(LogicalPlan::TempScan { name, schema });
-    }
-    plan.map_children(|child| extract_from_plan(child, cte, commons, counter))
-}
-
-/// A subtree qualifies when it contains at least one join, never reads the
-/// iterative CTE, and only reads stable inputs (base tables / other temps).
-fn is_invariant_join_subtree(plan: &LogicalPlan, cte: &str) -> bool {
-    plan.count_joins() >= 1 && !plan.references_temp(cte)
+        other => Ok(other),
+    };
+    steps.into_iter().map(regroup_loop).collect()
 }
 
 /// Associativity regrouping pass: `(A ⋈i B) ⋈i C` where the upper equi-keys
@@ -279,9 +237,23 @@ mod tests {
         })
     }
 
+    /// The steps `body` regroups to: the rule adds none, so they must be
+    /// the one loop, and the body plan is returned.
+    fn regrouped(body: LogicalPlan) -> LogicalPlan {
+        let steps = regroup_loop_bodies(vec![loop_step(body)]).unwrap();
+        let [Step::Loop(l)] = &steps[..] else {
+            panic!("the rule adds no step: {steps:?}")
+        };
+        let Step::Materialize { plan, .. } = &l.body[0] else {
+            panic!()
+        };
+        plan.clone()
+    }
+
     #[test]
-    fn invariant_join_is_hoisted_before_loop() {
-        // pr ⋈ (edges ⋈ vs): the right subtree is invariant.
+    fn invariant_join_stays_in_the_loop_body() {
+        // pr ⋈ (edges ⋈ vs): the right subtree is invariant and already a
+        // build side, for the join-state cache to build once.
         let invariant = inner(
             table("edges", &["src", "dst"]),
             table("vs", &["node"]),
@@ -289,72 +261,56 @@ mod tests {
             0,
         );
         let body = inner(temp("cte_pr", &["node"]), invariant, 0, 1);
-        let steps = extract_common_results(vec![loop_step(body)]).unwrap();
-        assert_eq!(steps.len(), 2);
-        let Step::Materialize { name, plan, .. } = &steps[0] else {
-            panic!("common first")
-        };
-        assert!(name.starts_with("__common_"));
-        assert_eq!(plan.count_joins(), 1);
-        let Step::Loop(l) = &steps[1] else { panic!() };
-        let Step::Materialize { plan, .. } = &l.body[0] else {
-            panic!()
-        };
-        // The loop body now reads the materialized common result.
-        assert!(plan.references_temp(name));
-        assert_eq!(plan.count_joins(), 1); // only the variant join remains
+        assert_eq!(regrouped(body.clone()), body);
     }
 
     #[test]
     fn variant_join_not_hoisted() {
-        // pr ⋈ edges — references the CTE, cannot be hoisted.
-        let body = inner(
+        // ((pr ⋈ edges) ⋈ pr): the upper join's right side reads the CTE,
+        // so regrouping would expose no invariant join.
+        let lower = inner(
             temp("cte_pr", &["node"]),
             table("edges", &["src", "dst"]),
             0,
-            0,
+            1,
         );
-        let steps = extract_common_results(vec![loop_step(body)]).unwrap();
-        assert_eq!(steps.len(), 1);
+        let body = inner(lower, temp("cte_pr", &["node"]), 1, 0);
+        assert_eq!(regrouped(body.clone()), body);
     }
 
     #[test]
     fn bare_scan_not_hoisted() {
-        // A lone invariant scan has no join — materializing it buys nothing.
+        // pr ⋈ edges: a lone invariant scan has no join to regroup.
         let body = inner(
             temp("cte_pr", &["node"]),
             table("edges", &["src", "dst"]),
             0,
             0,
         );
-        let steps = extract_common_results(vec![loop_step(body)]).unwrap();
-        let Step::Loop(l) = &steps[0] else { panic!() };
-        let Step::Materialize { plan, .. } = &l.body[0] else {
-            panic!()
-        };
-        assert!(matches!(
-            plan,
-            LogicalPlan::Join { right, .. } if matches!(**right, LogicalPlan::TableScan { .. })
-        ));
+        assert_eq!(regrouped(body.clone()), body);
     }
 
     #[test]
-    fn left_deep_inner_run_is_regrouped_and_hoisted() {
+    fn left_deep_inner_run_is_regrouped_in_place() {
         // ((pr ⋈ edges) ⋈ vs) with the vs-join keyed on edges columns —
         // the PR-VS shape after outer→inner conversion.
         let pr = temp("cte_pr", &["node"]); // width 1
         let edges = table("edges", &["src", "dst"]); // width 2
         let vs = table("vs", &["vnode", "status"]);
-        let lower = inner(pr, edges, 0, 1); // pr.node = edges.dst
-                                            // upper keys: edges.dst (combined index 2) = vs.vnode (index 0)
-        let upper = inner(lower, vs, 2, 0);
-        let steps = extract_common_results(vec![loop_step(upper)]).unwrap();
-        assert_eq!(steps.len(), 2, "expected a hoisted common materialization");
-        let Step::Materialize { plan, .. } = &steps[0] else {
-            panic!()
+        // pr.node = edges.dst, then edges.dst (combined index 2) = vs.vnode.
+        let lower = inner(pr.clone(), edges.clone(), 0, 1);
+        let upper = inner(lower, vs.clone(), 2, 0);
+        // pr ⋈ (edges ⋈ vs): the lower join's keys now join pr to the
+        // invariant edges ⋈ vs, whose keys are shifted onto edges; the
+        // columns keep their order.
+        let expected = LogicalPlan::Join {
+            schema: upper.schema(),
+            left: Box::new(pr),
+            right: Box::new(inner(edges, vs, 1, 0)),
+            join_type: JoinType::Inner,
+            on: vec![(PlanExpr::column(0, "lk"), PlanExpr::column(1, "rk"))],
+            filter: None,
         };
-        // The hoisted subtree is edges ⋈ vs.
-        assert_eq!(plan.count_joins(), 1);
-        assert!(!plan.references_temp("cte_pr"));
+        assert_eq!(regrouped(upper), expected);
     }
 }

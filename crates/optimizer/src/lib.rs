@@ -7,8 +7,9 @@
 //!   conversion). These are the optimizations MPPDB already had that
 //!   "simply work" for the rewritten iterative query (§V).
 //! * **Iterative-CTE rewrites** applied to the step program as a whole:
-//!   *common result extraction* (§V-A, Fig. 9) hoists loop-invariant join
-//!   subtrees out of the loop, and *restricted predicate push-down*
+//!   *common result regrouping* (§V-A, Fig. 9) regroups inner joins so a
+//!   loop-invariant join subtree is one join input, which the executor's
+//!   join-state cache then computes once per statement, and *restricted predicate push-down*
 //!   (§V-B, Fig. 10) moves final-query predicates into the non-iterative
 //!   part when Ri provably processes rows independently.
 //!
@@ -74,7 +75,7 @@ pub fn optimize(plan: QueryPlan, config: &EngineConfig) -> Result<QueryPlan> {
         root = optimize_plan(root)?;
     }
     if config.common_result_optimization {
-        steps = common_result::extract_common_results(steps)?;
+        steps = common_result::regroup_loop_bodies(steps)?;
     }
     if config.semi_naive {
         steps = semi_naive::apply(steps)?;

@@ -21,8 +21,8 @@
 //!   output list, so the join gathers only those columns.
 //!
 //! What others read by position keeps its shape: the root of every plan
-//! keeps its schema (the CTE, working, delta and `__common_*` tables, with
-//! their `distribute_by` and merge keys), an aggregate keeps every output,
+//! keeps its schema (the CTE, working and delta tables, with their
+//! `distribute_by` and merge keys), an aggregate keeps every output,
 //! and a `DISTINCT` or set operation keeps every column of its inputs,
 //! all of which make up a row's identity. An input of which nothing is
 //! read — that of a `COUNT(*)` — becomes zero columns wide and keeps its

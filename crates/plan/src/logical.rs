@@ -82,8 +82,8 @@ pub enum LogicalPlan {
         /// Output schema.
         schema: SchemaRef,
     },
-    /// Scan of a named intermediate result in the temp registry — CTE
-    /// tables, working tables and common-result materializations.
+    /// Scan of a named intermediate result in the temp registry — CTE,
+    /// working and delta tables, and the anchor's materializations.
     TempScan {
         /// Temp-registry entry name.
         name: String,
@@ -834,9 +834,9 @@ mod tests {
             assert!(l.writes(written), "{written}");
             assert!(!l.is_invariant(&scan(written)), "{written}");
         }
-        assert!(!l.writes("__common_1"));
+        assert!(!l.writes("pre_loop"));
         let join = LogicalPlan::Join {
-            left: Box::new(scan("__common_1")),
+            left: Box::new(scan("pre_loop")),
             right: Box::new(LogicalPlan::TableScan {
                 table: "edges".into(),
                 schema: scan("x").schema(),

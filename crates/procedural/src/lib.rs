@@ -3,7 +3,7 @@
 //! * **Stored procedures** — the computation is a statement list executed
 //!   one statement at a time *inside* the engine. Each statement is
 //!   planned and optimized in isolation, so no loop-level optimization
-//!   (rename, common-result hoisting, cross-block push-down) can apply.
+//!   (rename, common-result regrouping, cross-block push-down) can apply.
 //! * **SQLoop-style middleware** — the same statement-at-a-time execution
 //!   driven from *outside*, maintaining its intermediate state in real
 //!   temporary tables with CREATE/DROP per iteration (metadata churn) and

@@ -25,8 +25,8 @@
 //! An epoch is one `Slot` (`slot.rs`): an optional resident snapshot and
 //! an optional file. Under memory pressure a snapshot is a prime spill
 //! victim: it is touched only on save and on rollback, so the accountant
-//! ranks checkpoints just after common-result tables in coldest-first
-//! order. A spilled snapshot is rehydrated by [`CheckpointStore::latest`]
+//! ranks checkpoints just after the join-state cache's loop-invariant join
+//! inputs in coldest-first order. A spilled snapshot is rehydrated by [`CheckpointStore::latest`]
 //! — which is why that method is fallible: the read back from disk can hit
 //! a fault, and recovery treats that as a transient error, never as "no
 //! checkpoint, silently restart".

@@ -4,7 +4,7 @@
 //! the loop operator, materialize the iterative part, rename, jump back.
 
 use spinner_engine::{Database, EngineConfig};
-use spinner_procedural::{connected_components, ff, pagerank, sssp_convergent};
+use spinner_procedural::{connected_components, ff, pagerank, sssp, sssp_convergent};
 
 fn db() -> Database {
     let db = Database::default();
@@ -50,27 +50,55 @@ fn naive_config_plans_a_merge_instead() {
     );
 }
 
+/// The operator on the first line of `text` that contains `label`, and
+/// every line below it that is indented deeper: its subtree.
+fn subtree<'t>(text: &'t str, label: &str) -> Vec<&'t str> {
+    let depth = |line: &str| line.len() - line.trim_start().len();
+    let mut lines = text.lines().skip_while(|line| !line.contains(label));
+    let Some(top) = lines.next() else {
+        panic!("no {label}:\n{text}")
+    };
+    let below = lines.take_while(|line| depth(line) > depth(top));
+    std::iter::once(top).chain(below).collect()
+}
+
 #[test]
-fn common_result_appears_as_pre_loop_materialization() {
-    let text = db().explain(&pagerank(10, true).cte).unwrap();
-    assert!(
-        text.contains("__common_"),
-        "PR-VS should hoist edges ⨝ vertexStatus before the loop:\n{text}"
-    );
-    // The hoisted materialization must come before the loop operator.
-    let common_pos = text.find("__common_").unwrap();
-    let loop_pos = text.find("Initialize loop operator").unwrap();
-    assert!(
-        common_pos < loop_pos,
-        "common result must precede the loop:\n{text}"
-    );
-    // With the optimization disabled, no hoisting happens.
-    let mut database = db();
-    database
-        .set_config(EngineConfig::default().with_common_result(false))
-        .unwrap();
-    let text = database.explain(&pagerank(10, true).cte).unwrap();
-    assert!(!text.contains("__common_"));
+fn common_result_regroups_into_a_cached_build() {
+    for sql in [pagerank(10, true).cte, sssp(10, 1, true).cte] {
+        // Fig. 9's common result, edges ⨝ vertexStatus, is regrouped into
+        // the build side of the join with the CTE, which the join-state
+        // cache builds once. Nothing is stored before the loop but the
+        // anchor, and nothing under the cached build is cached again.
+        let text = db().explain_physical(&sql).unwrap();
+        assert!(text.contains("\n2. Initialize loop operator"), "{text}");
+        let build = subtree(&text, "HashJoin(Inner, cached build)");
+        let joins = build.iter().filter(|l| l.contains("HashJoin(")).count();
+        let reads = |table: &str| {
+            build
+                .iter()
+                .any(|l| l.ends_with(&format!("SeqScan: {table}")))
+        };
+        assert!(
+            joins == 2 && reads("edges") && reads("vertexstatus"),
+            "{text}"
+        );
+        let marked = |l: &&str| l.contains("cached build") || l.trim_start() == "Cached";
+        assert!(!build[1..].iter().any(marked), "{text}");
+        let vs_join = subtree(&text, "= avail_pr.node");
+        assert!(!vs_join.iter().any(|l| l.contains("TempScan")), "{text}");
+        // With the optimization disabled the vertexStatus join stays above
+        // the join with the CTE.
+        let mut database = db();
+        database
+            .set_config(EngineConfig::default().with_common_result(false))
+            .unwrap();
+        let text = database.explain_physical(&sql).unwrap();
+        let vs_join = subtree(&text, "= avail_pr.node");
+        assert!(
+            vs_join.iter().any(|l| l.contains("TempScan: __cte_")),
+            "{text}"
+        );
+    }
 }
 
 #[test]

@@ -153,15 +153,100 @@ fn common_result_reduces_per_iteration_joins() {
     };
     let optimized = measure(true);
     let baseline = measure(false);
-    // Hoisting the edges ⨝ vertexStatus join replaces a per-iteration join
-    // with a single pre-loop one: 20 iterations x 3 joins baseline vs
-    // 1 + 20 x 2 optimized.
+    // Regrouping the edges ⨝ vertexStatus join into a build side the
+    // join-state cache builds once replaces a per-iteration join with a
+    // single one: 20 iterations x 3 joins baseline vs 1 + 20 x 2
+    // optimized.
     assert!(
         optimized.joins_executed + 19 <= baseline.joins_executed,
         "common-result should save one join per iteration: {} vs {}",
         optimized.joins_executed,
         baseline.joins_executed
     );
+}
+
+/// The line after the first that contains `label`, trimmed.
+fn line_below<'t>(text: &'t str, label: &str) -> &'t str {
+    let mut lines = text.lines().skip_while(|line| !line.contains(label));
+    lines.nth(1).map_or("", str::trim)
+}
+
+/// A loop-invariant join on the probe side — `edges ⋈ vertexstatus`
+/// probing the CTE — is no build side to regroup into, yet the join-state
+/// cache runs it once all the same, with the common-result rule on or off,
+/// and the rows do not change.
+#[test]
+fn an_invariant_probe_side_runs_once() {
+    let spec = GraphSpec {
+        nodes: 300,
+        edges: 1_500,
+        seed: 3,
+        max_weight: 10,
+    };
+    let iterations = 6;
+    let sql = format!(
+        "WITH ITERATIVE pr (node, rank) AS ( \
+            SELECT src, 1.0 FROM (SELECT src FROM edges UNION SELECT dst FROM edges) \
+          ITERATE SELECT pr.node, 0.5 * pr.rank + SUM(e.weight) \
+            FROM edges e JOIN vertexstatus v ON v.node = e.dst JOIN pr ON pr.node = e.src \
+            WHERE v.status != 0 \
+            GROUP BY pr.node, pr.rank \
+          UNTIL {iterations} ITERATIONS ) \
+         SELECT node, rank FROM pr ORDER BY node"
+    );
+    let mut reference = None;
+    for partitions in [1, 2, 4] {
+        for common in [true, false] {
+            let config = EngineConfig::default()
+                .with_partitions(partitions)
+                .with_common_result(common);
+            let db = fresh_db(config, &spec, true);
+            let text = db.explain_physical(&sql).unwrap();
+            assert_eq!(line_below(&text, "= pr.node"), "Cached", "{text}");
+            db.take_stats();
+            let got = db.query(&sql).unwrap();
+            let stats = db.take_stats();
+            let context = format!("partitions={partitions} common={common}");
+            assert_eq!(stats.joins_executed, iterations + 1, "{context}");
+            let reference = reference.get_or_insert_with(|| got.clone());
+            assert_eq!(got.rows(), reference.rows(), "{context}");
+        }
+    }
+}
+
+/// An invariant join that is no join's input — under the body's
+/// aggregate, or an arm of its set operation — runs once per statement
+/// too. Neither body reads the CTE, so after the first iteration the CTE
+/// holds what a plain query of the body returns.
+#[test]
+fn an_invariant_join_above_no_join_runs_once() {
+    let spec = GraphSpec {
+        nodes: 200,
+        edges: 900,
+        seed: 99,
+        max_weight: 10,
+    };
+    let join = "edges e JOIN vertexstatus v ON v.node = e.dst";
+    let aggregate = format!("SELECT e.src AS k, COUNT(*) AS v FROM {join} GROUP BY e.src");
+    let union = format!("SELECT e.src AS k, v.status AS v FROM {join}");
+    for (body, plain) in [
+        (aggregate.clone(), aggregate),
+        (
+            format!("SELECT k, v FROM t UNION {union}"),
+            format!("SELECT src AS k, 0 AS v FROM edges UNION {union}"),
+        ),
+    ] {
+        let db = fresh_db(EngineConfig::default(), &spec, true);
+        let expected = db.query(&format!("{plain} ORDER BY k, v")).unwrap();
+        db.take_stats();
+        let sql = format!(
+            "WITH ITERATIVE t (k, v) AS (SELECT src, 0 FROM edges \
+             ITERATE {body} UNTIL 4 ITERATIONS) SELECT k, v FROM t ORDER BY k, v"
+        );
+        let got = db.query(&sql).unwrap();
+        assert_eq!(got.rows(), expected.rows(), "{body}");
+        assert_eq!(db.take_stats().joins_executed, 1, "{body}");
+    }
 }
 
 #[test]

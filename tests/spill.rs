@@ -6,6 +6,7 @@
 //! answer), and the counters must tell the story in stats and
 //! `EXPLAIN ANALYZE`.
 
+use spinner_datagen::{load_edges_into, load_vertex_status_into, GraphSpec};
 use spinner_engine::{
     Database, EngineConfig, Error, FaultConfig, FaultKind, FaultSite, QueryGuard, Value,
 };
@@ -39,7 +40,7 @@ fn counting_cte(iterations: u64) -> String {
 }
 
 /// Adds the `vertexstatus` table the `*-VS` workloads join against —
-/// the join the common-result rule hoists into a `__common_*` temp.
+/// the join the common-result rule regroups into a cached build side.
 fn add_vertex_status(db: &Database) {
     db.execute("CREATE TABLE vertexstatus (node INT, status INT)")
         .unwrap();
@@ -431,12 +432,12 @@ fn explain_analyze_reports_spill_counters() {
     assert!(!profile.render().contains("spill: events"));
 }
 
-/// Join-state-cache invalidation under memory pressure (PR 5): the
-/// cached build table is registered as an evictable `join_build` region,
-/// so when the accountant reclaims it (a drop, not a disk write) the
-/// next probe must rebuild from the — possibly itself spilled —
-/// `__common_*` temp instead of reusing a stale pointer. Rows stay
-/// identical either way.
+/// Join-state-cache invalidation under memory pressure: the cached build
+/// table is registered as an evictable `join_build` region, so when the
+/// accountant reclaims it the next probe must rebuild it — running the
+/// regrouped edges ⋈ vertexstatus join again, or reading its rows back
+/// from disk — instead of reusing a stale pointer. Rows stay identical
+/// either way.
 #[test]
 fn join_cache_rebuilt_after_spill_evicts_build() {
     let sql = pagerank(8, true).cte;
@@ -474,6 +475,40 @@ fn join_cache_rebuilt_after_spill_evicts_build() {
         in_memory.join_builds
     );
     assert!(stats.spill_events > 0);
+}
+
+/// Fig. 9's common result costs no memory of its own: with the rule on,
+/// the regrouped invariant join is held once, as the cached build side,
+/// so PR-VS and SSSP-VS peak no higher than with the rule off.
+#[test]
+fn common_result_holds_the_invariant_join_once() {
+    let spec = GraphSpec {
+        nodes: 400,
+        edges: 2_000,
+        seed: 3,
+        max_weight: 10,
+    };
+    let peak = |sql: &str, common: bool| {
+        let config = EngineConfig::default()
+            .with_common_result(common)
+            .with_spill_threshold_bytes(u64::MAX);
+        let db = Database::new(config).unwrap();
+        load_edges_into(&db, "edges", &spec).unwrap();
+        load_vertex_status_into(&db, "vertexstatus", &spec, 0.8).unwrap();
+        db.take_stats();
+        db.query(sql).unwrap();
+        db.take_stats().peak_tracked_bytes
+    };
+    for (name, sql) in [
+        ("PR-VS", pagerank(10, true).cte),
+        ("SSSP-VS", sssp(10, 1, true).cte),
+    ] {
+        let (on, off) = (peak(&sql, true), peak(&sql, false));
+        assert!(
+            on > 0 && on <= off,
+            "{name}: {on} B with the rule, {off} B without"
+        );
+    }
 }
 
 /// Checkpoint bytes count against the intermediate-state budget
