@@ -13,8 +13,9 @@
 //! * otherwise it joins a **bounded FIFO queue** — arriving when the
 //!   queue is already at `queue_limit` sheds the query right away with
 //!   [`Error::Overloaded`] (bounded latency beats unbounded backlog);
-//! * a queued query that waits past its [`QueryClass`]'s admission
-//!   timeout is shed with [`Error::AdmissionTimeout`];
+//! * a queued interactive query (see [`QueryClass`]) that waits past the
+//!   admission timeout is shed with [`Error::AdmissionTimeout`]; a batch
+//!   query waits without a bound;
 //! * once draining ([`AdmissionController::begin_drain`]), every new or
 //!   queued query is shed with [`Error::ShuttingDown`] while in-flight
 //!   permits run to completion.
@@ -41,10 +42,10 @@ use crate::error::{Error, Result};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryClass {
     /// Point/OLTP-ish work: no loop operator in the plan. Gets the
-    /// (typically short) `admission_timeout_ms`.
+    /// `admission_timeout_ms`.
     Interactive,
     /// Iterative/analytical work: the plan contains a loop operator.
-    /// Gets the (typically longer) `admission_batch_timeout_ms`.
+    /// Waits in the queue without a bound.
     Batch,
 }
 
@@ -115,7 +116,6 @@ pub struct AdmissionController {
     max_concurrent: u64,
     queue_limit: u64,
     interactive_timeout: Option<Duration>,
-    batch_timeout: Option<Duration>,
     memory: Option<Arc<dyn MemoryGate>>,
     state: Mutex<State>,
     changed: Condvar,
@@ -128,20 +128,18 @@ const MEMORY_POLL: Duration = Duration::from_millis(10);
 
 impl AdmissionController {
     /// Controller admitting at most `max_concurrent` queries, queueing at
-    /// most `queue_limit` more, with per-class admission timeouts and an
-    /// optional memory-headroom gate.
+    /// most `queue_limit` more, with an admission timeout for interactive
+    /// queries and an optional memory-headroom gate.
     pub fn new(
         max_concurrent: usize,
         queue_limit: usize,
         interactive_timeout_ms: Option<u64>,
-        batch_timeout_ms: Option<u64>,
         memory: Option<Arc<dyn MemoryGate>>,
     ) -> Self {
         AdmissionController {
             max_concurrent: max_concurrent.max(1) as u64,
             queue_limit: queue_limit as u64,
             interactive_timeout: interactive_timeout_ms.map(Duration::from_millis),
-            batch_timeout: batch_timeout_ms.map(Duration::from_millis),
             memory,
             state: Mutex::new(State::default()),
             changed: Condvar::new(),
@@ -173,7 +171,7 @@ impl AdmissionController {
     fn timeout_for(&self, class: QueryClass) -> Option<Duration> {
         match class {
             QueryClass::Interactive => self.interactive_timeout,
-            QueryClass::Batch => self.batch_timeout,
+            QueryClass::Batch => None,
         }
     }
 
@@ -354,7 +352,7 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn controller(max: usize, queue: usize) -> Arc<AdmissionController> {
-        Arc::new(AdmissionController::new(max, queue, None, None, None))
+        Arc::new(AdmissionController::new(max, queue, None, None))
     }
 
     #[test]
@@ -374,7 +372,7 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_with_overloaded() {
-        let c = Arc::new(AdmissionController::new(1, 0, Some(50), None, None));
+        let c = Arc::new(AdmissionController::new(1, 0, Some(50), None));
         let _held = c.admit(QueryClass::Interactive).unwrap();
         match c.admit(QueryClass::Interactive) {
             Err(Error::Overloaded {
@@ -393,7 +391,7 @@ mod tests {
 
     #[test]
     fn queued_query_times_out_with_admission_timeout() {
-        let c = Arc::new(AdmissionController::new(1, 4, Some(30), None, None));
+        let c = Arc::new(AdmissionController::new(1, 4, Some(30), None));
         let _held = c.admit(QueryClass::Interactive).unwrap();
         let started = Instant::now();
         match c.admit(QueryClass::Interactive) {
@@ -414,10 +412,10 @@ mod tests {
 
     #[test]
     fn classes_use_their_own_timeouts() {
-        // Batch waits longer than interactive: with the slot held for
-        // ~60ms, the 20ms interactive class sheds, the unlimited batch
-        // class eventually admits.
-        let c = Arc::new(AdmissionController::new(1, 4, Some(20), None, None));
+        // Only interactive queries time out: with the slot held, the
+        // 20ms interactive class sheds, the batch class eventually
+        // admits.
+        let c = Arc::new(AdmissionController::new(1, 4, Some(20), None));
         let held = c.admit(QueryClass::Batch).unwrap();
         let c2 = Arc::clone(&c);
         let batch = std::thread::spawn(move || c2.admit(QueryClass::Batch).map(|p| p.waited_us()));
@@ -499,7 +497,6 @@ mod tests {
             2,
             8,
             Some(40),
-            None,
             Some(Arc::clone(&gate) as Arc<dyn MemoryGate>),
         ));
         // Idle engine: admitted despite pressure (deadlock avoidance).

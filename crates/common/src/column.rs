@@ -469,31 +469,6 @@ impl Column {
         out.extend_from(self, rows.iter().copied());
         out
     }
-
-    /// Cells `rows` of `a` ∥ `b`, both non-empty — a row from `a.len()` on
-    /// is one of `b` — typed as the two laid end to end would be, each run
-    /// of rows from one side copied at once.
-    fn gather_from_two(a: &Column, b: &Column, rows: &[u32]) -> Column {
-        let mut out = match (a.untyped(), b.untyped()) {
-            (true, true) => Column::new(),
-            (false, true) => a.nulls_like(0),
-            (true, false) => b.nulls_like(0),
-            _ if std::mem::discriminant(a) == std::mem::discriminant(b) => a.nulls_like(0),
-            _ => Column::Mixed(Vec::new()),
-        };
-        let (split, mut rest) = (a.len() as u32, rows);
-        while let Some(&first) = rest.first() {
-            let from_b = first >= split;
-            let run = rest
-                .iter()
-                .take_while(|&&row| (row >= split) == from_b)
-                .count();
-            let (src, base) = if from_b { (b, split) } else { (a, 0) };
-            out.extend_from(src, rest[..run].iter().map(|&row| row - base));
-            rest = &rest[run..];
-        }
-        out
-    }
 }
 
 /// The rows of one partition, a column per field. `rows` is kept beside
@@ -605,22 +580,6 @@ impl Block {
             return Block::empty(self.columns.len());
         }
         let columns = self.columns.iter().map(|c| Arc::new(c.gather(rows)));
-        Block::new(columns.collect(), rows.len())
-    }
-
-    /// Rows `rows` of `a` ∥ `b` — a row number from `a.rows()` on is one of
-    /// `b` — as a new block: the [`take`](Self::take) of their
-    /// [`concat`](Self::concat), cell and column type alike, without the
-    /// copy the concatenation would make.
-    pub fn take_from_two(a: &Block, b: &Block, rows: &[u32]) -> Block {
-        match (a.is_empty(), b.is_empty()) {
-            (_, true) => return a.take(rows),
-            (true, false) => return b.take(rows),
-            _ if rows.is_empty() => return Block::empty(a.columns.len()),
-            _ => {}
-        }
-        let pairs = a.columns.iter().zip(&b.columns);
-        let columns = pairs.map(|(a, b)| Arc::new(Column::gather_from_two(a, b, rows)));
         Block::new(columns.collect(), rows.len())
     }
 
@@ -811,24 +770,6 @@ mod tests {
             let both: Vec<Row> = rows(&a).into_iter().chain(rows(&b)).collect();
             prop_assert_eq!(exact(&grown.to_rows()), exact(&both));
             prop_assert_eq!(exact(&ba.to_rows()), exact(&rows(&a)));
-        }
-
-        /// `take_from_two` is the `take` of the `concat`, column types
-        /// included — also where a side's column is all NULL.
-        #[test]
-        fn take_from_two_is_the_take_of_the_concat(
-            a in cells(),
-            b in cells(),
-            picks in proptest::collection::vec(0u32..24, 0..20),
-        ) {
-            let (ca, cb) = (column_of(&a), column_of(&b));
-            let a_nulls = Column::from_floats(a.iter().map(|_| None));
-            let b_nulls = cb.gather(&vec![NO_ROW; b.len()]);
-            let ba = Arc::new(Block::new(vec![Arc::new(ca), Arc::new(a_nulls)], a.len()));
-            let bb = Arc::new(Block::new(vec![Arc::new(cb), Arc::new(b_nulls)], b.len()));
-            let picks: Vec<u32> = picks.into_iter().filter(|&p| (p as usize) < a.len() + b.len()).collect();
-            let want = Block::concat(&[Arc::clone(&ba), Arc::clone(&bb)], usize::MAX).take(&picks);
-            prop_assert_eq!(exact(&Block::take_from_two(&ba, &bb, &picks)), exact(&want));
         }
 
         /// `overwrite` writes exactly the cells it is given — later pairs

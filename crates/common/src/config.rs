@@ -661,14 +661,9 @@ option_table! {
     admission_queue_limit: usize = 16, with_admission_queue_limit, Any, Engine;
     /// How long an *interactive* query (no loop operator in its plan) may
     /// wait in the admission queue before being shed with
-    /// `Error::AdmissionTimeout`. `None` = wait indefinitely.
+    /// `Error::AdmissionTimeout`. `None` = wait indefinitely, as a batch
+    /// query (its plan contains a loop operator) always does.
     admission_timeout_ms: Option<u64> = None, with_admission_timeout_ms(u64), NonZero, Engine;
-    /// How long a *batch* query (its plan contains a loop operator) may
-    /// wait in the admission queue. Batch work tolerates more queueing
-    /// delay than interactive work, so the two classes get separate
-    /// timeouts. `None` = wait indefinitely.
-    admission_batch_timeout_ms: Option<u64> = None, with_admission_batch_timeout_ms(u64),
-        NonZero, Engine;
     /// Read keepalive for server sessions, in milliseconds: a connection
     /// that sends no frame for this long between statements is reaped —
     /// the socket is closed and its resources released — so a half-open
@@ -758,7 +753,6 @@ mod tests {
             .with_max_concurrent_queries(7)
             .with_admission_queue_limit(7)
             .with_admission_timeout_ms(7)
-            .with_admission_batch_timeout_ms(7)
             .with_session_keepalive_ms(7)
             .with_resumable_queries(true);
         for ((def, before), after) in OPTIONS.iter().zip(d.rendered()).zip(set.rendered()) {
@@ -801,10 +795,6 @@ mod tests {
             (
                 "admission_timeout_ms",
                 d.clone().with_admission_timeout_ms(0),
-            ),
-            (
-                "admission_batch_timeout_ms",
-                d.clone().with_admission_batch_timeout_ms(0),
             ),
             (
                 "session_keepalive_ms",
@@ -913,7 +903,6 @@ mod tests {
         assert_eq!(c.max_concurrent_queries, None);
         assert_eq!(c.admission_queue_limit, 16);
         assert_eq!(c.admission_timeout_ms, None);
-        assert_eq!(c.admission_batch_timeout_ms, None);
     }
 
     #[test]
@@ -922,13 +911,10 @@ mod tests {
         assert!(matches!(c.validate(), Err(crate::Error::InvalidConfig(_))));
         let c = EngineConfig::default().with_admission_timeout_ms(0);
         assert!(matches!(c.validate(), Err(crate::Error::InvalidConfig(_))));
-        let c = EngineConfig::default().with_admission_batch_timeout_ms(0);
-        assert!(matches!(c.validate(), Err(crate::Error::InvalidConfig(_))));
         let c = EngineConfig::default()
             .with_max_concurrent_queries(2)
             .with_admission_queue_limit(4)
-            .with_admission_timeout_ms(100)
-            .with_admission_batch_timeout_ms(1_000);
+            .with_admission_timeout_ms(100);
         assert!(c.validate().is_ok());
     }
 

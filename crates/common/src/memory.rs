@@ -43,11 +43,11 @@ pub enum RegionKind {
     /// A hash-join build side being probed; pinned (never spilled).
     HashJoinBuild,
     /// A cached loop-invariant join input (partitioned rows, and a build
-    /// side's hash tables) held across iterations by the join-state cache
-    /// — the §V-A common result. Derived state that can always be run
-    /// again from its sources, so it is the coldest state and the first
-    /// victim: dropped, or written to disk when running it again would
-    /// route rows again (`JoinStateCache::evict`).
+    /// side's hash tables) held across iterations in a slot of the
+    /// join-state cache — the §V-A common result. Derived state that can
+    /// always be run again from its sources, so it is the coldest state
+    /// and the first victim: dropped, or spilled like a temp when running
+    /// it again would route rows again (`JoinStateCache::evict`).
     JoinBuild,
 }
 

@@ -205,7 +205,6 @@ impl Database {
                 max,
                 config.admission_queue_limit,
                 config.admission_timeout_ms,
-                config.admission_batch_timeout_ms,
                 gate,
             ))
         });

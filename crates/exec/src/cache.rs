@@ -28,13 +28,17 @@
 //! recovery re-`put` or any replacement therefore gives a leaf new
 //! buffers, and the next lookup drops the entry and runs the input again.
 //!
-//! **Memory.** Each entry is registered with the memory accountant as a
-//! [`RegionKind::JoinBuild`] region — evictable derived state. Under
-//! pressure the spill planner may pick it as a victim. An entry whose rows
-//! are its source's own partitions (its exchange moved no row) is dropped:
-//! it is rebuilt from them. One whose rows were copied is written to disk
-//! and read back on its next use, as any other intermediate result would
-//! be: running the input again would cost more.
+//! **Memory.** Each entry keeps its rows in a [`Slot`] — the resident ↔
+//! spilled state machine the temp registry and the checkpoint store use —
+//! charged to the memory accountant as a [`RegionKind::JoinBuild`] region:
+//! evictable derived state. Under pressure the spill planner may pick it
+//! as a victim. An entry whose rows are its source's own partitions (its
+//! exchange moved no row) is dropped: it is rebuilt from them. One whose
+//! rows were copied is spilled, as any other intermediate result would be:
+//! running the input again would cost more. Its file stays with the slot,
+//! so it is written once however often it is evicted, and a build side's
+//! hash tables, which go with the resident rows, are rebuilt over the rows
+//! read back.
 //!
 //! Lock poisoning degrades, never aborts: every accessor recovers the
 //! guard with [`std::sync::PoisonError::into_inner`]. A cache torn by an
@@ -46,11 +50,14 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use spinner_common::memory::{RegionId, RegionKind};
 use spinner_common::Result;
 use spinner_plan::PlanExpr;
-use spinner_storage::{Partitioned, SpillEnv, SpillHandle};
+use spinner_storage::{Partitioned, Slot, SpillEnv};
 
 use crate::executor::StatementContext;
 use crate::keys::JoinTable;
 use crate::physical::PhysicalPlan;
+
+/// The accountant region name and spill-file label of every entry.
+const LABEL: &str = "join_build";
 
 /// What the scans among `plan`'s leaves read now, in leaf order: a base
 /// table's snapshot or a temp's partitions.
@@ -96,7 +103,6 @@ fn still_reads(
 /// A loop-invariant input — its plan and, for a build side, the key
 /// expressions it is indexed on: the cache's key — and the source
 /// partitions its leaves read when it ran.
-#[derive(Clone)]
 struct Input {
     plan: PhysicalPlan,
     keys: Option<Vec<PlanExpr>>,
@@ -116,69 +122,31 @@ impl Input {
     }
 }
 
-/// One cached loop-invariant input: its rows and, for a build side, the
-/// hash tables over them.
+/// One cached loop-invariant input as a probe reads it: its rows and, for
+/// a build side, the hash tables over them. Cloning bumps reference counts.
+#[derive(Clone)]
 pub struct CachedInput {
-    input: Input,
     /// The input's rows; a build side's are hash-repartitioned on its keys.
     pub rows: Partitioned,
     /// A build side's key index per partition of `rows`; empty for any
     /// other input.
-    pub tables: Vec<JoinTable>,
-    /// Accountant region holding the rows' bytes (None without a spill
-    /// environment). Released on drop.
-    region: Option<(RegionId, Arc<SpillEnv>)>,
-    /// A copy of `rows` already on disk, when they were read back from one.
-    file: Option<SpillHandle>,
-}
-
-impl CachedInput {
-    fn touch(&self) {
-        if let Some((id, env)) = &self.region {
-            env.accountant.touch(*id);
-        }
-    }
-}
-
-impl Drop for CachedInput {
-    fn drop(&mut self) {
-        if let Some((id, env)) = self.region.take() {
-            env.accountant.release(id);
-        }
-    }
-}
-
-impl std::fmt::Debug for CachedInput {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachedInput")
-            .field("partitions", &self.rows.parts.len())
-            .field("rows", &self.rows.total_rows())
-            .field("indexed", &self.input.keys.is_some())
-            .finish()
-    }
+    pub tables: Arc<[JoinTable]>,
 }
 
 /// What the cache holds for one input.
-enum Entry {
-    /// In memory, ready to read.
-    Ran(Arc<CachedInput>),
-    /// Evicted with its rows on disk (see [`JoinStateCache::evict`]).
-    OnDisk(Box<Input>, SpillHandle),
-}
-
-impl Entry {
-    fn input(&self) -> &Input {
-        match self {
-            Entry::Ran(ran) => &ran.input,
-            Entry::OnDisk(input, _) => input,
-        }
-    }
+struct Entry {
+    input: Input,
+    /// The input's rows, in memory, on disk, or both.
+    rows: Slot<Partitioned>,
+    /// The key indexes over the resident rows; `None` while they are on
+    /// disk.
+    tables: Option<Arc<[JoinTable]>>,
 }
 
 /// Statement-scoped cache of loop-invariant inputs, keyed by the input.
 /// See the module docs for the lifecycle.
-#[derive(Default)]
 pub struct JoinStateCache {
+    env: Option<Arc<SpillEnv>>,
     entries: Mutex<Vec<Entry>>,
 }
 
@@ -191,9 +159,17 @@ impl std::fmt::Debug for JoinStateCache {
 }
 
 impl JoinStateCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
+    /// Empty cache. With a spill environment every entry is charged to its
+    /// accountant and can be evicted; without one nothing is tracked.
+    pub fn new(env: Option<Arc<SpillEnv>>) -> Self {
+        JoinStateCache {
+            env,
+            entries: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn env(&self) -> Option<&SpillEnv> {
+        self.env.as_deref()
     }
 
     /// Lock the entries, recovering from poison (see the module docs:
@@ -205,109 +181,114 @@ impl JoinStateCache {
 
     /// The cached run of the input `plan` — a build side indexed on `keys`,
     /// or rows alone without them — and whether it was cached. A
-    /// still-valid cached input is returned as it is; an entry without an
-    /// index never answers a lookup with keys, so a build always has its
-    /// key index. Any other is made by `run` and cached as an evictable
-    /// [`RegionKind::JoinBuild`] region: `run(Some(rows))` takes rows read
-    /// back from disk, `run(None)` runs the input; either returns the rows
-    /// and, for a build side, their key index. The sources are read before
-    /// it runs, so one that changes meanwhile can only make the entry miss
-    /// later, never hit stale.
+    /// still-valid resident input is returned as it is; an entry without
+    /// an index never answers a lookup with keys, so a build always has
+    /// its key index. Any other is made by `run` and cached as an
+    /// evictable [`RegionKind::JoinBuild`] region: `run(Some(rows))` takes
+    /// rows read back from disk, `run(None)` runs the input; either
+    /// returns the rows and, for a build side, their key index. The
+    /// sources are read before it runs, so one that changes meanwhile can
+    /// only make the entry miss later, never hit stale. The entries are
+    /// not locked while an input reads back or runs: a spill inside either
+    /// may [`evict`](Self::evict).
     pub fn get_or_run(
         &self,
         (plan, keys): (&PhysicalPlan, Option<&[PlanExpr]>),
         ctx: &StatementContext<'_>,
         run: impl FnOnce(Option<Partitioned>) -> Result<(Partitioned, Vec<JoinTable>)>,
-    ) -> Result<(Arc<CachedInput>, bool)> {
-        let mut on_disk = None;
-        {
+    ) -> Result<(CachedInput, bool)> {
+        let env = self.env();
+        let on_disk = {
             let mut entries = self.entries();
-            if let Some(at) = entries.iter().position(|e| e.input().is_for(plan, keys)) {
-                let current = entries[at].input().is_current(ctx);
-                if let (true, Entry::Ran(ran)) = (current, &entries[at]) {
-                    ran.touch();
-                    return Ok((Arc::clone(ran), true));
+            let found = entries.iter().position(|e| e.input.is_for(plan, keys));
+            match found.map(|at| (at, entries[at].input.is_current(ctx))) {
+                Some((at, true)) => {
+                    let entry = &entries[at];
+                    if let (Some(rows), Some(tables)) = (entry.rows.get(env), &entry.tables) {
+                        let tables = Arc::clone(tables);
+                        return Ok((CachedInput { rows, tables }, true));
+                    }
+                    // Current, but on disk: read back below.
+                    Some(entries.swap_remove(at))
                 }
-                // The entry goes, releasing its region or file; rows on
-                // disk that are still current are read back below.
-                if let (true, Entry::OnDisk(input, file)) = (current, entries.swap_remove(at)) {
-                    on_disk = Some((input, file));
+                Some((at, false)) => {
+                    entries.swap_remove(at).rows.release(env);
+                    None
                 }
+                None => None,
             }
-        }
-        let (input, file, rows) = match (on_disk, ctx.spill.as_ref()) {
-            (Some((input, file)), Some(env)) => {
-                let rows = env.manager.read_partitioned(&file, "join_build")?;
-                (*input, Some(file), Some(rows))
-            }
-            _ => {
+        };
+        let (input, mut slot) = match on_disk {
+            Some(Entry { input, rows, .. }) => (input, Some(rows)),
+            None => {
                 let input = Input {
                     plan: plan.clone(),
                     keys: keys.map(<[PlanExpr]>::to_vec),
                     sources: read_sources(plan, ctx)?,
                 };
-                (input, None, None)
+                (input, None)
             }
         };
-        let (rows, tables) = run(rows)?;
+        let read_back = |slot: &mut Slot<Partitioned>| {
+            slot.rehydrate(
+                env.expect("only a cache with a spill environment spills"),
+                LABEL,
+            )
+        };
+        let ran = slot.as_mut().map(read_back).transpose().and_then(run);
+        let (rows, tables) = match ran {
+            Ok(ran) => ran,
+            Err(e) => {
+                if let Some(slot) = slot {
+                    slot.release(env);
+                }
+                return Err(e);
+            }
+        };
         debug_assert_eq!(
             keys.is_some(),
             !tables.is_empty(),
             "only a build is indexed"
         );
-        let region = ctx.spill.as_ref().map(|env| {
-            let bytes = rows.estimated_bytes();
-            let id = env
-                .accountant
-                .register("join_build", RegionKind::JoinBuild, bytes);
-            (id, Arc::clone(env))
-        });
-        let ran = Arc::new(CachedInput {
+        let slot = slot
+            .unwrap_or_else(|| Slot::new(env, LABEL, RegionKind::JoinBuild, rows.clone(), None));
+        let tables: Arc<[JoinTable]> = tables.into();
+        self.entries().push(Entry {
             input,
-            rows,
-            tables,
-            region,
-            file,
+            rows: slot,
+            tables: Some(Arc::clone(&tables)),
         });
-        self.entries().push(Entry::Ran(Arc::clone(&ran)));
-        Ok((ran, false))
+        Ok((CachedInput { rows, tables }, false))
     }
 
-    /// Evict the cached input whose accountant region is `region`,
-    /// releasing it; returns whether there was one. This is how the spill
-    /// planner reclaims the cache's memory. An input whose rows are its
-    /// source's own partitions (its exchange moved no row) owns nothing
-    /// but its hash tables, and is dropped. One whose rows were copied is
-    /// written to disk first, unless it already is, and only a build
-    /// side's tables are rebuilt next time: reading the rows back costs
-    /// less than running the input again.
+    /// Evict the cached input whose accountant region is `region`; returns
+    /// whether one was resident. This is how the spill planner reclaims the
+    /// cache's memory. An input whose rows are its source's own partitions
+    /// (its exchange moved no row) owns nothing but its hash tables, and is
+    /// dropped. One whose rows were copied is spilled — written to disk
+    /// unless its slot already has a file — and only a build side's tables
+    /// are rebuilt next time: reading the rows back costs less than running
+    /// the input again.
     pub fn evict(&self, region: RegionId) -> Result<bool> {
-        let mut entries = self.entries();
-        let of_region = |e: &Entry| match e {
-            Entry::Ran(ran) => ran.region.as_ref().is_some_and(|(id, _)| *id == region),
-            Entry::OnDisk(..) => false,
-        };
-        let Some(at) = entries.iter().position(of_region) else {
+        let Some(env) = self.env() else {
             return Ok(false);
         };
-        let Entry::Ran(ran) = entries.swap_remove(at) else {
-            unreachable!("only an entry in memory has a region");
+        let mut entries = self.entries();
+        let Some(at) = entries.iter().position(|e| e.rows.region() == Some(region)) else {
+            return Ok(false);
         };
-        let shares = |source: &Partitioned| source.same_buffers(&ran.rows.parts);
-        if ran.input.sources.iter().any(shares) {
+        let entry = &mut entries[at];
+        let sources = &entry.input.sources;
+        let shares = |rows: &Partitioned| sources.iter().any(|s| s.same_buffers(&rows.parts));
+        if entry.rows.resident().is_some_and(shares) {
+            entries.swap_remove(at).rows.release(Some(env));
             return Ok(true);
         }
-        // Probes hold an input only while they run, never across a spill.
-        let Ok(mut ran) = Arc::try_unwrap(ran) else {
-            return Ok(true);
-        };
-        let file = match (ran.file.take(), &ran.region) {
-            (Some(file), _) => file,
-            (None, Some((_, env))) => env.manager.write_partitioned("join_build", &ran.rows)?,
-            (None, None) => return Ok(true),
-        };
-        entries.push(Entry::OnDisk(Box::new(ran.input.clone()), file));
-        Ok(true)
+        let spilled = entry.rows.spill(env, LABEL)?;
+        if spilled {
+            entry.tables = None;
+        }
+        Ok(spilled)
     }
 
     /// Drop every cached input, releasing their regions and files. Called
@@ -315,7 +296,9 @@ impl JoinStateCache {
     /// checkpoint — replay must rebuild from the restored state, never
     /// reuse state derived on the failed timeline.
     pub fn clear(&self) {
-        self.entries().clear();
+        for entry in self.entries().drain(..) {
+            entry.rows.release(self.env());
+        }
     }
 
     /// Number of cached inputs, in memory or on disk (tests/observability).
@@ -530,15 +513,18 @@ mod tests {
     #[test]
     fn a_spilled_and_rehydrated_temp_invalidates() {
         let env = Arc::new(SpillEnv::new(u64::MAX, None, None));
-        in_statement(&Catalog::new(), Some(env), |ctx| {
+        in_statement(&Catalog::new(), Some(Arc::clone(&env)), |ctx| {
             ctx.registry
                 .put("side", partitioned(&[(7, 1), (8, 3)], &["a", "b"]));
+            let regions = env.accountant.region_count();
             let plan = loop_join(temp_side());
             let (first, _) = run(&plan, ctx);
             assert!(ctx.registry.spill_entry("side").unwrap());
             ctx.registry.get("side").unwrap();
             let (again, counts) = run(&plan, ctx);
             assert_eq!((again, counts), (first, (2, 0)));
+            let builds = env.accountant.region_count() - regions;
+            assert_eq!(builds, 1, "the stale entry's region was released");
         });
     }
 
@@ -591,6 +577,7 @@ mod tests {
         let env = Arc::new(SpillEnv::new(0, None, None));
         in_statement(&Catalog::new(), Some(Arc::clone(&env)), |ctx| {
             ctx.registry.put("side", placed_side(false));
+            let regions = env.accountant.region_count();
             let plan = loop_join(temp_side());
             let (first, _) = run(&plan, ctx);
             let moved = ctx.stats.rows_moved.get();
@@ -605,6 +592,8 @@ mod tests {
             // Evicted again, the build keeps the file it was read from.
             assert!(evict_build(&env, ctx));
             assert_eq!(env.metrics().take().spill_bytes_written, 0);
+            ctx.join_cache.clear();
+            assert_eq!(env.accountant.region_count(), regions, "cleared on disk");
         });
     }
 
@@ -615,10 +604,12 @@ mod tests {
         let env = Arc::new(SpillEnv::new(0, None, None));
         in_statement(&Catalog::new(), Some(Arc::clone(&env)), |ctx| {
             ctx.registry.put("side", placed_side(true));
+            let regions = env.accountant.region_count();
             let plan = loop_join(temp_side());
             let (first, _) = run(&plan, ctx);
             assert!(evict_build(&env, ctx));
             assert!(ctx.join_cache.is_empty());
+            assert_eq!(env.accountant.region_count(), regions, "its region went");
             assert_eq!(env.metrics().take().spill_bytes_written, 0);
             assert_eq!(run(&plan, ctx), (first, (2, 0)));
         });

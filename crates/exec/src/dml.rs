@@ -14,9 +14,12 @@
 //!   hash join against the FROM result — concatenated in gather order and
 //!   indexed once — of which each table row keeps its first, the first
 //!   match in FROM order. The assignments are evaluated over the hit rows
-//!   only, and the partition's new block is one `take` over (old ∥
-//!   updated). A row whose partition-key value changed leaves its
-//!   partition and is appended where `placement` puts it.
+//!   only, and written into the partition's block the way a loop's merge
+//!   writes its CTE ([`Block::overwrite_rows`]): in place on a
+//!   copy-on-write clone, so only a column with a changed cell is copied.
+//!   A row whose partition-key value changed leaves its partition — the
+//!   block drops it with one `take` — and is appended where `placement`
+//!   puts it.
 //!
 //! Every statement is all or nothing: under the table's write lock each
 //! partition's new block is computed — every expression evaluated, every
@@ -152,21 +155,23 @@ impl Update<'_> {
                 None => Vec::new(),
             };
             let leaves = |k: u32| targets.get(k as usize).is_some_and(|&to| to as usize != p);
-            // Row numbers into (old ∥ new): each hit replaced where it is,
-            // unless it leaves.
-            let (mut order, mut left) = (Vec::with_capacity(old.rows()), Vec::new());
-            let mut hits = hits.iter().zip(0u32..).peekable();
-            for row in 0..old.rows() as u32 {
-                match hits.next_if(|(&hit, _)| hit == row) {
-                    Some((_, k)) if leaves(k) => left.push(k),
-                    Some((_, k)) => order.push(old.rows() as u32 + k),
-                    None => order.push(row),
-                }
-            }
-            parts.push(Arc::new(Block::take_from_two(old, &new, &order)));
+            // Each hit as (its row here, its row of `new`): one that stays
+            // is overwritten where it is, one that leaves is dropped.
+            let (stays, left): (Vec<(u32, u32)>, Vec<_>) = hits
+                .iter()
+                .copied()
+                .zip(0u32..)
+                .partition(|&(_, k)| !leaves(k));
+            let mut block = Block::clone(old);
+            block.overwrite_rows(&new, &stays);
             if !left.is_empty() {
+                let mut gone = left.iter().map(|&(row, _)| row).peekable();
+                let kept = (0..old.rows() as u32).filter(|row| gone.next_if_eq(row).is_none());
+                block = block.take(&kept.collect::<Vec<_>>());
+                let left: Vec<u32> = left.into_iter().map(|(_, k)| k).collect();
                 leaving.push(Arc::new(new.take(&left)));
             }
+            parts.push(Arc::new(block));
         }
         t.replace(parts);
         if !leaving.is_empty() {

@@ -132,8 +132,8 @@ impl<'a> StatementContext<'a> {
             faults,
             registry: TempRegistry::new(spill.clone()),
             checkpoints: CheckpointStore::new(spill.clone()),
+            join_cache: JoinStateCache::new(spill.clone()),
             spill,
-            join_cache: JoinStateCache::new(),
             solutions: SolutionIndexes::default(),
             stats: CounterSet::new(),
             tracer: Tracer::disabled(),
@@ -1397,9 +1397,10 @@ mod tests {
                 _ => merged.push(old as u32),
             }
         }
+        let both = [Arc::new(cte.clone()), Arc::new(work.clone())];
         let updated = delta.len() as u64;
         Ok((
-            Block::take_from_two(cte, work, &merged),
+            Block::concat(&both, usize::MAX).take(&merged),
             work.take(&delta),
             updated,
         ))

@@ -155,7 +155,7 @@ fn execute_inner(
             let data = execute(input, ctx)?;
             exchange(data, mode, limit, ctx)
         }
-        PhysicalPlan::Cached { input } => Ok(cached_input(input, None, ctx)?.rows.clone()),
+        PhysicalPlan::Cached { input } => Ok(cached_input(input, None, ctx)?.rows),
         PhysicalPlan::HashJoin {
             left,
             right,
@@ -855,7 +855,7 @@ fn cached_input(
     input: &PhysicalPlan,
     index: Option<&HashJoinSpec<'_>>,
     ctx: &StatementContext<'_>,
-) -> Result<Arc<CachedInput>> {
+) -> Result<CachedInput> {
     let keys = index.map(|join| join.right_keys);
     let (entry, reused) = ctx.join_cache.get_or_run((input, keys), ctx, |rows| {
         let rows = match rows {

@@ -27,6 +27,7 @@ pub use disk::gc_orphans;
 pub use journal::{EpochRecord, InputRecord, JournalEntry, QueryJournal};
 pub use partition::{partition_of, placement, Partitioned, PlacedOn};
 pub use registry::TempRegistry;
+pub use slot::{Slot, Spillable};
 pub use spill::{
     read_checkpoint_file, read_partitioned_file, xxh64, SpillEnv, SpillHandle, SpillManager,
 };

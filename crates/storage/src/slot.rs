@@ -1,7 +1,7 @@
 //! The resident ↔ spilled state machine of one piece of intermediate
 //! state, written once for the [`TempRegistry`](crate::TempRegistry)
-//! (tables) and the [`CheckpointStore`](crate::CheckpointStore)
-//! (snapshots).
+//! (tables), the [`CheckpointStore`](crate::CheckpointStore) (snapshots)
+//! and the executor's join-state cache (loop-invariant inputs).
 //!
 //! A [`Slot`] holds its value in memory, in a spill file, or both, and
 //! keeps the memory accountant's view in step: `register` on creation,
@@ -22,7 +22,7 @@ use crate::partition::Partitioned;
 use crate::spill::{SpillEnv, SpillHandle, SpillManager};
 
 /// State a [`Slot`] can move to disk and back.
-pub(crate) trait Spillable: Clone {
+pub trait Spillable: Clone {
     /// Estimated bytes the resident value holds (the accountant's charge).
     fn resident_bytes(&self) -> u64;
     /// Serialize to a fresh spill file.
@@ -59,9 +59,11 @@ impl Spillable for LoopCheckpoint {
 ///
 /// Every method takes the owner's spill environment: a slot stores no
 /// `Arc` of its own, and without an environment it is simply a resident
-/// value nothing tracks or spills.
+/// value nothing tracks or spills. For the same reason it has no `Drop`
+/// release: every path on which an owner drops a slot calls
+/// [`release`](Self::release).
 #[derive(Debug)]
-pub(crate) struct Slot<T> {
+pub struct Slot<T> {
     resident: Option<T>,
     file: Option<SpillHandle>,
     region: Option<RegionId>,
@@ -70,7 +72,7 @@ pub(crate) struct Slot<T> {
 impl<T: Spillable> Slot<T> {
     /// A resident `value`, charged to the accountant as region `name`.
     /// `file` is a copy the owner already wrote (a journaled checkpoint).
-    pub(crate) fn new(
+    pub fn new(
         env: Option<&SpillEnv>,
         name: &str,
         kind: RegionKind,
@@ -86,12 +88,18 @@ impl<T: Spillable> Slot<T> {
     }
 
     /// The value if it is in memory; never does I/O or touches the region.
-    pub(crate) fn resident(&self) -> Option<&T> {
+    pub fn resident(&self) -> Option<&T> {
         self.resident.as_ref()
     }
 
+    /// The accountant region the slot is charged to (`None` without a
+    /// spill environment): the id a spill plan names it by.
+    pub fn region(&self) -> Option<RegionId> {
+        self.region
+    }
+
     /// Whether reading the value needs the disk.
-    pub(crate) fn is_spilled(&self) -> bool {
+    pub fn is_spilled(&self) -> bool {
         self.resident.is_none()
     }
 
@@ -103,7 +111,7 @@ impl<T: Spillable> Slot<T> {
 
     /// A clone of the resident value, marking the region recently used;
     /// `None` when the value must be [`rehydrate`](Self::rehydrate)d first.
-    pub(crate) fn get(&self, env: Option<&SpillEnv>) -> Option<T> {
+    pub fn get(&self, env: Option<&SpillEnv>) -> Option<T> {
         let value = self.resident.as_ref()?;
         if let (Some(env), Some(region)) = (env, self.region) {
             env.accountant.touch(region);
@@ -114,7 +122,7 @@ impl<T: Spillable> Slot<T> {
     /// Give up the resident copy, writing the file first unless the slot
     /// already has one. `Ok(false)` when nothing was resident. A failed
     /// write leaves the slot resident and untouched.
-    pub(crate) fn spill(&mut self, env: &SpillEnv, label: &str) -> Result<bool> {
+    pub fn spill(&mut self, env: &SpillEnv, label: &str) -> Result<bool> {
         let Some(value) = &self.resident else {
             return Ok(false);
         };
@@ -130,7 +138,7 @@ impl<T: Spillable> Slot<T> {
 
     /// The value, read back from the file (every checksum verified) and
     /// made resident again if it was not. The file is kept.
-    pub(crate) fn rehydrate(&mut self, env: &SpillEnv, label: &str) -> Result<T> {
+    pub fn rehydrate(&mut self, env: &SpillEnv, label: &str) -> Result<T> {
         if let Some(value) = &self.resident {
             return Ok(value.clone());
         }
@@ -145,7 +153,7 @@ impl<T: Spillable> Slot<T> {
 
     /// Follow the `rename` operator: the accountant's region takes the
     /// owner's new key.
-    pub(crate) fn rename(&self, env: Option<&SpillEnv>, name: &str) {
+    pub fn rename(&self, env: Option<&SpillEnv>, name: &str) {
         if let (Some(env), Some(region)) = (env, self.region) {
             env.accountant.rename(region, name);
         }
@@ -153,7 +161,7 @@ impl<T: Spillable> Slot<T> {
 
     /// The owner dropped the slot: stop tracking it. Dropping `self`
     /// deletes the file.
-    pub(crate) fn release(self, env: Option<&SpillEnv>) {
+    pub fn release(self, env: Option<&SpillEnv>) {
         if let (Some(env), Some(region)) = (env, self.region) {
             env.accountant.release(region);
         }

@@ -55,6 +55,17 @@ fn sorted_rows(batch: &spinner_engine::Batch) -> Vec<Vec<Value>> {
     rows
 }
 
+/// Run `statement` against `db`, checking that it leaves the memory
+/// accountant as it found it — no region and no resident byte behind —
+/// whether it succeeds or fails.
+fn leaves_nothing_tracked<T>(db: &Database, statement: impl FnOnce() -> T) -> T {
+    let tracked = || (db.tracked_region_count(), db.resident_tracked_bytes());
+    let before = tracked();
+    let out = statement();
+    assert_eq!(tracked(), before, "(regions, resident bytes) leaked");
+    out
+}
+
 /// Force-spill config: a 1-byte high-water mark spills every unprotected
 /// region after every allocation.
 fn forced_spill() -> EngineConfig {
@@ -231,11 +242,19 @@ fn spill_fault_matrix_across_checkpoint_intervals() {
         FaultConfig::fail_nth(FaultSite::SpillRead, 1),
         FaultConfig::fail_nth(FaultSite::SpillRead, 2),
     ];
-    for sql in [counting_cte(8), closure_cte(), walk_cte(6)] {
-        let expected = db_with_edges(EngineConfig::default()).query(&sql).unwrap();
+    // PR-VS's regrouped edges ⋈ vertexstatus build is copied, so under
+    // forced spill the join-state cache writes it out and reads it back.
+    let db_with_status = || {
+        let db = db_with_edges(EngineConfig::default());
+        add_vertex_status(&db);
+        db
+    };
+    let pr_vs = pagerank(6, true).cte;
+    for sql in [counting_cte(8), closure_cte(), walk_cte(6), pr_vs] {
+        let expected = db_with_status().query(&sql).unwrap();
         for interval in [0u64, 1, 5] {
             for fault in &faults {
-                let mut db = db_with_edges(EngineConfig::default());
+                let mut db = db_with_status();
                 db.set_config(
                     forced_spill()
                         .with_checkpoint_interval(interval)
@@ -244,7 +263,7 @@ fn spill_fault_matrix_across_checkpoint_intervals() {
                         .with_fault(fault.clone()),
                 )
                 .unwrap();
-                match db.query(&sql) {
+                match leaves_nothing_tracked(&db, || db.query(&sql)) {
                     Ok(batch) => assert_eq!(
                         sorted_rows(&batch),
                         sorted_rows(&expected),
@@ -265,7 +284,8 @@ fn spill_fault_matrix_across_checkpoint_intervals() {
                 }
                 assert_eq!(db.temp_result_count(), 0);
                 // The database stays usable for the next statement.
-                let batch = db.query("SELECT COUNT(*) FROM edges").unwrap();
+                let batch = leaves_nothing_tracked(&db, || db.query("SELECT COUNT(*) FROM edges"));
+                let batch = batch.unwrap();
                 assert_eq!(batch.rows()[0][0], Value::Int(5));
             }
         }
@@ -444,9 +464,9 @@ fn join_cache_rebuilt_after_spill_evicts_build() {
     // In-memory baseline: the invariant build is hashed once and every
     // later iteration re-probes it.
     let db = db_with_edges(EngineConfig::default().with_spill_threshold_bytes(u64::MAX));
-    add_vertex_status(&db);
+    leaves_nothing_tracked(&db, || add_vertex_status(&db));
     db.take_stats();
-    let expected = db.query(&sql).unwrap();
+    let expected = leaves_nothing_tracked(&db, || db.query(&sql)).unwrap();
     let in_memory = db.take_stats();
     assert!(in_memory.join_builds >= 1);
     assert!(
@@ -459,9 +479,9 @@ fn join_cache_rebuilt_after_spill_evicts_build() {
     // victim, so reuse is impossible — each probe rebuilds, and the
     // answer is still row-identical.
     let db = db_with_edges(forced_spill());
-    add_vertex_status(&db);
+    leaves_nothing_tracked(&db, || add_vertex_status(&db));
     db.take_stats();
-    let batch = db.query(&sql).unwrap();
+    let batch = leaves_nothing_tracked(&db, || db.query(&sql)).unwrap();
     assert_eq!(
         sorted_rows(&batch),
         sorted_rows(&expected),
