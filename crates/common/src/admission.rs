@@ -272,11 +272,6 @@ impl AdmissionController {
         self.changed.notify_all();
     }
 
-    /// Whether [`begin_drain`](Self::begin_drain) has been called.
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
-    }
-
     /// Block until no permits are outstanding, up to `timeout`. Returns
     /// whether the controller went idle in time.
     pub fn wait_idle(&self, timeout: Duration) -> bool {

@@ -385,70 +385,100 @@ impl EngineConfig {
     }
 }
 
-/// Pipeline stage a fault attaches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultSite {
+/// Declares [`FaultSite`] from rows of `/// doc` and `Site => "token",`:
+/// each site's token is written once, and [`FaultSite::name`] and its
+/// inverse [`FaultSite::from_name`] both derive from it.
+macro_rules! fault_sites {
+    ($($(#[doc = $doc:literal])+ $site:ident => $token:literal,)*) => {
+        /// Pipeline stage a fault attaches to.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum FaultSite {
+            $($(#[doc = $doc])+ $site,)*
+        }
+
+        impl FaultSite {
+            /// The site's stable lowercase token: the site an injected
+            /// fault's error names, and the `SITE` of `spinner-serve`'s
+            /// `--crash-at SITE:N` and `--corrupt-at SITE:N`.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(FaultSite::$site => $token,)*
+                }
+            }
+
+            /// The site whose [`name`](Self::name) is `token`.
+            pub fn from_name(token: &str) -> Option<FaultSite> {
+                match token {
+                    $($token => Some(FaultSite::$site),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+fault_sites! {
     /// An exchange operator (shuffle / gather / broadcast).
-    Exchange,
+    Exchange => "exchange",
     /// Materialization of a step result into the temp registry.
-    Materialize,
+    Materialize => "materialize",
     /// The rename fast path swapping the working table in.
-    Rename,
+    Rename => "rename",
     /// The top of every loop iteration.
-    LoopIteration,
+    LoopIteration => "loop_iteration",
     /// Inside a per-partition worker closure (parallel or sequential).
-    Worker,
+    Worker => "worker",
     /// While a loop checkpoint is being snapshotted. A firing here must
     /// never corrupt the live loop state or the previous checkpoint.
-    Checkpoint,
+    Checkpoint => "checkpoint",
     /// While a rollback is restoring a checkpoint. Fires *before* any
     /// table is put back, so a failed restore leaves the registry as the
     /// failed iteration left it and consumes another recovery attempt.
-    Recovery,
+    Recovery => "recovery",
     /// While a victim region is being serialized to a spill file. Fires
     /// before any bytes are written, so a failed spill write leaves the
     /// region resident and untouched.
-    SpillWrite,
+    SpillWrite => "spill_write",
     /// While a spilled region is being read back. Fires before the file is
     /// opened; a firing is a transient fault, absorbed by step retry or
     /// rollback-and-replay like any other transient I/O failure.
-    SpillRead,
+    SpillRead => "spill_read",
     /// When the server accepts a TCP connection, before any session state
     /// exists. An error here sheds the connection; a delay simulates a
     /// slow accept path.
-    Accept,
+    Accept => "accept",
     /// While a session's request frame is being read from the socket. An
     /// error here is treated as a connection failure: the in-flight query
     /// (if any) is cancelled and the session is torn down.
-    SessionRead,
+    SessionRead => "session_read",
     /// While a session's response frame is being written to the socket.
     /// An error here tears the session down after its query completed,
     /// exercising the result-undeliverable path.
-    SessionWrite,
+    SessionWrite => "session_write",
     /// Adversarial disk: the spill/checkpoint file is silently truncated
     /// to half its length *and the write still reports success* — the
     /// state a process kill between `write` and `fsync` leaves behind.
     /// Detection must happen at read time via the whole-file trailer.
-    TornWrite,
+    TornWrite => "torn_write",
     /// Adversarial disk: one bit of the payload is flipped before the
     /// write, which still reports success — simulated bit rot. Detection
     /// must happen at read time via the partition/file checksums.
-    BitFlip,
+    BitFlip => "bit_flip",
     /// Adversarial disk: the write fails as if the device were out of
     /// space (ENOSPC). Degrades to the fail-fast budget error
     /// `ResourceExhausted { resource: "spill_disk", .. }` — deliberate
     /// back-pressure, not a retryable fault and not a process abort.
-    DiskFull,
+    DiskFull => "disk_full",
     /// Adversarial disk: the fsync after a spill write fails. The temp
     /// file is discarded and the write surfaces as the transient
     /// `SpillUnavailable`, leaving the previous artifact intact.
-    FsyncFail,
+    FsyncFail => "fsync_fail",
     /// The barrier between a checkpoint epoch's file reaching disk and
     /// the query journal naming it. The crash harness aborts here to
     /// exercise the file-written-epoch-unnamed window; an injected error
     /// skips the commit (a restart cannot adopt the epoch, the running
     /// loop still rolls back to it) without failing the loop.
-    EpochCommit,
+    EpochCommit => "epoch_commit",
 }
 
 /// What happens when a fault fires.
@@ -523,17 +553,6 @@ impl FaultConfig {
         FaultConfig {
             site,
             kind: FaultKind::Abort,
-            trigger: FaultTrigger::Nth(n),
-        }
-    }
-
-    /// Sleep `ms` milliseconds on the n-th (1-based) hit of `site`. For
-    /// a delay on *every* hit, use [`FaultConfig::seeded`] with
-    /// `probability_ppm = 1_000_000`.
-    pub fn delay_nth(site: FaultSite, n: u64, ms: u64) -> Self {
-        FaultConfig {
-            site,
-            kind: FaultKind::DelayMs(ms),
             trigger: FaultTrigger::Nth(n),
         }
     }
@@ -895,6 +914,25 @@ mod tests {
         assert_eq!(c.checkpoint_interval, 0);
         assert_eq!(c.max_partition_retries, 0);
         assert_eq!(c.max_loop_recoveries, 0);
+    }
+
+    #[test]
+    fn fault_site_tokens_round_trip() {
+        for site in [
+            FaultSite::Exchange,
+            FaultSite::LoopIteration,
+            FaultSite::Worker,
+            FaultSite::SessionWrite,
+            FaultSite::TornWrite,
+            FaultSite::FsyncFail,
+            FaultSite::EpochCommit,
+        ] {
+            assert_eq!(FaultSite::from_name(site.name()), Some(site));
+        }
+        assert_eq!(FaultSite::LoopIteration.name(), "loop_iteration");
+        assert_eq!(FaultSite::SpillRead.name(), "spill_read");
+        assert_eq!(FaultSite::from_name("loop"), None);
+        assert_eq!(FaultSite::from_name("LoopIteration"), None);
     }
 
     #[test]

@@ -245,16 +245,6 @@ impl QueryGuard {
         self.intermediate_bytes.charge("intermediate_bytes", bytes)
     }
 
-    /// Rows materialized so far (observability / tests).
-    pub fn rows_materialized_used(&self) -> u64 {
-        self.rows_materialized.used()
-    }
-
-    /// Rows moved through exchanges so far (observability / tests).
-    pub fn rows_moved_used(&self) -> u64 {
-        self.rows_moved.used()
-    }
-
     /// Estimated intermediate bytes so far (observability / tests).
     pub fn intermediate_bytes_used(&self) -> u64 {
         self.intermediate_bytes.used()

@@ -27,11 +27,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Whether values of this type can be used in arithmetic.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Float)
-    }
-
     /// Result type of an arithmetic operation over `self` and `other`.
     pub fn widen(self, other: DataType) -> DataType {
         match (self, other) {

@@ -264,16 +264,6 @@ impl Database {
         Ok(())
     }
 
-    /// Number of live entries in session-shared temp-result state.
-    /// Always 0 between statements — and, since statements own their
-    /// temp registries (created at entry, dropped on every exit path,
-    /// taking any spill files with them), structurally 0 here: no
-    /// intermediate state outlives the statement that made it, even
-    /// after injected faults or tripped guardrails.
-    pub fn temp_result_count(&self) -> usize {
-        0
-    }
-
     /// Direct catalog access (datagen loaders, tests).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
@@ -774,16 +764,6 @@ impl Database {
             .unwrap_or_else(|e| e.into_inner())
             .skipped
             .clone()
-    }
-
-    /// Number of adopted queries still waiting for
-    /// [`Database::resume_adopted`].
-    pub fn adoption_pending(&self) -> usize {
-        self.adoption
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .adopted
-            .len()
     }
 }
 

@@ -55,29 +55,6 @@ fn xorshift(mut x: u64) -> u64 {
     x
 }
 
-/// Stable lowercase site name used in error messages.
-pub fn site_name(site: FaultSite) -> &'static str {
-    match site {
-        FaultSite::Exchange => "exchange",
-        FaultSite::Materialize => "materialize",
-        FaultSite::Rename => "rename",
-        FaultSite::LoopIteration => "loop",
-        FaultSite::Worker => "worker",
-        FaultSite::Checkpoint => "checkpoint",
-        FaultSite::Recovery => "recovery",
-        FaultSite::SpillWrite => "spill_write",
-        FaultSite::SpillRead => "spill_read",
-        FaultSite::Accept => "accept",
-        FaultSite::SessionRead => "session_read",
-        FaultSite::SessionWrite => "session_write",
-        FaultSite::TornWrite => "torn_write",
-        FaultSite::BitFlip => "bit_flip",
-        FaultSite::DiskFull => "disk_full",
-        FaultSite::FsyncFail => "fsync_fail",
-        FaultSite::EpochCommit => "epoch_commit",
-    }
-}
-
 impl FaultInjector {
     /// An injector that never fires (no configured faults).
     pub fn disabled() -> Self {
@@ -145,14 +122,14 @@ impl FaultInjector {
                 match plan.cfg.kind {
                     FaultKind::Error => {
                         return Err(Error::FaultInjected {
-                            site: site_name(site).to_string(),
+                            site: site.name().to_string(),
                         });
                     }
                     FaultKind::DelayMs(ms) => {
                         std::thread::sleep(std::time::Duration::from_millis(ms));
                     }
                     FaultKind::Panic => {
-                        panic!("injected panic at {}", site_name(site));
+                        panic!("injected panic at {}", site.name());
                     }
                     FaultKind::Abort => {
                         // SIGKILL-equivalent: no unwinding, no destructors,

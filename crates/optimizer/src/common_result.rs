@@ -136,12 +136,12 @@ fn regroup(plan: LogicalPlan, cte: &str) -> LogicalPlan {
     // right keys (over C) are unchanged.
     let bc_schema = Arc::new(b.schema().join(&c.schema()));
     let bc_on: Vec<(PlanExpr, PlanExpr)> = upper_on
-        .iter()
+        .into_iter()
         .map(|(lk, rk)| {
             let shifted = lk
                 .remap_columns(&|i| i.checked_sub(a_width))
                 .expect("guard ensures keys reference only B");
-            (shifted, rk.clone())
+            (shifted, rk)
         })
         .collect();
     let bc = LogicalPlan::Join {

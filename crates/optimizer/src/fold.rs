@@ -5,34 +5,29 @@
 //! left untouched so the error surfaces only if the row is actually
 //! evaluated. `Filter(TRUE)` disappears; `x AND TRUE` simplifies.
 
+use std::convert::Infallible;
+
 use spinner_common::{Result, Value};
 use spinner_plan::expr::BinaryOp;
 use spinner_plan::{LogicalPlan, PlanExpr};
 
 /// Fold constants in every expression of the tree, bottom-up.
 pub fn fold_constants(plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
+    let fold_all = |exprs: Vec<PlanExpr>| exprs.into_iter().map(fold_expr).collect();
+    Ok(match plan.map_children(fold_constants)? {
         LogicalPlan::Projection {
             input,
             exprs,
             schema,
         } => LogicalPlan::Projection {
-            input: Box::new(fold_constants(*input)?),
-            exprs: exprs.into_iter().map(fold_expr).collect(),
+            input,
+            exprs: fold_all(exprs),
             schema,
         },
-        LogicalPlan::Filter { input, predicate } => {
-            let input = fold_constants(*input)?;
-            let predicate = fold_expr(predicate);
-            if predicate == PlanExpr::Literal(Value::Bool(true)) {
-                input
-            } else {
-                LogicalPlan::Filter {
-                    input: Box::new(input),
-                    predicate,
-                }
-            }
-        }
+        LogicalPlan::Filter { input, predicate } => match fold_expr(predicate) {
+            PlanExpr::Literal(Value::Bool(true)) => *input,
+            predicate => LogicalPlan::Filter { input, predicate },
+        },
         LogicalPlan::Join {
             left,
             right,
@@ -41,8 +36,8 @@ pub fn fold_constants(plan: LogicalPlan) -> Result<LogicalPlan> {
             filter,
             schema,
         } => LogicalPlan::Join {
-            left: Box::new(fold_constants(*left)?),
-            right: Box::new(fold_constants(*right)?),
+            left,
+            right,
             join_type,
             on: on
                 .into_iter()
@@ -57,38 +52,12 @@ pub fn fold_constants(plan: LogicalPlan) -> Result<LogicalPlan> {
             aggs,
             schema,
         } => LogicalPlan::Aggregate {
-            input: Box::new(fold_constants(*input)?),
-            group: group.into_iter().map(fold_expr).collect(),
+            input,
+            group: fold_all(group),
             aggs,
             schema,
         },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(fold_constants(*input)?),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(fold_constants(*input)?),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(fold_constants(*input)?),
-            n,
-        },
-        LogicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            schema,
-        } => LogicalPlan::SetOp {
-            op,
-            all,
-            left: Box::new(fold_constants(*left)?),
-            right: Box::new(fold_constants(*right)?),
-            schema,
-        },
-        leaf @ (LogicalPlan::TableScan { .. }
-        | LogicalPlan::TempScan { .. }
-        | LogicalPlan::Values { .. }) => leaf,
+        other => other,
     })
 }
 
@@ -96,70 +65,12 @@ pub fn fold_constants(plan: LogicalPlan) -> Result<LogicalPlan> {
 /// unfolded.
 pub fn fold_expr(expr: PlanExpr) -> PlanExpr {
     // First fold children.
-    let expr = match expr {
-        PlanExpr::Binary { left, op, right } => {
-            let left = fold_expr(*left);
-            let right = fold_expr(*right);
-            // Boolean identity simplifications (sound under 3VL for AND/OR
-            // with TRUE/FALSE on one side).
-            match (op, &left, &right) {
-                (BinaryOp::And, PlanExpr::Literal(Value::Bool(true)), r) => return r.clone(),
-                (BinaryOp::And, l, PlanExpr::Literal(Value::Bool(true))) => return l.clone(),
-                (BinaryOp::And, PlanExpr::Literal(Value::Bool(false)), _)
-                | (BinaryOp::And, _, PlanExpr::Literal(Value::Bool(false))) => {
-                    return PlanExpr::Literal(Value::Bool(false))
-                }
-                (BinaryOp::Or, PlanExpr::Literal(Value::Bool(false)), r) => return r.clone(),
-                (BinaryOp::Or, l, PlanExpr::Literal(Value::Bool(false))) => return l.clone(),
-                (BinaryOp::Or, PlanExpr::Literal(Value::Bool(true)), _)
-                | (BinaryOp::Or, _, PlanExpr::Literal(Value::Bool(true))) => {
-                    return PlanExpr::Literal(Value::Bool(true))
-                }
-                _ => {}
-            }
-            PlanExpr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            }
+    let Ok(expr) = expr.map_children(|child| Ok::<_, Infallible>(fold_expr(child)));
+    if let PlanExpr::Binary { left, op, right } = &expr {
+        if let Some(simpler) = boolean_identity(*op, left, right) {
+            return simpler;
         }
-        PlanExpr::Unary { op, expr } => PlanExpr::Unary {
-            op,
-            expr: Box::new(fold_expr(*expr)),
-        },
-        PlanExpr::Scalar { func, args } => PlanExpr::Scalar {
-            func,
-            args: args.into_iter().map(fold_expr).collect(),
-        },
-        PlanExpr::Case {
-            branches,
-            else_expr,
-        } => PlanExpr::Case {
-            branches: branches
-                .into_iter()
-                .map(|(w, t)| (fold_expr(w), fold_expr(t)))
-                .collect(),
-            else_expr: else_expr.map(|e| Box::new(fold_expr(*e))),
-        },
-        PlanExpr::Cast { expr, to } => PlanExpr::Cast {
-            expr: Box::new(fold_expr(*expr)),
-            to,
-        },
-        PlanExpr::IsNull { expr, negated } => PlanExpr::IsNull {
-            expr: Box::new(fold_expr(*expr)),
-            negated,
-        },
-        PlanExpr::InList {
-            expr,
-            list,
-            negated,
-        } => PlanExpr::InList {
-            expr: Box::new(fold_expr(*expr)),
-            list: list.into_iter().map(fold_expr).collect(),
-            negated,
-        },
-        leaf @ (PlanExpr::Column(_) | PlanExpr::Literal(_)) => leaf,
-    };
+    }
     // Then fold this node if it is column-free and evaluates cleanly.
     if !matches!(expr, PlanExpr::Literal(_)) && expr.is_constant() {
         if let Ok(v) = expr.evaluate(&[]) {
@@ -169,9 +80,29 @@ pub fn fold_expr(expr: PlanExpr) -> PlanExpr {
     expr
 }
 
+/// `left op right` without its operator, when one side is a TRUE or FALSE
+/// that decides or drops out of an AND/OR (sound under three-valued logic).
+fn boolean_identity(op: BinaryOp, left: &PlanExpr, right: &PlanExpr) -> Option<PlanExpr> {
+    let boolean = |b| PlanExpr::Literal(Value::Bool(b));
+    match (op, left, right) {
+        (BinaryOp::And, PlanExpr::Literal(Value::Bool(true)), r) => Some(r.clone()),
+        (BinaryOp::And, l, PlanExpr::Literal(Value::Bool(true))) => Some(l.clone()),
+        (BinaryOp::And, PlanExpr::Literal(Value::Bool(false)), _)
+        | (BinaryOp::And, _, PlanExpr::Literal(Value::Bool(false))) => Some(boolean(false)),
+        (BinaryOp::Or, PlanExpr::Literal(Value::Bool(false)), r) => Some(r.clone()),
+        (BinaryOp::Or, l, PlanExpr::Literal(Value::Bool(false))) => Some(l.clone()),
+        (BinaryOp::Or, PlanExpr::Literal(Value::Bool(true)), _)
+        | (BinaryOp::Or, _, PlanExpr::Literal(Value::Bool(true))) => Some(boolean(true)),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spinner_common::DataType;
+    use spinner_plan::expr::UnaryOp;
+    use spinner_plan::ScalarFn;
 
     #[test]
     fn folds_arithmetic() {
@@ -206,6 +137,61 @@ mod tests {
             panic!()
         };
         assert_eq!(**left, PlanExpr::Literal(Value::Int(3)));
+    }
+
+    /// Every variant folds its constant children and keeps its shape
+    /// around the column: CASE with and without ELSE, an IN list, CAST,
+    /// IS NOT NULL, NOT, a scalar function, nested binary operators, an
+    /// erroring constant left alone and a `TRUE AND` dropped.
+    #[test]
+    fn every_variant_folds_around_its_columns() {
+        let x = || PlanExpr::column(0, "x");
+        let lit = |v: i64| PlanExpr::literal(v);
+        let sum = |a: i64, b: i64| lit(a).binary(BinaryOp::Plus, lit(b));
+        let not_gt = |bound: PlanExpr| PlanExpr::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(x().binary(BinaryOp::Gt, bound)),
+        };
+        let not_null = |addend: PlanExpr| PlanExpr::IsNull {
+            expr: Box::new(x().binary(BinaryOp::Plus, addend)),
+            negated: true,
+        };
+        let coalesce = |second: PlanExpr| PlanExpr::Scalar {
+            func: ScalarFn::Coalesce,
+            args: vec![x(), second],
+        };
+        let in_list = |first: PlanExpr| PlanExpr::InList {
+            expr: Box::new(x()),
+            list: vec![first, x()],
+            negated: false,
+        };
+        let cast = || PlanExpr::Cast {
+            expr: Box::new(x().binary(BinaryOp::Multiply, lit(1).binary(BinaryOp::Divide, lit(0)))),
+            to: DataType::Float,
+        };
+        let positive = || x().binary(BinaryOp::Gt, lit(0));
+        // CASE WHEN NOT (x > a) AND (x + b) IS NOT NULL THEN coalesce(x, c)
+        //      WHEN x IN (d, x) THEN CAST(x * (1 / 0) AS FLOAT)
+        //      ELSE CASE WHEN e THEN x END END
+        let case = |a, b, c, d, e| PlanExpr::Case {
+            branches: vec![
+                (not_gt(a).binary(BinaryOp::And, not_null(b)), coalesce(c)),
+                (in_list(d), cast()),
+            ],
+            else_expr: Some(Box::new(PlanExpr::Case {
+                branches: vec![(e, x())],
+                else_expr: None,
+            })),
+        };
+        let input = case(
+            sum(2, 3),
+            sum(0, 1),
+            sum(4, 5),
+            sum(1, 2),
+            PlanExpr::literal(true).binary(BinaryOp::And, positive()),
+        );
+        let expected = case(lit(5), lit(1), lit(9), lit(3), positive());
+        assert_eq!(fold_expr(input), expected);
     }
 
     #[test]

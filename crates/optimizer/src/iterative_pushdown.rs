@@ -21,7 +21,7 @@
 //! shrinking every iteration's input; the now-redundant copy in the final
 //! plan is removed, exactly as MPPDB does for the FF query.
 
-use spinner_common::{EngineConfig, Result};
+use spinner_common::Result;
 use spinner_plan::{LogicalPlan, LoopKind, PlanExpr, Step};
 
 /// Apply the rewrite across the whole step program. Returns the possibly
@@ -29,7 +29,6 @@ use spinner_plan::{LogicalPlan, LoopKind, PlanExpr, Step};
 pub fn push_into_non_iterative(
     mut steps: Vec<Step>,
     mut root: LogicalPlan,
-    _config: &EngineConfig,
 ) -> Result<(Vec<Step>, LogicalPlan)> {
     // Collect candidate loops: (index of loop step, cte temp name).
     let loops: Vec<(usize, String)> = steps
@@ -241,7 +240,7 @@ mod tests {
     #[test]
     fn ff_predicate_moves_into_r0() {
         let (steps, root) = program(ff_ri(), node_filter());
-        let (steps, root) = push_into_non_iterative(steps, root, &EngineConfig::default()).unwrap();
+        let (steps, root) = push_into_non_iterative(steps, root).unwrap();
         // R0 is now filtered...
         let Step::Materialize { plan, .. } = &steps[0] else {
             panic!()
@@ -256,7 +255,7 @@ mod tests {
         // Filter on `friends`, which Ri recomputes — not safe to push.
         let pred = PlanExpr::column(1, "friends").binary(BinaryOp::Gt, PlanExpr::literal(10i64));
         let (steps, root) = program(ff_ri(), pred);
-        let (steps, root) = push_into_non_iterative(steps, root, &EngineConfig::default()).unwrap();
+        let (steps, root) = push_into_non_iterative(steps, root).unwrap();
         let Step::Materialize { plan, .. } = &steps[0] else {
             panic!()
         };
@@ -281,7 +280,7 @@ mod tests {
             schema: cte_schema(),
         };
         let (steps, root) = program(ri, node_filter());
-        let (steps, root) = push_into_non_iterative(steps, root, &EngineConfig::default()).unwrap();
+        let (steps, root) = push_into_non_iterative(steps, root).unwrap();
         let Step::Materialize { plan, .. } = &steps[0] else {
             panic!()
         };
@@ -305,7 +304,7 @@ mod tests {
             filter: None,
             schema: join_schema,
         };
-        let (steps, root) = push_into_non_iterative(steps, root, &EngineConfig::default()).unwrap();
+        let (steps, root) = push_into_non_iterative(steps, root).unwrap();
         let Step::Materialize { plan, .. } = &steps[0] else {
             panic!()
         };

@@ -65,7 +65,7 @@ pub fn optimize(plan: QueryPlan, config: &EngineConfig) -> Result<QueryPlan> {
     let mut root = optimize_plan(root)?;
 
     if config.predicate_pushdown {
-        let rewritten = iterative_pushdown::push_into_non_iterative(steps, root, config)?;
+        let rewritten = iterative_pushdown::push_into_non_iterative(steps, root)?;
         steps = rewritten.0;
         root = rewritten.1;
         // The predicate the rewrite moved into R0 sits above R0's whole

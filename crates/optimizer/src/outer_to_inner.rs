@@ -19,123 +19,70 @@ use spinner_plan::{JoinType, LogicalPlan, PlanExpr};
 
 /// Apply outer→inner conversion everywhere in the tree (one pass).
 pub fn convert_outer_joins(plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            let input = convert_outer_joins(*input)?;
-            let input = apply_null_rejection(input, &predicate, 0);
-            LogicalPlan::Filter {
-                input: Box::new(input),
-                predicate,
-            }
+    Ok(match plan.map_children(convert_outer_joins)? {
+        LogicalPlan::Filter {
+            mut input,
+            predicate,
+        } => {
+            apply_null_rejection(&mut input, &predicate, 0);
+            LogicalPlan::Filter { input, predicate }
         }
+        // The upper join's own condition can null-reject a lower outer
+        // join's padded side. Keys are evaluated per side; the residual
+        // spans the combined schema.
         LogicalPlan::Join {
-            left,
-            right,
-            join_type,
+            mut left,
+            mut right,
+            join_type: JoinType::Inner,
             on,
             filter,
             schema,
         } => {
-            let mut left = convert_outer_joins(*left)?;
-            let mut right = convert_outer_joins(*right)?;
-            // The upper join's own condition can null-reject a lower outer
-            // join's padded side. Keys are evaluated per side; the residual
-            // spans the combined schema.
             let lwidth = left.schema().len();
-            if join_type == JoinType::Inner {
-                // An equi-key is inherently strict: a NULL key never
-                // matches. Wrap each key in a synthetic comparison so the
-                // strictness test sees a comparison shape.
-                let as_strict = |k: &PlanExpr| {
-                    k.clone().binary(
-                        BinaryOp::Eq,
-                        PlanExpr::Literal(spinner_common::Value::Int(0)),
-                    )
-                };
-                for (lk, _) in &on {
-                    let probe = as_strict(lk);
-                    left = apply_null_rejection(left, &probe, 0);
-                }
-                for (_, rk) in &on {
-                    let probe = as_strict(rk);
-                    right = apply_null_rejection(right, &probe, 0);
-                }
-                if let Some(f) = &filter {
-                    left = apply_null_rejection(left, f, 0);
-                    right = apply_null_rejection(right, f, lwidth);
-                }
+            // An equi-key is inherently strict: a NULL key never matches.
+            // Wrap each key in a synthetic comparison so the strictness
+            // test sees a comparison shape.
+            let as_strict = |k: &PlanExpr| {
+                k.clone().binary(
+                    BinaryOp::Eq,
+                    PlanExpr::Literal(spinner_common::Value::Int(0)),
+                )
+            };
+            for (lk, _) in &on {
+                apply_null_rejection(&mut left, &as_strict(lk), 0);
+            }
+            for (_, rk) in &on {
+                apply_null_rejection(&mut right, &as_strict(rk), 0);
+            }
+            if let Some(f) = &filter {
+                apply_null_rejection(&mut left, f, 0);
+                apply_null_rejection(&mut right, f, lwidth);
             }
             LogicalPlan::Join {
-                left: Box::new(left),
-                right: Box::new(right),
-                join_type,
+                left,
+                right,
+                join_type: JoinType::Inner,
                 on,
                 filter,
                 schema,
             }
         }
-        LogicalPlan::Projection {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Projection {
-            input: Box::new(convert_outer_joins(*input)?),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(convert_outer_joins(*input)?),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(convert_outer_joins(*input)?),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(convert_outer_joins(*input)?),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(convert_outer_joins(*input)?),
-            n,
-        },
-        LogicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            schema,
-        } => LogicalPlan::SetOp {
-            op,
-            all,
-            left: Box::new(convert_outer_joins(*left)?),
-            right: Box::new(convert_outer_joins(*right)?),
-            schema,
-        },
-        leaf => leaf,
+        other => other,
     })
 }
 
 /// If `plan` is an outer join whose padded side is null-rejected by
 /// `predicate` (whose column indices are relative to `plan`'s schema
 /// shifted by `offset`), convert it to inner.
-fn apply_null_rejection(plan: LogicalPlan, predicate: &PlanExpr, offset: usize) -> LogicalPlan {
+fn apply_null_rejection(plan: &mut LogicalPlan, predicate: &PlanExpr, offset: usize) {
     let LogicalPlan::Join {
         left,
-        right,
         join_type,
-        on,
-        filter,
         schema,
+        ..
     } = plan
     else {
-        return plan;
+        return;
     };
     let lwidth = left.schema().len();
     let width = schema.len();
@@ -149,29 +96,17 @@ fn apply_null_rejection(plan: LogicalPlan, predicate: &PlanExpr, offset: usize) 
                     .any(|&i| i >= offset + lo && i < offset + hi)
         })
     };
-    let new_type = match join_type {
+    *join_type = match *join_type {
         JoinType::Left if rejects(lwidth, width) => JoinType::Inner,
         JoinType::Right if rejects(0, lwidth) => JoinType::Inner,
-        JoinType::Full => {
-            let left_rej = rejects(0, lwidth);
-            let right_rej = rejects(lwidth, width);
-            match (left_rej, right_rej) {
-                (true, true) => JoinType::Inner,
-                (true, false) => JoinType::Left,
-                (false, true) => JoinType::Right,
-                (false, false) => JoinType::Full,
-            }
-        }
+        JoinType::Full => match (rejects(0, lwidth), rejects(lwidth, width)) {
+            (true, true) => JoinType::Inner,
+            (true, false) => JoinType::Left,
+            (false, true) => JoinType::Right,
+            (false, false) => JoinType::Full,
+        },
         other => other,
     };
-    LogicalPlan::Join {
-        left,
-        right,
-        join_type: new_type,
-        on,
-        filter,
-        schema,
-    }
 }
 
 /// A conjunct is *strict* (null-rejecting on any column it references) when

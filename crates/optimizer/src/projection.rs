@@ -30,8 +30,8 @@ pub fn merge_projections(plan: LogicalPlan) -> Result<LogicalPlan> {
             ..
         } => {
             let composed = exprs
-                .iter()
-                .map(|e| substitute(e, &inner_exprs))
+                .into_iter()
+                .map(|e| e.substitute_columns(&inner_exprs))
                 .collect::<Result<Vec<_>>>()?;
             Ok(LogicalPlan::Projection {
                 input: inner_input,
@@ -62,68 +62,6 @@ pub fn merge_projections(plan: LogicalPlan) -> Result<LogicalPlan> {
             }
         }
     }
-}
-
-/// Replace `Column(i)` with `inner[i]`.
-fn substitute(expr: &PlanExpr, inner: &[PlanExpr]) -> Result<PlanExpr> {
-    Ok(match expr {
-        PlanExpr::Column(c) => inner.get(c.index).cloned().ok_or_else(|| {
-            spinner_common::Error::plan(format!(
-                "column index {} out of range while merging projections",
-                c.index
-            ))
-        })?,
-        PlanExpr::Literal(v) => PlanExpr::Literal(v.clone()),
-        PlanExpr::Binary { left, op, right } => PlanExpr::Binary {
-            left: Box::new(substitute(left, inner)?),
-            op: *op,
-            right: Box::new(substitute(right, inner)?),
-        },
-        PlanExpr::Unary { op, expr } => PlanExpr::Unary {
-            op: *op,
-            expr: Box::new(substitute(expr, inner)?),
-        },
-        PlanExpr::Scalar { func, args } => PlanExpr::Scalar {
-            func: *func,
-            args: args
-                .iter()
-                .map(|a| substitute(a, inner))
-                .collect::<Result<_>>()?,
-        },
-        PlanExpr::Case {
-            branches,
-            else_expr,
-        } => PlanExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(w, t)| Ok((substitute(w, inner)?, substitute(t, inner)?)))
-                .collect::<Result<_>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(substitute(e, inner)?)),
-                None => None,
-            },
-        },
-        PlanExpr::Cast { expr, to } => PlanExpr::Cast {
-            expr: Box::new(substitute(expr, inner)?),
-            to: *to,
-        },
-        PlanExpr::IsNull { expr, negated } => PlanExpr::IsNull {
-            expr: Box::new(substitute(expr, inner)?),
-            negated: *negated,
-        },
-        PlanExpr::InList {
-            expr,
-            list,
-            negated,
-        } => PlanExpr::InList {
-            expr: Box::new(substitute(expr, inner)?),
-            list: list
-                .iter()
-                .map(|e| substitute(e, inner))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        },
-    })
 }
 
 #[cfg(test)]

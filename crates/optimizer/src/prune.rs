@@ -35,7 +35,7 @@
 
 use std::sync::Arc;
 
-use spinner_common::{Result, Schema, SchemaRef};
+use spinner_common::{Result, Schema, SchemaRef, Value};
 use spinner_plan::{LogicalPlan, PlanExpr};
 
 /// A set of columns of one operator's output, bit `i` for column `i`.
@@ -241,7 +241,8 @@ fn remap<'e>(
     }
     let at = |i: usize| has(kept, i).then(|| position(kept, i));
     for expr in exprs {
-        *expr = expr.remap_columns(&at)?;
+        let placeholder = PlanExpr::Literal(Value::Null);
+        *expr = std::mem::replace(expr, placeholder).remap_columns(&at)?;
     }
     Ok(())
 }

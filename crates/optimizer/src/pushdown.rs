@@ -20,72 +20,12 @@ use spinner_plan::{JoinType, LogicalPlan, PlanExpr};
 /// One pass of push-down over the whole tree (run to fixpoint by the
 /// driver).
 pub fn push_down_filters(plan: LogicalPlan) -> Result<LogicalPlan> {
-    Ok(match plan {
+    match plan {
         LogicalPlan::Filter { input, predicate } => {
-            let input = push_down_filters(*input)?;
-            push_filter(predicate, input)?
+            push_filter(predicate, push_down_filters(*input)?)
         }
-        LogicalPlan::Projection {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Projection {
-            input: Box::new(push_down_filters(*input)?),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            join_type,
-            on,
-            filter,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(push_down_filters(*left)?),
-            right: Box::new(push_down_filters(*right)?),
-            join_type,
-            on,
-            filter,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(push_down_filters(*input)?),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(push_down_filters(*input)?),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(push_down_filters(*input)?),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(push_down_filters(*input)?),
-            n,
-        },
-        LogicalPlan::SetOp {
-            op,
-            all,
-            left,
-            right,
-            schema,
-        } => LogicalPlan::SetOp {
-            op,
-            all,
-            left: Box::new(push_down_filters(*left)?),
-            right: Box::new(push_down_filters(*right)?),
-            schema,
-        },
-        leaf => leaf,
-    })
+        other => other.map_children(push_down_filters),
+    }
 }
 
 /// Push `predicate` into `input` as far as one level allows, recursing
@@ -106,7 +46,7 @@ fn push_filter(predicate: PlanExpr, input: LogicalPlan) -> Result<LogicalPlan> {
             exprs,
             schema,
         } => {
-            let substituted = substitute_columns(&predicate, &exprs)?;
+            let substituted = predicate.substitute_columns(&exprs)?;
             let pushed = push_filter(substituted, *inner)?;
             Ok(LogicalPlan::Projection {
                 input: Box::new(pushed),
@@ -186,7 +126,7 @@ fn push_filter(predicate: PlanExpr, input: LogicalPlan) -> Result<LogicalPlan> {
                 if !cols.is_empty() && cols.iter().all(|&i| i < ngroups) {
                     // Rewrite group-column references to the underlying
                     // group expressions and push below.
-                    below.push(substitute_columns(&c, &group)?);
+                    below.push(c.substitute_columns(&group)?);
                 } else {
                     keep.push(c);
                 }
@@ -209,18 +149,9 @@ fn push_filter(predicate: PlanExpr, input: LogicalPlan) -> Result<LogicalPlan> {
                 None => agg,
             })
         }
-        LogicalPlan::Distinct { input: inner } => {
-            let pushed = push_filter(predicate, *inner)?;
-            Ok(LogicalPlan::Distinct {
-                input: Box::new(pushed),
-            })
-        }
-        LogicalPlan::Sort { input: inner, keys } => {
-            let pushed = push_filter(predicate, *inner)?;
-            Ok(LogicalPlan::Sort {
-                input: Box::new(pushed),
-                keys,
-            })
+        // The filter commutes with both: push it through.
+        node @ (LogicalPlan::Distinct { .. } | LogicalPlan::Sort { .. }) => {
+            node.map_children(|inner| push_filter(predicate.clone(), inner))
         }
         LogicalPlan::SetOp {
             op,
@@ -251,73 +182,6 @@ fn push_filter(predicate: PlanExpr, input: LogicalPlan) -> Result<LogicalPlan> {
             predicate,
         }),
     }
-}
-
-/// Replace every `Column(i)` in `expr` with `replacements[i]`.
-fn substitute_columns(expr: &PlanExpr, replacements: &[PlanExpr]) -> Result<PlanExpr> {
-    Ok(match expr {
-        PlanExpr::Column(c) => replacements.get(c.index).cloned().ok_or_else(|| {
-            spinner_common::Error::plan(format!(
-                "column index {} out of range during substitution",
-                c.index
-            ))
-        })?,
-        PlanExpr::Literal(v) => PlanExpr::Literal(v.clone()),
-        PlanExpr::Binary { left, op, right } => PlanExpr::Binary {
-            left: Box::new(substitute_columns(left, replacements)?),
-            op: *op,
-            right: Box::new(substitute_columns(right, replacements)?),
-        },
-        PlanExpr::Unary { op, expr } => PlanExpr::Unary {
-            op: *op,
-            expr: Box::new(substitute_columns(expr, replacements)?),
-        },
-        PlanExpr::Scalar { func, args } => PlanExpr::Scalar {
-            func: *func,
-            args: args
-                .iter()
-                .map(|a| substitute_columns(a, replacements))
-                .collect::<Result<_>>()?,
-        },
-        PlanExpr::Case {
-            branches,
-            else_expr,
-        } => PlanExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(w, t)| {
-                    Ok((
-                        substitute_columns(w, replacements)?,
-                        substitute_columns(t, replacements)?,
-                    ))
-                })
-                .collect::<Result<_>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(substitute_columns(e, replacements)?)),
-                None => None,
-            },
-        },
-        PlanExpr::Cast { expr, to } => PlanExpr::Cast {
-            expr: Box::new(substitute_columns(expr, replacements)?),
-            to: *to,
-        },
-        PlanExpr::IsNull { expr, negated } => PlanExpr::IsNull {
-            expr: Box::new(substitute_columns(expr, replacements)?),
-            negated: *negated,
-        },
-        PlanExpr::InList {
-            expr,
-            list,
-            negated,
-        } => PlanExpr::InList {
-            expr: Box::new(substitute_columns(expr, replacements)?),
-            list: list
-                .iter()
-                .map(|e| substitute_columns(e, replacements))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        },
-    })
 }
 
 #[cfg(test)]

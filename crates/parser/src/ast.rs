@@ -235,18 +235,6 @@ pub enum TableRef {
     },
 }
 
-impl TableRef {
-    /// The name this relation is visible as (alias or base name), when it
-    /// is a leaf.
-    pub fn visible_name(&self) -> Option<&str> {
-        match self {
-            TableRef::Table { name, alias } => Some(alias.as_deref().unwrap_or(name)),
-            TableRef::Subquery { alias, .. } => alias.as_deref(),
-            TableRef::Join { .. } => None,
-        }
-    }
-}
-
 /// Join flavours.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {

@@ -229,7 +229,7 @@ fn plan_order_by(plan: LogicalPlan, order_by: &[ast::OrderByExpr]) -> Result<Log
     let out_schema = plan.schema();
     let resolve_with_fallback = |expr: &ast::Expr, schema: &Schema| {
         resolve_expr(expr, schema)
-            .or_else(|e| resolve_expr(&strip_qualifiers(expr), schema).map_err(|_| e))
+            .or_else(|e| translate(expr, &mut schema_hook(schema, false)).map_err(|_| e))
     };
     // First pass: which keys resolve against the output?
     let mut resolved: Vec<Option<PlanExpr>> = Vec::with_capacity(order_by.len());
@@ -318,77 +318,6 @@ fn plan_order_by(plan: LogicalPlan, order_by: &[ast::OrderByExpr]) -> Result<Log
         exprs: final_exprs,
         schema,
     })
-}
-
-/// Remove table qualifiers from every column reference (ORDER BY fallback).
-fn strip_qualifiers(expr: &ast::Expr) -> ast::Expr {
-    match expr {
-        ast::Expr::Column { name, .. } => ast::Expr::Column {
-            relation: None,
-            name: name.clone(),
-        },
-        ast::Expr::Literal(v) => ast::Expr::Literal(v.clone()),
-        ast::Expr::BinaryOp { left, op, right } => ast::Expr::BinaryOp {
-            left: Box::new(strip_qualifiers(left)),
-            op: *op,
-            right: Box::new(strip_qualifiers(right)),
-        },
-        ast::Expr::UnaryOp { op, expr } => ast::Expr::UnaryOp {
-            op: *op,
-            expr: Box::new(strip_qualifiers(expr)),
-        },
-        ast::Expr::Function {
-            name,
-            args,
-            distinct,
-            star,
-        } => ast::Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(strip_qualifiers).collect(),
-            distinct: *distinct,
-            star: *star,
-        },
-        ast::Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => ast::Expr::Case {
-            operand: operand.as_ref().map(|o| Box::new(strip_qualifiers(o))),
-            branches: branches
-                .iter()
-                .map(|(w, t)| (strip_qualifiers(w), strip_qualifiers(t)))
-                .collect(),
-            else_expr: else_expr.as_ref().map(|e| Box::new(strip_qualifiers(e))),
-        },
-        ast::Expr::Cast { expr, data_type } => ast::Expr::Cast {
-            expr: Box::new(strip_qualifiers(expr)),
-            data_type: *data_type,
-        },
-        ast::Expr::IsNull { expr, negated } => ast::Expr::IsNull {
-            expr: Box::new(strip_qualifiers(expr)),
-            negated: *negated,
-        },
-        ast::Expr::InList {
-            expr,
-            list,
-            negated,
-        } => ast::Expr::InList {
-            expr: Box::new(strip_qualifiers(expr)),
-            list: list.iter().map(strip_qualifiers).collect(),
-            negated: *negated,
-        },
-        ast::Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => ast::Expr::Between {
-            expr: Box::new(strip_qualifiers(expr)),
-            low: Box::new(strip_qualifiers(low)),
-            high: Box::new(strip_qualifiers(high)),
-            negated: *negated,
-        },
-    }
 }
 
 /// Rename a schema's fields to the CTE's declared column list.
@@ -611,8 +540,9 @@ fn plan_aggregate_select(select: &ast::Select, input: LogicalPlan) -> Result<Log
         schema: Arc::clone(&agg_schema),
     };
     // HAVING
+    let mut post_aggregate = post_aggregate_hook(&select.group_by, &agg_calls, &agg_schema);
     if let Some(h) = &select.having {
-        let predicate = rewrite_post_aggregate(h, &select.group_by, &agg_calls, &agg_schema)?;
+        let predicate = translate(h, &mut post_aggregate)?;
         plan = LogicalPlan::Filter {
             input: Box::new(plan),
             predicate,
@@ -629,8 +559,7 @@ fn plan_aggregate_select(select: &ast::Select, input: LogicalPlan) -> Result<Log
                 ))
             }
             SelectItem::Expr { expr, alias } => {
-                let resolved =
-                    rewrite_post_aggregate(expr, &select.group_by, &agg_calls, &agg_schema)?;
+                let resolved = translate(expr, &mut post_aggregate)?;
                 let name = output_name(expr, alias.as_deref(), exprs.len());
                 let dt = resolved.data_type(&agg_schema);
                 exprs.push(resolved);
@@ -645,139 +574,47 @@ fn plan_aggregate_select(select: &ast::Select, input: LogicalPlan) -> Result<Log
     })
 }
 
-/// Rewrite a post-aggregation expression: group-by expressions become
-/// positional references into the aggregate output, aggregate calls become
-/// references to their result column, and any other bare column is an
-/// error ("must appear in GROUP BY").
-fn rewrite_post_aggregate(
-    expr: &ast::Expr,
-    group_by: &[ast::Expr],
-    agg_calls: &[ast::Expr],
-    agg_schema: &Schema,
-) -> Result<PlanExpr> {
-    // Group-by match?
-    if let Some(i) = group_by.iter().position(|g| g == expr) {
-        return Ok(PlanExpr::column(i, agg_schema.field(i).name.clone()));
-    }
-    // Aggregate-call match?
-    if let Some(j) = agg_calls.iter().position(|a| a == expr) {
-        let idx = group_by.len() + j;
-        return Ok(PlanExpr::column(idx, agg_schema.field(idx).name.clone()));
-    }
-    match expr {
-        ast::Expr::Column { relation, name } => {
-            // A bare column may still match a group-by *column* spelled with
-            // a different qualifier.
-            for (i, g) in group_by.iter().enumerate() {
-                if let ast::Expr::Column { name: gname, .. } = g {
-                    if gname.eq_ignore_ascii_case(name)
-                        && (relation.is_none()
-                            || matches!(
-                                g,
-                                ast::Expr::Column {
-                                    relation: Some(_),
-                                    ..
-                                }
-                            ))
-                    {
-                        return Ok(PlanExpr::column(i, agg_schema.field(i).name.clone()));
-                    }
+/// The translator hook after aggregation: group-by expressions become
+/// positional references into the aggregate output, aggregate calls
+/// become references to their result column, and any other bare column is
+/// an error ("must appear in GROUP BY").
+fn post_aggregate_hook<'a>(
+    group_by: &'a [ast::Expr],
+    agg_calls: &'a [ast::Expr],
+    agg_schema: &'a Schema,
+) -> impl FnMut(&ast::Expr) -> Result<Option<PlanExpr>> + 'a {
+    move |expr| {
+        let output = |i: usize| Ok(Some(PlanExpr::column(i, agg_schema.field(i).name.clone())));
+        if let Some(i) = group_by.iter().position(|g| g == expr) {
+            return output(i);
+        }
+        if let Some(j) = agg_calls.iter().position(|a| a == expr) {
+            return output(group_by.len() + j);
+        }
+        match expr {
+            ast::Expr::Column { relation, name } => {
+                // A bare column may still match a group-by *column* spelled
+                // with a different qualifier.
+                let grouped = group_by.iter().position(|g| {
+                    matches!(g, ast::Expr::Column { relation: g_rel, name: g_name }
+                        if g_name.eq_ignore_ascii_case(name)
+                            && (relation.is_none() || g_rel.is_some()))
+                });
+                match grouped {
+                    Some(i) => output(i),
+                    None => Err(Error::plan(format!(
+                        "column '{}' must appear in the GROUP BY clause or be used in an aggregate",
+                        match relation {
+                            Some(r) => format!("{r}.{name}"),
+                            None => name.clone(),
+                        }
+                    ))),
                 }
             }
-            Err(Error::plan(format!(
-                "column '{}' must appear in the GROUP BY clause or be used in an aggregate",
-                match relation {
-                    Some(r) => format!("{r}.{name}"),
-                    None => name.clone(),
-                }
-            )))
-        }
-        ast::Expr::Literal(v) => Ok(PlanExpr::Literal(v.clone())),
-        ast::Expr::BinaryOp { left, op, right } => Ok(PlanExpr::Binary {
-            left: Box::new(rewrite_post_aggregate(
-                left, group_by, agg_calls, agg_schema,
-            )?),
-            op: *op,
-            right: Box::new(rewrite_post_aggregate(
-                right, group_by, agg_calls, agg_schema,
-            )?),
-        }),
-        ast::Expr::UnaryOp { op, expr } => Ok(PlanExpr::Unary {
-            op: *op,
-            expr: Box::new(rewrite_post_aggregate(
-                expr, group_by, agg_calls, agg_schema,
-            )?),
-        }),
-        ast::Expr::Function { name, args, .. } => {
-            let func = ScalarFn::from_name(name).ok_or_else(|| {
-                Error::plan(format!("unknown function '{name}' after aggregation"))
-            })?;
-            Ok(PlanExpr::Scalar {
-                func,
-                args: args
-                    .iter()
-                    .map(|a| rewrite_post_aggregate(a, group_by, agg_calls, agg_schema))
-                    .collect::<Result<_>>()?,
-            })
-        }
-        ast::Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            let desugared = desugar_case(operand, branches, else_expr);
-            let mut bs = Vec::new();
-            for (w, t) in desugared.0 {
-                bs.push((
-                    rewrite_post_aggregate(&w, group_by, agg_calls, agg_schema)?,
-                    rewrite_post_aggregate(&t, group_by, agg_calls, agg_schema)?,
-                ));
-            }
-            let ee = match desugared.1 {
-                Some(e) => Some(Box::new(rewrite_post_aggregate(
-                    &e, group_by, agg_calls, agg_schema,
-                )?)),
-                None => None,
-            };
-            Ok(PlanExpr::Case {
-                branches: bs,
-                else_expr: ee,
-            })
-        }
-        ast::Expr::Cast { expr, data_type } => Ok(PlanExpr::Cast {
-            expr: Box::new(rewrite_post_aggregate(
-                expr, group_by, agg_calls, agg_schema,
-            )?),
-            to: *data_type,
-        }),
-        ast::Expr::IsNull { expr, negated } => Ok(PlanExpr::IsNull {
-            expr: Box::new(rewrite_post_aggregate(
-                expr, group_by, agg_calls, agg_schema,
-            )?),
-            negated: *negated,
-        }),
-        ast::Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Ok(PlanExpr::InList {
-            expr: Box::new(rewrite_post_aggregate(
-                expr, group_by, agg_calls, agg_schema,
-            )?),
-            list: list
-                .iter()
-                .map(|e| rewrite_post_aggregate(e, group_by, agg_calls, agg_schema))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        }),
-        ast::Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let desugared = desugar_between(expr, low, high, *negated);
-            rewrite_post_aggregate(&desugared, group_by, agg_calls, agg_schema)
+            ast::Expr::Function { name, .. } if ScalarFn::from_name(name).is_none() => Err(
+                Error::plan(format!("unknown function '{name}' after aggregation")),
+            ),
+            _ => Ok(None),
         }
     }
 }
@@ -796,101 +633,42 @@ fn aggregate_func(name: &str) -> Option<AggFunc> {
     })
 }
 
-fn select_has_aggregates(select: &ast::Select) -> bool {
+fn is_aggregate_call(expr: &ast::Expr) -> bool {
+    matches!(expr, ast::Expr::Function { name, .. } if aggregate_func(name).is_some())
+}
+
+fn contains_aggregate(expr: &ast::Expr) -> bool {
     let mut found = false;
-    let mut check = |e: &ast::Expr| {
-        e.walk(&mut |x| {
-            if let ast::Expr::Function { name, .. } = x {
-                if aggregate_func(name).is_some() {
-                    found = true;
-                }
-            }
-        })
-    };
-    for item in &select.projection {
-        if let SelectItem::Expr { expr, .. } = item {
-            check(expr);
-        }
-    }
-    if let Some(h) = &select.having {
-        check(h);
-    }
+    expr.walk(&mut |e| found |= is_aggregate_call(e));
     found
 }
 
-/// Collect top-most aggregate calls in `expr` into `out` (deduplicated).
-/// Errors on nested aggregates.
+fn select_has_aggregates(select: &ast::Select) -> bool {
+    let items = select.projection.iter().filter_map(|item| match item {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    items.chain(&select.having).any(contains_aggregate)
+}
+
+/// Append the aggregate calls in `expr` to `out` in pre-order, skipping
+/// calls `out` already holds. Errors on nested aggregates.
 fn collect_aggregates(expr: &ast::Expr, out: &mut Vec<ast::Expr>) -> Result<()> {
-    if let ast::Expr::Function { name, args, .. } = expr {
-        if aggregate_func(name).is_some() {
-            // no nested aggregates
-            for a in args {
-                let mut nested = false;
-                a.walk(&mut |x| {
-                    if let ast::Expr::Function { name, .. } = x {
-                        if aggregate_func(name).is_some() {
-                            nested = true;
-                        }
-                    }
-                });
-                if nested {
-                    return Err(Error::plan("nested aggregate functions are not allowed"));
+    let mut nested = false;
+    expr.walk(&mut |e| {
+        if let ast::Expr::Function { args, .. } = e {
+            if is_aggregate_call(e) {
+                nested |= args.iter().any(contains_aggregate);
+                if !out.contains(e) {
+                    out.push(e.clone());
                 }
             }
-            if !out.contains(expr) {
-                out.push(expr.clone());
-            }
-            return Ok(());
         }
+    });
+    if nested {
+        return Err(Error::plan("nested aggregate functions are not allowed"));
     }
-    match expr {
-        ast::Expr::Column { .. } | ast::Expr::Literal(_) => Ok(()),
-        ast::Expr::BinaryOp { left, right, .. } => {
-            collect_aggregates(left, out)?;
-            collect_aggregates(right, out)
-        }
-        ast::Expr::UnaryOp { expr, .. } => collect_aggregates(expr, out),
-        ast::Expr::Function { args, .. } => {
-            for a in args {
-                collect_aggregates(a, out)?;
-            }
-            Ok(())
-        }
-        ast::Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            if let Some(op) = operand {
-                collect_aggregates(op, out)?;
-            }
-            for (w, t) in branches {
-                collect_aggregates(w, out)?;
-                collect_aggregates(t, out)?;
-            }
-            if let Some(e) = else_expr {
-                collect_aggregates(e, out)?;
-            }
-            Ok(())
-        }
-        ast::Expr::Cast { expr, .. } | ast::Expr::IsNull { expr, .. } => {
-            collect_aggregates(expr, out)
-        }
-        ast::Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, out)?;
-            for e in list {
-                collect_aggregates(e, out)?;
-            }
-            Ok(())
-        }
-        ast::Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregates(expr, out)?;
-            collect_aggregates(low, out)?;
-            collect_aggregates(high, out)
-        }
-    }
+    Ok(())
 }
 
 fn resolve_aggregate(call: &ast::Expr, input: &Schema, ordinal: usize) -> Result<AggExpr> {
@@ -1052,10 +830,9 @@ pub fn build_join(
         let mut conjuncts = Vec::new();
         split_conjuncts_ast(cond, &mut conjuncts);
         for c in conjuncts {
-            let resolved = resolve_expr(&c, &combined)?;
-            match as_equi_pair(&resolved, lw) {
-                Some(pair) => keys.push(pair),
-                None => residual.push(resolved),
+            match as_equi_pair(resolve_expr(&c, &combined)?, lw) {
+                Ok(pair) => keys.push(pair),
+                Err(resolved) => residual.push(resolved),
             }
         }
     }
@@ -1086,34 +863,44 @@ fn split_conjuncts_ast(expr: &ast::Expr, out: &mut Vec<ast::Expr>) {
 
 /// If `expr` (resolved against the combined schema) is `a = b` with `a`
 /// referencing only left columns and `b` only right columns (or swapped),
-/// return (left key over left schema, right key over right schema).
-fn as_equi_pair(expr: &PlanExpr, left_width: usize) -> Option<(PlanExpr, PlanExpr)> {
+/// return (left key over left schema, right key over right schema);
+/// otherwise give `expr` back.
+fn as_equi_pair(expr: PlanExpr, left_width: usize) -> Result<(PlanExpr, PlanExpr), PlanExpr> {
     let PlanExpr::Binary {
         left,
         op: crate::expr::BinaryOp::Eq,
         right,
     } = expr
     else {
-        return None;
+        return Err(expr);
     };
-    let lcols = left.referenced_columns();
-    let rcols = right.referenced_columns();
-    if lcols.is_empty() || rcols.is_empty() {
-        return None;
+    // `Some(true)` for a key over left columns only, `Some(false)` for one
+    // over right columns only.
+    let reads_left = |key: &PlanExpr| {
+        let cols = key.referenced_columns();
+        if cols.is_empty() {
+            None
+        } else if cols.iter().all(|&c| c < left_width) {
+            Some(true)
+        } else if cols.iter().all(|&c| c >= left_width) {
+            Some(false)
+        } else {
+            None
+        }
+    };
+    let over_right = |key: Box<PlanExpr>| {
+        key.remap_columns(&|i| Some(i - left_width))
+            .expect("a right key reads only columns past the left side")
+    };
+    match (reads_left(&left), reads_left(&right)) {
+        (Some(true), Some(false)) => Ok((*left, over_right(right))),
+        (Some(false), Some(true)) => Ok((*right, over_right(left))),
+        _ => Err(PlanExpr::Binary {
+            left,
+            op: crate::expr::BinaryOp::Eq,
+            right,
+        }),
     }
-    let all_left = |cols: &[usize]| cols.iter().all(|&c| c < left_width);
-    let all_right = |cols: &[usize]| cols.iter().all(|&c| c >= left_width);
-    if all_left(&lcols) && all_right(&rcols) {
-        let lk = (**left).clone();
-        let rk = right.remap_columns(&|i| Some(i - left_width)).ok()?;
-        return Some((lk, rk));
-    }
-    if all_right(&lcols) && all_left(&rcols) {
-        let lk = (**right).clone();
-        let rk = left.remap_columns(&|i| Some(i - left_width)).ok()?;
-        return Some((lk, rk));
-    }
-    None
 }
 
 // ---- expression resolution ---------------------------------------------
@@ -1122,86 +909,112 @@ fn as_equi_pair(expr: &PlanExpr, left_width: usize) -> Option<(PlanExpr, PlanExp
 /// [`PlanExpr`]. Aggregate calls are rejected (they are handled by the
 /// aggregate planning path).
 pub fn resolve_expr(expr: &ast::Expr, schema: &Schema) -> Result<PlanExpr> {
-    match expr {
+    translate(expr, &mut schema_hook(schema, true))
+}
+
+/// The translator hook before aggregation: column references resolve
+/// against `schema` — ignoring their table qualifiers unless `qualified`
+/// (ORDER BY's fallback to the SELECT output) — and aggregate calls are
+/// rejected.
+fn schema_hook(
+    schema: &Schema,
+    qualified: bool,
+) -> impl FnMut(&ast::Expr) -> Result<Option<PlanExpr>> + '_ {
+    move |expr| match expr {
         ast::Expr::Column { relation, name } => {
-            let idx = schema.index_of(relation.as_deref(), name)?;
-            Ok(PlanExpr::column(idx, schema.field(idx).qualified_name()))
+            let relation = relation.as_deref().filter(|_| qualified);
+            let idx = schema.index_of(relation, name)?;
+            Ok(Some(PlanExpr::column(
+                idx,
+                schema.field(idx).qualified_name(),
+            )))
         }
-        ast::Expr::Literal(v) => Ok(PlanExpr::Literal(v.clone())),
-        ast::Expr::BinaryOp { left, op, right } => Ok(PlanExpr::Binary {
-            left: Box::new(resolve_expr(left, schema)?),
-            op: *op,
-            right: Box::new(resolve_expr(right, schema)?),
-        }),
-        ast::Expr::UnaryOp { op, expr } => Ok(PlanExpr::Unary {
-            op: *op,
-            expr: Box::new(resolve_expr(expr, schema)?),
-        }),
-        ast::Expr::Function { name, args, .. } => {
-            if aggregate_func(name).is_some() {
-                return Err(Error::plan(format!(
-                    "aggregate function '{name}' is not allowed here"
-                )));
-            }
-            let func = ScalarFn::from_name(name)
-                .ok_or_else(|| Error::plan(format!("unknown function '{name}'")))?;
-            Ok(PlanExpr::Scalar {
-                func,
-                args: args
-                    .iter()
-                    .map(|a| resolve_expr(a, schema))
-                    .collect::<Result<_>>()?,
-            })
+        ast::Expr::Function { name, .. } if aggregate_func(name).is_some() => Err(Error::plan(
+            format!("aggregate function '{name}' is not allowed here"),
+        )),
+        _ => Ok(None),
+    }
+}
+
+/// The one AST → [`PlanExpr`] translation. At every node it first asks
+/// `hook`, which decides the references its caller owns — columns,
+/// aggregate calls, group-by expressions — and answers `None` for the
+/// nodes the translator takes apart itself. Operand-form CASE and BETWEEN
+/// are desugared on the way.
+fn translate(
+    expr: &ast::Expr,
+    hook: &mut dyn FnMut(&ast::Expr) -> Result<Option<PlanExpr>>,
+) -> Result<PlanExpr> {
+    if let Some(resolved) = hook(expr)? {
+        return Ok(resolved);
+    }
+    Ok(match expr {
+        ast::Expr::Column { name, .. } => {
+            return Err(Error::plan(format!(
+                "internal: column '{name}' left unresolved"
+            )))
         }
+        ast::Expr::Literal(v) => PlanExpr::Literal(v.clone()),
+        ast::Expr::BinaryOp { left, op, right } => PlanExpr::Binary {
+            left: Box::new(translate(left, hook)?),
+            op: *op,
+            right: Box::new(translate(right, hook)?),
+        },
+        ast::Expr::UnaryOp { op, expr } => PlanExpr::Unary {
+            op: *op,
+            expr: Box::new(translate(expr, hook)?),
+        },
+        ast::Expr::Function { name, args, .. } => PlanExpr::Scalar {
+            func: ScalarFn::from_name(name)
+                .ok_or_else(|| Error::plan(format!("unknown function '{name}'")))?,
+            args: args
+                .iter()
+                .map(|a| translate(a, hook))
+                .collect::<Result<_>>()?,
+        },
         ast::Expr::Case {
             operand,
             branches,
             else_expr,
         } => {
             let (branches, else_expr) = desugar_case(operand, branches, else_expr);
-            let bs = branches
-                .iter()
-                .map(|(w, t)| Ok((resolve_expr(w, schema)?, resolve_expr(t, schema)?)))
-                .collect::<Result<Vec<_>>>()?;
-            let ee = match else_expr {
-                Some(e) => Some(Box::new(resolve_expr(&e, schema)?)),
-                None => None,
-            };
-            Ok(PlanExpr::Case {
-                branches: bs,
-                else_expr: ee,
-            })
+            PlanExpr::Case {
+                branches: branches
+                    .iter()
+                    .map(|(w, t)| Ok((translate(w, hook)?, translate(t, hook)?)))
+                    .collect::<Result<_>>()?,
+                else_expr: else_expr
+                    .map(|e| translate(&e, hook).map(Box::new))
+                    .transpose()?,
+            }
         }
-        ast::Expr::Cast { expr, data_type } => Ok(PlanExpr::Cast {
-            expr: Box::new(resolve_expr(expr, schema)?),
+        ast::Expr::Cast { expr, data_type } => PlanExpr::Cast {
+            expr: Box::new(translate(expr, hook)?),
             to: *data_type,
-        }),
-        ast::Expr::IsNull { expr, negated } => Ok(PlanExpr::IsNull {
-            expr: Box::new(resolve_expr(expr, schema)?),
+        },
+        ast::Expr::IsNull { expr, negated } => PlanExpr::IsNull {
+            expr: Box::new(translate(expr, hook)?),
             negated: *negated,
-        }),
+        },
         ast::Expr::InList {
             expr,
             list,
             negated,
-        } => Ok(PlanExpr::InList {
-            expr: Box::new(resolve_expr(expr, schema)?),
+        } => PlanExpr::InList {
+            expr: Box::new(translate(expr, hook)?),
             list: list
                 .iter()
-                .map(|e| resolve_expr(e, schema))
+                .map(|e| translate(e, hook))
                 .collect::<Result<_>>()?,
             negated: *negated,
-        }),
+        },
         ast::Expr::Between {
             expr,
             low,
             high,
             negated,
-        } => {
-            let desugared = desugar_between(expr, low, high, *negated);
-            resolve_expr(&desugared, schema)
-        }
-    }
+        } => return translate(&desugar_between(expr, low, high, *negated), hook),
+    })
 }
 
 /// Desugar operand-form CASE into searched form.
@@ -1389,9 +1202,9 @@ fn plan_update(
         let mut conjuncts = Vec::new();
         split_conjuncts(&resolve_expr(e, &combined)?, &mut conjuncts);
         for c in conjuncts {
-            match as_equi_pair(&c, qualified_table.len()) {
-                Some(pair) => keys.push(pair),
-                None => residual.push(c),
+            match as_equi_pair(c, qualified_table.len()) {
+                Ok(pair) => keys.push(pair),
+                Err(c) => residual.push(c),
             }
         }
     }
@@ -1510,16 +1323,52 @@ mod tests {
         assert!(matches!(&exprs[0], PlanExpr::Column(c) if c.index == 0));
     }
 
+    fn plan_error_text(sql: &str) -> String {
+        match plan_err(sql) {
+            Error::Plan(message) => message,
+            other => panic!("{sql}: not a plan error: {other:?}"),
+        }
+    }
+
     #[test]
     fn non_grouped_column_rejected() {
-        let err = plan_err("SELECT src, dst FROM edges GROUP BY src");
-        assert!(matches!(err, Error::Plan(m) if m.contains("GROUP BY")));
+        assert_eq!(
+            plan_error_text("SELECT src, e.dst FROM edges e GROUP BY src"),
+            "column 'e.dst' must appear in the GROUP BY clause or be used in an aggregate"
+        );
+        assert_eq!(
+            plan_error_text("SELECT src FROM edges GROUP BY src HAVING dst > 1"),
+            "column 'dst' must appear in the GROUP BY clause or be used in an aggregate"
+        );
     }
 
     #[test]
     fn nested_aggregate_rejected() {
-        let err = plan_err("SELECT SUM(COUNT(dst)) FROM edges GROUP BY src");
-        assert!(matches!(err, Error::Plan(m) if m.contains("nested")));
+        assert_eq!(
+            plan_error_text("SELECT SUM(COUNT(dst)) FROM edges GROUP BY src"),
+            "nested aggregate functions are not allowed"
+        );
+    }
+
+    /// The other errors the translator's hooks decide, word for word.
+    #[test]
+    fn aggregate_and_function_errors_keep_their_text() {
+        assert_eq!(
+            plan_error_text("SELECT src FROM edges WHERE SUM(dst) > 1"),
+            "aggregate function 'sum' is not allowed here"
+        );
+        assert_eq!(
+            plan_error_text("SELECT frobnicate(src) FROM edges"),
+            "unknown function 'frobnicate'"
+        );
+        assert_eq!(
+            plan_error_text("SELECT frobnicate(src), COUNT(*) FROM edges GROUP BY src"),
+            "unknown function 'frobnicate' after aggregation"
+        );
+        assert_eq!(
+            plan_error_text("SELECT src FROM edges GROUP BY src HAVING frobnicate(src) > 1"),
+            "unknown function 'frobnicate' after aggregation"
+        );
     }
 
     #[test]

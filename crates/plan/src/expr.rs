@@ -670,69 +670,93 @@ impl PlanExpr {
         }
     }
 
-    /// Rewrite every column index through `map` (old index → new index).
-    /// Fails if a referenced column has no mapping.
-    pub fn remap_columns(&self, map: &dyn Fn(usize) -> Option<usize>) -> Result<PlanExpr> {
+    /// This node with every child replaced by `f(child)`, in evaluation
+    /// order; leaves come back as they are. The one function that takes
+    /// every variant apart and builds it again: a rewrite names the nodes
+    /// it changes and recurses through this for the rest.
+    pub fn map_children<E>(
+        self,
+        mut f: impl FnMut(PlanExpr) -> Result<PlanExpr, E>,
+    ) -> Result<PlanExpr, E> {
         Ok(match self {
-            PlanExpr::Column(c) => {
-                let new = map(c.index).ok_or_else(|| {
-                    Error::plan(format!("cannot remap column '{}' across operator", c.name))
-                })?;
-                PlanExpr::Column(ColumnRef {
-                    index: new,
-                    name: c.name.clone(),
-                })
-            }
-            PlanExpr::Literal(v) => PlanExpr::Literal(v.clone()),
+            leaf @ (PlanExpr::Column(_) | PlanExpr::Literal(_)) => leaf,
             PlanExpr::Binary { left, op, right } => PlanExpr::Binary {
-                left: Box::new(left.remap_columns(map)?),
-                op: *op,
-                right: Box::new(right.remap_columns(map)?),
+                left: Box::new(f(*left)?),
+                op,
+                right: Box::new(f(*right)?),
             },
             PlanExpr::Unary { op, expr } => PlanExpr::Unary {
-                op: *op,
-                expr: Box::new(expr.remap_columns(map)?),
+                op,
+                expr: Box::new(f(*expr)?),
             },
             PlanExpr::Scalar { func, args } => PlanExpr::Scalar {
-                func: *func,
-                args: args
-                    .iter()
-                    .map(|a| a.remap_columns(map))
-                    .collect::<Result<_>>()?,
+                func,
+                args: args.into_iter().map(f).collect::<Result<_, E>>()?,
             },
             PlanExpr::Case {
                 branches,
                 else_expr,
             } => PlanExpr::Case {
                 branches: branches
-                    .iter()
-                    .map(|(w, t)| Ok((w.remap_columns(map)?, t.remap_columns(map)?)))
-                    .collect::<Result<_>>()?,
-                else_expr: match else_expr {
-                    Some(e) => Some(Box::new(e.remap_columns(map)?)),
-                    None => None,
-                },
+                    .into_iter()
+                    .map(|(w, t)| Ok((f(w)?, f(t)?)))
+                    .collect::<Result<_, E>>()?,
+                else_expr: else_expr.map(|e| f(*e).map(Box::new)).transpose()?,
             },
             PlanExpr::Cast { expr, to } => PlanExpr::Cast {
-                expr: Box::new(expr.remap_columns(map)?),
-                to: *to,
+                expr: Box::new(f(*expr)?),
+                to,
             },
             PlanExpr::IsNull { expr, negated } => PlanExpr::IsNull {
-                expr: Box::new(expr.remap_columns(map)?),
-                negated: *negated,
+                expr: Box::new(f(*expr)?),
+                negated,
             },
             PlanExpr::InList {
                 expr,
                 list,
                 negated,
             } => PlanExpr::InList {
-                expr: Box::new(expr.remap_columns(map)?),
-                list: list
-                    .iter()
-                    .map(|e| e.remap_columns(map))
-                    .collect::<Result<_>>()?,
-                negated: *negated,
+                expr: Box::new(f(*expr)?),
+                list: list.into_iter().map(f).collect::<Result<_, E>>()?,
+                negated,
             },
+        })
+    }
+
+    /// This expression with every column reference replaced by
+    /// `f(column)`.
+    fn replace_columns(
+        self,
+        f: &mut impl FnMut(ColumnRef) -> Result<PlanExpr>,
+    ) -> Result<PlanExpr> {
+        match self {
+            PlanExpr::Column(c) => f(c),
+            other => other.map_children(|child| child.replace_columns(f)),
+        }
+    }
+
+    /// Rewrite every column index through `map` (old index → new index).
+    /// Fails if a referenced column has no mapping.
+    pub fn remap_columns(self, map: &dyn Fn(usize) -> Option<usize>) -> Result<PlanExpr> {
+        self.replace_columns(&mut |c| match map(c.index) {
+            Some(index) => Ok(PlanExpr::Column(ColumnRef { index, ..c })),
+            None => Err(Error::plan(format!(
+                "cannot remap column '{}' across operator",
+                c.name
+            ))),
+        })
+    }
+
+    /// Replace every `Column(i)` with `replacements[i]`: the expression
+    /// read through the operator below that computes `replacements`.
+    pub fn substitute_columns(self, replacements: &[PlanExpr]) -> Result<PlanExpr> {
+        self.replace_columns(&mut |c| {
+            replacements.get(c.index).cloned().ok_or_else(|| {
+                Error::plan(format!(
+                    "column index {} out of range during substitution",
+                    c.index
+                ))
+            })
         })
     }
 
@@ -1691,9 +1715,89 @@ mod tests {
     #[test]
     fn remap_columns_moves_indices() {
         let e = PlanExpr::column(0, "a").binary(BinaryOp::Plus, PlanExpr::column(2, "c"));
-        let remapped = e.remap_columns(&|i| Some(i + 10)).unwrap();
+        let remapped = e.clone().remap_columns(&|i| Some(i + 10)).unwrap();
         assert_eq!(remapped.referenced_columns(), vec![10, 12]);
         assert!(e.remap_columns(&|_| None).is_err());
+    }
+
+    /// One expression holding every variant — CASE with and without ELSE,
+    /// an IN list, CAST, IS NULL, NOT, a scalar function and nested binary
+    /// operators — whose column slots `0..3` are filled by `leaf`.
+    fn every_variant(leaf: &dyn Fn(usize) -> PlanExpr) -> PlanExpr {
+        let case = |else_expr: Option<PlanExpr>| PlanExpr::Case {
+            branches: vec![(
+                leaf(0).binary(BinaryOp::Gt, PlanExpr::literal(1i64)),
+                leaf(1),
+            )],
+            else_expr: else_expr.map(Box::new),
+        };
+        let tests = PlanExpr::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(PlanExpr::IsNull {
+                expr: Box::new(leaf(2)),
+                negated: false,
+            }),
+        }
+        .binary(
+            BinaryOp::And,
+            PlanExpr::InList {
+                expr: Box::new(leaf(0)),
+                list: vec![PlanExpr::literal(1i64), leaf(1)],
+                negated: true,
+            },
+        );
+        let product = leaf(0).binary(
+            BinaryOp::Multiply,
+            leaf(1).binary(BinaryOp::Minus, PlanExpr::literal(2i64)),
+        );
+        PlanExpr::Case {
+            branches: vec![(
+                tests,
+                PlanExpr::Scalar {
+                    func: ScalarFn::Coalesce,
+                    args: vec![
+                        case(None),
+                        PlanExpr::Cast {
+                            expr: Box::new(leaf(2)),
+                            to: DataType::Int,
+                        },
+                    ],
+                },
+            )],
+            else_expr: Some(Box::new(case(Some(product)))),
+        }
+    }
+
+    #[test]
+    fn every_variant_goes_through_remap_and_substitute() {
+        let names = ["a", "b", "c"];
+        let e = every_variant(&|i| PlanExpr::column(i, names[i]));
+        assert_eq!(
+            e.clone().remap_columns(&|i| Some(i + 10)).unwrap(),
+            every_variant(&|i| PlanExpr::column(i + 10, names[i]))
+        );
+        let unmapped = e
+            .clone()
+            .remap_columns(&|i| (i != 2).then_some(i))
+            .unwrap_err();
+        assert_eq!(
+            unmapped.to_string(),
+            "plan error: cannot remap column 'c' across operator"
+        );
+        let replacements = [
+            PlanExpr::literal(7i64),
+            PlanExpr::column(0, "x").binary(BinaryOp::Plus, PlanExpr::literal(1i64)),
+            PlanExpr::column(1, "y"),
+        ];
+        assert_eq!(
+            e.clone().substitute_columns(&replacements).unwrap(),
+            every_variant(&|i| replacements[i].clone())
+        );
+        let short = e.substitute_columns(&replacements[..2]).unwrap_err();
+        assert_eq!(
+            short.to_string(),
+            "plan error: column index 2 out of range during substitution"
+        );
     }
 
     #[test]

@@ -50,22 +50,14 @@ struct Options {
     corrupt_at: Option<(FaultSite, u64)>,
 }
 
-/// Parse `SITE:N` for the fault-injection flags. Site names mirror the
-/// engine's fault-site tokens in EXPLAIN ANALYZE.
+/// Parse `SITE:N` for the fault-injection flags. `SITE` is any engine
+/// fault site's token ([`FaultSite::name`]).
 fn parse_fault_spec(flag: &str, spec: &str) -> Result<(FaultSite, u64), String> {
     let (site, nth) = spec
         .split_once(':')
         .ok_or_else(|| format!("{flag}: expected SITE:N, got '{spec}'"))?;
-    let site = match site {
-        "loop_iteration" => FaultSite::LoopIteration,
-        "checkpoint" => FaultSite::Checkpoint,
-        "spill_write" => FaultSite::SpillWrite,
-        "spill_read" => FaultSite::SpillRead,
-        "epoch_commit" => FaultSite::EpochCommit,
-        "torn_write" => FaultSite::TornWrite,
-        "bit_flip" => FaultSite::BitFlip,
-        other => return Err(format!("{flag}: unknown fault site '{other}'")),
-    };
+    let site =
+        FaultSite::from_name(site).ok_or_else(|| format!("{flag}: unknown fault site '{site}'"))?;
     let nth = nth
         .parse()
         .map_err(|_| format!("{flag}: N must be a positive integer"))?;

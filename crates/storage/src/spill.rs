@@ -943,7 +943,7 @@ mod tests {
     impl SpillFaultHook for AlwaysFail {
         fn hit(&self, site: FaultSite) -> spinner_common::Result<()> {
             Err(Error::FaultInjected {
-                site: format!("{site:?}"),
+                site: site.name().to_string(),
             })
         }
     }
@@ -966,7 +966,7 @@ mod tests {
         fn hit(&self, site: FaultSite) -> spinner_common::Result<()> {
             if site == self.0 && !self.1.swap(true, Ordering::Relaxed) {
                 return Err(Error::FaultInjected {
-                    site: format!("{site:?}"),
+                    site: site.name().to_string(),
                 });
             }
             Ok(())

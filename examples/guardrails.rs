@@ -6,9 +6,9 @@
 //! cargo run --release --example guardrails
 //! ```
 //!
-//! Every scenario is expected to fail *cleanly* — a typed error, an
-//! empty temp-result registry, and a `Database` that keeps answering
-//! queries. The example exits non-zero if any expectation is broken.
+//! Every scenario is expected to fail *cleanly* — a typed error, nothing
+//! left tracked by the memory accountant, and a `Database` that keeps
+//! answering queries. The example exits non-zero if any expectation is broken.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,10 +33,18 @@ fn db_with_edges(config: EngineConfig) -> Database {
     db
 }
 
-fn check_recovered(db: &Database) {
-    assert_eq!(db.temp_result_count(), 0, "temp registry must be empty");
+/// Run a statement that trips a guardrail, checking that it leaves the
+/// memory accountant tracking what it tracked before (regions and resident
+/// bytes; both 0 without a spill threshold) and the `Database` answering
+/// the next query.
+fn fails_cleanly<T>(db: &Database, statement: impl FnOnce() -> T) -> T {
+    let tracked = || (db.tracked_region_count(), db.resident_tracked_bytes());
+    let before = tracked();
+    let out = statement();
+    assert_eq!(tracked(), before, "the statement left tracked state behind");
     db.query("SELECT COUNT(*) FROM edges")
         .expect("database must stay usable after a guard trip");
+    out
 }
 
 fn main() {
@@ -49,7 +57,9 @@ fn main() {
         1_000_000,
     )));
     let guard = QueryGuard::unlimited().with_timeout_ms(50);
-    match db.query_with_guard(&pagerank(200, false).cte, &guard) {
+    match fails_cleanly(&db, || {
+        db.query_with_guard(&pagerank(200, false).cte, &guard)
+    }) {
         Err(Error::Timeout {
             elapsed_ms,
             limit_ms,
@@ -58,8 +68,7 @@ fn main() {
     }
     let iterations = db.take_stats().iterations;
     assert!(iterations < 200, "deadline must stop the loop early");
-    check_recovered(&db);
-    println!("              stopped after {iterations}/200 iterations, registry clean");
+    println!("              stopped after {iterations}/200 iterations, nothing left tracked");
 
     // 2. Cross-thread cancellation via the shared guard token.
     let db = db_with_edges(EngineConfig::default().with_fault(FaultConfig::seeded(
@@ -76,18 +85,17 @@ fn main() {
             guard.cancel();
         })
     };
-    match db.query_with_guard(CTE, &guard) {
+    match fails_cleanly(&db, || db.query_with_guard(CTE, &guard)) {
         Err(Error::Cancelled) => println!("cancel:       Cancelled from another thread"),
         other => panic!("expected Cancelled, got {other:?}"),
     }
     canceller.join().unwrap();
-    check_recovered(&db);
 
     // 3. Resource budget: cap materialized rows far below what the
     //    iteration needs; the error reports actual usage.
     let db = db_with_edges(EngineConfig::default());
     let guard = QueryGuard::unlimited().with_max_rows_materialized(10);
-    match db.query_with_guard(CTE, &guard) {
+    match fails_cleanly(&db, || db.query_with_guard(CTE, &guard)) {
         Err(Error::ResourceExhausted {
             resource,
             used,
@@ -98,7 +106,6 @@ fn main() {
         }
         other => panic!("expected ResourceExhausted, got {other:?}"),
     }
-    check_recovered(&db);
 
     // 4. Panic isolation: a worker panic in a parallel partition run is
     //    caught, typed, and leaves the process (and Database) alive.
@@ -109,13 +116,12 @@ fn main() {
             .with_fault(FaultConfig::panic_nth(FaultSite::Worker, 1)),
     )
     .unwrap();
-    match db.query(CTE) {
+    match fails_cleanly(&db, || db.query(CTE)) {
         Err(Error::WorkerPanicked { partition, message }) => {
             println!("panic:        WorkerPanicked(partition {partition}: {message:?})");
         }
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
-    check_recovered(&db);
     db.query(CTE).expect("one-shot fault: retry must succeed");
     println!("              process alive, retry succeeded");
 
@@ -126,13 +132,12 @@ fn main() {
         EngineConfig::default().with_fault(FaultConfig::fail_nth(FaultSite::Materialize, 1)),
     )
     .unwrap();
-    match db.query(CTE) {
+    match fails_cleanly(&db, || db.query(CTE)) {
         Err(Error::FaultInjected { site }) => println!("chaos:        FaultInjected(site {site})"),
         other => panic!("expected FaultInjected, got {other:?}"),
     }
-    check_recovered(&db);
     db.query(CTE).expect("retry after one-shot fault");
-    println!("              registry clean, retry succeeded");
+    println!("              nothing left tracked, retry succeeded");
 
     println!("\nall guardrails held.");
 }

@@ -1,7 +1,7 @@
 //! Chaos suite: injected faults, cancellation, timeouts, resource
 //! budgets and worker panics must all surface as *typed* errors, leave
-//! the temp-result registry empty, and leave the `Database` usable for
-//! the next statement. Every fault here is deterministic (hit-count or
+//! nothing tracked by the memory accountant, and leave the `Database`
+//! usable for the next statement. Every fault here is deterministic (hit-count or
 //! seeded PRNG), so a failure reproduces exactly.
 
 use std::sync::Arc;
@@ -13,7 +13,7 @@ use spinner_engine::{
 use spinner_procedural::{pagerank, sssp_convergent};
 
 mod common;
-use common::{closure_cte, walk_cte};
+use common::{closure_cte, leaves_nothing_tracked, walk_cte};
 
 /// Fresh database with the toy cyclic graph the engine tests use.
 fn db_with_edges(config: EngineConfig) -> Database {
@@ -39,14 +39,10 @@ fn counting_cte(iterations: u64) -> String {
     )
 }
 
-/// After any failure the registry must be empty and the same `Database`
-/// must answer a follow-up query.
+/// After any failure the same `Database` must answer a follow-up query.
+/// (That the failed statement left nothing tracked is checked by running
+/// it through [`leaves_nothing_tracked`].)
 fn assert_recovered(db: &Database) {
-    assert_eq!(
-        db.temp_result_count(),
-        0,
-        "temp registry must be empty after failure"
-    );
     let batch = db.query("SELECT COUNT(*) FROM edges").unwrap();
     assert_eq!(batch.rows()[0][0], spinner_engine::Value::Int(5));
 }
@@ -58,7 +54,7 @@ fn injected_fault_at_each_site_is_a_clean_error() {
         (FaultSite::Exchange, "exchange", pagerank(5, false).cte),
         (FaultSite::Materialize, "materialize", counting_cte(5)),
         (FaultSite::Rename, "rename", counting_cte(5)),
-        (FaultSite::LoopIteration, "loop", counting_cte(5)),
+        (FaultSite::LoopIteration, "loop_iteration", counting_cte(5)),
     ];
     for (site, name, sql) in cases {
         // Load data under a clean config, then arm the fault, so setup
@@ -66,7 +62,7 @@ fn injected_fault_at_each_site_is_a_clean_error() {
         let mut db = db_with_edges(EngineConfig::default());
         db.set_config(EngineConfig::default().with_fault(FaultConfig::fail_nth(site, 1)))
             .unwrap();
-        let err = db.query(&sql).unwrap_err();
+        let err = leaves_nothing_tracked(&db, || db.query(&sql)).unwrap_err();
         assert_eq!(
             err,
             Error::FaultInjected {
@@ -95,9 +91,10 @@ fn guard_timeout_stops_pagerank_mid_iteration() {
     let db = db_with_edges(config);
     db.take_stats();
     let guard = QueryGuard::unlimited().with_timeout_ms(50);
-    let err = db
-        .query_with_guard(&pagerank(200, false).cte, &guard)
-        .unwrap_err();
+    let err = leaves_nothing_tracked(&db, || {
+        db.query_with_guard(&pagerank(200, false).cte, &guard)
+    })
+    .unwrap_err();
     match err {
         Error::Timeout {
             elapsed_ms,
@@ -127,7 +124,7 @@ fn config_timeout_applies_to_plain_execute() {
             1_000_000,
         ));
     let db = db_with_edges(config);
-    let err = db.query(&counting_cte(200)).unwrap_err();
+    let err = leaves_nothing_tracked(&db, || db.query(&counting_cte(200))).unwrap_err();
     assert!(
         matches!(err, Error::Timeout { limit_ms: 50, .. }),
         "got {err:?}"
@@ -152,8 +149,7 @@ fn cancel_from_another_thread_stops_the_query() {
             guard.cancel();
         })
     };
-    let err = db
-        .query_with_guard(&counting_cte(100_000), &guard)
+    let err = leaves_nothing_tracked(&db, || db.query_with_guard(&counting_cte(100_000), &guard))
         .unwrap_err();
     canceller.join().unwrap();
     assert_eq!(err, Error::Cancelled);
@@ -167,8 +163,7 @@ fn row_budget_trips_resource_exhausted() {
     // Each iteration materializes the 4-node working table; a 10-row
     // budget survives setup plus at most a couple of iterations.
     let guard = QueryGuard::unlimited().with_max_rows_materialized(10);
-    let err = db
-        .query_with_guard(&counting_cte(1000), &guard)
+    let err = leaves_nothing_tracked(&db, || db.query_with_guard(&counting_cte(1000), &guard))
         .unwrap_err();
     match err {
         Error::ResourceExhausted {
@@ -192,7 +187,7 @@ fn rows_moved_budget_applies_to_exchanges() {
     let mut db = db_with_edges(EngineConfig::default());
     db.set_config(EngineConfig::default().with_max_rows_moved(3))
         .unwrap();
-    let err = db.query(&pagerank(50, false).cte).unwrap_err();
+    let err = leaves_nothing_tracked(&db, || db.query(&pagerank(50, false).cte)).unwrap_err();
     match err {
         Error::ResourceExhausted {
             resource,
@@ -219,8 +214,7 @@ fn intermediate_bytes_budget_trips() {
     };
     let db = db_with_edges(config);
     let guard = QueryGuard::unlimited().with_max_intermediate_bytes(500);
-    let err = db
-        .query_with_guard(&counting_cte(1000), &guard)
+    let err = leaves_nothing_tracked(&db, || db.query_with_guard(&counting_cte(1000), &guard))
         .unwrap_err();
     match err {
         Error::ResourceExhausted {
@@ -245,7 +239,7 @@ fn worker_panic_is_isolated_and_typed() {
             .with_fault(FaultConfig::panic_nth(FaultSite::Worker, 1)),
     )
     .unwrap();
-    let err = db.query(&counting_cte(5)).unwrap_err();
+    let err = leaves_nothing_tracked(&db, || db.query(&counting_cte(5))).unwrap_err();
     match err {
         Error::WorkerPanicked { partition, message } => {
             assert!(partition < 4, "partition index {partition} out of range");
@@ -280,12 +274,11 @@ fn worker_panic_under_seeded_storm_never_poisons() {
     .unwrap();
     let mut failures = 0;
     for _ in 0..20 {
-        match db.query(&counting_cte(3)) {
+        match leaves_nothing_tracked(&db, || db.query(&counting_cte(3))) {
             Ok(_) => {}
             Err(Error::WorkerPanicked { .. }) | Err(Error::Cancelled) => failures += 1,
             Err(other) => panic!("unexpected error kind: {other:?}"),
         }
-        assert_eq!(db.temp_result_count(), 0);
     }
     assert!(
         failures > 0,
@@ -307,15 +300,16 @@ fn iteration_limit_fires_under_delta_termination_in_parallel() {
     db.take_stats();
     // Every iteration rewrites every row, so the delta never reaches 0
     // and the safety limit must fire.
-    let err = db
-        .query(
+    let err = leaves_nothing_tracked(&db, || {
+        db.query(
             "WITH ITERATIVE t (k, v) AS (
                  SELECT src, 0 FROM edges
              ITERATE SELECT k, v + 1 FROM t
              UNTIL DELTA < 1)
              SELECT * FROM t",
         )
-        .unwrap_err();
+    })
+    .unwrap_err();
     assert!(
         matches!(err, Error::IterationLimitExceeded { limit: 7, .. }),
         "got {err:?}"
@@ -335,15 +329,16 @@ fn iteration_limit_fires_under_data_termination_in_parallel() {
     );
     db.take_stats();
     // v only grows, so the data condition `v < 0` never holds.
-    let err = db
-        .query(
+    let err = leaves_nothing_tracked(&db, || {
+        db.query(
             "WITH ITERATIVE t (k, v) AS (
                  SELECT src, 0 FROM edges
              ITERATE SELECT k, v + 1 FROM t
              UNTIL (v < 0))
              SELECT * FROM t",
         )
-        .unwrap_err();
+    })
+    .unwrap_err();
     assert!(
         matches!(err, Error::IterationLimitExceeded { limit: 7, .. }),
         "got {err:?}"
@@ -360,7 +355,7 @@ fn faults_injected_counter_tracks_fired_faults() {
         EngineConfig::default().with_fault(FaultConfig::fail_nth(FaultSite::LoopIteration, 3)),
     )
     .unwrap();
-    let err = db.query(&counting_cte(10)).unwrap_err();
+    let err = leaves_nothing_tracked(&db, || db.query(&counting_cte(10))).unwrap_err();
     assert!(matches!(err, Error::FaultInjected { .. }));
     let stats = db.take_stats();
     assert_eq!(stats.faults_injected, 1);
@@ -400,7 +395,7 @@ fn mid_loop_fault_recovers_identically_after_rollback() {
         )
         .unwrap();
         db.take_stats();
-        let batch = db.query(&sql).unwrap();
+        let batch = leaves_nothing_tracked(&db, || db.query(&sql)).unwrap();
         assert_eq!(
             sorted_rows(&batch),
             sorted_rows(&expected),
@@ -459,7 +454,7 @@ fn join_cache_rebuilt_after_rollback_and_replay() {
     )
     .unwrap();
     db.take_stats();
-    let batch = db.query(&sql).unwrap();
+    let batch = leaves_nothing_tracked(&db, || db.query(&sql)).unwrap();
     assert_eq!(
         sorted_rows(&batch),
         sorted_rows(&expected),
@@ -563,7 +558,7 @@ fn failed_checkpoint_never_corrupts_live_loop_state() {
             .with_fault(FaultConfig::fail_nth(FaultSite::Checkpoint, 3)),
     )
     .unwrap();
-    let err = db.query(&sql).unwrap_err();
+    let err = leaves_nothing_tracked(&db, || db.query(&sql)).unwrap_err();
     assert_eq!(
         err,
         Error::FaultInjected {
@@ -582,7 +577,7 @@ fn failed_checkpoint_never_corrupts_live_loop_state() {
     )
     .unwrap();
     db.take_stats();
-    let batch = db.query(&sql).unwrap();
+    let batch = leaves_nothing_tracked(&db, || db.query(&sql)).unwrap();
     assert_eq!(sorted_rows(&batch), sorted_rows(&expected));
     assert_eq!(db.take_stats().loop_rollbacks, 1);
 }
@@ -605,7 +600,7 @@ fn fault_during_restore_consumes_another_recovery_attempt() {
     let mut db = db_with_edges(EngineConfig::default());
     db.set_config(armed(2)).unwrap();
     db.take_stats();
-    let batch = db.query(&sql).unwrap();
+    let batch = leaves_nothing_tracked(&db, || db.query(&sql)).unwrap();
     assert_eq!(sorted_rows(&batch), sorted_rows(&expected));
     let stats = db.take_stats();
     assert_eq!(
@@ -615,7 +610,7 @@ fn fault_during_restore_consumes_another_recovery_attempt() {
     // Budget 1: the killed restore exhausts the budget, typed error.
     let mut db = db_with_edges(EngineConfig::default());
     db.set_config(armed(1)).unwrap();
-    let err = db.query(&sql).unwrap_err();
+    let err = leaves_nothing_tracked(&db, || db.query(&sql)).unwrap_err();
     match err {
         Error::RecoveryExhausted {
             recoveries, source, ..
@@ -646,7 +641,7 @@ fn persistent_loop_fault_exhausts_recovery_with_typed_error() {
     )
     .unwrap();
     db.take_stats();
-    let err = db.query(&counting_cte(6)).unwrap_err();
+    let err = leaves_nothing_tracked(&db, || db.query(&counting_cte(6))).unwrap_err();
     match err {
         Error::RecoveryExhausted { recoveries, .. } => assert_eq!(recoveries, 3),
         other => panic!("expected RecoveryExhausted, got {other:?}"),
@@ -698,7 +693,7 @@ fn every_iteration_fault_storm_converges_or_fails_typed() {
                     )),
             )
             .unwrap();
-            match db.query(&sql) {
+            match leaves_nothing_tracked(&db, || db.query(&sql)) {
                 Ok(batch) => {
                     assert_eq!(
                         sorted_rows(&batch),
@@ -710,7 +705,6 @@ fn every_iteration_fault_storm_converges_or_fails_typed() {
                 Err(Error::RecoveryExhausted { .. }) => {}
                 Err(other) => panic!("seed {seed}: unexpected failure kind: {other:?}: {sql}"),
             }
-            assert_eq!(db.temp_result_count(), 0, "seed {seed}: registry leak");
         }
         assert!(
             converged > 0,
@@ -751,15 +745,13 @@ fn fault_matrix_across_checkpoint_intervals() {
                         .with_fault(fault.clone()),
                 )
                 .unwrap();
-                let batch = db
-                    .query(&sql)
+                let batch = leaves_nothing_tracked(&db, || db.query(&sql))
                     .unwrap_or_else(|e| panic!("interval={interval}, fault={fault:?}: {e}: {sql}"));
                 assert_eq!(
                     sorted_rows(&batch),
                     sorted_rows(&expected),
                     "interval={interval}, fault={fault:?}: wrong rows: {sql}"
                 );
-                assert_eq!(db.temp_result_count(), 0);
             }
         }
     }
@@ -802,7 +794,7 @@ fn a_rename_fault_after_an_in_place_merge_recovers_exactly() {
                 db.set_config(config.with_fault(FaultConfig::fail_nth(FaultSite::Rename, 2)))
                     .unwrap();
                 db.take_stats();
-                let batch = db.query(&sql).unwrap();
+                let batch = leaves_nothing_tracked(&db, || db.query(&sql)).unwrap();
                 let what = format!("parallel={parallel}, rollbacks={rollbacks}: {sql}");
                 assert_eq!(
                     format!("{:?}", batch.rows()),

@@ -18,6 +18,9 @@ use spinner_storage::{
     gc_orphans, CheckpointStore, LoopCheckpoint, Partitioned, SpillEnv, SpillManager,
 };
 
+mod common;
+use common::leaves_nothing_tracked;
+
 /// Deterministic PCG-style generator — no external crates, reproducible
 /// failures.
 struct Lcg(u64);
@@ -335,7 +338,7 @@ fn adversarial_disk_fault_matrix_never_returns_wrong_rows() {
                     .with_max_loop_recoveries(3)
                     .with_fault(FaultConfig::fail_nth(site, nth)),
             );
-            match db.query(&sql) {
+            match leaves_nothing_tracked(&db, || db.query(&sql)) {
                 Ok(batch) => assert_eq!(
                     sorted_rows(&batch),
                     sorted_rows(&expected),
@@ -350,7 +353,6 @@ fn adversarial_disk_fault_matrix_never_returns_wrong_rows() {
                 ) => {}
                 Err(other) => panic!("site={site:?}, nth={nth}: untyped failure {other:?}"),
             }
-            assert_eq!(db.temp_result_count(), 0, "site={site:?}, nth={nth}: leak");
             // The fault fired once; the database must serve the next
             // statement normally.
             let count = db.query("SELECT COUNT(*) FROM edges").unwrap();

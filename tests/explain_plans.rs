@@ -403,3 +403,64 @@ fn a_stored_aggregate_shuffles_on_the_stored_key_alone() {
         "{physical}"
     );
 }
+
+/// Statements whose planning goes through every expression walk of the
+/// planner and the rule optimizer: aggregate resolution around CASE,
+/// BETWEEN, IN, CAST, IS NULL and scalar functions; ORDER BY's unqualified
+/// fallback and its hidden sort column; outer→inner conversion; constant
+/// folding.
+const GOLDEN_SHAPES: [&str; 5] = [
+    "SELECT src, CASE COUNT(*) WHEN 1 THEN 'one' WHEN 2 THEN 'two' ELSE 'many' END AS c, \
+     CAST(SUM(weight) AS INT) AS s, ROUND(AVG(weight), 2) AS a, MAX(dst) IS NULL AS n, \
+     MIN(dst) IN (1, 2, 3) AS i, ABS(src + MAX(dst)) AS m \
+     FROM edges GROUP BY src \
+     HAVING SUM(weight) BETWEEN 0 AND 100 AND COALESCE(MAX(dst), 0) >= 0 \
+     AND CASE MIN(dst) WHEN 0 THEN FALSE ELSE TRUE END AND CAST(COUNT(*) AS FLOAT) > 0.5 \
+     AND src NOT IN (7, 8) AND MAX(weight) IS NOT NULL",
+    "SELECT e.src, e.dst FROM edges e ORDER BY e.src",
+    "SELECT dst FROM edges ORDER BY weight DESC, dst",
+    "SELECT e.src, v.status FROM edges e LEFT JOIN vertexstatus v ON v.node = e.dst \
+     WHERE v.status > 0",
+    "SELECT src FROM edges WHERE 1 + 1 = 2 AND dst > 2 * 3 AND (FALSE OR src < 10)",
+];
+
+/// The logical EXPLAIN of every CTE workload and of [`GOLDEN_SHAPES`],
+/// under the default and the naive configuration, is the text in
+/// `tests/golden/plans.txt`. A refactor of the planner or of the rule
+/// optimizer must leave it unchanged; a change that means to move a plan
+/// regenerates the file with `SPINNER_BLESS_PLANS=1` and shows the diff.
+#[test]
+fn explain_text_matches_the_golden_plans() {
+    let workloads = [
+        ("pagerank(10, false)", pagerank(10, false).cte),
+        ("pagerank(10, true)", pagerank(10, true).cte),
+        ("sssp(10, 1, false)", sssp(10, 1, false).cte),
+        ("sssp(10, 1, true)", sssp(10, 1, true).cte),
+        ("sssp_convergent(1, None)", sssp_convergent(1, None).cte),
+        ("ff(25, 100)", ff(25, 100).cte),
+        ("connected_components(None)", connected_components(None).cte),
+    ];
+    let shapes = GOLDEN_SHAPES.iter().map(|sql| (*sql, sql.to_string()));
+    let statements: Vec<(&str, String)> = workloads.into_iter().chain(shapes).collect();
+    let mut rendered = String::new();
+    for (config_name, config) in [
+        ("default", EngineConfig::default()),
+        ("naive", EngineConfig::naive()),
+    ] {
+        let mut database = db();
+        database.set_config(config).unwrap();
+        for (name, sql) in &statements {
+            let text = database.explain(sql).unwrap();
+            rendered.push_str(&format!("=== {config_name}: {name}\n{text}\n"));
+        }
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/plans.txt");
+    if std::env::var_os("SPINNER_BLESS_PLANS").is_some() {
+        std::fs::write(path, &rendered).unwrap();
+    }
+    let golden = std::fs::read_to_string(path).unwrap();
+    assert!(
+        rendered == golden,
+        "EXPLAIN differs from {path}; rerun with SPINNER_BLESS_PLANS=1 and diff it"
+    );
+}

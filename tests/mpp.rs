@@ -10,6 +10,9 @@ use spinner_engine::{Database, EngineConfig, ProfileNode, QueryProfile, Value};
 use spinner_procedural::pagerank;
 use spinner_procedural::queries::{ff, sssp_convergent};
 
+mod common;
+use common::leaves_nothing_tracked;
+
 fn load(config: EngineConfig) -> Database {
     let db = Database::new(config).unwrap();
     let spec = GraphSpec {
@@ -419,15 +422,13 @@ fn rename_is_constant_work_regardless_of_size() {
 #[test]
 fn every_statement_returns_state_to_baseline() {
     // Leak check: after each statement — reads, DML, iterative loops,
-    // EXPLAIN ANALYZE, failures — the temp-result registry, the memory
-    // accountant and the admission controller are all back to baseline.
+    // EXPLAIN ANALYZE, failures — the memory accountant and the admission
+    // controller are both back to where they were before it.
     let db = load(
         EngineConfig::default()
             .with_partitions(4)
             .with_max_concurrent_queries(2),
     );
-    let baseline_bytes = db.resident_tracked_bytes();
-    let baseline_regions = db.tracked_region_count();
     let statements = [
         "SELECT COUNT(*) FROM edges",
         &pagerank(5, false).cte,
@@ -440,18 +441,8 @@ fn every_statement_returns_state_to_baseline() {
          UNTIL 6 ITERATIONS) SELECT COUNT(*) FROM t",
     ];
     for sql in statements {
-        let _ = db.execute(sql); // failures are part of the matrix
-        assert_eq!(db.temp_result_count(), 0, "temp leak after {sql:?}");
-        assert_eq!(
-            db.resident_tracked_bytes(),
-            baseline_bytes,
-            "resident-bytes leak after {sql:?}"
-        );
-        assert_eq!(
-            db.tracked_region_count(),
-            baseline_regions,
-            "region leak after {sql:?}"
-        );
+        // Failures are part of the matrix.
+        let _ = leaves_nothing_tracked(&db, || db.execute(sql));
         let snap = db.admission().unwrap().snapshot();
         assert_eq!(
             (snap.active, snap.queued),

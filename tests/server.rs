@@ -18,8 +18,9 @@ use spinner_procedural::queries::{ff, pagerank, sssp_convergent};
 use spinner_server::{Client, Reply, Server};
 
 /// Assert that a database holds no leaked per-statement state: no
-/// admission slot occupied or queued, no temp results, and the memory
-/// accountant back to its post-setup baseline.
+/// admission slot occupied or queued, and the memory accountant back to
+/// its post-setup baseline (the regions and resident bytes read before
+/// the statements ran).
 fn assert_no_leaks(db: &Database, baseline_bytes: u64, baseline_regions: usize) {
     if let Some(ctrl) = db.admission() {
         // Shed or cancelled statements release their permits on the
@@ -33,7 +34,6 @@ fn assert_no_leaks(db: &Database, baseline_bytes: u64, baseline_regions: usize) 
         assert_eq!(snap.active, 0, "leaked admission slot: {snap:?}");
         assert_eq!(snap.queued, 0, "leaked admission queue entry: {snap:?}");
     }
-    assert_eq!(db.temp_result_count(), 0, "leaked temp results");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let bytes = db.resident_tracked_bytes();

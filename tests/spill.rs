@@ -13,7 +13,7 @@ use spinner_engine::{
 use spinner_procedural::{connected_components, pagerank, sssp, sssp_convergent};
 
 mod common;
-use common::{closure_cte, walk_cte};
+use common::{closure_cte, leaves_nothing_tracked, walk_cte};
 
 /// Fresh database with the toy cyclic graph the engine tests use.
 fn db_with_edges(config: EngineConfig) -> Database {
@@ -53,17 +53,6 @@ fn sorted_rows(batch: &spinner_engine::Batch) -> Vec<Vec<Value>> {
     let mut rows: Vec<Vec<Value>> = batch.rows().iter().map(|r| r.to_vec()).collect();
     rows.sort_by(|a, b| a.partial_cmp(b).unwrap());
     rows
-}
-
-/// Run `statement` against `db`, checking that it leaves the memory
-/// accountant as it found it — no region and no resident byte behind —
-/// whether it succeeds or fails.
-fn leaves_nothing_tracked<T>(db: &Database, statement: impl FnOnce() -> T) -> T {
-    let tracked = || (db.tracked_region_count(), db.resident_tracked_bytes());
-    let before = tracked();
-    let out = statement();
-    assert_eq!(tracked(), before, "(regions, resident bytes) leaked");
-    out
 }
 
 /// Force-spill config: a 1-byte high-water mark spills every unprotected
@@ -282,7 +271,6 @@ fn spill_fault_matrix_across_checkpoint_intervals() {
                         "interval={interval}, fault={fault:?}: untyped failure {other:?}: {sql}"
                     ),
                 }
-                assert_eq!(db.temp_result_count(), 0);
                 // The database stays usable for the next statement.
                 let batch = leaves_nothing_tracked(&db, || db.query("SELECT COUNT(*) FROM edges"));
                 let batch = batch.unwrap();
@@ -321,7 +309,7 @@ fn spill_fault_storm_with_recovery_policy_converges_or_fails_typed() {
                 )),
         )
         .unwrap();
-        match db.query(&sql) {
+        match leaves_nothing_tracked(&db, || db.query(&sql)) {
             Ok(batch) => {
                 assert_eq!(
                     sorted_rows(&batch),
@@ -338,7 +326,6 @@ fn spill_fault_storm_with_recovery_policy_converges_or_fails_typed() {
             ) => {}
             Err(other) => panic!("seed {seed}: unexpected failure kind: {other:?}"),
         }
-        assert_eq!(db.temp_result_count(), 0, "seed {seed}: registry leak");
     }
     assert!(
         converged > 0,
