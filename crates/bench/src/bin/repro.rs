@@ -93,8 +93,16 @@ fn table1() -> Result<()> {
 fn fig8() -> Result<()> {
     header("Figure 8 — minimizing data movement (25 iterations)");
     println!(
-        "{:<10} {:<12} {:>14} {:>14} {:>9}  {:>12} {:>12}",
-        "query", "dataset", "baseline", "rename-opt", "gain", "moved(base)", "moved(opt)"
+        "{:<10} {:<12} {:>14} {:>14} {:>9}  {:>12} {:>12} {:>12} {:>12}",
+        "query",
+        "dataset",
+        "baseline",
+        "rename-opt",
+        "gain",
+        "moved(base)",
+        "moved(opt)",
+        "by_row(base)",
+        "by_row(opt)"
     );
     for dataset in [BenchDataset::DblpLike, BenchDataset::PokecLike] {
         for (qname, sql) in [
@@ -114,7 +122,7 @@ fn fig8() -> Result<()> {
             let opt = time_query(&opt_db, &sql)?;
             let opt_stats = opt_db.take_stats();
             println!(
-                "{:<10} {:<12} {:>14.2?} {:>14.2?} {:>8.1}%  {:>12} {:>12}",
+                "{:<10} {:<12} {:>14.2?} {:>14.2?} {:>8.1}%  {:>12} {:>12} {:>12} {:>12}",
                 qname,
                 dataset.label(),
                 base,
@@ -122,6 +130,8 @@ fn fig8() -> Result<()> {
                 improvement(base, opt),
                 base_stats.rows_moved,
                 opt_stats.rows_moved,
+                base_stats.rows_evaluated_by_row,
+                opt_stats.rows_evaluated_by_row,
             );
         }
     }

@@ -7,24 +7,23 @@
 //! only where the engine's contract is rows: bulk load and `VALUES` in,
 //! the result batch out, and the spill codec.
 //!
-//! **A column is typed by what it holds, not by the schema.** The schema
-//! cannot be trusted for this: `SELECT src, 0, 0.15` makes `rank` an
-//! integer column before the first iteration and `rank + delta` a float
-//! one after it, partial-aggregate state columns are declared
-//! `DataType::Null`, and `CASE WHEN v <> 0 THEN 1 / v ELSE 0 END` yields
-//! `0` beside `0.5`. So a column is `Int`, `Float`, `Bool` or `Text` for
-//! as long as its non-NULL cells agree, with a [`Nulls`] bitmap beside
-//! the data, and degrades to `Mixed` — plain [`Value`]s — the moment
-//! they do not. It never coerces: `Int(2)` and `Float(2.0)` are equal
-//! and hash alike but print differently, and rows must come back exactly
-//! as they went in. A column that holds nothing but NULLs (or nothing)
-//! has no type yet and takes the type of the first cell it is given.
-//!
-//! The representation is not canonical — a `Mixed` column whose
-//! disagreeing rows were filtered away stays `Mixed` — so nothing may
-//! depend on *which* variant holds a cell; [`Column::cell`] reads any of
-//! them, and the typed variants exist so that loops over `&[i64]` and
-//! `&[f64]` can skip it.
+//! **A column holds one type, and what it holds decides its variant.** A
+//! column is `Int`, `Float`, `Bool` or `Text`, with a [`Nulls`] bitmap
+//! beside the data, for as long as its non-NULL cells agree, and `Mixed` —
+//! plain [`Value`]s — exactly while two of them do not: every write
+//! ([`push`](Column::push), [`extend_from`](Column::extend_from),
+//! [`overwrite`](Column::overwrite), [`gather`](Column::gather)) degrades
+//! a column only at a written cell that disagrees, and a `Mixed` column
+//! whose disagreeing cells are overwritten is typed again. A column that
+//! holds nothing but NULLs (or nothing) has no type yet and takes the type
+//! of the first cell it is given. It never coerces: `Int(2)` and
+//! `Float(2.0)` are equal and hash alike but print differently. The
+//! planner makes the cells agree — it types every expression and every
+//! loop column and casts where types meet — so `Mixed` comes only from
+//! named inputs whose cells disagree with their declared types and from
+//! text beside numbers; nothing may depend on *which* variant holds a
+//! cell, [`Column::cell`] reads any of them, and the typed variants exist
+//! so that loops over `&[i64]` and `&[f64]` can skip it.
 //!
 //! Row numbers are `u32` throughout (selection vectors, join matches,
 //! group ids), and [`NO_ROW`] — or any number past the end of a column —
@@ -34,7 +33,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, LazyLock};
 
 use crate::row::Row;
-use crate::value::{Cell, Value};
+use crate::value::{Cell, DataType, Value};
 
 /// The row number that is no row: gathering it yields NULL.
 pub const NO_ROW: u32 = u32::MAX;
@@ -111,7 +110,7 @@ impl Nulls {
 }
 
 /// The cells of one field of a [`Block`]. See the module docs for what
-/// the variants mean and why the schema does not choose among them.
+/// the variants mean.
 #[derive(Debug, Clone)]
 pub enum Column {
     /// Integers, and which of them are NULL.
@@ -413,27 +412,30 @@ impl Column {
         if src.untyped() {
             return self.push_nulls(rows.len());
         }
+        let untyped = self.untyped();
         match (&mut *self, src) {
             (Column::Int(d, n), Column::Int(s, sn)) => extend_typed((d, n), (s, sn), rows),
             (Column::Float(d, n), Column::Float(s, sn)) => extend_typed((d, n), (s, sn), rows),
             (Column::Bool(d, n), Column::Bool(s, sn)) => extend_typed((d, n), (s, sn), rows),
             (Column::Text(d, n), Column::Text(s, sn)) => extend_typed((d, n), (s, sn), rows),
             (Column::Mixed(d), src) => d.extend(rows.map(|row| src.value(row as usize))),
-            _ => {
-                if self.untyped() {
-                    *self = src.nulls_like(self.len());
-                } else {
-                    self.degrade();
-                }
+            (_, Column::Int(..) | Column::Float(..) | Column::Bool(..) | Column::Text(..))
+                if untyped =>
+            {
+                *self = src.nulls_like(self.len());
                 self.extend_from(src, rows);
             }
+            // A cell at a time: the column turns `Mixed` at the first cell
+            // that disagrees with it, and only there.
+            _ => rows.for_each(|row| self.push(src.value(row as usize))),
         }
     }
 
     /// Overwrite cell `to` with cell `from` of `src` for every `(to, from)`
     /// of `pairs`, each `to` a row of this column. A typed column of
-    /// `src`'s type is written in place; otherwise the column changes type
-    /// as [`extend_from`](Self::extend_from) would, to take `src`'s.
+    /// `src`'s type is written in place. Otherwise the cells are written
+    /// one by one and the column ends typed by what it then holds: `Mixed`
+    /// only if two of its cells disagree.
     pub fn overwrite(&mut self, src: &Column, pairs: &[(u32, u32)]) {
         if pairs.is_empty() {
             return;
@@ -447,6 +449,7 @@ impl Column {
                 for &(to, from) in pairs {
                     d[to as usize] = src.value(from as usize);
                 }
+                self.retype();
             }
             (_, src) if src.untyped() => {
                 let nulls = self.nulls_like(0);
@@ -463,11 +466,42 @@ impl Column {
         }
     }
 
-    /// Cells `rows` of this column as a new column of the same type.
+    /// A `Mixed` column whose cells agree after all becomes typed again.
+    fn retype(&mut self) {
+        let Column::Mixed(cells) = self else { return };
+        let mut types = (cells.iter().map(Value::data_type)).filter(|&t| t != DataType::Null);
+        let first = types.next();
+        if types.all(|t| Some(t) == first) {
+            let mut typed = Column::new();
+            std::mem::take(cells)
+                .into_iter()
+                .for_each(|v| typed.push(v));
+            *self = typed;
+        }
+    }
+
+    /// Cells `rows` of this column as a new column, typed by the cells it
+    /// takes.
     pub fn gather(&self, rows: &[u32]) -> Column {
-        let mut out = self.nulls_like(0);
+        let mut out = match self {
+            Column::Mixed(_) => Column::new(),
+            typed => typed.nulls_like(0),
+        };
         out.extend_from(self, rows.iter().copied());
         out
+    }
+
+    /// The one type of this column's cells: NULL while no cell has a value
+    /// (the column has no type yet), `None` when two cells disagree.
+    pub fn data_type(&self) -> Option<DataType> {
+        Some(match self {
+            _ if self.untyped() => DataType::Null,
+            Column::Int(..) => DataType::Int,
+            Column::Float(..) => DataType::Float,
+            Column::Bool(..) => DataType::Bool,
+            Column::Text(..) => DataType::Text,
+            Column::Mixed(_) => return None,
+        })
     }
 }
 
@@ -812,6 +846,59 @@ mod tests {
             prop_assert_eq!(exact(&grown.to_rows()), exact(&rows(&want)));
             prop_assert_eq!(exact(&ba.to_rows()), exact(&rows(&a)));
             prop_assert!(Arc::ptr_eq(&grown.columns()[1], &ba.columns()[1]), "an unchanged column is shared");
+        }
+
+        /// Whatever writes a column — `push`, `extend_from` and `overwrite`
+        /// from typed or `Mixed` sources, `gather` — it holds exactly the
+        /// cells written, and it is `Mixed` exactly when two of them
+        /// disagree about their type.
+        #[test]
+        fn a_column_is_mixed_only_when_its_cells_disagree(
+            start in cells(),
+            ops in proptest::collection::vec(
+                (0u32..4, cells(), any::<bool>(), proptest::collection::vec((0u32..14, 0u32..14), 0..10)),
+                0..8,
+            ),
+        ) {
+            let mut column = column_of(&start);
+            let mut want = start;
+            for (op, src, mixed, picks) in ops {
+                // The source of a write, typed by its cells or forced `Mixed`.
+                let from = if mixed { Column::Mixed(src.clone()) } else { column_of(&src) };
+                let cell = |row: u32| src.get(row as usize).cloned().unwrap_or(Value::Null);
+                match op {
+                    0 => {
+                        let value = cell(picks.first().map_or(0, |p| p.0));
+                        column.push(value.clone());
+                        want.push(value);
+                    }
+                    1 => {
+                        let rows: Vec<u32> = picks.iter().map(|p| p.0).collect();
+                        column.extend_from(&from, rows.iter().copied());
+                        want.extend(rows.iter().map(|&row| cell(row)));
+                    }
+                    2 => {
+                        let pairs: Vec<(u32, u32)> = (picks.iter().copied())
+                            .filter(|&(to, from)| (to as usize) < want.len() && (from as usize) < src.len())
+                            .collect();
+                        column.overwrite(&from, &pairs);
+                        for (to, from) in pairs {
+                            want[to as usize] = cell(from);
+                        }
+                    }
+                    _ => {
+                        let rows: Vec<u32> = picks.iter().map(|p| p.0).collect();
+                        column = column.gather(&rows);
+                        want = rows.iter().map(|&row| want.get(row as usize).cloned().unwrap_or(Value::Null)).collect();
+                    }
+                }
+                prop_assert_eq!(exact(&values(&column)), exact(&want));
+                // The one type of the written cells, or `None` if two disagree.
+                let mut types = want.iter().map(Value::data_type).filter(|&t| t != DataType::Null);
+                let first = types.next().unwrap_or(DataType::Null);
+                let agreed = types.all(|t| t == first).then_some(first);
+                prop_assert_eq!(column.data_type(), agreed, "{:?}", column);
+            }
         }
 
         /// A column hashed a column at a time is `Value`'s own hash, and

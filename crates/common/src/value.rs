@@ -27,12 +27,17 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Result type of an arithmetic operation over `self` and `other`.
-    pub fn widen(self, other: DataType) -> DataType {
+    /// The common supertype of `self` and `other`: a type beside itself or
+    /// beside NULL, and FLOAT for INT beside FLOAT. Any other pair has
+    /// none (`None`): no implicit cast joins them.
+    pub fn widen(self, other: DataType) -> Option<DataType> {
         match (self, other) {
-            (DataType::Float, _) | (_, DataType::Float) => DataType::Float,
-            (DataType::Null, t) | (t, DataType::Null) => t,
-            _ => DataType::Int,
+            (a, b) if a == b => Some(a),
+            (DataType::Null, t) | (t, DataType::Null) => Some(t),
+            (DataType::Int, DataType::Float) | (DataType::Float, DataType::Int) => {
+                Some(DataType::Float)
+            }
+            _ => None,
         }
     }
 }
@@ -468,8 +473,21 @@ mod tests {
 
     #[test]
     fn widen_rules() {
-        assert_eq!(DataType::Int.widen(DataType::Float), DataType::Float);
-        assert_eq!(DataType::Int.widen(DataType::Int), DataType::Int);
-        assert_eq!(DataType::Null.widen(DataType::Int), DataType::Int);
+        use DataType::*;
+        let all = [Int, Float, Text, Bool, Null];
+        // Row: `self`; column: `other`, in the order of `all`. `-`: none.
+        let table = [
+            "Int   Float -     -    Int  ",
+            "Float Float -     -    Float",
+            "-     -     Text  -    Text ",
+            "-     -     -     Bool Bool ",
+            "Int   Float Text  Bool Null ",
+        ];
+        for (a, row) in all.into_iter().zip(table) {
+            for (b, want) in all.into_iter().zip(row.split_whitespace()) {
+                let got = a.widen(b).map_or("-".to_string(), |t| format!("{t:?}"));
+                assert_eq!(got, want, "{a} beside {b}");
+            }
+        }
     }
 }

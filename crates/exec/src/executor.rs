@@ -638,13 +638,24 @@ impl<'a> StatementContext<'a> {
             if let Some(u) = self.run_step(step, lowered.as_ref())? {
                 merge_updates = Some(u);
             }
+            #[cfg(debug_assertions)]
+            if let Step::Materialize { name, .. } = step {
+                let (LoopKind::Iterative { working, .. } | LoopKind::FixedPoint { working, .. }) =
+                    &l.kind;
+                if name == working {
+                    check_loop_types(l, &self.registry.get(name)?, "working table");
+                }
+            }
         }
         self.stats.iterations.add(1);
         let changed = self.advance(l, delta, merge_updates, previous.as_ref(), seen)?;
         let current = self.registry.get(&l.cte)?;
         #[cfg(debug_assertions)]
-        if l.merges() {
-            self.solutions.check(&l.cte, &current, l.key);
+        {
+            check_loop_types(l, &current, "CTE table");
+            if l.merges() {
+                self.solutions.check(&l.cte, &current, l.key);
+            }
         }
         let cumulative = cumulative_updates + changed;
         if !appends {
@@ -921,6 +932,29 @@ impl<'a> StatementContext<'a> {
             Some(err) => Err(err),
             None => self.rollback(l, failed_iteration),
         })
+    }
+}
+
+/// Debug check: every column of `data`, loop state of `l`, holds the type
+/// the plan gives it (`spinner_plan::rewrite`) or no value yet — never
+/// `Mixed`, never INT where the loop's schema says FLOAT.
+#[cfg(debug_assertions)]
+fn check_loop_types(l: &LoopStep, data: &Partitioned, what: &str) {
+    use spinner_common::DataType;
+    for block in &data.parts {
+        for (column, field) in block.columns().iter().zip(l.schema.fields()) {
+            let held = column.data_type();
+            assert!(
+                field.data_type == DataType::Null
+                    || held == Some(DataType::Null)
+                    || held == Some(field.data_type),
+                "{what} of {}: column '{}' is {} but holds {}",
+                l.cte_display_name,
+                field.name,
+                field.data_type,
+                held.map_or("cells that disagree".to_string(), |t| t.to_string()),
+            );
+        }
     }
 }
 

@@ -43,7 +43,9 @@ pub struct PlanContext<'a> {
     /// Feature toggles steering the iterative rewrites.
     pub config: &'a EngineConfig,
     ctes: HashMap<String, CteBinding>,
-    temp_counter: u64,
+    /// Temp names issued so far; a body planned again rewinds it, so that
+    /// its temps are named as before.
+    pub(crate) temp_counter: u64,
 }
 
 impl<'a> PlanContext<'a> {
@@ -229,7 +231,7 @@ fn plan_order_by(plan: LogicalPlan, order_by: &[ast::OrderByExpr]) -> Result<Log
     let out_schema = plan.schema();
     let resolve_with_fallback = |expr: &ast::Expr, schema: &Schema| {
         resolve_expr(expr, schema)
-            .or_else(|e| translate(expr, &mut schema_hook(schema, false)).map_err(|_| e))
+            .or_else(|e| translate(expr, schema, &mut schema_hook(schema, false)).map_err(|_| e))
     };
     // First pass: which keys resolve against the output?
     let mut resolved: Vec<Option<PlanExpr>> = Vec::with_capacity(order_by.len());
@@ -373,14 +375,18 @@ fn plan_set_expr(
                 SetOp::Except => SetOpKind::Except,
                 SetOp::Intersect => SetOpKind::Intersect,
             };
-            // Output takes the left side's names; widen types per column.
+            // Output takes the left side's names; widen types per column
+            // (NULL, no one type, where two arms have no common one).
             let rs = r.schema();
             let fields: Vec<Field> = l
                 .schema()
                 .fields()
                 .iter()
                 .zip(rs.fields())
-                .map(|(a, b)| Field::new(a.name.clone(), a.data_type.widen(b.data_type)))
+                .map(|(a, b)| {
+                    let widened = a.data_type.widen(b.data_type);
+                    Field::new(a.name.clone(), widened.unwrap_or(DataType::Null))
+                })
                 .collect();
             Ok(LogicalPlan::SetOp {
                 op: kind,
@@ -542,7 +548,7 @@ fn plan_aggregate_select(select: &ast::Select, input: LogicalPlan) -> Result<Log
     // HAVING
     let mut post_aggregate = post_aggregate_hook(&select.group_by, &agg_calls, &agg_schema);
     if let Some(h) = &select.having {
-        let predicate = translate(h, &mut post_aggregate)?;
+        let predicate = translate(h, &agg_schema, &mut post_aggregate)?;
         plan = LogicalPlan::Filter {
             input: Box::new(plan),
             predicate,
@@ -559,7 +565,7 @@ fn plan_aggregate_select(select: &ast::Select, input: LogicalPlan) -> Result<Log
                 ))
             }
             SelectItem::Expr { expr, alias } => {
-                let resolved = translate(expr, &mut post_aggregate)?;
+                let resolved = translate(expr, &agg_schema, &mut post_aggregate)?;
                 let name = output_name(expr, alias.as_deref(), exprs.len());
                 let dt = resolved.data_type(&agg_schema);
                 exprs.push(resolved);
@@ -909,7 +915,7 @@ fn as_equi_pair(expr: PlanExpr, left_width: usize) -> Result<(PlanExpr, PlanExpr
 /// [`PlanExpr`]. Aggregate calls are rejected (they are handled by the
 /// aggregate planning path).
 pub fn resolve_expr(expr: &ast::Expr, schema: &Schema) -> Result<PlanExpr> {
-    translate(expr, &mut schema_hook(schema, true))
+    translate(expr, schema, &mut schema_hook(schema, true))
 }
 
 /// The translator hook before aggregation: column references resolve
@@ -940,15 +946,18 @@ fn schema_hook(
 /// `hook`, which decides the references its caller owns — columns,
 /// aggregate calls, group-by expressions — and answers `None` for the
 /// nodes the translator takes apart itself. Operand-form CASE and BETWEEN
-/// are desugared on the way.
+/// are desugared on the way, and a CASE, COALESCE, LEAST or GREATEST whose
+/// arms mix INT and FLOAT over `schema` (what the hook's references index)
+/// casts its INT arms to FLOAT ([`PlanExpr::unify_arms`]).
 fn translate(
     expr: &ast::Expr,
+    schema: &Schema,
     hook: &mut dyn FnMut(&ast::Expr) -> Result<Option<PlanExpr>>,
 ) -> Result<PlanExpr> {
     if let Some(resolved) = hook(expr)? {
         return Ok(resolved);
     }
-    Ok(match expr {
+    let node = match expr {
         ast::Expr::Column { name, .. } => {
             return Err(Error::plan(format!(
                 "internal: column '{name}' left unresolved"
@@ -956,20 +965,20 @@ fn translate(
         }
         ast::Expr::Literal(v) => PlanExpr::Literal(v.clone()),
         ast::Expr::BinaryOp { left, op, right } => PlanExpr::Binary {
-            left: Box::new(translate(left, hook)?),
+            left: Box::new(translate(left, schema, hook)?),
             op: *op,
-            right: Box::new(translate(right, hook)?),
+            right: Box::new(translate(right, schema, hook)?),
         },
         ast::Expr::UnaryOp { op, expr } => PlanExpr::Unary {
             op: *op,
-            expr: Box::new(translate(expr, hook)?),
+            expr: Box::new(translate(expr, schema, hook)?),
         },
         ast::Expr::Function { name, args, .. } => PlanExpr::Scalar {
             func: ScalarFn::from_name(name)
                 .ok_or_else(|| Error::plan(format!("unknown function '{name}'")))?,
             args: args
                 .iter()
-                .map(|a| translate(a, hook))
+                .map(|a| translate(a, schema, hook))
                 .collect::<Result<_>>()?,
         },
         ast::Expr::Case {
@@ -981,19 +990,19 @@ fn translate(
             PlanExpr::Case {
                 branches: branches
                     .iter()
-                    .map(|(w, t)| Ok((translate(w, hook)?, translate(t, hook)?)))
+                    .map(|(w, t)| Ok((translate(w, schema, hook)?, translate(t, schema, hook)?)))
                     .collect::<Result<_>>()?,
                 else_expr: else_expr
-                    .map(|e| translate(&e, hook).map(Box::new))
+                    .map(|e| translate(&e, schema, hook).map(Box::new))
                     .transpose()?,
             }
         }
         ast::Expr::Cast { expr, data_type } => PlanExpr::Cast {
-            expr: Box::new(translate(expr, hook)?),
+            expr: Box::new(translate(expr, schema, hook)?),
             to: *data_type,
         },
         ast::Expr::IsNull { expr, negated } => PlanExpr::IsNull {
-            expr: Box::new(translate(expr, hook)?),
+            expr: Box::new(translate(expr, schema, hook)?),
             negated: *negated,
         },
         ast::Expr::InList {
@@ -1001,10 +1010,10 @@ fn translate(
             list,
             negated,
         } => PlanExpr::InList {
-            expr: Box::new(translate(expr, hook)?),
+            expr: Box::new(translate(expr, schema, hook)?),
             list: list
                 .iter()
-                .map(|e| translate(e, hook))
+                .map(|e| translate(e, schema, hook))
                 .collect::<Result<_>>()?,
             negated: *negated,
         },
@@ -1013,8 +1022,9 @@ fn translate(
             low,
             high,
             negated,
-        } => return translate(&desugar_between(expr, low, high, *negated), hook),
-    })
+        } => return translate(&desugar_between(expr, low, high, *negated), schema, hook),
+    };
+    Ok(node.unify_arms(schema))
 }
 
 /// Desugar operand-form CASE into searched form.
@@ -1413,6 +1423,92 @@ mod tests {
             &l.kind,
             crate::LoopKind::Iterative { merge: false, .. }
         ));
+    }
+
+    /// The loop's column types: INT where anchor and body agree, FLOAT
+    /// where a FLOAT reaches the column through a chain of passes (`d`
+    /// widens only once `c` has), the anchor cast where it is narrower.
+    #[test]
+    fn loop_columns_take_the_common_type_of_anchor_and_body() {
+        let p = plan(
+            "WITH ITERATIVE t (k, c, d, s) AS (
+                SELECT src, 0, CASE WHEN src = 1 THEN 0 ELSE 9 END, 'x' FROM edges
+             ITERATE
+                SELECT k, c + weight, LEAST(d, c), s FROM t JOIN edges ON src = k
+             UNTIL 3 ITERATIONS)
+             SELECT * FROM t",
+        );
+        let Step::Loop(l) = &p.steps[1] else {
+            panic!("expected loop step")
+        };
+        let types: Vec<DataType> = l.schema.fields().iter().map(|f| f.data_type).collect();
+        use DataType::*;
+        assert_eq!(types, [Int, Float, Float, Text]);
+        let Step::Materialize { plan: anchor, .. } = &p.steps[0] else {
+            panic!("expected the anchor")
+        };
+        let LogicalPlan::Projection { exprs, schema, .. } = anchor else {
+            panic!("the anchor's casts sit in its projection")
+        };
+        assert_eq!(schema.field(2).data_type, Float);
+        assert_eq!(
+            exprs.iter().map(ToString::to_string).collect::<Vec<_>>(),
+            [
+                "edges.src#0",
+                "CAST(0 AS FLOAT)",
+                "CAST(CASE WHEN (edges.src#0 = 1) THEN 0 ELSE 9 END AS FLOAT)",
+                "'x'"
+            ]
+        );
+        // The body was planned against the final types: its LEAST reads
+        // two FLOAT columns and needs no cast.
+        let body = format!("{:?}", l.body);
+        assert!(!body.contains("Cast"), "{body}");
+        // Temps planned twice are named once.
+        assert_eq!(l.cte, "__cte_t_1");
+    }
+
+    #[test]
+    fn mixed_case_coalesce_least_arms_are_cast_to_float() {
+        let p = plan(
+            "SELECT CASE WHEN src = 1 THEN 0 ELSE weight END, COALESCE(weight, 1), \
+                    GREATEST(src, 2), LEAST(src, 2.5, NULL), COALESCE('a', 'b') FROM edges",
+        );
+        let LogicalPlan::Projection { exprs, schema, .. } = &p.root else {
+            panic!("expected a projection")
+        };
+        let shown: Vec<String> = exprs.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            shown,
+            [
+                "CASE WHEN (edges.src#0 = 1) THEN CAST(0 AS FLOAT) ELSE edges.weight#2 END",
+                "coalesce(edges.weight#2, CAST(1 AS FLOAT))",
+                "greatest(edges.src#0, 2)",
+                "least(CAST(edges.src#0 AS FLOAT), 2.5, NULL)",
+                "coalesce('a', 'b')",
+            ]
+        );
+        let types: Vec<DataType> = schema.fields().iter().map(|f| f.data_type).collect();
+        use DataType::*;
+        assert_eq!(types, [Float, Float, Int, Float, Text]);
+    }
+
+    #[test]
+    fn loop_columns_without_a_common_type_are_a_plan_error() {
+        let stmt = parse_sql(
+            "WITH ITERATIVE t (k, v) AS (SELECT src, 'x' FROM edges
+             ITERATE SELECT k, 1 FROM t UNTIL 2 ITERATIONS) SELECT * FROM t",
+        )
+        .unwrap();
+        let Statement::Query(q) = stmt else {
+            panic!("not a query")
+        };
+        let err = plan_query(&q, &TestProvider, &EngineConfig::default()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "plan error: column 'v' of CTE 't' is TEXT before its iterative part and INT \
+             in it, and no implicit cast joins them"
+        );
     }
 
     #[test]

@@ -9,18 +9,28 @@
 //! The row evaluator ([`PlanExpr::evaluate`]) is the definition of those
 //! semantics. Operators and DML evaluate a column at a time
 //! ([`PlanExpr::evaluate_column`], [`PlanExpr::select`]): arithmetic,
-//! comparisons, `IS NULL`, `NOT`, `AND`/`OR` and a `CAST` of numbers to
-//! numbers run as loops over the operands' columns, and every other node —
-//! scalar functions, `CASE`, any other `CAST`, `IN`, arithmetic over
-//! anything but numbers — is sent row by
-//! row through the row evaluator over one scratch row, so lazy constructs
-//! keep their short-circuit. The loops share the row evaluator's scalar
-//! rules (`int_arithmetic`, `float_arithmetic`, `ordering_test`,
-//! `kleene`) and never decide an error themselves: a loop that meets
-//! one — an overflow, a division by the zeros a `WHEN` or an `AND` would
-//! have excluded — gives up, and the whole expression is evaluated again
-//! by row, which reports the first failing row in row order or finds
-//! that there is none.
+//! comparisons, `IS NULL`, `NOT`, `AND`/`OR`, `CAST`, `ceiling`,
+//! `floor`, `round`, `MOD`, `LEAST`/`GREATEST`, `COALESCE` and
+//! `CASE` run as loops over the operands' columns. The lazy ones keep
+//! their short-circuit with selection vectors: a `COALESCE` argument or a
+//! `CASE` branch is evaluated only over the rows still undecided, as a
+//! block of just those rows, so `CASE WHEN v <> 0 THEN 1 / v ELSE 0 END`
+//! never divides by a zero its `WHEN` excluded. Every other node —
+//! `IN`, unary minus, the text and math functions, arithmetic over
+//! anything but numbers — is sent row by row through the
+//! row evaluator over one scratch row. The loops share the row
+//! evaluator's scalar rules (`int_arithmetic`, `float_arithmetic`,
+//! `ordering_test`, `kleene`, `round_number`, `Value::cast`) and never
+//! decide an error themselves: a
+//! loop that meets one — an overflow, a division by the zeros an `AND`
+//! would have excluded — gives up, and the whole expression is evaluated
+//! again by row, which reports the first failing row in row order or
+//! finds that there is none.
+//!
+//! Every expression has one static type ([`PlanExpr::data_type`]): the
+//! translator casts the INT arms of a `CASE`, `COALESCE`, `LEAST` or
+//! `GREATEST` that mixes INT and FLOAT to FLOAT
+//! ([`PlanExpr::unify_arms`]).
 
 use std::borrow::Cow;
 use std::fmt;
@@ -501,13 +511,54 @@ impl PlanExpr {
                     (Operand::Scalar(value), ..) => return Ok(Operand::Scalar(value.cast(*to)?)),
                     (_, Some(Column::Int(..)), DataType::Int)
                     | (_, Some(Column::Float(..)), DataType::Float) => return Ok(operand),
-                    (_, Some(Column::Int(data, nulls)), DataType::Float) => Some(Column::Float(
-                        data.iter().map(|&x| x as f64).collect(),
-                        nulls.clone(),
-                    )),
-                    _ => None,
+                    _ => Some(cells_loop(&operand, rows, |_, cell| {
+                        cell.to_value().cast(*to)
+                    })?),
                 }
             }
+            // The row evaluator reports the wrong number of arguments.
+            PlanExpr::Scalar { func, args } if !func.arity_ok(args.len()) => {
+                return Err(Error::plan("wrong number of arguments"))
+            }
+            PlanExpr::Scalar {
+                func: func @ (ScalarFn::Least | ScalarFn::Greatest),
+                args,
+            } => {
+                let args = (args.iter())
+                    .map(|arg| arg.operand(block, fell))
+                    .collect::<Result<Vec<_>>>()?;
+                Some(extremum(&args, *func == ScalarFn::Least, rows))
+            }
+            PlanExpr::Scalar {
+                func: ScalarFn::Coalesce,
+                args,
+            } => return coalesce(args, block, fell),
+            PlanExpr::Scalar {
+                func: ScalarFn::Mod,
+                args,
+            } => {
+                let (a, b) = (args[0].operand(block, fell)?, args[1].operand(block, fell)?);
+                arithmetic_loop(BinaryOp::Modulo, &a, &b, rows)?
+            }
+            PlanExpr::Scalar {
+                func: func @ (ScalarFn::Ceiling | ScalarFn::Floor | ScalarFn::Round),
+                args,
+            } => {
+                let x = args[0].operand(block, fell)?;
+                let digits = match args.get(1) {
+                    Some(digits) => digits.operand(block, fell)?,
+                    None => Operand::Scalar(Value::Int(0)),
+                };
+                Some(cells_loop(&x, rows, |row, cell| match cell {
+                    // Where `x` is NULL the row evaluator reads no digits.
+                    Cell::Null => Ok(Value::Null),
+                    x => round_number(*func, &x.to_value(), &digits.cell(row).to_value()),
+                })?)
+            }
+            PlanExpr::Case {
+                branches,
+                else_expr,
+            } => return case(branches, else_expr.as_deref(), block, fell),
             _ => None,
         };
         Ok(Operand::Computed(match looped {
@@ -557,65 +608,88 @@ impl PlanExpr {
                 .map(|f| f.data_type)
                 .unwrap_or(DataType::Null),
             PlanExpr::Literal(v) => v.data_type(),
-            PlanExpr::Binary { left, op, right } => match op {
-                BinaryOp::Plus | BinaryOp::Minus | BinaryOp::Multiply | BinaryOp::Modulo => {
-                    left.data_type(input).widen(right.data_type(input))
-                }
-                BinaryOp::Divide => {
-                    // Integer division truncates; mixed widens to float.
-                    left.data_type(input).widen(right.data_type(input))
-                }
-                _ => DataType::Bool,
-            },
+            PlanExpr::Binary { left, op, right } if is_arithmetic(*op) => {
+                arithmetic_type(left.data_type(input), right.data_type(input))
+            }
+            PlanExpr::Binary { .. } => DataType::Bool,
             PlanExpr::Unary { op, expr } => match op {
                 UnaryOp::Not => DataType::Bool,
                 _ => expr.data_type(input),
             },
-            PlanExpr::Scalar { func, args } => match func {
-                ScalarFn::Ceiling | ScalarFn::Floor => DataType::Int,
-                ScalarFn::Round
-                | ScalarFn::Sqrt
-                | ScalarFn::Exp
-                | ScalarFn::Ln
-                | ScalarFn::Power => DataType::Float,
-                ScalarFn::Sign | ScalarFn::Length => DataType::Int,
-                ScalarFn::Upper | ScalarFn::Lower | ScalarFn::Concat => DataType::Text,
-                ScalarFn::Abs | ScalarFn::NullIf => args
-                    .first()
-                    .map(|a| a.data_type(input))
-                    .unwrap_or(DataType::Null),
-                ScalarFn::Mod => args
-                    .first()
-                    .map(|a| a.data_type(input))
-                    .unwrap_or(DataType::Null)
-                    .widen(
-                        args.get(1)
-                            .map(|a| a.data_type(input))
-                            .unwrap_or(DataType::Null),
-                    ),
-                ScalarFn::Least | ScalarFn::Greatest | ScalarFn::Coalesce => {
-                    let mut t = DataType::Null;
-                    for a in args {
-                        t = t.widen(a.data_type(input));
+            PlanExpr::Scalar { func, args } => {
+                let arg = |i: usize| args.get(i).map_or(DataType::Null, |a| a.data_type(input));
+                match func {
+                    ScalarFn::Ceiling | ScalarFn::Floor => DataType::Int,
+                    ScalarFn::Round
+                    | ScalarFn::Sqrt
+                    | ScalarFn::Exp
+                    | ScalarFn::Ln
+                    | ScalarFn::Power => DataType::Float,
+                    ScalarFn::Sign | ScalarFn::Length => DataType::Int,
+                    ScalarFn::Upper | ScalarFn::Lower | ScalarFn::Concat => DataType::Text,
+                    ScalarFn::Abs | ScalarFn::NullIf => arg(0),
+                    ScalarFn::Mod => arithmetic_type(arg(0), arg(1)),
+                    ScalarFn::Least | ScalarFn::Greatest | ScalarFn::Coalesce => {
+                        common_type(self.arms().into_iter().map(|a| a.data_type(input)))
                     }
-                    t
                 }
-            },
-            PlanExpr::Case {
-                branches,
-                else_expr,
-            } => {
-                let mut t = DataType::Null;
-                for (_, then) in branches {
-                    t = t.widen(then.data_type(input));
-                }
-                if let Some(e) = else_expr {
-                    t = t.widen(e.data_type(input));
-                }
-                t
+            }
+            PlanExpr::Case { .. } => {
+                common_type(self.arms().into_iter().map(|a| a.data_type(input)))
             }
             PlanExpr::Cast { to, .. } => *to,
             PlanExpr::IsNull { .. } | PlanExpr::InList { .. } => DataType::Bool,
+        }
+    }
+
+    /// What a `CASE` (its `THEN`s and `ELSE`) or a `LEAST`, `GREATEST` or
+    /// `COALESCE` (its arguments) may return; nothing for any other node.
+    fn arms(&self) -> Vec<&PlanExpr> {
+        match self {
+            PlanExpr::Case {
+                branches,
+                else_expr,
+            } => (branches.iter().map(|(_, then)| then))
+                .chain(else_expr.as_deref())
+                .collect(),
+            PlanExpr::Scalar {
+                func: ScalarFn::Least | ScalarFn::Greatest | ScalarFn::Coalesce,
+                args,
+            } => args.iter().collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// This node with an implicit `CAST … AS FLOAT` on each INT arm (see
+    /// `arms`) where its arms mix INT and FLOAT, so that it returns one
+    /// type: the node's own [`data_type`](Self::data_type).
+    pub fn unify_arms(self, input: &Schema) -> PlanExpr {
+        let types = self.arms().into_iter().map(|arm| arm.data_type(input));
+        if common_type(types) != DataType::Float {
+            return self;
+        }
+        let to_float = |arm: PlanExpr| match arm.data_type(input) {
+            DataType::Int => PlanExpr::Cast {
+                expr: Box::new(arm),
+                to: DataType::Float,
+            },
+            _ => arm,
+        };
+        match self {
+            PlanExpr::Case {
+                branches,
+                else_expr,
+            } => PlanExpr::Case {
+                branches: (branches.into_iter())
+                    .map(|(when, then)| (when, to_float(then)))
+                    .collect(),
+                else_expr: else_expr.map(|e| Box::new(to_float(*e))),
+            },
+            PlanExpr::Scalar { func, args } => PlanExpr::Scalar {
+                func,
+                args: args.into_iter().map(to_float).collect(),
+            },
+            other => other,
         }
     }
 
@@ -792,6 +866,24 @@ pub fn conjoin(parts: Vec<PlanExpr>) -> Option<PlanExpr> {
     parts
         .into_iter()
         .reduce(|acc, p| acc.binary(BinaryOp::And, p))
+}
+
+/// The common supertype of `types` ([`DataType::widen`]); NULL — no one
+/// static type — where two of them have none.
+fn common_type(types: impl IntoIterator<Item = DataType>) -> DataType {
+    (types.into_iter())
+        .try_fold(DataType::Null, DataType::widen)
+        .unwrap_or(DataType::Null)
+}
+
+/// The type of arithmetic over operands of types `a` and `b`: INT over
+/// integers, NULL over NULLs, and FLOAT once anything else is involved —
+/// the row evaluator computes in floats then.
+fn arithmetic_type(a: DataType, b: DataType) -> DataType {
+    match a.widen(b) {
+        Some(t @ (DataType::Int | DataType::Null)) => t,
+        _ => DataType::Float,
+    }
 }
 
 fn is_arithmetic(op: BinaryOp) -> bool {
@@ -1048,6 +1140,167 @@ fn logic_loop(
     Some(Column::Bool(data, nulls))
 }
 
+/// `f(row, cell)` of every cell of `x`, in row order, into a column typed
+/// by what it returns; the first error gives up (the row evaluator
+/// reports it).
+fn cells_loop(
+    x: &Operand,
+    rows: usize,
+    mut f: impl FnMut(usize, Cell<'_>) -> Result<Value>,
+) -> Result<Column> {
+    let mut out = Column::new();
+    for row in 0..rows {
+        out.push(f(row, x.cell(row))?);
+    }
+    Ok(out)
+}
+
+/// `ceiling`, `floor` or `round` of a non-NULL `x` to `digits` places
+/// (0 for the first two): NULL digits give NULL.
+fn round_number(func: ScalarFn, x: &Value, digits: &Value) -> Result<Value> {
+    if digits.is_null() {
+        return Ok(Value::Null);
+    }
+    let digits = digits.as_i64()?;
+    let x = x.as_f64()?;
+    Ok(match func {
+        ScalarFn::Ceiling => Value::Int(x.ceil() as i64),
+        ScalarFn::Floor => Value::Int(x.floor() as i64),
+        _ => {
+            let factor = 10f64.powi(digits as i32);
+            Value::Float((x * factor).round() / factor)
+        }
+    })
+}
+
+/// `LEAST` (`least`) or `GREATEST` of `args` at every row: the first
+/// non-NULL cell that no later one beats in the total order, NULL where
+/// every cell is.
+fn extremum(args: &[Operand], least: bool, rows: usize) -> Column {
+    let mut out = Column::new();
+    for row in 0..rows {
+        let mut best = Cell::Null;
+        for cell in args.iter().map(|arg| arg.cell(row)) {
+            let beats = match cell.cmp_total(&best) {
+                ordering if least => ordering.is_lt(),
+                ordering => ordering.is_gt(),
+            };
+            if !cell.is_null() && (best.is_null() || beats) {
+                best = cell;
+            }
+        }
+        out.push(best.to_value());
+    }
+    out
+}
+
+/// `COALESCE(args)` over `block`: each argument only over the rows every
+/// earlier one left NULL — the rows the row evaluator evaluates it on.
+fn coalesce(args: &[PlanExpr], block: &Block, fell: &mut bool) -> Result<Operand> {
+    let mut pieces = Vec::new();
+    let mut picks = vec![None; block.rows()];
+    let mut undecided: Vec<u32> = (0..block.rows() as u32).collect();
+    for arg in args {
+        if undecided.is_empty() {
+            break;
+        }
+        let value = arg.operand(&restrict(block, &undecided, arg), fell)?;
+        let piece = pieces.len() as u32;
+        let mut still = Vec::new();
+        for (at, &row) in undecided.iter().enumerate() {
+            match value.cell(at) {
+                Cell::Null => still.push(row),
+                _ => picks[row as usize] = Some((piece, at as u32)),
+            }
+        }
+        if pieces.is_empty() && still.is_empty() {
+            return Ok(value); // the first argument decides every row
+        }
+        pieces.push(value);
+        undecided = still;
+    }
+    Ok(Operand::Computed(assemble(&pieces, &picks)))
+}
+
+/// Searched `CASE` over `block`: each `WHEN` only over the rows no earlier
+/// one took, each `THEN` only over the rows its `WHEN` took and the `ELSE`
+/// over the rest — the rows the row evaluator evaluates them on.
+fn case(
+    branches: &[(PlanExpr, PlanExpr)],
+    else_expr: Option<&PlanExpr>,
+    block: &Block,
+    fell: &mut bool,
+) -> Result<Operand> {
+    let mut pieces = Vec::new();
+    let mut picks = vec![None; block.rows()];
+    let mut undecided: Vec<u32> = (0..block.rows() as u32).collect();
+    let mut take = |rows: &[u32], expr: &PlanExpr, fell: &mut bool| -> Result<()> {
+        if !rows.is_empty() {
+            let piece = pieces.len() as u32;
+            pieces.push(expr.operand(&restrict(block, rows, expr), fell)?);
+            for (at, &row) in rows.iter().enumerate() {
+                picks[row as usize] = Some((piece, at as u32));
+            }
+        }
+        Ok(())
+    };
+    for (when, then) in branches {
+        if undecided.is_empty() {
+            break;
+        }
+        let test = when.operand(&restrict(block, &undecided, when), fell)?;
+        let (mut taken, mut rest) = (Vec::new(), Vec::new());
+        for (at, &row) in undecided.iter().enumerate() {
+            match test.cell(at) {
+                Cell::Bool(true) => taken.push(row),
+                Cell::Bool(false) | Cell::Null => rest.push(row),
+                // Not a predicate: the row evaluator says so.
+                _ => return Err(Error::type_error("CASE condition is not boolean")),
+            }
+        }
+        take(&taken, then, fell)?;
+        undecided = rest;
+    }
+    if let Some(else_expr) = else_expr {
+        take(&undecided, else_expr, fell)?;
+    }
+    Ok(Operand::Computed(assemble(&pieces, &picks)))
+}
+
+/// Rows `rows` (ascending) of `block` as a block of their own, to evaluate
+/// `expr` over: only the columns it reads are gathered, every other one
+/// reads NULL. All of `block`'s rows are `block` itself.
+fn restrict<'a>(block: &'a Block, rows: &[u32], expr: &PlanExpr) -> Cow<'a, Block> {
+    if rows.len() == block.rows() {
+        return Cow::Borrowed(block);
+    }
+    let used = expr.referenced_columns();
+    let nulls = Arc::new(Column::repeat(&Value::Null, rows.len()));
+    let columns =
+        block
+            .columns()
+            .iter()
+            .enumerate()
+            .map(|(c, column)| match used.binary_search(&c) {
+                Ok(_) => Arc::new(column.gather(rows)),
+                Err(_) => Arc::clone(&nulls),
+            });
+    Cow::Owned(Block::new(columns.collect(), rows.len()))
+}
+
+/// A column whose row `r` is cell `at` of `pieces[p]` where `picks[r]` is
+/// `Some((p, at))`, and NULL where it is `None`; typed by its cells.
+fn assemble(pieces: &[Operand], picks: &[Option<(u32, u32)>]) -> Column {
+    let mut out = Column::new();
+    for pick in picks {
+        out.push(match *pick {
+            Some((piece, at)) => pieces[piece as usize].cell(at as usize).to_value(),
+            None => Value::Null,
+        });
+    }
+    out
+}
+
 fn eval_scalar(func: ScalarFn, args: &[PlanExpr], row: &[Value]) -> Result<Value> {
     if !func.arity_ok(args.len()) {
         return Err(Error::plan(format!(
@@ -1116,21 +1369,12 @@ fn eval_scalar(func: ScalarFn, args: &[PlanExpr], row: &[Value]) -> Result<Value
                 return Ok(Value::Null);
             }
             match func {
-                ScalarFn::Ceiling => Ok(Value::Int(v0.as_f64()?.ceil() as i64)),
-                ScalarFn::Floor => Ok(Value::Int(v0.as_f64()?.floor() as i64)),
-                ScalarFn::Round => {
+                ScalarFn::Ceiling | ScalarFn::Floor | ScalarFn::Round => {
                     let digits = match args.get(1) {
-                        Some(d) => {
-                            let dv = d.evaluate_ref(row)?;
-                            if dv.is_null() {
-                                return Ok(Value::Null);
-                            }
-                            dv.as_i64()?
-                        }
-                        None => 0,
+                        Some(d) => d.evaluate_ref(row)?,
+                        None => Cow::Owned(Value::Int(0)),
                     };
-                    let factor = 10f64.powi(digits as i32);
-                    Ok(Value::Float((v0.as_f64()? * factor).round() / factor))
+                    round_number(func, &v0, &digits)
                 }
                 ScalarFn::Abs => match &*v0 {
                     Value::Int(i) => {
@@ -1365,8 +1609,8 @@ mod tests {
         for expr in &typed {
             assert_eq!(by_column_equals_by_row(expr, &rows), 0, "{expr}");
         }
-        // Shapes the loops hand to the row evaluator: the block's rows are
-        // counted once, however many nodes went by row.
+        // CASE and LEAST are column kernels too: a `THEN` only ever sees the
+        // rows its `WHEN` took, so the guarded division never divides by 0.
         let divide_guarded = PlanExpr::Case {
             branches: vec![(
                 c(0).binary(NotEq, lit(Value::Int(0))),
@@ -1384,12 +1628,18 @@ mod tests {
             branches: vec![(c(0).binary(Gt, lit(Value::Int(9))), c(5))],
             else_expr: None,
         };
+        let text = PlanExpr::Cast {
+            expr: Box::new(c(0)),
+            to: DataType::Text,
+        };
+        for expr in [divide_guarded, never, least(0, 2).binary(Plus, c(1)), text] {
+            assert_eq!(by_column_equals_by_row(&expr, &rows), 0, "{expr}");
+        }
+        // Shapes the loops hand to the row evaluator: the block's rows are
+        // counted once, however many nodes went by row.
         for (expr, sent) in [
-            (divide_guarded, 6),
-            (never, 6),
-            (least(0, 2).binary(Plus, c(1)), 6),
             // LEAST of an int and a float column is whichever cell is
-            // smaller: cells that disagree, so the sum goes by row too.
+            // smaller: cells that disagree, so the sum goes by row.
             (least(0, 1).binary(Plus, c(1)), 6),
             (c(4).binary(Plus, c(0)), 6),
             (c(0).binary(Plus, lit(Value::Null)), 6),
@@ -1397,13 +1647,6 @@ mod tests {
                 PlanExpr::Unary {
                     op: UnaryOp::Minus,
                     expr: Box::new(c(0)),
-                },
-                6,
-            ),
-            (
-                PlanExpr::Cast {
-                    expr: Box::new(c(0)),
-                    to: DataType::Text,
                 },
                 6,
             ),
@@ -1448,6 +1691,187 @@ mod tests {
         let under_null = lit(Value::Int(1)).binary(Divide, c(2).binary(Minus, c(2)));
         let rows = vec![vec![Value::Int(0), Value::Int(0), Value::Null]];
         assert_eq!(by_column_equals_by_row(&under_null, &rows), 0);
+    }
+
+    #[test]
+    fn kernels_equal_the_row_evaluator_and_never_go_by_row() {
+        use BinaryOp::*;
+        let c = |i: usize| PlanExpr::column(i, format!("c{i}"));
+        let lit = |v: Value| PlanExpr::Literal(v);
+        let (int, float) = (Value::Int, Value::Float);
+        const NULL: Value = Value::Null;
+        // ints | floats | ints with zeros | all NULL | floats | bools |
+        // cells that disagree | text
+        let columns: [Vec<Value>; 8] = [
+            vec![
+                int(i64::MIN),
+                int(-1),
+                int(0),
+                NULL,
+                int(7),
+                int(2),
+                int(0),
+                int(5),
+            ],
+            [f64::NAN, -0.0, 0.0, 1.0, 2.5, 1.5, -1e300, 0.25]
+                .map(float)
+                .to_vec(),
+            vec![int(0), int(3), NULL, int(0), int(-2), int(5), int(1), NULL],
+            vec![NULL; 8],
+            vec![float(0.0), float(-0.0), float(f64::NAN), float(1.0), NULL],
+            [true, false, true, true, false, true, false, false]
+                .map(Value::Bool)
+                .to_vec(),
+            vec![
+                int(1),
+                float(0.5),
+                NULL,
+                int(-3),
+                float(2.0),
+                int(2),
+                float(-0.0),
+                int(0),
+            ],
+            ["a", "b", "c", "c", "a", "b", "c", "d"]
+                .map(Value::from)
+                .to_vec(),
+        ];
+        let rows: Vec<Vec<Value>> = (0..8)
+            .map(|row| {
+                let cell = |column: &Vec<Value>| column.get(row).cloned().unwrap_or(Value::Null);
+                let mut cells: Vec<Value> = columns.iter().map(cell).collect();
+                // NULLs in the float and boolean columns too.
+                if row == 3 {
+                    cells[1] = Value::Null;
+                }
+                if row % 3 == 2 {
+                    cells[5] = Value::Null;
+                }
+                cells
+            })
+            .collect();
+        let call = |func, args: Vec<PlanExpr>| PlanExpr::Scalar { func, args };
+        let case =
+            |branches: Vec<(PlanExpr, PlanExpr)>, else_expr: Option<PlanExpr>| PlanExpr::Case {
+                branches,
+                else_expr: else_expr.map(Box::new),
+            };
+        let cast = |e: PlanExpr, to| PlanExpr::Cast {
+            expr: Box::new(e),
+            to,
+        };
+        let mut kernels = Vec::new();
+        let pairs: [(PlanExpr, PlanExpr); 10] = [
+            (c(0), c(2)),
+            (c(1), c(4)),
+            (c(0), c(1)),
+            (c(0), c(6)),
+            (c(3), c(3)),
+            (c(3), c(1)),
+            (c(0), lit(int(1))),
+            (c(1), lit(NULL)),
+            (c(7), lit(Value::from("b"))),
+            (lit(int(2)), lit(float(1.5))),
+        ];
+        for (a, b) in pairs {
+            for func in [ScalarFn::Least, ScalarFn::Greatest, ScalarFn::Coalesce] {
+                kernels.push(call(func, vec![a.clone(), b.clone()]));
+            }
+        }
+        let moduli = [
+            (c(0), lit(int(3))),
+            (c(1), lit(float(0.75))),
+            (c(0), lit(float(2.5))),
+        ];
+        for (a, b) in moduli.into_iter().chain([(c(3), c(2))]) {
+            kernels.push(call(ScalarFn::Mod, vec![a, b]));
+        }
+        for func in [ScalarFn::Least, ScalarFn::Greatest, ScalarFn::Coalesce] {
+            kernels.push(call(func, vec![c(1)]));
+            kernels.push(call(func, vec![c(3), c(2), c(1), c(6)]));
+        }
+        for x in [c(0), c(1), c(3), c(4), c(5), c(6), lit(float(-2.5))] {
+            kernels.push(call(ScalarFn::Ceiling, vec![x.clone()]));
+            kernels.push(call(ScalarFn::Floor, vec![x.clone()]));
+            kernels.push(call(ScalarFn::Round, vec![x.clone()]));
+            kernels.push(call(ScalarFn::Round, vec![x.clone(), lit(int(2))]));
+            kernels.push(call(ScalarFn::Round, vec![x.clone(), c(2)]));
+            kernels.push(call(ScalarFn::Round, vec![x.clone(), c(4)]));
+            kernels.push(cast(x.clone(), DataType::Float));
+            kernels.push(cast(x.clone(), DataType::Text));
+            kernels.push(cast(x, DataType::Int));
+        }
+        kernels.extend([c(0), c(5), c(7)].map(|x| cast(x, DataType::Text)));
+        kernels.extend([c(0), c(5)].map(|x| cast(x, DataType::Bool)));
+        let positive = c(2).binary(NotEq, lit(int(0)));
+        kernels.extend([
+            // Arms of both numeric types, a NULL arm, no ELSE.
+            case(vec![(c(5), c(0))], Some(c(1))),
+            case(
+                vec![
+                    (c(0).binary(Gt, lit(int(0))), c(1)),
+                    (c(2).binary(Eq, lit(int(0))), c(4)),
+                ],
+                None,
+            ),
+            case(vec![(c(5), lit(NULL))], Some(c(6))),
+            // A condition that is NULL everywhere.
+            case(
+                vec![(c(3).binary(Eq, lit(int(1))), lit(int(1)))],
+                Some(c(0)),
+            ),
+            // Simple CASE, as the builder desugars it, over text.
+            case(
+                vec![
+                    (c(2).binary(Eq, lit(int(0))), lit(Value::from("zero"))),
+                    (c(2).binary(Eq, lit(int(3))), lit(Value::from("three"))),
+                ],
+                Some(c(7)),
+            ),
+            call(
+                ScalarFn::Coalesce,
+                vec![case(vec![(c(5), c(3))], None), c(0)],
+            ),
+            // Division by the zeros a WHEN or an earlier argument excludes.
+            case(
+                vec![(positive.clone(), lit(int(10)).binary(Divide, c(2)))],
+                Some(lit(int(0))),
+            ),
+            case(vec![(positive, lit(float(1.0)).binary(Divide, c(2)))], None),
+            call(
+                ScalarFn::Coalesce,
+                vec![c(2), lit(int(1)).binary(Divide, c(2))],
+            ),
+            call(
+                ScalarFn::Coalesce,
+                vec![lit(int(1)), lit(int(1)).binary(Divide, c(2))],
+            ),
+        ]);
+        for expr in &kernels {
+            assert_eq!(by_column_equals_by_row(expr, &rows), 0, "{expr}");
+            assert_eq!(by_column_equals_by_row(expr, &rows[..1]), 0, "{expr}");
+            assert_eq!(by_column_equals_by_row(expr, &[]), 0, "{expr}");
+        }
+        // Where the row evaluator raises, the kernels give up and it is
+        // asked: the same error, the first failing row's.
+        let by_zero = lit(int(1)).binary(Divide, c(2));
+        for expr in [
+            call(ScalarFn::Coalesce, vec![c(3), by_zero.clone()]),
+            case(
+                vec![(c(2).binary(Eq, lit(NULL)), lit(int(0)))],
+                Some(by_zero.clone()),
+            ),
+            call(ScalarFn::Least, vec![c(0), by_zero]),
+            case(vec![(c(0), lit(int(1)))], None),
+            call(ScalarFn::Round, vec![c(7)]),
+            call(ScalarFn::Ceiling, vec![c(0), c(1)]),
+            call(ScalarFn::Coalesce, vec![]),
+            call(ScalarFn::Mod, vec![c(0), c(2)]),
+            cast(c(7), DataType::Float),
+        ] {
+            assert!(expr.evaluate(&rows[0]).is_err() || expr.evaluate(&rows[2]).is_err());
+            assert_eq!(by_column_equals_by_row(&expr, &rows), 8, "{expr}");
+        }
     }
 
     #[test]

@@ -26,15 +26,27 @@
 //! id, which is the first column in PR, SSSP and FF alike). A working table
 //! with duplicate keys raises [`Error::DuplicateIterationKey`] during the
 //! merge, as §II requires.
+//!
+//! The plan decides the loop state's column types, as PostgreSQL and DuckDB
+//! do for recursive CTEs: each CTE column is the common supertype
+//! ([`DataType::widen`]) of its anchor's type and its body's. The body is
+//! planned against the anchor's types and again against the widened ones
+//! until no column widens; the anchor, and a body column that comes out
+//! narrower, are cast to the CTE's type. So an anchor's `0` beside a body's
+//! `rank + 0.15` makes `rank` a FLOAT column from the first row, and the
+//! loop state keeps one type per column for the whole loop.
 
-use spinner_common::{Error, Result};
+use std::sync::Arc;
+
+use spinner_common::{DataType, Error, Field, Result, Schema, SchemaRef};
 use spinner_parser as ast;
 use spinner_parser::Termination;
 
 use crate::builder::{
     apply_declared_columns, plan_query_internal, resolve_expr, CteBinding, PlanContext,
 };
-use crate::logical::{LoopKind, LoopStep, Step, TerminationPlan};
+use crate::expr::PlanExpr;
+use crate::logical::{LogicalPlan, LoopKind, LoopStep, Step, TerminationPlan};
 
 /// Expand an iterative CTE into steps, binding its name for later
 /// references. See the module docs for the produced shape.
@@ -48,8 +60,8 @@ pub fn build_iterative_cte(
 ) -> Result<()> {
     // R0 — planned before the CTE name is visible.
     let init_plan = plan_query_internal(init, ctx, steps)?;
-    let schema = apply_declared_columns(&init_plan.schema(), &cte.columns, &cte.name)?;
-    if schema.is_empty() {
+    let anchor = apply_declared_columns(&init_plan.schema(), &cte.columns, &cte.name)?;
+    if anchor.is_empty() {
         return Err(Error::plan(format!(
             "iterative CTE '{}' must produce at least one column",
             cte.name
@@ -58,35 +70,20 @@ pub fn build_iterative_cte(
     let cte_temp = ctx.fresh_temp(&format!("cte_{}", cte.name));
     let working = ctx.fresh_temp(&format!("work_{}", cte.name));
     let merged = ctx.fresh_temp(&format!("merge_{}", cte.name));
+
+    // Ri, with the CTE's references resolving to the cte table. Its own
+    // sub-steps (nested CTE materializations) belong inside the loop body
+    // so they re-run per iteration.
+    let (schema, step_plan, mut body) =
+        plan_typed_body(cte, step, &cte_temp, anchor, "iterative", ctx)?;
+
     // Distribute the CTE table on its merge key, like an MPP planner
     // distributing a table on its primary key.
     steps.push(Step::Materialize {
         name: cte_temp.clone(),
-        plan: init_plan,
+        plan: cast_to(init_plan, &schema),
         distribute_by: Some(0),
     });
-
-    // Bind the CTE so Ri's references resolve to the cte table.
-    ctx.bind_cte(
-        &cte.name,
-        CteBinding {
-            temp_name: cte_temp.clone(),
-            schema: schema.clone(),
-        },
-    );
-
-    // Ri — its own sub-steps (nested CTE materializations) belong inside
-    // the loop body so they re-run per iteration.
-    let mut body = Vec::new();
-    let step_plan = plan_query_internal(step, ctx, &mut body)?;
-    if step_plan.schema().len() != schema.len() {
-        return Err(Error::plan(format!(
-            "iterative part of CTE '{}' produces {} columns, expected {}",
-            cte.name,
-            step_plan.schema().len(),
-            schema.len()
-        )));
-    }
 
     // Algorithm 1, line 4: the rename fast path applies when Ri has no
     // WHERE clause (the whole dataset is replaced). The Fig. 8 baseline
@@ -148,34 +145,19 @@ pub fn build_recursive_cte(
     steps: &mut Vec<Step>,
 ) -> Result<()> {
     let base_plan = plan_query_internal(base, ctx, steps)?;
-    let schema = apply_declared_columns(&base_plan.schema(), &cte.columns, &cte.name)?;
+    let anchor = apply_declared_columns(&base_plan.schema(), &cte.columns, &cte.name)?;
     let cte_temp = ctx.fresh_temp(&format!("cte_{}", cte.name));
     let delta_temp = format!("__delta_{cte_temp}");
     let working = ctx.fresh_temp(&format!("work_{}", cte.name));
-    steps.push(Step::Materialize {
-        name: cte_temp.clone(),
-        plan: base_plan,
-        distribute_by: Some(0),
-    });
 
     // Inside the loop the recursive reference reads the delta.
-    ctx.bind_cte(
-        &cte.name,
-        CteBinding {
-            temp_name: delta_temp,
-            schema: schema.clone(),
-        },
-    );
-    let mut body = Vec::new();
-    let step_plan = plan_query_internal(step, ctx, &mut body)?;
-    if step_plan.schema().len() != schema.len() {
-        return Err(Error::plan(format!(
-            "recursive part of CTE '{}' produces {} columns, expected {}",
-            cte.name,
-            step_plan.schema().len(),
-            schema.len()
-        )));
-    }
+    let (schema, step_plan, mut body) =
+        plan_typed_body(cte, step, &delta_temp, anchor, "recursive", ctx)?;
+    steps.push(Step::Materialize {
+        name: cte_temp.clone(),
+        plan: cast_to(base_plan, &schema),
+        distribute_by: Some(0),
+    });
     body.push(Step::Materialize {
         name: working.clone(),
         plan: step_plan,
@@ -203,6 +185,110 @@ pub fn build_recursive_cte(
         },
     );
     Ok(())
+}
+
+/// Plan the loop body `step` of `cte` with the CTE's name bound to
+/// `temp_name`, and decide the loop's column types: each column is the
+/// common supertype of the anchor's type and the body's. The body is
+/// planned against the anchor's types, then again against the widened
+/// types for as long as a column widens — types only widen, so this ends.
+/// Returns the types, the body's plan cast to them and the body's own
+/// steps. `role` names the body in errors.
+fn plan_typed_body(
+    cte: &ast::Cte,
+    step: &ast::Query,
+    temp_name: &str,
+    anchor: SchemaRef,
+    role: &str,
+    ctx: &mut PlanContext<'_>,
+) -> Result<(SchemaRef, LogicalPlan, Vec<Step>)> {
+    let temps = ctx.temp_counter;
+    let mut schema = anchor;
+    loop {
+        ctx.temp_counter = temps;
+        ctx.bind_cte(
+            &cte.name,
+            CteBinding {
+                temp_name: temp_name.to_string(),
+                schema: Arc::clone(&schema),
+            },
+        );
+        let mut body = Vec::new();
+        let plan = plan_query_internal(step, ctx, &mut body)?;
+        let produced = plan.schema();
+        if produced.len() != schema.len() {
+            return Err(Error::plan(format!(
+                "{role} part of CTE '{}' produces {} columns, expected {}",
+                cte.name,
+                produced.len(),
+                schema.len()
+            )));
+        }
+        let mut widened = Vec::with_capacity(schema.len());
+        for (field, body) in schema.fields().iter().zip(produced.fields()) {
+            let data_type = field.data_type.widen(body.data_type).ok_or_else(|| {
+                Error::plan(format!(
+                    "column '{}' of CTE '{}' is {} before its {role} part and {} in it, \
+                     and no implicit cast joins them",
+                    field.name, cte.name, field.data_type, body.data_type
+                ))
+            })?;
+            widened.push(Field {
+                data_type,
+                ..field.clone()
+            });
+        }
+        if widened == schema.fields() {
+            return Ok((Arc::clone(&schema), cast_to(plan, &schema), body));
+        }
+        schema = Arc::new(Schema::new(widened));
+    }
+}
+
+/// `plan` with each INT column that `schema` types FLOAT cast to FLOAT,
+/// in its top projection where it has one.
+fn cast_to(plan: LogicalPlan, schema: &Schema) -> LogicalPlan {
+    let produced = plan.schema();
+    let widens = |i: usize| {
+        produced.field(i).data_type == DataType::Int && schema.field(i).data_type == DataType::Float
+    };
+    if !(0..schema.len()).any(widens) {
+        return plan;
+    }
+    let (input, exprs) = match plan {
+        LogicalPlan::Projection { input, exprs, .. } => (input, exprs),
+        other => {
+            let columns = (produced.fields().iter().enumerate())
+                .map(|(i, f)| PlanExpr::column(i, f.qualified_name()))
+                .collect();
+            (Box::new(other), columns)
+        }
+    };
+    let exprs = (exprs.into_iter().enumerate())
+        .map(|(i, expr)| {
+            if widens(i) {
+                PlanExpr::Cast {
+                    expr: Box::new(expr),
+                    to: DataType::Float,
+                }
+            } else {
+                expr
+            }
+        })
+        .collect();
+    let fields = (produced.fields().iter().enumerate()).map(|(i, f)| Field {
+        data_type: if widens(i) {
+            DataType::Float
+        } else {
+            f.data_type
+        },
+        ..f.clone()
+    });
+    LogicalPlan::Projection {
+        input,
+        exprs,
+        schema: Arc::new(Schema::new(fields.collect())),
+    }
 }
 
 /// Resolve the termination condition against the CTE schema.

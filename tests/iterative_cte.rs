@@ -7,7 +7,7 @@
 
 use spinner_datagen::{load_edges_into, load_vertex_status_into, GraphSpec};
 use spinner_engine::{Database, EngineConfig, Value};
-use spinner_procedural::{ff, pagerank, sssp};
+use spinner_procedural::{connected_components, ff, pagerank, sssp, sssp_convergent};
 
 fn fresh_db(config: EngineConfig, spec: &GraphSpec, with_vs: bool) -> Database {
     let db = Database::new(config).unwrap();
@@ -329,4 +329,48 @@ fn iterative_result_feeds_downstream_join() {
         .unwrap();
     assert_eq!(batch.len(), 2);
     assert_eq!(batch.rows()[0][2], Value::Int(4)); // node 2 accumulated 2+2
+}
+
+/// No paper loop goes through the row evaluator, anywhere in its
+/// statement, at 1, 2 or 4 partitions with semi-naive evaluation on or
+/// off: the plan types the loop state — SSSP's integer anchor is cast to
+/// the FLOAT its body computes — and LEAST, GREATEST, COALESCE, CASE,
+/// round, ceiling, MOD and CAST run as column kernels. The accumulator
+/// loops keep their semi-naive form.
+#[test]
+fn paper_loops_never_go_through_the_row_evaluator() {
+    let spec = GraphSpec {
+        nodes: 200,
+        edges: 900,
+        seed: 99,
+        max_weight: 10,
+    };
+    let loops = [
+        ("PR", pagerank(8, false).cte, false),
+        ("PR-VS", pagerank(8, true).cte, false),
+        ("SSSP", sssp(8, 1, false).cte, false),
+        ("SSSP-VS", sssp(8, 1, true).cte, false),
+        ("SSSP-convergent", sssp_convergent(1, None).cte, true),
+        ("CC", connected_components(None).cte, true),
+        ("FF", ff(8, 10).cte, false),
+    ];
+    for partitions in [1, 2, 4] {
+        for semi_naive in [true, false] {
+            let config = EngineConfig::default()
+                .with_partitions(partitions)
+                .with_semi_naive(semi_naive);
+            let db = fresh_db(config, &spec, true);
+            for (name, sql, accumulates) in &loops {
+                db.query(sql).unwrap();
+                let stats = db.stats();
+                let at = format!("{name}, {partitions} partitions, semi-naive {semi_naive}");
+                assert_eq!(stats.rows_evaluated_by_row, 0, "{at}");
+                assert_eq!(
+                    stats.semi_naive_loops,
+                    u64::from(semi_naive && *accumulates),
+                    "{at}"
+                );
+            }
+        }
+    }
 }
