@@ -40,14 +40,17 @@ pub enum RegionKind {
     TempResult,
     /// A hash-aggregate group table being built; pinned (never spilled).
     HashAggregate,
-    /// A hash-join build side being probed; pinned (never spilled).
+    /// A hash-join build side being probed, or a cached build whose rows
+    /// are its source's own partitions, held across iterations; pinned
+    /// (never spilled).
     HashJoinBuild,
-    /// A cached loop-invariant join input (partitioned rows, and a build
-    /// side's hash tables) held across iterations in a slot of the
-    /// join-state cache — the §V-A common result. Derived state that can
-    /// always be run again from its sources, so it is the coldest state
-    /// and the first victim: dropped, or spilled like a temp when running
-    /// it again would route rows again (`JoinStateCache::evict`).
+    /// A cached loop-invariant join input whose rows were copied
+    /// (partitioned rows, and a build side's hash tables) held across
+    /// iterations in a slot of the join-state cache — the §V-A common
+    /// result. Derived state that can always be run again from its
+    /// sources, so it is the coldest state and the first victim, spilled
+    /// like a temp: reading it back costs less than routing its rows
+    /// again (`JoinStateCache::evict`).
     JoinBuild,
 }
 

@@ -30,15 +30,19 @@
 //!
 //! **Memory.** Each entry keeps its rows in a [`Slot`] — the resident ↔
 //! spilled state machine the temp registry and the checkpoint store use —
-//! charged to the memory accountant as a [`RegionKind::JoinBuild`] region:
-//! evictable derived state. Under pressure the spill planner may pick it
-//! as a victim. An entry whose rows are its source's own partitions (its
-//! exchange moved no row) is dropped: it is rebuilt from them. One whose
-//! rows were copied is spilled, as any other intermediate result would be:
-//! running the input again would cost more. Its file stays with the slot,
-//! so it is written once however often it is evicted, and a build side's
-//! hash tables, which go with the resident rows, are rebuilt over the rows
-//! read back.
+//! charged to the memory accountant for its rows' estimate, as any hash
+//! join's build side is. An entry whose rows are its sources' own
+//! partitions (its exchange moved no row) is pinned
+//! [`RegionKind::HashJoinBuild`] state, never a victim: evicting it would
+//! free only hash tables the next probe builds again. Its charge stands
+//! for the buffers it keeps alive, so a spilled source temp frees nothing
+//! the accountant does not still see. One whose rows were copied is a
+//! [`RegionKind::JoinBuild`] region, evictable derived state: under
+//! pressure the spill planner picks it first, and it is spilled as any
+//! other intermediate result would be, since running the input again would
+//! cost more. Its file stays with the slot, so it is written once however
+//! often it is evicted, and a build side's hash tables, which go with the
+//! resident rows, are rebuilt over the rows read back.
 //!
 //! Lock poisoning degrades, never aborts: every accessor recovers the
 //! guard with [`std::sync::PoisonError::into_inner`]. A cache torn by an
@@ -183,9 +187,9 @@ impl JoinStateCache {
     /// or rows alone without them — and whether it was cached. A
     /// still-valid resident input is returned as it is; an entry without
     /// an index never answers a lookup with keys, so a build always has
-    /// its key index. Any other is made by `run` and cached as an
-    /// evictable [`RegionKind::JoinBuild`] region: `run(Some(rows))` takes
-    /// rows read back from disk, `run(None)` runs the input; either
+    /// its key index. Any other is made by `run` and cached, pinned or
+    /// evictable as the module docs say: `run(Some(rows))` takes rows
+    /// read back from disk, `run(None)` runs the input; either
     /// returns the rows and, for a build side, their key index. The
     /// sources are read before it runs, so one that changes meanwhile can
     /// only make the entry miss later, never hit stale. The entries are
@@ -250,8 +254,12 @@ impl JoinStateCache {
             !tables.is_empty(),
             "only a build is indexed"
         );
-        let slot = slot
-            .unwrap_or_else(|| Slot::new(env, LABEL, RegionKind::JoinBuild, rows.clone(), None));
+        let shares = |s: &Partitioned| s.same_buffers(&rows.parts);
+        let kind = match input.sources.iter().any(shares) {
+            true => RegionKind::HashJoinBuild,
+            false => RegionKind::JoinBuild,
+        };
+        let slot = slot.unwrap_or_else(|| Slot::new(env, LABEL, kind, rows.clone(), None));
         let tables: Arc<[JoinTable]> = tables.into();
         self.entries().push(Entry {
             input,
@@ -263,27 +271,18 @@ impl JoinStateCache {
 
     /// Evict the cached input whose accountant region is `region`; returns
     /// whether one was resident. This is how the spill planner reclaims the
-    /// cache's memory. An input whose rows are its source's own partitions
-    /// (its exchange moved no row) owns nothing but its hash tables, and is
-    /// dropped. One whose rows were copied is spilled — written to disk
-    /// unless its slot already has a file — and only a build side's tables
-    /// are rebuilt next time: reading the rows back costs less than running
-    /// the input again.
+    /// cache's memory. Only an input whose rows were copied is a victim; it
+    /// is spilled — written to disk unless its slot already has a file —
+    /// and only a build side's tables are rebuilt next time: reading the
+    /// rows back costs less than running the input again.
     pub fn evict(&self, region: RegionId) -> Result<bool> {
         let Some(env) = self.env() else {
             return Ok(false);
         };
         let mut entries = self.entries();
-        let Some(at) = entries.iter().position(|e| e.rows.region() == Some(region)) else {
+        let Some(entry) = entries.iter_mut().find(|e| e.rows.region() == Some(region)) else {
             return Ok(false);
         };
-        let entry = &mut entries[at];
-        let sources = &entry.input.sources;
-        let shares = |rows: &Partitioned| sources.iter().any(|s| s.same_buffers(&rows.parts));
-        if entry.rows.resident().is_some_and(shares) {
-            entries.swap_remove(at).rows.release(Some(env));
-            return Ok(true);
-        }
         let spilled = entry.rows.spill(env, LABEL)?;
         if spilled {
             entry.tables = None;
@@ -598,20 +597,31 @@ mod tests {
     }
 
     #[test]
-    fn a_build_that_is_its_source_is_dropped() {
+    fn a_build_that_is_its_source_stays_cached() {
         // Placed on the join key, the build's partitions are the temp's
-        // own: eviction frees its tables and writes nothing.
+        // own: pinned, the spill planner never names it, and every later
+        // probe reuses it. It is charged for the rows it keeps alive, so
+        // spilling the temp leaves them counted.
         let env = Arc::new(SpillEnv::new(0, None, None));
         in_statement(&Catalog::new(), Some(Arc::clone(&env)), |ctx| {
-            ctx.registry.put("side", placed_side(true));
-            let regions = env.accountant.region_count();
+            let probe_only = env.accountant.resident_bytes();
+            let side = placed_side(true);
+            let rows_estimate = side.estimated_bytes();
+            ctx.registry.put("side", side);
             let plan = loop_join(temp_side());
-            let (first, _) = run(&plan, ctx);
-            assert!(evict_build(&env, ctx));
-            assert!(ctx.join_cache.is_empty());
-            assert_eq!(env.accountant.region_count(), regions, "its region went");
-            assert_eq!(env.metrics().take().spill_bytes_written, 0);
-            assert_eq!(run(&plan, ctx), (first, (2, 0)));
+            let (first, counts) = run(&plan, ctx);
+            assert_eq!(counts, (1, 0));
+            let resident = env.accountant.resident_bytes();
+            assert_eq!(resident, probe_only + 2 * rows_estimate, "temp and build");
+            let victims = env.accountant.spill_plan(&[]);
+            assert!(victims.iter().all(|v| v.name != LABEL), "{victims:?}");
+            assert_eq!(run(&plan, ctx), (first.clone(), (1, 1)));
+            assert!(ctx.registry.spill_entry("side").unwrap());
+            let resident = env.accountant.resident_bytes();
+            assert_eq!(resident, probe_only + rows_estimate, "the build's rows");
+            // Read back, the temp is new buffers: the build is run again.
+            assert_eq!(run(&plan, ctx), (first, (2, 1)));
+            assert_eq!(ctx.join_cache.len(), 1);
         });
     }
 }

@@ -298,7 +298,10 @@ impl<'a> StatementContext<'a> {
                 }
                 self.stats.rows_materialized.add(total);
                 self.registry.put(name, data);
-                if spilling {
+                // A loop body's result (the body is lowered ahead) is
+                // consumed by the loop's fold, after which the loop
+                // relieves pressure once (`run_iteration`).
+                if spilling && lowered.is_none() {
                     self.relieve_memory_pressure(&[name])?;
                 }
                 Ok(None)
@@ -415,22 +418,24 @@ impl<'a> StatementContext<'a> {
         cte_data.placed_on = placed_on;
         self.solutions.stamp(cte, &cte_data.parts);
         self.registry.put(merged, cte_data);
-        match delta_out {
-            Some(d) => self.relieve_memory_pressure(&[merged, d])?,
-            None => self.relieve_memory_pressure(&[merged])?,
-        }
         Ok(updated)
     }
 
     /// With a spill environment installed, bring tracked intermediate
     /// state back under the spill threshold by spilling victims — coldest
-    /// loop-invariant state (cached join inputs, old checkpoints) first,
-    /// then non-current working tables; regions named in `protect` (the
-    /// state the caller just wrote and is about to read) are never picked.
-    /// The guard's intermediate-bytes budget is then enforced against what
-    /// is still *resident*: `ResourceExhausted` fires only when spilling
-    /// could not get below the budget, and a failed disk write surfaces as
-    /// the typed, transient [`Error::SpillUnavailable`]. Without a spill
+    /// loop-invariant state (cached join inputs whose rows were copied,
+    /// old checkpoints) first, then working and delta tables, then other
+    /// temps. Regions named in `protect` — the state the next step reads —
+    /// are never picked. It runs after a statement's `Materialize`, after
+    /// a checkpoint and, in a loop, once per iteration after the fold that
+    /// consumed the working table, with the loop's new state protected —
+    /// and after a body's `Materialize` only when resident state breaks
+    /// the budget. The guard's intermediate-bytes budget is then enforced
+    /// against what is still *resident*: `ResourceExhausted` fires only
+    /// when spilling could not get below the budget, and a failed disk
+    /// write surfaces as the typed, transient [`Error::SpillUnavailable`]
+    /// — retried with the step outside a loop, by a rollback inside one
+    /// (the loop's calls run outside the step rung). Without a spill
     /// environment this is a no-op (the fail-fast cumulative charge in the
     /// caller already ran).
     fn relieve_memory_pressure(&self, protect: &[&str]) -> Result<()> {
@@ -455,6 +460,16 @@ impl<'a> StatementContext<'a> {
         Ok(())
     }
 
+    /// Whether tracked resident state is over the guard's intermediate-bytes
+    /// budget; never without a spill environment, where the budget is a
+    /// cumulative charge instead.
+    fn over_budget(&self) -> bool {
+        match (&self.spill, self.guard.intermediate_bytes_limit()) {
+            (Some(env), Some(limit)) => env.accountant.resident_bytes() > limit,
+            _ => false,
+        }
+    }
+
     /// Dispatch one spill-plan victim to the store that owns it. A victim
     /// that disappeared or was spilled concurrently is a benign no-op.
     fn spill_victim(&self, victim: &SpillRequest) -> Result<()> {
@@ -466,8 +481,8 @@ impl<'a> StatementContext<'a> {
                     .unwrap_or(&victim.name);
                 self.checkpoints.spill_entry(loop_id)?;
             }
-            // A cached join input is derived state: it goes to disk only
-            // when running it again would route rows again (`evict`).
+            // A cached join input whose rows were copied: reading them
+            // back costs less than running the input again (`evict`).
             RegionKind::JoinBuild => {
                 self.join_cache.evict(victim.id)?;
             }
@@ -638,8 +653,19 @@ impl<'a> StatementContext<'a> {
             if let Some(u) = self.run_step(step, lowered.as_ref())? {
                 merge_updates = Some(u);
             }
+            let Step::Materialize { name, .. } = step else {
+                continue;
+            };
+            // Spilling waits for the fold; a body result that breaks the
+            // intermediate-bytes budget is held to it now, spilling only
+            // what the fold does not read.
+            if self.over_budget() {
+                let mut protect = vec![name.as_str(), &l.cte];
+                protect.extend(delta);
+                self.relieve_memory_pressure(&protect)?;
+            }
             #[cfg(debug_assertions)]
-            if let Step::Materialize { name, .. } = step {
+            {
                 let (LoopKind::Iterative { working, .. } | LoopKind::FixedPoint { working, .. }) =
                     &l.kind;
                 if name == working {
@@ -649,6 +675,14 @@ impl<'a> StatementContext<'a> {
         }
         self.stats.iterations.add(1);
         let changed = self.advance(l, delta, merge_updates, previous.as_ref(), seen)?;
+        // The fold — rename, merge or append — consumed the working table
+        // and installed the loop's next state. Relieving pressure here,
+        // once, with that state protected, never writes a CTE version a
+        // rename drops or one a merge reads back.
+        match delta {
+            Some(d) => self.relieve_memory_pressure(&[&l.cte, d])?,
+            None => self.relieve_memory_pressure(&[&l.cte])?,
+        }
         let current = self.registry.get(&l.cte)?;
         #[cfg(debug_assertions)]
         {
@@ -776,7 +810,6 @@ impl<'a> StatementContext<'a> {
             current.placed_on = PlacedOn::UNKNOWN;
         }
         self.registry.put(&l.cte, current);
-        self.relieve_memory_pressure(&[&l.cte, delta])?;
         Ok(added)
     }
 
@@ -813,7 +846,10 @@ impl<'a> StatementContext<'a> {
         self.stats.checkpoints_taken.add(1);
         self.stats.checkpoint_bytes.add(bytes);
         self.tracer.note_checkpoint(bytes);
-        self.relieve_memory_pressure(&[&l.cte])?;
+        // The snapshot is cold; the tables it holds are the next
+        // iteration's input.
+        let protect: Vec<&str> = tables.iter().map(String::as_str).collect();
+        self.relieve_memory_pressure(&protect)?;
         Ok(())
     }
 
@@ -1552,6 +1588,100 @@ mod tests {
             .map(|r| r[0].as_i64().unwrap())
             .collect();
         assert_eq!(all, (0..=64).collect::<Vec<_>>());
+    }
+
+    /// The solution index holds only for the CTE buffers it was built
+    /// over. A CTE re-`put` as new buffers holding the same rows — what a
+    /// spill and its read-back, or an exchange that routed rows, gives it
+    /// — finds the index stale: the merge rebuilds it over them and merges
+    /// what the kept index merges, cell for cell.
+    #[test]
+    fn a_cte_with_new_buffers_is_reindexed_by_the_merge() {
+        let catalog = Catalog::new();
+        let config = EngineConfig::default().with_partitions(2);
+        let (guard, faults) = (QueryGuard::unlimited(), FaultInjector::disabled());
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]));
+        let table = |cells: &[(i64, i64)]| {
+            let rows = cells
+                .iter()
+                .map(|&(k, v)| row_of([Value::Int(k), Value::Int(v)]));
+            Partitioned::from_rows(Arc::clone(&schema), rows.collect(), Some(0), 2)
+        };
+        let cells = [(1, 10), (2, 20), (3, 30), (4, 40)];
+        // Index the CTE, merge a working table into it — re-`put` first as
+        // a copy, or not — and return the merged rows, the update count,
+        // whether the index was stale and whether the merge rebuilt it.
+        let merge = |copy: bool| {
+            let ctx = StatementContext::new(&catalog, &config, &guard, &faults, None);
+            let cte = table(&cells);
+            let built = ctx.solutions.build("t", &cte, 0).unwrap();
+            let cte = if copy { table(&cells) } else { cte };
+            let stale = ctx.solutions.tables("t", &cte.parts).is_none();
+            ctx.registry.put("t", cte);
+            ctx.registry
+                .put("work", table(&[(2, 21), (3, 30), (5, 50)]));
+            let updated = ctx.merge_tables("t", "work", "merged", 0, "t", None);
+            let merged = ctx.registry.get("merged").unwrap();
+            let index = ctx.solutions.tables("t", &merged.parts);
+            let index = index.expect("the merge stamps the index");
+            let rows = format!("{:?}", merged.gather());
+            (rows, updated.unwrap(), stale, !Arc::ptr_eq(&index, &built))
+        };
+        let (kept, kept_updated, stale, rebuilt) = merge(false);
+        assert!(!stale && !rebuilt);
+        let (rows, updated, stale, rebuilt) = merge(true);
+        assert!(stale && rebuilt, "stale {stale}, rebuilt {rebuilt}");
+        assert_eq!((rows, updated), (kept, kept_updated));
+    }
+
+    /// With spilling on, the intermediate-bytes budget holds at a loop
+    /// body's peak, not only after the fold: a merge loop whose CTE and
+    /// working table together break the budget fails typed, although the
+    /// merged CTE alone fits it.
+    #[test]
+    fn a_loop_body_is_held_to_the_budget_before_its_fold() {
+        let catalog = Catalog::new();
+        let config = EngineConfig::default();
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("v", DataType::Int),
+        ]));
+        catalog
+            .create_table("t0", schema, config.partitions, Some(0), None)
+            .unwrap();
+        let rows = (0..64).map(|k| row_of([Value::Int(k), Value::Int(0)]));
+        catalog
+            .with_table_mut("t0", |t| t.insert(rows.collect()))
+            .unwrap();
+        let cte = catalog.with_table("t0", |t| Ok(t.snapshot())).unwrap();
+        let cte = cte.estimated_bytes();
+        let stmt = parse_sql(
+            "WITH ITERATIVE t (k, v) AS (SELECT k, v FROM t0 \
+             ITERATE SELECT k, v + 1 FROM t WHERE k >= 0 UNTIL 2 ITERATIONS) \
+             SELECT * FROM t",
+        )
+        .unwrap();
+        let spinner_parser::Statement::Query(q) = stmt else {
+            panic!("not a query")
+        };
+        let plan = plan_query(&q, &CatalogProvider(&catalog), &config).unwrap();
+        let run_within = |limit: u64| {
+            let guard = QueryGuard::unlimited().with_max_intermediate_bytes(limit);
+            let env = Arc::new(SpillEnv::new(u64::MAX, None, None));
+            let faults = FaultInjector::disabled();
+            let ctx = StatementContext::new(&catalog, &config, &guard, &faults, Some(env));
+            ctx.run_query(&plan)
+        };
+        match run_within(cte + cte / 2) {
+            Err(Error::ResourceExhausted { resource, used, .. }) => {
+                assert_eq!((resource.as_str(), used), ("intermediate_bytes", 2 * cte));
+            }
+            other => panic!("expected ResourceExhausted, got {other:?}"),
+        }
+        assert_eq!(run_within(2 * cte).unwrap().len(), 64);
     }
 
     #[test]

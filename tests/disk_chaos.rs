@@ -363,12 +363,14 @@ fn adversarial_disk_fault_matrix_never_returns_wrong_rows() {
 
 /// A full disk is not a corruption and not retryable noise: it degrades
 /// to the fail-fast `ResourceExhausted` contract from the admission
-/// work, with the typed `spill_disk` resource tag.
+/// work, with the typed `spill_disk` resource tag. The loop checkpoints
+/// every iteration, so the first write is its snapshot's.
 #[test]
 fn disk_full_degrades_to_fail_fast_resource_exhausted() {
     let db = db_with_edges(
         EngineConfig::default()
             .with_spill_threshold_bytes(1)
+            .with_checkpoint_interval(1)
             .with_fault(FaultConfig::fail_nth(FaultSite::DiskFull, 1)),
     );
     match db.query(&counting_cte(4)) {

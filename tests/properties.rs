@@ -323,10 +323,11 @@ proptest! {
     }
 
     /// Spilling is semantically invisible: under a 1-byte threshold
-    /// (every allocation pushes cold state to disk) PageRank, SSSP and
+    /// (every relief pushes all cold state to disk) PageRank, SSSP and
     /// both kinds of recursion over random graphs return rows identical
-    /// to the in-memory run — alone and composed with an enabled
-    /// recovery policy, whose checkpoints then live in spill files too.
+    /// to the in-memory run — checkpointing every iteration, and composed
+    /// with an enabled recovery policy; either way the checkpoints live in
+    /// spill files.
     #[test]
     fn forced_spill_is_invisible(
         spec in graph_spec(),
@@ -335,10 +336,11 @@ proptest! {
     ) {
         let (sql, oracle_config) = loop_workload(workload);
         let clean = load(&spec, oracle_config).query(&sql).unwrap();
-        let mut config = EngineConfig::default().with_spill_threshold_bytes(1);
-        if let Some(policy) = policy {
-            config = with_recovery(config, policy);
-        }
+        let config = EngineConfig::default().with_spill_threshold_bytes(1);
+        let config = match policy {
+            Some(policy) => with_recovery(config, policy),
+            None => config.with_checkpoint_interval(1),
+        };
         let db = load(&spec, config);
         db.take_stats();
         let spilled = db.query(&sql).unwrap();

@@ -56,7 +56,7 @@ fn sorted_rows(batch: &spinner_engine::Batch) -> Vec<Vec<Value>> {
 }
 
 /// Force-spill config: a 1-byte high-water mark spills every unprotected
-/// region after every allocation.
+/// region at every pressure check.
 fn forced_spill() -> EngineConfig {
     EngineConfig::default().with_spill_threshold_bytes(1)
 }
@@ -73,21 +73,24 @@ fn no_spill() -> EngineConfig {
 
 /// The tentpole acceptance: PageRank and SSSP under a 1-byte threshold
 /// produce rows identical to the unconstrained in-memory run, and the
-/// engine actually spilled along the way.
+/// engine actually spilled along the way. A loop spills only after its
+/// fold, with the state its next iteration reads protected, so COUNT and
+/// WALK, which cache no copied join input, checkpoint every iteration:
+/// the snapshot is their cold victim.
 #[test]
 fn forced_spill_matches_in_memory_for_pagerank_and_sssp() {
     let workloads = [
-        ("PR", pagerank(8, false).cte),
-        ("SSSP", sssp(8, 1, false).cte),
-        ("COUNT", counting_cte(8)),
-        ("CLOSURE", closure_cte()),
-        ("WALK", walk_cte(6)),
+        ("PR", pagerank(8, false).cte, 0),
+        ("SSSP", sssp(8, 1, false).cte, 0),
+        ("COUNT", counting_cte(8), 1),
+        ("CLOSURE", closure_cte(), 0),
+        ("WALK", walk_cte(6), 1),
     ];
-    for (name, sql) in workloads {
+    for (name, sql, checkpoint_every) in workloads {
         let expected = db_with_edges(EngineConfig::default().with_spill_threshold_bytes(u64::MAX))
             .query(&sql)
             .unwrap();
-        let db = db_with_edges(forced_spill());
+        let db = db_with_edges(forced_spill().with_checkpoint_interval(checkpoint_every));
         db.take_stats();
         let batch = db.query(&sql).unwrap();
         assert_eq!(
@@ -106,17 +109,23 @@ fn forced_spill_matches_in_memory_for_pagerank_and_sssp() {
 }
 
 /// A merge loop's solution index holds only for the CTE buffers it was
-/// built over. Under a 1-byte threshold the CTE is spilled once each
-/// round's working table is stored, and the merge reads it back as new
-/// buffers; it rebuilds the index over them, and the rows are the
-/// in-memory run's, in order and cell for cell.
+/// built over. Under a 1-byte threshold each round's checkpoint, which
+/// holds the CTE, is spilled; a fault in the third iteration rolls the
+/// loop back, the restore reads the CTE back as new buffers, and the
+/// index is rebuilt over them. The rows are the in-memory run's, in
+/// order and cell for cell.
 #[test]
 fn a_spilled_solution_set_is_reindexed_with_the_same_rows() {
     for sql in [sssp_convergent(1, None).cte, connected_components(None).cte] {
         let expected = db_with_edges(EngineConfig::default().with_spill_threshold_bytes(u64::MAX))
             .query(&sql)
             .unwrap();
-        let db = db_with_edges(forced_spill());
+        let db = db_with_edges(
+            forced_spill()
+                .with_checkpoint_interval(1)
+                .with_max_loop_recoveries(1)
+                .with_fault(FaultConfig::fail_nth(FaultSite::LoopIteration, 3)),
+        );
         db.take_stats();
         let batch = db.query(&sql).unwrap();
         assert_eq!(
@@ -340,9 +349,11 @@ fn spill_fault_storm_with_recovery_policy_converges_or_fails_typed() {
 fn vanished_spill_dir_is_typed_and_transient() {
     let dir = std::env::temp_dir().join(format!("spinner_vanishing_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    // The checkpoint's snapshot is the first state the loop spills.
     let db = db_with_edges(
         EngineConfig::default()
             .with_spill_threshold_bytes(1)
+            .with_checkpoint_interval(1)
             .with_spill_dir(dir.to_str().unwrap()),
     );
     std::fs::remove_dir_all(&dir).unwrap();
@@ -406,10 +417,11 @@ fn bad_spill_dir_rejected_at_construction() {
 }
 
 /// `EXPLAIN ANALYZE` carries the statement's spill counters in the text
-/// rendering and in the JSON one.
+/// rendering and in the JSON one. The loop checkpoints every iteration,
+/// so its snapshots are spilled.
 #[test]
 fn explain_analyze_reports_spill_counters() {
-    let db = db_with_edges(forced_spill());
+    let db = db_with_edges(forced_spill().with_checkpoint_interval(1));
     let profile = db.explain_analyze(&counting_cte(6)).unwrap();
     assert!(
         profile.spill.get("events") > 0,
@@ -516,6 +528,53 @@ fn common_result_holds_the_invariant_join_once() {
             "{name}: {on} B with the rule, {off} B without"
         );
     }
+}
+
+/// A durable PageRank pays for each iteration once. Its `edges` table is
+/// distributed on `dst`, the join key, so the cached build is the table's
+/// own partitions: pinned, never evicted, it is built once and re-probed
+/// by every later iteration. The loop spills only after its rename, with
+/// the new CTE protected, so no CTE version is written for the rename to
+/// drop: every file written is a checkpoint epoch (two fsyncs each, data
+/// then name), and nothing is read back.
+#[test]
+fn durable_pagerank_spills_only_its_checkpoints() {
+    let spec = GraphSpec {
+        nodes: 400,
+        edges: 2_000,
+        seed: 5,
+        max_weight: 10,
+    };
+    let sql = pagerank(10, false).cte;
+    let load = |config: EngineConfig| {
+        let db = Database::new(config).unwrap();
+        load_edges_into(&db, "edges", &spec).unwrap();
+        db
+    };
+    let expected = load(no_spill()).query(&sql).unwrap();
+    // 4 KiB is below the charge of the 400-row CTE alone.
+    let db = load(
+        EngineConfig::default()
+            .with_spill_threshold_bytes(4 << 10)
+            .with_checkpoint_interval(1)
+            .with_durable_spill(true),
+    );
+    db.take_stats();
+    let batch = db.query(&sql).unwrap();
+    assert_eq!(sorted_rows(&batch), sorted_rows(&expected));
+    let stats = db.take_stats();
+    assert_eq!(
+        (stats.join_builds, stats.join_builds_reused),
+        (1, stats.iterations - 1),
+        "the cached edges build was evicted"
+    );
+    assert_eq!(stats.spill_bytes_read, 0, "state was written and read back");
+    assert!(stats.checkpoints_taken > 0 && stats.spill_events > 0);
+    assert_eq!(
+        stats.durability_fsyncs,
+        2 * stats.checkpoints_taken,
+        "a file other than a checkpoint epoch was written: {stats:?}"
+    );
 }
 
 /// Checkpoint bytes count against the intermediate-state budget
