@@ -676,9 +676,18 @@ impl<'a> StatementContext<'a> {
         self.stats.iterations.add(1);
         let changed = self.advance(l, delta, merge_updates, previous.as_ref(), seen)?;
         // The fold — rename, merge or append — consumed the working table
-        // and installed the loop's next state. Relieving pressure here,
-        // once, with that state protected, never writes a CTE version a
-        // rename drops or one a merge reads back.
+        // and installed the loop's next state. What else the body stored —
+        // a nested `WITH`'s temp — is dead: the next iteration stores it
+        // anew. Dropping it, then relieving pressure here, once, with the
+        // loop's state protected, never writes a CTE version a rename
+        // drops, one a merge reads back, or a body temp nobody reads.
+        for step in &l.body {
+            if let Step::Materialize { name, .. } = step {
+                if *name != l.cte && Some(name.as_str()) != delta {
+                    self.registry.remove(name);
+                }
+            }
+        }
         match delta {
             Some(d) => self.relieve_memory_pressure(&[&l.cte, d])?,
             None => self.relieve_memory_pressure(&[&l.cte])?,

@@ -33,6 +33,7 @@ pub mod operators;
 pub mod physical;
 mod retry;
 pub mod solution;
+mod sort;
 
 pub use cache::JoinStateCache;
 pub use executor::StatementContext;

@@ -28,6 +28,7 @@ use crate::executor::StatementContext;
 use crate::keys::{hash_keys, null_key, JoinTable, KeyTable};
 use crate::physical::{bare_column, ExchangeMode, JoinBuild, PhysicalPlan};
 use crate::retry::retry;
+use crate::sort;
 
 /// Track the approximate bytes of an operator's in-flight hash state (a
 /// join build side, aggregation groups) against the memory accountant for
@@ -59,7 +60,8 @@ pub fn execute(plan: &PhysicalPlan, ctx: &StatementContext<'_>) -> Result<Partit
 
 /// [`execute`] for a caller that reads only the first `limit` rows in
 /// partition order: a `LIMIT` tells the gather below it, which then stops
-/// there instead of collecting — and copying — its whole input.
+/// there instead of collecting — and copying — its whole input, and tells
+/// its own input in turn, so a sort under it orders only those rows.
 fn execute_first(
     plan: &PhysicalPlan,
     limit: usize,
@@ -152,7 +154,12 @@ fn execute_inner(
             Ok(Partitioned { parts: out, ..data })
         }
         PhysicalPlan::Exchange { input, mode } => {
-            let data = execute(input, ctx)?;
+            // A gather's first `limit` rows are its input's first `limit`
+            // in partition order: a sort below it need order only those.
+            let data = match mode {
+                ExchangeMode::Gather => execute_first(input, limit, ctx)?,
+                _ => execute(input, ctx)?,
+            };
             exchange(data, mode, limit, ctx)
         }
         PhysicalPlan::Cached { input } => Ok(cached_input(input, None, ctx)?.rows),
@@ -297,7 +304,8 @@ fn execute_inner(
             let data = execute(input, ctx)?;
             let schema = data.schema.clone();
             let rows = Block::concat(&data.parts, usize::MAX);
-            Ok(in_partition_zero(schema, sort_rows(&rows, keys, ctx)?, ctx))
+            let sorted = sort_rows(&rows, keys, limit, ctx)?;
+            Ok(in_partition_zero(schema, sorted, ctx))
         }
         PhysicalPlan::Limit { input, n } => {
             // The first `n` rows in partition order, and no row past them.
@@ -1065,41 +1073,18 @@ fn set_op_partition(
     }
 }
 
-/// How `keys` order rows `a` and `b`, whose sort-key cells `columns` hold.
-fn compare_sort_keys(
-    columns: &[Arc<Column>],
+/// The rows of `block` sorted by `keys` (stable), or only the first
+/// `limit` of them: the keys are evaluated once, a column each — so an
+/// evaluation error surfaces before anything is ordered — and the rows
+/// gathered by the sorted row numbers ([`sort::sorted_rows`]).
+fn sort_rows(
+    block: &Block,
     keys: &[SortKey],
-    (a, b): (usize, usize),
-) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    for (column, key) in columns.iter().zip(keys) {
-        let (a, b) = (column.cell(a), column.cell(b));
-        let nulls = if key.nulls_first {
-            Ordering::Less
-        } else {
-            Ordering::Greater
-        };
-        let ord = match (a.is_null(), b.is_null()) {
-            (true, true) => Ordering::Equal,
-            (true, false) => nulls,
-            (false, true) => nulls.reverse(),
-            (false, false) if key.asc => a.cmp_total(&b),
-            (false, false) => a.cmp_total(&b).reverse(),
-        };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
-/// The rows of `block` sorted by `keys` (stable): the keys are evaluated
-/// once, a column each — so an evaluation error surfaces before anything
-/// is ordered — and the rows gathered by the sorted row numbers.
-fn sort_rows(block: &Block, keys: &[SortKey], ctx: &StatementContext<'_>) -> Result<Arc<Block>> {
+    limit: usize,
+    ctx: &StatementContext<'_>,
+) -> Result<Arc<Block>> {
     let columns = evaluate_all(keys.iter().map(|key| &key.expr), block, ctx)?;
-    let mut order: Vec<u32> = (0..block.rows() as u32).collect();
-    order.sort_by(|&a, &b| compare_sort_keys(&columns, keys, (a as usize, b as usize)));
+    let order = sort::sorted_rows(block.rows(), &columns, keys, limit);
     Ok(Arc::new(block.take(&order)))
 }
 
@@ -1249,7 +1234,8 @@ mod tests {
                     row_of([Value::Float(1.0), Value::Text("w".into())]),
                 ],
             );
-            let sorted = sort_rows(&rows, &[sort_key(col(0), false, false)], ctx).unwrap();
+            let sorted =
+                sort_rows(&rows, &[sort_key(col(0), false, false)], usize::MAX, ctx).unwrap();
             // 1 and 1.0 tie: the sort is stable, so "x" stays ahead of "w" —
             // and each keeps its own cell: `Int(1)` is not `Float(1.0)`.
             assert_eq!(
@@ -1264,12 +1250,14 @@ mod tests {
             // Two keys, NULLs first, the second key computed and ascending.
             let negated = PlanExpr::literal(0i64).binary(BinaryOp::Minus, col(0));
             let keys = [sort_key(col(0), true, true), sort_key(negated, true, true)];
-            let sorted = sort_rows(&sorted, &keys, ctx).unwrap().to_rows();
+            let sorted = sort_rows(&sorted, &keys, usize::MAX, ctx)
+                .unwrap()
+                .to_rows();
             assert!(sorted[0][0].is_null());
             assert_eq!(sorted[3][1], Value::from("z"));
             // A key that fails to evaluate fails the sort.
-            assert!(sort_rows(&rows, &[sort_key(col(9), true, true)], ctx).is_err());
-            assert_eq!(sort_rows(&block(2, &[]), &keys, ctx).unwrap().rows(), 0);
+            assert!(sort_rows(&rows, &[sort_key(col(9), true, true)], 1, ctx).is_err());
+            assert_eq!(sort_rows(&block(2, &[]), &keys, 1, ctx).unwrap().rows(), 0);
         });
     }
 

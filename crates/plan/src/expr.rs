@@ -505,17 +505,7 @@ impl PlanExpr {
                 let data = (0..rows).map(|row| operand.cell(row).is_null() != *negated);
                 Some(Column::Bool(data.collect(), Nulls::new()))
             }
-            PlanExpr::Cast { expr, to } => {
-                let operand = expr.operand(block, fell)?;
-                match (&operand, operand.column(), to) {
-                    (Operand::Scalar(value), ..) => return Ok(Operand::Scalar(value.cast(*to)?)),
-                    (_, Some(Column::Int(..)), DataType::Int)
-                    | (_, Some(Column::Float(..)), DataType::Float) => return Ok(operand),
-                    _ => Some(cells_loop(&operand, rows, |_, cell| {
-                        cell.to_value().cast(*to)
-                    })?),
-                }
-            }
+            PlanExpr::Cast { expr, to } => return cast(expr.operand(block, fell)?, *to, rows),
             // The row evaluator reports the wrong number of arguments.
             PlanExpr::Scalar { func, args } if !func.arity_ok(args.len()) => {
                 return Err(Error::plan("wrong number of arguments"))
@@ -1155,6 +1145,32 @@ fn cells_loop(
     Ok(out)
 }
 
+/// `CAST(x AS to)` over `rows` rows: a scalar, or a column that already
+/// holds `to`, as it is; an INT, FLOAT or BOOL column to a number by a
+/// loop over its slice — `Value::cast`'s results, FLOAT → INT saturating
+/// and NaN → 0 as `as` does; anything else cell by cell.
+fn cast(x: Operand, to: DataType, rows: usize) -> Result<Operand> {
+    let column = match (&x, x.column(), to) {
+        (Operand::Scalar(value), ..) => return Ok(Operand::Scalar(value.cast(to)?)),
+        (_, Some(Column::Int(..)), DataType::Int)
+        | (_, Some(Column::Float(..)), DataType::Float) => return Ok(x),
+        (_, Some(Column::Int(data, nulls)), DataType::Float) => {
+            cast_typed(data, nulls, |x| x as f64, Column::Float)
+        }
+        (_, Some(Column::Float(data, nulls)), DataType::Int) => {
+            cast_typed(data, nulls, |x| x as i64, Column::Int)
+        }
+        (_, Some(Column::Bool(data, nulls)), DataType::Int) => {
+            cast_typed(data, nulls, i64::from, Column::Int)
+        }
+        (_, Some(Column::Bool(data, nulls)), DataType::Float) => {
+            cast_typed(data, nulls, |b| f64::from(u8::from(b)), Column::Float)
+        }
+        _ => cells_loop(&x, rows, |_, cell| cell.to_value().cast(to))?,
+    };
+    Ok(Operand::Computed(column))
+}
+
 /// `ceiling`, `floor` or `round` of a non-NULL `x` to `digits` places
 /// (0 for the first two): NULL digits give NULL.
 fn round_number(func: ScalarFn, x: &Value, digits: &Value) -> Result<Value> {
@@ -1289,16 +1305,68 @@ fn restrict<'a>(block: &'a Block, rows: &[u32], expr: &PlanExpr) -> Cow<'a, Bloc
 }
 
 /// A column whose row `r` is cell `at` of `pieces[p]` where `picks[r]` is
-/// `Some((p, at))`, and NULL where it is `None`; typed by its cells.
+/// `Some((p, at))`, and NULL where it is `None`; typed by its cells. Where
+/// the pieces hold INT alone or FLOAT alone (and NULLs) — always, once the
+/// plan has unified the arms — the cells are copied into that type's
+/// vector, not pushed one `Value` at a time. Every piece's values are
+/// picked, so such a column holds a value and is typed as pushing makes
+/// it.
 fn assemble(pieces: &[Operand], picks: &[Option<(u32, u32)>]) -> Column {
-    let mut out = Column::new();
-    for pick in picks {
-        out.push(match *pick {
-            Some((piece, at)) => pieces[piece as usize].cell(at as usize).to_value(),
-            None => Value::Null,
+    let held = |piece: &Operand| match piece {
+        Operand::Scalar(value) => Some(value.data_type()),
+        column => column.column().and_then(Column::data_type),
+    };
+    let one_type = pieces
+        .iter()
+        .map(held)
+        .try_fold(DataType::Null, |one, held| match (one, held?) {
+            (one, DataType::Null) => Some(one),
+            (DataType::Null, held) => Some(held),
+            (one, held) => (one == held).then_some(one),
         });
+    let cell = |pick: &Option<(u32, u32)>| match *pick {
+        Some((piece, at)) => pieces[piece as usize].cell(at as usize),
+        None => Cell::Null,
+    };
+    match one_type {
+        Some(DataType::Int) => {
+            let int = |pick| match cell(pick) {
+                Cell::Int(x) => Some(x),
+                _ => None,
+            };
+            Column::from_ints(picks.iter().map(int))
+        }
+        Some(DataType::Float) => {
+            let float = |pick| match cell(pick) {
+                Cell::Float(x) => Some(x),
+                _ => None,
+            };
+            Column::from_floats(picks.iter().map(float))
+        }
+        _ => {
+            let mut out = Column::new();
+            for pick in picks {
+                out.push(cell(pick).to_value());
+            }
+            out
+        }
     }
-    out
+}
+
+/// `cast` of every cell of a typed column into a column of another type,
+/// with the same NULLs — or, where it holds no value, the column of as
+/// many NULLs that pushing its cells one by one builds.
+fn cast_typed<T: Copy, U>(
+    data: &[T],
+    nulls: &Nulls,
+    cast: impl Fn(T) -> U,
+    column: fn(Vec<U>, Nulls) -> Column,
+) -> Column {
+    let out = column(data.iter().map(|&x| cast(x)).collect(), nulls.clone());
+    match out.data_type() {
+        Some(DataType::Null) => Column::repeat(&Value::Null, data.len()),
+        _ => out,
+    }
 }
 
 fn eval_scalar(func: ScalarFn, args: &[PlanExpr], row: &[Value]) -> Result<Value> {
@@ -1871,6 +1939,54 @@ mod tests {
         ] {
             assert!(expr.evaluate(&rows[0]).is_err() || expr.evaluate(&rows[2]).is_err());
             assert_eq!(by_column_equals_by_row(&expr, &rows), 8, "{expr}");
+        }
+    }
+
+    /// A numeric `CAST`, and pieces of `CASE` and `COALESCE` that agree on
+    /// INT or FLOAT, fill that type's vector, and make the very column —
+    /// variant, cells and NULLs — that pushing the row evaluator's values
+    /// one by one makes, also where every cell is NULL.
+    #[test]
+    fn typed_kernels_make_the_pushed_column() {
+        use BinaryOp::*;
+        let c = |i: usize| PlanExpr::column(i, format!("c{i}"));
+        let lit = |v: Value| PlanExpr::Literal(v);
+        let case = |when: PlanExpr, then: PlanExpr, otherwise: Option<PlanExpr>| PlanExpr::Case {
+            branches: vec![(when, then)],
+            else_expr: otherwise.map(Box::new),
+        };
+        // ints with NULLs | floats, NULL where the ints are
+        let rows: Vec<Vec<Value>> = (0..9i64)
+            .map(|i| match i % 3 {
+                0 => vec![Value::Null, Value::Null],
+                _ => vec![Value::Int(i - 4), Value::Float(i as f64 / 4.0 - 1.0)],
+            })
+            .collect();
+        let block = Block::from_rows(2, rows.iter().map(|r| r.clone().into_boxed_slice()));
+        let positive = c(0).binary(Gt, lit(Value::Int(0)));
+        for expr in [
+            case(positive.clone(), c(0), Some(lit(Value::Int(7)))),
+            case(positive.clone(), c(1), None),
+            case(c(0).binary(Gt, lit(Value::Int(99))), c(1), None),
+            PlanExpr::Cast {
+                expr: Box::new(c(0)),
+                to: DataType::Float,
+            },
+            // An INT column of NULLs alone, cast.
+            PlanExpr::Cast {
+                expr: Box::new(case(c(0).binary(Gt, lit(Value::Int(99))), c(0), None)),
+                to: DataType::Float,
+            },
+            PlanExpr::Scalar {
+                func: ScalarFn::Coalesce,
+                args: vec![c(1), lit(Value::Float(0.5))],
+            },
+        ] {
+            let column = expr.evaluate_column(&block, &Counter::default()).unwrap();
+            let mut pushed = Column::new();
+            rows.iter()
+                .for_each(|row| pushed.push(expr.evaluate(row).unwrap()));
+            assert_eq!(format!("{column:?}"), format!("{pushed:?}"), "{expr}");
         }
     }
 

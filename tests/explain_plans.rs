@@ -229,6 +229,30 @@ fn explain_analyze_pagerank_annotates_every_step() {
     );
 }
 
+/// Forecast-Friends' final query, `ORDER BY friends DESC, node LIMIT 10`,
+/// sorts only the ten rows it returns: the limit passes through the
+/// gather above the sort, and the labels stay as they were.
+#[test]
+fn explain_analyze_ff_sorts_only_its_top_ten() {
+    let database = db();
+    let edges: Vec<String> = (1..=40)
+        .map(|n| format!("({n}, {}, 1.0), ({n}, {}, 1.0)", n % 40 + 1, n % 7 + 1))
+        .collect();
+    database
+        .execute(&format!("INSERT INTO edges VALUES {}", edges.join(", ")))
+        .unwrap();
+    let profile = database.explain_analyze(&ff(5, 1).cte).unwrap();
+    let text = profile.render();
+    let sort = profile.find("Sort: 2 keys").expect("a sort on two keys");
+    assert_eq!(sort.rows_out, 10, "{text}");
+    let gathered = &sort.children[0];
+    assert_eq!(
+        (gathered.label.as_str(), gathered.rows_out),
+        ("Exchange: Gather", 40),
+        "{text}"
+    );
+}
+
 #[test]
 fn explain_analyze_delta_termination_reports_convergence() {
     // Delta termination stops when fewer than 5 rows change; v saturates

@@ -139,6 +139,42 @@ fn a_spilled_solution_set_is_reindexed_with_the_same_rows() {
     }
 }
 
+/// A loop body's nested `WITH` stores a temp every iteration that only
+/// that iteration's working table reads. Once the fold has consumed the
+/// working table the temp is dropped, so the relief after the fold finds
+/// nothing unprotected: under a 1-byte threshold SSSP with such a body
+/// writes nothing to disk, and returns the in-memory rows.
+#[test]
+fn a_body_temp_is_dropped_after_the_fold_not_spilled() {
+    let sql = "WITH ITERATIVE sssp (node, distance) AS ( \
+                 SELECT src, CASE WHEN src = 1 THEN 0 ELSE 9999999 END \
+                 FROM (SELECT src FROM edges UNION SELECT dst FROM edges) \
+               ITERATE WITH e AS (SELECT src, dst, weight FROM edges) \
+                 SELECT sssp.node, \
+                        LEAST(sssp.distance, \
+                              COALESCE(MIN(inc.distance + e.weight), sssp.distance)) \
+                 FROM sssp LEFT JOIN e ON sssp.node = e.dst \
+                   LEFT JOIN sssp AS inc ON inc.node = e.src \
+                 GROUP BY sssp.node, sssp.distance \
+               UNTIL DELTA < 1) \
+               SELECT node, distance FROM sssp ORDER BY node";
+    let expected = db_with_edges(no_spill()).query(sql).unwrap();
+    let db = db_with_edges(forced_spill());
+    db.take_stats();
+    let batch = db.query(sql).unwrap();
+    assert_eq!(
+        format!("{:?}", batch.rows()),
+        format!("{:?}", expected.rows())
+    );
+    let stats = db.take_stats();
+    assert!(stats.iterations >= 2, "{stats:?}");
+    assert_eq!(
+        (stats.spill_events, stats.spill_bytes_written),
+        (0, 0),
+        "a dead body temp was written to disk"
+    );
+}
+
 /// Rehydration happens transparently on next access: a rollback must
 /// read its checkpoint back from the spill file (checkpoints are cold,
 /// so under a 1-byte threshold they are always spilled), converge to the

@@ -563,3 +563,72 @@ fn text_comparisons_and_concat() {
         .unwrap();
     assert_eq!(batch.rows()[0][0].to_string(), "eve@lima");
 }
+
+/// `ORDER BY … LIMIT n` is the first `n` rows of the same `ORDER BY`
+/// without a limit — the sort under the gather keeps only its top `n` —
+/// over INT, FLOAT (both zeroes, NULLs) and TEXT keys in every direction,
+/// and since each order ends on the unique `k`, the rows are the same at
+/// 1, 2 and 4 partitions.
+#[test]
+fn order_by_limit_is_the_head_of_the_full_order_at_every_partition_count() {
+    let x = |k: i64| match k % 6 {
+        0 => None,
+        1 => Some(-0.0),
+        2 => Some(0.0),
+        n => Some(((k * 7 + n) % 5 - 2) as f64 + 0.5),
+    };
+    let s = |k: i64| (k % 7 != 3).then(|| format!("s{}", k % 4));
+    let values: Vec<String> = (0..40)
+        .map(|k| {
+            let x = x(k).map_or("NULL".into(), |x| format!("{x:?}"));
+            let s = s(k).map_or("NULL".into(), |s| format!("'{s}'"));
+            format!("({k}, {x}, {s})")
+        })
+        .collect();
+    let orders = [
+        "x DESC, k",
+        "x NULLS FIRST, k DESC",
+        "s NULLS FIRST, x DESC NULLS LAST, k",
+        "k % 3, s DESC, x, k",
+    ];
+    let mut results = Vec::new();
+    for partitions in [1, 2, 4] {
+        let d = Database::new(spinner_engine::EngineConfig::default().with_partitions(partitions))
+            .unwrap();
+        d.execute("CREATE TABLE m (k INT, x FLOAT, s TEXT)")
+            .unwrap();
+        d.execute(&format!("INSERT INTO m VALUES {}", values.join(", ")))
+            .unwrap();
+        let mut fulls = Vec::new();
+        for order in orders {
+            let sql = format!("SELECT k, x, s FROM m ORDER BY {order}");
+            let full = d.query(&sql).unwrap().into_rows();
+            assert_eq!(full.len(), 40);
+            for n in [0, 1, 7, 40, 41] {
+                let head = d.query(&format!("{sql} LIMIT {n}")).unwrap().into_rows();
+                let want = &full[..n.min(full.len())];
+                assert_eq!(format!("{head:?}"), format!("{want:?}"), "{sql} LIMIT {n}");
+            }
+            fulls.push(format!("{full:?}"));
+        }
+        results.push(fulls);
+    }
+    assert_eq!(results[0], results[1]);
+    assert_eq!(results[0], results[2]);
+    // `x DESC, k` by hand: NULLs last (the default), the values down, the
+    // two zeroes tied and so ordered by `k`.
+    let mut ks: Vec<i64> = (0..40).collect();
+    ks.sort_by(|&a, &b| match (x(a), x(b)) {
+        (Some(p), Some(q)) => q.partial_cmp(&p).unwrap().then(a.cmp(&b)),
+        (p, q) => p.is_none().cmp(&q.is_none()).then(a.cmp(&b)),
+    });
+    let d = Database::default();
+    d.execute("CREATE TABLE m (k INT, x FLOAT, s TEXT)")
+        .unwrap();
+    d.execute(&format!("INSERT INTO m VALUES {}", values.join(", ")))
+        .unwrap();
+    assert_eq!(
+        ints(&d, "SELECT k FROM m ORDER BY x DESC, k LIMIT 12"),
+        ks[..12]
+    );
+}
