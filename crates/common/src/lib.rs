@@ -35,7 +35,9 @@ pub use memory::{
     MemoryAccountant, MemoryMetrics, RegionId, RegionKind, SpillFaultHook, SpillRequest,
     TransientRegion,
 };
-pub use profile::{IterationProfile, ProfileNode, QueryProfile, RecoveryProfile, SpanKind, Tracer};
+pub use profile::{
+    IterationProfile, ProfileNode, QueryProfile, RecoveryProfile, SpanKind, SuspendedSpan, Tracer,
+};
 pub use row::{batch_of, row_of, Batch, Row};
 pub use schema::{Field, Schema, SchemaRef};
 pub use value::{Cell, DataType, Value};

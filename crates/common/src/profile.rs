@@ -548,6 +548,7 @@ fn render_node(node: &ProfileNode, step_no: &mut usize, indent: usize, out: &mut
 
 // ---- tracer ------------------------------------------------------------
 
+#[derive(Debug)]
 struct Frame {
     node: ProfileNode,
     started: Instant,
@@ -557,6 +558,11 @@ struct Frame {
     iter_base: usize,
     iter_started: Option<Instant>,
 }
+
+/// An open span set aside by [`Tracer::suspend`] (nothing, when the
+/// tracer is disabled).
+#[derive(Debug)]
+pub struct SuspendedSpan(Option<(Frame, Instant)>);
 
 struct TracerState {
     started: Instant,
@@ -662,6 +668,30 @@ impl Tracer {
             Some(parent) => parent.node.children.push(node),
             None => state.roots.push(node),
         }
+    }
+
+    /// Take the innermost open span off the stack, its clock stopped, so
+    /// that spans opened before [`Tracer::resume`] become its siblings. An
+    /// operator that must run two inputs before it can finish either uses
+    /// this; a span never resumed is dropped.
+    pub fn suspend(&self) -> SuspendedSpan {
+        if !self.enabled {
+            return SuspendedSpan(None);
+        }
+        SuspendedSpan(self.lock().stack.pop().map(|frame| (frame, Instant::now())))
+    }
+
+    /// Put a [`suspended`](Tracer::suspend) span back as the innermost,
+    /// its clock running again, relabeled if `label` is given.
+    pub fn resume(&self, span: SuspendedSpan, label: Option<String>) {
+        let Some((mut frame, suspended)) = span.0 else {
+            return;
+        };
+        frame.started += suspended.elapsed();
+        if let Some(label) = label {
+            frame.node.label = label;
+        }
+        self.lock().stack.push(frame);
     }
 
     /// Charge rows moved through an exchange to the innermost open span.
@@ -1028,6 +1058,45 @@ mod tests {
         let p = tracer.finish();
         assert_eq!(p.roots.len(), 1);
         assert_eq!(p.roots[0].children.len(), 1);
+    }
+
+    /// A suspended span is off the stack until it is resumed: spans opened
+    /// meanwhile are its siblings, moves noted meanwhile are not its own,
+    /// and it closes under its new label after them. A span never resumed
+    /// is dropped; a disabled tracer suspends nothing.
+    #[test]
+    fn a_suspended_span_resumes_beside_its_siblings() {
+        let tracer = Tracer::new();
+        tracer.enter(SpanKind::Operator, "HashJoin(Inner)".into());
+        tracer.enter(SpanKind::Operator, "Exchange: Hash(a)".into());
+        let probe = tracer.suspend();
+        tracer.enter(SpanKind::Operator, "Exchange: Hash(b)".into());
+        tracer.enter(SpanKind::Operator, "TempScan: t".into());
+        tracer.exit(4, 32);
+        let build = tracer.suspend();
+        tracer.note_rows_moved(5);
+        tracer.resume(probe, Some("Exchange: in place instead of Hash(a)".into()));
+        tracer.exit(9, 72);
+        tracer.resume(build, None);
+        tracer.note_rows_moved(4);
+        tracer.exit(8, 64);
+        tracer.enter(SpanKind::Operator, "Exchange: Gather".into());
+        drop(tracer.suspend());
+        tracer.exit(1, 8);
+        let p = tracer.finish();
+        let join = &p.roots[0];
+        let labels: Vec<&str> = join.children.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["Exchange: in place instead of Hash(a)", "Exchange: Hash(b)"]
+        );
+        let moved: Vec<u64> = join.children.iter().map(|c| c.rows_moved).collect();
+        assert_eq!((join.rows_moved, moved), (5, vec![0, 4]));
+        assert_eq!(join.children[1].children[0].label, "TempScan: t");
+        let disabled = Tracer::disabled();
+        disabled.enter(SpanKind::Operator, "x".into());
+        disabled.resume(disabled.suspend(), Some("y".into()));
+        assert!(disabled.finish().roots.is_empty());
     }
 
     fn recovery_profile() -> QueryProfile {

@@ -17,7 +17,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread;
 
 use spinner_common::memory::RegionKind;
-use spinner_common::profile::SpanKind;
+use spinner_common::profile::{SpanKind, SuspendedSpan};
 use spinner_common::{Block, Column, Error, FaultSite, Result, Row, NO_ROW};
 use spinner_plan::{AggExpr, JoinType, PlanExpr, SetOpKind, SortKey};
 use spinner_storage::{placement, Partitioned, PlacedOn};
@@ -121,7 +121,8 @@ fn execute_inner(
             exprs,
             schema,
         } => {
-            let data = execute(input, ctx)?;
+            // A projection keeps its input's rows in their order.
+            let data = execute_first(input, limit, ctx)?;
             let out = unary_map(&data, ctx, |block| {
                 let columns = evaluate_all(exprs, block, ctx)?;
                 Ok(Arc::new(Block::new(columns, block.rows())))
@@ -174,7 +175,6 @@ fn execute_inner(
             build,
             schema,
         } => {
-            let l = execute(left, ctx)?;
             let join = HashJoinSpec {
                 join_type: *join_type,
                 left_keys,
@@ -182,6 +182,50 @@ fn execute_inner(
                 residual: residual.as_ref(),
                 columns: columns.as_deref(),
                 ctx,
+            };
+            let (l, parts) = match (&**left, &**right) {
+                (
+                    PhysicalPlan::Exchange {
+                        input: probe,
+                        mode: probe_mode @ ExchangeMode::Hash(_),
+                    },
+                    PhysicalPlan::Exchange {
+                        input: build_rows,
+                        mode: build_mode @ ExchangeMode::Hash(_),
+                    },
+                ) if *build == JoinBuild::PerRun
+                    && matches!(join_type, JoinType::Inner | JoinType::Left)
+                    && ctx.config.partitions > 1 =>
+                {
+                    let probe = ExchangeInput::run(probe, probe_mode, ctx)?;
+                    let build = ExchangeInput::run(build_rows, build_mode, ctx)?;
+                    broadcast_or_hash_join(probe, build, &join)?
+                }
+                _ => {
+                    let l = execute(left, ctx)?;
+                    // A loop-invariant build side is built once and re-probed
+                    // on every later iteration; a merge loop's CTE is looked
+                    // up through its solution index while that indexes the
+                    // rows just read.
+                    let solution = match build {
+                        JoinBuild::Indexed { cte } => ctx.solutions.tables(cte, &l.parts),
+                        _ => None,
+                    };
+                    let parts = if *build == JoinBuild::Cached {
+                        cached_hash_join(&l, right, &join)?
+                    } else {
+                        let r = execute(right, ctx)?;
+                        ctx.stats.joins_executed.add(1);
+                        match solution {
+                            Some(tables) => binary_map(&l, &r, ctx, |i, l, r| {
+                                let (probe, build) = join.indexed_pairs(l, r, &tables[i])?;
+                                Ok(gather_pairs((l, r), (&probe, &build), join.columns))
+                            })?,
+                            None => hash_join_partitions(&l, &r, &join)?,
+                        }
+                    };
+                    (l, parts)
+                }
             };
             // Every output row of an inner or left join is a probe row with
             // its cells where `columns` puts them; the others pad the probe
@@ -192,32 +236,6 @@ fn execute_inner(
                     None => Some(c),
                 }),
                 _ => PlacedOn::UNKNOWN,
-            };
-            // A loop-invariant build side is built once and re-probed on
-            // every later iteration; a merge loop's CTE is looked up through
-            // its solution index while that indexes the rows just read.
-            let solution = match build {
-                JoinBuild::Indexed { cte } => ctx.solutions.tables(cte, &l.parts),
-                _ => None,
-            };
-            let parts = if *build == JoinBuild::Cached {
-                cached_hash_join(&l, right, &join)?
-            } else {
-                let r = execute(right, ctx)?;
-                ctx.stats.joins_executed.add(1);
-                match solution {
-                    Some(tables) => binary_map(&l, &r, ctx, |i, l, r| {
-                        let (probe, build) = join.indexed_pairs(l, r, &tables[i])?;
-                        Ok(gather_pairs((l, r), (&probe, &build), join.columns))
-                    })?,
-                    None => with_transient_tracking(
-                        ctx,
-                        "hash join build",
-                        RegionKind::HashJoinBuild,
-                        r.estimated_bytes(),
-                        || binary_map(&l, &r, ctx, |_, l, r| join.probe(l, r, &join.build(r)?)),
-                    )?,
-                }
             };
             Ok(Partitioned {
                 schema: schema.clone(),
@@ -262,7 +280,7 @@ fn execute_inner(
                 let output = (schema, data.placed_on.remap(|c| output_of(group, c)));
                 aggregate_partitions(&data, "hash aggregate", output, ctx, |block| {
                     let keys = evaluate_all(group, block, ctx)?;
-                    aggregate_block(block, keys, aggs, Phase::Single, ctx)
+                    aggregate_block(block, keys, false, aggs, Phase::Single, ctx)
                 })
             }
         }
@@ -276,7 +294,7 @@ fn execute_inner(
             let output = (schema, data.placed_on.remap(|c| output_of(group, c)));
             aggregate_partitions(&data, "partial aggregate", output, ctx, |block| {
                 let keys = evaluate_all(group, block, ctx)?;
-                aggregate_block(block, keys, aggs, Phase::Partial, ctx)
+                aggregate_block(block, keys, false, aggs, Phase::Partial, ctx)
             })
         }
         PhysicalPlan::AggregateFinal {
@@ -285,14 +303,27 @@ fn execute_inner(
             aggs,
             schema,
         } => {
-            let data = execute(input, ctx)?;
+            // Partial states a hash exchange passed through, because they
+            // were placed on its key already, are one row per group: each
+            // group's rows were in one partition when they were folded.
+            let (data, one_per_group) = match &**input {
+                PhysicalPlan::Exchange {
+                    input: partial,
+                    mode: mode @ ExchangeMode::Hash(_),
+                } if matches!(**partial, PhysicalPlan::AggregatePartial { .. }) => {
+                    let partials = ExchangeInput::run(partial, mode, ctx)?;
+                    let in_place = partials.in_place(ctx);
+                    (partials.finish(Route::Planned, ctx)?, in_place)
+                }
+                _ => (execute(input, ctx)?, false),
+            };
             let output = (
                 schema,
                 data.placed_on.remap(|c| (c < *group_len).then_some(c)),
             );
             aggregate_partitions(&data, "final aggregate", output, ctx, |block| {
                 let keys = block.columns()[..*group_len].to_vec();
-                aggregate_block(block, keys, aggs, Phase::Final, ctx)
+                aggregate_block(block, keys, one_per_group, aggs, Phase::Final, ctx)
             })
         }
         PhysicalPlan::Distinct { input } => {
@@ -663,6 +694,140 @@ pub fn exchange(
     }
 }
 
+/// How an [`ExchangeInput`] finishes.
+enum Route {
+    /// The hash exchange the plan put there.
+    Planned,
+    /// A copy of every row in every partition, in place of the hash.
+    Broadcast,
+    /// No exchange: every row stays where it is.
+    InPlace,
+}
+
+/// The input of an `Exchange` node, run under the exchange's own profile
+/// span, which is set aside until [`finish`](Self::finish) redistributes
+/// the rows: an operator may look at what its exchanges hold before it
+/// chooses how to distribute them.
+struct ExchangeInput<'p> {
+    rows: Partitioned,
+    mode: &'p ExchangeMode,
+    span: SuspendedSpan,
+}
+
+impl<'p> ExchangeInput<'p> {
+    /// Run `input`, the input of an exchange by `mode`.
+    fn run(
+        input: &PhysicalPlan,
+        mode: &'p ExchangeMode,
+        ctx: &StatementContext<'_>,
+    ) -> Result<Self> {
+        ctx.guard.check()?;
+        ctx.tracer
+            .enter(SpanKind::Operator, format!("Exchange: {mode}"));
+        let rows = execute(input, ctx);
+        let span = ctx.tracer.suspend();
+        Ok(ExchangeInput {
+            rows: rows?,
+            mode,
+            span,
+        })
+    }
+
+    /// Whether the planned exchange is a hash whose keys the rows are
+    /// placed on already, so it would pass them through.
+    fn in_place(&self, ctx: &StatementContext<'_>) -> bool {
+        let ExchangeMode::Hash(keys) = self.mode else {
+            return false;
+        };
+        let on = PlacedOn::new(keys.iter().map(bare_column));
+        self.rows.placed_for(on, ctx.config.partitions)
+    }
+
+    /// The rows distributed by `route`: any route is one hit of the
+    /// exchange fault site, and one profile node, labeled as the plan's
+    /// exchange unless the route replaced it.
+    fn finish(self, route: Route, ctx: &StatementContext<'_>) -> Result<Partitioned> {
+        let instead = |what: &str| Some(format!("Exchange: {what} instead of {}", self.mode));
+        let label = match route {
+            Route::Planned => None,
+            Route::Broadcast => instead("Broadcast"),
+            Route::InPlace => instead("in place"),
+        };
+        ctx.tracer.resume(self.span, label);
+        let data = match route {
+            Route::Planned => exchange(self.rows, self.mode, usize::MAX, ctx),
+            Route::Broadcast => exchange(self.rows, &ExchangeMode::Broadcast, usize::MAX, ctx),
+            Route::InPlace => ctx.faults.hit(FaultSite::Exchange).map(|()| self.rows),
+        };
+        match &data {
+            Ok(data) if ctx.tracer.is_enabled() => ctx
+                .tracer
+                .exit(data.total_rows() as u64, data.estimated_bytes()),
+            _ => ctx.tracer.exit(0, 0),
+        }
+        data
+    }
+}
+
+/// A per-run inner or left hash join whose inputs are both hash exchanges,
+/// distributed by the rows in hand: with `P` partitions, the build side is
+/// broadcast and the probe side stays where it is when the probe side is
+/// not placed on its join key already and the broadcast copies fewer rows,
+/// `build × (P − 1)`, than the probe side holds; otherwise both sides are
+/// hashed as planned. A broadcast keeps the probe side's placement, which
+/// the join's output inherits, so an aggregate above it on the same key
+/// needs no exchange; hashing the probe side would place the output on the
+/// join key instead. One key index is built over the broadcast rows and
+/// probed from every partition. Returns the probe side as the join saw it
+/// and the joined partitions.
+fn broadcast_or_hash_join(
+    probe: ExchangeInput<'_>,
+    build: ExchangeInput<'_>,
+    join: &HashJoinSpec<'_>,
+) -> Result<(Partitioned, Vec<Arc<Block>>)> {
+    let ctx = join.ctx;
+    let copies = build.rows.total_rows() * (ctx.config.partitions - 1);
+    let broadcast = !probe.in_place(ctx) && copies < probe.rows.total_rows();
+    ctx.stats.joins_executed.add(1);
+    if !broadcast {
+        let l = probe.finish(Route::Planned, ctx)?;
+        let r = build.finish(Route::Planned, ctx)?;
+        let parts = hash_join_partitions(&l, &r, join)?;
+        return Ok((l, parts));
+    }
+    let bytes = build.rows.estimated_bytes();
+    let l = probe.finish(Route::InPlace, ctx)?;
+    let r = build.finish(Route::Broadcast, ctx)?;
+    let shared = &r.parts[0];
+    let parts = with_transient_tracking(
+        ctx,
+        "hash join build",
+        RegionKind::HashJoinBuild,
+        bytes,
+        || {
+            let table = join.build(shared)?;
+            unary_map(&l, ctx, |l| join.probe(l, shared, &table))
+        },
+    )?;
+    Ok((l, parts))
+}
+
+/// Hash join of co-partitioned inputs, a key index built per partition.
+fn hash_join_partitions(
+    l: &Partitioned,
+    r: &Partitioned,
+    join: &HashJoinSpec<'_>,
+) -> Result<Vec<Arc<Block>>> {
+    let ctx = join.ctx;
+    with_transient_tracking(
+        ctx,
+        "hash join build",
+        RegionKind::HashJoinBuild,
+        r.estimated_bytes(),
+        || binary_map(l, r, ctx, |_, l, r| join.probe(l, r, &join.build(r)?)),
+    )
+}
+
 /// Candidate pairs a join with a residual collects before it evaluates
 /// the residual over them, so a selective residual over many key-equal
 /// pairs never holds them all.
@@ -958,22 +1123,35 @@ fn aggregate_partitions(
 /// distinct keys followed by what each aggregate emits in `phase`; in the
 /// [`Phase::Final`] phase the inputs are the state columns that follow
 /// the keys in `block`. An aggregation without keys has one group, even
-/// over no rows.
+/// over no rows. Keys the caller knows to be `distinct` already (partial
+/// states in place, one per group) are numbered `0..rows` without a key
+/// table, which is the numbering the table would give them.
 fn aggregate_block(
     block: &Block,
     keys: Vec<Arc<Column>>,
+    distinct: bool,
     aggs: &[AggExpr],
     phase: Phase,
     ctx: &StatementContext<'_>,
 ) -> Result<Arc<Block>> {
+    let width = keys.len();
     let (groups, count, mut columns) = if keys.is_empty() {
         (vec![0; block.rows()], 1, Vec::new())
+    } else if distinct {
+        let groups: Vec<u32> = (0..block.rows() as u32).collect();
+        debug_assert!(
+            KeyTable::new(width, block.rows())
+                .insert_all(&keys, block.rows())
+                .is_ok_and(|ids| ids == groups),
+            "keys said to be distinct repeat"
+        );
+        (groups, block.rows(), keys)
     } else {
-        let mut table = KeyTable::new(keys.len(), block.rows());
+        let mut table = KeyTable::new(width, block.rows());
         let groups = table.insert_all(&keys, block.rows())?;
         (groups, table.len(), table.into_keys())
     };
-    let mut states = block.columns()[keys.len()..].iter();
+    let mut states = block.columns()[width..].iter();
     for agg in aggs {
         let inputs: Vec<Arc<Column>> = match phase {
             Phase::Final => states
@@ -1002,7 +1180,7 @@ fn global_aggregate(
     let phase = |blocks: &[Arc<Block>], agg: &AggExpr, phase| {
         let agg = std::slice::from_ref(agg);
         let rows = Block::concat(blocks, usize::MAX);
-        aggregate_block(&rows, Vec::new(), agg, phase, ctx)
+        aggregate_block(&rows, Vec::new(), false, agg, phase, ctx)
     };
     let mut columns = Vec::with_capacity(aggs.len());
     for agg in aggs {
@@ -1573,8 +1751,9 @@ mod tests {
             prop_assert_eq!(sorted(hashed), sorted(reference));
         }
 
-        /// Grouped aggregation, and partial + final over any split of the
-        /// input, equal a `BTreeMap` reference — groups in first-seen order,
+        /// Grouped aggregation, partial + final over any split of the
+        /// input, and the final phase alone over partial states one per
+        /// group equal a `BTreeMap` reference: groups in first-seen order,
         /// which also fixes the order floats are summed in.
         #[test]
         fn aggregation_equals_reference(rows in rows(), split in 0usize..24, two_columns in any::<bool>()) {
@@ -1634,7 +1813,7 @@ mod tests {
                     Phase::Final => input.columns()[..group.len()].to_vec(),
                     _ => evaluate_all(&group, &input, ctx).unwrap(),
                 };
-                aggregate_block(&input, keys, &aggs, phase, ctx).unwrap().to_rows()
+                aggregate_block(&input, keys, false, &aggs, phase, ctx).unwrap().to_rows()
             });
             let grouped = phase(&rows, 3, Phase::Single);
             prop_assert_eq!(exact(&grouped), exact(&reference));
@@ -1652,6 +1831,17 @@ mod tests {
                 prop_assert!((got[group.len() + 1].as_f64().unwrap() - want[group.len() + 1].as_f64().unwrap()).abs() < 1e-9);
                 prop_assert_eq!(&got[group.len() + 2..], &want[group.len() + 2..]);
             }
+            // Partial states one per group already: finished with `0..rows`
+            // as their group numbers, they are the regrouped rows, bit for
+            // bit, and the one-phase rows.
+            let one_per_group = phase(&rows, 3, Phase::Partial);
+            let finish = |distinct| with_context(1, |ctx| {
+                let input = block(state_width, &one_per_group);
+                let keys = input.columns()[..group.len()].to_vec();
+                aggregate_block(&input, keys, distinct, &aggs, Phase::Final, ctx).unwrap().to_rows()
+            });
+            prop_assert_eq!(exact(&finish(true)), exact(&finish(false)));
+            prop_assert_eq!(exact(&finish(true)), exact(&grouped));
         }
 
         /// Set operations against their definitions over `Value`'s `Eq`.
@@ -1737,6 +1927,120 @@ mod tests {
             }
             let (indexed, probed) = indexed_and_probed(&l, &r, keys, None);
             prop_assert_eq!(exact(&indexed), exact(&probed));
+        }
+    }
+
+    /// Where an output row's probe cells came from: `out`'s rows, their
+    /// first three cells each, are rows of `input` in its order (one may
+    /// repeat, once per match).
+    fn in_probe_order(out: &Block, input: &Block) -> bool {
+        let input = exact(&input.to_rows());
+        let mut at = 0;
+        exact(
+            &out.to_rows()
+                .iter()
+                .map(|r| r[..3].into())
+                .collect::<Vec<Row>>(),
+        )
+        .iter()
+        .all(|probe| {
+            while at < input.len() && input[at] != *probe {
+                at += 1;
+            }
+            at < input.len()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A per-run join over two hash exchanges, run as the executor
+        /// chooses — an inner or left join broadcasts its build side when
+        /// the probe side is not placed on its key and holds more rows than
+        /// the broadcast copies — gives the rows of the join of both sides
+        /// hashed on their keys, at every partition count, with and
+        /// without a residual, NULL keys on both sides. Broadcast, every
+        /// probe row's output stays in its partition and in its order
+        /// there, and keeps the probe side's placement; nothing is hashed.
+        /// A right or full join is never broadcast.
+        #[test]
+        fn a_broadcast_join_equals_the_hashed_join(
+            big in long_groups(),
+            small in rows(),
+            two_columns in any::<bool>(),
+            probe_placed_on in prop_oneof![Just(None), Just(Some(0)), Just(Some(2))],
+        ) {
+            let keys = join_keys(two_columns);
+            let left_keys: Vec<PlanExpr> = keys.iter().map(|k| col(k.0)).collect();
+            let right_keys: Vec<PlanExpr> = keys.iter().map(|k| col(k.1)).collect();
+            let hashed_on = |keys: &[PlanExpr], name: &str| Box::new(PhysicalPlan::Exchange {
+                input: Box::new(PhysicalPlan::TempScan { name: name.into(), schema: key_schema() }),
+                mode: ExchangeMode::Hash(keys.to_vec()),
+            });
+            let fields = (0..6).map(|i| Field::new(format!("c{i}"), DataType::Null));
+            let schema: SchemaRef = Arc::new(Schema::new(fields.collect()));
+            // The probe side's key is placed already only if it is column 0 alone.
+            let in_place = probe_placed_on == Some(0) && !two_columns;
+            for partitions in 1..=4 {
+                for (probe, build) in [(&big, &small), (&small, &big)] {
+                    for join_type in [JoinType::Inner, JoinType::Left, JoinType::Right, JoinType::Full] {
+                        for residual in [None, Some(payload_residual())] {
+                            with_context(partitions, |ctx| {
+                                let l = Partitioned::from_rows(key_schema(), probe.clone(), probe_placed_on, partitions);
+                                let r = Partitioned::from_rows(key_schema(), build.clone(), None, partitions);
+                                ctx.registry.put("l", l.clone());
+                                ctx.registry.put("r", r.clone());
+                                let plan = PhysicalPlan::HashJoin {
+                                    left: hashed_on(&left_keys, "l"),
+                                    right: hashed_on(&right_keys, "r"),
+                                    join_type,
+                                    left_keys: left_keys.clone(),
+                                    right_keys: right_keys.clone(),
+                                    residual: residual.clone(),
+                                    columns: None,
+                                    build: JoinBuild::PerRun,
+                                    schema: Arc::clone(&schema),
+                                };
+                                let got = execute(&plan, ctx).unwrap();
+                                let stats = ctx.stats.take();
+                                let join = HashJoinSpec {
+                                    join_type,
+                                    left_keys: &left_keys,
+                                    right_keys: &right_keys,
+                                    residual: residual.as_ref(),
+                                    columns: None,
+                                    ctx,
+                                };
+                                let hash = |data: Partitioned, keys: &[PlanExpr]| {
+                                    exchange(data, &ExchangeMode::Hash(keys.to_vec()), usize::MAX, ctx).unwrap()
+                                };
+                                let hashed = (hash(l.clone(), &left_keys), hash(r, &right_keys));
+                                let want = hash_join_partitions(&hashed.0, &hashed.1, &join).unwrap();
+                                let want = Partitioned { parts: want, ..got.clone() };
+                                let multiset = |data: &Partitioned| {
+                                    let mut rows = exact(&data.gather());
+                                    rows.sort();
+                                    rows
+                                };
+                                assert_eq!(multiset(&got), multiset(&want), "{join_type} at {partitions}");
+                                let broadcast = partitions > 1
+                                    && matches!(join_type, JoinType::Inner | JoinType::Left)
+                                    && !in_place
+                                    && build.len() * (partitions - 1) < probe.len();
+                                let copies = if broadcast { build.len() * (partitions - 1) } else { 0 };
+                                assert_eq!(stats.rows_broadcast, copies as u64, "{join_type} at {partitions}");
+                                if broadcast {
+                                    assert_eq!(stats.rows_routed, 0);
+                                    assert_eq!(got.placed_on, l.placed_on);
+                                    for (out, input) in got.parts.iter().zip(&l.parts) {
+                                        assert!(in_probe_order(out, input), "{join_type} at {partitions}");
+                                    }
+                                }
+                            });
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -3,6 +3,7 @@
 //! numbered step structure — materialize the non-iterative part, initialize
 //! the loop operator, materialize the iterative part, rename, jump back.
 
+use spinner_datagen::{load_edges_into, GraphSpec};
 use spinner_engine::{Database, EngineConfig};
 use spinner_procedural::{connected_components, ff, pagerank, sssp, sssp_convergent};
 
@@ -249,6 +250,71 @@ fn explain_analyze_ff_sorts_only_its_top_ten() {
     assert_eq!(
         (gathered.label.as_str(), gathered.rows_out),
         ("Exchange: Gather", 40),
+        "{text}"
+    );
+}
+
+/// A select list that is not the sort keys puts a `Project` between the
+/// gather and the sort. A projection keeps its input's rows in order, so
+/// the limit passes through it as well, and the sort orders only the rows
+/// returned.
+#[test]
+fn explain_analyze_sorts_only_the_top_n_under_a_projection() {
+    let database = db_with_data();
+    let sql = "SELECT CAST(weight AS INT), CAST(src % 2 = 0 AS INT), \
+               CAST(src % 2 = 0 AS FLOAT) FROM edges ORDER BY src, dst LIMIT 3";
+    let profile = database.explain_analyze(sql).unwrap();
+    let text = profile.render();
+    let sort = profile.find("Sort: 2 keys").expect("a sort on two keys");
+    assert_eq!(sort.rows_out, 3, "{text}");
+    let gathered = &sort.children[0];
+    assert_eq!(
+        (gathered.label.as_str(), gathered.rows_out),
+        ("Exchange: Gather", 5),
+        "{text}"
+    );
+    assert!(text.contains("Project: col_0#0"), "{text}");
+}
+
+/// A join's distribution is chosen at run time, and `EXPLAIN ANALYZE`
+/// shows the choice where physical `EXPLAIN` shows the planned hash
+/// exchanges: at 2 partitions PageRank's second join broadcasts the CTE
+/// (150 rows, copied to the one other partition each iteration) and leaves
+/// the first join's rows in place, one profile node per plan exchange.
+#[test]
+fn explain_analyze_shows_the_broadcast_a_join_chose() {
+    let database = Database::new(EngineConfig::default().with_partitions(2)).unwrap();
+    let spec = GraphSpec {
+        nodes: 150,
+        edges: 700,
+        seed: 23,
+        max_weight: 10,
+    };
+    load_edges_into(&database, "edges", &spec).unwrap();
+    let sql = pagerank(3, false).cte;
+    let plan = database.explain_physical(&sql).unwrap();
+    assert!(
+        plan.contains("Exchange: Hash(incomingrank.node#0)"),
+        "{plan}"
+    );
+    assert!(!plan.contains("Broadcast"), "{plan}");
+    let profile = database.explain_analyze(&sql).unwrap();
+    let text = profile.render();
+    let join = profile
+        .find("HashJoin(Left): incomingedges.src")
+        .expect(&text);
+    let sides: Vec<(&str, u64)> = (join.children.iter())
+        .map(|c| (c.label.as_str(), c.rows_moved))
+        .collect();
+    assert_eq!(
+        sides,
+        [
+            ("Exchange: in place instead of Hash(incomingedges.src#3)", 0),
+            (
+                "Exchange: Broadcast instead of Hash(incomingrank.node#0)",
+                3 * 150
+            ),
+        ],
         "{text}"
     );
 }

@@ -73,9 +73,15 @@ fn pagerank_equal_across_partition_counts_up_to_float_order() {
 ///   input is already placed on the group key, so the partial states (one
 ///   per group) and the finished rows both pass through.
 ///
-/// `rows_moved` drops with them, to 8,851 and 2,553. (Spill threshold
-/// pinned high: a temp read back from a spill file has lost its tag and is
-/// hashed again.)
+/// `rows_moved` dropped with them, to 8,851 and 2,553. Then PageRank's
+/// second join stopped hashing the first join's rows on `src`: its build
+/// side, the CTE's 150 rows, is broadcast instead (`rows_broadcast`, not
+/// `rows_moved`), the probe rows stay placed on the CTE's key, and the
+/// aggregate's exchange passes them through. Its loop hashes no row, so
+/// PageRank routes only the anchor's `src` column, 700 rows, and moves 621:
+/// 520 of those plus the 101 the final gather fetches. SSSP's counts stay.
+/// (Spill threshold pinned high: a temp read back from a spill file has
+/// lost its tag and is hashed again.)
 #[test]
 fn pagerank_and_sssp_agree_across_partitions_and_hash_only_unplaced_rows() {
     let queries = [pagerank(10, false).cte, sssp_convergent(1, None).cte];
@@ -95,7 +101,7 @@ fn pagerank_and_sssp_agree_across_partitions_and_hash_only_unplaced_rows() {
         assert_rows_approx_eq(&got[0].0, &reference[0].0, &format!("PageRank, {parts}"));
         assert_eq!(got[1].0.rows(), reference[1].0.rows(), "SSSP, {parts}");
         if parts == 4 {
-            assert_eq!([got[0].1, got[1].1], [[11_710, 8_851], [3_306, 2_553]]);
+            assert_eq!([got[0].1, got[1].1], [[700, 621], [3_306, 2_553]]);
         }
     }
 }
@@ -205,13 +211,43 @@ fn distinct_aggregates_correct_under_two_phase_config() {
     assert!(!per_src.is_empty());
 }
 
+/// PageRank's second join broadcasts its build side, the CTE's rows, to
+/// every other partition once an iteration: iterations × CTE rows × (P − 1)
+/// copies. A statement without a join broadcasts nothing.
 #[test]
 fn broadcast_counter_tracks_replication() {
-    // No broadcast exchanges are planned today, but the counter must stay
-    // zero rather than accumulate garbage.
-    let db = load(EngineConfig::default());
-    db.query("SELECT COUNT(*) FROM edges").unwrap();
-    assert_eq!(db.take_stats().rows_broadcast, 0);
+    for parts in [2u64, 4] {
+        let db = load(EngineConfig::default().with_partitions(parts as usize));
+        let nodes = db
+            .query("SELECT COUNT(*) FROM (SELECT src FROM edges UNION SELECT dst FROM edges)")
+            .unwrap()
+            .rows()[0][0]
+            .as_i64()
+            .unwrap() as u64;
+        db.query(&pagerank(10, false).cte).unwrap();
+        assert_eq!(db.take_stats().rows_broadcast, 10 * nodes * (parts - 1));
+        db.query("SELECT COUNT(*) FROM edges").unwrap();
+        assert_eq!(db.take_stats().rows_broadcast, 0);
+    }
+}
+
+/// PageRank's ranks are the same bits at every partition count. Its second
+/// join broadcasts the CTE rather than re-hashing the first join's rows on
+/// `src`, so a node's incoming contributions stay in the node's partition,
+/// in the order a single partition sums them (`edges` is stored on `dst`,
+/// each partition in load order), and the aggregate above folds each node's
+/// sum in one partial state.
+#[test]
+fn pagerank_ranks_are_bit_identical_at_every_partition_count() {
+    let sql = pagerank(10, false).cte;
+    let ranks = |parts: usize| {
+        let db = load(EngineConfig::default().with_partitions(parts));
+        format!("{:?}", db.query(&sql).unwrap().rows())
+    };
+    let one = ranks(1);
+    for parts in [2, 4] {
+        assert_eq!(ranks(parts), one, "{parts} partitions");
+    }
 }
 
 #[test]

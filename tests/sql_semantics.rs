@@ -600,8 +600,11 @@ fn order_by_limit_is_the_head_of_the_full_order_at_every_partition_count() {
         d.execute(&format!("INSERT INTO m VALUES {}", values.join(", ")))
             .unwrap();
         let mut fulls = Vec::new();
-        for order in orders {
-            let sql = format!("SELECT k, x, s FROM m ORDER BY {order}");
+        // The second select list is not the sort keys: a projection sits
+        // between the sort and the limit.
+        let select_lists = ["k, x, s", "CAST(k AS FLOAT), s, x IS NULL"];
+        for (order, list) in orders.iter().flat_map(|o| select_lists.map(|l| (o, l))) {
+            let sql = format!("SELECT {list} FROM m ORDER BY {order}");
             let full = d.query(&sql).unwrap().into_rows();
             assert_eq!(full.len(), 40);
             for n in [0, 1, 7, 40, 41] {
