@@ -7,23 +7,21 @@
 //! only where the engine's contract is rows: bulk load and `VALUES` in,
 //! the result batch out, and the spill codec.
 //!
-//! **A column holds one type, and what it holds decides its variant.** A
-//! column is `Int`, `Float`, `Bool` or `Text`, with a [`Nulls`] bitmap
-//! beside the data, for as long as its non-NULL cells agree, and `Mixed` —
-//! plain [`Value`]s — exactly while two of them do not: every write
+//! **A column holds one type.** A column is `Int`, `Float`, `Bool` or
+//! `Text`, with a [`Nulls`] bitmap beside the data. A column that holds
+//! nothing but NULLs (or nothing) has no type yet and takes the type of
+//! the first cell it is given; after that, every cell written to it
 //! ([`push`](Column::push), [`extend_from`](Column::extend_from),
-//! [`overwrite`](Column::overwrite), [`gather`](Column::gather)) degrades
-//! a column only at a written cell that disagrees, and a `Mixed` column
-//! whose disagreeing cells are overwritten is typed again. A column that
-//! holds nothing but NULLs (or nothing) has no type yet and takes the type
-//! of the first cell it is given. It never coerces: `Int(2)` and
-//! `Float(2.0)` are equal and hash alike but print differently. The
-//! planner makes the cells agree — it types every expression and every
-//! loop column and casts where types meet — so `Mixed` comes only from
-//! named inputs whose cells disagree with their declared types and from
-//! text beside numbers; nothing may depend on *which* variant holds a
-//! cell, [`Column::cell`] reads any of them, and the typed variants exist
-//! so that loops over `&[i64]` and `&[f64]` can skip it.
+//! [`overwrite`](Column::overwrite)) has its type. Who makes that hold:
+//! the plan types every expression, set-operation arm, `VALUES` column,
+//! loop column and partial-aggregate state, and casts where types meet;
+//! a bulk load casts each cell to its declared type
+//! (`spinner_storage::Table::insert`); the spill decoder rejects a cell
+//! that disagrees with its column as corrupt. So a write that disagrees
+//! is an engine bug, like an index out of range, and panics naming both
+//! types. A column never coerces: `Int(2)` and `Float(2.0)` are equal and
+//! hash alike but print differently, and an INT column still joins and
+//! compares with a FLOAT one.
 //!
 //! Row numbers are `u32` throughout (selection vectors, join matches,
 //! group ids), and [`NO_ROW`] — or any number past the end of a column —
@@ -33,6 +31,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, LazyLock};
 
 use crate::row::Row;
+use crate::schema::{Field, Schema};
 use crate::value::{Cell, DataType, Value};
 
 /// The row number that is no row: gathering it yields NULL.
@@ -121,8 +120,6 @@ pub enum Column {
     Bool(Vec<bool>, Nulls),
     /// Strings, and which of them are NULL.
     Text(Vec<String>, Nulls),
-    /// Cells that disagree about their type.
-    Mixed(Vec<Value>),
 }
 
 impl Default for Column {
@@ -196,13 +193,26 @@ fn from_options<T: Default>(cells: impl IntoIterator<Item = Option<T>>) -> (Vec<
 impl Column {
     /// A column with no cells and no type yet.
     pub fn new() -> Column {
-        Column::Int(Vec::new(), Nulls::default())
+        Column::of_nulls(DataType::Null, 0)
+    }
+
+    /// `rows` NULL cells of a column that is to hold `to` (an INT one for
+    /// NULL: a column without a value has no type, whatever it is made of).
+    fn of_nulls(to: DataType, rows: usize) -> Column {
+        let mut out = match to {
+            DataType::Int | DataType::Null => Column::Int(Vec::new(), Nulls::default()),
+            DataType::Float => Column::Float(Vec::new(), Nulls::default()),
+            DataType::Bool => Column::Bool(Vec::new(), Nulls::default()),
+            DataType::Text => Column::Text(Vec::new(), Nulls::default()),
+        };
+        out.push_nulls(rows);
+        out
     }
 
     /// `rows` copies of `value`.
     pub fn repeat(value: &Value, rows: usize) -> Column {
         match value {
-            Value::Null => Column::new().nulls_like(rows),
+            Value::Null => Column::of_nulls(DataType::Null, rows),
             Value::Int(i) => Column::Int(vec![*i; rows], Nulls::default()),
             Value::Float(f) => Column::Float(vec![*f; rows], Nulls::default()),
             Value::Bool(b) => Column::Bool(vec![*b; rows], Nulls::default()),
@@ -229,7 +239,6 @@ impl Column {
             Column::Float(d, _) => d.len(),
             Column::Bool(d, _) => d.len(),
             Column::Text(d, _) => d.len(),
-            Column::Mixed(d) => d.len(),
         }
     }
 
@@ -238,20 +247,36 @@ impl Column {
         self.len() == 0
     }
 
-    /// The NULL bitmap of a typed column; `None` for `Mixed`, whose NULLs
-    /// are cells.
-    pub fn nulls(&self) -> Option<&Nulls> {
+    /// The NULL bitmap.
+    pub fn nulls(&self) -> &Nulls {
         match self {
-            Column::Int(_, n) | Column::Float(_, n) | Column::Bool(_, n) | Column::Text(_, n) => {
-                Some(n)
-            }
-            Column::Mixed(_) => None,
+            Column::Int(_, n) | Column::Float(_, n) | Column::Bool(_, n) | Column::Text(_, n) => n,
+        }
+    }
+
+    /// The type this column's variant holds, whether or not a cell has a
+    /// value yet.
+    fn variant(&self) -> DataType {
+        match self {
+            Column::Int(..) => DataType::Int,
+            Column::Float(..) => DataType::Float,
+            Column::Bool(..) => DataType::Bool,
+            Column::Text(..) => DataType::Text,
         }
     }
 
     /// Whether no cell has a value — such a column has no type yet.
     fn untyped(&self) -> bool {
-        self.nulls().is_some_and(|n| n.count == self.len())
+        self.nulls().count == self.len()
+    }
+
+    /// The type of this column's cells: NULL while no cell has a value
+    /// (the column has no type yet).
+    pub fn data_type(&self) -> DataType {
+        match self.untyped() {
+            true => DataType::Null,
+            false => self.variant(),
+        }
     }
 
     /// Cell `row`, read in place. A row past the end reads as NULL.
@@ -274,7 +299,6 @@ impl Column {
                 Some(x) if !n.is_null(row) => Cell::Text(x),
                 _ => Cell::Null,
             },
-            Column::Mixed(d) => d.get(row).map_or(Cell::Null, Value::cell),
         }
     }
 
@@ -344,24 +368,14 @@ impl Column {
         }
     }
 
-    /// Turn into `Mixed`, cell for cell.
-    fn degrade(&mut self) {
-        if !matches!(self, Column::Mixed(_)) {
-            *self = Column::Mixed((0..self.len()).map(|row| self.value(row)).collect());
-        }
-    }
-
-    /// `rows` NULL cells of the same variant as `self`.
-    fn nulls_like(&self, rows: usize) -> Column {
-        let mut out = match self {
-            Column::Int(..) => Column::Int(Vec::new(), Nulls::default()),
-            Column::Float(..) => Column::Float(Vec::new(), Nulls::default()),
-            Column::Bool(..) => Column::Bool(Vec::new(), Nulls::default()),
-            Column::Text(..) => Column::Text(Vec::new(), Nulls::default()),
-            Column::Mixed(_) => Column::Mixed(Vec::new()),
-        };
-        out.push_nulls(rows);
-        out
+    /// Give this column, which holds no value yet, the type `to`, keeping
+    /// its NULLs. A column that holds a value of another type panics: the
+    /// plan, the loader and the spill decoder type every cell before it is
+    /// written, so a cell that disagrees with its column is an engine bug.
+    fn adopt(&mut self, to: DataType) {
+        let held = self.data_type();
+        assert!(held == DataType::Null, "{to} cell written to {held} column");
+        *self = Column::of_nulls(to, self.len());
     }
 
     fn push_nulls(&mut self, count: usize) {
@@ -371,16 +385,14 @@ impl Column {
             Column::Float(d, _) => d.resize(end, 0.0),
             Column::Bool(d, _) => d.resize(end, false),
             Column::Text(d, _) => d.resize(end, String::new()),
-            Column::Mixed(d) => d.resize(end, Value::Null),
         }
-        if let Column::Int(_, n) | Column::Float(_, n) | Column::Bool(_, n) | Column::Text(_, n) =
-            self
-        {
-            (start..end).for_each(|row| n.set(row));
-        }
+        let (Column::Int(_, n) | Column::Float(_, n) | Column::Bool(_, n) | Column::Text(_, n)) =
+            self;
+        (start..end).for_each(|row| n.set(row));
     }
 
-    /// Append `value`.
+    /// Append `value`, which is NULL or of this column's type (or of any
+    /// type, while the column has none).
     pub fn push(&mut self, value: Value) {
         match (&mut *self, value) {
             (_, Value::Null) => self.push_nulls(1),
@@ -388,20 +400,16 @@ impl Column {
             (Column::Float(d, _), Value::Float(x)) => d.push(x),
             (Column::Bool(d, _), Value::Bool(x)) => d.push(x),
             (Column::Text(d, _), Value::Text(x)) => d.push(x),
-            (Column::Mixed(d), value) => d.push(value),
             (_, value) => {
-                if self.untyped() {
-                    *self = Column::repeat(&value, 0).nulls_like(self.len());
-                } else {
-                    self.degrade();
-                }
+                self.adopt(value.data_type());
                 self.push(value);
             }
         }
     }
 
     /// Append cells `rows` of `src`, in that order. [`NO_ROW`], or any
-    /// row past the end of `src`, appends NULL.
+    /// row past the end of `src`, appends NULL. `src` holds this column's
+    /// type or no value (or any type, while this column has none).
     pub fn extend_from<I>(&mut self, src: &Column, rows: I)
     where
         I: ExactSizeIterator<Item = u32> + Clone,
@@ -412,30 +420,22 @@ impl Column {
         if src.untyped() {
             return self.push_nulls(rows.len());
         }
-        let untyped = self.untyped();
         match (&mut *self, src) {
             (Column::Int(d, n), Column::Int(s, sn)) => extend_typed((d, n), (s, sn), rows),
             (Column::Float(d, n), Column::Float(s, sn)) => extend_typed((d, n), (s, sn), rows),
             (Column::Bool(d, n), Column::Bool(s, sn)) => extend_typed((d, n), (s, sn), rows),
             (Column::Text(d, n), Column::Text(s, sn)) => extend_typed((d, n), (s, sn), rows),
-            (Column::Mixed(d), src) => d.extend(rows.map(|row| src.value(row as usize))),
-            (_, Column::Int(..) | Column::Float(..) | Column::Bool(..) | Column::Text(..))
-                if untyped =>
-            {
-                *self = src.nulls_like(self.len());
+            _ => {
+                self.adopt(src.data_type());
                 self.extend_from(src, rows);
             }
-            // A cell at a time: the column turns `Mixed` at the first cell
-            // that disagrees with it, and only there.
-            _ => rows.for_each(|row| self.push(src.value(row as usize))),
         }
     }
 
     /// Overwrite cell `to` with cell `from` of `src` for every `(to, from)`
-    /// of `pairs`, each `to` a row of this column. A typed column of
-    /// `src`'s type is written in place. Otherwise the cells are written
-    /// one by one and the column ends typed by what it then holds: `Mixed`
-    /// only if two of its cells disagree.
+    /// of `pairs`, each `to` a row of this column, in place. `src` holds
+    /// this column's type or no value (or any type, while this column has
+    /// none).
     pub fn overwrite(&mut self, src: &Column, pairs: &[(u32, u32)]) {
         if pairs.is_empty() {
             return;
@@ -445,63 +445,19 @@ impl Column {
             (Column::Float(d, n), Column::Float(s, sn)) => overwrite_typed((d, n), (s, sn), pairs),
             (Column::Bool(d, n), Column::Bool(s, sn)) => overwrite_typed((d, n), (s, sn), pairs),
             (Column::Text(d, n), Column::Text(s, sn)) => overwrite_typed((d, n), (s, sn), pairs),
-            (Column::Mixed(d), src) => {
-                for &(to, from) in pairs {
-                    d[to as usize] = src.value(from as usize);
-                }
-                self.retype();
-            }
-            (_, src) if src.untyped() => {
-                let nulls = self.nulls_like(0);
-                self.overwrite(&nulls, pairs);
-            }
+            _ if src.untyped() => self.overwrite(&Column::of_nulls(self.variant(), 0), pairs),
             _ => {
-                if self.untyped() {
-                    *self = src.nulls_like(self.len());
-                } else {
-                    self.degrade();
-                }
+                self.adopt(src.data_type());
                 self.overwrite(src, pairs);
             }
         }
     }
 
-    /// A `Mixed` column whose cells agree after all becomes typed again.
-    fn retype(&mut self) {
-        let Column::Mixed(cells) = self else { return };
-        let mut types = (cells.iter().map(Value::data_type)).filter(|&t| t != DataType::Null);
-        let first = types.next();
-        if types.all(|t| Some(t) == first) {
-            let mut typed = Column::new();
-            std::mem::take(cells)
-                .into_iter()
-                .for_each(|v| typed.push(v));
-            *self = typed;
-        }
-    }
-
-    /// Cells `rows` of this column as a new column, typed by the cells it
-    /// takes.
+    /// Cells `rows` of this column as a new column of its type.
     pub fn gather(&self, rows: &[u32]) -> Column {
-        let mut out = match self {
-            Column::Mixed(_) => Column::new(),
-            typed => typed.nulls_like(0),
-        };
+        let mut out = Column::of_nulls(self.variant(), 0);
         out.extend_from(self, rows.iter().copied());
         out
-    }
-
-    /// The one type of this column's cells: NULL while no cell has a value
-    /// (the column has no type yet), `None` when two cells disagree.
-    pub fn data_type(&self) -> Option<DataType> {
-        Some(match self {
-            _ if self.untyped() => DataType::Null,
-            Column::Int(..) => DataType::Int,
-            Column::Float(..) => DataType::Float,
-            Column::Bool(..) => DataType::Bool,
-            Column::Text(..) => DataType::Text,
-            Column::Mixed(_) => return None,
-        })
     }
 }
 
@@ -608,6 +564,16 @@ impl Block {
             .all(|(a, b)| a.eq_cells(row, b, other_row))
     }
 
+    /// The first column that holds neither the type its field in `schema`
+    /// gives it nor no value: that field, and the type the column holds.
+    pub fn mistyped<'s>(&self, schema: &'s Schema) -> Option<(&'s Field, DataType)> {
+        let columns = self.columns.iter().zip(schema.fields());
+        columns.into_iter().find_map(|(column, field)| {
+            let held = column.data_type();
+            (held != DataType::Null && held != field.data_type).then_some((field, held))
+        })
+    }
+
     /// Rows `rows` of this block, in that order, as a new block.
     pub fn take(&self, rows: &[u32]) -> Block {
         if rows.is_empty() {
@@ -648,37 +614,35 @@ mod tests {
     use crate::row::row_of;
     use proptest::prelude::*;
 
-    /// Cells that tell representations apart: `2` and `2.0`, both zeroes,
-    /// NaN, NULL, text, booleans.
-    fn cell() -> impl Strategy<Value = Value> {
-        (0u32..12).prop_map(|pick| match pick {
-            0 | 1 => Value::Null,
-            2 => Value::Float(-0.0),
-            3 => Value::Float(2.0),
-            4 => Value::Float(f64::NAN),
-            5 => Value::Text("ab".into()),
-            6 => Value::Bool(true),
-            n => Value::Int(i64::from(n) - 7),
-        })
+    /// Cell `x` (`0..5`) of one type — `kind` 0 INT, 1 FLOAT, 2 TEXT, 3
+    /// BOOL — from few values, so cells repeat: INT's `2` beside FLOAT's
+    /// `2.0`, both zeroes and two NaNs (equal under `Value`'s `Eq`).
+    fn cell_of(kind: u32, x: i64) -> Value {
+        match kind {
+            0 => Value::Int(x),
+            1 => Value::Float([-0.0, 0.0, f64::NAN, -f64::NAN, 2.0][x as usize]),
+            2 => Value::Text(x.to_string()),
+            _ => Value::Bool(x % 2 == 0),
+        }
     }
 
-    /// A column's worth of cells: mostly of one type (so typed columns
-    /// occur), sometimes anything.
+    /// A column's worth of cells of one type, and NULLs.
+    fn cells_of(kind: u32) -> impl Strategy<Value = Vec<Value>> {
+        let cell = prop_oneof![
+            Just(Value::Null),
+            (0i64..5).prop_map(move |x| cell_of(kind, x))
+        ];
+        proptest::collection::vec(cell, 0..12)
+    }
+
+    /// A column's worth of cells of any one type.
     fn cells() -> impl Strategy<Value = Vec<Value>> {
-        let typed = |value: fn(i64) -> Value| {
-            proptest::collection::vec(
-                prop_oneof![Just(Value::Null), (0i64..4).prop_map(value)],
-                0..12,
-            )
-        };
-        prop_oneof![
-            typed(Value::Int),
-            // Both zeroes and both NaNs: equal under `Value`'s `Eq`.
-            typed(|x| Value::Float([-0.0, 0.0, f64::NAN, -f64::NAN][x as usize])),
-            typed(|x| Value::Text(x.to_string())),
-            typed(|x| Value::Bool(x % 2 == 0)),
-            proptest::collection::vec(cell(), 0..12),
-        ]
+        (0u32..4).prop_flat_map(cells_of)
+    }
+
+    /// Two columns' worth of cells of one type.
+    fn same_typed() -> impl Strategy<Value = (Vec<Value>, Vec<Value>)> {
+        (0u32..4).prop_flat_map(|kind| (cells_of(kind), cells_of(kind)))
     }
 
     fn exact<T: std::fmt::Debug + ?Sized>(value: &T) -> String {
@@ -695,25 +659,34 @@ mod tests {
         (0..column.len()).map(|row| column.value(row)).collect()
     }
 
+    /// The one type of `cells`, NULL if none has a value.
+    fn type_of(cells: &[Value]) -> DataType {
+        let mut types = cells.iter().map(Value::data_type);
+        types
+            .find(|&t| t != DataType::Null)
+            .unwrap_or(DataType::Null)
+    }
+
     #[test]
     fn columns_are_typed_by_content_and_never_coerce() {
-        let ints = column_of(&[Value::Null, Value::Int(1), Value::Null]);
+        let ints = column_of(&[Value::Null, Value::Int(2), Value::Null]);
         assert!(matches!(&ints, Column::Int(data, nulls) if data.len() == 3 && nulls.count == 2));
         // NULLs come first: the column had no type until the float arrived.
-        let floats = column_of(&[Value::Null, Value::Float(-0.0)]);
+        let floats = column_of(&[Value::Null, Value::Float(2.0)]);
         assert!(matches!(floats, Column::Float(..)));
-        assert!(matches!(
-            column_of(&[Value::Null, Value::Null]),
-            Column::Int(..)
-        ));
-        // Turns `Mixed` at its last row, keeping every earlier cell as it was.
-        let cells = [Value::Int(2), Value::Null, Value::Float(2.0)];
-        let mixed = column_of(&cells);
-        assert!(matches!(mixed, Column::Mixed(_)));
-        assert_eq!(exact(&values(&mixed)), exact(&cells));
-        assert!(mixed.eq_cells(0, &mixed, 2), "2 = 2.0");
+        assert_eq!(floats.data_type(), DataType::Float);
+        assert_eq!(
+            column_of(&[Value::Null, Value::Null]).data_type(),
+            DataType::Null
+        );
+        // An INT column and a FLOAT one: 2 = 2.0, but each prints as it is.
+        assert!(ints.eq_cells(1, &floats, 1) && !ints.same_cell(1, &floats, 1));
+        assert_eq!(
+            exact(&[ints.value(1), floats.value(1)]),
+            "[Int(2), Float(2.0)]"
+        );
         assert!(
-            mixed.is_null(1) && mixed.is_null(9),
+            ints.is_null(0) && ints.is_null(9),
             "past the end reads NULL"
         );
         assert!(matches!(
@@ -721,6 +694,14 @@ mod tests {
             Cell::Null
         ));
         assert_eq!(Column::repeat(&Value::Text("x".into()), 2).len(), 2);
+    }
+
+    /// A cell written to a column of another type is an engine bug.
+    #[test]
+    #[should_panic(expected = "FLOAT cell written to INT column")]
+    fn a_write_that_disagrees_with_the_column_panics() {
+        let mut ints = column_of(&[Value::Null, Value::Int(2)]);
+        ints.extend_from(&column_of(&[Value::Float(2.0)]), 0..1);
     }
 
     #[test]
@@ -732,13 +713,9 @@ mod tests {
         }
         let rows = vec![
             row_of([Value::Int(2), Value::Float(-0.0), Value::Null]),
-            row_of([Value::Float(2.0), Value::Float(f64::NAN), Value::Null]),
-            row_of([
-                Value::Text("t".into()),
-                Value::Float(0.0),
-                Value::Bool(false),
-            ]),
-            row_of([Value::Float(2.0), Value::Float(0.0), Value::Null]),
+            row_of([Value::Null, Value::Float(f64::NAN), Value::Null]),
+            row_of([Value::Int(-1), Value::Float(0.0), Value::Bool(false)]),
+            row_of([Value::Int(2), Value::Float(0.0), Value::Null]),
         ];
         let block = Block::from_rows(3, rows.clone());
         assert_eq!(exact(&block.to_rows()), exact(&rows));
@@ -746,6 +723,22 @@ mod tests {
         block.push_rows(2, &mut head);
         assert_eq!(exact(&head), exact(&rows[..2]));
         assert!(block.eq_rows(0, &block, 3) && !block.eq_rows(0, &block, 1));
+        // Against a block whose first column is FLOAT: 2 = 2.0.
+        let floats = Block::from_rows(
+            3,
+            [row_of([Value::Float(2.0), Value::Float(0.0), Value::Null])],
+        );
+        assert!(block.eq_rows(0, &floats, 0) && !block.eq_rows(2, &floats, 0));
+        let schema = Schema::new(
+            [DataType::Int, DataType::Float, DataType::Bool]
+                .map(|t| Field::new("c", t))
+                .to_vec(),
+        );
+        assert!(block.mistyped(&schema).is_none());
+        let held = floats
+            .mistyped(&schema)
+            .map(|(field, held)| (field.data_type, held));
+        assert_eq!(held, Some((DataType::Int, DataType::Float)));
     }
 
     proptest! {
@@ -763,12 +756,11 @@ mod tests {
         }
 
         /// `gather` (with rows past the end and `NO_ROW`), `extend_from`
-        /// onto a column of another type, `take` and `concat` against the
-        /// same thing done cell by cell.
+        /// (onto a column of the same type, or of none yet), `take` and
+        /// `concat` against the same thing done cell by cell.
         #[test]
         fn gather_scatter_and_take_equal_the_row_wise_reference(
-            a in cells(),
-            b in cells(),
+            (a, b) in same_typed(),
             picks in proptest::collection::vec(0u32..16, 0..20),
             limit in 0usize..30,
         ) {
@@ -777,7 +769,12 @@ mod tests {
             let pick = |cells: &[Value], row: u32| cells.get(row as usize).cloned().unwrap_or(Value::Null);
             let want: Vec<Value> = picks.iter().map(|&row| pick(&a, row)).collect();
             prop_assert_eq!(exact(&values(&ca.gather(&picks))), exact(&want));
-            // Scatter: append picks of `a` onto all of `b`.
+            // Scatter: append picks of `a` onto all of `b`, and onto a column
+            // of no type yet.
+            let mut untyped = Column::repeat(&Value::Null, 2);
+            untyped.extend_from(&ca, picks.iter().copied());
+            let nulls_first: Vec<Value> = [Value::Null, Value::Null].into_iter().chain(want.clone()).collect();
+            prop_assert_eq!(exact(&values(&untyped)), exact(&nulls_first));
             let mut onto = cb.clone();
             onto.extend_from(&ca, picks.iter().copied());
             let want: Vec<Value> = b.iter().cloned().chain(want).collect();
@@ -807,13 +804,11 @@ mod tests {
         }
 
         /// `overwrite` writes exactly the cells it is given — later pairs
-        /// over earlier ones — whatever the two columns' types, and
-        /// `overwrite_rows` leaves the block it shares its columns with as
-        /// it was.
+        /// over earlier ones — and `overwrite_rows` leaves the block it
+        /// shares its columns with as it was.
         #[test]
         fn overwrite_writes_exactly_the_pairs_cells(
-            a in cells(),
-            b in cells(),
+            (a, b) in same_typed(),
             picks in proptest::collection::vec((0u32..12, 0u32..12), 0..12),
         ) {
             let pairs: Vec<(u32, u32)> = picks
@@ -849,22 +844,22 @@ mod tests {
         }
 
         /// Whatever writes a column — `push`, `extend_from` and `overwrite`
-        /// from typed or `Mixed` sources, `gather` — it holds exactly the
-        /// cells written, and it is `Mixed` exactly when two of them
-        /// disagree about their type.
+        /// of cells of its type, `gather` — it holds exactly the cells
+        /// written, and its type is theirs: NULL until one has a value.
         #[test]
-        fn a_column_is_mixed_only_when_its_cells_disagree(
-            start in cells(),
-            ops in proptest::collection::vec(
-                (0u32..4, cells(), any::<bool>(), proptest::collection::vec((0u32..14, 0u32..14), 0..10)),
-                0..8,
-            ),
+        fn agreeing_writes_keep_a_columns_cells_and_type(
+            (start, ops) in (0u32..4).prop_flat_map(|kind| (
+                cells_of(kind),
+                proptest::collection::vec(
+                    (0u32..4, cells_of(kind), proptest::collection::vec((0u32..14, 0u32..14), 0..10)),
+                    0..8,
+                ),
+            )),
         ) {
             let mut column = column_of(&start);
             let mut want = start;
-            for (op, src, mixed, picks) in ops {
-                // The source of a write, typed by its cells or forced `Mixed`.
-                let from = if mixed { Column::Mixed(src.clone()) } else { column_of(&src) };
+            for (op, src, picks) in ops {
+                let from = column_of(&src);
                 let cell = |row: u32| src.get(row as usize).cloned().unwrap_or(Value::Null);
                 match op {
                     0 => {
@@ -893,16 +888,13 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(exact(&values(&column)), exact(&want));
-                // The one type of the written cells, or `None` if two disagree.
-                let mut types = want.iter().map(Value::data_type).filter(|&t| t != DataType::Null);
-                let first = types.next().unwrap_or(DataType::Null);
-                let agreed = types.all(|t| t == first).then_some(first);
-                prop_assert_eq!(column.data_type(), agreed, "{:?}", column);
+                prop_assert_eq!(column.data_type(), type_of(&want), "{:?}", column);
             }
         }
 
         /// A column hashed a column at a time is `Value`'s own hash, and
-        /// `eq_cells` its own equality.
+        /// `eq_cells` its own equality — between columns of one type or of
+        /// two (an INT column against a FLOAT one).
         #[test]
         fn typed_hash_and_equality_are_the_values_own(a in cells(), b in cells()) {
             use std::collections::hash_map::DefaultHasher;
@@ -917,10 +909,9 @@ mod tests {
                     prop_assert_eq!(ca.eq_cells(row, &cb, other), a[row] == *cell);
                 }
             }
-            let (na, nb) = (ca.nulls().cloned().unwrap_or_default(), cb.nulls().cloned().unwrap_or_default());
-            let either = na.union(&nb);
+            let either = ca.nulls().union(cb.nulls());
             for row in 0..a.len().max(b.len()) + 70 {
-                prop_assert_eq!(either.is_null(row), na.is_null(row) || nb.is_null(row));
+                prop_assert_eq!(either.is_null(row), ca.nulls().is_null(row) || cb.nulls().is_null(row));
             }
         }
     }

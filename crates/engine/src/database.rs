@@ -427,7 +427,8 @@ impl Database {
     }
 
     /// Bulk-load a table programmatically (used by the dataset generators;
-    /// far faster than millions of INSERT statements).
+    /// far faster than millions of INSERT statements). Each cell is cast to
+    /// its column's declared type; a load that fails leaves no table.
     pub fn create_table_from_rows(
         &self,
         name: &str,
@@ -443,7 +444,11 @@ impl Database {
             partition_key.or(primary_key).or(Some(0)),
             primary_key,
         )?;
-        self.catalog.with_table_mut(name, |t| t.insert(rows))
+        let loaded = self.catalog.with_table_mut(name, |t| t.insert(rows));
+        if loaded.is_err() {
+            let _ = self.catalog.drop_table(name);
+        }
+        loaded
     }
 
     fn execute_parsed(

@@ -10,13 +10,13 @@
 //! partition whose rows already carry group numbers. `COUNT`, and `SUM`,
 //! `MIN`, `MAX` and `AVG` over an integer or float column, fold into flat
 //! typed state — one slot per group, by the accumulator's own rules — and
-//! everything else (`DISTINCT`, `ARG_MIN`/`ARG_MAX`, text, booleans, a
-//! `Mixed` column) feeds one `Accumulator` per group a cell at a time.
+//! everything else (`DISTINCT`, `ARG_MIN`/`ARG_MAX`, text, booleans)
+//! feeds one `Accumulator` per group a cell at a time.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use spinner_common::{Cell, Column, Error, Nulls, Result, Value};
+use spinner_common::{Cell, Column, DataType, Error, Nulls, Result, Value};
 use spinner_plan::{AggExpr, AggFunc};
 
 /// Running state for one aggregate in one group.
@@ -231,14 +231,29 @@ impl Accumulator {
 }
 
 impl Accumulator {
-    /// Number of cells the partial state of `func` occupies in a
-    /// partial-aggregation row (two-phase aggregation).
+    /// The types of the cells the partial state of `func` occupies in a
+    /// partial-aggregation row (two-phase aggregation), given the types of
+    /// its argument `arg` and, for ARG_MIN/ARG_MAX, of its key `key`:
+    /// COUNT's count is INT; SUM, MIN and MAX hold an argument; AVG is
+    /// (sum FLOAT, count INT); ARG_MIN/ARG_MAX is (key, val). Their number
+    /// is the state's width.
+    pub fn state_types(
+        func: AggFunc,
+        arg: DataType,
+        key: DataType,
+    ) -> impl ExactSizeIterator<Item = DataType> {
+        let (types, width) = match func {
+            AggFunc::Count | AggFunc::CountStar => ([DataType::Int; 2], 1),
+            AggFunc::Sum | AggFunc::Min | AggFunc::Max => ([arg; 2], 1),
+            AggFunc::Avg => ([DataType::Float, DataType::Int], 2),
+            AggFunc::ArgMin | AggFunc::ArgMax => ([key, arg], 2),
+        };
+        types.into_iter().take(width)
+    }
+
+    /// Number of cells the partial state of `func` occupies.
     pub fn state_width(func: AggFunc) -> usize {
-        match func {
-            AggFunc::Avg => 2,                      // (sum, count)
-            AggFunc::ArgMin | AggFunc::ArgMax => 2, // (key, val)
-            _ => 1,
-        }
+        Accumulator::state_types(func, DataType::Null, DataType::Null).len()
     }
 
     /// Append this accumulator's partial-state cells to `cells`. Only

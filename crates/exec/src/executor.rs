@@ -981,26 +981,12 @@ impl<'a> StatementContext<'a> {
 }
 
 /// Debug check: every column of `data`, loop state of `l`, holds the type
-/// the plan gives it (`spinner_plan::rewrite`) or no value yet — never
-/// `Mixed`, never INT where the loop's schema says FLOAT.
+/// the plan gives it (`spinner_plan::rewrite`) or no value yet.
 #[cfg(debug_assertions)]
 fn check_loop_types(l: &LoopStep, data: &Partitioned, what: &str) {
-    use spinner_common::DataType;
-    for block in &data.parts {
-        for (column, field) in block.columns().iter().zip(l.schema.fields()) {
-            let held = column.data_type();
-            assert!(
-                field.data_type == DataType::Null
-                    || held == Some(DataType::Null)
-                    || held == Some(field.data_type),
-                "{what} of {}: column '{}' is {} but holds {}",
-                l.cte_display_name,
-                field.name,
-                field.data_type,
-                held.map_or("cells that disagree".to_string(), |t| t.to_string()),
-            );
-        }
-    }
+    operators::check_types(data, &l.schema, || {
+        format!("{what} of {}", l.cte_display_name)
+    });
 }
 
 /// Whether no input of `plan` that the join-state cache runs once — a
@@ -1494,23 +1480,31 @@ mod tests {
         Ok((merged, work.take(&merge.delta), merge.delta.len() as u64))
     }
 
-    /// Merge inputs: `(key, value)` rows whose keys repeat, are NULL, or
-    /// are `2` on one side and `2.0` on the other; values that are
-    /// integers, floats (`-0.0` beside `0.0`), both, or NULL.
-    fn merge_rows() -> impl proptest::strategy::Strategy<Value = Vec<spinner_common::Row>> {
+    /// Merge inputs `(cte, work)`: `(key, value)` rows whose keys repeat or
+    /// are NULL, integers or floats (`-0.0` beside `0.0`), and whose values
+    /// are integers or floats (`-0.0` beside `0.0`) or NULL — each column
+    /// of one type on both sides, as a loop's state is.
+    fn merge_inputs(
+    ) -> impl proptest::strategy::Strategy<Value = (Vec<spinner_common::Row>, Vec<spinner_common::Row>)>
+    {
         use proptest::prelude::*;
-        let key = (0i64..7).prop_map(|n| match n {
-            5 => Value::Null,
-            6 => Value::Float(2.0),
-            n => Value::Int(n),
-        });
-        let value = (0u32..4, 0i64..3).prop_map(|(kind, n)| match kind {
-            0 => Value::Int(n),
-            1 => Value::Float(if n == 0 { -0.0 } else { n as f64 }),
-            2 => Value::Float(n as f64),
-            _ => Value::Null,
-        });
-        proptest::collection::vec((key, value).prop_map(|(k, v)| row_of([k, v])), 0..16)
+        let number = |n: i64, float: bool| match (n, float) {
+            (n, false) => Value::Int(n),
+            (0, true) => Value::Float(-0.0),
+            (n, true) => Value::Float((n - 1) as f64),
+        };
+        let rows = move |(float_keys, float_values): (bool, bool)| {
+            let key = (0i64..6).prop_map(move |n| match n {
+                5 => Value::Null,
+                n => number(n, float_keys),
+            });
+            let value = (0i64..4).prop_map(move |n| match n {
+                3 => Value::Null,
+                n => number(n, float_values),
+            });
+            proptest::collection::vec((key, value).prop_map(|(k, v)| row_of([k, v])), 0..16)
+        };
+        (any::<bool>(), any::<bool>()).prop_flat_map(move |types| (rows(types), rows(types)))
     }
 
     proptest::proptest! {
@@ -1520,7 +1514,7 @@ mod tests {
         /// cell for cell: the merged rows, the delta in its order and the
         /// update count — or the same duplicate key named.
         #[test]
-        fn indexed_merge_equals_the_reference_merge(cte in merge_rows(), work in merge_rows()) {
+        fn indexed_merge_equals_the_reference_merge((cte, work) in merge_inputs()) {
             let exact = |block: &Block| format!("{:?}", block.to_rows());
             let (cte, work) = (Block::from_rows(2, cte), Block::from_rows(2, work));
             match (indexed_merge(&cte, &work, 0), reference_merge(&cte, &work, 0)) {

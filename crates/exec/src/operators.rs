@@ -71,19 +71,44 @@ fn execute_first(
     // here, so cancellation and deadlines are honoured between operators
     // even when a single plan has no loop.
     ctx.guard.check()?;
-    if !ctx.tracer.is_enabled() {
-        return execute_inner(plan, limit, ctx);
+    let traced = ctx.tracer.is_enabled();
+    if traced {
+        ctx.tracer.enter(SpanKind::Operator, plan.describe());
     }
-    ctx.tracer.enter(SpanKind::Operator, plan.describe());
-    match execute_inner(plan, limit, ctx) {
-        Ok(data) => {
-            ctx.tracer
-                .exit(data.total_rows() as u64, data.estimated_bytes());
-            Ok(data)
+    let result = execute_inner(plan, limit, ctx);
+    #[cfg(debug_assertions)]
+    if let Ok(data) = &result {
+        check_types(data, &plan.schema(), || plan.describe());
+    }
+    if traced {
+        match &result {
+            Ok(data) => ctx
+                .tracer
+                .exit(data.total_rows() as u64, data.estimated_bytes()),
+            Err(_) => ctx.tracer.exit(0, 0),
         }
-        Err(e) => {
-            ctx.tracer.exit(0, 0);
-            Err(e)
+    }
+    result
+}
+
+/// Debug check: every column of `data` holds the type `schema` gives it,
+/// or no value yet. A column the plan types one way and that holds
+/// another would panic at the first write that meets a column of its
+/// plan type; this names it where it is made. `what` names the data.
+#[cfg(debug_assertions)]
+pub(crate) fn check_types(
+    data: &Partitioned,
+    schema: &spinner_common::Schema,
+    what: impl Fn() -> String,
+) {
+    for block in &data.parts {
+        if let Some((field, held)) = block.mistyped(schema) {
+            let declared = field.data_type;
+            panic!(
+                "{}: column '{}' is {declared} but holds {held}",
+                what(),
+                field.name
+            );
         }
     }
 }
@@ -1406,22 +1431,22 @@ mod tests {
             let rows = block(
                 2,
                 &[
-                    row_of([Value::Int(1), Value::Text("x".into())]),
+                    row_of([Value::Float(0.0), Value::Text("x".into())]),
                     row_of([Value::Null, Value::Text("y".into())]),
-                    row_of([Value::Int(3), Value::Text("z".into())]),
-                    row_of([Value::Float(1.0), Value::Text("w".into())]),
+                    row_of([Value::Float(3.0), Value::Text("z".into())]),
+                    row_of([Value::Float(-0.0), Value::Text("w".into())]),
                 ],
             );
             let sorted =
                 sort_rows(&rows, &[sort_key(col(0), false, false)], usize::MAX, ctx).unwrap();
-            // 1 and 1.0 tie: the sort is stable, so "x" stays ahead of "w" —
-            // and each keeps its own cell: `Int(1)` is not `Float(1.0)`.
+            // 0.0 and -0.0 tie: the sort is stable, so "x" stays ahead of "w"
+            // — and each keeps its own cell: `0.0` is not `-0.0`.
             assert_eq!(
                 exact(&sorted.to_rows()),
                 exact(&[
-                    row_of([Value::Int(3), Value::Text("z".into())]),
-                    row_of([Value::Int(1), Value::Text("x".into())]),
-                    row_of([Value::Float(1.0), Value::Text("w".into())]),
+                    row_of([Value::Float(3.0), Value::Text("z".into())]),
+                    row_of([Value::Float(0.0), Value::Text("x".into())]),
+                    row_of([Value::Float(-0.0), Value::Text("w".into())]),
                     row_of([Value::Null, Value::Text("y".into())]),
                 ])
             );
@@ -1468,15 +1493,16 @@ mod tests {
                 row_of([Value::Null, Value::Null]),
             ]
         );
-        // One NULL cell makes a multi-column key NULL, on either side.
+        // One NULL cell makes a multi-column key NULL, on either side: an
+        // INT key probing a FLOAT one.
         let l = vec![
             row_of([Value::Int(1), Value::Null]),
             row_of([Value::Int(1), Value::Int(2)]),
         ];
         let r = vec![
-            row_of([Value::Null, Value::Int(2)]),
+            row_of([Value::Null, Value::Float(2.0)]),
             row_of([Value::Float(1.0), Value::Float(2.0)]),
-            row_of([Value::Int(1), Value::Null]),
+            row_of([Value::Float(1.0), Value::Null]),
         ];
         let keys = [(0, 0), (1, 1)];
         let out = hash_join(&l, &r, JoinType::Inner, &keys, None, (2, 2));
@@ -1575,58 +1601,71 @@ mod tests {
 
     // ---- differential properties ------------------------------------------
 
-    /// Key cells from a small domain rich in the cases the hash must get
-    /// right: NULL, `2` against `2.0`, both zeroes, NaN, text.
-    fn key_cell() -> impl Strategy<Value = Value> {
-        (0u32..12).prop_map(|pick| match pick {
-            0 | 1 => Value::Null,
-            2 => Value::Float(-0.0),
-            3 => Value::Float(2.0),
-            4 => Value::Float(f64::NAN),
-            5 => Value::Text("a".into()),
-            6 => Value::Text("ab".into()),
-            n => Value::Int(i64::from(n) - 7),
+    /// A key cell of one type — `kind` 0 INT, 1 FLOAT, 2 TEXT — or NULL,
+    /// from a small domain rich in the cases the hash must get right: an
+    /// INT column's `0`, `1` and `2` are a FLOAT column's `-0.0`, `1.0` and
+    /// `2.0`; NaN; text.
+    fn key_cell(kind: u32) -> impl Strategy<Value = Value> {
+        (0i64..7).prop_map(move |n| match (kind, n) {
+            (_, 0 | 1) => Value::Null,
+            (0, n) => Value::Int(n - 3),
+            (1, 2) => Value::Float(-0.0),
+            (1, 3) => Value::Float(f64::NAN),
+            (1, n) => Value::Float((n - 3) as f64),
+            (_, n) => Value::Text(["a", "ab", "b"][n as usize % 3].into()),
         })
     }
 
-    /// An integer key cell, a float one equal to some integer one, or NULL.
-    fn int_cell() -> impl Strategy<Value = Value> {
-        (0i64..6).prop_map(|n| if n == 5 { Value::Null } else { Value::Int(n) })
+    /// The key kinds of the two key columns.
+    fn kinds() -> impl Strategy<Value = (u32, u32)> {
+        (0u32..3, 0u32..3)
     }
 
-    fn float_cell() -> impl Strategy<Value = Value> {
-        (0i64..6).prop_map(|n| {
-            if n == 5 {
-                Value::Null
-            } else {
-                Value::Float(n as f64)
-            }
-        })
+    /// `(key, key, payload)` rows whose key columns hold the `kinds`: few
+    /// distinct keys, so both sides repeat.
+    fn rows_of((a, b): (u32, u32)) -> impl Strategy<Value = Vec<Row>> {
+        let row = (key_cell(a), key_cell(b), 0i64..4);
+        proptest::collection::vec(
+            row.prop_map(|(a, b, p)| row_of([a, b, Value::Int(p)])),
+            0..24,
+        )
     }
 
-    /// `(key, key, payload)` rows: few distinct keys, so both sides repeat.
-    /// The key columns hold `Mixed` cells, integers only or floats only —
-    /// so an integer column also meets a float column, and a typed column a
-    /// `Mixed` one.
+    /// `(key, key, payload)` rows, each key column of one type: drawn for
+    /// two sides, an INT key column meets a FLOAT one (or a TEXT one).
     fn rows() -> impl Strategy<Value = Vec<Row>> {
-        fn of<S: Strategy<Value = Value>>(cell: fn() -> S) -> impl Strategy<Value = Vec<Row>> {
-            let row = (cell(), cell(), 0i64..4).prop_map(|(a, b, p)| row_of([a, b, Value::Int(p)]));
-            proptest::collection::vec(row, 0..24)
-        }
-        prop_oneof![of(key_cell), of(int_cell), of(float_cell)]
+        kinds().prop_flat_map(rows_of)
+    }
+
+    /// Two sides' rows whose columns are typed alike, as the arms of a set
+    /// operation are.
+    fn typed_alike() -> impl Strategy<Value = (Vec<Row>, Vec<Row>)> {
+        kinds().prop_flat_map(|kinds| (rows_of(kinds), rows_of(kinds)))
+    }
+
+    /// A schema for `rows`, each of `width` columns typed by its first
+    /// value, NULL where it has none.
+    fn schema_of(width: usize, rows: &[Row]) -> SchemaRef {
+        let typed = |c: usize| {
+            let mut types = rows.iter().map(|row| row[c].data_type());
+            types
+                .find(|&t| t != DataType::Null)
+                .unwrap_or(DataType::Null)
+        };
+        let fields = (0..width).map(|c| Field::new(format!("c{c}"), typed(c)));
+        Arc::new(Schema::new(fields.collect()))
     }
 
     /// `(key, key, payload)` rows, 100–300 of them, whose keys take at most
     /// six values — `{NULL, 0, 1} × {NULL, 1}` — so key groups are long and
     /// either cell of a two-column key may be NULL. The key columns hold
-    /// integers, floats (`-0.0` for zero) or both; the payload numbers the
-    /// row.
+    /// integers or floats (`-0.0` for zero); the payload numbers the row.
     fn long_groups() -> impl Strategy<Value = Vec<Row>> {
         let cells = proptest::collection::vec((0i64..3, 0i64..3), 100..300);
-        (cells, 0i64..3).prop_map(|(cells, typing)| {
-            let at = |row: usize, n: i64| match (typing, row % 2) {
-                (0, _) | (2, 0) => Value::Int(n),
-                _ => Value::Float(if n == 0 { -0.0 } else { n as f64 }),
+        (cells, any::<bool>()).prop_map(|(cells, floats)| {
+            let at = |_: usize, n: i64| match floats {
+                false => Value::Int(n),
+                true => Value::Float(if n == 0 { -0.0 } else { n as f64 }),
             };
             let rows = cells.into_iter().enumerate().map(|(row, (a, b))| {
                 let first = if a == 0 { Value::Null } else { at(row, a - 1) };
@@ -1711,7 +1750,8 @@ mod tests {
 
         /// A join looked up through an index over its probe side's keys is
         /// the hash join, row for row and in its order: repeated keys on
-        /// both sides, NULL keys, `2` against `2.0`, every output list.
+        /// both sides, NULL keys, an INT key column against a FLOAT one
+        /// (`2` against `2.0`), every output list.
         #[test]
         fn indexed_join_equals_the_hash_join(
             l in rows(),
@@ -1846,7 +1886,7 @@ mod tests {
 
         /// Set operations against their definitions over `Value`'s `Eq`.
         #[test]
-        fn set_operations_equal_reference(l in rows(), r in rows()) {
+        fn set_operations_equal_reference((l, r) in typed_alike()) {
             let count = |rows: &[Row], row: &Row| rows.iter().filter(|x| *x == row).count();
             let first = |rows: &[Row], i: usize| !rows[..i].contains(&rows[i]);
             for (op, all) in [
@@ -1883,7 +1923,7 @@ mod tests {
             for partitions in [1usize, 2, 4] {
                 with_context(partitions, |ctx| {
                     // Stored under another partition count on purpose.
-                    let data = Partitioned::from_rows(key_schema(), rows.clone(), None, 3);
+                    let data = Partitioned::from_rows(schema_of(3, &rows), rows.clone(), None, 3);
                     let keys = if two_columns { vec![col(0), col(1)] } else { vec![col(1)] };
                     let placed = exchange(data, &ExchangeMode::Hash(keys.clone()), usize::MAX, ctx).unwrap();
                     assert_eq!(placed.parts.len(), partitions);
@@ -1973,26 +2013,26 @@ mod tests {
             let keys = join_keys(two_columns);
             let left_keys: Vec<PlanExpr> = keys.iter().map(|k| col(k.0)).collect();
             let right_keys: Vec<PlanExpr> = keys.iter().map(|k| col(k.1)).collect();
-            let hashed_on = |keys: &[PlanExpr], name: &str| Box::new(PhysicalPlan::Exchange {
-                input: Box::new(PhysicalPlan::TempScan { name: name.into(), schema: key_schema() }),
+            let hashed_on = |keys: &[PlanExpr], schema: &SchemaRef, name: &str| Box::new(PhysicalPlan::Exchange {
+                input: Box::new(PhysicalPlan::TempScan { name: name.into(), schema: Arc::clone(schema) }),
                 mode: ExchangeMode::Hash(keys.to_vec()),
             });
-            let fields = (0..6).map(|i| Field::new(format!("c{i}"), DataType::Null));
-            let schema: SchemaRef = Arc::new(Schema::new(fields.collect()));
             // The probe side's key is placed already only if it is column 0 alone.
             let in_place = probe_placed_on == Some(0) && !two_columns;
             for partitions in 1..=4 {
                 for (probe, build) in [(&big, &small), (&small, &big)] {
+                    let (probe_schema, build_schema) = (schema_of(3, probe), schema_of(3, build));
+                    let schema: SchemaRef = Arc::new(probe_schema.join(&build_schema));
                     for join_type in [JoinType::Inner, JoinType::Left, JoinType::Right, JoinType::Full] {
                         for residual in [None, Some(payload_residual())] {
                             with_context(partitions, |ctx| {
-                                let l = Partitioned::from_rows(key_schema(), probe.clone(), probe_placed_on, partitions);
-                                let r = Partitioned::from_rows(key_schema(), build.clone(), None, partitions);
+                                let l = Partitioned::from_rows(Arc::clone(&probe_schema), probe.clone(), probe_placed_on, partitions);
+                                let r = Partitioned::from_rows(Arc::clone(&build_schema), build.clone(), None, partitions);
                                 ctx.registry.put("l", l.clone());
                                 ctx.registry.put("r", r.clone());
                                 let plan = PhysicalPlan::HashJoin {
-                                    left: hashed_on(&left_keys, "l"),
-                                    right: hashed_on(&right_keys, "r"),
+                                    left: hashed_on(&left_keys, &probe_schema, "l"),
+                                    right: hashed_on(&right_keys, &build_schema, "r"),
                                     join_type,
                                     left_keys: left_keys.clone(),
                                     right_keys: right_keys.clone(),
@@ -2046,38 +2086,33 @@ mod tests {
 
     // ---- wanted placement ----------------------------------------------------
 
-    /// A payload cell: an integer, a float (NaN and `-0.0` among them) or
-    /// NULL, drawn from `kinds` (`0..2`: integers, `2..4`: floats, `0..4`:
-    /// both, so the column is `Mixed`).
-    fn payload(kinds: std::ops::Range<u32>) -> impl Strategy<Value = Value> {
-        (kinds, 0i64..8).prop_map(|(kind, n)| match (kind, n) {
+    /// A payload cell: an integer (`floats` false) or a float (NaN and
+    /// `-0.0` among them), or NULL.
+    fn payload(floats: bool) -> impl Strategy<Value = Value> {
+        (0i64..8).prop_map(move |n| match (floats, n) {
             (_, 0) => Value::Null,
-            (0 | 1, n) => Value::Int(n - 4),
+            (false, n) => Value::Int(n - 4),
             (_, 1) => Value::Float(f64::NAN),
             (_, 2) => Value::Float(-0.0),
             (_, n) => Value::Float(n as f64 * 0.37 - 1.0),
         })
     }
 
-    /// `(g0, g1, int, float, mixed)` rows in 2–4 partitions, each row in a
-    /// random one: group keys from `key_cell` (`2` beside `2.0`, `-0.0`,
-    /// NaN, NULL, text) and a payload column of each kind.
+    /// `(g0, g1, int, float)` rows in 2–4 partitions, each row in a random
+    /// one: group keys from `key_cell` (INT, FLOAT with `-0.0` and NaN, or
+    /// TEXT, and NULL) and a payload column of each numeric type.
     fn partitioned_rows() -> impl Strategy<Value = (usize, Vec<Vec<Row>>)> {
-        let row = (
-            key_cell(),
-            key_cell(),
-            payload(0..2),
-            payload(2..4),
-            payload(0..4),
-        );
-        let row = row.prop_map(|(a, b, i, f, m)| row_of([a, b, i, f, m]));
-        let placed = proptest::collection::vec((0usize..4, row), 0..40);
-        (2usize..5, placed).prop_map(|(parts, placed)| {
-            let mut rows = vec![Vec::new(); parts];
-            for (p, row) in placed {
-                rows[p % parts].push(row);
-            }
-            (parts, rows)
+        kinds().prop_flat_map(|(a, b)| {
+            let row = (key_cell(a), key_cell(b), payload(false), payload(true));
+            let row = row.prop_map(|(a, b, i, f)| row_of([a, b, i, f]));
+            let placed = proptest::collection::vec((0usize..4, row), 0..40);
+            (2usize..5, placed).prop_map(|(parts, placed)| {
+                let mut rows = vec![Vec::new(); parts];
+                for (p, row) in placed {
+                    rows[p % parts].push(row);
+                }
+                (parts, rows)
+            })
         })
     }
 
@@ -2102,7 +2137,7 @@ mod tests {
         /// of them changes which partition a group ends up in, not its
         /// row: a group's rows (or partial states) still meet in one
         /// partition, in source-partition order. Two-phase aggregates
-        /// (SUM, AVG, MIN, MAX, COUNT over int, float and `Mixed` columns,
+        /// (SUM, AVG, MIN, MAX, COUNT over int and float columns,
         /// COUNT(*), ARG_MIN), the single-phase path a DISTINCT aggregate
         /// takes, and DISTINCT rows each come out bit for bit alike lowered
         /// for either group key and lowered as a plain query, which
@@ -2110,33 +2145,33 @@ mod tests {
         /// on it.
         #[test]
         fn grouping_on_one_key_gives_every_group_the_same_row((parts, rows) in partitioned_rows()) {
-            let schema = Arc::new(Schema::new(
-                ["g0", "g1", "i", "f", "m"].map(|n| Field::new(n, DataType::Null)).to_vec(),
-            ));
+            let schema = schema_of(4, &rows.concat());
             let scan = LogicalPlan::TempScan { name: "t".into(), schema: Arc::clone(&schema) };
             let agg = |func, arg: Option<usize>, distinct| AggExpr {
                 func, arg: arg.map(col), by: None, distinct, name: "a".into(),
             };
             let mut two_phase = vec![agg(AggFunc::CountStar, None, false)];
-            for c in 2..5 {
+            for c in 2..4 {
                 for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max, AggFunc::Count] {
                     two_phase.push(agg(func, Some(c), false));
                 }
             }
-            two_phase.push(AggExpr { by: Some(col(3)), ..agg(AggFunc::ArgMin, Some(4), false) });
+            two_phase.push(AggExpr { by: Some(col(3)), ..agg(AggFunc::ArgMin, Some(2), false) });
             let single_phase = vec![
-                agg(AggFunc::Count, Some(4), true),
+                agg(AggFunc::Count, Some(2), true),
                 agg(AggFunc::Sum, Some(3), true),
-                agg(AggFunc::Sum, Some(4), false),
+                agg(AggFunc::Sum, Some(2), false),
                 agg(AggFunc::Min, Some(3), false),
             ];
             let aggregate = |aggs: Vec<AggExpr>| {
-                let fields = (0..2 + aggs.len()).map(|i| Field::new(format!("o{i}"), DataType::Null));
+                let groups = schema.fields()[..2].iter().cloned();
+                let outputs = aggs.iter().map(|a| Field::new(a.name.clone(), a.output_type(&schema)));
+                let fields = groups.chain(outputs).collect();
                 LogicalPlan::Aggregate {
                     input: Box::new(scan.clone()),
                     group: vec![col(0), col(1)],
                     aggs,
-                    schema: Arc::new(Schema::new(fields.collect())),
+                    schema: Arc::new(Schema::new(fields)),
                 }
             };
             let plans = [
@@ -2145,7 +2180,7 @@ mod tests {
                 LogicalPlan::Distinct { input: Box::new(scan.clone()) },
             ];
             with_context(parts, |ctx| {
-                let parts = rows.iter().map(|rows| block(5, rows)).collect();
+                let parts = rows.iter().map(|rows| block(4, rows)).collect();
                 ctx.registry.put("t", Partitioned { schema, parts, placed_on: PlacedOn::UNKNOWN });
                 for plan in &plans {
                     let config = EngineConfig::default();
@@ -2280,10 +2315,10 @@ mod tests {
             // More keys than `t`: a right or full join pads some.
             ctx.registry.put("u", placed(11, 4));
             let on = |c: usize| [col(c)];
-            let project = |exprs: Vec<PlanExpr>| PhysicalPlan::Project {
+            let project = |exprs: Vec<PlanExpr>, schema: SchemaRef| PhysicalPlan::Project {
                 input: temp("t"),
                 exprs,
-                schema: int_schema(),
+                schema,
             };
             // Kept: a scan, a filter, a projection that moves the key.
             assert!(!hashed_again(*temp("t"), &on(0), ctx));
@@ -2293,16 +2328,32 @@ mod tests {
                 predicate,
             };
             assert!(!hashed_again(filter, &on(0), ctx));
-            assert!(!hashed_again(project(vec![col(1), col(0)]), &on(1), ctx));
+            assert!(!hashed_again(
+                project(vec![col(1), col(0)], int_schema()),
+                &on(1),
+                ctx
+            ));
             // Dropped: a computed or cast key, rows dealt anew for another
             // partition count, keys named in another order.
             let plus_zero = col(0).binary(BinaryOp::Plus, PlanExpr::literal(0i64));
-            assert!(hashed_again(project(vec![plus_zero, col(1)]), &on(0), ctx));
+            assert!(hashed_again(
+                project(vec![plus_zero, col(1)], int_schema()),
+                &on(0),
+                ctx
+            ));
             let text = PlanExpr::Cast {
                 expr: Box::new(col(0)),
                 to: DataType::Text,
             };
-            assert!(hashed_again(project(vec![text, col(1)]), &on(0), ctx));
+            let text_schema = Arc::new(Schema::new(vec![
+                Field::new("k", DataType::Text),
+                Field::new("v", DataType::Int),
+            ]));
+            assert!(hashed_again(
+                project(vec![text, col(1)], text_schema),
+                &on(0),
+                ctx
+            ));
             assert!(hashed_again(*temp("t3"), &on(0), ctx));
             let pair = ExchangeMode::Hash(vec![col(0), col(1)]);
             let on_pair = exchange(placed(7, 4), &pair, usize::MAX, ctx).unwrap();

@@ -500,9 +500,15 @@ fn lower(
                 // Two-phase: local partial aggregation, exchange the (far
                 // fewer) partial-state rows on the group key, final merge.
                 let mut fields: Vec<Field> = schema.fields()[..group.len()].to_vec();
+                let in_schema = input.schema();
+                let typed = |e: &Option<PlanExpr>| {
+                    e.as_ref()
+                        .map_or(DataType::Null, |e| e.data_type(&in_schema))
+                };
                 for (i, a) in aggs.iter().enumerate() {
-                    for j in 0..Accumulator::state_width(a.func) {
-                        fields.push(Field::new(format!("__state_{i}_{j}"), DataType::Null));
+                    let types = Accumulator::state_types(a.func, typed(&a.arg), typed(&a.by));
+                    for (j, t) in types.enumerate() {
+                        fields.push(Field::new(format!("__state_{i}_{j}"), t));
                     }
                 }
                 let partial_schema = Arc::new(Schema::new(fields));
@@ -1007,6 +1013,85 @@ mod tests {
             panic!("expected key exchange between phases")
         };
         assert!(matches!(*input, PhysicalPlan::AggregatePartial { .. }));
+    }
+
+    /// The partial phase's state columns are typed: COUNT INT, SUM, MIN
+    /// and MAX their argument's type, AVG (FLOAT, INT), ARG_MIN/ARG_MAX
+    /// (key, val). A NULL-typed field means only that no cell has a value.
+    #[test]
+    fn partial_states_carry_their_types() {
+        use spinner_plan::AggFunc::*;
+        let input = LogicalPlan::TableScan {
+            table: "t".into(),
+            schema: Arc::new(Schema::new(vec![
+                Field::new("g", DataType::Text),
+                Field::new("i", DataType::Int),
+                Field::new("f", DataType::Float),
+                Field::new("b", DataType::Bool),
+            ])),
+        };
+        let col = |i: usize| Some(PlanExpr::column(i, format!("c{i}")));
+        let agg = |func, arg, by| AggExpr {
+            func,
+            arg,
+            by,
+            distinct: false,
+            name: format!("{func}"),
+        };
+        let aggs = vec![
+            agg(CountStar, None, None),
+            agg(Count, col(3), None),
+            agg(Sum, col(1), None),
+            agg(Min, col(3), None),
+            agg(Max, col(2), None),
+            agg(Avg, col(1), None),
+            agg(ArgMin, col(3), col(2)),
+            agg(ArgMax, col(0), col(1)),
+        ];
+        let outputs = aggs
+            .iter()
+            .map(|a| Field::new(a.name.clone(), a.output_type(&input.schema())));
+        let fields = std::iter::once(Field::new("g", DataType::Text))
+            .chain(outputs)
+            .collect();
+        let plan = LogicalPlan::Aggregate {
+            input: Box::new(input),
+            group: vec![PlanExpr::column(0, "g")],
+            aggs,
+            schema: Arc::new(Schema::new(fields)),
+        };
+        let phys = create_physical_plan(&plan, &EngineConfig::default()).unwrap();
+        let PhysicalPlan::AggregateFinal { input, .. } = phys else {
+            panic!("expected final phase on top")
+        };
+        let PhysicalPlan::Exchange { input, .. } = *input else {
+            panic!("expected key exchange between phases")
+        };
+        let PhysicalPlan::AggregatePartial { schema, .. } = *input else {
+            panic!("expected the partial phase")
+        };
+        let types: Vec<String> = schema
+            .fields()
+            .iter()
+            .map(|f| format!("{} {}", f.name, f.data_type))
+            .collect();
+        assert_eq!(
+            types,
+            [
+                "g TEXT",
+                "__state_0_0 INT",
+                "__state_1_0 INT",
+                "__state_2_0 INT",
+                "__state_3_0 BOOL",
+                "__state_4_0 FLOAT",
+                "__state_5_0 FLOAT",
+                "__state_5_1 INT",
+                "__state_6_0 FLOAT",
+                "__state_6_1 BOOL",
+                "__state_7_0 INT",
+                "__state_7_1 TEXT",
+            ]
+        );
     }
 
     /// The first hash exchange of the tree, as EXPLAIN prints it.

@@ -6,15 +6,15 @@
 //! key's order — the NULL rank above the value, the value's bits made
 //! order-preserving and inverted for `DESC` — so comparing two rows on it
 //! compares two integers, not two [`Cell`](spinner_common::Cell)s. A TEXT
-//! key compares its strings in place, and a `Mixed` key its values by the
-//! total order. Ties on every key break on the row number, so the order
+//! key compares its strings in place. Ties on every key break on the row
+//! number, so the order
 //! is the stable one whichever algorithm finds it, and a sort that only
 //! its first `limit` rows are read from selects those before it sorts.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use spinner_common::{Column, Nulls, Value};
+use spinner_common::{Column, Nulls};
 use spinner_plan::SortKey;
 
 /// The `rows` rows that `columns` (the evaluated `keys`, major first)
@@ -58,8 +58,6 @@ enum SortColumn<'a> {
     Bits(Vec<u128>),
     /// A TEXT key's strings.
     Text(&'a [String], &'a Nulls, &'a SortKey),
-    /// A key whose cells disagree about their type.
-    Mixed(&'a [Value], &'a SortKey),
 }
 
 impl<'a> SortColumn<'a> {
@@ -69,7 +67,6 @@ impl<'a> SortColumn<'a> {
             Column::Float(data, nulls) => Self::Bits(normalized(data, nulls, key, float_bits)),
             Column::Bool(data, nulls) => Self::Bits(normalized(data, nulls, key, u64::from)),
             Column::Text(data, nulls) => Self::Text(data, nulls, key),
-            Column::Mixed(data) => Self::Mixed(data, key),
         }
     }
 
@@ -81,10 +78,6 @@ impl<'a> SortColumn<'a> {
             Self::Text(data, nulls, key) => {
                 let cell = |row: usize| (!nulls.is_null(row)).then(|| data[row].as_str());
                 by_key(key, cell(a), cell(b), str::cmp)
-            }
-            Self::Mixed(data, key) => {
-                let cell = |row: usize| Some(&data[row]).filter(|v| !v.is_null());
-                by_key(key, cell(a), cell(b), Value::cmp_total)
             }
         }
     }
@@ -152,6 +145,7 @@ fn float_bits(x: f64) -> u64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use spinner_common::Value;
     use spinner_plan::PlanExpr;
 
     /// The comparator the typed keys replaced, kept as their reference:
@@ -183,8 +177,7 @@ mod tests {
         Ordering::Equal
     }
 
-    /// A key column's cells: one type and NULLs (a typed column), or any
-    /// cells at all (`Mixed`, or typed where they happen to agree). Few
+    /// A key column's cells: one type and NULLs, or NULLs alone. Few
     /// distinct values per type, so keys tie often and the later keys and
     /// the row order decide.
     fn key_cells(rows: usize) -> impl Strategy<Value = Vec<Value>> {
@@ -206,14 +199,12 @@ mod tests {
         let one_of = |cells: Vec<Value>| {
             (0..=cells.len()).prop_map(move |i| cells.get(i).cloned().unwrap_or(Value::Null))
         };
-        let any: Vec<Value> = [&ints[..], &floats, &texts, &bools].concat();
         prop_oneof![
             proptest::collection::vec(one_of(ints.to_vec()), rows),
             proptest::collection::vec(one_of(floats.to_vec()), rows),
             proptest::collection::vec(one_of(texts.to_vec()), rows),
             proptest::collection::vec(one_of(bools.to_vec()), rows),
             proptest::collection::vec(Just(Value::Null), rows),
-            proptest::collection::vec(one_of(any), rows),
         ]
     }
 

@@ -13,7 +13,9 @@ use spinner_common::{DataType, EngineConfig, Error, Field, Result, Schema, Schem
 use spinner_parser as ast;
 use spinner_parser::{CteKind, InsertSource, SelectItem, SetOp, Statement, TableRef};
 
-use crate::expr::{conjoin, split_conjuncts, AggExpr, AggFunc, PlanExpr, ScalarFn};
+use crate::expr::{
+    cannot_match, common_type, conjoin, split_conjuncts, AggExpr, AggFunc, PlanExpr, ScalarFn,
+};
 use crate::logical::{
     JoinType, LogicalPlan, PlannedStatement, QueryPlan, SetOpKind, SortKey, Step,
 };
@@ -222,7 +224,10 @@ pub fn plan_query_internal(
 
 /// Plan ORDER BY over the query output.
 ///
-/// Keys resolve against the SELECT output first (so aliases work); output
+/// An integer literal key is a select-list position, 1-based (`ORDER BY
+/// 2` sorts on the second output column), and one past the select list
+/// is an error. Other keys resolve against the SELECT output first (so
+/// aliases work); output
 /// columns have lost their qualifiers, so `e.src` also matches output
 /// column `src`. A key that only exists on the projection *input* (e.g.
 /// `SELECT name FROM people ORDER BY age`) is added as a hidden sort
@@ -237,6 +242,17 @@ fn plan_order_by(plan: LogicalPlan, order_by: &[ast::OrderByExpr]) -> Result<Log
     let mut resolved: Vec<Option<PlanExpr>> = Vec::with_capacity(order_by.len());
     let mut all_output = true;
     for ob in order_by {
+        if let ast::Expr::Literal(Value::Int(n)) = ob.expr {
+            let position = usize::try_from(n)
+                .ok()
+                .filter(|p| (1..=out_schema.len()).contains(p));
+            let position = position.ok_or_else(|| {
+                Error::plan(format!("ORDER BY position {n} is not in select list"))
+            })?;
+            let field = out_schema.field(position - 1);
+            resolved.push(Some(PlanExpr::column(position - 1, field.qualified_name())));
+            continue;
+        }
         match resolve_with_fallback(&ob.expr, &out_schema) {
             Ok(e) => resolved.push(Some(e)),
             Err(_) => {
@@ -375,25 +391,23 @@ fn plan_set_expr(
                 SetOp::Except => SetOpKind::Except,
                 SetOp::Intersect => SetOpKind::Intersect,
             };
-            // Output takes the left side's names; widen types per column
-            // (NULL, no one type, where two arms have no common one).
-            let rs = r.schema();
-            let fields: Vec<Field> = l
-                .schema()
-                .fields()
-                .iter()
-                .zip(rs.fields())
+            // Output takes the left side's names and, per column, the
+            // common type of both arms; the narrower arm is cast to it.
+            let (ls, rs) = (l.schema(), r.schema());
+            let fields = (ls.fields().iter().zip(rs.fields()))
                 .map(|(a, b)| {
-                    let widened = a.data_type.widen(b.data_type);
-                    Field::new(a.name.clone(), widened.unwrap_or(DataType::Null))
+                    let common = common_type([a.data_type, b.data_type]);
+                    let common = common.map_err(|pair| cannot_match(&op.to_string(), pair))?;
+                    Ok(Field::new(a.name.clone(), common))
                 })
-                .collect();
+                .collect::<Result<Vec<Field>>>()?;
+            let schema = Arc::new(Schema::new(fields));
             Ok(LogicalPlan::SetOp {
                 op: kind,
                 all: *all,
-                left: Box::new(l),
-                right: Box::new(r),
-                schema: Arc::new(Schema::new(fields)),
+                left: Box::new(rewrite::cast_to(l, &schema)),
+                right: Box::new(rewrite::cast_to(r, &schema)),
+                schema,
             })
         }
     }
@@ -727,9 +741,19 @@ fn resolve_aggregate(call: &ast::Expr, input: &Schema, ordinal: usize) -> Result
             args.len()
         )));
     }
+    let arg = resolve_expr(&args[0], input)?;
+    // A sum or average of text or booleans has no one result type.
+    let arg_type = arg.data_type(input);
+    if matches!(func, AggFunc::Sum | AggFunc::Avg)
+        && matches!(arg_type, DataType::Text | DataType::Bool)
+    {
+        return Err(Error::plan(format!(
+            "function {name}({arg_type}) does not exist"
+        )));
+    }
     Ok(AggExpr {
         func,
-        arg: Some(resolve_expr(&args[0], input)?),
+        arg: Some(arg),
         by: None,
         distinct: *distinct,
         name: format!("{name}_{ordinal}"),
@@ -948,7 +972,8 @@ fn schema_hook(
 /// nodes the translator takes apart itself. Operand-form CASE and BETWEEN
 /// are desugared on the way, and a CASE, COALESCE, LEAST or GREATEST whose
 /// arms mix INT and FLOAT over `schema` (what the hook's references index)
-/// casts its INT arms to FLOAT ([`PlanExpr::unify_arms`]).
+/// casts its INT arms to FLOAT; one whose arms have no common type is an
+/// error ([`PlanExpr::unify_arms`]).
 fn translate(
     expr: &ast::Expr,
     schema: &Schema,
@@ -1024,7 +1049,7 @@ fn translate(
             negated,
         } => return translate(&desugar_between(expr, low, high, *negated), schema, hook),
     };
-    Ok(node.unify_arms(schema))
+    node.unify_arms(schema)
 }
 
 /// Desugar operand-form CASE into searched form.
@@ -1111,9 +1136,21 @@ fn plan_insert(
                         .collect::<Result<Vec<_>>>()?,
                 );
             }
-            let fields = (0..width)
-                .map(|i| Field::new(format!("col_{i}"), DataType::Null))
-                .collect();
+            // Each column takes the common type of its cells, and each
+            // cell of another type is cast to it.
+            let mut fields = Vec::with_capacity(width);
+            for i in 0..width {
+                let types = resolved.iter().map(|row| row[i].data_type(&empty));
+                let common = common_type(types).map_err(|pair| cannot_match("VALUES", pair))?;
+                for cell in resolved.iter_mut().map(|row| &mut row[i]) {
+                    if ![DataType::Null, common].contains(&cell.data_type(&empty)) {
+                        let expr =
+                            Box::new(std::mem::replace(cell, PlanExpr::Literal(Value::Null)));
+                        *cell = PlanExpr::Cast { expr, to: common };
+                    }
+                }
+                fields.push(Field::new(format!("col_{i}"), common));
+            }
             QueryPlan::simple(LogicalPlan::Values {
                 schema: Arc::new(Schema::new(fields)),
                 rows: resolved,

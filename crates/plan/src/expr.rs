@@ -27,9 +27,10 @@
 //! again by row, which reports the first failing row in row order or
 //! finds that there is none.
 //!
-//! Every expression has one static type ([`PlanExpr::data_type`]): the
-//! translator casts the INT arms of a `CASE`, `COALESCE`, `LEAST` or
-//! `GREATEST` that mixes INT and FLOAT to FLOAT
+//! Every expression has one static type ([`PlanExpr::data_type`]), and
+//! its evaluation returns cells of that type or NULL: the translator casts
+//! the INT arms of a `CASE`, `COALESCE`, `LEAST` or `GREATEST` that mixes
+//! INT and FLOAT to FLOAT, and rejects one whose arms have no common type
 //! ([`PlanExpr::unify_arms`]).
 
 use std::borrow::Cow;
@@ -617,16 +618,18 @@ impl PlanExpr {
                     | ScalarFn::Power => DataType::Float,
                     ScalarFn::Sign | ScalarFn::Length => DataType::Int,
                     ScalarFn::Upper | ScalarFn::Lower | ScalarFn::Concat => DataType::Text,
+                    // The absolute value of a BOOL is a FLOAT (0.0 or 1.0).
+                    ScalarFn::Abs if arg(0) == DataType::Bool => DataType::Float,
                     ScalarFn::Abs | ScalarFn::NullIf => arg(0),
                     ScalarFn::Mod => arithmetic_type(arg(0), arg(1)),
                     ScalarFn::Least | ScalarFn::Greatest | ScalarFn::Coalesce => {
-                        common_type(self.arms().into_iter().map(|a| a.data_type(input)))
+                        self.arms_type(input).unwrap_or(DataType::Null)
                     }
                 }
             }
-            PlanExpr::Case { .. } => {
-                common_type(self.arms().into_iter().map(|a| a.data_type(input)))
-            }
+            // NULL where the arms have no common type: the translator
+            // rejects such a node.
+            PlanExpr::Case { .. } => self.arms_type(input).unwrap_or(DataType::Null),
             PlanExpr::Cast { to, .. } => *to,
             PlanExpr::IsNull { .. } | PlanExpr::InList { .. } => DataType::Bool,
         }
@@ -650,13 +653,27 @@ impl PlanExpr {
         }
     }
 
+    /// The common type of this node's arms (see `arms`), or the two arm
+    /// types that have none.
+    fn arms_type(&self, input: &Schema) -> std::result::Result<DataType, (DataType, DataType)> {
+        common_type(self.arms().into_iter().map(|a| a.data_type(input)))
+    }
+
     /// This node with an implicit `CAST … AS FLOAT` on each INT arm (see
     /// `arms`) where its arms mix INT and FLOAT, so that it returns one
-    /// type: the node's own [`data_type`](Self::data_type).
-    pub fn unify_arms(self, input: &Schema) -> PlanExpr {
-        let types = self.arms().into_iter().map(|arm| arm.data_type(input));
-        if common_type(types) != DataType::Float {
-            return self;
+    /// type: the node's own [`data_type`](Self::data_type). Arms with no
+    /// common type (TEXT beside INT, BOOL beside FLOAT) are a plan error,
+    /// as in PostgreSQL.
+    pub fn unify_arms(self, input: &Schema) -> Result<PlanExpr> {
+        let what = match &self {
+            PlanExpr::Case { .. } => "CASE",
+            PlanExpr::Scalar { func, .. } => func.name(),
+            _ => return Ok(self),
+        };
+        match self.arms_type(input) {
+            Err(pair) => return Err(cannot_match(&what.to_ascii_uppercase(), pair)),
+            Ok(DataType::Float) => {}
+            Ok(_) => return Ok(self),
         }
         let to_float = |arm: PlanExpr| match arm.data_type(input) {
             DataType::Int => PlanExpr::Cast {
@@ -665,7 +682,7 @@ impl PlanExpr {
             },
             _ => arm,
         };
-        match self {
+        Ok(match self {
             PlanExpr::Case {
                 branches,
                 else_expr,
@@ -680,7 +697,7 @@ impl PlanExpr {
                 args: args.into_iter().map(to_float).collect(),
             },
             other => other,
-        }
+        })
     }
 
     /// Indices of all referenced input columns (deduplicated, sorted).
@@ -858,12 +875,21 @@ pub fn conjoin(parts: Vec<PlanExpr>) -> Option<PlanExpr> {
         .reduce(|acc, p| acc.binary(BinaryOp::And, p))
 }
 
-/// The common supertype of `types` ([`DataType::widen`]); NULL — no one
-/// static type — where two of them have none.
-fn common_type(types: impl IntoIterator<Item = DataType>) -> DataType {
-    (types.into_iter())
-        .try_fold(DataType::Null, DataType::widen)
-        .unwrap_or(DataType::Null)
+/// The common supertype of `types` ([`DataType::widen`]), or the first two
+/// of them that have none.
+pub(crate) fn common_type(
+    types: impl IntoIterator<Item = DataType>,
+) -> std::result::Result<DataType, (DataType, DataType)> {
+    (types.into_iter()).try_fold(DataType::Null, |one, other| {
+        one.widen(other).ok_or((one, other))
+    })
+}
+
+/// The plan error for two types of one result that no implicit cast
+/// joins, worded as PostgreSQL words it: "UNION types INT and TEXT cannot
+/// be matched". `what` names the construct.
+pub(crate) fn cannot_match(what: &str, (a, b): (DataType, DataType)) -> Error {
+    Error::plan(format!("{what} types {a} and {b} cannot be matched"))
 }
 
 /// The type of arithmetic over operands of types `a` and `b`: INT over
@@ -1305,38 +1331,34 @@ fn restrict<'a>(block: &'a Block, rows: &[u32], expr: &PlanExpr) -> Cow<'a, Bloc
 }
 
 /// A column whose row `r` is cell `at` of `pieces[p]` where `picks[r]` is
-/// `Some((p, at))`, and NULL where it is `None`; typed by its cells. Where
-/// the pieces hold INT alone or FLOAT alone (and NULLs) — always, once the
-/// plan has unified the arms — the cells are copied into that type's
-/// vector, not pushed one `Value` at a time. Every piece's values are
-/// picked, so such a column holds a value and is typed as pushing makes
-/// it.
+/// `Some((p, at))`, and NULL where it is `None`. The plan gives every
+/// piece one type ([`PlanExpr::unify_arms`]); where it is INT or FLOAT the
+/// cells are copied into that type's vector, not pushed one `Value` at a
+/// time.
 fn assemble(pieces: &[Operand], picks: &[Option<(u32, u32)>]) -> Column {
     let held = |piece: &Operand| match piece {
-        Operand::Scalar(value) => Some(value.data_type()),
-        column => column.column().and_then(Column::data_type),
+        Operand::Scalar(value) => value.data_type(),
+        column => column.column().map_or(DataType::Null, Column::data_type),
     };
-    let one_type = pieces
-        .iter()
-        .map(held)
-        .try_fold(DataType::Null, |one, held| match (one, held?) {
-            (one, DataType::Null) => Some(one),
-            (DataType::Null, held) => Some(held),
-            (one, held) => (one == held).then_some(one),
-        });
+    let mut types = pieces.iter().map(held).filter(|&t| t != DataType::Null);
+    let one_type = types.next().unwrap_or(DataType::Null);
+    assert!(
+        types.all(|t| t == one_type),
+        "the arms of one node hold two types"
+    );
     let cell = |pick: &Option<(u32, u32)>| match *pick {
         Some((piece, at)) => pieces[piece as usize].cell(at as usize),
         None => Cell::Null,
     };
     match one_type {
-        Some(DataType::Int) => {
+        DataType::Int => {
             let int = |pick| match cell(pick) {
                 Cell::Int(x) => Some(x),
                 _ => None,
             };
             Column::from_ints(picks.iter().map(int))
         }
-        Some(DataType::Float) => {
+        DataType::Float => {
             let float = |pick| match cell(pick) {
                 Cell::Float(x) => Some(x),
                 _ => None,
@@ -1364,7 +1386,7 @@ fn cast_typed<T: Copy, U>(
 ) -> Column {
     let out = column(data.iter().map(|&x| cast(x)).collect(), nulls.clone());
     match out.data_type() {
-        Some(DataType::Null) => Column::repeat(&Value::Null, data.len()),
+        DataType::Null => Column::repeat(&Value::Null, data.len()),
         _ => out,
     }
 }
@@ -1588,6 +1610,18 @@ mod tests {
         }
     }
 
+    /// `expr` as the translator leaves it over columns of `types`: at every
+    /// node, INT arms cast where FLOAT ones meet them.
+    fn unified(expr: PlanExpr, types: &[DataType]) -> PlanExpr {
+        fn walk(expr: PlanExpr, schema: &Schema) -> PlanExpr {
+            let expr = expr.map_children(|child| Ok::<_, Error>(walk(child, schema)));
+            expr.and_then(|expr| expr.unify_arms(schema)).unwrap()
+        }
+        let fields = types.iter().enumerate();
+        let fields = fields.map(|(i, &t)| spinner_common::Field::new(format!("c{i}"), t));
+        walk(expr, &Schema::new(fields.collect()))
+    }
+
     /// The column evaluator over `rows` against `evaluate` on each: the
     /// same cells to the bit, or the error of the first failing row; and
     /// `select` against `matches`. Returns the rows sent by row.
@@ -1619,7 +1653,8 @@ mod tests {
         use BinaryOp::*;
         let c = |i: usize| PlanExpr::column(i, format!("c{i}"));
         let lit = |v: Value| PlanExpr::Literal(v);
-        // int | float | int with NULLs | text | cells that disagree | bool
+        // int | float | int with NULLs | text | floats, some equal to ints |
+        // bool
         let rows: Vec<Vec<Value>> = (0..6i64)
             .map(|i| {
                 vec![
@@ -1628,7 +1663,7 @@ mod tests {
                     if i == 1 { Value::Null } else { Value::Int(i) },
                     Value::Text(format!("t{}", i % 2)),
                     if i % 2 == 0 {
-                        Value::Int(i)
+                        Value::Float(i as f64)
                     } else {
                         Value::Float(0.5)
                     },
@@ -1673,6 +1708,7 @@ mod tests {
             lit(Value::Int(1)).binary(Plus, lit(Value::Int(2))),
             c(1),
             lit(Value::Text("x".into())),
+            c(4).binary(Plus, c(0)),
         ];
         for expr in &typed {
             assert_eq!(by_column_equals_by_row(expr, &rows), 0, "{expr}");
@@ -1700,16 +1736,21 @@ mod tests {
             expr: Box::new(c(0)),
             to: DataType::Text,
         };
-        for expr in [divide_guarded, never, least(0, 2).binary(Plus, c(1)), text] {
+        // LEAST of an int and a float column, as the translator leaves it:
+        // the int arm cast to FLOAT.
+        let int_float = unified(least(0, 1), &[DataType::Int, DataType::Float]);
+        for expr in [
+            divide_guarded,
+            never,
+            least(0, 2).binary(Plus, c(1)),
+            text,
+            int_float,
+        ] {
             assert_eq!(by_column_equals_by_row(&expr, &rows), 0, "{expr}");
         }
         // Shapes the loops hand to the row evaluator: the block's rows are
         // counted once, however many nodes went by row.
         for (expr, sent) in [
-            // LEAST of an int and a float column is whichever cell is
-            // smaller: cells that disagree, so the sum goes by row.
-            (least(0, 1).binary(Plus, c(1)), 6),
-            (c(4).binary(Plus, c(0)), 6),
             (c(0).binary(Plus, lit(Value::Null)), 6),
             (
                 PlanExpr::Unary {
@@ -1769,7 +1810,7 @@ mod tests {
         let (int, float) = (Value::Int, Value::Float);
         const NULL: Value = Value::Null;
         // ints | floats | ints with zeros | all NULL | floats | bools |
-        // cells that disagree | text
+        // floats, some equal to ints | text
         let columns: [Vec<Value>; 8] = [
             vec![
                 int(i64::MIN),
@@ -1791,14 +1832,14 @@ mod tests {
                 .map(Value::Bool)
                 .to_vec(),
             vec![
-                int(1),
+                float(1.0),
                 float(0.5),
                 NULL,
-                int(-3),
+                float(-3.0),
                 float(2.0),
-                int(2),
+                float(2.0),
                 float(-0.0),
-                int(0),
+                float(0.0),
             ],
             ["a", "b", "c", "c", "a", "b", "c", "d"]
                 .map(Value::from)
@@ -1915,7 +1956,14 @@ mod tests {
                 vec![lit(int(1)), lit(int(1)).binary(Divide, c(2))],
             ),
         ]);
-        for expr in &kernels {
+        // As the translator leaves them: INT arms cast where FLOAT ones
+        // meet them.
+        let types = {
+            use DataType::*;
+            [Int, Float, Int, Null, Float, Bool, Float, Text]
+        };
+        let kernels = kernels.into_iter().map(|expr| unified(expr, &types));
+        for expr in &kernels.collect::<Vec<_>>() {
             assert_eq!(by_column_equals_by_row(expr, &rows), 0, "{expr}");
             assert_eq!(by_column_equals_by_row(expr, &rows[..1]), 0, "{expr}");
             assert_eq!(by_column_equals_by_row(expr, &[]), 0, "{expr}");

@@ -247,7 +247,7 @@ fn plan_typed_body(
 
 /// `plan` with each INT column that `schema` types FLOAT cast to FLOAT,
 /// in its top projection where it has one.
-fn cast_to(plan: LogicalPlan, schema: &Schema) -> LogicalPlan {
+pub(crate) fn cast_to(plan: LogicalPlan, schema: &Schema) -> LogicalPlan {
     let produced = plan.schema();
     let widens = |i: usize| {
         produced.field(i).data_type == DataType::Int && schema.field(i).data_type == DataType::Float

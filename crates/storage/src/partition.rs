@@ -359,18 +359,23 @@ mod tests {
         assert_eq!(moved.columns(), [2, 0]);
         let dropped = PlacedOn::new([Some(0)]).remap(|c| c.checked_sub(1));
         assert_eq!(dropped, PlacedOn::UNKNOWN);
-        let cells = [
-            Value::Int(2),
-            Value::Float(2.0),
-            Value::Null,
-            Value::Text("ab".into()),
-            Value::Int(-9),
-        ];
-        let pairs = cells
-            .iter()
-            .flat_map(|a| cells.iter().map(|b| row_of([a.clone(), b.clone()])));
+        // An INT column beside a FLOAT one holding the same numbers.
+        let cells = [Some(2), None, Some(-9), Some(0), Some(7)];
+        let cell = |x: Option<i64>, float: bool| match (x, float) {
+            (None, _) => Value::Null,
+            (Some(x), false) => Value::Int(x),
+            (Some(x), true) => Value::Float(x as f64),
+        };
+        let pairs = cells.iter().flat_map(|&a| {
+            cells
+                .iter()
+                .map(move |&b| row_of([cell(a, false), cell(b, true)]))
+        });
         let block = Arc::new(Block::from_rows(2, pairs));
-        let schema = Arc::new(Schema::new(vec![Field::new("k", DataType::Int); 2]));
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("f", DataType::Float),
+        ]));
         let data = Partitioned {
             schema,
             parts: vec![Arc::clone(&block)],
@@ -406,8 +411,9 @@ mod tests {
     }
 
     /// Typed placement is `partition_of` over the cells: ints, floats (`2`
-    /// beside `2.0`, both zeroes, NaN), NULL and text, whatever the column
-    /// holding them is typed as; longer keys hash all their cells.
+    /// beside `2.0`, both zeroes, NaN), NULL, text and booleans, whatever
+    /// the column holding them is typed as; longer keys hash all their
+    /// cells.
     #[test]
     fn placement_equals_partition_of_the_cells() {
         let cells = [
@@ -433,7 +439,7 @@ mod tests {
             column(&|c| matches!(c, Value::Int(_) | Value::Null)),
             column(&|c| matches!(c, Value::Float(_) | Value::Null)),
             column(&|c| matches!(c, Value::Text(_) | Value::Null)),
-            column(&|_| true),
+            column(&|c| matches!(c, Value::Bool(_) | Value::Null)),
         ];
         for parts in [1, 2, 3, 16] {
             for (column, cells) in &columns {
@@ -464,10 +470,10 @@ mod tests {
             }
             assert_eq!(placement(&[], 3, parts), [0, 0, 0]);
         }
-        let (mixed, _) = &columns[3];
+        let ((ints, _), (floats, _)) = (&columns[0], &columns[1]);
         assert_eq!(
-            placement(&[Arc::clone(mixed)], 2, 16)[0],
-            placement(&[Arc::clone(mixed)], 2, 16)[1],
+            placement(&[Arc::clone(ints)], 1, 16),
+            placement(&[Arc::clone(floats)], 1, 16),
             "2 and 2.0 colocate"
         );
     }

@@ -699,7 +699,15 @@ impl<'a> Reader<'a> {
             let mut columns = vec![Column::new(); n_fields];
             for _ in 0..n_rows {
                 for column in &mut columns {
-                    column.push(self.value()?);
+                    // Checked before the checksum is: a flipped tag byte
+                    // (INT and FLOAT cells are both 8 bytes) must not reach
+                    // a column of the other type.
+                    let value = self.value()?;
+                    let held = column.data_type();
+                    if !(value.is_null() || held == DataType::Null || held == value.data_type()) {
+                        return Err(self.corrupt("cell disagrees with its column"));
+                    }
+                    column.push(value);
                 }
             }
             let sum = xxh64(&self.bytes[start..self.pos]);
@@ -764,9 +772,11 @@ mod tests {
     }
 
     /// The rows of `testdata/golden_v2.spn`, which the row-partition
-    /// engine (PR 19) wrote from them: typed columns with NULLs, `-0.0`,
-    /// NaN, an all-NULL column and one whose cells disagree.
-    fn golden_rows() -> Partitioned {
+    /// engine wrote from them, partition by partition: typed
+    /// columns with NULLs, `-0.0`, NaN, an all-NULL column, and a last
+    /// column whose cells disagree — `m_cell(true)`; `m_cell(false)` types
+    /// that column FLOAT instead, NULL where it held text.
+    fn golden_rows(m_cell: impl Fn(i64, bool) -> Value) -> (SchemaRef, Vec<Vec<Row>>) {
         let schema = Arc::new(Schema::new(vec![
             Field::qualified("t", "k", DataType::Int),
             Field::new("v", DataType::Float),
@@ -775,56 +785,144 @@ mod tests {
             Field::new("n", DataType::Null),
             Field::new("m", DataType::Float),
         ]));
-        let rows: Vec<Row> = (0..12i64)
-            .map(|i| {
-                row_of([
-                    if i == 5 {
-                        Value::Null
-                    } else {
-                        Value::Int(i - 3)
-                    },
-                    match i {
-                        2 => Value::Float(-0.0),
-                        3 => Value::Float(f64::NAN),
-                        4 => Value::Null,
-                        _ => Value::Float(i as f64 * 0.5),
-                    },
-                    if i % 4 == 1 {
-                        Value::Null
-                    } else {
-                        Value::Text(format!("row {i} \"é\""))
-                    },
-                    Value::Bool(i % 2 == 0),
-                    Value::Null,
-                    match i % 3 {
-                        0 => Value::Int(2),
-                        1 => Value::Float(2.0),
-                        _ => Value::Text("two".into()),
-                    },
-                ])
+        let row = |i: i64, m| {
+            row_of([
+                if i == 5 {
+                    Value::Null
+                } else {
+                    Value::Int(i - 3)
+                },
+                match i {
+                    2 => Value::Float(-0.0),
+                    3 => Value::Float(f64::NAN),
+                    4 => Value::Null,
+                    _ => Value::Float(i as f64 * 0.5),
+                },
+                if i % 4 == 1 {
+                    Value::Null
+                } else {
+                    Value::Text(format!("row {i} \"é\""))
+                },
+                Value::Bool(i % 2 == 0),
+                Value::Null,
+                m_cell(i, m),
+            ])
+        };
+        // Placed as the file places them: by `k`, which tells the rows apart.
+        let typed = Partitioned::from_rows(
+            Arc::clone(&schema),
+            (0..12).map(|i| row(i, false)).collect(),
+            Some(0),
+            3,
+        );
+        let parts = (typed.parts.iter())
+            .map(|part| {
+                let number = |r: &Row| r[0].as_i64().map_or(5, |k| k + 3);
+                part.to_rows()
+                    .iter()
+                    .map(|r| row(number(r), true))
+                    .collect()
             })
             .collect();
-        Partitioned::from_rows(schema, rows, Some(0), 3)
+        (schema, parts)
     }
 
-    /// Column blocks changed nothing on disk: the same rows encode to the
-    /// file the row engine wrote, byte for byte, and that file decodes to
-    /// them and re-encodes to itself.
+    /// Column `m` of the golden rows: `2`, `2.0` and `'two'` in turn, or
+    /// as FLOAT.
+    fn m_cell(i: i64, disagree: bool) -> Value {
+        match (i % 3, disagree) {
+            (0, true) => Value::Int(2),
+            (2, true) => Value::Text("two".into()),
+            (2, false) => Value::Null,
+            _ => Value::Float(2.0),
+        }
+    }
+
+    /// A spill file of `parts`, rows of `schema` that need not agree with
+    /// its types, encoded a cell at a time as the format lays them out.
+    fn encode_rows(schema: &Schema, parts: &[Vec<Row>]) -> Vec<u8> {
+        let mut buf = header();
+        put_u32(&mut buf, schema.len() as u32);
+        for f in schema.fields() {
+            put_str(&mut buf, &f.name);
+            buf.push(dtype_tag(f.data_type));
+            put_opt_str(&mut buf, f.relation.as_deref());
+        }
+        put_u32(&mut buf, parts.len() as u32);
+        for rows in parts {
+            let start = buf.len();
+            put_u64(&mut buf, rows.len() as u64);
+            rows.iter()
+                .flat_map(|r| r.iter())
+                .for_each(|v| put_cell(&mut buf, v.cell()));
+            let sum = xxh64(&buf[start..]);
+            put_u64(&mut buf, sum);
+        }
+        seal(&mut buf);
+        buf
+    }
+
+    fn encode(data: &Partitioned) -> Vec<u8> {
+        let mut buf = header();
+        encode_partitioned(&mut buf, data);
+        seal(&mut buf);
+        buf
+    }
+
+    /// Column blocks changed nothing on disk: the golden file is the row
+    /// engine's layout of its rows, and typed blocks encode to that layout
+    /// and decode from it, byte for byte. The golden file itself holds a
+    /// column whose cells disagree, which a column cannot hold: it is
+    /// refused as corrupt.
     #[test]
     fn blocks_encode_to_the_row_engines_bytes() {
         let golden: &[u8] = include_bytes!("../testdata/golden_v2.spn");
-        let encode = |data: &Partitioned| {
-            let mut buf = header();
-            encode_partitioned(&mut buf, data);
-            seal(&mut buf);
-            buf
+        let (schema, parts) = golden_rows(m_cell);
+        assert_eq!(encode_rows(&schema, &parts), golden);
+        let refused = decode_partitioned_bytes(golden, "golden").map(|_| ());
+        assert!(
+            matches!(&refused, Err(Error::StorageCorrupt { message, .. }) if message.contains("disagrees")),
+            "{refused:?}"
+        );
+        let (_, typed_parts) = golden_rows(|i, _| m_cell(i, false));
+        let blocks = typed_parts
+            .iter()
+            .map(|rows| Arc::new(Block::from_rows(schema.len(), rows.clone())));
+        let data = Partitioned {
+            schema: Arc::clone(&schema),
+            parts: blocks.collect(),
+            placed_on: PlacedOn::UNKNOWN,
         };
-        let data = golden_rows();
-        assert_eq!(encode(&data), golden);
-        let decoded = decode_partitioned_bytes(golden, "golden").unwrap();
+        let bytes = encode(&data);
+        assert_eq!(bytes, encode_rows(&schema, &typed_parts));
+        let decoded = decode_partitioned_bytes(&bytes, "typed").unwrap();
         assert_eq!(decoded.schema, data.schema);
         assert_eq!(layout(&decoded), layout(&data));
-        assert_eq!(encode(&decoded), golden);
+        assert_eq!(encode(&decoded), bytes);
+    }
+
+    /// A file whose checksums all hold but whose column holds an INT cell
+    /// and a FLOAT one (a flipped tag byte, or an older build's column) is
+    /// corrupt, whichever cell comes first, and never reaches a column.
+    #[test]
+    fn a_column_that_disagrees_is_corrupt_though_its_checksums_hold() {
+        let schema = Schema::new(vec![Field::new("k", DataType::Int)]);
+        for cells in [
+            [Value::Int(1), Value::Float(2.0)],
+            [Value::Float(1.0), Value::Int(2)],
+        ] {
+            let parts = vec![cells.map(|c| row_of([c])).to_vec()];
+            match decode_partitioned_bytes(&encode_rows(&schema, &parts), "x") {
+                Err(Error::StorageCorrupt { region, message }) => {
+                    assert_eq!(region, "x");
+                    assert!(
+                        message.contains("cell disagrees with its column"),
+                        "{message}"
+                    );
+                }
+                other => panic!("expected StorageCorrupt, got {other:?}"),
+            }
+        }
     }
 
     /// Reference test vectors from the XXH64 specification.

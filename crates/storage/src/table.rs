@@ -96,9 +96,13 @@ impl Table {
         snapshot.same_buffers(&self.parts)
     }
 
-    /// Append heap rows (a bulk load): transposed once into a block, then
-    /// [`append`](Self::append)ed.
-    pub fn insert(&mut self, rows: Vec<Row>) -> Result<usize> {
+    /// Append heap rows (a bulk load): each cell cast to its column's
+    /// declared type by the rule SQL `CAST` follows
+    /// ([`Value::cast`](spinner_common::Value::cast)), then
+    /// transposed once into a block and [`append`](Self::append)ed. A cell
+    /// that does not cast is an error naming the table and column, and
+    /// nothing is appended.
+    pub fn insert(&mut self, mut rows: Vec<Row>) -> Result<usize> {
         let width = self.schema.len();
         if let Some(bad) = rows.iter().find(|r| r.len() != width) {
             return Err(Error::execution(format!(
@@ -106,6 +110,16 @@ impl Table {
                 bad.len(),
                 self.name
             )));
+        }
+        for row in &mut rows {
+            for (cell, field) in row.iter_mut().zip(self.schema.fields()) {
+                if !cell.is_null() && cell.data_type() != field.data_type {
+                    *cell = cell.cast(field.data_type).map_err(|e| {
+                        let column = format!("column '{}' of table '{}'", field.name, self.name);
+                        Error::type_error(format!("{column}: {e}"))
+                    })?;
+                }
+            }
         }
         let rows = Partitioned {
             schema: Arc::clone(&self.schema),
@@ -249,6 +263,40 @@ mod tests {
             };
             assert_eq!(sorted(&routed), sorted(&t));
         }
+    }
+
+    /// A bulk load casts each cell to its column's type: an INT into a
+    /// FLOAT column is a FLOAT, `'7'` into an INT column is 7. A cell that
+    /// does not cast fails the load, naming the column, and appends none
+    /// of its rows.
+    #[test]
+    fn insert_casts_each_cell_to_its_columns_type() {
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("id", DataType::Int),
+            Field::new("w", DataType::Float),
+        ]));
+        let mut t = Table::new("t", schema, 2, Some(0), None);
+        let loaded = vec![
+            row_of([Value::Int(1), Value::Int(2)]),
+            row_of([Value::from("7"), Value::Null]),
+        ];
+        assert_eq!(t.insert(loaded).unwrap(), 2);
+        let mut held = format!("{:?}", t.snapshot().gather());
+        held.retain(|c| c != ' ');
+        assert!(
+            held.contains("[Int(1),Float(2.0)]") && held.contains("[Int(7),Null]"),
+            "{held}"
+        );
+        let bad = vec![
+            row_of([Value::Int(3), Value::Float(0.5)]),
+            row_of([Value::from("abc"), Value::Null]),
+        ];
+        let err = t.insert(bad).unwrap_err().to_string();
+        assert!(
+            err.contains("column 'id' of table 't'") && err.contains("'abc'"),
+            "{err}"
+        );
+        assert_eq!(t.row_count(), 2);
     }
 
     #[test]

@@ -69,6 +69,30 @@ fn aggregate_in_where_rejected() {
 }
 
 #[test]
+fn sum_or_avg_of_text_or_booleans_is_a_plan_error() {
+    let d = db();
+    d.execute("CREATE TABLE flags (k INT, flag BOOL, name TEXT)")
+        .unwrap();
+    d.execute("INSERT INTO flags VALUES (1, true, 'a'), (2, true, 'b')")
+        .unwrap();
+    for (sql, words) in [
+        (
+            "SELECT SUM(flag) FROM flags",
+            "function sum(BOOL) does not exist",
+        ),
+        (
+            "SELECT k, AVG(name) FROM flags GROUP BY k",
+            "function avg(TEXT) does not exist",
+        ),
+    ] {
+        let err = d.execute(sql).unwrap_err();
+        assert!(matches!(&err, Error::Plan(m) if m == words), "{sql}: {err}");
+    }
+    // MIN and MAX keep their argument's type.
+    assert!(d.execute("SELECT MIN(flag), MAX(name) FROM flags").is_ok());
+}
+
+#[test]
 fn union_arity_mismatch() {
     let err = db()
         .execute("SELECT src FROM edges UNION SELECT src, dst FROM edges")

@@ -614,6 +614,26 @@ fn order_by_limit_is_the_head_of_the_full_order_at_every_partition_count() {
             }
             fulls.push(format!("{full:?}"));
         }
+        // An integer key is a select-list position: `ORDER BY 1 DESC, 2`
+        // is `ORDER BY <first column> DESC, <second>`.
+        for (by_position, by_name) in [
+            ("1 DESC, 2", "x DESC, k"),
+            (
+                "3 NULLS FIRST, 1 DESC NULLS LAST, 2",
+                "s NULLS FIRST, x DESC NULLS LAST, k",
+            ),
+        ] {
+            let rows = |order: &str| {
+                let sql = format!("SELECT x, k, s FROM m ORDER BY {order}");
+                format!("{:?}", d.query(&sql).unwrap().into_rows())
+            };
+            assert_eq!(rows(by_position), rows(by_name), "ORDER BY {by_position}");
+        }
+        let err = d.query("SELECT x, k, s FROM m ORDER BY 4").unwrap_err();
+        assert!(
+            matches!(&err, Error::Plan(m) if m == "ORDER BY position 4 is not in select list"),
+            "{err}"
+        );
         results.push(fulls);
     }
     assert_eq!(results[0], results[1]);
@@ -634,4 +654,175 @@ fn order_by_limit_is_the_head_of_the_full_order_at_every_partition_count() {
         ints(&d, "SELECT k FROM m ORDER BY x DESC, k LIMIT 12"),
         ks[..12]
     );
+}
+
+/// A table of each type — `a` INT, `b` FLOAT, `s` TEXT, `f` BOOL — at
+/// `partitions` partitions.
+fn typed_table(partitions: usize) -> Database {
+    let config = spinner_engine::EngineConfig::default().with_partitions(partitions);
+    let d = Database::new(config).unwrap();
+    d.execute_script(
+        "CREATE TABLE t (a INT, b FLOAT, s TEXT, f BOOL);
+         INSERT INTO t VALUES (1, 2.5, 'x', true), (2, 3.0, 'y', false), (3, NULL, NULL, NULL);",
+    )
+    .unwrap();
+    d
+}
+
+/// Every shape whose arms have no common type — TEXT beside INT, BOOL
+/// beside FLOAT — is a plan error worded as PostgreSQL words it, at every
+/// partition count; none reaches execution.
+#[test]
+fn arms_without_a_common_type_are_plan_errors() {
+    let statements = [
+        (
+            "SELECT CASE WHEN a = 1 THEN 'one' ELSE a END FROM t",
+            "CASE types TEXT and INT",
+        ),
+        (
+            "SELECT CASE WHEN a = 1 THEN f ELSE b END FROM t",
+            "CASE types BOOL and FLOAT",
+        ),
+        (
+            "SELECT COALESCE(s, a) FROM t",
+            "COALESCE types TEXT and INT",
+        ),
+        (
+            "SELECT COALESCE(b, f) FROM t",
+            "COALESCE types FLOAT and BOOL",
+        ),
+        ("SELECT LEAST(a, s) FROM t", "LEAST types INT and TEXT"),
+        (
+            "SELECT GREATEST(f, b) FROM t",
+            "GREATEST types BOOL and FLOAT",
+        ),
+        (
+            "SELECT a FROM t UNION ALL SELECT s FROM t",
+            "UNION types INT and TEXT",
+        ),
+        (
+            "SELECT f FROM t UNION SELECT b FROM t",
+            "UNION types BOOL and FLOAT",
+        ),
+        (
+            "SELECT s FROM t INTERSECT SELECT a FROM t",
+            "INTERSECT types TEXT and INT",
+        ),
+        (
+            "SELECT b FROM t EXCEPT SELECT f FROM t",
+            "EXCEPT types FLOAT and BOOL",
+        ),
+        (
+            "INSERT INTO t (a) VALUES (1), ('x')",
+            "VALUES types INT and TEXT",
+        ),
+        (
+            "INSERT INTO t (b) VALUES (true), (1.5)",
+            "VALUES types BOOL and FLOAT",
+        ),
+        // ABS of a BOOL is a FLOAT, so it does not meet a BOOL either.
+        (
+            "SELECT ABS(f) FROM t UNION ALL SELECT f FROM t",
+            "UNION types FLOAT and BOOL",
+        ),
+    ];
+    for partitions in [1, 2, 4] {
+        let d = typed_table(partitions);
+        for (sql, words) in statements {
+            match d.execute(sql) {
+                Err(Error::Plan(m)) => {
+                    assert_eq!(m, format!("{words} cannot be matched"), "{sql}")
+                }
+                other => panic!("{sql}: expected a plan error, got {other:?}"),
+            }
+        }
+        assert_eq!(ints(&d, "SELECT COUNT(*) FROM t"), [3], "no INSERT ran");
+    }
+}
+
+/// A set operation whose arms are INT and FLOAT is FLOAT, and so is every
+/// cell it returns: the INT arm is cast, at every partition count. So is
+/// an `INSERT … VALUES` column of INT and FLOAT cells, before the table's
+/// own cast.
+#[test]
+fn a_widening_set_operation_returns_only_floats() {
+    for partitions in [1, 2, 4] {
+        let d = typed_table(partitions);
+        for sql in [
+            "SELECT a FROM t UNION ALL SELECT b FROM t",
+            "SELECT b FROM t UNION SELECT a FROM t",
+            "SELECT a FROM t INTERSECT SELECT b FROM t",
+            "SELECT a FROM t EXCEPT SELECT b FROM t",
+            "SELECT ABS(f) FROM t UNION ALL SELECT b FROM t",
+        ] {
+            let mut cells: Vec<String> = (d.query(sql).unwrap().rows().iter())
+                .map(|r| format!("{:?}", r[0]))
+                .collect();
+            assert!(
+                cells.iter().all(|c| c.starts_with("Float(") || c == "Null"),
+                "{sql}: {cells:?}"
+            );
+            if sql.starts_with("SELECT a FROM t UNION ALL") {
+                cells.sort();
+                let want = [
+                    "Float(1.0)",
+                    "Float(2.0)",
+                    "Float(2.5)",
+                    "Float(3.0)",
+                    "Float(3.0)",
+                    "Null",
+                ];
+                assert_eq!(cells, want, "{partitions} partitions");
+            }
+        }
+        d.execute("INSERT INTO t (a, b) VALUES (4, 1), (5, 4.5)")
+            .unwrap();
+        let b = d.query("SELECT b FROM t WHERE a >= 4 ORDER BY a").unwrap();
+        assert_eq!(format!("{:?}", b.rows()), "[[Float(1.0)], [Float(4.5)]]");
+    }
+}
+
+/// A bulk load casts each cell to its column's declared type, and one
+/// that does not cast fails the load, naming the column, and leaves no
+/// table behind.
+#[test]
+fn a_bulk_load_casts_each_cell_to_its_declared_type() {
+    use spinner_engine::{DataType, Field, Schema};
+    let d = Database::default();
+    let schema = || {
+        Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("w", DataType::Float),
+        ])
+    };
+    let row = |k: Value, w: Value| -> Row { vec![k, w].into_boxed_slice() };
+    let rows = vec![
+        row(Value::Int(1), Value::Int(2)),
+        row(Value::from("3"), Value::Null),
+    ];
+    assert_eq!(
+        d.create_table_from_rows("w", schema(), rows, None, Some(0))
+            .unwrap(),
+        2
+    );
+    let loaded = d.query("SELECT k, w FROM w ORDER BY k").unwrap();
+    assert_eq!(
+        format!("{:?}", loaded.rows()),
+        "[[Int(1), Float(2.0)], [Int(3), Null]]"
+    );
+    let bad = vec![
+        row(Value::Int(1), Value::Float(0.5)),
+        row(Value::from("abc"), Value::Null),
+    ];
+    let err = d
+        .create_table_from_rows("bad", schema(), bad, None, Some(0))
+        .unwrap_err();
+    assert!(
+        matches!(&err, Error::Type(m) if m.contains("column 'k' of table 'bad'") && m.contains("'abc'")),
+        "{err}"
+    );
+    assert!(matches!(
+        d.query("SELECT * FROM bad"),
+        Err(Error::TableNotFound(_))
+    ));
 }
