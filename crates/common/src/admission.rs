@@ -428,21 +428,25 @@ mod tests {
         let c = controller(1, 8);
         let first = c.admit(QueryClass::Interactive).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
+        // Waiter `i` is started once the ones before it are queued, so the
+        // queue holds them in the order they were started.
+        let queued = |n: u64| {
+            while c.snapshot().queued < n {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
         let mut waiters = Vec::new();
         for i in 0..3 {
+            queued(i);
             let c = Arc::clone(&c);
             let order = Arc::clone(&order);
             waiters.push(std::thread::spawn(move || {
-                // Stagger enqueue so ticket order is deterministic.
-                std::thread::sleep(Duration::from_millis(10 * (i as u64 + 1)));
                 let permit = c.admit(QueryClass::Batch).unwrap();
                 order.lock().unwrap().push(i);
-                // Hold briefly so the next waiter observes the release.
-                std::thread::sleep(Duration::from_millis(5));
                 drop(permit);
             }));
         }
-        std::thread::sleep(Duration::from_millis(50));
+        queued(3);
         drop(first);
         for w in waiters {
             w.join().unwrap();

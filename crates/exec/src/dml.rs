@@ -34,8 +34,9 @@ use spinner_plan::{JoinType, PlanExpr, PlannedStatement};
 use spinner_storage::{placement, Partitioned, PlacedOn, Table};
 
 use crate::executor::StatementContext;
+use crate::joined::Joined;
 use crate::keys::JoinTable;
-use crate::operators::{gather_pairs, HashJoinSpec};
+use crate::operators::HashJoinSpec;
 
 /// Run a DML statement, returning the number of rows it inserted, updated
 /// or deleted.
@@ -203,7 +204,8 @@ impl Update<'_> {
         let mut pairs: Vec<(u32, u32)> = probe.into_iter().zip(build).collect();
         pairs.dedup_by_key(|pair| pair.0);
         let (probe, build): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
-        let cells = gather_pairs((block, from), (&probe, &build), None);
+        let cells =
+            Joined::pair((block, from), (probe.clone(), build), self.join.output()).gather();
         Ok((probe, cells))
     }
 }

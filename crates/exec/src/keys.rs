@@ -334,7 +334,8 @@ impl KeyTable {
     pub fn insert_all(&mut self, keys: &[Arc<Column>], rows: usize) -> Result<Vec<u32>> {
         let same = |held: &Column, id: usize, key: &Column, row: usize| held.eq_cells(id, key, row);
         let base = self.len();
-        let mut brought_by: Vec<u32> = Vec::new();
+        // Sized, like the index, for every row to bring a key.
+        let mut brought_by: Vec<u32> = Vec::with_capacity(rows);
         let mut ids = Vec::with_capacity(rows);
         for (row, hash) in hash_keys(keys, rows).into_iter().enumerate() {
             let known = self

@@ -28,6 +28,7 @@ pub mod cache;
 pub mod dml;
 pub mod executor;
 pub mod fault;
+mod joined;
 pub mod keys;
 pub mod operators;
 pub mod physical;

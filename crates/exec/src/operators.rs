@@ -6,7 +6,10 @@
 //! and what an operator decides is a vector of row numbers — the rows a
 //! filter keeps, the `(probe, build)` pairs a join matched, the group of
 //! each row, the order of a sort, the partition each row is bound for —
-//! by which each output column is gathered once. Per-partition work runs
+//! by which each output column is gathered once. A join hands its reader
+//! those row numbers instead ([`Joined`]) when the reader can take them
+//! ([`execute_rows`]): a join above it composes them, and an aggregate
+//! gathers only what it reads. Per-partition work runs
 //! in parallel when `EngineConfig::parallel_partitions` is set — on the
 //! statement's thread and at most one scoped thread per further core,
 //! which share the occupied partitions (see `map_partitions`). The
@@ -25,6 +28,7 @@ use spinner_storage::{placement, Partitioned, PlacedOn};
 use crate::aggregate::{aggregate, Accumulator, Phase};
 use crate::cache::CachedInput;
 use crate::executor::StatementContext;
+use crate::joined::{read_block, read_columns, Joined, Probe, Rows};
 use crate::keys::{hash_keys, null_key, JoinTable, KeyTable};
 use crate::physical::{bare_column, ExchangeMode, JoinBuild, PhysicalPlan};
 use crate::retry::retry;
@@ -67,6 +71,53 @@ fn execute_first(
     limit: usize,
     ctx: &StatementContext<'_>,
 ) -> Result<Partitioned> {
+    let rows = in_span(plan, ctx, || {
+        execute_inner(plan, limit, ctx).map(Rows::Blocks)
+    })?;
+    Ok(rows.into_blocks())
+}
+
+/// `plan`'s rows for a reader that can take a join's row numbers: a hash
+/// join's output stays [`Joined`] through bare-column projections and
+/// hash exchanges that leave every row in place; any other plan's rows
+/// are gathered, as [`execute`] returns them.
+fn execute_rows(plan: &PhysicalPlan, ctx: &StatementContext<'_>) -> Result<Rows> {
+    match plan {
+        PhysicalPlan::HashJoin { .. } => in_span(plan, ctx, || hash_join(plan, ctx)),
+        PhysicalPlan::Project {
+            input,
+            exprs,
+            schema,
+        } if exprs.iter().all(|e| bare_column(e).is_some()) => in_span(plan, ctx, || {
+            Ok(match execute_rows(input, ctx)? {
+                Rows::Joined {
+                    parts, placed_on, ..
+                } => {
+                    let picked: Vec<usize> = exprs.iter().filter_map(bare_column).collect();
+                    Rows::Joined {
+                        schema: schema.clone(),
+                        parts: parts.into_iter().map(|j| j.project(&picked)).collect(),
+                        placed_on: placed_on.remap(|c| output_of(exprs, c)),
+                    }
+                }
+                Rows::Blocks(data) => Rows::Blocks(project(data, exprs, schema, ctx)?),
+            })
+        }),
+        PhysicalPlan::Exchange { input, mode } => in_span(plan, ctx, || {
+            let data = execute_rows(input, ctx)?;
+            exchange_rows(data, mode, ctx)
+        }),
+        _ => execute(plan, ctx).map(Rows::Blocks),
+    }
+}
+
+/// Run `plan` by `run` at an operator batch boundary, under the
+/// operator's profile span.
+fn in_span(
+    plan: &PhysicalPlan,
+    ctx: &StatementContext<'_>,
+    run: impl FnOnce() -> Result<Rows>,
+) -> Result<Rows> {
     // Operator batch boundary: every operator in the tree passes through
     // here, so cancellation and deadlines are honoured between operators
     // even when a single plan has no loop.
@@ -75,10 +126,10 @@ fn execute_first(
     if traced {
         ctx.tracer.enter(SpanKind::Operator, plan.describe());
     }
-    let result = execute_inner(plan, limit, ctx);
+    let result = run();
     #[cfg(debug_assertions)]
     if let Ok(data) = &result {
-        check_types(data, &plan.schema(), || plan.describe());
+        data.check_types(&plan.schema(), || plan.describe());
     }
     if traced {
         match &result {
@@ -148,24 +199,7 @@ fn execute_inner(
         } => {
             // A projection keeps its input's rows in their order.
             let data = execute_first(input, limit, ctx)?;
-            let out = unary_map(&data, ctx, |block| {
-                let columns = evaluate_all(exprs, block, ctx)?;
-                Ok(Arc::new(Block::new(columns, block.rows())))
-            })?;
-            // An output column that is an input column's very buffer — a
-            // bare column, or a cast that left the column as it was — is
-            // placed as that input column was.
-            let shares = |k: usize, c: usize| {
-                (out.iter().zip(&data.parts))
-                    .all(|(o, i)| Arc::ptr_eq(&o.columns()[k], &i.columns()[c]))
-            };
-            Ok(Partitioned {
-                placed_on: data
-                    .placed_on
-                    .remap(|c| (0..exprs.len()).find(|&k| shares(k, c))),
-                schema: schema.clone(),
-                parts: out,
-            })
+            project(data, exprs, schema, ctx)
         }
         PhysicalPlan::Filter { input, predicate } => {
             let data = execute(input, ctx)?;
@@ -189,85 +223,7 @@ fn execute_inner(
             exchange(data, mode, limit, ctx)
         }
         PhysicalPlan::Cached { input } => Ok(cached_input(input, None, ctx)?.rows),
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            join_type,
-            left_keys,
-            right_keys,
-            residual,
-            columns,
-            build,
-            schema,
-        } => {
-            let join = HashJoinSpec {
-                join_type: *join_type,
-                left_keys,
-                right_keys,
-                residual: residual.as_ref(),
-                columns: columns.as_deref(),
-                ctx,
-            };
-            let (l, parts) = match (&**left, &**right) {
-                (
-                    PhysicalPlan::Exchange {
-                        input: probe,
-                        mode: probe_mode @ ExchangeMode::Hash(_),
-                    },
-                    PhysicalPlan::Exchange {
-                        input: build_rows,
-                        mode: build_mode @ ExchangeMode::Hash(_),
-                    },
-                ) if *build == JoinBuild::PerRun
-                    && matches!(join_type, JoinType::Inner | JoinType::Left)
-                    && ctx.config.partitions > 1 =>
-                {
-                    let probe = ExchangeInput::run(probe, probe_mode, ctx)?;
-                    let build = ExchangeInput::run(build_rows, build_mode, ctx)?;
-                    broadcast_or_hash_join(probe, build, &join)?
-                }
-                _ => {
-                    let l = execute(left, ctx)?;
-                    // A loop-invariant build side is built once and re-probed
-                    // on every later iteration; a merge loop's CTE is looked
-                    // up through its solution index while that indexes the
-                    // rows just read.
-                    let solution = match build {
-                        JoinBuild::Indexed { cte } => ctx.solutions.tables(cte, &l.parts),
-                        _ => None,
-                    };
-                    let parts = if *build == JoinBuild::Cached {
-                        cached_hash_join(&l, right, &join)?
-                    } else {
-                        let r = execute(right, ctx)?;
-                        ctx.stats.joins_executed.add(1);
-                        match solution {
-                            Some(tables) => binary_map(&l, &r, ctx, |i, l, r| {
-                                let (probe, build) = join.indexed_pairs(l, r, &tables[i])?;
-                                Ok(gather_pairs((l, r), (&probe, &build), join.columns))
-                            })?,
-                            None => hash_join_partitions(&l, &r, &join)?,
-                        }
-                    };
-                    (l, parts)
-                }
-            };
-            // Every output row of an inner or left join is a probe row with
-            // its cells where `columns` puts them; the others pad the probe
-            // side with NULLs.
-            let placed_on = match join_type {
-                JoinType::Inner | JoinType::Left => l.placed_on.remap(|c| match columns {
-                    Some(columns) => columns.iter().position(|&o| o == c),
-                    None => Some(c),
-                }),
-                _ => PlacedOn::UNKNOWN,
-            };
-            Ok(Partitioned {
-                schema: schema.clone(),
-                parts,
-                placed_on,
-            })
-        }
+        PhysicalPlan::HashJoin { .. } => Ok(hash_join(plan, ctx)?.into_blocks()),
         PhysicalPlan::NestedLoopJoin {
             left,
             right,
@@ -283,14 +239,13 @@ fn execute_inner(
             let l = Block::concat(&l.parts, usize::MAX);
             let r = Block::concat(&r.parts, usize::MAX);
             let joined = nested_loop_join(
-                &l,
-                &r,
+                (&l, &r),
                 *join_type,
                 residual.as_ref(),
                 columns.as_deref(),
                 ctx,
             )?;
-            Ok(in_partition_zero(schema.clone(), joined, ctx))
+            Ok(in_partition_zero(schema.clone(), joined.gather(), ctx))
         }
         PhysicalPlan::HashAggregate {
             input,
@@ -298,15 +253,12 @@ fn execute_inner(
             aggs,
             schema,
         } => {
-            let data = execute(input, ctx)?;
             if group.is_empty() {
+                let data = execute(input, ctx)?;
                 global_aggregate(&data, aggs, schema.clone(), ctx)
             } else {
-                let output = (schema, data.placed_on.remap(|c| output_of(group, c)));
-                aggregate_partitions(&data, "hash aggregate", output, ctx, |block| {
-                    let keys = evaluate_all(group, block, ctx)?;
-                    aggregate_block(block, keys, false, aggs, Phase::Single, ctx)
-                })
+                let data = execute_rows(input, ctx)?;
+                grouped_aggregate(plan, data, (group, aggs, Phase::Single), schema, ctx)
             }
         }
         PhysicalPlan::AggregatePartial {
@@ -315,12 +267,8 @@ fn execute_inner(
             aggs,
             schema,
         } => {
-            let data = execute(input, ctx)?;
-            let output = (schema, data.placed_on.remap(|c| output_of(group, c)));
-            aggregate_partitions(&data, "partial aggregate", output, ctx, |block| {
-                let keys = evaluate_all(group, block, ctx)?;
-                aggregate_block(block, keys, false, aggs, Phase::Partial, ctx)
-            })
+            let data = execute_rows(input, ctx)?;
+            grouped_aggregate(plan, data, (group, aggs, Phase::Partial), schema, ctx)
         }
         PhysicalPlan::AggregateFinal {
             input,
@@ -338,7 +286,8 @@ fn execute_inner(
                 } if matches!(**partial, PhysicalPlan::AggregatePartial { .. }) => {
                     let partials = ExchangeInput::run(partial, mode, ctx)?;
                     let in_place = partials.in_place(ctx);
-                    (partials.finish(Route::Planned, ctx)?, in_place)
+                    let data = partials.finish(Route::Planned, ctx)?;
+                    (data.into_blocks(), in_place)
                 }
                 _ => (execute(input, ctx)?, false),
             };
@@ -406,6 +355,32 @@ fn output_of(exprs: &[PlanExpr], c: usize) -> Option<usize> {
     exprs.iter().position(|e| bare_column(e) == Some(c))
 }
 
+/// `exprs` over every row of `data`, into rows of `schema`.
+fn project(
+    data: Partitioned,
+    exprs: &[PlanExpr],
+    schema: &spinner_common::SchemaRef,
+    ctx: &StatementContext<'_>,
+) -> Result<Partitioned> {
+    let out = unary_map(&data, ctx, |block| {
+        let columns = evaluate_all(exprs, block, ctx)?;
+        Ok(Arc::new(Block::new(columns, block.rows())))
+    })?;
+    // An output column that is an input column's very buffer — a bare
+    // column, or a cast that left the column as it was — is placed as
+    // that input column was.
+    let shares = |k: usize, c: usize| {
+        (out.iter().zip(&data.parts)).all(|(o, i)| Arc::ptr_eq(&o.columns()[k], &i.columns()[c]))
+    };
+    Ok(Partitioned {
+        placed_on: data
+            .placed_on
+            .remap(|c| (0..exprs.len()).find(|&k| shares(k, c))),
+        schema: schema.clone(),
+        parts: out,
+    })
+}
+
 /// Each of `exprs` over `block`, a column apiece.
 pub(crate) fn evaluate_all<'e>(
     exprs: impl IntoIterator<Item = &'e PlanExpr>,
@@ -466,11 +441,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// before a replay, whereas external cancellation stays sticky. Fatal
 /// errors propagate immediately. The catalog and registry use
 /// non-poisoning locks, so the process (and the session) stays usable.
-fn run_partition(
+fn run_partition<T>(
     ctx: &StatementContext<'_>,
     partition: usize,
-    f: impl Fn() -> Result<Arc<Block>>,
-) -> Result<Arc<Block>> {
+    f: impl Fn() -> Result<T>,
+) -> Result<T> {
     let outcome = retry(
         ctx.guard,
         ctx.config.max_partition_retries,
@@ -533,12 +508,12 @@ fn cores() -> usize {
 /// batch. They still go through `work` (and therefore [`run_partition`]),
 /// so fault-injection hit counts and retry accounting are identical in
 /// every mode.
-fn map_partitions(
+fn map_partitions<T: Send + Sync>(
     ctx: &StatementContext<'_>,
     count: usize,
     is_empty: &dyn Fn(usize) -> bool,
-    work: &(dyn Fn(usize) -> Result<Arc<Block>> + Sync),
-) -> Result<Vec<Arc<Block>>> {
+    work: &(dyn Fn(usize) -> Result<T> + Sync),
+) -> Result<Vec<T>> {
     // Serially nothing is listed, and an empty list allocates nothing.
     let listed = |i: &usize| ctx.config.parallel_partitions && !is_empty(*i);
     let occupied: Vec<usize> = (0..count).filter(listed).collect();
@@ -546,7 +521,7 @@ fn map_partitions(
         return (0..count).map(work).collect();
     }
     ctx.stats.pool_tasks.add(occupied.len() as u64);
-    let slots: Vec<OnceLock<Result<Arc<Block>>>> = (0..count).map(|_| OnceLock::new()).collect();
+    let slots: Vec<OnceLock<Result<T>>> = (0..count).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
     let drain = || {
         while let Some(&i) = occupied.get(next.fetch_add(1, Ordering::Relaxed)) {
@@ -565,7 +540,7 @@ fn map_partitions(
     });
     // Every empty partition runs before the first error returns, however
     // an occupied one ended.
-    let results: Vec<Result<Arc<Block>>> = (slots.into_iter().enumerate())
+    let results: Vec<Result<T>> = (slots.into_iter().enumerate())
         .map(|(i, slot)| slot.into_inner().unwrap_or_else(|| work(i)))
         .collect();
     results.into_iter().collect()
@@ -578,47 +553,55 @@ fn unary_map(
     ctx: &StatementContext<'_>,
     f: impl Fn(&Arc<Block>) -> Result<Arc<Block>> + Sync,
 ) -> Result<Vec<Arc<Block>>> {
-    unary_map_indexed(input, ctx, |_, block| f(block))
-}
-
-/// Like [`unary_map`], but `f` also receives the partition index so the
-/// caller can pair each partition with co-indexed external state (the
-/// cached join build).
-fn unary_map_indexed(
-    input: &Partitioned,
-    ctx: &StatementContext<'_>,
-    f: impl Fn(usize, &Arc<Block>) -> Result<Arc<Block>> + Sync,
-) -> Result<Vec<Arc<Block>>> {
     map_partitions(
         ctx,
         input.parts.len(),
         &|i| input.parts[i].is_empty(),
-        &|i| run_partition(ctx, i, || f(i, &input.parts[i])),
+        &|i| run_partition(ctx, i, || f(&input.parts[i])),
     )
 }
 
 /// Run `f` over co-indexed partition pairs, each with its partition index,
 /// optionally in parallel. Workers are panic-isolated; see
 /// [`run_partition`].
-fn binary_map(
+fn binary_map<T: Send + Sync>(
     l: &Partitioned,
     r: &Partitioned,
     ctx: &StatementContext<'_>,
-    f: impl Fn(usize, &Arc<Block>, &Arc<Block>) -> Result<Arc<Block>> + Sync,
-) -> Result<Vec<Arc<Block>>> {
-    if l.parts.len() != r.parts.len() {
-        return Err(Error::execution(format!(
-            "partition count mismatch: {} vs {}",
-            l.parts.len(),
-            r.parts.len()
-        )));
-    }
+    f: impl Fn(usize, &Arc<Block>, &Arc<Block>) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    same_partitions(l.parts.len(), r.parts.len())?;
     map_partitions(
         ctx,
         l.parts.len(),
         &|i| l.parts[i].is_empty() && r.parts[i].is_empty(),
         &|i| run_partition(ctx, i, || f(i, &l.parts[i], &r.parts[i])),
     )
+}
+
+/// Run `probe(partition i)` over every partition of a join's probe side
+/// `l`, optionally in parallel; `is_empty(i)` tells [`map_partitions`]
+/// which partitions have no work. Workers are panic-isolated; see
+/// [`run_partition`].
+fn probe_map(
+    l: &Rows,
+    ctx: &StatementContext<'_>,
+    is_empty: &dyn Fn(usize) -> bool,
+    probe: &(dyn Fn(usize, Probe<'_>) -> Result<Joined> + Sync),
+) -> Result<Vec<Joined>> {
+    map_partitions(ctx, l.partitions(), is_empty, &|i| {
+        run_partition(ctx, i, || probe(i, l.probe(i)))
+    })
+}
+
+/// Two inputs of one operator must have as many partitions.
+fn same_partitions(l: usize, r: usize) -> Result<()> {
+    match l == r {
+        true => Ok(()),
+        false => Err(Error::execution(format!(
+            "partition count mismatch: {l} vs {r}"
+        ))),
+    }
 }
 
 /// `block` as partition 0 of an otherwise empty row set — the layout every
@@ -667,30 +650,7 @@ pub fn exchange(
     let schema = data.schema.clone();
     let already_placed = |moved: u64| moved == 0 && data.parts.len() == parts;
     match mode {
-        ExchangeMode::Hash(keys) => {
-            let placed_on = PlacedOn::new(keys.iter().map(bare_column));
-            if data.placed_for(placed_on, parts) {
-                return Ok(data);
-            }
-            let mut targets = Vec::with_capacity(data.parts.len());
-            let mut moved = 0u64;
-            for (src, block) in data.parts.iter().enumerate() {
-                let keys = evaluate_all(keys, block, ctx)?;
-                let bound = placement(&keys, block.rows(), parts);
-                moved += bound.iter().filter(|&&t| t as usize != src).count() as u64;
-                targets.push(bound);
-            }
-            ctx.stats.rows_routed.add(data.total_rows() as u64);
-            charge_rows_moved(ctx, moved)?;
-            if already_placed(moved) {
-                return Ok(Partitioned { placed_on, ..data });
-            }
-            Ok(Partitioned {
-                parts: data.scatter(&targets, parts),
-                schema,
-                placed_on,
-            })
-        }
+        ExchangeMode::Hash(keys) => Ok(hash_exchange(Rows::Blocks(data), keys, ctx)?.into_blocks()),
         ExchangeMode::Gather => {
             let wanted = data.total_rows().min(limit);
             let moved = wanted.saturating_sub(data.parts.first().map_or(0, |p| p.rows())) as u64;
@@ -719,6 +679,50 @@ pub fn exchange(
     }
 }
 
+/// [`exchange`] of rows a join's reader takes ([`execute_rows`]).
+fn exchange_rows(data: Rows, mode: &ExchangeMode, ctx: &StatementContext<'_>) -> Result<Rows> {
+    match mode {
+        ExchangeMode::Hash(keys) => {
+            ctx.faults.hit(FaultSite::Exchange)?;
+            hash_exchange(data, keys, ctx)
+        }
+        _ => exchange(data.into_blocks(), mode, usize::MAX, ctx).map(Rows::Blocks),
+    }
+}
+
+/// The hash exchange of [`exchange`] on `keys`. A join's output stays row
+/// numbers when the exchange leaves every row in place; only the columns
+/// its keys read are gathered to route it.
+fn hash_exchange(data: Rows, keys: &[PlanExpr], ctx: &StatementContext<'_>) -> Result<Rows> {
+    let parts = ctx.config.partitions;
+    let placed_on = PlacedOn::new(keys.iter().map(bare_column));
+    if data.placed_for(placed_on, parts) {
+        return Ok(data);
+    }
+    let mut targets = Vec::with_capacity(data.partitions());
+    let mut moved = 0u64;
+    for src in 0..data.partitions() {
+        let keys = match data.probe(src) {
+            Probe::Rows(block) => evaluate_all(keys, block, ctx)?,
+            Probe::Joined(joined) => evaluate_all(keys, &joined.block(&read_columns(keys)), ctx)?,
+        };
+        let bound = placement(&keys, data.rows_in(src), parts);
+        moved += bound.iter().filter(|&&t| t as usize != src).count() as u64;
+        targets.push(bound);
+    }
+    ctx.stats.rows_routed.add(data.total_rows() as u64);
+    charge_rows_moved(ctx, moved)?;
+    if moved == 0 && data.partitions() == parts {
+        return Ok(data.placed(placed_on));
+    }
+    let data = data.into_blocks();
+    Ok(Rows::Blocks(Partitioned {
+        parts: data.scatter(&targets, parts),
+        schema: data.schema,
+        placed_on,
+    }))
+}
+
 /// How an [`ExchangeInput`] finishes.
 enum Route {
     /// The hash exchange the plan put there.
@@ -734,7 +738,7 @@ enum Route {
 /// the rows: an operator may look at what its exchanges hold before it
 /// chooses how to distribute them.
 struct ExchangeInput<'p> {
-    rows: Partitioned,
+    rows: Rows,
     mode: &'p ExchangeMode,
     span: SuspendedSpan,
 }
@@ -749,7 +753,7 @@ impl<'p> ExchangeInput<'p> {
         ctx.guard.check()?;
         ctx.tracer
             .enter(SpanKind::Operator, format!("Exchange: {mode}"));
-        let rows = execute(input, ctx);
+        let rows = execute_rows(input, ctx);
         let span = ctx.tracer.suspend();
         Ok(ExchangeInput {
             rows: rows?,
@@ -771,7 +775,7 @@ impl<'p> ExchangeInput<'p> {
     /// The rows distributed by `route`: any route is one hit of the
     /// exchange fault site, and one profile node, labeled as the plan's
     /// exchange unless the route replaced it.
-    fn finish(self, route: Route, ctx: &StatementContext<'_>) -> Result<Partitioned> {
+    fn finish(self, route: Route, ctx: &StatementContext<'_>) -> Result<Rows> {
         let instead = |what: &str| Some(format!("Exchange: {what} instead of {}", self.mode));
         let label = match route {
             Route::Planned => None,
@@ -780,8 +784,8 @@ impl<'p> ExchangeInput<'p> {
         };
         ctx.tracer.resume(self.span, label);
         let data = match route {
-            Route::Planned => exchange(self.rows, self.mode, usize::MAX, ctx),
-            Route::Broadcast => exchange(self.rows, &ExchangeMode::Broadcast, usize::MAX, ctx),
+            Route::Planned => exchange_rows(self.rows, self.mode, ctx),
+            Route::Broadcast => exchange_rows(self.rows, &ExchangeMode::Broadcast, ctx),
             Route::InPlace => ctx.faults.hit(FaultSite::Exchange).map(|()| self.rows),
         };
         match &data {
@@ -792,6 +796,98 @@ impl<'p> ExchangeInput<'p> {
         }
         data
     }
+}
+
+/// The hash join `plan` as row numbers ([`Joined`]), a probe side that is
+/// itself a join's row numbers composed with them.
+fn hash_join(plan: &PhysicalPlan, ctx: &StatementContext<'_>) -> Result<Rows> {
+    let PhysicalPlan::HashJoin {
+        left,
+        right,
+        join_type,
+        left_keys,
+        right_keys,
+        residual,
+        columns,
+        build,
+        schema,
+    } = plan
+    else {
+        return Err(Error::execution(format!(
+            "not a hash join: {}",
+            plan.describe()
+        )));
+    };
+    let join = HashJoinSpec {
+        join_type: *join_type,
+        left_keys,
+        right_keys,
+        residual: residual.as_ref(),
+        columns: columns.as_deref(),
+        ctx,
+    };
+    let (l, parts) = match (&**left, &**right) {
+        (
+            PhysicalPlan::Exchange {
+                input: probe,
+                mode: probe_mode @ ExchangeMode::Hash(_),
+            },
+            PhysicalPlan::Exchange {
+                input: build_rows,
+                mode: build_mode @ ExchangeMode::Hash(_),
+            },
+        ) if *build == JoinBuild::PerRun
+            && matches!(join_type, JoinType::Inner | JoinType::Left)
+            && ctx.config.partitions > 1 =>
+        {
+            let probe = ExchangeInput::run(probe, probe_mode, ctx)?;
+            let build = ExchangeInput::run(build_rows, build_mode, ctx)?;
+            broadcast_or_hash_join(probe, build, &join)?
+        }
+        _ => {
+            let l = execute_rows(left, ctx)?;
+            // A loop-invariant build side is built once and re-probed on
+            // every later iteration; a merge loop's CTE is looked up
+            // through its solution index while that indexes the rows just
+            // read.
+            let indexed = match (build, &l) {
+                (JoinBuild::Indexed { cte }, Rows::Blocks(l)) => ctx
+                    .solutions
+                    .tables(cte, &l.parts)
+                    .map(|tables| (l, tables)),
+                _ => None,
+            };
+            let parts = if *build == JoinBuild::Cached {
+                cached_hash_join(&l, right, &join)?
+            } else {
+                let r = execute(right, ctx)?;
+                ctx.stats.joins_executed.add(1);
+                match indexed {
+                    Some((probe, tables)) => binary_map(probe, &r, ctx, |i, l, r| {
+                        let pairs = join.indexed_pairs(l, r, &tables[i])?;
+                        Ok(Joined::pair((l, r), pairs, join.output()))
+                    })?,
+                    None => hash_join_partitions(&l, &r, &join)?,
+                }
+            };
+            (l, parts)
+        }
+    };
+    // Every output row of an inner or left join is a probe row with its
+    // cells where `columns` puts them; the others pad the probe side with
+    // NULLs.
+    let placed_on = match join_type {
+        JoinType::Inner | JoinType::Left => l.placed_on().remap(|c| match columns {
+            Some(columns) => columns.iter().position(|&o| o == c),
+            None => Some(c),
+        }),
+        _ => PlacedOn::UNKNOWN,
+    };
+    Ok(Rows::Joined {
+        schema: schema.clone(),
+        parts,
+        placed_on,
+    })
 }
 
 /// A per-run inner or left hash join whose inputs are both hash exchanges,
@@ -809,20 +905,20 @@ fn broadcast_or_hash_join(
     probe: ExchangeInput<'_>,
     build: ExchangeInput<'_>,
     join: &HashJoinSpec<'_>,
-) -> Result<(Partitioned, Vec<Arc<Block>>)> {
+) -> Result<(Rows, Vec<Joined>)> {
     let ctx = join.ctx;
     let copies = build.rows.total_rows() * (ctx.config.partitions - 1);
     let broadcast = !probe.in_place(ctx) && copies < probe.rows.total_rows();
     ctx.stats.joins_executed.add(1);
     if !broadcast {
         let l = probe.finish(Route::Planned, ctx)?;
-        let r = build.finish(Route::Planned, ctx)?;
+        let r = build.finish(Route::Planned, ctx)?.into_blocks();
         let parts = hash_join_partitions(&l, &r, join)?;
         return Ok((l, parts));
     }
     let bytes = build.rows.estimated_bytes();
     let l = probe.finish(Route::InPlace, ctx)?;
-    let r = build.finish(Route::Broadcast, ctx)?;
+    let r = build.finish(Route::Broadcast, ctx)?.into_blocks();
     let shared = &r.parts[0];
     let parts = with_transient_tracking(
         ctx,
@@ -831,25 +927,29 @@ fn broadcast_or_hash_join(
         bytes,
         || {
             let table = join.build(shared)?;
-            unary_map(&l, ctx, |l| join.probe(l, shared, &table))
+            probe_map(&l, ctx, &|i| l.rows_in(i) == 0, &|_, l| {
+                join.probe(l, shared, &table)
+            })
         },
     )?;
     Ok((l, parts))
 }
 
 /// Hash join of co-partitioned inputs, a key index built per partition.
-fn hash_join_partitions(
-    l: &Partitioned,
-    r: &Partitioned,
-    join: &HashJoinSpec<'_>,
-) -> Result<Vec<Arc<Block>>> {
+fn hash_join_partitions(l: &Rows, r: &Partitioned, join: &HashJoinSpec<'_>) -> Result<Vec<Joined>> {
     let ctx = join.ctx;
     with_transient_tracking(
         ctx,
         "hash join build",
         RegionKind::HashJoinBuild,
         r.estimated_bytes(),
-        || binary_map(l, r, ctx, |_, l, r| join.probe(l, r, &join.build(r)?)),
+        || {
+            same_partitions(l.partitions(), r.parts.len())?;
+            let is_empty = |i: usize| l.rows_in(i) == 0 && r.parts[i].is_empty();
+            probe_map(l, ctx, &is_empty, &|i, l| {
+                join.probe(l, &r.parts[i], &join.build(&r.parts[i])?)
+            })
+        },
     )
 }
 
@@ -866,8 +966,8 @@ const RESIDUAL_CHUNK: usize = 1 << 16;
 /// build-row order (or padded, for an outer join, when it has none), then
 /// the unmatched build rows. Without a residual each probe row's slice is
 /// copied straight into the output; with one, candidate pairs are
-/// collected and filtered a chunk at a time. [`gather_pairs`] turns the
-/// pairs into the join's output.
+/// collected and filtered a chunk at a time. [`Joined::pair`] makes the
+/// pairs the join's output.
 pub(crate) fn join_pairs<'a>(
     (l, r): (&Block, &Block),
     (join_type, residual): (JoinType, Option<&PlanExpr>),
@@ -895,6 +995,9 @@ pub(crate) fn join_pairs<'a>(
     match residual {
         None => (0..l.rows()).for_each(|row| emit(row as u32, candidates(row))),
         Some(residual) => {
+            // Only the columns the residual reads are gathered.
+            let read = read_columns([residual]);
+            let width = l.columns().len() + r.columns().len();
             let (mut chunk_probe, mut chunk_build) = (Vec::new(), Vec::new());
             let mut chunk_start = 0;
             for row in 0..l.rows() {
@@ -903,9 +1006,11 @@ pub(crate) fn join_pairs<'a>(
                 if chunk_build.len() < RESIDUAL_CHUNK && row + 1 < l.rows() {
                     continue;
                 }
-                let (left, right) = (l.take(&chunk_probe), r.take(&chunk_build));
-                let columns = left.columns().iter().chain(right.columns()).cloned();
-                let pairs = Block::new(columns.collect(), chunk_probe.len());
+                let pair_cells = |c: usize| match c.checked_sub(l.columns().len()) {
+                    None => Arc::new(l.columns()[c].gather(&chunk_probe)),
+                    Some(c) => Arc::new(r.columns()[c].gather(&chunk_build)),
+                };
+                let pairs = read_block((width, chunk_probe.len()), &read, pair_cells);
                 let kept = residual.select(&pairs, &ctx.stats.rows_evaluated_by_row)?;
                 chunk_probe = kept.iter().map(|&k| chunk_probe[k as usize]).collect();
                 chunk_build = kept.iter().map(|&k| chunk_build[k as usize]).collect();
@@ -931,25 +1036,6 @@ pub(crate) fn join_pairs<'a>(
     Ok((probe, build))
 }
 
-/// Each of `columns` of `l ∥ r`, or every one, gathered once by the
-/// `(probe, build)` row numbers of a join.
-pub(crate) fn gather_pairs(
-    (l, r): (&Block, &Block),
-    (probe, build): (&[u32], &[u32]),
-    columns: Option<&[usize]>,
-) -> Arc<Block> {
-    let width = l.columns().len();
-    let gather = |c: usize| match c.checked_sub(width) {
-        None => Arc::new(l.columns()[c].gather(probe)),
-        Some(c) => Arc::new(r.columns()[c].gather(build)),
-    };
-    let out = match columns {
-        Some(columns) => columns.iter().map(|&c| gather(c)).collect(),
-        None => (0..width + r.columns().len()).map(gather).collect(),
-    };
-    Arc::new(Block::new(out, probe.len()))
-}
-
 /// Everything a hash join knows besides its input rows.
 pub(crate) struct HashJoinSpec<'a> {
     pub(crate) join_type: JoinType,
@@ -966,10 +1052,30 @@ impl HashJoinSpec<'_> {
         JoinTable::build(evaluate_all(self.right_keys, r, self.ctx)?, r.rows())
     }
 
-    /// Probe one partition against the prebuilt index over `r`.
-    fn probe(&self, l: &Block, r: &Block, table: &JoinTable) -> Result<Arc<Block>> {
-        let (probe, build) = self.pairs(l, r, table)?;
-        Ok(gather_pairs((l, r), (&probe, &build), self.columns))
+    /// How the join's output is formed from its pairs: which side it may
+    /// pad, and the columns it emits.
+    pub(crate) fn output(&self) -> (JoinType, Option<&[usize]>) {
+        (self.join_type, self.columns)
+    }
+
+    /// Probe one partition against the prebuilt index over `r`. A probe
+    /// side that is another join's row numbers has only the columns its
+    /// keys and the residual read gathered, and its row numbers composed
+    /// with this join's.
+    fn probe(&self, l: Probe<'_>, r: &Arc<Block>, table: &JoinTable) -> Result<Joined> {
+        match l {
+            Probe::Rows(l) => Ok(Joined::pair(
+                (l, r),
+                self.pairs(l, r, table)?,
+                self.output(),
+            )),
+            Probe::Joined(l) => {
+                let mut read = read_columns(self.left_keys.iter().chain(self.residual));
+                read.retain(|&c| c < l.width());
+                let pairs = self.pairs(&l.block(&read), r, table)?;
+                Ok(l.then(r, pairs, self.output()))
+            }
+        }
     }
 
     /// The [`join_pairs`] of one partition probed against the prebuilt
@@ -1082,38 +1188,30 @@ fn cached_input(
 /// Hash join against a loop-invariant build side, its key index cached
 /// ([`cached_input`]).
 fn cached_hash_join(
-    l: &Partitioned,
+    l: &Rows,
     right: &PhysicalPlan,
     join: &HashJoinSpec<'_>,
-) -> Result<Vec<Arc<Block>>> {
+) -> Result<Vec<Joined>> {
     let ctx = join.ctx;
     ctx.stats.joins_executed.add(1);
     let entry = cached_input(right, Some(join), ctx)?;
-    if entry.rows.parts.len() != l.parts.len() {
-        return Err(Error::execution(format!(
-            "partition count mismatch: {} vs {}",
-            l.parts.len(),
-            entry.rows.parts.len()
-        )));
-    }
-    let entry_ref = &entry;
-    unary_map_indexed(l, ctx, |i, l| {
-        join.probe(l, &entry_ref.rows.parts[i], &entry_ref.tables[i])
+    same_partitions(l.partitions(), entry.rows.parts.len())?;
+    probe_map(l, ctx, &|i| l.rows_in(i) == 0, &|i, l| {
+        join.probe(l, &entry.rows.parts[i], &entry.tables[i])
     })
 }
 
 /// Nested-loop join over gathered inputs: every pair is a candidate.
 fn nested_loop_join(
-    l: &Block,
-    r: &Block,
+    (l, r): (&Arc<Block>, &Arc<Block>),
     join_type: JoinType,
     residual: Option<&PlanExpr>,
     columns: Option<&[usize]>,
     ctx: &StatementContext<'_>,
-) -> Result<Arc<Block>> {
+) -> Result<Joined> {
     let every_build_row: Vec<u32> = (0..r.rows() as u32).collect();
-    let (probe, build) = join_pairs((l, r), (join_type, residual), ctx, |_| &every_build_row)?;
-    Ok(gather_pairs((l, r), (&probe, &build), columns))
+    let pairs = join_pairs((l, r), (join_type, residual), ctx, |_| &every_build_row)?;
+    Ok(Joined::pair((l, r), pairs, (join_type, columns)))
 }
 
 /// Run one aggregation phase over every partition of `data`, its groups
@@ -1160,7 +1258,7 @@ fn aggregate_block(
     ctx: &StatementContext<'_>,
 ) -> Result<Arc<Block>> {
     let width = keys.len();
-    let (groups, count, mut columns) = if keys.is_empty() {
+    let (groups, count, columns) = if keys.is_empty() {
         (vec![0; block.rows()], 1, Vec::new())
     } else if distinct {
         let groups: Vec<u32> = (0..block.rows() as u32).collect();
@@ -1177,19 +1275,196 @@ fn aggregate_block(
         (groups, table.len(), table.into_keys())
     };
     let mut states = block.columns()[width..].iter();
+    let inputs = |agg: &AggExpr| match phase {
+        Phase::Final => Ok(states
+            .by_ref()
+            .take(Accumulator::state_width(agg.func))
+            .cloned()
+            .collect()),
+        _ => evaluate_all(agg.arg.iter().chain(&agg.by), block, ctx),
+    };
+    fold(aggs, phase, (&groups, count), columns, inputs)
+}
+
+/// Each of `aggs` folded in `phase` by the group numbers `groups` of
+/// `count` groups, from the input columns `inputs` gives it — each
+/// aggregate's inputs are asked for after the aggregate before it is
+/// folded — emitted after the group keys `columns`.
+fn fold(
+    aggs: &[AggExpr],
+    phase: Phase,
+    (groups, count): (&[u32], usize),
+    mut columns: Vec<Arc<Column>>,
+    mut inputs: impl FnMut(&AggExpr) -> Result<Vec<Arc<Column>>>,
+) -> Result<Arc<Block>> {
     for agg in aggs {
-        let inputs: Vec<Arc<Column>> = match phase {
-            Phase::Final => states
-                .by_ref()
-                .take(Accumulator::state_width(agg.func))
-                .cloned()
-                .collect(),
-            _ => evaluate_all(agg.arg.iter().chain(&agg.by), block, ctx)?,
-        };
-        let emitted = aggregate(agg, phase, &inputs, &groups, count)?;
+        let emitted = aggregate(agg, phase, &inputs(agg)?, groups, count)?;
         columns.extend(emitted.into_iter().map(Arc::new));
     }
     Ok(Arc::new(Block::new(columns, count)))
+}
+
+/// A grouped aggregation phase — [`Phase::Single`] or [`Phase::Partial`] —
+/// of `plan` over `data`, into rows of `schema`. Over a join's output
+/// whose group expressions read only columns of the join chain's first
+/// probe side, which no join padded, the groups are numbered at that
+/// side's rows ([`aggregate_joined`]) and the operator's profile label
+/// says so; any other input is gathered and grouped by its rows. Either
+/// way the groups are charged as the gathered rows' bytes.
+fn grouped_aggregate(
+    plan: &PhysicalPlan,
+    data: Rows,
+    (group, aggs, phase): (&[PlanExpr], &[AggExpr], Phase),
+    schema: &spinner_common::SchemaRef,
+    ctx: &StatementContext<'_>,
+) -> Result<Partitioned> {
+    let label = match phase {
+        Phase::Single => "hash aggregate",
+        _ => "partial aggregate",
+    };
+    let placed_on = data.placed_on().remap(|c| output_of(group, c));
+    let bytes = data.estimated_bytes();
+    let keys = read_columns(group);
+    let parts = match data {
+        Rows::Joined { parts, .. }
+            if !group.is_empty() && groups_at_first_source(&parts, &keys) =>
+        {
+            if ctx.tracer.is_enabled() {
+                let span = ctx.tracer.suspend();
+                let label = format!("{}, grouped by source rows", plan.describe());
+                ctx.tracer.resume(span, Some(label));
+            }
+            let args = read_columns(aggs.iter().flat_map(|a| a.arg.iter().chain(&a.by)));
+            with_transient_tracking(ctx, label, RegionKind::HashAggregate, bytes, || {
+                map_partitions(ctx, parts.len(), &|i| parts[i].len() == 0, &|i| {
+                    run_partition(ctx, i, || {
+                        let read = (&keys[..], &args[..]);
+                        aggregate_joined(&parts[i], (group, aggs), read, phase, ctx)
+                    })
+                })
+            })?
+        }
+        data => {
+            let data = data.into_blocks();
+            with_transient_tracking(ctx, label, RegionKind::HashAggregate, bytes, || {
+                unary_map(&data, ctx, |block| {
+                    let keys = evaluate_all(group, block, ctx)?;
+                    aggregate_block(block, keys, false, aggs, phase, ctx)
+                })
+            })?
+        }
+    };
+    Ok(Partitioned {
+        schema: schema.clone(),
+        parts,
+        placed_on,
+    })
+}
+
+/// Whether group expressions that read columns `read` read only columns
+/// of the first source of `parts`, which no join padded.
+fn groups_at_first_source(parts: &[Joined], read: &[usize]) -> bool {
+    let at_first = |joined: &Joined| {
+        joined.first_source().is_some() && read.iter().all(|&c| joined.source_of(c).0 == 0)
+    };
+    parts.iter().all(at_first)
+}
+
+/// One aggregation phase over one partition of a join's output, its
+/// groups numbered at the rows of the join chain's first probe side —
+/// the first source, which no join padded and which holds the columns
+/// `keys` that the group expressions read. Of the output, only the
+/// columns `args` that the aggregates' arguments read are gathered.
+///
+/// The output visits the first source's rows in ascending order, a run
+/// of output rows for each row it holds: its *occurring* rows. The group
+/// keys are evaluated over those rows alone, each once — so no expression
+/// sees a row the join dropped, and one that fails fails as it would over
+/// the output, at the same row — and the key table numbers them in
+/// first-seen order, which, as the runs ascend, is the first-seen order
+/// of the output rows; each output row takes its run's group. So the
+/// numbering, the order each group folds its rows in, and the key cells
+/// kept per group (its first occurring row's, which are its first output
+/// row's) are those of grouping the gathered output.
+fn aggregate_joined(
+    joined: &Joined,
+    (group, aggs): (&[PlanExpr], &[AggExpr]),
+    (keys, args): (&[usize], &[usize]),
+    phase: Phase,
+    ctx: &StatementContext<'_>,
+) -> Result<Arc<Block>> {
+    let Some((source, rows)) = joined.first_source() else {
+        return Err(Error::execution("grouped at a padded join side"));
+    };
+    // The run of each output row, and the source row of each run.
+    let mut occurring = vec![0; rows.len()];
+    let (mut runs, mut previous) = (0, NO_ROW);
+    let run_of: Vec<u32> = (rows.iter())
+        .map(|&row| {
+            runs += usize::from(row != previous);
+            previous = row;
+            occurring[runs - 1] = row;
+            runs as u32 - 1
+        })
+        .collect();
+    occurring.truncate(runs);
+    debug_assert!(
+        occurring.windows(2).all(|w| w[0] < w[1]),
+        "a join keeps its probe side's row order"
+    );
+    // Every row occurs: the source's own columns are those rows.
+    let every = occurring.len() == source.rows();
+    let at_occurring = |c: usize| {
+        let column = &source.columns()[joined.source_of(c).1];
+        match every {
+            true => Arc::clone(column),
+            false => Arc::new(column.gather(&occurring)),
+        }
+    };
+    let at_occurring = read_block((joined.width(), occurring.len()), keys, at_occurring);
+    let key_columns = evaluate_all(group, &at_occurring, ctx)?;
+    let mut table = KeyTable::new(key_columns.len(), occurring.len());
+    let ids = table.insert_all(&key_columns, occurring.len())?;
+    let groups: Vec<u32> = run_of.iter().map(|&run| ids[run as usize]).collect();
+    let count = table.len();
+    let columns = table.into_keys();
+    #[cfg(debug_assertions)]
+    check_numbering(joined, (group, keys), (&groups, &columns));
+    let block = joined.block(args);
+    let inputs = |agg: &AggExpr| evaluate_all(agg.arg.iter().chain(&agg.by), &block, ctx);
+    fold(aggs, phase, (&groups, count), columns, inputs)
+}
+
+/// Debug check of [`aggregate_joined`]'s numbering: a key table over the
+/// group keys `group` (which read the columns `read`) of the gathered
+/// output gives every output row the group `groups` does, and keeps the
+/// key cells `columns` holds.
+#[cfg(debug_assertions)]
+fn check_numbering(
+    joined: &Joined,
+    (group, read): (&[PlanExpr], &[usize]),
+    (groups, columns): (&[u32], &[Arc<Column>]),
+) {
+    let gathered = joined.block(read);
+    let unseen = spinner_common::counters::Counter::default();
+    let evaluated: Result<Vec<Arc<Column>>> = (group.iter())
+        .map(|e| e.evaluate_column(&gathered, &unseen))
+        .collect();
+    let evaluated = evaluated.expect("group keys evaluate over the rows they came from");
+    let mut table = KeyTable::new(evaluated.len(), joined.len());
+    let ids = table.insert_all(&evaluated, joined.len());
+    assert!(
+        ids.is_ok_and(|ids| ids == groups),
+        "groups numbered at the source rows"
+    );
+    let kept = table.into_keys();
+    let same = |(held, want): (&Arc<Column>, &Arc<Column>)| {
+        (0..want.len()).all(|id| held.same_cell(id, want, id))
+    };
+    assert!(
+        columns.iter().zip(&kept).all(same),
+        "key cells kept at the source rows"
+    );
 }
 
 /// Global aggregation, one output row in partition 0 (even over empty
@@ -1301,6 +1576,8 @@ mod tests {
     use spinner_plan::expr::BinaryOp;
     use spinner_plan::AggFunc;
     use spinner_storage::Catalog;
+
+    use crate::aggregate::Accumulator;
     use std::collections::BTreeMap;
 
     use crate::fault::FaultInjector;
@@ -1371,7 +1648,10 @@ mod tests {
                 ctx,
             };
             let (l, r) = (block(lwidth, l), block(rwidth, r));
-            let joined = join.probe(&l, &r, &join.build(&r).unwrap()).unwrap();
+            let joined = join
+                .probe(Probe::Rows(&l), &r, &join.build(&r).unwrap())
+                .unwrap();
+            let joined = joined.gather();
             assert_eq!(
                 ctx.stats.rows_evaluated_by_row.get(),
                 0,
@@ -1470,8 +1750,9 @@ mod tests {
         let r = block(2, &[row_of([Value::Int(1), Value::Int(10)])]);
         let pred = col(0).binary(BinaryOp::Eq, col(1));
         let out = with_context(1, |ctx| {
-            nested_loop_join(&l, &r, JoinType::Left, Some(&pred), None, ctx).unwrap()
+            nested_loop_join((&l, &r), JoinType::Left, Some(&pred), None, ctx).unwrap()
         })
+        .gather()
         .to_rows();
         assert_eq!(out.len(), 2);
         assert!(out[1][1].is_null()); // unmatched row padded
@@ -1544,7 +1825,9 @@ mod tests {
                 ctx,
             };
             let (l, r) = (block(3, &l), block(3, &r));
-            join.probe(&l, &r, &join.build(&r).unwrap()).unwrap()
+            join.probe(Probe::Rows(&l), &r, &join.build(&r).unwrap())
+                .unwrap()
+                .gather()
         });
         assert_eq!(narrow.columns().len(), 3);
         let picked: Vec<Row> = (full.iter())
@@ -1736,12 +2019,14 @@ mod tests {
                 ctx,
             };
             let (l, r) = (block(3, l), block(3, r));
-            let probed = join.probe(&l, &r, &join.build(&r).unwrap()).unwrap();
+            let probed = join
+                .probe(Probe::Rows(&l), &r, &join.build(&r).unwrap())
+                .unwrap();
             let solution = evaluate_all(&left_keys, &l, ctx).unwrap();
             let solution = JoinTable::build(solution, l.rows()).unwrap();
             let pairs = join.indexed_pairs(&l, &r, &solution).unwrap();
-            let indexed = gather_pairs((&l, &r), (&pairs.0, &pairs.1), columns);
-            (indexed.to_rows(), probed.to_rows())
+            let indexed = Joined::pair((&l, &r), pairs, join.output()).gather();
+            (indexed.to_rows(), probed.gather().to_rows())
         })
     }
 
@@ -1785,8 +2070,8 @@ mod tests {
             let reference = reference_join(&l, &r, join_type, predicate.as_ref(), (3, 3));
             prop_assert_eq!(exact(&hashed), exact(&reference));
             let looped = with_context(1, |ctx| {
-                nested_loop_join(&block(3, &l), &block(3, &r), join_type, predicate.as_ref(), None, ctx)
-            }).unwrap().to_rows();
+                nested_loop_join((&block(3, &l), &block(3, &r)), join_type, predicate.as_ref(), None, ctx)
+            }).unwrap().gather().to_rows();
             prop_assert_eq!(exact(&looped), exact(&reference));
             prop_assert_eq!(sorted(hashed), sorted(reference));
         }
@@ -2055,8 +2340,8 @@ mod tests {
                                     exchange(data, &ExchangeMode::Hash(keys.to_vec()), usize::MAX, ctx).unwrap()
                                 };
                                 let hashed = (hash(l.clone(), &left_keys), hash(r, &right_keys));
-                                let want = hash_join_partitions(&hashed.0, &hashed.1, &join).unwrap();
-                                let want = Partitioned { parts: want, ..got.clone() };
+                                let want = hash_join_partitions(&Rows::Blocks(hashed.0), &hashed.1, &join).unwrap();
+                                let want = Partitioned { parts: want.iter().map(Joined::gather).collect(), ..got.clone() };
                                 let multiset = |data: &Partitioned| {
                                     let mut rows = exact(&data.gather());
                                     rows.sort();
@@ -2079,6 +2364,205 @@ mod tests {
                             });
                         }
                     }
+                }
+            }
+        }
+    }
+
+    // ---- grouping at the source rows ------------------------------------------
+
+    /// `(key, key, payload)` rows whose key columns hold integers or
+    /// floats (`-0.0` and NaN among them) or NULL, and, when `poisoned`, a
+    /// last row keyed `100` — a key no other side holds — whose payload 7
+    /// fails `100 / (payload - 7)`.
+    fn numeric_rows(poisoned: bool) -> impl Strategy<Value = Vec<Row>> {
+        (0u32..2, 0u32..2)
+            .prop_flat_map(rows_of)
+            .prop_map(move |mut rows| {
+                if poisoned {
+                    let floats = rows.iter().any(|r| matches!(r[0], Value::Float(_)));
+                    let key = if floats {
+                        Value::Float(100.0)
+                    } else {
+                        Value::Int(100)
+                    };
+                    rows.push(row_of([key, Value::Null, Value::Int(7)]));
+                }
+                rows
+            })
+    }
+
+    /// One join of a chain: its type, whether it has a residual, whether
+    /// both its inputs are hash exchanges.
+    fn chain_join() -> impl Strategy<Value = (JoinType, bool, bool)> {
+        let join_type = prop_oneof![
+            Just(JoinType::Inner),
+            Just(JoinType::Left),
+            Just(JoinType::Right),
+            Just(JoinType::Full)
+        ];
+        (join_type, any::<bool>(), any::<bool>())
+    }
+
+    /// Rows of every partition, in order, each float as its bits; or the
+    /// error.
+    fn partitions_in_bits(result: Result<Partitioned>) -> String {
+        let cell = |v: &Value| match v {
+            Value::Float(f) => format!("Float({:#x})", f.to_bits()),
+            v => format!("{v:?}"),
+        };
+        let rows = |b: &Arc<Block>| -> Vec<String> {
+            (b.to_rows().iter())
+                .map(|r| r.iter().map(cell).collect::<Vec<_>>().join(", "))
+                .collect()
+        };
+        match result {
+            Ok(data) => format!("{:?}", data.parts.iter().map(rows).collect::<Vec<_>>()),
+            Err(e) => format!("{e:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// An aggregate over a chain of one or two hash joins whose group
+        /// expressions read only the first probe side numbers its groups
+        /// at that side's rows, and gives the rows — group order, key
+        /// cells, float bits — and the error of aggregating the gathered
+        /// join output, in one phase and as partial states, at 1, 2 and 3
+        /// partitions: inner, left, right and full joins (only chains of
+        /// inner and left joins group at the source rows), with and
+        /// without residuals and exchanges, directly or through a
+        /// bare-column projection, NULL, `-0.0` and NaN keys, and a group
+        /// expression that fails only on a probe row no build row matches.
+        #[test]
+        fn grouping_by_source_rows_equals_grouping_the_gathered_rows(
+            a in any::<bool>().prop_flat_map(numeric_rows),
+            b in numeric_rows(false),
+            c in numeric_rows(false),
+            (first, second) in (chain_join(), any::<bool>(), chain_join())
+                .prop_map(|(first, two, second)| (first, two.then_some(second))),
+            (grouping, projected) in (0usize..4, any::<bool>()),
+        ) {
+            let scan = |name: &str, rows: &[Row]| Box::new(PhysicalPlan::TempScan {
+                name: name.into(),
+                schema: schema_of(3, rows),
+            });
+            let hashed = |input: Box<PhysicalPlan>, key: usize| Box::new(PhysicalPlan::Exchange {
+                input,
+                mode: ExchangeMode::Hash(vec![col(key)]),
+            });
+            let join = |left: Box<PhysicalPlan>, right: Box<PhysicalPlan>, (join_type, residual, exchanged): (JoinType, bool, bool), (lk, rk, rp): (usize, usize, usize)| {
+                let schema = Arc::new(left.schema().join(&right.schema()));
+                let (left, right) = match exchanged {
+                    true => (hashed(left, lk), hashed(right, rk)),
+                    false => (left, right),
+                };
+                PhysicalPlan::HashJoin {
+                    left,
+                    right,
+                    join_type,
+                    left_keys: vec![col(lk)],
+                    right_keys: vec![col(rk)],
+                    residual: residual.then(|| col(2).binary(BinaryOp::LtEq, col(rp))),
+                    columns: None,
+                    build: JoinBuild::PerRun,
+                    schema,
+                }
+            };
+            // a ⋈ b on a.0 = b.1, then ⋈ c on b.0 = c.1.
+            let mut chain = join(scan("a", &a), scan("b", &b), first, (0, 1, 5));
+            if let Some(second) = second {
+                chain = join(Box::new(chain), scan("c", &c), second, (3, 1, 8));
+            }
+            // Kept: the first side's columns, b's payload, c's payload.
+            let payloads = if second.is_some() { vec![5, 8] } else { vec![5] };
+            if projected {
+                let picked: Vec<usize> = [0, 1, 2].into_iter().chain(payloads.iter().copied()).collect();
+                let schema = chain.schema();
+                let fields = picked.iter().map(|&c| schema.fields()[c].clone());
+                chain = PhysicalPlan::Project {
+                    exprs: picked.iter().map(|&c| col(c)).collect(),
+                    schema: Arc::new(Schema::new(fields.collect())),
+                    input: Box::new(chain),
+                };
+            }
+            let payloads: Vec<usize> = match projected {
+                true => (3..3 + payloads.len()).collect(),
+                false => payloads,
+            };
+            let schema = chain.schema();
+            let poison = PlanExpr::literal(100i64)
+                .binary(BinaryOp::Divide, col(2).binary(BinaryOp::Minus, PlanExpr::literal(7i64)));
+            let group = match grouping {
+                0 => vec![col(0), col(1)],
+                1 => vec![col(1)],
+                2 => vec![col(0), poison],
+                _ => vec![col(2).binary(BinaryOp::Multiply, PlanExpr::literal(0.5)), col(0)],
+            };
+            let agg = |func, arg: Option<PlanExpr>| AggExpr {
+                func, arg, by: None, distinct: false, name: "a".into(),
+            };
+            let mut aggs = vec![
+                agg(AggFunc::CountStar, None),
+                agg(AggFunc::Sum, Some(col(payloads[0]).binary(BinaryOp::Multiply, PlanExpr::literal(0.1)))),
+                agg(AggFunc::Min, Some(col(2))),
+                agg(AggFunc::Avg, Some(col(payloads[0]))),
+                agg(AggFunc::Max, Some(col(1))),
+            ];
+            aggs.extend(payloads.get(1).map(|&p| agg(AggFunc::Min, Some(col(p)))));
+            let keys = group.iter().map(|e| Field::new("g", e.data_type(&schema)));
+            let outputs = aggs.iter().map(|a| Field::new("a", a.output_type(&schema)));
+            let single: Vec<Field> = keys.clone().chain(outputs).collect();
+            let typed = |e: &Option<PlanExpr>| e.as_ref().map_or(DataType::Int, |e| e.data_type(&schema));
+            let states = aggs.iter().flat_map(|a| {
+                Accumulator::state_types(a.func, typed(&a.arg), DataType::Null).map(|t| Field::new("s", t))
+            });
+            let partial: Vec<Field> = keys.chain(states).collect();
+            let aggregates = |input: PhysicalPlan| {
+                let input = Box::new(input);
+                [
+                    PhysicalPlan::HashAggregate {
+                        input: input.clone(),
+                        group: group.clone(),
+                        aggs: aggs.clone(),
+                        schema: Arc::new(Schema::new(single.clone())),
+                    },
+                    PhysicalPlan::AggregatePartial {
+                        input,
+                        group: group.clone(),
+                        aggs: aggs.clone(),
+                        schema: Arc::new(Schema::new(partial.clone())),
+                    },
+                ]
+            };
+            let inner_or_left = |(join_type, ..): (JoinType, bool, bool)| {
+                matches!(join_type, JoinType::Inner | JoinType::Left)
+            };
+            let unpadded = inner_or_left(first) && second.is_none_or(inner_or_left);
+            let exchanged = first.2 || second.is_some_and(|s| s.2);
+            for partitions in 1..=3 {
+                let catalog = Catalog::new();
+                let config = EngineConfig::default().with_partitions(partitions);
+                let guard = QueryGuard::unlimited();
+                let faults = FaultInjector::disabled();
+                let mut ctx = StatementContext::new(&catalog, &config, &guard, &faults, None);
+                ctx.tracer = spinner_common::profile::Tracer::new();
+                for (name, rows) in [("a", &a), ("b", &b), ("c", &c)] {
+                    ctx.registry.put(name, Partitioned::from_rows(schema_of(3, rows), rows.clone(), None, partitions));
+                }
+                let gathered = execute(&chain, &ctx).unwrap();
+                ctx.registry.put("joined", gathered);
+                let reference = PhysicalPlan::TempScan { name: "joined".into(), schema: Arc::clone(&schema) };
+                for (got, want) in aggregates(chain.clone()).iter().zip(&aggregates(reference)) {
+                    let got = partitions_in_bits(execute(got, &ctx));
+                    let want = partitions_in_bits(execute(want, &ctx));
+                    prop_assert_eq!(got, want, "at {} partitions", partitions);
+                }
+                let profile = ctx.tracer.finish();
+                let grouped_at_source = profile.find("grouped by source rows").is_some();
+                if !exchanged || partitions == 1 {
+                    prop_assert_eq!(grouped_at_source, unpadded, "at {} partitions", partitions);
                 }
             }
         }

@@ -1291,15 +1291,7 @@ fn case(
             break;
         }
         let test = when.operand(&restrict(block, &undecided, when), fell)?;
-        let (mut taken, mut rest) = (Vec::new(), Vec::new());
-        for (at, &row) in undecided.iter().enumerate() {
-            match test.cell(at) {
-                Cell::Bool(true) => taken.push(row),
-                Cell::Bool(false) | Cell::Null => rest.push(row),
-                // Not a predicate: the row evaluator says so.
-                _ => return Err(Error::type_error("CASE condition is not boolean")),
-            }
-        }
+        let (taken, rest) = split_by(&test, &undecided)?;
         take(&taken, then, fell)?;
         undecided = rest;
     }
@@ -1307,6 +1299,33 @@ fn case(
         take(&undecided, else_expr, fell)?;
     }
     Ok(Operand::Computed(assemble(&pieces, &picks)))
+}
+
+/// `rows` split by a `WHEN` test over them, cell `at` of `test` for row
+/// `rows[at]`: the rows it holds true for, and the rest, for which it is
+/// false or NULL. A boolean column is read as its values and NULLs; a
+/// cell that is not a boolean is an error, as the row evaluator says.
+fn split_by(test: &Operand, rows: &[u32]) -> Result<(Vec<u32>, Vec<u32>)> {
+    let mut taken = Vec::with_capacity(rows.len());
+    let mut rest = Vec::with_capacity(rows.len());
+    if let Some(Column::Bool(values, nulls)) = test.column() {
+        for (at, &row) in rows.iter().enumerate() {
+            match values[at] && !nulls.is_null(at) {
+                true => taken.push(row),
+                false => rest.push(row),
+            }
+        }
+        return Ok((taken, rest));
+    }
+    for (at, &row) in rows.iter().enumerate() {
+        match test.cell(at) {
+            Cell::Bool(true) => taken.push(row),
+            Cell::Bool(false) | Cell::Null => rest.push(row),
+            // Not a predicate: the row evaluator says so.
+            _ => return Err(Error::type_error("CASE condition is not boolean")),
+        }
+    }
+    Ok((taken, rest))
 }
 
 /// Rows `rows` (ascending) of `block` as a block of their own, to evaluate

@@ -4,14 +4,18 @@
 //! as in its best, and it fails the day someone reintroduces a per-row
 //! allocation on the executor's hot path — a heap row per joined or
 //! grouped row, a key vector per routed row, a gathered copy of a table to
-//! return one row of it. The statements take 12,588 / 13,745 / 144 / 88
-//! today; the loop statements took ≈ 230 fewer before the planner typed
+//! return one row of it. The statements take 10,950 / 13,856 / 144 / 88
+//! today; the loop statements took 12,588 / 13,745 while every join
+//! gathered its output columns and the aggregate over it numbered the
+//! join rows, and ≈ 230 fewer than that before the planner typed
 //! their columns, which plans a loop body a second time, against the
 //! widened types. SSSP's count includes the check a debug build — which
 //! this test runs as — makes of its merge loop's key index at every
-//! iteration, by building the index again, and both loops' counts the
-//! working table a debug build reads to check its column types; a
-//! release build takes 12,568 / 13,087. SSSP took
+//! iteration, by building the index again, both loops' counts the
+//! working table a debug build reads to check its column types, and
+//! both the key table a debug build builds again over the gathered keys
+//! of every aggregate that groups a join's source rows; a
+//! release build takes 10,330 / 12,750 (12,568 / 13,087 before). SSSP took
 //! 13,916 while every merge indexed the working table and gathered the
 //! whole CTE anew, and the semi-naive join built a hash table over the
 //! contributions every round. PageRank / SSSP took 13,088 / 15,435 while

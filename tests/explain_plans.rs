@@ -319,6 +319,68 @@ fn explain_analyze_shows_the_broadcast_a_join_chose() {
     );
 }
 
+/// The loop bodies' aggregates group the CTE's rows, not the join rows:
+/// PageRank's partial aggregate reads both joins' output as row numbers
+/// and numbers its groups at the CTE rows the first join probes with, and
+/// so does semi-naive SSSP's over its indexed join; the label says so
+/// after the aggregate's own. What the joins emit is unchanged: each
+/// PageRank join emits, per iteration, every CTE node paired with each
+/// edge into it (or padded), and SSSP's indexed join one row per
+/// contribution, as many as the join of the delta with `edges` makes.
+#[test]
+fn explain_analyze_groups_pagerank_by_its_cte_rows() {
+    let database = Database::new(EngineConfig::default().with_partitions(2)).unwrap();
+    let spec = GraphSpec {
+        nodes: 150,
+        edges: 700,
+        seed: 23,
+        max_weight: 10,
+    };
+    load_edges_into(&database, "edges", &spec).unwrap();
+    let pairs = database
+        .query(
+            "SELECT count(*) FROM (SELECT src AS node FROM edges UNION SELECT dst FROM edges) n \
+             LEFT JOIN edges e ON n.node = e.dst",
+        )
+        .unwrap();
+    let pairs = pairs.rows()[0][0].as_i64().unwrap() as u64;
+    let profile = database.explain_analyze(&pagerank(3, false).cte).unwrap();
+    let text = profile.render();
+    let aggregate = profile
+        .find("AggregatePartial: groups=2 aggs=1, grouped by source rows")
+        .expect(&text);
+    assert_eq!(aggregate.children.len(), 1, "{text}");
+    let second = &aggregate.children[0];
+    assert!(
+        second
+            .label
+            .starts_with("HashJoin(Left): incomingedges.src"),
+        "{text}"
+    );
+    let first = profile.find("HashJoin(Left, cached build)").expect(&text);
+    assert_eq!(
+        (first.rows_out, second.rows_out),
+        (3 * pairs, 3 * pairs),
+        "{text}"
+    );
+
+    let profile = database
+        .explain_analyze(&sssp_convergent(1, None).cte)
+        .unwrap();
+    let text = profile.render();
+    let aggregate = profile
+        .find("AggregatePartial: groups=2 aggs=1, grouped by source rows")
+        .expect(&text);
+    let indexed = &aggregate.children[0];
+    assert!(
+        indexed.label.starts_with("HashJoin(Inner, indexed build)"),
+        "{text}"
+    );
+    let contributions = profile.find("HashJoin(Inner, cached build)").expect(&text);
+    assert!(contributions.rows_out > 0, "{text}");
+    assert_eq!(indexed.rows_out, contributions.rows_out, "{text}");
+}
+
 #[test]
 fn explain_analyze_delta_termination_reports_convergence() {
     // Delta termination stops when fewer than 5 rows change; v saturates
