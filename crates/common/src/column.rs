@@ -307,10 +307,10 @@ impl Column {
         self.cell(row).to_value()
     }
 
-    /// Whether cell `row` is NULL.
+    /// Whether cell `row` is NULL. A row past the end reads as NULL.
     #[inline]
     pub fn is_null(&self, row: usize) -> bool {
-        self.cell(row).is_null()
+        row >= self.len() || self.nulls().is_null(row)
     }
 
     /// Whether cell `row` equals cell `other_row` of `other` under

@@ -38,7 +38,7 @@ use spinner_storage::{
 
 use crate::cache::JoinStateCache;
 use crate::fault::FaultInjector;
-use crate::keys::{hash_keys, KeyTable};
+use crate::keys::{KeyTable, NIL};
 use crate::operators;
 use crate::physical::{
     create_physical_plan, create_stored_plan, ExchangeMode, JoinBuild, PhysicalPlan,
@@ -1066,13 +1066,12 @@ fn diff_by_key(previous: &Partitioned, current: &Partitioned, key: usize) -> Res
     }
     let mut changed = 0u64;
     for part in &current.parts {
-        let part_key = &part.columns()[key..=key];
-        let hashes = hash_keys(part_key, part.rows());
-        for (row, &hash) in hashes.iter().enumerate() {
-            let unchanged = index.find(part_key, row, hash).is_some_and(|id| {
-                let (held, held_row) = holders[id];
+        let found = index.find_all(&part.columns()[key..=key], part.rows());
+        for (row, id) in found.into_iter().enumerate() {
+            let unchanged = id != NIL && {
+                let (held, held_row) = holders[id as usize];
                 held.eq_rows(held_row, part, row)
-            });
+            };
             changed += u64::from(!unchanged);
         }
     }
@@ -1451,8 +1450,8 @@ mod tests {
         }
         let cte_key = &cte.columns()[key..=key];
         let (mut merged, mut delta) = (Vec::new(), Vec::new());
-        for (old, hash) in hash_keys(cte_key, cte.rows()).into_iter().enumerate() {
-            match index.find(cte_key, old, hash).map(|id| holders[id]) {
+        for (old, id) in index.find_all(cte_key, cte.rows()).into_iter().enumerate() {
+            match (id != NIL).then(|| holders[id as usize]) {
                 Some(new) if new != spinner_common::NO_ROW => {
                     if !work.eq_rows(new as usize, cte, old) {
                         delta.push(new);

@@ -1,44 +1,51 @@
-//! Keys: hashing them, and indexing rows by them.
+//! Keys: numbering them, and indexing rows by them.
 //!
 //! Every operator that groups or matches rows by key — hash join, the
 //! three aggregation phases, `DISTINCT`, the set operations, the loop's
 //! merge, delta diff and dedup set — does it through this module, a
-//! column at a time:
+//! column at a time, and through two types only:
 //!
-//! * [`hash_keys`] hashes the key of every row of a block from the key's
-//!   columns. It feeds each cell through [`Value`](spinner_common::Value)'s
-//!   own `Hash` rule into a cheap multiply-rotate hasher, so it agrees
-//!   with `Value`'s `Eq` by construction: `2` and `2.0`, `0.0` and `-0.0`, and any two
-//!   NaNs hash alike; NULL hashes like any value and it is the *caller*
-//!   that decides whether a NULL key takes part (joins skip it,
-//!   `GROUP BY` groups it).
-//! * [`KeyIndex`] is a chained hash index over `u32` entry ids —
-//!   `heads`/`next`/`hashes` arrays, nothing per key. It stores no keys:
-//!   its user, [`KeyTable`], keeps them in columns and confirms a
-//!   candidate with [`Column::eq_cells`].
 //! * [`KeyTable`] numbers distinct keys in first-seen order and keeps one
-//!   copy of each, in columns of its own.
+//!   copy of each, in columns of its own. [`KeyTable::insert_all`] numbers
+//!   a batch of rows, adding the keys it lacks; [`KeyTable::find_all`]
+//!   looks a batch up, adding nothing.
 //! * [`JoinTable`] is a join's build side on top of a [`KeyTable`]: each
-//!   distinct key once, and its rows laid end to end, so a probe is one
-//!   chain walk over distinct keys, one key comparison and a slice. A
-//!   merge loop keeps one per partition of its CTE table as the table's
-//!   key index (`solution.rs`).
+//!   distinct key once, and its rows laid end to end, so a probe is a key
+//!   number and a slice. A merge loop keeps one per partition of its CTE
+//!   table as the table's key index (`solution.rs`).
+//!
+//! **How a key table finds a key.** Its first batch picks its index, once:
+//!
+//! * *dense* — one INT key column whose values lie in a range not much
+//!   wider than the rows inserted: a `Vec<u32>` of key numbers addressed
+//!   by `key − min`, and one slot for NULL. Nothing is hashed or compared.
+//!   The loops' node ids are such a column.
+//! * *hashed* — any other key: `hash_keys` hashes each row's key, a
+//!   chained `KeyIndex` over entry ids walks the candidates, and
+//!   [`Column::eq_cells`] confirms one against the held copy.
+//!
+//! A later batch that leaves the dense range grows the array, or converts
+//! the table to the hashed index once. Both indexes answer `Value`'s `Eq`:
+//! `2` and `2.0`, `0.0` and `-0.0`, and any two NaNs are one key, and NULL
+//! is a key like any other — it is the *caller* that decides whether a NULL
+//! key takes part (joins skip it, `GROUP BY` groups it).
 //!
 //! **What the hash decides, and what it does not.** It picks a bucket
 //! inside one partition's index and nothing else. Which *partition* a row
 //! belongs to is still `spinner_storage::placement` (SipHash), because
 //! stored tables, checkpoints and resumed loops were placed with it. No
-//! output order depends on the hash either: keys are numbered in
-//! first-seen order by their entry id, and a join build counting-sorts
-//! its row numbers by key number, which keeps each key's rows in
-//! build-row order. The hasher is seeded once per process, so bucket
-//! collisions cannot be prepared from outside; equal full hashes are
-//! always confirmed by comparing keys.
+//! output order depends on the index either: keys are numbered in
+//! first-seen order whichever index holds them, and a join build
+//! counting-sorts its row numbers by key number, which keeps each key's
+//! rows in build-row order. The hasher is seeded once per process, so
+//! bucket collisions cannot be prepared from outside; equal full hashes
+//! are always confirmed by comparing keys.
 
+use std::borrow::Borrow;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::{Arc, OnceLock};
 
-use spinner_common::{Column, Error, Result};
+use spinner_common::{Column, Error, Nulls, Result};
 
 /// Multiply-rotate hasher (the Fx construction) with an avalanche at the
 /// end, because [`KeyIndex`] takes its bucket from the low bits.
@@ -91,20 +98,21 @@ fn seeded() -> KeyHasher {
 /// The hash of every row's key, the key's cells held in `keys` — one
 /// column per key expression, each `rows` long. Equal keys (under `Value`'s
 /// `Eq`) hash equal: each cell is fed as `Value`'s own `Hash` would feed it.
-pub fn hash_keys(keys: &[Arc<Column>], rows: usize) -> Vec<u64> {
+fn hash_keys<C: Borrow<Column>>(keys: &[C], rows: usize) -> Vec<u64> {
     let mut hashers = vec![seeded(); rows];
     for key in keys {
-        key.hash_into(&mut hashers);
+        key.borrow().hash_into(&mut hashers);
     }
     hashers.into_iter().map(|hasher| hasher.finish()).collect()
 }
 
 /// Whether any cell of row `row`'s key is NULL.
-pub fn null_key(keys: &[Arc<Column>], row: usize) -> bool {
+fn null_key(keys: &[Arc<Column>], row: usize) -> bool {
     keys.iter().any(|key| key.is_null(row))
 }
 
-const NIL: u32 = u32::MAX;
+/// The key number a lookup answers for a key the table lacks.
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// The id the next entry of an index holding `len` entries gets — a
 /// typed error past the `u32` id space, never a wrapped id.
@@ -120,9 +128,10 @@ fn next_entry_id(len: usize) -> Result<u32> {
 }
 
 /// Chained hash index over entry ids `0..len`, handed out in insertion
-/// order. See the module docs for what it stores and guarantees.
+/// order. It stores no keys: its [`KeyTable`] keeps them in columns and
+/// confirms a candidate with [`Column::eq_cells`].
 #[derive(Debug)]
-pub struct KeyIndex {
+struct KeyIndex {
     /// Bucket → most recently inserted entry, `NIL` when empty. The
     /// length is a power of two.
     heads: Vec<u32>,
@@ -134,7 +143,7 @@ pub struct KeyIndex {
 
 impl KeyIndex {
     /// An empty index sized for `entries` insertions without growing.
-    pub fn with_capacity(entries: usize) -> Self {
+    fn with_capacity(entries: usize) -> Self {
         KeyIndex {
             heads: vec![NIL; entries.max(8).next_power_of_two()],
             next: Vec::with_capacity(entries),
@@ -143,7 +152,7 @@ impl KeyIndex {
     }
 
     /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.hashes.len()
     }
 
@@ -153,7 +162,7 @@ impl KeyIndex {
 
     /// Add an entry with `hash` at the front of its chain and return its
     /// id (the number of entries before it).
-    pub fn insert(&mut self, hash: u64) -> Result<usize> {
+    fn insert(&mut self, hash: u64) -> Result<u32> {
         let id = next_entry_id(self.len())?;
         if self.len() >= self.heads.len() {
             self.grow();
@@ -162,7 +171,7 @@ impl KeyIndex {
         self.next.push(self.heads[bucket]);
         self.hashes.push(hash);
         self.heads[bucket] = id;
-        Ok(id as usize)
+        Ok(id)
     }
 
     /// Double the bucket array. Re-linking in insertion order keeps every
@@ -178,7 +187,7 @@ impl KeyIndex {
 
     /// Entries whose full hash equals `hash`, most recently inserted
     /// first. The caller confirms each by comparing keys.
-    pub fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+    fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
         let mut at = self.heads[self.bucket(hash)];
         std::iter::from_fn(move || {
             while at != NIL {
@@ -191,6 +200,151 @@ impl KeyIndex {
             None
         })
     }
+}
+
+/// A dense array may span this many slots per row inserted, plus
+/// [`DENSE_SLACK`] (DESIGN.md §5h, "Dense keys are addressed").
+const DENSE_SLOTS_PER_ROW: usize = 8;
+const DENSE_SLACK: usize = 64;
+
+/// Dense keys stay below this magnitude, where every INT is a FLOAT of
+/// its own, so a FLOAT probe equals at most one of them.
+const EXACT_INTS: i64 = 1 << 53;
+
+/// Key numbers of one INT column addressed by `key − min`.
+#[derive(Debug)]
+struct Dense {
+    /// The key `slots[0]` addresses; meaningless while `slots` is empty.
+    min: i64,
+    /// `key − min` → key number, `NIL` where the table lacks the key.
+    slots: Vec<u32>,
+    /// NULL's key number, `NIL` while the table lacks it.
+    null: u32,
+    /// Keys numbered.
+    len: usize,
+    /// Rows inserted, every batch counted: the span the array may cover.
+    rows: usize,
+}
+
+impl Dense {
+    fn new() -> Dense {
+        Dense {
+            min: 0,
+            slots: Vec::new(),
+            null: NIL,
+            len: 0,
+            rows: 0,
+        }
+    }
+
+    /// Make the array address every non-NULL key of `data` (`rows` rows,
+    /// NULL where `nulls` says), growing it, if the keys held and these
+    /// still lie in a range the rule allows (DESIGN.md §5h); else `false`,
+    /// and the array is as it was.
+    fn cover(&mut self, data: &[i64], nulls: &Nulls) -> bool {
+        let rows = self.rows + data.len();
+        let mut keys = (data.iter().enumerate())
+            .filter(|&(row, _)| !nulls.is_null(row))
+            .map(|(_, &key)| key);
+        let Some(first) = keys.next() else {
+            self.rows = rows;
+            return true;
+        };
+        let (mut lo, mut hi) =
+            keys.fold((first, first), |(lo, hi), key| (lo.min(key), hi.max(key)));
+        if let Some(last) = self.slots.len().checked_sub(1) {
+            (lo, hi) = (lo.min(self.min), hi.max(self.min + last as i64));
+        }
+        let exact = |key: i64| key.unsigned_abs() < EXACT_INTS.unsigned_abs();
+        let span = hi
+            .checked_sub(lo)
+            .and_then(|span| usize::try_from(span).ok());
+        let limit = rows
+            .saturating_mul(DENSE_SLOTS_PER_ROW)
+            .saturating_add(DENSE_SLACK);
+        let Some(span) = span.filter(|&span| exact(lo) && exact(hi) && span < limit) else {
+            return false;
+        };
+        if !self.slots.is_empty() && lo < self.min {
+            let mut grown = vec![NIL; (self.min - lo) as usize];
+            grown.extend_from_slice(&self.slots);
+            self.slots = grown;
+        }
+        self.slots.resize(span + 1, NIL);
+        (self.min, self.rows) = (lo, rows);
+        true
+    }
+
+    /// Number the keys of `data`, which [`cover`](Self::cover) made the
+    /// array address, in first-seen order; the rows that brought a key go
+    /// to `brought_by`.
+    fn insert_all(
+        &mut self,
+        data: &[i64],
+        nulls: &Nulls,
+        brought_by: &mut Vec<u32>,
+    ) -> Result<Vec<u32>> {
+        let mut ids = Vec::with_capacity(data.len());
+        for (row, &key) in data.iter().enumerate() {
+            let slot = match nulls.is_null(row) {
+                true => &mut self.null,
+                false => &mut self.slots[(key - self.min) as usize],
+            };
+            if *slot == NIL {
+                *slot = next_entry_id(self.len)?;
+                self.len += 1;
+                brought_by.push(row as u32);
+            }
+            ids.push(*slot);
+        }
+        Ok(ids)
+    }
+
+    /// The key number of INT key `key`, `NIL` where the table lacks it.
+    fn at(&self, key: i64) -> u32 {
+        let slot = key
+            .checked_sub(self.min)
+            .and_then(|at| usize::try_from(at).ok());
+        slot.and_then(|at| self.slots.get(at)).map_or(NIL, |&id| id)
+    }
+
+    /// The key number of every row of `key`, `NIL` where the table lacks
+    /// it.
+    fn find_all(&self, key: &Column, rows: usize) -> Vec<u32> {
+        match key {
+            Column::Int(data, nulls) if !nulls.any() => {
+                data[..rows].iter().map(|&key| self.at(key)).collect()
+            }
+            _ => (0..rows).map(|row| self.find(key, row)).collect(),
+        }
+    }
+
+    /// The key number of row `row` of `key`. A FLOAT equals an INT key only
+    /// when it is that integer exactly (`-0.0` is `0`; NaN and `±inf` are
+    /// none), and a BOOL or TEXT none.
+    fn find(&self, key: &Column, row: usize) -> u32 {
+        match key {
+            _ if key.is_null(row) => self.null,
+            Column::Int(data, _) => self.at(data[row]),
+            Column::Float(data, _) => {
+                let x = data[row];
+                match x.fract() == 0.0 && x.abs() < EXACT_INTS as f64 {
+                    true => self.at(x as i64),
+                    false => NIL,
+                }
+            }
+            Column::Bool(..) | Column::Text(..) => NIL,
+        }
+    }
+}
+
+/// How a [`KeyTable`] finds its keys, picked by its first batch.
+#[derive(Debug)]
+enum Index {
+    /// No batch yet, and the number of keys to size a hashed index for.
+    Unpicked(usize),
+    Dense(Dense),
+    Hashed(KeyIndex),
 }
 
 /// A hash-join build side: the distinct keys of one partition's rows, and
@@ -209,9 +363,14 @@ impl JoinTable {
     /// Index the `rows` rows whose keys are held in `keys`: number their
     /// distinct keys, then counting-sort the row numbers by key number.
     pub fn build(keys: Vec<Arc<Column>>, rows: usize) -> Result<JoinTable> {
+        JoinTable::build_on(KeyTable::new(keys.len(), rows), keys, rows)
+    }
+
+    /// [`build`](Self::build) with the key numbers of `table`, which is
+    /// empty.
+    fn build_on(mut table: KeyTable, keys: Vec<Arc<Column>>, rows: usize) -> Result<JoinTable> {
         // Every row index fits an entry id, so `row as u32` below is exact.
         next_entry_id(rows)?;
-        let mut table = KeyTable::new(keys.len(), rows);
         let mut ids = table.insert_all(&keys, rows)?;
         let mut starts = vec![0u32; table.len() + 1];
         for (row, id) in ids.iter_mut().enumerate() {
@@ -244,15 +403,19 @@ impl JoinTable {
         Ok(join)
     }
 
-    /// Key `k`'s rows, in build-row order.
-    pub(crate) fn group(&self, k: usize) -> &[u32] {
-        &self.rows[self.starts[k] as usize..self.starts[k + 1] as usize]
+    /// The rows of key number `id`, in build-row order; none for [`NIL`]
+    /// or a key with a NULL cell.
+    pub(crate) fn group_of(&self, id: u32) -> &[u32] {
+        match id {
+            NIL => &[],
+            k => &self.rows[self.starts[k as usize] as usize..self.starts[k as usize + 1] as usize],
+        }
     }
 
-    /// The number of the key held in row `row` of `probe` (which hashes to
-    /// `hash`), if a build row holds it.
-    pub(crate) fn find(&self, probe: &[Arc<Column>], row: usize, hash: u64) -> Option<usize> {
-        self.keys.find(probe, row, hash)
+    /// The key number of every row of `probe` (`rows` rows), [`NIL`] where
+    /// no build row holds its key: [`KeyTable::find_all`].
+    pub(crate) fn find_all(&self, probe: &[Arc<Column>], rows: usize) -> Vec<u32> {
+        self.keys.find_all(probe, rows)
     }
 
     /// Whether `other` indexes the same rows under the same keys: keys
@@ -270,23 +433,14 @@ impl JoinTable {
     /// Every key's rows ascend and hold that key, and none holds a NULL.
     #[cfg(debug_assertions)]
     fn check(&self, keys: &[Arc<Column>]) {
-        for k in 0..self.keys.len() {
-            let group = self.group(k);
+        for k in 0..self.keys.len() as u32 {
+            let group = self.group_of(k);
             let holds = |&row: &u32| {
                 let (row, mut cells) = (row as usize, self.keys.keys.iter().zip(keys));
-                !null_key(keys, row) && cells.all(|(held, key)| held.eq_cells(k, key, row))
+                !null_key(keys, row) && cells.all(|(held, key)| held.eq_cells(k as usize, key, row))
             };
             let ascending = group.windows(2).all(|pair| pair[0] < pair[1]);
             assert!(ascending && group.iter().all(holds), "key {k}: {group:?}");
-        }
-    }
-
-    /// Build rows whose key equals the key of row `row` of `probe` (which
-    /// hashes to `hash`), in build-row order.
-    pub fn matches(&self, probe: &[Arc<Column>], row: usize, hash: u64) -> &[u32] {
-        match self.find(probe, row, hash) {
-            Some(k) => self.group(k),
-            None => &[],
         }
     }
 }
@@ -298,48 +452,126 @@ impl JoinTable {
 /// per key cell, which is also what `GROUP BY` and `DISTINCT` emit.
 #[derive(Debug)]
 pub struct KeyTable {
-    index: KeyIndex,
+    index: Index,
     keys: Vec<Column>,
 }
 
 impl KeyTable {
     /// An empty table for keys of `width` cells, sized for `keys` of them.
+    /// Its first batch picks its index.
     pub fn new(width: usize, keys: usize) -> Self {
         KeyTable {
-            index: KeyIndex::with_capacity(keys),
+            index: Index::Unpicked(keys),
+            keys: vec![Column::new(); width],
+        }
+    }
+
+    /// An empty table that indexes its keys by hash whatever they are: the
+    /// reference a dense table is checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn hashed(width: usize, keys: usize) -> Self {
+        KeyTable {
+            index: Index::Hashed(KeyIndex::with_capacity(keys)),
             keys: vec![Column::new(); width],
         }
     }
 
     /// Number of distinct keys.
     pub(crate) fn len(&self) -> usize {
-        self.index.len()
+        match &self.index {
+            Index::Unpicked(_) => 0,
+            Index::Dense(dense) => dense.len,
+            Index::Hashed(index) => index.len(),
+        }
     }
 
-    /// The number of the key held in row `row` of `keys` (which hashes to
-    /// `hash`), if the table has it.
-    pub fn find(&self, keys: &[Arc<Column>], row: usize, hash: u64) -> Option<usize> {
-        self.index.candidates(hash).find(|&id| {
-            let pairs = self.keys.iter().zip(keys);
-            pairs
-                .into_iter()
-                .all(|(held, key)| held.eq_cells(id, key, row))
-        })
+    /// The key number of every row of `keys` (`rows` rows, a column per
+    /// key cell), `NIL` where the table lacks the key. Nothing is added.
+    pub fn find_all(&self, keys: &[Arc<Column>], rows: usize) -> Vec<u32> {
+        debug_assert_eq!(
+            keys.len(),
+            self.keys.len(),
+            "a key is as wide as the table's"
+        );
+        match &self.index {
+            Index::Unpicked(_) => vec![NIL; rows],
+            Index::Dense(dense) => dense.find_all(&keys[0], rows),
+            Index::Hashed(index) => (hash_keys(keys, rows).into_iter().enumerate())
+                .map(|(row, hash)| {
+                    let held = |id: &usize| {
+                        (self.keys.iter().zip(keys)).all(|(held, key)| held.eq_cells(*id, key, row))
+                    };
+                    index
+                        .candidates(hash)
+                        .find(held)
+                        .map_or(NIL, |id| id as u32)
+                })
+                .collect(),
+        }
     }
 
     /// The key number of every row of `keys`, in order; a key the table
-    /// lacks is added under the next number. The keys this batch adds are compared where
-    /// they lie — in `keys`, at the row that brought them — and copied
-    /// into the table once, a column at a time, when the batch is done.
+    /// lacks is added under the next number. The keys this batch adds are
+    /// copied into the table once, a column at a time, when the batch is
+    /// done.
     pub fn insert_all(&mut self, keys: &[Arc<Column>], rows: usize) -> Result<Vec<u32>> {
+        let int = match keys {
+            [key] => match &**key {
+                Column::Int(data, nulls) => Some((key, &data[..rows], nulls)),
+                _ => None,
+            },
+            _ => None,
+        };
+        if let Index::Unpicked(capacity) = self.index {
+            self.index = match int {
+                Some(_) => Index::Dense(Dense::new()),
+                None => Index::Hashed(KeyIndex::with_capacity(capacity)),
+            };
+        }
+        if let Index::Dense(dense) = &mut self.index {
+            match int {
+                Some((key, data, nulls)) if dense.cover(data, nulls) => {
+                    #[cfg(debug_assertions)]
+                    let base = dense.len;
+                    // Sized, like the hashed path's, for every row to bring a key.
+                    let mut brought_by = Vec::with_capacity(rows);
+                    let ids = dense.insert_all(data, nulls, &mut brought_by)?;
+                    self.keys[0].extend_from(key, brought_by.into_iter());
+                    #[cfg(debug_assertions)]
+                    self.check_dense(keys, base, &ids);
+                    return Ok(ids);
+                }
+                _ => self.convert(rows)?,
+            }
+        }
+        self.insert_hashed(keys, rows)
+    }
+
+    /// Re-index a dense table's keys by hash, in key-number order, so each
+    /// key keeps its number; `rows` more are on their way.
+    fn convert(&mut self, rows: usize) -> Result<()> {
+        let mut index = KeyIndex::with_capacity(self.len() + rows);
+        for hash in hash_keys(&self.keys, self.len()) {
+            index.insert(hash)?;
+        }
+        self.index = Index::Hashed(index);
+        Ok(())
+    }
+
+    /// [`insert_all`](Self::insert_all) through the hashed index. The keys
+    /// this batch adds are compared where they lie — in `keys`, at the row
+    /// that brought them.
+    fn insert_hashed(&mut self, keys: &[Arc<Column>], rows: usize) -> Result<Vec<u32>> {
+        let Index::Hashed(index) = &mut self.index else {
+            unreachable!("a table past its first batch that is not dense is hashed");
+        };
         let same = |held: &Column, id: usize, key: &Column, row: usize| held.eq_cells(id, key, row);
-        let base = self.len();
+        let base = index.len();
         // Sized, like the index, for every row to bring a key.
         let mut brought_by: Vec<u32> = Vec::with_capacity(rows);
         let mut ids = Vec::with_capacity(rows);
         for (row, hash) in hash_keys(keys, rows).into_iter().enumerate() {
-            let known = self
-                .index
+            let known = index
                 .candidates(hash)
                 .find(|&id| match id.checked_sub(base) {
                     Some(new) => {
@@ -354,7 +586,7 @@ impl KeyTable {
                 Some(id) => id as u32,
                 None => {
                     brought_by.push(row as u32);
-                    self.index.insert(hash)? as u32
+                    index.insert(hash)?
                 }
             });
         }
@@ -362,6 +594,34 @@ impl KeyTable {
             held.extend_from(key, brought_by.iter().copied());
         }
         Ok(ids)
+    }
+
+    /// Debug check of a dense batch: a hashed table over the keys held
+    /// numbers them as they are numbered, finds every row's key under the
+    /// number `ids` gives it, and the keys the batch added were numbered
+    /// from `base` up as they were first seen.
+    #[cfg(debug_assertions)]
+    fn check_dense(&self, keys: &[Arc<Column>], base: usize, ids: &[u32]) {
+        let held = [Arc::new(self.keys[0].clone())];
+        let mut hashed = KeyTable::hashed(1, self.len());
+        let numbered = hashed
+            .insert_all(&held, self.len())
+            .expect("held keys number");
+        assert!(
+            numbered.iter().enumerate().all(|(k, &id)| id as usize == k),
+            "held keys repeat"
+        );
+        assert_eq!(
+            hashed.find_all(keys, ids.len()),
+            ids,
+            "a row numbered as another key"
+        );
+        let mut next = base as u32;
+        for &id in ids.iter().filter(|&&id| id >= base as u32) {
+            assert!(id <= next, "key {id} numbered before key {next}");
+            next += u32::from(id == next);
+        }
+        assert_eq!(next as usize, self.len(), "every key added is numbered");
     }
 
     /// The distinct keys, a column per key cell, in key-number order.
@@ -455,7 +715,7 @@ mod tests {
             "1 = 1.0"
         );
         assert_eq!(hash_keys(&keys[..1], 3)[0], hash_keys(&keys[..1], 3)[2]);
-        assert_eq!(hash_keys(&[], 2), vec![hash_key([]); 2]);
+        assert_eq!(hash_keys::<Column>(&[], 2), vec![hash_key([]); 2]);
         assert!(!null_key(&keys, 2) && null_key(&keys, 0) && null_key(&keys[..2], 1));
     }
 
@@ -467,7 +727,7 @@ mod tests {
         let mut index = KeyIndex::with_capacity(0);
         let colliding = |i: u64| (i % 3) << 40;
         for i in 0..100u64 {
-            assert_eq!(index.insert(colliding(i)).unwrap(), i as usize);
+            assert_eq!(index.insert(colliding(i)).unwrap(), i as u32);
         }
         assert!(index.heads.len() >= 100, "the bucket array grew");
         assert_eq!(index.len(), 100);
@@ -533,16 +793,214 @@ mod tests {
         ];
         let probe: Vec<Row> = probe.into_iter().map(|(x, y)| row_of([x, y])).collect();
         let probe = columns(2, &probe);
-        let hashes = hash_keys(&probe, 7);
-        let matched: Vec<&[u32]> = (0..7)
-            .map(|row| table.matches(&probe, row, hashes[row]))
-            .collect();
+        let found = table.find_all(&probe, 7);
+        let matched: Vec<&[u32]> = found.iter().map(|&id| table.group_of(id)).collect();
         let none: &[u32] = &[];
         assert_eq!(
             matched,
             [&[0, 2, 6][..], &[3], &[5, 8], none, none, none, none]
         );
+        // Keyed by the int column alone, which is dense: the float probes
+        // find their integers exactly, 1.5 and NULL nothing.
+        let table = JoinTable::build(columns(2, &rows)[..1].to_vec(), rows.len()).unwrap();
+        assert!(matches!(table.keys.index, Index::Dense(_)));
+        let found = table.find_all(&probe[..1], 7);
+        let matched: Vec<&[u32]> = found.iter().map(|&id| table.group_of(id)).collect();
+        let (ones, twos) = (&[0, 2, 3, 4, 6, 7][..], &[5, 8][..]);
+        assert_eq!(matched, [ones, ones, twos, none, twos, ones, none]);
         assert!(JoinTable::build(Vec::new(), 0).is_ok());
+    }
+
+    /// Which index a table picked, or was converted to.
+    fn picked(table: &KeyTable) -> &'static str {
+        match table.index {
+            Index::Unpicked(_) => "unpicked",
+            Index::Dense(_) => "dense",
+            Index::Hashed(_) => "hashed",
+        }
+    }
+
+    /// Insert `batches` into a table that picks its index and into one that
+    /// stays hashed, then look `probes` up in both: every key number, `len`
+    /// and `into_keys` agree, and so does a [`JoinTable`] over each batch —
+    /// its slices and what each probe finds. Returns the index the picking
+    /// table ended with.
+    fn same_as_hashed(batches: &[Column], probes: &[Column]) -> &'static str {
+        let one = |column: &Column| [Arc::new(column.clone())];
+        let (mut table, mut hashed) = (KeyTable::new(1, 0), KeyTable::hashed(1, 0));
+        for batch in batches {
+            let ids = table.insert_all(&one(batch), batch.len()).unwrap();
+            assert_eq!(
+                ids,
+                hashed.insert_all(&one(batch), batch.len()).unwrap(),
+                "{batch:?}"
+            );
+            assert_eq!(table.len(), hashed.len());
+            let join = JoinTable::build(one(batch).to_vec(), batch.len()).unwrap();
+            let reference = KeyTable::hashed(1, batch.len());
+            let reference =
+                JoinTable::build_on(reference, one(batch).to_vec(), batch.len()).unwrap();
+            assert_eq!(
+                (&join.starts, &join.rows),
+                (&reference.starts, &reference.rows)
+            );
+            assert_eq!(
+                format!("{:?}", join.keys.keys),
+                format!("{:?}", reference.keys.keys)
+            );
+            for probe in probes {
+                let found = join.find_all(&one(probe), probe.len());
+                assert_eq!(
+                    found,
+                    reference.find_all(&one(probe), probe.len()),
+                    "{probe:?}"
+                );
+                let slices = |join: &JoinTable, found: &[u32]| {
+                    let groups = found.iter().map(|&id| join.group_of(id).to_vec());
+                    groups.collect::<Vec<_>>()
+                };
+                assert_eq!(slices(&join, &found), slices(&reference, &found));
+            }
+        }
+        for probe in probes {
+            let found = table.find_all(&one(probe), probe.len());
+            assert_eq!(
+                found,
+                hashed.find_all(&one(probe), probe.len()),
+                "{probe:?}"
+            );
+        }
+        let index = picked(&table);
+        let kept = |table: KeyTable| format!("{:?}", table.into_keys());
+        assert_eq!(kept(table), kept(hashed));
+        index
+    }
+
+    /// FLOAT, BOOL, TEXT and NULL probes beside the INT probe `ints`: each
+    /// int as a float, and a half past it, and the floats a cast could
+    /// get wrong.
+    fn probes_beside(ints: &[Option<i64>]) -> Vec<Column> {
+        let exact = EXACT_INTS as f64;
+        let special = [
+            2.0,
+            2.5,
+            -0.0,
+            0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            -f64::INFINITY,
+        ];
+        let special = special
+            .into_iter()
+            .chain([exact, -exact, exact - 1.0, 1e300])
+            .map(Some);
+        let floats = (ints.iter()).flat_map(|x| [x.map(|x| x as f64), x.map(|x| x as f64 + 0.5)]);
+        let floats = Column::from_floats(special.chain(floats).chain([None]));
+        let bools = Block::from_rows(
+            1,
+            [Value::Bool(true), Value::Bool(false), Value::Null].map(|v| row_of([v])),
+        );
+        let texts = Block::from_rows(
+            1,
+            [Value::from("1"), Value::from(""), Value::Null].map(|v| row_of([v])),
+        );
+        let nulls = Column::from_ints([None, None]);
+        let (bools, texts) = ((*bools.columns()[0]).clone(), (*texts.columns()[0]).clone());
+        vec![
+            Column::from_ints(ints.iter().copied()),
+            floats,
+            bools,
+            texts,
+            nulls,
+        ]
+    }
+
+    #[test]
+    fn dense_tables_grow_in_range_and_convert_out_of_it() {
+        let ints = |keys: &[Option<i64>]| Column::from_ints(keys.iter().copied());
+        let range = |keys: std::ops::RangeInclusive<i64>| keys.map(Some).collect::<Vec<_>>();
+        let probe = [range(-10..=30), vec![Some(1_000_000), None, Some(i64::MIN)]].concat();
+        let probes = probes_beside(&probe);
+        let (in_range, above, below) = (range(1..=10), range(11..=20), range(-5..=-3));
+        assert_eq!(same_as_hashed(&[ints(&in_range)], &probes), "dense");
+        let grown = [
+            ints(&in_range),
+            ints(&above),
+            ints(&below),
+            ints(&[None, Some(2)]),
+        ];
+        assert_eq!(same_as_hashed(&grown, &probes), "dense");
+        let far = [ints(&in_range), ints(&[Some(1_000_000)]), ints(&above)];
+        assert_eq!(same_as_hashed(&far, &probes), "hashed");
+        let past_exact = [ints(&[Some(EXACT_INTS - 1)]), ints(&[Some(EXACT_INTS)])];
+        assert_eq!(same_as_hashed(&past_exact, &probes), "hashed");
+        // An all-NULL batch picks an empty dense table; a FLOAT batch after
+        // it converts it.
+        let floats = Column::from_floats([Some(2.0), None, Some(-0.0)]);
+        assert_eq!(
+            same_as_hashed(&[ints(&[None, None]), floats], &probes),
+            "hashed"
+        );
+        assert_eq!(
+            same_as_hashed(&[ints(&[]), ints(&[None])], &probes),
+            "dense"
+        );
+        assert_eq!(
+            same_as_hashed(&[ints(&[Some(i64::MIN), Some(i64::MAX)])], &probes),
+            "hashed"
+        );
+    }
+
+    /// Keys near where the dense rule changes its answer: small ones, the
+    /// neighbours of `±2^53`, and the ends of the INT range.
+    const CENTERS: [i64; 10] = [
+        0,
+        5,
+        100,
+        -100,
+        1000,
+        -1000,
+        EXACT_INTS - 4,
+        4 - EXACT_INTS,
+        i64::MIN,
+        i64::MAX,
+    ];
+
+    /// Batches of INT keys around one of [`CENTERS`] each — mostly the
+    /// same one, so that a table stays in range or grows as often as it
+    /// converts — spread narrowly (dense), a little (dense, or grown) or
+    /// widely (hashed), with NULLs.
+    fn key_batches() -> impl proptest::strategy::Strategy<Value = Vec<Vec<Option<i64>>>> {
+        use proptest::prelude::*;
+        let batch = move |first: usize| {
+            (0usize..3, 0..CENTERS.len(), 0usize..4, 0usize..40).prop_flat_map(
+                move |(same, other, spread, rows): (usize, usize, usize, usize)| {
+                    let center = CENTERS[if same == 0 { other } else { first }];
+                    let spread = [4i64, 16, 40, 1 << 40][spread];
+                    // One key in nine is NULL.
+                    let key = (0..9, -spread..=spread)
+                        .prop_map(move |(n, d)| (n != 0).then(|| center.saturating_add(d)));
+                    proptest::collection::vec(key, rows)
+                },
+            )
+        };
+        (0..CENTERS.len()).prop_flat_map(move |first| proptest::collection::vec(batch(first), 1..4))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// A table that picks its index numbers, keeps and finds keys as
+        /// one that stays hashed does, through growth and conversion.
+        #[test]
+        fn dense_key_table_equals_the_hashed_table(
+            batches in key_batches(),
+            probe in key_batches(),
+        ) {
+            let columns: Vec<Column> = (batches.iter()).map(|b| Column::from_ints(b.iter().copied())).collect();
+            same_as_hashed(&columns, &probes_beside(&probe.concat()));
+        }
     }
 
     #[test]
@@ -559,7 +1017,7 @@ mod tests {
         assert_eq!(seen.len(), 2);
         // Found by a FLOAT key: 2.0 = 2.
         let floats = columns(2, &[row_of([Value::Float(2.0), Value::Null])]);
-        assert_eq!(seen.find(&floats, 0, hash_keys(&floats, 1)[0]), Some(1));
+        assert_eq!(seen.find_all(&floats, 1), [1]);
         // A second batch: keys the table holds, a new one twice, a held one.
         let more = [
             row_of([Value::Int(2), Value::Null]),
@@ -568,7 +1026,7 @@ mod tests {
             row_of([Value::Int(1), Value::Null]),
         ];
         let other = columns(2, &more);
-        assert_eq!(seen.find(&other, 1, hash_keys(&other, 4)[1]), None);
+        assert_eq!(seen.find_all(&other, 4), [1, NIL, NIL, 0]);
         assert_eq!(seen.insert_all(&other, 4).unwrap(), [1, 2, 2, 0]);
         // The table's own copy of each key: the first-seen cells, as they were.
         let held = Block::new(seen.into_keys(), 3).to_rows();

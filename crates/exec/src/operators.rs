@@ -29,7 +29,7 @@ use crate::aggregate::{aggregate, Accumulator, Phase};
 use crate::cache::CachedInput;
 use crate::executor::StatementContext;
 use crate::joined::{read_block, read_columns, Joined, Probe, Rows};
-use crate::keys::{hash_keys, null_key, JoinTable, KeyTable};
+use crate::keys::{JoinTable, KeyTable, NIL};
 use crate::physical::{bare_column, ExchangeMode, JoinBuild, PhysicalPlan};
 use crate::retry::retry;
 use crate::sort;
@@ -1089,17 +1089,11 @@ impl HashJoinSpec<'_> {
         table: &JoinTable,
     ) -> Result<(Vec<u32>, Vec<u32>)> {
         let keys = evaluate_all(self.left_keys, l, self.ctx)?;
-        let hashes = hash_keys(&keys, l.rows());
-        join_pairs(
-            (l, r),
-            (self.join_type, self.residual),
-            self.ctx,
-            // NULL keys never match; the build side left its own out.
-            |row| match null_key(&keys, row) {
-                true => &[],
-                false => table.matches(&keys, row, hashes[row]),
-            },
-        )
+        let found = table.find_all(&keys, l.rows());
+        // NULL keys never match: the build side left rows with one out.
+        join_pairs((l, r), (self.join_type, self.residual), self.ctx, |row| {
+            table.group_of(found[row])
+        })
     }
 
     /// The [`pairs`](Self::pairs) of an inner join without a residual,
@@ -1115,14 +1109,10 @@ impl HashJoinSpec<'_> {
     ) -> Result<(Vec<u32>, Vec<u32>)> {
         debug_assert!(self.join_type == JoinType::Inner && self.residual.is_none());
         let keys = evaluate_all(self.right_keys, r, self.ctx)?;
-        let hashes = hash_keys(&keys, r.rows());
-        // The probe rows of each build row: its key's group, or none.
-        let group = |row: usize| match null_key(&keys, row) {
-            true => None,
-            false => table.find(&keys, row, hashes[row]),
-        };
-        let groups: Vec<Option<usize>> = (0..r.rows()).map(group).collect();
-        let matched = || (0..r.rows()).filter_map(|row| Some((row, table.group(groups[row]?))));
+        // The probe rows of each build row: its key's group, none for a
+        // NULL key.
+        let found = table.find_all(&keys, r.rows());
+        let matched = || (found.iter().enumerate()).map(|(row, &id)| (row, table.group_of(id)));
         // Probe row `p`'s pairs are `starts[p]..starts[p + 1]`.
         let mut starts = vec![0u32; l.rows() + 1];
         for (_, rows) in matched() {
@@ -1531,14 +1521,14 @@ fn set_op_partition(
                 None => occurrences.push(1),
             }
         }
-        let hashes = hash_keys(l.columns(), l.rows());
-        let mut in_right = |row: &usize| match right.find(l.columns(), *row, hashes[*row]) {
-            Some(id) if all && occurrences[id] == 0 => false,
-            Some(id) => {
-                occurrences[id] -= usize::from(all);
+        let found = right.find_all(l.columns(), l.rows());
+        let mut in_right = |row: &usize| match found[*row] {
+            NIL => false,
+            id if all && occurrences[id as usize] == 0 => false,
+            id => {
+                occurrences[id as usize] -= usize::from(all);
                 true
             }
-            None => false,
         };
         let wanted = op == SetOpKind::Intersect;
         let kept = (0..l.rows()).filter(|row| in_right(row) == wanted);

@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use spinner_common::{Block, Error, Result};
 use spinner_storage::Partitioned;
 
-use crate::keys::{hash_keys, JoinTable, KeyTable};
+use crate::keys::{JoinTable, KeyTable, NIL};
 
 /// One merge loop's key index over its CTE table.
 #[derive(Debug)]
@@ -174,16 +174,20 @@ pub(crate) fn merge_partition(
     // `(CTE row, working row)` of every CTE row a working row's key finds.
     let (mut matched, mut absent): (Vec<(u32, u32)>, Vec<u32>) = (Vec::new(), Vec::new());
     let mut probed = 0;
-    for (row, hash) in hash_keys(work_key, work.rows()).into_iter().enumerate() {
+    for (row, id) in table
+        .find_all(work_key, work.rows())
+        .into_iter()
+        .enumerate()
+    {
         // NULL keys can never match an existing row; skip them like SQL
         // equality would.
         if work_key[0].is_null(row) {
             continue;
         }
         probed += 1;
-        match table.find(work_key, row, hash) {
-            Some(k) => matched.extend(table.group(k).iter().map(|&c| (c, row as u32))),
-            None => absent.push(row as u32),
+        match id {
+            NIL => absent.push(row as u32),
+            id => matched.extend(table.group_of(id).iter().map(|&c| (c, row as u32))),
         }
     }
     matched.sort_unstable();
