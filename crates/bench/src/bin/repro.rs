@@ -93,16 +93,8 @@ fn table1() -> Result<()> {
 fn fig8() -> Result<()> {
     header("Figure 8 — minimizing data movement (25 iterations)");
     println!(
-        "{:<10} {:<12} {:>14} {:>14} {:>9}  {:>12} {:>12} {:>12} {:>12}",
-        "query",
-        "dataset",
-        "baseline",
-        "rename-opt",
-        "gain",
-        "moved(base)",
-        "moved(opt)",
-        "by_row(base)",
-        "by_row(opt)"
+        "{:<10} {:<12} {:>14} {:>14} {:>9}  {:>12} {:>12}",
+        "query", "dataset", "baseline", "rename-opt", "gain", "moved(base)", "moved(opt)"
     );
     for dataset in [BenchDataset::DblpLike, BenchDataset::PokecLike] {
         for (qname, sql) in [
@@ -122,7 +114,7 @@ fn fig8() -> Result<()> {
             let opt = time_query(&opt_db, &sql)?;
             let opt_stats = opt_db.take_stats();
             println!(
-                "{:<10} {:<12} {:>14.2?} {:>14.2?} {:>8.1}%  {:>12} {:>12} {:>12} {:>12}",
+                "{:<10} {:<12} {:>14.2?} {:>14.2?} {:>8.1}%  {:>12} {:>12}",
                 qname,
                 dataset.label(),
                 base,
@@ -130,8 +122,6 @@ fn fig8() -> Result<()> {
                 improvement(base, opt),
                 base_stats.rows_moved,
                 opt_stats.rows_moved,
-                base_stats.rows_evaluated_by_row,
-                opt_stats.rows_evaluated_by_row,
             );
         }
     }

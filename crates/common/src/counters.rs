@@ -361,12 +361,6 @@ counter_table! {
     rows_routed: Exec, Add, "routed";
     /// Rows copied to every partition by broadcast exchanges.
     rows_broadcast: Exec, Add, "broadcast";
-    /// Rows an expression sent through the scratch-row evaluator instead
-    /// of a typed column loop (scalar functions, `CASE`, `CAST`, `IN`,
-    /// non-numeric arithmetic, or a loop that met an error) — a block's
-    /// rows once per expression, however many of its nodes went by row:
-    /// how a query that fell off the fast path shows.
-    rows_evaluated_by_row: Exec, Add, "by_row";
     /// Rows written by Materialize steps.
     rows_materialized: Exec, Add, "materialized";
     /// Rename operations (O(1) pointer moves).
@@ -520,7 +514,7 @@ mod tests {
         let zero = StatsSnapshot::default().to_string();
         assert_eq!(
             zero,
-            "moved=0 routed=0 broadcast=0 by_row=0 materialized=0 renames=0 merges=0 merge_examined=0 \
+            "moved=0 routed=0 broadcast=0 materialized=0 renames=0 merges=0 merge_examined=0 \
              iterations=0 updated=0 joins=0 faults=0"
         );
         for (i, def) in COUNTERS.iter().enumerate() {

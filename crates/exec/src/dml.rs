@@ -101,7 +101,7 @@ fn delete(
     let mut parts = Vec::with_capacity(t.partition_count());
     for block in &t.snapshot().parts {
         ctx.guard.check()?;
-        let doomed = predicate.select(block, &ctx.stats.rows_evaluated_by_row)?;
+        let doomed = predicate.select(block)?;
         if doomed.is_empty() {
             parts.push(Arc::clone(block));
             continue;
@@ -148,7 +148,7 @@ impl Update<'_> {
             updated += hits.len();
             let mut columns = cells.columns()[..width].to_vec();
             for (c, expr) in self.assignments {
-                columns[*c] = expr.evaluate_column(&cells, &ctx.stats.rows_evaluated_by_row)?;
+                columns[*c] = expr.evaluate_column(&cells)?;
             }
             let new = Arc::new(Block::new(columns, hits.len()));
             let targets = match key {
@@ -190,7 +190,7 @@ impl Update<'_> {
     fn hits(&self, block: &Arc<Block>) -> Result<(Vec<u32>, Arc<Block>)> {
         let Some((index, from)) = &self.from else {
             let rows = match self.join.residual {
-                Some(p) => p.select(block, &self.join.ctx.stats.rows_evaluated_by_row)?,
+                Some(p) => p.select(block)?,
                 None => (0..block.rows() as u32).collect(),
             };
             let cells = match rows.len() == block.rows() {
@@ -250,15 +250,13 @@ mod tests {
         catalog
     }
 
-    /// Plan and run one DML statement: its result, and the rows it sent
-    /// through the row evaluator.
-    fn dml(catalog: &Catalog, sql: &str) -> (Result<usize>, u64) {
+    /// Plan and run one DML statement.
+    fn dml(catalog: &Catalog, sql: &str) -> Result<usize> {
         let config = EngineConfig::default();
         let (guard, faults) = (QueryGuard::unlimited(), FaultInjector::disabled());
         let ctx = StatementContext::new(catalog, &config, &guard, &faults, None);
         let planned = parse_sql(sql).and_then(|s| plan_statement(&s, &Provider(catalog), &config));
-        let result = planned.and_then(|planned| run(&ctx, &planned));
-        (result, ctx.stats.rows_evaluated_by_row.get())
+        planned.and_then(|planned| run(&ctx, &planned))
     }
 
     fn rows(catalog: &Catalog) -> Vec<Row> {
@@ -268,14 +266,14 @@ mod tests {
     #[test]
     fn delete_removes_matching() {
         let catalog = table(10);
-        assert_eq!(dml(&catalog, "DELETE FROM t WHERE id % 2 = 0"), (Ok(5), 0));
+        assert_eq!(dml(&catalog, "DELETE FROM t WHERE id % 2 = 0"), Ok(5));
         let mut left: Vec<i64> = rows(&catalog)
             .iter()
             .map(|r| r[0].as_i64().unwrap())
             .collect();
         left.sort_unstable();
         assert_eq!(left, [1, 3, 5, 7, 9]);
-        assert_eq!(dml(&catalog, "DELETE FROM t"), (Ok(5), 0));
+        assert_eq!(dml(&catalog, "DELETE FROM t"), Ok(5));
         assert!(rows(&catalog).is_empty());
     }
 
@@ -286,7 +284,7 @@ mod tests {
         let catalog = table(4);
         let before = rows(&catalog);
         let sql = "UPDATE t SET v = 999.0, id = v / 10 WHERE id = 2";
-        assert_eq!(dml(&catalog, sql), (Ok(1), 0));
+        assert_eq!(dml(&catalog, sql), Ok(1));
         let want: Vec<Row> = (before.iter())
             .map(|r| match r[0] {
                 Value::Int(2) => row_of([Value::Int(2), Value::Int(999)]),
@@ -299,7 +297,7 @@ mod tests {
     #[test]
     fn update_reroutes_changed_partition_key() {
         let catalog = table(8);
-        assert_eq!(dml(&catalog, "UPDATE t SET id = id + 100").0, Ok(8));
+        assert_eq!(dml(&catalog, "UPDATE t SET id = id + 100"), Ok(8));
         let t = catalog.get("t").unwrap();
         assert_eq!(t.row_count(), 8);
         // Every row lives in the partition its new key hashes to.

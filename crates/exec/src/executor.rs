@@ -25,7 +25,6 @@
 
 use std::sync::Arc;
 
-use spinner_common::counters::Counter;
 use spinner_common::memory::{RegionKind, SpillRequest};
 use spinner_common::profile::{SpanKind, Tracer};
 use spinner_common::{
@@ -720,7 +719,7 @@ impl<'a> StatementContext<'a> {
             TerminationPlan::Iterations(n) => iteration >= *n,
             TerminationPlan::Updates(n) => cumulative >= *n,
             TerminationPlan::Data { predicate, rows } => {
-                count_matching(&current, predicate, &self.stats.rows_evaluated_by_row)? >= *rows
+                count_matching(&current, predicate)? >= *rows
             }
             TerminationPlan::Delta { threshold } => changed < *threshold,
         };
@@ -1032,10 +1031,10 @@ fn step_label(step: &Step) -> String {
 
 /// Count rows satisfying `predicate` (the data termination condition —
 /// equivalent to `SELECT count(*) FROM cteTable WHERE expr`).
-fn count_matching(data: &Partitioned, predicate: &PlanExpr, by_row: &Counter) -> Result<u64> {
+fn count_matching(data: &Partitioned, predicate: &PlanExpr) -> Result<u64> {
     let mut n = 0u64;
     for part in &data.parts {
-        n += predicate.select(part, by_row)?.len() as u64;
+        n += predicate.select(part)?.len() as u64;
     }
     Ok(n)
 }

@@ -7,8 +7,8 @@
 //! filter keeps, the `(probe, build)` pairs a join matched, the group of
 //! each row, the order of a sort, the partition each row is bound for —
 //! by which each output column is gathered once. A join hands its reader
-//! those row numbers instead ([`Joined`]) when the reader can take them
-//! ([`execute_rows`]): a join above it composes them, and an aggregate
+//! those row numbers instead (`Joined`) when the reader can take them
+//! (`execute_rows`): a join above it composes them, and an aggregate
 //! gathers only what it reads. Per-partition work runs
 //! in parallel when `EngineConfig::parallel_partitions` is set — on the
 //! statement's thread and at most one scoped thread per further core,
@@ -204,7 +204,7 @@ fn execute_inner(
         PhysicalPlan::Filter { input, predicate } => {
             let data = execute(input, ctx)?;
             let out = unary_map(&data, ctx, |block| {
-                let kept = predicate.select(block, &ctx.stats.rows_evaluated_by_row)?;
+                let kept = predicate.select(block)?;
                 Ok(if kept.len() == block.rows() {
                     Arc::clone(block)
                 } else {
@@ -238,13 +238,8 @@ fn execute_inner(
             // Inputs were gathered to partition 0 by the planner.
             let l = Block::concat(&l.parts, usize::MAX);
             let r = Block::concat(&r.parts, usize::MAX);
-            let joined = nested_loop_join(
-                (&l, &r),
-                *join_type,
-                residual.as_ref(),
-                columns.as_deref(),
-                ctx,
-            )?;
+            let joined =
+                nested_loop_join((&l, &r), *join_type, residual.as_ref(), columns.as_deref())?;
             Ok(in_partition_zero(schema.clone(), joined.gather(), ctx))
         }
         PhysicalPlan::HashAggregate {
@@ -297,7 +292,7 @@ fn execute_inner(
             );
             aggregate_partitions(&data, "final aggregate", output, ctx, |block| {
                 let keys = block.columns()[..*group_len].to_vec();
-                aggregate_block(block, keys, one_per_group, aggs, Phase::Final, ctx)
+                aggregate_block(block, keys, one_per_group, aggs, Phase::Final)
             })
         }
         PhysicalPlan::Distinct { input } => {
@@ -309,7 +304,7 @@ fn execute_inner(
             let data = execute(input, ctx)?;
             let schema = data.schema.clone();
             let rows = Block::concat(&data.parts, usize::MAX);
-            let sorted = sort_rows(&rows, keys, limit, ctx)?;
+            let sorted = sort_rows(&rows, keys, limit)?;
             Ok(in_partition_zero(schema, sorted, ctx))
         }
         PhysicalPlan::Limit { input, n } => {
@@ -363,7 +358,7 @@ fn project(
     ctx: &StatementContext<'_>,
 ) -> Result<Partitioned> {
     let out = unary_map(&data, ctx, |block| {
-        let columns = evaluate_all(exprs, block, ctx)?;
+        let columns = evaluate_all(exprs, block)?;
         Ok(Arc::new(Block::new(columns, block.rows())))
     })?;
     // An output column that is an input column's very buffer — a bare
@@ -385,11 +380,11 @@ fn project(
 pub(crate) fn evaluate_all<'e>(
     exprs: impl IntoIterator<Item = &'e PlanExpr>,
     block: &Block,
-    ctx: &StatementContext<'_>,
 ) -> Result<Vec<Arc<Column>>> {
-    let by_row = &ctx.stats.rows_evaluated_by_row;
-    let columns = exprs.into_iter().map(|e| e.evaluate_column(block, by_row));
-    columns.collect()
+    exprs
+        .into_iter()
+        .map(|e| e.evaluate_column(block))
+        .collect()
 }
 
 /// Bring a row set to exactly `parts` partitions, preserving data. Used at
@@ -703,8 +698,8 @@ fn hash_exchange(data: Rows, keys: &[PlanExpr], ctx: &StatementContext<'_>) -> R
     let mut moved = 0u64;
     for src in 0..data.partitions() {
         let keys = match data.probe(src) {
-            Probe::Rows(block) => evaluate_all(keys, block, ctx)?,
-            Probe::Joined(joined) => evaluate_all(keys, &joined.block(&read_columns(keys)), ctx)?,
+            Probe::Rows(block) => evaluate_all(keys, block)?,
+            Probe::Joined(joined) => evaluate_all(keys, &joined.block(&read_columns(keys)))?,
         };
         let bound = placement(&keys, data.rows_in(src), parts);
         moved += bound.iter().filter(|&&t| t as usize != src).count() as u64;
@@ -971,7 +966,6 @@ const RESIDUAL_CHUNK: usize = 1 << 16;
 pub(crate) fn join_pairs<'a>(
     (l, r): (&Block, &Block),
     (join_type, residual): (JoinType, Option<&PlanExpr>),
-    ctx: &StatementContext<'_>,
     candidates: impl Fn(usize) -> &'a [u32],
 ) -> Result<(Vec<u32>, Vec<u32>)> {
     let pads_build = matches!(join_type, JoinType::Left | JoinType::Full);
@@ -1011,7 +1005,7 @@ pub(crate) fn join_pairs<'a>(
                     Some(c) => Arc::new(r.columns()[c].gather(&chunk_build)),
                 };
                 let pairs = read_block((width, chunk_probe.len()), &read, pair_cells);
-                let kept = residual.select(&pairs, &ctx.stats.rows_evaluated_by_row)?;
+                let kept = residual.select(&pairs)?;
                 chunk_probe = kept.iter().map(|&k| chunk_probe[k as usize]).collect();
                 chunk_build = kept.iter().map(|&k| chunk_build[k as usize]).collect();
                 let mut next = 0;
@@ -1049,7 +1043,7 @@ pub(crate) struct HashJoinSpec<'a> {
 impl HashJoinSpec<'_> {
     /// The key index over one build partition.
     pub(crate) fn build(&self, r: &Block) -> Result<JoinTable> {
-        JoinTable::build(evaluate_all(self.right_keys, r, self.ctx)?, r.rows())
+        JoinTable::build(evaluate_all(self.right_keys, r)?, r.rows())
     }
 
     /// How the join's output is formed from its pairs: which side it may
@@ -1088,10 +1082,10 @@ impl HashJoinSpec<'_> {
         r: &Block,
         table: &JoinTable,
     ) -> Result<(Vec<u32>, Vec<u32>)> {
-        let keys = evaluate_all(self.left_keys, l, self.ctx)?;
+        let keys = evaluate_all(self.left_keys, l)?;
         let found = table.find_all(&keys, l.rows());
         // NULL keys never match: the build side left rows with one out.
-        join_pairs((l, r), (self.join_type, self.residual), self.ctx, |row| {
+        join_pairs((l, r), (self.join_type, self.residual), |row| {
             table.group_of(found[row])
         })
     }
@@ -1108,7 +1102,7 @@ impl HashJoinSpec<'_> {
         table: &JoinTable,
     ) -> Result<(Vec<u32>, Vec<u32>)> {
         debug_assert!(self.join_type == JoinType::Inner && self.residual.is_none());
-        let keys = evaluate_all(self.right_keys, r, self.ctx)?;
+        let keys = evaluate_all(self.right_keys, r)?;
         // The probe rows of each build row: its key's group, none for a
         // NULL key.
         let found = table.find_all(&keys, r.rows());
@@ -1197,10 +1191,9 @@ fn nested_loop_join(
     join_type: JoinType,
     residual: Option<&PlanExpr>,
     columns: Option<&[usize]>,
-    ctx: &StatementContext<'_>,
 ) -> Result<Joined> {
     let every_build_row: Vec<u32> = (0..r.rows() as u32).collect();
-    let pairs = join_pairs((l, r), (join_type, residual), ctx, |_| &every_build_row)?;
+    let pairs = join_pairs((l, r), (join_type, residual), |_| &every_build_row)?;
     Ok(Joined::pair((l, r), pairs, (join_type, columns)))
 }
 
@@ -1245,7 +1238,6 @@ fn aggregate_block(
     distinct: bool,
     aggs: &[AggExpr],
     phase: Phase,
-    ctx: &StatementContext<'_>,
 ) -> Result<Arc<Block>> {
     let width = keys.len();
     let (groups, count, columns) = if keys.is_empty() {
@@ -1271,7 +1263,7 @@ fn aggregate_block(
             .take(Accumulator::state_width(agg.func))
             .cloned()
             .collect()),
-        _ => evaluate_all(agg.arg.iter().chain(&agg.by), block, ctx),
+        _ => evaluate_all(agg.arg.iter().chain(&agg.by), block),
     };
     fold(aggs, phase, (&groups, count), columns, inputs)
 }
@@ -1329,7 +1321,7 @@ fn grouped_aggregate(
                 map_partitions(ctx, parts.len(), &|i| parts[i].len() == 0, &|i| {
                     run_partition(ctx, i, || {
                         let read = (&keys[..], &args[..]);
-                        aggregate_joined(&parts[i], (group, aggs), read, phase, ctx)
+                        aggregate_joined(&parts[i], (group, aggs), read, phase)
                     })
                 })
             })?
@@ -1338,8 +1330,8 @@ fn grouped_aggregate(
             let data = data.into_blocks();
             with_transient_tracking(ctx, label, RegionKind::HashAggregate, bytes, || {
                 unary_map(&data, ctx, |block| {
-                    let keys = evaluate_all(group, block, ctx)?;
-                    aggregate_block(block, keys, false, aggs, phase, ctx)
+                    let keys = evaluate_all(group, block)?;
+                    aggregate_block(block, keys, false, aggs, phase)
                 })
             })?
         }
@@ -1381,7 +1373,6 @@ fn aggregate_joined(
     (group, aggs): (&[PlanExpr], &[AggExpr]),
     (keys, args): (&[usize], &[usize]),
     phase: Phase,
-    ctx: &StatementContext<'_>,
 ) -> Result<Arc<Block>> {
     let Some((source, rows)) = joined.first_source() else {
         return Err(Error::execution("grouped at a padded join side"));
@@ -1412,7 +1403,7 @@ fn aggregate_joined(
         }
     };
     let at_occurring = read_block((joined.width(), occurring.len()), keys, at_occurring);
-    let key_columns = evaluate_all(group, &at_occurring, ctx)?;
+    let key_columns = evaluate_all(group, &at_occurring)?;
     let mut table = KeyTable::new(key_columns.len(), occurring.len());
     let ids = table.insert_all(&key_columns, occurring.len())?;
     let groups: Vec<u32> = run_of.iter().map(|&run| ids[run as usize]).collect();
@@ -1421,7 +1412,7 @@ fn aggregate_joined(
     #[cfg(debug_assertions)]
     check_numbering(joined, (group, keys), (&groups, &columns));
     let block = joined.block(args);
-    let inputs = |agg: &AggExpr| evaluate_all(agg.arg.iter().chain(&agg.by), &block, ctx);
+    let inputs = |agg: &AggExpr| evaluate_all(agg.arg.iter().chain(&agg.by), &block);
     fold(aggs, phase, (&groups, count), columns, inputs)
 }
 
@@ -1436,10 +1427,7 @@ fn check_numbering(
     (groups, columns): (&[u32], &[Arc<Column>]),
 ) {
     let gathered = joined.block(read);
-    let unseen = spinner_common::counters::Counter::default();
-    let evaluated: Result<Vec<Arc<Column>>> = (group.iter())
-        .map(|e| e.evaluate_column(&gathered, &unseen))
-        .collect();
+    let evaluated = evaluate_all(group, &gathered);
     let evaluated = evaluated.expect("group keys evaluate over the rows they came from");
     let mut table = KeyTable::new(evaluated.len(), joined.len());
     let ids = table.insert_all(&evaluated, joined.len());
@@ -1470,7 +1458,7 @@ fn global_aggregate(
     let phase = |blocks: &[Arc<Block>], agg: &AggExpr, phase| {
         let agg = std::slice::from_ref(agg);
         let rows = Block::concat(blocks, usize::MAX);
-        aggregate_block(&rows, Vec::new(), false, agg, phase, ctx)
+        aggregate_block(&rows, Vec::new(), false, agg, phase)
     };
     let mut columns = Vec::with_capacity(aggs.len());
     for agg in aggs {
@@ -1545,13 +1533,8 @@ fn set_op_partition(
 /// `limit` of them: the keys are evaluated once, a column each — so an
 /// evaluation error surfaces before anything is ordered — and the rows
 /// gathered by the sorted row numbers ([`sort::sorted_rows`]).
-fn sort_rows(
-    block: &Block,
-    keys: &[SortKey],
-    limit: usize,
-    ctx: &StatementContext<'_>,
-) -> Result<Arc<Block>> {
-    let columns = evaluate_all(keys.iter().map(|key| &key.expr), block, ctx)?;
+fn sort_rows(block: &Block, keys: &[SortKey], limit: usize) -> Result<Arc<Block>> {
+    let columns = evaluate_all(keys.iter().map(|key| &key.expr), block)?;
     let order = sort::sorted_rows(block.rows(), &columns, keys, limit);
     Ok(Arc::new(block.take(&order)))
 }
@@ -1641,13 +1624,7 @@ mod tests {
             let joined = join
                 .probe(Probe::Rows(&l), &r, &join.build(&r).unwrap())
                 .unwrap();
-            let joined = joined.gather();
-            assert_eq!(
-                ctx.stats.rows_evaluated_by_row.get(),
-                0,
-                "column keys, typed residual"
-            );
-            joined.to_rows()
+            joined.gather().to_rows()
         })
     }
 
@@ -1697,41 +1674,36 @@ mod tests {
 
     #[test]
     fn sort_rows_respects_desc_and_nulls() {
-        with_context(1, |ctx| {
-            let rows = block(
-                2,
-                &[
-                    row_of([Value::Float(0.0), Value::Text("x".into())]),
-                    row_of([Value::Null, Value::Text("y".into())]),
-                    row_of([Value::Float(3.0), Value::Text("z".into())]),
-                    row_of([Value::Float(-0.0), Value::Text("w".into())]),
-                ],
-            );
-            let sorted =
-                sort_rows(&rows, &[sort_key(col(0), false, false)], usize::MAX, ctx).unwrap();
-            // 0.0 and -0.0 tie: the sort is stable, so "x" stays ahead of "w"
-            // — and each keeps its own cell: `0.0` is not `-0.0`.
-            assert_eq!(
-                exact(&sorted.to_rows()),
-                exact(&[
-                    row_of([Value::Float(3.0), Value::Text("z".into())]),
-                    row_of([Value::Float(0.0), Value::Text("x".into())]),
-                    row_of([Value::Float(-0.0), Value::Text("w".into())]),
-                    row_of([Value::Null, Value::Text("y".into())]),
-                ])
-            );
-            // Two keys, NULLs first, the second key computed and ascending.
-            let negated = PlanExpr::literal(0i64).binary(BinaryOp::Minus, col(0));
-            let keys = [sort_key(col(0), true, true), sort_key(negated, true, true)];
-            let sorted = sort_rows(&sorted, &keys, usize::MAX, ctx)
-                .unwrap()
-                .to_rows();
-            assert!(sorted[0][0].is_null());
-            assert_eq!(sorted[3][1], Value::from("z"));
-            // A key that fails to evaluate fails the sort.
-            assert!(sort_rows(&rows, &[sort_key(col(9), true, true)], 1, ctx).is_err());
-            assert_eq!(sort_rows(&block(2, &[]), &keys, 1, ctx).unwrap().rows(), 0);
-        });
+        let rows = block(
+            2,
+            &[
+                row_of([Value::Float(0.0), Value::Text("x".into())]),
+                row_of([Value::Null, Value::Text("y".into())]),
+                row_of([Value::Float(3.0), Value::Text("z".into())]),
+                row_of([Value::Float(-0.0), Value::Text("w".into())]),
+            ],
+        );
+        let sorted = sort_rows(&rows, &[sort_key(col(0), false, false)], usize::MAX).unwrap();
+        // 0.0 and -0.0 tie: the sort is stable, so "x" stays ahead of "w"
+        // — and each keeps its own cell: `0.0` is not `-0.0`.
+        assert_eq!(
+            exact(&sorted.to_rows()),
+            exact(&[
+                row_of([Value::Float(3.0), Value::Text("z".into())]),
+                row_of([Value::Float(0.0), Value::Text("x".into())]),
+                row_of([Value::Float(-0.0), Value::Text("w".into())]),
+                row_of([Value::Null, Value::Text("y".into())]),
+            ])
+        );
+        // Two keys, NULLs first, the second key computed and ascending.
+        let negated = PlanExpr::literal(0i64).binary(BinaryOp::Minus, col(0));
+        let keys = [sort_key(col(0), true, true), sort_key(negated, true, true)];
+        let sorted = sort_rows(&sorted, &keys, usize::MAX).unwrap().to_rows();
+        assert!(sorted[0][0].is_null());
+        assert_eq!(sorted[3][1], Value::from("z"));
+        // A key that fails to evaluate fails the sort.
+        assert!(sort_rows(&rows, &[sort_key(col(9), true, true)], 1).is_err());
+        assert_eq!(sort_rows(&block(2, &[]), &keys, 1).unwrap().rows(), 0);
     }
 
     #[test]
@@ -1739,11 +1711,10 @@ mod tests {
         let l = block(1, &[row_of([Value::Int(1)]), row_of([Value::Int(2)])]);
         let r = block(2, &[row_of([Value::Int(1), Value::Int(10)])]);
         let pred = col(0).binary(BinaryOp::Eq, col(1));
-        let out = with_context(1, |ctx| {
-            nested_loop_join((&l, &r), JoinType::Left, Some(&pred), None, ctx).unwrap()
-        })
-        .gather()
-        .to_rows();
+        let out = nested_loop_join((&l, &r), JoinType::Left, Some(&pred), None)
+            .unwrap()
+            .gather()
+            .to_rows();
         assert_eq!(out.len(), 2);
         assert!(out[1][1].is_null()); // unmatched row padded
     }
@@ -2012,7 +1983,7 @@ mod tests {
             let probed = join
                 .probe(Probe::Rows(&l), &r, &join.build(&r).unwrap())
                 .unwrap();
-            let solution = evaluate_all(&left_keys, &l, ctx).unwrap();
+            let solution = evaluate_all(&left_keys, &l).unwrap();
             let solution = JoinTable::build(solution, l.rows()).unwrap();
             let pairs = join.indexed_pairs(&l, &r, &solution).unwrap();
             let indexed = Joined::pair((&l, &r), pairs, join.output()).gather();
@@ -2059,9 +2030,8 @@ mod tests {
             let hashed = hash_join(&l, &r, join_type, keys, residual.as_ref(), (3, 3));
             let reference = reference_join(&l, &r, join_type, predicate.as_ref(), (3, 3));
             prop_assert_eq!(exact(&hashed), exact(&reference));
-            let looped = with_context(1, |ctx| {
-                nested_loop_join((&block(3, &l), &block(3, &r)), join_type, predicate.as_ref(), None, ctx)
-            }).unwrap().gather().to_rows();
+            let looped = nested_loop_join((&block(3, &l), &block(3, &r)), join_type, predicate.as_ref(), None)
+                .unwrap().gather().to_rows();
             prop_assert_eq!(exact(&looped), exact(&reference));
             prop_assert_eq!(sorted(hashed), sorted(reference));
         }
@@ -2122,14 +2092,14 @@ mod tests {
                 ]);
                 row.into_boxed_slice()
             }).collect();
-            let phase = |rows: &[Row], width: usize, phase: Phase| with_context(1, |ctx| {
+            let phase = |rows: &[Row], width: usize, phase: Phase| {
                 let input = block(width, rows);
                 let keys = match phase {
                     Phase::Final => input.columns()[..group.len()].to_vec(),
-                    _ => evaluate_all(&group, &input, ctx).unwrap(),
+                    _ => evaluate_all(&group, &input).unwrap(),
                 };
-                aggregate_block(&input, keys, false, &aggs, phase, ctx).unwrap().to_rows()
-            });
+                aggregate_block(&input, keys, false, &aggs, phase).unwrap().to_rows()
+            };
             let grouped = phase(&rows, 3, Phase::Single);
             prop_assert_eq!(exact(&grouped), exact(&reference));
             // Two-phase: partial states of two chunks, merged by the final phase.
@@ -2150,11 +2120,11 @@ mod tests {
             // as their group numbers, they are the regrouped rows, bit for
             // bit, and the one-phase rows.
             let one_per_group = phase(&rows, 3, Phase::Partial);
-            let finish = |distinct| with_context(1, |ctx| {
+            let finish = |distinct| {
                 let input = block(state_width, &one_per_group);
                 let keys = input.columns()[..group.len()].to_vec();
-                aggregate_block(&input, keys, distinct, &aggs, Phase::Final, ctx).unwrap().to_rows()
-            });
+                aggregate_block(&input, keys, distinct, &aggs, Phase::Final).unwrap().to_rows()
+            };
             prop_assert_eq!(exact(&finish(true)), exact(&finish(false)));
             prop_assert_eq!(exact(&finish(true)), exact(&grouped));
         }
@@ -2203,7 +2173,7 @@ mod tests {
                     let placed = exchange(data, &ExchangeMode::Hash(keys.clone()), usize::MAX, ctx).unwrap();
                     assert_eq!(placed.parts.len(), partitions);
                     for (i, part) in placed.parts.iter().enumerate() {
-                        let key = evaluate_all(&keys, part, ctx).unwrap();
+                        let key = evaluate_all(&keys, part).unwrap();
                         assert!(placement(&key, part.rows(), partitions).iter().all(|&p| p as usize == i));
                     }
                     let gathered = exchange(placed, &ExchangeMode::Gather, usize::MAX, ctx).unwrap();
@@ -2760,7 +2730,7 @@ mod tests {
         ctx.stats.take();
         let placed = exchange(data, &ExchangeMode::Hash(keys.to_vec()), usize::MAX, ctx).unwrap();
         for (i, part) in placed.parts.iter().enumerate() {
-            let key = evaluate_all(keys, part, ctx).unwrap();
+            let key = evaluate_all(keys, part).unwrap();
             let targets = placement(&key, part.rows(), ctx.config.partitions);
             assert!(targets.iter().all(|&p| p as usize == i), "{plan}");
         }
@@ -2979,7 +2949,6 @@ mod tests {
             for (out, input) in projected.parts.iter().zip(&data.parts) {
                 assert!(Arc::ptr_eq(&out.columns()[0], &input.columns()[1]));
             }
-            assert_eq!(ctx.stats.rows_evaluated_by_row.get(), 0);
         });
     }
 }

@@ -998,14 +998,23 @@ fn translate(
             op: *op,
             expr: Box::new(translate(expr, schema, hook)?),
         },
-        ast::Expr::Function { name, args, .. } => PlanExpr::Scalar {
-            func: ScalarFn::from_name(name)
-                .ok_or_else(|| Error::plan(format!("unknown function '{name}'")))?,
-            args: args
-                .iter()
-                .map(|a| translate(a, schema, hook))
-                .collect::<Result<_>>()?,
-        },
+        ast::Expr::Function { name, args, .. } => {
+            let func = ScalarFn::from_name(name)
+                .ok_or_else(|| Error::plan(format!("unknown function '{name}'")))?;
+            if !func.arity_ok(args.len()) {
+                return Err(Error::plan(format!(
+                    "wrong number of arguments ({}) for {name}",
+                    args.len()
+                )));
+            }
+            PlanExpr::Scalar {
+                func,
+                args: args
+                    .iter()
+                    .map(|a| translate(a, schema, hook))
+                    .collect::<Result<_>>()?,
+            }
+        }
         ast::Expr::Case {
             operand,
             branches,
@@ -1415,6 +1424,32 @@ mod tests {
         assert_eq!(
             plan_error_text("SELECT src FROM edges GROUP BY src HAVING frobnicate(src) > 1"),
             "unknown function 'frobnicate' after aggregation"
+        );
+    }
+
+    /// A scalar function's arity is the translator's to check, so it is a
+    /// plan error whatever the rows: the evaluators never see a call with
+    /// the wrong number of arguments.
+    #[test]
+    fn scalar_function_arity_is_a_plan_error() {
+        for (sql, words) in [
+            ("SELECT ceiling(src, dst) FROM edges", "(2) for ceiling"),
+            ("SELECT coalesce() FROM edges", "(0) for coalesce"),
+            ("SELECT sqrt(src, 2) FROM edges WHERE 1 = 0", "(2) for sqrt"),
+            (
+                "SELECT mod(COUNT(*)) FROM edges GROUP BY src",
+                "(1) for mod",
+            ),
+        ] {
+            let message = plan_error_text(sql);
+            assert_eq!(
+                message,
+                format!("wrong number of arguments {words}"),
+                "{sql}"
+            );
+        }
+        plan(
+            "SELECT round(weight), round(weight, 2), least(src), concat(src, dst, 'x') FROM edges",
         );
     }
 
