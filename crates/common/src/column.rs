@@ -31,7 +31,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, LazyLock};
 
 use crate::row::Row;
-use crate::schema::{Field, Schema};
 use crate::value::{Cell, DataType, Value};
 
 /// The row number that is no row: gathering it yields NULL.
@@ -564,16 +563,6 @@ impl Block {
             .all(|(a, b)| a.eq_cells(row, b, other_row))
     }
 
-    /// The first column that holds neither the type its field in `schema`
-    /// gives it nor no value: that field, and the type the column holds.
-    pub fn mistyped<'s>(&self, schema: &'s Schema) -> Option<(&'s Field, DataType)> {
-        let columns = self.columns.iter().zip(schema.fields());
-        columns.into_iter().find_map(|(column, field)| {
-            let held = column.data_type();
-            (held != DataType::Null && held != field.data_type).then_some((field, held))
-        })
-    }
-
     /// Rows `rows` of this block, in that order, as a new block.
     pub fn take(&self, rows: &[u32]) -> Block {
         if rows.is_empty() {
@@ -729,16 +718,6 @@ mod tests {
             [row_of([Value::Float(2.0), Value::Float(0.0), Value::Null])],
         );
         assert!(block.eq_rows(0, &floats, 0) && !block.eq_rows(2, &floats, 0));
-        let schema = Schema::new(
-            [DataType::Int, DataType::Float, DataType::Bool]
-                .map(|t| Field::new("c", t))
-                .to_vec(),
-        );
-        assert!(block.mistyped(&schema).is_none());
-        let held = floats
-            .mistyped(&schema)
-            .map(|(field, held)| (field.data_type, held));
-        assert_eq!(held, Some((DataType::Int, DataType::Float)));
     }
 
     proptest! {

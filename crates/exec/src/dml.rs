@@ -204,9 +204,9 @@ impl Update<'_> {
         let mut pairs: Vec<(u32, u32)> = probe.into_iter().zip(build).collect();
         pairs.dedup_by_key(|pair| pair.0);
         let (probe, build): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
-        let cells =
-            Joined::pair((block, from), (probe.clone(), build), self.join.output()).gather();
-        Ok((probe, cells))
+        let table = Joined::of(Arc::clone(block));
+        let cells = table.then(from, (probe.clone(), build), self.join.output());
+        Ok((probe, cells.gather()))
     }
 }
 

@@ -983,7 +983,9 @@ impl<'a> StatementContext<'a> {
 /// the plan gives it (`spinner_plan::rewrite`) or no value yet.
 #[cfg(debug_assertions)]
 fn check_loop_types(l: &LoopStep, data: &Partitioned, what: &str) {
-    operators::check_types(data, &l.schema, || {
+    use crate::joined::{check_types, Joined};
+    let blocks = data.parts.iter().map(|b| Joined::of(Arc::clone(b)));
+    check_types(blocks, &l.schema, || {
         format!("{what} of {}", l.cte_display_name)
     });
 }

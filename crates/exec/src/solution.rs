@@ -58,9 +58,8 @@ impl SolutionIndex {
 
     /// Whether `parts` are the very buffers the index was built over (or
     /// re-stamped with).
-    fn indexes(&self, parts: &[Arc<Block>]) -> bool {
-        self.over.len() == parts.len()
-            && (self.over.iter().zip(parts)).all(|(held, part)| held.as_ptr() == Arc::as_ptr(part))
+    fn indexes<'p>(&self, parts: impl IntoIterator<Item = &'p Arc<Block>>) -> bool {
+        (self.over.iter().map(Weak::as_ptr)).eq(parts.into_iter().map(Arc::as_ptr))
     }
 }
 
@@ -95,7 +94,11 @@ impl SolutionIndexes {
     }
 
     /// The per-partition indexes of `cte` if they index exactly `parts`.
-    pub(crate) fn tables(&self, cte: &str, parts: &[Arc<Block>]) -> Option<Arc<[JoinTable]>> {
+    pub(crate) fn tables<'p>(
+        &self,
+        cte: &str,
+        parts: impl IntoIterator<Item = &'p Arc<Block>>,
+    ) -> Option<Arc<[JoinTable]>> {
         let entries = self.entries();
         let index = entries.get(cte)?;
         index.indexes(parts).then(|| Arc::clone(&index.tables))

@@ -25,7 +25,7 @@ pub use catalog::Catalog;
 pub use checkpoint::{CheckpointStore, LoopCheckpoint, ResumeSeed};
 pub use disk::gc_orphans;
 pub use journal::{EpochRecord, InputRecord, JournalEntry, QueryJournal};
-pub use partition::{partition_of, placement, Partitioned, PlacedOn};
+pub use partition::{estimated_bytes, partition_of, placement, Partitioned, PlacedOn};
 pub use registry::TempRegistry;
 pub use slot::{Slot, Spillable};
 pub use spill::{

@@ -84,6 +84,17 @@ impl PlacedOn {
     }
 }
 
+/// Estimated in-memory size in bytes of `rows` rows of `width` columns,
+/// used for intermediate-state budgets: per row, a boxed-slice header plus
+/// one `Value` slot per column. This is a *logical* size — what the rows
+/// would take as heap rows, deliberately under-counting string payloads —
+/// and not what the column blocks occupy: budgets, the choice of spill
+/// victims and `checkpoint_bytes` need a stable, cheap estimate that does
+/// not move when the representation does.
+pub fn estimated_bytes(rows: usize, width: usize) -> u64 {
+    rows as u64 * (16 + 24 * width as u64)
+}
+
 impl Partitioned {
     /// All rows gathered into a single empty-partition layout.
     pub fn empty(schema: SchemaRef, partitions: usize) -> Self {
@@ -105,17 +116,9 @@ impl Partitioned {
         self.parts.iter().map(|p| p.rows()).sum()
     }
 
-    /// Estimated in-memory size in bytes, used for intermediate-state
-    /// budgets: per row, a boxed-slice header plus one `Value` slot per
-    /// column. This is a *logical* size — what the rows would take as
-    /// heap rows, deliberately under-counting string payloads — and not
-    /// what the column blocks occupy: budgets, the choice of spill
-    /// victims and `checkpoint_bytes` need a stable, cheap estimate that
-    /// does not move when the representation does.
+    /// [`estimated_bytes`] of these rows.
     pub fn estimated_bytes(&self) -> u64 {
-        let width = self.schema.len() as u64;
-        let per_row = 16 + 24 * width;
-        self.total_rows() as u64 * per_row
+        estimated_bytes(self.total_rows(), self.schema.len())
     }
 
     /// Whether the tag says these rows sit where [`placement`] of the
