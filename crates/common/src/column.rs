@@ -83,11 +83,24 @@ impl Nulls {
         }
     }
 
-    /// Mark row `i` not NULL.
-    fn clear(&mut self, i: usize) {
+    /// Every one of `rows` rows NULL.
+    pub fn all(rows: usize) -> Nulls {
+        let mut words = vec![u64::MAX; rows / 64];
+        if !rows.is_multiple_of(64) {
+            words.push((1 << (rows % 64)) - 1);
+        }
+        Nulls { words, count: rows }
+    }
+
+    /// Mark row `i` not NULL. The bitmap ends at its last NULL, as one
+    /// built by [`set`](Self::set) alone does.
+    pub fn clear(&mut self, i: usize) {
         if self.is_null(i) {
             self.words[i / 64] &= !(1u64 << (i % 64));
             self.count -= 1;
+            while self.words.last() == Some(&0) {
+                self.words.pop();
+            }
         }
     }
 

@@ -264,7 +264,10 @@ impl Cell<'_> {
     }
 }
 
-fn cmp_f64(a: f64, b: f64) -> Ordering {
+/// Two floats by the total order of [`Cell::cmp_total`]: by value, so
+/// `-0.0` equals `0.0`, with NaN above every other float and equal to
+/// every NaN.
+pub fn cmp_f64(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).unwrap_or_else(|| {
         // NaN handling: NaN > everything, NaN == NaN.
         match (a.is_nan(), b.is_nan()) {

@@ -13,10 +13,12 @@
 //! everything else (`DISTINCT`, `ARG_MIN`/`ARG_MAX`, text, booleans)
 //! feeds one `Accumulator` per group a cell at a time.
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use spinner_common::{Cell, Column, DataType, Error, Nulls, Result, Value};
+use spinner_common::value::cmp_f64;
+use spinner_common::{Column, DataType, Error, Nulls, Result, Value};
 use spinner_plan::{AggExpr, AggFunc};
 
 /// Running state for one aggregate in one group.
@@ -336,19 +338,47 @@ pub enum Phase {
 
 /// One slot per group, folded over the non-NULL cells of `data` in row
 /// order — so the first failing row is the one reported.
-fn fold<T: Copy, A: Clone>(
+fn fold<T: Copy, A: Copy>(
     init: A,
     (groups, count): (&[u32], usize),
     (data, nulls): (&[T], &Nulls),
     step: impl Fn(&mut A, T) -> Result<()>,
 ) -> Result<Vec<A>> {
     let mut slots = vec![init; count];
-    for (row, (&group, &x)) in groups.iter().zip(data).enumerate() {
-        if !nulls.is_null(row) {
-            step(&mut slots[group as usize], x)?;
-        }
+    match nulls.any() {
+        false => fold_runs(&mut slots, groups, data, |_| true, step)?,
+        true => fold_runs(&mut slots, groups, data, |row| !nulls.is_null(row), step)?,
     }
     Ok(slots)
+}
+
+/// [`fold`] over the rows `live` holds for. Rows come in runs of one
+/// group (an aggregate over a join meets each source row's output rows
+/// together), so the run's slot is held in a local, and written back when
+/// the group changes: the same steps in the same order as folding into
+/// the slots row by row, so the same bits.
+fn fold_runs<T: Copy, A: Copy>(
+    slots: &mut [A],
+    groups: &[u32],
+    data: &[T],
+    live: impl Fn(usize) -> bool,
+    step: impl Fn(&mut A, T) -> Result<()>,
+) -> Result<()> {
+    let Some(&first) = groups.first() else {
+        return Ok(());
+    };
+    let (mut group, mut held) = (first, slots[first as usize]);
+    for (row, (&next, &x)) in groups.iter().zip(data).enumerate() {
+        if next != group {
+            slots[group as usize] = held;
+            (group, held) = (next, slots[next as usize]);
+        }
+        if live(row) {
+            step(&mut held, x)?;
+        }
+    }
+    slots[group as usize] = held;
+    Ok(())
 }
 
 /// `SUM`: the first value as it is, then `add` (as `add_values` does).
@@ -366,23 +396,20 @@ fn sums<T: Copy>(
     })
 }
 
-/// `MIN` / `MAX` by the total order; a tie keeps the earlier cell.
+/// `MIN` / `MAX` by the total order `cmp` (that of `Cell::cmp_total`); a
+/// tie keeps the earlier cell.
 fn extremes<T: Copy>(
     func: AggFunc,
     groups: (&[u32], usize),
     column: (&[T], &Nulls),
-    cell: impl Fn(T) -> Cell<'static>,
+    cmp: impl Fn(T, T) -> Ordering,
 ) -> Result<Vec<Option<T>>> {
+    let replaces = match func {
+        AggFunc::Min => Ordering::Less,
+        _ => Ordering::Greater,
+    };
     fold(None, groups, column, |slot: &mut Option<T>, x| {
-        let replaces = slot.is_none_or(|held| {
-            let ordering = cell(x).cmp_total(&cell(held));
-            if func == AggFunc::Min {
-                ordering.is_lt()
-            } else {
-                ordering.is_gt()
-            }
-        });
-        if replaces {
+        if slot.is_none_or(|held| cmp(x, held) == replaces) {
             *slot = Some(x);
         }
         Ok(())
@@ -475,10 +502,12 @@ fn aggregate_typed(
             Column::from_floats(sums(groups, (data, nulls), |a, b| Ok(a + b))?)
         }
         (Min | Max, Column::Int(data, nulls)) => {
-            Column::from_ints(extremes(agg.func, groups, (data, nulls), Cell::Int)?)
+            Column::from_ints(extremes(agg.func, groups, (data, nulls), |a: i64, b| {
+                a.cmp(&b)
+            })?)
         }
         (Min | Max, Column::Float(data, nulls)) => {
-            Column::from_floats(extremes(agg.func, groups, (data, nulls), Cell::Float)?)
+            Column::from_floats(extremes(agg.func, groups, (data, nulls), cmp_f64)?)
         }
         _ => return Ok(None),
     }]))
@@ -663,9 +692,12 @@ mod tests {
     }
 
     /// The flat typed folds against one `Accumulator` per group fed a
-    /// cell at a time — every function, phase and column type, NULLs,
-    /// empty groups, integer overflow — and partial + final against
-    /// single-phase.
+    /// cell at a time, to the bit — every function, phase and column type,
+    /// NULLs and null-free columns, groups interleaved and in runs, empty
+    /// groups, integer overflow — and partial + final against
+    /// single-phase. The null-free FLOAT columns catch a sum added in
+    /// another order (`(1 + 1e16) − 1e16` is 0, `1 + (1e16 − 1e16)` is 1)
+    /// and a `MIN`/`MAX` tie that keeps the later of `0.0` and `-0.0`.
     #[test]
     fn typed_folds_equal_the_accumulator() {
         let columns: Vec<Column> = vec![
@@ -687,24 +719,45 @@ mod tests {
                 Some(i64::MAX),
                 Some(0),
             ]),
+            Column::from_ints([5, -2, 9, 4, -7, 1].map(Some)),
+            Column::from_floats([1.0, 0.5, 1e16, 1.0, -1e16, -1e16].map(Some)),
+            Column::from_floats([-0.0, 0.0, f64::NAN, 0.0, -0.0, f64::NAN].map(Some)),
         ];
-        let groups: [u32; 6] = [0, 1, 0, 3, 1, 0];
+        let interleaved: [u32; 6] = [0, 1, 0, 3, 1, 0];
+        let runs: [u32; 6] = [0, 0, 1, 1, 1, 3];
         let count = 4; // group 2 is empty
-        let by_accumulator = |agg: &AggExpr, input: &Column| -> Result<Vec<Value>> {
-            let mut accs: Vec<Accumulator> = (0..count).map(|_| Accumulator::new(agg)).collect();
-            for (row, &group) in groups.iter().enumerate() {
-                accs[group as usize].update(&input.value(row))?;
-            }
-            Ok(accs.into_iter().map(Accumulator::finish).collect())
-        };
-        let values = |columns: Vec<Column>| -> Vec<Value> {
-            assert_eq!(columns.len(), 1);
-            (0..columns[0].len())
-                .map(|row| columns[0].value(row))
-                .collect()
-        };
+        let by_accumulator =
+            |agg: &AggExpr, input: &Column, groups: &[u32]| -> Result<Vec<Value>> {
+                let mut accs: Vec<Accumulator> =
+                    (0..count).map(|_| Accumulator::new(agg)).collect();
+                for (row, &group) in groups.iter().enumerate() {
+                    accs[group as usize].update(&input.value(row))?;
+                }
+                Ok(accs.into_iter().map(Accumulator::finish).collect())
+            };
+        // The one column folded is `want`'s cells to the bit, or both fail.
+        let same =
+            |got: Result<Vec<Column>>, want: &Result<Vec<Value>>, what: &str| match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    let mut cells = Column::new();
+                    want.iter().for_each(|value| cells.push(value.clone()));
+                    let equal = |row| got[0].same_cell(row, &cells, row);
+                    assert!(
+                        got.len() == 1 && got[0].len() == want.len() && (0..want.len()).all(equal),
+                        "{what}: {got:?}, want {want:?}"
+                    );
+                }
+                (got, want) => assert_eq!(
+                    format!("{:?}", got.map(drop)),
+                    format!("{:?}", want.as_ref().map(drop)),
+                    "{what}"
+                ),
+            };
         use AggFunc::*;
-        for func in [Count, CountStar, Sum, Min, Max, Avg] {
+        for (func, groups) in [Count, CountStar, Sum, Min, Max, Avg]
+            .into_iter()
+            .flat_map(|func| [(func, &interleaved), (func, &runs)])
+        {
             for input in &columns {
                 let agg = agg(func, false);
                 let inputs = if func == CountStar {
@@ -713,18 +766,15 @@ mod tests {
                     vec![Arc::new(input.clone())]
                 };
                 assert!(
-                    aggregate_typed(&agg, Phase::Single, &inputs, (&groups, count))
+                    aggregate_typed(&agg, Phase::Single, &inputs, (groups, count))
                         .is_ok_and(|c| c.is_some())
                         || func == Sum,
                     "{func}: typed"
                 );
-                let single = aggregate(&agg, Phase::Single, &inputs, &groups, count).map(values);
-                let want = by_accumulator(&agg, input);
-                assert_eq!(
-                    format!("{single:?}"),
-                    format!("{want:?}"),
-                    "{func} over {input:?}"
-                );
+                let what = format!("{func} over {input:?} by {groups:?}");
+                let single = aggregate(&agg, Phase::Single, &inputs, groups, count);
+                let want = by_accumulator(&agg, input, groups);
+                same(single, &want, &what);
                 // Two phases: the partial states of each half, then merged.
                 let halves = [0..3usize, 3..6];
                 let partials: Result<Vec<Vec<Column>>> = halves
@@ -753,13 +803,21 @@ mod tests {
                     })
                     .collect();
                 let state_groups: Vec<u32> = (0..count as u32).chain(0..count as u32).collect();
-                let merged =
-                    aggregate(&agg, Phase::Final, &states, &state_groups, count).map(values);
-                if func != Avg || want.is_err() {
-                    assert_eq!(format!("{merged:?}"), format!("{want:?}"), "{func} merged");
+                let merged = aggregate(&agg, Phase::Final, &states, &state_groups, count);
+                // Merged, the sums of 1e16 and its neighbours are added in
+                // another order.
+                let reordered = func == Sum && std::ptr::eq(input, &columns[5]);
+                if !reordered && func != Avg || want.is_err() {
+                    same(merged, &want, &format!("{what}, merged"));
                 }
             }
         }
+        let groups = interleaved;
+        let values = |columns: Vec<Column>| -> Vec<Value> {
+            (0..columns[0].len())
+                .map(|row| columns[0].value(row))
+                .collect()
+        };
         // DISTINCT, text and cells that disagree go to the accumulators.
         let text = Arc::new(Column::repeat(&Value::Text("a".into()), 6));
         assert!(aggregate_typed(

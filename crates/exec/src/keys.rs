@@ -16,16 +16,20 @@
 //!
 //! **How a key table finds a key.** Its first batch picks its index, once:
 //!
-//! * *dense* — one INT key column whose values lie in a range not much
-//!   wider than the rows inserted: a `Vec<u32>` of key numbers addressed
-//!   by `key − min`, and one slot for NULL. Nothing is hashed or compared.
-//!   The loops' node ids are such a column.
+//! * *dense* — a key whose first column is INT, with values in a range
+//!   not much wider than the rows inserted: a `Vec<u32>` of key numbers
+//!   addressed by `first cell − min`, and one slot for NULL. Nothing is
+//!   hashed; the other cells of a wider key are confirmed with
+//!   [`Column::eq_cells`], so each first cell holds one key. The loops'
+//!   node ids are such a column, and their group keys `(node, value)`
+//!   such keys.
 //! * *hashed* — any other key: `hash_keys` hashes each row's key, a
 //!   chained `KeyIndex` over entry ids walks the candidates, and
 //!   [`Column::eq_cells`] confirms one against the held copy.
 //!
 //! A later batch that leaves the dense range grows the array, or converts
-//! the table to the hashed index once. Both indexes answer `Value`'s `Eq`:
+//! the table to the hashed index once; so does a batch that brings a
+//! second key with a first cell already held. Both indexes answer `Value`'s `Eq`:
 //! `2` and `2.0`, `0.0` and `-0.0`, and any two NaNs are one key, and NULL
 //! is a key like any other — it is the *caller* that decides whether a NULL
 //! key takes part (joins skip it, `GROUP BY` groups it).
@@ -109,6 +113,12 @@ fn hash_keys<C: Borrow<Column>>(keys: &[C], rows: usize) -> Vec<u64> {
 /// Whether any cell of row `row`'s key is NULL.
 fn null_key(keys: &[Arc<Column>], row: usize) -> bool {
     keys.iter().any(|key| key.is_null(row))
+}
+
+/// Whether row `row` of `keys` holds the key `held` keeps at `id` in
+/// every cell after its first.
+fn rest_equal(held: &[Column], id: usize, keys: &[Arc<Column>], row: usize) -> bool {
+    (held[1..].iter().zip(&keys[1..])).all(|(held, key)| held.eq_cells(id, key, row))
 }
 
 /// The key number a lookup answers for a key the table lacks.
@@ -211,7 +221,7 @@ const DENSE_SLACK: usize = 64;
 /// its own, so a FLOAT probe equals at most one of them.
 const EXACT_INTS: i64 = 1 << 53;
 
-/// Key numbers of one INT column addressed by `key − min`.
+/// Key numbers addressed by a key's first cell, an INT, at `key − min`.
 #[derive(Debug)]
 struct Dense {
     /// The key `slots[0]` addresses; meaningless while `slots` is empty.
@@ -275,15 +285,21 @@ impl Dense {
         true
     }
 
-    /// Number the keys of `data`, which [`cover`](Self::cover) made the
-    /// array address, in first-seen order; the rows that brought a key go
-    /// to `brought_by`.
+    /// Number the keys whose first cells are `data`, which
+    /// [`cover`](Self::cover) made the array address, in first-seen order;
+    /// the rows that brought a key go to `brought_by`. `same(id, row,
+    /// brought_by)` confirms that row `row` holds key `id` whose first cell
+    /// it shares. `None` where a row does not: a second key with that first
+    /// cell, which this index cannot hold — and then no key of the batch is
+    /// numbered.
     fn insert_all(
         &mut self,
         data: &[i64],
         nulls: &Nulls,
         brought_by: &mut Vec<u32>,
-    ) -> Result<Vec<u32>> {
+        same: impl Fn(u32, usize, &[u32]) -> bool,
+    ) -> Result<Option<Vec<u32>>> {
+        let base = self.len;
         let mut ids = Vec::with_capacity(data.len());
         for (row, &key) in data.iter().enumerate() {
             let slot = match nulls.is_null(row) {
@@ -294,10 +310,14 @@ impl Dense {
                 *slot = next_entry_id(self.len)?;
                 self.len += 1;
                 brought_by.push(row as u32);
+            } else if !same(*slot, row, brought_by) {
+                // The table converts, leaving these slots unread.
+                self.len = base;
+                return Ok(None);
             }
             ids.push(*slot);
         }
-        Ok(ids)
+        Ok(Some(ids))
     }
 
     /// The key number of INT key `key`, `NIL` where the table lacks it.
@@ -467,8 +487,8 @@ impl KeyTable {
     }
 
     /// An empty table that indexes its keys by hash whatever they are: the
-    /// reference a dense table is checked against.
-    #[cfg(any(test, debug_assertions))]
+    /// reference a dense table is tested against.
+    #[cfg(test)]
     fn hashed(width: usize, keys: usize) -> Self {
         KeyTable {
             index: Index::Hashed(KeyIndex::with_capacity(keys)),
@@ -495,7 +515,17 @@ impl KeyTable {
         );
         match &self.index {
             Index::Unpicked(_) => vec![NIL; rows],
-            Index::Dense(dense) => dense.find_all(&keys[0], rows),
+            Index::Dense(dense) => {
+                let mut ids = dense.find_all(&keys[0], rows);
+                if keys.len() > 1 {
+                    for (row, id) in ids.iter_mut().enumerate() {
+                        if *id != NIL && !rest_equal(&self.keys, *id as usize, keys, row) {
+                            *id = NIL;
+                        }
+                    }
+                }
+                ids
+            }
             Index::Hashed(index) => (hash_keys(keys, rows).into_iter().enumerate())
                 .map(|(row, hash)| {
                     let held = |id: &usize| {
@@ -515,11 +545,8 @@ impl KeyTable {
     /// copied into the table once, a column at a time, when the batch is
     /// done.
     pub fn insert_all(&mut self, keys: &[Arc<Column>], rows: usize) -> Result<Vec<u32>> {
-        let int = match keys {
-            [key] => match &**key {
-                Column::Int(data, nulls) => Some((key, &data[..rows], nulls)),
-                _ => None,
-            },
+        let int = match keys.first().map(|key| &**key) {
+            Some(Column::Int(data, nulls)) => Some((&data[..rows], nulls)),
             _ => None,
         };
         if let Index::Unpicked(capacity) = self.index {
@@ -529,20 +556,31 @@ impl KeyTable {
             };
         }
         if let Index::Dense(dense) = &mut self.index {
-            match int {
-                Some((key, data, nulls)) if dense.cover(data, nulls) => {
-                    #[cfg(debug_assertions)]
-                    let base = dense.len;
-                    // Sized, like the hashed path's, for every row to bring a key.
-                    let mut brought_by = Vec::with_capacity(rows);
-                    let ids = dense.insert_all(data, nulls, &mut brought_by)?;
-                    self.keys[0].extend_from(key, brought_by.into_iter());
+            if let Some((data, nulls)) = int.filter(|(data, nulls)| dense.cover(data, nulls)) {
+                let base = dense.len;
+                // Sized, like the hashed path's, for every row to bring a key.
+                let mut brought_by = Vec::with_capacity(rows);
+                // A row whose first cell is held holds that cell's key, or
+                // the batch is numbered by hash.
+                let held = &self.keys;
+                let same =
+                    |id: u32, row: usize, brought_by: &[u32]| match id.checked_sub(base as u32) {
+                        Some(new) => {
+                            let from = brought_by[new as usize] as usize;
+                            keys[1..].iter().all(|key| key.eq_cells(from, key, row))
+                        }
+                        None => rest_equal(held, id as usize, keys, row),
+                    };
+                if let Some(ids) = dense.insert_all(data, nulls, &mut brought_by, same)? {
+                    for (held, key) in self.keys.iter_mut().zip(keys) {
+                        held.extend_from(key, brought_by.iter().copied());
+                    }
                     #[cfg(debug_assertions)]
                     self.check_dense(keys, base, &ids);
                     return Ok(ids);
                 }
-                _ => self.convert(rows)?,
             }
+            self.convert(rows)?;
         }
         self.insert_hashed(keys, rows)
     }
@@ -596,26 +634,28 @@ impl KeyTable {
         Ok(ids)
     }
 
-    /// Debug check of a dense batch: a hashed table over the keys held
-    /// numbers them as they are numbered, finds every row's key under the
-    /// number `ids` gives it, and the keys the batch added were numbered
-    /// from `base` up as they were first seen.
+    /// Debug check of a dense batch, which allocates nothing: every held
+    /// key's first cell addresses that key's own slot, so the held keys
+    /// are distinct; every row holds, cell for cell, the key `ids` gives
+    /// it; and the keys the batch added were numbered from `base` up as
+    /// they were first seen.
     #[cfg(debug_assertions)]
     fn check_dense(&self, keys: &[Arc<Column>], base: usize, ids: &[u32]) {
-        let held = [Arc::new(self.keys[0].clone())];
-        let mut hashed = KeyTable::hashed(1, self.len());
-        let numbered = hashed
-            .insert_all(&held, self.len())
-            .expect("held keys number");
-        assert!(
-            numbered.iter().enumerate().all(|(k, &id)| id as usize == k),
-            "held keys repeat"
-        );
-        assert_eq!(
-            hashed.find_all(keys, ids.len()),
-            ids,
-            "a row numbered as another key"
-        );
+        let Index::Dense(dense) = &self.index else {
+            unreachable!("a dense batch leaves the table dense");
+        };
+        for k in 0..self.len() {
+            assert_eq!(
+                dense.find(&self.keys[0], k),
+                k as u32,
+                "held key {k} repeats"
+            );
+        }
+        for (row, &id) in ids.iter().enumerate() {
+            let holds = (self.keys.iter().zip(keys))
+                .all(|(held, key)| held.eq_cells(id as usize, key, row));
+            assert!(holds, "row {row} numbered as another key");
+        }
         let mut next = base as u32;
         for &id in ids.iter().filter(|&&id| id >= base as u32) {
             assert!(id <= next, "key {id} numbered before key {next}");
@@ -809,6 +849,32 @@ mod tests {
         let (ones, twos) = (&[0, 2, 3, 4, 6, 7][..], &[5, 8][..]);
         assert_eq!(matched, [ones, ones, twos, none, twos, ones, none]);
         assert!(JoinTable::build(Vec::new(), 0).is_ok());
+        // Keyed by both columns where each first cell holds one key: dense,
+        // the second cell confirmed. `(1, b)` and `(2, a)` share a build
+        // key's first cell but not its second.
+        let pairs = [
+            (Value::Int(1), a()),
+            (Value::Int(2), b()),
+            (Value::Null, a()),
+            (Value::Int(1), a()),
+            (Value::Int(3), Value::Null),
+        ];
+        let rows: Vec<Row> = pairs.into_iter().map(|(x, y)| row_of([x, y])).collect();
+        let table = JoinTable::build(columns(2, &rows), rows.len()).unwrap();
+        assert!(matches!(table.keys.index, Index::Dense(_)));
+        let probe = [
+            (Value::Int(1), b()),
+            (Value::Int(1), a()),
+            (Value::Int(2), a()),
+            (Value::Int(2), b()),
+            (Value::Int(3), Value::Null),
+            (Value::Null, a()),
+            (Value::Int(4), a()),
+        ];
+        let probe: Vec<Row> = probe.into_iter().map(|(x, y)| row_of([x, y])).collect();
+        let found = table.find_all(&columns(2, &probe), 7);
+        let matched: Vec<&[u32]> = found.iter().map(|&id| table.group_of(id)).collect();
+        assert_eq!(matched, [none, &[0, 3], none, &[1], none, none, none]);
     }
 
     /// Which index a table picked, or was converted to.
@@ -823,23 +889,22 @@ mod tests {
     /// Insert `batches` into a table that picks its index and into one that
     /// stays hashed, then look `probes` up in both: every key number, `len`
     /// and `into_keys` agree, and so does a [`JoinTable`] over each batch —
-    /// its slices and what each probe finds. Returns the index the picking
-    /// table ended with.
-    fn same_as_hashed(batches: &[Column], probes: &[Column]) -> &'static str {
-        let one = |column: &Column| [Arc::new(column.clone())];
-        let (mut table, mut hashed) = (KeyTable::new(1, 0), KeyTable::hashed(1, 0));
-        for batch in batches {
-            let ids = table.insert_all(&one(batch), batch.len()).unwrap();
-            assert_eq!(
-                ids,
-                hashed.insert_all(&one(batch), batch.len()).unwrap(),
-                "{batch:?}"
-            );
+    /// its slices and what each probe finds. A batch or probe is a column
+    /// per key cell. Returns the index the picking table ended with.
+    fn same_as_hashed(batches: &[Vec<Column>], probes: &[Vec<Column>]) -> &'static str {
+        let key = |columns: &[Column]| -> Vec<Arc<Column>> {
+            columns.iter().cloned().map(Arc::new).collect()
+        };
+        let width = batches[0].len();
+        let (mut table, mut hashed) = (KeyTable::new(width, 0), KeyTable::hashed(width, 0));
+        for batch in batches.iter().map(|batch| key(batch)) {
+            let rows = batch[0].len();
+            let ids = table.insert_all(&batch, rows).unwrap();
+            assert_eq!(ids, hashed.insert_all(&batch, rows).unwrap(), "{batch:?}");
             assert_eq!(table.len(), hashed.len());
-            let join = JoinTable::build(one(batch).to_vec(), batch.len()).unwrap();
-            let reference = KeyTable::hashed(1, batch.len());
-            let reference =
-                JoinTable::build_on(reference, one(batch).to_vec(), batch.len()).unwrap();
+            let join = JoinTable::build(batch.clone(), rows).unwrap();
+            let reference = KeyTable::hashed(width, rows);
+            let reference = JoinTable::build_on(reference, batch.clone(), rows).unwrap();
             assert_eq!(
                 (&join.starts, &join.rows),
                 (&reference.starts, &reference.rows)
@@ -848,11 +913,11 @@ mod tests {
                 format!("{:?}", join.keys.keys),
                 format!("{:?}", reference.keys.keys)
             );
-            for probe in probes {
-                let found = join.find_all(&one(probe), probe.len());
+            for probe in probes.iter().map(|probe| key(probe)) {
+                let found = join.find_all(&probe, probe[0].len());
                 assert_eq!(
                     found,
-                    reference.find_all(&one(probe), probe.len()),
+                    reference.find_all(&probe, probe[0].len()),
                     "{probe:?}"
                 );
                 let slices = |join: &JoinTable, found: &[u32]| {
@@ -862,13 +927,9 @@ mod tests {
                 assert_eq!(slices(&join, &found), slices(&reference, &found));
             }
         }
-        for probe in probes {
-            let found = table.find_all(&one(probe), probe.len());
-            assert_eq!(
-                found,
-                hashed.find_all(&one(probe), probe.len()),
-                "{probe:?}"
-            );
+        for probe in probes.iter().map(|probe| key(probe)) {
+            let found = table.find_all(&probe, probe[0].len());
+            assert_eq!(found, hashed.find_all(&probe, probe[0].len()), "{probe:?}");
         }
         let index = picked(&table);
         let kept = |table: KeyTable| format!("{:?}", table.into_keys());
@@ -879,7 +940,7 @@ mod tests {
     /// FLOAT, BOOL, TEXT and NULL probes beside the INT probe `ints`: each
     /// int as a float, and a half past it, and the floats a cast could
     /// get wrong.
-    fn probes_beside(ints: &[Option<i64>]) -> Vec<Column> {
+    fn probes_beside(ints: &[Option<i64>]) -> Vec<Vec<Column>> {
         let exact = EXACT_INTS as f64;
         let special = [
             2.0,
@@ -907,18 +968,44 @@ mod tests {
         );
         let nulls = Column::from_ints([None, None]);
         let (bools, texts) = ((*bools.columns()[0]).clone(), (*texts.columns()[0]).clone());
-        vec![
+        let probes = [
             Column::from_ints(ints.iter().copied()),
             floats,
             bools,
             texts,
             nulls,
-        ]
+        ];
+        probes.into_iter().map(|probe| vec![probe]).collect()
+    }
+
+    /// A key of `width` (2 or 3) columns: the INT first cells `ints`, then
+    /// FLOAT and TEXT cells that each row's first cell and its salt pick —
+    /// NULL, `±0.0` and NaN among them. Under one salt a first cell has one
+    /// key; under another it may have another, or an equal one whose
+    /// FLOAT cell is `-0.0` where it was `0.0`.
+    fn composite(width: usize, ints: &[Option<i64>], salt: impl Fn(usize) -> u64) -> Vec<Column> {
+        let floats = [None, Some(0.0), Some(-0.0), Some(f64::NAN), Some(1.5)];
+        let texts = [Value::Null, Value::from("a"), Value::from("b")];
+        let pick = |row: usize| {
+            let first = ints[row].map_or(11, |key| key.unsigned_abs() % 1000);
+            (first * 7 + salt(row) * 3) as usize
+        };
+        let rows = 0..ints.len();
+        let mut key = vec![
+            Column::from_ints(ints.iter().copied()),
+            Column::from_floats(rows.clone().map(|row| floats[pick(row) % 5])),
+        ];
+        if width == 3 {
+            let mut text = Column::new();
+            rows.for_each(|row| text.push(texts[pick(row) / 5 % 3].clone()));
+            key.push(text);
+        }
+        key
     }
 
     #[test]
     fn dense_tables_grow_in_range_and_convert_out_of_it() {
-        let ints = |keys: &[Option<i64>]| Column::from_ints(keys.iter().copied());
+        let ints = |keys: &[Option<i64>]| vec![Column::from_ints(keys.iter().copied())];
         let range = |keys: std::ops::RangeInclusive<i64>| keys.map(Some).collect::<Vec<_>>();
         let probe = [range(-10..=30), vec![Some(1_000_000), None, Some(i64::MIN)]].concat();
         let probes = probes_beside(&probe);
@@ -937,7 +1024,7 @@ mod tests {
         assert_eq!(same_as_hashed(&past_exact, &probes), "hashed");
         // An all-NULL batch picks an empty dense table; a FLOAT batch after
         // it converts it.
-        let floats = Column::from_floats([Some(2.0), None, Some(-0.0)]);
+        let floats = vec![Column::from_floats([Some(2.0), None, Some(-0.0)])];
         assert_eq!(
             same_as_hashed(&[ints(&[None, None]), floats], &probes),
             "hashed"
@@ -992,14 +1079,43 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
         /// A table that picks its index numbers, keeps and finds keys as
-        /// one that stays hashed does, through growth and conversion.
+        /// one that stays hashed does, through growth and conversion — keys
+        /// of one INT column, and of two or three whose INT first cell
+        /// repeats with other cells within a batch (mode 3, a salt per row)
+        /// or across batches (mode 2 after mode 0 or 1).
         #[test]
         fn dense_key_table_equals_the_hashed_table(
             batches in key_batches(),
             probe in key_batches(),
+            width in 1usize..4,
+            modes in proptest::collection::vec(0u64..4, 3),
+            salts in proptest::collection::vec(0u64..4, 40),
         ) {
-            let columns: Vec<Column> = (batches.iter()).map(|b| Column::from_ints(b.iter().copied())).collect();
-            same_as_hashed(&columns, &probes_beside(&probe.concat()));
+            let probe = probe.concat();
+            let salts = &salts;
+            let salted = |mode: u64| move |row: usize| match mode {
+                0 | 1 => 0,
+                2 => 1,
+                _ => salts[row % salts.len()],
+            };
+            let batches: Vec<Vec<Column>> = match width {
+                1 => (batches.iter()).map(|b| vec![Column::from_ints(b.iter().copied())]).collect(),
+                _ => (batches.iter().zip(&modes)).map(|(b, &mode)| composite(width, b, salted(mode))).collect(),
+            };
+            let probes = match width {
+                1 => probes_beside(&probe),
+                _ => {
+                    let mut probes: Vec<Vec<Column>> = (0..4).map(|mode| composite(width, &probe, salted(mode))).collect();
+                    // The first cells as FLOATs, and as NULLs.
+                    let mut floats = composite(width, &probe, salted(0));
+                    floats[0] = Column::from_floats(probe.iter().map(|key| key.map(|key| key as f64 + 0.0)));
+                    let mut nulls = composite(width, &probe, salted(0));
+                    nulls[0] = Column::from_ints(probe.iter().map(|_| None));
+                    probes.extend([floats, nulls]);
+                    probes
+                }
+            };
+            same_as_hashed(&batches, &probes);
         }
     }
 
