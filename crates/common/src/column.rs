@@ -584,30 +584,6 @@ impl Block {
         let columns = self.columns.iter().map(|c| Arc::new(c.gather(rows)));
         Block::new(columns.collect(), rows.len())
     }
-
-    /// The first `limit` rows of `blocks` laid end to end (`usize::MAX`:
-    /// all of them). A single block that is wanted whole is shared, not
-    /// copied.
-    pub fn concat(blocks: &[Arc<Block>], limit: usize) -> Arc<Block> {
-        let total: usize = blocks.iter().map(|b| b.rows).sum();
-        let wanted = total.min(limit);
-        let mut occupied = blocks.iter().filter(|b| b.rows > 0);
-        match (occupied.next(), occupied.next()) {
-            (None, _) => return blocks.first().cloned().unwrap_or_default(),
-            (Some(only), None) if wanted == only.rows => return Arc::clone(only),
-            _ => {}
-        }
-        let column = |c: usize| {
-            let mut out = Column::new();
-            for block in blocks {
-                let rows = block.rows.min(wanted - out.len()) as u32;
-                out.extend_from(&block.columns[c], 0..rows);
-            }
-            Arc::new(out)
-        };
-        let width = blocks[0].columns.len();
-        Arc::new(Block::new((0..width).map(column).collect(), wanted))
-    }
 }
 
 #[cfg(test)]
@@ -749,12 +725,11 @@ mod tests {
 
         /// `gather` (with rows past the end and `NO_ROW`), `extend_from`
         /// (onto a column of the same type, or of none yet), `take` and
-        /// `concat` against the same thing done cell by cell.
+        /// `append` against the same thing done cell by cell.
         #[test]
         fn gather_scatter_and_take_equal_the_row_wise_reference(
             (a, b) in same_typed(),
             picks in proptest::collection::vec(0u32..16, 0..20),
-            limit in 0usize..30,
         ) {
             let (ca, cb) = (column_of(&a), column_of(&b));
             let picks: Vec<u32> = picks.into_iter().map(|p| if p == 15 { NO_ROW } else { p }).collect();
@@ -775,18 +750,12 @@ mod tests {
                 prop_assert_eq!(onto.is_null(row), cell.is_null());
                 prop_assert!(onto.eq_cells(row, &column_of(&want), row));
             }
-            // Blocks: take, then concat with a limit.
+            // Blocks: take.
             let rows = |cells: &[Value]| cells.iter().map(|c| row_of([c.clone(), Value::Int(7)])).collect::<Vec<Row>>();
             let (ba, bb) = (Arc::new(Block::from_rows(2, rows(&a))), Arc::new(Block::from_rows(2, rows(&b))));
             let inside: Vec<u32> = picks.iter().copied().filter(|&p| (p as usize) < a.len()).collect();
             let want: Vec<Row> = inside.iter().map(|&p| rows(&a)[p as usize].clone()).collect();
             prop_assert_eq!(exact(&ba.take(&inside).to_rows()), exact(&want));
-            let both: Vec<Row> = rows(&a).into_iter().chain(rows(&b)).take(limit).collect();
-            let joined = Block::concat(&[Arc::clone(&ba), Arc::clone(&bb)], limit);
-            prop_assert_eq!(exact(&joined.to_rows()), exact(&both));
-            if b.is_empty() && limit >= a.len() {
-                prop_assert!(Arc::ptr_eq(&joined, &ba) || a.is_empty(), "a whole block is shared");
-            }
             // Append: onto a copy, since `ba` shares the columns.
             let mut grown = Block::clone(&ba);
             grown.append(&bb);

@@ -70,7 +70,7 @@ pub fn run(ctx: &StatementContext<'_>, statement: &PlannedStatement) -> Result<u
             // The FROM rows laid end to end in gather order, and their index.
             let from = match from {
                 Some(plan) => {
-                    let rows = Block::concat(&ctx.execute_logical(plan)?.parts, usize::MAX);
+                    let rows = ctx.rows_of(plan)?.concat(usize::MAX);
                     Some((join.build(&rows)?, rows))
                 }
                 None => None,

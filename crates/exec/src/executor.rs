@@ -37,6 +37,7 @@ use spinner_storage::{
 
 use crate::cache::JoinStateCache;
 use crate::fault::FaultInjector;
+use crate::joined::Rows;
 use crate::keys::{KeyTable, NIL};
 use crate::operators;
 use crate::physical::{
@@ -172,10 +173,10 @@ impl<'a> StatementContext<'a> {
         Ok(result)
     }
 
-    /// Execute a logical plan tree to a partitioned result.
-    pub fn execute_logical(&self, plan: &LogicalPlan) -> Result<Partitioned> {
+    /// The rows of a logical plan tree, as row numbers.
+    pub(crate) fn rows_of(&self, plan: &LogicalPlan) -> Result<Rows> {
         let physical = create_physical_plan(plan, self.config)?;
-        operators::execute(&physical, self)
+        operators::run(&physical, usize::MAX, self)
     }
 
     /// Run a sequence of steps.
@@ -1462,13 +1463,10 @@ mod tests {
                 _ => merged.push(old as u32),
             }
         }
-        let both = [Arc::new(cte.clone()), Arc::new(work.clone())];
+        let mut both = cte.clone();
+        both.append(work);
         let updated = delta.len() as u64;
-        Ok((
-            Block::concat(&both, usize::MAX).take(&merged),
-            work.take(&delta),
-            updated,
-        ))
+        Ok((both.take(&merged), work.take(&delta), updated))
     }
 
     /// The merge through the solution index, onto a copy of `cte`.

@@ -13,7 +13,11 @@
 //! `u32` gather per source, instead of gathering the columns of their
 //! input; a bare projection remaps columns; an aggregate numbers its
 //! groups at the rows of the source that holds its group columns
-//! (`operators::aggregate_joined`).
+//! (`operators::aggregate_joined`, the one aggregation kernel).
+//!
+//! [`Rows`] — a `Joined` per partition — is what every operator reads and
+//! hands up. Partitions are laid end to end in one way, [`concat`]
+//! (`Rows::concat`): straight from the sources, a padded row reading NULL.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -313,16 +317,16 @@ impl Rows {
         self.parts.iter().map(Joined::len).sum()
     }
 
-    /// [`Partitioned::placed_for`] of the gathered rows.
+    /// [`PlacedOn::placed_for`] of these rows.
     pub(crate) fn placed_for(&self, on: PlacedOn, parts: usize) -> bool {
-        let placed = on != PlacedOn::UNKNOWN && self.placed_on == on && self.parts.len() == parts;
-        debug_assert!(
-            !placed
-                || (self.parts.iter().enumerate()).all(|(p, j)| on.holds(&j.gather(), p, parts)),
-            "rows tagged as placed on columns {:?} are not",
-            on.columns()
-        );
-        placed
+        let blocks = self.parts.iter().map(Joined::gather);
+        self.placed_on.placed_for(on, parts, blocks)
+    }
+
+    /// The first `limit` rows in partition order laid end to end
+    /// ([`concat`]).
+    pub(crate) fn concat(&self, limit: usize) -> Arc<Block> {
+        concat(&self.parts, limit)
     }
 
     /// [`Partitioned::estimated_bytes`] of the gathered rows, which is
@@ -341,18 +345,106 @@ impl Rows {
     }
 }
 
-// The type check is a debug build's.
-#[cfg(debug_assertions)]
+/// The first `limit` rows of `parts` in order (`usize::MAX`: all of
+/// them) laid end to end as one block. Each output column is gathered
+/// once, straight from its source columns by the composed row vectors; a
+/// padded row ([`NO_ROW`]) reads NULL. A lone occupied part wanted whole
+/// is its [`gather`](Joined::gather) — a block's own rows are that block,
+/// shared, not copied.
+pub(crate) fn concat<'j, I>(parts: I, limit: usize) -> Arc<Block>
+where
+    I: IntoIterator<Item = &'j Joined>,
+    I::IntoIter: Clone,
+{
+    let parts = parts.into_iter();
+    let Some(first) = parts.clone().next() else {
+        return Arc::default();
+    };
+    let wanted = parts.clone().map(Joined::len).sum::<usize>().min(limit);
+    let mut occupied = parts.clone().filter(|j| j.len() > 0);
+    match (occupied.next(), occupied.next()) {
+        (None, _) => return first.gather(),
+        (Some(only), None) if wanted == only.len() => return only.gather(),
+        _ => {}
+    }
+    let column = |c: usize| {
+        let mut out = Column::new();
+        for joined in parts.clone() {
+            let n = joined.len().min(wanted - out.len());
+            let source = joined.source_of(c);
+            match &joined.rows {
+                None => out.extend_from(joined.source_column(source), 0..n as u32),
+                Some(rows) => {
+                    let rows = rows[source.0][..n].iter().copied();
+                    out.extend_from(joined.source_column(source), rows)
+                }
+            }
+        }
+        Arc::new(out)
+    };
+    Arc::new(Block::new((0..first.width()).map(column).collect(), wanted))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinner_common::{row_of, DataType, Field, Schema, Value};
+    use proptest::prelude::*;
+    use spinner_common::{row_of, DataType, Field, Row, Schema, Value};
 
+    fn exact(rows: &[Row]) -> String {
+        format!("{rows:?}")
+    }
+
+    /// Rows `(x, 7)` of the cells `cells`.
+    fn block_of(cells: &[Option<i64>]) -> Arc<Block> {
+        let row = |x: &Option<i64>| row_of([x.map_or(Value::Null, Value::Int), Value::Int(7)]);
+        Arc::new(Block::from_rows(2, cells.iter().map(row)))
+    }
+
+    proptest! {
+        /// `concat` lays the first `limit` rows of its parts end to end:
+        /// two blocks, and a left join of them whose unmatched rows read
+        /// NULL on the padded side. A block wanted whole beside an empty
+        /// one is shared.
+        #[test]
+        fn concat_lays_the_first_rows_end_to_end(
+            a in proptest::collection::vec(proptest::option::of(0i64..4), 0..12),
+            b in proptest::collection::vec(proptest::option::of(0i64..4), 0..12),
+            limit in 0usize..30,
+        ) {
+            let (ba, bb) = (block_of(&a), block_of(&b));
+            let parts = [Joined::of(Arc::clone(&ba)), Joined::of(Arc::clone(&bb))];
+            let both: Vec<Row> = ba.to_rows().into_iter().chain(bb.to_rows()).take(limit).collect();
+            let joined = concat(&parts, limit);
+            prop_assert_eq!(exact(&joined.to_rows()), exact(&both));
+            if b.is_empty() && limit >= a.len() {
+                prop_assert!(Arc::ptr_eq(&joined, &ba) || a.is_empty(), "a whole block is shared");
+            }
+            // `a ⟕ b` on the first cell: a row of `a` no row of `b` matches
+            // pairs with `NO_ROW`.
+            let (mut probe, mut build) = (Vec::new(), Vec::new());
+            for (p, x) in a.iter().enumerate() {
+                let matched: Vec<u32> = (0..b.len() as u32).filter(|&r| x.is_some() && b[r as usize] == *x).collect();
+                let pads = if matched.is_empty() { vec![NO_ROW] } else { Vec::new() };
+                for r in matched.into_iter().chain(pads) {
+                    probe.push(p as u32);
+                    build.push(r);
+                }
+            }
+            let left = Joined::of(Arc::clone(&ba)).then(&bb, (probe, build), (JoinType::Left, Some(&[2, 0, 3])));
+            let parts = [left.clone(), Joined::of(Arc::clone(&bb)).project(&[0, 0, 1])];
+            let laid: Vec<Row> = parts.iter().flat_map(|j| j.gather().to_rows()).take(limit).collect();
+            prop_assert_eq!(exact(&concat(&parts, limit).to_rows()), exact(&laid));
+        }
+    }
+
+    #[cfg(debug_assertions)]
     fn schema(types: [DataType; 3]) -> Schema {
         Schema::new(types.map(|t| Field::new("c", t)).to_vec())
     }
 
     /// A FLOAT first column whose row 1 holds no value.
+    #[cfg(debug_assertions)]
     fn floats() -> Arc<Block> {
         let rows = [
             row_of([Value::Float(2.0), Value::Float(0.0), Value::Null]),
@@ -361,6 +453,7 @@ mod tests {
         Arc::new(Block::from_rows(3, rows))
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     fn the_type_check_passes_rows_that_hold_their_types_or_no_value() {
         let rows = [
@@ -377,6 +470,7 @@ mod tests {
         check_types([kept], &typed, || "rows".into());
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "rows: column 'c' is INT but holds FLOAT")]
     fn the_type_check_names_a_column_that_holds_another_type() {
@@ -384,6 +478,7 @@ mod tests {
         check_types([Joined::of(floats())], &typed, || "rows".into());
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "rows: column 'c' is INT but holds FLOAT")]
     fn the_type_check_names_a_mistyped_column_that_kept_rows_still_hold() {

@@ -1,20 +1,32 @@
 //! Evaluation of physical operator trees over partitioned column blocks.
 //!
-//! Every operator hands up its rows as row numbers into immutable
-//! [`Block`]s — a `Joined` per virtual MPP worker (`Rows`) — and works a
-//! column at a time: expressions are evaluated into columns, keys are
-//! hashed from columns, and what an operator decides is a vector of row
-//! numbers — the rows a filter keeps, the `(probe, build)` pairs a join
-//! matched, the group of each row, the order of a sort, the partition each
-//! row is bound for. A filter and a join compose theirs into the row
-//! numbers they hand up and a bare projection remaps columns, so a reader
-//! gathers only the columns it reads; cells are gathered where a kernel
-//! reads them, and for a build side, a sort, a stored result and the wire
-//! ([`execute`]). Per-partition work runs in parallel when
-//! `EngineConfig::parallel_partitions` is set — on the statement's thread
-//! and at most one scoped thread per further core, which share the
-//! occupied partitions (see `map_partitions`). The default is sequential
-//! execution for determinism.
+//! Every operator reads its children and hands up its rows as row numbers
+//! into immutable [`Block`]s — a `Joined` per virtual MPP worker (`Rows`)
+//! — and works a column at a time: expressions are evaluated into
+//! columns, keys are hashed from columns, and what an operator decides is
+//! a vector of row numbers — the rows a filter keeps, the `(probe, build)`
+//! pairs a join matched, the group of each row, the order of a sort, the
+//! partition each row is bound for. A filter and a join compose theirs
+//! into the row numbers they hand up and a bare projection remaps
+//! columns, so a reader gathers only the columns it reads. Each mechanism
+//! has one path:
+//! - cells are gathered where a kernel reads them, and where an operator
+//!   needs a block — a build side, a distinct or set operation — inside
+//!   its partition's worker;
+//! - partitions are laid end to end only by `Rows::concat` (a gather, a
+//!   broadcast, a sort, a limit, a nested-loop join's sides, the global
+//!   aggregate), which gathers each column once from its sources;
+//! - per-partition work runs through `map_rows`, in parallel when
+//!   `EngineConfig::parallel_partitions` is set — on the statement's
+//!   thread and at most one scoped thread per further core, which share
+//!   the occupied partitions. The default is sequential execution for
+//!   determinism;
+//! - every aggregation phase, grouped or global, folds through one kernel,
+//!   `aggregate_joined`.
+//!
+//! A stored `Partitioned` appears only where rows come from storage or go
+//! back to it: the scans, the join-state cache, and [`execute`] and
+//! [`exchange`], which the executor calls.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,7 +44,7 @@ use crate::cache::CachedInput;
 use crate::executor::StatementContext;
 #[cfg(debug_assertions)]
 use crate::joined::check_types;
-use crate::joined::{read_block, read_columns, Joined, Rows};
+use crate::joined::{concat, read_block, read_columns, Joined, Rows};
 use crate::keys::{JoinTable, KeyTable, NIL};
 use crate::physical::{bare_column, ExchangeMode, JoinBuild, PhysicalPlan};
 use crate::retry::retry;
@@ -72,17 +84,17 @@ pub fn execute(plan: &PhysicalPlan, ctx: &StatementContext<'_>) -> Result<Partit
 /// it, which then stops there instead of collecting — and copying — its
 /// whole input, and tells its own input in turn, so a sort under it
 /// orders only those rows.
-fn run(plan: &PhysicalPlan, limit: usize, ctx: &StatementContext<'_>) -> Result<Rows> {
+pub(crate) fn run(plan: &PhysicalPlan, limit: usize, ctx: &StatementContext<'_>) -> Result<Rows> {
     in_span(plan, ctx, || match plan {
         PhysicalPlan::SeqScan { table, .. } => {
             let snapshot = ctx.catalog.with_table(table, |t| Ok(t.snapshot()))?;
             let parts = ctx.config.partitions;
-            Ok(normalize_partitions(snapshot, parts, plan.schema()).into())
+            Ok(normalize_partitions(snapshot, parts, plan.schema()))
         }
         PhysicalPlan::TempScan { name, .. } => {
             let data = ctx.registry.get(name)?;
             let parts = ctx.config.partitions;
-            Ok(normalize_partitions(data, parts, plan.schema()).into())
+            Ok(normalize_partitions(data, parts, plan.schema()))
         }
         PhysicalPlan::Values { rows, schema } => {
             let literal = |exprs: &Vec<PlanExpr>| exprs.iter().map(|e| e.evaluate(&[])).collect();
@@ -123,7 +135,7 @@ fn run(plan: &PhysicalPlan, limit: usize, ctx: &StatementContext<'_>) -> Result<
         } => {
             // Inputs were gathered to partition 0 by the planner.
             let gathered =
-                |side| -> Result<_> { Ok(Block::concat(&execute(side, ctx)?.parts, usize::MAX)) };
+                |side| -> Result<_> { Ok(run(side, usize::MAX, ctx)?.concat(usize::MAX)) };
             let (l, r) = (gathered(left)?, gathered(right)?);
             ctx.stats.joins_executed.add(1);
             let joined =
@@ -136,12 +148,18 @@ fn run(plan: &PhysicalPlan, limit: usize, ctx: &StatementContext<'_>) -> Result<
             aggs,
             schema,
         } => {
+            let data = run(input, usize::MAX, ctx)?;
             if group.is_empty() {
-                let data = execute(input, ctx)?;
                 global_aggregate(&data, aggs, schema.clone(), ctx)
             } else {
-                let data = run(input, usize::MAX, ctx)?;
-                grouped_aggregate(plan, data, (group, aggs, Phase::Single), schema, ctx)
+                grouped_aggregate(
+                    plan,
+                    data,
+                    (group, false),
+                    (aggs, Phase::Single),
+                    schema,
+                    ctx,
+                )
             }
         }
         PhysicalPlan::AggregatePartial {
@@ -151,7 +169,14 @@ fn run(plan: &PhysicalPlan, limit: usize, ctx: &StatementContext<'_>) -> Result<
             schema,
         } => {
             let data = run(input, usize::MAX, ctx)?;
-            grouped_aggregate(plan, data, (group, aggs, Phase::Partial), schema, ctx)
+            grouped_aggregate(
+                plan,
+                data,
+                (group, false),
+                (aggs, Phase::Partial),
+                schema,
+                ctx,
+            )
         }
         PhysicalPlan::AggregateFinal {
             input,
@@ -169,46 +194,33 @@ fn run(plan: &PhysicalPlan, limit: usize, ctx: &StatementContext<'_>) -> Result<
                 } if matches!(**partial, PhysicalPlan::AggregatePartial { .. }) => {
                     let partials = ExchangeInput::run(partial, mode, ctx)?;
                     let in_place = partials.in_place(ctx);
-                    let data = partials.finish(Route::Planned, ctx)?;
-                    (data.gathered(), in_place)
+                    (partials.finish(Route::Planned, ctx)?, in_place)
                 }
-                _ => (execute(input, ctx)?, false),
+                _ => (run(input, usize::MAX, ctx)?, false),
             };
-            // Its groups are pinned hash-aggregate state while it runs.
-            let bytes = data.estimated_bytes();
-            let kind = RegionKind::HashAggregate;
-            let parts = with_transient_tracking(ctx, "final aggregate", kind, bytes, || {
-                unary_map(&data, ctx, |block| {
-                    let keys = block.columns()[..*group_len].to_vec();
-                    aggregate_block(block, keys, one_per_group, aggs, Phase::Final).map(Joined::of)
-                })
-            })?;
-            Ok(Rows {
-                schema: schema.clone(),
-                parts,
-                placed_on: data.placed_on.remap(|c| (c < *group_len).then_some(c)),
-            })
+            // The keys are the states' first columns.
+            let group: Vec<PlanExpr> = (0..*group_len).map(|c| PlanExpr::column(c, "")).collect();
+            let phase = (aggs.as_slice(), Phase::Final);
+            grouped_aggregate(plan, data, (&group, one_per_group), phase, schema, ctx)
         }
         PhysicalPlan::Distinct { input } => {
-            let data = execute(input, ctx)?;
-            let parts = unary_map(&data, ctx, |block| distinct_rows(block).map(Joined::of))?;
-            Ok(Rows {
-                schema: data.schema,
-                parts,
-                placed_on: data.placed_on,
-            })
+            let data = run(input, usize::MAX, ctx)?;
+            let is_empty = |i: usize| data.parts[i].len() == 0;
+            let parts = map_rows(&data, ctx, &is_empty, &|_, joined| {
+                distinct_rows(&joined.gather()).map(Joined::of)
+            })?;
+            Ok(Rows { parts, ..data })
         }
         PhysicalPlan::Sort { input, keys } => {
-            let data = execute(input, ctx)?;
-            let rows = Block::concat(&data.parts, usize::MAX);
-            let sorted = sort_rows(&rows, keys, limit)?;
+            let data = run(input, usize::MAX, ctx)?;
+            let sorted = sort_rows(&data.concat(usize::MAX), keys, limit)?;
             Ok(in_partition_zero(data.schema, Joined::of(sorted), ctx))
         }
         PhysicalPlan::Limit { input, n } => {
             // The first `n` rows in partition order, and no row past them.
             let n = usize::try_from(*n).unwrap_or(usize::MAX);
-            let data = run(input, n, ctx)?.gathered();
-            let rows = Block::concat(&data.parts, n);
+            let data = run(input, n, ctx)?;
+            let rows = data.concat(n);
             Ok(in_partition_zero(data.schema, Joined::of(rows), ctx))
         }
         PhysicalPlan::SetOp {
@@ -218,10 +230,12 @@ fn run(plan: &PhysicalPlan, limit: usize, ctx: &StatementContext<'_>) -> Result<
             right,
             schema,
         } => {
-            let l = execute(left, ctx)?;
-            let r = execute(right, ctx)?;
-            let parts = binary_map(&l, &r, ctx, |_, l, r| {
-                set_op_partition(l, r, *op, *all).map(Joined::of)
+            let l = run(left, usize::MAX, ctx)?;
+            let r = run(right, usize::MAX, ctx)?;
+            same_partitions(l.parts.len(), r.parts.len())?;
+            let is_empty = |i: usize| l.parts[i].len() == 0 && r.parts[i].len() == 0;
+            let parts = map_rows(&l, ctx, &is_empty, &|i, l| {
+                set_op_partition(l, &r.parts[i], *op, *all).map(Joined::of)
             })?;
             // EXCEPT and INTERSECT keep left rows; a union keeps both
             // sides', placed alike only if both sides were.
@@ -340,26 +354,30 @@ pub(crate) fn evaluate_all<'e>(
         .collect()
 }
 
-/// Bring a row set to exactly `parts` partitions, preserving data. Used at
-/// scan boundaries when a stored result was partitioned under a different
-/// configuration; rows dealt anew are no longer placed on a key.
+/// A stored row set as the rows of a scan, in exactly `parts` partitions,
+/// preserving data. A result stored under a different configuration is
+/// dealt anew, and is then no longer placed on a key.
 fn normalize_partitions(
     data: Partitioned,
     parts: usize,
     schema: spinner_common::SchemaRef,
-) -> Partitioned {
+) -> Rows {
+    let data = Rows {
+        schema,
+        ..Rows::from(data)
+    };
     if data.parts.len() == parts {
-        return Partitioned { schema, ..data };
+        return data;
     }
     // Round-robin over the rows in partition order.
-    let all = Block::concat(&data.parts, usize::MAX);
+    let all = data.concat(usize::MAX);
     let nth = |p: usize| (p..all.rows()).step_by(parts).map(|row| row as u32);
-    Partitioned {
-        schema,
+    Rows {
         parts: (0..parts)
-            .map(|p| Arc::new(all.take(&nth(p).collect::<Vec<_>>())))
+            .map(|p| Joined::of(Arc::new(all.take(&nth(p).collect::<Vec<_>>()))))
             .collect(),
         placed_on: PlacedOn::UNKNOWN,
+        ..data
     }
 }
 
@@ -438,9 +456,10 @@ fn cores() -> usize {
     *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Shared scheduling driver for [`unary_map`]/[`binary_map`]: run
-/// `work(i)` for every partition index `0..count` and collect the
-/// results in partition order.
+/// Run `f(i, partition i)` over every partition of `rows` and collect the
+/// results in partition order; `is_empty(i)` tells which partitions have
+/// no work. Each call is panic-isolated and retried as
+/// [`run_partition`] says.
 ///
 /// Scheduling policy:
 /// - serial mode, or fewer than two *occupied* partitions: everything
@@ -453,15 +472,17 @@ fn cores() -> usize {
 ///   others.
 ///
 /// Empty partitions run on the statement's thread after the parallel
-/// batch. They still go through `work` (and therefore [`run_partition`]),
+/// batch. They still go through `f` (and therefore [`run_partition`]),
 /// so fault-injection hit counts and retry accounting are identical in
 /// every mode.
-fn map_partitions<T: Send + Sync>(
+fn map_rows<'r, T: Send + Sync>(
+    rows: &'r Rows,
     ctx: &StatementContext<'_>,
-    count: usize,
     is_empty: &dyn Fn(usize) -> bool,
-    work: &(dyn Fn(usize) -> Result<T> + Sync),
+    f: &(dyn Fn(usize, &'r Joined) -> Result<T> + Sync),
 ) -> Result<Vec<T>> {
+    let count = rows.parts.len();
+    let work = |i: usize| run_partition(ctx, i, || f(i, &rows.parts[i]));
     // Serially nothing is listed, and an empty list allocates nothing.
     let listed = |i: &usize| ctx.config.parallel_partitions && !is_empty(*i);
     let occupied: Vec<usize> = (0..count).filter(listed).collect();
@@ -492,53 +513,6 @@ fn map_partitions<T: Send + Sync>(
         .map(|(i, slot)| slot.into_inner().unwrap_or_else(|| work(i)))
         .collect();
     results.into_iter().collect()
-}
-
-/// Run `f` over every partition of `input`, optionally in parallel.
-/// Workers are panic-isolated; see [`run_partition`].
-fn unary_map<T: Send + Sync>(
-    input: &Partitioned,
-    ctx: &StatementContext<'_>,
-    f: impl Fn(&Arc<Block>) -> Result<T> + Sync,
-) -> Result<Vec<T>> {
-    map_partitions(
-        ctx,
-        input.parts.len(),
-        &|i| input.parts[i].is_empty(),
-        &|i| run_partition(ctx, i, || f(&input.parts[i])),
-    )
-}
-
-/// Run `f` over co-indexed partition pairs, each with its partition index,
-/// optionally in parallel. Workers are panic-isolated; see
-/// [`run_partition`].
-fn binary_map<T: Send + Sync>(
-    l: &Partitioned,
-    r: &Partitioned,
-    ctx: &StatementContext<'_>,
-    f: impl Fn(usize, &Arc<Block>, &Arc<Block>) -> Result<T> + Sync,
-) -> Result<Vec<T>> {
-    same_partitions(l.parts.len(), r.parts.len())?;
-    map_partitions(
-        ctx,
-        l.parts.len(),
-        &|i| l.parts[i].is_empty() && r.parts[i].is_empty(),
-        &|i| run_partition(ctx, i, || f(i, &l.parts[i], &r.parts[i])),
-    )
-}
-
-/// Run `f(i, partition i)` over every partition of `rows`, optionally in
-/// parallel; `is_empty(i)` tells [`map_partitions`] which partitions have
-/// no work. Workers are panic-isolated; see [`run_partition`].
-fn map_rows<'r, T: Send + Sync>(
-    rows: &'r Rows,
-    ctx: &StatementContext<'_>,
-    is_empty: &dyn Fn(usize) -> bool,
-    f: &(dyn Fn(usize, &'r Joined) -> Result<T> + Sync),
-) -> Result<Vec<T>> {
-    map_partitions(ctx, rows.parts.len(), is_empty, &|i| {
-        run_partition(ctx, i, || f(i, &rows.parts[i]))
-    })
 }
 
 /// Two inputs of one operator must have as many partitions.
@@ -612,13 +586,11 @@ fn distribute(
                     ..data
                 });
             }
-            let data = data.gathered();
-            let rows = Block::concat(&data.parts, limit);
+            let rows = data.concat(limit);
             Ok(in_partition_zero(data.schema, Joined::of(rows), ctx))
         }
         ExchangeMode::Broadcast => {
-            let data = data.gathered();
-            let rows = Block::concat(&data.parts, usize::MAX);
+            let rows = data.concat(usize::MAX);
             let copies = rows.rows() as u64 * (parts as u64).saturating_sub(1);
             ctx.guard.charge_rows_moved(copies)?;
             ctx.stats.rows_broadcast.add(copies);
@@ -633,20 +605,32 @@ fn distribute(
 }
 
 /// Redistribute a partitioned result according to `mode`, counting
-/// movement, as an `Exchange` does (`distribute`), gathered.
+/// movement, as an `Exchange` does (`distribute`), gathered. Rows placed
+/// on a hash exchange's key already are handed back as they are.
 pub fn exchange(
     data: Partitioned,
     mode: &ExchangeMode,
     limit: usize,
     ctx: &StatementContext<'_>,
 ) -> Result<Partitioned> {
+    if let ExchangeMode::Hash(keys) = mode {
+        if data.placed_for(placed_by(keys), ctx.config.partitions) {
+            ctx.faults.hit(FaultSite::Exchange)?;
+            return Ok(data);
+        }
+    }
     Ok(distribute(data.into(), mode, limit, ctx)?.gathered())
+}
+
+/// The placement a hash exchange on `keys` gives its output.
+fn placed_by(keys: &[PlanExpr]) -> PlacedOn {
+    PlacedOn::new(keys.iter().map(bare_column))
 }
 
 /// The hash exchange of [`distribute`] on `keys`.
 fn hash_exchange(mut data: Rows, keys: &[PlanExpr], ctx: &StatementContext<'_>) -> Result<Rows> {
     let parts = ctx.config.partitions;
-    let placed_on = PlacedOn::new(keys.iter().map(bare_column));
+    let placed_on = placed_by(keys);
     if data.placed_for(placed_on, parts) {
         return Ok(data);
     }
@@ -725,8 +709,7 @@ impl<'p> ExchangeInput<'p> {
         let ExchangeMode::Hash(keys) = self.mode else {
             return false;
         };
-        let on = PlacedOn::new(keys.iter().map(bare_column));
-        self.rows.placed_for(on, ctx.config.partitions)
+        self.rows.placed_for(placed_by(keys), ctx.config.partitions)
     }
 
     /// The rows distributed by `route`: any route is one hit of the
@@ -817,15 +800,16 @@ fn hash_join(plan: &PhysicalPlan, ctx: &StatementContext<'_>) -> Result<Rows> {
             let parts = if *build == JoinBuild::Cached {
                 cached_hash_join(&l, right, &join)?
             } else {
-                let r = execute(right, ctx)?;
+                let r = run(right, usize::MAX, ctx)?;
                 ctx.stats.joins_executed.add(1);
                 match indexed {
                     Some(tables) => {
                         same_partitions(l.parts.len(), r.parts.len())?;
-                        let is_empty = |i: usize| l.parts[i].len() == 0 && r.parts[i].is_empty();
+                        let is_empty = |i: usize| l.parts[i].len() == 0 && r.parts[i].len() == 0;
                         map_rows(&l, ctx, &is_empty, &|i, l| {
-                            let pairs = join.indexed_pairs(&l.gather(), &r.parts[i], &tables[i])?;
-                            Ok(l.then(&r.parts[i], pairs, join.output()))
+                            let r = r.parts[i].gather();
+                            let pairs = join.indexed_pairs(&l.gather(), &r, &tables[i])?;
+                            Ok(l.then(&r, pairs, join.output()))
                         })?
                     }
                     None => hash_join_partitions(&l, &r, &join)?,
@@ -873,14 +857,15 @@ fn broadcast_or_hash_join(
     ctx.stats.joins_executed.add(1);
     if !broadcast {
         let l = probe.finish(Route::Planned, ctx)?;
-        let r = build.finish(Route::Planned, ctx)?.gathered();
+        let r = build.finish(Route::Planned, ctx)?;
         let parts = hash_join_partitions(&l, &r, join)?;
         return Ok((l, parts));
     }
     let bytes = build.rows.estimated_bytes();
     let l = probe.finish(Route::InPlace, ctx)?;
-    let r = build.finish(Route::Broadcast, ctx)?.gathered();
-    let shared = &r.parts[0];
+    let r = build.finish(Route::Broadcast, ctx)?;
+    // Every partition holds the one broadcast block.
+    let shared = &r.parts[0].gather();
     let parts = with_transient_tracking(
         ctx,
         "hash join build",
@@ -896,8 +881,9 @@ fn broadcast_or_hash_join(
     Ok((l, parts))
 }
 
-/// Hash join of co-partitioned inputs, a key index built per partition.
-fn hash_join_partitions(l: &Rows, r: &Partitioned, join: &HashJoinSpec<'_>) -> Result<Vec<Joined>> {
+/// Hash join of co-partitioned inputs, a key index built per partition
+/// over its build rows, gathered.
+fn hash_join_partitions(l: &Rows, r: &Rows, join: &HashJoinSpec<'_>) -> Result<Vec<Joined>> {
     let ctx = join.ctx;
     with_transient_tracking(
         ctx,
@@ -906,9 +892,10 @@ fn hash_join_partitions(l: &Rows, r: &Partitioned, join: &HashJoinSpec<'_>) -> R
         r.estimated_bytes(),
         || {
             same_partitions(l.parts.len(), r.parts.len())?;
-            let is_empty = |i: usize| l.parts[i].len() == 0 && r.parts[i].is_empty();
+            let is_empty = |i: usize| l.parts[i].len() == 0 && r.parts[i].len() == 0;
             map_rows(l, ctx, &is_empty, &|i, l| {
-                join.probe(l, &r.parts[i], &join.build(&r.parts[i])?)
+                let r = r.parts[i].gather();
+                join.probe(l, &r, &join.build(&r)?)
             })
         },
     )
@@ -1151,92 +1138,33 @@ fn nested_loop_join(
     Ok(Joined::of(Arc::clone(l)).then(r, pairs, (join_type, columns)))
 }
 
-/// One aggregation phase over one partition. Rows are numbered by their
-/// group — `keys` holds the group key of every row, a column per key
-/// cell — in first-seen order, which is the output order; each aggregate
-/// then folds its input columns by those numbers
-/// ([`aggregate`](crate::aggregate::aggregate)). The output is the
-/// distinct keys followed by what each aggregate emits in `phase`; in the
-/// [`Phase::Final`] phase the inputs are the state columns that follow
-/// the keys in `block`. An aggregation without keys has one group, even
-/// over no rows. Keys the caller knows to be `distinct` already (partial
-/// states in place, one per group) are numbered `0..rows` without a key
-/// table, which is the numbering the table would give them.
-fn aggregate_block(
-    block: &Block,
-    keys: Vec<Arc<Column>>,
-    distinct: bool,
-    aggs: &[AggExpr],
-    phase: Phase,
-) -> Result<Arc<Block>> {
-    let width = keys.len();
-    let (groups, count, columns) = if keys.is_empty() {
-        (vec![0; block.rows()], 1, Vec::new())
-    } else if distinct {
-        let groups: Vec<u32> = (0..block.rows() as u32).collect();
-        debug_assert!(
-            KeyTable::new(width, block.rows())
-                .insert_all(&keys, block.rows())
-                .is_ok_and(|ids| ids == groups),
-            "keys said to be distinct repeat"
-        );
-        (groups, block.rows(), keys)
-    } else {
-        let mut table = KeyTable::new(width, block.rows());
-        let groups = table.insert_all(&keys, block.rows())?;
-        (groups, table.len(), table.into_keys())
-    };
-    let mut states = block.columns()[width..].iter();
-    let inputs = |agg: &AggExpr| match phase {
-        Phase::Final => Ok(states
-            .by_ref()
-            .take(Accumulator::state_width(agg.func))
-            .cloned()
-            .collect()),
-        _ => evaluate_all(agg.arg.iter().chain(&agg.by), block),
-    };
-    fold(aggs, phase, (&groups, count), columns, inputs)
-}
-
-/// Each of `aggs` folded in `phase` by the group numbers `groups` of
-/// `count` groups, from the input columns `inputs` gives it — each
-/// aggregate's inputs are asked for after the aggregate before it is
-/// folded — emitted after the group keys `columns`.
-fn fold(
-    aggs: &[AggExpr],
-    phase: Phase,
-    (groups, count): (&[u32], usize),
-    mut columns: Vec<Arc<Column>>,
-    mut inputs: impl FnMut(&AggExpr) -> Result<Vec<Arc<Column>>>,
-) -> Result<Arc<Block>> {
-    for agg in aggs {
-        let emitted = aggregate(agg, phase, &inputs(agg)?, groups, count)?;
-        columns.extend(emitted.into_iter().map(Arc::new));
-    }
-    Ok(Arc::new(Block::new(columns, count)))
-}
-
-/// A grouped aggregation phase — [`Phase::Single`] or [`Phase::Partial`] —
-/// of `plan` over `data`, into rows of `schema`. Each partition's groups
-/// are numbered at the rows of its first source ([`aggregate_joined`]):
-/// as they are, when that source, which no join padded, holds every
-/// column the group expressions read; otherwise at a block of the columns
-/// the aggregate reads, gathered first. When the rows a join made are
-/// numbered at its source, the operator's profile label says so. Either
-/// way the groups are charged as the gathered rows' bytes.
+/// A grouped aggregation phase of `plan` over `data`, into rows of
+/// `schema`; the final phase's keys are the first columns of the partial
+/// states it reads. Each partition is folded by [`aggregate_joined`], its
+/// groups numbered at the rows of its first source as they are, when that
+/// source, which no join padded, holds every column the group expressions
+/// read; otherwise at a block of the columns the aggregate reads, gathered
+/// first. When the rows a join made are numbered at its source, the
+/// operator's profile label says so. Either way the groups are charged as
+/// the gathered rows' bytes.
 fn grouped_aggregate(
     plan: &PhysicalPlan,
     data: Rows,
-    (group, aggs, phase): (&[PlanExpr], &[AggExpr], Phase),
+    (group, distinct): (&[PlanExpr], bool),
+    (aggs, phase): (&[AggExpr], Phase),
     schema: &spinner_common::SchemaRef,
     ctx: &StatementContext<'_>,
 ) -> Result<Rows> {
     let label = match phase {
         Phase::Single => "hash aggregate",
-        _ => "partial aggregate",
+        Phase::Partial => "partial aggregate",
+        Phase::Final => "final aggregate",
     };
-    let inputs = || aggs.iter().flat_map(|a| a.arg.iter().chain(&a.by));
-    let (keys, args) = (read_columns(group), read_columns(inputs()));
+    let keys = read_columns(group);
+    let args = match phase {
+        Phase::Final => (group.len()..data.schema.len()).collect(),
+        _ => read_columns(aggs.iter().flat_map(|a| a.arg.iter().chain(&a.by))),
+    };
     let at_first = |joined: &Joined| {
         joined.first_source().is_some() && keys.iter().all(|&c| joined.source_of(c).0 == 0)
     };
@@ -1249,10 +1177,16 @@ fn grouped_aggregate(
     // Otherwise the columns the aggregate reads are gathered first.
     let read = match at_source {
         true => Vec::new(),
-        false => read_columns(group.iter().chain(inputs())),
+        false => {
+            let mut read = [&keys[..], &args[..]].concat();
+            read.sort_unstable();
+            read.dedup();
+            read
+        }
     };
     let grouped = |joined: &Joined| {
-        aggregate_joined(joined, (group, aggs), (&keys, &args), phase).map(Joined::of)
+        let (group, aggs) = ((group, distinct), (aggs, phase));
+        aggregate_joined(joined, group, aggs, (&keys, &args)).map(Joined::of)
     };
     let is_empty = |i: usize| data.parts[i].len() == 0;
     let bytes = data.estimated_bytes();
@@ -1269,28 +1203,66 @@ fn grouped_aggregate(
     })
 }
 
-/// One aggregation phase over one partition, its groups numbered at the
-/// rows of its first source — which no join padded and which holds the
-/// columns `keys` that the group expressions read. Of the output, only
-/// the columns `args` that the aggregates' arguments read are gathered.
+/// One aggregation phase over one partition: the aggregation kernel. The
+/// output is the distinct group keys followed by what each of `aggs`
+/// emits in `phase` ([`aggregate`](crate::aggregate::aggregate)), the
+/// groups in first-seen order. Without keys (`group` empty) every row is
+/// in one group, even over no rows. Each aggregate folds its input
+/// columns — its arguments, evaluated over the output's columns `args`,
+/// or in the [`Phase::Final`] phase its partial states, the columns that
+/// follow the keys — by its rows' group numbers. Of the output, only the
+/// columns `args` are gathered.
 ///
-/// The output visits the first source's rows in ascending order, a run
-/// of output rows for each row it holds: its *occurring* rows. The group
-/// keys are evaluated over those rows alone, each once — so no expression
-/// sees a row a join or filter dropped, and one that fails fails as it
-/// would over the output, at the same row — and the key table numbers
-/// them in first-seen order, which, as the runs ascend, is the first-seen
-/// order of the output rows; each output row takes its run's group. So
-/// the numbering, the order each group folds its rows in, and the key
-/// cells kept per group (its first occurring row's, which are its first
-/// output row's) are those of grouping the gathered output. Where no row
-/// repeats, the runs are the rows themselves.
+/// With keys, the groups are numbered at the rows of the output's first
+/// source, which no join padded and which holds the columns `keys` that
+/// the group expressions read. The output visits that source's rows in
+/// ascending order, a run of output rows for each row it holds: its
+/// *occurring* rows. The group keys are evaluated over those rows alone,
+/// each once — so no expression sees a row a join or filter dropped, and
+/// one that fails fails as it would over the output, at the same row —
+/// and numbered in first-seen order, which, as the runs ascend, is the
+/// first-seen order of the output rows; each output row takes its run's
+/// group. So the numbering, the order each group folds its rows in, and
+/// the key cells kept per group (its first occurring row's, which are its
+/// first output row's) are those of grouping the gathered output. Where no
+/// row repeats, the runs are the rows themselves. Keys the caller knows
+/// to be `distinct` (partial states in place, one per group) are numbered
+/// `0..runs` and kept as they are, without a key table, which is the
+/// numbering the table would give them.
 fn aggregate_joined(
     joined: &Joined,
-    (group, aggs): (&[PlanExpr], &[AggExpr]),
+    (group, distinct): (&[PlanExpr], bool),
+    (aggs, phase): (&[AggExpr], Phase),
     (keys, args): (&[usize], &[usize]),
-    phase: Phase,
 ) -> Result<Arc<Block>> {
+    let (groups, count, mut columns) = match group {
+        [] => (vec![0; joined.len()], 1, Vec::new()),
+        _ => number_groups(joined, (group, distinct), keys)?,
+    };
+    let block = joined.block(args);
+    let mut states = block.columns().iter().skip(group.len());
+    for agg in aggs {
+        let inputs = match phase {
+            Phase::Final => (states.by_ref())
+                .take(Accumulator::state_width(agg.func))
+                .cloned()
+                .collect(),
+            _ => evaluate_all(agg.arg.iter().chain(&agg.by), &block)?,
+        };
+        let emitted = aggregate(agg, phase, &inputs, &groups, count)?;
+        columns.extend(emitted.into_iter().map(Arc::new));
+    }
+    Ok(Arc::new(Block::new(columns, count)))
+}
+
+/// [`aggregate_joined`]'s numbering of `joined`'s rows by the keys
+/// `group`, which read the columns `keys` of its first source: each output
+/// row's group, the number of groups and their key cells.
+fn number_groups(
+    joined: &Joined,
+    (group, distinct): (&[PlanExpr], bool),
+    keys: &[usize],
+) -> Result<(Vec<u32>, usize, Vec<Arc<Column>>)> {
     let Some((source, rows)) = joined.first_source() else {
         return Err(Error::execution("grouped at a padded join side"));
     };
@@ -1333,21 +1305,29 @@ fn aggregate_joined(
         None => Cow::Owned(read_block((joined.width(), runs), keys, at_occurring)),
     };
     let key_columns = evaluate_all(group, &at_occurring)?;
-    let mut table = KeyTable::new(key_columns.len(), runs);
-    let ids = table.insert_all(&key_columns, runs)?;
+    let (ids, count, columns) = if distinct {
+        let ids: Vec<u32> = (0..runs as u32).collect();
+        debug_assert!(
+            KeyTable::new(group.len(), runs)
+                .insert_all(&key_columns, runs)
+                .is_ok_and(|numbered| numbered == ids),
+            "keys said to be distinct repeat"
+        );
+        (ids, runs, key_columns)
+    } else {
+        let mut table = KeyTable::new(group.len(), runs);
+        let ids = table.insert_all(&key_columns, runs)?;
+        (ids, table.len(), table.into_keys())
+    };
     let groups = match numbered {
         Some((_, run_of)) => run_of.into_iter().map(|run| ids[run as usize]).collect(),
         None => ids,
     };
-    let count = table.len();
-    let columns = table.into_keys();
     #[cfg(debug_assertions)]
     if rows.is_some() {
         check_numbering(joined, (group, keys), (&groups, &columns));
     }
-    let block = joined.block(args);
-    let inputs = |agg: &AggExpr| evaluate_all(agg.arg.iter().chain(&agg.by), &block);
-    fold(aggs, phase, (&groups, count), columns, inputs)
+    Ok((groups, count, columns))
 }
 
 /// Debug check of [`aggregate_joined`]'s numbering: a key table over the
@@ -1382,27 +1362,29 @@ fn check_numbering(
 /// Global aggregation, one output row in partition 0 (even over empty
 /// input): each aggregate's partial states per partition, merged in
 /// partition order. `DISTINCT` has no partial state to merge, so such an
-/// aggregate runs in one phase over all the rows.
+/// aggregate runs in one phase over all the rows. It folds on the
+/// statement's thread, through the aggregation kernel without keys.
 fn global_aggregate(
-    data: &Partitioned,
+    data: &Rows,
     aggs: &[AggExpr],
     schema: spinner_common::SchemaRef,
     ctx: &StatementContext<'_>,
 ) -> Result<Rows> {
-    let phase = |blocks: &[Arc<Block>], agg: &AggExpr, phase| {
-        let agg = std::slice::from_ref(agg);
-        let rows = Block::concat(blocks, usize::MAX);
-        aggregate_block(&rows, Vec::new(), false, agg, phase)
-    };
     let mut columns = Vec::with_capacity(aggs.len());
     for agg in aggs {
+        let args = read_columns(agg.arg.iter().chain(&agg.by));
+        let phase = |joined: &Joined, phase, args: &[usize]| {
+            let agg = (std::slice::from_ref(agg), phase);
+            aggregate_joined(joined, (&[], false), agg, (&[], args))
+        };
         let row = if agg.distinct {
-            phase(&data.parts, agg, Phase::Single)?
+            phase(&Joined::of(data.concat(usize::MAX)), Phase::Single, &args)?
         } else {
-            let partial = |part| phase(std::slice::from_ref(part), agg, Phase::Partial);
-            let partials: Vec<Arc<Block>> =
-                data.parts.iter().map(partial).collect::<Result<_>>()?;
-            phase(&partials, agg, Phase::Final)?
+            let partial = |part| phase(part, Phase::Partial, &args).map(Joined::of);
+            let partials: Vec<Joined> = data.parts.iter().map(partial).collect::<Result<_>>()?;
+            let states = concat(&partials, usize::MAX);
+            let every: Vec<usize> = (0..states.columns().len()).collect();
+            phase(&Joined::of(states), Phase::Final, &every)?
         };
         columns.extend_from_slice(row.columns());
     }
@@ -1421,15 +1403,11 @@ fn distinct_rows(block: &Block) -> Result<Arc<Block>> {
 /// Set operations over one co-partitioned pair. Kept rows come out in
 /// left-then-right input order; a distinct variant keeps a row's first
 /// occurrence.
-fn set_op_partition(
-    l: &Arc<Block>,
-    r: &Arc<Block>,
-    op: SetOpKind,
-    all: bool,
-) -> Result<Arc<Block>> {
+fn set_op_partition(l: &Joined, r: &Joined, op: SetOpKind, all: bool) -> Result<Arc<Block>> {
     let kept = if op == SetOpKind::Union {
-        Block::concat(&[Arc::clone(l), Arc::clone(r)], usize::MAX)
+        concat([l, r], usize::MAX)
     } else {
+        let (l, r) = (l.gather(), r.gather());
         // EXCEPT keeps the left rows the right side lacks, INTERSECT those
         // it has; under ALL each right occurrence answers for one left row.
         let mut right = KeyTable::new(r.columns().len(), r.rows());
@@ -1515,11 +1493,16 @@ mod tests {
         let faults = FaultInjector::disabled();
         let ctx = StatementContext::new(&catalog, &config, &guard, &faults, None);
         let runs: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
-        let work = |i: usize| {
+        let work = |i: usize, _: &Joined| {
             runs[i].fetch_add(1, Ordering::Relaxed);
             Ok(block(1, &[row_of([Value::Int(i as i64)])]))
         };
-        let blocks = map_partitions(&ctx, 16, &|i| i % 4 == 0, &work).unwrap();
+        let rows = Rows {
+            schema: Arc::new(Schema::new(vec![Field::new("i", DataType::Int)])),
+            parts: vec![Joined::of(Arc::new(Block::empty(1))); 16],
+            placed_on: PlacedOn::UNKNOWN,
+        };
+        let blocks = map_rows(&rows, &ctx, &|i| i % 4 == 0, &work).unwrap();
         let order: Vec<Row> = blocks.iter().map(|b| b.row(0)).collect();
         let expected: Vec<Row> = (0..16).map(|i| row_of([Value::Int(i)])).collect();
         assert_eq!(order, expected);
@@ -1751,9 +1734,8 @@ mod tests {
 
     fn set_op(l: &[Row], r: &[Row], op: SetOpKind, all: bool) -> Vec<Row> {
         let width = l.iter().chain(r).next().map_or(3, |row| row.len());
-        set_op_partition(&block(width, l), &block(width, r), op, all)
-            .unwrap()
-            .to_rows()
+        let (l, r) = (Joined::of(block(width, l)), Joined::of(block(width, r)));
+        set_op_partition(&l, &r, op, all).unwrap().to_rows()
     }
 
     #[test]
@@ -1984,7 +1966,7 @@ mod tests {
                 func, arg, by: None, distinct: false, name: "a".into(),
             };
             let half = col(2).binary(BinaryOp::Multiply, PlanExpr::literal(0.1));
-            let aggs = vec![
+            let aggs = [
                 agg(AggFunc::CountStar, None),
                 agg(AggFunc::Sum, Some(half.clone())),
                 agg(AggFunc::Min, Some(col(2))),
@@ -2025,13 +2007,22 @@ mod tests {
                 ]);
                 row.into_boxed_slice()
             }).collect();
-            let phase = |rows: &[Row], width: usize, phase: Phase| {
-                let input = block(width, rows);
-                let keys = match phase {
-                    Phase::Final => input.columns()[..group.len()].to_vec(),
-                    _ => evaluate_all(&group, &input).unwrap(),
+            // The one kernel, over a block: grouped by `group`, whose keys
+            // the caller may know to be `distinct`; the final phase's keys
+            // are its input's first columns.
+            let kernel = |input: &Arc<Block>, (group, distinct): (&[PlanExpr], bool), phase: Phase| {
+                let args: Vec<usize> = match phase {
+                    Phase::Final => (group.len()..input.columns().len()).collect(),
+                    _ => read_columns(aggs.iter().flat_map(|a| a.arg.iter())),
                 };
-                aggregate_block(&input, keys, false, &aggs, phase).unwrap().to_rows()
+                let joined = Joined::of(Arc::clone(input));
+                let (group, aggs) = ((group, distinct), (&aggs[..], phase));
+                aggregate_joined(&joined, group, aggs, (&read_columns(group.0), &args)).unwrap()
+            };
+            let leading: Vec<PlanExpr> = (0..group.len()).map(col).collect();
+            let phase = |rows: &[Row], width: usize, phase: Phase| {
+                let group = if phase == Phase::Final { &leading } else { &group };
+                kernel(&block(width, rows), (group, false), phase).to_rows()
             };
             let grouped = phase(&rows, 3, Phase::Single);
             prop_assert_eq!(exact(&grouped), exact(&reference));
@@ -2043,23 +2034,57 @@ mod tests {
             prop_assert!(partial.iter().all(|r| r.len() == state_width));
             let merged = phase(&partial, state_width, Phase::Final);
             prop_assert_eq!(merged.len(), reference.len());
+            // Floats were added in a different association; compare loosely.
+            let loosely = |got: &[Value], want: &[Value], sum: usize| {
+                got[..sum] == want[..sum]
+                    && got[sum + 1..] == want[sum + 1..]
+                    && match (&got[sum], &want[sum]) {
+                        (Value::Float(a), Value::Float(b)) => (a - b).abs() < 1e-9,
+                        (a, b) => a == b,
+                    }
+            };
             for (got, want) in merged.iter().zip(&reference) {
-                // Floats were added in a different association; compare loosely.
-                prop_assert_eq!(&got[..group.len() + 1], &want[..group.len() + 1]);
-                prop_assert!((got[group.len() + 1].as_f64().unwrap() - want[group.len() + 1].as_f64().unwrap()).abs() < 1e-9);
-                prop_assert_eq!(&got[group.len() + 2..], &want[group.len() + 2..]);
+                prop_assert!(loosely(got, want, group.len() + 1), "{:?} vs {:?}", got, want);
             }
             // Partial states one per group already: finished with `0..rows`
             // as their group numbers, they are the regrouped rows, bit for
-            // bit, and the one-phase rows.
-            let one_per_group = phase(&rows, 3, Phase::Partial);
-            let finish = |distinct| {
-                let input = block(state_width, &one_per_group);
-                let keys = input.columns()[..group.len()].to_vec();
-                aggregate_block(&input, keys, distinct, &aggs, Phase::Final).unwrap().to_rows()
-            };
-            prop_assert_eq!(exact(&finish(true)), exact(&finish(false)));
-            prop_assert_eq!(exact(&finish(true)), exact(&grouped));
+            // bit, and the one-phase rows; without a key table, their key
+            // columns are kept as they are.
+            let states = block(state_width, &phase(&rows, 3, Phase::Partial));
+            let finish = |distinct| kernel(&states, (&leading, distinct), Phase::Final);
+            let kept = finish(true);
+            prop_assert_eq!(exact(&kept.to_rows()), exact(&finish(false).to_rows()));
+            prop_assert_eq!(exact(&kept.to_rows()), exact(&grouped));
+            let shared = kept.columns().iter().zip(states.columns()).take(group.len());
+            prop_assert!(shared.into_iter().all(|(a, b)| Arc::ptr_eq(a, b)));
+            // No keys: one group over every row, and over none — in one
+            // phase, and as partial states of two chunks merged.
+            for rows in [&rows[..0], &rows[..]] {
+                let mut want: Row = Box::new([
+                    Value::Int(rows.len() as i64), Value::Null, Value::Null, Value::Null,
+                    Value::Int(rows.iter().filter(|r| !r[0].is_null()).count() as i64), Value::Null,
+                ]);
+                let payloads = || rows.iter().map(|r| r[2].as_i64().unwrap());
+                if let Some(min) = payloads().min() {
+                    let sum = payloads().skip(1).fold(payloads().next().unwrap() as f64 * 0.1, |s, p| s + p as f64 * 0.1);
+                    want[1] = Value::Float(sum);
+                    want[2] = Value::Int(min);
+                    want[3] = Value::Float(payloads().sum::<i64>() as f64 / rows.len() as f64);
+                }
+                for row in rows {
+                    if !row[1].is_null() && (want[5].is_null() || row[1].cmp_total(&want[5]).is_gt()) {
+                        want[5] = row[1].clone();
+                    }
+                }
+                let one = kernel(&block(3, rows), (&[], false), Phase::Single).to_rows();
+                prop_assert_eq!(exact(&one), exact(&[want.clone()]));
+                let (head, tail) = rows.split_at(split.min(rows.len()));
+                let mut partial = kernel(&block(3, head), (&[], false), Phase::Partial).to_rows();
+                partial.extend(kernel(&block(3, tail), (&[], false), Phase::Partial).to_rows());
+                let merged = kernel(&block(7, &partial), (&[], false), Phase::Final).to_rows();
+                prop_assert_eq!(merged.len(), 1);
+                prop_assert!(loosely(&merged[0], &want, 1), "{:?} vs {:?}", merged[0], want);
+            }
         }
 
         /// Set operations against their definitions over `Value`'s `Eq`.
@@ -2233,7 +2258,7 @@ mod tests {
                                     exchange(data, &ExchangeMode::Hash(keys.to_vec()), usize::MAX, ctx).unwrap()
                                 };
                                 let hashed = (hash(l.clone(), &left_keys), hash(r, &right_keys));
-                                let want = hash_join_partitions(&Rows::from(hashed.0), &hashed.1, &join).unwrap();
+                                let want = hash_join_partitions(&Rows::from(hashed.0), &Rows::from(hashed.1), &join).unwrap();
                                 let want = Partitioned { parts: want.iter().map(Joined::gather).collect(), ..got.clone() };
                                 let multiset = |data: &Partitioned| {
                                     let mut rows = exact(&data.gather());
@@ -2330,7 +2355,9 @@ mod tests {
         /// then through a filter that keeps every row, none or some (one
         /// that fails only on a probe row no build row matches) or a
         /// computed projection; NULL, `-0.0` and NaN keys, and a group
-        /// expression that fails only on such a probe row.
+        /// expression that fails only on such a probe row. The same rows
+        /// laid end to end (`Rows::concat`) are the first rows of their
+        /// partitions gathered.
         #[test]
         fn grouping_by_source_rows_equals_grouping_the_gathered_rows(
             a in any::<bool>().prop_flat_map(numeric_rows),
@@ -2525,6 +2552,14 @@ mod tests {
                     }
                 };
                 ctx.registry.put("joined", gathered);
+                // The rows handed up, laid end to end, are the first rows
+                // of their partitions gathered one after another.
+                let rows = run(&chain, usize::MAX, &ctx).unwrap();
+                let laid: Vec<Row> = rows.parts.iter().flat_map(|j| j.gather().to_rows()).collect();
+                for limit in [0, 1, rows.parts[0].len() + 1, usize::MAX] {
+                    let want = &laid[..limit.min(laid.len())];
+                    prop_assert_eq!(exact(&rows.concat(limit).to_rows()), exact(want), "limit {}", limit);
+                }
                 let reference = PhysicalPlan::TempScan { name: "joined".into(), schema: Arc::clone(&schema) };
                 for (got, want) in aggregates(chain.clone()).iter().zip(&aggregates(reference)) {
                     let got = partitions_in_bits(execute(got, &ctx));

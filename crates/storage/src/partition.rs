@@ -1,5 +1,6 @@
 //! Hash partitioning of row sets across virtual MPP workers.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -65,6 +66,26 @@ impl PlacedOn {
         PlacedOn::new(self.columns().iter().map(|&c| to(c)))
     }
 
+    /// Whether rows tagged `self`, a block per partition in `blocks`, sit
+    /// where [`placement`] of the columns `on` puts them among `parts`
+    /// partitions — so placing them on `on` would move none, and needs no
+    /// row hashed. The tag decides; only debug builds read the blocks, to
+    /// check every row against it.
+    pub fn placed_for<B: Borrow<Block>>(
+        self,
+        on: PlacedOn,
+        parts: usize,
+        mut blocks: impl ExactSizeIterator<Item = B>,
+    ) -> bool {
+        let placed = on != PlacedOn::UNKNOWN && self == on && blocks.len() == parts;
+        debug_assert!(
+            !placed || (blocks.by_ref().enumerate()).all(|(p, b)| on.holds(b.borrow(), p, parts)),
+            "rows tagged as placed on columns {:?} are not",
+            on.columns()
+        );
+        placed
+    }
+
     /// Whether every row of `block` belongs in partition `part` of `parts`
     /// by [`placement`] of these columns: its rule, applied a row at a time
     /// without allocating — the check debug builds make of every exchange
@@ -121,18 +142,10 @@ impl Partitioned {
         estimated_bytes(self.total_rows(), self.schema.len())
     }
 
-    /// Whether the tag says these rows sit where [`placement`] of the
-    /// columns `on` puts them among `parts` partitions — so placing them
-    /// on `on` would move none, and needs no row hashed. Debug builds check
-    /// every row against the tag.
+    /// [`PlacedOn::placed_for`] of these rows.
     pub fn placed_for(&self, on: PlacedOn, parts: usize) -> bool {
-        let placed = on != PlacedOn::UNKNOWN && self.placed_on == on && self.parts.len() == parts;
-        debug_assert!(
-            !placed || (self.parts.iter().enumerate()).all(|(p, b)| on.holds(b, p, parts)),
-            "rows tagged as placed on columns {:?} are not",
-            on.columns()
-        );
-        placed
+        let blocks = self.parts.iter().map(|b| &**b);
+        self.placed_on.placed_for(on, parts, blocks)
     }
 
     /// Whether `parts` are the very same buffers as this row set's,

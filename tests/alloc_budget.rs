@@ -4,20 +4,23 @@
 //! as in its best, and it fails the day someone reintroduces a per-row
 //! allocation on the executor's hot path — a heap row per joined or
 //! grouped row, a key vector per routed row, a gathered copy of a table to
-//! return one row of it. The statements take 10,767 / 13,509 / 141 / 89
-//! / 69 today: a group key whose first column is INT is addressed by it,
-//! not hashed, a debug build checks such a batch without allocating, and
-//! `LEAST`, `COALESCE` and `CASE` write typed vectors instead of pushing
-//! cells one at a time. They took 11,115 / 14,222 while those keys were
+//! return one row of it. The statements take 10,718 / 13,472 / 141 / 89
+//! / 69 today: every operator reads its inputs as row numbers, and an
+//! exchange the loop driver calls hands a table placed on its key back as
+//! it is, where it turned the table into row numbers and back (10,767 /
+//! 13,509 before). A group key whose first column is INT is addressed by
+//! it, not hashed, a debug build checks such a batch without allocating,
+//! and `LEAST`, `COALESCE` and `CASE` write typed vectors instead of
+//! pushing cells one at a time. They took 11,115 / 14,222 while those keys were
 //! hashed (a computed projection lists the columns it reads once per
 //! call: PageRank's 10 more than 11,105), and 11,076 / 14,134 / 144
 //! / 88 / 69 while an operator handed up either blocks or a join's row
 //! numbers: now every
 //! operator hands up row numbers, so a filter composes the rows it keeps
 //! instead of copying every column (the point lookup's 3 fewer), but each
-//! read of a stored result and each exchange of one turns its blocks into
-//! one-source row numbers, one allocation apiece (SSSP's ≈ 90 more, over
-//! its iterations). The loop statements took 12,588 / 13,745 while every
+//! read of a stored result turns its blocks into one-source row numbers,
+//! one allocation apiece, and so did each exchange of one then (SSSP's ≈ 90
+//! more, over its iterations). The loop statements took 12,588 / 13,745 while every
 //! join gathered its output columns and the aggregate over it numbered the
 //! join rows, and ≈ 230 fewer than that before the planner typed
 //! their columns, which plans a loop body a second time, against the
@@ -27,8 +30,9 @@
 //! working table a debug build reads to check its column types, and
 //! both the key table a debug build builds again over the gathered keys
 //! of every aggregate that groups a join's source rows; a
-//! release build takes 10,323 / 12,788 (10,288 / 12,704 with two operator
-//! outputs, 12,568 / 13,087 before joins handed up row numbers). SSSP took
+//! release build takes 10,214 / 12,518 (10,323 / 12,788 when operators
+//! first handed up row numbers, 10,288 / 12,704 with two operator outputs,
+//! 12,568 / 13,087 before joins handed up row numbers). SSSP took
 //! 13,916 while every merge indexed the working table and gathered the
 //! whole CTE anew, and the semi-naive join built a hash table over the
 //! contributions every round. PageRank / SSSP took 13,088 / 15,435 while
